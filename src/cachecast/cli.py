@@ -14,15 +14,13 @@ A scenario is a single JSON object:
 
 Exit codes: 0 success, 2 validation error (bad config or arguments),
 3 solver failure.  Rates print with 6 significant digits; JSON reports
-carry full precision.  CACHECAST_THREADS caps the worker threads used for
-the per-ordering bound LPs (0 means one per CPU; unset means serial).
+carry full precision.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,19 +134,6 @@ def load_config(path: str) -> ScenarioConfig:
     )
 
 
-def _threads() -> Optional[int]:
-    raw = os.environ.get("CACHECAST_THREADS")
-    if raw is None or raw == "":
-        return None
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"CACHECAST_THREADS is not an integer: {raw!r}") from exc
-    if count < 0:
-        raise ValidationError("CACHECAST_THREADS must be >= 0")
-    return os.cpu_count() if count == 0 else count
-
-
 def _sig(x: float) -> str:
     return f"{x:.6g}"
 
@@ -225,7 +210,7 @@ def cmd_rates_degraded(args: argparse.Namespace) -> None:
 def cmd_rates_upper(args: argparse.Namespace) -> None:
     cfg = load_config(args.config)
     tup = caching.caching_tuple(cfg.strategy)
-    report = upper_bound.upper_bound_rate(cfg.stats, tup, max_workers=_threads())
+    report = upper_bound.upper_bound_rate(cfg.stats, tup)
     payload = {
         "command": "rates.upper",
         "mu": str(cfg.mu),
@@ -308,7 +293,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     alloc = lp_scheme.achievable_rate_lp(cfg.stats, cfg.mu)
     report = simulator.simulate_delivery(cfg.stats, alloc, n, seed)
     if args.trace:
-        realization = channel.sample_states(cfg.stats, n, seed)
+        realization = report.realization
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(",".join(f"user{k}" for k in range(1, cfg.stats.num_users + 1)) + "\n")
             for t_idx in range(n):
@@ -384,7 +369,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         except (NonIntegerT, BadT):
             f_lp = None
         tup = caching.caching_tuple(caching.central_strategy(cfg.stats.num_users, mu))
-        f_upper = upper_bound.upper_bound_rate(cfg.stats, tup, max_workers=_threads()).value
+        f_upper = upper_bound.upper_bound_rate(cfg.stats, tup).value
         try:
             f_deg = degraded.degraded_optimal_rate(cfg.stats, mu).rate
         except (NotDegraded, NonIntegerT, BadT):

@@ -40,6 +40,8 @@ class MessageOutcome:
 
 @dataclass(frozen=True)
 class SimulationReport:
+    """Tally of one simulated delivery, with the channel states it drew."""
+
     num_uses: int
     seed: int
     rate: float
@@ -48,6 +50,7 @@ class SimulationReport:
     user_decodable: tuple[bool, ...]
     empirical_ccdf: np.ndarray
     ccdf_std_error: np.ndarray
+    realization: StateRealization
 
 
 def apportion(quotas: list[float], total: int) -> list[int]:
@@ -149,4 +152,5 @@ def simulate_delivery(
         user_decodable=tuple(user_ok),
         empirical_ccdf=hat,
         ccdf_std_error=se,
+        realization=realization,
     )

@@ -25,7 +25,6 @@ upper_bound_rate solves all K! orderings and reports the minimum.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from math import inf
@@ -37,6 +36,7 @@ from .caching import CachingTuple
 from .channel import ChannelStats
 from .errors import (
     LengthMismatch,
+    NumericalFailure,
     OutOfRange,
     TooManyUsers,
     UnexpectedLpStatus,
@@ -132,17 +132,18 @@ def _solve_ordering(
         # sigma_1 pinned to zero contradicts sum(sigma) = 1: the ordering
         # admits no weight vector, so it contributes an infinite bound.
         return inf, None
-    solution = solve_lp(build_permutation_lp(stats, tup, pi))
+    try:
+        solution = solve_lp(build_permutation_lp(stats, tup, pi))
+    except NumericalFailure as exc:
+        raise NumericalFailure(
+            f"ordering {pi} (K={stats.num_users}, B={stats.num_levels}): {exc}"
+        ) from exc
     if solution.status != OPTIMAL:
         raise UnexpectedLpStatus(f"ordering {pi}: LP status {solution.status}")
     return solution.value, solution.x
 
 
-def upper_bound_rate(
-    stats: ChannelStats,
-    tup: CachingTuple,
-    max_workers: Optional[int] = None,
-) -> UpperBoundReport:
+def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport:
     """Tight bound: minimum of the per-ordering LP values over all K! orderings."""
     K = stats.num_users
     if K > MAX_BOUND_USERS:
@@ -150,11 +151,7 @@ def upper_bound_rate(
     orderings = [
         _check_permutation(K, pi) for pi in permutations(range(1, K + 1))
     ]
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            solved = list(pool.map(lambda pi: _solve_ordering(stats, tup, pi), orderings))
-    else:
-        solved = [_solve_ordering(stats, tup, pi) for pi in orderings]
+    solved = [_solve_ordering(stats, tup, pi) for pi in orderings]
 
     values = [value for value, _ in solved]
     best = min(values)

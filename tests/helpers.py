@@ -158,6 +158,21 @@ def random_bounded_lp(rng: np.random.Generator) -> LpProblem:
     return lp_problem(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
 
+# --- reference implementations ---------------------------------------------
+
+
+def pivot_reference(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Gauss-Jordan step one row at a time, skipping rows already zero in col.
+
+    The plain loop that lp._pivot must reproduce bit for bit.
+    """
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r] -= tableau[r, col] * tableau[row]
+    basis[row] = col
+
+
 # --- invariant checkers ----------------------------------------------------
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cachecast
-from cachecast import cli
+from cachecast import channel, cli, simulator
 from cachecast.channel import validate_stats
 from cachecast.lp_scheme import achievable_rate_lp, build_delivery_lp
 from cachecast.simulator import simulate_delivery
@@ -191,6 +191,30 @@ def test_simulate_trace(capsys, tmp_path):
     assert values.min() >= 0 and values.max() <= 3
 
 
+def test_simulate_trace_samples_once(capsys, tmp_path, monkeypatch):
+    draws = []
+    sample_states = channel.sample_states
+
+    def counting_sample(*args):
+        draws.append(args)
+        return sample_states(*args)
+
+    monkeypatch.setattr(simulator, "sample_states", counting_sample)
+    monkeypatch.setattr(channel, "sample_states", counting_sample)
+    trace = tmp_path / "levels.csv"
+    run_json(
+        capsys,
+        ["simulate", NONDEGRADED, "--n", "50", "--seed", "8", "--json", "--trace", str(trace)],
+    )
+    assert len(draws) == 1
+    # The file is exactly what a fresh draw with the same seed writes.
+    levels = sample_states(validate_stats(MIXED3_ROWS), 50, 8).levels
+    expected = "user1,user2,user3\n" + "".join(
+        ",".join(str(int(v)) for v in levels[:, t]) + "\n" for t in range(50)
+    )
+    assert trace.read_text() == expected
+
+
 # --- sweep -----------------------------------------------------------------------
 
 
@@ -304,25 +328,32 @@ def test_config_valid_demands_pass_through(capsys, tmp_path):
     assert abs(payload["value"] - MIXED3_RATE) <= 1e-9
 
 
-# --- environment knobs ------------------------------------------------------------
+# --- solver failures ----------------------------------------------------------------
+
+# ROADMAP item 1: the simplex fails on this ordinary instance.  The message
+# must name the failing ordering and the sub-problem size.  When the solver
+# is fixed, this becomes a regression test of the bound's value instead.
+ROADMAP_ITEM1 = {
+    "num_users": 6,
+    "num_levels": 4,
+    "mu": "1/6",
+    "ccdf": [
+        [0.93, 0.89, 0.49, 0.36],
+        [0.59, 0.57, 0.34, 0.32],
+        [0.89, 0.62, 0.39, 0.23],
+        [0.83, 0.79, 0.24, 0.08],
+        [0.88, 0.34, 0.15, 0.06],
+        [0.80, 0.45, 0.23, 0.05],
+    ],
+}
 
 
-def test_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("CACHECAST_THREADS", "2")
-    payload = run_json(capsys, ["rates", "upper", NONDEGRADED, "--json"])
-    assert abs(payload["value"] - MIXED3_BOUND) <= 1e-9
-    monkeypatch.setenv("CACHECAST_THREADS", "0")
-    payload = run_json(capsys, ["rates", "upper", NONDEGRADED, "--json"])
-    assert abs(payload["value"] - MIXED3_BOUND) <= 1e-9
-
-
-def test_threads_env_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("CACHECAST_THREADS", "two")
-    assert cli.main(["rates", "upper", NONDEGRADED, "--json"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("CACHECAST_THREADS", "-1")
-    assert cli.main(["rates", "upper", NONDEGRADED, "--json"]) == 2
-    capsys.readouterr()
+def test_bound_failure_names_ordering(capsys, tmp_path):
+    cfg = write_config(tmp_path, ROADMAP_ITEM1)
+    assert cli.main(["rates", "upper", cfg, "--json"]) == 3
+    err = capsys.readouterr().err
+    assert "ordering (6, 1, 2, 3, 4, 5) (K=6, B=4)" in err
+    assert "optimal basis fails feasibility recheck (largest violation " in err
 
 
 # --- console-script entry point ----------------------------------------------------
@@ -378,3 +409,19 @@ def test_installed_console_script():
     )
     assert result.returncode == 0, result.stderr
     assert abs(json.loads(result.stdout)["value"] - MIXED3_RATE) <= 1e-9
+
+
+def test_python_dash_m(tmp_path):
+    src = str(Path(cachecast.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "cachecast", "rates", "upper", NONDEGRADED, "--json"],
+        capture_output=True,
+        text=True,
+        check=False,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert abs(json.loads(result.stdout)["value"] - MIXED3_BOUND) <= 1e-9

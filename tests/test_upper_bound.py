@@ -135,14 +135,6 @@ def test_bound_single_user():
     assert report.omega_star == (1.0,)
 
 
-def test_bound_threads_match_serial(mixed3, tup3):
-    serial = upper_bound_rate(mixed3, tup3)
-    threaded = upper_bound_rate(mixed3, tup3, max_workers=2)
-    assert serial.value == threaded.value
-    assert serial.argmin_pi == threaded.argmin_pi
-    assert serial.omega_star == threaded.omega_star
-
-
 def test_bound_full_cache_is_infinite(mixed3):
     tup = caching_tuple(central_strategy(3, Fraction(1)))
     report = upper_bound_rate(mixed3, tup)
