@@ -42,6 +42,7 @@ from .lp import (
     enumerate_vertices,
     lp_problem,
     solve_lp,
+    solve_lps,
 )
 from .lp_scheme import (
     DeliveryAllocation,

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import caching, channel, degraded, lp_scheme, simulator, two_user, upper_bound
 from .errors import BadT, NonIntegerT, NotDegraded, SolverError, ValidationError
 
@@ -293,11 +295,9 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     alloc = lp_scheme.achievable_rate_lp(cfg.stats, cfg.mu)
     report = simulator.simulate_delivery(cfg.stats, alloc, n, seed)
     if args.trace:
-        realization = report.realization
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(",".join(f"user{k}" for k in range(1, cfg.stats.num_users + 1)) + "\n")
-            for t_idx in range(n):
-                fh.write(",".join(str(int(v)) for v in realization.levels[:, t_idx]) + "\n")
+            np.savetxt(fh, report.realization.levels.T, fmt="%d", delimiter=",")
     payload = {
         "command": "simulate",
         "n": report.num_uses,

@@ -36,6 +36,7 @@ from .errors import (
     MuOutOfRange,
     NonIntegerT,
     NotDegraded,
+    NumericalFailure,
     UnexpectedLpStatus,
 )
 from .lp import FEAS_TOL, OPTIMAL, lp_problem, solve_lp
@@ -105,9 +106,13 @@ def degraded_optimal_rate(stats: ChannelStats, mu) -> ZAllocation:
     c = np.zeros(num_vars)
     c[0] = -1.0
 
-    solution = solve_lp(lp_problem(c, a_ub=a_ub, b_ub=b_ub))
+    label = f"chain LP (K={K}, t={t}, B={B})"
+    try:
+        solution = solve_lp(lp_problem(c, a_ub=a_ub, b_ub=b_ub))
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"{label}: {exc}") from exc
     if solution.status != OPTIMAL:
-        raise UnexpectedLpStatus(f"chain LP status {solution.status}")
+        raise UnexpectedLpStatus(f"{label}: status {solution.status}")
     z = solution.x[1:].reshape(B, K).copy()
     for k in range(K):
         if gaps[k] == 0:  # fully covered user needs no air time

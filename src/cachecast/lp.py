@@ -10,13 +10,20 @@ feasibility/optimality tolerance and PIVOT_TOL the smallest pivot magnitude
 accepted; a candidate pivot column whose only positive entries are below
 PIVOT_TOL raises NumericalFailure rather than risking a garbage basis.
 
-The simplex loops are numpy calls that make the same decisions and the
-same floating-point operations as plain row-by-row loops, so the pivot path
-and every byte of x, the value and the duals are the loops' own.  Bland's
-entering index is the first True of a candidate mask; the ratio test walks
-the eligible rows in row order with its sequential tie rule; and each pivot
-is an in-place rank-1 update over blocks of PIVOT_BLOCK_ROWS rows (_pivot),
-so no temporary is larger than one block.
+One simplex core runs on a stack of same-shape tableaux, shape (L, m, N+1),
+in lockstep; solve_lp is the stack of one and solve_lps solves many LPs at
+once, grouped by shape and cut into stacks of at most STACK_ENTRIES
+tableau entries.  Each iteration prices every running LP with one
+np.matmul; Bland's entering index is the first True of each LP's candidate
+mask; the leaving row is the minimum ratio, then the smallest basic index
+within PIVOT_TOL of it; and each pivot is an in-place rank-1 update over
+blocks of PIVOT_BLOCK_ROWS rows of every LP at once (_pivot).  An LP that
+finishes (optimal, unbounded or failed) leaves the stack; a
+NumericalFailure is that LP's outcome alone.  Phase 1's verdict, the
+feasibility recheck and the duals are taken per LP.  The numpy calls make
+the same floating-point operations as plain row-by-row loops on one LP, so
+the pivot path and every byte of x, the value and the duals are the same
+whether an LP is solved alone or in a stack.
 
 enumerate_vertices is an independent brute-force check for tiny problems:
 it visits every choice of n active constraints, keeps the feasible basic
@@ -29,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,6 +49,9 @@ MAX_ORACLE_VARS = 6
 # Rows per _pivot block: enough to amortise numpy's per-call cost, few enough
 # that a block's update (64 rows x 1140 columns at K=9, t=4) stays in cache.
 PIVOT_BLOCK_ROWS = 64
+# Tableau entries per lockstep stack: 31 per-ordering LPs at K=6, B=4
+# (32 x 43 each), where stacking pays; one delivery LP exceeds it alone.
+STACK_ENTRIES = 43_000
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -112,139 +122,218 @@ def lp_problem(
     return LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    """Gauss-Jordan step on (row, col), one block of PIVOT_BLOCK_ROWS rows at a time.
+def _pivot(tableau: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Gauss-Jordan step on (rows[i], cols[i]) of every tableau i of the stack.
 
-    Each other row r with a nonzero entry f_r in the pivot column becomes
-    row_r - f_r * pivot_row, the same products and differences a row-by-row
-    loop forms, so the result is bit for bit that loop's.  Rows with
-    f_r == 0 are masked out, which also keeps the sign of their zero
-    entries, and blocks without any other row are skipped.
+    The update runs over blocks of PIVOT_BLOCK_ROWS rows of all tableaux at
+    once.  Each other row r with a nonzero entry f_r in its pivot column
+    becomes row_r - f_r * pivot_row, the same products and differences a
+    row-by-row loop forms, so the result is bit for bit that loop's.  Rows
+    with f_r == 0 are masked out, which also keeps the sign of their zero
+    entries, and blocks without any such row are skipped.
     """
-    tableau[row] /= tableau[row, col]
-    pivot_row = tableau[row]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
+    lps = np.arange(tableau.shape[0])
+    pivot_rows = tableau[lps, rows]
+    pivot_rows /= pivot_rows[lps, cols][:, None]
+    tableau[lps, rows] = pivot_rows
+    factors = tableau[lps, :, cols]
+    factors[lps, rows] = 0.0
     touched = factors != 0.0
-    for start in range(0, tableau.shape[0], PIVOT_BLOCK_ROWS):
+    for start in range(0, tableau.shape[1], PIVOT_BLOCK_ROWS):
         stop = start + PIVOT_BLOCK_ROWS
-        mask = touched[start:stop]
+        mask = touched[:, start:stop]
         count = np.count_nonzero(mask)
         if count:
-            block = tableau[start:stop]
-            update = np.multiply.outer(factors[start:stop], pivot_row)
-            rows = True if count == mask.size else mask[:, None]
-            np.subtract(block, update, out=block, where=rows)
-    basis[row] = col
+            block = tableau[:, start:stop]
+            update = factors[:, start:stop, None] * pivot_rows[:, None, :]
+            where = True if count == mask.size else mask[:, :, None]
+            np.subtract(block, update, out=block, where=where)
+    basis[lps, rows] = cols
 
 
-def _run_simplex(
+def _simplex(
     tableau: np.ndarray,
     basis: np.ndarray,
     costs: np.ndarray,
     allowed: np.ndarray,
-) -> tuple[str, int]:
-    """Bland-rule iterations on [A | rhs]; returns the status and the pivot count.
+) -> tuple[list, list[int]]:
+    """Bland-rule iterations on a stack of [A | rhs] tableaux in lockstep.
 
-    The status is "optimal" or "unbounded".  Entering: the smallest allowed
-    nonbasic index with reduced cost below -FEAS_TOL.  Leaving: rows with a
-    column entry above PIVOT_TOL, visited in row order; a ratio more than
-    PIVOT_TOL below the best so far replaces it, and one within PIVOT_TOL of
-    it replaces it when its basic index is smaller.
+    Returns each LP's outcome (OPTIMAL, UNBOUNDED or a NumericalFailure)
+    and pivot count; tableau and basis hold each LP's final state.
+    Entering: the smallest allowed nonbasic index with reduced cost below
+    -FEAS_TOL.  Leaving: among the rows with a column entry above
+    PIVOT_TOL, the minimum ratio, then the smallest basic index among the
+    rows within PIVOT_TOL of it.  An LP that stops leaves the running
+    stack, which is compacted, so the others run on unchanged.
     """
-    body, rhs = tableau[:, : costs.size], tableau[:, -1]
-    for pivots in range(MAX_ITERATIONS):
-        reduced = costs - costs[basis] @ body
-        improving = allowed & (reduced < -FEAS_TOL)
-        improving[basis] = False
-        first = improving.nonzero()[0][:1]
-        if not first.size:
-            return OPTIMAL, pivots
-        entering = int(first[0])
-        column = tableau[:, entering]
-        rows = (column > PIVOT_TOL).nonzero()[0]
-        ratios = (rhs[rows] / column[rows]).tolist()
-        best_ratio = inf
-        leaving, leaving_basic = -1, -1
-        for r, ratio, basic in zip(rows.tolist(), ratios, basis[rows].tolist()):
-            if ratio < best_ratio - PIVOT_TOL or (
-                abs(ratio - best_ratio) <= PIVOT_TOL
-                and (leaving < 0 or basic < leaving_basic)
-            ):
-                best_ratio = ratio
-                leaving, leaving_basic = r, basic
-        if leaving < 0:
-            if np.any(column > 0.0):
-                raise NumericalFailure(
-                    f"all candidate pivots below {PIVOT_TOL} in column {entering}"
-                )
-            return UNBOUNDED, pivots
-        _pivot(tableau, basis, leaving, entering)
-    raise NumericalFailure(f"simplex did not converge in {MAX_ITERATIONS} iterations")
+    size, _, width = tableau.shape
+    outcomes: list = [OPTIMAL] * size
+    pivots = [0] * size
+    if width == 1:  # no columns: every LP is optimal at once
+        return outcomes, pivots
+    live = lps = np.arange(size)
+    offsets = lps[:, None] * (width - 1)  # of each LP's row in the flattened costs
+    tab, bas, cst = tableau, basis, costs
+    for it in range(MAX_ITERATIONS):
+        basic = bas + offsets
+        priced = np.matmul(cst.take(basic)[:, None, :], tab[:, :, :-1])
+        improving = allowed & (cst - priced[:, 0, :] < -FEAS_TOL)
+        improving.reshape(-1)[basic] = False
+        entering = improving.argmax(axis=1)
+        column = tab[lps, :, entering]
+        eligible = column > PIVOT_TOL
+        found = improving[lps, entering]
+        go = found & eligible.any(axis=1)
+        if not go.all():
+            stops = ~go
+            for j in np.flatnonzero(stops).tolist():
+                i = int(live[j])
+                pivots[i] = it
+                if not found[j]:
+                    outcomes[i] = OPTIMAL
+                elif np.any(column[j] > 0.0):
+                    outcomes[i] = NumericalFailure(
+                        f"all candidate pivots below {PIVOT_TOL} in column {entering[j]}"
+                    )
+                else:
+                    outcomes[i] = UNBOUNDED
+            if tab is not tableau:
+                tableau[live[stops]], basis[live[stops]] = tab[stops], bas[stops]
+            if not go.any():
+                return outcomes, pivots
+            tab, bas, cst, live = tab[go], bas[go], cst[go], live[go]
+            entering, column, eligible = entering[go], column[go], eligible[go]
+            lps = np.arange(live.size)
+            offsets = lps[:, None] * (width - 1)
+        ratios = np.divide(tab[:, :, -1], column, out=np.full(column.shape, inf), where=eligible)
+        near = ratios <= ratios.min(axis=1, keepdims=True) + PIVOT_TOL
+        leaving = np.where(near, bas, width).argmin(axis=1)
+        _pivot(tab, bas, leaving, entering)
+    for i in live.tolist():
+        outcomes[i] = NumericalFailure(f"simplex did not converge in {MAX_ITERATIONS} iterations")
+        pivots[i] = MAX_ITERATIONS
+    if tab is not tableau:
+        tableau[live], basis[live] = tab, bas
+    return outcomes, pivots
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Two-phase simplex; statuses: optimal, infeasible, unbounded."""
-    n = problem.num_vars
-    m_ub, m_eq = problem.a_ub.shape[0], problem.a_eq.shape[0]
+def _solve_stack(problems: Sequence[LpProblem]) -> list:
+    """Two-phase simplex on problems of one shape, in lockstep.
+
+    Shape means n, m_ub, m_eq and the inequality rows with b_ub < 0, which
+    together fix the tableau's columns.  Returns each problem's LpSolution
+    or NumericalFailure.  Rows dropped as redundant after phase 1 are
+    deleted, and the LPs with the same number of rows left run phase 2 as
+    one stack: a zero-cost row left in place would change how BLAS groups
+    the sums of the reduced costs, and with them their last bits.
+    """
+    first = problems[0]
+    size = len(problems)
+    n = first.num_vars
+    m_ub, m_eq = first.a_ub.shape[0], first.a_eq.shape[0]
     m = m_ub + m_eq
     structural = n + m_ub
 
-    rhs = np.concatenate([problem.b_ub, problem.b_eq]).astype(float)
+    rhs = np.array([np.concatenate([p.b_ub, p.b_eq]) for p in problems], dtype=float).reshape(size, m)
     flipped = rhs < 0.0
     # Rows whose slack column survives the flip as +1 start basic on it;
     # every other row (equalities, flipped inequalities) gets an artificial.
-    art_rows = np.flatnonzero((np.arange(m) >= m_ub) | flipped)
+    art_rows = np.flatnonzero((np.arange(m) >= m_ub) | flipped[0])
     num_art = art_rows.size
     num_cols = structural + num_art
 
-    tableau = np.zeros((m, num_cols + 1))
-    tableau[:m_ub, :n] = problem.a_ub
-    tableau[np.arange(m_ub), n + np.arange(m_ub)] = 1.0
-    tableau[m_ub:, :n] = problem.a_eq
+    tableau = np.zeros((size, m, num_cols + 1))
+    for i, p in enumerate(problems):
+        tableau[i, :m_ub, :n] = p.a_ub
+        tableau[i, m_ub:, :n] = p.a_eq
+    tableau[:, np.arange(m_ub), n + np.arange(m_ub)] = 1.0
     tableau[flipped, :structural] *= -1.0
     rhs[flipped] *= -1.0
-    tableau[:, -1] = rhs
+    tableau[:, :, -1] = rhs
 
-    basis = n + np.arange(m)
-    basis[art_rows] = structural + np.arange(num_art)
-    tableau[art_rows, basis[art_rows]] = 1.0
-    identity_col = basis.copy()
+    identity_col = n + np.arange(m)
+    identity_col[art_rows] = structural + np.arange(num_art)
+    tableau[:, art_rows, identity_col[art_rows]] = 1.0
+    basis = np.tile(identity_col, (size, 1))
 
+    outcomes: list = [None] * size
+    phase1_pivots = [0] * size
+    keep = np.ones((size, m), dtype=bool)
     allowed = np.ones(num_cols, dtype=bool)
-    row_origin = np.arange(m)
-    phase1_pivots = 0
     if num_art:
         phase1 = np.zeros(num_cols)
         phase1[structural:] = 1.0
-        status, phase1_pivots = _run_simplex(tableau, basis, phase1, allowed)
-        if status != OPTIMAL:
-            raise NumericalFailure("phase 1 reported unbounded")
-        if phase1[basis] @ tableau[:, -1] > FEAS_TOL:
-            return LpSolution(INFEASIBLE, None, None, None, None, phase1_pivots, 0)
-        # Drive leftover artificials out of the basis or drop their rows.
-        keep = np.ones(m, dtype=bool)
-        for r in np.flatnonzero(basis >= structural).tolist():
-            nonzero = np.flatnonzero(np.abs(tableau[r, :structural]) > PIVOT_TOL)
-            if nonzero.size:
-                _pivot(tableau, basis, r, int(nonzero[0]))
-                phase1_pivots += 1
-            else:
-                keep[r] = False  # redundant constraint row
-        if not np.all(keep):
-            tableau = tableau[keep]
-            basis = basis[keep]
-            identity_col = identity_col[keep]
-            row_origin = row_origin[keep]
+        status, phase1_pivots = _simplex(tableau, basis, np.tile(phase1, (size, 1)), allowed)
+        for i, outcome in enumerate(status):
+            if isinstance(outcome, NumericalFailure):
+                outcomes[i] = outcome
+            elif outcome == UNBOUNDED:
+                outcomes[i] = NumericalFailure("phase 1 reported unbounded")
+            elif phase1[basis[i]] @ tableau[i, :, -1] > FEAS_TOL:
+                outcomes[i] = LpSolution(INFEASIBLE, None, None, None, None, phase1_pivots[i], 0)
+        # Drive leftover artificials out of the basis or drop their rows,
+        # the j-th leftover row of every LP at a time.
+        running = np.array([outcome is None for outcome in outcomes])
+        leftover = running[:, None] & (basis >= structural)
+        rank = np.cumsum(leftover, axis=1)
+        for j in range(1, int(rank[:, -1].max()) + 1):
+            lps, rows = np.nonzero(leftover & (rank == j))
+            hits = np.abs(tableau[lps, rows, :structural]) > PIVOT_TOL
+            found = hits.any(axis=1)
+            keep[lps[~found], rows[~found]] = False  # redundant constraint rows
+            lps, rows, cols = lps[found], rows[found], hits[found].argmax(axis=1)
+            if lps.size == size:  # every LP pivots: in place
+                _pivot(tableau, basis, rows, cols)
+            elif lps.size:
+                stack, stack_basis = tableau[lps], basis[lps]
+                _pivot(stack, stack_basis, rows, cols)
+                tableau[lps], basis[lps] = stack, stack_basis
+            for i in lps.tolist():
+                phase1_pivots[i] += 1
         allowed[structural:] = False
 
-    costs = np.zeros(num_cols)
-    costs[:n] = problem.c
-    status, phase2_pivots = _run_simplex(tableau, basis, costs, allowed)
+    costs = np.zeros((size, num_cols))
+    costs[:, :n] = [p.c for p in problems]
+    running = np.array([outcome is None for outcome in outcomes])
+    rows_left = keep.sum(axis=1)
+    for count in sorted(set(rows_left[running].tolist())):
+        lps = np.flatnonzero(running & (rows_left == count))
+        row_origin = np.nonzero(keep[lps])[1].reshape(lps.size, count)
+        if lps.size == size and count == m:
+            stack, stack_basis = tableau, basis  # nothing to leave out
+        else:
+            stack = tableau[lps[:, None], row_origin]
+            stack_basis = basis[lps[:, None], row_origin]
+        status, phase2_pivots = _simplex(stack, stack_basis, costs[lps], allowed)
+        for j, i in enumerate(lps.tolist()):
+            outcomes[i] = _finish(
+                problems[i], status[j], stack[j], stack_basis[j], costs[i],
+                identity_col[row_origin[j]], row_origin[j], flipped[i],
+                phase1_pivots[i], phase2_pivots[j],
+            )
+    return outcomes
+
+
+def _finish(
+    problem: LpProblem,
+    status,
+    tableau: np.ndarray,
+    basis: np.ndarray,
+    costs: np.ndarray,
+    identity_col: np.ndarray,
+    row_origin: np.ndarray,
+    flipped: np.ndarray,
+    phase1_pivots: int,
+    phase2_pivots: int,
+):
+    """One LP's phase-2 outcome: its LpSolution, or a NumericalFailure."""
+    if isinstance(status, NumericalFailure):
+        return status
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None, None, None, phase1_pivots, phase2_pivots)
-
-    x = np.zeros(num_cols)
+    n, m_ub = problem.num_vars, problem.a_ub.shape[0]
+    x = np.zeros(costs.size)
     x[basis] = tableau[:, -1]
     x = x[:n]
     value = float(problem.c @ x)
@@ -255,7 +344,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         np.abs(problem.a_eq @ x - problem.b_eq),
     ])
     if np.any(violation > FEAS_TOL):
-        raise NumericalFailure(
+        return NumericalFailure(
             "optimal basis fails feasibility recheck"
             f" (largest violation {np.nanmax(violation):.3g})"
         )
@@ -263,7 +352,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     # Duals of the original rows: c_B.Binv read off the columns that began
     # as the identity, then undo row flips.  Dropped rows keep dual zero.
     y_tab = costs[basis] @ tableau[:, identity_col]
-    duals = np.zeros(m)
+    duals = np.zeros(flipped.size)
     duals[row_origin] = y_tab
     duals[flipped] *= -1.0
     return LpSolution(
@@ -275,6 +364,40 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         phase1_pivots=phase1_pivots,
         phase2_pivots=phase2_pivots,
     )
+
+
+def solve_lps(problems: Sequence[LpProblem]) -> list[Union[LpSolution, NumericalFailure]]:
+    """solve_lp on every problem, in stacks; a NumericalFailure is returned, not raised.
+
+    Problems are grouped by shape (n, m_ub, m_eq and which b_ub entries
+    are negative), each group is cut into stacks of at most STACK_ENTRIES
+    tableau entries, and each stack runs in lockstep.  Every outcome is
+    bit for bit the one solve_lp gives on that problem alone, and one LP's
+    failure leaves the others in its stack unchanged.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(problems):
+        key = (p.num_vars, p.a_ub.shape[0], p.a_eq.shape[0], (p.b_ub < 0.0).tobytes())
+        groups.setdefault(key, []).append(i)
+    outcomes: list = [None] * len(problems)
+    for members in groups.values():
+        p = problems[members[0]]
+        m_ub, m_eq = p.a_ub.shape[0], p.a_eq.shape[0]
+        width = p.num_vars + m_ub + m_eq + int(np.count_nonzero(p.b_ub < 0.0)) + 1
+        cap = max(1, STACK_ENTRIES // max(1, (m_ub + m_eq) * width))
+        for start in range(0, len(members), cap):
+            chunk = members[start:start + cap]
+            for i, outcome in zip(chunk, _solve_stack([problems[i] for i in chunk])):
+                outcomes[i] = outcome
+    return outcomes
+
+
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Two-phase simplex; statuses: optimal, infeasible, unbounded."""
+    (outcome,) = solve_lps([problem])
+    if isinstance(outcome, NumericalFailure):
+        raise outcome
+    return outcome
 
 
 def enumerate_vertices(problem: LpProblem) -> LpSolution:

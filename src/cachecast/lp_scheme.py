@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .channel import ChannelStats
-from .errors import BadT, LengthMismatch, NonIntegerT, UnexpectedLpStatus
+from .errors import BadT, LengthMismatch, NonIntegerT, NumericalFailure, UnexpectedLpStatus
 from .lp import FEAS_TOL, OPTIMAL, LpProblem, lp_problem, solve_lp
 
 Subset = tuple[int, ...]
@@ -140,9 +140,13 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
         raise NonIntegerT(f"K*mu = {t_exact} is not an integer")
     t = _check_t(stats.num_users, int(t_exact))
     built = build_delivery_lp(stats, t)
-    solution = solve_lp(built.problem)
+    label = f"delivery LP (K={stats.num_users}, t={t}, B={stats.num_levels})"
+    try:
+        solution = solve_lp(built.problem)
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"{label}: {exc}") from exc
     if solution.status != OPTIMAL:
-        raise UnexpectedLpStatus(f"delivery LP status {solution.status}")
+        raise UnexpectedLpStatus(f"{label}: status {solution.status}")
     num_subsets = len(built.subsets)
     shares = solution.x[:-1].reshape(stats.num_levels, num_subsets).copy()
     shares.setflags(write=False)

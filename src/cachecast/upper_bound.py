@@ -20,7 +20,9 @@ the minimization over weights consistent with pi into
              sum_k sigma_k = 1,   sigma, theta >= 0,
 
 with sigma_k pinned to zero wherever its coverage factor is exactly one.
-upper_bound_rate solves all K! orderings and reports the minimum.
+upper_bound_rate builds the K! orderings' LPs with numpy, looking up the
+coverage of each distinct prefix once, solves them in lockstep stacks
+(lp.solve_lps) and reports the minimum.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import inf
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,9 +44,14 @@ from .errors import (
     UnexpectedLpStatus,
     ZeroDenominator,
 )
-from .lp import FEAS_TOL, OPTIMAL, LpProblem, lp_problem, solve_lp
+from .lp import FEAS_TOL, OPTIMAL, LpProblem, solve_lps
 
 MAX_BOUND_USERS = 8
+# Orderings whose LPs are built and solved by one solve_lps call: a few
+# lockstep stacks' worth.  The LPs and solutions held at once then stay
+# under 1 MB at any K; with all 720 orderings of K = 6 at once the
+# process's peak memory was 3 MB higher.
+ORDERINGS_PER_CALL = 120
 
 
 @dataclass(frozen=True)
@@ -91,56 +98,61 @@ def objective_at(stats: ChannelStats, tup: CachingTuple, weights: Sequence[float
     return numerator / denominator
 
 
+def _prefix_cover(tup: CachingTuple, orderings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gap (1 - coverage, as a float) and full-coverage flag of every prefix.
+
+    orderings is an (L, K) array of orderings; both results are (L, K).
+    The coverage of each distinct prefix set is looked up once.
+    """
+    K = orderings.shape[1]
+    masks = np.bitwise_or.accumulate(1 << (orderings - 1), axis=1)
+    gaps = np.zeros(1 << K)
+    full = np.zeros(1 << K, dtype=bool)
+    for mask in set(masks.flat):
+        coverage = tup.of(k + 1 for k in range(K) if mask >> k & 1)
+        gaps[mask] = float(1 - coverage)
+        full[mask] = coverage == 1  # exact: coverage is a Fraction
+    return gaps[masks], full[masks]
+
+
+def _permutation_lps(
+    stats: ChannelStats, orderings: np.ndarray, gaps: np.ndarray, full: np.ndarray
+) -> list[LpProblem]:
+    """The per-ordering LPs of an (L, K) array of orderings, built at once."""
+    size, K = orderings.shape
+    B = stats.num_levels
+    decode = np.arange(K * B)
+    chain = np.arange(K - 1)
+    a_ub = np.zeros((size, K * B + K - 1, K + B))
+    a_ub[:, decode, decode // B] = stats.ccdf[orderings - 1].reshape(size, K * B)
+    a_ub[:, decode, K + decode % B] = -np.repeat(gaps, B, axis=1)
+    a_ub[:, K * B + chain, chain] = -gaps[:, 1:]
+    a_ub[:, K * B + chain, chain + 1] = gaps[:, :-1]
+    b_ub = np.zeros((size, K * B + K - 1))
+    c = np.zeros((size, K + B))
+    c[:, K:] = 1.0
+
+    problems: list[LpProblem] = [None] * size  # type: ignore[list-item]
+    pins = full.sum(axis=1)
+    for count in sorted(set(pins.tolist())):
+        group = np.flatnonzero(pins == count)
+        pinned = np.nonzero(full[group])[1].reshape(group.size, count)
+        a_eq = np.zeros((group.size, 1 + count, K + B))
+        a_eq[:, 0, :K] = 1.0
+        a_eq[np.arange(group.size)[:, None], 1 + np.arange(count), pinned] = 1.0
+        b_eq = np.zeros((group.size, 1 + count))
+        b_eq[:, 0] = 1.0
+        for j, i in enumerate(group.tolist()):
+            problems[i] = LpProblem(c=c[i], a_ub=a_ub[i], b_ub=b_ub[i], a_eq=a_eq[j], b_eq=b_eq[j])
+    return problems
+
+
 def build_permutation_lp(
     stats: ChannelStats, tup: CachingTuple, pi: Sequence[int]
 ) -> LpProblem:
     """The per-ordering LP in variables x = [sigma_1..K, theta_1..B]."""
-    pi = _check_permutation(stats.num_users, pi)
-    K, B = stats.num_users, stats.num_levels
-    gaps = _prefix_gaps(tup, pi)
-
-    a_ub = np.zeros((K * B + K - 1, K + B))
-    for k in range(K):
-        row_ccdf = stats.ccdf[pi[k] - 1]
-        for l in range(B):
-            r = k * B + l
-            a_ub[r, k] = row_ccdf[l]
-            a_ub[r, K + l] = -gaps[k]
-    for k in range(1, K):
-        r = K * B + k - 1
-        a_ub[r, k - 1] = -gaps[k]
-        a_ub[r, k] = gaps[k - 1]
-    b_ub = np.zeros(K * B + K - 1)
-
-    eq_rows = [np.concatenate([np.ones(K), np.zeros(B)])]
-    eq_rhs = [1.0]
-    for k in range(K):
-        if tup.of(pi[: k + 1]) == 1:  # exact: coverage is a Fraction
-            pin = np.zeros(K + B)
-            pin[k] = 1.0
-            eq_rows.append(pin)
-            eq_rhs.append(0.0)
-
-    c = np.concatenate([np.zeros(K), np.ones(B)])
-    return lp_problem(c, a_ub=a_ub, b_ub=b_ub, a_eq=np.vstack(eq_rows), b_eq=eq_rhs)
-
-
-def _solve_ordering(
-    stats: ChannelStats, tup: CachingTuple, pi: tuple[int, ...]
-) -> tuple[float, Optional[np.ndarray]]:
-    if tup.of(pi[:1]) == 1:
-        # sigma_1 pinned to zero contradicts sum(sigma) = 1: the ordering
-        # admits no weight vector, so it contributes an infinite bound.
-        return inf, None
-    try:
-        solution = solve_lp(build_permutation_lp(stats, tup, pi))
-    except NumericalFailure as exc:
-        raise NumericalFailure(
-            f"ordering {pi} (K={stats.num_users}, B={stats.num_levels}): {exc}"
-        ) from exc
-    if solution.status != OPTIMAL:
-        raise UnexpectedLpStatus(f"ordering {pi}: LP status {solution.status}")
-    return solution.value, solution.x
+    orderings = np.array([_check_permutation(stats.num_users, pi)])
+    return _permutation_lps(stats, orderings, *_prefix_cover(tup, orderings))[0]
 
 
 def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport:
@@ -148,12 +160,32 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     K = stats.num_users
     if K > MAX_BOUND_USERS:
         raise TooManyUsers(f"ordering enumeration capped at {MAX_BOUND_USERS} users")
-    orderings = [
-        _check_permutation(K, pi) for pi in permutations(range(1, K + 1))
-    ]
-    solved = [_solve_ordering(stats, tup, pi) for pi in orderings]
+    orderings = list(permutations(range(1, K + 1)))
+    # sigma_1 pinned to zero contradicts sum(sigma) = 1: such an ordering
+    # admits no weight vector, so it contributes an infinite bound.
+    values = [inf] * len(orderings)
+    # x of each ordering whose value is below every earlier one.  The argmin
+    # below is among them: every ordering before it lies more than FEAS_TOL
+    # above the minimum, so above the argmin's value.
+    lowering: dict[int, np.ndarray] = {}
+    least = inf
+    for start in range(0, len(orderings), ORDERINGS_PER_CALL):
+        batch = np.array(orderings[start:start + ORDERINGS_PER_CALL])
+        gaps, full = _prefix_cover(tup, batch)
+        solvable = np.flatnonzero(~full[:, 0]).tolist()
+        outcomes = solve_lps(_permutation_lps(stats, batch[solvable], gaps[solvable], full[solvable]))
+        for i, outcome in zip(solvable, outcomes):
+            pi = orderings[start + i]
+            if isinstance(outcome, NumericalFailure):
+                raise NumericalFailure(
+                    f"ordering {pi} (K={K}, B={stats.num_levels}): {outcome}"
+                ) from outcome
+            if outcome.status != OPTIMAL:
+                raise UnexpectedLpStatus(f"ordering {pi}: LP status {outcome.status}")
+            values[start + i] = outcome.value
+            if outcome.value < least:
+                lowering[start + i], least = outcome.x, outcome.value
 
-    values = [value for value, _ in solved]
     best = min(values)
     if best == inf:
         return UpperBoundReport(
@@ -166,7 +198,7 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     hits = [i for i, value in enumerate(values) if value <= best + FEAS_TOL]
     argmin = hits[0]  # orderings were generated in lexicographic order
     pi = orderings[argmin]
-    x = solved[argmin][1]
+    x = lowering[argmin]
     gaps = _prefix_gaps(tup, pi)
     omega = np.zeros(K)
     for k in range(K):

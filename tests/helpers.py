@@ -35,6 +35,17 @@ MIXED3_ROWS = [
 
 THIRD = Fraction(1, 3)
 
+# K = 6, B = 4 at mu = 1/6: the bound's ordering (6, 1, 2, 3, 4, 5) LP fails
+# its feasibility recheck (ROADMAP item 1, still open).
+ROADMAP_ITEM1_ROWS = [
+    [0.93, 0.89, 0.49, 0.36],
+    [0.59, 0.57, 0.34, 0.32],
+    [0.89, 0.62, 0.39, 0.23],
+    [0.83, 0.79, 0.24, 0.08],
+    [0.88, 0.34, 0.15, 0.06],
+    [0.80, 0.45, 0.23, 0.05],
+]
+
 # Optimal chain shares for CHAIN3 at mu = 1/3, derived by hand: levels 2-3
 # go wholly to user 1, level 1 splits a : 1-a between users 1 and 2, and
 # equalizing the two binding constraints
@@ -171,6 +182,34 @@ def pivot_reference(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) 
         if r != row and tableau[r, col] != 0.0:
             tableau[r] -= tableau[r, col] * tableau[row]
     basis[row] = col
+
+
+def permutation_lp_reference(stats, tup, pi) -> LpProblem:
+    """The per-ordering LP built one entry at a time.
+
+    The loop that upper_bound.build_permutation_lp must reproduce byte for
+    byte (signed zeros included).
+    """
+    K, B = stats.num_users, stats.num_levels
+    gaps = [float(1 - tup.of(pi[: k + 1])) for k in range(K)]
+    a_ub = np.zeros((K * B + K - 1, K + B))
+    for k in range(K):
+        for l in range(B):
+            a_ub[k * B + l, k] = stats.ccdf[pi[k] - 1][l]
+            a_ub[k * B + l, K + l] = -gaps[k]
+    for k in range(1, K):
+        a_ub[K * B + k - 1, k - 1] = -gaps[k]
+        a_ub[K * B + k - 1, k] = gaps[k - 1]
+    eq_rows = [np.concatenate([np.ones(K), np.zeros(B)])]
+    eq_rhs = [1.0]
+    for k in range(K):
+        if tup.of(pi[: k + 1]) == 1:
+            pin = np.zeros(K + B)
+            pin[k] = 1.0
+            eq_rows.append(pin)
+            eq_rhs.append(0.0)
+    c = np.concatenate([np.zeros(K), np.ones(B)])
+    return lp_problem(c, a_ub=a_ub, b_ub=np.zeros(K * B + K - 1), a_eq=np.vstack(eq_rows), b_eq=eq_rhs)
 
 
 # --- invariant checkers ----------------------------------------------------

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import cachecast
-from cachecast import channel, cli, simulator
+from cachecast import channel, cli, degraded, lp_scheme, simulator
 from cachecast.channel import validate_stats
+from cachecast.errors import NumericalFailure
+from cachecast.lp import UNBOUNDED, LpSolution
 from cachecast.lp_scheme import achievable_rate_lp, build_delivery_lp
 from cachecast.simulator import simulate_delivery
 from cachecast.two_user import achievable_allocation_two_user, optimal_rate_two_user
@@ -26,6 +28,7 @@ from helpers import (
     MIXED3_RATE,
     MIXED3_ROWS,
     MIXED3_TABLE,
+    ROADMAP_ITEM1_ROWS,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -215,6 +218,20 @@ def test_simulate_trace_samples_once(capsys, tmp_path, monkeypatch):
     assert trace.read_text() == expected
 
 
+def test_simulate_trace_bytes_match_row_writer(capsys, tmp_path):
+    trace = tmp_path / "levels.csv"
+    run_json(
+        capsys,
+        ["simulate", NONDEGRADED, "--n", "300", "--seed", "4", "--json", "--trace", str(trace)],
+    )
+    # The row-by-row writer the trace format was first defined by.
+    levels = channel.sample_states(validate_stats(MIXED3_ROWS), 300, 4).levels
+    expected = "user1,user2,user3\n"
+    for t in range(300):
+        expected += ",".join(str(int(v)) for v in levels[:, t]) + "\n"
+    assert trace.read_bytes() == expected.encode("utf-8")
+
+
 # --- sweep -----------------------------------------------------------------------
 
 
@@ -337,14 +354,7 @@ ROADMAP_ITEM1 = {
     "num_users": 6,
     "num_levels": 4,
     "mu": "1/6",
-    "ccdf": [
-        [0.93, 0.89, 0.49, 0.36],
-        [0.59, 0.57, 0.34, 0.32],
-        [0.89, 0.62, 0.39, 0.23],
-        [0.83, 0.79, 0.24, 0.08],
-        [0.88, 0.34, 0.15, 0.06],
-        [0.80, 0.45, 0.23, 0.05],
-    ],
+    "ccdf": ROADMAP_ITEM1_ROWS,
 }
 
 
@@ -354,6 +364,30 @@ def test_bound_failure_names_ordering(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "ordering (6, 1, 2, 3, 4, 5) (K=6, B=4)" in err
     assert "optimal basis fails feasibility recheck (largest violation " in err
+
+
+@pytest.mark.parametrize(
+    "command, config, module, label",
+    [
+        ("achievable", NONDEGRADED, lp_scheme, "delivery LP (K=3, t=1, B=3)"),
+        ("degraded", DEGRADED, degraded, "chain LP (K=3, t=1, B=3)"),
+    ],
+)
+def test_lp_failures_name_their_lp(capsys, monkeypatch, command, config, module, label):
+    def failing(problem):
+        raise NumericalFailure("optimal basis fails feasibility recheck (largest violation 0.5)")
+
+    monkeypatch.setattr(module, "solve_lp", failing)
+    assert cli.main(["rates", command, config]) == 3
+    err = capsys.readouterr().err
+    assert f"{label}: optimal basis fails feasibility recheck (largest violation 0.5)" in err
+
+    def unbounded(problem):
+        return LpSolution(UNBOUNDED, None, None, None, None)
+
+    monkeypatch.setattr(module, "solve_lp", unbounded)
+    assert cli.main(["rates", command, config]) == 3
+    assert f"{label}: status unbounded" in capsys.readouterr().err
 
 
 # --- console-script entry point ----------------------------------------------------

@@ -2,13 +2,15 @@
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from cachecast.caching import caching_tuple, central_strategy
+from cachecast.caching import caching_tuple, central_strategy, strategy_from_intervals
 from cachecast.channel import validate_stats
 from cachecast.errors import LengthMismatch, OutOfRange, TooManyUsers, ZeroDenominator
+from cachecast.lp import FEAS_TOL, solve_lp
 from cachecast.upper_bound import build_permutation_lp, objective_at, upper_bound_rate
 
 from helpers import (
@@ -16,6 +18,7 @@ from helpers import (
     MIXED3_BOUND,
     MIXED3_OMEGA,
     MIXED3_TABLE,
+    permutation_lp_reference,
     random_stats,
 )
 
@@ -94,6 +97,25 @@ def test_lp_pins_fully_covered_prefixes(mixed3, tup3):
     np.testing.assert_array_equal(p.b_eq, [1.0, 0.0])
 
 
+def test_lp_matches_entrywise_builder():
+    # Central placements pin the same prefixes in every ordering; the
+    # explicit one pins one, two or three depending on the ordering.
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    explicit = [[(0, half)], [(half, 1)], [(0, half)], [(quarter, 3 * quarter)]]
+    cases = [
+        (random_stats(np.random.default_rng(3), 4, 3), caching_tuple(strategy_from_intervals(explicit, half))),
+        (random_stats(np.random.default_rng(4), 4, 2), caching_tuple(central_strategy(4, Fraction(1, 2)))),
+        (random_stats(np.random.default_rng(5), 3, 4), caching_tuple(central_strategy(3, Fraction(0)))),
+    ]
+    for stats, tup in cases:
+        for pi in permutations(range(1, stats.num_users + 1)):
+            built = build_permutation_lp(stats, tup, pi)
+            reference = permutation_lp_reference(stats, tup, pi)
+            for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq"):
+                a, b = getattr(built, name), getattr(reference, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_lp_rejects_non_permutation(mixed3, tup3):
     with pytest.raises(OutOfRange):
         build_permutation_lp(mixed3, tup3, (1, 2, 2))
@@ -148,3 +170,32 @@ def test_bound_user_cap():
     tup = caching_tuple(central_strategy(9, Fraction(0)))
     with pytest.raises(TooManyUsers):
         upper_bound_rate(stats, tup)
+
+
+def test_bound_explicit_caching_matches_each_ordering():
+    # {1, 2} and {2, 3} cache the whole file but {1, 3, 4} does not, so the
+    # orderings pin one, two or three prefixes and their LPs come in three
+    # shapes, solved in separate stacks.
+    stats = random_stats(np.random.default_rng(12), 4, 3)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    placement = [[(0, half)], [(half, 1)], [(0, half)], [(quarter, 3 * quarter)]]
+    tup = caching_tuple(strategy_from_intervals(placement, half))
+    report = upper_bound_rate(stats, tup)
+
+    orderings = list(permutations(range(1, 5)))
+    problems = [build_permutation_lp(stats, tup, pi) for pi in orderings]
+    assert len({p.a_eq.shape for p in problems}) == 3
+    values = [solve_lp(p).value for p in problems]
+    assert report.table == tuple(zip(orderings, values))
+    best = min(values)
+    argmin = next(i for i, v in enumerate(values) if v <= best + FEAS_TOL)
+    pi = orderings[argmin]
+    assert report.value == best and report.argmin_pi == pi
+    x = solve_lp(problems[argmin]).x
+    omega = np.zeros(4)
+    for k in range(4):
+        gap = float(1 - tup.of(pi[: k + 1]))
+        if gap > 0.0:
+            omega[pi[k] - 1] = x[k] / gap
+    omega /= omega[omega > 0.0].min()
+    assert report.omega_star == tuple(float(w) for w in omega)
