@@ -4,26 +4,43 @@ Problems are stated as
 
     minimize c.x  subject to  a_ub.x <= b_ub,  a_eq.x = b_eq,  x >= 0.
 
-solve_lp runs a two-phase primal simplex on a dense tableau with Bland's
-smallest-index rule throughout, so it cannot cycle.  FEAS_TOL is the single
-feasibility/optimality tolerance and PIVOT_TOL the smallest pivot magnitude
-accepted; a candidate pivot column whose only positive entries are below
-PIVOT_TOL raises NumericalFailure rather than risking a garbage basis.
+solve_lp runs a two-phase primal simplex on a dense tableau.  FEAS_TOL is
+the single feasibility/optimality tolerance and PIVOT_TOL the smallest
+pivot magnitude accepted.  The entering column is Bland's smallest index
+with a negative reduced cost.  The leaving row is taken among the rows
+whose ratio is within PIVOT_TOL of the minimum: the one with the largest
+column entry, then the smallest basic index.  The LPs solved here are
+highly degenerate (every ratio of a per-ordering LP is 0), and breaking
+those ties by index alone pivots on entries as small as PIVOT_TOL itself,
+which wrecks the basis.  An entering column with no entry above PIVOT_TOL
+is a ray, so the LP is unbounded.  The largest-entry rule gives up
+Bland's guarantee against cycling, so each LP keeps a guard: after
+DEGENERATE_RUN consecutive pivots whose minimum ratio is 0 (within
+PIVOT_TOL), it breaks ties by the smallest basic index alone, Bland's full
+rule, until a pivot moves its objective.
+
+After phase 2 every optimal LP is certified against its original rows:
+x is read off the basis and the duals y are c_B.Binv, read off the
+columns that began as the identity.  The primal residual (largest
+violation of the constraints and of x >= 0), the dual residual (largest
+violation of c - a^T y >= 0 and y_ub <= 0) and the gap |c.x - b.y| must
+each be within FEAS_TOL (the gap relative to 1 + |c.x|), or the LP's
+outcome is a NumericalFailure naming the residual.  LpSolution carries
+the three values.
 
 One simplex core runs on a stack of same-shape tableaux, shape (L, m, N+1),
 in lockstep; solve_lp is the stack of one and solve_lps solves many LPs at
 once, grouped by shape and cut into stacks of at most STACK_ENTRIES
 tableau entries.  Each iteration prices every running LP with one
-np.matmul; Bland's entering index is the first True of each LP's candidate
-mask; the leaving row is the minimum ratio, then the smallest basic index
-within PIVOT_TOL of it; and each pivot is an in-place rank-1 update over
-blocks of PIVOT_BLOCK_ROWS rows of every LP at once (_pivot).  An LP that
-finishes (optimal, unbounded or failed) leaves the stack; a
-NumericalFailure is that LP's outcome alone.  Phase 1's verdict, the
-feasibility recheck and the duals are taken per LP.  The numpy calls make
-the same floating-point operations as plain row-by-row loops on one LP, so
-the pivot path and every byte of x, the value and the duals are the same
-whether an LP is solved alone or in a stack.
+np.matmul, picks each LP's entering column and leaving row with vector
+operations, and pivots with an in-place rank-1 update over blocks of
+PIVOT_BLOCK_ROWS rows of every LP at once (_pivot).  The certificate is
+one batched np.matmul per stack too.  An LP that finishes (optimal,
+unbounded or failed) leaves the stack; a NumericalFailure is that LP's
+outcome alone.  The numpy calls make the same floating-point operations
+on each LP whatever the stack holds, so the pivot path and every byte of
+x, the value, the duals and the certificate are the same whether an LP
+is solved alone or in a stack.
 
 enumerate_vertices is an independent brute-force check for tiny problems:
 it visits every choice of n active constraints, keeps the feasible basic
@@ -45,6 +62,9 @@ from .errors import LengthMismatch, NumericalFailure, TooLarge
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
 MAX_ITERATIONS = 100_000
+# Consecutive degenerate pivots after which an LP falls back to Bland's
+# leaving rule until its objective moves (the anti-cycling guard).
+DEGENERATE_RUN = 50
 MAX_ORACLE_VARS = 6
 # Rows per _pivot block: enough to amortise numpy's per-call cost, few enough
 # that a block's update (64 rows x 1140 columns at K=9, t=4) stays in cache.
@@ -78,7 +98,9 @@ class LpSolution:
     Dual convention: value == dual_ub.b_ub + dual_eq.b_eq with dual_ub <= 0.
     phase1_pivots counts the phase-1 simplex pivots plus the pivots that
     drive leftover artificials out of the basis; phase2_pivots counts the
-    pivots on the true objective.
+    pivots on the true objective.  An optimal solution carries its
+    certificate: primal_residual, dual_residual and duality_gap (see the
+    module docstring); they are None otherwise.
     """
 
     status: str
@@ -88,6 +110,9 @@ class LpSolution:
     dual_eq: Optional[np.ndarray]
     phase1_pivots: int = 0
     phase2_pivots: int = 0
+    primal_residual: Optional[float] = None
+    dual_residual: Optional[float] = None
+    duality_gap: Optional[float] = None
 
 
 def lp_problem(
@@ -157,15 +182,21 @@ def _simplex(
     costs: np.ndarray,
     allowed: np.ndarray,
 ) -> tuple[list, list[int]]:
-    """Bland-rule iterations on a stack of [A | rhs] tableaux in lockstep.
+    """Primal simplex iterations on a stack of [A | rhs] tableaux in lockstep.
 
     Returns each LP's outcome (OPTIMAL, UNBOUNDED or a NumericalFailure)
     and pivot count; tableau and basis hold each LP's final state.
     Entering: the smallest allowed nonbasic index with reduced cost below
-    -FEAS_TOL.  Leaving: among the rows with a column entry above
-    PIVOT_TOL, the minimum ratio, then the smallest basic index among the
-    rows within PIVOT_TOL of it.  An LP that stops leaves the running
-    stack, which is compacted, so the others run on unchanged.
+    -FEAS_TOL (Bland).  Leaving: among the rows with a column entry above
+    PIVOT_TOL, those whose ratio is within PIVOT_TOL of the minimum; of
+    these the row with the largest column entry, then the smallest basic
+    index.  An entering column with no entry above PIVOT_TOL is a ray:
+    the LP is unbounded.  Anti-cycling guard: after DEGENERATE_RUN
+    consecutive pivots whose minimum ratio is 0 (within PIVOT_TOL), an LP
+    takes the smallest basic index among the tied rows instead, Bland's
+    full rule, until a pivot moves its objective.  An LP that stops
+    leaves the running stack, which is compacted, so the others run on
+    unchanged.
     """
     size, _, width = tableau.shape
     outcomes: list = [OPTIMAL] * size
@@ -174,6 +205,7 @@ def _simplex(
         return outcomes, pivots
     live = lps = np.arange(size)
     offsets = lps[:, None] * (width - 1)  # of each LP's row in the flattened costs
+    calm = np.zeros(size, dtype=int)  # per LP: the iteration after its last nondegenerate pivot
     tab, bas, cst = tableau, basis, costs
     for it in range(MAX_ITERATIONS):
         basic = bas + offsets
@@ -190,25 +222,25 @@ def _simplex(
             for j in np.flatnonzero(stops).tolist():
                 i = int(live[j])
                 pivots[i] = it
-                if not found[j]:
-                    outcomes[i] = OPTIMAL
-                elif np.any(column[j] > 0.0):
-                    outcomes[i] = NumericalFailure(
-                        f"all candidate pivots below {PIVOT_TOL} in column {entering[j]}"
-                    )
-                else:
-                    outcomes[i] = UNBOUNDED
+                outcomes[i] = UNBOUNDED if found[j] else OPTIMAL
             if tab is not tableau:
                 tableau[live[stops]], basis[live[stops]] = tab[stops], bas[stops]
             if not go.any():
                 return outcomes, pivots
-            tab, bas, cst, live = tab[go], bas[go], cst[go], live[go]
+            tab, bas, cst, live, calm = tab[go], bas[go], cst[go], live[go], calm[go]
             entering, column, eligible = entering[go], column[go], eligible[go]
             lps = np.arange(live.size)
             offsets = lps[:, None] * (width - 1)
         ratios = np.divide(tab[:, :, -1], column, out=np.full(column.shape, inf), where=eligible)
-        near = ratios <= ratios.min(axis=1, keepdims=True) + PIVOT_TOL
-        leaving = np.where(near, bas, width).argmin(axis=1)
+        # argmin/argmax and a gather cost less than min/max reductions.
+        least = ratios[lps, ratios.argmin(axis=1)]
+        near = ratios <= (least + PIVOT_TOL)[:, None]
+        entries = column * near  # the tied rows' entries, all > PIVOT_TOL; 0 elsewhere
+        pick = entries == entries[lps, entries.argmax(axis=1)][:, None]
+        if it - calm[calm.argmin()] >= DEGENERATE_RUN:  # some LP is on a degenerate run
+            pick |= near & (it - calm >= DEGENERATE_RUN)[:, None]
+        leaving = np.where(pick, bas, width).argmin(axis=1)
+        calm[least > PIVOT_TOL] = it + 1
         _pivot(tab, bas, leaving, entering)
     for i in live.tolist():
         outcomes[i] = NumericalFailure(f"simplex did not converge in {MAX_ITERATIONS} iterations")
@@ -247,6 +279,7 @@ def _solve_stack(problems: Sequence[LpProblem]) -> list:
     for i, p in enumerate(problems):
         tableau[i, :m_ub, :n] = p.a_ub
         tableau[i, m_ub:, :n] = p.a_eq
+    a, b = tableau[:, :, :n].copy(), rhs.copy()  # the original rows, for the certificate
     tableau[:, np.arange(m_ub), n + np.arange(m_ub)] = 1.0
     tableau[flipped, :structural] *= -1.0
     rhs[flipped] *= -1.0
@@ -301,69 +334,97 @@ def _solve_stack(problems: Sequence[LpProblem]) -> list:
         lps = np.flatnonzero(running & (rows_left == count))
         row_origin = np.nonzero(keep[lps])[1].reshape(lps.size, count)
         if lps.size == size and count == m:
-            stack, stack_basis = tableau, basis  # nothing to leave out
+            stack, stack_basis, rows = tableau, basis, (a, b)  # nothing to leave out
         else:
             stack = tableau[lps[:, None], row_origin]
             stack_basis = basis[lps[:, None], row_origin]
+            rows = a[lps], b[lps]
         status, phase2_pivots = _simplex(stack, stack_basis, costs[lps], allowed)
-        for j, i in enumerate(lps.tolist()):
-            outcomes[i] = _finish(
-                problems[i], status[j], stack[j], stack_basis[j], costs[i],
-                identity_col[row_origin[j]], row_origin[j], flipped[i],
-                phase1_pivots[i], phase2_pivots[j],
-            )
+        finished = _finish(
+            status, stack, stack_basis, costs[lps], identity_col[row_origin], row_origin,
+            flipped[lps], *rows, m_ub, [phase1_pivots[i] for i in lps], phase2_pivots,
+        )
+        for i, outcome in zip(lps.tolist(), finished):
+            outcomes[i] = outcome
     return outcomes
 
 
+def _certificate(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray, y: np.ndarray, m_ub: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Value and optimality certificate of a stack of primal-dual pairs.
+
+    a (L, m, n), b (L, m) and c (L, n) are the original rows (inequalities
+    first, m_ub of them), x (L, n) and y (L, m) the primal and dual points.
+    Returns c.x and, per LP, the primal residual (largest violation of
+    x >= 0, a_ub.x <= b_ub and a_eq.x = b_eq), the dual residual (largest
+    violation of c - a^T y >= 0 and y_ub <= 0) and the gap |c.x - b.y|,
+    each from one batched np.matmul over the stack.
+    """
+    slack = np.matmul(a, x[:, :, None])[:, :, 0] - b
+    slack[:, m_ub:] = np.abs(slack[:, m_ub:])
+    primal = np.maximum(slack.max(axis=1, initial=0.0), (-x).max(axis=1, initial=0.0))
+    reduced = c - np.matmul(y[:, None, :], a)[:, 0, :]
+    dual = np.maximum((-reduced).max(axis=1, initial=0.0), y[:, :m_ub].max(axis=1, initial=0.0))
+    value = np.matmul(c[:, None, :], x[:, :, None])[:, 0, 0]
+    gap = np.abs(value - np.matmul(b[:, None, :], y[:, :, None])[:, 0, 0])
+    return value, primal, dual, gap
+
+
 def _finish(
-    problem: LpProblem,
-    status,
+    status: list,
     tableau: np.ndarray,
     basis: np.ndarray,
     costs: np.ndarray,
-    identity_col: np.ndarray,
+    dual_cols: np.ndarray,
     row_origin: np.ndarray,
     flipped: np.ndarray,
-    phase1_pivots: int,
-    phase2_pivots: int,
-):
-    """One LP's phase-2 outcome: its LpSolution, or a NumericalFailure."""
-    if isinstance(status, NumericalFailure):
-        return status
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, None, None, phase1_pivots, phase2_pivots)
-    n, m_ub = problem.num_vars, problem.a_ub.shape[0]
-    x = np.zeros(costs.size)
-    x[basis] = tableau[:, -1]
-    x = x[:n]
-    value = float(problem.c @ x)
+    a: np.ndarray,
+    b: np.ndarray,
+    m_ub: int,
+    phase1_pivots: list[int],
+    phase2_pivots: list[int],
+) -> list:
+    """Each LP's phase-2 outcome in a stack: LpSolution or NumericalFailure.
 
-    violation = np.concatenate([
-        -x,
-        problem.a_ub @ x - problem.b_ub,
-        np.abs(problem.a_eq @ x - problem.b_eq),
-    ])
-    if np.any(violation > FEAS_TOL):
-        return NumericalFailure(
-            "optimal basis fails feasibility recheck"
-            f" (largest violation {np.nanmax(violation):.3g})"
-        )
+    x is read off the basis; the duals of the original rows are c_B.Binv,
+    read off the columns that began as the identity (dual_cols), with row
+    flips undone and dropped rows at dual zero.  An optimal LP must pass
+    the certificate against its original rows: primal and dual residuals
+    within FEAS_TOL and a gap within FEAS_TOL (1 + |c.x|).
+    """
+    size, _, width = tableau.shape
+    n = a.shape[2]
+    lps = np.arange(size)[:, None]
+    point = np.zeros((size, width - 1))
+    point[lps, basis] = tableau[:, :, -1]
+    x = point[:, :n].copy()
+    priced = np.matmul(costs[lps, basis][:, None, :], tableau[:, :, :-1])[:, 0, :]
+    y = np.zeros(flipped.shape)
+    y[lps, row_origin] = priced[lps, dual_cols]
+    y[flipped] *= -1.0
+    value, primal, dual, gap = _certificate(a, b, costs[:, :n], x, y, m_ub)
 
-    # Duals of the original rows: c_B.Binv read off the columns that began
-    # as the identity, then undo row flips.  Dropped rows keep dual zero.
-    y_tab = costs[basis] @ tableau[:, identity_col]
-    duals = np.zeros(flipped.size)
-    duals[row_origin] = y_tab
-    duals[flipped] *= -1.0
-    return LpSolution(
-        status=OPTIMAL,
-        x=x,
-        value=value,
-        dual_ub=duals[:m_ub],
-        dual_eq=duals[m_ub:],
-        phase1_pivots=phase1_pivots,
-        phase2_pivots=phase2_pivots,
-    )
+    outcomes: list = []
+    certificates = zip(value.tolist(), primal.tolist(), dual.tolist(), gap.tolist())
+    for j, (outcome, (v, p, d, g)) in enumerate(zip(status, certificates)):
+        pivots = {"phase1_pivots": phase1_pivots[j], "phase2_pivots": phase2_pivots[j]}
+        if outcome == OPTIMAL:
+            if not p <= FEAS_TOL:
+                outcome = NumericalFailure(f"optimal basis fails feasibility recheck (largest violation {p:.3g})")
+            elif not d <= FEAS_TOL:
+                outcome = NumericalFailure(f"optimal basis fails dual feasibility check (dual residual {d:.3g})")
+            elif not g <= FEAS_TOL * (1.0 + abs(v)):
+                outcome = NumericalFailure(f"optimal basis fails duality-gap check (gap {g:.3g})")
+            else:
+                outcome = LpSolution(
+                    OPTIMAL, x[j], v, y[j, :m_ub], y[j, m_ub:],
+                    primal_residual=p, dual_residual=d, duality_gap=g, **pivots,
+                )
+        elif outcome == UNBOUNDED:
+            outcome = LpSolution(UNBOUNDED, None, None, None, None, **pivots)
+        outcomes.append(outcome)
+    return outcomes
 
 
 def solve_lps(problems: Sequence[LpProblem]) -> list[Union[LpSolution, NumericalFailure]]:

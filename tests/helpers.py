@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from cachecast import lp
 from cachecast.channel import ChannelStats, ZeroWeightWarning, enhance, is_stochastically_dominant
 from cachecast.lp import FEAS_TOL, OPTIMAL, LpProblem, enumerate_vertices, lp_problem, solve_lp
 from cachecast.lp_scheme import DeliveryAllocation, message_subsets
@@ -35,8 +36,11 @@ MIXED3_ROWS = [
 
 THIRD = Fraction(1, 3)
 
-# K = 6, B = 4 at mu = 1/6: the bound's ordering (6, 1, 2, 3, 4, 5) LP fails
-# its feasibility recheck (ROADMAP item 1, still open).
+# K = 6, B = 4 at mu = 1/6: the bound's ordering (6, 1, 2, 3, 4, 5) LP failed
+# its feasibility recheck while the ratio test broke ties by the smallest
+# basic index alone (it pivoted on an entry of 1.83e-11).  The bound HiGHS
+# (scipy.optimize.linprog) finds on the same 720 ordering LPs:
+ROADMAP_ITEM1_BOUND = 0.8099322006503284
 ROADMAP_ITEM1_ROWS = [
     [0.93, 0.89, 0.49, 0.36],
     [0.59, 0.57, 0.34, 0.32],
@@ -110,7 +114,7 @@ def delivery_allocation(shares, rate: float, num_users: int, t: int) -> Delivery
 
 def random_stats(rng: np.random.Generator, num_users: int, num_levels: int) -> ChannelStats:
     """Random valid CCDF grid: per-user sorted uniforms."""
-    grid = np.sort(rng.random((num_users, num_levels)), axis=1)[:, ::-1].copy()
+    grid = sorted_uniform_ccdf(rng, num_users, num_levels).copy()
     return ChannelStats(num_users=num_users, num_levels=num_levels, ccdf=grid)
 
 
@@ -169,6 +173,39 @@ def random_bounded_lp(rng: np.random.Generator) -> LpProblem:
     return lp_problem(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
 
+def chain_ccdf(rng: np.random.Generator, users: int, levels: int) -> np.ndarray:
+    """Rows that form a dominance chain, in a seeded user order.
+
+    Sorting a column-sorted matrix along its rows keeps the columns sorted,
+    so row k+1 dominates row k levelwise before the users are shuffled.
+    """
+    grid = np.sort(np.sort(rng.random((users, levels)), axis=0), axis=1)[:, ::-1]
+    return grid[rng.permutation(users)]
+
+
+def sorted_uniform_ccdf(rng: np.random.Generator, users: int, levels: int) -> np.ndarray:
+    """Each user's row: `levels` uniform draws sorted nonincreasing."""
+    return np.sort(rng.random((users, levels)), axis=1)[:, ::-1]
+
+
+def degenerate_delivery_grids() -> list[tuple[str, np.ndarray, int]]:
+    """(name, ccdf, t) of delivery LPs that a tie-blind ratio test got wrong.
+
+    With ties broken by the smallest basic index alone, seed 27 failed its
+    feasibility recheck, seed 208 reported `unbounded` (the LP is bounded),
+    and the two K = 8 grids stalled past 100,000 iterations.
+    """
+    grids = [
+        (f"K6-t2-B5-seed{s}", sorted_uniform_ccdf(np.random.default_rng([s, 777]), 6, 5), 2)
+        for s in (27, 208)
+    ]
+    rng = np.random.default_rng(5)
+    ladder = [sorted_uniform_ccdf(rng, users, 4) for users in (7, 7, 8, 8)]
+    grids.append(("K8-t3-B4-stall", ladder[3], 3))
+    grids.append(("K8-t3-B4-chain", chain_ccdf(np.random.default_rng([47, 777]), 8, 4), 3))
+    return grids
+
+
 # --- reference implementations ---------------------------------------------
 
 
@@ -210,6 +247,25 @@ def permutation_lp_reference(stats, tup, pi) -> LpProblem:
             eq_rhs.append(0.0)
     c = np.concatenate([np.zeros(K), np.ones(B)])
     return lp_problem(c, a_ub=a_ub, b_ub=np.zeros(K * B + K - 1), a_eq=np.vstack(eq_rows), b_eq=eq_rhs)
+
+
+def fail_certificate(monkeypatch, problem: LpProblem, violation: float = 0.00294) -> None:
+    """Make every LP with problem's rows and costs fail its feasibility recheck.
+
+    Wraps lp._certificate so that the primal residual of each such LP in a
+    stack reads `violation`; the other LPs of the stack are untouched.
+    """
+    certificate = lp._certificate
+    rows = np.vstack([problem.a_ub, problem.a_eq])
+
+    def failing(a, b, c, x, y, m_ub):
+        value, primal, dual, gap = certificate(a, b, c, x, y, m_ub)
+        if a.shape[1:] == rows.shape:
+            hit = np.all(a == rows, axis=(1, 2)) & np.all(c == problem.c, axis=1)
+            primal = np.where(hit, violation, primal)
+        return value, primal, dual, gap
+
+    monkeypatch.setattr(lp, "_certificate", failing)
 
 
 # --- invariant checkers ----------------------------------------------------

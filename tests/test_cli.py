@@ -14,12 +14,14 @@ import pytest
 
 import cachecast
 from cachecast import channel, cli, degraded, lp_scheme, simulator
+from cachecast.caching import caching_tuple, central_strategy
 from cachecast.channel import validate_stats
 from cachecast.errors import NumericalFailure
 from cachecast.lp import UNBOUNDED, LpSolution
 from cachecast.lp_scheme import achievable_rate_lp, build_delivery_lp
 from cachecast.simulator import simulate_delivery
 from cachecast.two_user import achievable_allocation_two_user, optimal_rate_two_user
+from cachecast.upper_bound import build_permutation_lp
 
 from helpers import (
     CHAIN3_RATE,
@@ -29,6 +31,7 @@ from helpers import (
     MIXED3_ROWS,
     MIXED3_TABLE,
     ROADMAP_ITEM1_ROWS,
+    fail_certificate,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -347,9 +350,9 @@ def test_config_valid_demands_pass_through(capsys, tmp_path):
 
 # --- solver failures ----------------------------------------------------------------
 
-# ROADMAP item 1: the simplex fails on this ordinary instance.  The message
-# must name the failing ordering and the sub-problem size.  When the solver
-# is fixed, this becomes a regression test of the bound's value instead.
+# ROADMAP item 1's instance, on which one ordering LP once failed its
+# feasibility recheck.  It solves now, so the failure is made: the message
+# must name the failing ordering and the sub-problem size.
 ROADMAP_ITEM1 = {
     "num_users": 6,
     "num_levels": 4,
@@ -358,8 +361,11 @@ ROADMAP_ITEM1 = {
 }
 
 
-def test_bound_failure_names_ordering(capsys, tmp_path):
+def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
     cfg = write_config(tmp_path, ROADMAP_ITEM1)
+    stats = validate_stats(ROADMAP_ITEM1_ROWS)
+    tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
+    fail_certificate(monkeypatch, build_permutation_lp(stats, tup, (6, 1, 2, 3, 4, 5)))
     assert cli.main(["rates", "upper", cfg, "--json"]) == 3
     err = capsys.readouterr().err
     assert "ordering (6, 1, 2, 3, 4, 5) (K=6, B=4)" in err

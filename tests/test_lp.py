@@ -11,6 +11,7 @@ from cachecast.caching import caching_tuple, central_strategy
 from cachecast.channel import validate_stats
 from cachecast.errors import LengthMismatch, NumericalFailure, TooLarge
 from cachecast.lp import (
+    FEAS_TOL,
     INFEASIBLE,
     OPTIMAL,
     PIVOT_BLOCK_ROWS,
@@ -29,6 +30,8 @@ from cachecast.upper_bound import build_permutation_lp
 from helpers import (
     ROADMAP_ITEM1_ROWS,
     assert_matches_oracle,
+    degenerate_delivery_grids,
+    fail_certificate,
     pivot_reference,
     random_bounded_lp,
     random_chain_stats,
@@ -51,6 +54,13 @@ def check_duality(problem, tol=1e-8):
     assert abs(sol.value - dual_value) <= tol
     slack = problem.b_ub - problem.a_ub @ sol.x
     assert np.all(np.abs(sol.dual_ub * slack) <= tol)
+    # the certificate, recomputed from the problem
+    reduced = problem.c - problem.a_ub.T @ sol.dual_ub - problem.a_eq.T @ sol.dual_eq
+    primal = max(0.0, *-sol.x, *-slack, *np.abs(problem.a_eq @ sol.x - problem.b_eq))
+    dual = max(0.0, *-reduced, *sol.dual_ub)
+    assert abs(sol.primal_residual - primal) <= 1e-12
+    assert abs(sol.dual_residual - dual) <= 1e-12
+    assert abs(sol.duality_gap - abs(sol.value - dual_value)) <= 1e-12
 
 
 # --- basics -----------------------------------------------------------------
@@ -110,13 +120,29 @@ def test_degenerate_duplicated_rows():
     check_duality(p)
 
 
-def test_ratio_ties_within_pivot_tol_go_to_the_smaller_basic_index():
-    # Rows 0 and 1 start basic on slack columns 1 and 2.  Their ratios
-    # differ by 5e-12 < PIVOT_TOL, so row 0 leaves whichever ratio is less.
-    for b_ub, x in (([1.0 + 5e-12, 1.0], 1.0 + 5e-12), ([1.0, 1.0 + 5e-12], 1.0)):
-        sol = solve_lp(lp_problem([-1.0], a_ub=[[1.0], [1.0]], b_ub=b_ub))
+def test_ratio_ties_within_pivot_tol_go_to_the_larger_entry_then_the_smaller_basic_index():
+    # Rows 0 and 1 start basic on slack columns 1 and 2, and their ratios
+    # differ by 5e-12 < PIVOT_TOL.  With equal entries row 0 leaves,
+    # whichever ratio is less; otherwise the row with the larger entry
+    # leaves, even where its ratio is the larger one.
+    cases = (
+        ([[1.0], [1.0]], [1.0 + 5e-12, 1.0], 1.0 + 5e-12),
+        ([[1.0], [1.0]], [1.0, 1.0 + 5e-12], 1.0),
+        ([[1.0], [2.0]], [1.0 + 5e-12, 2.0], 1.0),
+        ([[1.0], [2.0]], [1.0, 2.0 + 1e-11], 1.0 + 5e-12),
+        ([[2.0], [1.0]], [2.0 + 1e-11, 1.0], 1.0 + 5e-12),
+    )
+    for a_ub, b_ub, x in cases:
+        sol = solve_lp(lp_problem([-1.0], a_ub=a_ub, b_ub=b_ub))
         assert sol.x[0] == x
         assert sol.phase2_pivots == 1
+
+
+def test_entering_column_of_roundoff_entries_is_unbounded():
+    # x1 enters; its only positive entries are 1e-15 and 3e-16, below
+    # PIVOT_TOL, so no row limits it: a ray, as HiGHS also reports.
+    p = lp_problem([-1.0, 0.0], a_ub=[[1e-15, -1.0], [3e-16, -1.0]], b_ub=[1.0, 1.0])
+    assert solve_lp(p).status == UNBOUNDED
 
 
 def test_zero_objective():
@@ -124,6 +150,40 @@ def test_zero_objective():
     sol = solve_lp(p)
     assert sol.status == OPTIMAL
     assert sol.value == 0.0
+
+
+def test_certificate_of_given_pairs():
+    # min x1 + x2 s.t. -x1 - x2 <= -1, x1 - x2 = 0, at two primal-dual pairs:
+    # x = (0.5, 0.4), y = (0.25, 0.2) violates everything; the optimum doesn't.
+    a = np.array([[[-1.0, -1.0], [1.0, -1.0]]] * 2)
+    b = np.array([[-1.0, 0.0]] * 2)
+    c = np.ones((2, 2))
+    x = np.array([[0.5, 0.4], [0.5, 0.5]])
+    y = np.array([[0.25, 0.2], [-1.0, 0.0]])
+    value, primal, dual, gap = lp._certificate(a, b, c, x, y, 1)
+    np.testing.assert_allclose(value, [0.9, 1.0], atol=1e-15)
+    np.testing.assert_allclose(primal, [0.1, 0.0], atol=1e-15)
+    np.testing.assert_allclose(dual, [0.25, 0.0], atol=1e-15)
+    np.testing.assert_allclose(gap, [1.15, 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("index, text", [
+    (1, "optimal basis fails feasibility recheck (largest violation 0.5)"),
+    (2, "optimal basis fails dual feasibility check (dual residual 0.5)"),
+    (3, "optimal basis fails duality-gap check (gap 0.5)"),
+])
+def test_certificate_failures_name_the_residual(monkeypatch, index, text):
+    certificate = lp._certificate
+
+    def inflated(*args):
+        parts = list(certificate(*args))
+        parts[index] = np.full_like(parts[index], 0.5)
+        return tuple(parts)
+
+    monkeypatch.setattr(lp, "_certificate", inflated)
+    with pytest.raises(NumericalFailure) as failure:
+        solve_lp(lp_problem([1.0, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0]))
+    assert str(failure.value) == text
 
 
 # --- construction and guards ---------------------------------------------------
@@ -221,10 +281,11 @@ def assert_same_outcome(stacked, solo):
         assert (a is None) == (b is None), name
         if a is not None:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    if solo.value is None:
-        assert stacked.value is None
-    else:
-        assert float.hex(stacked.value) == float.hex(solo.value)
+    for name in ("value", "primal_residual", "dual_residual", "duality_gap"):
+        a, b = getattr(stacked, name), getattr(solo, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert float.hex(a) == float.hex(b), name
 
 
 def test_stack_matches_solo(monkeypatch):
@@ -253,13 +314,13 @@ def test_stack_matches_solo(monkeypatch):
             b_eq=[1.0, 1.0],
         ))
     # The 120 orderings that start with user 6 of the ROADMAP item 1
-    # instance: one shape, several stacks' worth, and (6, 1, 2, 3, 4, 5)
-    # fails its feasibility recheck.
+    # instance: one shape, several stacks' worth.  (6, 1, 2, 3, 4, 5) is
+    # made to fail its feasibility recheck, in the stack and alone.
     stats = validate_stats(ROADMAP_ITEM1_ROWS)
     tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
-    problems += [
-        build_permutation_lp(stats, tup, (6,) + rest) for rest in permutations(range(1, 6))
-    ]
+    orderings = [build_permutation_lp(stats, tup, (6,) + rest) for rest in permutations(range(1, 6))]
+    fail_certificate(monkeypatch, orderings[0])
+    problems = problems + orderings
     problems = [problems[i] for i in rng.permutation(len(problems))]
 
     stacks, shapes = [], set()
@@ -273,17 +334,19 @@ def test_stack_matches_solo(monkeypatch):
         shapes.add(tableau.shape[1:])
         return simplex(tableau, *args)
 
-    monkeypatch.setattr(lp, "_solve_stack", recording_stack)
-    monkeypatch.setattr(lp, "_simplex", recording_simplex)
-    stacked = solve_lps(problems)
-    monkeypatch.undo()
+    with monkeypatch.context() as recording:
+        recording.setattr(lp, "_solve_stack", recording_stack)
+        recording.setattr(lp, "_simplex", recording_simplex)
+        stacked = solve_lps(problems)
     solo = [_outcome(p) for p in problems]
 
     entries = 31 * (6 + 4 + 29 + 2 + 1)  # m x (columns + rhs) of one ordering LP
     assert max(stacks) == STACK_ENTRIES // entries
     statuses = {s.status if isinstance(s, LpSolution) else type(s).__name__ for s in solo}
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED, "NumericalFailure"}
-    assert any("fails feasibility recheck" in str(s) for s in solo)
+    assert [str(s) for s in solo if isinstance(s, NumericalFailure)] == [
+        "optimal basis fails feasibility recheck (largest violation 0.00294)"
+    ]
     assert (2, 7) in shapes  # the repeated equality rows' LPs, one row dropped
     for a, b in zip(stacked, solo):
         assert_same_outcome(a, b)
@@ -296,41 +359,153 @@ def test_stack_matches_solo(monkeypatch):
         assert_same_outcome(a, b)
 
 
-# Pivot counts and optimal values frozen from the row-loop solver that came
-# before the blocked pivot.  The pivot rule, the tolerances and the order of
-# every floating-point operation decide these exactly; any change to the
-# pivot path shows up here first.
+# Pivot counts and optimal values frozen from this solver.  The pivot rule,
+# the tolerances and the order of every floating-point operation decide
+# these exactly; any change to the pivot path shows up here first.
+
+
+def _delivery_path():
+    return solve_lp(build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2).problem)
+
+
+def _chain_path():
+    solved = []
+    with pytest.MonkeyPatch.context() as recording:
+        recording.setattr(degraded, "solve_lp", lambda problem: solved.append(solve_lp(problem)) or solved[-1])
+        degraded.degraded_optimal_rate(random_chain_stats(np.random.default_rng(5), 5, 4), Fraction(2, 5))
+    (sol,) = solved
+    return sol
+
+
+def _ordering_path():
+    stats = random_stats(np.random.default_rng(5), 5, 4)
+    tup = caching_tuple(central_strategy(5, Fraction(2, 5)))
+    # Degenerate: every ratio is 0, so the tie rule picks each leaving row.
+    return solve_lp(build_permutation_lp(stats, tup, (2, 4, 1, 3, 5)))
+
+
+def _path(sol):
+    return sol.status, sol.phase1_pivots, sol.phase2_pivots, sol.value
 
 
 def test_pivot_path_delivery_lp():
-    stats = random_stats(np.random.default_rng(7), 7, 4)
-    sol = solve_lp(build_delivery_lp(stats, 2).problem)
-    assert sol.status == OPTIMAL
-    assert (sol.phase1_pivots, sol.phase2_pivots) == (0, 241)
-    assert sol.value == -1.0000449673374703
+    assert _path(_delivery_path()) == (OPTIMAL, 0, 242, -1.0000449673374927)
 
 
-def test_pivot_path_chain_lp(monkeypatch):
-    solved = []
-
-    def recording_solve(problem):
-        solved.append(solve_lp(problem))
-        return solved[-1]
-
-    monkeypatch.setattr(degraded, "solve_lp", recording_solve)
-    stats = random_chain_stats(np.random.default_rng(5), 5, 4)
-    degraded.degraded_optimal_rate(stats, Fraction(2, 5))
-    (sol,) = solved
-    assert sol.status == OPTIMAL
-    assert (sol.phase1_pivots, sol.phase2_pivots) == (0, 8)
-    assert sol.value == -2.461175840112319
+def test_pivot_path_chain_lp():
+    assert _path(_chain_path()) == (OPTIMAL, 0, 8, -2.461175840112319)
 
 
 def test_pivot_path_ordering_lp():
-    stats = random_stats(np.random.default_rng(5), 5, 4)
-    tup = caching_tuple(central_strategy(5, Fraction(2, 5)))
-    # Degenerate: ratio ties within PIVOT_TOL are broken by the basic index.
-    sol = solve_lp(build_permutation_lp(stats, tup, (2, 4, 1, 3, 5)))
+    assert _path(_ordering_path()) == (OPTIMAL, 10, 2, 1.4244174051423983)
+
+
+def test_guard_at_zero_is_blands_rule(monkeypatch):
+    # DEGENERATE_RUN = 0 keeps every LP on the smallest-basic-index rule,
+    # which reproduces the pivot paths frozen before the largest-entry rule.
+    monkeypatch.setattr(lp, "DEGENERATE_RUN", 0)
+    assert _path(_delivery_path()) == (OPTIMAL, 0, 241, -1.0000449673374703)
+    assert _path(_chain_path()) == (OPTIMAL, 0, 8, -2.461175840112319)
+    assert _path(_ordering_path()) == (OPTIMAL, 17, 3, 1.4244174051424077)
+
+
+def test_guard_fires_on_degenerate_delivery_lp(monkeypatch):
+    # The K = 7, t = 2 delivery LP has runs of more than DEGENERATE_RUN
+    # zero-ratio pivots: the guard changes its path (242 pivots against
+    # 244 with the guard off) and not its optimum.
+    problem = build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2).problem
+    guarded = solve_lp(problem)
+    monkeypatch.setattr(lp, "DEGENERATE_RUN", lp.MAX_ITERATIONS)
+    unguarded = solve_lp(problem)
+    assert (guarded.phase2_pivots, unguarded.phase2_pivots) == (242, 244)
+    assert abs(guarded.value - unguarded.value) <= 1e-12
+
+
+# Beale (1955): min -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7 subject to
+#   1/4 x4 -  60 x5 - 1/25 x6 + 9 x7 <= 0
+#   1/2 x4 -  90 x5 - 1/50 x6 + 3 x7 <= 0
+#                           x6       <= 1,
+# on which Dantzig's rule with a smallest-index ratio tie cycles through
+# six degenerate bases.  Optimum -1/20 at x4 = 1/25, x6 = 1.
+BEALE = lp_problem(
+    [-0.75, 150.0, -0.02, 6.0],
+    a_ub=[[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]],
+    b_ub=[0.0, 0.0, 1.0],
+)
+
+
+@pytest.mark.parametrize("run", [0, lp.DEGENERATE_RUN, lp.MAX_ITERATIONS])
+def test_beale_cycling_example(monkeypatch, run):
+    monkeypatch.setattr(lp, "DEGENERATE_RUN", run)
+    sol = solve_lp(BEALE)
     assert sol.status == OPTIMAL
-    assert (sol.phase1_pivots, sol.phase2_pivots) == (17, 3)
-    assert sol.value == 1.4244174051424077
+    assert abs(sol.value + 0.05) <= 1e-15
+    np.testing.assert_allclose(sol.x, [0.04, 0.0, 1.0, 0.0], atol=1e-15)
+
+
+# --- HiGHS cross-checks -----------------------------------------------------------
+# Status and value against scipy's HiGHS (1e-9 relative), and each optimal
+# LP's certificate within FEAS_TOL.  Skipped where scipy is not installed.
+
+HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+
+
+@pytest.fixture(scope="module")
+def linprog():
+    return pytest.importorskip("scipy.optimize").linprog
+
+
+def assert_matches_highs(linprog, problem, sol):
+    blocks = {}
+    if problem.a_ub.size:
+        blocks.update(A_ub=problem.a_ub, b_ub=problem.b_ub)
+    if problem.a_eq.size:
+        blocks.update(A_eq=problem.a_eq, b_eq=problem.b_eq)
+    ref = linprog(problem.c, bounds=(0, None), method="highs", **blocks)
+    assert sol.status == HIGHS_STATUS.get(ref.status, ref.message)
+    if sol.status == OPTIMAL:
+        assert abs(sol.value - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), (sol.value, ref.fun)
+        assert max(sol.primal_residual, sol.dual_residual, sol.duality_gap) <= FEAS_TOL
+    else:
+        assert sol.primal_residual is sol.dual_residual is sol.duality_gap is None
+
+
+@pytest.mark.parametrize(
+    "grid, t", [pytest.param(grid, t, id=name) for name, grid, t in degenerate_delivery_grids()]
+)
+def test_degenerate_delivery_lps_match_highs(linprog, grid, t):
+    problem = build_delivery_lp(validate_stats(grid), t).problem
+    assert_matches_highs(linprog, problem, solve_lp(problem))
+
+
+def test_delivery_lps_match_highs(linprog):
+    rng = np.random.default_rng(808)
+    for users, t in ((3, 1), (4, 2), (5, 2), (6, 3), (7, 2), (8, 4)):
+        stats = random_stats(rng, users, int(rng.integers(2, 6)))
+        problem = build_delivery_lp(stats, t).problem
+        assert_matches_highs(linprog, problem, solve_lp(problem))
+
+
+def test_ordering_lps_match_highs(linprog):
+    rng = np.random.default_rng(57)
+    for users in (5, 6, 7):
+        stats = random_stats(rng, users, 4)
+        for t in (1, users // 2, users - 1):
+            tup = caching_tuple(central_strategy(users, Fraction(t, users)))
+            orderings = [tuple(int(k) + 1 for k in rng.permutation(users)) for _ in range(12)]
+            problems = [build_permutation_lp(stats, tup, pi) for pi in orderings]
+            for problem, sol in zip(problems, solve_lps(problems)):
+                assert_matches_highs(linprog, problem, sol)
+
+
+def test_small_lps_match_highs(linprog):
+    rng = np.random.default_rng(4242)
+    problems = [random_bounded_lp(rng) for _ in range(30)] + [
+        lp_problem([0.0], a_ub=[[1.0]], b_ub=[-1.0]),
+        lp_problem([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[-1.0]),
+        lp_problem([-1.0, 0.0], a_ub=[[-1.0, 1.0]], b_ub=[0.0]),
+        lp_problem([-1.0, 0.0], a_ub=[[1e-15, -1.0], [3e-16, -1.0]], b_ub=[1.0, 1.0]),
+        BEALE,
+    ]
+    for problem, sol in zip(problems, solve_lps(problems)):
+        assert_matches_highs(linprog, problem, sol)

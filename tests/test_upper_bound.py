@@ -18,6 +18,8 @@ from helpers import (
     MIXED3_BOUND,
     MIXED3_OMEGA,
     MIXED3_TABLE,
+    ROADMAP_ITEM1_BOUND,
+    ROADMAP_ITEM1_ROWS,
     permutation_lp_reference,
     random_stats,
 )
@@ -146,6 +148,13 @@ def test_bound_is_least_over_random_weights(mixed3, tup3):
     for _ in range(50):
         w = rng.random(3)
         assert report.value <= objective_at(mixed3, tup3, w) + 1e-9
+
+
+def test_bound_roadmap_item1_instance():
+    # One of its 720 ordering LPs used to fail; the bound now matches HiGHS.
+    tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
+    report = upper_bound_rate(validate_stats(ROADMAP_ITEM1_ROWS), tup)
+    assert abs(report.value - ROADMAP_ITEM1_BOUND) <= 1e-9
 
 
 def test_bound_single_user():
