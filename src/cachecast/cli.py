@@ -6,15 +6,18 @@ A scenario is a single JSON object:
       "num_users": 3, "num_levels": 3,
       "ccdf": [[0.9, 0.3, 0.3], [0.7, 0.4, 0.4], [0.5, 0.5, 0.5]],
       "mu": "1/3",                      # exact fraction string
-      "caching": [[["0", "1/3"]], ...], # optional explicit intervals
-      "demands": [1, 2, 3],             # optional labels, distinct file ids
-      "num_files": 3,                   # optional, must be >= num_users
+      "caching": [[["0", "1/3"]], ...], # optional explicit intervals (rates upper)
       "simulation": {"n": 100000, "seed": 1}
     }
 
+Unknown fields are rejected.  `main` loads the scenario once and hands it
+to the command's `cmd_*` function, which returns a JSON payload and text
+lines; `main` writes one of the two.
+
 Exit codes: 0 success, 2 validation error (bad config or arguments),
 3 solver failure.  Rates print with 6 significant digits; JSON reports
-carry full precision.
+carry full precision, and a non-finite float is written as the string
+"inf" (or "-inf", "nan"), since JSON has no token for it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -31,20 +34,36 @@ import numpy as np
 from . import caching, channel, degraded, lp_scheme, simulator, two_user, upper_bound
 from .errors import BadT, NonIntegerT, NotDegraded, SolverError, ValidationError
 
+CONFIG_FIELDS = ("num_users", "num_levels", "ccdf", "mu", "caching", "simulation")
+SIMULATION_FIELDS = ("n", "seed")  # the optional "simulation" object
+
+# Report fields written to the JSON payloads, in output order.
+TWO_USER_FIELDS = (
+    "u", "v", "alpha", "beta", "level_order", "f1", "f2", "individual_size", "common_size", "margins"
+)
+SIMULATE_FIELDS = ("seed", "rate", "t", "messages", "user_decodable", "empirical_ccdf", "ccdf_std_error")
+
+_NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     stats: channel.ChannelStats
     mu: Fraction
     strategy: caching.CachingStrategy
-    demands: Optional[tuple[int, ...]]
-    num_files: Optional[int]
     sim_n: Optional[int]
     sim_seed: Optional[int]
 
 
 def _fail(message: str) -> ValidationError:
     return ValidationError(f"config: {message}")
+
+
+def _integer(value, name: str, minimum: int = 1) -> Optional[int]:
+    """value if it is None or an integer >= minimum; a boolean is not an integer."""
+    if value is not None and (type(value) is not int or value < minimum):
+        raise _fail(f"'{name}' must be a {'positive' if minimum else 'nonnegative'} integer")
+    return value
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -58,15 +77,19 @@ def load_config(path: str) -> ScenarioConfig:
         raise _fail(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise _fail("top level must be an object")
+    sim = raw.get("simulation", {})
+    if not isinstance(sim, dict):
+        raise _fail("'simulation' must be an object")
+    unknown = [k for k in raw if k not in CONFIG_FIELDS]
+    unknown += [f"simulation.{k}" for k in sim if k not in SIMULATION_FIELDS]
+    if unknown:
+        raise _fail("unknown field " + ", ".join(f"'{k}'" for k in unknown))
 
     for field in ("num_users", "num_levels", "ccdf", "mu"):
-        if field not in raw:
+        if raw.get(field) is None:
             raise _fail(f"missing field '{field}'")
-    num_users, num_levels = raw["num_users"], raw["num_levels"]
-    if not isinstance(num_users, int) or num_users < 1:
-        raise _fail("'num_users' must be a positive integer")
-    if not isinstance(num_levels, int) or num_levels < 1:
-        raise _fail("'num_levels' must be a positive integer")
+    num_users = _integer(raw["num_users"], "num_users")
+    num_levels = _integer(raw["num_levels"], "num_levels")
     ccdf = raw["ccdf"]
     if not isinstance(ccdf, list) or len(ccdf) != num_users:
         raise _fail(f"'ccdf' must list {num_users} rows")
@@ -96,82 +119,53 @@ def load_config(path: str) -> ScenarioConfig:
     else:
         strategy = caching.central_strategy(num_users, mu)
 
-    demands = None
-    num_files = raw.get("num_files")
-    if num_files is not None and (not isinstance(num_files, int) or num_files < num_users):
-        raise _fail("'num_files' must be an integer >= num_users")
-    if "demands" in raw:
-        demands_raw = raw["demands"]
-        if (
-            not isinstance(demands_raw, list)
-            or len(demands_raw) != num_users
-            or len(set(demands_raw)) != num_users
-            or not all(isinstance(d, int) and d >= 1 for d in demands_raw)
-        ):
-            raise _fail("'demands' must list one distinct file id per user")
-        ceiling = num_files if num_files is not None else max(demands_raw)
-        if max(demands_raw) > ceiling:
-            raise _fail("'demands' exceed 'num_files'")
-        if ceiling < num_users:
-            raise _fail("need at least as many files as users")
-        demands = tuple(demands_raw)
+    sim_n = _integer(sim.get("n"), "simulation.n")
+    sim_seed = _integer(sim.get("seed"), "simulation.seed", minimum=0)
 
-    sim = raw.get("simulation", {})
-    if not isinstance(sim, dict):
-        raise _fail("'simulation' must be an object")
-    sim_n, sim_seed = sim.get("n"), sim.get("seed")
-    if sim_n is not None and (not isinstance(sim_n, int) or sim_n < 1):
-        raise _fail("'simulation.n' must be a positive integer")
-    if sim_seed is not None and not isinstance(sim_seed, int):
-        raise _fail("'simulation.seed' must be an integer")
+    return ScenarioConfig(stats=stats, mu=mu, strategy=strategy, sim_n=sim_n, sim_seed=sim_seed)
 
-    return ScenarioConfig(
-        stats=stats,
-        mu=mu,
-        strategy=strategy,
-        demands=demands,
-        num_files=num_files,
-        sim_n=sim_n,
-        sim_seed=sim_seed,
-    )
+
+def _jsonable(obj):
+    """What json cannot write itself: dataclasses by field, arrays, fractions."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def to_json(payload: dict) -> str:
+    """Strict JSON: a non-finite float becomes its text form, such as "inf"."""
+    try:
+        return json.dumps(payload, default=_jsonable, allow_nan=False)
+    except ValueError:
+        # Only a payload holding a non-finite float takes this second pass.
+        loose = json.dumps(payload, default=_jsonable)
+        return json.dumps(json.loads(loose, parse_constant=_NON_FINITE.__getitem__))
+
+
+def _named(obj, names: tuple[str, ...]) -> dict:
+    return {name: getattr(obj, name) for name in names}
 
 
 def _sig(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for line in text:
-            print(line)
-
-
 def _subset_label(subset) -> str:
     return "{" + ",".join(str(k) for k in subset) + "}"
 
 
-def cmd_rates_two_user(args: argparse.Namespace) -> None:
-    cfg = load_config(args.config)
+def cmd_rates_two_user(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list[str]]:
     mu = float(cfg.mu)
     rate = two_user.optimal_rate_two_user(cfg.stats, mu)
-    payload: dict = {"command": "rates.two-user", "mu": str(cfg.mu), "rate": rate}
+    payload: dict = {"command": "rates.two-user", "mu": cfg.mu, "rate": rate}
     text = [f"rate: {_sig(rate)}"]
     if mu <= 0.5:
         alloc = two_user.achievable_allocation_two_user(cfg.stats, mu)
-        payload["allocation"] = {
-            "u": alloc.u,
-            "v": alloc.v,
-            "alpha": alloc.alpha,
-            "beta": alloc.beta,
-            "level_order": list(alloc.level_order),
-            "f1": alloc.f1,
-            "f2": alloc.f2,
-            "individual_size": alloc.individual_size,
-            "common_size": alloc.common_size,
-            "margins": list(alloc.margins),
-        }
+        payload["allocation"] = _named(alloc, TWO_USER_FIELDS)
         text.append(
             f"split: u={alloc.u} alpha={_sig(alloc.alpha)}"
             f" | v={alloc.v} beta={_sig(alloc.beta)}"
@@ -181,24 +175,23 @@ def cmd_rates_two_user(args: argparse.Namespace) -> None:
             f"messages: individual {_sig(alloc.individual_size)} each,"
             f" common {_sig(alloc.common_size)}"
         )
-    _emit(args, payload, text)
+    return payload, text
 
 
-def cmd_rates_degraded(args: argparse.Namespace) -> None:
-    cfg = load_config(args.config)
+def cmd_rates_degraded(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list[str]]:
     result = degraded.degraded_optimal_rate(cfg.stats, cfg.mu)
     chain = degraded.chain_stats(cfg.stats, result.user_order)
     alloc = degraded.z_to_y(result.z, cfg.stats.num_users, result.t, result.rate)
     report = lp_scheme.check_allocation(chain, alloc)
     payload = {
         "command": "rates.degraded",
-        "mu": str(cfg.mu),
+        "mu": cfg.mu,
         "rate": result.rate,
         "t": result.t,
-        "user_order": list(result.user_order),
-        "z": result.z.tolist(),
-        "subsets": [list(s) for s in alloc.subsets],
-        "y": alloc.shares.tolist(),
+        "user_order": result.user_order,
+        "z": result.z,
+        "subsets": alloc.subsets,
+        "y": alloc.shares,
         "feasible": report.feasible,
     }
     text = [
@@ -206,21 +199,20 @@ def cmd_rates_degraded(args: argparse.Namespace) -> None:
         f"chain order (weakest first): {','.join(map(str, result.user_order))}",
         f"subset mapping feasible: {report.feasible}",
     ]
-    _emit(args, payload, text)
+    return payload, text
 
 
-def cmd_rates_upper(args: argparse.Namespace) -> None:
-    cfg = load_config(args.config)
+def cmd_rates_upper(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list[str]]:
     tup = caching.caching_tuple(cfg.strategy)
     report = upper_bound.upper_bound_rate(cfg.stats, tup)
     payload = {
         "command": "rates.upper",
-        "mu": str(cfg.mu),
+        "mu": cfg.mu,
         "value": report.value,
-        "argmin_pi": list(report.argmin_pi),
-        "omega_star": list(report.omega_star),
+        "argmin_pi": report.argmin_pi,
+        "omega_star": report.omega_star,
         "omega_star_unique": report.omega_star_unique,
-        "table": [{"pi": list(pi), "value": value} for pi, value in report.table],
+        "table": [{"pi": pi, "value": value} for pi, value in report.table],
     }
     text = [
         f"bound: {_sig(report.value)}",
@@ -232,95 +224,68 @@ def cmd_rates_upper(args: argparse.Namespace) -> None:
         text.append("per-ordering values:")
         for pi, value in report.table:
             text.append(f"  ({','.join(map(str, pi))})  {_sig(value)}")
-    _emit(args, payload, text)
+    return payload, text
 
 
-def cmd_rates_achievable(args: argparse.Namespace) -> None:
-    cfg = load_config(args.config)
+def cmd_rates_achievable(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list[str]]:
     alloc = lp_scheme.achievable_rate_lp(cfg.stats, cfg.mu)
     report = lp_scheme.check_allocation(cfg.stats, alloc)
     if args.dump_matrices:
         _dump_matrices(cfg.stats, alloc.t, args.dump_matrices)
     payload = {
         "command": "rates.achievable",
-        "mu": str(cfg.mu),
+        "mu": cfg.mu,
         "value": alloc.rate,
         "t": alloc.t,
-        "subsets": [list(s) for s in alloc.subsets],
-        "shares": alloc.shares.tolist(),
+        "subsets": alloc.subsets,
+        "shares": alloc.shares,
         "required": report.required,
         "margins": [
-            {"user": k, "subset": list(s), "margin": m}
-            for (k, s), m in report.margins.items()
+            {"user": k, "subset": s, "margin": m} for (k, s), m in report.margins.items()
         ],
-        "level_slacks": report.level_slacks.tolist(),
+        "level_slacks": report.level_slacks,
         "feasible": report.feasible,
     }
     text = [f"rate: {_sig(alloc.rate)} (t={alloc.t})"]
     for (k, s), m in report.margins.items():
         text.append(f"  user {k} on {_subset_label(s)}: margin {_sig(m)}")
-    _emit(args, payload, text)
+    return payload, text
 
 
 def _dump_matrices(stats: channel.ChannelStats, t: int, prefix: str) -> None:
     built = lp_scheme.build_delivery_lp(stats, t)
-    n_decode = len(built.decode_rows)
     columns = [
         f"y(l={l};S={'+'.join(map(str, s))})"
         for l in range(1, built.num_levels + 1)
         for s in built.subsets
     ] + ["f"]
-    with open(f"{prefix}_G.csv", "w", encoding="utf-8") as fh:
-        fh.write("row," + ",".join(columns) + "\n")
-        for r, (k, s) in enumerate(built.decode_rows):
-            label = f"decode(k={k};S={'+'.join(map(str, s))})"
-            cells = ",".join(repr(float(v)) for v in built.problem.a_ub[r])
-            fh.write(f"{label},{cells}\n")
-    with open(f"{prefix}_H.csv", "w", encoding="utf-8") as fh:
-        fh.write("row," + ",".join(columns) + "\n")
-        for l in range(built.num_levels):
-            label = f"level({l + 1})"
-            cells = ",".join(repr(float(v)) for v in built.problem.a_ub[n_decode + l])
-            fh.write(f"{label},{cells}\n")
+    labels = [f"decode(k={k};S={'+'.join(map(str, s))})" for k, s in built.decode_rows]
+    labels += [f"level({l})" for l in range(1, built.num_levels + 1)]
+    n_decode = len(built.decode_rows)
+    for block, rows in (("G", range(n_decode)), ("H", range(n_decode, len(labels)))):
+        with open(f"{prefix}_{block}.csv", "w", encoding="utf-8") as fh:
+            fh.write("row," + ",".join(columns) + "\n")
+            for r in rows:
+                cells = ",".join(repr(float(v)) for v in built.problem.a_ub[r])
+                fh.write(f"{labels[r]},{cells}\n")
 
 
-def cmd_simulate(args: argparse.Namespace) -> None:
-    cfg = load_config(args.config)
+def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list[str]]:
     n = args.n if args.n is not None else cfg.sim_n
     seed = args.seed if args.seed is not None else cfg.sim_seed
     if n is None:
         raise ValidationError("simulate: need --n or a 'simulation.n' config entry")
     if seed is None:
         raise ValidationError("simulate: need --seed or a 'simulation.seed' config entry")
+    if seed < 0:
+        raise ValidationError("simulate: --seed must be a nonnegative integer")
     alloc = lp_scheme.achievable_rate_lp(cfg.stats, cfg.mu)
     report = simulator.simulate_delivery(cfg.stats, alloc, n, seed)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(",".join(f"user{k}" for k in range(1, cfg.stats.num_users + 1)) + "\n")
             np.savetxt(fh, report.realization.levels.T, fmt="%d", delimiter=",")
-    payload = {
-        "command": "simulate",
-        "n": report.num_uses,
-        "seed": report.seed,
-        "rate": report.rate,
-        "t": report.t,
-        "messages": [
-            {
-                "user": m.user,
-                "subset": list(m.subset),
-                "delivered": m.delivered,
-                "required": m.required,
-                "empirical_margin": m.empirical_margin,
-                "analytic_margin": m.analytic_margin,
-                "std_error": m.std_error,
-                "decodable": m.decodable,
-            }
-            for m in report.messages
-        ],
-        "user_decodable": list(report.user_decodable),
-        "empirical_ccdf": report.empirical_ccdf.tolist(),
-        "ccdf_std_error": report.ccdf_std_error.tolist(),
-    }
+    payload = {"command": "simulate", "n": report.num_uses, **_named(report, SIMULATE_FIELDS)}
     text = [f"simulated {report.num_uses} uses at rate {_sig(report.rate)} (seed {report.seed})"]
     for m in report.messages:
         flag = "ok" if m.decodable else "SHORT"
@@ -328,14 +293,9 @@ def cmd_simulate(args: argparse.Namespace) -> None:
             f"  user {m.user} on {_subset_label(m.subset)}: {m.delivered}/{m.required}"
             f" symbols, margin {_sig(m.empirical_margin)} [{flag}]"
         )
-    text.append(
-        "users decodable: "
-        + ", ".join(
-            f"{k}:{'yes' if ok else 'no'}"
-            for k, ok in enumerate(report.user_decodable, start=1)
-        )
-    )
-    _emit(args, payload, text)
+    verdicts = (f"{k}:{'yes' if ok else 'no'}" for k, ok in enumerate(report.user_decodable, start=1))
+    text.append("users decodable: " + ", ".join(verdicts))
+    return payload, text
 
 
 def _parse_mu_range(text: str) -> list[Fraction]:
@@ -350,16 +310,10 @@ def _parse_mu_range(text: str) -> list[Fraction]:
         raise ValidationError("--mu step must be positive")
     if stop < start:
         raise ValidationError("--mu stop must be >= start")
-    values = []
-    mu = start
-    while mu <= stop:
-        values.append(mu)
-        mu += step
-    return values
+    return [start + i * step for i in range((stop - start) // step + 1)]
 
 
-def cmd_sweep(args: argparse.Namespace) -> None:
-    cfg = load_config(args.config)
+def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list[str]]:
     rows = []
     for mu in _parse_mu_range(args.mu):
         if not 0 <= mu <= 1:
@@ -375,27 +329,11 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         except (NotDegraded, NonIntegerT, BadT):
             f_deg = None
         rows.append({"mu": mu, "f_lp": f_lp, "f_star_upper": f_upper, "f_bar_degraded": f_deg})
-    if args.json:
-        print(json.dumps({
-            "command": "sweep",
-            "rows": [
-                {
-                    "mu": str(r["mu"]),
-                    "f_lp": r["f_lp"],
-                    "f_star_upper": r["f_star_upper"],
-                    "f_bar_degraded": r["f_bar_degraded"],
-                }
-                for r in rows
-            ],
-        }))
-    else:
-        print("mu,f_lp,f_star_upper,f_bar_degraded")
-        for r in rows:
-            cells = [str(r["mu"])] + [
-                "" if r[key] is None else repr(r[key])
-                for key in ("f_lp", "f_star_upper", "f_bar_degraded")
-            ]
-            print(",".join(cells))
+    text = ["mu,f_lp,f_star_upper,f_bar_degraded"]
+    for row in rows:
+        mu, *rates = row.values()
+        text.append(",".join([str(mu)] + ["" if f is None else repr(f) for f in rates]))
+    return {"command": "sweep", "rows": rows}, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,65 +342,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Source-rate bounds and delivery allocations for cache-aided"
         " level-erasure broadcast scenarios.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config")
+    common.add_argument("--json", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     rates = sub.add_parser("rates", help="compute rate bounds and optima")
     modes = rates.add_subparsers(dest="mode", required=True)
 
-    p = modes.add_parser("two-user", help="exact two-user optimum and band split")
-    p.add_argument("config")
-    p.add_argument("--json", action="store_true")
+    p = modes.add_parser("two-user", parents=[common], help="exact two-user optimum and band split")
     p.set_defaults(func=cmd_rates_two_user)
 
-    p = modes.add_parser("degraded", help="chain LP optimum with subset mapping")
-    p.add_argument("config")
-    p.add_argument("--json", action="store_true")
+    p = modes.add_parser("degraded", parents=[common], help="chain LP optimum with subset mapping")
     p.set_defaults(func=cmd_rates_degraded)
 
-    p = modes.add_parser("upper", help="weighted-maximum rate ceiling")
-    p.add_argument("config")
+    p = modes.add_parser("upper", parents=[common], help="weighted-maximum rate ceiling")
     p.add_argument("--table", action="store_true", help="print every ordering's value")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rates_upper)
 
-    p = modes.add_parser("achievable", help="time-sharing delivery LP")
-    p.add_argument("config")
+    p = modes.add_parser("achievable", parents=[common], help="time-sharing delivery LP")
     p.add_argument(
-        "--dump-matrices",
-        metavar="PREFIX",
-        help="write the LP blocks to PREFIX_G.csv and PREFIX_H.csv",
+        "--dump-matrices", metavar="PREFIX", help="write the LP blocks to PREFIX_G.csv and PREFIX_H.csv"
     )
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rates_achievable)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo check of the LP allocation")
-    p.add_argument("config")
+    p = sub.add_parser("simulate", parents=[common], help="Monte-Carlo check of the LP allocation")
     p.add_argument("--n", type=int, help="number of channel uses")
     p.add_argument("--seed", type=int, help="RNG seed")
     p.add_argument("--trace", metavar="PATH", help="dump sampled user levels as CSV")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="rates across a range of cache sizes")
-    p.add_argument("config")
+    p = sub.add_parser("sweep", parents=[common], help="rates across a range of cache sizes")
     p.add_argument("--mu", required=True, metavar="START:STOP:STEP")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        payload, text = args.func(load_config(args.config), args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    print(to_json(payload) if args.json else "\n".join(text))
     return 0
 
 

@@ -33,14 +33,12 @@ from .errors import (
     BadT,
     InfeasibleZ,
     LengthMismatch,
-    MuOutOfRange,
-    NonIntegerT,
     NotDegraded,
     NumericalFailure,
     UnexpectedLpStatus,
 )
 from .lp import FEAS_TOL, OPTIMAL, lp_problem, solve_lp
-from .lp_scheme import DeliveryAllocation, message_subsets
+from .lp_scheme import DeliveryAllocation, message_subsets, t_from_mu
 
 
 @dataclass(frozen=True)
@@ -80,15 +78,8 @@ def chain_stats(stats: ChannelStats, order: Sequence[int]) -> ChannelStats:
 def degraded_optimal_rate(stats: ChannelStats, mu) -> ZAllocation:
     """Best rate over per-user level time shares at exact cache size mu."""
     mu = Fraction(mu)
-    if not 0 <= mu <= 1:
-        raise MuOutOfRange("mu must lie in [0, 1]")
+    t = t_from_mu(stats.num_users, mu)
     K, B = stats.num_users, stats.num_levels
-    t_exact = mu * K
-    if t_exact.denominator != 1:
-        raise NonIntegerT(f"K*mu = {t_exact} is not an integer")
-    t = int(t_exact)
-    if t == K:
-        raise BadT("mu = 1 leaves nothing to deliver")
     order = degraded_order(stats)
     chain = chain_stats(stats, order)
     gaps = [1 - central_coverage(K, mu, k) for k in range(1, K + 1)]

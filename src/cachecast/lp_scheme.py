@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .channel import ChannelStats
-from .errors import BadT, LengthMismatch, NonIntegerT, NumericalFailure, UnexpectedLpStatus
+from .errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT, NumericalFailure, UnexpectedLpStatus
 from .lp import FEAS_TOL, OPTIMAL, LpProblem, lp_problem, solve_lp
 
 Subset = tuple[int, ...]
@@ -89,6 +89,19 @@ def _check_t(num_users: int, t: int) -> int:
     return t
 
 
+def t_from_mu(num_users: int, mu) -> int:
+    """Subset size t = K*mu of cache size mu, which must leave data to deliver."""
+    mu = Fraction(mu)
+    if not 0 <= mu <= 1:
+        raise MuOutOfRange("mu must lie in [0, 1]")
+    t = mu * num_users
+    if t.denominator != 1:
+        raise NonIntegerT(f"K*mu = {t} is not an integer")
+    if t == num_users:
+        raise BadT("mu = 1 leaves nothing to deliver")
+    return int(t)
+
+
 def message_subsets(num_users: int, t: int) -> tuple[Subset, ...]:
     """All size-(t+1) user subsets in lexicographic order."""
     t = _check_t(num_users, t)
@@ -134,11 +147,7 @@ def build_delivery_lp(stats: ChannelStats, t: int) -> DeliveryLp:
 
 def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     """Solve the rate LP at cache size mu (K*mu must be an integer in 0..K-1)."""
-    mu = Fraction(mu)
-    t_exact = mu * stats.num_users
-    if t_exact.denominator != 1:
-        raise NonIntegerT(f"K*mu = {t_exact} is not an integer")
-    t = _check_t(stats.num_users, int(t_exact))
+    t = t_from_mu(stats.num_users, mu)
     built = build_delivery_lp(stats, t)
     label = f"delivery LP (K={stats.num_users}, t={t}, B={stats.num_levels})"
     try:

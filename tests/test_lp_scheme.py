@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cachecast.channel import validate_stats
-from cachecast.errors import BadT, LengthMismatch, NonIntegerT
+from cachecast.errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT
 from cachecast.lp_scheme import (
     achievable_rate_lp,
     build_delivery_lp,
@@ -101,6 +101,8 @@ def test_achievable_rejects_bad_mu(mixed3):
         achievable_rate_lp(mixed3, Fraction(1, 4))
     with pytest.raises(BadT):
         achievable_rate_lp(mixed3, 1)
+    with pytest.raises(MuOutOfRange):
+        achievable_rate_lp(mixed3, Fraction(4, 3))
 
 
 def test_achievable_beats_feasible_grid_points(mixed3):
