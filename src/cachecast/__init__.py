@@ -13,10 +13,9 @@ from .caching import (
     CachingTuple,
     caching_tuple,
     central_coverage,
-    central_intersection,
     central_strategy,
+    central_tuple,
     coverage_measure,
-    intersection_measure,
     strategy_from_intervals,
 )
 from .channel import (
@@ -25,7 +24,6 @@ from .channel import (
     ZeroWeightWarning,
     enhance,
     is_stochastically_dominant,
-    pmf_from_ccdf,
     sample_states,
     validate_stats,
 )
@@ -85,7 +83,6 @@ from .two_user import (
     TwoUserAllocation,
     achievable_allocation_two_user,
     optimal_rate_two_user,
-    rate_regions,
 )
 from .upper_bound import (
     UpperBoundReport,

@@ -12,6 +12,11 @@ and lam = mu*K - t, every size-t subset S of users owns the slice
 of the first (1-lam) of the file (rank = 1-based lexicographic position),
 and every size-(t+1) subset owns the matching slice of the remaining lam.
 User k caches the slices of all subsets containing it.
+
+The union of q users' caches has a measure that depends only on q, given
+in closed form by central_coverage.  central_tuple, the path the CLI takes,
+tabulates it for every user subset; central_strategy builds the intervals
+themselves, the exact reference the closed form is checked against.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ class CachingTuple:
     """Coverage measure of every nonempty user subset."""
 
     num_users: int
+    mu: Fraction
     coverage: dict[frozenset[int], Fraction]
 
     def of(self, users: Iterable[int]) -> Fraction:
@@ -66,22 +72,6 @@ def _merge(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
 
 def _measure(intervals: Iterable[Interval]) -> Fraction:
     return sum((b - a for a, b in intervals), Fraction(0))
-
-
-def _intersect(xs: Sequence[Interval], ys: Sequence[Interval]) -> tuple[Interval, ...]:
-    """Intersection of two canonical interval lists, two-pointer sweep."""
-    out: list[Interval] = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        a = max(xs[i][0], ys[j][0])
-        b = min(xs[i][1], ys[j][1])
-        if a < b:
-            out.append((a, b))
-        if xs[i][1] <= ys[j][1]:
-            i += 1
-        else:
-            j += 1
-    return tuple(out)
 
 
 def _comb(n: int, k: int) -> int:
@@ -122,13 +112,27 @@ def strategy_from_intervals(
     return CachingStrategy(num_users=len(canonical), mu=mu, intervals=tuple(canonical))
 
 
-def central_strategy(num_users: int, mu: Fraction) -> CachingStrategy:
-    """Rank-partition placement for K users at exact cache size mu."""
+def _central_mu(num_users: int, mu: Fraction) -> Fraction:
+    """mu as a Fraction, checked as every central-placement constructor does."""
     if num_users < 1:
         raise EmptySubset("need at least one user")
     mu = Fraction(mu)
     if not 0 <= mu <= 1:
         raise MuOutOfRange("mu must lie in [0, 1]")
+    return mu
+
+
+def _subsets(num_users: int) -> list[tuple[int, ...]]:
+    """Every nonempty subset of users 1..K, by size (K capped at MAX_USERS)."""
+    if num_users > MAX_USERS:
+        raise TooManyUsers(f"caching tuples support at most {MAX_USERS} users")
+    users = range(1, num_users + 1)
+    return [subset for size in users for subset in combinations(users, size)]
+
+
+def central_strategy(num_users: int, mu: Fraction) -> CachingStrategy:
+    """Rank-partition placement for K users at exact cache size mu."""
+    mu = _central_mu(num_users, mu)
     t = int(mu * num_users)  # floor: mu*K is a nonnegative Fraction
     lam = mu * num_users - t
     per_user: list[list[Interval]] = [[] for _ in range(num_users)]
@@ -166,27 +170,19 @@ def coverage_measure(strategy: CachingStrategy, users: Iterable[int]) -> Fractio
     return _measure(_merge(pooled))
 
 
-def intersection_measure(strategy: CachingStrategy, users: Iterable[int]) -> Fraction:
-    """Exact measure of the intersection of the chosen users' caches."""
-    chosen = _check_users(strategy.num_users, users)
-    current = strategy.user(chosen[0])
-    for k in chosen[1:]:
-        current = _intersect(current, strategy.user(k))
-        if not current:
-            break
-    return _measure(current)
-
-
 def caching_tuple(strategy: CachingStrategy) -> CachingTuple:
-    """Coverage of every nonempty subset of users (K capped at MAX_USERS)."""
-    if strategy.num_users > MAX_USERS:
-        raise TooManyUsers(f"caching_tuple supports at most {MAX_USERS} users")
-    cover: dict[frozenset[int], Fraction] = {}
-    all_users = range(1, strategy.num_users + 1)
-    for size in range(1, strategy.num_users + 1):
-        for subset in combinations(all_users, size):
-            cover[frozenset(subset)] = coverage_measure(strategy, subset)
-    return CachingTuple(num_users=strategy.num_users, coverage=cover)
+    """Coverage of every nonempty subset of users, by exact interval sweeps."""
+    cover = {frozenset(s): coverage_measure(strategy, s) for s in _subsets(strategy.num_users)}
+    return CachingTuple(num_users=strategy.num_users, mu=strategy.mu, coverage=cover)
+
+
+def central_tuple(num_users: int, mu: Fraction) -> CachingTuple:
+    """caching_tuple(central_strategy(num_users, mu)), by the closed form per subset size."""
+    mu = _central_mu(num_users, mu)
+    subsets = _subsets(num_users)
+    by_size = {q: central_coverage(num_users, mu, q) for q in range(1, num_users + 1)}
+    cover = {frozenset(s): by_size[len(s)] for s in subsets}
+    return CachingTuple(num_users=num_users, mu=mu, coverage=cover)
 
 
 def central_coverage(num_users: int, mu: Fraction, subset_size: int) -> Fraction:
@@ -204,23 +200,4 @@ def central_coverage(num_users: int, mu: Fraction, subset_size: int) -> Fraction
     value = (1 - lam) * (1 - Fraction(_comb(K - q, t), _comb(K, t)))
     if lam > 0:
         value += lam * (1 - Fraction(_comb(K - q, t + 1), _comb(K, t + 1)))
-    return value
-
-
-def central_intersection(num_users: int, mu: Fraction, subset_size: int) -> Fraction:
-    """Closed-form intersection measure for the central placement.
-
-    (1-lam)*C(K-q,t-q)/C(K,t) + lam*C(K-q,t+1-q)/C(K,t+1), with C(n,k) = 0
-    whenever k < 0 or k > n.
-    """
-    mu = Fraction(mu)
-    K, q = num_users, subset_size
-    if q < 1 or q > K:
-        raise OutOfRange("subset size must lie in 1..K")
-    t = int(mu * K)
-    lam = mu * K - t
-    value = Fraction(_comb(K - q, t - q), _comb(K, t))
-    value *= (1 - lam)
-    if lam > 0:
-        value += lam * Fraction(_comb(K - q, t + 1 - q), _comb(K, t + 1))
     return value

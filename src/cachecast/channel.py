@@ -73,20 +73,6 @@ def validate_stats(ccdf: Sequence[Sequence[float]]) -> ChannelStats:
     return ChannelStats(num_users=len(rows), num_levels=num_levels, ccdf=grid)
 
 
-def pmf_from_ccdf(ccdf_row: Sequence[float]) -> np.ndarray:
-    """PMF on {0, ..., B} induced by one CCDF row.
-
-    P(0) = 1 - ccdf[0], P(l) = ccdf[l-1] - ccdf[l] for 0 < l < B, and
-    P(B) = ccdf[B-1]; the telescoping sum is 1 up to roundoff.
-    """
-    row = np.asarray(ccdf_row, dtype=float)
-    pmf = np.empty(row.size + 1)
-    pmf[0] = 1.0 - row[0]
-    pmf[1:-1] = row[:-1] - row[1:]
-    pmf[-1] = row[-1]
-    return np.maximum(pmf, 0.0)
-
-
 def is_stochastically_dominant(a: Sequence[float], b: Sequence[float]) -> bool:
     """True when CCDF `a` dominates `b` levelwise: a[l] >= b[l] - PROB_TOL for all l."""
     a = np.asarray(a, dtype=float)

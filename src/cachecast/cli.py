@@ -50,7 +50,7 @@ _NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
 class ScenarioConfig:
     stats: channel.ChannelStats
     mu: Fraction
-    strategy: caching.CachingStrategy
+    strategy: Optional[caching.CachingStrategy]  # None: the central placement
     sim_n: Optional[int]
     sim_seed: Optional[int]
 
@@ -105,6 +105,7 @@ def load_config(path: str) -> ScenarioConfig:
     if not 0 <= mu <= 1:
         raise _fail("'mu' must lie in [0, 1]")
 
+    strategy = None
     if "caching" in raw:
         try:
             intervals = [
@@ -116,8 +117,6 @@ def load_config(path: str) -> ScenarioConfig:
         if len(intervals) != num_users:
             raise _fail(f"'caching' must list intervals for {num_users} users")
         strategy = caching.strategy_from_intervals(intervals, mu)
-    else:
-        strategy = caching.central_strategy(num_users, mu)
 
     sim_n = _integer(sim.get("n"), "simulation.n")
     sim_seed = _integer(sim.get("seed"), "simulation.seed", minimum=0)
@@ -203,7 +202,10 @@ def cmd_rates_degraded(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[d
 
 
 def cmd_rates_upper(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list[str]]:
-    tup = caching.caching_tuple(cfg.strategy)
+    if cfg.strategy is None:
+        tup = caching.central_tuple(cfg.stats.num_users, cfg.mu)
+    else:
+        tup = caching.caching_tuple(cfg.strategy)
     report = upper_bound.upper_bound_rate(cfg.stats, tup)
     payload = {
         "command": "rates.upper",
@@ -322,7 +324,7 @@ def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list
             f_lp = lp_scheme.achievable_rate_lp(cfg.stats, mu).rate
         except (NonIntegerT, BadT):
             f_lp = None
-        tup = caching.caching_tuple(caching.central_strategy(cfg.stats.num_users, mu))
+        tup = caching.central_tuple(cfg.stats.num_users, mu)
         f_upper = upper_bound.upper_bound_rate(cfg.stats, tup).value
         try:
             f_deg = degraded.degraded_optimal_rate(cfg.stats, mu).rate

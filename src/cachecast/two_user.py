@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelStats
-from .errors import MuOutOfRange, NotTwoUser, OutOfRange
+from .errors import MuOutOfRange, NotTwoUser
 
 
 @dataclass(frozen=True)
@@ -67,23 +67,6 @@ def _check_two_user(stats: ChannelStats) -> tuple[np.ndarray, np.ndarray]:
     if stats.num_users != 2:
         raise NotTwoUser(f"expected 2 users, got {stats.num_users}")
     return stats.ccdf[0], stats.ccdf[1]
-
-
-def rate_regions(stats: ChannelStats, omega: float) -> tuple[float, float]:
-    """Split levels by weight omega, tie to user 1.
-
-    R1 sums F1(l) over levels with omega*F1(l) >= F2(l); R2 sums F2(l) over
-    the rest.  omega = inf puts every level with F1(l) > 0 (or F2(l) = 0)
-    in R1, reading 0 * inf as 0.
-    """
-    f1, f2 = _check_two_user(stats)
-    if math.isnan(omega) or omega < 0.0:
-        raise OutOfRange("omega must be a nonnegative weight")
-    if math.isinf(omega):
-        in_first = (f1 > 0.0) | (f2 <= 0.0)
-    else:
-        in_first = omega * f1 >= f2
-    return float(f1[in_first].sum()), float(f2[~in_first].sum())
 
 
 def _fractional_min(f1: np.ndarray, f2: np.ndarray, mu: float) -> float:

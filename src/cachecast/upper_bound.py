@@ -20,9 +20,9 @@ the minimization over weights consistent with pi into
              sum_k sigma_k = 1,   sigma, theta >= 0,
 
 with sigma_k pinned to zero wherever its coverage factor is exactly one.
-upper_bound_rate builds the K! orderings' LPs with numpy, looking up the
-coverage of each distinct prefix once, solves them in lockstep stacks
-(lp.solve_lps) and reports the minimum.
+upper_bound_rate tabulates the gap of every user subset once, builds the
+K! orderings' LPs with numpy from that table, solves them in lockstep
+stacks (lp.solve_lps) and reports the minimum.
 """
 
 from __future__ import annotations
@@ -70,9 +70,25 @@ class UpperBoundReport:
     omega_star_unique: bool
 
 
-def _prefix_gaps(tup: CachingTuple, pi: Sequence[int]) -> list[float]:
-    """1 - coverage of each leading slice pi(1..k), as floats."""
-    return [float(1 - tup.of(pi[: k + 1])) for k in range(len(pi))]
+def _cover_table(stats: ChannelStats, tup: CachingTuple) -> tuple[np.ndarray, np.ndarray]:
+    """Gap (1 - coverage, as a float) and full-coverage flag of every subset.
+
+    Both are indexed by the subset's bitmask, bit k-1 standing for user k.
+    """
+    if tup.num_users != stats.num_users:
+        raise LengthMismatch(f"caching tuple for {tup.num_users} users, channel of {stats.num_users}")
+    gaps = np.zeros(1 << tup.num_users)
+    full = np.zeros(1 << tup.num_users, dtype=bool)
+    for users, coverage in tup.coverage.items():
+        mask = sum(1 << (k - 1) for k in users)
+        gaps[mask] = float(1 - coverage)
+        full[mask] = coverage == 1  # exact: coverage is a Fraction
+    return gaps, full
+
+
+def _prefix_masks(orderings: np.ndarray) -> np.ndarray:
+    """Bitmask of each leading slice pi(1..k) of each ordering (last axis)."""
+    return np.bitwise_or.accumulate(1 << (orderings - 1), axis=-1)
 
 
 def _check_permutation(num_users: int, pi: Sequence[int]) -> tuple[int, ...]:
@@ -90,29 +106,12 @@ def objective_at(stats: ChannelStats, tup: CachingTuple, weights: Sequence[float
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise OutOfRange("weights must be finite and nonnegative")
     order = sorted(range(1, stats.num_users + 1), key=lambda k: (-w[k - 1], k))
-    gaps = _prefix_gaps(tup, order)
+    gaps = _cover_table(stats, tup)[0][_prefix_masks(np.array(order))]
     denominator = sum(w[k - 1] * gap for k, gap in zip(order, gaps))
     if denominator <= 0.0:
         raise ZeroDenominator("no user carries weight over an uncovered cache gap")
     numerator = float(np.max(w[:, None] * stats.ccdf, axis=0).sum())
     return numerator / denominator
-
-
-def _prefix_cover(tup: CachingTuple, orderings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gap (1 - coverage, as a float) and full-coverage flag of every prefix.
-
-    orderings is an (L, K) array of orderings; both results are (L, K).
-    The coverage of each distinct prefix set is looked up once.
-    """
-    K = orderings.shape[1]
-    masks = np.bitwise_or.accumulate(1 << (orderings - 1), axis=1)
-    gaps = np.zeros(1 << K)
-    full = np.zeros(1 << K, dtype=bool)
-    for mask in set(masks.flat):
-        coverage = tup.of(k + 1 for k in range(K) if mask >> k & 1)
-        gaps[mask] = float(1 - coverage)
-        full[mask] = coverage == 1  # exact: coverage is a Fraction
-    return gaps[masks], full[masks]
 
 
 def _permutation_lps(
@@ -152,7 +151,9 @@ def build_permutation_lp(
 ) -> LpProblem:
     """The per-ordering LP in variables x = [sigma_1..K, theta_1..B]."""
     orderings = np.array([_check_permutation(stats.num_users, pi)])
-    return _permutation_lps(stats, orderings, *_prefix_cover(tup, orderings))[0]
+    masks = _prefix_masks(orderings)
+    gaps, full = _cover_table(stats, tup)
+    return _permutation_lps(stats, orderings, gaps[masks], full[masks])[0]
 
 
 def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport:
@@ -161,6 +162,8 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     if K > MAX_BOUND_USERS:
         raise TooManyUsers(f"ordering enumeration capped at {MAX_BOUND_USERS} users")
     orderings = list(permutations(range(1, K + 1)))
+    gap_of, full_of = _cover_table(stats, tup)
+    label = f"(K={K}, B={stats.num_levels}, mu={tup.mu})"
     # sigma_1 pinned to zero contradicts sum(sigma) = 1: such an ordering
     # admits no weight vector, so it contributes an infinite bound.
     values = [inf] * len(orderings)
@@ -171,17 +174,16 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     least = inf
     for start in range(0, len(orderings), ORDERINGS_PER_CALL):
         batch = np.array(orderings[start:start + ORDERINGS_PER_CALL])
-        gaps, full = _prefix_cover(tup, batch)
+        masks = _prefix_masks(batch)
+        gaps, full = gap_of[masks], full_of[masks]
         solvable = np.flatnonzero(~full[:, 0]).tolist()
         outcomes = solve_lps(_permutation_lps(stats, batch[solvable], gaps[solvable], full[solvable]))
         for i, outcome in zip(solvable, outcomes):
             pi = orderings[start + i]
             if isinstance(outcome, NumericalFailure):
-                raise NumericalFailure(
-                    f"ordering {pi} (K={K}, B={stats.num_levels}): {outcome}"
-                ) from outcome
+                raise NumericalFailure(f"ordering {pi} {label}: {outcome}") from outcome
             if outcome.status != OPTIMAL:
-                raise UnexpectedLpStatus(f"ordering {pi}: LP status {outcome.status}")
+                raise UnexpectedLpStatus(f"ordering {pi} {label}: LP status {outcome.status}")
             values[start + i] = outcome.value
             if outcome.value < least:
                 lowering[start + i], least = outcome.x, outcome.value
@@ -199,7 +201,7 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     argmin = hits[0]  # orderings were generated in lexicographic order
     pi = orderings[argmin]
     x = lowering[argmin]
-    gaps = _prefix_gaps(tup, pi)
+    gaps = gap_of[_prefix_masks(np.array(pi))]
     omega = np.zeros(K)
     for k in range(K):
         if gaps[k] > 0.0:

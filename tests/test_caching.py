@@ -1,6 +1,5 @@
 """Cache placements: interval bookkeeping, central placement, closed forms."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +9,9 @@ from cachecast.caching import (
     MAX_USERS,
     caching_tuple,
     central_coverage,
-    central_intersection,
     central_strategy,
+    central_tuple,
     coverage_measure,
-    intersection_measure,
     strategy_from_intervals,
 )
 from cachecast.errors import EmptySubset, MuOutOfRange, OutOfRange, TooManyUsers
@@ -51,16 +49,16 @@ def test_central_fractional_part_spills_into_larger_subsets():
     assert s.user(1) == ((F(0), F(1, 4)), (F(1, 2), F(1)))
     assert s.user(2) == ((F(1, 4), F(1)),)
     assert coverage_measure(s, [1]) == F(3, 4)
-    assert intersection_measure(s, [1, 2]) == F(1, 2)
 
 
 def test_central_rejects_bad_inputs():
-    with pytest.raises(EmptySubset):
-        central_strategy(0, F(1, 2))
-    with pytest.raises(MuOutOfRange):
-        central_strategy(3, F(3, 2))
-    with pytest.raises(MuOutOfRange):
-        central_strategy(3, F(-1, 2))
+    for build in (central_strategy, central_tuple):
+        with pytest.raises(EmptySubset):
+            build(0, F(1, 2))
+        with pytest.raises(MuOutOfRange):
+            build(3, F(3, 2))
+        with pytest.raises(MuOutOfRange):
+            build(3, F(-1, 2))
 
 
 # --- strategy_from_intervals ---------------------------------------------------
@@ -69,7 +67,6 @@ def test_central_rejects_bad_inputs():
 def test_explicit_strategy_measures():
     s = strategy_from_intervals([[(F(0), F(1, 2))], [(F(1, 4), F(3, 4))]], F(1, 2))
     assert coverage_measure(s, [1, 2]) == F(3, 4)
-    assert intersection_measure(s, [1, 2]) == F(1, 4)
 
 
 def test_explicit_strategy_merges_pieces():
@@ -102,7 +99,7 @@ def test_measure_rejects_bad_subsets():
         coverage_measure(s, [4])
 
 
-# --- coverage / intersection closed forms ---------------------------------------
+# --- coverage closed form ----------------------------------------------------------
 
 
 def test_coverage_examples():
@@ -111,16 +108,11 @@ def test_coverage_examples():
     assert coverage_measure(central_strategy(3, F(1, 3)), [1, 2]) == F(2, 3)
 
 
-def test_intersection_examples():
-    assert central_intersection(3, F(1, 3), 2) == F(0)
-    assert central_intersection(3, F(1, 3), 1) == F(1, 3)
-    assert central_intersection(3, F(2, 3), 2) == F(1, 3)
-
-
 def test_two_users_small_mu_never_share():
+    # Disjoint caches: the union measures as much as the two caches together.
     for mu in (F(0), F(1, 4), F(1, 2)):
-        assert central_intersection(2, mu, 2) == F(0)
-    assert central_intersection(2, F(3, 4), 2) == F(1, 2)
+        assert coverage_measure(central_strategy(2, mu), [1, 2]) == 2 * mu
+    assert coverage_measure(central_strategy(2, F(3, 4)), [1, 2]) == F(1)
 
 
 def test_closed_forms_match_measures_exactly():
@@ -133,25 +125,14 @@ def test_closed_forms_match_measures_exactly():
         q = int(rng.integers(1, num_users + 1))
         users = rng.choice(np.arange(1, num_users + 1), size=q, replace=False)
         assert central_coverage(num_users, mu, q) == coverage_measure(strategy, users)
-        assert central_intersection(num_users, mu, q) == intersection_measure(strategy, users)
-
-
-def test_coverage_inclusion_exclusion():
-    # union measure from intersections of all nonempty sub-subsets
-    for num_users, mu in [(4, F(1, 2)), (5, F(2, 5)), (6, F(1, 3)), (3, F(5, 6))]:
-        for q in range(1, num_users + 1):
-            total = sum(
-                (-1) ** (j + 1) * math.comb(q, j) * central_intersection(num_users, mu, j)
-                for j in range(1, q + 1)
-            )
-            assert central_coverage(num_users, mu, q) == total
+        assert central_tuple(num_users, mu) == caching_tuple(strategy)
 
 
 def test_closed_forms_reject_bad_subset_size():
     with pytest.raises(OutOfRange):
         central_coverage(3, F(1, 3), 0)
     with pytest.raises(OutOfRange):
-        central_intersection(3, F(1, 3), 4)
+        central_coverage(3, F(1, 3), 4)
 
 
 # --- caching_tuple ---------------------------------------------------------------
@@ -172,6 +153,6 @@ def test_caching_tuple_covers_all_subsets():
 
 
 def test_caching_tuple_user_cap():
-    strategy = central_strategy(MAX_USERS + 1, F(0))
-    with pytest.raises(TooManyUsers):
-        caching_tuple(strategy)
+    for build in (lambda K, mu: caching_tuple(central_strategy(K, mu)), central_tuple):
+        with pytest.raises(TooManyUsers):
+            build(MAX_USERS + 1, F(0))

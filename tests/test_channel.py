@@ -1,4 +1,4 @@
-"""Channel statistics: validation, PMF, dominance, enhancement, sampling."""
+"""Channel statistics: validation, dominance, enhancement, sampling."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from cachecast.channel import (
     ZeroWeightWarning,
     enhance,
     is_stochastically_dominant,
-    pmf_from_ccdf,
     sample_states,
     validate_stats,
 )
@@ -55,28 +54,6 @@ def test_validate_rejects_out_of_range():
 def test_validate_rejects_increasing():
     with pytest.raises(NotMonotone):
         validate_stats([[0.4, 0.5]])
-
-
-# --- pmf_from_ccdf ---------------------------------------------------------
-
-
-def test_pmf_example():
-    np.testing.assert_allclose(pmf_from_ccdf([0.5, 0.4, 0.3]), [0.5, 0.1, 0.1, 0.3])
-
-
-def test_pmf_sums_to_one():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        row = np.sort(rng.random(int(rng.integers(1, 8))))[::-1]
-        pmf = pmf_from_ccdf(row)
-        assert pmf.size == row.size + 1
-        assert np.all(pmf >= 0.0)
-        assert abs(pmf.sum() - 1.0) <= 1e-12
-
-
-def test_pmf_degenerate_rows():
-    np.testing.assert_allclose(pmf_from_ccdf([1.0]), [0.0, 1.0])
-    np.testing.assert_allclose(pmf_from_ccdf([0.0]), [1.0, 0.0])
 
 
 # --- is_stochastically_dominant ---------------------------------------------

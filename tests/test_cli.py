@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import cachecast
-from cachecast import channel, cli, degraded, lp_scheme, simulator
+from cachecast import caching, channel, cli, degraded, lp_scheme, simulator, upper_bound
 from cachecast.caching import caching_tuple, central_strategy
 from cachecast.channel import validate_stats
 from cachecast.errors import NumericalFailure
@@ -388,6 +389,40 @@ def test_config_bad_caching_measure(capsys, tmp_path):
     assert "measure" in capsys.readouterr().err
 
 
+def test_central_placement_builds_no_intervals(capsys, monkeypatch):
+    def interval_path(*args):
+        raise AssertionError("the central placement needs no intervals")
+
+    monkeypatch.setattr(caching, "central_strategy", interval_path)
+    monkeypatch.setattr(caching, "caching_tuple", interval_path)
+    runs = [["rates", "two-user", TWOUSER], ["rates", "degraded", DEGRADED]]
+    for config in map(str, sorted(CONFIGS.glob("*.json"))):
+        runs += [
+            ["rates", "upper", config],
+            ["rates", "upper", "--table", config],
+            ["sweep", "--mu", "0:1:1/6", config],
+        ]
+    for config in (DEGRADED, NONDEGRADED):
+        runs += [["rates", "achievable", config], ["simulate", "--n", "200", "--seed", "1", config]]
+    for argv in runs:
+        code = cli.main(argv)
+        assert code == 0, (argv, capsys.readouterr().err)
+
+
+def test_bound_rejects_large_k_quickly(capsys, tmp_path):
+    # The exact interval sweep over all 4095 user subsets of K = 12 takes
+    # several seconds; the cap must be reached without it.
+    cfg = write_config(
+        tmp_path, {"num_users": 12, "num_levels": 2, "mu": "1/4", "ccdf": [[0.6, 0.2]] * 12}
+    )
+    began = time.perf_counter()
+    code = cli.main(["rates", "upper", cfg])
+    elapsed = time.perf_counter() - began
+    assert code == 2
+    assert "ordering enumeration capped at 8 users" in capsys.readouterr().err
+    assert elapsed < 2.0
+
+
 # --- solver failures ----------------------------------------------------------------
 
 # ROADMAP item 1's instance, on which one ordering LP once failed its
@@ -405,11 +440,25 @@ def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
     cfg = write_config(tmp_path, ROADMAP_ITEM1)
     stats = validate_stats(ROADMAP_ITEM1_ROWS)
     tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
-    fail_certificate(monkeypatch, build_permutation_lp(stats, tup, (6, 1, 2, 3, 4, 5)))
+    target = build_permutation_lp(stats, tup, (6, 1, 2, 3, 4, 5))
+    fail_certificate(monkeypatch, target)
     assert cli.main(["rates", "upper", cfg, "--json"]) == 3
     err = capsys.readouterr().err
-    assert "ordering (6, 1, 2, 3, 4, 5) (K=6, B=4)" in err
+    assert "ordering (6, 1, 2, 3, 4, 5) (K=6, B=4, mu=1/6): " in err
     assert "optimal basis fails feasibility recheck (largest violation " in err
+
+    solve_lps = upper_bound.solve_lps
+
+    def one_unbounded(problems):
+        unbounded = LpSolution(UNBOUNDED, None, None, None, None)
+        hit = [np.array_equal(p.a_ub, target.a_ub) and np.array_equal(p.c, target.c) for p in problems]
+        return [unbounded if h else outcome for h, outcome in zip(hit, solve_lps(problems))]
+
+    monkeypatch.undo()
+    monkeypatch.setattr(upper_bound, "solve_lps", one_unbounded)
+    assert cli.main(["rates", "upper", cfg, "--json"]) == 3
+    err = capsys.readouterr().err
+    assert "ordering (6, 1, 2, 3, 4, 5) (K=6, B=4, mu=1/6): LP status unbounded" in err
 
 
 @pytest.mark.parametrize(

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from cachecast.channel import validate_stats
-from cachecast.errors import MuOutOfRange, NotTwoUser, OutOfRange
+from cachecast.errors import MuOutOfRange
 from cachecast.two_user import (
     achievable_allocation_two_user,
     optimal_rate_two_user,
-    rate_regions,
 )
 
 from helpers import check_two_user_instance, random_two_user
@@ -19,43 +18,6 @@ from helpers import check_two_user_instance, random_two_user
 @pytest.fixture
 def pair(mixed3):
     return validate_stats(mixed3.ccdf[:2])
-
-
-# --- rate_regions -----------------------------------------------------------
-
-
-def test_rate_regions_unit_weight(pair):
-    f1, f2 = rate_regions(pair, 1.0)
-    assert abs(f1 - 0.9) <= 1e-12
-    assert abs(f2 - 0.8) <= 1e-12
-
-
-def test_rate_regions_extreme_weights(pair):
-    f1, f2 = rate_regions(pair, math.inf)
-    assert abs(f1 - 1.5) <= 1e-12  # user 1 takes every live level
-    assert f2 == 0.0
-    f1, f2 = rate_regions(pair, 0.0)
-    assert f1 == 0.0
-    assert abs(f2 - 1.5) <= 1e-12
-
-
-def test_rate_regions_dead_level_goes_to_user_two():
-    stats = validate_stats([[0.8, 0.0], [0.6, 0.5]])
-    f1, f2 = rate_regions(stats, math.inf)
-    assert abs(f1 - 0.8) <= 1e-12
-    assert abs(f2 - 0.5) <= 1e-12
-
-
-def test_rate_regions_rejects_bad_weight(pair):
-    with pytest.raises(OutOfRange):
-        rate_regions(pair, -0.5)
-    with pytest.raises(OutOfRange):
-        rate_regions(pair, math.nan)
-
-
-def test_rate_regions_needs_two_users(mixed3):
-    with pytest.raises(NotTwoUser):
-        rate_regions(mixed3, 1.0)
 
 
 # --- optimal_rate_two_user -----------------------------------------------------

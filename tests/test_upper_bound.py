@@ -181,6 +181,17 @@ def test_bound_user_cap():
         upper_bound_rate(stats, tup)
 
 
+@pytest.mark.parametrize("tuple_users", [2, 4])
+def test_bound_rejects_tuple_of_other_size(mixed3, tuple_users):
+    tup = caching_tuple(central_strategy(tuple_users, Fraction(1, 2)))
+    with pytest.raises(LengthMismatch):
+        upper_bound_rate(mixed3, tup)
+    with pytest.raises(LengthMismatch):
+        objective_at(mixed3, tup, [1.0, 1.0, 1.0])
+    with pytest.raises(LengthMismatch):
+        build_permutation_lp(mixed3, tup, (1, 2, 3))
+
+
 def test_bound_explicit_caching_matches_each_ordering():
     # {1, 2} and {2, 3} cache the whole file but {1, 3, 4} does not, so the
     # orderings pin one, two or three prefixes and their LPs come in three
