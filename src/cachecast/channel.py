@@ -125,7 +125,11 @@ def sample_states(stats: ChannelStats, num_uses: int, seed: int) -> StateRealiza
     Stream splitting: one child of SeedSequence(seed) per user, in user order,
     so realizations are reproducible and users are mutually independent.
     Sampling inverts the CCDF directly: with U uniform on (0, 1),
-    #{l : U < ccdf[l]} has exactly the target distribution.
+    #{l : U < ccdf[l]} has exactly the target distribution.  The row is
+    nonincreasing, so that count is the number of leading entries above U,
+    which a binary search over the negated row finds.  (validate_stats lets
+    a row rise by up to PROB_TOL; U falls inside such a rise with
+    probability below B * PROB_TOL, and only then can the two counts differ.)
     """
     if num_uses <= 0:
         raise OutOfRange("num_uses must be positive")
@@ -134,7 +138,7 @@ def sample_states(stats: ChannelStats, num_uses: int, seed: int) -> StateRealiza
     for k in range(stats.num_users):
         rng = np.random.default_rng(children[k])
         u = rng.random(num_uses)
-        levels[k] = np.sum(u[:, None] < stats.ccdf[k][None, :], axis=1)
+        levels[k] = np.searchsorted(-stats.ccdf[k], -u, side="left")
     levels.setflags(write=False)
     return StateRealization(
         num_users=stats.num_users,

@@ -247,6 +247,8 @@ def cmd_rates_achievable(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple
         ],
         "level_slacks": report.level_slacks,
         "feasible": report.feasible,
+        "iterations": alloc.iterations,
+        "gap": alloc.gap,
     }
     text = [f"rate: {_sig(alloc.rate)} (t={alloc.t})"]
     for (k, s), m in report.margins.items():

@@ -13,9 +13,46 @@ sum_l ccdf[k][l] * y[l][S] reaches that size, so the rate LP is
              sum_S y[l][S] <= 1                          for all l
              y >= 0.
 
-Columns are ordered level-major with subsets lexicographic inside a level
-and the rate variable f last; decodability rows iterate subsets in
-lexicographic order with each subset's members ascending.
+build_delivery_lp writes this LP out densely (for --dump-matrices and as
+the reference the tests solve): columns are ordered level-major with
+subsets lexicographic inside a level and the rate variable f last;
+decodability rows iterate subsets in lexicographic order with each
+subset's members ascending.
+
+achievable_rate_lp never builds that matrix.  Only the B budget rows
+couple the subsets, so with level prices lambda on the simplex,
+
+    c_S(lambda) = min { lambda.u : ccdf[k].u >= 1 for k in S, u >= 0 }
+                = max { sum_{k in S} v_k : sum_k v_k ccdf[k][l] <= lambda_l, v >= 0 }
+
+is what one unit of S's message costs, and by minimax duality
+1/f* = max over the simplex of phi(lambda) = sum_S c_S(lambda) / C(K,t).
+phi is concave and polyhedral, and Kelley's cutting-plane method (Kelley
+1960; Dantzig and Wolfe 1960) finds its maximum exactly.  Each iteration
+solves the C(K,t+1) subproblems at the current lambda in their max form
+(B rows, t+1 columns, rhs lambda >= 0: no phase 1) in one lp.solve_lps
+call.  Their duals u_S price S's message at every lambda, so
+g = sum_S u_S / C(K,t) gives the cut phi(lambda') <= g.lambda', and
+sum_S c_S(lambda) / C(K,t) is a lower value of max phi.  The master LP
+
+    maximize eta  s.t.  eta <= g_i.lambda for every cut i,  sum_l lambda_l <= 1,
+                        lambda, eta >= 0
+
+(again no phase 1; the budget row is tight at the optimum because the cuts
+are homogeneous) gives the next lambda and an upper value eta >= 1/f*.
+The loop stops when eta and the best lower value agree to CUT_TOL
+relative.  The master's duals on its cuts are convex weights alpha, and
+
+    f = 1/eta,   y_S = (f / C(K,t)) sum_i alpha_i u_S^i
+
+is feasible by construction: each u_S^i meets S's decodability rows at
+rate 1, and sum_i alpha_i g_i <= eta levelwise is the master's dual
+feasibility.  1/(best lower value) >= f* bounds the optimum from above, so
+gap = 1/(best lower value) - f certifies how far f can lie below it (0
+when rounding puts the two values a few ulps the wrong way round).
+A user whose CCDF row is all zero can decode nothing: the rate is 0 and
+every share 0.  The allocation is rechecked against every decodability
+and budget row before it is returned.
 """
 
 from __future__ import annotations
@@ -24,14 +61,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import inf
+from typing import Union
 
 import numpy as np
 
 from .channel import ChannelStats
 from .errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT, NumericalFailure, UnexpectedLpStatus
-from .lp import FEAS_TOL, OPTIMAL, LpProblem, lp_problem, solve_lp
+from .lp import FEAS_TOL, OPTIMAL, LpProblem, LpSolution, lp_problem, solve_lp, solve_lps
 
 Subset = tuple[int, ...]
+
+# Relative gap between the master value and the best lower value at which
+# the cutting planes stop; random grids converge in 10-60 cuts.
+CUT_TOL = 1e-12
+MAX_CUTS = 500
 
 
 @dataclass(frozen=True)
@@ -57,7 +101,12 @@ class DeliveryLp:
 
 @dataclass(frozen=True)
 class DeliveryAllocation:
-    """Level time shares y (B x num_subsets) at a claimed rate."""
+    """Level time shares y (B x num_subsets) at a claimed rate.
+
+    iterations is the number of cuts achievable_rate_lp took and gap its
+    certificate: the optimum lies in [rate, rate + gap].  Both are 0 for an
+    allocation built otherwise.
+    """
 
     num_users: int
     num_levels: int
@@ -65,6 +114,8 @@ class DeliveryAllocation:
     subsets: tuple[Subset, ...]
     shares: np.ndarray
     rate: float
+    iterations: int = 0
+    gap: float = 0.0
 
     def share(self, level: int, subset: Subset) -> float:
         return float(self.shares[level - 1, self.subsets.index(tuple(subset))])
@@ -109,30 +160,28 @@ def message_subsets(num_users: int, t: int) -> tuple[Subset, ...]:
 
 
 def build_delivery_lp(stats: ChannelStats, t: int) -> DeliveryLp:
-    """Assemble the rate LP (minimizing -f) for subpacketization t."""
+    """Assemble the dense rate LP (minimizing -f) for subpacketization t."""
     t = _check_t(stats.num_users, t)
     K, B = stats.num_users, stats.num_levels
     subsets = message_subsets(K, t)
     num_subsets = len(subsets)
     num_vars = B * num_subsets + 1
-    piece_count = math.comb(K, t)
 
     decode_rows: list[tuple[int, Subset]] = [(k, s) for s in subsets for k in s]
-    a_ub = np.zeros((len(decode_rows), num_vars))
-    for r, (k, s) in enumerate(decode_rows):
-        j = subsets.index(s)
-        for l in range(B):
-            a_ub[r, l * num_subsets + j] = -stats.ccdf[k - 1, l]
-        a_ub[r, -1] = 1.0 / piece_count
-    budget = np.zeros((B, num_vars))
+    users = np.array([k - 1 for k, _ in decode_rows], dtype=int)
+    subset_of_row = np.repeat(np.arange(num_subsets), t + 1)
+    a_ub = np.zeros((len(decode_rows) + B, num_vars))
+    rows = np.arange(len(decode_rows))[:, None]
+    a_ub[rows, np.arange(B) * num_subsets + subset_of_row[:, None]] = -stats.ccdf[users]
+    a_ub[rows[:, 0], -1] = 1.0 / math.comb(K, t)
     for l in range(B):
-        budget[l, l * num_subsets: (l + 1) * num_subsets] = 1.0
+        a_ub[len(decode_rows) + l, l * num_subsets: (l + 1) * num_subsets] = 1.0
 
     c = np.zeros(num_vars)
     c[-1] = -1.0
     problem = lp_problem(
         c,
-        a_ub=np.vstack([a_ub, budget]),
+        a_ub=a_ub,
         b_ub=np.concatenate([np.zeros(len(decode_rows)), np.ones(B)]),
     )
     return DeliveryLp(
@@ -145,28 +194,96 @@ def build_delivery_lp(stats: ChannelStats, t: int) -> DeliveryLp:
     )
 
 
+def _solved(outcome: Union[LpSolution, NumericalFailure], label: str, where: str) -> LpSolution:
+    """outcome if it is optimal; else the typed error naming the LP and the step."""
+    if isinstance(outcome, NumericalFailure):
+        raise NumericalFailure(f"{label}: {outcome} ({where})") from outcome
+    if outcome.status != OPTIMAL:
+        raise UnexpectedLpStatus(f"{label}: status {outcome.status} ({where})")
+    return outcome
+
+
+def _gap(lower: float, upper: float) -> float:
+    """1/lower - 1/upper: how far the rate 1/upper can lie below the optimum (0 if rounding inverts them)."""
+    return max(0.0, (1.0 / lower if lower > 0.0 else inf) - 1.0 / upper)
+
+
+def _master(cuts: list[np.ndarray], label: str, where: str) -> LpSolution:
+    """max eta s.t. eta <= g_i.lambda for every cut, sum(lambda) <= 1, as min -eta."""
+    g = np.array(cuts)
+    count, num_levels = g.shape
+    a_ub = np.zeros((count + 1, num_levels + 1))
+    a_ub[:count, :num_levels] = -g
+    a_ub[:count, num_levels] = 1.0
+    a_ub[count, :num_levels] = 1.0
+    c = np.zeros(num_levels + 1)
+    c[-1] = -1.0
+    b_ub = np.zeros(count + 1)
+    b_ub[-1] = 1.0
+    try:
+        outcome = solve_lp(lp_problem(c, a_ub=a_ub, b_ub=b_ub))
+    except NumericalFailure as exc:
+        outcome = exc
+    return _solved(outcome, label, f"master LP, {where}")
+
+
 def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     """Solve the rate LP at cache size mu (K*mu must be an integer in 0..K-1)."""
     t = t_from_mu(stats.num_users, mu)
-    built = build_delivery_lp(stats, t)
-    label = f"delivery LP (K={stats.num_users}, t={t}, B={stats.num_levels})"
-    try:
-        solution = solve_lp(built.problem)
-    except NumericalFailure as exc:
-        raise NumericalFailure(f"{label}: {exc}") from exc
-    if solution.status != OPTIMAL:
-        raise UnexpectedLpStatus(f"{label}: status {solution.status}")
-    num_subsets = len(built.subsets)
-    shares = solution.x[:-1].reshape(stats.num_levels, num_subsets).copy()
-    shares.setflags(write=False)
-    return DeliveryAllocation(
-        num_users=stats.num_users,
-        num_levels=stats.num_levels,
-        t=t,
-        subsets=built.subsets,
-        shares=shares,
-        rate=float(solution.x[-1]),
+    K, B = stats.num_users, stats.num_levels
+    subsets = message_subsets(K, t)
+    piece_count = math.comb(K, t)
+    label = f"delivery LP (K={K}, t={t}, B={B})"
+    member_ccdf = stats.ccdf[np.array(subsets) - 1]  # (subsets, t+1, B)
+
+    def allocation(shares: np.ndarray, rate: float, iterations: int, gap: float) -> DeliveryAllocation:
+        shares.setflags(write=False)
+        return DeliveryAllocation(K, B, t, subsets, shares, rate, iterations, gap)
+
+    if not stats.ccdf.any(axis=1).all():  # a user on a dead channel decodes nothing
+        return allocation(np.zeros((B, len(subsets))), 0.0, 0, 0.0)
+
+    # Subproblem of S: min -sum_{k in S} v_k s.t. ccdf[S].T v <= lambda, v >= 0.
+    c = np.full(t + 1, -1.0)
+    no_rows, no_rhs = np.zeros((0, t + 1)), np.zeros(0)
+    blocks = member_ccdf.transpose(0, 2, 1)
+    lam = np.full(B, 1.0 / B)
+    cuts: list[np.ndarray] = []
+    prices: list[np.ndarray] = []  # per cut, u_S of every subset (subsets x B)
+    best, eta = 0.0, inf
+    for iteration in range(1, MAX_CUTS + 1):
+        where = f"cut {iteration}, gap {_gap(best, eta):.3g}"
+        outcomes = solve_lps([LpProblem(c, a, lam, no_rows, no_rhs) for a in blocks])
+        for s, outcome in zip(subsets, outcomes):
+            _solved(outcome, label, f"subset {s}, {where}")
+        u = -np.array([outcome.dual_ub for outcome in outcomes])
+        best = max(best, -sum(outcome.value for outcome in outcomes) / piece_count)
+        prices.append(u)
+        cuts.append(u.sum(axis=0) / piece_count)
+        master = _master(cuts, label, where)
+        eta, lam = -master.value, np.maximum(master.x[:B], 0.0)
+        if eta - best <= CUT_TOL * eta:
+            break
+    else:
+        raise NumericalFailure(
+            f"{label}: cutting planes did not converge in {MAX_CUTS} cuts (gap {_gap(best, eta):.3g})"
+        )
+
+    rate = 1.0 / eta
+    alpha = -master.dual_ub[:-1]
+    mixed = sum(a * u for a, u in zip(alpha.tolist(), prices) if a != 0.0)
+    shares = (rate / piece_count) * mixed.T
+    collected = np.einsum("skl,ls->sk", member_ccdf, shares)
+    violation = max(
+        rate / piece_count - collected.min(), shares.sum(axis=1).max() - 1.0, -shares.min()
     )
+    gap = _gap(best, eta)
+    if not violation <= FEAS_TOL:
+        raise NumericalFailure(
+            f"{label}: allocation fails its recheck (largest violation {violation:.3g})"
+            f" (cut {iteration}, gap {gap:.3g})"
+        )
+    return allocation(np.ascontiguousarray(shares), rate, iteration, gap)
 
 
 def check_allocation(stats: ChannelStats, alloc: DeliveryAllocation) -> FeasibilityReport:

@@ -82,9 +82,14 @@ def apportion(quotas: list[float], total: int) -> list[int]:
 
 
 def empirical_ccdf(realization: StateRealization) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user level-frequency estimates and their binomial standard errors."""
-    levels = np.arange(1, realization.num_levels + 1)
-    hat = (realization.levels[:, :, None] >= levels[None, None, :]).mean(axis=1)
+    """Per-user level-frequency estimates and their binomial standard errors.
+
+    hat[k][l-1] is the share of uses on which user k got at least l levels:
+    a reverse cumulative sum of the per-user level counts, over num_uses.
+    """
+    B = realization.num_levels
+    counts = np.array([np.bincount(row, minlength=B + 1) for row in realization.levels])
+    hat = np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1] / realization.num_uses
     se = np.sqrt(hat * (1.0 - hat) / realization.num_uses)
     return hat, se
 
@@ -124,10 +129,10 @@ def simulate_delivery(
 
     messages = []
     user_ok = [True] * stats.num_users
-    for s in alloc.subsets:
+    for j, s in enumerate(alloc.subsets):
         for k in s:
             got_count = delivered[(k, s)]
-            analytic = float(stats.ccdf[k - 1] @ alloc.shares[:, alloc.subsets.index(s)])
+            analytic = float(stats.ccdf[k - 1] @ alloc.shares[:, j])
             outcome = MessageOutcome(
                 user=k,
                 subset=s,

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -108,6 +109,20 @@ def test_achievable_json(capsys):
     assert len(payload["level_slacks"]) == 3
     assert all(m["margin"] >= -1e-9 for m in payload["margins"])
     assert abs(payload["required"] - payload["value"] / 3.0) <= 1e-12
+    assert payload["iterations"] >= 1
+    assert 0.0 <= payload["gap"] <= 1e-9
+
+
+def test_achievable_k10_t4_within_five_seconds(capsys, tmp_path):
+    rng = np.random.default_rng(10)
+    grid = np.sort(rng.random((10, 4)), axis=1)[:, ::-1]
+    cfg = write_config(tmp_path, {"num_users": 10, "num_levels": 4, "mu": "2/5", "ccdf": grid.tolist()})
+    start = time.perf_counter()
+    payload = run_json(capsys, ["rates", "achievable", cfg, "--json"])
+    assert time.perf_counter() - start < 5.0
+    assert payload["feasible"] is True
+    assert len(payload["subsets"]) == 252
+    assert 0.0 <= payload["gap"] <= 1e-9
 
 
 def test_upper_json(capsys):
@@ -483,6 +498,65 @@ def test_lp_failures_name_their_lp(capsys, monkeypatch, command, config, module,
     monkeypatch.setattr(module, "solve_lp", unbounded)
     assert cli.main(["rates", command, config]) == 3
     assert f"{label}: status unbounded" in capsys.readouterr().err
+
+
+def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
+    label = "delivery LP (K=3, t=1, B=3)"
+    solve_lps = lp_scheme.solve_lps
+
+    def replacing_subset_13_at_cut_2(outcome):
+        calls = []
+
+        def patched(problems):
+            calls.append(None)
+            outcomes = solve_lps(problems)
+            if len(calls) == 2:
+                outcomes[1] = outcome  # subsets are (1, 2), (1, 3), (2, 3)
+            return outcomes
+
+        return patched
+
+    failure = NumericalFailure("optimal basis fails dual feasibility check (dual residual 0.25)")
+    monkeypatch.setattr(lp_scheme, "solve_lps", replacing_subset_13_at_cut_2(failure))
+    assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
+    err = capsys.readouterr().err
+    assert f"{label}: optimal basis fails dual feasibility check (dual residual 0.25)" in err
+    assert "(subset (1, 3), cut 2, gap " in err
+
+    unbounded = LpSolution(UNBOUNDED, None, None, None, None)
+    monkeypatch.setattr(lp_scheme, "solve_lps", replacing_subset_13_at_cut_2(unbounded))
+    assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
+    assert f"{label}: status unbounded (subset (1, 3), cut 2, gap " in capsys.readouterr().err
+
+
+def test_delivery_lp_master_failure_names_the_cut(capsys, monkeypatch):
+    solve_lp = lp_scheme.solve_lp
+    calls = []
+
+    def failing_at_cut_3(problem):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NumericalFailure("simplex did not converge in 100000 iterations")
+        return solve_lp(problem)
+
+    monkeypatch.setattr(lp_scheme, "solve_lp", failing_at_cut_3)
+    assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
+    err = capsys.readouterr().err
+    assert "delivery LP (K=3, t=1, B=3): simplex did not converge in 100000 iterations (master LP, cut 3, gap " in err
+
+
+def test_delivery_lp_cut_cap_and_recheck_fail_loudly(capsys, monkeypatch):
+    monkeypatch.setattr(lp_scheme, "MAX_CUTS", 2)
+    assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: delivery LP (K=3, t=1, B=3): cutting planes did not converge in 2 cuts (gap " in err
+
+    monkeypatch.undo()
+    monkeypatch.setattr(lp_scheme, "FEAS_TOL", -1.0)
+    assert cli.main(["simulate", NONDEGRADED, "--n", "10", "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "delivery LP (K=3, t=1, B=3): allocation fails its recheck (largest violation " in err
+    assert re.search(r"\(cut \d+, gap [-+.e\d]+\)", err)
 
 
 # --- console-script entry point ----------------------------------------------------

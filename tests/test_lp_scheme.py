@@ -1,12 +1,15 @@
 """General delivery LP: matrix layout, optimum, allocation checking."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cachecast import lp_scheme
 from cachecast.channel import validate_stats
 from cachecast.errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT
+from cachecast.lp import solve_lp
 from cachecast.lp_scheme import (
     achievable_rate_lp,
     build_delivery_lp,
@@ -14,7 +17,13 @@ from cachecast.lp_scheme import (
     message_subsets,
 )
 
-from helpers import MIXED3_RATE, MIXED3_SHARES, delivery_allocation
+from helpers import (
+    MIXED3_RATE,
+    MIXED3_SHARES,
+    degenerate_delivery_grids,
+    delivery_allocation,
+    sorted_uniform_ccdf,
+)
 
 THIRD = Fraction(1, 3)
 
@@ -154,3 +163,129 @@ def test_check_rejects_wrong_shape(mixed3):
     alloc = delivery_allocation([[0.5, 0.5]], 0.5, num_users=2, t=0)
     with pytest.raises(LengthMismatch):
         check_allocation(mixed3, alloc)
+
+
+# --- build_delivery_lp rows ----------------------------------------------------------
+
+
+def build_delivery_a_ub_reference(stats, t):
+    """The dense LP's a_ub written row by row, looking each subset up by value."""
+    subsets = message_subsets(stats.num_users, t)
+    B, num_subsets = stats.num_levels, len(subsets)
+    rows = [(k, s) for s in subsets for k in s]
+    a_ub = np.zeros((len(rows) + B, B * num_subsets + 1))
+    for r, (k, s) in enumerate(rows):
+        j = subsets.index(s)
+        for l in range(B):
+            a_ub[r, l * num_subsets + j] = -stats.ccdf[k - 1, l]
+        a_ub[r, -1] = 1.0 / math.comb(stats.num_users, t)
+    for l in range(B):
+        a_ub[len(rows) + l, l * num_subsets: (l + 1) * num_subsets] = 1.0
+    return a_ub
+
+
+def test_lp_rows_match_the_row_loop():
+    grid = np.round(sorted_uniform_ccdf(np.random.default_rng(71), 7, 4), 1)  # exact zeros too
+    stats = validate_stats(grid)
+    built = build_delivery_lp(stats, 2)
+    reference = build_delivery_a_ub_reference(stats, 2)
+    assert built.problem.a_ub.shape == reference.shape == (109, 141)
+    assert built.problem.a_ub.tobytes() == reference.tobytes()
+
+
+# --- the cutting-plane solve against the dense LP ------------------------------------
+
+
+def dense_rate(stats, t):
+    """The oracle: the dense LP of build_delivery_lp, solved whole."""
+    solution = solve_lp(build_delivery_lp(stats, t).problem)
+    assert solution.status == "optimal"
+    return float(solution.x[-1])
+
+
+def assert_matches_dense(stats, t):
+    alloc = achievable_rate_lp(stats, Fraction(t, stats.num_users))
+    expected = dense_rate(stats, t)
+    assert abs(alloc.rate - expected) <= 1e-9, (alloc.rate, expected)
+    assert check_allocation(stats, alloc).feasible
+    assert 0.0 <= alloc.gap <= 1e-9 * max(1.0, expected)
+    assert alloc.iterations >= (1 if expected > 0.0 else 0)
+    return alloc
+
+
+def sweep_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for users in range(3, 9):
+        for t in range(users):
+            for rounded in (False, True):  # rounding to one decimal makes ties and exact zeros
+                levels = int(rng.integers(2, 9))
+                grid = sorted_uniform_ccdf(rng, users, levels)
+                grid = np.round(grid, 1) if rounded else grid
+                name = f"K{users}-t{t}-B{levels}" + ("-rounded" if rounded else "")
+                cases.append(pytest.param(grid, t, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("grid, t", sweep_cases())
+def test_achievable_matches_dense_oracle(grid, t):
+    assert_matches_dense(validate_stats(grid), t)
+
+
+@pytest.mark.parametrize(
+    "grid, t", [pytest.param(grid, t, id=name) for name, grid, t in degenerate_delivery_grids()]
+)
+def test_achievable_matches_dense_oracle_on_degenerate_grids(grid, t):
+    assert_matches_dense(validate_stats(grid), t)
+
+
+@pytest.mark.parametrize(
+    "rows, t",
+    [
+        pytest.param([[0.6, 0.2]], 0, id="one-user"),
+        pytest.param([[0.8], [0.5], [0.3]], 1, id="one-level"),
+        pytest.param([[0.9, 0.4, 0.1], [0.7, 0.7, 0.2], [0.5, 0.3, 0.3], [0.9, 0.0, 0.0]], 0, id="t0"),
+        pytest.param([[0.9, 0.4, 0.1], [0.7, 0.7, 0.2], [0.5, 0.3, 0.3], [0.9, 0.0, 0.0]], 3, id="t-max"),
+    ],
+)
+def test_achievable_edge_cases_match_dense_oracle(rows, t):
+    alloc = assert_matches_dense(validate_stats(rows), t)
+    if len(rows[0]) == 1:  # a single level leaves the master nothing to choose
+        assert alloc.iterations == 1
+
+
+def test_achievable_user_without_levels_gets_zero():
+    stats = validate_stats([[0.9, 0.5], [0.0, 0.0], [0.7, 0.1]])
+    alloc = achievable_rate_lp(stats, THIRD)
+    assert alloc.rate == 0.0 and dense_rate(stats, 1) <= 1e-12
+    assert not alloc.shares.any()
+    assert alloc.iterations == 0 and alloc.gap == 0.0
+    assert check_allocation(stats, alloc).feasible
+
+
+def test_achievable_k10_t4_matches_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    stats = validate_stats(sorted_uniform_ccdf(np.random.default_rng(10), 10, 4))
+    alloc = achievable_rate_lp(stats, Fraction(2, 5))
+    problem = build_delivery_lp(stats, 4).problem
+    reference = linprog(problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub, method="highs")
+    assert reference.status == 0
+    assert abs(alloc.rate + reference.fun) <= 1e-9
+    assert check_allocation(stats, alloc).feasible
+    assert 0.0 <= alloc.gap <= 1e-9
+
+
+def test_gap_brackets_the_optimum_when_stopped_early(monkeypatch):
+    # A loose stop leaves a visible gap: the optimum must still lie in
+    # [rate, rate + gap], and the early allocation must be feasible.
+    monkeypatch.setattr(lp_scheme, "CUT_TOL", 1e-2)
+    rng = np.random.default_rng(95)
+    gaps = []
+    for users, t, levels in ((5, 1, 6), (6, 2, 5), (7, 3, 8)):
+        stats = validate_stats(sorted_uniform_ccdf(rng, users, levels))
+        alloc = achievable_rate_lp(stats, Fraction(t, users))
+        expected = dense_rate(stats, t)
+        assert alloc.rate <= expected + 1e-12 <= alloc.rate + alloc.gap + 2e-12
+        assert check_allocation(stats, alloc).feasible
+        gaps.append(alloc.gap)
+    assert max(gaps) > 1e-4

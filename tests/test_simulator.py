@@ -57,6 +57,37 @@ def test_empirical_ccdf_concentrates():
     np.testing.assert_allclose(se, sigma, atol=2e-3)
 
 
+def test_sampling_and_ccdf_match_the_boolean_formulas():
+    # sample_states counts by binary search and empirical_ccdf by bincount;
+    # both must give the bytes of the plain (n x B) and (K x n x B) formulas.
+    rng = np.random.default_rng(31)
+    for trial in range(12):
+        users, levels = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        num_uses, seed = int(rng.integers(1, 5000)), int(rng.integers(0, 2**31))
+        children = np.random.SeedSequence(seed).spawn(users)
+        draws = [np.random.default_rng(child).random(num_uses) for child in children]
+        grid = np.sort(rng.random((users, levels)), axis=1)[:, ::-1]
+        if trial % 3 == 0:
+            grid = np.round(grid, 1)  # ties, zeros and ones
+        elif trial % 3 == 1:  # entries equal to draws: U == ccdf[l] must not count
+            grid = np.array([np.sort(rng.choice(u, levels))[::-1] for u in draws])
+        stats = validate_stats(grid)
+        real = sample_states(stats, num_uses, seed)
+        expected = np.empty((users, num_uses), dtype=np.int64)
+        for k, u in enumerate(draws):
+            expected[k] = np.sum(u[:, None] < stats.ccdf[k][None, :], axis=1)
+        assert real.levels.dtype == expected.dtype
+        assert real.levels.tobytes() == expected.tobytes()
+
+        hat, se = empirical_ccdf(real)
+        steps = np.arange(1, levels + 1)
+        expected_hat = (real.levels[:, :, None] >= steps[None, None, :]).mean(axis=1)
+        expected_se = np.sqrt(expected_hat * (1.0 - expected_hat) / num_uses)
+        assert hat.shape == expected_hat.shape
+        assert hat.tobytes() == expected_hat.tobytes()
+        assert se.tobytes() == expected_se.tobytes()
+
+
 # --- simulate_delivery -----------------------------------------------------------
 
 
