@@ -1,32 +1,38 @@
-"""Dense linear programming: two-phase tableau simplex plus a vertex oracle.
+"""Dense linear programming: one-phase tableau simplex plus a vertex oracle.
 
 Problems are stated as
 
-    minimize c.x  subject to  a_ub.x <= b_ub,  a_eq.x = b_eq,  x >= 0.
+    minimize c.x  subject to  a_ub.x <= b_ub,  x >= 0,  with b_ub >= 0.
 
-solve_lp runs a two-phase primal simplex on a dense tableau.  FEAS_TOL is
-the single feasibility/optimality tolerance and PIVOT_TOL the smallest
-pivot magnitude accepted.  The entering column is Bland's smallest index
-with a negative reduced cost.  The leaving row is taken among the rows
-whose ratio is within PIVOT_TOL of the minimum: the one with the largest
-column entry, then the smallest basic index.  The LPs solved here are
-highly degenerate (every ratio of a per-ordering LP is 0), and breaking
-those ties by index alone pivots on entries as small as PIVOT_TOL itself,
-which wrecks the basis.  An entering column with no entry above PIVOT_TOL
-is a ray, so the LP is unbounded.  The largest-entry rule gives up
-Bland's guarantee against cycling, so each LP keeps a guard: after
-DEGENERATE_RUN consecutive pivots whose minimum ratio is 0 (within
-PIVOT_TOL), it breaks ties by the smallest basic index alone, Bland's full
-rule, until a pivot moves its objective.
+x = 0 is then feasible, so the simplex starts from the slack basis and
+needs no phase 1; solve_lps rejects a negative b_ub entry.  Every LP of
+the package has this form: the delivery LP's subset and master LPs and
+its dense oracle, the chain LP, and the per-ordering LP of the upper
+bound (which keeps its normalisation in a budget row, see upper_bound).
 
-After phase 2 every optimal LP is certified against its original rows:
-x is read off the basis and the duals y are c_B.Binv, read off the
-columns that began as the identity.  The primal residual (largest
-violation of the constraints and of x >= 0), the dual residual (largest
-violation of c - a^T y >= 0 and y_ub <= 0) and the gap |c.x - b.y| must
-each be within FEAS_TOL (the gap relative to 1 + |c.x|), or the LP's
-outcome is a NumericalFailure naming the residual.  LpSolution carries
-the three values.
+solve_lp runs the primal simplex on a dense tableau.  FEAS_TOL is the
+single feasibility/optimality tolerance and PIVOT_TOL the smallest pivot
+magnitude accepted.  The entering column is Bland's smallest index with a
+negative reduced cost.  The leaving row is taken among the rows whose
+ratio is within PIVOT_TOL of the minimum: the one with the largest column
+entry, then the smallest basic index.  The LPs solved here are highly
+degenerate (every ratio of a per-ordering LP is 0 until the budget row
+leaves), and breaking those ties by index alone pivots on entries as
+small as PIVOT_TOL itself, which wrecks the basis.  An entering column
+with no entry above PIVOT_TOL is a ray, so the LP is unbounded.  The
+largest-entry rule gives up Bland's guarantee against cycling, so each LP
+keeps a guard: after DEGENERATE_RUN consecutive pivots whose minimum
+ratio is 0 (within PIVOT_TOL), it breaks ties by the smallest basic index
+alone, Bland's full rule, until a pivot moves its objective.
+
+Every optimal LP is certified against its original rows: x is read off
+the basis and the duals y are c_B.Binv, read off the slack columns, which
+began as the identity.  The primal residual (largest violation of
+a_ub.x <= b_ub and of x >= 0), the dual residual (largest violation of
+c - a_ub^T y >= 0 and y <= 0) and the gap |c.x - b_ub.y| must each be
+within FEAS_TOL (the gap relative to 1 + |c.x|), or the LP's outcome is a
+NumericalFailure naming the residual.  LpSolution carries the three
+values.
 
 One simplex core runs on a stack of same-shape tableaux, shape (L, m, N+1),
 in lockstep; solve_lp is the stack of one and solve_lps solves many LPs at
@@ -57,7 +63,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import LengthMismatch, NumericalFailure, TooLarge
+from .errors import LengthMismatch, NumericalFailure, OutOfRange, TooLarge
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
@@ -69,12 +75,11 @@ MAX_ORACLE_VARS = 6
 # Rows per _pivot block: enough to amortise numpy's per-call cost, few enough
 # that a block's update (64 rows x 1140 columns at K=9, t=4) stays in cache.
 PIVOT_BLOCK_ROWS = 64
-# Tableau entries per lockstep stack: 31 per-ordering LPs at K=6, B=4
-# (32 x 43 each), where stacking pays; one delivery LP exceeds it alone.
+# Tableau entries per lockstep stack: 34 per-ordering LPs at K=6, B=4
+# (30 x 41 each), where stacking pays; one delivery LP exceeds it alone.
 STACK_ENTRIES = 43_000
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
@@ -83,8 +88,6 @@ class LpProblem:
     c: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
 
     @property
     def num_vars(self) -> int:
@@ -93,12 +96,10 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solver outcome; x/value/duals are None unless status == "optimal".
+    """Solver outcome; x/value/dual_ub are None unless status == "optimal".
 
-    Dual convention: value == dual_ub.b_ub + dual_eq.b_eq with dual_ub <= 0.
-    phase1_pivots counts the phase-1 simplex pivots plus the pivots that
-    drive leftover artificials out of the basis; phase2_pivots counts the
-    pivots on the true objective.  An optimal solution carries its
+    Dual convention: value == dual_ub.b_ub with dual_ub <= 0.  pivots
+    counts the simplex pivots.  An optimal solution carries its
     certificate: primal_residual, dual_residual and duality_gap (see the
     module docstring); they are None otherwise.
     """
@@ -107,9 +108,7 @@ class LpSolution:
     x: Optional[np.ndarray]
     value: Optional[float]
     dual_ub: Optional[np.ndarray]
-    dual_eq: Optional[np.ndarray]
-    phase1_pivots: int = 0
-    phase2_pivots: int = 0
+    pivots: int = 0
     primal_residual: Optional[float] = None
     dual_residual: Optional[float] = None
     duality_gap: Optional[float] = None
@@ -119,32 +118,28 @@ def lp_problem(
     c: Sequence[float],
     a_ub: Optional[Sequence[Sequence[float]]] = None,
     b_ub: Optional[Sequence[float]] = None,
-    a_eq: Optional[Sequence[Sequence[float]]] = None,
-    b_eq: Optional[Sequence[float]] = None,
 ) -> LpProblem:
-    """Assemble and shape-check an LpProblem; missing blocks become empty."""
+    """Assemble and shape-check an LpProblem; a missing block becomes empty."""
     c = np.asarray(c, dtype=float)
     n = c.size
-
-    def matrix(block, name: str) -> np.ndarray:
-        if block is None:
-            return np.zeros((0, n))
-        block = np.atleast_2d(np.asarray(block, dtype=float))
-        if block.size == 0:
-            return np.zeros((0, n))
-        if block.ndim != 2 or block.shape[1] != n:
-            raise LengthMismatch(f"{name} must have {n} columns, got shape {block.shape}")
-        return block
-
-    a_ub = matrix(a_ub, "a_ub")
-    a_eq = matrix(a_eq, "a_eq")
+    if a_ub is None or np.size(a_ub) == 0:
+        a_ub = np.zeros((0, n))
+    else:
+        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
+        if a_ub.ndim != 2 or a_ub.shape[1] != n:
+            raise LengthMismatch(f"a_ub must have {n} columns, got shape {a_ub.shape}")
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
     if a_ub.shape[0] != b_ub.size:
         raise LengthMismatch("a_ub and b_ub row counts differ")
-    if a_eq.shape[0] != b_eq.size:
-        raise LengthMismatch("a_eq and b_eq row counts differ")
-    return LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    return LpProblem(c=c, a_ub=a_ub, b_ub=b_ub)
+
+
+def _check_rhs(problem: LpProblem, label: str) -> None:
+    """Reject a negative b_ub entry: the simplex and the oracle start at x = 0."""
+    negative = problem.b_ub < 0.0
+    if negative.any():
+        row = int(negative.argmax())
+        raise OutOfRange(f"{label}b_ub[{row}] = {float(problem.b_ub[row])!r} < 0; x = 0 must be feasible")
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -180,13 +175,12 @@ def _simplex(
     tableau: np.ndarray,
     basis: np.ndarray,
     costs: np.ndarray,
-    allowed: np.ndarray,
 ) -> tuple[list, list[int]]:
     """Primal simplex iterations on a stack of [A | rhs] tableaux in lockstep.
 
     Returns each LP's outcome (OPTIMAL, UNBOUNDED or a NumericalFailure)
     and pivot count; tableau and basis hold each LP's final state.
-    Entering: the smallest allowed nonbasic index with reduced cost below
+    Entering: the smallest nonbasic index with reduced cost below
     -FEAS_TOL (Bland).  Leaving: among the rows with a column entry above
     PIVOT_TOL, those whose ratio is within PIVOT_TOL of the minimum; of
     these the row with the largest column entry, then the smallest basic
@@ -210,7 +204,7 @@ def _simplex(
     for it in range(MAX_ITERATIONS):
         basic = bas + offsets
         priced = np.matmul(cst.take(basic)[:, None, :], tab[:, :, :-1])
-        improving = allowed & (cst - priced[:, 0, :] < -FEAS_TOL)
+        improving = cst - priced[:, 0, :] < -FEAS_TOL
         improving.reshape(-1)[basic] = False
         entering = improving.argmax(axis=1)
         column = tab[lps, :, entering]
@@ -251,121 +245,41 @@ def _simplex(
 
 
 def _solve_stack(problems: Sequence[LpProblem]) -> list:
-    """Two-phase simplex on problems of one shape, in lockstep.
+    """Simplex on problems of one shape (n, m), in lockstep, from the slack basis.
 
-    Shape means n, m_ub, m_eq and the inequality rows with b_ub < 0, which
-    together fix the tableau's columns.  Returns each problem's LpSolution
-    or NumericalFailure.  Rows dropped as redundant after phase 1 are
-    deleted, and the LPs with the same number of rows left run phase 2 as
-    one stack: a zero-cost row left in place would change how BLAS groups
-    the sums of the reduced costs, and with them their last bits.
+    Returns each problem's LpSolution or NumericalFailure.
     """
-    first = problems[0]
     size = len(problems)
-    n = first.num_vars
-    m_ub, m_eq = first.a_ub.shape[0], first.a_eq.shape[0]
-    m = m_ub + m_eq
-    structural = n + m_ub
-
-    rhs = np.array([np.concatenate([p.b_ub, p.b_eq]) for p in problems], dtype=float).reshape(size, m)
-    flipped = rhs < 0.0
-    # Rows whose slack column survives the flip as +1 start basic on it;
-    # every other row (equalities, flipped inequalities) gets an artificial.
-    art_rows = np.flatnonzero((np.arange(m) >= m_ub) | flipped[0])
-    num_art = art_rows.size
-    num_cols = structural + num_art
-
-    tableau = np.zeros((size, m, num_cols + 1))
+    n, m = problems[0].num_vars, problems[0].a_ub.shape[0]
+    tableau = np.zeros((size, m, n + m + 1))
     for i, p in enumerate(problems):
-        tableau[i, :m_ub, :n] = p.a_ub
-        tableau[i, m_ub:, :n] = p.a_eq
-    a, b = tableau[:, :, :n].copy(), rhs.copy()  # the original rows, for the certificate
-    tableau[:, np.arange(m_ub), n + np.arange(m_ub)] = 1.0
-    tableau[flipped, :structural] *= -1.0
-    rhs[flipped] *= -1.0
-    tableau[:, :, -1] = rhs
-
-    identity_col = n + np.arange(m)
-    identity_col[art_rows] = structural + np.arange(num_art)
-    tableau[:, art_rows, identity_col[art_rows]] = 1.0
-    basis = np.tile(identity_col, (size, 1))
-
-    outcomes: list = [None] * size
-    phase1_pivots = [0] * size
-    keep = np.ones((size, m), dtype=bool)
-    allowed = np.ones(num_cols, dtype=bool)
-    if num_art:
-        phase1 = np.zeros(num_cols)
-        phase1[structural:] = 1.0
-        status, phase1_pivots = _simplex(tableau, basis, np.tile(phase1, (size, 1)), allowed)
-        for i, outcome in enumerate(status):
-            if isinstance(outcome, NumericalFailure):
-                outcomes[i] = outcome
-            elif outcome == UNBOUNDED:
-                outcomes[i] = NumericalFailure("phase 1 reported unbounded")
-            elif phase1[basis[i]] @ tableau[i, :, -1] > FEAS_TOL:
-                outcomes[i] = LpSolution(INFEASIBLE, None, None, None, None, phase1_pivots[i], 0)
-        # Drive leftover artificials out of the basis or drop their rows,
-        # the j-th leftover row of every LP at a time.
-        running = np.array([outcome is None for outcome in outcomes])
-        leftover = running[:, None] & (basis >= structural)
-        rank = np.cumsum(leftover, axis=1)
-        for j in range(1, int(rank[:, -1].max()) + 1):
-            lps, rows = np.nonzero(leftover & (rank == j))
-            hits = np.abs(tableau[lps, rows, :structural]) > PIVOT_TOL
-            found = hits.any(axis=1)
-            keep[lps[~found], rows[~found]] = False  # redundant constraint rows
-            lps, rows, cols = lps[found], rows[found], hits[found].argmax(axis=1)
-            if lps.size == size:  # every LP pivots: in place
-                _pivot(tableau, basis, rows, cols)
-            elif lps.size:
-                stack, stack_basis = tableau[lps], basis[lps]
-                _pivot(stack, stack_basis, rows, cols)
-                tableau[lps], basis[lps] = stack, stack_basis
-            for i in lps.tolist():
-                phase1_pivots[i] += 1
-        allowed[structural:] = False
-
-    costs = np.zeros((size, num_cols))
+        tableau[i, :, :n] = p.a_ub
+        tableau[i, :, -1] = p.b_ub
+    a, b = tableau[:, :, :n].copy(), tableau[:, :, -1].copy()  # the original rows, for the certificate
+    slack = n + np.arange(m)
+    tableau[:, np.arange(m), slack] = 1.0
+    basis = np.tile(slack, (size, 1))
+    costs = np.zeros((size, n + m))
     costs[:, :n] = [p.c for p in problems]
-    running = np.array([outcome is None for outcome in outcomes])
-    rows_left = keep.sum(axis=1)
-    for count in sorted(set(rows_left[running].tolist())):
-        lps = np.flatnonzero(running & (rows_left == count))
-        row_origin = np.nonzero(keep[lps])[1].reshape(lps.size, count)
-        if lps.size == size and count == m:
-            stack, stack_basis, rows = tableau, basis, (a, b)  # nothing to leave out
-        else:
-            stack = tableau[lps[:, None], row_origin]
-            stack_basis = basis[lps[:, None], row_origin]
-            rows = a[lps], b[lps]
-        status, phase2_pivots = _simplex(stack, stack_basis, costs[lps], allowed)
-        finished = _finish(
-            status, stack, stack_basis, costs[lps], identity_col[row_origin], row_origin,
-            flipped[lps], *rows, m_ub, [phase1_pivots[i] for i in lps], phase2_pivots,
-        )
-        for i, outcome in zip(lps.tolist(), finished):
-            outcomes[i] = outcome
-    return outcomes
+    status, pivots = _simplex(tableau, basis, costs)
+    return _finish(status, tableau, basis, costs, a, b, pivots)
 
 
 def _certificate(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray, y: np.ndarray, m_ub: int
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Value and optimality certificate of a stack of primal-dual pairs.
 
-    a (L, m, n), b (L, m) and c (L, n) are the original rows (inequalities
-    first, m_ub of them), x (L, n) and y (L, m) the primal and dual points.
-    Returns c.x and, per LP, the primal residual (largest violation of
-    x >= 0, a_ub.x <= b_ub and a_eq.x = b_eq), the dual residual (largest
-    violation of c - a^T y >= 0 and y_ub <= 0) and the gap |c.x - b.y|,
-    each from one batched np.matmul over the stack.
+    a (L, m, n), b (L, m) and c (L, n) are the original rows, x (L, n) and
+    y (L, m) the primal and dual points.  Returns c.x and, per LP, the
+    primal residual (largest violation of x >= 0 and a.x <= b), the dual
+    residual (largest violation of c - a^T y >= 0 and y <= 0) and the gap
+    |c.x - b.y|, each from one batched np.matmul over the stack.
     """
     slack = np.matmul(a, x[:, :, None])[:, :, 0] - b
-    slack[:, m_ub:] = np.abs(slack[:, m_ub:])
     primal = np.maximum(slack.max(axis=1, initial=0.0), (-x).max(axis=1, initial=0.0))
     reduced = c - np.matmul(y[:, None, :], a)[:, 0, :]
-    dual = np.maximum((-reduced).max(axis=1, initial=0.0), y[:, :m_ub].max(axis=1, initial=0.0))
+    dual = np.maximum((-reduced).max(axis=1, initial=0.0), y.max(axis=1, initial=0.0))
     value = np.matmul(c[:, None, :], x[:, :, None])[:, 0, 0]
     gap = np.abs(value - np.matmul(b[:, None, :], y[:, :, None])[:, 0, 0])
     return value, primal, dual, gap
@@ -376,22 +290,16 @@ def _finish(
     tableau: np.ndarray,
     basis: np.ndarray,
     costs: np.ndarray,
-    dual_cols: np.ndarray,
-    row_origin: np.ndarray,
-    flipped: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
-    m_ub: int,
-    phase1_pivots: list[int],
-    phase2_pivots: list[int],
+    pivots: list[int],
 ) -> list:
-    """Each LP's phase-2 outcome in a stack: LpSolution or NumericalFailure.
+    """Each LP's outcome in a stack: LpSolution or NumericalFailure.
 
-    x is read off the basis; the duals of the original rows are c_B.Binv,
-    read off the columns that began as the identity (dual_cols), with row
-    flips undone and dropped rows at dual zero.  An optimal LP must pass
-    the certificate against its original rows: primal and dual residuals
-    within FEAS_TOL and a gap within FEAS_TOL (1 + |c.x|).
+    x is read off the basis and the duals are c_B.Binv, read off the slack
+    columns.  An optimal LP must pass the certificate against its original
+    rows: primal and dual residuals within FEAS_TOL and a gap within
+    FEAS_TOL (1 + |c.x|).
     """
     size, _, width = tableau.shape
     n = a.shape[2]
@@ -400,15 +308,12 @@ def _finish(
     point[lps, basis] = tableau[:, :, -1]
     x = point[:, :n].copy()
     priced = np.matmul(costs[lps, basis][:, None, :], tableau[:, :, :-1])[:, 0, :]
-    y = np.zeros(flipped.shape)
-    y[lps, row_origin] = priced[lps, dual_cols]
-    y[flipped] *= -1.0
-    value, primal, dual, gap = _certificate(a, b, costs[:, :n], x, y, m_ub)
+    y = priced[:, n:].copy()
+    value, primal, dual, gap = _certificate(a, b, costs[:, :n], x, y)
 
     outcomes: list = []
     certificates = zip(value.tolist(), primal.tolist(), dual.tolist(), gap.tolist())
     for j, (outcome, (v, p, d, g)) in enumerate(zip(status, certificates)):
-        pivots = {"phase1_pivots": phase1_pivots[j], "phase2_pivots": phase2_pivots[j]}
         if outcome == OPTIMAL:
             if not p <= FEAS_TOL:
                 outcome = NumericalFailure(f"optimal basis fails feasibility recheck (largest violation {p:.3g})")
@@ -418,11 +323,10 @@ def _finish(
                 outcome = NumericalFailure(f"optimal basis fails duality-gap check (gap {g:.3g})")
             else:
                 outcome = LpSolution(
-                    OPTIMAL, x[j], v, y[j, :m_ub], y[j, m_ub:],
-                    primal_residual=p, dual_residual=d, duality_gap=g, **pivots,
+                    OPTIMAL, x[j], v, y[j], pivots[j], primal_residual=p, dual_residual=d, duality_gap=g
                 )
         elif outcome == UNBOUNDED:
-            outcome = LpSolution(UNBOUNDED, None, None, None, None, **pivots)
+            outcome = LpSolution(UNBOUNDED, None, None, None, pivots[j])
         outcomes.append(outcome)
     return outcomes
 
@@ -430,22 +334,20 @@ def _finish(
 def solve_lps(problems: Sequence[LpProblem]) -> list[Union[LpSolution, NumericalFailure]]:
     """solve_lp on every problem, in stacks; a NumericalFailure is returned, not raised.
 
-    Problems are grouped by shape (n, m_ub, m_eq and which b_ub entries
-    are negative), each group is cut into stacks of at most STACK_ENTRIES
-    tableau entries, and each stack runs in lockstep.  Every outcome is
-    bit for bit the one solve_lp gives on that problem alone, and one LP's
-    failure leaves the others in its stack unchanged.
+    Problems are grouped by shape (n and m), each group is cut into stacks
+    of at most STACK_ENTRIES tableau entries, and each stack runs in
+    lockstep.  Every outcome is bit for bit the one solve_lp gives on that
+    problem alone, and one LP's failure leaves the others in its stack
+    unchanged.  A problem with a negative b_ub entry raises OutOfRange
+    before any LP is solved.
     """
     groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(problems):
-        key = (p.num_vars, p.a_ub.shape[0], p.a_eq.shape[0], (p.b_ub < 0.0).tobytes())
-        groups.setdefault(key, []).append(i)
+        _check_rhs(p, f"LP {i}: ")
+        groups.setdefault(p.a_ub.shape, []).append(i)
     outcomes: list = [None] * len(problems)
-    for members in groups.values():
-        p = problems[members[0]]
-        m_ub, m_eq = p.a_ub.shape[0], p.a_eq.shape[0]
-        width = p.num_vars + m_ub + m_eq + int(np.count_nonzero(p.b_ub < 0.0)) + 1
-        cap = max(1, STACK_ENTRIES // max(1, (m_ub + m_eq) * width))
+    for (m, n), members in groups.items():
+        cap = max(1, STACK_ENTRIES // max(1, m * (n + m + 1)))
         for start in range(0, len(members), cap):
             chunk = members[start:start + cap]
             for i, outcome in zip(chunk, _solve_stack([problems[i] for i in chunk])):
@@ -454,7 +356,7 @@ def solve_lps(problems: Sequence[LpProblem]) -> list[Union[LpSolution, Numerical
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Two-phase simplex; statuses: optimal, infeasible, unbounded."""
+    """One-phase simplex from the slack basis; statuses: optimal, unbounded."""
     (outcome,) = solve_lps([problem])
     if isinstance(outcome, NumericalFailure):
         raise outcome
@@ -466,45 +368,28 @@ def enumerate_vertices(problem: LpProblem) -> LpSolution:
 
     Only for problems with at most MAX_ORACLE_VARS variables and a bounded
     feasible region (add box rows if needed).  Every size-n active set drawn
-    from {inequality rows, nonnegativity bounds} plus all equality rows is
-    solved and checked against the full constraint list.
+    from {inequality rows, nonnegativity bounds} is solved and checked
+    against the full constraint list; x = 0 is one of them, and feasible.
     """
     n = problem.num_vars
     if n > MAX_ORACLE_VARS:
         raise TooLarge(f"vertex oracle limited to {MAX_ORACLE_VARS} variables")
+    _check_rhs(problem, "")
 
-    rows: list[np.ndarray] = [problem.a_ub[i] for i in range(problem.a_ub.shape[0])]
-    rows += [-np.eye(n)[j] for j in range(n)]
-    offsets = list(problem.b_ub) + [0.0] * n
-
-    eq_a, eq_b = problem.a_eq, problem.b_eq
-    free = max(0, n - eq_a.shape[0])
-    best_x, best_value = None, np.inf
-
-    def feasible(x: np.ndarray) -> bool:
-        if np.any(x < -FEAS_TOL):
-            return False
-        if problem.a_ub.size and np.any(problem.a_ub @ x - problem.b_ub > FEAS_TOL):
-            return False
-        if eq_a.size and np.any(np.abs(eq_a @ x - eq_b) > FEAS_TOL):
-            return False
-        return True
-
-    for active in combinations(range(len(rows)), free):
-        a = np.vstack([eq_a] + [rows[i][None, :] for i in active])
-        b = np.concatenate([eq_b, np.array([offsets[i] for i in active])])
-        if a.shape[0] == n:
-            try:
-                x = np.linalg.solve(a, b)
-            except np.linalg.LinAlgError:
-                continue
-        else:
-            x, *_ = np.linalg.lstsq(a, b, rcond=None)
-        if not np.all(np.isfinite(x)) or not feasible(x):
+    rows = np.vstack([problem.a_ub, -np.eye(n)])
+    offsets = np.concatenate([problem.b_ub, np.zeros(n)])
+    best_x, best_value = np.zeros(n), 0.0
+    for active in combinations(range(rows.shape[0]), n):
+        active = list(active)
+        try:
+            x = np.linalg.solve(rows[active], offsets[active])
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(x)) or np.any(x < -FEAS_TOL):
+            continue
+        if np.any(problem.a_ub @ x - problem.b_ub > FEAS_TOL):
             continue
         value = float(problem.c @ x)
         if value < best_value:
             best_value, best_x = value, x
-    if best_x is None:
-        return LpSolution(INFEASIBLE, None, None, None, None)
-    return LpSolution(OPTIMAL, best_x, best_value, None, None)
+    return LpSolution(OPTIMAL, best_x, best_value, None)

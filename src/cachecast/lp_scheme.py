@@ -30,18 +30,17 @@ is what one unit of S's message costs, and by minimax duality
 phi is concave and polyhedral, and Kelley's cutting-plane method (Kelley
 1960; Dantzig and Wolfe 1960) finds its maximum exactly.  Each iteration
 solves the C(K,t+1) subproblems at the current lambda in their max form
-(B rows, t+1 columns, rhs lambda >= 0: no phase 1) in one lp.solve_lps
-call.  Their duals u_S price S's message at every lambda, so
+(B rows, t+1 columns, rhs lambda) in one lp.solve_lps call.  Their duals
+u_S price S's message at every lambda, so
 g = sum_S u_S / C(K,t) gives the cut phi(lambda') <= g.lambda', and
 sum_S c_S(lambda) / C(K,t) is a lower value of max phi.  The master LP
 
     maximize eta  s.t.  eta <= g_i.lambda for every cut i,  sum_l lambda_l <= 1,
                         lambda, eta >= 0
 
-(again no phase 1; the budget row is tight at the optimum because the cuts
-are homogeneous) gives the next lambda and an upper value eta >= 1/f*.
-The loop stops when eta and the best lower value agree to CUT_TOL
-relative.  The master's duals on its cuts are convex weights alpha, and
+(the budget row is tight at the optimum because the cuts are homogeneous)
+gives the next lambda and an upper value eta >= 1/f*.  The loop stops
+when eta and the best lower value agree to CUT_TOL relative.  The master's duals on its cuts are convex weights alpha, and
 
     f = 1/eta,   y_S = (f / C(K,t)) sum_i alpha_i u_S^i
 
@@ -245,7 +244,6 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
 
     # Subproblem of S: min -sum_{k in S} v_k s.t. ccdf[S].T v <= lambda, v >= 0.
     c = np.full(t + 1, -1.0)
-    no_rows, no_rhs = np.zeros((0, t + 1)), np.zeros(0)
     blocks = member_ccdf.transpose(0, 2, 1)
     lam = np.full(B, 1.0 / B)
     cuts: list[np.ndarray] = []
@@ -253,7 +251,7 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     best, eta = 0.0, inf
     for iteration in range(1, MAX_CUTS + 1):
         where = f"cut {iteration}, gap {_gap(best, eta):.3g}"
-        outcomes = solve_lps([LpProblem(c, a, lam, no_rows, no_rhs) for a in blocks])
+        outcomes = solve_lps([LpProblem(c, a, lam) for a in blocks])
         for s, outcome in zip(subsets, outcomes):
             _solved(outcome, label, f"subset {s}, {where}")
         u = -np.array([outcome.dual_ub for outcome in outcomes])

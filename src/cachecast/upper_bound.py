@@ -9,20 +9,29 @@ the rate cannot exceed
 
 where coverage(Q) is the cache-union measure of the first k users in the
 ordering.  objective_at evaluates this at one weight vector; the tight bound
-minimizes over all weights, which separates into one small LP per ordering:
-substituting sigma_k = w[pi(k)]*(1 - coverage(pi(1..k))) (normalized to sum
-to one) and upper-bounding each level's weighted maximum by theta_l turns
-the minimization over weights consistent with pi into
+minimizes over all weights, which separates into one small LP per ordering.
+Substituting sigma_k = w[pi(k)]*(1 - coverage(pi(1..k))) and upper-bounding
+each level's weighted maximum by theta_l turns the ratio over weights
+consistent with pi into sum_l theta_l / sum_k sigma_k, subject to
 
-    minimize sum_l theta_l
-    s.t.     sigma_k * ccdf[pi(k)][l] <= (1 - coverage(pi(1..k))) * theta_l
-             sigma_k * (1 - coverage(pi(1..k-1))) <= sigma_{k-1} * (1 - coverage(pi(1..k)))
-             sum_k sigma_k = 1,   sigma, theta >= 0,
+    sigma_k * ccdf[pi(k)][l] <= (1 - coverage(pi(1..k))) * theta_l
+    sigma_k * (1 - coverage(pi(1..k-1))) <= sigma_{k-1} * (1 - coverage(pi(1..k)))
+    sigma, theta >= 0.
 
-with sigma_k pinned to zero wherever its coverage factor is exactly one.
-upper_bound_rate tabulates the gap of every user subset once, builds the
-K! orderings' LPs with numpy from that table, solves them in lockstep
-stacks (lp.solve_lps) and reports the minimum.
+Every row is homogeneous, so the ratio can be normalised on either side
+(Charnes and Cooper): min {sum theta : sum sigma = 1} equals
+1 / max {sum sigma : sum theta <= 1}.  The LP solved is the second,
+
+    minimize -sum_k sigma_k   s.t. the rows above,  sum_l theta_l <= 1,
+
+whose rhs is nonnegative, so it starts feasible at x = 0; the ordering's
+value is -1 / (its optimum).  sigma_k is pinned to zero (its column and
+cost zeroed) wherever its coverage factor is exactly one.  The LP is
+unbounded exactly when the first user's CCDF row is all zero: sigma_1
+then grows with every theta at 0, and the ordering's value is 0 with all
+weight on that user.  upper_bound_rate tabulates the gap of every user
+subset once, builds the K! orderings' LPs with numpy from that table,
+solves them in lockstep stacks (lp.solve_lps) and reports the minimum.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from .errors import (
     UnexpectedLpStatus,
     ZeroDenominator,
 )
-from .lp import FEAS_TOL, OPTIMAL, LpProblem, solve_lps
+from .lp import FEAS_TOL, OPTIMAL, UNBOUNDED, LpProblem, solve_lps
 
 MAX_BOUND_USERS = 8
 # Orderings whose LPs are built and solved by one solve_lps call: a few
@@ -122,34 +131,29 @@ def _permutation_lps(
     B = stats.num_levels
     decode = np.arange(K * B)
     chain = np.arange(K - 1)
-    a_ub = np.zeros((size, K * B + K - 1, K + B))
+    a_ub = np.zeros((size, K * B + K, K + B))
     a_ub[:, decode, decode // B] = stats.ccdf[orderings - 1].reshape(size, K * B)
     a_ub[:, decode, K + decode % B] = -np.repeat(gaps, B, axis=1)
     a_ub[:, K * B + chain, chain] = -gaps[:, 1:]
     a_ub[:, K * B + chain, chain + 1] = gaps[:, :-1]
-    b_ub = np.zeros((size, K * B + K - 1))
+    a_ub[:, -1, K:] = 1.0
+    b_ub = np.zeros(K * B + K)
+    b_ub[-1] = 1.0
     c = np.zeros((size, K + B))
-    c[:, K:] = 1.0
-
-    problems: list[LpProblem] = [None] * size  # type: ignore[list-item]
-    pins = full.sum(axis=1)
-    for count in sorted(set(pins.tolist())):
-        group = np.flatnonzero(pins == count)
-        pinned = np.nonzero(full[group])[1].reshape(group.size, count)
-        a_eq = np.zeros((group.size, 1 + count, K + B))
-        a_eq[:, 0, :K] = 1.0
-        a_eq[np.arange(group.size)[:, None], 1 + np.arange(count), pinned] = 1.0
-        b_eq = np.zeros((group.size, 1 + count))
-        b_eq[:, 0] = 1.0
-        for j, i in enumerate(group.tolist()):
-            problems[i] = LpProblem(c=c[i], a_ub=a_ub[i], b_ub=b_ub[i], a_eq=a_eq[j], b_eq=b_eq[j])
-    return problems
+    c[:, :K] = -1.0
+    lps, pinned = np.nonzero(full)
+    a_ub[lps, :, pinned] = 0.0
+    c[lps, pinned] = 0.0
+    return [LpProblem(c=c[i], a_ub=a_ub[i], b_ub=b_ub) for i in range(size)]
 
 
 def build_permutation_lp(
     stats: ChannelStats, tup: CachingTuple, pi: Sequence[int]
 ) -> LpProblem:
-    """The per-ordering LP in variables x = [sigma_1..K, theta_1..B]."""
+    """The per-ordering LP in variables x = [sigma_1..K, theta_1..B].
+
+    Its optimum is -sum(sigma); the ordering's bound value is -1 / optimum.
+    """
     orderings = np.array([_check_permutation(stats.num_users, pi)])
     masks = _prefix_masks(orderings)
     gaps, full = _cover_table(stats, tup)
@@ -164,9 +168,12 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     orderings = list(permutations(range(1, K + 1)))
     gap_of, full_of = _cover_table(stats, tup)
     label = f"(K={K}, B={stats.num_levels}, mu={tup.mu})"
-    # sigma_1 pinned to zero contradicts sum(sigma) = 1: such an ordering
-    # admits no weight vector, so it contributes an infinite bound.
+    # Coverage only grows along an ordering, so a fully covered first user
+    # pins every sigma: such an ordering admits no weight vector and
+    # contributes an infinite bound.
     values = [inf] * len(orderings)
+    first_alone = np.zeros(K + stats.num_levels)  # sigma_1 > 0, all else 0
+    first_alone[0] = 1.0
     # x of each ordering whose value is below every earlier one.  The argmin
     # below is among them: every ordering before it lies more than FEAS_TOL
     # above the minimum, so above the argmin's value.
@@ -182,11 +189,15 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
             pi = orderings[start + i]
             if isinstance(outcome, NumericalFailure):
                 raise NumericalFailure(f"ordering {pi} {label}: {outcome}") from outcome
-            if outcome.status != OPTIMAL:
+            if outcome.status == OPTIMAL:
+                value, x = -1.0 / outcome.value, outcome.x
+            elif outcome.status == UNBOUNDED and not stats.ccdf[pi[0] - 1].any():
+                value, x = 0.0, first_alone
+            else:
                 raise UnexpectedLpStatus(f"ordering {pi} {label}: LP status {outcome.status}")
-            values[start + i] = outcome.value
-            if outcome.value < least:
-                lowering[start + i], least = outcome.x, outcome.value
+            values[start + i] = value
+            if value < least:
+                lowering[start + i], least = x, value
 
     best = min(values)
     if best == inf:

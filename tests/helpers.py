@@ -152,25 +152,20 @@ def random_sorted_weights(rng: np.random.Generator, num_users: int) -> np.ndarra
 
 
 def random_bounded_lp(rng: np.random.Generator) -> LpProblem:
-    """Random feasible bounded LP: <= 4 variables, <= 8 rows.
+    """Random feasible bounded LP: <= 4 variables, <= 6 rows.
 
-    Feasible by construction (a strictly interior point is sampled first)
-    and bounded by an all-ones cap row.
+    b_ub >= 0, so x = 0 is feasible; about a third of the random rows have
+    b = 0 and pass through it (degenerate vertices).  An all-ones cap row
+    bounds the region.
     """
     n = int(rng.integers(1, 5))
     m_ub = int(rng.integers(0, 6))
-    x0 = rng.uniform(0.0, 2.0, n)
     a_ub = rng.normal(size=(m_ub, n))
-    b_ub = a_ub @ x0 + rng.uniform(0.1, 2.0, m_ub)
-    cap = np.ones((1, n))
-    a_ub = np.vstack([a_ub, cap])
-    b_ub = np.concatenate([b_ub, [x0.sum() + rng.uniform(0.5, 2.0)]])
-    a_eq = b_eq = None
-    if n >= 2 and rng.random() < 0.3:
-        row = rng.normal(size=(1, n))
-        a_eq, b_eq = row, row @ x0
+    b_ub = rng.uniform(0.1, 2.0, m_ub) * (rng.random(m_ub) >= 1 / 3)
+    a_ub = np.vstack([a_ub, np.ones((1, n))])
+    b_ub = np.concatenate([b_ub, [rng.uniform(0.5, 4.0)]])
     c = rng.normal(size=n)
-    return lp_problem(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    return lp_problem(c, a_ub=a_ub, b_ub=b_ub)
 
 
 def chain_ccdf(rng: np.random.Generator, users: int, levels: int) -> np.ndarray:
@@ -229,7 +224,7 @@ def permutation_lp_reference(stats, tup, pi) -> LpProblem:
     """
     K, B = stats.num_users, stats.num_levels
     gaps = [float(1 - tup.of(pi[: k + 1])) for k in range(K)]
-    a_ub = np.zeros((K * B + K - 1, K + B))
+    a_ub = np.zeros((K * B + K, K + B))
     for k in range(K):
         for l in range(B):
             a_ub[k * B + l, k] = stats.ccdf[pi[k] - 1][l]
@@ -237,16 +232,16 @@ def permutation_lp_reference(stats, tup, pi) -> LpProblem:
     for k in range(1, K):
         a_ub[K * B + k - 1, k - 1] = -gaps[k]
         a_ub[K * B + k - 1, k] = gaps[k - 1]
-    eq_rows = [np.concatenate([np.ones(K), np.zeros(B)])]
-    eq_rhs = [1.0]
+    for l in range(B):
+        a_ub[K * B + K - 1, K + l] = 1.0  # the budget row: sum theta <= 1
+    b_ub = np.zeros(K * B + K)
+    b_ub[-1] = 1.0
+    c = np.concatenate([-np.ones(K), np.zeros(B)])  # maximize sum sigma
     for k in range(K):
-        if tup.of(pi[: k + 1]) == 1:
-            pin = np.zeros(K + B)
-            pin[k] = 1.0
-            eq_rows.append(pin)
-            eq_rhs.append(0.0)
-    c = np.concatenate([np.zeros(K), np.ones(B)])
-    return lp_problem(c, a_ub=a_ub, b_ub=np.zeros(K * B + K - 1), a_eq=np.vstack(eq_rows), b_eq=eq_rhs)
+        if tup.of(pi[: k + 1]) == 1:  # pinned: column and cost zeroed
+            a_ub[:, k] = 0.0
+            c[k] = 0.0
+    return lp_problem(c, a_ub=a_ub, b_ub=b_ub)
 
 
 def fail_certificate(monkeypatch, problem: LpProblem, violation: float = 0.00294) -> None:
@@ -256,10 +251,10 @@ def fail_certificate(monkeypatch, problem: LpProblem, violation: float = 0.00294
     stack reads `violation`; the other LPs of the stack are untouched.
     """
     certificate = lp._certificate
-    rows = np.vstack([problem.a_ub, problem.a_eq])
+    rows = problem.a_ub
 
-    def failing(a, b, c, x, y, m_ub):
-        value, primal, dual, gap = certificate(a, b, c, x, y, m_ub)
+    def failing(a, b, c, x, y):
+        value, primal, dual, gap = certificate(a, b, c, x, y)
         if a.shape[1:] == rows.shape:
             hit = np.all(a == rows, axis=(1, 2)) & np.all(c == problem.c, axis=1)
             primal = np.where(hit, violation, primal)

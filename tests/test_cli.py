@@ -465,7 +465,7 @@ def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
     solve_lps = upper_bound.solve_lps
 
     def one_unbounded(problems):
-        unbounded = LpSolution(UNBOUNDED, None, None, None, None)
+        unbounded = LpSolution(UNBOUNDED, None, None, None)
         hit = [np.array_equal(p.a_ub, target.a_ub) and np.array_equal(p.c, target.c) for p in problems]
         return [unbounded if h else outcome for h, outcome in zip(hit, solve_lps(problems))]
 
@@ -493,7 +493,7 @@ def test_lp_failures_name_their_lp(capsys, monkeypatch, command, config, module,
     assert f"{label}: optimal basis fails feasibility recheck (largest violation 0.5)" in err
 
     def unbounded(problem):
-        return LpSolution(UNBOUNDED, None, None, None, None)
+        return LpSolution(UNBOUNDED, None, None, None)
 
     monkeypatch.setattr(module, "solve_lp", unbounded)
     assert cli.main(["rates", command, config]) == 3
@@ -523,7 +523,7 @@ def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
     assert f"{label}: optimal basis fails dual feasibility check (dual residual 0.25)" in err
     assert "(subset (1, 3), cut 2, gap " in err
 
-    unbounded = LpSolution(UNBOUNDED, None, None, None, None)
+    unbounded = LpSolution(UNBOUNDED, None, None, None)
     monkeypatch.setattr(lp_scheme, "solve_lps", replacing_subset_13_at_cut_2(unbounded))
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
     assert f"{label}: status unbounded (subset (1, 3), cut 2, gap " in capsys.readouterr().err

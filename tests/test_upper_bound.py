@@ -10,7 +10,7 @@ import pytest
 from cachecast.caching import caching_tuple, central_strategy, strategy_from_intervals
 from cachecast.channel import validate_stats
 from cachecast.errors import LengthMismatch, OutOfRange, TooManyUsers, ZeroDenominator
-from cachecast.lp import FEAS_TOL, solve_lp
+from cachecast.lp import FEAS_TOL, UNBOUNDED, solve_lp
 from cachecast.upper_bound import build_permutation_lp, objective_at, upper_bound_rate
 
 from helpers import (
@@ -77,26 +77,29 @@ def test_objective_full_cache_has_zero_denominator(mixed3):
 
 def test_lp_shape_and_first_row(mixed3, tup3):
     p = build_permutation_lp(mixed3, tup3, (1, 2, 3))
-    assert p.a_ub.shape == (11, 6)  # 9 decode rows + 2 ordering rows
+    assert p.a_ub.shape == (12, 6)  # 9 decode rows + 2 ordering rows + the budget row
     assert p.num_vars == 6
     np.testing.assert_allclose(p.a_ub[0], [0.9, 0.0, 0.0, -2.0 / 3.0, 0.0, 0.0])
-    np.testing.assert_array_equal(p.b_ub, np.zeros(11))
-    np.testing.assert_array_equal(p.c, [0, 0, 0, 1, 1, 1])
+    np.testing.assert_array_equal(p.b_ub, [0.0] * 11 + [1.0])
+    np.testing.assert_array_equal(p.c, [-1, -1, 0, 0, 0, 0])  # maximize sum sigma; sigma_3 pinned
 
 
 def test_lp_ordering_rows(mixed3, tup3):
     p = build_permutation_lp(mixed3, tup3, (1, 2, 3))
     np.testing.assert_allclose(p.a_ub[9], [-1.0 / 3.0, 2.0 / 3.0, 0.0, 0.0, 0.0, 0.0])
-    np.testing.assert_allclose(p.a_ub[10], [0.0, 0.0, 1.0 / 3.0, 0.0, 0.0, 0.0])
+    # -0 * sigma_2 + (1/3) sigma_3 <= 0, with the pinned sigma_3's entry zeroed
+    np.testing.assert_array_equal(p.a_ub[10], [0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(p.a_ub[11], [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])  # sum theta <= 1
 
 
 def test_lp_pins_fully_covered_prefixes(mixed3, tup3):
     p = build_permutation_lp(mixed3, tup3, (1, 2, 3))
-    # normalization row plus one pin: the full-user prefix has coverage 1
-    assert p.a_eq.shape == (2, 6)
-    np.testing.assert_array_equal(p.a_eq[0], [1, 1, 1, 0, 0, 0])
-    np.testing.assert_array_equal(p.a_eq[1], [0, 0, 1, 0, 0, 0])
-    np.testing.assert_array_equal(p.b_eq, [1.0, 0.0])
+    # one pin: the full-user prefix has coverage 1, so sigma_3's column and
+    # cost are zero; sigma_1 and sigma_2 keep theirs
+    np.testing.assert_array_equal(p.a_ub[:, 2], np.zeros(12))
+    assert p.c[2] == 0.0
+    assert np.count_nonzero(p.a_ub[:, :2], axis=0).tolist() == [4, 4]  # 3 decode + 1 ordering row
+    np.testing.assert_array_equal(p.c[:2], [-1.0, -1.0])
 
 
 def test_lp_matches_entrywise_builder():
@@ -113,7 +116,7 @@ def test_lp_matches_entrywise_builder():
         for pi in permutations(range(1, stats.num_users + 1)):
             built = build_permutation_lp(stats, tup, pi)
             reference = permutation_lp_reference(stats, tup, pi)
-            for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq"):
+            for name in ("c", "a_ub", "b_ub"):
                 a, b = getattr(built, name), getattr(reference, name)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -166,6 +169,21 @@ def test_bound_single_user():
     assert report.omega_star == (1.0,)
 
 
+def test_bound_dead_first_user_is_zero():
+    # User 1 decodes nothing, so an ordering that starts with it bounds the
+    # rate by 0: its LP is unbounded (sigma_1 grows with every theta at 0),
+    # and the weights are user 1 alone.
+    stats = validate_stats([[0.0, 0.0, 0.0], [0.9, 0.5, 0.2], [0.8, 0.4, 0.1]])
+    tup = caching_tuple(central_strategy(3, Fraction(1, 3)))
+    report = upper_bound_rate(stats, tup)
+    assert report.value == 0.0
+    assert report.argmin_pi == (1, 2, 3)
+    assert report.omega_star == (1.0, 0.0, 0.0)
+    assert not report.omega_star_unique  # (1, 3, 2) is 0 too
+    assert [value == 0.0 for _, value in report.table] == [True, True, False, False, False, False]
+    assert solve_lp(build_permutation_lp(stats, tup, (1, 2, 3))).status == UNBOUNDED
+
+
 def test_bound_full_cache_is_infinite(mixed3):
     tup = caching_tuple(central_strategy(3, Fraction(1)))
     report = upper_bound_rate(mixed3, tup)
@@ -194,8 +212,7 @@ def test_bound_rejects_tuple_of_other_size(mixed3, tuple_users):
 
 def test_bound_explicit_caching_matches_each_ordering():
     # {1, 2} and {2, 3} cache the whole file but {1, 3, 4} does not, so the
-    # orderings pin one, two or three prefixes and their LPs come in three
-    # shapes, solved in separate stacks.
+    # orderings pin one, two or three sigmas; their LPs all have one shape.
     stats = random_stats(np.random.default_rng(12), 4, 3)
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     placement = [[(0, half)], [(half, 1)], [(0, half)], [(quarter, 3 * quarter)]]
@@ -204,8 +221,9 @@ def test_bound_explicit_caching_matches_each_ordering():
 
     orderings = list(permutations(range(1, 5)))
     problems = [build_permutation_lp(stats, tup, pi) for pi in orderings]
-    assert len({p.a_eq.shape for p in problems}) == 3
-    values = [solve_lp(p).value for p in problems]
+    assert len({p.a_ub.shape for p in problems}) == 1
+    assert {int(np.count_nonzero(p.c == 0.0)) - 3 for p in problems} == {1, 2, 3}
+    values = [-1.0 / solve_lp(p).value for p in problems]
     assert report.table == tuple(zip(orderings, values))
     best = min(values)
     argmin = next(i for i, v in enumerate(values) if v <= best + FEAS_TOL)
