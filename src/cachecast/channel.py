@@ -64,7 +64,7 @@ def validate_stats(ccdf: Sequence[Sequence[float]]) -> ChannelStats:
     for k, r in enumerate(rows, start=1):
         if r.ndim != 1 or r.size != num_levels:
             raise LengthMismatch(f"user {k}: expected {num_levels} entries, got shape {r.shape}")
-        if np.any(r < -PROB_TOL) or np.any(r > 1.0 + PROB_TOL):
+        if not np.all((r >= -PROB_TOL) & (r <= 1.0 + PROB_TOL)):  # also refuses NaN
             raise OutOfRange(f"user {k}: CCDF entries must lie in [0, 1]")
         if np.any(np.diff(r) > PROB_TOL):
             raise NotMonotone(f"user {k}: CCDF must be nonincreasing in the level")

@@ -35,9 +35,10 @@ NumericalFailure naming the residual.  LpSolution carries the three
 values.
 
 One simplex core runs on a stack of same-shape tableaux, shape (L, m, N+1),
-in lockstep; solve_lp is the stack of one and solve_lps solves many LPs at
-once, grouped by shape and cut into stacks of at most STACK_ENTRIES
-tableau entries.  Each iteration prices every running LP with one
+in lockstep.  solve_lps takes the LPs as arrays of one shape, c (L, n),
+a_ub (L, m, n) and b_ub (L, m), and cuts them into slices of stack_size(m, n)
+LPs, at most STACK_ENTRIES tableau entries each; solve_lp is the stack of
+one.  Each iteration prices every running LP with one
 np.matmul, picks each LP's entering column and leaving row with vector
 operations, and pivots with an in-place rank-1 update over blocks of
 PIVOT_BLOCK_ROWS rows of every LP at once (_pivot).  The certificate is
@@ -134,12 +135,12 @@ def lp_problem(
     return LpProblem(c=c, a_ub=a_ub, b_ub=b_ub)
 
 
-def _check_rhs(problem: LpProblem, label: str) -> None:
-    """Reject a negative b_ub entry: the simplex and the oracle start at x = 0."""
-    negative = problem.b_ub < 0.0
-    if negative.any():
-        row = int(negative.argmax())
-        raise OutOfRange(f"{label}b_ub[{row}] = {float(problem.b_ub[row])!r} < 0; x = 0 must be feasible")
+def _check_rhs(b_ub: np.ndarray, label: str = "LP {}: ") -> None:
+    """Reject a negative entry of a stack of b_ub rows: the simplex and the oracle start at x = 0."""
+    negative = np.argwhere(b_ub < 0.0)
+    if negative.size:
+        lp, row = negative[0].tolist()
+        raise OutOfRange(f"{label.format(lp)}b_ub[{row}] = {float(b_ub[lp, row])!r} < 0; x = 0 must be feasible")
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -244,23 +245,21 @@ def _simplex(
     return outcomes, pivots
 
 
-def _solve_stack(problems: Sequence[LpProblem]) -> list:
-    """Simplex on problems of one shape (n, m), in lockstep, from the slack basis.
+def _solve_stack(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> list:
+    """Simplex on a stack c (L, n), a_ub (L, m, n), b_ub (L, m), in lockstep, from the slack basis.
 
-    Returns each problem's LpSolution or NumericalFailure.
+    Returns each LP's LpSolution or NumericalFailure.
     """
-    size = len(problems)
-    n, m = problems[0].num_vars, problems[0].a_ub.shape[0]
+    size, m, n = a_ub.shape
     tableau = np.zeros((size, m, n + m + 1))
-    for i, p in enumerate(problems):
-        tableau[i, :, :n] = p.a_ub
-        tableau[i, :, -1] = p.b_ub
+    tableau[:, :, :n] = a_ub
+    tableau[:, :, -1] = b_ub
     a, b = tableau[:, :, :n].copy(), tableau[:, :, -1].copy()  # the original rows, for the certificate
     slack = n + np.arange(m)
     tableau[:, np.arange(m), slack] = 1.0
     basis = np.tile(slack, (size, 1))
     costs = np.zeros((size, n + m))
-    costs[:, :n] = [p.c for p in problems]
+    costs[:, :n] = c
     status, pivots = _simplex(tableau, basis, costs)
     return _finish(status, tableau, basis, costs, a, b, pivots)
 
@@ -331,33 +330,41 @@ def _finish(
     return outcomes
 
 
-def solve_lps(problems: Sequence[LpProblem]) -> list[Union[LpSolution, NumericalFailure]]:
-    """solve_lp on every problem, in stacks; a NumericalFailure is returned, not raised.
+def stack_size(m: int, n: int) -> int:
+    """LPs of m rows and n columns per lockstep stack: at most STACK_ENTRIES tableau entries, at least one."""
+    return max(1, STACK_ENTRIES // max(1, m * (n + m + 1)))
 
-    Problems are grouped by shape (n and m), each group is cut into stacks
-    of at most STACK_ENTRIES tableau entries, and each stack runs in
-    lockstep.  Every outcome is bit for bit the one solve_lp gives on that
-    problem alone, and one LP's failure leaves the others in its stack
-    unchanged.  A problem with a negative b_ub entry raises OutOfRange
-    before any LP is solved.
+
+def solve_lps(c, a_ub, b_ub) -> list[Union[LpSolution, NumericalFailure]]:
+    """solve_lp on every LP of one stack; a NumericalFailure is returned, not raised.
+
+    a_ub has shape (L, m, n); c is (L, n) or one (n,) row for every LP, b_ub
+    (L, m) or one (m,) row.  Any other shape raises LengthMismatch, and a
+    negative b_ub entry raises OutOfRange before any LP is solved.  The
+    stack runs in lockstep slices of stack_size(m, n) LPs.  Every outcome is
+    bit for bit the one solve_lp gives on that LP alone, and one LP's
+    failure leaves the others unchanged.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(problems):
-        _check_rhs(p, f"LP {i}: ")
-        groups.setdefault(p.a_ub.shape, []).append(i)
-    outcomes: list = [None] * len(problems)
-    for (m, n), members in groups.items():
-        cap = max(1, STACK_ENTRIES // max(1, m * (n + m + 1)))
-        for start in range(0, len(members), cap):
-            chunk = members[start:start + cap]
-            for i, outcome in zip(chunk, _solve_stack([problems[i] for i in chunk])):
-                outcomes[i] = outcome
+    c, a_ub, b_ub = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
+    shape = a_ub.shape  # (L, m, n)
+    if len(shape) != 3 or c.shape not in (shape[2:], shape[::2]) or b_ub.shape not in (shape[1:2], shape[:2]):
+        raise LengthMismatch(
+            f"need a_ub (L, m, n), c (L, n) or (n,), b_ub (L, m) or (m,); got {shape}, {c.shape}, {b_ub.shape}"
+        )
+    size, m, n = shape
+    c, b_ub = np.broadcast_to(c, (size, n)), np.broadcast_to(b_ub, (size, m))
+    _check_rhs(b_ub)
+    cap = stack_size(m, n)
+    outcomes: list = []
+    for start in range(0, size, cap):
+        stop = start + cap
+        outcomes += _solve_stack(c[start:stop], a_ub[start:stop], b_ub[start:stop])
     return outcomes
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """One-phase simplex from the slack basis; statuses: optimal, unbounded."""
-    (outcome,) = solve_lps([problem])
+    (outcome,) = solve_lps(problem.c, problem.a_ub[None], problem.b_ub)
     if isinstance(outcome, NumericalFailure):
         raise outcome
     return outcome
@@ -374,7 +381,7 @@ def enumerate_vertices(problem: LpProblem) -> LpSolution:
     n = problem.num_vars
     if n > MAX_ORACLE_VARS:
         raise TooLarge(f"vertex oracle limited to {MAX_ORACLE_VARS} variables")
-    _check_rhs(problem, "")
+    _check_rhs(problem.b_ub[None], "")
 
     rows = np.vstack([problem.a_ub, -np.eye(n)])
     offsets = np.concatenate([problem.b_ub, np.zeros(n)])

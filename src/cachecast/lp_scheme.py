@@ -251,7 +251,7 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     best, eta = 0.0, inf
     for iteration in range(1, MAX_CUTS + 1):
         where = f"cut {iteration}, gap {_gap(best, eta):.3g}"
-        outcomes = solve_lps([LpProblem(c, a, lam) for a in blocks])
+        outcomes = solve_lps(c, blocks, lam)
         for s, outcome in zip(subsets, outcomes):
             _solved(outcome, label, f"subset {s}, {where}")
         u = -np.array([outcome.dual_ub for outcome in outcomes])

@@ -88,6 +88,40 @@ def _fractional_min(f1: np.ndarray, f2: np.ndarray, mu: float) -> float:
     return best
 
 
+def _best_split(
+    a: np.ndarray, b: np.ndarray, one_minus_mu: float, one_minus_2mu: float
+) -> tuple[int, float, float, float, float]:
+    """Best split with user 1's uncached data (a) at the bottom of the band and user 2's (b) at the top.
+
+    Returns the first 0-based position within a relative 1e-12 of the best
+    rate, the share alpha of it given to user 1, the best rate, and user 1's
+    individual and user 2's common mass at that split.
+    """
+    prefix_a = np.concatenate([[0.0], np.cumsum(a)])  # prefix_a[i] = sum a[:i]
+    suffix_b = np.concatenate([np.cumsum(b[::-1])[::-1], [0.0]])  # suffix_b[i] = sum b[i:]
+    splits = []
+    for pos in range(a.size):
+        p1, s2 = prefix_a[pos], suffix_b[pos + 1]
+        au, bu = a[pos], b[pos]
+        if one_minus_2mu == 0.0:
+            alpha = 0.0
+        else:
+            denom = au * one_minus_mu + bu * one_minus_2mu
+            alpha = ((s2 + bu) * one_minus_2mu - p1 * one_minus_mu) / denom
+            alpha = min(1.0, max(0.0, alpha))
+        individual, common = p1 + alpha * au, s2 + (1.0 - alpha) * bu
+        cap = individual / one_minus_2mu if one_minus_2mu > 0.0 else math.inf
+        splits.append((alpha, min(cap, common / one_minus_mu), individual, common))
+    # Equal-value plateaus are real (adjacent splits describe the same
+    # assignment), but roundoff perturbs them; pick the first maximizer with
+    # a relative tolerance.
+    best = max(value for _, value, _, _ in splits)
+    tie = 1e-12 * max(1.0, abs(best))
+    pos = next(pos for pos, split in enumerate(splits) if split[1] >= best - tie)
+    alpha, _, individual, common = splits[pos]
+    return pos, alpha, best, individual, common
+
+
 def optimal_rate_two_user(stats: ChannelStats, mu: float) -> float:
     """Largest achievable per-file rate for two users at cache size mu."""
     f1, f2 = _check_two_user(stats)
@@ -122,69 +156,26 @@ def achievable_allocation_two_user(stats: ChannelStats, mu: float) -> TwoUserAll
             margins=(0.0, 0.0, 0.0, 0.0),
         )
 
-    prefix_a = np.concatenate([[0.0], np.cumsum(a)])   # prefix_a[i] = sum a[:i]
-    suffix_b = np.concatenate([np.cumsum(b[::-1])[::-1], [0.0]])  # suffix_b[i] = sum b[i:]
-
-    def ind_cap(x: float) -> float:
-        return x / one_minus_2mu if one_minus_2mu > 0.0 else math.inf
-
-    def split_user1(pos: int) -> tuple[float, float]:
-        """Best alpha at position pos and the resulting min of the two caps."""
-        p1, s2 = prefix_a[pos], suffix_b[pos + 1]
-        au, bu = a[pos], b[pos]
-        if one_minus_2mu == 0.0:
-            alpha = 0.0
-        else:
-            denom = au * one_minus_mu + bu * one_minus_2mu
-            alpha = ((s2 + bu) * one_minus_2mu - p1 * one_minus_mu) / denom
-            alpha = min(1.0, max(0.0, alpha))
-        value = min(ind_cap(p1 + alpha * au), (s2 + (1.0 - alpha) * bu) / one_minus_mu)
-        return alpha, value
-
-    def split_user2(pos: int) -> tuple[float, float]:
-        p1, s2 = prefix_a[pos], suffix_b[pos + 1]
-        av, bv = a[pos], b[pos]
-        if one_minus_2mu == 0.0:
-            beta = 0.0
-        else:
-            denom = av * one_minus_2mu + bv * one_minus_mu
-            beta = ((p1 + av) * one_minus_2mu - s2 * one_minus_mu) / denom
-            beta = min(1.0, max(0.0, beta))
-        value = min((p1 + (1.0 - beta) * av) / one_minus_mu, ind_cap(s2 + beta * bv))
-        return beta, value
-
-    # Equal-value plateaus are real (adjacent splits describe the same
-    # assignment), but roundoff perturbs them; pick maximizers with a
-    # relative tolerance so u is the first plateau position and v the last.
-    splits1 = [split_user1(pos) for pos in range(nb)]
-    f1_star = max(value for _, value in splits1)
-    tie1 = 1e-12 * max(1.0, abs(f1_star))
-    best_u = next(pos for pos in range(nb) if splits1[pos][1] >= f1_star - tie1)
-    best_alpha = splits1[best_u][0]
-
-    splits2 = [split_user2(pos) for pos in range(nb)]
-    f2_star = max(value for _, value in splits2)
-    tie2 = 1e-12 * max(1.0, abs(f2_star))
-    best_v = max(pos for pos in range(nb) if splits2[pos][1] >= f2_star - tie2)
-    best_beta = splits2[best_v][0]
-
+    # User 2's split is user 1's on the mirrored level order (a' = b[::-1],
+    # b' = a[::-1]): its first best position w there is the last best one,
+    # nb - 1 - w, in the level order.
+    u, alpha, f1_star, individual1, common1 = _best_split(a, b, one_minus_mu, one_minus_2mu)
+    w, beta, f2_star, individual2, common2 = _best_split(b[::-1], a[::-1], one_minus_mu, one_minus_2mu)
     rate = min(f1_star, f2_star)
-    p1u, s2u = prefix_a[best_u], suffix_b[best_u + 1]
-    p1v, s2v = prefix_a[best_v], suffix_b[best_v + 1]
     margins = (
-        p1u + best_alpha * a[best_u] - one_minus_2mu * rate,
-        (1.0 - best_alpha) * b[best_u] + s2u - one_minus_mu * rate,
-        s2v + best_beta * b[best_v] - one_minus_2mu * rate,
-        p1v + (1.0 - best_beta) * a[best_v] - one_minus_mu * rate,
+        individual1 - one_minus_2mu * rate,
+        common1 - one_minus_mu * rate,
+        individual2 - one_minus_2mu * rate,
+        common2 - one_minus_mu * rate,
     )
     return TwoUserAllocation(
         rate=rate,
         f1=f1_star,
         f2=f2_star,
-        u=best_u + 1,
-        v=best_v + 1,
-        alpha=best_alpha,
-        beta=best_beta,
+        u=u + 1,
+        v=nb - w,
+        alpha=alpha,
+        beta=beta,
         level_order=tuple(l + 1 for l in order),
         individual_size=one_minus_2mu * rate,
         common_size=mu * rate,

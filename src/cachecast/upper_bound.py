@@ -30,8 +30,9 @@ cost zeroed) wherever its coverage factor is exactly one.  The LP is
 unbounded exactly when the first user's CCDF row is all zero: sigma_1
 then grows with every theta at 0, and the ordering's value is 0 with all
 weight on that user.  upper_bound_rate tabulates the gap of every user
-subset once, builds the K! orderings' LPs with numpy from that table,
-solves them in lockstep stacks (lp.solve_lps) and reports the minimum.
+subset once, builds the K! orderings' LPs with numpy from that table, one
+lockstep stack (lp.stack_size orderings) per lp.solve_lps call, and reports
+the minimum.
 """
 
 from __future__ import annotations
@@ -53,14 +54,9 @@ from .errors import (
     UnexpectedLpStatus,
     ZeroDenominator,
 )
-from .lp import FEAS_TOL, OPTIMAL, UNBOUNDED, LpProblem, solve_lps
+from .lp import FEAS_TOL, OPTIMAL, UNBOUNDED, LpProblem, solve_lps, stack_size
 
 MAX_BOUND_USERS = 8
-# Orderings whose LPs are built and solved by one solve_lps call: a few
-# lockstep stacks' worth.  The LPs and solutions held at once then stay
-# under 1 MB at any K; with all 720 orderings of K = 6 at once the
-# process's peak memory was 3 MB higher.
-ORDERINGS_PER_CALL = 120
 
 
 @dataclass(frozen=True)
@@ -125,8 +121,11 @@ def objective_at(stats: ChannelStats, tup: CachingTuple, weights: Sequence[float
 
 def _permutation_lps(
     stats: ChannelStats, orderings: np.ndarray, gaps: np.ndarray, full: np.ndarray
-) -> list[LpProblem]:
-    """The per-ordering LPs of an (L, K) array of orderings, built at once."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-ordering LPs of an (L, K) array of orderings as one stack: c, a_ub, b_ub.
+
+    c is (L, K+B), a_ub (L, K*B+K, K+B) and b_ub the (K*B+K,) rhs they share.
+    """
     size, K = orderings.shape
     B = stats.num_levels
     decode = np.arange(K * B)
@@ -144,7 +143,7 @@ def _permutation_lps(
     lps, pinned = np.nonzero(full)
     a_ub[lps, :, pinned] = 0.0
     c[lps, pinned] = 0.0
-    return [LpProblem(c=c[i], a_ub=a_ub[i], b_ub=b_ub) for i in range(size)]
+    return c, a_ub, b_ub
 
 
 def build_permutation_lp(
@@ -157,34 +156,36 @@ def build_permutation_lp(
     orderings = np.array([_check_permutation(stats.num_users, pi)])
     masks = _prefix_masks(orderings)
     gaps, full = _cover_table(stats, tup)
-    return _permutation_lps(stats, orderings, gaps[masks], full[masks])[0]
+    c, a_ub, b_ub = _permutation_lps(stats, orderings, gaps[masks], full[masks])
+    return LpProblem(c=c[0], a_ub=a_ub[0], b_ub=b_ub)
 
 
 def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport:
     """Tight bound: minimum of the per-ordering LP values over all K! orderings."""
-    K = stats.num_users
+    K, B = stats.num_users, stats.num_levels
     if K > MAX_BOUND_USERS:
         raise TooManyUsers(f"ordering enumeration capped at {MAX_BOUND_USERS} users")
     orderings = list(permutations(range(1, K + 1)))
     gap_of, full_of = _cover_table(stats, tup)
-    label = f"(K={K}, B={stats.num_levels}, mu={tup.mu})"
+    label = f"(K={K}, B={B}, mu={tup.mu})"
     # Coverage only grows along an ordering, so a fully covered first user
     # pins every sigma: such an ordering admits no weight vector and
     # contributes an infinite bound.
     values = [inf] * len(orderings)
-    first_alone = np.zeros(K + stats.num_levels)  # sigma_1 > 0, all else 0
+    first_alone = np.zeros(K + B)  # sigma_1 > 0, all else 0
     first_alone[0] = 1.0
     # x of each ordering whose value is below every earlier one.  The argmin
     # below is among them: every ordering before it lies more than FEAS_TOL
     # above the minimum, so above the argmin's value.
     lowering: dict[int, np.ndarray] = {}
     least = inf
-    for start in range(0, len(orderings), ORDERINGS_PER_CALL):
-        batch = np.array(orderings[start:start + ORDERINGS_PER_CALL])
+    per_call = stack_size(K * B + K, K + B)
+    for start in range(0, len(orderings), per_call):
+        batch = np.array(orderings[start:start + per_call])
         masks = _prefix_masks(batch)
         gaps, full = gap_of[masks], full_of[masks]
         solvable = np.flatnonzero(~full[:, 0]).tolist()
-        outcomes = solve_lps(_permutation_lps(stats, batch[solvable], gaps[solvable], full[solvable]))
+        outcomes = solve_lps(*_permutation_lps(stats, batch[solvable], gaps[solvable], full[solvable]))
         for i, outcome in zip(solvable, outcomes):
             pi = orderings[start + i]
             if isinstance(outcome, NumericalFailure):

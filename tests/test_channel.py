@@ -51,6 +51,14 @@ def test_validate_rejects_out_of_range():
         validate_stats([[0.5, -0.4]])
 
 
+def test_validate_rejects_nan():
+    # NaN fails every comparison, so a range check by violations alone
+    # lets it through; json.load reads a bare NaN token.
+    for row in ([float("nan"), 0.4], [0.5, float("nan")]):
+        with pytest.raises(OutOfRange, match=r"^user 2: CCDF entries must lie in \[0, 1\]$"):
+            validate_stats([[0.5, 0.4], row])
+
+
 def test_validate_rejects_increasing():
     with pytest.raises(NotMonotone):
         validate_stats([[0.4, 0.5]])

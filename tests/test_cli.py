@@ -373,6 +373,25 @@ def test_config_validation_failures(capsys, tmp_path, mutate, fragment):
     assert fragment in captured.err
 
 
+@pytest.mark.parametrize(
+    "config, command",
+    [
+        (TWOUSER, ["rates", "two-user"]),
+        (NONDEGRADED, ["rates", "achievable"]),
+        (NONDEGRADED, ["rates", "upper"]),
+        (NONDEGRADED, ["simulate"]),
+    ],
+)
+def test_config_nan_ccdf_is_rejected(capsys, tmp_path, config, command):
+    # json.load reads a bare NaN token; a NaN CCDF entry is out of range.
+    body = json.loads(Path(config).read_text())
+    body["ccdf"][1][1] = float("nan")
+    cfg = write_config(tmp_path, body)
+    assert "NaN" in Path(cfg).read_text()
+    assert cli.main([*command, cfg, "--json"]) == 2
+    assert "user 2: CCDF entries must lie in [0, 1]" in capsys.readouterr().err
+
+
 def test_config_not_json(capsys, tmp_path):
     cfg = write_config(tmp_path, "not json {")
     assert cli.main(["rates", "achievable", cfg, "--json"]) == 2
@@ -464,10 +483,10 @@ def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
 
     solve_lps = upper_bound.solve_lps
 
-    def one_unbounded(problems):
+    def one_unbounded(c, a_ub, b_ub):
         unbounded = LpSolution(UNBOUNDED, None, None, None)
-        hit = [np.array_equal(p.a_ub, target.a_ub) and np.array_equal(p.c, target.c) for p in problems]
-        return [unbounded if h else outcome for h, outcome in zip(hit, solve_lps(problems))]
+        hit = np.all(a_ub == target.a_ub, axis=(1, 2)) & np.all(c == target.c, axis=1)
+        return [unbounded if h else outcome for h, outcome in zip(hit, solve_lps(c, a_ub, b_ub))]
 
     monkeypatch.undo()
     monkeypatch.setattr(upper_bound, "solve_lps", one_unbounded)
@@ -507,9 +526,9 @@ def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
     def replacing_subset_13_at_cut_2(outcome):
         calls = []
 
-        def patched(problems):
+        def patched(c, a_ub, b_ub):
             calls.append(None)
-            outcomes = solve_lps(problems)
+            outcomes = solve_lps(c, a_ub, b_ub)
             if len(calls) == 2:
                 outcomes[1] = outcome  # subsets are (1, 2), (1, 3), (2, 3)
             return outcomes

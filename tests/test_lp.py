@@ -14,7 +14,6 @@ from cachecast.lp import (
     FEAS_TOL,
     OPTIMAL,
     PIVOT_BLOCK_ROWS,
-    STACK_ENTRIES,
     UNBOUNDED,
     LpSolution,
     _pivot,
@@ -22,6 +21,7 @@ from cachecast.lp import (
     lp_problem,
     solve_lp,
     solve_lps,
+    stack_size,
 )
 from cachecast.lp_scheme import build_delivery_lp
 from cachecast.upper_bound import build_permutation_lp
@@ -187,10 +187,10 @@ def test_lp_problem_defaults_are_empty():
 def test_negative_rhs_is_rejected():
     # The simplex starts at x = 0, so a row with b < 0 is refused before
     # any LP of the call is solved, naming the LP and the row.
-    good = lp_problem([-1.0], a_ub=[[1.0]], b_ub=[1.0])
+    good = lp_problem([-1.0, 0.0], a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 0.0])
     bad = lp_problem([1.0, 1.0], a_ub=[[1.0, 0.0], [-1.0, -1.0]], b_ub=[2.0, -1.0])
     with pytest.raises(OutOfRange) as failure:
-        solve_lps([good, bad])
+        solve_stacked([good, bad])
     assert isinstance(failure.value, ValidationError)
     assert str(failure.value) == "LP 1: b_ub[1] = -1.0 < 0; x = 0 must be feasible"
     with pytest.raises(OutOfRange, match=r"^LP 0: b_ub\[1\] = -1.0 < 0"):
@@ -198,6 +198,28 @@ def test_negative_rhs_is_rejected():
     with pytest.raises(OutOfRange, match=r"^b_ub\[1\] = -1.0 < 0"):
         enumerate_vertices(bad)
     assert solve_lp(lp_problem([-1.0], a_ub=[[1.0]], b_ub=[-0.0])).value == 0.0
+
+
+def test_solve_lps_takes_one_stack_of_one_shape():
+    # c and b_ub are one row per LP or one row shared by all; any other
+    # shape is refused.
+    c, a_ub, b_ub = np.full((3, 2), -1.0), np.ones((3, 1, 2)), np.ones((3, 1))
+    shared = solve_lps(c[0], a_ub, b_ub[0])
+    assert [s.value for s in shared] == [s.value for s in solve_lps(c, a_ub, b_ub)] == [-1.0] * 3
+    assert solve_lps(np.zeros((0, 2)), np.zeros((0, 1, 2)), b_ub[0]) == []
+    for bad in (
+        (c, a_ub[0], b_ub),  # a_ub not a stack
+        (c, a_ub[None], b_ub),
+        (c[:2], a_ub, b_ub),  # one cost row short
+        (c[:, :1], a_ub, b_ub),
+        (c[:1], a_ub, b_ub),
+        (c, a_ub, b_ub[:2]),
+        (c, a_ub, np.ones((3, 2))),
+        (c, a_ub, np.ones(2)),
+        (c, a_ub, 1.0),
+    ):
+        with pytest.raises(LengthMismatch):
+            solve_lps(*bad)
 
 
 def test_oracle_size_cap():
@@ -257,6 +279,19 @@ def test_pivot_matches_row_loop():
         assert np.array_equal(basis, expected_basis)
 
 
+def solve_stacked(problems):
+    """solve_lps on a list of LpProblems, one call per shape, outcomes in list order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(problems):
+        groups.setdefault(p.a_ub.shape, []).append(i)
+    outcomes = [None] * len(problems)
+    for members in groups.values():
+        stack = (np.array([getattr(problems[i], name) for i in members]) for name in ("c", "a_ub", "b_ub"))
+        for i, outcome in zip(members, solve_lps(*stack)):
+            outcomes[i] = outcome
+    return outcomes
+
+
 def _outcome(problem):
     try:
         return solve_lp(problem)
@@ -300,31 +335,24 @@ def test_stack_matches_solo(monkeypatch):
     problems = problems + orderings
     problems = [problems[i] for i in rng.permutation(len(problems))]
 
-    stacks, shapes = [], set()
-    solve_stack, simplex = lp._solve_stack, lp._simplex
+    stacks = []
+    solve_stack = lp._solve_stack
 
-    def recording_stack(group):
-        stacks.append(len(group))
-        return solve_stack(group)
-
-    def recording_simplex(tableau, *args):
-        shapes.add(tableau.shape[1:])
-        return simplex(tableau, *args)
+    def recording_stack(c, a_ub, b_ub):
+        stacks.append(len(a_ub))
+        return solve_stack(c, a_ub, b_ub)
 
     with monkeypatch.context() as recording:
         recording.setattr(lp, "_solve_stack", recording_stack)
-        recording.setattr(lp, "_simplex", recording_simplex)
-        stacked = solve_lps(problems)
+        stacked = solve_stacked(problems)
     solo = [_outcome(p) for p in problems]
 
-    entries = 30 * (6 + 4 + 30 + 1)  # m x (columns + rhs) of one ordering LP
-    assert max(stacks) == STACK_ENTRIES // entries
+    assert max(stacks) == stack_size(30, 6 + 4) == 34  # ordering LPs: 30 rows, 10 columns
     statuses = {s.status if isinstance(s, LpSolution) else type(s).__name__ for s in solo}
     assert statuses == {OPTIMAL, UNBOUNDED, "NumericalFailure"}
     assert [str(s) for s in solo if isinstance(s, NumericalFailure)] == [
         "optimal basis fails feasibility recheck (largest violation 0.00294)"
     ]
-    assert len(shapes) > 10  # random LPs of many shapes share the call
     for a, b in zip(stacked, solo):
         assert_same_outcome(a, b)
 
@@ -332,7 +360,7 @@ def test_stack_matches_solo(monkeypatch):
     monkeypatch.setattr(lp, "MAX_ITERATIONS", 5)
     capped = [_outcome(p) for p in problems]
     assert any("did not converge in 5 iterations" in str(s) for s in capped)
-    for a, b in zip(solve_lps(problems), capped):
+    for a, b in zip(solve_stacked(problems), capped):
         assert_same_outcome(a, b)
 
 
@@ -471,7 +499,7 @@ def test_ordering_lps_match_highs(linprog):
             tup = caching_tuple(central_strategy(users, Fraction(t, users)))
             orderings = [tuple(int(k) + 1 for k in rng.permutation(users)) for _ in range(12)]
             problems = [build_permutation_lp(stats, tup, pi) for pi in orderings]
-            for problem, sol in zip(problems, solve_lps(problems)):
+            for problem, sol in zip(problems, solve_stacked(problems)):
                 assert_matches_highs(linprog, problem, sol)
 
 
@@ -482,5 +510,5 @@ def test_small_lps_match_highs(linprog):
         lp_problem([-1.0, 0.0], a_ub=[[1e-15, -1.0], [3e-16, -1.0]], b_ub=[1.0, 1.0]),
         BEALE,
     ]
-    for problem, sol in zip(problems, solve_lps(problems)):
+    for problem, sol in zip(problems, solve_stacked(problems)):
         assert_matches_highs(linprog, problem, sol)

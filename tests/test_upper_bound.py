@@ -7,10 +7,11 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from cachecast import lp
 from cachecast.caching import caching_tuple, central_strategy, strategy_from_intervals
 from cachecast.channel import validate_stats
 from cachecast.errors import LengthMismatch, OutOfRange, TooManyUsers, ZeroDenominator
-from cachecast.lp import FEAS_TOL, UNBOUNDED, solve_lp
+from cachecast.lp import FEAS_TOL, UNBOUNDED, solve_lp, stack_size
 from cachecast.upper_bound import build_permutation_lp, objective_at, upper_bound_rate
 
 from helpers import (
@@ -158,6 +159,23 @@ def test_bound_roadmap_item1_instance():
     tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
     report = upper_bound_rate(validate_stats(ROADMAP_ITEM1_ROWS), tup)
     assert abs(report.value - ROADMAP_ITEM1_BOUND) <= 1e-9
+
+
+def test_bound_solves_full_stacks(monkeypatch):
+    # Each solve_lps call gets one lockstep stack's worth of orderings, so
+    # every stack is full but the last: 720 = 21 * 34 + 6 at K = 6, B = 4.
+    stacks = []
+    solve_stack = lp._solve_stack
+
+    def recording_stack(c, a_ub, b_ub):
+        stacks.append(len(a_ub))
+        return solve_stack(c, a_ub, b_ub)
+
+    monkeypatch.setattr(lp, "_solve_stack", recording_stack)
+    tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
+    upper_bound_rate(validate_stats(ROADMAP_ITEM1_ROWS), tup)
+    assert stack_size(30, 10) == 34
+    assert stacks == [34] * 21 + [6]
 
 
 def test_bound_single_user():
