@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import caching, channel, degraded, lp_scheme, simulator, two_user, upper_bound
-from .errors import BadT, NonIntegerT, NotDegraded, SolverError, ValidationError
+from .errors import BadT, NonIntegerT, NotDegraded, OutOfRange, SolverError, ValidationError
 
 CONFIG_FIELDS = ("num_users", "num_levels", "ccdf", "mu", "caching", "simulation")
 SIMULATION_FIELDS = ("n", "seed")  # the optional "simulation" object
@@ -229,7 +230,25 @@ def cmd_rates_upper(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict
     return payload, text
 
 
+def _check_writable(path: str, option: str) -> None:
+    """Fail before any work when `path` cannot be opened for writing.
+
+    The probe opens the file for appending, which writes nothing, and
+    removes it again if the probe created it.
+    """
+    existed = os.path.lexists(path)
+    try:
+        open(path, "ab").close()
+    except OSError as exc:
+        raise ValidationError(f"{option}: cannot write {path}: {exc.strerror}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def cmd_rates_achievable(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list[str]]:
+    if args.dump_matrices:
+        for block in "GH":
+            _check_writable(f"{args.dump_matrices}_{block}.csv", "--dump-matrices")
     alloc = lp_scheme.achievable_rate_lp(cfg.stats, cfg.mu)
     report = lp_scheme.check_allocation(cfg.stats, alloc)
     if args.dump_matrices:
@@ -283,12 +302,17 @@ def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, l
         raise ValidationError("simulate: need --seed or a 'simulation.seed' config entry")
     if seed < 0:
         raise ValidationError("simulate: --seed must be a nonnegative integer")
+    if n < 1:
+        raise OutOfRange("num_uses must be positive")
+    if args.trace:
+        _check_writable(args.trace, "--trace")
     alloc = lp_scheme.achievable_rate_lp(cfg.stats, cfg.mu)
     report = simulator.simulate_delivery(cfg.stats, alloc, n, seed)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"user{k}" for k in range(1, cfg.stats.num_users + 1)) + "\n")
-            np.savetxt(fh, report.realization.levels.T, fmt="%d", delimiter=",")
+        header = ",".join(f"user{k}" for k in range(1, cfg.stats.num_users + 1)) + "\n"
+        with open(args.trace, "wb") as fh:
+            fh.write(header.encode("ascii"))
+            fh.write(_trace_rows(report.realization))
     payload = {"command": "simulate", "n": report.num_uses, **_named(report, SIMULATE_FIELDS)}
     text = [f"simulated {report.num_uses} uses at rate {_sig(report.rate)} (seed {report.seed})"]
     for m in report.messages:
@@ -300,6 +324,25 @@ def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, l
     verdicts = (f"{k}:{'yes' if ok else 'no'}" for k, ok in enumerate(report.user_decodable, start=1))
     text.append("users decodable: " + ", ".join(verdicts))
     return payload, text
+
+
+def _trace_rows(realization: channel.StateRealization) -> bytes:
+    """The CSV rows of a trace: one line per channel use, one column per user.
+
+    Row v of a byte table holds the decimal digits of level v and a comma,
+    right-aligned behind zero bytes.  Taking the table's rows at levels.T lays
+    out every line at once; the last comma of each line becomes a newline
+    and the zero bytes are dropped.  The bytes equal those of
+    np.savetxt(fh, levels.T, fmt="%d", delimiter=",").
+    """
+    top = realization.num_levels
+    table = np.zeros((top + 1, len(str(top)) + 1), dtype=np.uint8)
+    for value in range(top + 1):
+        cell = f"{value},".encode("ascii")
+        table[value, table.shape[1] - len(cell) :] = np.frombuffer(cell, dtype=np.uint8)
+    lines = np.take(table, realization.levels.T, axis=0).reshape(realization.num_uses, -1)
+    lines[:, -1] = ord("\n")
+    return lines[lines != 0].tobytes()
 
 
 def _parse_mu_range(text: str) -> list[Fraction]:

@@ -117,12 +117,11 @@ def simulate_delivery(
         quotas = [num_uses * float(alloc.shares[l, j]) for j in range(num_subsets)]
         quotas.append(max(0.0, num_uses * (1.0 - alloc.shares[l].sum())))
         spans = apportion(quotas, num_uses)
-        got = realization.levels >= (l + 1)
         start = 0
         for j, s in enumerate(alloc.subsets):
             stop = start + spans[j]
             for k in s:
-                delivered[(k, s)] += int(got[k - 1, start:stop].sum())
+                delivered[(k, s)] += int(np.count_nonzero(realization.levels[k - 1, start:stop] > l))
                 p = float(stats.ccdf[k - 1, l])
                 variance[(k, s)] += spans[j] * p * (1.0 - p)
             start = stop

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cachecast import channel
 from cachecast.channel import (
     ChannelStats,
     ZeroWeightWarning,
@@ -151,7 +152,7 @@ def test_enhance_random_invariants():
 def test_sample_shapes_and_range(chain3):
     real = sample_states(chain3, num_uses=250, seed=5)
     assert real.levels.shape == (3, 250)
-    assert real.levels.dtype == np.int64
+    assert real.levels.dtype == np.uint8
     assert real.levels.min() >= 0
     assert real.levels.max() <= chain3.num_levels
     assert (real.num_users, real.num_levels, real.num_uses, real.seed) == (3, 3, 250, 5)
@@ -190,3 +191,42 @@ def test_sample_deterministic_channel():
 def test_sample_rejects_bad_length():
     with pytest.raises(OutOfRange):
         sample_states(validate_stats([[0.5]]), num_uses=0, seed=1)
+
+
+@pytest.mark.parametrize("block", [7, None])
+def test_sample_blocks_equal_one_draw(monkeypatch, block):
+    # The uniforms are drawn block by block; n is no multiple of the block,
+    # and the grid holds draws from several blocks, so a block drawn out of
+    # order or of the wrong length changes some count.
+    if block is not None:
+        monkeypatch.setattr(channel, "SAMPLE_BLOCK", block)
+    block = channel.SAMPLE_BLOCK
+    num_uses, seed = 2 * block + block // 2 + 1, 61
+    children = np.random.SeedSequence(seed).spawn(2)
+    draws = [np.random.default_rng(child).random(num_uses) for child in children]
+    rng = np.random.default_rng(children[0])
+    pieces = [rng.random(min(block, num_uses - a)) for a in range(0, num_uses, block)]
+    assert np.concatenate(pieces).tobytes() == draws[0].tobytes()
+
+    picks = np.linspace(0, num_uses - 1, 5).astype(int)
+    grid = np.array([np.sort(u[picks])[::-1] for u in draws])
+    real = sample_states(validate_stats(grid), num_uses, seed)
+    expected = np.array([np.sum(u[:, None] < row[None, :], axis=1) for u, row in zip(draws, grid)])
+    assert real.levels.dtype == np.uint8
+    assert real.levels.tobytes() == expected.astype(np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("num_levels, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16)])
+def test_sample_dtype_holds_every_level(num_levels, dtype):
+    real = sample_states(validate_stats([[1.0] * num_levels, [0.0] * num_levels]), 20, seed=4)
+    assert real.levels.dtype == dtype
+    assert real.levels[0].tolist() == [num_levels] * 20
+    assert real.levels[1].tolist() == [0] * 20
+
+
+def test_sample_counts_leading_entries_on_a_rising_row():
+    # validate_stats lets a row rise by up to PROB_TOL.  At U = x on the row
+    # (1, x, x + 5e-13) one leading entry lies above U, though two entries do.
+    x = np.random.default_rng(np.random.SeedSequence(8).spawn(1)[0]).random(1)[0]
+    real = sample_states(validate_stats([[1.0, x, x + 5e-13]]), 1, seed=8)
+    assert real.levels.tolist() == [[1]]

@@ -1,6 +1,8 @@
 """Command-line interface: configs in, JSON/text/CSV out, exit codes."""
 
 import csv
+import hashlib
+import io
 import json
 import os
 import re
@@ -251,6 +253,95 @@ def test_simulate_trace_bytes_match_row_writer(capsys, tmp_path):
     for t in range(300):
         expected += ",".join(str(int(v)) for v in levels[:, t]) + "\n"
     assert trace.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("num_levels", [1, 9, 10, 12])
+@pytest.mark.parametrize("num_users, num_uses", [(1, 1), (1, 40), (4, 1), (4, 257)])
+def test_trace_rows_match_savetxt(num_levels, num_users, num_uses):
+    rng = np.random.default_rng([num_levels, num_users, num_uses])
+    levels = rng.integers(0, num_levels + 1, size=(num_users, num_uses), dtype=np.uint8)
+    levels[0, 0] = num_levels  # the widest cell
+    realization = channel.StateRealization(num_users, num_levels, num_uses, 0, levels)
+    expected = io.StringIO()
+    np.savetxt(expected, levels.T, fmt="%d", delimiter=",")
+    assert cli._trace_rows(realization) == expected.getvalue().encode("ascii")
+
+
+# SHA-256 of `simulate --json` stdout and of the trace file, computed with
+# the int64 sampler and the np.savetxt writer they replaced.
+SIMULATE_DIGESTS = {
+    "nondegraded3": (
+        5,
+        "ce52d36faeca2b0db1dfedfa10108bc3fc4d7328b2cdf8654b51c8f35e161e1c",
+        "dd8e90557d66e89bbe2cb4dd942e7e86049700cc61afd89bfd9fb375291fe1eb",
+    ),
+    "k6b5": (
+        11,
+        "b0a5100a9fffc6a47524eb2e9ec463dba0d30e9f79ed4df52cf296cdb7a038d5",
+        "cc1f22b8c6ddd88ee0085d3710379e41b895246cb475da8eb660519b86125e67",
+    ),
+}
+K6B5 = {
+    "num_users": 6,
+    "num_levels": 5,
+    "mu": "1/3",
+    "ccdf": [
+        [0.95, 0.81, 0.62, 0.40, 0.17],
+        [0.88, 0.70, 0.55, 0.31, 0.12],
+        [0.99, 0.64, 0.48, 0.45, 0.20],
+        [0.76, 0.73, 0.51, 0.26, 0.09],
+        [0.91, 0.58, 0.37, 0.33, 0.05],
+        [0.83, 0.79, 0.66, 0.29, 0.14],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_DIGESTS))
+def test_simulate_output_digests_are_frozen(capsys, tmp_path, name):
+    seed, stdout_digest, trace_digest = SIMULATE_DIGESTS[name]
+    config = NONDEGRADED if name == "nondegraded3" else write_config(tmp_path, K6B5)
+    trace = tmp_path / "levels.csv"
+    argv = ["simulate", config, "--n", "20000", "--seed", str(seed), "--json", "--trace", str(trace)]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
+
+
+def _no_solve(*args):
+    raise AssertionError("the delivery LP was solved before the arguments were checked")
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_simulate_rejects_n_before_solving(capsys, monkeypatch, n):
+    monkeypatch.setattr(lp_scheme, "achievable_rate_lp", _no_solve)
+    assert cli.main(["simulate", NONDEGRADED, "--n", n, "--seed", "1", "--json"]) == 2
+    assert capsys.readouterr().err == "error: num_uses must be positive\n"
+
+
+def test_simulate_unwritable_trace_fails_before_work(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(lp_scheme, "achievable_rate_lp", _no_solve)
+    trace = tmp_path / "missing" / "levels.csv"
+    argv = ["simulate", NONDEGRADED, "--n", "10", "--seed", "1", "--trace", str(trace)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--trace: cannot write {trace}: No such file or directory" in err
+    assert cli.main(argv[:-1] + [str(tmp_path)]) == 2  # a directory
+    assert f"--trace: cannot write {tmp_path}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dump_matrices_unwritable_prefix_fails_before_work(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(lp_scheme, "achievable_rate_lp", _no_solve)
+    prefix = tmp_path / "missing" / "blocks"
+    argv = ["rates", "achievable", NONDEGRADED, "--dump-matrices", str(prefix)]
+    assert cli.main(argv) == 2
+    assert f"--dump-matrices: cannot write {prefix}_G.csv" in capsys.readouterr().err
+    (tmp_path / "blocks_H.csv").mkdir()
+    argv[-1] = str(tmp_path / "blocks")
+    assert cli.main(argv) == 2
+    assert f"--dump-matrices: cannot write {tmp_path / 'blocks_H.csv'}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks_H.csv"]
 
 
 # --- sweep -----------------------------------------------------------------------

@@ -58,8 +58,9 @@ def test_empirical_ccdf_concentrates():
 
 
 def test_sampling_and_ccdf_match_the_boolean_formulas():
-    # sample_states counts by binary search and empirical_ccdf by bincount;
-    # both must give the bytes of the plain (n x B) and (K x n x B) formulas.
+    # sample_states counts by blocks of comparisons and empirical_ccdf by
+    # bincount; both must give the bytes of the plain (n x B) and (K x n x B)
+    # formulas.
     rng = np.random.default_rng(31)
     for trial in range(12):
         users, levels = int(rng.integers(1, 7)), int(rng.integers(1, 7))
@@ -73,10 +74,10 @@ def test_sampling_and_ccdf_match_the_boolean_formulas():
             grid = np.array([np.sort(rng.choice(u, levels))[::-1] for u in draws])
         stats = validate_stats(grid)
         real = sample_states(stats, num_uses, seed)
-        expected = np.empty((users, num_uses), dtype=np.int64)
+        expected = np.empty((users, num_uses), dtype=np.uint8)
         for k, u in enumerate(draws):
             expected[k] = np.sum(u[:, None] < stats.ccdf[k][None, :], axis=1)
-        assert real.levels.dtype == expected.dtype
+        assert real.levels.dtype == np.uint8
         assert real.levels.tobytes() == expected.tobytes()
 
         hat, se = empirical_ccdf(real)
@@ -174,3 +175,23 @@ def test_simulation_report_metadata(mixed3, reference_alloc):
     assert report.rate == MIXED3_RATE
     assert report.empirical_ccdf.shape == (3, 3)
     assert len(report.messages) == 6
+
+
+def test_tally_matches_per_slice_sums(mixed3):
+    # Zero shares give empty spans, and shares scaled by 0.8 leave an idle
+    # tail on every level; each count must equal the plain sum over its span.
+    shares = 0.8 * np.asarray(MIXED3_SHARES)
+    alloc = delivery_allocation(shares, 0.8 * MIXED3_RATE, num_users=3, t=1)
+    report = simulate_delivery(mixed3, alloc, num_uses=997, seed=19)
+    levels = report.realization.levels.astype(np.int64)
+    expected = {}
+    for l in range(mixed3.num_levels):
+        quotas = [997 * float(x) for x in shares[l]] + [max(0.0, 997 * (1.0 - shares[l].sum()))]
+        spans = apportion(quotas, 997)
+        assert 0 in spans[:-1] and spans[-1] > 0
+        bounds = np.cumsum([0] + spans)
+        for j, s in enumerate(alloc.subsets):
+            for k in s:
+                got = (levels[k - 1, bounds[j] : bounds[j + 1]] >= l + 1).sum()
+                expected[(k, s)] = expected.get((k, s), 0) + int(got)
+    assert {(m.user, m.subset): m.delivered for m in report.messages} == expected
