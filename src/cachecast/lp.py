@@ -49,6 +49,11 @@ on each LP whatever the stack holds, so the pivot path and every byte of
 x, the value, the duals and the certificate are the same whether an LP
 is solved alone or in a stack.
 
+GrowingLp holds one LP whose columns arrive one at a time (the delivery
+LP's cutting-plane master).  Each new column resumes the same simplex
+from the last optimal basis instead of the slack basis, and each solve
+carries the same certificate.
+
 enumerate_vertices is an independent brute-force check for tiny problems:
 it visits every choice of n active constraints, keeps the feasible basic
 points, and minimizes over them.  It shares none of the simplex machinery,
@@ -368,6 +373,48 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if isinstance(outcome, NumericalFailure):
         raise outcome
     return outcome
+
+
+class GrowingLp:
+    """min c.x s.t. a_ub.x <= b_ub, x >= 0, whose columns arrive one at a time.
+
+    It starts with no columns, at the slack basis.  add_column appends one
+    column and resumes the simplex from the basis the previous solve left:
+    a new column leaves that basis primal feasible, and it enters the kept
+    tableau as Binv.a, with Binv read off the slack columns.  Each solve is
+    certified against the original rows like any other (_finish), and its
+    pivots count only the resumed iterations.
+    """
+
+    def __init__(self, b_ub) -> None:
+        b = np.asarray(b_ub, dtype=float)[None]
+        _check_rhs(b, "")
+        m = b.shape[1]
+        self._tableau = np.concatenate([np.eye(m), b.T], axis=1)[None]
+        self._basis = np.arange(m)[None]
+        self._costs = np.zeros((1, m))
+        self._a = np.zeros((1, m, 0))
+        self._b = b
+
+    def add_column(self, column, cost: float) -> LpSolution:
+        """Append column (m,) with its cost and solve on from the last basis.
+
+        Like solve_lp, returns an optimal or unbounded LpSolution and raises
+        a NumericalFailure.
+        """
+        column = np.asarray(column, dtype=float)
+        n = self._a.shape[2]
+        entering = self._tableau[:, :, n:-1] @ column
+        old = self._tableau
+        self._tableau = np.concatenate([old[:, :, :n], entering[:, :, None], old[:, :, n:]], axis=2)
+        self._basis[self._basis >= n] += 1
+        self._costs = np.concatenate([self._costs[:, :n], [[cost]], self._costs[:, n:]], axis=1)
+        self._a = np.concatenate([self._a, column[None, :, None]], axis=2)
+        status, pivots = _simplex(self._tableau, self._basis, self._costs)
+        (outcome,) = _finish(status, self._tableau, self._basis, self._costs, self._a, self._b, pivots)
+        if isinstance(outcome, NumericalFailure):
+            raise outcome
+        return outcome
 
 
 def enumerate_vertices(problem: LpProblem) -> LpSolution:

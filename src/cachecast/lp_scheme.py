@@ -33,19 +33,24 @@ solves the C(K,t+1) subproblems at the current lambda in their max form
 (B rows, t+1 columns, rhs lambda) in one lp.solve_lps call.  Their duals
 u_S price S's message at every lambda, so
 g = sum_S u_S / C(K,t) gives the cut phi(lambda') <= g.lambda', and
-sum_S c_S(lambda) / C(K,t) is a lower value of max phi.  The master LP
+sum_S c_S(lambda) / C(K,t) is a lower value of max phi.  The master is
+the Dantzig-Wolfe packing LP over the cuts,
 
-    maximize eta  s.t.  eta <= g_i.lambda for every cut i,  sum_l lambda_l <= 1,
-                        lambda, eta >= 0
+    maximize sum_i a_i  s.t.  sum_i a_i g_i[l] <= 1 for every level l,  a >= 0,
 
-(the budget row is tight at the optimum because the cuts are homogeneous)
-gives the next lambda and an upper value eta >= 1/f*.  The loop stops
-when eta and the best lower value agree to CUT_TOL relative.  The master's duals on its cuts are convex weights alpha, and
+the dual of  max eta s.t. eta <= g_i.lambda for every cut i,
+sum_l lambda_l <= 1.  Its value v gives the upper value eta = 1/v >= 1/f*,
+its level prices -dual_ub (which sum to v) give the next
+lambda = -eta dual_ub on the simplex, and its solution gives the convex
+cut weights alpha = eta a.  A new cut only adds a column, so the last
+optimal basis stays feasible: the master is an lp.GrowingLp, which
+resumes the simplex from that basis at every cut.  The loop stops when
+eta and the best lower value agree to CUT_TOL relative, and
 
     f = 1/eta,   y_S = (f / C(K,t)) sum_i alpha_i u_S^i
 
 is feasible by construction: each u_S^i meets S's decodability rows at
-rate 1, and sum_i alpha_i g_i <= eta levelwise is the master's dual
+rate 1, and sum_i alpha_i g_i <= eta levelwise is the master's own
 feasibility.  1/(best lower value) >= f* bounds the optimum from above, so
 gap = 1/(best lower value) - f certifies how far f can lie below it (0
 when rounding puts the two values a few ulps the wrong way round).
@@ -67,7 +72,7 @@ import numpy as np
 
 from .channel import ChannelStats
 from .errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT, NumericalFailure, UnexpectedLpStatus
-from .lp import FEAS_TOL, OPTIMAL, LpProblem, LpSolution, lp_problem, solve_lp, solve_lps
+from .lp import FEAS_TOL, OPTIMAL, GrowingLp, LpProblem, LpSolution, lp_problem, solve_lps
 
 Subset = tuple[int, ...]
 
@@ -207,25 +212,6 @@ def _gap(lower: float, upper: float) -> float:
     return max(0.0, (1.0 / lower if lower > 0.0 else inf) - 1.0 / upper)
 
 
-def _master(cuts: list[np.ndarray], label: str, where: str) -> LpSolution:
-    """max eta s.t. eta <= g_i.lambda for every cut, sum(lambda) <= 1, as min -eta."""
-    g = np.array(cuts)
-    count, num_levels = g.shape
-    a_ub = np.zeros((count + 1, num_levels + 1))
-    a_ub[:count, :num_levels] = -g
-    a_ub[:count, num_levels] = 1.0
-    a_ub[count, :num_levels] = 1.0
-    c = np.zeros(num_levels + 1)
-    c[-1] = -1.0
-    b_ub = np.zeros(count + 1)
-    b_ub[-1] = 1.0
-    try:
-        outcome = solve_lp(lp_problem(c, a_ub=a_ub, b_ub=b_ub))
-    except NumericalFailure as exc:
-        outcome = exc
-    return _solved(outcome, label, f"master LP, {where}")
-
-
 def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     """Solve the rate LP at cache size mu (K*mu must be an integer in 0..K-1)."""
     t = t_from_mu(stats.num_users, mu)
@@ -246,7 +232,7 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     c = np.full(t + 1, -1.0)
     blocks = member_ccdf.transpose(0, 2, 1)
     lam = np.full(B, 1.0 / B)
-    cuts: list[np.ndarray] = []
+    master = GrowingLp(np.ones(B))  # the packing LP: max sum_i a_i s.t. sum_i a_i g_i <= 1 levelwise
     prices: list[np.ndarray] = []  # per cut, u_S of every subset (subsets x B)
     best, eta = 0.0, inf
     for iteration in range(1, MAX_CUTS + 1):
@@ -257,9 +243,13 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
         u = -np.array([outcome.dual_ub for outcome in outcomes])
         best = max(best, -sum(outcome.value for outcome in outcomes) / piece_count)
         prices.append(u)
-        cuts.append(u.sum(axis=0) / piece_count)
-        master = _master(cuts, label, where)
-        eta, lam = -master.value, np.maximum(master.x[:B], 0.0)
+        try:
+            packing = master.add_column(u.sum(axis=0) / piece_count, -1.0)
+        except NumericalFailure as exc:
+            packing = exc
+        packing = _solved(packing, label, f"master LP, {where}")
+        eta = -1.0 / packing.value
+        lam = np.maximum(-eta * packing.dual_ub, 0.0)
         if eta - best <= CUT_TOL * eta:
             break
     else:
@@ -268,7 +258,7 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
         )
 
     rate = 1.0 / eta
-    alpha = -master.dual_ub[:-1]
+    alpha = eta * packing.x
     mixed = sum(a * u for a, u in zip(alpha.tolist(), prices) if a != 0.0)
     shares = (rate / piece_count) * mixed.T
     collected = np.einsum("skl,ls->sk", member_ccdf, shares)

@@ -84,12 +84,12 @@ def apportion(quotas: list[float], total: int) -> list[int]:
 def empirical_ccdf(realization: StateRealization) -> tuple[np.ndarray, np.ndarray]:
     """Per-user level-frequency estimates and their binomial standard errors.
 
-    hat[k][l-1] is the share of uses on which user k got at least l levels:
-    a reverse cumulative sum of the per-user level counts, over num_uses.
+    hat[k][l-1] is the share of uses on which user k got at least l levels,
+    counted on the levels' own small dtype (no cast to a wide integer row).
     """
     B = realization.num_levels
-    counts = np.array([np.bincount(row, minlength=B + 1) for row in realization.levels])
-    hat = np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1] / realization.num_uses
+    counts = [[np.count_nonzero(row > l) for l in range(B)] for row in realization.levels]
+    hat = np.array(counts) / realization.num_uses
     se = np.sqrt(hat * (1.0 - hat) / realization.num_uses)
     return hat, se
 

@@ -183,6 +183,17 @@ def sorted_uniform_ccdf(rng: np.random.Generator, users: int, levels: int) -> np
     return np.sort(rng.random((users, levels)), axis=1)[:, ::-1]
 
 
+# The delivery-ladder benchmark's rate LPs, (K, t) at B = 4, drawn in this
+# order from one stream (perfbench/scenarios.py; copied, not imported).
+LADDER = ((7, 2), (7, 3), (8, 2), (8, 3), (8, 4), (9, 3), (9, 4))
+
+
+def ladder_grids() -> list[tuple[str, np.ndarray, int]]:
+    """(name, ccdf, t) of the seven delivery-ladder LPs."""
+    rng = np.random.default_rng([1, 1])
+    return [(f"K{users}-t{t}", sorted_uniform_ccdf(rng, users, 4), t) for users, t in LADDER]
+
+
 def degenerate_delivery_grids() -> list[tuple[str, np.ndarray, int]]:
     """(name, ccdf, t) of delivery LPs that a tie-blind ratio test got wrong.
 

@@ -267,17 +267,19 @@ def test_trace_rows_match_savetxt(num_levels, num_users, num_uses):
     assert cli._trace_rows(realization) == expected.getvalue().encode("ascii")
 
 
-# SHA-256 of `simulate --json` stdout and of the trace file, computed with
-# the int64 sampler and the np.savetxt writer they replaced.
+# SHA-256 of `simulate --json` stdout and of the trace file.  The trace
+# digests were computed with the int64 sampler and the np.savetxt writer they
+# replaced; the stdout digests with the packing-form master of the delivery
+# LP, whose shares are another optimal vertex on k6b5 (see CHANGES.md).
 SIMULATE_DIGESTS = {
     "nondegraded3": (
         5,
-        "ce52d36faeca2b0db1dfedfa10108bc3fc4d7328b2cdf8654b51c8f35e161e1c",
+        "eda769638baccef84998d8ba57fdffed91acf137ea3548a10d8f9aab11fa8dc9",
         "dd8e90557d66e89bbe2cb4dd942e7e86049700cc61afd89bfd9fb375291fe1eb",
     ),
     "k6b5": (
         11,
-        "b0a5100a9fffc6a47524eb2e9ec463dba0d30e9f79ed4df52cf296cdb7a038d5",
+        "6b8f82433688b45103a501e68c300fa7e25e40b77e197f1061660dbdf3f461f3",
         "cc1f22b8c6ddd88ee0085d3710379e41b895246cb475da8eb660519b86125e67",
     ),
 }
@@ -594,18 +596,21 @@ def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
     ],
 )
 def test_lp_failures_name_their_lp(capsys, monkeypatch, command, config, module, label):
-    def failing(problem):
+    # The delivery LP's master grows one column per cut instead of calling solve_lp.
+    owner, name = (lp_scheme.GrowingLp, "add_column") if module is lp_scheme else (module, "solve_lp")
+
+    def failing(*args):
         raise NumericalFailure("optimal basis fails feasibility recheck (largest violation 0.5)")
 
-    monkeypatch.setattr(module, "solve_lp", failing)
+    monkeypatch.setattr(owner, name, failing)
     assert cli.main(["rates", command, config]) == 3
     err = capsys.readouterr().err
     assert f"{label}: optimal basis fails feasibility recheck (largest violation 0.5)" in err
 
-    def unbounded(problem):
+    def unbounded(*args):
         return LpSolution(UNBOUNDED, None, None, None)
 
-    monkeypatch.setattr(module, "solve_lp", unbounded)
+    monkeypatch.setattr(owner, name, unbounded)
     assert cli.main(["rates", command, config]) == 3
     assert f"{label}: status unbounded" in capsys.readouterr().err
 
@@ -640,16 +645,16 @@ def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
 
 
 def test_delivery_lp_master_failure_names_the_cut(capsys, monkeypatch):
-    solve_lp = lp_scheme.solve_lp
+    add_column = lp_scheme.GrowingLp.add_column
     calls = []
 
-    def failing_at_cut_3(problem):
+    def failing_at_cut_3(master, column, cost):
         calls.append(None)
         if len(calls) == 3:
             raise NumericalFailure("simplex did not converge in 100000 iterations")
-        return solve_lp(problem)
+        return add_column(master, column, cost)
 
-    monkeypatch.setattr(lp_scheme, "solve_lp", failing_at_cut_3)
+    monkeypatch.setattr(lp_scheme.GrowingLp, "add_column", failing_at_cut_3)
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
     err = capsys.readouterr().err
     assert "delivery LP (K=3, t=1, B=3): simplex did not converge in 100000 iterations (master LP, cut 3, gap " in err

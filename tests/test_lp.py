@@ -238,6 +238,32 @@ def test_random_lps_match_oracle_and_duality():
         check_duality(p)
 
 
+def test_growing_lp_matches_cold_solves():
+    # Columns added one at a time, each solve resumed from the last basis,
+    # against solve_lp of the same LP from the slack basis.
+    rng = np.random.default_rng(1301)
+    for _ in range(20):
+        a_ub = np.vstack([rng.normal(size=(4, 10)), np.ones((1, 10))])  # the ones row bounds it
+        b_ub = rng.uniform(0.1, 2.0, 5) * (rng.random(5) >= 1 / 3)
+        c = rng.normal(size=10)
+        grown = lp.GrowingLp(b_ub)
+        for n in range(1, 11):
+            warm = grown.add_column(a_ub[:, n - 1], c[n - 1])
+            cold = solve_lp(lp_problem(c[:n], a_ub=a_ub[:, :n], b_ub=b_ub))
+            assert warm.status == cold.status == OPTIMAL
+            assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
+            assert warm.x.shape == (n,) and warm.dual_ub.shape == (5,)
+            assert max(warm.primal_residual, warm.dual_residual) <= FEAS_TOL
+
+
+def test_growing_lp_ray_column_and_negative_rhs():
+    grown = lp.GrowingLp([1.0])
+    assert grown.add_column([2.0], -1.0).value == -0.5
+    assert grown.add_column([-1.0], -1.0).status == UNBOUNDED
+    with pytest.raises(OutOfRange, match=r"^b_ub\[1\] = -1.0 < 0"):
+        lp.GrowingLp([1.0, -1.0])
+
+
 # --- pivot path ------------------------------------------------------------------
 
 

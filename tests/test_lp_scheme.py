@@ -9,7 +9,7 @@ import pytest
 from cachecast import lp_scheme
 from cachecast.channel import validate_stats
 from cachecast.errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT
-from cachecast.lp import solve_lp
+from cachecast.lp import FEAS_TOL, lp_problem, solve_lp
 from cachecast.lp_scheme import (
     achievable_rate_lp,
     build_delivery_lp,
@@ -22,6 +22,7 @@ from helpers import (
     MIXED3_SHARES,
     degenerate_delivery_grids,
     delivery_allocation,
+    ladder_grids,
     sorted_uniform_ccdf,
 )
 
@@ -289,3 +290,41 @@ def test_gap_brackets_the_optimum_when_stopped_early(monkeypatch):
         assert check_allocation(stats, alloc).feasible
         gaps.append(alloc.gap)
     assert max(gaps) > 1e-4
+
+
+# --- the warm-started master ------------------------------------------------------
+
+
+def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch):
+    # Every cut's master, resumed from the last basis, against solve_lp of
+    # the same packing LP from the slack basis.
+    add_column = lp_scheme.GrowingLp.add_column
+    columns, masters = [], []
+
+    def recording(master, column, cost):
+        columns.append(np.array(column))
+        masters.append(add_column(master, column, cost))
+        return masters[-1]
+
+    monkeypatch.setattr(lp_scheme.GrowingLp, "add_column", recording)
+    name, grid, t = ladder_grids()[0]
+    assert name == "K7-t2"
+    alloc = achievable_rate_lp(validate_stats(grid), Fraction(t, 7))
+    assert len(masters) == alloc.iterations > 1
+    cold_pivots = 0
+    for count, warm in enumerate(masters, start=1):
+        g = np.array(columns[:count])
+        cold = solve_lp(lp_problem(-np.ones(count), a_ub=g.T, b_ub=np.ones(4)))
+        assert abs(warm.value - cold.value) <= 1e-12 * abs(cold.value)
+        assert warm.primal_residual <= FEAS_TOL and warm.dual_residual <= FEAS_TOL
+        assert warm.duality_gap <= FEAS_TOL * (1.0 + abs(warm.value))
+        cold_pivots += cold.pivots
+    assert 5 * sum(warm.pivots for warm in masters) <= cold_pivots
+
+
+@pytest.mark.parametrize(
+    "grid, t, cuts",
+    [pytest.param(grid, t, cuts, id=name) for (name, grid, t), cuts in zip(ladder_grids(), (15, 19, 19, 13, 15, 19, 25))],
+)
+def test_ladder_cut_counts_are_pinned(grid, t, cuts):
+    assert achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0])).iterations == cuts

@@ -58,9 +58,9 @@ def test_empirical_ccdf_concentrates():
 
 
 def test_sampling_and_ccdf_match_the_boolean_formulas():
-    # sample_states counts by blocks of comparisons and empirical_ccdf by
-    # bincount; both must give the bytes of the plain (n x B) and (K x n x B)
-    # formulas.
+    # sample_states counts by blocks of comparisons and empirical_ccdf by one
+    # count per level; both must give the bytes of the plain (n x B) and
+    # (K x n x B) formulas.
     rng = np.random.default_rng(31)
     for trial in range(12):
         users, levels = int(rng.integers(1, 7)), int(rng.integers(1, 7))
