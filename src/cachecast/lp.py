@@ -50,9 +50,9 @@ x, the value, the duals and the certificate are the same whether an LP
 is solved alone or in a stack.
 
 GrowingLp holds one LP whose columns arrive one at a time (the delivery
-LP's cutting-plane master).  Each new column resumes the same simplex
-from the last optimal basis instead of the slack basis, and each solve
-carries the same certificate.
+LP's cutting-plane master).  Each new column is pivoted in by the same
+ratio test and the same simplex resumes from there, not from the slack
+basis; each solve carries the same certificate.
 
 enumerate_vertices is an independent brute-force check for tiny problems:
 it visits every choice of n active constraints, keeps the feasible basic
@@ -177,6 +177,24 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.nd
     basis[lps, rows] = cols
 
 
+def _ratio_test(
+    tab: np.ndarray, column: np.ndarray, eligible: np.ndarray, lps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The leaving rule's ratio test on a stack, for entering columns column (L, m).
+
+    Returns each LP's minimum ratio over its eligible rows, the rows whose
+    ratio is within PIVOT_TOL of it, and among those the rows with the
+    largest column entry; lps is np.arange(L).
+    """
+    ratios = np.divide(tab[:, :, -1], column, out=np.full(column.shape, inf), where=eligible)
+    # argmin/argmax and a gather cost less than min/max reductions.
+    least = ratios[lps, ratios.argmin(axis=1)]
+    near = ratios <= (least + PIVOT_TOL)[:, None]
+    entries = column * near  # the tied rows' entries, all > PIVOT_TOL; 0 elsewhere
+    pick = entries == entries[lps, entries.argmax(axis=1)][:, None]
+    return least, near, pick
+
+
 def _simplex(
     tableau: np.ndarray,
     basis: np.ndarray,
@@ -231,12 +249,7 @@ def _simplex(
             entering, column, eligible = entering[go], column[go], eligible[go]
             lps = np.arange(live.size)
             offsets = lps[:, None] * (width - 1)
-        ratios = np.divide(tab[:, :, -1], column, out=np.full(column.shape, inf), where=eligible)
-        # argmin/argmax and a gather cost less than min/max reductions.
-        least = ratios[lps, ratios.argmin(axis=1)]
-        near = ratios <= (least + PIVOT_TOL)[:, None]
-        entries = column * near  # the tied rows' entries, all > PIVOT_TOL; 0 elsewhere
-        pick = entries == entries[lps, entries.argmax(axis=1)][:, None]
+        least, near, pick = _ratio_test(tab, column, eligible, lps)
         if it - calm[calm.argmin()] >= DEGENERATE_RUN:  # some LP is on a degenerate run
             pick |= near & (it - calm >= DEGENERATE_RUN)[:, None]
         leaving = np.where(pick, bas, width).argmin(axis=1)
@@ -381,9 +394,18 @@ class GrowingLp:
     It starts with no columns, at the slack basis.  add_column appends one
     column and resumes the simplex from the basis the previous solve left:
     a new column leaves that basis primal feasible, and it enters the kept
-    tableau as Binv.a, with Binv read off the slack columns.  Each solve is
-    certified against the original rows like any other (_finish), and its
-    pivots count only the resumed iterations.
+    tableau as Binv.a, with Binv read off the slack columns.
+
+    The new column enters the basis first, by the simplex's own ratio test,
+    whatever its reduced cost: it is the column-generation step, whose
+    pricing already chose the column.  Where the column improves by more
+    than FEAS_TOL this is the pivot the simplex takes anyway, since the old
+    basis was optimal on the old columns.  Where it ties within FEAS_TOL
+    the simplex alone would keep the old basis, and its duals, unchanged,
+    so a cutting-plane loop pricing at those duals would generate the same
+    column again.  Each solve is certified against the original rows like
+    any other (_finish), and its pivots count that entry and the resumed
+    iterations.
     """
 
     def __init__(self, b_ub) -> None:
@@ -410,7 +432,14 @@ class GrowingLp:
         self._basis[self._basis >= n] += 1
         self._costs = np.concatenate([self._costs[:, :n], [[cost]], self._costs[:, n:]], axis=1)
         self._a = np.concatenate([self._a, column[None, :, None]], axis=2)
+        eligible = entering > PIVOT_TOL
+        entered = int(eligible.any())  # else a ray, which the simplex prices
+        if entered:
+            _, _, pick = _ratio_test(self._tableau, entering, eligible, np.arange(1))
+            leaving = np.where(pick, self._basis, self._tableau.shape[2]).argmin(axis=1)
+            _pivot(self._tableau, self._basis, leaving, np.array([n]))
         status, pivots = _simplex(self._tableau, self._basis, self._costs)
+        pivots[0] += entered
         (outcome,) = _finish(status, self._tableau, self._basis, self._costs, self._a, self._b, pivots)
         if isinstance(outcome, NumericalFailure):
             raise outcome

@@ -44,8 +44,14 @@ its level prices -dual_ub (which sum to v) give the next
 lambda = -eta dual_ub on the simplex, and its solution gives the convex
 cut weights alpha = eta a.  A new cut only adds a column, so the last
 optimal basis stays feasible: the master is an lp.GrowingLp, which
-resumes the simplex from that basis at every cut.  The loop stops when
-eta and the best lower value agree to CUT_TOL relative, and
+pivots the new column in and resumes the simplex from that basis at
+every cut.  The column enters even when its reduced cost, -(eta - L)/eta
+for the cut's lower value L, lies within the simplex's FEAS_TOL of 0:
+left out, it would leave the duals and so lambda as they were.  The loop
+stops when eta and the best lower value agree to CUT_TOL relative, or
+when lambda comes back unchanged: the master's optimum then lies on the
+new cut, so eta equals that cut's lower value up to rounding, and the
+next cut would repeat it.  Then
 
     f = 1/eta,   y_S = (f / C(K,t)) sum_i alpha_i u_S^i
 
@@ -249,8 +255,8 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
             packing = exc
         packing = _solved(packing, label, f"master LP, {where}")
         eta = -1.0 / packing.value
-        lam = np.maximum(-eta * packing.dual_ub, 0.0)
-        if eta - best <= CUT_TOL * eta:
+        lam, previous = np.maximum(-eta * packing.dual_ub, 0.0), lam
+        if eta - best <= CUT_TOL * eta or np.array_equal(lam, previous):
             break
     else:
         raise NumericalFailure(

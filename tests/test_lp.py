@@ -256,6 +256,17 @@ def test_growing_lp_matches_cold_solves():
             assert max(warm.primal_residual, warm.dual_residual) <= FEAS_TOL
 
 
+def test_growing_lp_pivots_a_tied_column_in():
+    # The second column's reduced cost is 0 at the first optimum, so the
+    # simplex alone would keep the old basis; the new column enters anyway.
+    grown = lp.GrowingLp([1.0, 1.0])
+    first = grown.add_column([2.0, 1.0], -1.0)
+    assert first.x.tolist() == [0.5] and first.dual_ub.tolist() == [-0.5, 0.0]
+    tied = grown.add_column([2.0, 0.5], -1.0)
+    assert tied.pivots == 1 and tied.value == first.value == -0.5
+    assert tied.x.tolist() == [0.0, 0.5] and tied.dual_ub.tolist() == [-0.5, 0.0]
+
+
 def test_growing_lp_ray_column_and_negative_rhs():
     grown = lp.GrowingLp([1.0])
     assert grown.add_column([2.0], -1.0).value == -0.5

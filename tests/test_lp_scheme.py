@@ -328,3 +328,41 @@ def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch):
 )
 def test_ladder_cut_counts_are_pinned(grid, t, cuts):
     assert achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0])).iterations == cuts
+
+
+@pytest.mark.parametrize("name", ["K8-t3-B4-stall", "K7-t3", "K8-t2"])
+def test_loop_ends_at_the_optimum_without_a_cut_tolerance(monkeypatch, name):
+    # With CUT_TOL = 0 the last cuts price within the simplex's FEAS_TOL of
+    # the master's optimum.  Left out of the basis, such a cut would leave
+    # lambda, and so the next cut, as they were until MAX_CUTS; these three
+    # grids did.  The loop must end at the optimum instead.
+    grid, t = {n: (g, t) for n, g, t in degenerate_delivery_grids() + ladder_grids()}[name]
+    stats = validate_stats(grid)
+    mu = Fraction(t, grid.shape[0])
+    expected = achievable_rate_lp(stats, mu).rate
+    monkeypatch.setattr(lp_scheme, "CUT_TOL", 0.0)
+    monkeypatch.setattr(lp_scheme, "MAX_CUTS", 100)
+    alloc = achievable_rate_lp(stats, mu)
+    assert alloc.iterations < 100 and alloc.gap <= 1e-14 * alloc.rate
+    assert abs(alloc.rate - expected) <= 1e-12 * expected
+    assert check_allocation(stats, alloc).feasible
+
+
+def test_unchanged_prices_end_the_loop(monkeypatch):
+    # A master that hands back its last solution leaves lambda as it was,
+    # so the next cut would repeat this one: the loop stops there and
+    # reports the gap it has.
+    add_column = lp_scheme.GrowingLp.add_column
+    solutions = []
+
+    def stuck_after_3(master, column, cost):
+        if len(solutions) < 3:
+            solutions.append(add_column(master, column, cost))
+        return solutions[-1]
+
+    monkeypatch.setattr(lp_scheme.GrowingLp, "add_column", stuck_after_3)
+    name, grid, t = ladder_grids()[0]
+    stats = validate_stats(grid)
+    alloc = achievable_rate_lp(stats, Fraction(t, 7))
+    assert alloc.iterations == 4 and alloc.gap > 1e-6
+    assert check_allocation(stats, alloc).feasible
