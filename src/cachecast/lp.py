@@ -10,49 +10,67 @@ the package has this form: the delivery LP's subset and master LPs and
 its dense oracle, the chain LP, and the per-ordering LP of the upper
 bound (which keeps its normalisation in a budget row, see upper_bound).
 
-solve_lp runs the primal simplex on a dense tableau.  FEAS_TOL is the
-single feasibility/optimality tolerance and PIVOT_TOL the smallest pivot
-magnitude accepted.  The entering column is Bland's smallest index with a
-negative reduced cost.  The leaving row is taken among the rows whose
+solve_lp runs the primal simplex on a condensed (Tucker) tableau: the
+variables are labelled 0..n-1 (the columns of a_ub) and n..n+m-1 (the
+slacks), and only the n nonbasic variables' columns are stored, since a
+basic variable's column is a unit vector.  FEAS_TOL is the single
+feasibility/optimality tolerance and PIVOT_TOL the smallest pivot
+magnitude accepted.  The entering variable is Bland's smallest label with
+a negative reduced cost.  The leaving row is taken among the rows whose
 ratio is within PIVOT_TOL of the minimum: the one with the largest column
-entry, then the smallest basic index.  The LPs solved here are highly
+entry, then the smallest basic label.  The LPs solved here are highly
 degenerate (every ratio of a per-ordering LP is 0 until the budget row
-leaves), and breaking those ties by index alone pivots on entries as
+leaves), and breaking those ties by label alone pivots on entries as
 small as PIVOT_TOL itself, which wrecks the basis.  An entering column
 with no entry above PIVOT_TOL is a ray, so the LP is unbounded.  The
 largest-entry rule gives up Bland's guarantee against cycling, so each LP
 keeps a guard: after DEGENERATE_RUN consecutive pivots whose minimum
-ratio is 0 (within PIVOT_TOL), it breaks ties by the smallest basic index
+ratio is 0 (within PIVOT_TOL), it breaks ties by the smallest basic label
 alone, Bland's full rule, until a pivot moves its objective.
 
+A pivot swaps the entering and leaving labels between basis and nonbasic,
+writes the leaving variable's unit column e_r into the entering
+variable's slot, and then runs the full tableau's Gauss-Jordan update on
+the stored columns (_pivot).  Every stored entry therefore gets the same
+floating-point operations it gets in the full [a_ub | I | b_ub] tableau.
+Pricing is a product over the stored columns alone, and BLAS may sum a
+column's products in another order at another position, so a reduced
+cost or dual can differ from the full tableau's in its last bits.
+
 Every optimal LP is certified against its original rows: x is read off
-the basis and the duals y are c_B.Binv, read off the slack columns, which
-began as the identity.  The primal residual (largest violation of
+the basis and the duals y are c_B.Binv.  Column j of Binv is slack j's
+column of the full tableau: its stored column where slack j is nonbasic,
+whose final pricing gives y_j, and a unit column where slack j is basic,
+which gives y_j = 0.  The primal residual (largest violation of
 a_ub.x <= b_ub and of x >= 0), the dual residual (largest violation of
 c - a_ub^T y >= 0 and y <= 0) and the gap |c.x - b_ub.y| must each be
 within FEAS_TOL (the gap relative to 1 + |c.x|), or the LP's outcome is a
 NumericalFailure naming the residual.  LpSolution carries the three
 values.
 
-One simplex core runs on a stack of same-shape tableaux, shape (L, m, N+1),
-in lockstep.  solve_lps takes the LPs as arrays of one shape, c (L, n),
-a_ub (L, m, n) and b_ub (L, m), and cuts them into slices of stack_size(m, n)
-LPs, at most STACK_ENTRIES tableau entries each; solve_lp is the stack of
-one.  Each iteration prices every running LP with one
-np.matmul, picks each LP's entering column and leaving row with vector
-operations, and pivots with an in-place rank-1 update over blocks of
-PIVOT_BLOCK_ROWS rows of every LP at once (_pivot).  The certificate is
-one batched np.matmul per stack too.  An LP that finishes (optimal,
-unbounded or failed) leaves the stack; a NumericalFailure is that LP's
-outcome alone.  The numpy calls make the same floating-point operations
-on each LP whatever the stack holds, so the pivot path and every byte of
-x, the value, the duals and the certificate are the same whether an LP
-is solved alone or in a stack.
+One simplex core runs on a stack of same-shape tableaux, shape
+(L, m, n+1): the n nonbasic columns, then the rhs, with the labels in
+basis (L, m) and nonbasic (L, n).  solve_lps takes the LPs as arrays of
+one shape, c (L, n), a_ub (L, m, n) and b_ub (L, m), and cuts them into
+slices of stack_size(m, n) LPs, at most STACK_ENTRIES tableau entries
+each; solve_lp is the stack of one.  Each iteration prices every running
+LP with one np.matmul, picks each LP's entering column and leaving row
+with vector operations, and pivots with an in-place rank-1 update over
+blocks of PIVOT_BLOCK_ROWS rows of every LP at once (_pivot).  The
+certificate is one batched np.matmul per stack too, and solve_lps returns
+the stack's outcomes as arrays (StackSolution), which yield each LP's
+LpSolution when indexed.  An LP that finishes (optimal, unbounded or
+failed) leaves the stack; a NumericalFailure is that LP's outcome alone.
+The numpy calls make the same floating-point operations on each LP
+whatever the stack holds, so the pivot path and every byte of x, the
+value, the duals and the certificate are the same whether an LP is
+solved alone or in a stack.
 
 GrowingLp holds one LP whose columns arrive one at a time (the delivery
-LP's cutting-plane master).  Each new column is pivoted in by the same
-ratio test and the same simplex resumes from there, not from the slack
-basis; each solve carries the same certificate.
+LP's cutting-plane master).  Each new column enters the tableau as
+Binv.a, one m x m product, and is pivoted in by the same ratio test; the
+same simplex resumes from there, not from the slack basis, and each solve
+carries the same certificate.
 
 enumerate_vertices is an independent brute-force check for tiny problems:
 it visits every choice of n active constraints, keeps the feasible basic
@@ -62,10 +80,10 @@ so the two routes can disagree only if one is wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from math import inf
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -79,10 +97,12 @@ MAX_ITERATIONS = 100_000
 DEGENERATE_RUN = 50
 MAX_ORACLE_VARS = 6
 # Rows per _pivot block: enough to amortise numpy's per-call cost, few enough
-# that a block's update (64 rows x 1140 columns at K=9, t=4) stays in cache.
+# that a block's update stays in cache.  Every LP the commands solve has at
+# most 40 rows (the per-ordering LP at K=8, B=4), so its stack is one block;
+# only the dense delivery LPs the tests solve span several.
 PIVOT_BLOCK_ROWS = 64
-# Tableau entries per lockstep stack: 34 per-ordering LPs at K=6, B=4
-# (30 x 41 each), where stacking pays; one delivery LP exceeds it alone.
+# Tableau entries per lockstep stack: 130 per-ordering LPs at K=6, B=4
+# (30 x 11 each), where stacking pays.
 STACK_ENTRIES = 43_000
 
 OPTIMAL = "optimal"
@@ -120,6 +140,69 @@ class LpSolution:
     duality_gap: Optional[float] = None
 
 
+@dataclass
+class StackSolution:
+    """The outcomes of a stack of L LPs, as arrays over the stack.
+
+    status[i] is OPTIMAL, UNBOUNDED or LP i's NumericalFailure.  x (L, n),
+    value (L,), dual_ub (L, m) and the certificate's primal_residual,
+    dual_residual and duality_gap (L,) hold LP i's LpSolution fields in
+    row i, which means something only where status[i] is OPTIMAL; pivots
+    (L,) counts every LP's pivots.  Indexing or iterating yields each LP's
+    LpSolution or NumericalFailure, and assigning one to an index replaces
+    that LP's outcome.
+    """
+
+    status: list
+    x: np.ndarray
+    value: np.ndarray
+    dual_ub: np.ndarray
+    pivots: np.ndarray
+    primal_residual: np.ndarray
+    dual_residual: np.ndarray
+    duality_gap: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def __getitem__(self, i: int) -> Union[LpSolution, NumericalFailure]:
+        status = self.status[i]
+        if status == OPTIMAL:
+            return LpSolution(
+                OPTIMAL,
+                self.x[i],
+                float(self.value[i]),
+                self.dual_ub[i],
+                int(self.pivots[i]),
+                float(self.primal_residual[i]),
+                float(self.dual_residual[i]),
+                float(self.duality_gap[i]),
+            )
+        if status == UNBOUNDED:
+            return LpSolution(UNBOUNDED, None, None, None, int(self.pivots[i]))
+        return status
+
+    def __iter__(self) -> Iterator[Union[LpSolution, NumericalFailure]]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal to a list, tuple or stack of the same outcomes."""
+        if not isinstance(other, (list, tuple, StackSolution)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __setitem__(self, i: int, outcome: Union[LpSolution, NumericalFailure]) -> None:
+        if isinstance(outcome, LpSolution):
+            self.pivots[i] = outcome.pivots
+            if outcome.status == OPTIMAL:
+                self.x[i], self.value[i], self.dual_ub[i] = outcome.x, outcome.value, outcome.dual_ub
+                self.primal_residual[i] = outcome.primal_residual
+                self.dual_residual[i] = outcome.dual_residual
+                self.duality_gap[i] = outcome.duality_gap
+            outcome = outcome.status
+        self.status[i] = outcome
+
+
 def lp_problem(
     c: Sequence[float],
     a_ub: Optional[Sequence[Sequence[float]]] = None,
@@ -148,21 +231,30 @@ def _check_rhs(b_ub: np.ndarray, label: str = "LP {}: ") -> None:
         raise OutOfRange(f"{label.format(lp)}b_ub[{row}] = {float(b_ub[lp, row])!r} < 0; x = 0 must be feasible")
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
-    """Gauss-Jordan step on (rows[i], cols[i]) of every tableau i of the stack.
+def _pivot(
+    tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> None:
+    """Pivot slot cols[i] into row rows[i] of every condensed tableau i of the stack.
 
-    The update runs over blocks of PIVOT_BLOCK_ROWS rows of all tableaux at
-    once.  Each other row r with a nonzero entry f_r in its pivot column
-    becomes row_r - f_r * pivot_row, the same products and differences a
-    row-by-row loop forms, so the result is bit for bit that loop's.  Rows
+    The entering variable's column is saved as the factors, and the leaving
+    variable's column in the full tableau, the unit vector e_r, is written
+    into the freed slot.  Then the full tableau's Gauss-Jordan step runs on
+    the stored columns: the pivot row is divided by the pivot, and each
+    other row r with a nonzero factor f_r becomes row_r - f_r * pivot_row,
+    the same products and differences a row-by-row loop forms.  The update
+    runs over blocks of PIVOT_BLOCK_ROWS rows of all tableaux at once.  Rows
     with f_r == 0 are masked out, which also keeps the sign of their zero
-    entries, and blocks without any such row are skipped.
+    entries, and blocks without any such row are skipped.  Last, the two
+    variables swap their labels in basis and nonbasic.
     """
     lps = np.arange(tableau.shape[0])
-    pivot_rows = tableau[lps, rows]
-    pivot_rows /= pivot_rows[lps, cols][:, None]
-    tableau[lps, rows] = pivot_rows
     factors = tableau[lps, :, cols]
+    divisors = factors[lps, rows]
+    tableau[lps, :, cols] = 0.0
+    tableau[lps, rows, cols] = 1.0
+    pivot_rows = tableau[lps, rows]
+    pivot_rows /= divisors[:, None]
+    tableau[lps, rows] = pivot_rows
     factors[lps, rows] = 0.0
     touched = factors != 0.0
     for start in range(0, tableau.shape[1], PIVOT_BLOCK_ROWS):
@@ -174,7 +266,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.nd
             update = factors[:, start:stop, None] * pivot_rows[:, None, :]
             where = True if count == mask.size else mask[:, :, None]
             np.subtract(block, update, out=block, where=where)
-    basis[lps, rows] = cols
+    basis[lps, rows], nonbasic[lps, cols] = nonbasic[lps, cols], basis[lps, rows]
 
 
 def _ratio_test(
@@ -198,20 +290,22 @@ def _ratio_test(
 def _simplex(
     tableau: np.ndarray,
     basis: np.ndarray,
+    nonbasic: np.ndarray,
     costs: np.ndarray,
 ) -> tuple[list, list[int]]:
-    """Primal simplex iterations on a stack of [A | rhs] tableaux in lockstep.
+    """Primal simplex iterations on a stack of condensed tableaux in lockstep.
 
     Returns each LP's outcome (OPTIMAL, UNBOUNDED or a NumericalFailure)
-    and pivot count; tableau and basis hold each LP's final state.
-    Entering: the smallest nonbasic index with reduced cost below
+    and pivot count; tableau, basis and nonbasic hold each LP's final
+    state.  costs (L, n+m) holds each variable's cost by label.
+    Entering: the smallest nonbasic label with reduced cost below
     -FEAS_TOL (Bland).  Leaving: among the rows with a column entry above
     PIVOT_TOL, those whose ratio is within PIVOT_TOL of the minimum; of
     these the row with the largest column entry, then the smallest basic
-    index.  An entering column with no entry above PIVOT_TOL is a ray:
+    label.  An entering column with no entry above PIVOT_TOL is a ray:
     the LP is unbounded.  Anti-cycling guard: after DEGENERATE_RUN
     consecutive pivots whose minimum ratio is 0 (within PIVOT_TOL), an LP
-    takes the smallest basic index among the tied rows instead, Bland's
+    takes the smallest basic label among the tied rows instead, Bland's
     full rule, until a pivot moves its objective.  An LP that stops
     leaves the running stack, which is compacted, so the others run on
     unchanged.
@@ -219,18 +313,17 @@ def _simplex(
     size, _, width = tableau.shape
     outcomes: list = [OPTIMAL] * size
     pivots = [0] * size
-    if width == 1:  # no columns: every LP is optimal at once
+    if width == 1 or not size:  # no columns, or no LPs: every LP is optimal at once
         return outcomes, pivots
+    labels = costs.shape[1]  # variables per LP: every label lies below it
     live = lps = np.arange(size)
-    offsets = lps[:, None] * (width - 1)  # of each LP's row in the flattened costs
+    offsets = lps[:, None] * labels  # of each LP's row in the flattened costs
     calm = np.zeros(size, dtype=int)  # per LP: the iteration after its last nondegenerate pivot
-    tab, bas, cst = tableau, basis, costs
+    tab, bas, nb, cst = tableau, basis, nonbasic, costs
     for it in range(MAX_ITERATIONS):
-        basic = bas + offsets
-        priced = np.matmul(cst.take(basic)[:, None, :], tab[:, :, :-1])
-        improving = cst - priced[:, 0, :] < -FEAS_TOL
-        improving.reshape(-1)[basic] = False
-        entering = improving.argmax(axis=1)
+        priced = np.matmul(cst.take(bas + offsets)[:, None, :], tab[:, :, :-1])
+        improving = cst.take(nb + offsets) - priced[:, 0, :] < -FEAS_TOL
+        entering = np.where(improving, nb, labels).argmin(axis=1)  # the slot of the smallest label
         column = tab[lps, :, entering]
         eligible = column > PIVOT_TOL
         found = improving[lps, entering]
@@ -242,44 +335,41 @@ def _simplex(
                 pivots[i] = it
                 outcomes[i] = UNBOUNDED if found[j] else OPTIMAL
             if tab is not tableau:
-                tableau[live[stops]], basis[live[stops]] = tab[stops], bas[stops]
+                done = live[stops]
+                tableau[done], basis[done], nonbasic[done] = tab[stops], bas[stops], nb[stops]
             if not go.any():
                 return outcomes, pivots
-            tab, bas, cst, live, calm = tab[go], bas[go], cst[go], live[go], calm[go]
+            tab, bas, nb, cst, live, calm = tab[go], bas[go], nb[go], cst[go], live[go], calm[go]
             entering, column, eligible = entering[go], column[go], eligible[go]
             lps = np.arange(live.size)
-            offsets = lps[:, None] * (width - 1)
+            offsets = lps[:, None] * labels
         least, near, pick = _ratio_test(tab, column, eligible, lps)
         if it - calm[calm.argmin()] >= DEGENERATE_RUN:  # some LP is on a degenerate run
             pick |= near & (it - calm >= DEGENERATE_RUN)[:, None]
-        leaving = np.where(pick, bas, width).argmin(axis=1)
+        leaving = np.where(pick, bas, labels).argmin(axis=1)
         calm[least > PIVOT_TOL] = it + 1
-        _pivot(tab, bas, leaving, entering)
+        _pivot(tab, bas, nb, leaving, entering)
     for i in live.tolist():
         outcomes[i] = NumericalFailure(f"simplex did not converge in {MAX_ITERATIONS} iterations")
         pivots[i] = MAX_ITERATIONS
     if tab is not tableau:
-        tableau[live], basis[live] = tab, bas
+        tableau[live], basis[live], nonbasic[live] = tab, bas, nb
     return outcomes, pivots
 
 
-def _solve_stack(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> list:
-    """Simplex on a stack c (L, n), a_ub (L, m, n), b_ub (L, m), in lockstep, from the slack basis.
-
-    Returns each LP's LpSolution or NumericalFailure.
-    """
+def _solve_stack(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> StackSolution:
+    """Simplex on a stack c (L, n), a_ub (L, m, n), b_ub (L, m), in lockstep, from the slack basis."""
     size, m, n = a_ub.shape
-    tableau = np.zeros((size, m, n + m + 1))
+    tableau = np.empty((size, m, n + 1))
     tableau[:, :, :n] = a_ub
-    tableau[:, :, -1] = b_ub
-    a, b = tableau[:, :, :n].copy(), tableau[:, :, -1].copy()  # the original rows, for the certificate
-    slack = n + np.arange(m)
-    tableau[:, np.arange(m), slack] = 1.0
-    basis = np.tile(slack, (size, 1))
+    tableau[:, :, n] = b_ub
+    a, b = tableau[:, :, :n].copy(), tableau[:, :, n].copy()  # the original rows, for the certificate
+    basis = np.tile(n + np.arange(m), (size, 1))
+    nonbasic = np.tile(np.arange(n), (size, 1))
     costs = np.zeros((size, n + m))
     costs[:, :n] = c
-    status, pivots = _simplex(tableau, basis, costs)
-    return _finish(status, tableau, basis, costs, a, b, pivots)
+    status, pivots = _simplex(tableau, basis, nonbasic, costs)
+    return _finish(status, tableau, basis, nonbasic, costs, a, b, pivots)
 
 
 def _certificate(
@@ -306,54 +396,50 @@ def _finish(
     status: list,
     tableau: np.ndarray,
     basis: np.ndarray,
+    nonbasic: np.ndarray,
     costs: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
     pivots: list[int],
-) -> list:
-    """Each LP's outcome in a stack: LpSolution or NumericalFailure.
+) -> StackSolution:
+    """The outcomes of a stack whose simplex has stopped.
 
-    x is read off the basis and the duals are c_B.Binv, read off the slack
-    columns.  An optimal LP must pass the certificate against its original
-    rows: primal and dual residuals within FEAS_TOL and a gap within
-    FEAS_TOL (1 + |c.x|).
+    x is read off the basis.  The duals are c_B.Binv: slack j's is its
+    reduced cost's negative, c_B times its stored column, where slack j is
+    nonbasic, and 0 where it is basic.  An optimal LP must pass the
+    certificate against its original rows, primal and dual residuals
+    within FEAS_TOL and a gap within FEAS_TOL (1 + |c.x|), or its status
+    becomes the NumericalFailure naming the first check it fails.
     """
-    size, _, width = tableau.shape
     n = a.shape[2]
-    lps = np.arange(size)[:, None]
-    point = np.zeros((size, width - 1))
+    lps = np.arange(tableau.shape[0])[:, None]
+    point = np.zeros(costs.shape)
     point[lps, basis] = tableau[:, :, -1]
     x = point[:, :n].copy()
     priced = np.matmul(costs[lps, basis][:, None, :], tableau[:, :, :-1])[:, 0, :]
-    y = priced[:, n:].copy()
+    duals = np.zeros(costs.shape)
+    duals[lps, nonbasic] = priced
+    y = duals[:, n:].copy()
     value, primal, dual, gap = _certificate(a, b, costs[:, :n], x, y)
-
-    outcomes: list = []
-    certificates = zip(value.tolist(), primal.tolist(), dual.tolist(), gap.tolist())
-    for j, (outcome, (v, p, d, g)) in enumerate(zip(status, certificates)):
-        if outcome == OPTIMAL:
+    certified = (primal <= FEAS_TOL) & (dual <= FEAS_TOL) & (gap <= FEAS_TOL * (1.0 + np.abs(value)))
+    for j, outcome in enumerate(status):
+        if outcome == OPTIMAL and not certified[j]:
+            p, d, g = float(primal[j]), float(dual[j]), float(gap[j])
             if not p <= FEAS_TOL:
-                outcome = NumericalFailure(f"optimal basis fails feasibility recheck (largest violation {p:.3g})")
+                status[j] = NumericalFailure(f"optimal basis fails feasibility recheck (largest violation {p:.3g})")
             elif not d <= FEAS_TOL:
-                outcome = NumericalFailure(f"optimal basis fails dual feasibility check (dual residual {d:.3g})")
-            elif not g <= FEAS_TOL * (1.0 + abs(v)):
-                outcome = NumericalFailure(f"optimal basis fails duality-gap check (gap {g:.3g})")
+                status[j] = NumericalFailure(f"optimal basis fails dual feasibility check (dual residual {d:.3g})")
             else:
-                outcome = LpSolution(
-                    OPTIMAL, x[j], v, y[j], pivots[j], primal_residual=p, dual_residual=d, duality_gap=g
-                )
-        elif outcome == UNBOUNDED:
-            outcome = LpSolution(UNBOUNDED, None, None, None, pivots[j])
-        outcomes.append(outcome)
-    return outcomes
+                status[j] = NumericalFailure(f"optimal basis fails duality-gap check (gap {g:.3g})")
+    return StackSolution(status, x, value, y, np.array(pivots, dtype=int), primal, dual, gap)
 
 
 def stack_size(m: int, n: int) -> int:
     """LPs of m rows and n columns per lockstep stack: at most STACK_ENTRIES tableau entries, at least one."""
-    return max(1, STACK_ENTRIES // max(1, m * (n + m + 1)))
+    return max(1, STACK_ENTRIES // max(1, m * (n + 1)))
 
 
-def solve_lps(c, a_ub, b_ub) -> list[Union[LpSolution, NumericalFailure]]:
+def solve_lps(c, a_ub, b_ub) -> StackSolution:
     """solve_lp on every LP of one stack; a NumericalFailure is returned, not raised.
 
     a_ub has shape (L, m, n); c is (L, n) or one (n,) row for every LP, b_ub
@@ -373,11 +459,12 @@ def solve_lps(c, a_ub, b_ub) -> list[Union[LpSolution, NumericalFailure]]:
     c, b_ub = np.broadcast_to(c, (size, n)), np.broadcast_to(b_ub, (size, m))
     _check_rhs(b_ub)
     cap = stack_size(m, n)
-    outcomes: list = []
-    for start in range(0, size, cap):
-        stop = start + cap
-        outcomes += _solve_stack(c[start:stop], a_ub[start:stop], b_ub[start:stop])
-    return outcomes
+    # One slice per cap LPs; an empty stack is one empty slice.
+    parts = [_solve_stack(c[i:i + cap], a_ub[i:i + cap], b_ub[i:i + cap]) for i in range(0, size or 1, cap)]
+    if len(parts) == 1:
+        return parts[0]
+    arrays = (np.concatenate([getattr(part, f.name) for part in parts]) for f in fields(StackSolution)[1:])
+    return StackSolution([s for part in parts for s in part.status], *arrays)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -394,7 +481,10 @@ class GrowingLp:
     It starts with no columns, at the slack basis.  add_column appends one
     column and resumes the simplex from the basis the previous solve left:
     a new column leaves that basis primal feasible, and it enters the kept
-    tableau as Binv.a, with Binv read off the slack columns.
+    tableau as Binv.a.  Binv's column j is slack j's column of the full
+    tableau: its stored column where slack j is nonbasic, e_r where it is
+    basic in row r.  Labels follow the full tableau's column order, so the
+    slacks' labels move up by one with every new column.
 
     The new column enters the basis first, by the simplex's own ratio test,
     whatever its reduced cost: it is the column-generation step, whose
@@ -412,8 +502,9 @@ class GrowingLp:
         b = np.asarray(b_ub, dtype=float)[None]
         _check_rhs(b, "")
         m = b.shape[1]
-        self._tableau = np.concatenate([np.eye(m), b.T], axis=1)[None]
+        self._tableau = b[:, :, None].copy()  # the rhs alone: no columns yet
         self._basis = np.arange(m)[None]
+        self._nonbasic = np.zeros((1, 0), dtype=int)
         self._costs = np.zeros((1, m))
         self._a = np.zeros((1, m, 0))
         self._b = b
@@ -425,22 +516,30 @@ class GrowingLp:
         a NumericalFailure.
         """
         column = np.asarray(column, dtype=float)
-        n = self._a.shape[2]
-        entering = self._tableau[:, :, n:-1] @ column
-        old = self._tableau
-        self._tableau = np.concatenate([old[:, :, :n], entering[:, :, None], old[:, :, n:]], axis=2)
+        m, n = self._a.shape[1:]
+        basis, nonbasic = self._basis[0], self._nonbasic[0]
+        binv = np.zeros((m, m))
+        rows = np.flatnonzero(basis >= n)
+        binv[rows, basis[rows] - n] = 1.0
+        slots = np.flatnonzero(nonbasic >= n)
+        binv[:, nonbasic[slots] - n] = self._tableau[0][:, slots]
+        entering = (binv @ column)[None]
         self._basis[self._basis >= n] += 1
+        self._nonbasic[self._nonbasic >= n] += 1
+        old = self._tableau
+        self._tableau = np.concatenate([old[:, :, :-1], entering[:, :, None], old[:, :, -1:]], axis=2)
+        self._nonbasic = np.concatenate([self._nonbasic, [[n]]], axis=1)
         self._costs = np.concatenate([self._costs[:, :n], [[cost]], self._costs[:, n:]], axis=1)
         self._a = np.concatenate([self._a, column[None, :, None]], axis=2)
         eligible = entering > PIVOT_TOL
         entered = int(eligible.any())  # else a ray, which the simplex prices
         if entered:
             _, _, pick = _ratio_test(self._tableau, entering, eligible, np.arange(1))
-            leaving = np.where(pick, self._basis, self._tableau.shape[2]).argmin(axis=1)
-            _pivot(self._tableau, self._basis, leaving, np.array([n]))
-        status, pivots = _simplex(self._tableau, self._basis, self._costs)
+            leaving = np.where(pick, self._basis, self._costs.shape[1]).argmin(axis=1)
+            _pivot(self._tableau, self._basis, self._nonbasic, leaving, np.array([n]))
+        status, pivots = _simplex(self._tableau, self._basis, self._nonbasic, self._costs)
         pivots[0] += entered
-        (outcome,) = _finish(status, self._tableau, self._basis, self._costs, self._a, self._b, pivots)
+        (outcome,) = _finish(status, self._tableau, self._basis, self._nonbasic, self._costs, self._a, self._b, pivots)
         if isinstance(outcome, NumericalFailure):
             raise outcome
         return outcome

@@ -243,11 +243,12 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     best, eta = 0.0, inf
     for iteration in range(1, MAX_CUTS + 1):
         where = f"cut {iteration}, gap {_gap(best, eta):.3g}"
-        outcomes = solve_lps(c, blocks, lam)
-        for s, outcome in zip(subsets, outcomes):
-            _solved(outcome, label, f"subset {s}, {where}")
-        u = -np.array([outcome.dual_ub for outcome in outcomes])
-        best = max(best, -sum(outcome.value for outcome in outcomes) / piece_count)
+        stack = solve_lps(c, blocks, lam)
+        if stack.status.count(OPTIMAL) < len(subsets):
+            for s, outcome in zip(subsets, stack):
+                _solved(outcome, label, f"subset {s}, {where}")
+        u = -stack.dual_ub
+        best = max(best, -sum(stack.value.tolist()) / piece_count)
         prices.append(u)
         try:
             packing = master.add_column(u.sum(axis=0) / piece_count, -1.0)

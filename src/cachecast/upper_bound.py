@@ -185,17 +185,17 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
         masks = _prefix_masks(batch)
         gaps, full = gap_of[masks], full_of[masks]
         solvable = np.flatnonzero(~full[:, 0]).tolist()
-        outcomes = solve_lps(*_permutation_lps(stats, batch[solvable], gaps[solvable], full[solvable]))
-        for i, outcome in zip(solvable, outcomes):
+        stack = solve_lps(*_permutation_lps(stats, batch[solvable], gaps[solvable], full[solvable]))
+        for j, (i, status, optimum) in enumerate(zip(solvable, stack.status, stack.value.tolist())):
             pi = orderings[start + i]
-            if isinstance(outcome, NumericalFailure):
-                raise NumericalFailure(f"ordering {pi} {label}: {outcome}") from outcome
-            if outcome.status == OPTIMAL:
-                value, x = -1.0 / outcome.value, outcome.x
-            elif outcome.status == UNBOUNDED and not stats.ccdf[pi[0] - 1].any():
+            if isinstance(status, NumericalFailure):
+                raise NumericalFailure(f"ordering {pi} {label}: {status}") from status
+            if status == OPTIMAL:
+                value, x = -1.0 / optimum, stack.x[j]
+            elif status == UNBOUNDED and not stats.ccdf[pi[0] - 1].any():
                 value, x = 0.0, first_alone
             else:
-                raise UnexpectedLpStatus(f"ordering {pi} {label}: LP status {outcome.status}")
+                raise UnexpectedLpStatus(f"ordering {pi} {label}: LP status {status}")
             values[start + i] = value
             if value < least:
                 lowering[start + i], least = x, value

@@ -311,6 +311,31 @@ def test_simulate_output_digests_are_frozen(capsys, tmp_path, name):
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
 
 
+# SHA-256 of `rates upper --json` on the ROADMAP item 1 grid (all 720
+# orderings in `table`) and of `rates achievable --json` on a seeded
+# sorted-uniform K = 8, t = 3, B = 4 grid.  Frozen before the simplex kept
+# only its nonbasic columns: a change to the LP core must keep these bytes.
+RATES_DIGESTS = {
+    "upper": "8c8bb6137d870c1158b7413e901505904afab066be2ea44d4aec4ebfd15cd2a3",
+    "achievable": "415f702886b3d18bcec3126d266cf47c4c5eb37992b53eef6c3e5e23ac7d464a",
+}
+
+
+def _rates_scenario(command):
+    if command == "upper":
+        return {"num_users": 6, "num_levels": 4, "mu": "1/6", "ccdf": ROADMAP_ITEM1_ROWS}
+    ccdf = np.sort(np.random.default_rng(83).random((8, 4)), axis=1)[:, ::-1]
+    return {"num_users": 8, "num_levels": 4, "mu": "3/8", "ccdf": ccdf.tolist()}
+
+
+@pytest.mark.parametrize("command", sorted(RATES_DIGESTS))
+def test_rates_output_digests_are_frozen(capsys, tmp_path, command):
+    config = write_config(tmp_path, _rates_scenario(command))
+    assert cli.main(["rates", command, config, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RATES_DIGESTS[command]
+
+
 def _no_solve(*args):
     raise AssertionError("the delivery LP was solved before the arguments were checked")
 
@@ -578,9 +603,11 @@ def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
     solve_lps = upper_bound.solve_lps
 
     def one_unbounded(c, a_ub, b_ub):
-        unbounded = LpSolution(UNBOUNDED, None, None, None)
+        outcomes = solve_lps(c, a_ub, b_ub)
         hit = np.all(a_ub == target.a_ub, axis=(1, 2)) & np.all(c == target.c, axis=1)
-        return [unbounded if h else outcome for h, outcome in zip(hit, solve_lps(c, a_ub, b_ub))]
+        for i in np.flatnonzero(hit).tolist():
+            outcomes[i] = LpSolution(UNBOUNDED, None, None, None)
+        return outcomes
 
     monkeypatch.undo()
     monkeypatch.setattr(upper_bound, "solve_lps", one_unbounded)

@@ -279,19 +279,22 @@ def test_growing_lp_ray_column_and_negative_rhs():
 
 
 def test_pivot_matches_row_loop():
-    # Stacks of one to five tableaux, each with its own pivot; within a
-    # stack some tableaux touch no row of the first block, some fill it,
-    # and some touch no row at all, so every block is skipped for some
-    # tableaux and updated for others.
+    # Stacks of one to five condensed tableaux, each with its own pivot;
+    # within a stack some tableaux touch no row of the first block, some
+    # fill it, and some touch no row at all, so every block is skipped for
+    # some tableaux and updated for others.  Each tableau is expanded to
+    # the full one (unit columns for its basic labels) and pivoted by the
+    # row loop there; the stored columns and the rhs must match it byte for
+    # byte, signed zeros included, with the two labels swapped.
     rng = np.random.default_rng(64)
     for trial in range(30):
         size = 1 if trial % 3 == 0 else int(rng.integers(2, 6))
         m = int(rng.integers(PIVOT_BLOCK_ROWS + 2, 3 * PIVOT_BLOCK_ROWS + 20))
-        cols = int(rng.integers(3, 50))
-        tableau = rng.normal(size=(size, m, cols))
+        n = int(rng.integers(2, 49))
+        tableau = rng.normal(size=(size, m, n + 1))
         tableau[rng.random(tableau.shape) < 0.4] = 0.0
         tableau[rng.random(tableau.shape) < 0.1] = -0.0
-        pivot_cols = rng.integers(cols, size=size)
+        pivot_cols = rng.integers(n, size=size)
         pivot_rows = rng.integers(m, size=size)
         for i in range(size):
             column = tableau[i, :, pivot_cols[i]]
@@ -305,15 +308,24 @@ def test_pivot_matches_row_loop():
             elif kind == 2:
                 column[:] = 0.0  # no row to update at all
             column[pivot_rows[i]] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)
-        basis = rng.integers(0, cols, size=(size, m))
+        labels = np.array([rng.permutation(n + m) for _ in range(size)])
+        basis, nonbasic = labels[:, :m].copy(), labels[:, m:].copy()
 
-        expected, expected_basis = tableau.copy(), basis.copy()
+        full = np.zeros((size, m, n + m + 1))
         for i in range(size):
-            pivot_reference(expected[i], expected_basis[i], pivot_rows[i], pivot_cols[i])
-        _pivot(tableau, basis, pivot_rows, pivot_cols)
+            full[i][:, nonbasic[i]] = tableau[i, :, :-1]
+            full[i, np.arange(m), basis[i]] = 1.0
+            full[i, :, -1] = tableau[i, :, -1]
+        expected_basis, expected_nonbasic = basis.copy(), nonbasic.copy()
+        for i in range(size):
+            expected_nonbasic[i, pivot_cols[i]] = basis[i, pivot_rows[i]]
+            pivot_reference(full[i], expected_basis[i], pivot_rows[i], nonbasic[i, pivot_cols[i]])
+        _pivot(tableau, basis, nonbasic, pivot_rows, pivot_cols)
+        assert np.array_equal(basis, expected_basis)
+        assert np.array_equal(nonbasic, expected_nonbasic)
+        expected = np.array([np.column_stack([full[i][:, nonbasic[i]], full[i, :, -1]]) for i in range(size)])
         assert np.array_equal(tableau, expected)
         assert np.array_equal(np.signbit(tableau), np.signbit(expected))
-        assert np.array_equal(basis, expected_basis)
 
 
 def solve_stacked(problems):
@@ -362,12 +374,16 @@ def test_stack_matches_solo(monkeypatch):
         lp_problem([-1.0]),  # unbounded
         lp_problem([-1.0, 0.0], a_ub=[[-1.0, 1.0]], b_ub=[0.0]),  # unbounded
     ]
-    # The 120 orderings that start with user 6 of the ROADMAP item 1
-    # instance: one shape, several stacks' worth.  (6, 1, 2, 3, 4, 5) is
-    # made to fail its feasibility recheck, in the stack and alone.
+    # The 240 orderings that start with user 6 or 5 of the ROADMAP item 1
+    # instance: one shape, two stacks' worth.  (6, 1, 2, 3, 4, 5) is made
+    # to fail its feasibility recheck, in the stack and alone.
     stats = validate_stats(ROADMAP_ITEM1_ROWS)
     tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
-    orderings = [build_permutation_lp(stats, tup, (6,) + rest) for rest in permutations(range(1, 6))]
+    orderings = [
+        build_permutation_lp(stats, tup, (first,) + rest)
+        for first in (6, 5)
+        for rest in permutations(k for k in range(1, 7) if k != first)
+    ]
     fail_certificate(monkeypatch, orderings[0])
     problems = problems + orderings
     problems = [problems[i] for i in rng.permutation(len(problems))]
@@ -384,7 +400,7 @@ def test_stack_matches_solo(monkeypatch):
         stacked = solve_stacked(problems)
     solo = [_outcome(p) for p in problems]
 
-    assert max(stacks) == stack_size(30, 6 + 4) == 34  # ordering LPs: 30 rows, 10 columns
+    assert max(stacks) == stack_size(30, 6 + 4) == 130  # ordering LPs: 30 rows, 10 columns
     statuses = {s.status if isinstance(s, LpSolution) else type(s).__name__ for s in solo}
     assert statuses == {OPTIMAL, UNBOUNDED, "NumericalFailure"}
     assert [str(s) for s in solo if isinstance(s, NumericalFailure)] == [

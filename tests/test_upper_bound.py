@@ -163,7 +163,7 @@ def test_bound_roadmap_item1_instance():
 
 def test_bound_solves_full_stacks(monkeypatch):
     # Each solve_lps call gets one lockstep stack's worth of orderings, so
-    # every stack is full but the last: 720 = 21 * 34 + 6 at K = 6, B = 4.
+    # every stack is full but the last: 720 = 5 * 130 + 70 at K = 6, B = 4.
     stacks = []
     solve_stack = lp._solve_stack
 
@@ -174,8 +174,8 @@ def test_bound_solves_full_stacks(monkeypatch):
     monkeypatch.setattr(lp, "_solve_stack", recording_stack)
     tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
     upper_bound_rate(validate_stats(ROADMAP_ITEM1_ROWS), tup)
-    assert stack_size(30, 10) == 34
-    assert stacks == [34] * 21 + [6]
+    assert stack_size(30, 10) == 130
+    assert stacks == [130] * 5 + [70]
 
 
 def test_bound_single_user():
