@@ -97,12 +97,14 @@ MAX_ITERATIONS = 100_000
 DEGENERATE_RUN = 50
 MAX_ORACLE_VARS = 6
 # Rows per _pivot block: enough to amortise numpy's per-call cost, few enough
-# that a block's update stays in cache.  Every LP the commands solve has at
-# most 40 rows (the per-ordering LP at K=8, B=4), so its stack is one block;
-# only the dense delivery LPs the tests solve span several.
+# that a block's update stays in cache.  The commands' LPs have B rows (the
+# delivery LP's subset and master LPs), K+B (the chain LP) or p*B+p (the
+# per-ordering LP of live count p <= K <= 8: 40 rows at K=8, B=4 and 72 at
+# K=8, B=8), so most fit one block; a per-ordering LP of more than 64 rows
+# (B >= 8 at p = 8) and the dense delivery LPs the tests solve span several.
 PIVOT_BLOCK_ROWS = 64
-# Tableau entries per lockstep stack: 130 per-ordering LPs at K=6, B=4
-# (30 x 11 each), where stacking pays.
+# Tableau entries per lockstep stack: 172 per-ordering LPs of live count 5
+# at B=4 (K=6, mu=1/6: 25 x 10 each), where stacking pays.
 STACK_ENTRIES = 43_000
 
 OPTIMAL = "optimal"

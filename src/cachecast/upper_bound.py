@@ -25,14 +25,26 @@ Every row is homogeneous, so the ratio can be normalised on either side
     minimize -sum_k sigma_k   s.t. the rows above,  sum_l theta_l <= 1,
 
 whose rhs is nonnegative, so it starts feasible at x = 0; the ordering's
-value is -1 / (its optimum).  sigma_k is pinned to zero (its column and
-cost zeroed) wherever its coverage factor is exactly one.  The LP is
-unbounded exactly when the first user's CCDF row is all zero: sigma_1
-then grows with every theta at 0, and the ordering's value is 0 with all
-weight on that user.  upper_bound_rate tabulates the gap of every user
-subset once, builds the K! orderings' LPs with numpy from that table, one
-lockstep stack (lp.stack_size orderings) per lp.solve_lps call, and reports
-the minimum.
+value is -1 / (its optimum).  sigma_k is pinned to zero wherever its
+coverage factor is exactly one.  Coverage only grows along an ordering, so
+the pinned positions form a suffix: the first p(pi) leading slices (the
+live count) are not fully covered and the rest are.  A pinned sigma's column,
+cost, decode rows and the chain row into it would all be zero, so the LP
+keeps only the live prefix: p*B decode rows, p-1 chain rows and the budget
+row over x = [sigma_1..p, theta_1..B].  Dropping a zero column (it never
+prices in) and zero rows (never eligible, never updated) leaves the
+simplex's pivot path, x and value exactly those of the pinned full-shape
+LP.  The LP is unbounded exactly when the first user's CCDF row is all
+zero: sigma_1 then grows with every theta at 0, and the ordering's value
+is 0 with all weight on that user.
+
+The live-prefix LP depends only on (p, pi(1..p)), so upper_bound_rate
+solves each distinct live prefix once: K!/t! LPs for the central
+placement at mu = t/K instead of K!, and none where the first user's cache
+already covers the file (p = 0, an infinite value).  It tabulates the gap
+of every user subset once and builds the LPs with numpy from that table:
+one shape per live count, cut into lp.stack_size slices, one slice per
+lp.solve_lps call.  Every ordering then takes its prefix's value.
 """
 
 from __future__ import annotations
@@ -119,112 +131,133 @@ def objective_at(stats: ChannelStats, tup: CachingTuple, weights: Sequence[float
     return numerator / denominator
 
 
-def _permutation_lps(
-    stats: ChannelStats, orderings: np.ndarray, gaps: np.ndarray, full: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-ordering LPs of an (L, K) array of orderings as one stack: c, a_ub, b_ub.
+def _live_prefixes(
+    orderings: np.ndarray, gap_of: np.ndarray, full_of: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps of each ordering's leading slices, and its live count p.
 
-    c is (L, K+B), a_ub (L, K*B+K, K+B) and b_ub the (K*B+K,) rhs they share.
+    p counts the leading slices pi(1..k) that are not fully covered; they
+    are the first p, since coverage only grows along an ordering.
     """
-    size, K = orderings.shape
+    masks = _prefix_masks(orderings)
+    return gap_of[masks], np.count_nonzero(~full_of[masks], axis=-1)
+
+
+def _permutation_lps(
+    stats: ChannelStats, prefixes: np.ndarray, gaps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The LPs of an (L, p) array of live prefixes and their gaps as one stack: c, a_ub, b_ub.
+
+    c is (L, p+B), a_ub (L, p*B+p, p+B) and b_ub the (p*B+p,) rhs they
+    share.  Rows: the p*B decode rows, the p-1 chain rows, the budget
+    row (p = 0 leaves the budget row alone).
+    """
+    size, p = prefixes.shape
     B = stats.num_levels
-    decode = np.arange(K * B)
-    chain = np.arange(K - 1)
-    a_ub = np.zeros((size, K * B + K, K + B))
-    a_ub[:, decode, decode // B] = stats.ccdf[orderings - 1].reshape(size, K * B)
-    a_ub[:, decode, K + decode % B] = -np.repeat(gaps, B, axis=1)
-    a_ub[:, K * B + chain, chain] = -gaps[:, 1:]
-    a_ub[:, K * B + chain, chain + 1] = gaps[:, :-1]
-    a_ub[:, -1, K:] = 1.0
-    b_ub = np.zeros(K * B + K)
+    decode = np.arange(p * B)
+    chain = np.arange(p - 1)  # empty at p = 0
+    a_ub = np.zeros((size, p * B + chain.size + 1, p + B))
+    a_ub[:, decode, decode // B] = stats.ccdf[prefixes - 1].reshape(size, p * B)
+    a_ub[:, decode, p + decode % B] = -np.repeat(gaps, B, axis=1)
+    a_ub[:, p * B + chain, chain] = -gaps[:, 1:]
+    a_ub[:, p * B + chain, chain + 1] = gaps[:, :-1]
+    a_ub[:, -1, p:] = 1.0
+    b_ub = np.zeros(a_ub.shape[1])
     b_ub[-1] = 1.0
-    c = np.zeros((size, K + B))
-    c[:, :K] = -1.0
-    lps, pinned = np.nonzero(full)
-    a_ub[lps, :, pinned] = 0.0
-    c[lps, pinned] = 0.0
+    c = np.zeros((size, p + B))
+    c[:, :p] = -1.0
     return c, a_ub, b_ub
 
 
 def build_permutation_lp(
     stats: ChannelStats, tup: CachingTuple, pi: Sequence[int]
 ) -> LpProblem:
-    """The per-ordering LP in variables x = [sigma_1..K, theta_1..B].
+    """The LP of an ordering's live prefix, in variables x = [sigma_1..p, theta_1..B].
 
-    Its optimum is -sum(sigma); the ordering's bound value is -1 / optimum.
+    p is the ordering's live count; the pinned sigma_{p+1..K} and their
+    all-zero rows are left out.  Its optimum is -sum(sigma); the ordering's
+    bound value is -1 / optimum.
     """
     orderings = np.array([_check_permutation(stats.num_users, pi)])
-    masks = _prefix_masks(orderings)
-    gaps, full = _cover_table(stats, tup)
-    c, a_ub, b_ub = _permutation_lps(stats, orderings, gaps[masks], full[masks])
+    gaps, live = _live_prefixes(orderings, *_cover_table(stats, tup))
+    p = int(live[0])
+    c, a_ub, b_ub = _permutation_lps(stats, orderings[:, :p], gaps[:, :p])
     return LpProblem(c=c[0], a_ub=a_ub[0], b_ub=b_ub)
 
 
 def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport:
-    """Tight bound: minimum of the per-ordering LP values over all K! orderings."""
+    """Tight bound: minimum of the per-ordering LP values over all K! orderings.
+
+    Each distinct live prefix is solved once, and every ordering that
+    reaches it takes its value and x.
+    """
     K, B = stats.num_users, stats.num_levels
     if K > MAX_BOUND_USERS:
         raise TooManyUsers(f"ordering enumeration capped at {MAX_BOUND_USERS} users")
     orderings = list(permutations(range(1, K + 1)))
-    gap_of, full_of = _cover_table(stats, tup)
+    every = np.array(orderings)
+    gaps, live = _live_prefixes(every, *_cover_table(stats, tup))
+    # Each ordering's live prefix as a base-(K+1) number, pinned users as 0.
+    digits = np.where(np.arange(K) < live[:, None], every, 0)
+    codes = digits @ (K + 1) ** np.arange(K - 1, -1, -1)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    live_of = live[first]
     label = f"(K={K}, B={B}, mu={tup.mu})"
-    # Coverage only grows along an ordering, so a fully covered first user
-    # pins every sigma: such an ordering admits no weight vector and
-    # contributes an infinite bound.
-    values = [inf] * len(orderings)
-    first_alone = np.zeros(K + B)  # sigma_1 > 0, all else 0
-    first_alone[0] = 1.0
-    # x of each ordering whose value is below every earlier one.  The argmin
-    # below is among them: every ordering before it lies more than FEAS_TOL
-    # above the minimum, so above the argmin's value.
-    lowering: dict[int, np.ndarray] = {}
-    least = inf
-    per_call = stack_size(K * B + K, K + B)
-    for start in range(0, len(orderings), per_call):
-        batch = np.array(orderings[start:start + per_call])
-        masks = _prefix_masks(batch)
-        gaps, full = gap_of[masks], full_of[masks]
-        solvable = np.flatnonzero(~full[:, 0]).tolist()
-        stack = solve_lps(*_permutation_lps(stats, batch[solvable], gaps[solvable], full[solvable]))
-        for j, (i, status, optimum) in enumerate(zip(solvable, stack.status, stack.value.tolist())):
-            pi = orderings[start + i]
-            if isinstance(status, NumericalFailure):
-                raise NumericalFailure(f"ordering {pi} {label}: {status}") from status
-            if status == OPTIMAL:
-                value, x = -1.0 / optimum, stack.x[j]
-            elif status == UNBOUNDED and not stats.ccdf[pi[0] - 1].any():
-                value, x = 0.0, first_alone
-            else:
-                raise UnexpectedLpStatus(f"ordering {pi} {label}: LP status {status}")
-            values[start + i] = value
-            if value < least:
-                lowering[start + i], least = x, value
+    # A fully covered first user pins every sigma (p = 0): such an ordering
+    # admits no weight vector and contributes an infinite bound.
+    values = np.full(first.size, inf)
+    sigma = np.zeros((first.size, K))  # the pinned sigmas stay 0
+    failed: dict[int, object] = {}  # prefix -> its failure or unexpected status
+    for p in sorted(set(live_of.tolist()) - {0}):
+        group = np.flatnonzero(live_of == p)
+        per_call = stack_size(p * B + p, p + B)
+        for start in range(0, group.size, per_call):
+            prefixes = group[start:start + per_call]
+            rows = first[prefixes]
+            stack = solve_lps(*_permutation_lps(stats, every[rows, :p], gaps[rows, :p]))
+            optimal = np.array([s == OPTIMAL for s in stack.status])
+            values[prefixes[optimal]] = -1.0 / stack.value[optimal]
+            sigma[prefixes[optimal], :p] = stack.x[optimal, :p]
+            for j in np.flatnonzero(~optimal).tolist():
+                if stack.status[j] == UNBOUNDED and not stats.ccdf[every[rows[j], 0] - 1].any():
+                    values[prefixes[j]] = 0.0  # sigma_1 > 0, all else 0
+                    sigma[prefixes[j], 0] = 1.0
+                else:
+                    failed[int(prefixes[j])] = stack.status[j]
+    if failed:
+        # name the first ordering, in lexicographic order, that fails
+        prefix = min(failed, key=first.__getitem__)
+        pi, status = orderings[first[prefix]], failed[prefix]
+        if isinstance(status, NumericalFailure):
+            raise NumericalFailure(f"ordering {pi} {label}: {status}") from status
+        raise UnexpectedLpStatus(f"ordering {pi} {label}: LP status {status}")
 
-    best = min(values)
+    by_ordering = values[inverse]
+    table = tuple(zip(orderings, by_ordering.tolist()))
+    best = float(by_ordering.min())
     if best == inf:
         return UpperBoundReport(
             value=inf,
             argmin_pi=orderings[0],
-            table=tuple(zip(orderings, values)),
+            table=table,
             omega_star=tuple(0.0 for _ in range(K)),
             omega_star_unique=False,
         )
-    hits = [i for i, value in enumerate(values) if value <= best + FEAS_TOL]
-    argmin = hits[0]  # orderings were generated in lexicographic order
+    hits = np.flatnonzero(by_ordering <= best + FEAS_TOL)
+    argmin = int(hits[0])  # orderings were generated in lexicographic order
     pi = orderings[argmin]
-    x = lowering[argmin]
-    gaps = gap_of[_prefix_masks(np.array(pi))]
+    x = sigma[inverse[argmin]]
     omega = np.zeros(K)
     for k in range(K):
-        if gaps[k] > 0.0:
-            omega[pi[k] - 1] = x[k] / gaps[k]
+        if gaps[argmin, k] > 0.0:
+            omega[pi[k] - 1] = x[k] / gaps[argmin, k]
     positive = omega[omega > 0.0]
     if positive.size:
         omega /= positive.min()
     return UpperBoundReport(
         value=best,
         argmin_pi=pi,
-        table=tuple(zip(orderings, values)),
+        table=table,
         omega_star=tuple(float(v) for v in omega),
-        omega_star_unique=len(hits) == 1,
+        omega_star_unique=hits.size == 1,
     )

@@ -228,10 +228,13 @@ def pivot_reference(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) 
 
 
 def permutation_lp_reference(stats, tup, pi) -> LpProblem:
-    """The per-ordering LP built one entry at a time.
+    """The per-ordering LP built one entry at a time, in its full K*B+K by K+B shape.
 
-    The loop that upper_bound.build_permutation_lp must reproduce byte for
-    byte (signed zeros included).
+    Fully covered prefixes pin their sigma to zero with zero columns and
+    costs, which leaves their decode rows and the chain rows into them
+    all zero.  Without those rows and columns (drop_zero_lines) it is the
+    live-prefix LP that upper_bound.build_permutation_lp must reproduce
+    byte for byte (signed zeros included).
     """
     K, B = stats.num_users, stats.num_levels
     gaps = [float(1 - tup.of(pi[: k + 1])) for k in range(K)]
@@ -253,6 +256,18 @@ def permutation_lp_reference(stats, tup, pi) -> LpProblem:
             a_ub[:, k] = 0.0
             c[k] = 0.0
     return lp_problem(c, a_ub=a_ub, b_ub=b_ub)
+
+
+def drop_zero_lines(problem: LpProblem) -> tuple[LpProblem, np.ndarray]:
+    """problem without the all-zero rows and columns of a_ub, and the mask of kept columns.
+
+    A dropped row must have rhs 0 and a dropped column cost 0: such a row or
+    column is inert, so the LP left has the same optimum.
+    """
+    rows, columns = problem.a_ub.any(axis=1), problem.a_ub.any(axis=0)
+    assert not problem.b_ub[~rows].any() and not problem.c[~columns].any()
+    kept = LpProblem(c=problem.c[columns], a_ub=problem.a_ub[np.ix_(rows, columns)], b_ub=problem.b_ub[rows])
+    return kept, columns
 
 
 def fail_certificate(monkeypatch, problem: LpProblem, violation: float = 0.00294) -> None:

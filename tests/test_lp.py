@@ -400,7 +400,7 @@ def test_stack_matches_solo(monkeypatch):
         stacked = solve_stacked(problems)
     solo = [_outcome(p) for p in problems]
 
-    assert max(stacks) == stack_size(30, 6 + 4) == 130  # ordering LPs: 30 rows, 10 columns
+    assert max(stacks) == stack_size(25, 5 + 4) == 172  # live count 5: 25 rows, 9 columns
     statuses = {s.status if isinstance(s, LpSolution) else type(s).__name__ for s in solo}
     assert statuses == {OPTIMAL, UNBOUNDED, "NumericalFailure"}
     assert [str(s) for s in solo if isinstance(s, NumericalFailure)] == [
