@@ -11,8 +11,9 @@ A scenario is a single JSON object:
     }
 
 Unknown fields are rejected.  `main` loads the scenario once and hands it
-to the command's `cmd_*` function, which returns a JSON payload and text
-lines; `main` writes one of the two.
+to the command's `cmd_*` function, which returns the JSON payload with
+--json and the text lines without it, building only the one it returns;
+`main` writes it.
 
 Exit codes: 0 success, 2 validation error (bad config or arguments),
 3 solver failure.  Rates print with 6 significant digits; JSON reports
@@ -28,7 +29,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -45,6 +46,9 @@ TWO_USER_FIELDS = (
 SIMULATE_FIELDS = ("seed", "rate", "t", "messages", "user_decodable", "empirical_ccdf", "ccdf_std_error")
 
 _NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
+
+# What a command returns: the JSON payload with --json, else the text lines.
+Output = Union[dict, list[str]]
 
 
 @dataclass(frozen=True)
@@ -158,14 +162,17 @@ def _subset_label(subset) -> str:
     return "{" + ",".join(str(k) for k in subset) + "}"
 
 
-def cmd_rates_two_user(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list[str]]:
+def cmd_rates_two_user(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
     mu = float(cfg.mu)
     rate = two_user.optimal_rate_two_user(cfg.stats, mu)
-    payload: dict = {"command": "rates.two-user", "mu": cfg.mu, "rate": rate}
+    alloc = two_user.achievable_allocation_two_user(cfg.stats, mu) if mu <= 0.5 else None
+    if args.json:
+        payload: dict = {"command": "rates.two-user", "mu": cfg.mu, "rate": rate}
+        if alloc is not None:
+            payload["allocation"] = _named(alloc, TWO_USER_FIELDS)
+        return payload
     text = [f"rate: {_sig(rate)}"]
-    if mu <= 0.5:
-        alloc = two_user.achievable_allocation_two_user(cfg.stats, mu)
-        payload["allocation"] = _named(alloc, TWO_USER_FIELDS)
+    if alloc is not None:
         text.append(
             f"split: u={alloc.u} alpha={_sig(alloc.alpha)}"
             f" | v={alloc.v} beta={_sig(alloc.beta)}"
@@ -175,48 +182,49 @@ def cmd_rates_two_user(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[d
             f"messages: individual {_sig(alloc.individual_size)} each,"
             f" common {_sig(alloc.common_size)}"
         )
-    return payload, text
+    return text
 
 
-def cmd_rates_degraded(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list[str]]:
+def cmd_rates_degraded(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
     result = degraded.degraded_optimal_rate(cfg.stats, cfg.mu)
     chain = degraded.chain_stats(cfg.stats, result.user_order)
     alloc = degraded.z_to_y(result.z, cfg.stats.num_users, result.t, result.rate)
     report = lp_scheme.check_allocation(chain, alloc)
-    payload = {
-        "command": "rates.degraded",
-        "mu": cfg.mu,
-        "rate": result.rate,
-        "t": result.t,
-        "user_order": result.user_order,
-        "z": result.z,
-        "subsets": alloc.subsets,
-        "y": alloc.shares,
-        "feasible": report.feasible,
-    }
-    text = [
+    if args.json:
+        return {
+            "command": "rates.degraded",
+            "mu": cfg.mu,
+            "rate": result.rate,
+            "t": result.t,
+            "user_order": result.user_order,
+            "z": result.z,
+            "subsets": alloc.subsets,
+            "y": alloc.shares,
+            "feasible": report.feasible,
+        }
+    return [
         f"rate: {_sig(result.rate)}",
         f"chain order (weakest first): {','.join(map(str, result.user_order))}",
         f"subset mapping feasible: {report.feasible}",
     ]
-    return payload, text
 
 
-def cmd_rates_upper(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list[str]]:
+def cmd_rates_upper(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
     if cfg.strategy is None:
         tup = caching.central_tuple(cfg.stats.num_users, cfg.mu)
     else:
         tup = caching.caching_tuple(cfg.strategy)
     report = upper_bound.upper_bound_rate(cfg.stats, tup)
-    payload = {
-        "command": "rates.upper",
-        "mu": cfg.mu,
-        "value": report.value,
-        "argmin_pi": report.argmin_pi,
-        "omega_star": report.omega_star,
-        "omega_star_unique": report.omega_star_unique,
-        "table": [{"pi": pi, "value": value} for pi, value in report.table],
-    }
+    if args.json:
+        return {
+            "command": "rates.upper",
+            "mu": cfg.mu,
+            "value": report.value,
+            "argmin_pi": report.argmin_pi,
+            "omega_star": report.omega_star,
+            "omega_star_unique": report.omega_star_unique,
+            "table": [{"pi": pi, "value": value} for pi, value in report.table],
+        }
     text = [
         f"bound: {_sig(report.value)}",
         f"ordering: {','.join(map(str, report.argmin_pi))}",
@@ -227,7 +235,7 @@ def cmd_rates_upper(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict
         text.append("per-ordering values:")
         for pi, value in report.table:
             text.append(f"  ({','.join(map(str, pi))})  {_sig(value)}")
-    return payload, text
+    return text
 
 
 def _check_writable(path: str, option: str) -> None:
@@ -245,7 +253,7 @@ def _check_writable(path: str, option: str) -> None:
         os.remove(path)
 
 
-def cmd_rates_achievable(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list[str]]:
+def cmd_rates_achievable(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
     if args.dump_matrices:
         for block in "GH":
             _check_writable(f"{args.dump_matrices}_{block}.csv", "--dump-matrices")
@@ -253,26 +261,27 @@ def cmd_rates_achievable(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple
     report = lp_scheme.check_allocation(cfg.stats, alloc)
     if args.dump_matrices:
         _dump_matrices(cfg.stats, alloc.t, args.dump_matrices)
-    payload = {
-        "command": "rates.achievable",
-        "mu": cfg.mu,
-        "value": alloc.rate,
-        "t": alloc.t,
-        "subsets": alloc.subsets,
-        "shares": alloc.shares,
-        "required": report.required,
-        "margins": [
-            {"user": k, "subset": s, "margin": m} for (k, s), m in report.margins.items()
-        ],
-        "level_slacks": report.level_slacks,
-        "feasible": report.feasible,
-        "iterations": alloc.iterations,
-        "gap": alloc.gap,
-    }
+    if args.json:
+        return {
+            "command": "rates.achievable",
+            "mu": cfg.mu,
+            "value": alloc.rate,
+            "t": alloc.t,
+            "subsets": alloc.subsets,
+            "shares": alloc.shares,
+            "required": report.required,
+            "margins": [
+                {"user": k, "subset": s, "margin": m} for (k, s), m in report.margins.items()
+            ],
+            "level_slacks": report.level_slacks,
+            "feasible": report.feasible,
+            "iterations": alloc.iterations,
+            "gap": alloc.gap,
+        }
     text = [f"rate: {_sig(alloc.rate)} (t={alloc.t})"]
     for (k, s), m in report.margins.items():
         text.append(f"  user {k} on {_subset_label(s)}: margin {_sig(m)}")
-    return payload, text
+    return text
 
 
 def _dump_matrices(stats: channel.ChannelStats, t: int, prefix: str) -> None:
@@ -293,7 +302,7 @@ def _dump_matrices(stats: channel.ChannelStats, t: int, prefix: str) -> None:
                 fh.write(f"{labels[r]},{cells}\n")
 
 
-def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list[str]]:
+def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
     n = args.n if args.n is not None else cfg.sim_n
     seed = args.seed if args.seed is not None else cfg.sim_seed
     if n is None:
@@ -313,7 +322,8 @@ def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, l
         with open(args.trace, "wb") as fh:
             fh.write(header.encode("ascii"))
             fh.write(_trace_rows(report.realization))
-    payload = {"command": "simulate", "n": report.num_uses, **_named(report, SIMULATE_FIELDS)}
+    if args.json:
+        return {"command": "simulate", "n": report.num_uses, **_named(report, SIMULATE_FIELDS)}
     text = [f"simulated {report.num_uses} uses at rate {_sig(report.rate)} (seed {report.seed})"]
     for m in report.messages:
         flag = "ok" if m.decodable else "SHORT"
@@ -323,7 +333,7 @@ def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, l
         )
     verdicts = (f"{k}:{'yes' if ok else 'no'}" for k, ok in enumerate(report.user_decodable, start=1))
     text.append("users decodable: " + ", ".join(verdicts))
-    return payload, text
+    return text
 
 
 def _trace_rows(realization: channel.StateRealization) -> bytes:
@@ -360,7 +370,7 @@ def _parse_mu_range(text: str) -> list[Fraction]:
     return [start + i * step for i in range((stop - start) // step + 1)]
 
 
-def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list[str]]:
+def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
     rows = []
     for mu in _parse_mu_range(args.mu):
         if not 0 <= mu <= 1:
@@ -376,11 +386,13 @@ def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, list
         except (NotDegraded, NonIntegerT, BadT):
             f_deg = None
         rows.append({"mu": mu, "f_lp": f_lp, "f_star_upper": f_upper, "f_bar_degraded": f_deg})
+    if args.json:
+        return {"command": "sweep", "rows": rows}
     text = ["mu,f_lp,f_star_upper,f_bar_degraded"]
     for row in rows:
         mu, *rates = row.values()
         text.append(",".join([str(mu)] + ["" if f is None else repr(f) for f in rates]))
-    return {"command": "sweep", "rows": rows}, text
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,14 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload, text = args.func(load_config(args.config), args)
+        output = args.func(load_config(args.config), args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    print(to_json(payload) if args.json else "\n".join(text))
+    print(to_json(output) if args.json else "\n".join(output))
     return 0
 
 

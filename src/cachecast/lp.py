@@ -60,14 +60,20 @@ blocks of PIVOT_BLOCK_ROWS rows of every LP at once (_pivot).  The
 certificate is one batched np.matmul per stack too, and solve_lps returns
 the stack's outcomes as arrays (StackSolution), which yield each LP's
 LpSolution when indexed.  An LP that finishes (optimal, unbounded or
-failed) leaves the stack; a NumericalFailure is that LP's outcome alone.
+failed) has its final state saved and is frozen where it stands: its
+later pivots are finite no-ops, with divisor 1 and factors 0, that touch
+no saved state.  The running stack is compacted to the LPs still running
+only once at least half of it has stopped, since a compaction copies
+every array of the stack.  A NumericalFailure is that LP's outcome alone.
 The numpy calls make the same floating-point operations on each LP
-whatever the stack holds, so the pivot path and every byte of x, the
-value, the duals and the certificate are the same whether an LP is
-solved alone or in a stack.
+whatever the stack holds, frozen LPs included, so the pivot path and
+every byte of x, the value, the duals and the certificate are the same
+whether an LP is solved alone or in a stack.
 
 GrowingLp holds one LP whose columns arrive one at a time (the delivery
-LP's cutting-plane master).  Each new column enters the tableau as
+LP's cutting-plane master).  Its tableau, costs, labels and original
+columns live in buffers that double in capacity when full, so a new
+column is one write into each.  Each new column enters the tableau as
 Binv.a, one m x m product, and is pivoted in by the same ratio test; the
 same simplex resumes from there, not from the slack basis, and each solve
 carries the same certificate.
@@ -106,6 +112,9 @@ PIVOT_BLOCK_ROWS = 64
 # Tableau entries per lockstep stack: 172 per-ordering LPs of live count 5
 # at B=4 (K=6, mu=1/6: 25 x 10 each), where stacking pays.
 STACK_ENTRIES = 43_000
+# Columns a GrowingLp holds before its buffers first double: the delivery
+# LPs of the commands take 7 to 60 cuts, one column each.
+GROWING_CAPACITY = 8
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -227,14 +236,19 @@ def lp_problem(
 
 def _check_rhs(b_ub: np.ndarray, label: str = "LP {}: ") -> None:
     """Reject a negative entry of a stack of b_ub rows: the simplex and the oracle start at x = 0."""
-    negative = np.argwhere(b_ub < 0.0)
-    if negative.size:
-        lp, row = negative[0].tolist()
+    if (b_ub < 0.0).any():
+        lp, row = np.argwhere(b_ub < 0.0)[0].tolist()
         raise OutOfRange(f"{label.format(lp)}b_ub[{row}] = {float(b_ub[lp, row])!r} < 0; x = 0 must be feasible")
 
 
 def _pivot(
-    tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, rows: np.ndarray, cols: np.ndarray
+    tableau: np.ndarray,
+    basis: np.ndarray,
+    nonbasic: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    lps: Optional[np.ndarray] = None,
+    frozen: Optional[np.ndarray] = None,
 ) -> None:
     """Pivot slot cols[i] into row rows[i] of every condensed tableau i of the stack.
 
@@ -248,10 +262,19 @@ def _pivot(
     with f_r == 0 are masked out, which also keeps the sign of their zero
     entries, and blocks without any such row are skipped.  Last, the two
     variables swap their labels in basis and nonbasic.
+
+    lps is np.arange(L), from a caller that keeps it.  Where frozen[i] is
+    true, tableau i belongs to an LP that has stopped and whose state is
+    saved elsewhere: its pivot takes divisor 1 and factors 0, a finite
+    no-op on its rows, and only the slot written and the labels change.
     """
-    lps = np.arange(tableau.shape[0])
+    if lps is None:
+        lps = np.arange(tableau.shape[0])
     factors = tableau[lps, :, cols]
     divisors = factors[lps, rows]
+    if frozen is not None:
+        factors[frozen] = 0.0
+        divisors[frozen] = 1.0
     tableau[lps, :, cols] = 0.0
     tableau[lps, rows, cols] = 1.0
     pivot_rows = tableau[lps, rows]
@@ -268,7 +291,10 @@ def _pivot(
             update = factors[:, start:stop, None] * pivot_rows[:, None, :]
             where = True if count == mask.size else mask[:, :, None]
             np.subtract(block, update, out=block, where=where)
-    basis[lps, rows], nonbasic[lps, cols] = nonbasic[lps, cols], basis[lps, rows]
+    row, slot = rows + lps * basis.shape[1], cols + lps * nonbasic.shape[1]  # flat indices
+    left = basis.take(row)
+    basis.put(row, nonbasic.take(slot))
+    nonbasic.put(slot, left)
 
 
 def _ratio_test(
@@ -294,12 +320,14 @@ def _simplex(
     basis: np.ndarray,
     nonbasic: np.ndarray,
     costs: np.ndarray,
-) -> tuple[list, list[int]]:
+) -> tuple[list, np.ndarray]:
     """Primal simplex iterations on a stack of condensed tableaux in lockstep.
 
     Returns each LP's outcome (OPTIMAL, UNBOUNDED or a NumericalFailure)
     and pivot count; tableau, basis and nonbasic hold each LP's final
-    state.  costs (L, n+m) holds each variable's cost by label.
+    state.  costs (L, n+m) holds each variable's cost by label; the loop
+    keeps the basic and nonbasic costs by position and swaps them with
+    the labels at each pivot.
     Entering: the smallest nonbasic label with reduced cost below
     -FEAS_TOL (Bland).  Leaving: among the rows with a column entry above
     PIVOT_TOL, those whose ratio is within PIVOT_TOL of the minimum; of
@@ -308,70 +336,108 @@ def _simplex(
     the LP is unbounded.  Anti-cycling guard: after DEGENERATE_RUN
     consecutive pivots whose minimum ratio is 0 (within PIVOT_TOL), an LP
     takes the smallest basic label among the tied rows instead, Bland's
-    full rule, until a pivot moves its objective.  An LP that stops
-    leaves the running stack, which is compacted, so the others run on
-    unchanged.
+    full rule, until a pivot moves its objective.
+
+    An LP that stops has its final state saved in tableau, basis and
+    nonbasic and is frozen in the running stack: its later pivots are
+    finite no-ops (_pivot), so the others run on unchanged.  Before the
+    first freeze the running stack moves to a copy, so that the saved
+    states stay as they are.  Once at least half of the running stack has
+    stopped it is compacted to the LPs still running.
     """
-    size, _, width = tableau.shape
-    outcomes: list = [OPTIMAL] * size
-    pivots = [0] * size
+    size, m, width = tableau.shape
+    pivots = np.zeros(size, dtype=int)
+    rays = np.zeros(size, dtype=bool)  # per LP: stopped on an unbounded ray
+    unfinished: list[int] = []  # the LPs still running at MAX_ITERATIONS
     if width == 1 or not size:  # no columns, or no LPs: every LP is optimal at once
-        return outcomes, pivots
+        return [OPTIMAL] * size, pivots
     labels = costs.shape[1]  # variables per LP: every label lies below it
     live = lps = np.arange(size)
     offsets = lps[:, None] * labels  # of each LP's row in the flattened costs
+    cb, cn = costs.take(basis + offsets), costs.take(nonbasic + offsets)  # by row, by slot
     calm = np.zeros(size, dtype=int)  # per LP: the iteration after its last nondegenerate pivot
-    tab, bas, nb, cst = tableau, basis, nonbasic, costs
+    frozen = None  # per LP of the running stack: stopped, its state saved (None: none has)
+    tab, bas, nb = tableau, basis, nonbasic
     for it in range(MAX_ITERATIONS):
-        priced = np.matmul(cst.take(bas + offsets)[:, None, :], tab[:, :, :-1])
-        improving = cst.take(nb + offsets) - priced[:, 0, :] < -FEAS_TOL
+        priced = np.matmul(cb[:, None, :], tab[:, :, :-1])
+        improving = cn - priced[:, 0, :] < -FEAS_TOL
         entering = np.where(improving, nb, labels).argmin(axis=1)  # the slot of the smallest label
         column = tab[lps, :, entering]
         eligible = column > PIVOT_TOL
         found = improving[lps, entering]
         go = found & eligible.any(axis=1)
+        if frozen is not None:
+            go |= frozen
         if not go.all():
             stops = ~go
-            for j in np.flatnonzero(stops).tolist():
-                i = int(live[j])
-                pivots[i] = it
-                outcomes[i] = UNBOUNDED if found[j] else OPTIMAL
+            done = live[stops]
+            pivots[done], rays[done] = it, found[stops]
             if tab is not tableau:
-                done = live[stops]
                 tableau[done], basis[done], nonbasic[done] = tab[stops], bas[stops], nb[stops]
-            if not go.any():
-                return outcomes, pivots
-            tab, bas, nb, cst, live, calm = tab[go], bas[go], nb[go], cst[go], live[go], calm[go]
-            entering, column, eligible = entering[go], column[go], eligible[go]
-            lps = np.arange(live.size)
-            offsets = lps[:, None] * labels
+            frozen = stops if frozen is None else frozen | stops
+            stopped = np.count_nonzero(frozen)
+            if stopped == live.size:
+                break
+            if 2 * stopped >= live.size:
+                keep = ~frozen
+                tab, bas, nb, cb, cn = tab[keep], bas[keep], nb[keep], cb[keep], cn[keep]
+                live, calm = live[keep], calm[keep]
+                entering, column, eligible = entering[keep], column[keep], eligible[keep]
+                lps, frozen = np.arange(live.size), None
+            elif tab is tableau:
+                tab, bas, nb = tab.copy(), bas.copy(), nb.copy()
         least, near, pick = _ratio_test(tab, column, eligible, lps)
         if it - calm[calm.argmin()] >= DEGENERATE_RUN:  # some LP is on a degenerate run
             pick |= near & (it - calm >= DEGENERATE_RUN)[:, None]
         leaving = np.where(pick, bas, labels).argmin(axis=1)
         calm[least > PIVOT_TOL] = it + 1
-        _pivot(tab, bas, nb, leaving, entering)
-    for i in live.tolist():
+        _pivot(tab, bas, nb, leaving, entering, lps, frozen)
+        row, slot = leaving + lps * m, entering + lps * (width - 1)  # flat indices into cb, cn
+        left = cb.take(row)
+        cb.put(row, cn.take(slot))
+        cn.put(slot, left)
+    else:  # the LPs still running fail
+        running = slice(None) if frozen is None else ~frozen
+        done = live[running]
+        pivots[done] = MAX_ITERATIONS
+        if tab is not tableau:
+            tableau[done], basis[done], nonbasic[done] = tab[running], bas[running], nb[running]
+        unfinished = done.tolist()
+    outcomes: list = [UNBOUNDED if ray else OPTIMAL for ray in rays.tolist()]
+    for i in unfinished:
         outcomes[i] = NumericalFailure(f"simplex did not converge in {MAX_ITERATIONS} iterations")
-        pivots[i] = MAX_ITERATIONS
-    if tab is not tableau:
-        tableau[live], basis[live], nonbasic[live] = tab, bas, nb
     return outcomes, pivots
 
 
 def _solve_stack(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> StackSolution:
-    """Simplex on a stack c (L, n), a_ub (L, m, n), b_ub (L, m), in lockstep, from the slack basis."""
+    """Simplex on a stack a_ub (L, m, n), in lockstep, from the slack basis.
+
+    c is (L, n) or one (n,) row, b_ub (L, m) or one (m,) row.  The tableau
+    is a new array, so a_ub and b_ub stay the original rows the certificate
+    is checked against.
+    """
     size, m, n = a_ub.shape
     tableau = np.empty((size, m, n + 1))
     tableau[:, :, :n] = a_ub
     tableau[:, :, n] = b_ub
-    a, b = tableau[:, :, :n].copy(), tableau[:, :, n].copy()  # the original rows, for the certificate
-    basis = np.tile(n + np.arange(m), (size, 1))
-    nonbasic = np.tile(np.arange(n), (size, 1))
+    basis = np.empty((size, m), dtype=int)
+    basis[:] = np.arange(n, n + m)
+    nonbasic = np.empty((size, n), dtype=int)
+    nonbasic[:] = np.arange(n)
     costs = np.zeros((size, n + m))
     costs[:, :n] = c
     status, pivots = _simplex(tableau, basis, nonbasic, costs)
-    return _finish(status, tableau, basis, nonbasic, costs, a, b, pivots)
+    return _finish(status, tableau, basis, nonbasic, costs, a_ub, b_ub, pivots)
+
+
+def _largest(*violations: np.ndarray) -> np.ndarray:
+    """Per LP, the largest entry of the (L, k) violation arrays, or 0 if none is positive.
+
+    A column of zeros goes first, so a row with nothing positive gives +0.0;
+    argmax and a gather cost less than max reductions.
+    """
+    every = np.concatenate((np.zeros((violations[0].shape[0], 1)), *violations), axis=1)
+    return every[np.arange(every.shape[0]), every.argmax(axis=1)]
 
 
 def _certificate(
@@ -379,18 +445,18 @@ def _certificate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Value and optimality certificate of a stack of primal-dual pairs.
 
-    a (L, m, n), b (L, m) and c (L, n) are the original rows, x (L, n) and
+    a (L, m, n), b (L, m) or (m,) and c (L, n) are the original rows, x (L, n) and
     y (L, m) the primal and dual points.  Returns c.x and, per LP, the
     primal residual (largest violation of x >= 0 and a.x <= b), the dual
     residual (largest violation of c - a^T y >= 0 and y <= 0) and the gap
     |c.x - b.y|, each from one batched np.matmul over the stack.
     """
     slack = np.matmul(a, x[:, :, None])[:, :, 0] - b
-    primal = np.maximum(slack.max(axis=1, initial=0.0), (-x).max(axis=1, initial=0.0))
+    primal = _largest(slack, -x)
     reduced = c - np.matmul(y[:, None, :], a)[:, 0, :]
-    dual = np.maximum((-reduced).max(axis=1, initial=0.0), y.max(axis=1, initial=0.0))
+    dual = _largest(-reduced, y)
     value = np.matmul(c[:, None, :], x[:, :, None])[:, 0, 0]
-    gap = np.abs(value - np.matmul(b[:, None, :], y[:, :, None])[:, 0, 0])
+    gap = np.abs(value - np.matmul(b[..., None, :], y[:, :, None])[:, 0, 0])
     return value, primal, dual, gap
 
 
@@ -402,7 +468,7 @@ def _finish(
     costs: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
-    pivots: list[int],
+    pivots: np.ndarray,
 ) -> StackSolution:
     """The outcomes of a stack whose simplex has stopped.
 
@@ -413,19 +479,20 @@ def _finish(
     within FEAS_TOL and a gap within FEAS_TOL (1 + |c.x|), or its status
     becomes the NumericalFailure naming the first check it fails.
     """
+    size, labels = costs.shape
     n = a.shape[2]
-    lps = np.arange(tableau.shape[0])[:, None]
+    offsets = np.arange(size)[:, None] * labels  # of each LP's row in a flattened (L, n+m) array
     point = np.zeros(costs.shape)
-    point[lps, basis] = tableau[:, :, -1]
+    point.put(basis + offsets, tableau[:, :, -1])
     x = point[:, :n].copy()
-    priced = np.matmul(costs[lps, basis][:, None, :], tableau[:, :, :-1])[:, 0, :]
+    priced = np.matmul(costs.take(basis + offsets)[:, None, :], tableau[:, :, :-1])[:, 0, :]
     duals = np.zeros(costs.shape)
-    duals[lps, nonbasic] = priced
+    duals.put(nonbasic + offsets, priced)
     y = duals[:, n:].copy()
     value, primal, dual, gap = _certificate(a, b, costs[:, :n], x, y)
     certified = (primal <= FEAS_TOL) & (dual <= FEAS_TOL) & (gap <= FEAS_TOL * (1.0 + np.abs(value)))
-    for j, outcome in enumerate(status):
-        if outcome == OPTIMAL and not certified[j]:
+    for j in np.flatnonzero(~certified).tolist():
+        if status[j] == OPTIMAL:
             p, d, g = float(primal[j]), float(dual[j]), float(gap[j])
             if not p <= FEAS_TOL:
                 status[j] = NumericalFailure(f"optimal basis fails feasibility recheck (largest violation {p:.3g})")
@@ -433,7 +500,7 @@ def _finish(
                 status[j] = NumericalFailure(f"optimal basis fails dual feasibility check (dual residual {d:.3g})")
             else:
                 status[j] = NumericalFailure(f"optimal basis fails duality-gap check (gap {g:.3g})")
-    return StackSolution(status, x, value, y, np.array(pivots, dtype=int), primal, dual, gap)
+    return StackSolution(status, x, value, y, pivots, primal, dual, gap)
 
 
 def stack_size(m: int, n: int) -> int:
@@ -458,11 +525,15 @@ def solve_lps(c, a_ub, b_ub) -> StackSolution:
             f"need a_ub (L, m, n), c (L, n) or (n,), b_ub (L, m) or (m,); got {shape}, {c.shape}, {b_ub.shape}"
         )
     size, m, n = shape
-    c, b_ub = np.broadcast_to(c, (size, n)), np.broadcast_to(b_ub, (size, m))
-    _check_rhs(b_ub)
+    if size:
+        _check_rhs(np.atleast_2d(b_ub))
     cap = stack_size(m, n)
+
+    def rows(v: np.ndarray, i: int) -> np.ndarray:  # a stack's slice, or the row shared by every LP
+        return v[i:i + cap] if v.ndim > 1 else v
+
     # One slice per cap LPs; an empty stack is one empty slice.
-    parts = [_solve_stack(c[i:i + cap], a_ub[i:i + cap], b_ub[i:i + cap]) for i in range(0, size or 1, cap)]
+    parts = [_solve_stack(rows(c, i), a_ub[i:i + cap], rows(b_ub, i)) for i in range(0, size or 1, cap)]
     if len(parts) == 1:
         return parts[0]
     arrays = (np.concatenate([getattr(part, f.name) for part in parts]) for f in fields(StackSolution)[1:])
@@ -498,50 +569,75 @@ class GrowingLp:
     column again.  Each solve is certified against the original rows like
     any other (_finish), and its pivots count that entry and the resumed
     iterations.
+
+    The tableau (columns, then the rhs), the nonbasic labels, the costs by
+    label and the original columns are kept in buffers with room for
+    GROWING_CAPACITY columns, doubled whenever a new column finds them
+    full; every solve works on views of the filled part.
     """
 
     def __init__(self, b_ub) -> None:
         b = np.asarray(b_ub, dtype=float)[None]
         _check_rhs(b, "")
         m = b.shape[1]
-        self._tableau = b[:, :, None].copy()  # the rhs alone: no columns yet
+        self._n = 0  # columns so far
         self._basis = np.arange(m)[None]
-        self._nonbasic = np.zeros((1, 0), dtype=int)
-        self._costs = np.zeros((1, m))
-        self._a = np.zeros((1, m, 0))
+        # The buffers; the costs past the last column are the slacks' 0.
+        self._tableau = np.zeros((1, m, GROWING_CAPACITY + 1))
+        self._tableau[0, :, 0] = b
+        self._nonbasic = np.zeros((1, GROWING_CAPACITY), dtype=int)
+        self._costs = np.zeros((1, GROWING_CAPACITY + m))
+        self._a = np.zeros((1, m, GROWING_CAPACITY))
         self._b = b
+
+    def _grow(self) -> None:
+        """Double the column capacity of every buffer, keeping what they hold."""
+        extra = self._a.shape[2]
+        for name in ("_tableau", "_nonbasic", "_costs", "_a"):
+            old = getattr(self, name)
+            new = np.zeros(old.shape[:-1] + (old.shape[-1] + extra,), dtype=old.dtype)
+            new[..., : old.shape[-1]] = old
+            setattr(self, name, new)
 
     def add_column(self, column, cost: float) -> LpSolution:
         """Append column (m,) with its cost and solve on from the last basis.
 
         Like solve_lp, returns an optimal or unbounded LpSolution and raises
-        a NumericalFailure.
+        a NumericalFailure.  A column of any other shape raises
+        LengthMismatch and leaves the LP as it was.
         """
         column = np.asarray(column, dtype=float)
-        m, n = self._a.shape[1:]
-        basis, nonbasic = self._basis[0], self._nonbasic[0]
+        m, n = self._b.shape[1], self._n
+        if column.shape != (m,):
+            raise LengthMismatch(f"column must have {m} entries, got shape {column.shape}")
+        if n == self._a.shape[2]:
+            self._grow()
+        basis, nonbasic = self._basis[0], self._nonbasic[0, :n]
         binv = np.zeros((m, m))
         rows = np.flatnonzero(basis >= n)
         binv[rows, basis[rows] - n] = 1.0
         slots = np.flatnonzero(nonbasic >= n)
         binv[:, nonbasic[slots] - n] = self._tableau[0][:, slots]
-        entering = (binv @ column)[None]
-        self._basis[self._basis >= n] += 1
-        self._nonbasic[self._nonbasic >= n] += 1
-        old = self._tableau
-        self._tableau = np.concatenate([old[:, :, :-1], entering[:, :, None], old[:, :, -1:]], axis=2)
-        self._nonbasic = np.concatenate([self._nonbasic, [[n]]], axis=1)
-        self._costs = np.concatenate([self._costs[:, :n], [[cost]], self._costs[:, n:]], axis=1)
-        self._a = np.concatenate([self._a, column[None, :, None]], axis=2)
-        eligible = entering > PIVOT_TOL
+        entering = binv @ column
+        basis[basis >= n] += 1
+        nonbasic[nonbasic >= n] += 1
+        self._tableau[0, :, n + 1] = self._tableau[0, :, n]  # the rhs moves one slot on
+        self._tableau[0, :, n] = entering
+        self._nonbasic[0, n] = n
+        self._costs[0, n] = cost
+        self._a[0, :, n] = column
+        self._n = n + 1
+        tableau, nonbasic = self._tableau[:, :, : n + 2], self._nonbasic[:, : n + 1]
+        costs = self._costs[:, : n + 1 + m]
+        eligible = entering[None] > PIVOT_TOL
         entered = int(eligible.any())  # else a ray, which the simplex prices
         if entered:
-            _, _, pick = _ratio_test(self._tableau, entering, eligible, np.arange(1))
-            leaving = np.where(pick, self._basis, self._costs.shape[1]).argmin(axis=1)
-            _pivot(self._tableau, self._basis, self._nonbasic, leaving, np.array([n]))
-        status, pivots = _simplex(self._tableau, self._basis, self._nonbasic, self._costs)
+            _, _, pick = _ratio_test(tableau, entering[None], eligible, np.arange(1))
+            leaving = np.where(pick, self._basis, costs.shape[1]).argmin(axis=1)
+            _pivot(tableau, self._basis, nonbasic, leaving, np.array([n]))
+        status, pivots = _simplex(tableau, self._basis, nonbasic, costs)
         pivots[0] += entered
-        (outcome,) = _finish(status, self._tableau, self._basis, self._nonbasic, self._costs, self._a, self._b, pivots)
+        (outcome,) = _finish(status, tableau, self._basis, nonbasic, costs, self._a[:, :, : n + 1], self._b, pivots)
         if isinstance(outcome, NumericalFailure):
             raise outcome
         return outcome

@@ -236,7 +236,7 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
 
     # Subproblem of S: min -sum_{k in S} v_k s.t. ccdf[S].T v <= lambda, v >= 0.
     c = np.full(t + 1, -1.0)
-    blocks = member_ccdf.transpose(0, 2, 1)
+    blocks = np.ascontiguousarray(member_ccdf.transpose(0, 2, 1))
     lam = np.full(B, 1.0 / B)
     master = GrowingLp(np.ones(B))  # the packing LP: max sum_i a_i s.t. sum_i a_i g_i <= 1 levelwise
     prices: list[np.ndarray] = []  # per cut, u_S of every subset (subsets x B)

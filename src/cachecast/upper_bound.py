@@ -103,6 +103,27 @@ def _cover_table(stats: ChannelStats, tup: CachingTuple) -> tuple[np.ndarray, np
     return gaps, full
 
 
+def _ordering_array(num_users: int) -> np.ndarray:
+    """All orderings of users 1..num_users as rows, in lexicographic order.
+
+    The same rows as np.array(list(permutations(range(1, K + 1)))), built
+    from the orderings of one user fewer: block f holds user f and then
+    every shorter ordering over the other users, relabelled in order, so
+    each block is lexicographic and so is the whole.  The blocks are built
+    as uint8 (K <= MAX_BOUND_USERS) and widened once at the end.
+    """
+    orderings = np.zeros((1, 0), dtype=np.uint8)  # of no users: one empty ordering
+    for k in range(1, num_users + 1):
+        firsts = np.arange(k, dtype=np.uint8)
+        grown = np.empty((k, len(orderings), k), dtype=np.uint8)
+        grown[:, :, 0] = firsts[:, None]
+        rest = grown[:, :, 1:]
+        rest[:] = orderings
+        rest += rest >= firsts[:, None, None]
+        orderings = grown.reshape(-1, k)
+    return np.add(orderings, 1, dtype=int)
+
+
 def _prefix_masks(orderings: np.ndarray) -> np.ndarray:
     """Bitmask of each leading slice pi(1..k) of each ordering (last axis)."""
     return np.bitwise_or.accumulate(1 << (orderings - 1), axis=-1)
@@ -195,7 +216,7 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     if K > MAX_BOUND_USERS:
         raise TooManyUsers(f"ordering enumeration capped at {MAX_BOUND_USERS} users")
     orderings = list(permutations(range(1, K + 1)))
-    every = np.array(orderings)
+    every = _ordering_array(K)
     gaps, live = _live_prefixes(every, *_cover_table(stats, tup))
     # Each ordering's live prefix as a base-(K+1) number, pinned users as 0.
     digits = np.where(np.arange(K) < live[:, None], every, 0)

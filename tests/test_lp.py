@@ -267,6 +267,22 @@ def test_growing_lp_pivots_a_tied_column_in():
     assert tied.x.tolist() == [0.0, 0.5] and tied.dual_ub.tolist() == [-0.5, 0.0]
 
 
+def test_growing_lp_rejects_a_column_of_the_wrong_length():
+    # A column without m entries raises LengthMismatch before the LP
+    # changes, also a single entry that would broadcast into the buffers:
+    # each good column after it solves as on a master that never saw it,
+    # past the first doubling of the buffers too.
+    rng = np.random.default_rng(1603)
+    columns = rng.uniform(0.1, 1.0, (lp.GROWING_CAPACITY + 2, 4))
+    costs = -rng.uniform(0.5, 1.5, len(columns))
+    fresh, tried = lp.GrowingLp(np.ones(4)), lp.GrowingLp(np.ones(4))
+    for column, cost in zip(columns, costs):
+        for bad in (column[:1], column[:3], np.append(column, 1.0), column[None]):
+            with pytest.raises(LengthMismatch, match=r"^column must have 4 entries"):
+                tried.add_column(bad, cost)
+        assert_same_outcome(tried.add_column(column, cost), fresh.add_column(column, cost))
+
+
 def test_growing_lp_ray_column_and_negative_rhs():
     grown = lp.GrowingLp([1.0])
     assert grown.add_column([2.0], -1.0).value == -0.5
@@ -326,6 +342,33 @@ def test_pivot_matches_row_loop():
         expected = np.array([np.column_stack([full[i][:, nonbasic[i]], full[i, :, -1]]) for i in range(size)])
         assert np.array_equal(tableau, expected)
         assert np.array_equal(np.signbit(tableau), np.signbit(expected))
+
+
+def test_frozen_pivot_writes_only_the_slot_and_the_labels():
+    # A frozen tableau's pivot takes divisor 1 and factors 0, even on a zero
+    # entry: its rows keep every stored column but the slot, which becomes
+    # e_r, and its two labels swap.  The other tableaux pivot as they would
+    # without it.
+    rng = np.random.default_rng(1602)
+    size, m, n = 6, 5, 4
+    tableau = rng.normal(size=(size, m, n + 1))
+    rows, cols = rng.integers(m, size=size), rng.integers(n, size=size)
+    tableau[0, :, cols[0]] = 0.0  # frozen on a zero pivot
+    labels = np.array([rng.permutation(n + m) for _ in range(size)])
+    basis, nonbasic = labels[:, :m].copy(), labels[:, m:].copy()
+    frozen = np.arange(size) % 2 == 0
+    expected = [a.copy() for a in (tableau, basis, nonbasic)]
+    running = [a[~frozen] for a in expected]
+    _pivot(*running, rows[~frozen], cols[~frozen])
+    for want, got in zip(expected, running):
+        want[~frozen] = got
+    want_tableau, want_basis, want_nonbasic = expected
+    for i in np.flatnonzero(frozen):
+        want_tableau[i, :, cols[i]] = np.arange(m) == rows[i]
+        want_basis[i, rows[i]], want_nonbasic[i, cols[i]] = nonbasic[i, cols[i]], basis[i, rows[i]]
+    _pivot(tableau, basis, nonbasic, rows, cols, np.arange(size), frozen)
+    for got, want in zip((tableau, basis, nonbasic), expected):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def solve_stacked(problems):
@@ -414,6 +457,71 @@ def test_stack_matches_solo(monkeypatch):
     capped = [_outcome(p) for p in problems]
     assert any("did not converge in 5 iterations" in str(s) for s in capped)
     for a, b in zip(solve_stacked(problems), capped):
+        assert_same_outcome(a, b)
+
+
+def spread_stack(rng, size=24, m=10, n=10):
+    """One stack of LPs whose pivot counts spread from 0 to about n.
+
+    LP i has n columns, of which the first i * n // size have a negative
+    cost; the others never enter.  The rows are nearly the unit rows, so
+    each such column enters about once.  Some rows have b = 0, so the
+    stack has degenerate pivots too.  In every other LP the columns that
+    never enter are 0, so a frozen LP's placeholder pivot can fall on a
+    zero entry.
+    """
+    a_ub = np.eye(m, n) + rng.uniform(0.0, 0.1, (size, m, n))
+    b_ub = rng.uniform(0.5, 2.0, (size, m)) * (rng.random((size, m)) >= 0.2)
+    c = -rng.uniform(0.5, 1.5, (size, n))
+    idle = np.arange(n) >= (np.arange(size) * n // size)[:, None]
+    c[idle] = 0.0
+    a_ub.transpose(0, 2, 1)[idle & (np.arange(size) % 2 == 0)[:, None]] = 0.0
+    return c, a_ub, b_ub
+
+
+def record_lifecycle(monkeypatch):
+    """Wrap lp._pivot to record, per call, the running stack's size and its frozen LPs."""
+    calls = []
+    pivot = lp._pivot
+
+    def recording(tableau, basis, nonbasic, rows, cols, lps=None, frozen=None):
+        calls.append((tableau.shape[0], 0 if frozen is None else int(np.count_nonzero(frozen))))
+        return pivot(tableau, basis, nonbasic, rows, cols, lps, frozen)
+
+    monkeypatch.setattr(lp, "_pivot", recording)
+    return calls
+
+
+def test_stack_freezes_stopped_lps_then_compacts(monkeypatch):
+    # The LPs stop at widely spread iterations.  The first to stop are
+    # frozen in the running stack, which is compacted once half of it has
+    # stopped; each outcome is still the one the LP gets alone, pivots
+    # included.
+    c, a_ub, b_ub = spread_stack(np.random.default_rng(1601))
+    calls = record_lifecycle(monkeypatch)
+    stacked = solve_lps(c, a_ub, b_ub)
+    sizes = [size for size, _ in calls]
+    assert max(frozen for _, frozen in calls) >= 1  # some pivots ran with frozen LPs in the stack
+    assert sizes[0] == len(c) and min(sizes) < len(c)  # and the stack was compacted
+    assert all(2 * frozen < size for size, frozen in calls)  # never half frozen
+    assert len(set(stacked.pivots.tolist())) >= 8
+    problems = [lp_problem(*lpi) for lpi in zip(c, a_ub, b_ub)]
+    for a, b in zip(stacked, map(_outcome, problems)):
+        assert_same_outcome(a, b)
+
+
+def test_stack_cap_fails_only_the_running_lps(monkeypatch):
+    # The iteration cap falls while some LPs are frozen and others run:
+    # the running ones fail, the frozen ones keep their outcomes, as alone.
+    c, a_ub, b_ub = spread_stack(np.random.default_rng(1601))
+    monkeypatch.setattr(lp, "MAX_ITERATIONS", 4)
+    calls = record_lifecycle(monkeypatch)
+    stacked = solve_lps(c, a_ub, b_ub)
+    assert calls[-1][1] >= 1  # frozen LPs in the stack at the last pivot
+    statuses = {s.status if isinstance(s, LpSolution) else type(s).__name__ for s in stacked}
+    assert statuses == {OPTIMAL, "NumericalFailure"}
+    problems = [lp_problem(*lpi) for lpi in zip(c, a_ub, b_ub)]
+    for a, b in zip(stacked, map(_outcome, problems)):
         assert_same_outcome(a, b)
 
 

@@ -9,7 +9,7 @@ import pytest
 from cachecast import lp_scheme
 from cachecast.channel import validate_stats
 from cachecast.errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT
-from cachecast.lp import FEAS_TOL, lp_problem, solve_lp
+from cachecast.lp import FEAS_TOL, GROWING_CAPACITY, lp_problem, solve_lp
 from cachecast.lp_scheme import (
     achievable_rate_lp,
     build_delivery_lp,
@@ -295,21 +295,29 @@ def test_gap_brackets_the_optimum_when_stopped_early(monkeypatch):
 # --- the warm-started master ------------------------------------------------------
 
 
-def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch):
-    # Every cut's master, resumed from the last basis, against solve_lp of
-    # the same packing LP from the slack basis.
-    add_column = lp_scheme.GrowingLp.add_column
-    columns, masters = [], []
+def check_warm_master(monkeypatch, index, name):
+    """Every cut's master of ladder LP `index`, resumed from the last basis,
+    against solve_lp of the same packing LP from the slack basis.
+
+    Returns the capacities the master's buffers grew to, in order.
+    """
+    add_column, grow = lp_scheme.GrowingLp.add_column, lp_scheme.GrowingLp._grow
+    columns, masters, capacities = [], [], []
 
     def recording(master, column, cost):
         columns.append(np.array(column))
         masters.append(add_column(master, column, cost))
         return masters[-1]
 
+    def growing(master):
+        grow(master)
+        capacities.append(master._a.shape[2])
+
     monkeypatch.setattr(lp_scheme.GrowingLp, "add_column", recording)
-    name, grid, t = ladder_grids()[0]
-    assert name == "K7-t2"
-    alloc = achievable_rate_lp(validate_stats(grid), Fraction(t, 7))
+    monkeypatch.setattr(lp_scheme.GrowingLp, "_grow", growing)
+    grid_name, grid, t = ladder_grids()[index]
+    assert grid_name == name
+    alloc = achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0]))
     assert len(masters) == alloc.iterations > 1
     cold_pivots = 0
     for count, warm in enumerate(masters, start=1):
@@ -320,6 +328,17 @@ def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch):
         assert warm.duality_gap <= FEAS_TOL * (1.0 + abs(warm.value))
         cold_pivots += cold.pivots
     assert 5 * sum(warm.pivots for warm in masters) <= cold_pivots
+    assert capacities[-1] // 2 < len(masters) <= capacities[-1]
+    return capacities
+
+
+def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch):
+    assert check_warm_master(monkeypatch, 0, "K7-t2") == [2 * GROWING_CAPACITY]  # 15 cuts
+
+
+def test_warm_master_grows_its_buffers_twice(monkeypatch):
+    # 25 cuts: the buffers double twice past their GROWING_CAPACITY of 8.
+    assert check_warm_master(monkeypatch, 6, "K9-t4") == [2 * GROWING_CAPACITY, 4 * GROWING_CAPACITY]
 
 
 @pytest.mark.parametrize(

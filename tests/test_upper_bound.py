@@ -177,6 +177,14 @@ def test_lp_rejects_non_permutation(mixed3, tup3):
 # --- upper_bound_rate -------------------------------------------------------------
 
 
+@pytest.mark.parametrize("users", range(1, 8))
+def test_ordering_array_lists_the_permutations_in_order(users):
+    built = upper_bound._ordering_array(users)
+    listed = np.array(list(permutations(range(1, users + 1))))
+    assert built.dtype == listed.dtype and built.shape == listed.shape
+    assert np.array_equal(built, listed)
+
+
 def test_bound_reference_scenario(mixed3, tup3):
     report = upper_bound_rate(mixed3, tup3)
     assert abs(report.value - MIXED3_BOUND) <= 1e-9
