@@ -28,14 +28,20 @@ keeps a guard: after DEGENERATE_RUN consecutive pivots whose minimum
 ratio is 0 (within PIVOT_TOL), it breaks ties by the smallest basic label
 alone, Bland's full rule, until a pivot moves its objective.
 
-A pivot swaps the entering and leaving labels between basis and nonbasic,
-writes the leaving variable's unit column e_r into the entering
-variable's slot, and then runs the full tableau's Gauss-Jordan update on
-the stored columns (_pivot).  Every stored entry therefore gets the same
-floating-point operations it gets in the full [a_ub | I | b_ub] tableau.
-Pricing is a product over the stored columns alone, and BLAS may sum a
-column's products in another order at another position, so a reduced
-cost or dual can differ from the full tableau's in its last bits.
+A tableau holds its m constraint rows and, as row m, the reduced costs
+c_N - c_B.T: c itself at the slack basis (a GrowingLp prices each new
+column's entry as it arrives), kept current by every pivot.  A pivot
+swaps the entering and leaving labels between basis and nonbasic, writes
+the leaving variable's unit column e_r into the entering variable's
+slot, and runs the full tableau's Gauss-Jordan step on the stored
+columns as one rank-1 update of every row (_pivot).  No tableau entry is
+ever -0.0: +0.0 is added to everything that enters a tableau, and a
+pivot cannot make one (_pivot has the proof).  So the unmasked update
+leaves the bytes of a row whose factor is 0, and every stored entry gets
+the floating-point operations of a row-by-row loop over the full
+[a_ub | I | b_ub] tableau.  The duals are priced afresh at the end, and
+BLAS may sum a column's products in another order at another position,
+so a dual can differ from the full tableau's in its last bits.
 
 Every optimal LP is certified against its original rows: x is read off
 the basis and the duals y are c_B.Binv.  Column j of Binv is slack j's
@@ -49,34 +55,35 @@ NumericalFailure naming the residual.  LpSolution carries the three
 values.
 
 One simplex core runs on a stack of same-shape tableaux, shape
-(L, m, n+1): the n nonbasic columns, then the rhs, with the labels in
+(L, m+1, n+1): the n nonbasic columns, then the rhs, with the labels in
 basis (L, m) and nonbasic (L, n).  solve_lps takes the LPs as arrays of
 one shape, c (L, n), a_ub (L, m, n) and b_ub (L, m), and cuts them into
 slices of stack_size(m, n) LPs, at most STACK_ENTRIES tableau entries
-each; solve_lp is the stack of one.  Each iteration prices every running
-LP with one np.matmul, picks each LP's entering column and leaving row
-with vector operations, and pivots with an in-place rank-1 update over
-blocks of PIVOT_BLOCK_ROWS rows of every LP at once (_pivot).  The
-certificate is one batched np.matmul per stack too, and solve_lps returns
-the stack's outcomes as arrays (StackSolution), which yield each LP's
-LpSolution when indexed.  An LP that finishes (optimal, unbounded or
-failed) has its final state saved and is frozen where it stands: its
-later pivots are finite no-ops, with divisor 1 and factors 0, that touch
-no saved state.  The running stack is compacted to the LPs still running
-only once at least half of it has stopped, since a compaction copies
-every array of the stack.  A NumericalFailure is that LP's outcome alone.
-The numpy calls make the same floating-point operations on each LP
-whatever the stack holds, frozen LPs included, so the pivot path and
-every byte of x, the value, the duals and the certificate are the same
-whether an LP is solved alone or in a stack.
+each; solve_lp is the stack of one.  Each iteration reads every running
+LP's entering column off its cost row, picks its leaving row with vector
+operations, and pivots every LP at once with one in-place rank-1 update
+(_pivot).  The certificate is one batched np.matmul per stack too, and
+solve_lps returns the stack's outcomes as arrays (StackSolution), which
+yield each LP's LpSolution when indexed.  An LP that finishes (optimal,
+unbounded or failed) is frozen where it stands: its later pivots take
+divisor 1 and factors 0 and write neither its slot, its pivot row nor
+its labels, so its state stays as it stopped.  The running stack is
+compacted to the LPs still running only once at least half of it has
+stopped, since a compaction copies every array of the stack; the
+stopped LPs are written back then, and the rest at the end.  A
+NumericalFailure is that LP's outcome alone.  The numpy calls make the
+same floating-point operations on each LP whatever the stack holds,
+frozen LPs included, so the pivot path and every byte of x, the value,
+the duals and the certificate are the same whether an LP is solved
+alone or in a stack.
 
 GrowingLp holds one LP whose columns arrive one at a time (the delivery
 LP's cutting-plane master).  Its tableau, costs, labels and original
 columns live in buffers that double in capacity when full, so a new
 column is one write into each.  Each new column enters the tableau as
-Binv.a, one m x m product, and is pivoted in by the same ratio test; the
-same simplex resumes from there, not from the slack basis, and each solve
-carries the same certificate.
+Binv.a, one m x m product, with its reduced cost in the cost row, and is
+pivoted in by the same ratio test; the same simplex resumes from there,
+not from the slack basis, and each solve carries the same certificate.
 
 enumerate_vertices is an independent brute-force check for tiny problems:
 it visits every choice of n active constraints, keeps the feasible basic
@@ -102,13 +109,6 @@ MAX_ITERATIONS = 100_000
 # leaving rule until its objective moves (the anti-cycling guard).
 DEGENERATE_RUN = 50
 MAX_ORACLE_VARS = 6
-# Rows per _pivot block: enough to amortise numpy's per-call cost, few enough
-# that a block's update stays in cache.  The commands' LPs have B rows (the
-# delivery LP's subset and master LPs), K+B (the chain LP) or p*B+p (the
-# per-ordering LP of live count p <= K <= 8: 40 rows at K=8, B=4 and 72 at
-# K=8, B=8), so most fit one block; a per-ordering LP of more than 64 rows
-# (B >= 8 at p = 8) and the dense delivery LPs the tests solve span several.
-PIVOT_BLOCK_ROWS = 64
 # Tableau entries per lockstep stack: 172 per-ordering LPs of live count 5
 # at B=4 (K=6, mu=1/6: 25 x 10 each), where stacking pays.
 STACK_ENTRIES = 43_000
@@ -252,48 +252,51 @@ def _pivot(
 ) -> None:
     """Pivot slot cols[i] into row rows[i] of every condensed tableau i of the stack.
 
-    The entering variable's column is saved as the factors, and the leaving
-    variable's column in the full tableau, the unit vector e_r, is written
-    into the freed slot.  Then the full tableau's Gauss-Jordan step runs on
-    the stored columns: the pivot row is divided by the pivot, and each
-    other row r with a nonzero factor f_r becomes row_r - f_r * pivot_row,
-    the same products and differences a row-by-row loop forms.  The update
-    runs over blocks of PIVOT_BLOCK_ROWS rows of all tableaux at once.  Rows
-    with f_r == 0 are masked out, which also keeps the sign of their zero
-    entries, and blocks without any such row are skipped.  Last, the two
-    variables swap their labels in basis and nonbasic.
+    The entering variable's column, the cost row's entry included, is saved
+    as the factors, and the leaving variable's column in the full tableau,
+    the unit vector e_r, is written into the freed slot.  Then the full
+    tableau's Gauss-Jordan step runs on the stored columns: the pivot row
+    is divided by the pivot, and every row r becomes row_r - f_r *
+    pivot_row, with f_r = 0 on the pivot row, in one update of the whole
+    stack.  Last, the two variables swap their labels in basis and
+    nonbasic.
+
+    Precondition: every entry is finite and none is -0.0, and every pivot
+    is positive (the ratio test takes only entries above PIVOT_TOL).  Then
+    the update gives the bytes of a row-by-row loop that skips the rows
+    with f_r == 0, since x - (+-0.0) == x for every x but -0.0.  And the
+    pivot keeps the precondition.  A difference x - y is -0.0 only where x
+    is -0.0 and y is +0.0 (round to nearest gives +0.0 for x == y), so the
+    update makes no -0.0 in a row that had none.  A quotient by a positive
+    divisor is -0.0 only where a negative dividend underflows; such an
+    entry of the pivot row then meets its factor +0.0 in the update, and
+    -0.0 - (+0.0 * -0.0) is +0.0 (where the row loop would keep -0.0).
 
     lps is np.arange(L), from a caller that keeps it.  Where frozen[i] is
-    true, tableau i belongs to an LP that has stopped and whose state is
-    saved elsewhere: its pivot takes divisor 1 and factors 0, a finite
-    no-op on its rows, and only the slot written and the labels change.
+    true, tableau i belongs to an LP that has stopped: it gets factors 0
+    and divisor 1, so the update leaves its rows as they are, and its slot,
+    pivot row and labels are not written, so nothing of it changes.
     """
     if lps is None:
         lps = np.arange(tableau.shape[0])
     factors = tableau[lps, :, cols]
     divisors = factors[lps, rows]
+    run, at, slot = lps, rows, cols  # the running LPs, their pivot rows and slots
     if frozen is not None:
         factors[frozen] = 0.0
         divisors[frozen] = 1.0
-    tableau[lps, :, cols] = 0.0
-    tableau[lps, rows, cols] = 1.0
+        run = np.flatnonzero(~frozen)
+        at, slot = rows[run], cols[run]
+    tableau[run, :, slot] = 0.0
+    tableau[run, at, slot] = 1.0
     pivot_rows = tableau[lps, rows]
     pivot_rows /= divisors[:, None]
-    tableau[lps, rows] = pivot_rows
+    tableau[run, at] = pivot_rows if frozen is None else pivot_rows[run]
     factors[lps, rows] = 0.0
-    touched = factors != 0.0
-    for start in range(0, tableau.shape[1], PIVOT_BLOCK_ROWS):
-        stop = start + PIVOT_BLOCK_ROWS
-        mask = touched[:, start:stop]
-        count = np.count_nonzero(mask)
-        if count:
-            block = tableau[:, start:stop]
-            update = factors[:, start:stop, None] * pivot_rows[:, None, :]
-            where = True if count == mask.size else mask[:, :, None]
-            np.subtract(block, update, out=block, where=where)
-    row, slot = rows + lps * basis.shape[1], cols + lps * nonbasic.shape[1]  # flat indices
-    left = basis.take(row)
-    basis.put(row, nonbasic.take(slot))
+    tableau -= factors[:, :, None] * pivot_rows[:, None, :]
+    at, slot = at + run * basis.shape[1], slot + run * nonbasic.shape[1]  # flat indices
+    left = basis.take(at)
+    basis.put(at, nonbasic.take(slot))
     nonbasic.put(slot, left)
 
 
@@ -304,9 +307,10 @@ def _ratio_test(
 
     Returns each LP's minimum ratio over its eligible rows, the rows whose
     ratio is within PIVOT_TOL of it, and among those the rows with the
-    largest column entry; lps is np.arange(L).
+    largest column entry; lps is np.arange(L).  The ratios are those of
+    the rhs over the column, in rows :m, above the cost row.
     """
-    ratios = np.divide(tab[:, :, -1], column, out=np.full(column.shape, inf), where=eligible)
+    ratios = np.divide(tab[:, :-1, -1], column, out=np.full(column.shape, inf), where=eligible)
     # argmin/argmax and a gather cost less than min/max reductions.
     least = ratios[lps, ratios.argmin(axis=1)]
     near = ratios <= (least + PIVOT_TOL)[:, None]
@@ -315,19 +319,14 @@ def _ratio_test(
     return least, near, pick
 
 
-def _simplex(
-    tableau: np.ndarray,
-    basis: np.ndarray,
-    nonbasic: np.ndarray,
-    costs: np.ndarray,
-) -> tuple[list, np.ndarray]:
+def _simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray) -> tuple[list, np.ndarray]:
     """Primal simplex iterations on a stack of condensed tableaux in lockstep.
 
-    Returns each LP's outcome (OPTIMAL, UNBOUNDED or a NumericalFailure)
-    and pivot count; tableau, basis and nonbasic hold each LP's final
-    state.  costs (L, n+m) holds each variable's cost by label; the loop
-    keeps the basic and nonbasic costs by position and swaps them with
-    the labels at each pivot.
+    tableau (L, m+1, n+1) holds each LP's m constraint rows and, in row m,
+    its reduced costs c_N - c_B.T, which the caller prices and every pivot
+    then updates like any other row (_pivot).  Returns each LP's outcome
+    (OPTIMAL, UNBOUNDED or a NumericalFailure) and pivot count; tableau,
+    basis and nonbasic hold each LP's final state.
     Entering: the smallest nonbasic label with reduced cost below
     -FEAS_TOL (Bland).  Leaving: among the rows with a column entry above
     PIVOT_TOL, those whose ratio is within PIVOT_TOL of the minimum; of
@@ -338,31 +337,27 @@ def _simplex(
     takes the smallest basic label among the tied rows instead, Bland's
     full rule, until a pivot moves its objective.
 
-    An LP that stops has its final state saved in tableau, basis and
-    nonbasic and is frozen in the running stack: its later pivots are
-    finite no-ops (_pivot), so the others run on unchanged.  Before the
-    first freeze the running stack moves to a copy, so that the saved
-    states stay as they are.  Once at least half of the running stack has
-    stopped it is compacted to the LPs still running.
+    An LP that stops is frozen in the running stack, where its later
+    pivots leave it untouched (_pivot), so the others run on unchanged.
+    Once at least half of the running stack has stopped it is compacted to
+    the LPs still running: the stopped LPs are written back into tableau,
+    basis and nonbasic then, and the rest at the end.
     """
-    size, m, width = tableau.shape
+    size, m, width = tableau.shape[0], basis.shape[1], tableau.shape[2]
     pivots = np.zeros(size, dtype=int)
     rays = np.zeros(size, dtype=bool)  # per LP: stopped on an unbounded ray
     unfinished: list[int] = []  # the LPs still running at MAX_ITERATIONS
     if width == 1 or not size:  # no columns, or no LPs: every LP is optimal at once
         return [OPTIMAL] * size, pivots
-    labels = costs.shape[1]  # variables per LP: every label lies below it
+    labels = m + width - 1  # variables per LP: every label lies below it
     live = lps = np.arange(size)
-    offsets = lps[:, None] * labels  # of each LP's row in the flattened costs
-    cb, cn = costs.take(basis + offsets), costs.take(nonbasic + offsets)  # by row, by slot
     calm = np.zeros(size, dtype=int)  # per LP: the iteration after its last nondegenerate pivot
-    frozen = None  # per LP of the running stack: stopped, its state saved (None: none has)
+    frozen = None  # per LP of the running stack: stopped (None: none has)
     tab, bas, nb = tableau, basis, nonbasic
     for it in range(MAX_ITERATIONS):
-        priced = np.matmul(cb[:, None, :], tab[:, :, :-1])
-        improving = cn - priced[:, 0, :] < -FEAS_TOL
+        improving = tab[:, m, :-1] < -FEAS_TOL
         entering = np.where(improving, nb, labels).argmin(axis=1)  # the slot of the smallest label
-        column = tab[lps, :, entering]
+        column = tab[lps, :m, entering]
         eligible = column > PIVOT_TOL
         found = improving[lps, entering]
         go = found & eligible.any(axis=1)
@@ -372,37 +367,29 @@ def _simplex(
             stops = ~go
             done = live[stops]
             pivots[done], rays[done] = it, found[stops]
-            if tab is not tableau:
-                tableau[done], basis[done], nonbasic[done] = tab[stops], bas[stops], nb[stops]
             frozen = stops if frozen is None else frozen | stops
             stopped = np.count_nonzero(frozen)
             if stopped == live.size:
                 break
             if 2 * stopped >= live.size:
+                if tab is not tableau:
+                    done = live[frozen]
+                    tableau[done], basis[done], nonbasic[done] = tab[frozen], bas[frozen], nb[frozen]
                 keep = ~frozen
-                tab, bas, nb, cb, cn = tab[keep], bas[keep], nb[keep], cb[keep], cn[keep]
-                live, calm = live[keep], calm[keep]
+                tab, bas, nb, live, calm = tab[keep], bas[keep], nb[keep], live[keep], calm[keep]
                 entering, column, eligible = entering[keep], column[keep], eligible[keep]
                 lps, frozen = np.arange(live.size), None
-            elif tab is tableau:
-                tab, bas, nb = tab.copy(), bas.copy(), nb.copy()
         least, near, pick = _ratio_test(tab, column, eligible, lps)
         if it - calm[calm.argmin()] >= DEGENERATE_RUN:  # some LP is on a degenerate run
             pick |= near & (it - calm >= DEGENERATE_RUN)[:, None]
         leaving = np.where(pick, bas, labels).argmin(axis=1)
         calm[least > PIVOT_TOL] = it + 1
         _pivot(tab, bas, nb, leaving, entering, lps, frozen)
-        row, slot = leaving + lps * m, entering + lps * (width - 1)  # flat indices into cb, cn
-        left = cb.take(row)
-        cb.put(row, cn.take(slot))
-        cn.put(slot, left)
     else:  # the LPs still running fail
-        running = slice(None) if frozen is None else ~frozen
-        done = live[running]
-        pivots[done] = MAX_ITERATIONS
-        if tab is not tableau:
-            tableau[done], basis[done], nonbasic[done] = tab[running], bas[running], nb[running]
-        unfinished = done.tolist()
+        unfinished = (live if frozen is None else live[~frozen]).tolist()
+        pivots[unfinished] = MAX_ITERATIONS
+    if tab is not tableau:
+        tableau[live], basis[live], nonbasic[live] = tab, bas, nb
     outcomes: list = [UNBOUNDED if ray else OPTIMAL for ray in rays.tolist()]
     for i in unfinished:
         outcomes[i] = NumericalFailure(f"simplex did not converge in {MAX_ITERATIONS} iterations")
@@ -414,19 +401,23 @@ def _solve_stack(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> StackSolu
 
     c is (L, n) or one (n,) row, b_ub (L, m) or one (m,) row.  The tableau
     is a new array, so a_ub and b_ub stay the original rows the certificate
-    is checked against.
+    is checked against.  Adding +0.0 to what enters the tableau and the
+    costs turns -0.0 into +0.0 and keeps every other value's bytes, which
+    meets _pivot's precondition.  At the slack basis c_B = 0, so the cost
+    row is c itself, with 0 in its rhs slot.
     """
     size, m, n = a_ub.shape
-    tableau = np.empty((size, m, n + 1))
-    tableau[:, :, :n] = a_ub
-    tableau[:, :, n] = b_ub
+    tableau = np.empty((size, m + 1, n + 1))
+    np.add(a_ub, 0.0, out=tableau[:, :m, :n])
+    np.add(b_ub, 0.0, out=tableau[:, :m, n])
+    costs = np.zeros((size, n + m))
+    np.add(c, 0.0, out=costs[:, :n])
+    tableau[:, m, :n], tableau[:, m, n] = costs[:, :n], 0.0
     basis = np.empty((size, m), dtype=int)
     basis[:] = np.arange(n, n + m)
     nonbasic = np.empty((size, n), dtype=int)
     nonbasic[:] = np.arange(n)
-    costs = np.zeros((size, n + m))
-    costs[:, :n] = c
-    status, pivots = _simplex(tableau, basis, nonbasic, costs)
+    status, pivots = _simplex(tableau, basis, nonbasic)
     return _finish(status, tableau, basis, nonbasic, costs, a_ub, b_ub, pivots)
 
 
@@ -474,7 +465,9 @@ def _finish(
 
     x is read off the basis.  The duals are c_B.Binv: slack j's is its
     reduced cost's negative, c_B times its stored column, where slack j is
-    nonbasic, and 0 where it is basic.  An optimal LP must pass the
+    nonbasic, and 0 where it is basic.  They are priced afresh from rows :m
+    rather than read off the cost row, whose last bits carry the rounding
+    of every update since it was priced.  An optimal LP must pass the
     certificate against its original rows, primal and dual residuals
     within FEAS_TOL and a gap within FEAS_TOL (1 + |c.x|), or its status
     becomes the NumericalFailure naming the first check it fails.
@@ -483,9 +476,9 @@ def _finish(
     n = a.shape[2]
     offsets = np.arange(size)[:, None] * labels  # of each LP's row in a flattened (L, n+m) array
     point = np.zeros(costs.shape)
-    point.put(basis + offsets, tableau[:, :, -1])
+    point.put(basis + offsets, tableau[:, :-1, -1])
     x = point[:, :n].copy()
-    priced = np.matmul(costs.take(basis + offsets)[:, None, :], tableau[:, :, :-1])[:, 0, :]
+    priced = np.matmul(costs.take(basis + offsets)[:, None, :], tableau[:, :-1, :-1])[:, 0, :]
     duals = np.zeros(costs.shape)
     duals.put(nonbasic + offsets, priced)
     y = duals[:, n:].copy()
@@ -570,10 +563,11 @@ class GrowingLp:
     any other (_finish), and its pivots count that entry and the resumed
     iterations.
 
-    The tableau (columns, then the rhs), the nonbasic labels, the costs by
-    label and the original columns are kept in buffers with room for
-    GROWING_CAPACITY columns, doubled whenever a new column finds them
-    full; every solve works on views of the filled part.
+    The tableau (the m rows and the cost row; its columns, then the rhs),
+    the nonbasic labels, the costs by label and the original columns are
+    kept in buffers with room for GROWING_CAPACITY columns, doubled
+    whenever a new column finds them full; every solve works on views of
+    the filled part.
     """
 
     def __init__(self, b_ub) -> None:
@@ -582,9 +576,11 @@ class GrowingLp:
         m = b.shape[1]
         self._n = 0  # columns so far
         self._basis = np.arange(m)[None]
-        # The buffers; the costs past the last column are the slacks' 0.
-        self._tableau = np.zeros((1, m, GROWING_CAPACITY + 1))
-        self._tableau[0, :, 0] = b
+        # The buffers; the costs past the last column are the slacks' 0, and
+        # the tableau's cost row m starts at 0 (no columns yet; its rhs slot
+        # carries minus the objective, which nothing reads).
+        self._tableau = np.zeros((1, m + 1, GROWING_CAPACITY + 1))
+        self._tableau[0, :m, 0] = b + 0.0
         self._nonbasic = np.zeros((1, GROWING_CAPACITY), dtype=int)
         self._costs = np.zeros((1, GROWING_CAPACITY + m))
         self._a = np.zeros((1, m, GROWING_CAPACITY))
@@ -612,17 +608,18 @@ class GrowingLp:
             raise LengthMismatch(f"column must have {m} entries, got shape {column.shape}")
         if n == self._a.shape[2]:
             self._grow()
-        basis, nonbasic = self._basis[0], self._nonbasic[0, :n]
+        basis, nonbasic, tab = self._basis[0], self._nonbasic[0, :n], self._tableau[0]
         binv = np.zeros((m, m))
         rows = np.flatnonzero(basis >= n)
         binv[rows, basis[rows] - n] = 1.0
         slots = np.flatnonzero(nonbasic >= n)
-        binv[:, nonbasic[slots] - n] = self._tableau[0][:, slots]
-        entering = binv @ column
+        binv[:, nonbasic[slots] - n] = tab[:m, slots]
+        entering = binv @ column + 0.0
+        reduced = cost - self._costs[0].take(basis) @ entering + 0.0
         basis[basis >= n] += 1
         nonbasic[nonbasic >= n] += 1
-        self._tableau[0, :, n + 1] = self._tableau[0, :, n]  # the rhs moves one slot on
-        self._tableau[0, :, n] = entering
+        tab[:, n + 1] = tab[:, n]  # the rhs moves one slot on, the cost row's too
+        tab[:m, n], tab[m, n] = entering, reduced
         self._nonbasic[0, n] = n
         self._costs[0, n] = cost
         self._a[0, :, n] = column
@@ -635,7 +632,7 @@ class GrowingLp:
             _, _, pick = _ratio_test(tableau, entering[None], eligible, np.arange(1))
             leaving = np.where(pick, self._basis, costs.shape[1]).argmin(axis=1)
             _pivot(tableau, self._basis, nonbasic, leaving, np.array([n]))
-        status, pivots = _simplex(tableau, self._basis, nonbasic, costs)
+        status, pivots = _simplex(tableau, self._basis, nonbasic)
         pivots[0] += entered
         (outcome,) = _finish(status, tableau, self._basis, nonbasic, costs, self._a[:, :, : n + 1], self._b, pivots)
         if isinstance(outcome, NumericalFailure):

@@ -285,13 +285,17 @@ def check_allocation(stats: ChannelStats, alloc: DeliveryAllocation) -> Feasibil
     """Decodability margins, level slacks, and overall feasibility at FEAS_TOL."""
     if alloc.num_users != stats.num_users or alloc.num_levels != stats.num_levels:
         raise LengthMismatch("allocation dimensions do not match the channel")
+    if alloc.shares.shape != (alloc.num_levels, len(alloc.subsets)):
+        raise LengthMismatch(f"shares must be {alloc.num_levels} x {len(alloc.subsets)}, got {alloc.shares.shape}")
     piece_count = math.comb(alloc.num_users, alloc.t)
     required = alloc.rate / piece_count
-    margins: dict[tuple[int, Subset], float] = {}
-    for j, s in enumerate(alloc.subsets):
-        for k in s:
-            got = float(stats.ccdf[k - 1] @ alloc.shares[:, j])
-            margins[(k, s)] = got - required
+    member_ccdf = stats.ccdf[np.array(alloc.subsets) - 1]  # (subsets, t+1, B)
+    # Each entry is ccdf[k-1] @ shares[:, j] to the byte: the strided view of
+    # the shares makes vecdot sum in the same order (a contiguous copy does not).
+    excess = np.vecdot(member_ccdf, alloc.shares.T[:, None, :]) - required
+    margins: dict[tuple[int, Subset], float] = {
+        (k, s): m for s, row in zip(alloc.subsets, excess.tolist()) for k, m in zip(s, row)
+    }
     level_slacks = 1.0 - alloc.shares.sum(axis=1)
     feasible = (
         all(m >= -FEAS_TOL for m in margins.values())

@@ -128,17 +128,16 @@ def simulate_delivery(
 
     messages = []
     user_ok = [True] * stats.num_users
-    for j, s in enumerate(alloc.subsets):
+    for s in alloc.subsets:
         for k in s:
             got_count = delivered[(k, s)]
-            analytic = float(stats.ccdf[k - 1] @ alloc.shares[:, j])
             outcome = MessageOutcome(
                 user=k,
                 subset=s,
                 delivered=got_count,
                 required=required,
                 empirical_margin=got_count / num_uses - per_use_size,
-                analytic_margin=analytic - per_use_size,
+                analytic_margin=report.margins[(k, s)],
                 std_error=math.sqrt(variance[(k, s)]) / num_uses,
                 decodable=got_count >= required,
             )

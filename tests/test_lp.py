@@ -1,5 +1,6 @@
 """Dense simplex and the brute-force vertex oracle."""
 
+from dataclasses import fields
 from fractions import Fraction
 from itertools import permutations
 
@@ -13,7 +14,6 @@ from cachecast.errors import LengthMismatch, NumericalFailure, OutOfRange, TooLa
 from cachecast.lp import (
     FEAS_TOL,
     OPTIMAL,
-    PIVOT_BLOCK_ROWS,
     UNBOUNDED,
     LpSolution,
     _pivot,
@@ -294,40 +294,39 @@ def test_growing_lp_ray_column_and_negative_rhs():
 # --- pivot path ------------------------------------------------------------------
 
 
+def pivot_case(rng, size, m, n):
+    """A stack of condensed tableaux (size, m+1, n+1) that meets _pivot's precondition.
+
+    Row m is a cost row.  No entry is -0.0, many are +0.0, and each
+    tableau's pivot entry is positive; about 80% of each pivot column is
+    zero, and in some tableaux all of it but the pivot, the cost row's
+    entry included.  Returns the tableau, the labels and the pivots.
+    """
+    tableau = rng.normal(size=(size, m + 1, n + 1))
+    tableau[rng.random(tableau.shape) < 0.4] = 0.0
+    rows, cols = rng.integers(m, size=size), rng.integers(n, size=size)
+    for i in range(size):
+        column = tableau[i, :, cols[i]]
+        column[rng.random(m + 1) < 0.8] = 0.0
+        if i % 3 == 0:
+            column[:] = 0.0
+        column[rows[i]] = rng.uniform(0.1, 2.0)
+    labels = np.array([rng.permutation(n + m) for _ in range(size)])
+    return tableau, labels[:, :m].copy(), labels[:, m:].copy(), rows, cols
+
+
 def test_pivot_matches_row_loop():
-    # Stacks of one to five condensed tableaux, each with its own pivot;
-    # within a stack some tableaux touch no row of the first block, some
-    # fill it, and some touch no row at all, so every block is skipped for
-    # some tableaux and updated for others.  Each tableau is expanded to
-    # the full one (unit columns for its basic labels) and pivoted by the
-    # row loop there; the stored columns and the rhs must match it byte for
-    # byte, signed zeros included, with the two labels swapped.
+    # Stacks of one to five condensed tableaux, each with its own pivot.
+    # Each tableau is expanded to the full one (unit columns for its basic
+    # labels in the m constraint rows, zeros in the cost row) and pivoted
+    # by the row loop there; the stored columns and the rhs must match it
+    # byte for byte, signed zeros included, with the two labels swapped.
     rng = np.random.default_rng(64)
     for trial in range(30):
         size = 1 if trial % 3 == 0 else int(rng.integers(2, 6))
-        m = int(rng.integers(PIVOT_BLOCK_ROWS + 2, 3 * PIVOT_BLOCK_ROWS + 20))
-        n = int(rng.integers(2, 49))
-        tableau = rng.normal(size=(size, m, n + 1))
-        tableau[rng.random(tableau.shape) < 0.4] = 0.0
-        tableau[rng.random(tableau.shape) < 0.1] = -0.0
-        pivot_cols = rng.integers(n, size=size)
-        pivot_rows = rng.integers(m, size=size)
-        for i in range(size):
-            column = tableau[i, :, pivot_cols[i]]
-            column[rng.random(m) < 0.8] = 0.0
-            column[rng.random(m) < 0.1] = -0.0
-            kind = (trial + i) % 4
-            if kind == 0:
-                column[:PIVOT_BLOCK_ROWS] = 0.0  # a block with nothing to update
-            elif kind == 1:
-                column[:PIVOT_BLOCK_ROWS] = rng.normal(size=PIVOT_BLOCK_ROWS) + 5.0  # a full block
-            elif kind == 2:
-                column[:] = 0.0  # no row to update at all
-            column[pivot_rows[i]] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)
-        labels = np.array([rng.permutation(n + m) for _ in range(size)])
-        basis, nonbasic = labels[:, :m].copy(), labels[:, m:].copy()
-
-        full = np.zeros((size, m, n + m + 1))
+        m, n = int(rng.integers(1, 80)), int(rng.integers(1, 49))
+        tableau, basis, nonbasic, pivot_rows, pivot_cols = pivot_case(rng, size, m, n)
+        full = np.zeros((size, m + 1, n + m + 1))
         for i in range(size):
             full[i][:, nonbasic[i]] = tableau[i, :, :-1]
             full[i, np.arange(m), basis[i]] = 1.0
@@ -344,31 +343,156 @@ def test_pivot_matches_row_loop():
         assert np.array_equal(np.signbit(tableau), np.signbit(expected))
 
 
-def test_frozen_pivot_writes_only_the_slot_and_the_labels():
-    # A frozen tableau's pivot takes divisor 1 and factors 0, even on a zero
-    # entry: its rows keep every stored column but the slot, which becomes
-    # e_r, and its two labels swap.  The other tableaux pivot as they would
-    # without it.
+def test_frozen_pivot_writes_nothing():
+    # A frozen tableau's pivot, even on a zero entry, leaves its tableau
+    # and labels byte for byte as they were.  The other tableaux pivot as
+    # they would without it.
     rng = np.random.default_rng(1602)
     size, m, n = 6, 5, 4
-    tableau = rng.normal(size=(size, m, n + 1))
-    rows, cols = rng.integers(m, size=size), rng.integers(n, size=size)
+    tableau, basis, nonbasic, rows, cols = pivot_case(rng, size, m, n)
     tableau[0, :, cols[0]] = 0.0  # frozen on a zero pivot
-    labels = np.array([rng.permutation(n + m) for _ in range(size)])
-    basis, nonbasic = labels[:, :m].copy(), labels[:, m:].copy()
     frozen = np.arange(size) % 2 == 0
     expected = [a.copy() for a in (tableau, basis, nonbasic)]
     running = [a[~frozen] for a in expected]
     _pivot(*running, rows[~frozen], cols[~frozen])
     for want, got in zip(expected, running):
         want[~frozen] = got
-    want_tableau, want_basis, want_nonbasic = expected
-    for i in np.flatnonzero(frozen):
-        want_tableau[i, :, cols[i]] = np.arange(m) == rows[i]
-        want_basis[i, rows[i]], want_nonbasic[i, cols[i]] = nonbasic[i, cols[i]], basis[i, rows[i]]
     _pivot(tableau, basis, nonbasic, rows, cols, np.arange(size), frozen)
     for got, want in zip((tableau, basis, nonbasic), expected):
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert got.tobytes() == want.tobytes()
+
+
+def negative_zeros(v):
+    """v with every zero entry made -0.0."""
+    v = np.array(v, dtype=float)
+    v[v == 0.0] = -0.0
+    return v
+
+
+def assert_same_stack(a, b):
+    """Two StackSolutions equal field by field, byte for byte."""
+    assert a.status == b.status
+    for f in fields(lp.StackSolution)[1:]:
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+
+
+def test_solve_lps_clears_negative_zeros():
+    # -0.0 in c, a_ub or b_ub gives the bytes of the same LPs with +0.0:
+    # the tableau and the costs take +0.0 on entry, and the certificate
+    # reads the original rows only through sums and maxima that a zero's
+    # sign does not change.
+    rng = np.random.default_rng(1701)
+    c, a_ub, b_ub = spread_stack(rng)
+    c[::3, 0], b_ub[::4, 0] = 0.0, 0.0
+    cases = [
+        (c, a_ub, b_ub),
+        (c[0], a_ub, b_ub[0]),  # shared rows
+        (np.zeros(3), np.ones((2, 2, 3)), np.zeros(2)),  # x = 0 at a cost of zero
+        ([-1.0, 0.0], [[[1.0, 0.0]], [[2.0, -1.0]]], [[0.0], [1.0]]),  # a zero ratio, and a ray
+        ([-1.0, 0.0, -2.0], [[[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]], [[0.0, 0.0]]),
+    ]
+    for clean in cases:
+        signed = [negative_zeros(v) for v in clean]
+        assert any(np.signbit(v[v == 0.0]).any() for v in signed)
+        assert_same_stack(solve_lps(*signed), solve_lps(*clean))
+    # The same holds for a GrowingLp fed -0.0 in its rhs, columns and costs.
+    b = np.array([1.0, 0.0, 2.0, 0.0])
+    columns = rng.uniform(0.1, 1.0, (lp.GROWING_CAPACITY + 2, 4)) * (rng.random((lp.GROWING_CAPACITY + 2, 4)) < 0.6)
+    costs = -rng.uniform(0.5, 1.5, len(columns)) * (np.arange(len(columns)) % 4 != 0)
+    clean, signed = lp.GrowingLp(b), lp.GrowingLp(negative_zeros(b))
+    for column, cost in zip(columns, costs):
+        want = clean.add_column(column, cost)
+        got = signed.add_column(negative_zeros(column), -0.0 if cost == 0.0 else cost)
+        assert_same_outcome(got, want)
+        for name in ("x", "dual_ub"):
+            assert np.array_equal(np.signbit(getattr(got, name)), np.signbit(getattr(want, name)))
+
+
+def record_tableaux(monkeypatch, check):
+    """Call check(tableau, basis, nonbasic) on the running stack before every pivot and on each final stack."""
+    pivot, finish = lp._pivot, lp._finish
+
+    def checked_pivot(tableau, basis, nonbasic, *args):
+        check(tableau, basis, nonbasic)
+        return pivot(tableau, basis, nonbasic, *args)
+
+    def checked_finish(status, tableau, basis, nonbasic, *args):
+        check(tableau, basis, nonbasic)
+        return finish(status, tableau, basis, nonbasic, *args)
+
+    monkeypatch.setattr(lp, "_pivot", checked_pivot)
+    monkeypatch.setattr(lp, "_finish", checked_finish)
+
+
+def test_pivots_never_make_a_negative_zero(monkeypatch):
+    # Stacks whose LPs stop at spread iterations, so that many pivots run
+    # with frozen LPs in the stack; random LPs with many zero entries, fed
+    # as -0.0, alone and as the columns of a GrowingLp; and a pivot row
+    # whose negative subnormal entry underflows to -0.0 when divided by the
+    # pivot 3, which the update clears.  No tableau holds a -0.0 before any
+    # pivot or at the end.
+    def check(tableau, basis, nonbasic):
+        assert not np.signbit(tableau[tableau == 0.0]).any()
+
+    record_tableaux(monkeypatch, check)
+    calls = record_lifecycle(monkeypatch)
+    rng = np.random.default_rng(1702)
+    for seed in range(4):
+        c, a_ub, b_ub = spread_stack(np.random.default_rng(seed))
+        solve_lps(negative_zeros(c), negative_zeros(a_ub), negative_zeros(b_ub))
+    for _ in range(30):
+        p = random_bounded_lp(rng)
+        a_ub = p.a_ub * (rng.random(p.a_ub.shape) < 0.7)
+        solve_lps(negative_zeros(p.c), negative_zeros(a_ub)[None], negative_zeros(p.b_ub))
+    signed = lp.GrowingLp(negative_zeros([1.0, 0.0, 2.0]))
+    for j in range(8):
+        column = negative_zeros(rng.uniform(0.1, 1.0, 3) * (rng.random(3) < 0.6))
+        signed.add_column(column, -0.0 if j % 3 == 1 else -rng.uniform(0.5, 1.5))
+    tiny = np.nextafter(0.0, -1.0)  # -5e-324
+    sol = solve_lp(lp_problem([-1.0, 0.0], a_ub=[[3.0, tiny], [1.0, 1.0]], b_ub=[1.0, 1.0]))
+    assert sol.x.tolist() == [1.0 / 3.0, 0.0] and sol.pivots == 1
+    assert sum(frozen > 0 for _, frozen in calls) >= 10  # pivots with frozen LPs in the stack
+
+
+def fresh_reduced_costs(tableau, basis, nonbasic, costs):
+    """c_N - c_B.T of every LP of a stack whose costs by label are one shared row."""
+    m = basis.shape[1]
+    return costs[nonbasic] - np.einsum("lm,lmn->ln", costs[basis], tableau[:, :m, :-1])
+
+
+def test_cost_row_tracks_fresh_pricing(monkeypatch):
+    # Row m of every tableau, carried by the pivots' rank-1 update, agrees
+    # with c_N - c_B.T priced afresh from the constraint rows, before every
+    # pivot and at the end: on stacks that share one cost row, on the
+    # three pivot-path LPs and on a GrowingLp.
+    costs = []  # the current LP's costs by label, one shared row
+    checked = []
+
+    def check(tableau, basis, nonbasic):
+        c = np.concatenate([costs[-1][: nonbasic.shape[1]], np.zeros(basis.shape[1])])
+        fresh = fresh_reduced_costs(tableau, basis, nonbasic, c)
+        tol = 1e-12 * (1.0 + np.abs(c).max())
+        assert np.abs(tableau[:, basis.shape[1], :-1] - fresh).max(initial=0.0) <= tol
+        checked.append(tableau.shape[0])
+
+    problems = path_problems()
+    record_tableaux(monkeypatch, check)
+    rng = np.random.default_rng(1703)
+    for seed in range(3):
+        c, a_ub, b_ub = spread_stack(np.random.default_rng(seed))
+        costs.append(c[-1])
+        solve_lps(c[-1], a_ub, b_ub)
+    for problem in problems:
+        costs.append(problem.c)
+        solve_lp(problem)
+    a_ub = np.vstack([rng.normal(size=(4, 12)), np.ones((1, 12))])
+    c = rng.normal(size=12)
+    costs.append(c)
+    grown = lp.GrowingLp(rng.uniform(0.1, 2.0, 5))
+    for j in range(12):
+        grown.add_column(a_ub[:, j], c[j])
+    assert len(checked) > 300
 
 
 def solve_stacked(problems):
@@ -549,6 +673,21 @@ def _ordering_path():
     # Degenerate: every row but the budget row has rhs 0, so the tie rule
     # picks nearly every leaving row.
     return solve_lp(build_permutation_lp(stats, tup, (2, 4, 1, 3, 5)))
+
+
+def path_problems():
+    """The LPs of the three pivot paths: delivery, chain and per-ordering."""
+    chain = []
+    with pytest.MonkeyPatch.context() as recording:
+        recording.setattr(degraded, "solve_lp", lambda problem: chain.append(problem) or solve_lp(problem))
+        degraded.degraded_optimal_rate(random_chain_stats(np.random.default_rng(5), 5, 4), Fraction(2, 5))
+    stats = random_stats(np.random.default_rng(5), 5, 4)
+    tup = caching_tuple(central_strategy(5, Fraction(2, 5)))
+    return [
+        build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2).problem,
+        *chain,
+        build_permutation_lp(stats, tup, (2, 4, 1, 3, 5)),
+    ]
 
 
 def _path(sol):

@@ -164,6 +164,10 @@ def test_check_rejects_wrong_shape(mixed3):
     alloc = delivery_allocation([[0.5, 0.5]], 0.5, num_users=2, t=0)
     with pytest.raises(LengthMismatch):
         check_allocation(mixed3, alloc)
+    # One column of shares for three subsets would broadcast into every margin.
+    alloc = delivery_allocation(np.asarray(MIXED3_SHARES)[:, :1], MIXED3_RATE, num_users=3, t=1)
+    with pytest.raises(LengthMismatch, match=r"^shares must be 3 x 3, got \(3, 1\)$"):
+        check_allocation(mixed3, alloc)
 
 
 # --- build_delivery_lp rows ----------------------------------------------------------
