@@ -10,13 +10,17 @@ complementary CDF
 A valid CCDF row is nonincreasing with entries in [0, 1].  Boundary
 conventions P[L_k >= 0] = 1 and P[L_k >= B+1] = 0 are implicit and never
 stored.  All probability comparisons in this module use PROB_TOL.
+
+Channel states are drawn one user at a time by user_levels, into one reused
+row of n levels; sample_states stacks those rows into the K x n matrix for
+callers that keep every user's levels.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,7 +28,7 @@ from .errors import LengthMismatch, NotMonotone, OutOfRange, WeightsUnsorted
 
 PROB_TOL = 1e-12
 
-# Uniforms drawn per rng.random call in sample_states: 2**14 doubles (128 KiB)
+# Uniforms drawn per rng.random call in user_levels: 2**14 doubles (128 KiB)
 # stay in cache while every level is compared against them.  On a 2-CPU Xeon
 # (2 MB L2 per core), K = 6, B = 5, n = 1e6 sampled in 0.030-0.034 s (best of
 # 7) with blocks of 2**14 to 2**17, against 0.047 s at 2**12 and 0.043 s in
@@ -126,8 +130,13 @@ def enhance(stats: ChannelStats, weights: Sequence[float]) -> ChannelStats:
     return ChannelStats(num_users=stats.num_users, num_levels=stats.num_levels, ccdf=out)
 
 
-def sample_states(stats: ChannelStats, num_uses: int, seed: int) -> StateRealization:
-    """Draw i.i.d. level counts for every user over `num_uses` channel uses.
+def user_levels(stats: ChannelStats, num_uses: int, seed: int) -> Iterator[np.ndarray]:
+    """Draw i.i.d. level counts for each user over `num_uses` channel uses.
+
+    Yields one row per user, in user order, all into one reused buffer: a
+    row holds user k's levels only until user k + 1 is drawn, so copy it to
+    keep it.  Memory is one row of num_uses levels and one block of
+    uniforms, whatever the number of users.
 
     Stream splitting: one child of SeedSequence(seed) per user, in user order,
     so realizations are reproducible and users are mutually independent.
@@ -143,21 +152,35 @@ def sample_states(stats: ChannelStats, num_uses: int, seed: int) -> StateRealiza
     """
     if num_uses <= 0:
         raise OutOfRange("num_uses must be positive")
+    return _draw_rows(stats, num_uses, seed)
+
+
+def _draw_rows(stats: ChannelStats, num_uses: int, seed: int) -> Iterator[np.ndarray]:
     children = np.random.SeedSequence(seed).spawn(stats.num_users)
-    levels = np.zeros((stats.num_users, num_uses), dtype=np.min_scalar_type(stats.num_levels))
+    row = np.empty(num_uses, dtype=np.min_scalar_type(stats.num_levels))
     thresholds = np.minimum.accumulate(stats.ccdf, axis=1)
     block = min(SAMPLE_BLOCK, num_uses)
     uniforms = np.empty(block)
     above = np.empty(block, dtype=bool)
-    for k in range(stats.num_users):
-        rng = np.random.default_rng(children[k])
+    for child, user_thresholds in zip(children, thresholds):
+        rng = np.random.default_rng(child)
+        row.fill(0)
         for start in range(0, num_uses, block):
-            row = levels[k, start : start + block]
-            u, hit = uniforms[: row.size], above[: row.size]
+            counts = row[start : start + block]
+            u, hit = uniforms[: counts.size], above[: counts.size]
             rng.random(out=u)
-            for p in thresholds[k]:
+            for p in user_thresholds:
                 np.less(u, p, out=hit)
-                row += hit.view(np.uint8)  # adding the bool array itself is a slower cast
+                counts += hit.view(np.uint8)  # adding the bool array itself is a slower cast
+        yield row
+
+
+def sample_states(stats: ChannelStats, num_uses: int, seed: int) -> StateRealization:
+    """Every user's levels at once: the rows of user_levels stacked K x n."""
+    rows = user_levels(stats, num_uses, seed)
+    levels = np.empty((stats.num_users, num_uses), dtype=np.min_scalar_type(stats.num_levels))
+    for k, row in enumerate(rows):
+        levels[k] = row
     levels.setflags(write=False)
     return StateRealization(
         num_users=stats.num_users,

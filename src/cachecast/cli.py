@@ -29,7 +29,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -316,12 +316,12 @@ def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
     if args.trace:
         _check_writable(args.trace, "--trace")
     alloc = lp_scheme.achievable_rate_lp(cfg.stats, cfg.mu)
-    report = simulator.simulate_delivery(cfg.stats, alloc, n, seed)
+    report = simulator.simulate_delivery(cfg.stats, alloc, n, seed, keep_levels=bool(args.trace))
     if args.trace:
         header = ",".join(f"user{k}" for k in range(1, cfg.stats.num_users + 1)) + "\n"
         with open(args.trace, "wb") as fh:
             fh.write(header.encode("ascii"))
-            fh.write(_trace_rows(report.realization))
+            fh.writelines(_trace_rows(report.realization))
     if args.json:
         return {"command": "simulate", "n": report.num_uses, **_named(report, SIMULATE_FIELDS)}
     text = [f"simulated {report.num_uses} uses at rate {_sig(report.rate)} (seed {report.seed})"]
@@ -336,13 +336,15 @@ def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
     return text
 
 
-def _trace_rows(realization: channel.StateRealization) -> bytes:
-    """The CSV rows of a trace: one line per channel use, one column per user.
+def _trace_rows(realization: channel.StateRealization) -> Iterator[bytes]:
+    """The CSV rows of a trace, one line per channel use and one column per
+    user, in chunks of SAMPLE_BLOCK lines.
 
     Row v of a byte table holds the decimal digits of level v and a comma,
-    right-aligned behind zero bytes.  Taking the table's rows at levels.T lays
-    out every line at once; the last comma of each line becomes a newline
-    and the zero bytes are dropped.  The bytes equal those of
+    right-aligned behind zero bytes.  Taking the table's rows at a chunk of
+    levels.T lays out the chunk's lines at once; the last comma of each line
+    becomes a newline and the zero bytes are dropped.  Memory is a few
+    chunks, whatever n is.  The bytes equal those of
     np.savetxt(fh, levels.T, fmt="%d", delimiter=",").
     """
     top = realization.num_levels
@@ -350,9 +352,11 @@ def _trace_rows(realization: channel.StateRealization) -> bytes:
     for value in range(top + 1):
         cell = f"{value},".encode("ascii")
         table[value, table.shape[1] - len(cell) :] = np.frombuffer(cell, dtype=np.uint8)
-    lines = np.take(table, realization.levels.T, axis=0).reshape(realization.num_uses, -1)
-    lines[:, -1] = ord("\n")
-    return lines[lines != 0].tobytes()
+    for start in range(0, realization.num_uses, channel.SAMPLE_BLOCK):
+        chunk = realization.levels[:, start : start + channel.SAMPLE_BLOCK]
+        lines = np.take(table, chunk.T, axis=0).reshape(chunk.shape[1], -1)
+        lines[:, -1] = ord("\n")
+        yield lines[lines != 0].tobytes()
 
 
 def _parse_mu_range(text: str) -> list[Fraction]:

@@ -151,7 +151,7 @@ class LpSolution:
     duality_gap: Optional[float] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class StackSolution:
     """The outcomes of a stack of L LPs, as arrays over the stack.
 
@@ -160,8 +160,7 @@ class StackSolution:
     dual_residual and duality_gap (L,) hold LP i's LpSolution fields in
     row i, which means something only where status[i] is OPTIMAL; pivots
     (L,) counts every LP's pivots.  Indexing or iterating yields each LP's
-    LpSolution or NumericalFailure, and assigning one to an index replaces
-    that LP's outcome.
+    LpSolution or NumericalFailure.
     """
 
     status: list
@@ -195,23 +194,6 @@ class StackSolution:
 
     def __iter__(self) -> Iterator[Union[LpSolution, NumericalFailure]]:
         return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other: object) -> bool:
-        """Equal to a list, tuple or stack of the same outcomes."""
-        if not isinstance(other, (list, tuple, StackSolution)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __setitem__(self, i: int, outcome: Union[LpSolution, NumericalFailure]) -> None:
-        if isinstance(outcome, LpSolution):
-            self.pivots[i] = outcome.pivots
-            if outcome.status == OPTIMAL:
-                self.x[i], self.value[i], self.dual_ub[i] = outcome.x, outcome.value, outcome.dual_ub
-                self.primal_residual[i] = outcome.primal_residual
-                self.dual_residual[i] = outcome.dual_residual
-                self.duality_gap[i] = outcome.duality_gap
-            outcome = outcome.status
-        self.status[i] = outcome
 
 
 def lp_problem(

@@ -1,23 +1,28 @@
 """Monte-Carlo validation of a delivery allocation against sampled states.
 
-The channel is drawn with sample_states (one RNG substream per user).  Each
-level's num_uses channel uses are split into contiguous spans, one per
-message subset plus an idle tail, sized by largest-remainder apportionment
-of the allocation's shares so the spans always sum to num_uses.  User k
-collects the symbol of level l at use t exactly when its drawn level count
-reaches l.  A message is decodable once its collected symbols cover its
-size: delivered >= ceil(num_uses * rate / C(K,t)), with a tiny guard so an
-exactly integer threshold is not pushed up by roundoff.
+The channel is drawn user by user with user_levels (one RNG substream per
+user), into one reused row, so memory holds one user's n levels rather than
+all K x n; sample_states draws the same levels as one matrix when a caller
+asks to keep them.  Each level's num_uses channel uses are split into
+contiguous spans, one per message subset plus an idle tail, sized by
+largest-remainder apportionment of the allocation's shares so the spans
+always sum to num_uses.  User k collects the symbol of level l at use t
+exactly when its drawn level count reaches l.  A message is decodable once
+its collected symbols cover its size: delivered >= ceil(num_uses * rate /
+C(K,t)), with a tiny guard so an exactly integer threshold is not pushed up
+by roundoff.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelStats, StateRealization, sample_states
+from .channel import ChannelStats, StateRealization, sample_states, user_levels
 from .errors import InfeasibleAllocation
 from .lp_scheme import DeliveryAllocation, Subset, check_allocation
 
@@ -40,7 +45,8 @@ class MessageOutcome:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Tally of one simulated delivery, with the channel states it drew."""
+    """Tally of one simulated delivery; realization holds the drawn levels
+    when simulate_delivery was asked to keep them, and is None otherwise."""
 
     num_uses: int
     seed: int
@@ -50,7 +56,7 @@ class SimulationReport:
     user_decodable: tuple[bool, ...]
     empirical_ccdf: np.ndarray
     ccdf_std_error: np.ndarray
-    realization: StateRealization
+    realization: Optional[StateRealization]
 
 
 def apportion(quotas: list[float], total: int) -> list[int]:
@@ -89,8 +95,12 @@ def empirical_ccdf(realization: StateRealization) -> tuple[np.ndarray, np.ndarra
     """
     B = realization.num_levels
     counts = [[np.count_nonzero(row > l) for l in range(B)] for row in realization.levels]
-    hat = np.array(counts) / realization.num_uses
-    se = np.sqrt(hat * (1.0 - hat) / realization.num_uses)
+    return _ccdf_estimates(counts, realization.num_uses)
+
+
+def _ccdf_estimates(counts: list[list[int]], num_uses: int) -> tuple[np.ndarray, np.ndarray]:
+    hat = np.array(counts) / num_uses
+    se = np.sqrt(hat * (1.0 - hat) / num_uses)
     return hat, se
 
 
@@ -99,32 +109,54 @@ def simulate_delivery(
     alloc: DeliveryAllocation,
     num_uses: int,
     seed: int,
+    keep_levels: bool = False,
 ) -> SimulationReport:
-    """Sample states and tally symbol delivery for every (user, subset) pair."""
+    """Sample states and tally symbol delivery for every (user, subset) pair.
+
+    The spans of every level are apportioned once; then each user's levels
+    are drawn and tallied in turn: one comparison per level marks the uses
+    that deliver that level, its count is the user's empirical CCDF entry,
+    and its counts over the spans of the user's subsets are the deliveries.
+    With keep_levels the K x n levels come from sample_states and are kept
+    as the report's realization; the tallies are the same either way.
+    """
     report = check_allocation(stats, alloc)
     if not report.feasible:
         raise InfeasibleAllocation("allocation fails its decodability or budget checks")
 
-    realization = sample_states(stats, num_uses, seed)
+    if keep_levels:
+        realization = sample_states(stats, num_uses, seed)
+        rows = realization.levels
+    else:
+        realization = None
+        rows = user_levels(stats, num_uses, seed)
     piece_count = math.comb(alloc.num_users, alloc.t)
     per_use_size = alloc.rate / piece_count
     required = math.ceil(num_uses * per_use_size - CEIL_GUARD)
 
+    # spans[l][j] uses of level l go to subset j, from starts[l][j] on.
     num_subsets = len(alloc.subsets)
-    delivered = {(k, s): 0 for s in alloc.subsets for k in s}
-    variance = {key: 0.0 for key in delivered}
+    spans, starts = [], []
     for l in range(stats.num_levels):
         quotas = [num_uses * float(alloc.shares[l, j]) for j in range(num_subsets)]
         quotas.append(max(0.0, num_uses * (1.0 - alloc.shares[l].sum())))
-        spans = apportion(quotas, num_uses)
-        start = 0
-        for j, s in enumerate(alloc.subsets):
-            stop = start + spans[j]
-            for k in s:
-                delivered[(k, s)] += int(np.count_nonzero(realization.levels[k - 1, start:stop] > l))
-                p = float(stats.ccdf[k - 1, l])
-                variance[(k, s)] += spans[j] * p * (1.0 - p)
-            start = stop
+        spans.append(apportion(quotas, num_uses))
+        starts.append([0, *accumulate(spans[-1])])
+
+    delivered = {(k, s): 0 for s in alloc.subsets for k in s}
+    variance = {key: 0.0 for key in delivered}
+    counts = []
+    hit = np.empty(num_uses, dtype=bool)
+    for k, row in enumerate(rows, start=1):
+        mine = [(j, s) for j, s in enumerate(alloc.subsets) if k in s]
+        counts.append([])
+        for l in range(stats.num_levels):
+            np.greater(row, l, out=hit)
+            counts[-1].append(np.count_nonzero(hit))
+            p = float(stats.ccdf[k - 1, l])
+            for j, s in mine:
+                delivered[(k, s)] += int(np.count_nonzero(hit[starts[l][j] : starts[l][j + 1]]))
+                variance[(k, s)] += spans[l][j] * p * (1.0 - p)
 
     messages = []
     user_ok = [True] * stats.num_users
@@ -145,7 +177,7 @@ def simulate_delivery(
             if not outcome.decodable:
                 user_ok[k - 1] = False
 
-    hat, se = empirical_ccdf(realization)
+    hat, se = _ccdf_estimates(counts, num_uses)
     return SimulationReport(
         num_uses=num_uses,
         seed=seed,

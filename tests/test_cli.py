@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -264,7 +265,52 @@ def test_trace_rows_match_savetxt(num_levels, num_users, num_uses):
     realization = channel.StateRealization(num_users, num_levels, num_uses, 0, levels)
     expected = io.StringIO()
     np.savetxt(expected, levels.T, fmt="%d", delimiter=",")
-    assert cli._trace_rows(realization) == expected.getvalue().encode("ascii")
+    assert b"".join(cli._trace_rows(realization)) == expected.getvalue().encode("ascii")
+
+
+@pytest.mark.parametrize("num_uses", [1, 6, 7, 8, 22])
+def test_trace_chunks_join_to_savetxt(monkeypatch, num_uses):
+    # Chunks of 7 lines: n below, at and across chunk boundaries, so a line
+    # dropped or doubled at a boundary changes the bytes.
+    monkeypatch.setattr(channel, "SAMPLE_BLOCK", 7)
+    rng = np.random.default_rng(num_uses)
+    levels = rng.integers(0, 11, size=(3, num_uses), dtype=np.uint8)
+    realization = channel.StateRealization(3, 10, num_uses, 0, levels)
+    chunks = list(cli._trace_rows(realization))
+    assert [chunk.count(b"\n") for chunk in chunks] == [
+        min(7, num_uses - start) for start in range(0, num_uses, 7)
+    ]
+    expected = io.StringIO()
+    np.savetxt(expected, levels.T, fmt="%d", delimiter=",")
+    assert b"".join(chunks) == expected.getvalue().encode("ascii")
+
+
+def test_trace_writer_memory_is_a_few_chunks():
+    # K = 8, n = 2**18 is 16 chunks of SAMPLE_BLOCK lines.  Laying out the
+    # lines takes about 10 bytes per level in temporaries (an intp index
+    # array and the byte lines), so the whole trace at once peaks near 160
+    # bytes per level of one chunk, and chunk by chunk near 14.
+    users, num_uses = 8, 1 << 18
+    levels = np.random.default_rng(5).integers(0, 6, size=(users, num_uses), dtype=np.uint8)
+    realization = channel.StateRealization(users, 5, num_uses, 0, levels)
+
+    class Sink:
+        size = 0
+
+        def write(self, data):
+            self.size += len(data)
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        for chunk in cli._trace_rows(realization):
+            sink.write(chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == 2 * users * num_uses
+    chunk_levels = channel.SAMPLE_BLOCK * users
+    assert peak < 24 * chunk_levels, f"{peak / chunk_levels:.1f} bytes per level of one chunk"
 
 
 # SHA-256 of `simulate --json` stdout and of the trace file.  The trace
@@ -606,7 +652,7 @@ def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
         outcomes = solve_lps(c, a_ub, b_ub)
         hit = np.all(a_ub == target.a_ub, axis=(1, 2)) & np.all(c == target.c, axis=1)
         for i in np.flatnonzero(hit).tolist():
-            outcomes[i] = LpSolution(UNBOUNDED, None, None, None)
+            outcomes.status[i] = UNBOUNDED
         return outcomes
 
     monkeypatch.undo()
@@ -654,7 +700,7 @@ def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
             calls.append(None)
             outcomes = solve_lps(c, a_ub, b_ub)
             if len(calls) == 2:
-                outcomes[1] = outcome  # subsets are (1, 2), (1, 3), (2, 3)
+                outcomes.status[1] = outcome  # subsets are (1, 2), (1, 3), (2, 3)
             return outcomes
 
         return patched
@@ -666,8 +712,7 @@ def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
     assert f"{label}: optimal basis fails dual feasibility check (dual residual 0.25)" in err
     assert "(subset (1, 3), cut 2, gap " in err
 
-    unbounded = LpSolution(UNBOUNDED, None, None, None)
-    monkeypatch.setattr(lp_scheme, "solve_lps", replacing_subset_13_at_cut_2(unbounded))
+    monkeypatch.setattr(lp_scheme, "solve_lps", replacing_subset_13_at_cut_2(UNBOUNDED))
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
     assert f"{label}: status unbounded (subset (1, 3), cut 2, gap " in capsys.readouterr().err
 

@@ -206,7 +206,7 @@ def test_solve_lps_takes_one_stack_of_one_shape():
     c, a_ub, b_ub = np.full((3, 2), -1.0), np.ones((3, 1, 2)), np.ones((3, 1))
     shared = solve_lps(c[0], a_ub, b_ub[0])
     assert [s.value for s in shared] == [s.value for s in solve_lps(c, a_ub, b_ub)] == [-1.0] * 3
-    assert solve_lps(np.zeros((0, 2)), np.zeros((0, 1, 2)), b_ub[0]) == []
+    assert list(solve_lps(np.zeros((0, 2)), np.zeros((0, 1, 2)), b_ub[0])) == []
     for bad in (
         (c, a_ub[0], b_ub),  # a_ub not a stack
         (c, a_ub[None], b_ub),

@@ -1,13 +1,17 @@
 """Monte-Carlo delivery validation: apportionment, sampling, tallies."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cachecast.channel import sample_states, validate_stats
-from cachecast.errors import InfeasibleAllocation
+from cachecast.channel import SAMPLE_BLOCK, sample_states, validate_stats
+from cachecast.errors import InfeasibleAllocation, OutOfRange
+from cachecast.lp_scheme import message_subsets
 from cachecast.simulator import apportion, empirical_ccdf, simulate_delivery
 
-from helpers import MIXED3_RATE, MIXED3_SHARES, delivery_allocation
+from helpers import MIXED3_RATE, MIXED3_SHARES, delivery_allocation, random_stats
 
 
 # --- apportion -------------------------------------------------------------
@@ -103,6 +107,13 @@ def test_simulation_rejects_infeasible(mixed3):
         simulate_delivery(mixed3, greedy, num_uses=100, seed=1)
 
 
+@pytest.mark.parametrize("keep_levels", [False, True])
+def test_simulation_rejects_bad_length_before_apportioning(mixed3, reference_alloc, keep_levels):
+    for num_uses in (0, -5):
+        with pytest.raises(OutOfRange):
+            simulate_delivery(mixed3, reference_alloc, num_uses, seed=1, keep_levels=keep_levels)
+
+
 def test_simulation_deterministic_channel_exact_spans():
     stats = validate_stats([[1.0, 1.0], [1.0, 1.0]])
     shares = [[0.3, 0.45], [0.9, 0.05]]
@@ -183,7 +194,8 @@ def test_tally_matches_per_slice_sums(mixed3):
     shares = 0.8 * np.asarray(MIXED3_SHARES)
     alloc = delivery_allocation(shares, 0.8 * MIXED3_RATE, num_users=3, t=1)
     report = simulate_delivery(mixed3, alloc, num_uses=997, seed=19)
-    levels = report.realization.levels.astype(np.int64)
+    assert report.realization is None  # the levels were streamed, not kept
+    levels = sample_states(mixed3, 997, 19).levels.astype(np.int64)
     expected = {}
     for l in range(mixed3.num_levels):
         quotas = [997 * float(x) for x in shares[l]] + [max(0.0, 997 * (1.0 - shares[l].sum()))]
@@ -195,3 +207,83 @@ def test_tally_matches_per_slice_sums(mixed3):
                 got = (levels[k - 1, bounds[j] : bounds[j + 1]] >= l + 1).sum()
                 expected[(k, s)] = expected.get((k, s), 0) + int(got)
     assert {(m.user, m.subset): m.delivered for m in report.messages} == expected
+
+
+def per_slice_report(stats, alloc, num_uses, seed):
+    """delivered, std_error per (user, subset) and the empirical CCDF, by the
+    plain per-span formulas on the stacked levels of sample_states."""
+    levels = sample_states(stats, num_uses, seed).levels.astype(np.int64)
+    delivered, variance = {}, {}
+    for l in range(stats.num_levels):
+        shares = alloc.shares[l]
+        quotas = [num_uses * float(x) for x in shares] + [max(0.0, num_uses * (1.0 - shares.sum()))]
+        spans = apportion(quotas, num_uses)
+        bounds = np.cumsum([0] + spans)
+        for j, s in enumerate(alloc.subsets):
+            for k in s:
+                got = (levels[k - 1, bounds[j] : bounds[j + 1]] >= l + 1).sum()
+                p = float(stats.ccdf[k - 1, l])
+                delivered[(k, s)] = delivered.get((k, s), 0) + int(got)
+                variance[(k, s)] = variance.get((k, s), 0.0) + spans[j] * p * (1.0 - p)
+    std_error = {key: math.sqrt(v) / num_uses for key, v in variance.items()}
+    steps = np.arange(1, stats.num_levels + 1)
+    hat = (levels[:, :, None] >= steps[None, None, :]).mean(axis=1)
+    return delivered, std_error, hat
+
+
+def test_streamed_tally_matches_per_slice_formulas():
+    # Users are drawn and tallied one at a time; over random K, B, shares
+    # (zero shares, full levels and idle tails), seeds and n (below
+    # SAMPLE_BLOCK and across it, never a multiple of it) the report must
+    # equal the per-span formulas on the stacked levels, to the byte.
+    rng = np.random.default_rng(1807)
+    for trial in range(24):
+        users, levels = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        t = int(rng.integers(0, users))
+        stats = random_stats(rng, users, levels)
+        subsets = message_subsets(users, t)
+        shares = rng.random((levels, len(subsets)))
+        shares[rng.random(shares.shape) < 0.3] = 0.0
+        shares /= np.maximum(shares.sum(axis=1, keepdims=True), 1.0)
+        if trial % 3:  # leave an idle tail on every level
+            shares *= rng.uniform(0.5, 0.99)
+        supply = min(float(stats.ccdf[k - 1] @ shares[:, j]) for j, s in enumerate(subsets) for k in s)
+        alloc = delivery_allocation(shares, 0.999 * math.comb(users, t) * supply, users, t)
+        num_uses = int(rng.integers(1, SAMPLE_BLOCK)) if trial % 2 else int(rng.integers(1, 3 * SAMPLE_BLOCK))
+        if num_uses % SAMPLE_BLOCK == 0:
+            num_uses += 1
+        seed = int(rng.integers(0, 2**31))
+
+        report = simulate_delivery(stats, alloc, num_uses, seed)
+        delivered, std_error, hat = per_slice_report(stats, alloc, num_uses, seed)
+        assert {(m.user, m.subset): m.delivered for m in report.messages} == delivered
+        assert {(m.user, m.subset): m.std_error.hex() for m in report.messages} == {
+            key: se.hex() for key, se in std_error.items()
+        }
+        assert report.empirical_ccdf.tobytes() == hat.tobytes()
+
+        kept = simulate_delivery(stats, alloc, num_uses, seed, keep_levels=True)
+        assert kept.messages == report.messages
+        assert kept.empirical_ccdf.tobytes() == report.empirical_ccdf.tobytes()
+        assert kept.ccdf_std_error.tobytes() == report.ccdf_std_error.tobytes()
+        assert kept.realization.levels.tobytes() == sample_states(stats, num_uses, seed).levels.tobytes()
+
+
+def test_streamed_simulation_memory_does_not_grow_with_users():
+    # K = 8, n = 2**18: the K x n levels alone would take 8 bytes per use.
+    # Streamed, the tally holds one user's levels and one row of comparisons
+    # (2 bytes per use) and one block of uniforms.
+    users, num_uses = 8, 1 << 18
+    stats = validate_stats([[0.9, 0.6, 0.2]] * users)
+    subsets = message_subsets(users, 1)
+    shares = np.full((3, len(subsets)), 1.0 / len(subsets))
+    alloc = delivery_allocation(shares, 0.4, users, 1)
+    simulate_delivery(stats, alloc, 100, seed=1)
+    tracemalloc.start()
+    try:
+        report = simulate_delivery(stats, alloc, num_uses, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * num_uses, f"{peak / num_uses:.2f} bytes per use"
+    assert report.realization is None
