@@ -35,10 +35,7 @@ from .degraded import (
     z_to_y,
 )
 from .lp import (
-    LpProblem,
     LpSolution,
-    enumerate_vertices,
-    lp_problem,
     solve_lp,
     solve_lps,
 )
@@ -72,7 +69,6 @@ from .errors import (
     NumericalFailure,
     OutOfRange,
     SolverError,
-    TooLarge,
     TooManyUsers,
     UnexpectedLpStatus,
     ValidationError,

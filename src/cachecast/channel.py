@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, NotMonotone, OutOfRange, WeightsUnsorted
+from .errors import LengthMismatch, NotMonotone, OutOfRange, ValidationError, WeightsUnsorted
 
 PROB_TOL = 1e-12
 
@@ -65,8 +65,13 @@ class StateRealization:
 
 
 def validate_stats(ccdf: Sequence[Sequence[float]]) -> ChannelStats:
-    """Build ChannelStats from raw rows, checking shape, range and monotonicity."""
-    rows = [np.asarray(r, dtype=float) for r in ccdf]
+    """Build ChannelStats from raw rows, checking type, shape, range and monotonicity."""
+    rows = []
+    for k, r in enumerate(ccdf, start=1):
+        try:
+            rows.append(np.asarray(r, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"user {k}: CCDF entries must be numbers, got {r!r}") from exc
     if not rows:
         raise LengthMismatch("need at least one user row")
     num_levels = rows[0].size

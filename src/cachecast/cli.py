@@ -298,7 +298,7 @@ def _dump_matrices(stats: channel.ChannelStats, t: int, prefix: str) -> None:
         with open(f"{prefix}_{block}.csv", "w", encoding="utf-8") as fh:
             fh.write("row," + ",".join(columns) + "\n")
             for r in rows:
-                cells = ",".join(repr(float(v)) for v in built.problem.a_ub[r])
+                cells = ",".join(repr(float(v)) for v in built.a_ub[r])
                 fh.write(f"{labels[r]},{cells}\n")
 
 

@@ -37,7 +37,7 @@ from .errors import (
     NumericalFailure,
     UnexpectedLpStatus,
 )
-from .lp import FEAS_TOL, OPTIMAL, lp_problem, solve_lp
+from .lp import FEAS_TOL, OPTIMAL, solve_lp
 from .lp_scheme import DeliveryAllocation, message_subsets, t_from_mu
 
 
@@ -99,7 +99,7 @@ def degraded_optimal_rate(stats: ChannelStats, mu) -> ZAllocation:
 
     label = f"chain LP (K={K}, t={t}, B={B})"
     try:
-        solution = solve_lp(lp_problem(c, a_ub=a_ub, b_ub=b_ub))
+        solution = solve_lp(c, a_ub, b_ub)
     except NumericalFailure as exc:
         raise NumericalFailure(f"{label}: {exc}") from exc
     if solution.status != OPTIMAL:

@@ -61,10 +61,6 @@ class BadT(ValidationError):
 
 # -- linear programming ------------------------------------------------------
 
-class TooLarge(ValidationError):
-    """Problem too large for the brute-force vertex oracle."""
-
-
 class NumericalFailure(SolverError):
     """The simplex could not find an acceptable pivot or failed to converge."""
 

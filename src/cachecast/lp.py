@@ -1,13 +1,13 @@
-"""Dense linear programming: one-phase tableau simplex plus a vertex oracle.
+"""Dense linear programming: one-phase tableau simplex.
 
-Problems are stated as
+Problems are stated as arrays c, a_ub and b_ub, meaning
 
     minimize c.x  subject to  a_ub.x <= b_ub,  x >= 0,  with b_ub >= 0.
 
 x = 0 is then feasible, so the simplex starts from the slack basis and
 needs no phase 1; solve_lps rejects a negative b_ub entry.  Every LP of
 the package has this form: the delivery LP's subset and master LPs and
-its dense oracle, the chain LP, and the per-ordering LP of the upper
+its dense form, the chain LP, and the per-ordering LP of the upper
 bound (which keeps its normalisation in a budget row, see upper_bound).
 
 solve_lp runs the primal simplex on a condensed (Tucker) tableau: the
@@ -84,23 +84,17 @@ column is one write into each.  Each new column enters the tableau as
 Binv.a, one m x m product, with its reduced cost in the cost row, and is
 pivoted in by the same ratio test; the same simplex resumes from there,
 not from the slack basis, and each solve carries the same certificate.
-
-enumerate_vertices is an independent brute-force check for tiny problems:
-it visits every choice of n active constraints, keeps the feasible basic
-points, and minimizes over them.  It shares none of the simplex machinery,
-so the two routes can disagree only if one is wrong.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import combinations
 from math import inf
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import LengthMismatch, NumericalFailure, OutOfRange, TooLarge
+from .errors import LengthMismatch, NumericalFailure, OutOfRange
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
@@ -108,7 +102,6 @@ MAX_ITERATIONS = 100_000
 # Consecutive degenerate pivots after which an LP falls back to Bland's
 # leaving rule until its objective moves (the anti-cycling guard).
 DEGENERATE_RUN = 50
-MAX_ORACLE_VARS = 6
 # Tableau entries per lockstep stack: 172 per-ordering LPs of live count 5
 # at B=4 (K=6, mu=1/6: 25 x 10 each), where stacking pays.
 STACK_ENTRIES = 43_000
@@ -118,17 +111,6 @@ GROWING_CAPACITY = 8
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    c: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-
-    @property
-    def num_vars(self) -> int:
-        return self.c.size
 
 
 @dataclass(frozen=True)
@@ -196,28 +178,8 @@ class StackSolution:
         return map(self.__getitem__, range(len(self)))
 
 
-def lp_problem(
-    c: Sequence[float],
-    a_ub: Optional[Sequence[Sequence[float]]] = None,
-    b_ub: Optional[Sequence[float]] = None,
-) -> LpProblem:
-    """Assemble and shape-check an LpProblem; a missing block becomes empty."""
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    if a_ub is None or np.size(a_ub) == 0:
-        a_ub = np.zeros((0, n))
-    else:
-        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-        if a_ub.ndim != 2 or a_ub.shape[1] != n:
-            raise LengthMismatch(f"a_ub must have {n} columns, got shape {a_ub.shape}")
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
-    if a_ub.shape[0] != b_ub.size:
-        raise LengthMismatch("a_ub and b_ub row counts differ")
-    return LpProblem(c=c, a_ub=a_ub, b_ub=b_ub)
-
-
 def _check_rhs(b_ub: np.ndarray, label: str = "LP {}: ") -> None:
-    """Reject a negative entry of a stack of b_ub rows: the simplex and the oracle start at x = 0."""
+    """Reject a negative entry of a stack of b_ub rows: the simplex starts at x = 0."""
     if (b_ub < 0.0).any():
         lp, row = np.argwhere(b_ub < 0.0)[0].tolist()
         raise OutOfRange(f"{label.format(lp)}b_ub[{row}] = {float(b_ub[lp, row])!r} < 0; x = 0 must be feasible")
@@ -515,9 +477,12 @@ def solve_lps(c, a_ub, b_ub) -> StackSolution:
     return StackSolution([s for part in parts for s in part.status], *arrays)
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """One-phase simplex from the slack basis; statuses: optimal, unbounded."""
-    (outcome,) = solve_lps(problem.c, problem.a_ub[None], problem.b_ub)
+def solve_lp(c, a_ub, b_ub) -> LpSolution:
+    """One LP, c (n,), a_ub (m, n), b_ub (m,), as the stack of one; statuses: optimal, unbounded.
+
+    Raises its NumericalFailure; shapes and b_ub are checked as in solve_lps.
+    """
+    (outcome,) = solve_lps(c, np.asarray(a_ub, dtype=float)[None], b_ub)
     if isinstance(outcome, NumericalFailure):
         raise outcome
     return outcome
@@ -621,34 +586,3 @@ class GrowingLp:
             raise outcome
         return outcome
 
-
-def enumerate_vertices(problem: LpProblem) -> LpSolution:
-    """Brute-force oracle: minimize over all feasible basic points.
-
-    Only for problems with at most MAX_ORACLE_VARS variables and a bounded
-    feasible region (add box rows if needed).  Every size-n active set drawn
-    from {inequality rows, nonnegativity bounds} is solved and checked
-    against the full constraint list; x = 0 is one of them, and feasible.
-    """
-    n = problem.num_vars
-    if n > MAX_ORACLE_VARS:
-        raise TooLarge(f"vertex oracle limited to {MAX_ORACLE_VARS} variables")
-    _check_rhs(problem.b_ub[None], "")
-
-    rows = np.vstack([problem.a_ub, -np.eye(n)])
-    offsets = np.concatenate([problem.b_ub, np.zeros(n)])
-    best_x, best_value = np.zeros(n), 0.0
-    for active in combinations(range(rows.shape[0]), n):
-        active = list(active)
-        try:
-            x = np.linalg.solve(rows[active], offsets[active])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(x)) or np.any(x < -FEAS_TOL):
-            continue
-        if np.any(problem.a_ub @ x - problem.b_ub > FEAS_TOL):
-            continue
-        value = float(problem.c @ x)
-        if value < best_value:
-            best_value, best_x = value, x
-    return LpSolution(OPTIMAL, best_x, best_value, None)

@@ -61,8 +61,9 @@ feasibility.  1/(best lower value) >= f* bounds the optimum from above, so
 gap = 1/(best lower value) - f certifies how far f can lie below it (0
 when rounding puts the two values a few ulps the wrong way round).
 A user whose CCDF row is all zero can decode nothing: the rate is 0 and
-every share 0.  The allocation is rechecked against every decodability
-and budget row before it is returned.
+every share 0.  The allocation is rechecked by check_allocation, against
+every decodability and budget row and the sign of every share, before it
+is returned.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ import numpy as np
 
 from .channel import ChannelStats
 from .errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT, NumericalFailure, UnexpectedLpStatus
-from .lp import FEAS_TOL, OPTIMAL, GrowingLp, LpProblem, LpSolution, lp_problem, solve_lps
+from .lp import FEAS_TOL, OPTIMAL, GrowingLp, LpSolution, solve_lps
 
 Subset = tuple[int, ...]
 
@@ -90,14 +91,17 @@ MAX_CUTS = 500
 
 @dataclass(frozen=True)
 class DeliveryLp:
-    """LP plus the labels needed to read its matrices.
+    """The dense rate LP min c.x s.t. a_ub.x <= b_ub, x >= 0, plus the labels needed to read it.
 
-    problem.a_ub stacks the decodability rows (one per (subset, member),
-    coefficients -ccdf[k][l] on y[l][S] and 1/C(K,t) on f) on top of the
-    per-level time-budget rows (ones on level l's columns).
+    c is -1 on f and 0 elsewhere.  a_ub stacks the decodability rows (one
+    per (subset, member), coefficients -ccdf[k][l] on y[l][S] and 1/C(K,t)
+    on f, rhs 0) on top of the per-level time-budget rows (ones on level
+    l's columns, rhs 1).
     """
 
-    problem: LpProblem
+    c: np.ndarray
+    a_ub: np.ndarray
+    b_ub: np.ndarray
     num_users: int
     num_levels: int
     t: int
@@ -189,13 +193,10 @@ def build_delivery_lp(stats: ChannelStats, t: int) -> DeliveryLp:
 
     c = np.zeros(num_vars)
     c[-1] = -1.0
-    problem = lp_problem(
-        c,
+    return DeliveryLp(
+        c=c,
         a_ub=a_ub,
         b_ub=np.concatenate([np.zeros(len(decode_rows)), np.ones(B)]),
-    )
-    return DeliveryLp(
-        problem=problem,
         num_users=K,
         num_levels=B,
         t=t,
@@ -267,18 +268,16 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     rate = 1.0 / eta
     alpha = eta * packing.x
     mixed = sum(a * u for a, u in zip(alpha.tolist(), prices) if a != 0.0)
-    shares = (rate / piece_count) * mixed.T
-    collected = np.einsum("skl,ls->sk", member_ccdf, shares)
-    violation = max(
-        rate / piece_count - collected.min(), shares.sum(axis=1).max() - 1.0, -shares.min()
-    )
     gap = _gap(best, eta)
-    if not violation <= FEAS_TOL:
+    alloc = allocation(np.ascontiguousarray((rate / piece_count) * mixed.T), rate, iteration, gap)
+    report = check_allocation(stats, alloc)
+    if not report.feasible:
+        violation = max(-min(report.margins.values()), -report.level_slacks.min(), -alloc.shares.min())
         raise NumericalFailure(
             f"{label}: allocation fails its recheck (largest violation {violation:.3g})"
             f" (cut {iteration}, gap {gap:.3g})"
         )
-    return allocation(np.ascontiguousarray(shares), rate, iteration, gap)
+    return alloc
 
 
 def check_allocation(stats: ChannelStats, alloc: DeliveryAllocation) -> FeasibilityReport:

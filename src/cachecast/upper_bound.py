@@ -66,7 +66,7 @@ from .errors import (
     UnexpectedLpStatus,
     ZeroDenominator,
 )
-from .lp import FEAS_TOL, OPTIMAL, UNBOUNDED, LpProblem, solve_lps, stack_size
+from .lp import FEAS_TOL, OPTIMAL, UNBOUNDED, solve_lps, stack_size
 
 MAX_BOUND_USERS = 8
 
@@ -192,8 +192,8 @@ def _permutation_lps(
 
 def build_permutation_lp(
     stats: ChannelStats, tup: CachingTuple, pi: Sequence[int]
-) -> LpProblem:
-    """The LP of an ordering's live prefix, in variables x = [sigma_1..p, theta_1..B].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The LP of an ordering's live prefix as c, a_ub, b_ub, in variables x = [sigma_1..p, theta_1..B].
 
     p is the ordering's live count; the pinned sigma_{p+1..K} and their
     all-zero rows are left out.  Its optimum is -sum(sigma); the ordering's
@@ -203,7 +203,7 @@ def build_permutation_lp(
     gaps, live = _live_prefixes(orderings, *_cover_table(stats, tup))
     p = int(live[0])
     c, a_ub, b_ub = _permutation_lps(stats, orderings[:, :p], gaps[:, :p])
-    return LpProblem(c=c[0], a_ub=a_ub[0], b_ub=b_ub)
+    return c[0], a_ub[0], b_ub
 
 
 def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport:

@@ -9,12 +9,13 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from cachecast import lp
 from cachecast.channel import ChannelStats, ZeroWeightWarning, enhance, is_stochastically_dominant
-from cachecast.lp import FEAS_TOL, OPTIMAL, LpProblem, enumerate_vertices, lp_problem, solve_lp
+from cachecast.lp import FEAS_TOL, OPTIMAL, LpSolution, solve_lp
 from cachecast.lp_scheme import DeliveryAllocation, message_subsets
 from cachecast.two_user import achievable_allocation_two_user, optimal_rate_two_user
 
@@ -151,8 +152,8 @@ def random_sorted_weights(rng: np.random.Generator, num_users: int) -> np.ndarra
     return w
 
 
-def random_bounded_lp(rng: np.random.Generator) -> LpProblem:
-    """Random feasible bounded LP: <= 4 variables, <= 6 rows.
+def random_bounded_lp(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random feasible bounded LP as (c, a_ub, b_ub): <= 4 variables, <= 6 rows.
 
     b_ub >= 0, so x = 0 is feasible; about a third of the random rows have
     b = 0 and pass through it (degenerate vertices).  An all-ones cap row
@@ -165,7 +166,7 @@ def random_bounded_lp(rng: np.random.Generator) -> LpProblem:
     a_ub = np.vstack([a_ub, np.ones((1, n))])
     b_ub = np.concatenate([b_ub, [rng.uniform(0.5, 4.0)]])
     c = rng.normal(size=n)
-    return lp_problem(c, a_ub=a_ub, b_ub=b_ub)
+    return c, a_ub, b_ub
 
 
 def chain_ccdf(rng: np.random.Generator, users: int, levels: int) -> np.ndarray:
@@ -227,8 +228,45 @@ def pivot_reference(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) 
     basis[row] = col
 
 
-def permutation_lp_reference(stats, tup, pi) -> LpProblem:
-    """The per-ordering LP built one entry at a time, in its full K*B+K by K+B shape.
+MAX_ORACLE_VARS = 6
+
+
+def enumerate_vertices(c, a_ub, b_ub) -> LpSolution:
+    """Brute-force oracle: minimize c.x over the feasible basic points of a_ub.x <= b_ub, x >= 0.
+
+    It shares none of the simplex machinery, so the two routes can disagree
+    only if one is wrong.  Only for LPs with at most MAX_ORACLE_VARS
+    variables and a bounded feasible region (add box rows if needed), and,
+    as for the simplex, b_ub >= 0.  Every size-n active set drawn from
+    {inequality rows, nonnegativity bounds} is solved and checked against
+    the full constraint list; x = 0 is one of them, and feasible.
+    """
+    c, a_ub, b_ub = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
+    n = c.size
+    assert n <= MAX_ORACLE_VARS, f"vertex oracle limited to {MAX_ORACLE_VARS} variables"
+    lp._check_rhs(b_ub[None], "")
+
+    rows = np.vstack([a_ub, -np.eye(n)])
+    offsets = np.concatenate([b_ub, np.zeros(n)])
+    best_x, best_value = np.zeros(n), 0.0
+    for active in combinations(range(rows.shape[0]), n):
+        active = list(active)
+        try:
+            x = np.linalg.solve(rows[active], offsets[active])
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(x)) or np.any(x < -FEAS_TOL):
+            continue
+        if np.any(a_ub @ x - b_ub > FEAS_TOL):
+            continue
+        value = float(c @ x)
+        if value < best_value:
+            best_value, best_x = value, x
+    return LpSolution(OPTIMAL, best_x, best_value, None)
+
+
+def permutation_lp_reference(stats, tup, pi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-ordering LP as (c, a_ub, b_ub), built one entry at a time, in its full K*B+K by K+B shape.
 
     Fully covered prefixes pin their sigma to zero with zero columns and
     costs, which leaves their decode rows and the chain rows into them
@@ -255,34 +293,34 @@ def permutation_lp_reference(stats, tup, pi) -> LpProblem:
         if tup.of(pi[: k + 1]) == 1:  # pinned: column and cost zeroed
             a_ub[:, k] = 0.0
             c[k] = 0.0
-    return lp_problem(c, a_ub=a_ub, b_ub=b_ub)
+    return c, a_ub, b_ub
 
 
-def drop_zero_lines(problem: LpProblem) -> tuple[LpProblem, np.ndarray]:
-    """problem without the all-zero rows and columns of a_ub, and the mask of kept columns.
+def drop_zero_lines(problem) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The LP (c, a_ub, b_ub) without the all-zero rows and columns of a_ub, and the mask of kept columns.
 
     A dropped row must have rhs 0 and a dropped column cost 0: such a row or
     column is inert, so the LP left has the same optimum.
     """
-    rows, columns = problem.a_ub.any(axis=1), problem.a_ub.any(axis=0)
-    assert not problem.b_ub[~rows].any() and not problem.c[~columns].any()
-    kept = LpProblem(c=problem.c[columns], a_ub=problem.a_ub[np.ix_(rows, columns)], b_ub=problem.b_ub[rows])
-    return kept, columns
+    c, a_ub, b_ub = problem
+    rows, columns = a_ub.any(axis=1), a_ub.any(axis=0)
+    assert not b_ub[~rows].any() and not c[~columns].any()
+    return (c[columns], a_ub[np.ix_(rows, columns)], b_ub[rows]), columns
 
 
-def fail_certificate(monkeypatch, problem: LpProblem, violation: float = 0.00294) -> None:
-    """Make every LP with problem's rows and costs fail its feasibility recheck.
+def fail_certificate(monkeypatch, problem, violation: float = 0.00294) -> None:
+    """Make every LP with the costs and rows of problem (c, a_ub, b_ub) fail its feasibility recheck.
 
     Wraps lp._certificate so that the primal residual of each such LP in a
     stack reads `violation`; the other LPs of the stack are untouched.
     """
     certificate = lp._certificate
-    rows = problem.a_ub
+    costs, rows, _ = problem
 
     def failing(a, b, c, x, y):
         value, primal, dual, gap = certificate(a, b, c, x, y)
         if a.shape[1:] == rows.shape:
-            hit = np.all(a == rows, axis=(1, 2)) & np.all(c == problem.c, axis=1)
+            hit = np.all(a == rows, axis=(1, 2)) & np.all(c == costs, axis=1)
             primal = np.where(hit, violation, primal)
         return value, primal, dual, gap
 
@@ -292,10 +330,10 @@ def fail_certificate(monkeypatch, problem: LpProblem, violation: float = 0.00294
 # --- invariant checkers ----------------------------------------------------
 
 
-def assert_matches_oracle(problem: LpProblem, tol: float = 1e-9) -> None:
-    """Simplex and vertex enumeration agree on value (and both are optimal)."""
-    fast = solve_lp(problem)
-    slow = enumerate_vertices(problem)
+def assert_matches_oracle(problem, tol: float = 1e-9) -> None:
+    """Simplex and vertex enumeration agree on the value of problem (c, a_ub, b_ub), both optimal."""
+    fast = solve_lp(*problem)
+    slow = enumerate_vertices(*problem)
     assert fast.status == OPTIMAL, f"simplex status {fast.status}"
     assert slow.status == OPTIMAL, f"oracle status {slow.status}"
     assert abs(fast.value - slow.value) <= tol, (

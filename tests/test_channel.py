@@ -12,7 +12,7 @@ from cachecast.channel import (
     sample_states,
     validate_stats,
 )
-from cachecast.errors import LengthMismatch, NotMonotone, OutOfRange, WeightsUnsorted
+from cachecast.errors import LengthMismatch, NotMonotone, OutOfRange, ValidationError, WeightsUnsorted
 
 from helpers import check_enhancement_invariants, random_sorted_weights, random_stats
 
@@ -58,6 +58,14 @@ def test_validate_rejects_nan():
     for row in ([float("nan"), 0.4], [0.5, float("nan")]):
         with pytest.raises(OutOfRange, match=r"^user 2: CCDF entries must lie in \[0, 1\]$"):
             validate_stats([[0.5, 0.4], row])
+
+
+@pytest.mark.parametrize("entry", ["x", [0.5]])
+def test_validate_rejects_non_numeric(entry):
+    # A string or a nested list is no probability: the row fails numpy's
+    # float conversion, which must surface as a typed error naming the user.
+    with pytest.raises(ValidationError, match=r"^user 2: CCDF entries must be numbers, got "):
+        validate_stats([[0.5, 0.4], [entry, 0.1]])
 
 
 def test_validate_rejects_increasing():

@@ -163,7 +163,7 @@ def test_dump_matrices(capsys, tmp_path):
     assert rows[1][0] == "decode(k=1;S=1+2)"
     np.testing.assert_allclose(
         [[float(cell) for cell in row[1:]] for row in rows[1:]],
-        built.problem.a_ub[:6],
+        built.a_ub[:6],
     )
     with open(prefix + "_H.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -171,7 +171,7 @@ def test_dump_matrices(capsys, tmp_path):
     assert rows[1][0] == "level(1)"
     np.testing.assert_allclose(
         [[float(cell) for cell in row[1:]] for row in rows[1:]],
-        built.problem.a_ub[6:],
+        built.a_ub[6:],
     )
 
 
@@ -526,6 +526,9 @@ def test_every_command_writes_strict_json(capsys, tmp_path):
         (lambda c: c.update(simulation={"n": True}), "'simulation.n' must be a positive integer"),
         (lambda c: c.update(simulation={"seed": False}), "'simulation.seed' must be a nonnegative"),
         (lambda c: c.update(simulation={"seed": -1}), "'simulation.seed' must be a nonnegative"),
+        # a row of the right length with a string or a list in it
+        (lambda c: c["ccdf"][1].__setitem__(0, "x"), "user 2: CCDF entries must be numbers, got ['x', "),
+        (lambda c: c["ccdf"][1].__setitem__(0, [0.5]), "user 2: CCDF entries must be numbers, got [[0.5], "),
     ],
 )
 def test_config_validation_failures(capsys, tmp_path, mutate, fragment):
@@ -650,7 +653,8 @@ def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
 
     def one_unbounded(c, a_ub, b_ub):
         outcomes = solve_lps(c, a_ub, b_ub)
-        hit = np.all(a_ub == target.a_ub, axis=(1, 2)) & np.all(c == target.c, axis=1)
+        target_c, target_a_ub, _ = target
+        hit = np.all(a_ub == target_a_ub, axis=(1, 2)) & np.all(c == target_c, axis=1)
         for i in np.flatnonzero(hit).tolist():
             outcomes.status[i] = UNBOUNDED
         return outcomes

@@ -1,4 +1,7 @@
-"""Dense simplex and the brute-force vertex oracle."""
+"""Dense simplex, checked against the brute-force vertex oracle of the test helpers.
+
+An LP is stated as its arrays (c, a_ub, b_ub); `problem` names that triple.
+"""
 
 from dataclasses import fields
 from fractions import Fraction
@@ -10,15 +13,13 @@ import pytest
 from cachecast import degraded, lp
 from cachecast.caching import caching_tuple, central_strategy
 from cachecast.channel import validate_stats
-from cachecast.errors import LengthMismatch, NumericalFailure, OutOfRange, TooLarge, ValidationError
+from cachecast.errors import LengthMismatch, NumericalFailure, OutOfRange, ValidationError
 from cachecast.lp import (
     FEAS_TOL,
     OPTIMAL,
     UNBOUNDED,
     LpSolution,
     _pivot,
-    enumerate_vertices,
-    lp_problem,
     solve_lp,
     solve_lps,
     stack_size,
@@ -30,6 +31,7 @@ from helpers import (
     ROADMAP_ITEM1_ROWS,
     assert_matches_oracle,
     degenerate_delivery_grids,
+    enumerate_vertices,
     fail_certificate,
     pivot_reference,
     random_bounded_lp,
@@ -39,20 +41,21 @@ from helpers import (
 
 
 def check_duality(problem, tol=1e-8):
-    sol = solve_lp(problem)
+    c, a_ub, b_ub = (np.asarray(v, dtype=float) for v in problem)
+    sol = solve_lp(c, a_ub, b_ub)
     assert sol.status == OPTIMAL
     # primal feasibility of the reported point
-    assert np.all(problem.a_ub @ sol.x <= problem.b_ub + 1e-9)
+    assert np.all(a_ub @ sol.x <= b_ub + 1e-9)
     assert np.all(sol.x >= -1e-9)
-    assert abs(problem.c @ sol.x - sol.value) <= tol
+    assert abs(c @ sol.x - sol.value) <= tol
     # duals: sign, strong duality, complementary slackness
     assert np.all(sol.dual_ub <= 1e-12)
-    dual_value = sol.dual_ub @ problem.b_ub
+    dual_value = sol.dual_ub @ b_ub
     assert abs(sol.value - dual_value) <= tol
-    slack = problem.b_ub - problem.a_ub @ sol.x
+    slack = b_ub - a_ub @ sol.x
     assert np.all(np.abs(sol.dual_ub * slack) <= tol)
     # the certificate, recomputed from the problem
-    reduced = problem.c - problem.a_ub.T @ sol.dual_ub
+    reduced = c - a_ub.T @ sol.dual_ub
     primal = max(0.0, *-sol.x, *-slack)
     dual = max(0.0, *-reduced, *sol.dual_ub)
     assert abs(sol.primal_residual - primal) <= 1e-12
@@ -65,24 +68,23 @@ def check_duality(problem, tol=1e-8):
 
 def test_simple_cover():
     # max x1 + x2 subject to x1 + x2 <= 1, x >= 0: the cover LP's dual
-    p = lp_problem([-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
-    sol = solve_lp(p)
+    p = ([-1.0, -1.0], [[1.0, 1.0]], [1.0])
+    sol = solve_lp(*p)
     assert sol.status == OPTIMAL
     assert abs(sol.value + 1.0) <= 1e-12
     check_duality(p)
 
 
 def test_unbounded():
-    p = lp_problem([-1.0])
-    sol = solve_lp(p)
+    sol = solve_lp([-1.0], np.zeros((0, 1)), np.zeros(0))
     assert sol.status == UNBOUNDED
     assert sol.x is None and sol.value is None
 
 
 def test_two_constraints_known_optimum():
     # min -x1 - 2 x2 subject to x1 + x2 <= 4, x2 <= 2: optimum (2, 2), value -6
-    p = lp_problem([-1.0, -2.0], a_ub=[[1.0, 1.0], [0.0, 1.0]], b_ub=[4.0, 2.0])
-    sol = solve_lp(p)
+    p = ([-1.0, -2.0], [[1.0, 1.0], [0.0, 1.0]], [4.0, 2.0])
+    sol = solve_lp(*p)
     assert abs(sol.value + 6.0) <= 1e-12
     np.testing.assert_allclose(sol.x, [2.0, 2.0], atol=1e-12)
     check_duality(p)
@@ -90,12 +92,12 @@ def test_two_constraints_known_optimum():
 
 
 def test_degenerate_duplicated_rows():
-    p = lp_problem(
+    p = (
         [-1.0, -2.0],
-        a_ub=[[1.0, 1.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
-        b_ub=[4.0, 4.0, 2.0, 2.0],
+        [[1.0, 1.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
+        [4.0, 4.0, 2.0, 2.0],
     )
-    sol = solve_lp(p)
+    sol = solve_lp(*p)
     assert abs(sol.value + 6.0) <= 1e-12
     assert_matches_oracle(p)
     check_duality(p)
@@ -114,7 +116,7 @@ def test_ratio_ties_within_pivot_tol_go_to_the_larger_entry_then_the_smaller_bas
         ([[2.0], [1.0]], [2.0 + 1e-11, 1.0], 1.0 + 5e-12),
     )
     for a_ub, b_ub, x in cases:
-        sol = solve_lp(lp_problem([-1.0], a_ub=a_ub, b_ub=b_ub))
+        sol = solve_lp([-1.0], a_ub, b_ub)
         assert sol.x[0] == x
         assert sol.pivots == 1
 
@@ -122,13 +124,11 @@ def test_ratio_ties_within_pivot_tol_go_to_the_larger_entry_then_the_smaller_bas
 def test_entering_column_of_roundoff_entries_is_unbounded():
     # x1 enters; its only positive entries are 1e-15 and 3e-16, below
     # PIVOT_TOL, so no row limits it: a ray, as HiGHS also reports.
-    p = lp_problem([-1.0, 0.0], a_ub=[[1e-15, -1.0], [3e-16, -1.0]], b_ub=[1.0, 1.0])
-    assert solve_lp(p).status == UNBOUNDED
+    assert solve_lp([-1.0, 0.0], [[1e-15, -1.0], [3e-16, -1.0]], [1.0, 1.0]).status == UNBOUNDED
 
 
 def test_zero_objective():
-    p = lp_problem([0.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
-    sol = solve_lp(p)
+    sol = solve_lp([0.0, 0.0], [[1.0, 1.0]], [1.0])
     assert sol.status == OPTIMAL
     assert sol.value == 0.0
 
@@ -163,41 +163,44 @@ def test_certificate_failures_name_the_residual(monkeypatch, index, text):
 
     monkeypatch.setattr(lp, "_certificate", inflated)
     with pytest.raises(NumericalFailure) as failure:
-        solve_lp(lp_problem([-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]))
+        solve_lp([-1.0, -1.0], [[1.0, 1.0]], [1.0])
     assert str(failure.value) == text
 
 
 # --- construction and guards ---------------------------------------------------
 
 
-def test_lp_problem_shape_checks():
+def test_solve_lp_shape_checks():
+    # A cost row longer than a_ub is wide, and a_ub and b_ub with
+    # different row counts, are refused by solve_lps's shape check.
     with pytest.raises(LengthMismatch):
-        lp_problem([1.0, 1.0], a_ub=[[1.0]], b_ub=[1.0])
+        solve_lp([1.0, 1.0], [[1.0]], [1.0])
     with pytest.raises(LengthMismatch):
-        lp_problem([1.0], a_ub=[[1.0]], b_ub=[1.0, 2.0])
+        solve_lp([1.0], [[1.0]], [1.0, 2.0])
 
 
-def test_lp_problem_defaults_are_empty():
-    p = lp_problem([1.0, 2.0])
-    assert p.a_ub.shape == (0, 2)
-    assert p.b_ub.shape == (0,)
-    assert p.num_vars == 2
+def test_solve_lp_without_rows():
+    # No constraint rows: x = 0 is optimal for c >= 0.
+    sol = solve_lp([1.0, 2.0], np.zeros((0, 2)), np.zeros(0))
+    assert sol.status == OPTIMAL
+    assert sol.x.tolist() == [0.0, 0.0] and sol.value == 0.0
+    assert sol.dual_ub.shape == (0,) and sol.pivots == 0
 
 
 def test_negative_rhs_is_rejected():
     # The simplex starts at x = 0, so a row with b < 0 is refused before
     # any LP of the call is solved, naming the LP and the row.
-    good = lp_problem([-1.0, 0.0], a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 0.0])
-    bad = lp_problem([1.0, 1.0], a_ub=[[1.0, 0.0], [-1.0, -1.0]], b_ub=[2.0, -1.0])
+    good = ([-1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
+    bad = ([1.0, 1.0], [[1.0, 0.0], [-1.0, -1.0]], [2.0, -1.0])
     with pytest.raises(OutOfRange) as failure:
         solve_stacked([good, bad])
     assert isinstance(failure.value, ValidationError)
     assert str(failure.value) == "LP 1: b_ub[1] = -1.0 < 0; x = 0 must be feasible"
     with pytest.raises(OutOfRange, match=r"^LP 0: b_ub\[1\] = -1.0 < 0"):
-        solve_lp(bad)
+        solve_lp(*bad)
     with pytest.raises(OutOfRange, match=r"^b_ub\[1\] = -1.0 < 0"):
-        enumerate_vertices(bad)
-    assert solve_lp(lp_problem([-1.0], a_ub=[[1.0]], b_ub=[-0.0])).value == 0.0
+        enumerate_vertices(*bad)
+    assert solve_lp([-1.0], [[1.0]], [-0.0]).value == 0.0
 
 
 def test_solve_lps_takes_one_stack_of_one_shape():
@@ -222,11 +225,6 @@ def test_solve_lps_takes_one_stack_of_one_shape():
             solve_lps(*bad)
 
 
-def test_oracle_size_cap():
-    with pytest.raises(TooLarge):
-        enumerate_vertices(lp_problem(np.ones(7)))
-
-
 # --- randomized cross-check ------------------------------------------------------
 
 
@@ -249,7 +247,7 @@ def test_growing_lp_matches_cold_solves():
         grown = lp.GrowingLp(b_ub)
         for n in range(1, 11):
             warm = grown.add_column(a_ub[:, n - 1], c[n - 1])
-            cold = solve_lp(lp_problem(c[:n], a_ub=a_ub[:, :n], b_ub=b_ub))
+            cold = solve_lp(c[:n], a_ub[:, :n], b_ub)
             assert warm.status == cold.status == OPTIMAL
             assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
             assert warm.x.shape == (n,) and warm.dual_ub.shape == (5,)
@@ -442,15 +440,15 @@ def test_pivots_never_make_a_negative_zero(monkeypatch):
         c, a_ub, b_ub = spread_stack(np.random.default_rng(seed))
         solve_lps(negative_zeros(c), negative_zeros(a_ub), negative_zeros(b_ub))
     for _ in range(30):
-        p = random_bounded_lp(rng)
-        a_ub = p.a_ub * (rng.random(p.a_ub.shape) < 0.7)
-        solve_lps(negative_zeros(p.c), negative_zeros(a_ub)[None], negative_zeros(p.b_ub))
+        c, a_ub, b_ub = random_bounded_lp(rng)
+        a_ub = a_ub * (rng.random(a_ub.shape) < 0.7)
+        solve_lps(negative_zeros(c), negative_zeros(a_ub)[None], negative_zeros(b_ub))
     signed = lp.GrowingLp(negative_zeros([1.0, 0.0, 2.0]))
     for j in range(8):
         column = negative_zeros(rng.uniform(0.1, 1.0, 3) * (rng.random(3) < 0.6))
         signed.add_column(column, -0.0 if j % 3 == 1 else -rng.uniform(0.5, 1.5))
     tiny = np.nextafter(0.0, -1.0)  # -5e-324
-    sol = solve_lp(lp_problem([-1.0, 0.0], a_ub=[[3.0, tiny], [1.0, 1.0]], b_ub=[1.0, 1.0]))
+    sol = solve_lp([-1.0, 0.0], [[3.0, tiny], [1.0, 1.0]], [1.0, 1.0])
     assert sol.x.tolist() == [1.0 / 3.0, 0.0] and sol.pivots == 1
     assert sum(frozen > 0 for _, frozen in calls) >= 10  # pivots with frozen LPs in the stack
 
@@ -484,8 +482,8 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
         costs.append(c[-1])
         solve_lps(c[-1], a_ub, b_ub)
     for problem in problems:
-        costs.append(problem.c)
-        solve_lp(problem)
+        costs.append(problem[0])
+        solve_lp(*problem)
     a_ub = np.vstack([rng.normal(size=(4, 12)), np.ones((1, 12))])
     c = rng.normal(size=12)
     costs.append(c)
@@ -496,13 +494,13 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
 
 
 def solve_stacked(problems):
-    """solve_lps on a list of LpProblems, one call per shape, outcomes in list order."""
+    """solve_lps on a list of LPs (c, a_ub, b_ub), one call per shape, outcomes in list order."""
     groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(problems):
-        groups.setdefault(p.a_ub.shape, []).append(i)
+        groups.setdefault(np.shape(p[1]), []).append(i)
     outcomes = [None] * len(problems)
     for members in groups.values():
-        stack = (np.array([getattr(problems[i], name) for i in members]) for name in ("c", "a_ub", "b_ub"))
+        stack = (np.array([problems[i][part] for i in members]) for part in range(3))
         for i, outcome in zip(members, solve_lps(*stack)):
             outcomes[i] = outcome
     return outcomes
@@ -510,7 +508,7 @@ def solve_stacked(problems):
 
 def _outcome(problem):
     try:
-        return solve_lp(problem)
+        return solve_lp(*problem)
     except NumericalFailure as exc:
         return exc
 
@@ -538,8 +536,8 @@ def test_stack_matches_solo(monkeypatch):
     rng = np.random.default_rng(31)
     problems = [random_bounded_lp(rng) for _ in range(100)]
     problems += [
-        lp_problem([-1.0]),  # unbounded
-        lp_problem([-1.0, 0.0], a_ub=[[-1.0, 1.0]], b_ub=[0.0]),  # unbounded
+        (np.array([-1.0]), np.zeros((0, 1)), np.zeros(0)),  # unbounded
+        (np.array([-1.0, 0.0]), np.array([[-1.0, 1.0]]), np.zeros(1)),  # unbounded
     ]
     # The 240 orderings that start with user 6 or 5 of the ROADMAP item 1
     # instance: one shape, two stacks' worth.  (6, 1, 2, 3, 4, 5) is made
@@ -629,8 +627,7 @@ def test_stack_freezes_stopped_lps_then_compacts(monkeypatch):
     assert sizes[0] == len(c) and min(sizes) < len(c)  # and the stack was compacted
     assert all(2 * frozen < size for size, frozen in calls)  # never half frozen
     assert len(set(stacked.pivots.tolist())) >= 8
-    problems = [lp_problem(*lpi) for lpi in zip(c, a_ub, b_ub)]
-    for a, b in zip(stacked, map(_outcome, problems)):
+    for a, b in zip(stacked, map(_outcome, zip(c, a_ub, b_ub))):
         assert_same_outcome(a, b)
 
 
@@ -644,8 +641,7 @@ def test_stack_cap_fails_only_the_running_lps(monkeypatch):
     assert calls[-1][1] >= 1  # frozen LPs in the stack at the last pivot
     statuses = {s.status if isinstance(s, LpSolution) else type(s).__name__ for s in stacked}
     assert statuses == {OPTIMAL, "NumericalFailure"}
-    problems = [lp_problem(*lpi) for lpi in zip(c, a_ub, b_ub)]
-    for a, b in zip(stacked, map(_outcome, problems)):
+    for a, b in zip(stacked, map(_outcome, zip(c, a_ub, b_ub))):
         assert_same_outcome(a, b)
 
 
@@ -655,13 +651,14 @@ def test_stack_cap_fails_only_the_running_lps(monkeypatch):
 
 
 def _delivery_path():
-    return solve_lp(build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2).problem)
+    built = build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2)
+    return solve_lp(built.c, built.a_ub, built.b_ub)
 
 
 def _chain_path():
     solved = []
     with pytest.MonkeyPatch.context() as recording:
-        recording.setattr(degraded, "solve_lp", lambda problem: solved.append(solve_lp(problem)) or solved[-1])
+        recording.setattr(degraded, "solve_lp", lambda *problem: solved.append(solve_lp(*problem)) or solved[-1])
         degraded.degraded_optimal_rate(random_chain_stats(np.random.default_rng(5), 5, 4), Fraction(2, 5))
     (sol,) = solved
     return sol
@@ -672,19 +669,20 @@ def _ordering_path():
     tup = caching_tuple(central_strategy(5, Fraction(2, 5)))
     # Degenerate: every row but the budget row has rhs 0, so the tie rule
     # picks nearly every leaving row.
-    return solve_lp(build_permutation_lp(stats, tup, (2, 4, 1, 3, 5)))
+    return solve_lp(*build_permutation_lp(stats, tup, (2, 4, 1, 3, 5)))
 
 
 def path_problems():
-    """The LPs of the three pivot paths: delivery, chain and per-ordering."""
+    """The LPs (c, a_ub, b_ub) of the three pivot paths: delivery, chain and per-ordering."""
     chain = []
     with pytest.MonkeyPatch.context() as recording:
-        recording.setattr(degraded, "solve_lp", lambda problem: chain.append(problem) or solve_lp(problem))
+        recording.setattr(degraded, "solve_lp", lambda *problem: chain.append(problem) or solve_lp(*problem))
         degraded.degraded_optimal_rate(random_chain_stats(np.random.default_rng(5), 5, 4), Fraction(2, 5))
     stats = random_stats(np.random.default_rng(5), 5, 4)
     tup = caching_tuple(central_strategy(5, Fraction(2, 5)))
+    built = build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2)
     return [
-        build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2).problem,
+        (built.c, built.a_ub, built.b_ub),
         *chain,
         build_permutation_lp(stats, tup, (2, 4, 1, 3, 5)),
     ]
@@ -720,10 +718,10 @@ def test_guard_fires_on_degenerate_delivery_lp(monkeypatch):
     # The K = 7, t = 2 delivery LP has runs of more than DEGENERATE_RUN
     # zero-ratio pivots: the guard changes its path (242 pivots against
     # 244 with the guard off) and not its optimum.
-    problem = build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2).problem
-    guarded = solve_lp(problem)
+    built = build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2)
+    guarded = solve_lp(built.c, built.a_ub, built.b_ub)
     monkeypatch.setattr(lp, "DEGENERATE_RUN", lp.MAX_ITERATIONS)
-    unguarded = solve_lp(problem)
+    unguarded = solve_lp(built.c, built.a_ub, built.b_ub)
     assert (guarded.pivots, unguarded.pivots) == (242, 244)
     assert abs(guarded.value - unguarded.value) <= 1e-12
 
@@ -734,17 +732,17 @@ def test_guard_fires_on_degenerate_delivery_lp(monkeypatch):
 #                           x6       <= 1,
 # on which Dantzig's rule with a smallest-index ratio tie cycles through
 # six degenerate bases.  Optimum -1/20 at x4 = 1/25, x6 = 1.
-BEALE = lp_problem(
-    [-0.75, 150.0, -0.02, 6.0],
-    a_ub=[[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]],
-    b_ub=[0.0, 0.0, 1.0],
+BEALE = (
+    np.array([-0.75, 150.0, -0.02, 6.0]),
+    np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]),
+    np.array([0.0, 0.0, 1.0]),
 )
 
 
 @pytest.mark.parametrize("run", [0, lp.DEGENERATE_RUN, lp.MAX_ITERATIONS])
 def test_beale_cycling_example(monkeypatch, run):
     monkeypatch.setattr(lp, "DEGENERATE_RUN", run)
-    sol = solve_lp(BEALE)
+    sol = solve_lp(*BEALE)
     assert sol.status == OPTIMAL
     assert abs(sol.value + 0.05) <= 1e-15
     np.testing.assert_allclose(sol.x, [0.04, 0.0, 1.0, 0.0], atol=1e-15)
@@ -763,10 +761,11 @@ def linprog():
 
 
 def assert_matches_highs(linprog, problem, sol):
+    c, a_ub, b_ub = problem
     blocks = {}
-    if problem.a_ub.size:
-        blocks.update(A_ub=problem.a_ub, b_ub=problem.b_ub)
-    ref = linprog(problem.c, bounds=(0, None), method="highs", **blocks)
+    if np.size(a_ub):
+        blocks.update(A_ub=a_ub, b_ub=b_ub)
+    ref = linprog(c, bounds=(0, None), method="highs", **blocks)
     assert sol.status == HIGHS_STATUS.get(ref.status, ref.message)
     if sol.status == OPTIMAL:
         assert abs(sol.value - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), (sol.value, ref.fun)
@@ -779,16 +778,18 @@ def assert_matches_highs(linprog, problem, sol):
     "grid, t", [pytest.param(grid, t, id=name) for name, grid, t in degenerate_delivery_grids()]
 )
 def test_degenerate_delivery_lps_match_highs(linprog, grid, t):
-    problem = build_delivery_lp(validate_stats(grid), t).problem
-    assert_matches_highs(linprog, problem, solve_lp(problem))
+    built = build_delivery_lp(validate_stats(grid), t)
+    problem = built.c, built.a_ub, built.b_ub
+    assert_matches_highs(linprog, problem, solve_lp(*problem))
 
 
 def test_delivery_lps_match_highs(linprog):
     rng = np.random.default_rng(808)
     for users, t in ((3, 1), (4, 2), (5, 2), (6, 3), (7, 2), (8, 4)):
         stats = random_stats(rng, users, int(rng.integers(2, 6)))
-        problem = build_delivery_lp(stats, t).problem
-        assert_matches_highs(linprog, problem, solve_lp(problem))
+        built = build_delivery_lp(stats, t)
+        problem = built.c, built.a_ub, built.b_ub
+        assert_matches_highs(linprog, problem, solve_lp(*problem))
 
 
 def test_ordering_lps_match_highs(linprog):
@@ -806,8 +807,8 @@ def test_ordering_lps_match_highs(linprog):
 def test_small_lps_match_highs(linprog):
     rng = np.random.default_rng(4242)
     problems = [random_bounded_lp(rng) for _ in range(30)] + [
-        lp_problem([-1.0, 0.0], a_ub=[[-1.0, 1.0]], b_ub=[0.0]),
-        lp_problem([-1.0, 0.0], a_ub=[[1e-15, -1.0], [3e-16, -1.0]], b_ub=[1.0, 1.0]),
+        (np.array([-1.0, 0.0]), np.array([[-1.0, 1.0]]), np.zeros(1)),
+        (np.array([-1.0, 0.0]), np.array([[1e-15, -1.0], [3e-16, -1.0]]), np.ones(2)),
         BEALE,
     ]
     for problem, sol in zip(problems, solve_stacked(problems)):

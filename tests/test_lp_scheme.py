@@ -9,7 +9,7 @@ import pytest
 from cachecast import lp_scheme
 from cachecast.channel import validate_stats
 from cachecast.errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT
-from cachecast.lp import FEAS_TOL, GROWING_CAPACITY, lp_problem, solve_lp
+from cachecast.lp import FEAS_TOL, GROWING_CAPACITY, solve_lp
 from cachecast.lp_scheme import (
     achievable_rate_lp,
     build_delivery_lp,
@@ -50,7 +50,7 @@ def test_subsets_reject_bad_t():
 
 def test_lp_layout(mixed3):
     built = build_delivery_lp(mixed3, 1)
-    assert built.problem.a_ub.shape == (9, 10)  # 6 decode + 3 budget rows
+    assert built.a_ub.shape == (9, 10)  # 6 decode + 3 budget rows
     assert built.decode_rows == (
         (1, (1, 2)), (2, (1, 2)),
         (1, (1, 3)), (3, (1, 3)),
@@ -58,15 +58,15 @@ def test_lp_layout(mixed3):
     )
     # user 1 decoding the pair message {1,2}
     np.testing.assert_allclose(
-        built.problem.a_ub[0],
+        built.a_ub[0],
         [-0.9, 0, 0, -0.3, 0, 0, -0.3, 0, 0, 1.0 / 3.0],
     )
     # level-1 air-time budget
     np.testing.assert_array_equal(
-        built.problem.a_ub[6], [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+        built.a_ub[6], [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
     )
     np.testing.assert_array_equal(
-        built.problem.b_ub, np.concatenate([np.zeros(6), np.ones(3)])
+        built.b_ub, np.concatenate([np.zeros(6), np.ones(3)])
     )
 
 
@@ -194,8 +194,8 @@ def test_lp_rows_match_the_row_loop():
     stats = validate_stats(grid)
     built = build_delivery_lp(stats, 2)
     reference = build_delivery_a_ub_reference(stats, 2)
-    assert built.problem.a_ub.shape == reference.shape == (109, 141)
-    assert built.problem.a_ub.tobytes() == reference.tobytes()
+    assert built.a_ub.shape == reference.shape == (109, 141)
+    assert built.a_ub.tobytes() == reference.tobytes()
 
 
 # --- the cutting-plane solve against the dense LP ------------------------------------
@@ -203,7 +203,8 @@ def test_lp_rows_match_the_row_loop():
 
 def dense_rate(stats, t):
     """The oracle: the dense LP of build_delivery_lp, solved whole."""
-    solution = solve_lp(build_delivery_lp(stats, t).problem)
+    built = build_delivery_lp(stats, t)
+    solution = solve_lp(built.c, built.a_ub, built.b_ub)
     assert solution.status == "optimal"
     return float(solution.x[-1])
 
@@ -272,8 +273,8 @@ def test_achievable_k10_t4_matches_highs():
     linprog = pytest.importorskip("scipy.optimize").linprog
     stats = validate_stats(sorted_uniform_ccdf(np.random.default_rng(10), 10, 4))
     alloc = achievable_rate_lp(stats, Fraction(2, 5))
-    problem = build_delivery_lp(stats, 4).problem
-    reference = linprog(problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub, method="highs")
+    built = build_delivery_lp(stats, 4)
+    reference = linprog(built.c, A_ub=built.a_ub, b_ub=built.b_ub, method="highs")
     assert reference.status == 0
     assert abs(alloc.rate + reference.fun) <= 1e-9
     assert check_allocation(stats, alloc).feasible
@@ -326,7 +327,7 @@ def check_warm_master(monkeypatch, index, name):
     cold_pivots = 0
     for count, warm in enumerate(masters, start=1):
         g = np.array(columns[:count])
-        cold = solve_lp(lp_problem(-np.ones(count), a_ub=g.T, b_ub=np.ones(4)))
+        cold = solve_lp(-np.ones(count), g.T, np.ones(4))
         assert abs(warm.value - cold.value) <= 1e-12 * abs(cold.value)
         assert warm.primal_residual <= FEAS_TOL and warm.dual_residual <= FEAS_TOL
         assert warm.duality_gap <= FEAS_TOL * (1.0 + abs(warm.value))

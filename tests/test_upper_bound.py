@@ -78,19 +78,19 @@ def test_objective_full_cache_has_zero_denominator(mixed3):
 
 
 def test_lp_shape_and_first_row(mixed3, tup3):
-    p = build_permutation_lp(mixed3, tup3, (1, 2, 3))
-    assert p.a_ub.shape == (8, 5)  # live count 2: 6 decode rows + 1 ordering row + the budget row
-    assert p.num_vars == 5  # sigma_1, sigma_2, theta_1..3
-    np.testing.assert_allclose(p.a_ub[0], [0.9, 0.0, -2.0 / 3.0, 0.0, 0.0])
-    np.testing.assert_array_equal(p.b_ub, [0.0] * 7 + [1.0])
-    np.testing.assert_array_equal(p.c, [-1, -1, 0, 0, 0])  # maximize sum sigma
+    c, a_ub, b_ub = build_permutation_lp(mixed3, tup3, (1, 2, 3))
+    assert a_ub.shape == (8, 5)  # live count 2: 6 decode rows + 1 ordering row + the budget row
+    assert c.size == 5  # sigma_1, sigma_2, theta_1..3
+    np.testing.assert_allclose(a_ub[0], [0.9, 0.0, -2.0 / 3.0, 0.0, 0.0])
+    np.testing.assert_array_equal(b_ub, [0.0] * 7 + [1.0])
+    np.testing.assert_array_equal(c, [-1, -1, 0, 0, 0])  # maximize sum sigma
 
 
 def test_lp_ordering_rows(mixed3, tup3):
-    p = build_permutation_lp(mixed3, tup3, (1, 2, 3))
-    np.testing.assert_allclose(p.a_ub[6], [-1.0 / 3.0, 2.0 / 3.0, 0.0, 0.0, 0.0])
+    _, a_ub, _ = build_permutation_lp(mixed3, tup3, (1, 2, 3))
+    np.testing.assert_allclose(a_ub[6], [-1.0 / 3.0, 2.0 / 3.0, 0.0, 0.0, 0.0])
     # the chain row into the pinned sigma_3 is left out with it
-    np.testing.assert_array_equal(p.a_ub[7], [0.0, 0.0, 1.0, 1.0, 1.0])  # sum theta <= 1
+    np.testing.assert_array_equal(a_ub[7], [0.0, 0.0, 1.0, 1.0, 1.0])  # sum theta <= 1
 
 
 def test_lp_pins_fully_covered_prefixes(mixed3, tup3):
@@ -98,15 +98,15 @@ def test_lp_pins_fully_covered_prefixes(mixed3, tup3):
     # its column and cost are zero, and so are its 3 decode rows and the
     # chain row into it.  The live-prefix LP leaves all of them out, and
     # sigma_1 and sigma_2 keep their entries.
-    reference = permutation_lp_reference(mixed3, tup3, (1, 2, 3))
-    np.testing.assert_array_equal(reference.a_ub[:, 2], np.zeros(12))
-    assert reference.c[2] == 0.0
-    assert not reference.a_ub[[6, 7, 8, 10]].any()
-    p = build_permutation_lp(mixed3, tup3, (1, 2, 3))
-    assert p.a_ub.shape == (8, 5)
-    assert np.count_nonzero(p.a_ub[:, :2], axis=0).tolist() == [4, 4]  # 3 decode + 1 ordering row
-    np.testing.assert_array_equal(p.c[:2], [-1.0, -1.0])
-    assert np.all(p.a_ub.any(axis=1)) and np.all(p.a_ub.any(axis=0))  # no zero row or column left
+    reference_c, reference_a_ub, _ = permutation_lp_reference(mixed3, tup3, (1, 2, 3))
+    np.testing.assert_array_equal(reference_a_ub[:, 2], np.zeros(12))
+    assert reference_c[2] == 0.0
+    assert not reference_a_ub[[6, 7, 8, 10]].any()
+    c, a_ub, _ = build_permutation_lp(mixed3, tup3, (1, 2, 3))
+    assert a_ub.shape == (8, 5)
+    assert np.count_nonzero(a_ub[:, :2], axis=0).tolist() == [4, 4]  # 3 decode + 1 ordering row
+    np.testing.assert_array_equal(c[:2], [-1.0, -1.0])
+    assert np.all(a_ub.any(axis=1)) and np.all(a_ub.any(axis=0))  # no zero row or column left
 
 
 def test_lp_matches_entrywise_builder():
@@ -125,8 +125,7 @@ def test_lp_matches_entrywise_builder():
         for pi in permutations(range(1, stats.num_users + 1)):
             built = build_permutation_lp(stats, tup, pi)
             reference, _ = drop_zero_lines(permutation_lp_reference(stats, tup, pi))
-            for name in ("c", "a_ub", "b_ub"):
-                a, b = getattr(built, name), getattr(reference, name)
+            for a, b in zip(built, reference):  # c, a_ub and b_ub
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -158,8 +157,8 @@ def test_live_prefix_lp_solves_as_pinned_lp(stats, tup, live_counts):
     for pi in permutations(range(1, stats.num_users + 1)):
         reference = permutation_lp_reference(stats, tup, pi)
         _, columns = drop_zero_lines(reference)
-        pinned = solve_lp(reference)
-        live = solve_lp(build_permutation_lp(stats, tup, pi))
+        pinned = solve_lp(*reference)
+        live = solve_lp(*build_permutation_lp(stats, tup, pi))
         seen.add(live.x.size - stats.num_levels)
         assert live.status == pinned.status == OPTIMAL
         assert live.pivots == pinned.pivots
@@ -297,7 +296,7 @@ def test_bound_dead_first_user_is_zero():
     assert report.omega_star == (1.0, 0.0, 0.0)
     assert not report.omega_star_unique  # (1, 3, 2) is 0 too
     assert [value == 0.0 for _, value in report.table] == [True, True, False, False, False, False]
-    assert solve_lp(build_permutation_lp(stats, tup, (1, 2, 3))).status == UNBOUNDED
+    assert solve_lp(*build_permutation_lp(stats, tup, (1, 2, 3))).status == UNBOUNDED
 
 
 def test_bound_full_cache_is_infinite(mixed3):
@@ -347,14 +346,14 @@ def test_bound_explicit_caching_matches_each_ordering():
 
     orderings = list(permutations(range(1, 5)))
     problems = [build_permutation_lp(stats, tup, pi) for pi in orderings]
-    assert {p.a_ub.shape for p in problems} == {(4 * q, q + 3) for q in (1, 2, 3)}
-    values = [-1.0 / solve_lp(p).value for p in problems]
+    assert {a_ub.shape for _, a_ub, _ in problems} == {(4 * q, q + 3) for q in (1, 2, 3)}
+    values = [-1.0 / solve_lp(*p).value for p in problems]
     assert report.table == tuple(zip(orderings, values))
     best = min(values)
     argmin = next(i for i, v in enumerate(values) if v <= best + FEAS_TOL)
     pi = orderings[argmin]
     assert report.value == best and report.argmin_pi == pi
-    x = solve_lp(problems[argmin]).x
+    x = solve_lp(*problems[argmin]).x
     omega = np.zeros(4)
     for k in range(4):
         gap = float(1 - tup.of(pi[: k + 1]))
