@@ -34,7 +34,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from . import caching, channel, degraded, lp_scheme, simulator, two_user, upper_bound
-from .errors import BadT, NonIntegerT, NotDegraded, OutOfRange, SolverError, ValidationError
+from .errors import BadT, NonIntegerT, NotDegraded, OutOfRange, SolverError, TooManyUsers, ValidationError
 
 CONFIG_FIELDS = ("num_users", "num_levels", "ccdf", "mu", "caching", "simulation")
 SIMULATION_FIELDS = ("n", "seed")  # the optional "simulation" object
@@ -383,8 +383,10 @@ def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
             f_lp = lp_scheme.achievable_rate_lp(cfg.stats, mu).rate
         except (NonIntegerT, BadT):
             f_lp = None
-        tup = caching.central_tuple(cfg.stats.num_users, mu)
-        f_upper = upper_bound.upper_bound_rate(cfg.stats, tup).value
+        try:
+            f_upper = upper_bound.upper_bound_rate(cfg.stats, caching.central_tuple(cfg.stats.num_users, mu)).value
+        except TooManyUsers:
+            f_upper = None
         try:
             f_deg = degraded.degraded_optimal_rate(cfg.stats, mu).rate
         except (NotDegraded, NonIntegerT, BadT):

@@ -57,14 +57,15 @@ values.
 One simplex core runs on a stack of same-shape tableaux, shape
 (L, m+1, n+1): the n nonbasic columns, then the rhs, with the labels in
 basis (L, m) and nonbasic (L, n).  solve_lps takes the LPs as arrays of
-one shape, c (L, n), a_ub (L, m, n) and b_ub (L, m), and cuts them into
-slices of stack_size(m, n) LPs, at most STACK_ENTRIES tableau entries
-each; solve_lp is the stack of one.  Each iteration reads every running
-LP's entering column off its cost row, picks its leaving row with vector
-operations, and pivots every LP at once with one in-place rank-1 update
-(_pivot).  The certificate is one batched np.matmul per stack too, and
-solve_lps returns the stack's outcomes as arrays (StackSolution), which
-yield each LP's LpSolution when indexed.  An LP that finishes (optimal,
+one shape, c (L, n), a_ub (L, m, n) and b_ub (L, m), and solves them all
+as one stack, so a caller that must bound its memory hands it fewer LPs
+per call (upper_bound does); solve_lp is the stack of one.  Each
+iteration reads every running LP's entering column off its cost row,
+picks its leaving row with vector operations, and pivots every LP at
+once with one in-place rank-1 update (_pivot).  The certificate is one
+batched np.matmul per stack too, and solve_lps returns the stack's
+outcomes as arrays (StackSolution), which yield each LP's LpSolution
+when indexed.  An LP that finishes (optimal,
 unbounded or failed) is frozen where it stands: its later pivots take
 divisor 1 and factors 0 and write neither its slot, its pivot row nor
 its labels, so its state stays as it stopped.  The running stack is
@@ -88,7 +89,7 @@ not from the slack basis, and each solve carries the same certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import inf
 from typing import Iterator, Optional, Union
 
@@ -102,9 +103,6 @@ MAX_ITERATIONS = 100_000
 # Consecutive degenerate pivots after which an LP falls back to Bland's
 # leaving rule until its objective moves (the anti-cycling guard).
 DEGENERATE_RUN = 50
-# Tableau entries per lockstep stack: 172 per-ordering LPs of live count 5
-# at B=4 (K=6, mu=1/6: 25 x 10 each), where stacking pays.
-STACK_ENTRIES = 43_000
 # Columns a GrowingLp holds before its buffers first double: the delivery
 # LPs of the commands take 7 to 60 cuts, one column each.
 GROWING_CAPACITY = 8
@@ -139,7 +137,7 @@ class StackSolution:
 
     status[i] is OPTIMAL, UNBOUNDED or LP i's NumericalFailure.  x (L, n),
     value (L,), dual_ub (L, m) and the certificate's primal_residual,
-    dual_residual and duality_gap (L,) hold LP i's LpSolution fields in
+    dual_residual and duality_gap (L,) hold LP i's LpSolution values in
     row i, which means something only where status[i] is OPTIMAL; pivots
     (L,) counts every LP's pivots.  Indexing or iterating yields each LP's
     LpSolution or NumericalFailure.
@@ -340,31 +338,6 @@ def _simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray) -> tu
     return outcomes, pivots
 
 
-def _solve_stack(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> StackSolution:
-    """Simplex on a stack a_ub (L, m, n), in lockstep, from the slack basis.
-
-    c is (L, n) or one (n,) row, b_ub (L, m) or one (m,) row.  The tableau
-    is a new array, so a_ub and b_ub stay the original rows the certificate
-    is checked against.  Adding +0.0 to what enters the tableau and the
-    costs turns -0.0 into +0.0 and keeps every other value's bytes, which
-    meets _pivot's precondition.  At the slack basis c_B = 0, so the cost
-    row is c itself, with 0 in its rhs slot.
-    """
-    size, m, n = a_ub.shape
-    tableau = np.empty((size, m + 1, n + 1))
-    np.add(a_ub, 0.0, out=tableau[:, :m, :n])
-    np.add(b_ub, 0.0, out=tableau[:, :m, n])
-    costs = np.zeros((size, n + m))
-    np.add(c, 0.0, out=costs[:, :n])
-    tableau[:, m, :n], tableau[:, m, n] = costs[:, :n], 0.0
-    basis = np.empty((size, m), dtype=int)
-    basis[:] = np.arange(n, n + m)
-    nonbasic = np.empty((size, n), dtype=int)
-    nonbasic[:] = np.arange(n)
-    status, pivots = _simplex(tableau, basis, nonbasic)
-    return _finish(status, tableau, basis, nonbasic, costs, a_ub, b_ub, pivots)
-
-
 def _largest(*violations: np.ndarray) -> np.ndarray:
     """Per LP, the largest entry of the (L, k) violation arrays, or 0 if none is positive.
 
@@ -440,20 +413,20 @@ def _finish(
     return StackSolution(status, x, value, y, pivots, primal, dual, gap)
 
 
-def stack_size(m: int, n: int) -> int:
-    """LPs of m rows and n columns per lockstep stack: at most STACK_ENTRIES tableau entries, at least one."""
-    return max(1, STACK_ENTRIES // max(1, m * (n + 1)))
-
-
 def solve_lps(c, a_ub, b_ub) -> StackSolution:
-    """solve_lp on every LP of one stack; a NumericalFailure is returned, not raised.
+    """solve_lp on every LP of one stack, in lockstep; a NumericalFailure is returned, not raised.
 
     a_ub has shape (L, m, n); c is (L, n) or one (n,) row for every LP, b_ub
     (L, m) or one (m,) row.  Any other shape raises LengthMismatch, and a
-    negative b_ub entry raises OutOfRange before any LP is solved.  The
-    stack runs in lockstep slices of stack_size(m, n) LPs.  Every outcome is
-    bit for bit the one solve_lp gives on that LP alone, and one LP's
-    failure leaves the others unchanged.
+    negative b_ub entry raises OutOfRange before any LP is solved.  Every
+    outcome is bit for bit the one solve_lp gives on that LP alone, and one
+    LP's failure leaves the others unchanged.
+
+    The tableau is a new array, so a_ub and b_ub stay the original rows the
+    certificate is checked against.  Adding +0.0 to what enters the tableau
+    and the costs turns -0.0 into +0.0 and keeps every other value's bytes,
+    which meets _pivot's precondition.  At the slack basis c_B = 0, so the
+    cost row is c itself, with 0 in its rhs slot.
     """
     c, a_ub, b_ub = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
     shape = a_ub.shape  # (L, m, n)
@@ -462,27 +435,31 @@ def solve_lps(c, a_ub, b_ub) -> StackSolution:
             f"need a_ub (L, m, n), c (L, n) or (n,), b_ub (L, m) or (m,); got {shape}, {c.shape}, {b_ub.shape}"
         )
     size, m, n = shape
-    if size:
-        _check_rhs(np.atleast_2d(b_ub))
-    cap = stack_size(m, n)
-
-    def rows(v: np.ndarray, i: int) -> np.ndarray:  # a stack's slice, or the row shared by every LP
-        return v[i:i + cap] if v.ndim > 1 else v
-
-    # One slice per cap LPs; an empty stack is one empty slice.
-    parts = [_solve_stack(rows(c, i), a_ub[i:i + cap], rows(b_ub, i)) for i in range(0, size or 1, cap)]
-    if len(parts) == 1:
-        return parts[0]
-    arrays = (np.concatenate([getattr(part, f.name) for part in parts]) for f in fields(StackSolution)[1:])
-    return StackSolution([s for part in parts for s in part.status], *arrays)
+    _check_rhs(np.broadcast_to(b_ub, (size, m)))
+    tableau = np.empty((size, m + 1, n + 1))
+    np.add(a_ub, 0.0, out=tableau[:, :m, :n])
+    np.add(b_ub, 0.0, out=tableau[:, :m, n])
+    costs = np.zeros((size, n + m))
+    np.add(c, 0.0, out=costs[:, :n])
+    tableau[:, m, :n], tableau[:, m, n] = costs[:, :n], 0.0
+    basis = np.empty((size, m), dtype=int)
+    basis[:] = np.arange(n, n + m)
+    nonbasic = np.empty((size, n), dtype=int)
+    nonbasic[:] = np.arange(n)
+    status, pivots = _simplex(tableau, basis, nonbasic)
+    return _finish(status, tableau, basis, nonbasic, costs, a_ub, b_ub, pivots)
 
 
 def solve_lp(c, a_ub, b_ub) -> LpSolution:
     """One LP, c (n,), a_ub (m, n), b_ub (m,), as the stack of one; statuses: optimal, unbounded.
 
-    Raises its NumericalFailure; shapes and b_ub are checked as in solve_lps.
+    Any other shape raises LengthMismatch, and b_ub is checked as in
+    solve_lps.  Raises its NumericalFailure.
     """
-    (outcome,) = solve_lps(c, np.asarray(a_ub, dtype=float)[None], b_ub)
+    c, a_ub, b_ub = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
+    if a_ub.ndim != 2 or c.shape != a_ub.shape[1:] or b_ub.shape != a_ub.shape[:1]:
+        raise LengthMismatch(f"need c (n,), a_ub (m, n), b_ub (m,); got {c.shape}, {a_ub.shape}, {b_ub.shape}")
+    (outcome,) = solve_lps(c, a_ub[None], b_ub)
     if isinstance(outcome, NumericalFailure):
         raise outcome
     return outcome

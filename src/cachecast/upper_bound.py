@@ -43,8 +43,10 @@ solves each distinct live prefix once: K!/t! LPs for the central
 placement at mu = t/K instead of K!, and none where the first user's cache
 already covers the file (p = 0, an infinite value).  It tabulates the gap
 of every user subset once and builds the LPs with numpy from that table:
-one shape per live count, cut into lp.stack_size slices, one slice per
-lp.solve_lps call.  Every ordering then takes its prefix's value.
+one shape per live count, built and solved in slices of stack_size LPs,
+one slice per lp.solve_lps call.  The slices bound the memory: one K = 8,
+mu = 0 group built whole would be 40,320 LPs of 40 x 12, 155 MB of a_ub.
+Every ordering then takes its prefix's value.
 """
 
 from __future__ import annotations
@@ -66,9 +68,12 @@ from .errors import (
     UnexpectedLpStatus,
     ZeroDenominator,
 )
-from .lp import FEAS_TOL, OPTIMAL, UNBOUNDED, solve_lps, stack_size
+from .lp import FEAS_TOL, OPTIMAL, UNBOUNDED, solve_lps
 
 MAX_BOUND_USERS = 8
+# Tableau entries per lockstep stack: 172 per-ordering LPs of live count 5
+# at B=4 (K=6, mu=1/6: 25 x 10 each), where stacking pays.
+STACK_ENTRIES = 43_000
 
 
 @dataclass(frozen=True)
@@ -164,14 +169,19 @@ def _live_prefixes(
     return gap_of[masks], np.count_nonzero(~full_of[masks], axis=-1)
 
 
+def stack_size(m: int, n: int) -> int:
+    """LPs of m rows and n columns per lockstep stack: at most STACK_ENTRIES tableau entries, at least one."""
+    return max(1, STACK_ENTRIES // max(1, m * (n + 1)))
+
+
 def _permutation_lps(
     stats: ChannelStats, prefixes: np.ndarray, gaps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The LPs of an (L, p) array of live prefixes and their gaps as one stack: c, a_ub, b_ub.
 
-    c is (L, p+B), a_ub (L, p*B+p, p+B) and b_ub the (p*B+p,) rhs they
-    share.  Rows: the p*B decode rows, the p-1 chain rows, the budget
-    row (p = 0 leaves the budget row alone).
+    a_ub is (L, p*B+p, p+B); c, the (p+B,) cost row, and b_ub, the
+    (p*B+p,) rhs, are shared by every LP.  Rows: the p*B decode rows, the
+    p-1 chain rows, the budget row (p = 0 leaves the budget row alone).
     """
     size, p = prefixes.shape
     B = stats.num_levels
@@ -185,8 +195,8 @@ def _permutation_lps(
     a_ub[:, -1, p:] = 1.0
     b_ub = np.zeros(a_ub.shape[1])
     b_ub[-1] = 1.0
-    c = np.zeros((size, p + B))
-    c[:, :p] = -1.0
+    c = np.zeros(p + B)
+    c[:p] = -1.0
     return c, a_ub, b_ub
 
 
@@ -203,7 +213,7 @@ def build_permutation_lp(
     gaps, live = _live_prefixes(orderings, *_cover_table(stats, tup))
     p = int(live[0])
     c, a_ub, b_ub = _permutation_lps(stats, orderings[:, :p], gaps[:, :p])
-    return c[0], a_ub[0], b_ub
+    return c, a_ub[0], b_ub
 
 
 def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport:

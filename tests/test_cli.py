@@ -37,6 +37,7 @@ from helpers import (
     MIXED3_TABLE,
     ROADMAP_ITEM1_ROWS,
     fail_certificate,
+    random_chain_stats,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -455,6 +456,29 @@ def test_sweep_chain_json(capsys):
     assert abs(rows[1]["f_bar_degraded"] - CHAIN3_RATE) <= 1e-9
 
 
+def test_sweep_leaves_the_bound_empty_above_its_cap(capsys, tmp_path):
+    # The bound enumerates orderings of at most 8 users, so on a K = 9
+    # chain its cells are empty while the delivery LP and the chain optimum
+    # are filled, and agree; at mu = 1 no method applies.
+    stats = random_chain_stats(np.random.default_rng(9), 9, 3)
+    cfg = write_config(tmp_path, {"num_users": 9, "num_levels": 3, "ccdf": stats.ccdf.tolist(), "mu": "0"})
+    argv = ["sweep", cfg, "--mu", "0:1:1/3"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[0] == "mu,f_lp,f_star_upper,f_bar_degraded"
+    rows = [line.split(",") for line in out[1:]]
+    assert [r[0] for r in rows] == ["0", "1/3", "2/3", "1"]
+    assert [r[2] for r in rows] == [""] * 4
+    assert rows[-1] == ["1", "", "", ""]
+    for r in rows[:3]:
+        assert r[1] and r[3] and abs(float(r[1]) - float(r[3])) <= 1e-6
+    payload = run_json(capsys, argv + ["--json"])
+    assert [row["f_star_upper"] for row in payload["rows"]] == [None] * 4
+    assert [[repr(row["f_lp"]), repr(row["f_bar_degraded"])] for row in payload["rows"][:3]] == [
+        [r[1], r[3]] for r in rows[:3]
+    ]
+
+
 def test_sweep_rejects_bad_ranges(capsys):
     assert cli.main(["sweep", DEGRADED, "--mu", "0:1"]) == 2
     capsys.readouterr()
@@ -654,7 +678,7 @@ def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
     def one_unbounded(c, a_ub, b_ub):
         outcomes = solve_lps(c, a_ub, b_ub)
         target_c, target_a_ub, _ = target
-        hit = np.all(a_ub == target_a_ub, axis=(1, 2)) & np.all(c == target_c, axis=1)
+        hit = np.all(a_ub == target_a_ub, axis=(1, 2)) & np.all(c == target_c, axis=-1)  # c: (L, n) or (n,)
         for i in np.flatnonzero(hit).tolist():
             outcomes.status[i] = UNBOUNDED
         return outcomes

@@ -22,10 +22,9 @@ from cachecast.lp import (
     _pivot,
     solve_lp,
     solve_lps,
-    stack_size,
 )
 from cachecast.lp_scheme import build_delivery_lp
-from cachecast.upper_bound import build_permutation_lp
+from cachecast.upper_bound import build_permutation_lp, stack_size
 
 from helpers import (
     ROADMAP_ITEM1_ROWS,
@@ -171,12 +170,19 @@ def test_certificate_failures_name_the_residual(monkeypatch, index, text):
 
 
 def test_solve_lp_shape_checks():
-    # A cost row longer than a_ub is wide, and a_ub and b_ub with
-    # different row counts, are refused by solve_lps's shape check.
+    # A cost row longer than a_ub is wide, a_ub and b_ub with different
+    # row counts, a_ub that is not a matrix and b_ub that is not a row are
+    # refused, naming the shapes of one LP and the ones passed.
     with pytest.raises(LengthMismatch):
         solve_lp([1.0, 1.0], [[1.0]], [1.0])
     with pytest.raises(LengthMismatch):
         solve_lp([1.0], [[1.0]], [1.0, 2.0])
+    with pytest.raises(LengthMismatch) as failure:
+        solve_lp([1.0], [1.0], [1.0])
+    assert str(failure.value) == "need c (n,), a_ub (m, n), b_ub (m,); got (1,), (1,), (1,)"
+    with pytest.raises(LengthMismatch) as failure:
+        solve_lp([1.0], [[1.0]], [[1.0]])
+    assert str(failure.value) == "need c (n,), a_ub (m, n), b_ub (m,); got (1,), (1, 1), (1, 1)"
 
 
 def test_solve_lp_without_rows():
@@ -540,7 +546,7 @@ def test_stack_matches_solo(monkeypatch):
         (np.array([-1.0, 0.0]), np.array([[-1.0, 1.0]]), np.zeros(1)),  # unbounded
     ]
     # The 240 orderings that start with user 6 or 5 of the ROADMAP item 1
-    # instance: one shape, two stacks' worth.  (6, 1, 2, 3, 4, 5) is made
+    # instance: one shape, more than the bound slices its own stacks to.  (6, 1, 2, 3, 4, 5) is made
     # to fail its feasibility recheck, in the stack and alone.
     stats = validate_stats(ROADMAP_ITEM1_ROWS)
     tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
@@ -554,18 +560,22 @@ def test_stack_matches_solo(monkeypatch):
     problems = [problems[i] for i in rng.permutation(len(problems))]
 
     stacks = []
-    solve_stack = lp._solve_stack
+    simplex = lp._simplex
 
-    def recording_stack(c, a_ub, b_ub):
-        stacks.append(len(a_ub))
-        return solve_stack(c, a_ub, b_ub)
+    def recording_simplex(tableau, basis, nonbasic):
+        stacks.append(len(tableau))
+        return simplex(tableau, basis, nonbasic)
 
     with monkeypatch.context() as recording:
-        recording.setattr(lp, "_solve_stack", recording_stack)
+        recording.setattr(lp, "_simplex", recording_simplex)
         stacked = solve_stacked(problems)
     solo = [_outcome(p) for p in problems]
 
-    assert max(stacks) == stack_size(25, 5 + 4) == 172  # live count 5: 25 rows, 9 columns
+    # One simplex run per solve_lps call, one call per shape; the 240
+    # orderings (live count 5: 25 rows, 9 columns) run as one stack, larger
+    # than the bound's own stacks.
+    assert len(stacks) == len({np.shape(p[1]) for p in problems})
+    assert max(stacks) == 240 > stack_size(25, 5 + 4) == 172
     statuses = {s.status if isinstance(s, LpSolution) else type(s).__name__ for s in solo}
     assert statuses == {OPTIMAL, UNBOUNDED, "NumericalFailure"}
     assert [str(s) for s in solo if isinstance(s, NumericalFailure)] == [

@@ -7,12 +7,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from cachecast import lp, upper_bound
+from cachecast import upper_bound
 from cachecast.caching import caching_tuple, central_strategy, central_tuple, strategy_from_intervals
 from cachecast.channel import validate_stats
 from cachecast.errors import LengthMismatch, OutOfRange, TooManyUsers, ZeroDenominator
-from cachecast.lp import FEAS_TOL, OPTIMAL, UNBOUNDED, solve_lp, stack_size
-from cachecast.upper_bound import build_permutation_lp, objective_at, upper_bound_rate
+from cachecast.lp import FEAS_TOL, OPTIMAL, UNBOUNDED, solve_lp
+from cachecast.upper_bound import build_permutation_lp, objective_at, stack_size, upper_bound_rate
 
 from helpers import (
     MIXED3_BEST_PI,
@@ -219,18 +219,11 @@ def test_bound_solves_full_stacks(monkeypatch):
     # Each solve_lps call gets one lockstep stack's worth of live prefixes,
     # so every stack is full but the last: at K = 6, B = 4, mu = 1/6 every
     # ordering has live count 5 (25 x 9 LPs) and 720 = 4 * 172 + 32.
-    stacks = []
-    solve_stack = lp._solve_stack
-
-    def recording_stack(c, a_ub, b_ub):
-        stacks.append(len(a_ub))
-        return solve_stack(c, a_ub, b_ub)
-
-    monkeypatch.setattr(lp, "_solve_stack", recording_stack)
+    shapes = _recording_solve_lps(monkeypatch)
     tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
     upper_bound_rate(validate_stats(ROADMAP_ITEM1_ROWS), tup)
     assert stack_size(25, 9) == 172
-    assert stacks == [172] * 4 + [32]
+    assert [shape[0] for shape in shapes] == [172] * 4 + [32]
 
 
 def _recording_solve_lps(monkeypatch):
