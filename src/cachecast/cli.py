@@ -34,7 +34,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from . import caching, channel, degraded, lp_scheme, simulator, two_user, upper_bound
-from .errors import BadT, NonIntegerT, NotDegraded, OutOfRange, SolverError, TooManyUsers, ValidationError
+from .errors import BadT, NonIntegerT, NotDegraded, OutOfRange, SolverError, ValidationError
 
 CONFIG_FIELDS = ("num_users", "num_levels", "ccdf", "mu", "caching", "simulation")
 SIMULATION_FIELDS = ("n", "seed")  # the optional "simulation" object
@@ -341,20 +341,26 @@ def _trace_rows(realization: channel.StateRealization) -> Iterator[bytes]:
     user, in chunks of SAMPLE_BLOCK lines.
 
     Row v of a byte table holds the decimal digits of level v and a comma,
-    right-aligned behind zero bytes.  Taking the table's rows at a chunk of
-    levels.T lays out the chunk's lines at once; the last comma of each line
-    becomes a newline and the zero bytes are dropped.  Memory is a few
-    chunks, whatever n is.  The bytes equal those of
-    np.savetxt(fh, levels.T, fmt="%d", delimiter=",").
+    right-aligned behind zero bytes.  Taking the table's rows at levels.T
+    lays out a chunk's lines; the last comma of each line becomes a newline
+    and the zero bytes are dropped.  np.take copies its uint8 index to intp,
+    8 bytes a level, so it takes an eighth of a chunk's lines at a time:
+    the copy is then 1 byte per level of the chunk.  The levels lie in the
+    table, so mode="clip" changes nothing; it lets take write into the
+    lines unbuffered.  Memory is a few chunks, whatever n is.  The bytes
+    equal those of np.savetxt(fh, levels.T, fmt="%d", delimiter=",").
     """
-    top = realization.num_levels
+    top, part = realization.num_levels, max(1, channel.SAMPLE_BLOCK // 8)
     table = np.zeros((top + 1, len(str(top)) + 1), dtype=np.uint8)
     for value in range(top + 1):
         cell = f"{value},".encode("ascii")
         table[value, table.shape[1] - len(cell) :] = np.frombuffer(cell, dtype=np.uint8)
     for start in range(0, realization.num_uses, channel.SAMPLE_BLOCK):
         chunk = realization.levels[:, start : start + channel.SAMPLE_BLOCK]
-        lines = np.take(table, chunk.T, axis=0).reshape(chunk.shape[1], -1)
+        lines = np.empty((chunk.shape[1], chunk.shape[0], table.shape[1]), dtype=np.uint8)
+        for at in range(0, chunk.shape[1], part):
+            np.take(table, chunk[:, at : at + part].T, axis=0, out=lines[at : at + part], mode="clip")
+        lines = lines.reshape(chunk.shape[1], -1)
         lines[:, -1] = ord("\n")
         yield lines[lines != 0].tobytes()
 
@@ -383,10 +389,9 @@ def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
             f_lp = lp_scheme.achievable_rate_lp(cfg.stats, mu).rate
         except (NonIntegerT, BadT):
             f_lp = None
-        try:
+        f_upper = None  # the bound enumerates the orderings of at most MAX_BOUND_USERS users
+        if cfg.stats.num_users <= upper_bound.MAX_BOUND_USERS:
             f_upper = upper_bound.upper_bound_rate(cfg.stats, caching.central_tuple(cfg.stats.num_users, mu)).value
-        except TooManyUsers:
-            f_upper = None
         try:
             f_deg = degraded.degraded_optimal_rate(cfg.stats, mu).rate
         except (NotDegraded, NonIntegerT, BadT):

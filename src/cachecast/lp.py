@@ -5,10 +5,12 @@ Problems are stated as arrays c, a_ub and b_ub, meaning
     minimize c.x  subject to  a_ub.x <= b_ub,  x >= 0,  with b_ub >= 0.
 
 x = 0 is then feasible, so the simplex starts from the slack basis and
-needs no phase 1; solve_lps rejects a negative b_ub entry.  Every LP of
-the package has this form: the delivery LP's subset and master LPs and
-its dense form, the chain LP, and the per-ordering LP of the upper
-bound (which keeps its normalisation in a budget row, see upper_bound).
+needs no phase 1; solve_lps rejects a negative b_ub entry.  The delivery
+LP's master and its dense form, the chain LP and the per-ordering LP of
+the upper bound (which keeps its normalisation in a budget row, see
+upper_bound) have this form.  The delivery LP's subset LPs are covering
+LPs, a.x >= 1, held as -a.x <= -1 by a CoveringStack, which starts each
+from one crash pivot rather than from x = 0 (below).
 
 solve_lp runs the primal simplex on a condensed (Tucker) tableau: the
 variables are labelled 0..n-1 (the columns of a_ub) and n..n+m-1 (the
@@ -85,6 +87,16 @@ column is one write into each.  Each new column enters the tableau as
 Binv.a, one m x m product, with its reduced cost in the cost row, and is
 pivoted in by the same ratio test; the same simplex resumes from there,
 not from the slack basis, and each solve carries the same certificate.
+
+CoveringStack keeps a stack of LPs min c.x s.t. a.x >= 1, x >= 0 whose
+costs change from one solve to the next (the delivery LP's subset LPs,
+repriced at every cut).  The costs do not enter the constraints, so the
+basis each solve leaves is still primal feasible at the next costs: the
+stack keeps its tableau, basis and labels, reprices the cost row at the
+kept basis with one batched c_B.T product, and resumes the same simplex,
+certified by the same _finish.  Its start is one crash pivot per LP,
+column 0 entering at the row with the smallest a[k, 0], which is
+feasible whenever that column is positive.
 """
 
 from __future__ import annotations
@@ -204,15 +216,17 @@ def _pivot(
     nonbasic.
 
     Precondition: every entry is finite and none is -0.0, and every pivot
-    is positive (the ratio test takes only entries above PIVOT_TOL).  Then
-    the update gives the bytes of a row-by-row loop that skips the rows
-    with f_r == 0, since x - (+-0.0) == x for every x but -0.0.  And the
-    pivot keeps the precondition.  A difference x - y is -0.0 only where x
-    is -0.0 and y is +0.0 (round to nearest gives +0.0 for x == y), so the
-    update makes no -0.0 in a row that had none.  A quotient by a positive
-    divisor is -0.0 only where a negative dividend underflows; such an
-    entry of the pivot row then meets its factor +0.0 in the update, and
-    -0.0 - (+0.0 * -0.0) is +0.0 (where the row loop would keep -0.0).
+    is nonzero (the ratio test takes only entries above PIVOT_TOL; the
+    crash pivot of a CoveringStack is negative).  Then the update gives the
+    bytes of a row-by-row loop that skips the rows with f_r == 0, since
+    x - (+-0.0) == x for every x but -0.0.  And the pivot keeps the
+    precondition.  A difference x - y is -0.0 only where x is -0.0 and y
+    is +0.0 (round to nearest gives +0.0 for x == y), so the update makes
+    no -0.0 in a row that had none.  A quotient is -0.0 only where the
+    dividend is +0.0 and the divisor negative, or where the exact quotient
+    is negative and underflows; such an entry of the pivot row then meets
+    its factor +0.0 in the update, and -0.0 - (+0.0 * -0.0) is +0.0
+    (where the row loop would keep -0.0).
 
     lps is np.arange(L), from a caller that keeps it.  Where frozen[i] is
     true, tableau i belongs to an LP that has stopped: it gets factors 0
@@ -563,3 +577,69 @@ class GrowingLp:
             raise outcome
         return outcome
 
+
+class CoveringStack:
+    """A stack of LPs min c.x s.t. a.x >= 1, x >= 0, solved at one cost row after another.
+
+    a (L, m, n) must have a positive first column.  The constraints do not
+    depend on c, so every basis the simplex leaves stays primal feasible
+    at the next costs, and the tableau, basis and labels are kept from one
+    solve to the next.  The LPs are held in the module's form,
+    -a.x <= -1, whose slack basis x = 0 is infeasible; instead each LP
+    starts from one crash pivot: column 0 enters at the row r with the
+    smallest a[r, 0].  The crashed rhs is 1/a[r, 0] in row r and
+    (a[k, 0] - a[r, 0]) / a[r, 0] >= 0 in every other row k, written in
+    that form so that a tie gives exactly 0, where the pivot's own update
+    gives -1 + a[k, 0] * (1/a[r, 0]), which is -1.1e-16 at a[k, 0] =
+    a[r, 0] = 0.09.  The crash pivot's divisor -a[r, 0] is negative, which
+    _pivot allows: its update leaves no -0.0 either way.  The cost row
+    holds 0 until the first solve prices it.
+
+    solve(c) prices every LP's cost row afresh at its kept basis, c_N -
+    c_B.T with the rhs slot -c_B.rhs, in one batched product over the
+    stack, then resumes the simplex there and certifies every LP against
+    its original rows (_finish), exactly as solve_lps does.
+    """
+
+    def __init__(self, a) -> None:
+        a = np.asarray(a, dtype=float)
+        size, m, n = a.shape
+        first = a[:, :, 0]
+        if not (first > 0.0).all():
+            raise OutOfRange("every entry of the first column must be positive")
+        self._a_ub = -a
+        self._b_ub = np.full(m, -1.0)
+        self._offsets = np.arange(size)[:, None] * (n + m)  # of each LP's row in a flattened (L, n+m) array
+        self._tableau = np.zeros((size, m + 1, n + 1))
+        np.subtract(0.0, a, out=self._tableau[:, :m, :n])
+        self._tableau[:, :m, n] = -1.0
+        self._basis = np.empty((size, m), dtype=int)
+        self._basis[:] = np.arange(n, n + m)
+        self._nonbasic = np.empty((size, n), dtype=int)
+        self._nonbasic[:] = np.arange(n)
+        lps, rows = np.arange(size), first.argmin(axis=1)
+        _pivot(self._tableau, self._basis, self._nonbasic, rows, np.zeros(size, dtype=int), lps)
+        least = first[lps, rows][:, None]
+        self._tableau[:, :m, n] = (first - least) / least
+        self._tableau[lps, rows, n] = 1.0 / least[:, 0]
+
+    def solve(self, c) -> StackSolution:
+        """Every LP at the costs c (n,), from the bases the last solve left.
+
+        A c of any other shape raises LengthMismatch.  Like solve_lps,
+        returns the stack's outcomes; a NumericalFailure is returned, not
+        raised.  Neither difference of the pricing can be -0.0, since
+        neither minuend is.
+        """
+        c = np.asarray(c, dtype=float)
+        tableau, basis, nonbasic = self._tableau, self._basis, self._nonbasic
+        (size, m, n), offsets = self._a_ub.shape, self._offsets
+        if c.shape != (n,):
+            raise LengthMismatch(f"need c ({n},), got shape {c.shape}")
+        costs = np.zeros((size, n + m))
+        costs[:, :n] = c + 0.0
+        priced = np.matmul(costs.take(basis + offsets)[:, None, :], tableau[:, :m])[:, 0, :]  # c_B.T, c_B.rhs
+        np.subtract(costs.take(nonbasic + offsets), priced[:, :n], out=tableau[:, m, :n])
+        np.subtract(0.0, priced[:, n], out=tableau[:, m, n])
+        status, pivots = _simplex(tableau, basis, nonbasic)
+        return _finish(status, tableau, basis, nonbasic, costs, self._a_ub, self._b_ub, pivots)

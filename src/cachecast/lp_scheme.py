@@ -29,11 +29,19 @@ is what one unit of S's message costs, and by minimax duality
 1/f* = max over the simplex of phi(lambda) = sum_S c_S(lambda) / C(K,t).
 phi is concave and polyhedral, and Kelley's cutting-plane method (Kelley
 1960; Dantzig and Wolfe 1960) finds its maximum exactly.  Each iteration
-solves the C(K,t+1) subproblems at the current lambda in their max form
-(B rows, t+1 columns, rhs lambda) in one lp.solve_lps call.  Their duals
-u_S price S's message at every lambda, so
-g = sum_S u_S / C(K,t) gives the cut phi(lambda') <= g.lambda', and
-sum_S c_S(lambda) / C(K,t) is a lower value of max phi.  The master is
+solves the C(K,t+1) subproblems at the current lambda in their min form
+(t+1 rows, B columns, costs lambda), as one lp.CoveringStack kept from
+cut to cut.  In the min form lambda is only the cost: the rows
+ccdf[S] u >= 1 never change, so the optimal basis of the last cut is
+still feasible at the new lambda, and each cut reprices the kept
+tableaux and resumes the simplex from those bases.  The first bases are
+one crash pivot per subset, level 1 entering at the member with the
+smallest ccdf[k][0]; that is feasible because every live CCDF row is
+nonincreasing and nonzero, so its first entry is positive, and at the
+first lambda, uniform, it is already optimal.  The optimal u_S meet S's
+rows whatever lambda is, so g = sum_S u_S / C(K,t) gives the cut
+phi(lambda') <= g.lambda', and sum_S c_S(lambda) / C(K,t), with
+c_S(lambda) = lambda.u_S, is a lower value of max phi.  The master is
 the Dantzig-Wolfe packing LP over the cuts,
 
     maximize sum_i a_i  s.t.  sum_i a_i g_i[l] <= 1 for every level l,  a >= 0,
@@ -60,8 +68,9 @@ rate 1, and sum_i alpha_i g_i <= eta levelwise is the master's own
 feasibility.  1/(best lower value) >= f* bounds the optimum from above, so
 gap = 1/(best lower value) - f certifies how far f can lie below it (0
 when rounding puts the two values a few ulps the wrong way round).
-A user whose CCDF row is all zero can decode nothing: the rate is 0 and
-every share 0.  The allocation is rechecked by check_allocation, against
+A user whose ccdf[k][0] is 0 never receives a level (validation lets a
+later entry exceed it by PROB_TOL at most) and decodes nothing: the rate
+is 0 and every share 0.  The allocation is rechecked by check_allocation, against
 every decodability and budget row and the sign of every share, before it
 is returned.
 """
@@ -79,7 +88,7 @@ import numpy as np
 
 from .channel import ChannelStats
 from .errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT, NumericalFailure, UnexpectedLpStatus
-from .lp import FEAS_TOL, OPTIMAL, GrowingLp, LpSolution, solve_lps
+from .lp import FEAS_TOL, OPTIMAL, CoveringStack, GrowingLp, LpSolution
 
 Subset = tuple[int, ...]
 
@@ -232,24 +241,22 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
         shares.setflags(write=False)
         return DeliveryAllocation(K, B, t, subsets, shares, rate, iterations, gap)
 
-    if not stats.ccdf.any(axis=1).all():  # a user on a dead channel decodes nothing
+    if not (stats.ccdf[:, 0] > 0.0).all():  # a user on a dead channel decodes nothing
         return allocation(np.zeros((B, len(subsets))), 0.0, 0, 0.0)
 
-    # Subproblem of S: min -sum_{k in S} v_k s.t. ccdf[S].T v <= lambda, v >= 0.
-    c = np.full(t + 1, -1.0)
-    blocks = np.ascontiguousarray(member_ccdf.transpose(0, 2, 1))
+    subproblems = CoveringStack(member_ccdf)  # S's: min lambda.u s.t. ccdf[S] u >= 1, u >= 0
     lam = np.full(B, 1.0 / B)
     master = GrowingLp(np.ones(B))  # the packing LP: max sum_i a_i s.t. sum_i a_i g_i <= 1 levelwise
     prices: list[np.ndarray] = []  # per cut, u_S of every subset (subsets x B)
     best, eta = 0.0, inf
     for iteration in range(1, MAX_CUTS + 1):
         where = f"cut {iteration}, gap {_gap(best, eta):.3g}"
-        stack = solve_lps(c, blocks, lam)
+        stack = subproblems.solve(lam)
         if stack.status.count(OPTIMAL) < len(subsets):
             for s, outcome in zip(subsets, stack):
                 _solved(outcome, label, f"subset {s}, {where}")
-        u = -stack.dual_ub
-        best = max(best, -sum(stack.value.tolist()) / piece_count)
+        u = stack.x
+        best = max(best, sum(stack.value.tolist()) / piece_count)
         prices.append(u)
         try:
             packing = master.add_column(u.sum(axis=0) / piece_count, -1.0)

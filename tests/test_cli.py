@@ -287,10 +287,12 @@ def test_trace_chunks_join_to_savetxt(monkeypatch, num_uses):
 
 
 def test_trace_writer_memory_is_a_few_chunks():
-    # K = 8, n = 2**18 is 16 chunks of SAMPLE_BLOCK lines.  Laying out the
-    # lines takes about 10 bytes per level in temporaries (an intp index
-    # array and the byte lines), so the whole trace at once peaks near 160
-    # bytes per level of one chunk, and chunk by chunk near 14.
+    # K = 8, n = 2**18 is 16 chunks of SAMPLE_BLOCK lines.  At B = 5 a level
+    # is 2 bytes of a line, held four times at the peak (the lines, their
+    # nonzero mask, the kept bytes and their bytes object), and the intp
+    # copy of the index covers an eighth of a chunk at a time: chunk by
+    # chunk the peak is 8.0 bytes per level of one chunk (14.0 with the
+    # whole chunk's index copied at once).
     users, num_uses = 8, 1 << 18
     levels = np.random.default_rng(5).integers(0, 6, size=(users, num_uses), dtype=np.uint8)
     realization = channel.StateRealization(users, 5, num_uses, 0, levels)
@@ -311,23 +313,24 @@ def test_trace_writer_memory_is_a_few_chunks():
         tracemalloc.stop()
     assert sink.size == 2 * users * num_uses
     chunk_levels = channel.SAMPLE_BLOCK * users
-    assert peak < 24 * chunk_levels, f"{peak / chunk_levels:.1f} bytes per level of one chunk"
+    assert peak < 9 * chunk_levels, f"{peak / chunk_levels:.1f} bytes per level of one chunk"
 
 
 # SHA-256 of `simulate --json` stdout and of the trace file.  The trace
 # digests were computed with the int64 sampler and the np.savetxt writer they
-# replaced; the stdout digests with the packing-form master of the delivery
-# LP, whose rate and shares differ from the eta-form master's in the last
-# ulps (see CHANGES.md).
+# replaced; the stdout digests with the delivery LP's subset LPs in their
+# min form, kept from cut to cut, whose optimal points are other vertices
+# than the max form's duals where the optimum is degenerate: the rate moves
+# in the last ulps, the shares and so the tallies more (see CHANGES.md).
 SIMULATE_DIGESTS = {
     "nondegraded3": (
         5,
-        "53c3a2a7c106177b7fc4327641df2598e0a4ff33c89416abf5041412f740d873",
+        "b67fd02292091765224523edc6df3e85dc59b2ed1729c41b57357378530f544e",
         "dd8e90557d66e89bbe2cb4dd942e7e86049700cc61afd89bfd9fb375291fe1eb",
     ),
     "k6b5": (
         11,
-        "c902e6adf51e1f7511e3dec0b5905276afa9d23858407f3629cbd8f816521b83",
+        "a4af45b78ff34cbb34f0b429421bd275ec423584f13f127cc51f87cafdec1e75",
         "cc1f22b8c6ddd88ee0085d3710379e41b895246cb475da8eb660519b86125e67",
     ),
 }
@@ -360,11 +363,12 @@ def test_simulate_output_digests_are_frozen(capsys, tmp_path, name):
 
 # SHA-256 of `rates upper --json` on the ROADMAP item 1 grid (all 720
 # orderings in `table`) and of `rates achievable --json` on a seeded
-# sorted-uniform K = 8, t = 3, B = 4 grid.  Frozen before the simplex kept
-# only its nonbasic columns: a change to the LP core must keep these bytes.
+# sorted-uniform K = 8, t = 3, B = 4 grid.  `upper` was frozen before the
+# simplex kept only its nonbasic columns, `achievable` when the subset LPs
+# moved to their min form: a change to the LP core must keep these bytes.
 RATES_DIGESTS = {
     "upper": "8c8bb6137d870c1158b7413e901505904afab066be2ea44d4aec4ebfd15cd2a3",
-    "achievable": "415f702886b3d18bcec3126d266cf47c4c5eb37992b53eef6c3e5e23ac7d464a",
+    "achievable": "8867188f68921ed5079bf6139a421984299cc7e13a3935dc3444e19d8e426519",
 }
 
 
@@ -456,10 +460,15 @@ def test_sweep_chain_json(capsys):
     assert abs(rows[1]["f_bar_degraded"] - CHAIN3_RATE) <= 1e-9
 
 
-def test_sweep_leaves_the_bound_empty_above_its_cap(capsys, tmp_path):
+def test_sweep_leaves_the_bound_empty_above_its_cap(capsys, monkeypatch, tmp_path):
     # The bound enumerates orderings of at most 8 users, so on a K = 9
     # chain its cells are empty while the delivery LP and the chain optimum
-    # are filled, and agree; at mu = 1 no method applies.
+    # are filled, and agree; at mu = 1 no method applies.  No cell uses the
+    # bound's caching tuple there, so none is built.
+    def no_tuple(*args):
+        raise AssertionError("built a caching tuple for a bound that is not computed")
+
+    monkeypatch.setattr(caching, "central_tuple", no_tuple)
     stats = random_chain_stats(np.random.default_rng(9), 9, 3)
     cfg = write_config(tmp_path, {"num_users": 9, "num_levels": 3, "ccdf": stats.ccdf.tolist(), "mu": "0"})
     argv = ["sweep", cfg, "--mu", "0:1:1/3"]
@@ -719,14 +728,14 @@ def test_lp_failures_name_their_lp(capsys, monkeypatch, command, config, module,
 
 def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
     label = "delivery LP (K=3, t=1, B=3)"
-    solve_lps = lp_scheme.solve_lps
+    solve = lp_scheme.CoveringStack.solve
 
     def replacing_subset_13_at_cut_2(outcome):
         calls = []
 
-        def patched(c, a_ub, b_ub):
+        def patched(stack, lam):
             calls.append(None)
-            outcomes = solve_lps(c, a_ub, b_ub)
+            outcomes = solve(stack, lam)
             if len(calls) == 2:
                 outcomes.status[1] = outcome  # subsets are (1, 2), (1, 3), (2, 3)
             return outcomes
@@ -734,13 +743,13 @@ def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
         return patched
 
     failure = NumericalFailure("optimal basis fails dual feasibility check (dual residual 0.25)")
-    monkeypatch.setattr(lp_scheme, "solve_lps", replacing_subset_13_at_cut_2(failure))
+    monkeypatch.setattr(lp_scheme.CoveringStack, "solve", replacing_subset_13_at_cut_2(failure))
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
     err = capsys.readouterr().err
     assert f"{label}: optimal basis fails dual feasibility check (dual residual 0.25)" in err
     assert "(subset (1, 3), cut 2, gap " in err
 
-    monkeypatch.setattr(lp_scheme, "solve_lps", replacing_subset_13_at_cut_2(UNBOUNDED))
+    monkeypatch.setattr(lp_scheme.CoveringStack, "solve", replacing_subset_13_at_cut_2(UNBOUNDED))
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
     assert f"{label}: status unbounded (subset (1, 3), cut 2, gap " in capsys.readouterr().err
 

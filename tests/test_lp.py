@@ -23,7 +23,7 @@ from cachecast.lp import (
     solve_lp,
     solve_lps,
 )
-from cachecast.lp_scheme import build_delivery_lp
+from cachecast.lp_scheme import achievable_rate_lp, build_delivery_lp, message_subsets
 from cachecast.upper_bound import build_permutation_lp, stack_size
 
 from helpers import (
@@ -32,10 +32,12 @@ from helpers import (
     degenerate_delivery_grids,
     enumerate_vertices,
     fail_certificate,
+    ladder_grids,
     pivot_reference,
     random_bounded_lp,
     random_chain_stats,
     random_stats,
+    sorted_uniform_ccdf,
 )
 
 
@@ -295,6 +297,87 @@ def test_growing_lp_ray_column_and_negative_rhs():
         lp.GrowingLp([1.0, -1.0])
 
 
+# --- the covering stack -----------------------------------------------------------
+
+
+def covering_value(a, c):
+    """min c.x s.t. a.x >= 1, x >= 0, solved cold in its max form: -min -sum v s.t. a^T v <= c, v >= 0."""
+    return -solve_lp(-np.ones(a.shape[0]), a.T, c).value
+
+
+def random_covering_stack(rng, size=12, m=4, n=5):
+    """Rows like CCDF rows: nonincreasing, first entry positive, a third of the rest zero."""
+    a = np.sort(rng.uniform(0.05, 1.0, (size, m, n)), axis=2)[:, :, ::-1]
+    a[:, :, 1:] *= rng.random((size, m, n - 1)) >= 1 / 3
+    return a
+
+
+def test_covering_stack_resumes_at_each_new_cost_row():
+    # One stack re-solved at 15 cost rows, a third of their entries 0:
+    # every LP's value matches a cold solve, its point covers every row
+    # and it carries the certificate.  The first cost row of each stack is
+    # uniform, where the crash basis is already optimal.
+    rng = np.random.default_rng(2101)
+    for trial in range(4):
+        a = random_covering_stack(rng)
+        stack = lp.CoveringStack(a)
+        for step in range(15):
+            n = a.shape[2]
+            c = np.full(n, 0.2) if step == 0 else rng.uniform(0.0, 1.0, n) * (rng.random(n) >= 1 / 3)
+            warm = stack.solve(c)
+            if step == 0:
+                assert not warm.pivots.any()
+            for i, outcome in enumerate(warm):
+                cold = covering_value(a[i], c)
+                assert outcome.status == OPTIMAL
+                assert abs(outcome.value - cold) <= 1e-12 * max(abs(cold), 1.0)
+                assert (a[i] @ outcome.x >= 1.0 - FEAS_TOL).all() and (outcome.x >= 0.0).all()
+                assert max(outcome.primal_residual, outcome.dual_residual) <= FEAS_TOL
+
+
+def test_covering_stack_crash_of_a_tied_pair():
+    # Two rows tie at the smallest first entry x.  The crash pivot's own
+    # update gives the tied row -1 + x * (1/x) = -1.1e-16 at these x; the
+    # crashed rhs is exactly 0 instead, and the point is (1/x, 0, 0).
+    for x in (0.09, 0.18, 0.36, 0.47):
+        assert -1.0 - (-x) * (1.0 / x) < 0.0
+        a = np.array([[[x, 0.5 * x, 0.0], [x, 0.0, 0.0], [0.9, 0.8, 0.7]]])
+        stack = lp.CoveringStack(a)
+        rhs = stack._tableau[0, :3, -1]
+        assert (rhs >= 0.0).all() and sorted(rhs.tolist()) == [0.0, (0.9 - x) / x, 1.0 / x]
+        assert not np.signbit(stack._tableau[stack._tableau == 0.0]).any()
+        (solution,) = stack.solve([1.0, 1.0, 1.0])
+        assert solution.x.tolist() == [1.0 / x, 0.0, 0.0] and solution.pivots == 0
+        assert solution.value == covering_value(a[0], np.ones(3))
+
+
+def test_covering_stack_at_costs_with_zero_entries():
+    # A zero cost makes its column free: the value is 0 where one free
+    # column covers every row, and the simplex never enters a column
+    # whose reduced cost is 0, so it takes no ray.
+    a = np.array([[[0.6, 0.5, 0.2], [0.8, 0.1, 0.1]], [[0.6, 0.5, 0.0], [0.8, 0.0, 0.0]]])
+    stack = lp.CoveringStack(a)
+    for c in ([0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0]):
+        c = np.array(c)
+        for i, solution in enumerate(stack.solve(c)):
+            assert solution.status == OPTIMAL
+            assert solution.value == pytest.approx(covering_value(a[i], c), rel=1e-12, abs=0.0)
+            assert (a[i] @ solution.x >= 1.0 - FEAS_TOL).all()
+    assert [s.value for s in stack.solve(np.zeros(3))] == [0.0, 0.0]
+
+
+def test_covering_stack_input_checks():
+    a = np.ones((2, 3, 4))
+    stack = lp.CoveringStack(a)
+    for bad in (np.ones(3), np.ones((2, 4)), np.ones((1, 4)), 1.0):
+        with pytest.raises(LengthMismatch, match=r"^need c \(4,\), got shape"):
+            stack.solve(bad)
+    assert [s.value for s in stack.solve(np.ones(4))] == [1.0, 1.0]
+    a[1, 2, 0] = 0.0
+    with pytest.raises(OutOfRange, match="first column must be positive"):
+        lp.CoveringStack(a)
+
+
 # --- pivot path ------------------------------------------------------------------
 
 
@@ -434,8 +517,10 @@ def test_pivots_never_make_a_negative_zero(monkeypatch):
     # with frozen LPs in the stack; random LPs with many zero entries, fed
     # as -0.0, alone and as the columns of a GrowingLp; and a pivot row
     # whose negative subnormal entry underflows to -0.0 when divided by the
-    # pivot 3, which the update clears.  No tableau holds a -0.0 before any
-    # pivot or at the end.
+    # pivot 3, which the update clears; and a delivery LP on a grid rounded
+    # to one decimal, whose subset LPs crash-pivot on negative divisors,
+    # with ties at the smallest first entry and zeros in the rows.  No
+    # tableau holds a -0.0 before any pivot or at the end.
     def check(tableau, basis, nonbasic):
         assert not np.signbit(tableau[tableau == 0.0]).any()
 
@@ -457,6 +542,11 @@ def test_pivots_never_make_a_negative_zero(monkeypatch):
     sol = solve_lp([-1.0, 0.0], [[3.0, tiny], [1.0, 1.0]], [1.0, 1.0])
     assert sol.x.tolist() == [1.0 / 3.0, 0.0] and sol.pivots == 1
     assert sum(frozen > 0 for _, frozen in calls) >= 10  # pivots with frozen LPs in the stack
+    grid = np.round(sorted_uniform_ccdf(np.random.default_rng(71), 7, 4), 1)
+    assert len(set(grid[:, 0])) < 7 and not grid.all()
+    before = len(calls)
+    achievable_rate_lp(validate_stats(grid), Fraction(2, 7))
+    assert len(calls) - before >= 20
 
 
 def fresh_reduced_costs(tableau, basis, nonbasic, costs):
@@ -469,7 +559,9 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
     # Row m of every tableau, carried by the pivots' rank-1 update, agrees
     # with c_N - c_B.T priced afresh from the constraint rows, before every
     # pivot and at the end: on stacks that share one cost row, on the
-    # three pivot-path LPs and on a GrowingLp.
+    # three pivot-path LPs, on a GrowingLp, and on the subset LPs of a
+    # delivery LP, from the crash pivot (cost row 0) through the cost rows
+    # repriced at the lambda of each cut.
     costs = []  # the current LP's costs by label, one shared row
     checked = []
 
@@ -481,6 +573,8 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
         checked.append(tableau.shape[0])
 
     problems = path_problems()
+    _, grid, t = ladder_grids()[6]
+    prices = cut_prices(monkeypatch, grid, t)
     record_tableaux(monkeypatch, check)
     rng = np.random.default_rng(1703)
     for seed in range(3):
@@ -497,6 +591,27 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
     for j in range(12):
         grown.add_column(a_ub[:, j], c[j])
     assert len(checked) > 300
+    stats, before = validate_stats(grid), len(checked)
+    costs.append(np.zeros(4))  # the crash pivot's: the cost row is 0 until the first solve
+    stack = lp.CoveringStack(stats.ccdf[np.array(message_subsets(9, t)) - 1])
+    for lam in prices:
+        costs.append(lam)
+        stack.solve(lam)
+    assert len(prices) == 26 and len(checked) - before > len(prices)
+
+
+def cut_prices(monkeypatch, grid, t):
+    """The lambda at which each cut of the delivery LP of grid at t solves its subset LPs."""
+    solve, prices = lp.CoveringStack.solve, []
+
+    def recording(stack, c):
+        prices.append(np.array(c))
+        return solve(stack, c)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp.CoveringStack, "solve", recording)
+        achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0]))
+    return prices
 
 
 def solve_stacked(problems):

@@ -9,7 +9,7 @@ import pytest
 from cachecast import lp_scheme
 from cachecast.channel import validate_stats
 from cachecast.errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT
-from cachecast.lp import FEAS_TOL, GROWING_CAPACITY, solve_lp
+from cachecast.lp import FEAS_TOL, GROWING_CAPACITY, OPTIMAL, solve_lp, solve_lps
 from cachecast.lp_scheme import (
     achievable_rate_lp,
     build_delivery_lp,
@@ -104,6 +104,10 @@ def test_achievable_two_users_split_one_level():
 def test_achievable_dead_channel_gets_zero():
     alloc = achievable_rate_lp(validate_stats([[0.0, 0.0], [0.0, 0.0]]), 0)
     assert abs(alloc.rate) <= 1e-12
+    # Validation lets a later level exceed level 1 by PROB_TOL: a user who
+    # never receives level 1 is on a dead channel too.
+    alloc = achievable_rate_lp(validate_stats([[0.0, 1e-13], [0.9, 0.4]]), 0)
+    assert alloc.rate == 0.0 and not alloc.shares.any()
 
 
 def test_achievable_rejects_bad_mu(mixed3):
@@ -297,6 +301,56 @@ def test_gap_brackets_the_optimum_when_stopped_early(monkeypatch):
     assert max(gaps) > 1e-4
 
 
+# --- the kept subset stack ----------------------------------------------------------
+
+
+def subset_solves(monkeypatch, grid, t):
+    """(lambda, StackSolution) of each cut's solve of the kept subset stack of grid's delivery LP at t."""
+    solve, solves = lp_scheme.CoveringStack.solve, []
+
+    def recording(stack, lam):
+        solves.append((np.array(lam), solve(stack, lam)))
+        return solves[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_scheme.CoveringStack, "solve", recording)
+        alloc = achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0]))
+    assert len(solves) == alloc.iterations
+    return solves
+
+
+# Lockstep pivots of the kept stack, summed over the cuts: the largest
+# pivot count of each cut's stack.  Solved cold, each from the slack
+# basis in the max form at the same lambda, the ladder LPs take 70, 86,
+# 97, 90, 85, 131 and 180.
+WARM_LOCKSTEP_PIVOTS = {
+    "K7-t2": 33, "K7-t3": 42, "K8-t2": 41, "K8-t3": 32, "K8-t4": 41, "K9-t3": 57, "K9-t4": 80,
+    "K6-t2-B5-seed27": 39, "K6-t2-B5-seed208": 78, "K8-t3-B4-stall": 54, "K8-t3-B4-chain": 14,
+}
+
+
+@pytest.mark.parametrize(
+    "name, grid, t", [pytest.param(*case, id=case[0]) for case in ladder_grids() + degenerate_delivery_grids()]
+)
+def test_kept_subset_stack_matches_cold_solves(monkeypatch, name, grid, t):
+    # At every cut, each subset LP repriced at the cut's lambda and resumed
+    # from the last cut's basis has the value c_S(lambda) of solve_lps on
+    # the max form from the slack basis, to 1e-12 relative, and its u_S
+    # meets S's rows.  The crash basis is optimal at the first lambda.
+    member_ccdf = validate_stats(grid).ccdf[np.array(message_subsets(grid.shape[0], t)) - 1]
+    solves = subset_solves(monkeypatch, grid, t)
+    lockstep = 0
+    for lam, warm in solves:
+        cold = solve_lps(-np.ones(t + 1), member_ccdf.transpose(0, 2, 1), lam)
+        assert warm.status == cold.status == [OPTIMAL] * len(member_ccdf)
+        assert (np.abs(warm.value + cold.value) <= 1e-12 * np.abs(cold.value)).all()
+        assert (np.matmul(member_ccdf, warm.x[:, :, None]) >= 1.0 - FEAS_TOL).all()
+        lockstep += int(warm.pivots.max())
+    assert not solves[0][1].pivots.any()
+    assert any((lam == 0.0).any() for lam, _ in solves)  # some lambda has zero entries
+    assert lockstep == WARM_LOCKSTEP_PIVOTS[name]
+
+
 # --- the warm-started master ------------------------------------------------------
 
 
@@ -342,13 +396,13 @@ def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch):
 
 
 def test_warm_master_grows_its_buffers_twice(monkeypatch):
-    # 25 cuts: the buffers double twice past their GROWING_CAPACITY of 8.
+    # 26 cuts: the buffers double twice past their GROWING_CAPACITY of 8.
     assert check_warm_master(monkeypatch, 6, "K9-t4") == [2 * GROWING_CAPACITY, 4 * GROWING_CAPACITY]
 
 
 @pytest.mark.parametrize(
     "grid, t, cuts",
-    [pytest.param(grid, t, cuts, id=name) for (name, grid, t), cuts in zip(ladder_grids(), (15, 19, 19, 13, 15, 19, 25))],
+    [pytest.param(grid, t, cuts, id=name) for (name, grid, t), cuts in zip(ladder_grids(), (15, 17, 20, 13, 15, 20, 26))],
 )
 def test_ladder_cut_counts_are_pinned(grid, t, cuts):
     assert achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0])).iterations == cuts
