@@ -9,8 +9,8 @@ needs no phase 1; solve_lps rejects a negative b_ub entry.  The delivery
 LP's master and its dense form, the chain LP and the per-ordering LP of
 the upper bound (which keeps its normalisation in a budget row, see
 upper_bound) have this form.  The delivery LP's subset LPs are covering
-LPs, a.x >= 1, held as -a.x <= -1 by a CoveringStack, which starts each
-from one crash pivot rather than from x = 0 (below).
+LPs, a.x >= 1, held as -a.x <= -1 and started from one crash pivot
+rather than from x = 0 (LpStack.covering, below).
 
 solve_lp runs the primal simplex on a condensed (Tucker) tableau: the
 variables are labelled 0..n-1 (the columns of a_ub) and n..n+m-1 (the
@@ -31,12 +31,12 @@ ratio is 0 (within PIVOT_TOL), it breaks ties by the smallest basic label
 alone, Bland's full rule, until a pivot moves its objective.
 
 A tableau holds its m constraint rows and, as row m, the reduced costs
-c_N - c_B.T: c itself at the slack basis (a GrowingLp prices each new
-column's entry as it arrives), kept current by every pivot.  A pivot
-swaps the entering and leaving labels between basis and nonbasic, writes
-the leaving variable's unit column e_r into the entering variable's
-slot, and runs the full tableau's Gauss-Jordan step on the stored
-columns as one rank-1 update of every row (_pivot).  No tableau entry is
+c_N - c_B.T, priced at the basis a solve starts from (c itself at the
+slack basis) and kept current by every pivot.  A pivot swaps the
+entering and leaving labels between basis and nonbasic, writes the
+leaving variable's unit column e_r into the entering variable's slot,
+and runs the full tableau's Gauss-Jordan step on the stored columns as
+one rank-1 update of every row (_pivot).  No tableau entry is
 ever -0.0: +0.0 is added to everything that enters a tableau, and a
 pivot cannot make one (_pivot has the proof).  So the unmasked update
 leaves the bytes of a row whose factor is 0, and every stored entry gets
@@ -80,23 +80,14 @@ frozen LPs included, so the pivot path and every byte of x, the value,
 the duals and the certificate are the same whether an LP is solved
 alone or in a stack.
 
-GrowingLp holds one LP whose columns arrive one at a time (the delivery
-LP's cutting-plane master).  Its tableau, costs, labels and original
-columns live in buffers that double in capacity when full, so a new
-column is one write into each.  Each new column enters the tableau as
-Binv.a, one m x m product, with its reduced cost in the cost row, and is
-pivoted in by the same ratio test; the same simplex resumes from there,
-not from the slack basis, and each solve carries the same certificate.
-
-CoveringStack keeps a stack of LPs min c.x s.t. a.x >= 1, x >= 0 whose
-costs change from one solve to the next (the delivery LP's subset LPs,
-repriced at every cut).  The costs do not enter the constraints, so the
-basis each solve leaves is still primal feasible at the next costs: the
-stack keeps its tableau, basis and labels, reprices the cost row at the
-kept basis with one batched c_B.T product, and resumes the same simplex,
-certified by the same _finish.  Its start is one crash pivot per LP,
-column 0 entering at the row with the smallest a[k, 0], which is
-feasible whenever that column is positive.
+An LpStack keeps a stack's tableau, basis and labels from one solve to
+the next, so every LP here is solved by one.  Neither new costs nor a
+new column make a kept basis infeasible: solve(c) prices the cost row
+afresh at the kept basis and resumes the simplex from there, and
+add_column enters a column as Binv.a and pivots it in by the same ratio
+test.  The delivery LP keeps two: the cutting-plane master, a column per
+cut, and the subset LPs, repriced at every cut.  solve_lps solves a
+fresh stack once.  Each solve carries the same certificate (_finish).
 """
 
 from __future__ import annotations
@@ -115,9 +106,6 @@ MAX_ITERATIONS = 100_000
 # Consecutive degenerate pivots after which an LP falls back to Bland's
 # leaving rule until its objective moves (the anti-cycling guard).
 DEGENERATE_RUN = 50
-# Columns a GrowingLp holds before its buffers first double: the delivery
-# LPs of the commands take 7 to 60 cuts, one column each.
-GROWING_CAPACITY = 8
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -188,11 +176,11 @@ class StackSolution:
         return map(self.__getitem__, range(len(self)))
 
 
-def _check_rhs(b_ub: np.ndarray, label: str = "LP {}: ") -> None:
+def _check_rhs(b_ub: np.ndarray) -> None:
     """Reject a negative entry of a stack of b_ub rows: the simplex starts at x = 0."""
     if (b_ub < 0.0).any():
         lp, row = np.argwhere(b_ub < 0.0)[0].tolist()
-        raise OutOfRange(f"{label.format(lp)}b_ub[{row}] = {float(b_ub[lp, row])!r} < 0; x = 0 must be feasible")
+        raise OutOfRange(f"LP {lp}: b_ub[{row}] = {float(b_ub[lp, row])!r} < 0; x = 0 must be feasible")
 
 
 def _pivot(
@@ -217,8 +205,8 @@ def _pivot(
 
     Precondition: every entry is finite and none is -0.0, and every pivot
     is nonzero (the ratio test takes only entries above PIVOT_TOL; the
-    crash pivot of a CoveringStack is negative).  Then the update gives the
-    bytes of a row-by-row loop that skips the rows with f_r == 0, since
+    crash pivot of LpStack.covering is negative).  Then the update gives
+    the bytes of a row-by-row loop that skips the rows with f_r == 0, since
     x - (+-0.0) == x for every x but -0.0.  And the pivot keeps the
     precondition.  A difference x - y is -0.0 only where x is -0.0 and y
     is +0.0 (round to nearest gives +0.0 for x == y), so the update makes
@@ -435,12 +423,6 @@ def solve_lps(c, a_ub, b_ub) -> StackSolution:
     negative b_ub entry raises OutOfRange before any LP is solved.  Every
     outcome is bit for bit the one solve_lp gives on that LP alone, and one
     LP's failure leaves the others unchanged.
-
-    The tableau is a new array, so a_ub and b_ub stay the original rows the
-    certificate is checked against.  Adding +0.0 to what enters the tableau
-    and the costs turns -0.0 into +0.0 and keeps every other value's bytes,
-    which meets _pivot's precondition.  At the slack basis c_B = 0, so the
-    cost row is c itself, with 0 in its rhs slot.
     """
     c, a_ub, b_ub = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
     shape = a_ub.shape  # (L, m, n)
@@ -448,20 +430,8 @@ def solve_lps(c, a_ub, b_ub) -> StackSolution:
         raise LengthMismatch(
             f"need a_ub (L, m, n), c (L, n) or (n,), b_ub (L, m) or (m,); got {shape}, {c.shape}, {b_ub.shape}"
         )
-    size, m, n = shape
-    _check_rhs(np.broadcast_to(b_ub, (size, m)))
-    tableau = np.empty((size, m + 1, n + 1))
-    np.add(a_ub, 0.0, out=tableau[:, :m, :n])
-    np.add(b_ub, 0.0, out=tableau[:, :m, n])
-    costs = np.zeros((size, n + m))
-    np.add(c, 0.0, out=costs[:, :n])
-    tableau[:, m, :n], tableau[:, m, n] = costs[:, :n], 0.0
-    basis = np.empty((size, m), dtype=int)
-    basis[:] = np.arange(n, n + m)
-    nonbasic = np.empty((size, n), dtype=int)
-    nonbasic[:] = np.arange(n)
-    status, pivots = _simplex(tableau, basis, nonbasic)
-    return _finish(status, tableau, basis, nonbasic, costs, a_ub, b_ub, pivots)
+    _check_rhs(np.broadcast_to(b_ub, shape[:2]))
+    return LpStack(a_ub, b_ub).solve(c)
 
 
 def solve_lp(c, a_ub, b_ub) -> LpSolution:
@@ -479,167 +449,129 @@ def solve_lp(c, a_ub, b_ub) -> LpSolution:
     return outcome
 
 
-class GrowingLp:
-    """min c.x s.t. a_ub.x <= b_ub, x >= 0, whose columns arrive one at a time.
+class LpStack:
+    """A stack of LPs min c.x s.t. a_ub.x <= b_ub, x >= 0, kept from one solve to the next.
 
-    It starts with no columns, at the slack basis.  add_column appends one
-    column and resumes the simplex from the basis the previous solve left:
-    a new column leaves that basis primal feasible, and it enters the kept
-    tableau as Binv.a.  Binv's column j is slack j's column of the full
-    tableau: its stored column where slack j is nonbasic, e_r where it is
-    basic in row r.  Labels follow the full tableau's column order, so the
-    slacks' labels move up by one with every new column.
-
-    The new column enters the basis first, by the simplex's own ratio test,
-    whatever its reduced cost: it is the column-generation step, whose
-    pricing already chose the column.  Where the column improves by more
-    than FEAS_TOL this is the pivot the simplex takes anyway, since the old
-    basis was optimal on the old columns.  Where it ties within FEAS_TOL
-    the simplex alone would keep the old basis, and its duals, unchanged,
-    so a cutting-plane loop pricing at those duals would generate the same
-    column again.  Each solve is certified against the original rows like
-    any other (_finish), and its pivots count that entry and the resumed
-    iterations.
-
-    The tableau (the m rows and the cost row; its columns, then the rhs),
-    the nonbasic labels, the costs by label and the original columns are
-    kept in buffers with room for GROWING_CAPACITY columns, doubled
-    whenever a new column finds them full; every solve works on views of
-    the filled part.
+    a_ub is (L, m, n) and b_ub (L, m) or one (m,) row for every LP; they
+    stay the original rows every solve is certified against.  The stack
+    starts at the slack basis, feasible where b_ub >= 0 (solve_lps checks
+    that), and keeps its tableau, basis and labels: neither the costs nor
+    a new column enter the old rows, so the basis a solve leaves is still
+    primal feasible at the next costs and after add_column.  The tableau
+    takes +0.0 added to every entry, which turns -0.0 into +0.0 and keeps
+    every other value's bytes, as _pivot's precondition asks.  Its cost
+    row holds 0 until the first solve prices it.
     """
 
-    def __init__(self, b_ub) -> None:
-        b = np.asarray(b_ub, dtype=float)[None]
-        _check_rhs(b, "")
-        m = b.shape[1]
-        self._n = 0  # columns so far
-        self._basis = np.arange(m)[None]
-        # The buffers; the costs past the last column are the slacks' 0, and
-        # the tableau's cost row m starts at 0 (no columns yet; its rhs slot
-        # carries minus the objective, which nothing reads).
-        self._tableau = np.zeros((1, m + 1, GROWING_CAPACITY + 1))
-        self._tableau[0, :m, 0] = b + 0.0
-        self._nonbasic = np.zeros((1, GROWING_CAPACITY), dtype=int)
-        self._costs = np.zeros((1, GROWING_CAPACITY + m))
-        self._a = np.zeros((1, m, GROWING_CAPACITY))
-        self._b = b
+    def __init__(self, a_ub, b_ub) -> None:
+        self._a, self._b = np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
+        size, m, n = self._a.shape
+        self._tableau = np.zeros((size, m + 1, n + 1))
+        np.add(self._a, 0.0, out=self._tableau[:, :m, :n])
+        np.add(self._b, 0.0, out=self._tableau[:, :m, n])
+        self._basis = np.empty((size, m), dtype=int)
+        self._basis[:] = np.arange(n, n + m)
+        self._nonbasic = np.empty((size, n), dtype=int)
+        self._nonbasic[:] = np.arange(n)
+        self._entered = np.zeros(size, dtype=int)  # per LP: columns pivoted in since the last solve
 
-    def _grow(self) -> None:
-        """Double the column capacity of every buffer, keeping what they hold."""
-        extra = self._a.shape[2]
-        for name in ("_tableau", "_nonbasic", "_costs", "_a"):
-            old = getattr(self, name)
-            new = np.zeros(old.shape[:-1] + (old.shape[-1] + extra,), dtype=old.dtype)
-            new[..., : old.shape[-1]] = old
-            setattr(self, name, new)
+    @classmethod
+    def covering(cls, a) -> LpStack:
+        """The stack of LPs min c.x s.t. a.x >= 1, x >= 0, started from one crash pivot each.
 
-    def add_column(self, column, cost: float) -> LpSolution:
-        """Append column (m,) with its cost and solve on from the last basis.
-
-        Like solve_lp, returns an optimal or unbounded LpSolution and raises
-        a NumericalFailure.  A column of any other shape raises
-        LengthMismatch and leaves the LP as it was.
+        a (L, m, n) must have a positive first column.  The LPs are held as
+        -a.x <= -1, whose slack basis x = 0 is infeasible; instead column 0
+        enters each LP at the row r with the smallest a[r, 0].  The crashed
+        rhs is 1/a[r, 0] in row r and (a[k, 0] - a[r, 0]) / a[r, 0] >= 0 in
+        every other row k, written in that form so that a tie gives exactly
+        0, where the pivot's own update gives -1 + a[k, 0] * (1/a[r, 0]),
+        which is -1.1e-16 at a[k, 0] = a[r, 0] = 0.09.  The crash pivot's
+        divisor -a[r, 0] is negative, which _pivot allows: its update leaves
+        no -0.0 either way.
         """
-        column = np.asarray(column, dtype=float)
-        m, n = self._b.shape[1], self._n
-        if column.shape != (m,):
-            raise LengthMismatch(f"column must have {m} entries, got shape {column.shape}")
-        if n == self._a.shape[2]:
-            self._grow()
-        basis, nonbasic, tab = self._basis[0], self._nonbasic[0, :n], self._tableau[0]
-        binv = np.zeros((m, m))
-        rows = np.flatnonzero(basis >= n)
-        binv[rows, basis[rows] - n] = 1.0
-        slots = np.flatnonzero(nonbasic >= n)
-        binv[:, nonbasic[slots] - n] = tab[:m, slots]
-        entering = binv @ column + 0.0
-        reduced = cost - self._costs[0].take(basis) @ entering + 0.0
-        basis[basis >= n] += 1
-        nonbasic[nonbasic >= n] += 1
-        tab[:, n + 1] = tab[:, n]  # the rhs moves one slot on, the cost row's too
-        tab[:m, n], tab[m, n] = entering, reduced
-        self._nonbasic[0, n] = n
-        self._costs[0, n] = cost
-        self._a[0, :, n] = column
-        self._n = n + 1
-        tableau, nonbasic = self._tableau[:, :, : n + 2], self._nonbasic[:, : n + 1]
-        costs = self._costs[:, : n + 1 + m]
-        eligible = entering[None] > PIVOT_TOL
-        entered = int(eligible.any())  # else a ray, which the simplex prices
-        if entered:
-            _, _, pick = _ratio_test(tableau, entering[None], eligible, np.arange(1))
-            leaving = np.where(pick, self._basis, costs.shape[1]).argmin(axis=1)
-            _pivot(tableau, self._basis, nonbasic, leaving, np.array([n]))
-        status, pivots = _simplex(tableau, self._basis, nonbasic)
-        pivots[0] += entered
-        (outcome,) = _finish(status, tableau, self._basis, nonbasic, costs, self._a[:, :, : n + 1], self._b, pivots)
-        if isinstance(outcome, NumericalFailure):
-            raise outcome
-        return outcome
-
-
-class CoveringStack:
-    """A stack of LPs min c.x s.t. a.x >= 1, x >= 0, solved at one cost row after another.
-
-    a (L, m, n) must have a positive first column.  The constraints do not
-    depend on c, so every basis the simplex leaves stays primal feasible
-    at the next costs, and the tableau, basis and labels are kept from one
-    solve to the next.  The LPs are held in the module's form,
-    -a.x <= -1, whose slack basis x = 0 is infeasible; instead each LP
-    starts from one crash pivot: column 0 enters at the row r with the
-    smallest a[r, 0].  The crashed rhs is 1/a[r, 0] in row r and
-    (a[k, 0] - a[r, 0]) / a[r, 0] >= 0 in every other row k, written in
-    that form so that a tie gives exactly 0, where the pivot's own update
-    gives -1 + a[k, 0] * (1/a[r, 0]), which is -1.1e-16 at a[k, 0] =
-    a[r, 0] = 0.09.  The crash pivot's divisor -a[r, 0] is negative, which
-    _pivot allows: its update leaves no -0.0 either way.  The cost row
-    holds 0 until the first solve prices it.
-
-    solve(c) prices every LP's cost row afresh at its kept basis, c_N -
-    c_B.T with the rhs slot -c_B.rhs, in one batched product over the
-    stack, then resumes the simplex there and certifies every LP against
-    its original rows (_finish), exactly as solve_lps does.
-    """
-
-    def __init__(self, a) -> None:
         a = np.asarray(a, dtype=float)
         size, m, n = a.shape
         first = a[:, :, 0]
         if not (first > 0.0).all():
             raise OutOfRange("every entry of the first column must be positive")
-        self._a_ub = -a
-        self._b_ub = np.full(m, -1.0)
-        self._offsets = np.arange(size)[:, None] * (n + m)  # of each LP's row in a flattened (L, n+m) array
-        self._tableau = np.zeros((size, m + 1, n + 1))
-        np.subtract(0.0, a, out=self._tableau[:, :m, :n])
-        self._tableau[:, :m, n] = -1.0
-        self._basis = np.empty((size, m), dtype=int)
-        self._basis[:] = np.arange(n, n + m)
-        self._nonbasic = np.empty((size, n), dtype=int)
-        self._nonbasic[:] = np.arange(n)
-        lps, rows = np.arange(size), first.argmin(axis=1)
-        _pivot(self._tableau, self._basis, self._nonbasic, rows, np.zeros(size, dtype=int), lps)
+        stack = cls(-a, np.full(m, -1.0))
+        tableau, lps, rows = stack._tableau, np.arange(size), first.argmin(axis=1)
+        _pivot(tableau, stack._basis, stack._nonbasic, rows, np.zeros(size, dtype=int), lps)
         least = first[lps, rows][:, None]
-        self._tableau[:, :m, n] = (first - least) / least
-        self._tableau[lps, rows, n] = 1.0 / least[:, 0]
+        tableau[:, :m, n] = (first - least) / least
+        tableau[lps, rows, n] = 1.0 / least[:, 0]
+        return stack
+
+    def add_column(self, column) -> None:
+        """Append column (m,) to every LP and pivot it in, whatever its reduced cost.
+
+        The column enters the kept tableau as Binv.a.  Binv's column j is
+        slack j's column of the full tableau: its stored column where slack
+        j is nonbasic, e_r where it is basic in row r.  Labels follow the
+        full tableau's column order, so the slacks' labels move up by one.
+        Then the column enters the basis by the simplex's own ratio test
+        (an LP where it has no entry above PIVOT_TOL keeps its basis; the
+        next solve finds the ray): it is the column-generation step, whose
+        pricing already chose the column.  Where the column improves by
+        more than FEAS_TOL this is the pivot the simplex takes anyway, since
+        the old basis was optimal on the old columns.  Where it ties within
+        FEAS_TOL the simplex alone would keep the old basis, and its duals,
+        unchanged, so a cutting-plane loop pricing at those duals would
+        generate the same column again.  The next solve prices the cost
+        row, and its pivots count this entry.  A column of any other shape
+        raises LengthMismatch and leaves the stack as it was.
+        """
+        column = np.asarray(column, dtype=float)
+        size, m, n = self._a.shape
+        if column.shape != (m,):
+            raise LengthMismatch(f"column must have {m} entries, got shape {column.shape}")
+        basis, tableau = self._basis, self._tableau
+        binv = np.zeros((size, m, m))
+        lps, rows = np.nonzero(basis >= n)
+        binv[lps, rows, basis[lps, rows] - n] = 1.0
+        lps, slots = np.nonzero(self._nonbasic >= n)
+        binv[lps, :, self._nonbasic[lps, slots] - n] = tableau[lps, :m, slots]
+        entering = binv @ column + 0.0
+        basis[basis >= n] += 1
+        self._nonbasic[self._nonbasic >= n] += 1
+        new = np.zeros((size, m + 1, 1))
+        new[:, :m, 0] = entering
+        self._tableau = tableau = np.concatenate((tableau[:, :, :n], new, tableau[:, :, n:]), axis=2)
+        slot = np.full((size, 1), n)
+        self._nonbasic = np.concatenate((self._nonbasic, slot), axis=1)
+        self._a = np.concatenate((self._a, np.repeat(column[None, :, None], size, axis=0)), axis=2)
+        eligible = entering > PIVOT_TOL
+        entered = eligible.any(axis=1)
+        if entered.any():
+            lps = np.arange(size)
+            _, _, pick = _ratio_test(tableau, entering, eligible, lps)
+            leaving = np.where(pick, basis, n + 1 + m).argmin(axis=1)
+            _pivot(tableau, basis, self._nonbasic, leaving, slot[:, 0], lps, None if entered.all() else ~entered)
+        self._entered += entered
 
     def solve(self, c) -> StackSolution:
-        """Every LP at the costs c (n,), from the bases the last solve left.
+        """Every LP at the costs c, (n,) or (L, n), from the bases the last solve left.
 
-        A c of any other shape raises LengthMismatch.  Like solve_lps,
-        returns the stack's outcomes; a NumericalFailure is returned, not
-        raised.  Neither difference of the pricing can be -0.0, since
-        neither minuend is.
+        The cost row is priced at the kept basis, c_N - c_B.T with the rhs
+        slot -c_B.rhs, in one batched product over the stack; at the slack
+        basis c_B = 0, so it is c with the same bytes.  Neither difference
+        can be -0.0, since neither minuend is.  Then the simplex resumes and
+        every LP is certified against its original rows (_finish).  A c of
+        any other shape raises LengthMismatch.  Returns the stack's
+        outcomes; a NumericalFailure is returned, not raised.
         """
         c = np.asarray(c, dtype=float)
         tableau, basis, nonbasic = self._tableau, self._basis, self._nonbasic
-        (size, m, n), offsets = self._a_ub.shape, self._offsets
-        if c.shape != (n,):
-            raise LengthMismatch(f"need c ({n},), got shape {c.shape}")
+        size, m, n = self._a.shape
+        if c.shape not in ((n,), (size, n)):
+            raise LengthMismatch(f"need c ({n},) or ({size}, {n}), got shape {c.shape}")
         costs = np.zeros((size, n + m))
-        costs[:, :n] = c + 0.0
+        np.add(c, 0.0, out=costs[:, :n])
+        offsets = np.arange(size)[:, None] * (n + m)  # of each LP's row in a flattened (L, n+m) array
         priced = np.matmul(costs.take(basis + offsets)[:, None, :], tableau[:, :m])[:, 0, :]  # c_B.T, c_B.rhs
         np.subtract(costs.take(nonbasic + offsets), priced[:, :n], out=tableau[:, m, :n])
         np.subtract(0.0, priced[:, n], out=tableau[:, m, n])
         status, pivots = _simplex(tableau, basis, nonbasic)
-        return _finish(status, tableau, basis, nonbasic, costs, self._a_ub, self._b_ub, pivots)
+        pivots += self._entered
+        self._entered.fill(0)
+        return _finish(status, tableau, basis, nonbasic, costs, self._a, self._b, pivots)

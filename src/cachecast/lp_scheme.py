@@ -30,16 +30,8 @@ is what one unit of S's message costs, and by minimax duality
 phi is concave and polyhedral, and Kelley's cutting-plane method (Kelley
 1960; Dantzig and Wolfe 1960) finds its maximum exactly.  Each iteration
 solves the C(K,t+1) subproblems at the current lambda in their min form
-(t+1 rows, B columns, costs lambda), as one lp.CoveringStack kept from
-cut to cut.  In the min form lambda is only the cost: the rows
-ccdf[S] u >= 1 never change, so the optimal basis of the last cut is
-still feasible at the new lambda, and each cut reprices the kept
-tableaux and resumes the simplex from those bases.  The first bases are
-one crash pivot per subset, level 1 entering at the member with the
-smallest ccdf[k][0]; that is feasible because every live CCDF row is
-nonincreasing and nonzero, so its first entry is positive, and at the
-first lambda, uniform, it is already optimal.  The optimal u_S meet S's
-rows whatever lambda is, so g = sum_S u_S / C(K,t) gives the cut
+(t+1 rows, B columns, costs lambda).  The optimal u_S meet S's rows
+whatever lambda is, so g = sum_S u_S / C(K,t) gives the cut
 phi(lambda') <= g.lambda', and sum_S c_S(lambda) / C(K,t), with
 c_S(lambda) = lambda.u_S, is a lower value of max phi.  The master is
 the Dantzig-Wolfe packing LP over the cuts,
@@ -50,16 +42,25 @@ the dual of  max eta s.t. eta <= g_i.lambda for every cut i,
 sum_l lambda_l <= 1.  Its value v gives the upper value eta = 1/v >= 1/f*,
 its level prices -dual_ub (which sum to v) give the next
 lambda = -eta dual_ub on the simplex, and its solution gives the convex
-cut weights alpha = eta a.  A new cut only adds a column, so the last
-optimal basis stays feasible: the master is an lp.GrowingLp, which
-pivots the new column in and resumes the simplex from that basis at
-every cut.  The column enters even when its reduced cost, -(eta - L)/eta
-for the cut's lower value L, lies within the simplex's FEAS_TOL of 0:
-left out, it would leave the duals and so lambda as they were.  The loop
-stops when eta and the best lower value agree to CUT_TOL relative, or
-when lambda comes back unchanged: the master's optimum then lies on the
-new cut, so eta equals that cut's lower value up to rounding, and the
-next cut would repeat it.  Then
+cut weights alpha = eta a.
+
+Both are kept from cut to cut as lp.LpStacks, since neither a new lambda
+nor a new cut makes the last optimal basis infeasible.  In the min form
+lambda is only the cost: the rows ccdf[S] u >= 1 never change, so each
+cut reprices the subset stack and resumes the simplex from its last
+bases.  Its first bases are one crash pivot per subset
+(LpStack.covering), level 1 entering at the member with the smallest
+ccdf[k][0]; that is feasible because every live CCDF row is
+nonincreasing and nonzero, so its first entry is positive, and at the
+first lambda, uniform, it is already optimal.  A cut only adds a column
+to the master, which add_column pivots in before the master resumes
+from its last basis.  The column enters even when its reduced cost,
+-(eta - L)/eta for the cut's lower value L, lies within the simplex's
+FEAS_TOL of 0: left out, it would leave the duals and so lambda as they
+were.  The loop stops when eta and the best lower value agree to CUT_TOL
+relative, or when lambda comes back unchanged: the master's optimum then
+lies on the new cut, so eta equals that cut's lower value up to
+rounding, and the next cut would repeat it.  Then
 
     f = 1/eta,   y_S = (f / C(K,t)) sum_i alpha_i u_S^i
 
@@ -88,7 +89,7 @@ import numpy as np
 
 from .channel import ChannelStats
 from .errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT, NumericalFailure, UnexpectedLpStatus
-from .lp import FEAS_TOL, OPTIMAL, CoveringStack, GrowingLp, LpSolution
+from .lp import FEAS_TOL, OPTIMAL, LpSolution, LpStack
 
 Subset = tuple[int, ...]
 
@@ -244,9 +245,9 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     if not (stats.ccdf[:, 0] > 0.0).all():  # a user on a dead channel decodes nothing
         return allocation(np.zeros((B, len(subsets))), 0.0, 0, 0.0)
 
-    subproblems = CoveringStack(member_ccdf)  # S's: min lambda.u s.t. ccdf[S] u >= 1, u >= 0
+    subproblems = LpStack.covering(member_ccdf)  # S's: min lambda.u s.t. ccdf[S] u >= 1, u >= 0
     lam = np.full(B, 1.0 / B)
-    master = GrowingLp(np.ones(B))  # the packing LP: max sum_i a_i s.t. sum_i a_i g_i <= 1 levelwise
+    master = LpStack(np.zeros((1, B, 0)), np.ones(B))  # the packing LP: max sum_i a_i s.t. sum_i a_i g_i <= 1
     prices: list[np.ndarray] = []  # per cut, u_S of every subset (subsets x B)
     best, eta = 0.0, inf
     for iteration in range(1, MAX_CUTS + 1):
@@ -258,10 +259,8 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
         u = stack.x
         best = max(best, sum(stack.value.tolist()) / piece_count)
         prices.append(u)
-        try:
-            packing = master.add_column(u.sum(axis=0) / piece_count, -1.0)
-        except NumericalFailure as exc:
-            packing = exc
+        master.add_column(u.sum(axis=0) / piece_count)
+        (packing,) = master.solve(-np.ones(iteration))
         packing = _solved(packing, label, f"master LP, {where}")
         eta = -1.0 / packing.value
         lam, previous = np.maximum(-eta * packing.dual_ub, 0.0), lam

@@ -119,6 +119,12 @@ def simulate_delivery(
     and its counts over the spans of the user's subsets are the deliveries.
     With keep_levels the K x n levels come from sample_states and are kept
     as the report's realization; the tallies are the same either way.
+
+    A message's std_error is the standard deviation of delivered / n.
+    Every level's spans are laid out in subset order from use 0, so one
+    subset's spans on two levels share uses, and on a shared use the
+    indicators L >= l are nested, hence correlated: the variance is the
+    sum over level pairs of the shared uses times p[max(l, l')] - p[l] p[l'].
     """
     report = check_allocation(stats, alloc)
     if not report.feasible:
@@ -134,17 +140,23 @@ def simulate_delivery(
     per_use_size = alloc.rate / piece_count
     required = math.ceil(num_uses * per_use_size - CEIL_GUARD)
 
-    # spans[l][j] uses of level l go to subset j, from starts[l][j] on.
+    # Uses starts[l][j] up to starts[l][j + 1] of level l go to subset j.
     num_subsets = len(alloc.subsets)
-    spans, starts = [], []
+    starts = []
     for l in range(stats.num_levels):
         quotas = [num_uses * float(alloc.shares[l, j]) for j in range(num_subsets)]
         quotas.append(max(0.0, num_uses * (1.0 - alloc.shares[l].sum())))
-        spans.append(apportion(quotas, num_uses))
-        starts.append([0, *accumulate(spans[-1])])
+        starts.append([0, *accumulate(apportion(quotas, num_uses))])
+    # overlap[j, l, l']: the uses that subset j's spans on levels l and l' share.
+    bounds = np.array(starts).T
+    first, last = bounds[:num_subsets], bounds[1 : num_subsets + 1]
+    overlap = np.minimum(last[:, :, None], last[:, None, :]) - np.maximum(first[:, :, None], first[:, None, :])
+    np.maximum(overlap, 0, out=overlap)
+    levels = np.arange(stats.num_levels)
+    deeper = np.maximum.outer(levels, levels)
 
     delivered = {(k, s): 0 for s in alloc.subsets for k in s}
-    variance = {key: 0.0 for key in delivered}
+    variance = {}
     counts = []
     hit = np.empty(num_uses, dtype=bool)
     for k, row in enumerate(rows, start=1):
@@ -153,10 +165,13 @@ def simulate_delivery(
         for l in range(stats.num_levels):
             np.greater(row, l, out=hit)
             counts[-1].append(np.count_nonzero(hit))
-            p = float(stats.ccdf[k - 1, l])
             for j, s in mine:
                 delivered[(k, s)] += int(np.count_nonzero(hit[starts[l][j] : starts[l][j + 1]]))
-                variance[(k, s)] += spans[l][j] * p * (1.0 - p)
+        # Cov(L >= l, L >= l') = p[max(l, l')] - p[l] p[l'] on a use both spans hold.
+        p = stats.ccdf[k - 1]
+        covariance = p[deeper] - np.outer(p, p)
+        for j, s in mine:
+            variance[(k, s)] = float((overlap[j] * covariance).sum())
 
     messages = []
     user_ok = [True] * stats.num_users

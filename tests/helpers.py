@@ -213,6 +213,12 @@ def degenerate_delivery_grids() -> list[tuple[str, np.ndarray, int]]:
     return grids
 
 
+def is_master_solve(costs) -> bool:
+    """Whether a solve of achievable_rate_lp's LpStacks is the master's: its
+    costs are -1 on every cut, where the subset stack's are lambda >= 0."""
+    return bool((np.asarray(costs) < 0.0).all())
+
+
 # --- reference implementations ---------------------------------------------
 
 
@@ -244,7 +250,7 @@ def enumerate_vertices(c, a_ub, b_ub) -> LpSolution:
     c, a_ub, b_ub = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
     n = c.size
     assert n <= MAX_ORACLE_VARS, f"vertex oracle limited to {MAX_ORACLE_VARS} variables"
-    lp._check_rhs(b_ub[None], "")
+    lp._check_rhs(b_ub[None])
 
     rows = np.vstack([a_ub, -np.eye(n)])
     offsets = np.concatenate([b_ub, np.zeros(n)])

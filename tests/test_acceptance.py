@@ -202,10 +202,8 @@ def test_criterion_7_simulation_consistency():
     excursion allowed), and every empirical CCDF entry within 3 sigma of the
     input probabilities.
 
-    Messages whose per-level time spans overlap have positively correlated
-    level counts, so the per-level-Bernoulli standard error mildly understates
-    their spread; the single-excursion allowance absorbs that, and the seed
-    base below was fixed after checking several disjoint 20-seed windows.
+    The seed base below was fixed after checking several disjoint 20-seed
+    windows.
     """
     start = time.perf_counter()
     stats = validate_stats(MIXED3_ROWS)

@@ -22,7 +22,7 @@ from cachecast import caching, channel, cli, degraded, lp_scheme, simulator, upp
 from cachecast.caching import caching_tuple, central_strategy
 from cachecast.channel import validate_stats
 from cachecast.errors import NumericalFailure
-from cachecast.lp import UNBOUNDED, LpSolution
+from cachecast.lp import UNBOUNDED, LpSolution, LpStack
 from cachecast.lp_scheme import achievable_rate_lp, build_delivery_lp
 from cachecast.simulator import simulate_delivery
 from cachecast.two_user import achievable_allocation_two_user, optimal_rate_two_user
@@ -37,6 +37,7 @@ from helpers import (
     MIXED3_TABLE,
     ROADMAP_ITEM1_ROWS,
     fail_certificate,
+    is_master_solve,
     random_chain_stats,
 )
 
@@ -321,16 +322,18 @@ def test_trace_writer_memory_is_a_few_chunks():
 # replaced; the stdout digests with the delivery LP's subset LPs in their
 # min form, kept from cut to cut, whose optimal points are other vertices
 # than the max form's duals where the optimum is degenerate: the rate moves
-# in the last ulps, the shares and so the tallies more (see CHANGES.md).
+# in the last ulps, the shares and so the tallies more (see CHANGES.md);
+# and with std_error summing the covariances of a subset's overlapping
+# spans on different levels, which changed no other field.
 SIMULATE_DIGESTS = {
     "nondegraded3": (
         5,
-        "b67fd02292091765224523edc6df3e85dc59b2ed1729c41b57357378530f544e",
+        "d6e5c14bf92d70094fc0cf8d09672d965022e599824e929bdd35fdd350cc9ba6",
         "dd8e90557d66e89bbe2cb4dd942e7e86049700cc61afd89bfd9fb375291fe1eb",
     ),
     "k6b5": (
         11,
-        "a4af45b78ff34cbb34f0b429421bd275ec423584f13f127cc51f87cafdec1e75",
+        "70287a1db72481080b845c86a61b353048fb00aaf0ceddb71134d06c49fd5da5",
         "cc1f22b8c6ddd88ee0085d3710379e41b895246cb475da8eb660519b86125e67",
     ),
 }
@@ -707,35 +710,44 @@ def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
     ],
 )
 def test_lp_failures_name_their_lp(capsys, monkeypatch, command, config, module, label):
-    # The delivery LP's master grows one column per cut instead of calling solve_lp.
-    owner, name = (lp_scheme.GrowingLp, "add_column") if module is lp_scheme else (module, "solve_lp")
+    message = "optimal basis fails feasibility recheck (largest violation 0.5)"
+    solve = LpStack.solve
 
-    def failing(*args):
-        raise NumericalFailure("optimal basis fails feasibility recheck (largest violation 0.5)")
+    def patch(outcome):
+        """Make the LP give outcome: the delivery LP's master is an LpStack
+        solved once per cut, which returns it; solve_lp raises a failure."""
+        if module is lp_scheme:
+            monkeypatch.setattr(LpStack, "solve", lambda stack, c: [outcome] if is_master_solve(c) else solve(stack, c))
+            return
 
-    monkeypatch.setattr(owner, name, failing)
+        def solo(*args):
+            if isinstance(outcome, NumericalFailure):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(module, "solve_lp", solo)
+
+    patch(NumericalFailure(message))
     assert cli.main(["rates", command, config]) == 3
-    err = capsys.readouterr().err
-    assert f"{label}: optimal basis fails feasibility recheck (largest violation 0.5)" in err
+    assert f"{label}: {message}" in capsys.readouterr().err
 
-    def unbounded(*args):
-        return LpSolution(UNBOUNDED, None, None, None)
-
-    monkeypatch.setattr(owner, name, unbounded)
+    patch(LpSolution(UNBOUNDED, None, None, None))
     assert cli.main(["rates", command, config]) == 3
     assert f"{label}: status unbounded" in capsys.readouterr().err
 
 
 def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
     label = "delivery LP (K=3, t=1, B=3)"
-    solve = lp_scheme.CoveringStack.solve
+    solve = LpStack.solve
 
     def replacing_subset_13_at_cut_2(outcome):
         calls = []
 
         def patched(stack, lam):
-            calls.append(None)
             outcomes = solve(stack, lam)
+            if is_master_solve(lam):
+                return outcomes
+            calls.append(None)
             if len(calls) == 2:
                 outcomes.status[1] = outcome  # subsets are (1, 2), (1, 3), (2, 3)
             return outcomes
@@ -743,28 +755,30 @@ def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
         return patched
 
     failure = NumericalFailure("optimal basis fails dual feasibility check (dual residual 0.25)")
-    monkeypatch.setattr(lp_scheme.CoveringStack, "solve", replacing_subset_13_at_cut_2(failure))
+    monkeypatch.setattr(LpStack, "solve", replacing_subset_13_at_cut_2(failure))
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
     err = capsys.readouterr().err
     assert f"{label}: optimal basis fails dual feasibility check (dual residual 0.25)" in err
     assert "(subset (1, 3), cut 2, gap " in err
 
-    monkeypatch.setattr(lp_scheme.CoveringStack, "solve", replacing_subset_13_at_cut_2(UNBOUNDED))
+    monkeypatch.setattr(LpStack, "solve", replacing_subset_13_at_cut_2(UNBOUNDED))
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
     assert f"{label}: status unbounded (subset (1, 3), cut 2, gap " in capsys.readouterr().err
 
 
 def test_delivery_lp_master_failure_names_the_cut(capsys, monkeypatch):
-    add_column = lp_scheme.GrowingLp.add_column
+    solve = LpStack.solve
     calls = []
 
-    def failing_at_cut_3(master, column, cost):
+    def failing_at_cut_3(stack, c):
+        if not is_master_solve(c):
+            return solve(stack, c)
         calls.append(None)
         if len(calls) == 3:
-            raise NumericalFailure("simplex did not converge in 100000 iterations")
-        return add_column(master, column, cost)
+            return [NumericalFailure("simplex did not converge in 100000 iterations")]
+        return solve(stack, c)
 
-    monkeypatch.setattr(lp_scheme.GrowingLp, "add_column", failing_at_cut_3)
+    monkeypatch.setattr(LpStack, "solve", failing_at_cut_3)
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
     err = capsys.readouterr().err
     assert "delivery LP (K=3, t=1, B=3): simplex did not converge in 100000 iterations (master LP, cut 3, gap " in err

@@ -32,6 +32,7 @@ from helpers import (
     degenerate_delivery_grids,
     enumerate_vertices,
     fail_certificate,
+    is_master_solve,
     ladder_grids,
     pivot_reference,
     random_bounded_lp,
@@ -206,7 +207,7 @@ def test_negative_rhs_is_rejected():
     assert str(failure.value) == "LP 1: b_ub[1] = -1.0 < 0; x = 0 must be feasible"
     with pytest.raises(OutOfRange, match=r"^LP 0: b_ub\[1\] = -1.0 < 0"):
         solve_lp(*bad)
-    with pytest.raises(OutOfRange, match=r"^b_ub\[1\] = -1.0 < 0"):
+    with pytest.raises(OutOfRange, match=r"^LP 0: b_ub\[1\] = -1.0 < 0"):
         enumerate_vertices(*bad)
     assert solve_lp([-1.0], [[1.0]], [-0.0]).value == 0.0
 
@@ -244,6 +245,19 @@ def test_random_lps_match_oracle_and_duality():
         check_duality(p)
 
 
+def growing_lp(b_ub):
+    """An LpStack of one LP with the rows b_ub and no columns yet, at the slack basis."""
+    b_ub = np.asarray(b_ub, dtype=float)
+    return lp.LpStack(np.zeros((1, b_ub.size, 0)), b_ub)
+
+
+def add_and_solve(stack, column, costs):
+    """Append column to a stack of one and solve it at costs, one per column so far."""
+    stack.add_column(column)
+    (outcome,) = stack.solve(costs)
+    return outcome
+
+
 def test_growing_lp_matches_cold_solves():
     # Columns added one at a time, each solve resumed from the last basis,
     # against solve_lp of the same LP from the slack basis.
@@ -252,9 +266,9 @@ def test_growing_lp_matches_cold_solves():
         a_ub = np.vstack([rng.normal(size=(4, 10)), np.ones((1, 10))])  # the ones row bounds it
         b_ub = rng.uniform(0.1, 2.0, 5) * (rng.random(5) >= 1 / 3)
         c = rng.normal(size=10)
-        grown = lp.GrowingLp(b_ub)
+        grown = growing_lp(b_ub)
         for n in range(1, 11):
-            warm = grown.add_column(a_ub[:, n - 1], c[n - 1])
+            warm = add_and_solve(grown, a_ub[:, n - 1], c[:n])
             cold = solve_lp(c[:n], a_ub[:, :n], b_ub)
             assert warm.status == cold.status == OPTIMAL
             assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
@@ -264,37 +278,51 @@ def test_growing_lp_matches_cold_solves():
 
 def test_growing_lp_pivots_a_tied_column_in():
     # The second column's reduced cost is 0 at the first optimum, so the
-    # simplex alone would keep the old basis; the new column enters anyway.
-    grown = lp.GrowingLp([1.0, 1.0])
-    first = grown.add_column([2.0, 1.0], -1.0)
+    # simplex alone would keep the old basis; the new column enters anyway,
+    # and the solve after it counts that entry.
+    grown = growing_lp([1.0, 1.0])
+    first = add_and_solve(grown, [2.0, 1.0], [-1.0])
     assert first.x.tolist() == [0.5] and first.dual_ub.tolist() == [-0.5, 0.0]
-    tied = grown.add_column([2.0, 0.5], -1.0)
+    tied = add_and_solve(grown, [2.0, 0.5], [-1.0, -1.0])
     assert tied.pivots == 1 and tied.value == first.value == -0.5
     assert tied.x.tolist() == [0.0, 0.5] and tied.dual_ub.tolist() == [-0.5, 0.0]
 
 
 def test_growing_lp_rejects_a_column_of_the_wrong_length():
     # A column without m entries raises LengthMismatch before the LP
-    # changes, also a single entry that would broadcast into the buffers:
-    # each good column after it solves as on a master that never saw it,
-    # past the first doubling of the buffers too.
+    # changes, also a single entry that would broadcast: each good column
+    # after it solves as on a master that never saw it.
     rng = np.random.default_rng(1603)
-    columns = rng.uniform(0.1, 1.0, (lp.GROWING_CAPACITY + 2, 4))
+    columns = rng.uniform(0.1, 1.0, (10, 4))
     costs = -rng.uniform(0.5, 1.5, len(columns))
-    fresh, tried = lp.GrowingLp(np.ones(4)), lp.GrowingLp(np.ones(4))
-    for column, cost in zip(columns, costs):
+    fresh, tried = growing_lp(np.ones(4)), growing_lp(np.ones(4))
+    for n, column in enumerate(columns, start=1):
         for bad in (column[:1], column[:3], np.append(column, 1.0), column[None]):
             with pytest.raises(LengthMismatch, match=r"^column must have 4 entries"):
-                tried.add_column(bad, cost)
-        assert_same_outcome(tried.add_column(column, cost), fresh.add_column(column, cost))
+                tried.add_column(bad)
+        assert_same_outcome(add_and_solve(tried, column, costs[:n]), add_and_solve(fresh, column, costs[:n]))
 
 
 def test_growing_lp_ray_column_and_negative_rhs():
-    grown = lp.GrowingLp([1.0])
-    assert grown.add_column([2.0], -1.0).value == -0.5
-    assert grown.add_column([-1.0], -1.0).status == UNBOUNDED
-    with pytest.raises(OutOfRange, match=r"^b_ub\[1\] = -1.0 < 0"):
-        lp.GrowingLp([1.0, -1.0])
+    # A ray column has no entry to pivot on, and the solve after it finds
+    # the ray; the LPs of a stack it enters count the entry.  An LpStack does not check its rows (solve_lps does): a
+    # negative rhs leaves the slack basis infeasible, which the
+    # certificate names.
+    grown = growing_lp([1.0])
+    assert add_and_solve(grown, [2.0], [-1.0]).value == -0.5
+    assert add_and_solve(grown, [-1.0], [-1.0, -1.0]).status == UNBOUNDED
+    (outcome,) = growing_lp([1.0, -1.0]).solve(np.zeros(0))
+    assert isinstance(outcome, NumericalFailure)
+    assert str(outcome) == "optimal basis fails feasibility recheck (largest violation 1)"
+    # On a stack of two, the same column enters one LP and is a ray of the
+    # other, which keeps its basis (its slack label moves up by one).
+    stack = lp.LpStack([[[1.0], [1.0]], [[1.0], [2.0]]], [[1.0, 2.0], [1.0, 1.0]])
+    assert [s.value for s in stack.solve([-1.0])] == [-1.0, -0.5]
+    assert stack._basis.tolist() == [[0, 2], [1, 0]]
+    stack.add_column([-1.0, -0.5])
+    assert stack._basis.tolist() == [[0, 1], [2, 0]]
+    warm = stack.solve([-1.0, -2.0])
+    assert warm.status == [UNBOUNDED, UNBOUNDED] and warm.pivots.tolist() == [1, 0]
 
 
 # --- the covering stack -----------------------------------------------------------
@@ -320,7 +348,7 @@ def test_covering_stack_resumes_at_each_new_cost_row():
     rng = np.random.default_rng(2101)
     for trial in range(4):
         a = random_covering_stack(rng)
-        stack = lp.CoveringStack(a)
+        stack = lp.LpStack.covering(a)
         for step in range(15):
             n = a.shape[2]
             c = np.full(n, 0.2) if step == 0 else rng.uniform(0.0, 1.0, n) * (rng.random(n) >= 1 / 3)
@@ -342,7 +370,7 @@ def test_covering_stack_crash_of_a_tied_pair():
     for x in (0.09, 0.18, 0.36, 0.47):
         assert -1.0 - (-x) * (1.0 / x) < 0.0
         a = np.array([[[x, 0.5 * x, 0.0], [x, 0.0, 0.0], [0.9, 0.8, 0.7]]])
-        stack = lp.CoveringStack(a)
+        stack = lp.LpStack.covering(a)
         rhs = stack._tableau[0, :3, -1]
         assert (rhs >= 0.0).all() and sorted(rhs.tolist()) == [0.0, (0.9 - x) / x, 1.0 / x]
         assert not np.signbit(stack._tableau[stack._tableau == 0.0]).any()
@@ -356,7 +384,7 @@ def test_covering_stack_at_costs_with_zero_entries():
     # column covers every row, and the simplex never enters a column
     # whose reduced cost is 0, so it takes no ray.
     a = np.array([[[0.6, 0.5, 0.2], [0.8, 0.1, 0.1]], [[0.6, 0.5, 0.0], [0.8, 0.0, 0.0]]])
-    stack = lp.CoveringStack(a)
+    stack = lp.LpStack.covering(a)
     for c in ([0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0]):
         c = np.array(c)
         for i, solution in enumerate(stack.solve(c)):
@@ -368,14 +396,15 @@ def test_covering_stack_at_costs_with_zero_entries():
 
 def test_covering_stack_input_checks():
     a = np.ones((2, 3, 4))
-    stack = lp.CoveringStack(a)
-    for bad in (np.ones(3), np.ones((2, 4)), np.ones((1, 4)), 1.0):
-        with pytest.raises(LengthMismatch, match=r"^need c \(4,\), got shape"):
+    stack = lp.LpStack.covering(a)
+    for bad in (np.ones(3), np.ones((3, 4)), np.ones((1, 4)), np.ones((2, 4, 1)), 1.0):
+        with pytest.raises(LengthMismatch, match=r"^need c \(4,\) or \(2, 4\), got shape"):
             stack.solve(bad)
     assert [s.value for s in stack.solve(np.ones(4))] == [1.0, 1.0]
+    assert [s.value for s in stack.solve([[1.0] * 4, [2.0] * 4])] == [1.0, 2.0]  # a cost row per LP
     a[1, 2, 0] = 0.0
     with pytest.raises(OutOfRange, match="first column must be positive"):
-        lp.CoveringStack(a)
+        lp.LpStack.covering(a)
 
 
 # --- pivot path ------------------------------------------------------------------
@@ -483,14 +512,14 @@ def test_solve_lps_clears_negative_zeros():
         signed = [negative_zeros(v) for v in clean]
         assert any(np.signbit(v[v == 0.0]).any() for v in signed)
         assert_same_stack(solve_lps(*signed), solve_lps(*clean))
-    # The same holds for a GrowingLp fed -0.0 in its rhs, columns and costs.
+    # The same holds for a stack of one fed -0.0 in its rhs, columns and costs.
     b = np.array([1.0, 0.0, 2.0, 0.0])
-    columns = rng.uniform(0.1, 1.0, (lp.GROWING_CAPACITY + 2, 4)) * (rng.random((lp.GROWING_CAPACITY + 2, 4)) < 0.6)
+    columns = rng.uniform(0.1, 1.0, (10, 4)) * (rng.random((10, 4)) < 0.6)
     costs = -rng.uniform(0.5, 1.5, len(columns)) * (np.arange(len(columns)) % 4 != 0)
-    clean, signed = lp.GrowingLp(b), lp.GrowingLp(negative_zeros(b))
-    for column, cost in zip(columns, costs):
-        want = clean.add_column(column, cost)
-        got = signed.add_column(negative_zeros(column), -0.0 if cost == 0.0 else cost)
+    clean, signed = growing_lp(b), growing_lp(negative_zeros(b))
+    for n, column in enumerate(columns, start=1):
+        want = add_and_solve(clean, column, costs[:n])
+        got = add_and_solve(signed, negative_zeros(column), negative_zeros(costs[:n]))
         assert_same_outcome(got, want)
         for name in ("x", "dual_ub"):
             assert np.array_equal(np.signbit(getattr(got, name)), np.signbit(getattr(want, name)))
@@ -515,7 +544,7 @@ def record_tableaux(monkeypatch, check):
 def test_pivots_never_make_a_negative_zero(monkeypatch):
     # Stacks whose LPs stop at spread iterations, so that many pivots run
     # with frozen LPs in the stack; random LPs with many zero entries, fed
-    # as -0.0, alone and as the columns of a GrowingLp; and a pivot row
+    # as -0.0, alone and as the columns added to a stack of one; and a pivot row
     # whose negative subnormal entry underflows to -0.0 when divided by the
     # pivot 3, which the update clears; and a delivery LP on a grid rounded
     # to one decimal, whose subset LPs crash-pivot on negative divisors,
@@ -534,10 +563,11 @@ def test_pivots_never_make_a_negative_zero(monkeypatch):
         c, a_ub, b_ub = random_bounded_lp(rng)
         a_ub = a_ub * (rng.random(a_ub.shape) < 0.7)
         solve_lps(negative_zeros(c), negative_zeros(a_ub)[None], negative_zeros(b_ub))
-    signed = lp.GrowingLp(negative_zeros([1.0, 0.0, 2.0]))
+    signed, costs = growing_lp(negative_zeros([1.0, 0.0, 2.0])), []
     for j in range(8):
         column = negative_zeros(rng.uniform(0.1, 1.0, 3) * (rng.random(3) < 0.6))
-        signed.add_column(column, -0.0 if j % 3 == 1 else -rng.uniform(0.5, 1.5))
+        costs.append(-0.0 if j % 3 == 1 else -rng.uniform(0.5, 1.5))
+        add_and_solve(signed, column, costs)
     tiny = np.nextafter(0.0, -1.0)  # -5e-324
     sol = solve_lp([-1.0, 0.0], [[3.0, tiny], [1.0, 1.0]], [1.0, 1.0])
     assert sol.x.tolist() == [1.0 / 3.0, 0.0] and sol.pivots == 1
@@ -559,13 +589,17 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
     # Row m of every tableau, carried by the pivots' rank-1 update, agrees
     # with c_N - c_B.T priced afresh from the constraint rows, before every
     # pivot and at the end: on stacks that share one cost row, on the
-    # three pivot-path LPs, on a GrowingLp, and on the subset LPs of a
-    # delivery LP, from the crash pivot (cost row 0) through the cost rows
-    # repriced at the lambda of each cut.
+    # three pivot-path LPs, on a stack of one solved after each new column,
+    # and on the subset LPs of a delivery LP, from the crash pivot (cost
+    # row 0) through the cost rows repriced at the lambda of each cut.  The
+    # pivot that enters a new column is not checked: the cost row has no
+    # price for that column until the solve after it prices the row.
     costs = []  # the current LP's costs by label, one shared row
-    checked = []
+    checked, entering = [], []
 
     def check(tableau, basis, nonbasic):
+        if entering:
+            return
         c = np.concatenate([costs[-1][: nonbasic.shape[1]], np.zeros(basis.shape[1])])
         fresh = fresh_reduced_costs(tableau, basis, nonbasic, c)
         tol = 1e-12 * (1.0 + np.abs(c).max())
@@ -587,13 +621,16 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
     a_ub = np.vstack([rng.normal(size=(4, 12)), np.ones((1, 12))])
     c = rng.normal(size=12)
     costs.append(c)
-    grown = lp.GrowingLp(rng.uniform(0.1, 2.0, 5))
+    grown = growing_lp(rng.uniform(0.1, 2.0, 5))
     for j in range(12):
-        grown.add_column(a_ub[:, j], c[j])
+        entering.append(j)
+        grown.add_column(a_ub[:, j])
+        entering.clear()
+        grown.solve(c[: j + 1])
     assert len(checked) > 300
     stats, before = validate_stats(grid), len(checked)
     costs.append(np.zeros(4))  # the crash pivot's: the cost row is 0 until the first solve
-    stack = lp.CoveringStack(stats.ccdf[np.array(message_subsets(9, t)) - 1])
+    stack = lp.LpStack.covering(stats.ccdf[np.array(message_subsets(9, t)) - 1])
     for lam in prices:
         costs.append(lam)
         stack.solve(lam)
@@ -602,14 +639,15 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
 
 def cut_prices(monkeypatch, grid, t):
     """The lambda at which each cut of the delivery LP of grid at t solves its subset LPs."""
-    solve, prices = lp.CoveringStack.solve, []
+    solve, prices = lp.LpStack.solve, []
 
     def recording(stack, c):
-        prices.append(np.array(c))
+        if not is_master_solve(c):
+            prices.append(np.array(c))
         return solve(stack, c)
 
     with monkeypatch.context() as patch:
-        patch.setattr(lp.CoveringStack, "solve", recording)
+        patch.setattr(lp.LpStack, "solve", recording)
         achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0]))
     return prices
 

@@ -9,7 +9,7 @@ import pytest
 from cachecast import lp_scheme
 from cachecast.channel import validate_stats
 from cachecast.errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT
-from cachecast.lp import FEAS_TOL, GROWING_CAPACITY, OPTIMAL, solve_lp, solve_lps
+from cachecast.lp import FEAS_TOL, OPTIMAL, LpStack, solve_lp, solve_lps
 from cachecast.lp_scheme import (
     achievable_rate_lp,
     build_delivery_lp,
@@ -22,6 +22,7 @@ from helpers import (
     MIXED3_SHARES,
     degenerate_delivery_grids,
     delivery_allocation,
+    is_master_solve,
     ladder_grids,
     sorted_uniform_ccdf,
 )
@@ -306,14 +307,16 @@ def test_gap_brackets_the_optimum_when_stopped_early(monkeypatch):
 
 def subset_solves(monkeypatch, grid, t):
     """(lambda, StackSolution) of each cut's solve of the kept subset stack of grid's delivery LP at t."""
-    solve, solves = lp_scheme.CoveringStack.solve, []
+    solve, solves = LpStack.solve, []
 
     def recording(stack, lam):
-        solves.append((np.array(lam), solve(stack, lam)))
-        return solves[-1][1]
+        outcomes = solve(stack, lam)
+        if not is_master_solve(lam):
+            solves.append((np.array(lam), outcomes))
+        return outcomes
 
     with monkeypatch.context() as patch:
-        patch.setattr(lp_scheme.CoveringStack, "solve", recording)
+        patch.setattr(LpStack, "solve", recording)
         alloc = achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0]))
     assert len(solves) == alloc.iterations
     return solves
@@ -354,30 +357,31 @@ def test_kept_subset_stack_matches_cold_solves(monkeypatch, name, grid, t):
 # --- the warm-started master ------------------------------------------------------
 
 
-def check_warm_master(monkeypatch, index, name):
-    """Every cut's master of ladder LP `index`, resumed from the last basis,
-    against solve_lp of the same packing LP from the slack basis.
+@pytest.mark.parametrize("index, name", [(0, "K7-t2"), (6, "K9-t4")], ids=["K7-t2", "K9-t4"])
+def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch, index, name):
+    # Every cut's master of ladder LP `index` (15 and 26 cuts), resumed
+    # from the last basis, against solve_lp of the same packing LP from
+    # the slack basis.
+    add_column, solve = LpStack.add_column, LpStack.solve
+    columns, masters = [], []
 
-    Returns the capacities the master's buffers grew to, in order.
-    """
-    add_column, grow = lp_scheme.GrowingLp.add_column, lp_scheme.GrowingLp._grow
-    columns, masters, capacities = [], [], []
-
-    def recording(master, column, cost):
+    def recording_column(master, column):
         columns.append(np.array(column))
-        masters.append(add_column(master, column, cost))
-        return masters[-1]
+        add_column(master, column)
 
-    def growing(master):
-        grow(master)
-        capacities.append(master._a.shape[2])
+    def recording_solve(stack, c):
+        outcomes = solve(stack, c)
+        if is_master_solve(c):
+            masters.append(outcomes[0])
+        return outcomes
 
-    monkeypatch.setattr(lp_scheme.GrowingLp, "add_column", recording)
-    monkeypatch.setattr(lp_scheme.GrowingLp, "_grow", growing)
     grid_name, grid, t = ladder_grids()[index]
     assert grid_name == name
-    alloc = achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0]))
-    assert len(masters) == alloc.iterations > 1
+    with monkeypatch.context() as patch:
+        patch.setattr(LpStack, "add_column", recording_column)
+        patch.setattr(LpStack, "solve", recording_solve)
+        alloc = achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0]))
+    assert len(masters) == len(columns) == alloc.iterations > 1
     cold_pivots = 0
     for count, warm in enumerate(masters, start=1):
         g = np.array(columns[:count])
@@ -387,17 +391,6 @@ def check_warm_master(monkeypatch, index, name):
         assert warm.duality_gap <= FEAS_TOL * (1.0 + abs(warm.value))
         cold_pivots += cold.pivots
     assert 5 * sum(warm.pivots for warm in masters) <= cold_pivots
-    assert capacities[-1] // 2 < len(masters) <= capacities[-1]
-    return capacities
-
-
-def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch):
-    assert check_warm_master(monkeypatch, 0, "K7-t2") == [2 * GROWING_CAPACITY]  # 15 cuts
-
-
-def test_warm_master_grows_its_buffers_twice(monkeypatch):
-    # 26 cuts: the buffers double twice past their GROWING_CAPACITY of 8.
-    assert check_warm_master(monkeypatch, 6, "K9-t4") == [2 * GROWING_CAPACITY, 4 * GROWING_CAPACITY]
 
 
 @pytest.mark.parametrize(
@@ -430,15 +423,17 @@ def test_unchanged_prices_end_the_loop(monkeypatch):
     # A master that hands back its last solution leaves lambda as it was,
     # so the next cut would repeat this one: the loop stops there and
     # reports the gap it has.
-    add_column = lp_scheme.GrowingLp.add_column
+    solve = LpStack.solve
     solutions = []
 
-    def stuck_after_3(master, column, cost):
+    def stuck_after_3(stack, c):
+        if not is_master_solve(c):
+            return solve(stack, c)
         if len(solutions) < 3:
-            solutions.append(add_column(master, column, cost))
+            solutions.append(solve(stack, c))
         return solutions[-1]
 
-    monkeypatch.setattr(lp_scheme.GrowingLp, "add_column", stuck_after_3)
+    monkeypatch.setattr(LpStack, "solve", stuck_after_3)
     name, grid, t = ladder_grids()[0]
     stats = validate_stats(grid)
     alloc = achievable_rate_lp(stats, Fraction(t, 7))

@@ -2,16 +2,17 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cachecast.channel import SAMPLE_BLOCK, sample_states, validate_stats
 from cachecast.errors import InfeasibleAllocation, OutOfRange
-from cachecast.lp_scheme import message_subsets
+from cachecast.lp_scheme import achievable_rate_lp, message_subsets
 from cachecast.simulator import apportion, empirical_ccdf, simulate_delivery
 
-from helpers import MIXED3_RATE, MIXED3_SHARES, delivery_allocation, random_stats
+from helpers import MIXED3_RATE, MIXED3_ROWS, MIXED3_SHARES, delivery_allocation, random_stats
 
 
 # --- apportion -------------------------------------------------------------
@@ -211,10 +212,16 @@ def test_tally_matches_per_slice_sums(mixed3):
 
 def per_slice_report(stats, alloc, num_uses, seed):
     """delivered, std_error per (user, subset) and the empirical CCDF, by the
-    plain per-span formulas on the stacked levels of sample_states."""
+    plain per-span formulas on the stacked levels of sample_states.
+
+    The variance is brute force, use by use: the set of levels whose span
+    holds the use, and the variance of how many of them the use's level L
+    reaches, from L's distribution P(L = v) = ccdf[v-1] - ccdf[v].
+    """
     levels = sample_states(stats, num_uses, seed).levels.astype(np.int64)
-    delivered, variance = {}, {}
-    for l in range(stats.num_levels):
+    B = stats.num_levels
+    delivered, held = {}, {}  # held[(k, s)]: per use, a bit per level whose span of s holds it
+    for l in range(B):
         shares = alloc.shares[l]
         quotas = [num_uses * float(x) for x in shares] + [max(0.0, num_uses * (1.0 - shares.sum()))]
         spans = apportion(quotas, num_uses)
@@ -222,11 +229,20 @@ def per_slice_report(stats, alloc, num_uses, seed):
         for j, s in enumerate(alloc.subsets):
             for k in s:
                 got = (levels[k - 1, bounds[j] : bounds[j + 1]] >= l + 1).sum()
-                p = float(stats.ccdf[k - 1, l])
                 delivered[(k, s)] = delivered.get((k, s), 0) + int(got)
-                variance[(k, s)] = variance.get((k, s), 0.0) + spans[j] * p * (1.0 - p)
-    std_error = {key: math.sqrt(v) / num_uses for key, v in variance.items()}
-    steps = np.arange(1, stats.num_levels + 1)
+                held.setdefault((k, s), np.zeros(num_uses, dtype=np.int64))[bounds[j] : bounds[j + 1]] |= 1 << l
+    std_error = {}
+    for (k, s), bits in held.items():
+        ccdf = np.concatenate([[1.0], stats.ccdf[k - 1], [0.0]])
+        law = ccdf[:-1] - ccdf[1:]  # P(L = v), v = 0..B
+        variance = 0.0
+        for mask, uses in zip(*np.unique(bits, return_counts=True)):
+            given = [l for l in range(B) if mask >> l & 1]
+            reached = np.array([sum(v >= l + 1 for l in given) for v in range(B + 1)])
+            mean = law @ reached
+            variance += int(uses) * float(law @ (reached - mean) ** 2)
+        std_error[(k, s)] = math.sqrt(variance) / num_uses
+    steps = np.arange(1, B + 1)
     hat = (levels[:, :, None] >= steps[None, None, :]).mean(axis=1)
     return delivered, std_error, hat
 
@@ -235,7 +251,8 @@ def test_streamed_tally_matches_per_slice_formulas():
     # Users are drawn and tallied one at a time; over random K, B, shares
     # (zero shares, full levels and idle tails), seeds and n (below
     # SAMPLE_BLOCK and across it, never a multiple of it) the report must
-    # equal the per-span formulas on the stacked levels, to the byte.
+    # equal the per-span formulas on the stacked levels, to the byte, and
+    # the per-use variance to 1e-12 relative.
     rng = np.random.default_rng(1807)
     for trial in range(24):
         users, levels = int(rng.integers(1, 6)), int(rng.integers(1, 5))
@@ -257,9 +274,8 @@ def test_streamed_tally_matches_per_slice_formulas():
         report = simulate_delivery(stats, alloc, num_uses, seed)
         delivered, std_error, hat = per_slice_report(stats, alloc, num_uses, seed)
         assert {(m.user, m.subset): m.delivered for m in report.messages} == delivered
-        assert {(m.user, m.subset): m.std_error.hex() for m in report.messages} == {
-            key: se.hex() for key, se in std_error.items()
-        }
+        for m in report.messages:
+            assert m.std_error == pytest.approx(std_error[(m.user, m.subset)], rel=1e-12, abs=1e-15)
         assert report.empirical_ccdf.tobytes() == hat.tobytes()
 
         kept = simulate_delivery(stats, alloc, num_uses, seed, keep_levels=True)
@@ -287,3 +303,28 @@ def test_streamed_simulation_memory_does_not_grow_with_users():
         tracemalloc.stop()
     assert peak < 3 * num_uses, f"{peak / num_uses:.2f} bytes per use"
     assert report.realization is None
+
+
+def test_std_error_matches_the_spread_over_seeds(mixed3):
+    # The LP allocation of configs/nondegraded3.json (the mixed3 rows at
+    # mu = 1/3) simulated at 300 seeds: for every message, (delivered / n
+    # minus its exact mean) over std_error must spread with standard
+    # deviation 1, to within 15%.  Summing the per-level variances as if
+    # the levels were independent gives 1.38 and 1.48 for users 2 and 3
+    # on (2, 3), whose spans on different levels share uses.
+    alloc = achievable_rate_lp(mixed3, Fraction(1, 3))
+    num_uses = 20_000
+    spans = []
+    for shares in alloc.shares:
+        quotas = [num_uses * float(x) for x in shares] + [max(0.0, num_uses * (1.0 - shares.sum()))]
+        spans.append(apportion(quotas, num_uses))
+    tallies: dict = {}
+    for seed in range(300):
+        for m in simulate_delivery(mixed3, alloc, num_uses, seed).messages:
+            tallies.setdefault((m.user, m.subset), []).append((m.delivered, m.std_error))
+    spreads = {}
+    for (k, s), pairs in tallies.items():
+        j = alloc.subsets.index(s)
+        mean = sum(spans[l][j] * float(mixed3.ccdf[k - 1, l]) for l in range(alloc.num_levels))
+        spreads[(k, s)] = float(np.std([(delivered - mean) / num_uses / se for delivered, se in pairs]))
+    assert all(0.85 <= spread <= 1.15 for spread in spreads.values()), spreads
