@@ -17,6 +17,10 @@ The union of q users' caches has a measure that depends only on q, given
 in closed form by central_coverage.  central_tuple, the path the CLI takes,
 tabulates it for every user subset; central_strategy builds the intervals
 themselves, the exact reference the closed form is checked against.
+
+cache_size is the package's one check of mu: NaN, infinities, non-numbers
+and values outside [0, 1] raise MuOutOfRange.  A checked mu puts
+t = floor(mu*K) in 0..K, where math.comb needs no guard.
 """
 
 from __future__ import annotations
@@ -74,10 +78,15 @@ def _measure(intervals: Iterable[Interval]) -> Fraction:
     return sum((b - a for a, b in intervals), Fraction(0))
 
 
-def _comb(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+def cache_size(mu) -> Fraction:
+    """mu as an exact Fraction in [0, 1]; MuOutOfRange for anything else."""
+    try:
+        mu = Fraction(mu)
+    except (TypeError, ValueError, OverflowError) as exc:  # non-numbers, NaN, infinities
+        raise MuOutOfRange(f"mu must be a number in [0, 1], got {mu!r}") from exc
+    if not 0 <= mu <= 1:
+        raise MuOutOfRange("mu must lie in [0, 1]")
+    return mu
 
 
 def _check_users(num_users: int, users: Iterable[int]) -> tuple[int, ...]:
@@ -94,9 +103,7 @@ def strategy_from_intervals(
     mu: Fraction,
 ) -> CachingStrategy:
     """Validate an explicit placement: intervals within (0,1], per-user measure mu."""
-    mu = Fraction(mu)
-    if not 0 <= mu <= 1:
-        raise MuOutOfRange("mu must lie in [0, 1]")
+    mu = cache_size(mu)
     if not intervals:
         raise EmptySubset("need at least one user")
     canonical: list[tuple[Interval, ...]] = []
@@ -116,10 +123,7 @@ def _central_mu(num_users: int, mu: Fraction) -> Fraction:
     """mu as a Fraction, checked as every central-placement constructor does."""
     if num_users < 1:
         raise EmptySubset("need at least one user")
-    mu = Fraction(mu)
-    if not 0 <= mu <= 1:
-        raise MuOutOfRange("mu must lie in [0, 1]")
-    return mu
+    return cache_size(mu)
 
 
 def _subsets(num_users: int) -> list[tuple[int, ...]]:
@@ -138,7 +142,7 @@ def central_strategy(num_users: int, mu: Fraction) -> CachingStrategy:
     per_user: list[list[Interval]] = [[] for _ in range(num_users)]
 
     if t >= 1:
-        total = _comb(num_users, t)
+        total = math.comb(num_users, t)
         width = (1 - lam)
         for rank, subset in enumerate(combinations(range(1, num_users + 1), t), start=1):
             lo = width * Fraction(rank - 1, total)
@@ -146,7 +150,7 @@ def central_strategy(num_users: int, mu: Fraction) -> CachingStrategy:
             for k in subset:
                 per_user[k - 1].append((lo, hi))
     if lam > 0:
-        total = _comb(num_users, t + 1)
+        total = math.comb(num_users, t + 1)
         base = 1 - lam
         for rank, subset in enumerate(combinations(range(1, num_users + 1), t + 1), start=1):
             lo = base + lam * Fraction(rank - 1, total)
@@ -191,13 +195,13 @@ def central_coverage(num_users: int, mu: Fraction, subset_size: int) -> Fraction
     (1-lam)*(1 - C(K-q,t)/C(K,t)) + lam*(1 - C(K-q,t+1)/C(K,t+1)) for a
     subset of q users; only the subset size enters by symmetry.
     """
-    mu = Fraction(mu)
+    mu = cache_size(mu)
     K, q = num_users, subset_size
     if q < 1 or q > K:
         raise OutOfRange("subset size must lie in 1..K")
     t = int(mu * K)
     lam = mu * K - t
-    value = (1 - lam) * (1 - Fraction(_comb(K - q, t), _comb(K, t)))
+    value = (1 - lam) * (1 - Fraction(math.comb(K - q, t), math.comb(K, t)))
     if lam > 0:
-        value += lam * (1 - Fraction(_comb(K - q, t + 1), _comb(K, t + 1)))
+        value += lam * (1 - Fraction(math.comb(K - q, t + 1), math.comb(K, t + 1)))
     return value

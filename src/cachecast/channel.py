@@ -98,10 +98,20 @@ def is_stochastically_dominant(a: Sequence[float], b: Sequence[float]) -> bool:
     return bool(np.all(a >= b - PROB_TOL))
 
 
+def check_weights(stats: ChannelStats, weights: Sequence[float]) -> np.ndarray:
+    """weights as floats, checked: one finite, nonnegative weight per user."""
+    w = np.asarray(weights, dtype=float)
+    if w.size != stats.num_users:
+        raise LengthMismatch("need one weight per user")
+    if not np.all((w >= 0.0) & (w < np.inf)):  # also refuses NaN
+        raise OutOfRange("weights must be finite and nonnegative")
+    return w
+
+
 def enhance(stats: ChannelStats, weights: Sequence[float]) -> ChannelStats:
     """Weight-driven enhancement producing a stochastically degraded chain.
 
-    `weights` must be nonincreasing and nonnegative, one entry per user, with
+    `weights` must be nonincreasing, finite and nonnegative, one entry per user, with
     user 1 carrying the largest weight.  User 1 keeps its CCDF; for k >= 2,
 
         new[k](l) = min(1, max(ccdf[k](l), (w[k-1]/w[k]) * new[k-1](l))),
@@ -111,11 +121,7 @@ def enhance(stats: ChannelStats, weights: Sequence[float]) -> ChannelStats:
     Zero-weight users sit at the tail, are skipped by the recursion, and are
     returned unchanged; a ZeroWeightWarning flags them.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.size != stats.num_users:
-        raise LengthMismatch("need one weight per user")
-    if np.any(w < 0.0):
-        raise OutOfRange("weights must be nonnegative")
+    w = check_weights(stats, weights)
     if np.any(np.diff(w) > 0.0):
         raise WeightsUnsorted("weights must be nonincreasing")
 
@@ -157,6 +163,8 @@ def user_levels(stats: ChannelStats, num_uses: int, seed: int) -> Iterator[np.nd
     """
     if num_uses <= 0:
         raise OutOfRange("num_uses must be positive")
+    if seed < 0:
+        raise OutOfRange("seed must be nonnegative")
     return _draw_rows(stats, num_uses, seed)
 
 

@@ -27,16 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .caching import central_coverage
+from .caching import cache_size, central_coverage
 from .channel import ChannelStats, is_stochastically_dominant, validate_stats
-from .errors import (
-    BadT,
-    InfeasibleZ,
-    LengthMismatch,
-    NotDegraded,
-    NumericalFailure,
-    UnexpectedLpStatus,
-)
+from .errors import InfeasibleZ, LengthMismatch, NotDegraded, NumericalFailure, UnexpectedLpStatus
 from .lp import FEAS_TOL, OPTIMAL, solve_lp
 from .lp_scheme import DeliveryAllocation, message_subsets, t_from_mu
 
@@ -77,7 +70,7 @@ def chain_stats(stats: ChannelStats, order: Sequence[int]) -> ChannelStats:
 
 def degraded_optimal_rate(stats: ChannelStats, mu) -> ZAllocation:
     """Best rate over per-user level time shares at exact cache size mu."""
-    mu = Fraction(mu)
+    mu = cache_size(mu)
     t = t_from_mu(stats.num_users, mu)
     K, B = stats.num_users, stats.num_levels
     order = degraded_order(stats)
@@ -134,18 +127,16 @@ def z_to_y(
     K = num_users
     if z.ndim != 2 or z.shape[1] != K:
         raise LengthMismatch(f"z must have one column per user, got {z.shape}")
-    if not 0 <= t <= K - 1:
-        raise BadT(f"t must lie in 0..{K - 1}, got {t}")
-    if np.any(z < -FEAS_TOL):
-        raise InfeasibleZ("negative time share")
-    if np.any(z.sum(axis=1) > 1.0 + FEAS_TOL):
+    subsets = message_subsets(K, t)
+    if not np.all(z >= -FEAS_TOL):  # also refuses NaN
+        raise InfeasibleZ("time shares must be nonnegative numbers")
+    if not np.all(z.sum(axis=1) <= 1.0 + FEAS_TOL):
         raise InfeasibleZ("level time shares exceed the budget")
     if np.any(np.abs(z[:, K - t:]) > FEAS_TOL):
         raise InfeasibleZ(
             f"users above {K - t} cannot anchor any size-{t + 1} subset"
         )
 
-    subsets = message_subsets(K, t)
     shares = np.zeros((z.shape[0], len(subsets)))
     for j, s in enumerate(subsets):
         weakest = s[0]

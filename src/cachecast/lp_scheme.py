@@ -80,15 +80,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import inf
 from typing import Union
 
 import numpy as np
 
+from .caching import cache_size
 from .channel import ChannelStats
-from .errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT, NumericalFailure, UnexpectedLpStatus
+from .errors import BadT, LengthMismatch, NonIntegerT, NumericalFailure, UnexpectedLpStatus
 from .lp import FEAS_TOL, OPTIMAL, LpSolution, LpStack
 
 Subset = tuple[int, ...]
@@ -158,18 +158,9 @@ class FeasibilityReport:
         return self.margins[(user, tuple(subset))]
 
 
-def _check_t(num_users: int, t: int) -> int:
-    if not 0 <= t <= num_users - 1:
-        raise BadT(f"t must lie in 0..{num_users - 1}, got {t}")
-    return t
-
-
 def t_from_mu(num_users: int, mu) -> int:
     """Subset size t = K*mu of cache size mu, which must leave data to deliver."""
-    mu = Fraction(mu)
-    if not 0 <= mu <= 1:
-        raise MuOutOfRange("mu must lie in [0, 1]")
-    t = mu * num_users
+    t = cache_size(mu) * num_users
     if t.denominator != 1:
         raise NonIntegerT(f"K*mu = {t} is not an integer")
     if t == num_users:
@@ -178,14 +169,14 @@ def t_from_mu(num_users: int, mu) -> int:
 
 
 def message_subsets(num_users: int, t: int) -> tuple[Subset, ...]:
-    """All size-(t+1) user subsets in lexicographic order."""
-    t = _check_t(num_users, t)
+    """All size-(t+1) user subsets in lexicographic order; BadT unless t lies in 0..K-1."""
+    if not 0 <= t <= num_users - 1:
+        raise BadT(f"t must lie in 0..{num_users - 1}, got {t}")
     return tuple(combinations(range(1, num_users + 1), t + 1))
 
 
 def build_delivery_lp(stats: ChannelStats, t: int) -> DeliveryLp:
     """Assemble the dense rate LP (minimizing -f) for subpacketization t."""
-    t = _check_t(stats.num_users, t)
     K, B = stats.num_users, stats.num_levels
     subsets = message_subsets(K, t)
     num_subsets = len(subsets)

@@ -136,8 +136,7 @@ def simulate_delivery(
     else:
         realization = None
         rows = user_levels(stats, num_uses, seed)
-    piece_count = math.comb(alloc.num_users, alloc.t)
-    per_use_size = alloc.rate / piece_count
+    per_use_size = report.required
     required = math.ceil(num_uses * per_use_size - CEIL_GUARD)
 
     # Uses starts[l][j] up to starts[l][j + 1] of level l go to subset j.

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .caching import cache_size
 from .channel import ChannelStats
 from .errors import MuOutOfRange, NotTwoUser
 
@@ -125,20 +126,21 @@ def _best_split(
 def optimal_rate_two_user(stats: ChannelStats, mu: float) -> float:
     """Largest achievable per-file rate for two users at cache size mu."""
     f1, f2 = _check_two_user(stats)
-    if not 0.0 <= mu <= 1.0:
-        raise MuOutOfRange("mu must lie in [0, 1]")
+    mu = cache_size(mu)
     if mu >= 0.5:
-        if mu == 1.0:
+        if mu == 1:
             return math.inf
-        return min(float(f1.sum()), float(f2.sum())) / (1.0 - mu)
-    return _fractional_min(f1, f2, mu)
+        return min(float(f1.sum()), float(f2.sum())) / (1.0 - float(mu))
+    return _fractional_min(f1, f2, float(mu))
 
 
 def achievable_allocation_two_user(stats: ChannelStats, mu: float) -> TwoUserAllocation:
     """Concrete band split whose rate matches optimal_rate_two_user (mu <= 1/2)."""
     f1, f2 = _check_two_user(stats)
-    if not 0.0 <= mu <= 0.5:
+    mu = cache_size(mu)
+    if mu > 0.5:
         raise MuOutOfRange("allocation construction requires mu in [0, 1/2]")
+    mu = float(mu)
 
     keep = [l for l in range(stats.num_levels) if f1[l] > 0.0 or f2[l] > 0.0]
     g = {l: (f2[l] / f1[l] if f1[l] > 0.0 else math.inf) for l in keep}

@@ -46,20 +46,23 @@ of every user subset once and builds the LPs with numpy from that table:
 one shape per live count, built and solved in slices of stack_size LPs,
 one slice per lp.solve_lps call.  The slices bound the memory: one K = 8,
 mu = 0 group built whole would be 40,320 LPs of 40 x 12, 155 MB of a_ub.
-Every ordering then takes its prefix's value.
+Every ordering then takes its prefix's value.  The K! orderings are
+enumerated once, in lexicographic order: the report's table holds those
+tuples, and the LPs read them copied into one (K!, K) array (np.fromiter,
+twice as fast as np.array at K = 8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from math import inf
 from typing import Sequence
 
 import numpy as np
 
 from .caching import CachingTuple
-from .channel import ChannelStats
+from .channel import ChannelStats, check_weights
 from .errors import (
     LengthMismatch,
     NumericalFailure,
@@ -108,27 +111,6 @@ def _cover_table(stats: ChannelStats, tup: CachingTuple) -> tuple[np.ndarray, np
     return gaps, full
 
 
-def _ordering_array(num_users: int) -> np.ndarray:
-    """All orderings of users 1..num_users as rows, in lexicographic order.
-
-    The same rows as np.array(list(permutations(range(1, K + 1)))), built
-    from the orderings of one user fewer: block f holds user f and then
-    every shorter ordering over the other users, relabelled in order, so
-    each block is lexicographic and so is the whole.  The blocks are built
-    as uint8 (K <= MAX_BOUND_USERS) and widened once at the end.
-    """
-    orderings = np.zeros((1, 0), dtype=np.uint8)  # of no users: one empty ordering
-    for k in range(1, num_users + 1):
-        firsts = np.arange(k, dtype=np.uint8)
-        grown = np.empty((k, len(orderings), k), dtype=np.uint8)
-        grown[:, :, 0] = firsts[:, None]
-        rest = grown[:, :, 1:]
-        rest[:] = orderings
-        rest += rest >= firsts[:, None, None]
-        orderings = grown.reshape(-1, k)
-    return np.add(orderings, 1, dtype=int)
-
-
 def _prefix_masks(orderings: np.ndarray) -> np.ndarray:
     """Bitmask of each leading slice pi(1..k) of each ordering (last axis)."""
     return np.bitwise_or.accumulate(1 << (orderings - 1), axis=-1)
@@ -143,11 +125,7 @@ def _check_permutation(num_users: int, pi: Sequence[int]) -> tuple[int, ...]:
 
 def objective_at(stats: ChannelStats, tup: CachingTuple, weights: Sequence[float]) -> float:
     """Bound value at one weight vector (users sorted by weight, stable)."""
-    w = np.asarray(weights, dtype=float)
-    if w.size != stats.num_users:
-        raise LengthMismatch("need one weight per user")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise OutOfRange("weights must be finite and nonnegative")
+    w = check_weights(stats, weights)
     order = sorted(range(1, stats.num_users + 1), key=lambda k: (-w[k - 1], k))
     gaps = _cover_table(stats, tup)[0][_prefix_masks(np.array(order))]
     denominator = sum(w[k - 1] * gap for k, gap in zip(order, gaps))
@@ -226,7 +204,7 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     if K > MAX_BOUND_USERS:
         raise TooManyUsers(f"ordering enumeration capped at {MAX_BOUND_USERS} users")
     orderings = list(permutations(range(1, K + 1)))
-    every = _ordering_array(K)
+    every = np.fromiter(chain.from_iterable(orderings), dtype=int, count=K * len(orderings)).reshape(-1, K)
     gaps, live = _live_prefixes(every, *_cover_table(stats, tup))
     # Each ordering's live prefix as a base-(K+1) number, pinned users as 0.
     digits = np.where(np.arange(K) < live[:, None], every, 0)

@@ -1,5 +1,6 @@
 """Cache placements: interval bookkeeping, central placement, closed forms."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,11 @@ from cachecast.caching import (
     coverage_measure,
     strategy_from_intervals,
 )
+from cachecast.channel import validate_stats
+from cachecast.degraded import degraded_optimal_rate
 from cachecast.errors import EmptySubset, MuOutOfRange, OutOfRange, TooManyUsers
+from cachecast.lp_scheme import achievable_rate_lp, t_from_mu
+from cachecast.two_user import achievable_allocation_two_user, optimal_rate_two_user
 
 F = Fraction
 
@@ -59,6 +64,28 @@ def test_central_rejects_bad_inputs():
             build(3, F(3, 2))
         with pytest.raises(MuOutOfRange):
             build(3, F(-1, 2))
+
+
+CHAIN2 = validate_stats([[0.5, 0.2], [0.9, 0.4]])
+
+TAKES_MU = {
+    "central_tuple": lambda mu: central_tuple(2, mu),
+    "central_strategy": lambda mu: central_strategy(2, mu),
+    "central_coverage": lambda mu: central_coverage(2, mu, 1),
+    "strategy_from_intervals": lambda mu: strategy_from_intervals([[(F(0), F(1, 2))]], mu),
+    "t_from_mu": lambda mu: t_from_mu(2, mu),
+    "achievable_rate_lp": lambda mu: achievable_rate_lp(CHAIN2, mu),
+    "degraded_optimal_rate": lambda mu: degraded_optimal_rate(CHAIN2, mu),
+    "optimal_rate_two_user": lambda mu: optimal_rate_two_user(CHAIN2, mu),
+    "achievable_allocation_two_user": lambda mu: achievable_allocation_two_user(CHAIN2, mu),
+}
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, F(-1, 3), F(4, 3), "x"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(TAKES_MU))
+def test_every_cache_size_argument_is_checked_alike(entry, mu):
+    with pytest.raises(MuOutOfRange):
+        TAKES_MU[entry](mu)
 
 
 # --- strategy_from_intervals ---------------------------------------------------

@@ -140,8 +140,9 @@ def test_enhance_zero_weights_warn_and_pass_through(mixed3):
 def test_enhance_rejects_bad_weights(mixed3):
     with pytest.raises(LengthMismatch):
         enhance(mixed3, [1.0, 1.0])
-    with pytest.raises(OutOfRange):
-        enhance(mixed3, [1.0, 1.0, -0.5])
+    for weights in ([1.0, 1.0, -0.5], [np.nan, 1.0, 0.5], [np.inf, 1.0, 0.5]):
+        with pytest.raises(OutOfRange):
+            enhance(mixed3, weights)
     with pytest.raises(WeightsUnsorted):
         enhance(mixed3, [1.0, 2.0, 0.5])
 

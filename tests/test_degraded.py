@@ -149,3 +149,5 @@ def test_refinement_rejects_bad_z():
         z_to_y([[0.8, 0.8]], num_users=2, t=0, rate=1.0)
     with pytest.raises(InfeasibleZ):
         z_to_y([[0.5, 0.5]], num_users=2, t=1, rate=1.0)  # mass on a coverless user
+    with pytest.raises(InfeasibleZ):
+        z_to_y([[np.nan, 0.0, 0.0]], num_users=3, t=1, rate=1.0)

@@ -115,6 +115,12 @@ def test_simulation_rejects_bad_length_before_apportioning(mixed3, reference_all
             simulate_delivery(mixed3, reference_alloc, num_uses, seed=1, keep_levels=keep_levels)
 
 
+@pytest.mark.parametrize("keep_levels", [False, True])
+def test_simulation_rejects_negative_seed(mixed3, reference_alloc, keep_levels):
+    with pytest.raises(OutOfRange, match="seed must be nonnegative"):
+        simulate_delivery(mixed3, reference_alloc, num_uses=10, seed=-1, keep_levels=keep_levels)
+
+
 def test_simulation_deterministic_channel_exact_spans():
     stats = validate_stats([[1.0, 1.0], [1.0, 1.0]])
     shares = [[0.3, 0.45], [0.9, 0.05]]
