@@ -73,6 +73,7 @@ from .errors import (
     UnexpectedLpStatus,
     ValidationError,
     WeightsUnsorted,
+    WrongType,
     ZeroDenominator,
 )
 from .two_user import (

@@ -18,13 +18,14 @@ callers that keep every user's levels.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, NotMonotone, OutOfRange, ValidationError, WeightsUnsorted
+from .errors import LengthMismatch, NotMonotone, OutOfRange, WeightsUnsorted, WrongType
 
 PROB_TOL = 1e-12
 
@@ -71,7 +72,7 @@ def validate_stats(ccdf: Sequence[Sequence[float]]) -> ChannelStats:
         try:
             rows.append(np.asarray(r, dtype=float))
         except (TypeError, ValueError) as exc:
-            raise ValidationError(f"user {k}: CCDF entries must be numbers, got {r!r}") from exc
+            raise WrongType(f"user {k}: CCDF entries must be numbers, got {r!r}") from exc
     if not rows:
         raise LengthMismatch("need at least one user row")
     num_levels = rows[0].size
@@ -99,8 +100,11 @@ def is_stochastically_dominant(a: Sequence[float], b: Sequence[float]) -> bool:
 
 
 def check_weights(stats: ChannelStats, weights: Sequence[float]) -> np.ndarray:
-    """weights as floats, checked: one finite, nonnegative weight per user."""
-    w = np.asarray(weights, dtype=float)
+    """weights as floats, checked: one finite, nonnegative number per user."""
+    try:
+        w = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise WrongType(f"weights must be numbers, got {weights!r}") from exc
     if w.size != stats.num_users:
         raise LengthMismatch("need one weight per user")
     if not np.all((w >= 0.0) & (w < np.inf)):  # also refuses NaN
@@ -163,6 +167,8 @@ def user_levels(stats: ChannelStats, num_uses: int, seed: int) -> Iterator[np.nd
     """
     if num_uses <= 0:
         raise OutOfRange("num_uses must be positive")
+    if not isinstance(seed, numbers.Integral):
+        raise WrongType(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise OutOfRange("seed must be nonnegative")
     return _draw_rows(stats, num_uses, seed)

@@ -343,12 +343,14 @@ def _trace_rows(realization: channel.StateRealization) -> Iterator[bytes]:
     Row v of a byte table holds the decimal digits of level v and a comma,
     right-aligned behind zero bytes.  Taking the table's rows at levels.T
     lays out a chunk's lines; the last comma of each line becomes a newline
-    and the zero bytes are dropped.  np.take copies its uint8 index to intp,
-    8 bytes a level, so it takes an eighth of a chunk's lines at a time:
-    the copy is then 1 byte per level of the chunk.  The levels lie in the
-    table, so mode="clip" changes nothing; it lets take write into the
-    lines unbuffered.  Memory is a few chunks, whatever n is.  The bytes
-    equal those of np.savetxt(fh, levels.T, fmt="%d", delimiter=",").
+    and the zero bytes are dropped.  At B <= 9 every cell is one digit and
+    a comma, so no zero byte exists and the lines are written as they are.
+    np.take copies its uint8 index to intp, 8 bytes a level, so it takes an
+    eighth of a chunk's lines at a time: the copy is then 1 byte per level
+    of the chunk.  The levels lie in the table, so mode="clip" changes
+    nothing; it lets take write into the lines unbuffered.  Memory is a few
+    chunks, whatever n is.  The bytes equal those of
+    np.savetxt(fh, levels.T, fmt="%d", delimiter=",").
     """
     top, part = realization.num_levels, max(1, channel.SAMPLE_BLOCK // 8)
     table = np.zeros((top + 1, len(str(top)) + 1), dtype=np.uint8)
@@ -362,7 +364,7 @@ def _trace_rows(realization: channel.StateRealization) -> Iterator[bytes]:
             np.take(table, chunk[:, at : at + part].T, axis=0, out=lines[at : at + part], mode="clip")
         lines = lines.reshape(chunk.shape[1], -1)
         lines[:, -1] = ord("\n")
-        yield lines[lines != 0].tobytes()
+        yield lines.tobytes() if top < 10 else lines[lines != 0].tobytes()
 
 
 def _parse_mu_range(text: str) -> list[Fraction]:

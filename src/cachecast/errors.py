@@ -37,6 +37,11 @@ class WeightsUnsorted(ValidationError):
     """A weight vector that must be nonincreasing is not."""
 
 
+class WrongType(ValidationError):
+    """An argument is not of its documented type: a CCDF entry or weight
+    that is not a number, a seed that is not an integer."""
+
+
 # -- caching -----------------------------------------------------------------
 
 class EmptySubset(ValidationError):

@@ -30,22 +30,43 @@ coverage factor is exactly one.  Coverage only grows along an ordering, so
 the pinned positions form a suffix: the first p(pi) leading slices (the
 live count) are not fully covered and the rest are.  A pinned sigma's column,
 cost, decode rows and the chain row into it would all be zero, so the LP
-keeps only the live prefix: p*B decode rows, p-1 chain rows and the budget
-row over x = [sigma_1..p, theta_1..B].  Dropping a zero column (it never
-prices in) and zero rows (never eligible, never updated) leaves the
-simplex's pivot path, x and value exactly those of the pinned full-shape
-LP.  The LP is unbounded exactly when the first user's CCDF row is all
-zero: sigma_1 then grows with every theta at 0, and the ordering's value
-is 0 with all weight on that user.
+keeps only the live prefix over x = [sigma_1..p, theta_1..B].
+
+Most of the prefix's p*B decode rows are implied by the others.  With
+w_k = sigma_k / gap_k (gap_k = 1 - coverage(pi(1..k)) > 0 on the live
+prefix) the chain rows say w_1 >= ... >= w_p, and decode row (k, l) says
+w_k * c_k <= theta_l, with c_k = ccdf[pi(k)][l].  If some j < k has
+c_j >= c_k, then w_k * c_k <= w_j * c_k <= w_j * c_j <= theta_l, so row
+(k, l) holds wherever row (j, l) does.  Only the record rows can bind:
+(k, l) with k = 1 or c_k above every c_j, j < k, about H_p of the p rows
+of a level.  The LP keeps those, in decode order (user, then level), then
+the p-1 chain rows and the budget row; dropping the implied rows leaves
+its feasible set, and so its optimum, unchanged.
+
+Dropping a zero column (it never prices in) and zero rows (never
+eligible, never updated) leaves the simplex's pivot path, x and value
+exactly those of the LP with them: the rows kept keep their relative
+order, hence the order of their slack labels, which is all the pivot
+rules read.  So the live-prefix LP solves byte for byte as the pinned
+full-shape LP with its implied decode rows zeroed, and an LP padded with
+zero rows (below) as it does alone.  Against the LP with every decode
+row only the pivot path differs, and the value in its last bits.  The LP
+is unbounded exactly when the first user's CCDF row is all zero:
+sigma_1 then grows with every theta at 0, and the ordering's value is 0
+with all weight on that user.
 
 The live-prefix LP depends only on (p, pi(1..p)), so upper_bound_rate
 solves each distinct live prefix once: K!/t! LPs for the central
 placement at mu = t/K instead of K!, and none where the first user's cache
 already covers the file (p = 0, an infinite value).  It tabulates the gap
-of every user subset once and builds the LPs with numpy from that table:
-one shape per live count, built and solved in slices of stack_size LPs,
-one slice per lp.solve_lps call.  The slices bound the memory: one K = 8,
-mu = 0 group built whole would be 40,320 LPs of 40 x 12, 155 MB of a_ub.
+of every user subset once and builds the LPs with numpy from that table.
+The prefixes of one live count are sorted by their record-row count, most
+first (stable), and built and solved in slices, one slice per
+lp.solve_lps call.  A slice is as many LPs as stack_size allows at the
+shape of its first, widest LP, and every LP of the slice is padded with
+zero rows, between its record rows and its chain rows, to that shape.
+The slices bound the memory: one K = 8, mu = 0 group built whole with
+every decode row would be 40,320 LPs of 40 x 12, 155 MB of a_ub.
 Every ordering then takes its prefix's value.  The K! orderings are
 enumerated once, in lexicographic order: the report's table holds those
 tuples, and the LPs read them copied into one (K!, K) array (np.fromiter,
@@ -152,24 +173,42 @@ def stack_size(m: int, n: int) -> int:
     return max(1, STACK_ENTRIES // max(1, m * (n + 1)))
 
 
+def _records(ccdf: np.ndarray) -> np.ndarray:
+    """The record mask of an (L, p, B) stack of prefix CCDF rows.
+
+    Entry (k, l) is a record when k = 0 or ccdf[k, l] exceeds ccdf[j, l]
+    for every j < k: only those decode rows can bind (module docstring).
+    """
+    kept = np.ones(ccdf.shape, dtype=bool)
+    kept[:, 1:] = ccdf[:, 1:] > np.maximum.accumulate(ccdf, axis=1)[:, :-1]
+    return kept
+
+
 def _permutation_lps(
     stats: ChannelStats, prefixes: np.ndarray, gaps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The LPs of an (L, p) array of live prefixes and their gaps as one stack: c, a_ub, b_ub.
 
-    a_ub is (L, p*B+p, p+B); c, the (p+B,) cost row, and b_ub, the
-    (p*B+p,) rhs, are shared by every LP.  Rows: the p*B decode rows, the
-    p-1 chain rows, the budget row (p = 0 leaves the budget row alone).
+    a_ub is (L, R+p, p+B), with R the most record decode rows of any LP in
+    the stack; c, the (p+B,) cost row, and b_ub, the (R+p,) rhs, are
+    shared by every LP.  Rows: an LP's record decode rows in decode order
+    (user, then level), all-zero rows up to R, the p-1 chain rows, the
+    budget row (p = 0 leaves the budget row alone).  A stack of one has no
+    zero rows.
     """
     size, p = prefixes.shape
     B = stats.num_levels
-    decode = np.arange(p * B)
+    ccdf = stats.ccdf[prefixes - 1]
+    kept = _records(ccdf).reshape(size, p * B)
+    lps, decode = np.nonzero(kept)
+    place = np.cumsum(kept, axis=1)[kept] - 1  # each record row's row in its LP
+    width = int(place.max(initial=-1)) + 1
     chain = np.arange(p - 1)  # empty at p = 0
-    a_ub = np.zeros((size, p * B + chain.size + 1, p + B))
-    a_ub[:, decode, decode // B] = stats.ccdf[prefixes - 1].reshape(size, p * B)
-    a_ub[:, decode, p + decode % B] = -np.repeat(gaps, B, axis=1)
-    a_ub[:, p * B + chain, chain] = -gaps[:, 1:]
-    a_ub[:, p * B + chain, chain + 1] = gaps[:, :-1]
+    a_ub = np.zeros((size, width + chain.size + 1, p + B))
+    a_ub[lps, place, decode // B] = ccdf.reshape(size, p * B)[kept]
+    a_ub[lps, place, p + decode % B] = -gaps[lps, decode // B]
+    a_ub[:, width + chain, chain] = -gaps[:, 1:]
+    a_ub[:, width + chain, chain + 1] = gaps[:, :-1]
     a_ub[:, -1, p:] = 1.0
     b_ub = np.zeros(a_ub.shape[1])
     b_ub[-1] = 1.0
@@ -219,9 +258,14 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     failed: dict[int, object] = {}  # prefix -> its failure or unexpected status
     for p in sorted(set(live_of.tolist()) - {0}):
         group = np.flatnonzero(live_of == p)
-        per_call = stack_size(p * B + p, p + B)
-        for start in range(0, group.size, per_call):
-            prefixes = group[start:start + per_call]
+        # Most record rows first: each stack is then as wide as its first LP.
+        records = _records(stats.ccdf[every[first[group], :p] - 1]).sum(axis=(1, 2))
+        order = np.argsort(-records, kind="stable")
+        group, records = group[order], records[order]
+        start = 0
+        while start < group.size:
+            prefixes = group[start:start + stack_size(int(records[start]) + p, p + B)]
+            start += prefixes.size
             rows = first[prefixes]
             stack = solve_lps(*_permutation_lps(stats, every[rows, :p], gaps[rows, :p]))
             optimal = np.array([s == OPTIMAL for s in stack.status])
@@ -259,7 +303,7 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     omega = np.zeros(K)
     for k in range(K):
         if gaps[argmin, k] > 0.0:
-            omega[pi[k] - 1] = x[k] / gaps[argmin, k]
+            omega[pi[k] - 1] = max(x[k], 0.0) / gaps[argmin, k]  # x >= -FEAS_TOL: a negative is a 0
     positive = omega[omega > 0.0]
     if positive.size:
         omega /= positive.min()

@@ -271,12 +271,16 @@ def enumerate_vertices(c, a_ub, b_ub) -> LpSolution:
     return LpSolution(OPTIMAL, best_x, best_value, None)
 
 
-def permutation_lp_reference(stats, tup, pi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def permutation_lp_reference(stats, tup, pi, every_decode_row=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The per-ordering LP as (c, a_ub, b_ub), built one entry at a time, in its full K*B+K by K+B shape.
 
-    Fully covered prefixes pin their sigma to zero with zero columns and
-    costs, which leaves their decode rows and the chain rows into them
-    all zero.  Without those rows and columns (drop_zero_lines) it is the
+    Decode row (k, l) is left zero unless it is a record: k = 0, or user
+    pi[k]'s level-l CCDF entry exceeds that of every user before it in the
+    ordering (the chain rows imply every other decode row).  With
+    every_decode_row, every decode row is written.  Fully covered
+    prefixes pin their sigma to zero with zero columns and costs, which
+    leaves their decode rows and the chain rows into them all zero.
+    Without the zero rows and columns (drop_zero_lines) it is the
     live-prefix LP that upper_bound.build_permutation_lp must reproduce
     byte for byte (signed zeros included).
     """
@@ -285,8 +289,10 @@ def permutation_lp_reference(stats, tup, pi) -> tuple[np.ndarray, np.ndarray, np
     a_ub = np.zeros((K * B + K, K + B))
     for k in range(K):
         for l in range(B):
-            a_ub[k * B + l, k] = stats.ccdf[pi[k] - 1][l]
-            a_ub[k * B + l, K + l] = -gaps[k]
+            entry = stats.ccdf[pi[k] - 1][l]
+            if every_decode_row or all(entry > stats.ccdf[pi[j] - 1][l] for j in range(k)):
+                a_ub[k * B + l, k] = entry
+                a_ub[k * B + l, K + l] = -gaps[k]
     for k in range(1, K):
         a_ub[K * B + k - 1, k - 1] = -gaps[k]
         a_ub[K * B + k - 1, k] = gaps[k - 1]
@@ -314,20 +320,32 @@ def drop_zero_lines(problem) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
     return (c[columns], a_ub[np.ix_(rows, columns)], b_ub[rows]), columns
 
 
+def stack_hits(c, a_ub, problem) -> np.ndarray:
+    """Which LPs of a stack, c (L, n) or (n,) and a_ub (L, m, n), have the costs and rows of problem (c, a_ub, b_ub).
+
+    An LP's all-zero rows are left out before its rows are compared, so an
+    LP that upper_bound padded with zero rows matches the LP alone; the
+    rows of problem must have no zero row.
+    """
+    costs, rows, _ = problem
+    if a_ub.shape[2] != rows.shape[1]:
+        return np.zeros(len(a_ub), dtype=bool)
+    same = np.array([np.array_equal(a[a.any(axis=1)], rows) for a in a_ub], dtype=bool)
+    return same & np.all(c == costs, axis=-1)
+
+
 def fail_certificate(monkeypatch, problem, violation: float = 0.00294) -> None:
     """Make every LP with the costs and rows of problem (c, a_ub, b_ub) fail its feasibility recheck.
 
     Wraps lp._certificate so that the primal residual of each such LP in a
-    stack reads `violation`; the other LPs of the stack are untouched.
+    stack (stack_hits) reads `violation`; the other LPs of the stack are
+    untouched.
     """
     certificate = lp._certificate
-    costs, rows, _ = problem
 
     def failing(a, b, c, x, y):
         value, primal, dual, gap = certificate(a, b, c, x, y)
-        if a.shape[1:] == rows.shape:
-            hit = np.all(a == rows, axis=(1, 2)) & np.all(c == costs, axis=1)
-            primal = np.where(hit, violation, primal)
+        primal = np.where(stack_hits(c, a, problem), violation, primal)
         return value, primal, dual, gap
 
     monkeypatch.setattr(lp, "_certificate", failing)

@@ -10,9 +10,10 @@ from cachecast.channel import (
     enhance,
     is_stochastically_dominant,
     sample_states,
+    user_levels,
     validate_stats,
 )
-from cachecast.errors import LengthMismatch, NotMonotone, OutOfRange, ValidationError, WeightsUnsorted
+from cachecast.errors import LengthMismatch, NotMonotone, OutOfRange, ValidationError, WeightsUnsorted, WrongType
 
 from helpers import check_enhancement_invariants, random_sorted_weights, random_stats
 
@@ -147,6 +148,12 @@ def test_enhance_rejects_bad_weights(mixed3):
         enhance(mixed3, [1.0, 2.0, 0.5])
 
 
+@pytest.mark.parametrize("weights", [["x", 1.0, 0.5], [[1.0, 2.0], 1.0, 0.5], [{}, 1.0, 0.5]])
+def test_enhance_rejects_non_number_weights(mixed3, weights):
+    with pytest.raises(WrongType, match=r"^weights must be numbers, got "):
+        enhance(mixed3, weights)
+
+
 def test_enhance_random_invariants():
     rng = np.random.default_rng(20240817)
     for _ in range(60):
@@ -200,6 +207,19 @@ def test_sample_deterministic_channel():
 def test_sample_rejects_bad_length():
     with pytest.raises(OutOfRange):
         sample_states(validate_stats([[0.5]]), num_uses=0, seed=1)
+
+
+@pytest.mark.parametrize("seed", [1.5, None, "3", np.float64(2.0)])
+def test_sample_rejects_non_integer_seed(seed):
+    stats = validate_stats([[0.5]])
+    for draw in (sample_states, user_levels):
+        with pytest.raises(WrongType, match=r"^seed must be an integer, got "):
+            draw(stats, 10, seed)
+
+
+def test_sample_takes_numpy_integer_seed():
+    stats = validate_stats([[0.5, 0.2]])
+    assert sample_states(stats, 50, np.int64(3)).levels.tobytes() == sample_states(stats, 50, 3).levels.tobytes()
 
 
 @pytest.mark.parametrize("block", [7, None])

@@ -39,6 +39,7 @@ from helpers import (
     fail_certificate,
     is_master_solve,
     random_chain_stats,
+    stack_hits,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -366,11 +367,13 @@ def test_simulate_output_digests_are_frozen(capsys, tmp_path, name):
 
 # SHA-256 of `rates upper --json` on the ROADMAP item 1 grid (all 720
 # orderings in `table`) and of `rates achievable --json` on a seeded
-# sorted-uniform K = 8, t = 3, B = 4 grid.  `upper` was frozen before the
-# simplex kept only its nonbasic columns, `achievable` when the subset LPs
-# moved to their min form: a change to the LP core must keep these bytes.
+# sorted-uniform K = 8, t = 3, B = 4 grid.  `upper` was frozen when the
+# per-ordering LPs dropped their implied decode rows (every table entry
+# within 3.5e-14 relative of the LPs with all of them, the same argmin_pi),
+# `achievable` when the subset LPs moved to their min form: a change to the
+# LP core must keep these bytes.
 RATES_DIGESTS = {
-    "upper": "8c8bb6137d870c1158b7413e901505904afab066be2ea44d4aec4ebfd15cd2a3",
+    "upper": "14e5cb873b636ee66de5bc6e3c924c0e14bd598d61db740f202ce700c807b71d",
     "achievable": "8867188f68921ed5079bf6139a421984299cc7e13a3935dc3444e19d8e426519",
 }
 
@@ -689,9 +692,7 @@ def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
 
     def one_unbounded(c, a_ub, b_ub):
         outcomes = solve_lps(c, a_ub, b_ub)
-        target_c, target_a_ub, _ = target
-        hit = np.all(a_ub == target_a_ub, axis=(1, 2)) & np.all(c == target_c, axis=-1)  # c: (L, n) or (n,)
-        for i in np.flatnonzero(hit).tolist():
+        for i in np.flatnonzero(stack_hits(c, a_ub, target)).tolist():
             outcomes.status[i] = UNBOUNDED
         return outcomes
 

@@ -699,7 +699,9 @@ def test_stack_matches_solo(monkeypatch):
         (np.array([-1.0, 0.0]), np.array([[-1.0, 1.0]]), np.zeros(1)),  # unbounded
     ]
     # The 240 orderings that start with user 6 or 5 of the ROADMAP item 1
-    # instance: one shape, more than the bound slices its own stacks to.  (6, 1, 2, 3, 4, 5) is made
+    # instance, each padded as the bound pads a stack: zero rows before its
+    # 5 chain and budget rows, up to the widest's 21 rows.  One shape, more
+    # than the bound slices its own stacks to.  (6, 1, 2, 3, 4, 5) is made
     # to fail its feasibility recheck, in the stack and alone.
     stats = validate_stats(ROADMAP_ITEM1_ROWS)
     tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
@@ -709,7 +711,12 @@ def test_stack_matches_solo(monkeypatch):
         for rest in permutations(k for k in range(1, 7) if k != first)
     ]
     fail_certificate(monkeypatch, orderings[0])
-    problems = problems + orderings
+    width = max(len(a_ub) for _, a_ub, _ in orderings)
+    budget = np.append(np.zeros(width - 1), 1.0)  # every row's rhs but the budget row's is 0
+    padded = [
+        (c, np.insert(a_ub, [len(a_ub) - 5] * (width - len(a_ub)), 0.0, axis=0), budget) for c, a_ub, _ in orderings
+    ]
+    problems = problems + padded
     problems = [problems[i] for i in rng.permutation(len(problems))]
 
     stacks = []
@@ -725,17 +732,29 @@ def test_stack_matches_solo(monkeypatch):
     solo = [_outcome(p) for p in problems]
 
     # One simplex run per solve_lps call, one call per shape; the 240
-    # orderings (live count 5: 25 rows, 9 columns) run as one stack, larger
-    # than the bound's own stacks.
+    # padded orderings (live count 5: 21 rows, 9 columns) run as one stack,
+    # larger than the bound's own stacks.
     assert len(stacks) == len({np.shape(p[1]) for p in problems})
-    assert max(stacks) == 240 > stack_size(25, 5 + 4) == 172
+    assert max(stacks) == 240 > stack_size(21, 5 + 4) == 204
     statuses = {s.status if isinstance(s, LpSolution) else type(s).__name__ for s in solo}
     assert statuses == {OPTIMAL, UNBOUNDED, "NumericalFailure"}
+    # The 24 orderings (6, 1, ...) share one LP: user 1 is above user 6 on
+    # every level and no later user is above user 1 on any, so their record
+    # rows are those of users 6 and 1 alone, and at a central placement the
+    # chain rows depend only on the position.
     assert [str(s) for s in solo if isinstance(s, NumericalFailure)] == [
         "optimal basis fails feasibility recheck (largest violation 0.00294)"
-    ]
+    ] * 24
     for a, b in zip(stacked, solo):
         assert_same_outcome(a, b)
+    # A padded LP takes the pivots, x and value of the LP alone (its duals
+    # and residuals are sums over more rows).
+    for alone, among in zip(map(_outcome, orderings), map(_outcome, padded)):
+        if isinstance(alone, NumericalFailure):
+            assert str(alone) == str(among)
+            continue
+        assert (alone.status, alone.pivots) == (among.status, among.pivots)
+        assert float.hex(alone.value) == float.hex(among.value) and alone.x.tobytes() == among.x.tobytes()
 
     # LPs that reach the iteration cap fail alone, as they do solo.
     monkeypatch.setattr(lp, "MAX_ITERATIONS", 5)
@@ -864,7 +883,7 @@ def test_pivot_path_chain_lp():
 
 
 def test_pivot_path_ordering_lp():
-    assert _path(_ordering_path()) == (OPTIMAL, 10, -0.7020414075184858)
+    assert _path(_ordering_path()) == (OPTIMAL, 9, -0.7020414075184858)
 
 
 def test_guard_at_zero_is_blands_rule(monkeypatch):
@@ -874,7 +893,7 @@ def test_guard_at_zero_is_blands_rule(monkeypatch):
     monkeypatch.setattr(lp, "DEGENERATE_RUN", 0)
     assert _path(_delivery_path()) == (OPTIMAL, 241, -1.0000449673374703)
     assert _path(_chain_path()) == (OPTIMAL, 8, -2.461175840112319)
-    assert _path(_ordering_path()) == (OPTIMAL, 16, -0.7020414075184819)
+    assert _path(_ordering_path()) == (OPTIMAL, 11, -0.7020414075184856)
 
 
 def test_guard_fires_on_degenerate_delivery_lp(monkeypatch):

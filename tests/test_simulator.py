@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cachecast.channel import SAMPLE_BLOCK, sample_states, validate_stats
-from cachecast.errors import InfeasibleAllocation, OutOfRange
+from cachecast.errors import InfeasibleAllocation, OutOfRange, WrongType
 from cachecast.lp_scheme import achievable_rate_lp, message_subsets
 from cachecast.simulator import apportion, empirical_ccdf, simulate_delivery
 
@@ -119,6 +119,13 @@ def test_simulation_rejects_bad_length_before_apportioning(mixed3, reference_all
 def test_simulation_rejects_negative_seed(mixed3, reference_alloc, keep_levels):
     with pytest.raises(OutOfRange, match="seed must be nonnegative"):
         simulate_delivery(mixed3, reference_alloc, num_uses=10, seed=-1, keep_levels=keep_levels)
+
+
+@pytest.mark.parametrize("keep_levels", [False, True])
+@pytest.mark.parametrize("seed", [1.5, None])
+def test_simulation_rejects_non_integer_seed(mixed3, reference_alloc, keep_levels, seed):
+    with pytest.raises(WrongType, match=r"^seed must be an integer, got "):
+        simulate_delivery(mixed3, reference_alloc, num_uses=10, seed=seed, keep_levels=keep_levels)
 
 
 def test_simulation_deterministic_channel_exact_spans():

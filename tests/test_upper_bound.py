@@ -10,9 +10,9 @@ import pytest
 from cachecast import upper_bound
 from cachecast.caching import caching_tuple, central_strategy, central_tuple, strategy_from_intervals
 from cachecast.channel import validate_stats
-from cachecast.errors import LengthMismatch, OutOfRange, TooManyUsers, ZeroDenominator
+from cachecast.errors import LengthMismatch, OutOfRange, TooManyUsers, WrongType, ZeroDenominator
 from cachecast.lp import FEAS_TOL, OPTIMAL, UNBOUNDED, solve_lp
-from cachecast.upper_bound import build_permutation_lp, objective_at, stack_size, upper_bound_rate
+from cachecast.upper_bound import STACK_ENTRIES, build_permutation_lp, objective_at, stack_size, upper_bound_rate
 
 from helpers import (
     MIXED3_BEST_PI,
@@ -24,6 +24,7 @@ from helpers import (
     drop_zero_lines,
     permutation_lp_reference,
     random_stats,
+    sorted_uniform_ccdf,
 )
 
 
@@ -66,6 +67,8 @@ def test_objective_rejects_bad_weights(mixed3, tup3):
         objective_at(mixed3, tup3, [1.0, math.inf, 1.0])
     with pytest.raises(ZeroDenominator):
         objective_at(mixed3, tup3, [0.0, 0.0, 0.0])
+    with pytest.raises(WrongType, match=r"^weights must be numbers, got \['x', 1.0, 1.0\]$"):
+        objective_at(mixed3, tup3, ["x", 1.0, 1.0])
 
 
 def test_objective_full_cache_has_zero_denominator(mixed3):
@@ -79,32 +82,36 @@ def test_objective_full_cache_has_zero_denominator(mixed3):
 
 def test_lp_shape_and_first_row(mixed3, tup3):
     c, a_ub, b_ub = build_permutation_lp(mixed3, tup3, (1, 2, 3))
-    assert a_ub.shape == (8, 5)  # live count 2: 6 decode rows + 1 ordering row + the budget row
+    # live count 2: 5 record decode rows + 1 ordering row + the budget row;
+    # user 2's level-1 row is implied by user 1's (0.7 <= 0.9)
+    assert a_ub.shape == (7, 5)
     assert c.size == 5  # sigma_1, sigma_2, theta_1..3
     np.testing.assert_allclose(a_ub[0], [0.9, 0.0, -2.0 / 3.0, 0.0, 0.0])
-    np.testing.assert_array_equal(b_ub, [0.0] * 7 + [1.0])
+    np.testing.assert_allclose(a_ub[3], [0.0, 0.4, 0.0, -1.0 / 3.0, 0.0])  # user 2, level 2
+    np.testing.assert_array_equal(b_ub, [0.0] * 6 + [1.0])
     np.testing.assert_array_equal(c, [-1, -1, 0, 0, 0])  # maximize sum sigma
 
 
 def test_lp_ordering_rows(mixed3, tup3):
     _, a_ub, _ = build_permutation_lp(mixed3, tup3, (1, 2, 3))
-    np.testing.assert_allclose(a_ub[6], [-1.0 / 3.0, 2.0 / 3.0, 0.0, 0.0, 0.0])
+    np.testing.assert_allclose(a_ub[5], [-1.0 / 3.0, 2.0 / 3.0, 0.0, 0.0, 0.0])
     # the chain row into the pinned sigma_3 is left out with it
-    np.testing.assert_array_equal(a_ub[7], [0.0, 0.0, 1.0, 1.0, 1.0])  # sum theta <= 1
+    np.testing.assert_array_equal(a_ub[6], [0.0, 0.0, 1.0, 1.0, 1.0])  # sum theta <= 1
 
 
 def test_lp_pins_fully_covered_prefixes(mixed3, tup3):
     # {1, 2, 3} has coverage 1, so sigma_3 is pinned: in the full-shape LP
     # its column and cost are zero, and so are its 3 decode rows and the
     # chain row into it.  The live-prefix LP leaves all of them out, and
-    # sigma_1 and sigma_2 keep their entries.
+    # sigma_1 and sigma_2 keep their entries but for the implied decode row
+    # (2, 1).
     reference_c, reference_a_ub, _ = permutation_lp_reference(mixed3, tup3, (1, 2, 3))
     np.testing.assert_array_equal(reference_a_ub[:, 2], np.zeros(12))
     assert reference_c[2] == 0.0
     assert not reference_a_ub[[6, 7, 8, 10]].any()
     c, a_ub, _ = build_permutation_lp(mixed3, tup3, (1, 2, 3))
-    assert a_ub.shape == (8, 5)
-    assert np.count_nonzero(a_ub[:, :2], axis=0).tolist() == [4, 4]  # 3 decode + 1 ordering row
+    assert a_ub.shape == (7, 5)
+    assert np.count_nonzero(a_ub[:, :2], axis=0).tolist() == [4, 3]  # 3 and 2 decode rows + 1 ordering row
     np.testing.assert_array_equal(c[:2], [-1.0, -1.0])
     assert np.all(a_ub.any(axis=1)) and np.all(a_ub.any(axis=0))  # no zero row or column left
 
@@ -112,8 +119,8 @@ def test_lp_pins_fully_covered_prefixes(mixed3, tup3):
 def test_lp_matches_entrywise_builder():
     # Central placements pin the same prefixes in every ordering; the
     # explicit one pins one, two or three depending on the ordering.  The
-    # live-prefix LP is the full-shape reference without its zero rows and
-    # columns.
+    # live-prefix LP is the full-shape reference, implied decode rows
+    # zeroed, without its zero rows and columns.
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     explicit = [[(0, half)], [(half, 1)], [(0, half)], [(quarter, 3 * quarter)]]
     cases = [
@@ -151,8 +158,9 @@ def _exactness_cases():
     "stats, tup, live_counts", [pytest.param(*case[1:], id=case[0]) for case in _exactness_cases()]
 )
 def test_live_prefix_lp_solves_as_pinned_lp(stats, tup, live_counts):
-    # Dropping the pinned sigmas' zero columns and the zero rows leaves the
-    # pivot path unchanged: the same pivots, value and sigma/theta bytes.
+    # Dropping the pinned sigmas' zero columns and the zero rows (those of
+    # the implied decode rows too) leaves the pivot path unchanged: the same
+    # pivots, value and sigma/theta bytes.
     seen = set()
     for pi in permutations(range(1, stats.num_users + 1)):
         reference = permutation_lp_reference(stats, tup, pi)
@@ -166,6 +174,49 @@ def test_live_prefix_lp_solves_as_pinned_lp(stats, tup, live_counts):
         assert live.x.tobytes() == pinned.x[columns].tobytes()
         assert not pinned.x[~columns].any()
     assert seen == live_counts
+
+
+def _tied_stats(rng, users, levels):
+    """A grid with ties: one-decimal entries, two equal users and one whose row is zero, shuffled."""
+    grid = np.round(sorted_uniform_ccdf(rng, users, levels), 1)
+    grid[1] = grid[0]
+    grid[-1] = 0.0
+    return validate_stats(grid[rng.permutation(users)])
+
+
+def _tied_cases():
+    rng = np.random.default_rng(2424)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    explicit = [[(0, half)], [(half, 1)], [(0, half)], [(quarter, 3 * quarter)]]
+    cases = [
+        (f"K{users}-B{levels}-t{t}", _tied_stats(rng, users, levels), central_tuple(users, Fraction(t, users)))
+        for users, levels in ((3, 4), (4, 3), (5, 2), (5, 4))
+        for t in range(users - 1)  # at t = users - 1 one user is live: no row to drop
+    ]
+    cases.append(("explicit-4", _tied_stats(rng, 4, 3), caching_tuple(strategy_from_intervals(explicit, half))))
+    return cases
+
+
+@pytest.mark.parametrize("stats, tup", [pytest.param(*case[1:], id=case[0]) for case in _tied_cases()])
+def test_record_rows_imply_the_dropped_rows(stats, tup):
+    # The chain rows imply every decode row that is not a record.  So the
+    # record-row LP's optimum satisfies the LP with every decode row, and
+    # the two LPs share their optimum, on grids with tied entries, two equal
+    # users and a user that decodes nothing.
+    dropped = 0
+    for pi in permutations(range(1, stats.num_users + 1)):
+        kept = build_permutation_lp(stats, tup, pi)
+        solved = solve_lp(*kept)
+        if not stats.ccdf[pi[0] - 1].any():  # all its decode rows are kept (k = 1)
+            assert solved.status == UNBOUNDED
+            continue
+        (c, a_ub, b_ub), _ = drop_zero_lines(permutation_lp_reference(stats, tup, pi, every_decode_row=True))
+        dropped += len(a_ub) - len(kept[1])
+        full = solve_lp(c, a_ub, b_ub)
+        assert solved.status == full.status == OPTIMAL
+        assert np.all(a_ub @ solved.x <= b_ub + FEAS_TOL)
+        assert abs(solved.value - full.value) <= 1e-12 * abs(full.value)
+    assert dropped > 0
 
 
 def test_lp_rejects_non_permutation(mixed3, tup3):
@@ -192,6 +243,31 @@ def test_bound_weights_reproduce_value(mixed3, tup3):
     assert abs(objective_at(mixed3, tup3, report.omega_star) - report.value) <= 1e-9
 
 
+@pytest.mark.parametrize("users", [3, 4, 5, 6, 7])
+def test_bound_weights_reproduce_value_on_random_grids(users):
+    # omega_star certifies the bound: the objective at those weights is the
+    # reported value, on plain and on tied grids at several cache sizes.
+    rng = np.random.default_rng([users, 17])
+    for t in sorted({0, 1, users // 2, users - 1}):
+        tup = central_tuple(users, Fraction(t, users))
+        for stats in (random_stats(rng, users, int(rng.integers(2, 6))), _tied_stats(rng, users, 3)):
+            report = upper_bound_rate(stats, tup)
+            if report.value > 0.0:  # a user that decodes nothing can bound the rate by 0
+                assert abs(objective_at(stats, tup, report.omega_star) - report.value) <= 1e-9 * report.value
+
+
+def test_bound_weights_are_nonnegative():
+    # The argmin ordering's LP ends with sigma_3 = -5.6e-17, within the
+    # certificate's FEAS_TOL of 0; omega_star takes it as 0, so objective_at
+    # accepts the weights.
+    stats = validate_stats([[0.2, 0.2], [0.2, 0.0], [0.9, 0.6], [0.8, 0.3], [0.9, 0.5]])
+    tup = central_tuple(5, Fraction(2, 5))
+    report = upper_bound_rate(stats, tup)
+    assert report.argmin_pi == (2, 1, 3, 4, 5)
+    assert report.omega_star == (0.0, 1.0, 0.0, 0.0, 0.0)
+    assert abs(objective_at(stats, tup, report.omega_star) - report.value) <= 1e-9 * report.value
+
+
 def test_bound_is_least_over_random_weights(mixed3, tup3):
     report = upper_bound_rate(mixed3, tup3)
     rng = np.random.default_rng(55)
@@ -209,13 +285,16 @@ def test_bound_roadmap_item1_instance():
 
 def test_bound_solves_full_stacks(monkeypatch):
     # Each solve_lps call gets one lockstep stack's worth of live prefixes,
-    # so every stack is full but the last: at K = 6, B = 4, mu = 1/6 every
-    # ordering has live count 5 (25 x 9 LPs) and 720 = 4 * 172 + 32.
+    # sized by its widest LP, so every stack is full but the last: at K = 6,
+    # B = 4, mu = 1/6 every ordering has live count 5 (9 columns), and the
+    # 720 LPs, most record rows first, fill stacks padded to 16, 11 and 8
+    # record rows (+ 5 chain and budget rows): 720 = 204 + 268 + 248.
     shapes = _recording_solve_lps(monkeypatch)
     tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
     upper_bound_rate(validate_stats(ROADMAP_ITEM1_ROWS), tup)
-    assert stack_size(25, 9) == 172
-    assert [shape[0] for shape in shapes] == [172] * 4 + [32]
+    assert shapes == ROADMAP_ITEM1_STACKS[1]
+    assert [stack_size(m, n) for _, m, n in shapes] == [204, 268, 330]
+    assert all(size * m * (n + 1) <= STACK_ENTRIES for size, m, n in shapes)
 
 
 def _recording_solve_lps(monkeypatch):
@@ -231,15 +310,28 @@ def _recording_solve_lps(monkeypatch):
     return shapes
 
 
+# The stacks upper_bound_rate hands to solve_lps on the ROADMAP item 1 grid at mu = t/6.
+ROADMAP_ITEM1_STACKS = {
+    1: [(204, 21, 9), (268, 16, 9), (248, 13, 9)],
+    2: [(251, 19, 8), (109, 12, 8)],
+    3: [(120, 15, 7)],
+    4: [(30, 10, 6)],
+    5: [(6, 5, 5)],
+}
+
+
 @pytest.mark.parametrize("t, lps", [(1, 720), (2, 360), (3, 120), (4, 30), (5, 6)])
 def test_bound_solves_one_lp_per_live_prefix(monkeypatch, t, lps):
     # At mu = t/6 a set of 6 - t + 1 users covers the file, so the live
-    # prefixes are the 6!/t! ordered (6 - t)-tuples of users.
+    # prefixes are the 6!/t! ordered (6 - t)-tuples of users, p = 6 - t
+    # users each: p + 4 columns, and rows between the first user's 4 decode
+    # rows and all 4p of them, plus p chain and budget rows.
     shapes = _recording_solve_lps(monkeypatch)
     stats = validate_stats(ROADMAP_ITEM1_ROWS)
     report = upper_bound_rate(stats, central_tuple(6, Fraction(t, 6)))
     p = 6 - t
-    assert {shape[1:] for shape in shapes} == {(p * 4 + p, p + 4)}
+    assert shapes == ROADMAP_ITEM1_STACKS[t]
+    assert all(4 + p <= m <= p * 4 + p and n == p + 4 for _, m, n in shapes)
     assert sum(shape[0] for shape in shapes) == lps
     assert len(report.table) == 720
 
@@ -249,12 +341,16 @@ def test_bound_shares_no_lp_across_live_counts(monkeypatch):
     # and (1, 3, 2) share their first user but have live counts 1 and 2, so
     # they take two LPs; (2, 1, 3) and (2, 3, 1) share the live prefix (2).
     # The live prefixes are (1), (2), (3) and (1, 3), (3, 1): five LPs.
+    # (1, 3) has 4 + 3 record decode rows (user 3 is above user 1 on levels
+    # 1, 3 and 4) and (3, 1) 4 + 1 (user 1 is above user 3 on level 2), so
+    # their stack is padded to 7 decode rows, 9 rows with the chain and
+    # budget rows.
     half = Fraction(1, 2)
     tup = caching_tuple(strategy_from_intervals([[(0, half)], [(half, 1)], [(0, half)]], half))
     stats = random_stats(np.random.default_rng(21), 3, 4)
     shapes = _recording_solve_lps(monkeypatch)
     report = upper_bound_rate(stats, tup)
-    assert sorted(shapes) == [(2, 10, 6), (3, 5, 5)]
+    assert sorted(shapes) == [(2, 9, 6), (3, 5, 5)]
     values = dict(report.table)
     assert values[(1, 2, 3)] != values[(1, 3, 2)]
     assert values[(2, 1, 3)] == values[(2, 3, 1)]
@@ -326,7 +422,9 @@ def test_bound_rejects_tuple_of_other_size(mixed3, tuple_users):
 
 def test_bound_explicit_caching_matches_each_ordering():
     # {1, 2} and {2, 3} cache the whole file but {1, 3, 4} does not, so the
-    # orderings have live counts 1, 2 or 3, one LP shape each.
+    # orderings have live counts 1, 2 or 3, and the LPs of each live count
+    # have up to 3 record decode rows a user.  Padded stacks must solve as
+    # the LPs alone.
     stats = random_stats(np.random.default_rng(12), 4, 3)
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     placement = [[(0, half)], [(half, 1)], [(0, half)], [(quarter, 3 * quarter)]]
@@ -335,7 +433,9 @@ def test_bound_explicit_caching_matches_each_ordering():
 
     orderings = list(permutations(range(1, 5)))
     problems = [build_permutation_lp(stats, tup, pi) for pi in orderings]
-    assert {a_ub.shape for _, a_ub, _ in problems} == {(4 * q, q + 3) for q in (1, 2, 3)}
+    shapes = {a_ub.shape for _, a_ub, _ in problems}
+    assert sorted(shapes) == [(4, 4), (5, 5), (6, 5), (7, 5), (7, 6), (8, 5), (8, 6), (9, 6), (11, 6)]
+    assert all(3 + q <= m <= 4 * q for m, n in shapes for q in [n - 3])  # q = n - 3 live users
     values = [-1.0 / solve_lp(*p).value for p in problems]
     assert report.table == tuple(zip(orderings, values))
     best = min(values)
