@@ -379,14 +379,16 @@ def _parse_mu_range(text: str) -> list[Fraction]:
         raise ValidationError("--mu step must be positive")
     if stop < start:
         raise ValidationError("--mu stop must be >= start")
-    return [start + i * step for i in range((stop - start) // step + 1)]
+    mus = [start + i * step for i in range((stop - start) // step + 1)]
+    for mu in mus:
+        if not 0 <= mu <= 1:
+            raise ValidationError(f"sweep mu {mu} outside [0, 1]")
+    return mus
 
 
 def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
     rows = []
     for mu in _parse_mu_range(args.mu):
-        if not 0 <= mu <= 1:
-            raise ValidationError(f"sweep mu {mu} outside [0, 1]")
         try:
             f_lp = lp_scheme.achievable_rate_lp(cfg.stats, mu).rate
         except (NonIntegerT, BadT):

@@ -29,8 +29,8 @@ import numpy as np
 
 from .caching import cache_size, central_coverage
 from .channel import ChannelStats, is_stochastically_dominant, validate_stats
-from .errors import InfeasibleZ, LengthMismatch, NotDegraded, NumericalFailure, UnexpectedLpStatus
-from .lp import FEAS_TOL, OPTIMAL, solve_lp
+from .errors import InfeasibleZ, LengthMismatch, NotDegraded
+from .lp import FEAS_TOL, require_optimal, solve_lps
 from .lp_scheme import DeliveryAllocation, message_subsets, t_from_mu
 
 
@@ -90,13 +90,8 @@ def degraded_optimal_rate(stats: ChannelStats, mu) -> ZAllocation:
     c = np.zeros(num_vars)
     c[0] = -1.0
 
-    label = f"chain LP (K={K}, t={t}, B={B})"
-    try:
-        solution = solve_lp(c, a_ub, b_ub)
-    except NumericalFailure as exc:
-        raise NumericalFailure(f"{label}: {exc}") from exc
-    if solution.status != OPTIMAL:
-        raise UnexpectedLpStatus(f"{label}: status {solution.status}")
+    (outcome,) = solve_lps(c, a_ub[None], b_ub)
+    solution = require_optimal(outcome, f"chain LP (K={K}, t={t}, B={B})")
     z = solution.x[1:].reshape(B, K).copy()
     for k in range(K):
         if gaps[k] == 0:  # fully covered user needs no air time

@@ -61,10 +61,10 @@ One simplex core runs on a stack of same-shape tableaux, shape
 basis (L, m) and nonbasic (L, n).  solve_lps takes the LPs as arrays of
 one shape, c (L, n), a_ub (L, m, n) and b_ub (L, m), and solves them all
 as one stack, so a caller that must bound its memory hands it fewer LPs
-per call (upper_bound does); solve_lp is the stack of one.  Each
-iteration reads every running LP's entering column off its cost row,
-picks its leaving row with vector operations, and pivots every LP at
-once with one in-place rank-1 update (_pivot).  The certificate is one
+per call (upper_bound does); solve_lp, the stack of one, is for callers
+outside the package.  Each iteration reads every running LP's entering
+column off its cost row, picks its leaving row with vector operations,
+and pivots every LP at once with one in-place rank-1 update (_pivot).  The certificate is one
 batched np.matmul per stack too, and solve_lps returns the stack's
 outcomes as arrays (StackSolution), which yield each LP's LpSolution
 when indexed.  An LP that finishes (optimal,
@@ -87,7 +87,8 @@ afresh at the kept basis and resumes the simplex from there, and
 add_column enters a column as Binv.a and pivots it in by the same ratio
 test.  The delivery LP keeps two: the cutting-plane master, a column per
 cut, and the subset LPs, repriced at every cut.  solve_lps solves a
-fresh stack once.  Each solve carries the same certificate (_finish).
+fresh stack once.  Each solve carries the same certificate (_finish), and
+require_optimal is the one rule that every LP here must come back optimal.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import LengthMismatch, NumericalFailure, OutOfRange
+from .errors import LengthMismatch, NumericalFailure, OutOfRange, UnexpectedLpStatus
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
@@ -432,6 +433,20 @@ def solve_lps(c, a_ub, b_ub) -> StackSolution:
         )
     _check_rhs(np.broadcast_to(b_ub, shape[:2]))
     return LpStack(a_ub, b_ub).solve(c)
+
+
+def require_optimal(outcome: Union[LpSolution, NumericalFailure], label: str, where: str = "") -> LpSolution:
+    """outcome if it is optimal; else the typed error naming the LP (label) and the step, if where is given.
+
+    A NumericalFailure is raised again behind label, with the original as
+    its __cause__; any other status raises UnexpectedLpStatus.
+    """
+    step = f" ({where})" if where else ""
+    if isinstance(outcome, NumericalFailure):
+        raise NumericalFailure(f"{label}: {outcome}{step}") from outcome
+    if outcome.status != OPTIMAL:
+        raise UnexpectedLpStatus(f"{label}: status {outcome.status}{step}")
+    return outcome
 
 
 def solve_lp(c, a_ub, b_ub) -> LpSolution:

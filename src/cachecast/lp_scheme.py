@@ -73,7 +73,8 @@ A user whose ccdf[k][0] is 0 never receives a level (validation lets a
 later entry exceed it by PROB_TOL at most) and decodes nothing: the rate
 is 0 and every share 0.  The allocation is rechecked by check_allocation, against
 every decodability and budget row and the sign of every share, before it
-is returned.
+is returned; a subset LP or master that is not optimal raises through
+lp.require_optimal, naming the step.
 """
 
 from __future__ import annotations
@@ -82,14 +83,13 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf
-from typing import Union
 
 import numpy as np
 
 from .caching import cache_size
 from .channel import ChannelStats
-from .errors import BadT, LengthMismatch, NonIntegerT, NumericalFailure, UnexpectedLpStatus
-from .lp import FEAS_TOL, OPTIMAL, LpSolution, LpStack
+from .errors import BadT, LengthMismatch, NonIntegerT, NumericalFailure
+from .lp import FEAS_TOL, OPTIMAL, LpStack, require_optimal
 
 Subset = tuple[int, ...]
 
@@ -206,15 +206,6 @@ def build_delivery_lp(stats: ChannelStats, t: int) -> DeliveryLp:
     )
 
 
-def _solved(outcome: Union[LpSolution, NumericalFailure], label: str, where: str) -> LpSolution:
-    """outcome if it is optimal; else the typed error naming the LP and the step."""
-    if isinstance(outcome, NumericalFailure):
-        raise NumericalFailure(f"{label}: {outcome} ({where})") from outcome
-    if outcome.status != OPTIMAL:
-        raise UnexpectedLpStatus(f"{label}: status {outcome.status} ({where})")
-    return outcome
-
-
 def _gap(lower: float, upper: float) -> float:
     """1/lower - 1/upper: how far the rate 1/upper can lie below the optimum (0 if rounding inverts them)."""
     return max(0.0, (1.0 / lower if lower > 0.0 else inf) - 1.0 / upper)
@@ -246,13 +237,13 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
         stack = subproblems.solve(lam)
         if stack.status.count(OPTIMAL) < len(subsets):
             for s, outcome in zip(subsets, stack):
-                _solved(outcome, label, f"subset {s}, {where}")
+                require_optimal(outcome, label, f"subset {s}, {where}")
         u = stack.x
         best = max(best, sum(stack.value.tolist()) / piece_count)
         prices.append(u)
         master.add_column(u.sum(axis=0) / piece_count)
         (packing,) = master.solve(-np.ones(iteration))
-        packing = _solved(packing, label, f"master LP, {where}")
+        packing = require_optimal(packing, label, f"master LP, {where}")
         eta = -1.0 / packing.value
         lam, previous = np.maximum(-eta * packing.dual_ub, 0.0), lam
         if eta - best <= CUT_TOL * eta or np.array_equal(lam, previous):

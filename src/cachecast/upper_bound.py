@@ -58,13 +58,15 @@ with all weight on that user.
 The live-prefix LP depends only on (p, pi(1..p)), so upper_bound_rate
 solves each distinct live prefix once: K!/t! LPs for the central
 placement at mu = t/K instead of K!, and none where the first user's cache
-already covers the file (p = 0, an infinite value).  It tabulates the gap
-of every user subset once and builds the LPs with numpy from that table.
-The prefixes of one live count are sorted by their record-row count, most
-first (stable), and built and solved in slices, one slice per
-lp.solve_lps call.  A slice is as many LPs as stack_size allows at the
-shape of its first, widest LP, and every LP of the slice is padded with
-zero rows, between its record rows and its chain rows, to that shape.
+already covers the file (p = 0, an infinite value) or its CCDF row is all
+zero (value 0): every LP solved must be optimal (lp.require_optimal).
+It tabulates the gap of every user subset once and builds the LPs with
+numpy from that table.  The prefixes of one live count are sorted by
+their record-row count, most first (stable), and built and solved in
+slices, one slice per lp.solve_lps call.  A slice is as many LPs as
+stack_size allows at the shape of its first, widest LP, and every LP of
+the slice is padded with zero rows, between its record rows and its
+chain rows, to that shape.
 The slices bound the memory: one K = 8, mu = 0 group built whole with
 every decode row would be 40,320 LPs of 40 x 12, 155 MB of a_ub.
 Every ordering then takes its prefix's value.  The K! orderings are
@@ -84,15 +86,8 @@ import numpy as np
 
 from .caching import CachingTuple
 from .channel import ChannelStats, check_weights
-from .errors import (
-    LengthMismatch,
-    NumericalFailure,
-    OutOfRange,
-    TooManyUsers,
-    UnexpectedLpStatus,
-    ZeroDenominator,
-)
-from .lp import FEAS_TOL, OPTIMAL, UNBOUNDED, solve_lps
+from .errors import LengthMismatch, OutOfRange, TooManyUsers, ZeroDenominator
+from .lp import FEAS_TOL, OPTIMAL, require_optimal, solve_lps
 
 MAX_BOUND_USERS = 8
 # Tableau entries per lockstep stack: 172 per-ordering LPs of live count 5
@@ -250,14 +245,16 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     codes = digits @ (K + 1) ** np.arange(K - 1, -1, -1)
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     live_of = live[first]
-    label = f"(K={K}, B={B}, mu={tup.mu})"
     # A fully covered first user pins every sigma (p = 0): such an ordering
-    # admits no weight vector and contributes an infinite bound.
+    # admits no weight vector and contributes an infinite bound.  A first
+    # user who decodes nothing makes the LP unbounded: value 0, sigma_1 > 0.
     values = np.full(first.size, inf)
     sigma = np.zeros((first.size, K))  # the pinned sigmas stay 0
-    failed: dict[int, object] = {}  # prefix -> its failure or unexpected status
-    for p in sorted(set(live_of.tolist()) - {0}):
-        group = np.flatnonzero(live_of == p)
+    dead = (live_of > 0) & ~stats.ccdf[every[first, 0] - 1].any(axis=1)
+    values[dead], sigma[dead, 0] = 0.0, 1.0
+    failed: dict[int, object] = {}  # prefix -> its outcome, when not optimal
+    for p in sorted(set(live_of[~dead].tolist()) - {0}):
+        group = np.flatnonzero((live_of == p) & ~dead)
         # Most record rows first: each stack is then as wide as its first LP.
         records = _records(stats.ccdf[every[first[group], :p] - 1]).sum(axis=(1, 2))
         order = np.argsort(-records, kind="stable")
@@ -272,30 +269,15 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
             values[prefixes[optimal]] = -1.0 / stack.value[optimal]
             sigma[prefixes[optimal], :p] = stack.x[optimal, :p]
             for j in np.flatnonzero(~optimal).tolist():
-                if stack.status[j] == UNBOUNDED and not stats.ccdf[every[rows[j], 0] - 1].any():
-                    values[prefixes[j]] = 0.0  # sigma_1 > 0, all else 0
-                    sigma[prefixes[j], 0] = 1.0
-                else:
-                    failed[int(prefixes[j])] = stack.status[j]
+                failed[int(prefixes[j])] = stack[j]
     if failed:
         # name the first ordering, in lexicographic order, that fails
         prefix = min(failed, key=first.__getitem__)
-        pi, status = orderings[first[prefix]], failed[prefix]
-        if isinstance(status, NumericalFailure):
-            raise NumericalFailure(f"ordering {pi} {label}: {status}") from status
-        raise UnexpectedLpStatus(f"ordering {pi} {label}: LP status {status}")
+        require_optimal(failed[prefix], f"ordering {orderings[first[prefix]]} (K={K}, B={B}, mu={tup.mu})")
 
     by_ordering = values[inverse]
     table = tuple(zip(orderings, by_ordering.tolist()))
     best = float(by_ordering.min())
-    if best == inf:
-        return UpperBoundReport(
-            value=inf,
-            argmin_pi=orderings[0],
-            table=table,
-            omega_star=tuple(0.0 for _ in range(K)),
-            omega_star_unique=False,
-        )
     hits = np.flatnonzero(by_ordering <= best + FEAS_TOL)
     argmin = int(hits[0])  # orderings were generated in lexicographic order
     pi = orderings[argmin]
@@ -312,5 +294,5 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
         argmin_pi=pi,
         table=table,
         omega_star=tuple(float(v) for v in omega),
-        omega_star_unique=hits.size == 1,
+        omega_star_unique=hits.size == 1 and best < inf,
     )

@@ -93,6 +93,11 @@ def test_two_user_large_mu_has_no_split(capsys, tmp_path):
     assert "allocation" not in payload
 
 
+def test_two_user_rejects_three_users(capsys):
+    assert cli.main(["rates", "two-user", NONDEGRADED]) == 2
+    assert capsys.readouterr().err == "error: expected 2 users, got 3\n"
+
+
 def test_degraded_json(capsys):
     payload = run_json(capsys, ["rates", "degraded", DEGRADED, "--json"])
     assert payload["command"] == "rates.degraded"
@@ -505,6 +510,17 @@ def test_sweep_rejects_bad_ranges(capsys):
     capsys.readouterr()
 
 
+def test_sweep_checks_its_range_before_any_lp(capsys, monkeypatch):
+    # The whole range is checked before the first cache size is solved, so
+    # a range that ends outside [0, 1] solves nothing.
+    calls = []
+    solve = lp_scheme.achievable_rate_lp
+    monkeypatch.setattr(lp_scheme, "achievable_rate_lp", lambda *args: calls.append(args) or solve(*args))
+    assert cli.main(["sweep", DEGRADED, "--mu", "0:9/8:1/8"]) == 2
+    assert "error: sweep mu 9/8 outside [0, 1]" in capsys.readouterr().err
+    assert calls == []
+
+
 # --- strict JSON ---------------------------------------------------------------------
 
 
@@ -700,7 +716,7 @@ def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(upper_bound, "solve_lps", one_unbounded)
     assert cli.main(["rates", "upper", cfg, "--json"]) == 3
     err = capsys.readouterr().err
-    assert "ordering (6, 1, 2, 3, 4, 5) (K=6, B=4, mu=1/6): LP status unbounded" in err
+    assert "ordering (6, 1, 2, 3, 4, 5) (K=6, B=4, mu=1/6): status unbounded" in err
 
 
 @pytest.mark.parametrize(
@@ -716,17 +732,12 @@ def test_lp_failures_name_their_lp(capsys, monkeypatch, command, config, module,
 
     def patch(outcome):
         """Make the LP give outcome: the delivery LP's master is an LpStack
-        solved once per cut, which returns it; solve_lp raises a failure."""
+        solved once per cut, and the chain LP a stack of one from solve_lps;
+        each returns it."""
         if module is lp_scheme:
             monkeypatch.setattr(LpStack, "solve", lambda stack, c: [outcome] if is_master_solve(c) else solve(stack, c))
-            return
-
-        def solo(*args):
-            if isinstance(outcome, NumericalFailure):
-                raise outcome
-            return outcome
-
-        monkeypatch.setattr(module, "solve_lp", solo)
+        else:
+            monkeypatch.setattr(module, "solve_lps", lambda *args: [outcome])
 
     patch(NumericalFailure(message))
     assert cli.main(["rates", command, config]) == 3

@@ -13,13 +13,14 @@ import pytest
 from cachecast import degraded, lp
 from cachecast.caching import caching_tuple, central_strategy
 from cachecast.channel import validate_stats
-from cachecast.errors import LengthMismatch, NumericalFailure, OutOfRange, ValidationError
+from cachecast.errors import LengthMismatch, NumericalFailure, OutOfRange, UnexpectedLpStatus, ValidationError
 from cachecast.lp import (
     FEAS_TOL,
     OPTIMAL,
     UNBOUNDED,
     LpSolution,
     _pivot,
+    require_optimal,
     solve_lp,
     solve_lps,
 )
@@ -232,6 +233,24 @@ def test_solve_lps_takes_one_stack_of_one_shape():
     ):
         with pytest.raises(LengthMismatch):
             solve_lps(*bad)
+
+
+@pytest.mark.parametrize("where, step", [({}, ""), ({"where": "cut 2"}, " (cut 2)")])
+def test_require_optimal(where, step):
+    # An optimal outcome comes back as it is; any other raises the typed
+    # error naming the LP, and the step when one is given.
+    optimal = solve_lp([-1.0], [[1.0]], [1.0])
+    assert require_optimal(optimal, "an LP", **where) is optimal
+    failure = NumericalFailure("simplex did not converge in 4 iterations")
+    with pytest.raises(NumericalFailure) as caught:
+        require_optimal(failure, "an LP", **where)
+    assert str(caught.value) == f"an LP: simplex did not converge in 4 iterations{step}"
+    assert caught.value.__cause__ is failure
+    unbounded = solve_lp([-1.0], np.zeros((0, 1)), np.zeros(0))
+    with pytest.raises(UnexpectedLpStatus) as caught:
+        require_optimal(unbounded, "an LP", **where)
+    assert type(caught.value) is UnexpectedLpStatus
+    assert str(caught.value) == f"an LP: status unbounded{step}"
 
 
 # --- randomized cross-check ------------------------------------------------------
@@ -837,13 +856,23 @@ def _delivery_path():
     return solve_lp(built.c, built.a_ub, built.b_ub)
 
 
-def _chain_path():
-    solved = []
-    with pytest.MonkeyPatch.context() as recording:
-        recording.setattr(degraded, "solve_lp", lambda *problem: solved.append(solve_lp(*problem)) or solved[-1])
+def _chain_lp():
+    """The chain LP (c, a_ub, b_ub) that degraded_optimal_rate hands to solve_lps as a stack of one, and its outcome."""
+    chain = []
+
+    def recording(c, a_ub, b_ub):
+        chain.append(((c, a_ub[0], b_ub), solve_lps(c, a_ub, b_ub)))
+        return chain[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(degraded, "solve_lps", recording)
         degraded.degraded_optimal_rate(random_chain_stats(np.random.default_rng(5), 5, 4), Fraction(2, 5))
-    (sol,) = solved
-    return sol
+    ((problem, stack),) = chain
+    return problem, stack[0]
+
+
+def _chain_path():
+    return _chain_lp()[1]
 
 
 def _ordering_path():
@@ -856,16 +885,12 @@ def _ordering_path():
 
 def path_problems():
     """The LPs (c, a_ub, b_ub) of the three pivot paths: delivery, chain and per-ordering."""
-    chain = []
-    with pytest.MonkeyPatch.context() as recording:
-        recording.setattr(degraded, "solve_lp", lambda *problem: chain.append(problem) or solve_lp(*problem))
-        degraded.degraded_optimal_rate(random_chain_stats(np.random.default_rng(5), 5, 4), Fraction(2, 5))
     stats = random_stats(np.random.default_rng(5), 5, 4)
     tup = caching_tuple(central_strategy(5, Fraction(2, 5)))
     built = build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2)
     return [
         (built.c, built.a_ub, built.b_ub),
-        *chain,
+        _chain_lp()[0],
         build_permutation_lp(stats, tup, (2, 4, 1, 3, 5)),
     ]
 

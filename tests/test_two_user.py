@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cachecast.channel import validate_stats
-from cachecast.errors import MuOutOfRange
+from cachecast.errors import MuOutOfRange, NotTwoUser
 from cachecast.two_user import (
     achievable_allocation_two_user,
     optimal_rate_two_user,
@@ -54,6 +54,13 @@ def test_optimum_rejects_bad_mu(pair):
         optimal_rate_two_user(pair, -0.1)
     with pytest.raises(MuOutOfRange):
         optimal_rate_two_user(pair, 1.1)
+
+
+@pytest.mark.parametrize("rows", [[[0.9, 0.4]], [[0.9, 0.4], [0.8, 0.3], [0.7, 0.2]]])
+@pytest.mark.parametrize("routine", [optimal_rate_two_user, achievable_allocation_two_user])
+def test_two_user_routines_reject_other_user_counts(rows, routine):
+    with pytest.raises(NotTwoUser, match=f"^expected 2 users, got {len(rows)}$"):
+        routine(validate_stats(rows), 0.25)
 
 
 # --- achievable_allocation_two_user ----------------------------------------------

@@ -365,7 +365,42 @@ def test_bound_single_user():
     assert report.omega_star == (1.0,)
 
 
-def test_bound_dead_first_user_is_zero():
+def _bound_one_ordering_at_a_time(stats, tup):
+    """The report's value, argmin, weights, uniqueness and table, from each
+    ordering's LP solved alone; an unbounded LP counts as value 0 with
+    sigma_1 = 1, and an ordering with no live user as an infinite value."""
+    K = stats.num_users
+    orderings = list(permutations(range(1, K + 1)))
+    values, xs = [], []
+    for pi in orderings:
+        c, a_ub, b_ub = build_permutation_lp(stats, tup, pi)
+        p = c.size - stats.num_levels
+        solved = solve_lp(c, a_ub, b_ub) if p else None
+        if solved is None:
+            values.append(math.inf)
+            xs.append(np.zeros(K))
+        elif solved.status == UNBOUNDED:
+            values.append(0.0)
+            xs.append(np.eye(K)[0])
+        else:
+            assert solved.status == OPTIMAL
+            values.append(-1.0 / solved.value)
+            xs.append(np.concatenate([solved.x[:p], np.zeros(K - p)]))
+    best = min(values)
+    hits = [i for i, v in enumerate(values) if v <= best + FEAS_TOL]
+    pi, x = orderings[hits[0]], xs[hits[0]]
+    omega = np.zeros(K)
+    for k in range(K):
+        gap = float(1 - tup.of(pi[: k + 1]))
+        if gap > 0.0:
+            omega[pi[k] - 1] = max(x[k], 0.0) / gap
+    if (omega > 0.0).any():
+        omega /= omega[omega > 0.0].min()
+    unique = len(hits) == 1 and best < math.inf
+    return best, pi, tuple(float(w) for w in omega), unique, tuple(zip(orderings, values))
+
+
+def test_bound_dead_first_user_is_zero(monkeypatch):
     # User 1 decodes nothing, so an ordering that starts with it bounds the
     # rate by 0: its LP is unbounded (sigma_1 grows with every theta at 0),
     # and the weights are user 1 alone.
@@ -378,6 +413,34 @@ def test_bound_dead_first_user_is_zero():
     assert not report.omega_star_unique  # (1, 3, 2) is 0 too
     assert [value == 0.0 for _, value in report.table] == [True, True, False, False, False, False]
     assert solve_lp(*build_permutation_lp(stats, tup, (1, 2, 3))).status == UNBOUNDED
+
+    # The bound settles those orderings without an LP: no stack it solves
+    # holds an LP whose first user's decode rows (its first B rows, column
+    # sigma_1) are all zero.  The report is the one the LPs give alone,
+    # with the first user or a middle one dead, at mu where every user is
+    # live, where some are fully covered, and at mu = 1 where no ordering
+    # has a live user (p = 0).
+    stacks = []
+    solve_lps = upper_bound.solve_lps
+
+    def recording(c, a_ub, b_ub):
+        stacks.append(a_ub)
+        return solve_lps(c, a_ub, b_ub)
+
+    monkeypatch.setattr(upper_bound, "solve_lps", recording)
+    rng = np.random.default_rng(25)
+    for users, dead in ((3, 1), (3, 2), (5, 1), (5, 3)):
+        grid = random_stats(rng, users, 3).ccdf.copy()
+        grid[dead - 1] = 0.0
+        stats = validate_stats(grid)
+        for mu in (Fraction(0), Fraction(1, users), Fraction(1, 2), Fraction(users - 1, users), Fraction(1)):
+            stacks.clear()
+            report = upper_bound_rate(stats, central_tuple(users, mu))
+            assert (len(stacks) == 0) == (mu == 1)
+            assert all(a_ub[:, :3, 0].any(axis=1).all() for a_ub in stacks)
+            alone = _bound_one_ordering_at_a_time(stats, central_tuple(users, mu))
+            assert (report.value, report.argmin_pi, report.omega_star, report.omega_star_unique, report.table) == alone
+            assert report.value == (math.inf if mu == 1 else 0.0)
 
 
 def test_bound_full_cache_is_infinite(mixed3):
