@@ -18,9 +18,9 @@ in closed form by central_coverage.  central_tuple, the path the CLI takes,
 tabulates it for every user subset; central_strategy builds the intervals
 themselves, the exact reference the closed form is checked against.
 
-cache_size is the package's one check of mu: NaN, infinities, non-numbers
-and values outside [0, 1] raise MuOutOfRange.  A checked mu puts
-t = floor(mu*K) in 0..K, where math.comb needs no guard.
+cache_size is the package's one check of mu, the CLI's too: NaN, infinities,
+booleans, non-numbers and values outside [0, 1] raise MuOutOfRange.  A
+checked mu puts t = floor(mu*K) in 0..K, where math.comb needs no guard.
 """
 
 from __future__ import annotations
@@ -79,14 +79,16 @@ def _measure(intervals: Iterable[Interval]) -> Fraction:
 
 
 def cache_size(mu) -> Fraction:
-    """mu as an exact Fraction in [0, 1]; MuOutOfRange for anything else."""
+    """mu as an exact Fraction in [0, 1]; MuOutOfRange for anything else, a boolean included."""
     try:
-        mu = Fraction(mu)
+        if isinstance(mu, bool):  # Fraction(True) would be 1
+            raise TypeError
+        size = Fraction(mu)
     except (TypeError, ValueError, OverflowError) as exc:  # non-numbers, NaN, infinities
         raise MuOutOfRange(f"mu must be a number in [0, 1], got {mu!r}") from exc
-    if not 0 <= mu <= 1:
-        raise MuOutOfRange("mu must lie in [0, 1]")
-    return mu
+    if not 0 <= size <= 1:
+        raise MuOutOfRange(f"mu must lie in [0, 1], got {mu}")
+    return size
 
 
 def _check_users(num_users: int, users: Iterable[int]) -> tuple[int, ...]:

@@ -13,7 +13,8 @@ stored.  All probability comparisons in this module use PROB_TOL.
 
 Channel states are drawn one user at a time by user_levels, into one reused
 row of n levels; sample_states stacks those rows into the K x n matrix for
-callers that keep every user's levels.
+callers that keep every user's levels.  check_draws is the one rule on the
+channel-use count and seed of a draw, the CLI's included.
 """
 
 from __future__ import annotations
@@ -145,6 +146,15 @@ def enhance(stats: ChannelStats, weights: Sequence[float]) -> ChannelStats:
     return ChannelStats(num_users=stats.num_users, num_levels=stats.num_levels, ccdf=out)
 
 
+def check_draws(num_uses: int, seed: int) -> None:
+    """WrongType unless both are integers (a boolean is not); OutOfRange unless num_uses >= 1 and seed >= 0."""
+    for name, value, low, rule in (("num_uses", num_uses, 1, "positive"), ("seed", seed, 0, "nonnegative")):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise WrongType(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise OutOfRange(f"{name} must be {rule}")
+
+
 def user_levels(stats: ChannelStats, num_uses: int, seed: int) -> Iterator[np.ndarray]:
     """Draw i.i.d. level counts for each user over `num_uses` channel uses.
 
@@ -165,12 +175,7 @@ def user_levels(stats: ChannelStats, num_uses: int, seed: int) -> Iterator[np.nd
     same doubles as one call.  Levels are stored in the smallest unsigned
     dtype that holds 0..B.
     """
-    if num_uses <= 0:
-        raise OutOfRange("num_uses must be positive")
-    if not isinstance(seed, numbers.Integral):
-        raise WrongType(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise OutOfRange("seed must be nonnegative")
+    check_draws(num_uses, seed)
     return _draw_rows(stats, num_uses, seed)
 
 

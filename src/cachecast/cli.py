@@ -34,7 +34,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from . import caching, channel, degraded, lp_scheme, simulator, two_user, upper_bound
-from .errors import BadT, NonIntegerT, NotDegraded, OutOfRange, SolverError, ValidationError
+from .errors import BadT, NonIntegerT, NotDegraded, SolverError, ValidationError
 
 CONFIG_FIELDS = ("num_users", "num_levels", "ccdf", "mu", "caching", "simulation")
 SIMULATION_FIELDS = ("n", "seed")  # the optional "simulation" object
@@ -104,11 +104,9 @@ def load_config(path: str) -> ScenarioConfig:
     stats = channel.validate_stats(ccdf)
 
     try:
-        mu = Fraction(str(raw["mu"]))
+        mu = caching.cache_size(Fraction(str(raw["mu"])))
     except (ValueError, ZeroDivisionError) as exc:
         raise _fail(f"'mu' is not a fraction: {raw['mu']!r}") from exc
-    if not 0 <= mu <= 1:
-        raise _fail("'mu' must lie in [0, 1]")
 
     strategy = None
     if "caching" in raw:
@@ -163,9 +161,8 @@ def _subset_label(subset) -> str:
 
 
 def cmd_rates_two_user(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
-    mu = float(cfg.mu)
-    rate = two_user.optimal_rate_two_user(cfg.stats, mu)
-    alloc = two_user.achievable_allocation_two_user(cfg.stats, mu) if mu <= 0.5 else None
+    rate = two_user.optimal_rate_two_user(cfg.stats, cfg.mu)
+    alloc = two_user.achievable_allocation_two_user(cfg.stats, cfg.mu) if cfg.mu <= Fraction(1, 2) else None
     if args.json:
         payload: dict = {"command": "rates.two-user", "mu": cfg.mu, "rate": rate}
         if alloc is not None:
@@ -309,10 +306,7 @@ def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
         raise ValidationError("simulate: need --n or a 'simulation.n' config entry")
     if seed is None:
         raise ValidationError("simulate: need --seed or a 'simulation.seed' config entry")
-    if seed < 0:
-        raise ValidationError("simulate: --seed must be a nonnegative integer")
-    if n < 1:
-        raise OutOfRange("num_uses must be positive")
+    channel.check_draws(n, seed)
     if args.trace:
         _check_writable(args.trace, "--trace")
     alloc = lp_scheme.achievable_rate_lp(cfg.stats, cfg.mu)
@@ -379,11 +373,7 @@ def _parse_mu_range(text: str) -> list[Fraction]:
         raise ValidationError("--mu step must be positive")
     if stop < start:
         raise ValidationError("--mu stop must be >= start")
-    mus = [start + i * step for i in range((stop - start) // step + 1)]
-    for mu in mus:
-        if not 0 <= mu <= 1:
-            raise ValidationError(f"sweep mu {mu} outside [0, 1]")
-    return mus
+    return [caching.cache_size(start + i * step) for i in range((stop - start) // step + 1)]
 
 
 def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:

@@ -39,7 +39,7 @@ class WeightsUnsorted(ValidationError):
 
 class WrongType(ValidationError):
     """An argument is not of its documented type: a CCDF entry or weight
-    that is not a number, a seed that is not an integer."""
+    that is not a number, a use count or seed that is not an integer."""
 
 
 # -- caching -----------------------------------------------------------------

@@ -73,8 +73,8 @@ A user whose ccdf[k][0] is 0 never receives a level (validation lets a
 later entry exceed it by PROB_TOL at most) and decodes nothing: the rate
 is 0 and every share 0.  The allocation is rechecked by check_allocation, against
 every decodability and budget row and the sign of every share, before it
-is returned; a subset LP or master that is not optimal raises through
-lp.require_optimal, naming the step.
+is returned; a subset stack or master raises through lp.require_optimal
+at its first LP that is not optimal, naming the step.
 """
 
 from __future__ import annotations
@@ -149,10 +149,11 @@ class DeliveryAllocation:
 class FeasibilityReport:
     """Decodability margins and level budget slacks of an allocation."""
 
-    feasible: bool
+    feasible: bool  # violation <= FEAS_TOL
     required: float  # per-message size f / C(K,t)
     margins: dict[tuple[int, Subset], float]
     level_slacks: np.ndarray
+    violation: float  # how far the lowest margin, slack or share lies below 0; 0.0 if none does, NaN on a NaN
 
     def margin(self, user: int, subset: Subset) -> float:
         return self.margins[(user, tuple(subset))]
@@ -260,16 +261,15 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     alloc = allocation(np.ascontiguousarray((rate / piece_count) * mixed.T), rate, iteration, gap)
     report = check_allocation(stats, alloc)
     if not report.feasible:
-        violation = max(-min(report.margins.values()), -report.level_slacks.min(), -alloc.shares.min())
         raise NumericalFailure(
-            f"{label}: allocation fails its recheck (largest violation {violation:.3g})"
+            f"{label}: allocation fails its recheck (largest violation {report.violation:.3g})"
             f" (cut {iteration}, gap {gap:.3g})"
         )
     return alloc
 
 
 def check_allocation(stats: ChannelStats, alloc: DeliveryAllocation) -> FeasibilityReport:
-    """Decodability margins, level slacks, and overall feasibility at FEAS_TOL."""
+    """Decodability margins, level slacks, the largest violation, and feasibility at FEAS_TOL."""
     if alloc.num_users != stats.num_users or alloc.num_levels != stats.num_levels:
         raise LengthMismatch("allocation dimensions do not match the channel")
     if alloc.shares.shape != (alloc.num_levels, len(alloc.subsets)):
@@ -284,14 +284,9 @@ def check_allocation(stats: ChannelStats, alloc: DeliveryAllocation) -> Feasibil
         (k, s): m for s, row in zip(alloc.subsets, excess.tolist()) for k, m in zip(s, row)
     }
     level_slacks = 1.0 - alloc.shares.sum(axis=1)
-    feasible = (
-        all(m >= -FEAS_TOL for m in margins.values())
-        and bool(np.all(level_slacks >= -FEAS_TOL))
-        and bool(np.all(alloc.shares >= -FEAS_TOL))
-    )
+    worst = float(np.max(-np.concatenate([excess.ravel(), level_slacks, alloc.shares.ravel()])))
+    violation = 0.0 if worst <= 0.0 else worst  # a NaN stays NaN, and NaN <= FEAS_TOL is False
     return FeasibilityReport(
-        feasible=feasible,
-        required=required,
-        margins=margins,
-        level_slacks=level_slacks,
+        feasible=violation <= FEAS_TOL, required=required, margins=margins,
+        level_slacks=level_slacks, violation=violation,
     )

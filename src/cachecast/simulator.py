@@ -128,7 +128,9 @@ def simulate_delivery(
     """
     report = check_allocation(stats, alloc)
     if not report.feasible:
-        raise InfeasibleAllocation("allocation fails its decodability or budget checks")
+        raise InfeasibleAllocation(
+            f"allocation fails its decodability or budget checks (largest violation {report.violation:.3g})"
+        )
 
     if keep_levels:
         realization = sample_states(stats, num_uses, seed)

@@ -59,7 +59,8 @@ The live-prefix LP depends only on (p, pi(1..p)), so upper_bound_rate
 solves each distinct live prefix once: K!/t! LPs for the central
 placement at mu = t/K instead of K!, and none where the first user's cache
 already covers the file (p = 0, an infinite value) or its CCDF row is all
-zero (value 0): every LP solved must be optimal (lp.require_optimal).
+zero (value 0).  As in the delivery LP, a stack raises (lp.require_optimal)
+at its first LP that is not optimal, named by its prefix's first ordering.
 It tabulates the gap of every user subset once and builds the LPs with
 numpy from that table.  The prefixes of one live count are sorted by
 their record-row count, most first (stable), and built and solved in
@@ -252,7 +253,6 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     sigma = np.zeros((first.size, K))  # the pinned sigmas stay 0
     dead = (live_of > 0) & ~stats.ccdf[every[first, 0] - 1].any(axis=1)
     values[dead], sigma[dead, 0] = 0.0, 1.0
-    failed: dict[int, object] = {}  # prefix -> its outcome, when not optimal
     for p in sorted(set(live_of[~dead].tolist()) - {0}):
         group = np.flatnonzero((live_of == p) & ~dead)
         # Most record rows first: each stack is then as wide as its first LP.
@@ -265,15 +265,11 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
             start += prefixes.size
             rows = first[prefixes]
             stack = solve_lps(*_permutation_lps(stats, every[rows, :p], gaps[rows, :p]))
-            optimal = np.array([s == OPTIMAL for s in stack.status])
-            values[prefixes[optimal]] = -1.0 / stack.value[optimal]
-            sigma[prefixes[optimal], :p] = stack.x[optimal, :p]
-            for j in np.flatnonzero(~optimal).tolist():
-                failed[int(prefixes[j])] = stack[j]
-    if failed:
-        # name the first ordering, in lexicographic order, that fails
-        prefix = min(failed, key=first.__getitem__)
-        require_optimal(failed[prefix], f"ordering {orderings[first[prefix]]} (K={K}, B={B}, mu={tup.mu})")
+            if stack.status.count(OPTIMAL) < rows.size:
+                for row, outcome in zip(rows.tolist(), stack):
+                    require_optimal(outcome, f"ordering {orderings[row]} (K={K}, B={B}, mu={tup.mu})")
+            values[prefixes] = -1.0 / stack.value
+            sigma[prefixes, :p] = stack.x[:, :p]
 
     by_ordering = values[inverse]
     table = tuple(zip(orderings, by_ordering.tolist()))

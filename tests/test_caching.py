@@ -8,6 +8,7 @@ import pytest
 
 from cachecast.caching import (
     MAX_USERS,
+    cache_size,
     caching_tuple,
     central_coverage,
     central_strategy,
@@ -81,11 +82,26 @@ TAKES_MU = {
 }
 
 
-@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, F(-1, 3), F(4, 3), "x"], ids=repr)
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, F(-1, 3), F(4, 3), "x", True, False], ids=repr)
 @pytest.mark.parametrize("entry", sorted(TAKES_MU))
 def test_every_cache_size_argument_is_checked_alike(entry, mu):
     with pytest.raises(MuOutOfRange):
         TAKES_MU[entry](mu)
+
+
+@pytest.mark.parametrize("mu", [True, False])
+def test_a_boolean_is_not_a_cache_size(mu):
+    # Fraction(True) is 1, so a boolean would pass for mu = 1 or 0.
+    with pytest.raises(MuOutOfRange, match=rf"^mu must be a number in \[0, 1\], got {mu}$"):
+        cache_size(mu)
+    with pytest.raises(MuOutOfRange, match=rf"^mu must be a number in \[0, 1\], got {mu}$"):
+        achievable_rate_lp(CHAIN2, mu)
+
+
+@pytest.mark.parametrize("mu, shown", [(F(9, 8), "9/8"), (F(-1, 3), "-1/3"), (1.5, "1.5"), ("3/2", "3/2")])
+def test_cache_size_names_the_value_out_of_range(mu, shown):
+    with pytest.raises(MuOutOfRange, match=rf"^mu must lie in \[0, 1\], got {shown}$"):
+        cache_size(mu)
 
 
 # --- strategy_from_intervals ---------------------------------------------------

@@ -7,6 +7,7 @@ from cachecast import channel
 from cachecast.channel import (
     ChannelStats,
     ZeroWeightWarning,
+    check_draws,
     enhance,
     is_stochastically_dominant,
     sample_states,
@@ -215,6 +216,34 @@ def test_sample_rejects_non_integer_seed(seed):
     for draw in (sample_states, user_levels):
         with pytest.raises(WrongType, match=r"^seed must be an integer, got "):
             draw(stats, 10, seed)
+
+
+@pytest.mark.parametrize(
+    "num_uses, seed, error, message",
+    [
+        (10.5, 1, WrongType, "num_uses must be an integer, got 10.5"),
+        (True, 1, WrongType, "num_uses must be an integer, got True"),
+        ("10", 1, WrongType, "num_uses must be an integer, got '10'"),
+        (0, 1, OutOfRange, "num_uses must be positive"),
+        (-1, 1, OutOfRange, "num_uses must be positive"),
+        (10, True, WrongType, "seed must be an integer, got True"),
+        (10, 1.0, WrongType, "seed must be an integer, got 1.0"),
+        (10, -1, OutOfRange, "seed must be nonnegative"),
+        (0, -1, OutOfRange, "num_uses must be positive"),  # the count is checked first
+    ],
+)
+def test_the_sampling_rule(num_uses, seed, error, message):
+    with pytest.raises(error) as raised:
+        check_draws(num_uses, seed)
+    assert type(raised.value) is error and str(raised.value) == message
+    stats = validate_stats([[0.5]])
+    for draw in (sample_states, user_levels):
+        with pytest.raises(error, match=f"^{message}$"):
+            draw(stats, num_uses, seed)
+
+
+def test_the_sampling_rule_takes_numpy_integers():
+    check_draws(np.int64(10), np.uint32(3))
 
 
 def test_sample_takes_numpy_integer_seed():

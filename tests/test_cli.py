@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import cachecast
-from cachecast import caching, channel, cli, degraded, lp_scheme, simulator, upper_bound
+from cachecast import caching, channel, cli, degraded, lp_scheme, simulator, two_user, upper_bound
 from cachecast.caching import caching_tuple, central_strategy
 from cachecast.channel import validate_stats
 from cachecast.errors import NumericalFailure
@@ -76,6 +76,18 @@ def test_two_user_json_matches_library(capsys):
     assert payload["allocation"]["alpha"] == alloc.alpha
     assert payload["allocation"]["level_order"] == list(alloc.level_order)
     assert payload["allocation"]["margins"] == list(alloc.margins)
+
+
+def test_two_user_gets_the_exact_cache_size(capsys, monkeypatch):
+    # The config's mu reaches the library as the Fraction it was read as,
+    # not as a float (0.25 == Fraction(1, 4), so the type is checked too).
+    received = []
+    for name in ("optimal_rate_two_user", "achievable_allocation_two_user"):
+        solve = getattr(two_user, name)
+        monkeypatch.setattr(two_user, name, lambda stats, mu, solve=solve: received.append(mu) or solve(stats, mu))
+    run_json(capsys, ["rates", "two-user", TWOUSER, "--json"])
+    assert received == [Fraction(1, 4)] * 2
+    assert all(type(mu) is Fraction for mu in received)
 
 
 def test_two_user_large_mu_has_no_split(capsys, tmp_path):
@@ -210,7 +222,7 @@ def test_simulate_requires_n_and_seed(capsys):
     assert code == 2
     assert "need --n" in captured.err
     assert cli.main(["simulate", NONDEGRADED, "--seed", "-1", "--json"]) == 2
-    assert "--seed must be a nonnegative integer" in capsys.readouterr().err
+    assert "seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_simulate_trace(capsys, tmp_path):
@@ -517,7 +529,7 @@ def test_sweep_checks_its_range_before_any_lp(capsys, monkeypatch):
     solve = lp_scheme.achievable_rate_lp
     monkeypatch.setattr(lp_scheme, "achievable_rate_lp", lambda *args: calls.append(args) or solve(*args))
     assert cli.main(["sweep", DEGRADED, "--mu", "0:9/8:1/8"]) == 2
-    assert "error: sweep mu 9/8 outside [0, 1]" in capsys.readouterr().err
+    assert "error: mu must lie in [0, 1], got 9/8" in capsys.readouterr().err
     assert calls == []
 
 
@@ -613,6 +625,13 @@ def test_config_nan_ccdf_is_rejected(capsys, tmp_path, config, command):
     assert "NaN" in Path(cfg).read_text()
     assert cli.main([*command, cfg, "--json"]) == 2
     assert "user 2: CCDF entries must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_config_mu_out_of_range_is_named(capsys, tmp_path):
+    body = json.loads(Path(NONDEGRADED).read_text())
+    body["mu"] = "3/2"
+    assert cli.main(["rates", "achievable", write_config(tmp_path, body)]) == 2
+    assert capsys.readouterr().err == "error: mu must lie in [0, 1], got 3/2\n"
 
 
 def test_config_not_json(capsys, tmp_path):

@@ -165,6 +165,46 @@ def test_check_flags_overfull_level(mixed3):
     assert report.level_slacks[0] < 0.0
 
 
+def violation_of(mixed3, shares, rate):
+    return check_allocation(mixed3, delivery_allocation(shares, rate, num_users=3, t=1))
+
+
+def test_check_reports_the_largest_violation(mixed3):
+    shares = np.asarray(MIXED3_SHARES)
+    # A short margin: at rate 2 each message needs 2/3, and user 2 collects
+    # 1/2 on {1,2}.
+    report = violation_of(mixed3, shares, 2.0)
+    assert not report.feasible
+    assert report.violation == -min(report.margins.values()) == -report.margin(2, (1, 2))
+    assert abs(report.violation - 1.0 / 6.0) <= 1e-12
+    # An over-budget level: level 1 sums to 1.4 at a rate every user meets.
+    over = shares.copy()
+    over[0, :] = [0.8, 0.3, 0.3]
+    report = violation_of(mixed3, over, 0.1)
+    assert min(report.margins.values()) > 0.0
+    assert not report.feasible and report.violation == -report.level_slacks[0]
+    assert abs(report.violation - 0.4) <= 1e-12
+    # A negative share on level 2, whose budget it leaves slack.
+    negative = shares.copy()
+    negative[1, 1] = -0.05
+    report = violation_of(mixed3, negative, 1.0)
+    assert min(report.margins.values()) > 0.0 and report.level_slacks.min() >= 0.0
+    assert not report.feasible and report.violation == 0.05
+
+
+def test_check_feasible_allocation_has_no_violation(mixed3):
+    report = violation_of(mixed3, 0.5 * np.asarray(MIXED3_SHARES), 0.5)
+    assert report.feasible
+    assert report.violation == 0.0 and math.copysign(1.0, report.violation) == 1.0
+
+
+def test_check_nan_share_is_infeasible(mixed3):
+    shares = np.asarray(MIXED3_SHARES).copy()
+    shares[2, 0] = np.nan
+    report = violation_of(mixed3, shares, 0.5)
+    assert not report.feasible and math.isnan(report.violation)
+
+
 def test_check_rejects_wrong_shape(mixed3):
     alloc = delivery_allocation([[0.5, 0.5]], 0.5, num_users=2, t=0)
     with pytest.raises(LengthMismatch):

@@ -108,6 +108,19 @@ def test_simulation_rejects_infeasible(mixed3):
         simulate_delivery(mixed3, greedy, num_uses=100, seed=1)
 
 
+def test_simulation_names_the_largest_violation(mixed3):
+    # At rate 2 each message needs 2/3; user 2 on {1,2} collects 1/2 (helpers).
+    greedy = delivery_allocation(MIXED3_SHARES, 2.0, num_users=3, t=1)
+    with pytest.raises(InfeasibleAllocation, match=r"\(largest violation 0\.167\)$"):
+        simulate_delivery(mixed3, greedy, num_uses=100, seed=1)
+
+
+@pytest.mark.parametrize("keep_levels", [False, True])
+def test_simulation_rejects_a_fractional_count(mixed3, reference_alloc, keep_levels):
+    with pytest.raises(WrongType, match=r"^num_uses must be an integer, got 10\.5$"):
+        simulate_delivery(mixed3, reference_alloc, num_uses=10.5, seed=1, keep_levels=keep_levels)
+
+
 @pytest.mark.parametrize("keep_levels", [False, True])
 def test_simulation_rejects_bad_length_before_apportioning(mixed3, reference_alloc, keep_levels):
     for num_uses in (0, -5):

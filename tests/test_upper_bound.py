@@ -10,7 +10,7 @@ import pytest
 from cachecast import upper_bound
 from cachecast.caching import caching_tuple, central_strategy, central_tuple, strategy_from_intervals
 from cachecast.channel import validate_stats
-from cachecast.errors import LengthMismatch, OutOfRange, TooManyUsers, WrongType, ZeroDenominator
+from cachecast.errors import LengthMismatch, OutOfRange, TooManyUsers, UnexpectedLpStatus, WrongType, ZeroDenominator
 from cachecast.lp import FEAS_TOL, OPTIMAL, UNBOUNDED, solve_lp
 from cachecast.upper_bound import STACK_ENTRIES, build_permutation_lp, objective_at, stack_size, upper_bound_rate
 
@@ -281,6 +281,30 @@ def test_bound_roadmap_item1_instance():
     tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
     report = upper_bound_rate(validate_stats(ROADMAP_ITEM1_ROWS), tup)
     assert abs(report.value - ROADMAP_ITEM1_BOUND) <= 1e-9
+
+
+def test_bound_raises_at_its_first_failing_lp(monkeypatch):
+    # Every ordering LP comes back unbounded: the bound raises after its
+    # first stack, at that stack's first LP, as the delivery LP does, and
+    # names an ordering whose LP that is.
+    stacks = []
+    solve_lps = upper_bound.solve_lps
+
+    def unbounded(c, a_ub, b_ub):
+        stacks.append(a_ub)
+        outcomes = solve_lps(c, a_ub, b_ub)
+        outcomes.status[:] = [UNBOUNDED] * len(outcomes.status)
+        return outcomes
+
+    monkeypatch.setattr(upper_bound, "solve_lps", unbounded)
+    stats = validate_stats(ROADMAP_ITEM1_ROWS)
+    tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
+    message = r"^ordering \([\d, ]+\) \(K=6, B=4, mu=1/6\): status unbounded$"
+    with pytest.raises(UnexpectedLpStatus, match=message) as raised:
+        upper_bound_rate(stats, tup)
+    assert len(stacks) == 1
+    named = tuple(int(k) for k in str(raised.value).split(")")[0].removeprefix("ordering (").split(", "))
+    assert np.array_equal(build_permutation_lp(stats, tup, named)[1], stacks[0][0])
 
 
 def test_bound_solves_full_stacks(monkeypatch):
