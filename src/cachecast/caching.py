@@ -13,10 +13,13 @@ of the first (1-lam) of the file (rank = 1-based lexicographic position),
 and every size-(t+1) subset owns the matching slice of the remaining lam.
 User k caches the slices of all subsets containing it.
 
-The union of q users' caches has a measure that depends only on q, given
-in closed form by central_coverage.  central_tuple, the path the CLI takes,
-tabulates it for every user subset; central_strategy builds the intervals
-themselves, the exact reference the closed form is checked against.
+A CachingTuple holds the coverage (cache-union measure) of every user
+subset, indexed by bitmask: bit k-1 stands for user k, entry 0 (no user)
+is 0.  caching_tuple sweeps intervals.  central_tuple, the CLI's path,
+reads each mask's popcount q: the union of q users' central caches has a
+measure that depends only on q, given in closed form by central_coverage.
+central_strategy builds the intervals, the reference the closed form is
+checked against.
 
 cache_size is the package's one check of mu, the CLI's too: NaN, infinities,
 booleans, non-numbers and values outside [0, 1] raise MuOutOfRange.  A
@@ -52,14 +55,14 @@ class CachingStrategy:
 
 @dataclass(frozen=True)
 class CachingTuple:
-    """Coverage measure of every nonempty user subset."""
+    """Coverage measure of every user subset, indexed by bitmask (bit k-1 is user k)."""
 
     num_users: int
     mu: Fraction
-    coverage: dict[frozenset[int], Fraction]
+    coverage: tuple[Fraction, ...]
 
     def of(self, users: Iterable[int]) -> Fraction:
-        return self.coverage[frozenset(users)]
+        return self.coverage[sum(1 << (k - 1) for k in _check_users(self.num_users, users))]
 
 
 def _merge(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
@@ -128,12 +131,11 @@ def _central_mu(num_users: int, mu: Fraction) -> Fraction:
     return cache_size(mu)
 
 
-def _subsets(num_users: int) -> list[tuple[int, ...]]:
-    """Every nonempty subset of users 1..K, by size (K capped at MAX_USERS)."""
+def _masks(num_users: int) -> range:
+    """Bitmask of every nonempty subset of users 1..K (K capped at MAX_USERS)."""
     if num_users > MAX_USERS:
         raise TooManyUsers(f"caching tuples support at most {MAX_USERS} users")
-    users = range(1, num_users + 1)
-    return [subset for size in users for subset in combinations(users, size)]
+    return range(1, 1 << num_users)
 
 
 def central_strategy(num_users: int, mu: Fraction) -> CachingStrategy:
@@ -142,21 +144,15 @@ def central_strategy(num_users: int, mu: Fraction) -> CachingStrategy:
     t = int(mu * num_users)  # floor: mu*K is a nonnegative Fraction
     lam = mu * num_users - t
     per_user: list[list[Interval]] = [[] for _ in range(num_users)]
-
-    if t >= 1:
-        total = math.comb(num_users, t)
-        width = (1 - lam)
-        for rank, subset in enumerate(combinations(range(1, num_users + 1), t), start=1):
-            lo = width * Fraction(rank - 1, total)
-            hi = width * Fraction(rank, total)
-            for k in subset:
-                per_user[k - 1].append((lo, hi))
-    if lam > 0:
-        total = math.comb(num_users, t + 1)
-        base = 1 - lam
-        for rank, subset in enumerate(combinations(range(1, num_users + 1), t + 1), start=1):
-            lo = base + lam * Fraction(rank - 1, total)
-            hi = base + lam * Fraction(rank, total)
+    # Size-t subsets share (0, 1-lam], size-(t+1) subsets (1-lam, 1].  At
+    # t = 0 the one empty subset owns (0, 1-lam], which no user caches.
+    for size, base, width in ((t, Fraction(0), 1 - lam), (t + 1, 1 - lam, lam)):
+        if not width:
+            continue
+        total = math.comb(num_users, size)
+        for rank, subset in enumerate(combinations(range(1, num_users + 1), size), start=1):
+            lo = base + width * Fraction(rank - 1, total)
+            hi = base + width * Fraction(rank, total)
             for k in subset:
                 per_user[k - 1].append((lo, hi))
 
@@ -177,18 +173,18 @@ def coverage_measure(strategy: CachingStrategy, users: Iterable[int]) -> Fractio
 
 
 def caching_tuple(strategy: CachingStrategy) -> CachingTuple:
-    """Coverage of every nonempty subset of users, by exact interval sweeps."""
-    cover = {frozenset(s): coverage_measure(strategy, s) for s in _subsets(strategy.num_users)}
-    return CachingTuple(num_users=strategy.num_users, mu=strategy.mu, coverage=cover)
+    """Coverage of every subset of users, by exact interval sweeps."""
+    users, masks = range(1, strategy.num_users + 1), _masks(strategy.num_users)
+    cover = (coverage_measure(strategy, [k for k in users if m >> (k - 1) & 1]) for m in masks)
+    return CachingTuple(strategy.num_users, strategy.mu, (Fraction(0), *cover))
 
 
 def central_tuple(num_users: int, mu: Fraction) -> CachingTuple:
     """caching_tuple(central_strategy(num_users, mu)), by the closed form per subset size."""
     mu = _central_mu(num_users, mu)
-    subsets = _subsets(num_users)
-    by_size = {q: central_coverage(num_users, mu, q) for q in range(1, num_users + 1)}
-    cover = {frozenset(s): by_size[len(s)] for s in subsets}
-    return CachingTuple(num_users=num_users, mu=mu, coverage=cover)
+    masks = _masks(num_users)
+    by_size = [Fraction(0)] + [central_coverage(num_users, mu, q) for q in range(1, num_users + 1)]
+    return CachingTuple(num_users, mu, (by_size[0], *(by_size[m.bit_count()] for m in masks)))
 
 
 def central_coverage(num_users: int, mu: Fraction, subset_size: int) -> Fraction:

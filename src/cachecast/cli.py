@@ -6,14 +6,15 @@ A scenario is a single JSON object:
       "num_users": 3, "num_levels": 3,
       "ccdf": [[0.9, 0.3, 0.3], [0.7, 0.4, 0.4], [0.5, 0.5, 0.5]],
       "mu": "1/3",                      # exact fraction string
-      "caching": [[["0", "1/3"]], ...], # optional explicit intervals (rates upper)
+      "caching": [[["0", "1/3"]], ...], # optional explicit intervals, rates upper only
       "simulation": {"n": 100000, "seed": 1}
     }
 
-Unknown fields are rejected.  `main` loads the scenario once and hands it
-to the command's `cmd_*` function, which returns the JSON payload with
---json and the text lines without it, building only the one it returns;
-`main` writes it.
+Unknown fields are rejected, and so is `caching` for any command but
+`rates upper`, the one that reads it.  `main` loads the scenario once and
+hands it to the command's `cmd_*` function, which returns the JSON payload
+with --json and the text lines without it, building only the one it
+returns; `main` writes it.
 
 Exit codes: 0 success, 2 validation error (bad config or arguments),
 3 solver failure.  Rates print with 6 significant digits; JSON reports
@@ -64,10 +65,10 @@ def _fail(message: str) -> ValidationError:
     return ValidationError(f"config: {message}")
 
 
-def _integer(value, name: str, minimum: int = 1) -> Optional[int]:
-    """value if it is None or an integer >= minimum; a boolean is not an integer."""
-    if value is not None and (type(value) is not int or value < minimum):
-        raise _fail(f"'{name}' must be a {'positive' if minimum else 'nonnegative'} integer")
+def _integer(value, name: str) -> int:
+    """value if it is a positive integer; a boolean is not an integer."""
+    if type(value) is not int or value < 1:
+        raise _fail(f"'{name}' must be a positive integer")
     return value
 
 
@@ -121,8 +122,11 @@ def load_config(path: str) -> ScenarioConfig:
             raise _fail(f"'caching' must list intervals for {num_users} users")
         strategy = caching.strategy_from_intervals(intervals, mu)
 
-    sim_n = _integer(sim.get("n"), "simulation.n")
-    sim_seed = _integer(sim.get("seed"), "simulation.seed", minimum=0)
+    sim_n, sim_seed = sim.get("n"), sim.get("seed")
+    try:  # an absent entry is checked as a valid stand-in
+        channel.check_draws(1 if sim_n is None else sim_n, 0 if sim_seed is None else sim_seed)
+    except ValidationError as exc:
+        raise _fail(f"'simulation' block: {exc}") from exc
 
     return ScenarioConfig(stats=stats, mu=mu, strategy=strategy, sim_n=sim_n, sim_seed=sim_seed)
 
@@ -446,7 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        output = args.func(load_config(args.config), args)
+        cfg = load_config(args.config)
+        if cfg.strategy is not None and args.func is not cmd_rates_upper:
+            raise _fail("only 'rates upper' reads 'caching'; the other commands use the central placement")
+        output = args.func(cfg, args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -61,13 +61,13 @@ placement at mu = t/K instead of K!, and none where the first user's cache
 already covers the file (p = 0, an infinite value) or its CCDF row is all
 zero (value 0).  As in the delivery LP, a stack raises (lp.require_optimal)
 at its first LP that is not optimal, named by its prefix's first ordering.
-It tabulates the gap of every user subset once and builds the LPs with
-numpy from that table.  The prefixes of one live count are sorted by
-their record-row count, most first (stable), and built and solved in
-slices, one slice per lp.solve_lps call.  A slice is as many LPs as
-stack_size allows at the shape of its first, widest LP, and every LP of
-the slice is padded with zero rows, between its record rows and its
-chain rows, to that shape.
+It reads the coverage (indexed by bitmask) of each distinct prefix mask
+once and builds the LPs with numpy.  The prefixes of one live count are
+sorted by their record-row count, most first (stable), and built and
+solved in slices, one slice per lp.solve_lps call.  A slice is as many
+LPs as stack_size allows at the shape of its first, widest LP, and every
+LP of the slice is padded with zero rows, between its record rows and
+its chain rows, to that shape.
 The slices bound the memory: one K = 8, mu = 0 group built whole with
 every decode row would be 40,320 LPs of 40 x 12, 155 MB of a_ub.
 Every ordering then takes its prefix's value.  The K! orderings are
@@ -112,25 +112,29 @@ class UpperBoundReport:
     omega_star_unique: bool
 
 
-def _cover_table(stats: ChannelStats, tup: CachingTuple) -> tuple[np.ndarray, np.ndarray]:
-    """Gap (1 - coverage, as a float) and full-coverage flag of every subset.
-
-    Both are indexed by the subset's bitmask, bit k-1 standing for user k.
-    """
-    if tup.num_users != stats.num_users:
-        raise LengthMismatch(f"caching tuple for {tup.num_users} users, channel of {stats.num_users}")
-    gaps = np.zeros(1 << tup.num_users)
-    full = np.zeros(1 << tup.num_users, dtype=bool)
-    for users, coverage in tup.coverage.items():
-        mask = sum(1 << (k - 1) for k in users)
-        gaps[mask] = float(1 - coverage)
-        full[mask] = coverage == 1  # exact: coverage is a Fraction
-    return gaps, full
-
-
 def _prefix_masks(orderings: np.ndarray) -> np.ndarray:
     """Bitmask of each leading slice pi(1..k) of each ordering (last axis)."""
     return np.bitwise_or.accumulate(1 << (orderings - 1), axis=-1)
+
+
+def _live_prefixes(
+    stats: ChannelStats, tup: CachingTuple, orderings: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps (1 - coverage, as floats) of each ordering's leading slices, and its live count p.
+
+    Reads tup.coverage once per distinct prefix mask.  p counts the leading
+    slices pi(1..k) not fully covered (exactly: coverage is a Fraction); they
+    are the first p, since coverage only grows along an ordering.
+    """
+    if tup.num_users != stats.num_users:
+        raise LengthMismatch(f"caching tuple for {tup.num_users} users, channel of {stats.num_users}")
+    masks = _prefix_masks(orderings)
+    gap_of = np.zeros(1 << tup.num_users)
+    live_of = np.zeros(1 << tup.num_users, dtype=bool)
+    for mask in np.flatnonzero(np.bincount(masks.ravel())).tolist():
+        coverage = tup.coverage[mask]
+        gap_of[mask], live_of[mask] = float(1 - coverage), coverage != 1
+    return gap_of[masks], np.count_nonzero(live_of[masks], axis=-1)
 
 
 def _check_permutation(num_users: int, pi: Sequence[int]) -> tuple[int, ...]:
@@ -144,24 +148,12 @@ def objective_at(stats: ChannelStats, tup: CachingTuple, weights: Sequence[float
     """Bound value at one weight vector (users sorted by weight, stable)."""
     w = check_weights(stats, weights)
     order = sorted(range(1, stats.num_users + 1), key=lambda k: (-w[k - 1], k))
-    gaps = _cover_table(stats, tup)[0][_prefix_masks(np.array(order))]
+    gaps = _live_prefixes(stats, tup, np.array([order]))[0][0]
     denominator = sum(w[k - 1] * gap for k, gap in zip(order, gaps))
     if denominator <= 0.0:
         raise ZeroDenominator("no user carries weight over an uncovered cache gap")
     numerator = float(np.max(w[:, None] * stats.ccdf, axis=0).sum())
     return numerator / denominator
-
-
-def _live_prefixes(
-    orderings: np.ndarray, gap_of: np.ndarray, full_of: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaps of each ordering's leading slices, and its live count p.
-
-    p counts the leading slices pi(1..k) that are not fully covered; they
-    are the first p, since coverage only grows along an ordering.
-    """
-    masks = _prefix_masks(orderings)
-    return gap_of[masks], np.count_nonzero(~full_of[masks], axis=-1)
 
 
 def stack_size(m: int, n: int) -> int:
@@ -181,9 +173,10 @@ def _records(ccdf: np.ndarray) -> np.ndarray:
 
 
 def _permutation_lps(
-    stats: ChannelStats, prefixes: np.ndarray, gaps: np.ndarray
+    ccdf: np.ndarray, kept: np.ndarray, gaps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The LPs of an (L, p) array of live prefixes and their gaps as one stack: c, a_ub, b_ub.
+    """The LPs of L live prefixes as one stack, from their (L, p, B) CCDF rows,
+    its record mask (_records) and their (L, p) gaps: c, a_ub, b_ub.
 
     a_ub is (L, R+p, p+B), with R the most record decode rows of any LP in
     the stack; c, the (p+B,) cost row, and b_ub, the (R+p,) rhs, are
@@ -192,10 +185,8 @@ def _permutation_lps(
     budget row (p = 0 leaves the budget row alone).  A stack of one has no
     zero rows.
     """
-    size, p = prefixes.shape
-    B = stats.num_levels
-    ccdf = stats.ccdf[prefixes - 1]
-    kept = _records(ccdf).reshape(size, p * B)
+    size, p, B = ccdf.shape
+    kept = kept.reshape(size, p * B)
     lps, decode = np.nonzero(kept)
     place = np.cumsum(kept, axis=1)[kept] - 1  # each record row's row in its LP
     width = int(place.max(initial=-1)) + 1
@@ -223,9 +214,10 @@ def build_permutation_lp(
     bound value is -1 / optimum.
     """
     orderings = np.array([_check_permutation(stats.num_users, pi)])
-    gaps, live = _live_prefixes(orderings, *_cover_table(stats, tup))
+    gaps, live = _live_prefixes(stats, tup, orderings)
     p = int(live[0])
-    c, a_ub, b_ub = _permutation_lps(stats, orderings[:, :p], gaps[:, :p])
+    ccdf = stats.ccdf[orderings[:, :p] - 1]
+    c, a_ub, b_ub = _permutation_lps(ccdf, _records(ccdf), gaps[:, :p])
     return c, a_ub[0], b_ub
 
 
@@ -240,7 +232,7 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
         raise TooManyUsers(f"ordering enumeration capped at {MAX_BOUND_USERS} users")
     orderings = list(permutations(range(1, K + 1)))
     every = np.fromiter(chain.from_iterable(orderings), dtype=int, count=K * len(orderings)).reshape(-1, K)
-    gaps, live = _live_prefixes(every, *_cover_table(stats, tup))
+    gaps, live = _live_prefixes(stats, tup, every)
     # Each ordering's live prefix as a base-(K+1) number, pinned users as 0.
     digits = np.where(np.arange(K) < live[:, None], every, 0)
     codes = digits @ (K + 1) ** np.arange(K - 1, -1, -1)
@@ -255,16 +247,18 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     values[dead], sigma[dead, 0] = 0.0, 1.0
     for p in sorted(set(live_of[~dead].tolist()) - {0}):
         group = np.flatnonzero((live_of == p) & ~dead)
+        ccdf = stats.ccdf[every[first[group], :p] - 1]
+        kept = _records(ccdf)
         # Most record rows first: each stack is then as wide as its first LP.
-        records = _records(stats.ccdf[every[first[group], :p] - 1]).sum(axis=(1, 2))
+        records = kept.sum(axis=(1, 2))
         order = np.argsort(-records, kind="stable")
-        group, records = group[order], records[order]
+        group, ccdf, kept, records = group[order], ccdf[order], kept[order], records[order]
         start = 0
         while start < group.size:
-            prefixes = group[start:start + stack_size(int(records[start]) + p, p + B)]
-            start += prefixes.size
+            part = slice(start, start + stack_size(int(records[start]) + p, p + B))
+            prefixes, start = group[part], part.stop
             rows = first[prefixes]
-            stack = solve_lps(*_permutation_lps(stats, every[rows, :p], gaps[rows, :p]))
+            stack = solve_lps(*_permutation_lps(ccdf[part], kept[part], gaps[rows, :p]))
             if stack.status.count(OPTIMAL) < rows.size:
                 for row, outcome in zip(rows.tolist(), stack):
                     require_optimal(outcome, f"ordering {orderings[row]} (K={K}, B={B}, mu={tup.mu})")

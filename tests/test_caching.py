@@ -190,7 +190,7 @@ def test_caching_tuple_two_users():
 
 def test_caching_tuple_covers_all_subsets():
     tup = caching_tuple(central_strategy(4, F(1, 4)))
-    assert len(tup.coverage) == 2**4 - 1
+    assert len(tup.coverage) == 2**4 and tup.coverage[0] == 0  # indexed by bitmask, the empty set first
     assert tup.of([1, 2, 3, 4]) == F(1)
     assert tup.of((3,)) == F(1, 4)
 

@@ -223,6 +223,8 @@ def test_simulate_requires_n_and_seed(capsys):
     assert "need --n" in captured.err
     assert cli.main(["simulate", NONDEGRADED, "--seed", "-1", "--json"]) == 2
     assert "seed must be nonnegative" in capsys.readouterr().err
+    assert cli.main(["simulate", DEGRADED, "--n", "10", "--json"]) == 2
+    assert "need --seed" in capsys.readouterr().err
 
 
 def test_simulate_trace(capsys, tmp_path):
@@ -520,6 +522,8 @@ def test_sweep_rejects_bad_ranges(capsys):
     capsys.readouterr()
     assert cli.main(["sweep", DEGRADED, "--mu", "0:2:1/2"]) == 2
     capsys.readouterr()
+    assert cli.main(["sweep", DEGRADED, "--mu", "0:x:1/4"]) == 2
+    assert "--mu parts must be fractions: '0:x:1/4'" in capsys.readouterr().err
 
 
 def test_sweep_checks_its_range_before_any_lp(capsys, monkeypatch):
@@ -583,25 +587,30 @@ def test_every_command_writes_strict_json(capsys, tmp_path):
         (lambda c: c.update(ccdf=[[0.5]]), "must list 3 rows"),
         (lambda c: c.update(mu="4/3"), "lie in [0, 1]"),
         (lambda c: c.update(mu="abc"), "not a fraction"),
-        (lambda c: c.update(simulation={"n": -5}), "positive integer"),
+        (lambda c: c.update(simulation={"n": -5}), "'simulation' block: num_uses must be positive"),
         (lambda c: c.update(demands=[1, 1, 2]), "unknown field 'demands'"),
         (lambda c: c.update(demands=[1, 2, 9], num_files=3), "unknown field 'demands', 'num_files'"),
         (lambda c: c.update(cachng=[[["0", "1/3"]]] * 3), "unknown field 'cachng'"),
         (lambda c: c.update(simulation={"n": 10, "sed": 1}), "unknown field 'simulation.sed'"),
         (lambda c: c.update(num_users=True), "'num_users' must be a positive integer"),
         (lambda c: c.update(num_levels=True), "'num_levels' must be a positive integer"),
-        (lambda c: c.update(simulation={"n": True}), "'simulation.n' must be a positive integer"),
-        (lambda c: c.update(simulation={"seed": False}), "'simulation.seed' must be a nonnegative"),
-        (lambda c: c.update(simulation={"seed": -1}), "'simulation.seed' must be a nonnegative"),
+        (lambda c: c.update(simulation={"n": True}), "'simulation' block: num_uses must be an integer, got True"),
+        (lambda c: c.update(simulation={"seed": False}), "'simulation' block: seed must be an integer, got False"),
+        (lambda c: c.update(simulation={"seed": -1}), "'simulation' block: seed must be nonnegative"),
         # a row of the right length with a string or a list in it
         (lambda c: c["ccdf"][1].__setitem__(0, "x"), "user 2: CCDF entries must be numbers, got ['x', "),
         (lambda c: c["ccdf"][1].__setitem__(0, [0.5]), "user 2: CCDF entries must be numbers, got [[0.5], "),
+        (lambda c: [c], "top level must be an object"),
+        (lambda c: c.update(simulation=[2000, 7]), "'simulation' must be an object"),
+        (lambda c: c["ccdf"][1].pop(), "'ccdf' row 2 must list 3 probabilities"),
+        (lambda c: c.update(caching=[[["0", "1/6", "1/3"]]] * 3), "'caching' must list [lo, hi] fraction pairs"),
+        (lambda c: c.update(caching=[[["0", "1/3"]]] * 2), "'caching' must list intervals for 3 users"),
     ],
 )
 def test_config_validation_failures(capsys, tmp_path, mutate, fragment):
     body = json.loads(Path(NONDEGRADED).read_text())
-    mutate(body)
-    cfg = write_config(tmp_path, body)
+    top = mutate(body)  # a case that returns a list makes it the top level
+    cfg = write_config(tmp_path, json.dumps(top) if isinstance(top, list) else body)
     code = cli.main(["rates", "achievable", cfg, "--json"])
     captured = capsys.readouterr()
     assert code == 2
@@ -655,6 +664,21 @@ def test_config_explicit_caching(capsys, tmp_path):
     cfg = write_config(tmp_path, body)
     payload = run_json(capsys, ["rates", "upper", cfg, "--json"])
     assert abs(payload["value"] - MIXED3_BOUND) <= 1e-9  # same as central placement
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["rates two-user", "rates degraded", "rates achievable", "simulate --n 10 --seed 1", "sweep --mu 0:1:1/3"],
+)
+def test_caching_is_refused_outside_rates_upper(capsys, tmp_path, command):
+    # Every user caches (0, 1/3]: a placement only the bound would read.
+    body = json.loads(Path(NONDEGRADED).read_text())
+    body["caching"] = [[["0", "1/3"]]] * 3
+    cfg = write_config(tmp_path, body)
+    assert cli.main([*command.split(), cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: config: only 'rates upper' reads 'caching'; the other commands use the central placement\n"
+    )
 
 
 def test_config_bad_caching_measure(capsys, tmp_path):

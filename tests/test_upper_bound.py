@@ -1,6 +1,8 @@
 """Weighted ceiling: direct evaluation, per-ordering LP, global minimum."""
 
 import math
+from collections.abc import Sequence
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -222,6 +224,40 @@ def test_record_rows_imply_the_dropped_rows(stats, tup):
 def test_lp_rejects_non_permutation(mixed3, tup3):
     with pytest.raises(OutOfRange):
         build_permutation_lp(mixed3, tup3, (1, 2, 2))
+
+
+class CountingCoverage(Sequence):
+    """A coverage table that counts the entries read from it."""
+
+    def __init__(self, entries):
+        self.entries, self.reads = tuple(entries), 0
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __getitem__(self, index):
+        found = self.entries[index]
+        self.reads += len(found) if isinstance(index, slice) else 1
+        return found
+
+
+def test_one_ordering_reads_only_its_prefixes():
+    # One ordering needs the coverage of its K leading slices only, not of
+    # all 2^K subsets (4096 at K = 12).
+    K = 12
+    rng = np.random.default_rng(12)
+    stats = random_stats(rng, K, 3)
+    tup = central_tuple(K, Fraction(5, K))
+    counting = CountingCoverage(tup.coverage)
+    probe = replace(tup, coverage=counting)
+    weights = rng.random(K)
+    assert objective_at(stats, probe, weights) == objective_at(stats, tup, weights)
+    assert 0 < counting.reads <= K
+    pi = tuple(rng.permutation(K) + 1)
+    counting.reads = 0
+    for built, expected in zip(build_permutation_lp(stats, probe, pi), build_permutation_lp(stats, tup, pi)):
+        np.testing.assert_array_equal(built, expected)
+    assert 0 < counting.reads <= K
 
 
 # --- upper_bound_rate -------------------------------------------------------------
