@@ -211,6 +211,7 @@ def cmd_rates_degraded(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
 
 
 def cmd_rates_upper(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
+    upper_bound.check_bound_users(cfg.stats.num_users)  # before the tuple: at K = 12 its interval sweeps take seconds
     if cfg.strategy is None:
         tup = caching.central_tuple(cfg.stats.num_users, cfg.mu)
     else:

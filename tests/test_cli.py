@@ -723,6 +723,27 @@ def test_bound_rejects_large_k_quickly(capsys, tmp_path):
     assert elapsed < 2.0
 
 
+def test_bound_rejects_large_k_explicit_placement_quickly(capsys, tmp_path):
+    # An explicit placement's tuple comes from interval sweeps: 4095
+    # coverage measures at K = 12, several seconds.  The cap is checked
+    # before the tuple is built.
+    placement = central_strategy(12, Fraction(5, 12)).intervals
+    body = {
+        "num_users": 12,
+        "num_levels": 2,
+        "mu": "5/12",
+        "ccdf": [[0.6, 0.2]] * 12,
+        "caching": [[[str(a), str(b)] for a, b in user] for user in placement],
+    }
+    cfg = write_config(tmp_path, body)
+    began = time.perf_counter()
+    code = cli.main(["rates", "upper", cfg])
+    elapsed = time.perf_counter() - began
+    assert code == 2
+    assert "ordering enumeration capped at 8 users" in capsys.readouterr().err
+    assert elapsed < 2.0
+
+
 # --- solver failures ----------------------------------------------------------------
 
 # ROADMAP item 1's instance, on which one ordering LP once failed its

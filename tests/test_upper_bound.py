@@ -344,16 +344,16 @@ def test_bound_raises_at_its_first_failing_lp(monkeypatch):
 
 
 def test_bound_solves_full_stacks(monkeypatch):
-    # Each solve_lps call gets one lockstep stack's worth of live prefixes,
+    # Each solve_lps call gets one lockstep stack's worth of distinct LPs,
     # sized by its widest LP, so every stack is full but the last: at K = 6,
     # B = 4, mu = 1/6 every ordering has live count 5 (9 columns), and the
-    # 720 LPs, most record rows first, fill stacks padded to 16, 11 and 8
-    # record rows (+ 5 chain and budget rows): 720 = 204 + 268 + 248.
+    # 278 distinct LPs, most record rows first, fill stacks padded to 16
+    # and 9 record rows (+ 5 chain and budget rows): 278 = 204 + 74.
     shapes = _recording_solve_lps(monkeypatch)
     tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
     upper_bound_rate(validate_stats(ROADMAP_ITEM1_ROWS), tup)
     assert shapes == ROADMAP_ITEM1_STACKS[1]
-    assert [stack_size(m, n) for _, m, n in shapes] == [204, 268, 330]
+    assert [stack_size(m, n) for _, m, n in shapes] == [204, 307]
     assert all(size * m * (n + 1) <= STACK_ENTRIES for size, m, n in shapes)
 
 
@@ -370,29 +370,45 @@ def _recording_solve_lps(monkeypatch):
     return shapes
 
 
+def _distinct_lps(stats, tup):
+    """The distinct LPs, hashed from build_permutation_lp's arrays, of the
+    orderings the bound solves an LP for: those with a live user whose
+    first user decodes something."""
+    found = set()
+    for pi in permutations(range(1, stats.num_users + 1)):
+        c, a_ub, b_ub = build_permutation_lp(stats, tup, pi)
+        if c.size > stats.num_levels and stats.ccdf[pi[0] - 1].any():
+            found.add((c.tobytes(), a_ub.shape, a_ub.tobytes(), b_ub.tobytes()))
+    return found
+
+
 # The stacks upper_bound_rate hands to solve_lps on the ROADMAP item 1 grid at mu = t/6.
 ROADMAP_ITEM1_STACKS = {
-    1: [(204, 21, 9), (268, 16, 9), (248, 13, 9)],
-    2: [(251, 19, 8), (109, 12, 8)],
-    3: [(120, 15, 7)],
-    4: [(30, 10, 6)],
+    1: [(204, 21, 9), (74, 14, 9)],
+    2: [(178, 19, 8)],
+    3: [(78, 15, 7)],
+    4: [(25, 10, 6)],
     5: [(6, 5, 5)],
 }
 
 
-@pytest.mark.parametrize("t, lps", [(1, 720), (2, 360), (3, 120), (4, 30), (5, 6)])
-def test_bound_solves_one_lp_per_live_prefix(monkeypatch, t, lps):
-    # At mu = t/6 a set of 6 - t + 1 users covers the file, so the live
-    # prefixes are the 6!/t! ordered (6 - t)-tuples of users, p = 6 - t
-    # users each: p + 4 columns, and rows between the first user's 4 decode
-    # rows and all 4p of them, plus p chain and budget rows.
+@pytest.mark.parametrize("t, lps", [(1, 278), (2, 178), (3, 78), (4, 25), (5, 6)])
+def test_bound_solves_each_distinct_lp_once(monkeypatch, t, lps):
+    # At mu = t/6 a set of 6 - t + 1 users covers the file, so the 720
+    # orderings have 6!/t! live prefixes, p = 6 - t users each: p + 4
+    # columns, and rows between the first user's 4 decode rows and all 4p
+    # of them, plus p chain and budget rows.  A prefix whose later users
+    # hold no record shares its LP with every reordering of them, so fewer
+    # LPs are solved than there are prefixes (720, 360, 120, 30, 6): one
+    # per distinct LP.
     shapes = _recording_solve_lps(monkeypatch)
     stats = validate_stats(ROADMAP_ITEM1_ROWS)
-    report = upper_bound_rate(stats, central_tuple(6, Fraction(t, 6)))
+    tup = central_tuple(6, Fraction(t, 6))
+    report = upper_bound_rate(stats, tup)
     p = 6 - t
     assert shapes == ROADMAP_ITEM1_STACKS[t]
     assert all(4 + p <= m <= p * 4 + p and n == p + 4 for _, m, n in shapes)
-    assert sum(shape[0] for shape in shapes) == lps
+    assert sum(shape[0] for shape in shapes) == lps == len(_distinct_lps(stats, tup))
     assert len(report.table) == 720
 
 
@@ -428,14 +444,19 @@ def test_bound_single_user():
 def _bound_one_ordering_at_a_time(stats, tup):
     """The report's value, argmin, weights, uniqueness and table, from each
     ordering's LP solved alone; an unbounded LP counts as value 0 with
-    sigma_1 = 1, and an ordering with no live user as an infinite value."""
+    sigma_1 = 1, and an ordering with no live user as an infinite value.
+    An LP whose arrays repeat an earlier ordering's takes that solution:
+    solve_lp's outcome is a function of the arrays' bytes."""
     K = stats.num_users
     orderings = list(permutations(range(1, K + 1)))
-    values, xs = [], []
+    values, xs, solutions = [], [], {}
     for pi in orderings:
         c, a_ub, b_ub = build_permutation_lp(stats, tup, pi)
         p = c.size - stats.num_levels
-        solved = solve_lp(c, a_ub, b_ub) if p else None
+        lp = (c.tobytes(), a_ub.shape, a_ub.tobytes(), b_ub.tobytes())
+        if p and lp not in solutions:
+            solutions[lp] = solve_lp(c, a_ub, b_ub)
+        solved = solutions[lp] if p else None
         if solved is None:
             values.append(math.inf)
             xs.append(np.zeros(K))
@@ -573,3 +594,88 @@ def test_bound_explicit_caching_matches_each_ordering():
             omega[pi[k] - 1] = x[k] / gap
     omega /= omega[omega > 0.0].min()
     assert report.omega_star == tuple(float(w) for w in omega)
+
+
+def test_bound_keeps_lps_of_equal_record_users_apart(monkeypatch):
+    # User 1 is above every other user on every level, so behind it no user
+    # holds a record: the orderings it leads have the same decode rows, its
+    # own.  With one interval per user at unequal offsets, {1, 2} covers
+    # half the file and {1, 3} a quarter, so (1, 2, 3, 4) and (1, 3, 2, 4)
+    # differ in their gaps, hence in their chain rows and their values.
+    # They must not share an LP.
+    stats = validate_stats([[0.9, 0.8, 0.7], [0.5, 0.4, 0.3], [0.6, 0.3, 0.2], [0.4, 0.2, 0.1]])
+    quarter = Fraction(1, 4)
+    placement = [[(0, quarter)], [(quarter, 2 * quarter)], [(0, quarter)], [(2 * quarter, 3 * quarter)]]
+    tup = caching_tuple(strategy_from_intervals(placement, quarter))
+    (_, a_12, _), (_, a_13, _) = lps = [build_permutation_lp(stats, tup, pi) for pi in ((1, 2, 3, 4), (1, 3, 2, 4))]
+    assert a_12.shape == a_13.shape == (7, 7)  # 3 decode rows, 3 chain rows, the budget row
+    np.testing.assert_array_equal(a_12[:3], a_13[:3])
+    assert not np.array_equal(a_12[3:6], a_13[3:6])
+    shapes = _recording_solve_lps(monkeypatch)
+    report = upper_bound_rate(stats, tup)
+    values = dict(report.table)
+    alone = [-1.0 / solve_lp(*lp).value for lp in lps]
+    assert [values[(1, 2, 3, 4)], values[(1, 3, 2, 4)]] == alone
+    assert alone[0] != alone[1]
+    assert report.table == _bound_one_ordering_at_a_time(stats, tup)[4]
+    assert sum(shape[0] for shape in shapes) == len(_distinct_lps(stats, tup))
+
+
+@pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 4), Fraction(1, 2)])
+def test_bound_with_twin_users_matches_each_ordering(monkeypatch, mu):
+    # Users 1 and 2 have the same CCDF row, so neither holds a record
+    # behind the other.  The report is the one each ordering's LP gives
+    # alone, and orderings that swap the twins have the same value.  The
+    # LPs are told apart by their record-bearing users, so an LP led by
+    # twin 1 and its copy led by twin 2 are both solved: one LP per
+    # distinct (LP, record-bearing users), more than the distinct LPs.
+    grid = random_stats(np.random.default_rng(77), 4, 3).ccdf.copy()
+    grid[1] = grid[0]
+    stats = validate_stats(grid)
+    tup = central_tuple(4, mu)
+    shapes = _recording_solve_lps(monkeypatch)
+    report = upper_bound_rate(stats, tup)
+    alone = _bound_one_ordering_at_a_time(stats, tup)
+    assert (report.value, report.argmin_pi, report.omega_star, report.omega_star_unique, report.table) == alone
+    values = dict(report.table)
+    swap = {1: 2, 2: 1, 3: 3, 4: 4}
+    assert all(value == values[tuple(swap[k] for k in pi)] for pi, value in values.items())
+    keyed = set()
+    for pi in permutations(range(1, 5)):
+        c, a_ub, _ = build_permutation_lp(stats, tup, pi)
+        p = c.size - stats.num_levels
+        bearing = tuple(
+            pi[k] if k == 0 or (grid[pi[k] - 1] > grid[[j - 1 for j in pi[:k]]].max(axis=0)).any() else 0
+            for k in range(p)
+        )
+        keyed.add((a_ub.shape, a_ub.tobytes(), bearing))
+    solved = sum(shape[0] for shape in shapes)
+    assert solved == len(keyed) > len(_distinct_lps(stats, tup))
+
+
+def _placement_cases():
+    rng = np.random.default_rng(2828)
+    cases = []
+    for users in range(3, 7):
+        stats = random_stats(rng, users, int(rng.integers(2, 5)))
+        for t in range(users + 1):
+            cases.append(pytest.param(stats, central_tuple(users, Fraction(t, users)), id=f"K{users}-t{t}"))
+        size = int(rng.integers(1, 9))
+        offsets = rng.integers(0, 16 - size + 1, users).tolist()
+        placement = [[(Fraction(a, 16), Fraction(a + size, 16))] for a in offsets]
+        tup = caching_tuple(strategy_from_intervals(placement, Fraction(size, 16)))
+        cases.append(pytest.param(stats, tup, id=f"K{users}-intervals"))
+    return cases
+
+
+@pytest.mark.parametrize("stats, tup", _placement_cases())
+def test_bound_solves_each_distinct_lp_as_alone(monkeypatch, stats, tup):
+    # Each distinct LP is solved once, in a padded stack, and every
+    # ordering takes its value: the report is the one each ordering's LP
+    # gives alone, byte for byte, and the LPs solved are exactly the
+    # distinct ones among build_permutation_lp's arrays.
+    shapes = _recording_solve_lps(monkeypatch)
+    report = upper_bound_rate(stats, tup)
+    alone = _bound_one_ordering_at_a_time(stats, tup)
+    assert (report.value, report.argmin_pi, report.omega_star, report.omega_star_unique, report.table) == alone
+    assert sum(shape[0] for shape in shapes) == len(_distinct_lps(stats, tup))
