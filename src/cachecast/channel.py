@@ -11,10 +11,14 @@ A valid CCDF row is nonincreasing with entries in [0, 1].  Boundary
 conventions P[L_k >= 0] = 1 and P[L_k >= B+1] = 0 are implicit and never
 stored.  All probability comparisons in this module use PROB_TOL.
 
-Channel states are drawn one user at a time by user_levels, into one reused
-row of n levels; sample_states stacks those rows into the K x n matrix for
-callers that keep every user's levels.  check_draws is the one rule on the
-channel-use count and seed of a draw, the CLI's included.
+Channel states are drawn by one primitive, level_hits: one user at a time,
+in blocks of SAMPLE_BLOCK uses, each block the (B, block) matrix of hits
+U < cummin(ccdf), so a use's level count is its hits summed (count_levels).
+user_levels sums them into one reused row of n levels per user, and
+sample_states stacks those rows into the K x n matrix for callers that keep
+every user's levels; the simulator tallies the hits themselves.  check_draws
+is the one rule on the channel-use count and seed of a draw, the CLI's
+included.
 """
 
 from __future__ import annotations
@@ -30,12 +34,14 @@ from .errors import LengthMismatch, NotMonotone, OutOfRange, WeightsUnsorted, Wr
 
 PROB_TOL = 1e-12
 
-# Uniforms drawn per rng.random call in user_levels: 2**14 doubles (128 KiB)
-# stay in cache while every level is compared against them.  On a 2-CPU Xeon
-# (2 MB L2 per core), K = 6, B = 5, n = 1e6 sampled in 0.030-0.034 s (best of
-# 7) with blocks of 2**14 to 2**17, against 0.047 s at 2**12 and 0.043 s in
-# one block of 2**20.
-SAMPLE_BLOCK = 1 << 14
+# Channel uses per block of level_hits: 2**16 uniforms (512 KiB) and the
+# block's B x 2**16 hits (320 KiB at B = 5) stay in cache while the block is
+# compared, counted and tallied.  On a 2-CPU Xeon (2 MB L2 per core),
+# simulate_delivery at K = 6, B = 5, n = 1e6 took a median 25.4 ms with
+# blocks of 2**16 against 27.4 at 2**14 and 29.6 at 2**13, and 24.6 at
+# 2**17, within the noise (first quartiles 23.0 and 23.3 ms; fifteen
+# interleaved rounds each).
+SAMPLE_BLOCK = 1 << 16
 
 
 class ZeroWeightWarning(UserWarning):
@@ -155,47 +161,73 @@ def check_draws(num_uses: int, seed: int) -> None:
             raise OutOfRange(f"{name} must be {rule}")
 
 
+def level_hits(stats: ChannelStats, num_uses: int, seed: int) -> Iterator[Iterator[tuple[int, np.ndarray]]]:
+    """The one sampling rule, block by block: per user, in user order, the
+    blocks of its num_uses channel uses.
+
+    A block is (start, hits), where hits[l, i] is True exactly when the
+    user's level count at use start + i reaches l + 1; hits is a (B, size)
+    boolean view into one reused buffer, valid until the next block is drawn,
+    so copy what is kept.  Memory is one block of uniforms and one of hits,
+    whatever num_uses and the number of users are.
+
+    Stream splitting: one child of SeedSequence(seed) per user, in user order,
+    so realizations are reproducible and users are mutually independent.
+    Sampling inverts the CCDF directly: with U uniform on (0, 1),
+    #{l : U < ccdf[l]} has exactly the target distribution.  The hits are
+    taken against the row's cumulative minimum, one broadcast comparison per
+    block, so they mark the leading entries above U even where
+    validate_stats lets a row rise by up to PROB_TOL (U falls inside such a
+    rise with probability below B * PROB_TOL).  Each user's uniforms are
+    drawn in blocks of SAMPLE_BLOCK consecutive rng.random calls (fewer when
+    B > 8, so the hits stay within 8 * SAMPLE_BLOCK bytes), which yield the
+    same doubles as one call.
+    """
+    check_draws(num_uses, seed)
+    return _hit_blocks(stats, num_uses, seed)
+
+
+def _hit_blocks(stats: ChannelStats, num_uses: int, seed: int) -> Iterator[Iterator[tuple[int, np.ndarray]]]:
+    children = np.random.SeedSequence(seed).spawn(stats.num_users)
+    thresholds = np.minimum.accumulate(stats.ccdf, axis=1)[:, :, None]
+    block = min(num_uses, SAMPLE_BLOCK, max(1, 8 * SAMPLE_BLOCK // stats.num_levels))
+    uniforms = np.empty(block)
+    hits = np.empty((stats.num_levels, block), dtype=bool)
+    for child, user_thresholds in zip(children, thresholds):
+        yield _user_blocks(np.random.default_rng(child), user_thresholds, num_uses, uniforms, hits)
+
+
+def _user_blocks(rng, thresholds, num_uses, uniforms, hits) -> Iterator[tuple[int, np.ndarray]]:
+    for start in range(0, num_uses, uniforms.size):
+        size = min(uniforms.size, num_uses - start)
+        u, hit = uniforms[:size], hits[:, :size]
+        rng.random(out=u)
+        np.less(u, thresholds, out=hit)
+        yield start, hit
+
+
+def count_levels(hits: np.ndarray, out: np.ndarray) -> None:
+    """Each use's level count, the hits of one block summed over levels, into out."""
+    np.add.reduce(hits.view(np.uint8), axis=0, dtype=out.dtype, out=out)  # summing the bools casts, slower
+
+
 def user_levels(stats: ChannelStats, num_uses: int, seed: int) -> Iterator[np.ndarray]:
     """Draw i.i.d. level counts for each user over `num_uses` channel uses.
 
     Yields one row per user, in user order, all into one reused buffer: a
     row holds user k's levels only until user k + 1 is drawn, so copy it to
     keep it.  Memory is one row of num_uses levels and one block of
-    uniforms, whatever the number of users.
-
-    Stream splitting: one child of SeedSequence(seed) per user, in user order,
-    so realizations are reproducible and users are mutually independent.
-    Sampling inverts the CCDF directly: with U uniform on (0, 1),
-    #{l : U < ccdf[l]} has exactly the target distribution.  The count is
-    taken over the row's cumulative minimum, one comparison per level, so
-    it is the number of leading entries above U even where validate_stats
-    lets a row rise by up to PROB_TOL (U falls inside such a rise with
-    probability below B * PROB_TOL).  Each user's uniforms are drawn in
-    blocks of SAMPLE_BLOCK consecutive rng.random calls, which yield the
-    same doubles as one call.  Levels are stored in the smallest unsigned
-    dtype that holds 0..B.
+    level_hits, whatever the number of users.  Levels are stored in the
+    smallest unsigned dtype that holds 0..B.
     """
-    check_draws(num_uses, seed)
-    return _draw_rows(stats, num_uses, seed)
+    blocks = level_hits(stats, num_uses, seed)
+    return _rows(blocks, np.empty(num_uses, dtype=np.min_scalar_type(stats.num_levels)))
 
 
-def _draw_rows(stats: ChannelStats, num_uses: int, seed: int) -> Iterator[np.ndarray]:
-    children = np.random.SeedSequence(seed).spawn(stats.num_users)
-    row = np.empty(num_uses, dtype=np.min_scalar_type(stats.num_levels))
-    thresholds = np.minimum.accumulate(stats.ccdf, axis=1)
-    block = min(SAMPLE_BLOCK, num_uses)
-    uniforms = np.empty(block)
-    above = np.empty(block, dtype=bool)
-    for child, user_thresholds in zip(children, thresholds):
-        rng = np.random.default_rng(child)
-        row.fill(0)
-        for start in range(0, num_uses, block):
-            counts = row[start : start + block]
-            u, hit = uniforms[: counts.size], above[: counts.size]
-            rng.random(out=u)
-            for p in user_thresholds:
-                np.less(u, p, out=hit)
-                counts += hit.view(np.uint8)  # adding the bool array itself is a slower cast
+def _rows(users: Iterator[Iterator[tuple[int, np.ndarray]]], row: np.ndarray) -> Iterator[np.ndarray]:
+    for blocks in users:
+        for start, hits in blocks:
+            count_levels(hits, row[start : start + hits.shape[1]])
         yield row
 
 

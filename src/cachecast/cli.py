@@ -48,6 +48,11 @@ SIMULATE_FIELDS = ("seed", "rate", "t", "messages", "user_decodable", "empirical
 
 _NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
 
+# Lines per chunk of a --trace file.  A chunk's temporaries take about 8
+# bytes per level, so 2**14 lines hold them to 0.8 MB at K = 6; in chunks of
+# 2**16 lines the simulate-1e6 benchmark's peak RSS read 1 MB more.
+TRACE_CHUNK = 1 << 14
+
 # What a command returns: the JSON payload with --json, else the text lines.
 Output = Union[dict, list[str]]
 
@@ -143,13 +148,17 @@ def _jsonable(obj):
 
 
 def to_json(payload: dict) -> str:
-    """Strict JSON: a non-finite float becomes its text form, such as "inf"."""
+    """Strict JSON: a non-finite float becomes its text form, such as "inf".
+
+    Every payload is a fresh tree, so the encoder skips its check for circular
+    references.
+    """
     try:
-        return json.dumps(payload, default=_jsonable, allow_nan=False)
+        return json.dumps(payload, default=_jsonable, allow_nan=False, check_circular=False)
     except ValueError:
         # Only a payload holding a non-finite float takes this second pass.
-        loose = json.dumps(payload, default=_jsonable)
-        return json.dumps(json.loads(loose, parse_constant=_NON_FINITE.__getitem__))
+        loose = json.dumps(payload, default=_jsonable, check_circular=False)
+        return json.dumps(json.loads(loose, parse_constant=_NON_FINITE.__getitem__), check_circular=False)
 
 
 def _named(obj, names: tuple[str, ...]) -> dict:
@@ -337,7 +346,7 @@ def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
 
 def _trace_rows(realization: channel.StateRealization) -> Iterator[bytes]:
     """The CSV rows of a trace, one line per channel use and one column per
-    user, in chunks of SAMPLE_BLOCK lines.
+    user, in chunks of TRACE_CHUNK lines.
 
     Row v of a byte table holds the decimal digits of level v and a comma,
     right-aligned behind zero bytes.  Taking the table's rows at levels.T
@@ -351,13 +360,13 @@ def _trace_rows(realization: channel.StateRealization) -> Iterator[bytes]:
     chunks, whatever n is.  The bytes equal those of
     np.savetxt(fh, levels.T, fmt="%d", delimiter=",").
     """
-    top, part = realization.num_levels, max(1, channel.SAMPLE_BLOCK // 8)
+    top, part = realization.num_levels, max(1, TRACE_CHUNK // 8)
     table = np.zeros((top + 1, len(str(top)) + 1), dtype=np.uint8)
     for value in range(top + 1):
         cell = f"{value},".encode("ascii")
         table[value, table.shape[1] - len(cell) :] = np.frombuffer(cell, dtype=np.uint8)
-    for start in range(0, realization.num_uses, channel.SAMPLE_BLOCK):
-        chunk = realization.levels[:, start : start + channel.SAMPLE_BLOCK]
+    for start in range(0, realization.num_uses, TRACE_CHUNK):
+        chunk = realization.levels[:, start : start + TRACE_CHUNK]
         lines = np.empty((chunk.shape[1], chunk.shape[0], table.shape[1]), dtype=np.uint8)
         for at in range(0, chunk.shape[1], part):
             np.take(table, chunk[:, at : at + part].T, axis=0, out=lines[at : at + part], mode="clip")

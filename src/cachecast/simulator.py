@@ -1,13 +1,13 @@
 """Monte-Carlo validation of a delivery allocation against sampled states.
 
-The channel is drawn user by user with user_levels (one RNG substream per
-user), into one reused row, so memory holds one user's n levels rather than
-all K x n; sample_states draws the same levels as one matrix when a caller
-asks to keep them.  Each level's num_uses channel uses are split into
-contiguous spans, one per message subset plus an idle tail, sized by
-largest-remainder apportionment of the allocation's shares so the spans
-always sum to num_uses.  User k collects the symbol of level l at use t
-exactly when its drawn level count reaches l.  A message is decodable once
+Each level's num_uses channel uses are split into contiguous spans, one per
+message subset plus an idle tail, sized by largest-remainder apportionment
+of the allocation's shares so the spans always sum to num_uses.  User k
+collects the symbol of level l at use t exactly when its drawn level count
+reaches l.  The channel is drawn user by user with channel.level_hits (one
+RNG substream per user), a block of uses at a time, and each block's hits
+are tallied while the block is drawn, so without keep_levels memory holds
+one block, not n levels.  A message is decodable once
 its collected symbols cover its size: delivered >= ceil(num_uses * rate /
 C(K,t)), with a tiny guard so an exactly integer threshold is not pushed up
 by roundoff.
@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelStats, StateRealization, sample_states, user_levels
+from .channel import ChannelStats, StateRealization, count_levels, level_hits
+from .channel import sample_states  # noqa: F401  perfbench/selftest.py reads it as simulator.sample_states
 from .errors import InfeasibleAllocation
 from .lp_scheme import DeliveryAllocation, Subset, check_allocation
 
@@ -113,12 +114,15 @@ def simulate_delivery(
 ) -> SimulationReport:
     """Sample states and tally symbol delivery for every (user, subset) pair.
 
-    The spans of every level are apportioned once; then each user's levels
-    are drawn and tallied in turn: one comparison per level marks the uses
-    that deliver that level, its count is the user's empirical CCDF entry,
-    and its counts over the spans of the user's subsets are the deliveries.
-    With keep_levels the K x n levels come from sample_states and are kept
-    as the report's realization; the tallies are the same either way.
+    The spans of every level are apportioned once; then each user's draws
+    are tallied block by block, in one pass: the hits of level l in a block
+    mark the uses that deliver level l, and one count of them adds to the
+    user's empirical CCDF count.  At each boundary of a span of the user's
+    subsets that falls inside the block, one count of the level's hits up to
+    the boundary gives the hits before it; a span's delivery is the
+    difference of the counts at its two ends.  With keep_levels the same
+    pass also writes the K x n levels, kept as the report's realization
+    (the levels sample_states draws); the tallies are the same either way.
 
     A message's std_error is the standard deviation of delivered / n.
     Every level's spans are laid out in subset order from use 0, so one
@@ -132,12 +136,7 @@ def simulate_delivery(
             f"allocation fails its decodability or budget checks (largest violation {report.violation:.3g})"
         )
 
-    if keep_levels:
-        realization = sample_states(stats, num_uses, seed)
-        rows = realization.levels
-    else:
-        realization = None
-        rows = user_levels(stats, num_uses, seed)
+    users = level_hits(stats, num_uses, seed)
     per_use_size = report.required
     required = math.ceil(num_uses * per_use_size - CEIL_GUARD)
 
@@ -153,26 +152,45 @@ def simulate_delivery(
     first, last = bounds[:num_subsets], bounds[1 : num_subsets + 1]
     overlap = np.minimum(last[:, :, None], last[:, None, :]) - np.maximum(first[:, :, None], first[:, None, :])
     np.maximum(overlap, 0, out=overlap)
-    levels = np.arange(stats.num_levels)
-    deeper = np.maximum.outer(levels, levels)
+    deeper = np.maximum.outer(np.arange(stats.num_levels), np.arange(stats.num_levels))
 
-    delivered = {(k, s): 0 for s in alloc.subsets for k in s}
+    levels = np.empty((stats.num_users, num_uses), dtype=np.min_scalar_type(stats.num_levels)) if keep_levels else None
+    delivered = {}
     variance = {}
     counts = []
-    hit = np.empty(num_uses, dtype=bool)
-    for k, row in enumerate(rows, start=1):
+    for k, blocks in enumerate(users, start=1):
         mine = [(j, s) for j, s in enumerate(alloc.subsets) if k in s]
-        counts.append([])
-        for l in range(stats.num_levels):
-            np.greater(row, l, out=hit)
-            counts[-1].append(np.count_nonzero(hit))
-            for j, s in mine:
-                delivered[(k, s)] += int(np.count_nonzero(hit[starts[l][j] : starts[l][j + 1]]))
+        # The span boundaries of the user's subsets, in use order; before[l, pos]
+        # counts level l's hits on the uses before pos.
+        marks = sorted({(starts[l][j + e], l) for l in range(stats.num_levels) for j, _ in mine for e in (0, 1)})
+        before = {}
+        seen = [0] * stats.num_levels  # each level's hits on the blocks so far
+        at = 0
+        for start, hits in blocks:
+            stop = start + hits.shape[1]
+            while at < len(marks) and marks[at][0] < stop:
+                pos, l = marks[at]
+                before[l, pos] = seen[l] + np.count_nonzero(hits[l, : pos - start])
+                at += 1
+            for l in range(stats.num_levels):
+                seen[l] += np.count_nonzero(hits[l])
+            if levels is not None:
+                count_levels(hits, levels[k - 1, start:stop])
+        for l in range(stats.num_levels):  # no block holds a boundary at num_uses
+            before[l, num_uses] = seen[l]
+        counts.append(seen)
+        for j, s in mine:
+            delivered[(k, s)] = int(sum(before[l, starts[l][j + 1]] - before[l, starts[l][j]] for l in range(stats.num_levels)))
         # Cov(L >= l, L >= l') = p[max(l, l')] - p[l] p[l'] on a use both spans hold.
         p = stats.ccdf[k - 1]
         covariance = p[deeper] - np.outer(p, p)
         for j, s in mine:
             variance[(k, s)] = float((overlap[j] * covariance).sum())
+
+    realization = None
+    if levels is not None:
+        levels.setflags(write=False)
+        realization = StateRealization(stats.num_users, stats.num_levels, num_uses, seed, levels)
 
     messages = []
     user_ok = [True] * stats.num_users

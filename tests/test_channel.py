@@ -274,6 +274,21 @@ def test_sample_blocks_equal_one_draw(monkeypatch, block):
     assert real.levels.tobytes() == expected.astype(np.uint8).tobytes()
 
 
+def test_many_levels_shorten_the_block(monkeypatch):
+    # Past 8 levels a block holds fewer uses, so its hits stay within
+    # 8 * SAMPLE_BLOCK bytes: 40 levels at SAMPLE_BLOCK = 16 make blocks of
+    # 3 uses, and the levels drawn must not change.
+    monkeypatch.setattr(channel, "SAMPLE_BLOCK", 16)
+    num_uses, seed = 20, 12
+    grid = np.sort(np.random.default_rng(3).random((2, 40)), axis=1)[:, ::-1]
+    blocks = next(channel.level_hits(validate_stats(grid), num_uses, seed))
+    assert [(start, hits.shape) for start, hits in blocks][:2] == [(0, (40, 3)), (3, (40, 3))]
+    children = np.random.SeedSequence(seed).spawn(2)
+    draws = [np.random.default_rng(child).random(num_uses) for child in children]
+    expected = np.array([np.sum(u[:, None] < row[None, :], axis=1) for u, row in zip(draws, grid)])
+    assert sample_states(validate_stats(grid), num_uses, seed).levels.tobytes() == expected.astype(np.uint8).tobytes()
+
+
 @pytest.mark.parametrize("num_levels, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16)])
 def test_sample_dtype_holds_every_level(num_levels, dtype):
     real = sample_states(validate_stats([[1.0] * num_levels, [0.0] * num_levels]), 20, seed=4)

@@ -241,15 +241,17 @@ def test_simulate_trace(capsys, tmp_path):
 
 
 def test_simulate_trace_samples_once(capsys, tmp_path, monkeypatch):
+    # The simulation writes the levels it tallies, in the same pass over
+    # one draw of the channel, and the trace is those levels.
     draws = []
-    sample_states = channel.sample_states
+    level_hits = channel.level_hits
 
-    def counting_sample(*args):
+    def counting_draw(*args):
         draws.append(args)
-        return sample_states(*args)
+        return level_hits(*args)
 
-    monkeypatch.setattr(simulator, "sample_states", counting_sample)
-    monkeypatch.setattr(channel, "sample_states", counting_sample)
+    monkeypatch.setattr(simulator, "level_hits", counting_draw)
+    monkeypatch.setattr(channel, "level_hits", counting_draw)
     trace = tmp_path / "levels.csv"
     run_json(
         capsys,
@@ -257,7 +259,7 @@ def test_simulate_trace_samples_once(capsys, tmp_path, monkeypatch):
     )
     assert len(draws) == 1
     # The file is exactly what a fresh draw with the same seed writes.
-    levels = sample_states(validate_stats(MIXED3_ROWS), 50, 8).levels
+    levels = channel.sample_states(validate_stats(MIXED3_ROWS), 50, 8).levels
     expected = "user1,user2,user3\n" + "".join(
         ",".join(str(int(v)) for v in levels[:, t]) + "\n" for t in range(50)
     )
@@ -294,7 +296,7 @@ def test_trace_rows_match_savetxt(num_levels, num_users, num_uses):
 def test_trace_chunks_join_to_savetxt(monkeypatch, num_uses):
     # Chunks of 7 lines: n below, at and across chunk boundaries, so a line
     # dropped or doubled at a boundary changes the bytes.
-    monkeypatch.setattr(channel, "SAMPLE_BLOCK", 7)
+    monkeypatch.setattr(cli, "TRACE_CHUNK", 7)
     rng = np.random.default_rng(num_uses)
     levels = rng.integers(0, 11, size=(3, num_uses), dtype=np.uint8)
     realization = channel.StateRealization(3, 10, num_uses, 0, levels)
@@ -308,7 +310,7 @@ def test_trace_chunks_join_to_savetxt(monkeypatch, num_uses):
 
 
 def test_trace_writer_memory_is_a_few_chunks():
-    # K = 8, n = 2**18 is 16 chunks of SAMPLE_BLOCK lines.  At B = 5 a level
+    # K = 8, n = 2**18 is 16 chunks of TRACE_CHUNK lines.  At B = 5 a level
     # is 2 bytes of a line, held four times at the peak (the lines, their
     # nonzero mask, the kept bytes and their bytes object), and the intp
     # copy of the index covers an eighth of a chunk at a time: chunk by
@@ -333,7 +335,7 @@ def test_trace_writer_memory_is_a_few_chunks():
     finally:
         tracemalloc.stop()
     assert sink.size == 2 * users * num_uses
-    chunk_levels = channel.SAMPLE_BLOCK * users
+    chunk_levels = cli.TRACE_CHUNK * users
     assert peak < 9 * chunk_levels, f"{peak / chunk_levels:.1f} bytes per level of one chunk"
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cachecast import channel
 from cachecast.channel import SAMPLE_BLOCK, sample_states, validate_stats
 from cachecast.errors import InfeasibleAllocation, OutOfRange, WrongType
 from cachecast.lp_scheme import achievable_rate_lp, message_subsets
@@ -297,38 +298,107 @@ def test_streamed_tally_matches_per_slice_formulas():
             num_uses += 1
         seed = int(rng.integers(0, 2**31))
 
-        report = simulate_delivery(stats, alloc, num_uses, seed)
-        delivered, std_error, hat = per_slice_report(stats, alloc, num_uses, seed)
-        assert {(m.user, m.subset): m.delivered for m in report.messages} == delivered
-        for m in report.messages:
-            assert m.std_error == pytest.approx(std_error[(m.user, m.subset)], rel=1e-12, abs=1e-15)
-        assert report.empirical_ccdf.tobytes() == hat.tobytes()
+        assert_matches_per_slice_and_kept(stats, alloc, num_uses, seed)
 
-        kept = simulate_delivery(stats, alloc, num_uses, seed, keep_levels=True)
-        assert kept.messages == report.messages
-        assert kept.empirical_ccdf.tobytes() == report.empirical_ccdf.tobytes()
-        assert kept.ccdf_std_error.tobytes() == report.ccdf_std_error.tobytes()
-        assert kept.realization.levels.tobytes() == sample_states(stats, num_uses, seed).levels.tobytes()
+
+def assert_matches_per_slice_and_kept(stats, alloc, num_uses, seed):
+    """The streamed report equals per_slice_report, and the keep_levels report,
+    to the byte (the per-use variance to 1e-12 relative)."""
+    report = simulate_delivery(stats, alloc, num_uses, seed)
+    delivered, std_error, hat = per_slice_report(stats, alloc, num_uses, seed)
+    assert {(m.user, m.subset): m.delivered for m in report.messages} == delivered
+    for m in report.messages:
+        assert m.std_error == pytest.approx(std_error[(m.user, m.subset)], rel=1e-12, abs=1e-15)
+    assert report.empirical_ccdf.tobytes() == hat.tobytes()
+
+    kept = simulate_delivery(stats, alloc, num_uses, seed, keep_levels=True)
+    assert kept.messages == report.messages
+    assert kept.empirical_ccdf.tobytes() == report.empirical_ccdf.tobytes()
+    assert kept.ccdf_std_error.tobytes() == report.ccdf_std_error.tobytes()
+    assert kept.realization.levels.tobytes() == sample_states(stats, num_uses, seed).levels.tobytes()
+
+
+def span_starts(alloc, num_uses):
+    """Per level, the uses at which its spans start, then num_uses."""
+    starts = []
+    for shares in alloc.shares:
+        quotas = [num_uses * float(x) for x in shares] + [max(0.0, num_uses * (1.0 - shares.sum()))]
+        starts.append(np.cumsum([0] + apportion(quotas, num_uses)).tolist())
+    return starts
+
+
+# name: (CCDF rows, t, shares per level (or of the block b), n of b, what the spans must hold)
+BLOCK_EDGES = {
+    "span boundary on a block multiple": (
+        [[0.8, 0.5], [0.7, 0.6]], 0, [[0.25, 0.5], [0.5, 0.25]], lambda b: 4 * b,
+        lambda starts, b: starts == [[0, b, 3 * b, 4 * b], [0, 2 * b, 3 * b, 4 * b]],
+    ),
+    "span boundaries one use either side of a block multiple": (
+        [[0.8, 0.5], [0.7, 0.6]], 0,
+        lambda b: [[(b - 1) / (4 * b), (2 * b + 2) / (4 * b)], [(b + 1) / (4 * b), (b - 1) / (4 * b)]],
+        lambda b: 4 * b,
+        lambda starts, b: starts == [[0, b - 1, 3 * b + 1, 4 * b], [0, b + 1, 2 * b, 4 * b]],
+    ),
+    "empty span at a block start": (
+        MIXED3_ROWS, 1, [[0.5, 0.0, 0.25], [0.25, 0.25, 0.25], [0.2, 0.3, 0.1]], lambda b: 4 * b,
+        lambda starts, b: starts[0][1:3] == [2 * b, 2 * b],
+    ),
+    "n one block": (MIXED3_ROWS, 1, MIXED3_SHARES, lambda b: b, lambda starts, b: True),
+    "n one block less one use": (MIXED3_ROWS, 1, MIXED3_SHARES, lambda b: b - 1, lambda starts, b: True),
+    "n one block and one use": (MIXED3_ROWS, 1, MIXED3_SHARES, lambda b: b + 1, lambda starts, b: True),
+    "levels at 1.0 and 0.0": (
+        [[1.0, 0.5, 0.0], [1.0, 1.0, 0.3], [0.6, 0.0, 0.0]], 1,
+        [[0.3, 0.3, 0.3], [0.2, 0.4, 0.1], [0.5, 0.2, 0.2]], lambda b: 2 * b + 5, lambda starts, b: True,
+    ),
+}
+
+
+@pytest.mark.parametrize("block", [64, None])
+@pytest.mark.parametrize("case", list(BLOCK_EDGES))
+def test_tally_at_block_edges(monkeypatch, case, block):
+    # The tally counts each block as it is drawn and closes a span at its
+    # boundary inside a block; at the edges of blocks it must still give the
+    # per-span formulas and the kept levels' report, at a small block and
+    # at the shipped one.
+    if block is not None:
+        monkeypatch.setattr(channel, "SAMPLE_BLOCK", block)
+    block = channel.SAMPLE_BLOCK
+    rows, t, shares, uses, edge = BLOCK_EDGES[case]
+    stats = validate_stats(rows)
+    users = stats.num_users
+    subsets = message_subsets(users, t)
+    shares = np.asarray(shares(block) if callable(shares) else shares)
+    supply = min(float(stats.ccdf[k - 1] @ shares[:, j]) for j, s in enumerate(subsets) for k in s)
+    alloc = delivery_allocation(shares, 0.999 * math.comb(users, t) * supply, users, t)
+    num_uses = uses(block)
+    assert edge(span_starts(alloc, num_uses), block)
+    assert_matches_per_slice_and_kept(stats, alloc, num_uses, seed=len(case))
 
 
 def test_streamed_simulation_memory_does_not_grow_with_users():
-    # K = 8, n = 2**18: the K x n levels alone would take 8 bytes per use.
-    # Streamed, the tally holds one user's levels and one row of comparisons
-    # (2 bytes per use) and one block of uniforms.
-    users, num_uses = 8, 1 << 18
+    # K = 8: the K x n levels alone would take 8 bytes per use.  Streamed,
+    # the tally holds one block of uniforms (8 bytes a use) and one of hits
+    # (B = 3 bytes a use) and no array of n entries, so its peak is under
+    # 12 blocks' uses whatever n is: at n = 2**16 (one block), 2**18 and
+    # 2**20 alike, and under 3 bytes per use at n = 2**18.
+    users = 8
     stats = validate_stats([[0.9, 0.6, 0.2]] * users)
     subsets = message_subsets(users, 1)
     shares = np.full((3, len(subsets)), 1.0 / len(subsets))
     alloc = delivery_allocation(shares, 0.4, users, 1)
     simulate_delivery(stats, alloc, 100, seed=1)
-    tracemalloc.start()
-    try:
-        report = simulate_delivery(stats, alloc, num_uses, seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * num_uses, f"{peak / num_uses:.2f} bytes per use"
-    assert report.realization is None
+    peaks = {}
+    for num_uses in (1 << 16, 1 << 18, 1 << 20):
+        tracemalloc.start()
+        try:
+            report = simulate_delivery(stats, alloc, num_uses, seed=2)
+            peaks[num_uses] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.realization is None
+    per_block = {n: round(peak / SAMPLE_BLOCK, 2) for n, peak in peaks.items()}
+    assert all(peak < 12 * SAMPLE_BLOCK for peak in peaks.values()), f"bytes per use of one block: {per_block}"
+    assert peaks[1 << 18] < 3 * (1 << 18), f"{peaks[1 << 18] / (1 << 18):.2f} bytes per use"
 
 
 def test_std_error_matches_the_spread_over_seeds(mixed3):
