@@ -345,17 +345,20 @@ def test_trace_writer_memory_is_a_few_chunks():
 # min form, kept from cut to cut, whose optimal points are other vertices
 # than the max form's duals where the optimum is degenerate: the rate moves
 # in the last ulps, the shares and so the tallies more (see CHANGES.md);
-# and with std_error summing the covariances of a subset's overlapping
-# spans on different levels, which changed no other field.
+# with std_error summing the covariances of a subset's overlapping
+# spans on different levels, which changed no other field; and with the
+# cutting-plane master seeded by one cut per level, whose shares are
+# another optimal mix (the rate within 2 ulps, every message within 5
+# std_error of its analytic margin).
 SIMULATE_DIGESTS = {
     "nondegraded3": (
         5,
-        "d6e5c14bf92d70094fc0cf8d09672d965022e599824e929bdd35fdd350cc9ba6",
+        "ade7dce2580e4a5d504fd923336e1435dab6aad1a240936c784b563c5ad657ba",
         "dd8e90557d66e89bbe2cb4dd942e7e86049700cc61afd89bfd9fb375291fe1eb",
     ),
     "k6b5": (
         11,
-        "70287a1db72481080b845c86a61b353048fb00aaf0ceddb71134d06c49fd5da5",
+        "b04611aaa5970bfbbed791d95e9df5600d2fe27cd8fb56867e27be51ab31e1f6",
         "cc1f22b8c6ddd88ee0085d3710379e41b895246cb475da8eb660519b86125e67",
     ),
 }
@@ -391,11 +394,12 @@ def test_simulate_output_digests_are_frozen(capsys, tmp_path, name):
 # sorted-uniform K = 8, t = 3, B = 4 grid.  `upper` was frozen when the
 # per-ordering LPs dropped their implied decode rows (every table entry
 # within 3.5e-14 relative of the LPs with all of them, the same argmin_pi),
-# `achievable` when the subset LPs moved to their min form: a change to the
-# LP core must keep these bytes.
+# `achievable` when the cutting-plane master got its seed cuts (the value
+# within 7e-16 relative of the last one and of HiGHS, another optimal mix
+# of shares): a change to the LP core must keep these bytes.
 RATES_DIGESTS = {
     "upper": "14e5cb873b636ee66de5bc6e3c924c0e14bd598d61db740f202ce700c807b71d",
-    "achievable": "8867188f68921ed5079bf6139a421984299cc7e13a3935dc3444e19d8e426519",
+    "achievable": "69a7204f5376bb47f41418fe5e7a2a570fad6416f477124c4d29a85f182c714f",
 }
 
 
@@ -844,22 +848,33 @@ def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
     assert f"{label}: status unbounded (subset (1, 3), cut 2, gap " in capsys.readouterr().err
 
 
-def test_delivery_lp_master_failure_names_the_cut(capsys, monkeypatch):
+def master_failure_message(capsys, monkeypatch, failing):
+    """stderr of `rates achievable` on NONDEGRADED when its master solve number failing fails."""
     solve = LpStack.solve
     calls = []
 
-    def failing_at_cut_3(stack, c):
+    def failing_at_call(stack, c):
         if not is_master_solve(c):
             return solve(stack, c)
         calls.append(None)
-        if len(calls) == 3:
+        if len(calls) == failing:
             return [NumericalFailure("simplex did not converge in 100000 iterations")]
         return solve(stack, c)
 
-    monkeypatch.setattr(LpStack, "solve", failing_at_cut_3)
+    monkeypatch.setattr(LpStack, "solve", failing_at_call)
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
-    err = capsys.readouterr().err
-    assert "delivery LP (K=3, t=1, B=3): simplex did not converge in 100000 iterations (master LP, cut 3, gap " in err
+    return capsys.readouterr().err
+
+
+def test_delivery_lp_master_failure_names_the_cut(capsys, monkeypatch):
+    # The first master solve is the seed master's, the third cut 2's.
+    err = master_failure_message(capsys, monkeypatch, 3)
+    assert "delivery LP (K=3, t=1, B=3): simplex did not converge in 100000 iterations (master LP, cut 2, gap " in err
+
+
+def test_delivery_lp_seed_master_failure_names_its_step(capsys, monkeypatch):
+    err = master_failure_message(capsys, monkeypatch, 1)
+    assert "delivery LP (K=3, t=1, B=3): simplex did not converge in 100000 iterations (master LP, seed cuts)" in err
 
 
 def test_delivery_lp_cut_cap_and_recheck_fail_loudly(capsys, monkeypatch):

@@ -653,7 +653,7 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
     for lam in prices:
         costs.append(lam)
         stack.solve(lam)
-    assert len(prices) == 26 and len(checked) - before > len(prices)
+    assert len(prices) == 21 and len(checked) - before > len(prices)
 
 
 def cut_prices(monkeypatch, grid, t):

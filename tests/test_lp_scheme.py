@@ -364,12 +364,17 @@ def subset_solves(monkeypatch, grid, t):
 
 # Lockstep pivots of the kept stack, summed over the cuts: the largest
 # pivot count of each cut's stack.  Solved cold, each from the slack
-# basis in the max form at the same lambda, the ladder LPs take 70, 86,
-# 97, 90, 85, 131 and 180.
+# basis in the max form at the same lambda, the ladder LPs take 57, 86,
+# 69, 72, 72, 105 and 166.
 WARM_LOCKSTEP_PIVOTS = {
-    "K7-t2": 33, "K7-t3": 42, "K8-t2": 41, "K8-t3": 32, "K8-t4": 41, "K9-t3": 57, "K9-t4": 80,
-    "K6-t2-B5-seed27": 39, "K6-t2-B5-seed208": 78, "K8-t3-B4-stall": 54, "K8-t3-B4-chain": 14,
+    "K7-t2": 24, "K7-t3": 44, "K8-t2": 28, "K8-t3": 23, "K8-t4": 27, "K9-t3": 40, "K9-t4": 53,
+    "K6-t2-B5-seed27": 21, "K6-t2-B5-seed208": 59, "K8-t3-B4-stall": 36, "K8-t3-B4-chain": 10,
 }
+
+
+def seeded_levels(member_ccdf):
+    """The levels that get a seed cut: every subset's weakest member receives them."""
+    return (member_ccdf.min(axis=1) > 0.0).all(axis=0)
 
 
 @pytest.mark.parametrize(
@@ -379,7 +384,9 @@ def test_kept_subset_stack_matches_cold_solves(monkeypatch, name, grid, t):
     # At every cut, each subset LP repriced at the cut's lambda and resumed
     # from the last cut's basis has the value c_S(lambda) of solve_lps on
     # the max form from the slack basis, to 1e-12 relative, and its u_S
-    # meets S's rows.  The crash basis is optimal at the first lambda.
+    # meets S's rows.  The first lambda comes from the seed cuts, at which
+    # the crash basis is no longer optimal, and no cut's lambda leaves a
+    # seeded level free.
     member_ccdf = validate_stats(grid).ccdf[np.array(message_subsets(grid.shape[0], t)) - 1]
     solves = subset_solves(monkeypatch, grid, t)
     lockstep = 0
@@ -389,8 +396,9 @@ def test_kept_subset_stack_matches_cold_solves(monkeypatch, name, grid, t):
         assert (np.abs(warm.value + cold.value) <= 1e-12 * np.abs(cold.value)).all()
         assert (np.matmul(member_ccdf, warm.x[:, :, None]) >= 1.0 - FEAS_TOL).all()
         lockstep += int(warm.pivots.max())
-    assert not solves[0][1].pivots.any()
-    assert any((lam == 0.0).any() for lam, _ in solves)  # some lambda has zero entries
+    assert solves[0][1].pivots.any()
+    seeded = seeded_levels(member_ccdf)
+    assert seeded[0] and all((lam[seeded] > 0.0).all() for lam, _ in solves)
     assert lockstep == WARM_LOCKSTEP_PIVOTS[name]
 
 
@@ -399,9 +407,9 @@ def test_kept_subset_stack_matches_cold_solves(monkeypatch, name, grid, t):
 
 @pytest.mark.parametrize("index, name", [(0, "K7-t2"), (6, "K9-t4")], ids=["K7-t2", "K9-t4"])
 def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch, index, name):
-    # Every cut's master of ladder LP `index` (15 and 26 cuts), resumed
-    # from the last basis, against solve_lp of the same packing LP from
-    # the slack basis.
+    # Every master of ladder LP `index` (11 and 21 cuts), the seed master
+    # first, resumed from the last basis, against solve_lp of the same
+    # packing LP from the slack basis.  All four levels get a seed.
     add_column, solve = LpStack.add_column, LpStack.solve
     columns, masters = [], []
 
@@ -412,7 +420,7 @@ def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch, index, n
     def recording_solve(stack, c):
         outcomes = solve(stack, c)
         if is_master_solve(c):
-            masters.append(outcomes[0])
+            masters.append((np.array(c), outcomes[0]))
         return outcomes
 
     grid_name, grid, t = ladder_grids()[index]
@@ -421,24 +429,102 @@ def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch, index, n
         patch.setattr(LpStack, "add_column", recording_column)
         patch.setattr(LpStack, "solve", recording_solve)
         alloc = achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0]))
-    assert len(masters) == len(columns) == alloc.iterations > 1
+    # The last cut repeats one already in the master, so it ends the loop
+    # without a master of its own.
+    assert len(masters) == alloc.iterations > 1
+    assert len(columns) == 3 + alloc.iterations and np.array_equal(columns[:4], np.eye(4))
+    assert masters[0][0].size == 4 and (masters[-1][0][4:] == -1.0).all()
     cold_pivots = 0
-    for count, warm in enumerate(masters, start=1):
-        g = np.array(columns[:count])
-        cold = solve_lp(-np.ones(count), g.T, np.ones(4))
+    for costs, warm in masters:
+        g = np.array(columns[: costs.size])
+        cold = solve_lp(costs, g.T, np.ones(4))
         assert abs(warm.value - cold.value) <= 1e-12 * abs(cold.value)
         assert warm.primal_residual <= FEAS_TOL and warm.dual_residual <= FEAS_TOL
         assert warm.duality_gap <= FEAS_TOL * (1.0 + abs(warm.value))
         cold_pivots += cold.pivots
-    assert 5 * sum(warm.pivots for warm in masters) <= cold_pivots
+    assert 5 * sum(warm.pivots for _, warm in masters) <= cold_pivots
 
 
 @pytest.mark.parametrize(
     "grid, t, cuts",
-    [pytest.param(grid, t, cuts, id=name) for (name, grid, t), cuts in zip(ladder_grids(), (15, 17, 20, 13, 15, 20, 26))],
+    [pytest.param(grid, t, cuts, id=name) for (name, grid, t), cuts in zip(ladder_grids(), (11, 15, 13, 9, 11, 15, 21))],
 )
 def test_ladder_cut_counts_are_pinned(grid, t, cuts):
     assert achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0])).iterations == cuts
+
+
+# --- the seed cuts ----------------------------------------------------------------
+
+
+def seed_master_columns(monkeypatch, stats, mu):
+    """The columns the master holds at its first solve, and the allocation."""
+    add_column, solve = LpStack.add_column, LpStack.solve
+    columns, seeds = [], []
+
+    def recording_column(master, column):
+        columns.append(np.array(column))
+        add_column(master, column)
+
+    def recording_solve(stack, c):
+        if is_master_solve(c) and not seeds:
+            seeds.extend(columns)
+        return solve(stack, c)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LpStack, "add_column", recording_column)
+        patch.setattr(LpStack, "solve", recording_solve)
+        alloc = achievable_rate_lp(stats, mu)
+    return seeds, alloc
+
+
+def test_level_lost_to_one_user_gets_no_seed(monkeypatch):
+    # User 2 receives nothing beyond level 1, so every subset holding user 2
+    # has a weakest member at 0 on levels 2-4: only level 1 gets a seed.
+    grid = sorted_uniform_ccdf(np.random.default_rng(3011), 5, 4)
+    grid[1, 1:] = 0.0
+    stats = validate_stats(grid)
+    for t in (1, 2):
+        seeds, alloc = seed_master_columns(monkeypatch, stats, Fraction(t, 5))
+        assert len(seeds) == 1 and seeds[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert alloc.rate == assert_matches_dense(stats, t).rate
+
+
+def test_subnormal_level_gets_no_seed(monkeypatch):
+    # 1/w overflows on a level of subnormal entries, so G_l is not finite
+    # and the level gets no seed; the LP still solves (without a warning).
+    grid = np.array([[0.9, 0.5, 1e-310], [0.8, 0.4, 1e-310], [0.7, 0.3, 1e-310]])
+    stats = validate_stats(grid)
+    seeds, alloc = seed_master_columns(monkeypatch, stats, THIRD)
+    assert [seed.tolist() for seed in seeds] == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    assert alloc.rate == assert_matches_dense(stats, 1).rate
+
+
+def tiny_tail_grids():
+    """K = 6, B = 4 sorted-uniform grids where about half the users hold 1e-12
+    and 1e-15 on levels 3 and 4."""
+    rng = np.random.default_rng(600)
+    for _ in range(20):
+        grid = sorted_uniform_ccdf(rng, 6, 4)
+        tiny = rng.random(6) < 0.5
+        grid[tiny, 2], grid[tiny, 3] = 1e-12, 1e-15
+        yield grid
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_tiny_tail_levels_match_highs(monkeypatch, t):
+    # A seed on such a level costs -1/G_l of about -1e-15.  Entered as the
+    # cut G_l e_l at cost -1 instead, the master's column held entries of
+    # about 1e15 and 36 of these 60 allocations failed their recheck.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for grid in tiny_tail_grids():
+        stats = validate_stats(grid)
+        seeds, alloc = seed_master_columns(monkeypatch, stats, Fraction(t, 6))
+        built = build_delivery_lp(stats, t)
+        reference = linprog(built.c, A_ub=built.a_ub, b_ub=built.b_ub, method="highs")
+        assert reference.status == 0
+        assert abs(alloc.rate + reference.fun) <= 1e-9
+        assert check_allocation(stats, alloc).feasible
+        assert len(seeds) == 4  # the tiny levels get seeds too
 
 
 @pytest.mark.parametrize("name", ["K8-t3-B4-stall", "K7-t3", "K8-t2"])
@@ -462,7 +548,8 @@ def test_loop_ends_at_the_optimum_without_a_cut_tolerance(monkeypatch, name):
 def test_unchanged_prices_end_the_loop(monkeypatch):
     # A master that hands back its last solution leaves lambda as it was,
     # so the next cut would repeat this one: the loop stops there and
-    # reports the gap it has.
+    # reports the gap it has.  The seed master and those of cuts 1 and 2
+    # solve; cut 3's hands back cut 2's solution.
     solve = LpStack.solve
     solutions = []
 
@@ -477,5 +564,5 @@ def test_unchanged_prices_end_the_loop(monkeypatch):
     name, grid, t = ladder_grids()[0]
     stats = validate_stats(grid)
     alloc = achievable_rate_lp(stats, Fraction(t, 7))
-    assert alloc.iterations == 4 and alloc.gap > 1e-6
+    assert alloc.iterations == 3 and alloc.gap > 1e-6
     assert check_allocation(stats, alloc).feasible
