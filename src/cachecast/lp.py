@@ -4,13 +4,24 @@ Problems are stated as arrays c, a_ub and b_ub, meaning
 
     minimize c.x  subject to  a_ub.x <= b_ub,  x >= 0,  with b_ub >= 0.
 
-x = 0 is then feasible, so the simplex starts from the slack basis and
-needs no phase 1; solve_lps rejects a negative b_ub entry.  The delivery
-LP's master and its dense form, the chain LP and the per-ordering LP of
-the upper bound (which keeps its normalisation in a budget row, see
-upper_bound) have this form.  The delivery LP's subset LPs are covering
-LPs, a.x >= 1, held as -a.x <= -1 and started from one crash pivot
-rather than from x = 0 (LpStack.covering, below).
+x = 0 is then feasible, so the simplex can start from the slack basis and
+needs no phase 1; solve_lps rejects a negative b_ub entry there.  The
+delivery LP's master and its dense form, the chain LP and the
+per-ordering LP of the upper bound (which keeps its normalisation in a
+budget row, see upper_bound) have this form.
+
+A stack can instead start at a vertex its caller knows in closed form, a
+crash basis (LpStack.crashed; Bixby, "Implementing the simplex method: the
+initial basis", ORSA J. Computing 4(3), 1992).  The caller names the
+pivots that reach it, each LP's row and entering slot per step, skipping
+some LPs in a step if it likes, and the vertex's value at every label.
+The pivots run through _pivot like any other, and the rhs is then written
+as the vertex's values at the basis, so a slack that is 0 there is
+exactly 0, where the pivots' rounding can leave -1.1e-16.  The upper
+bound starts each per-ordering LP at its equal-weight vertex
+(upper_bound), and the delivery LP's subset LPs, covering LPs a.x >= 1
+held as -a.x <= -1, whose x = 0 is infeasible, start from one crash pivot
+(LpStack.covering, below).
 
 solve_lp runs the primal simplex on a condensed (Tucker) tableau: the
 variables are labelled 0..n-1 (the columns of a_ub) and n..n+m-1 (the
@@ -81,13 +92,14 @@ the duals and the certificate are the same whether an LP is solved
 alone or in a stack.
 
 An LpStack keeps a stack's tableau, basis and labels from one solve to
-the next, so every LP here is solved by one.  Neither new costs nor a
-new column make a kept basis infeasible: solve(c) prices the cost row
-afresh at the kept basis and resumes the simplex from there, and
-add_column enters a column as Binv.a and pivots it in by the same ratio
-test.  The delivery LP keeps two: the cutting-plane master, a column per
-cut, and the subset LPs, repriced at every cut.  solve_lps solves a
-fresh stack once.  Each solve carries the same certificate (_finish), and
+the next, so every LP here is solved by one, from the slack basis or from
+a crash.  Neither new costs nor a new column make a kept basis
+infeasible: solve(c) prices the cost row afresh at the kept basis and
+resumes the simplex from there, and add_column enters a column as Binv.a
+and pivots it in by the same ratio test.  The delivery LP keeps two: the
+cutting-plane master, a column per cut, and the subset LPs, repriced at
+every cut.  solve_lps solves a fresh stack once, from x = 0 or from a
+given crash.  Each solve carries the same certificate (_finish), and
 require_optimal is the one rule that every LP here must come back optimal.
 """
 
@@ -205,8 +217,8 @@ def _pivot(
     nonbasic.
 
     Precondition: every entry is finite and none is -0.0, and every pivot
-    is nonzero (the ratio test takes only entries above PIVOT_TOL; the
-    crash pivot of LpStack.covering is negative).  Then the update gives
+    is nonzero (the ratio test takes only entries above PIVOT_TOL; a crash
+    pivot of LpStack.crashed may be negative).  Then the update gives
     the bytes of a row-by-row loop that skips the rows with f_r == 0, since
     x - (+-0.0) == x for every x but -0.0.  And the pivot keeps the
     precondition.  A difference x - y is -0.0 only where x is -0.0 and y
@@ -416,14 +428,17 @@ def _finish(
     return StackSolution(status, x, value, y, pivots, primal, dual, gap)
 
 
-def solve_lps(c, a_ub, b_ub) -> StackSolution:
+def solve_lps(c, a_ub, b_ub, start=None) -> StackSolution:
     """solve_lp on every LP of one stack, in lockstep; a NumericalFailure is returned, not raised.
 
     a_ub has shape (L, m, n); c is (L, n) or one (n,) row for every LP, b_ub
-    (L, m) or one (m,) row.  Any other shape raises LengthMismatch, and a
-    negative b_ub entry raises OutOfRange before any LP is solved.  Every
-    outcome is bit for bit the one solve_lp gives on that LP alone, and one
-    LP's failure leaves the others unchanged.
+    (L, m) or one (m,) row.  Any other shape raises LengthMismatch.  The
+    stack starts at x = 0, so a negative b_ub entry raises OutOfRange
+    before any LP is solved; or, where start (steps, point) is given, at
+    the vertex LpStack.crashed reaches by those steps, whose own checks
+    then apply.  Every outcome is bit for bit the one the stack of that LP
+    alone gives (solve_lp, without a start), and one LP's failure leaves
+    the others unchanged.
     """
     c, a_ub, b_ub = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
     shape = a_ub.shape  # (L, m, n)
@@ -431,6 +446,8 @@ def solve_lps(c, a_ub, b_ub) -> StackSolution:
         raise LengthMismatch(
             f"need a_ub (L, m, n), c (L, n) or (n,), b_ub (L, m) or (m,); got {shape}, {c.shape}, {b_ub.shape}"
         )
+    if start is not None:
+        return LpStack.crashed(a_ub, b_ub, *start).solve(c)
     _check_rhs(np.broadcast_to(b_ub, shape[:2]))
     return LpStack(a_ub, b_ub).solve(c)
 
@@ -470,9 +487,10 @@ class LpStack:
     a_ub is (L, m, n) and b_ub (L, m) or one (m,) row for every LP; they
     stay the original rows every solve is certified against.  The stack
     starts at the slack basis, feasible where b_ub >= 0 (solve_lps checks
-    that), and keeps its tableau, basis and labels: neither the costs nor
-    a new column enter the old rows, so the basis a solve leaves is still
-    primal feasible at the next costs and after add_column.  The tableau
+    that), or at a crash basis (crashed), and keeps its tableau, basis and
+    labels: neither the costs nor a new column enter the old rows, so the
+    basis a solve leaves is still primal feasible at the next costs and
+    after add_column.  The tableau
     takes +0.0 added to every entry, which turns -0.0 into +0.0 and keeps
     every other value's bytes, as _pivot's precondition asks.  Its cost
     row holds 0 until the first solve prices it.
@@ -491,31 +509,63 @@ class LpStack:
         self._entered = np.zeros(size, dtype=int)  # per LP: columns pivoted in since the last solve
 
     @classmethod
+    def crashed(cls, a_ub, b_ub, steps, point) -> LpStack:
+        """The stack of LPs a_ub.x <= b_ub, x >= 0 (as in LpStack), started at a
+        vertex by crash pivots instead of at the slack basis.
+
+        steps is a sequence of lockstep pivots (rows, slots, skip), each of
+        (L,) arrays: the variable in nonbasic slot slots[i] of LP i enters
+        at row rows[i], except where skip[i] is true (skip may be None).
+        From the slack basis, slot j holds variable j until it enters.  Each
+        pivot must be nonzero; a negative one is fine, since _pivot leaves
+        no -0.0 either way.  point (L, n+m) holds every label's value at the
+        vertex the steps reach (0 at every nonbasic label), from a closed
+        form: the rhs is written as point[basis], not taken from the pivots'
+        updates, whose rounding can leave a slack that is exactly 0 at the
+        vertex at -1.1e-16, with +0.0 added as to every tableau entry.  So
+        the vertex must be feasible, point >= 0: a negative entry raises
+        OutOfRange, and a point of another shape LengthMismatch, before any
+        pivot.  The crash pivots count in no solve's pivots.
+        """
+        stack = cls(a_ub, b_ub)
+        size, m, n = stack._a.shape
+        point = np.asarray(point, dtype=float)
+        if point.shape != (size, n + m):
+            raise LengthMismatch(f"need point ({size}, {n + m}), got shape {point.shape}")
+        if (point < 0.0).any():
+            lp, label = np.argwhere(point < 0.0)[0].tolist()
+            raise OutOfRange(f"LP {lp}: point[{label}] = {float(point[lp, label])!r} < 0; the start must be feasible")
+        lps = np.arange(size)
+        for rows, slots, skip in steps:
+            skip = None if skip is None or not skip.any() else skip
+            _pivot(stack._tableau, stack._basis, stack._nonbasic, rows, slots, lps, skip)
+        np.add(point.take(stack._basis + lps[:, None] * (n + m)), 0.0, out=stack._tableau[:, :m, n])
+        return stack
+
+    @classmethod
     def covering(cls, a) -> LpStack:
         """The stack of LPs min c.x s.t. a.x >= 1, x >= 0, started from one crash pivot each.
 
         a (L, m, n) must have a positive first column.  The LPs are held as
         -a.x <= -1, whose slack basis x = 0 is infeasible; instead column 0
-        enters each LP at the row r with the smallest a[r, 0].  The crashed
-        rhs is 1/a[r, 0] in row r and (a[k, 0] - a[r, 0]) / a[r, 0] >= 0 in
-        every other row k, written in that form so that a tie gives exactly
-        0, where the pivot's own update gives -1 + a[k, 0] * (1/a[r, 0]),
-        which is -1.1e-16 at a[k, 0] = a[r, 0] = 0.09.  The crash pivot's
-        divisor -a[r, 0] is negative, which _pivot allows: its update leaves
-        no -0.0 either way.
+        enters each LP at the row r with the smallest a[r, 0] (crashed).
+        At that vertex x_0 = 1/a[r, 0], and row k's slack is
+        (a[k, 0] - a[r, 0]) / a[r, 0] >= 0, written in that form so that a
+        tie gives exactly 0, where the pivot's own update gives
+        -1 + a[k, 0] * (1/a[r, 0]), which is -1.1e-16 at
+        a[k, 0] = a[r, 0] = 0.09.
         """
         a = np.asarray(a, dtype=float)
         size, m, n = a.shape
         first = a[:, :, 0]
         if not (first > 0.0).all():
             raise OutOfRange("every entry of the first column must be positive")
-        stack = cls(-a, np.full(m, -1.0))
-        tableau, lps, rows = stack._tableau, np.arange(size), first.argmin(axis=1)
-        _pivot(tableau, stack._basis, stack._nonbasic, rows, np.zeros(size, dtype=int), lps)
+        lps, rows = np.arange(size), first.argmin(axis=1)
         least = first[lps, rows][:, None]
-        tableau[:, :m, n] = (first - least) / least
-        tableau[lps, rows, n] = 1.0 / least[:, 0]
-        return stack
+        point = np.zeros((size, n + m))
+        point[:, 0] = 1.0 / least[:, 0]
+        point[:, n:] = (first - least) / least
+        return cls.crashed(-a, np.full(m, -1.0), [(rows, np.zeros(size, dtype=int), None)], point)
 
     def add_column(self, column) -> None:
         """Append column (m,) to every LP and pivot it in, whatever its reduced cost.

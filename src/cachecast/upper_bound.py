@@ -24,7 +24,7 @@ Every row is homogeneous, so the ratio can be normalised on either side
 
     minimize -sum_k sigma_k   s.t. the rows above,  sum_l theta_l <= 1,
 
-whose rhs is nonnegative, so it starts feasible at x = 0; the ordering's
+whose rhs is nonnegative, so it is feasible at x = 0; the ordering's
 value is -1 / (its optimum).  sigma_k is pinned to zero wherever its
 coverage factor is exactly one.  Coverage only grows along an ordering, so
 the pinned positions form a suffix: the first p(pi) leading slices (the
@@ -57,6 +57,36 @@ is unbounded exactly when the first user's CCDF row is all zero:
 sigma_1 then grows with every theta at 0, and the ordering's value is 0
 with all weight on that user.
 
+upper_bound_rate starts each LP at its equal-weight vertex, not at x = 0
+(a crash basis: Bixby, "Implementing the simplex method: the initial
+basis", ORSA J. Computing 4(3), 1992).  It is the bound at w = 1:
+sigma_k = gap_k w and theta_l = w max_l, where max_l is level l's
+largest entry on the prefix and w = 1 / sum_l max_l fills the budget row.
+Every row holds there, the chain rows and the budget row with equality.
+It is a vertex, reached by B + p crash pivots (lp.LpStack.crashed,
+_equal_weight_vertex): theta_l enters at its level's last record row,
+which holds max_l and so is tight; sigma_j at chain row j for j < p;
+sigma_p at the budget row.  Those B + p tight rows fix the point (the
+chain rows equalise the w_k, the last record rows fix each theta_l, the
+budget row w), so every pivot is nonzero.  A level whose max_l is 0 keeps
+theta_l nonbasic at 0 instead, and an LP whose maxima sum to a
+subnormal, where w overflows, keeps x = 0.  The rhs is written in closed
+form, unclamped: sigma and theta as above, each other record row's slack
+gap_k w (max_l - c_kl) >= 0, exactly 0 on a tie, and 0 in the padding
+rows.  An LP with one live user starts at its optimum, even where its
+entries all lie below PIVOT_TOL and the start at x = 0 reads a ray (a
+first user with CCDF entries of 1e-200).  From the vertex a benchmark
+round of six K = 6 scenarios (bound-k6) takes 4213 simplex pivots
+instead of 12,955 from x = 0, and 51 lockstep iterations instead of 135;
+every value agrees with x = 0's to 1.3e-13 relative.  Where an LP has more than one optimal vertex the two starts
+can end at different ones, and so give other omega_star weights.  A
+padded LP (below) reaches its vertex by the same pivots on the same rows
+as it does alone.  Then LpStack.solve prices the cost row with one BLAS
+product over the rows, whose last bits can depend on where the padding
+puts the chain rows; that can change a pivot only where a reduced cost
+lies within that rounding of -FEAS_TOL, and the tests find every value
+and x of a stack equal, byte for byte, to the LP's solved alone.
+
 An ordering's LP is fixed by three things: its live count p, the user at
 each live position that holds a record row (a record-bearing position),
 and its gap row gap_1..p.  A user with no record row leaves the running
@@ -67,8 +97,12 @@ keys each ordering by one exact integer: p, then for each position the
 user if it bears a record on the live prefix (0 if not) and the rank of
 its gap among the distinct gaps.  The gaps are ranked once over the 2^K
 mask table, not over the K! x K gap array, and the key needs no hash:
-equal keys are byte-identical LPs.  (The converse can fail: two users
-with equal CCDF rows give the same LP under two keys, solved twice.)
+equal keys are byte-identical LPs.  Users with equal CCDF rows (twins)
+give the same LP wherever they swap, so the key names a record-bearing
+user by its first twin: on the ROADMAP item 1 grid with user 2's row set
+to user 1's, 56 LPs at mu = 0, 1/6 and 2/6, where naming the users
+themselves solved 112, 112 and 92.  (Two users whose rows differ only
+where neither holds a record can still give one LP under two keys.)
 Each distinct key is solved once.  At the central placement the gaps
 depend only on the position, so a live prefix whose later users are
 records nowhere shares its LP with every reordering of them: on a
@@ -105,7 +139,7 @@ import numpy as np
 from .caching import CachingTuple
 from .channel import ChannelStats, check_weights
 from .errors import LengthMismatch, OutOfRange, TooManyUsers, ZeroDenominator
-from .lp import FEAS_TOL, OPTIMAL, require_optimal, solve_lps
+from .lp import FEAS_TOL, OPTIMAL, StackSolution, require_optimal, solve_lps
 
 MAX_BOUND_USERS = 8
 # Tableau entries per lockstep stack: 172 per-ordering LPs of live count 5
@@ -239,6 +273,57 @@ def _permutation_lps(
     return c, a_ub, b_ub
 
 
+def _equal_weight_vertex(
+    ccdf: np.ndarray, kept: np.ndarray, gaps: np.ndarray, rows: int
+) -> tuple[list, np.ndarray]:
+    """The equal-weight vertex of a stack of live-prefix LPs of `rows` rows
+    each (_permutation_lps), as lp.LpStack.crashed takes it: the pivot
+    steps and every label's value.
+
+    With max_l each level's largest entry on the prefix and
+    w = 1 / sum_l max_l, the vertex is sigma_k = gap_k w, theta_l = w max_l.
+    theta_l enters at its level's last record row, which holds max_l (a
+    level whose max_l is 0 keeps theta_l nonbasic at 0); sigma_j enters at
+    chain row j for j < p, and sigma_p at the budget row.  Each other
+    record row (k, l) keeps its slack, gap_k w (max_l - c_kl) >= 0, exactly
+    0 on a tie; the padding rows' slacks are 0.  An LP whose maxima sum to
+    a subnormal, where w overflows, skips every step and keeps x = 0.
+    """
+    size, p, B = ccdf.shape
+    n = p + B
+    top = ccdf.max(axis=1)
+    with np.errstate(over="ignore"):
+        w = 1.0 / top.sum(axis=1)
+    far = np.isinf(w)  # the maxima sum to a subnormal: no such vertex in floats
+    w[far] = 0.0
+    kept = kept.reshape(size, p * B)
+    place = np.full(kept.shape, -1)
+    place[kept] = np.cumsum(kept, axis=1)[kept] - 1  # each record row's row in its LP
+    last = place.reshape(size, p, B).max(axis=1)
+    steps = [(last[:, l], np.full(size, p + l), (top[:, l] == 0.0) | far) for l in range(B)]
+    steps += [(np.full(size, rows - p + j), np.full(size, j), far) for j in range(p - 1)]
+    steps.append((np.full(size, rows - 1), np.full(size, p - 1), far))
+    point = np.zeros((size, n + rows))
+    sigma = point[:, :p] = gaps * w[:, None]
+    point[:, p:n] = w[:, None] * top
+    slack = sigma[:, :, None] * (top[:, None, :] - ccdf)
+    point[np.nonzero(kept)[0], n + place[kept]] = slack.reshape(size, p * B)[kept]
+    point[far, -1] = 1.0  # x = 0: the budget row's slack holds its rhs
+    return steps, point
+
+
+def _prefix(
+    stats: ChannelStats, tup: CachingTuple, pi: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An ordering's live prefix as a stack of one: its CCDF rows, record mask and gaps."""
+    users = np.array([_check_permutation(stats.num_users, pi)]) - 1
+    masks, gap_of, live = _live_prefixes(stats, tup, users + 1)
+    p = int(live[0])
+    users, masks = users[:, :p], masks[:, :p]
+    ccdf = stats.ccdf[users]
+    return ccdf, _records(ccdf, _level_maxima(stats.ccdf), masks ^ (1 << users)), gap_of[masks]
+
+
 def build_permutation_lp(
     stats: ChannelStats, tup: CachingTuple, pi: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,14 +333,15 @@ def build_permutation_lp(
     all-zero rows are left out.  Its optimum is -sum(sigma); the ordering's
     bound value is -1 / optimum.
     """
-    users = np.array([_check_permutation(stats.num_users, pi)]) - 1
-    masks, gap_of, live = _live_prefixes(stats, tup, users + 1)
-    p = int(live[0])
-    users, masks = users[:, :p], masks[:, :p]
-    ccdf = stats.ccdf[users]
-    kept = _records(ccdf, _level_maxima(stats.ccdf), masks ^ (1 << users))
-    c, a_ub, b_ub = _permutation_lps(ccdf, kept, gap_of[masks])
+    c, a_ub, b_ub = _permutation_lps(*_prefix(stats, tup, pi))
     return c, a_ub[0], b_ub
+
+
+def _solve_from_vertex(ccdf: np.ndarray, kept: np.ndarray, gaps: np.ndarray) -> StackSolution:
+    """The stack of live-prefix LPs of (L, p, B) CCDF rows, their record mask
+    and (L, p) gaps (_permutation_lps), each solved from its equal-weight vertex."""
+    c, a_ub, b_ub = _permutation_lps(ccdf, kept, gaps)
+    return solve_lps(c, a_ub, b_ub, _equal_weight_vertex(ccdf, kept, gaps, a_ub.shape[1]))
 
 
 def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -293,13 +379,17 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     before = masks[head] ^ (1 << (every[head] - 1))  # the users ahead of each position
     top = _level_maxima(stats.ccdf)
     # Each ordering's LP is keyed by its live count, then per position the
-    # user if it holds a record on the live prefix (0 if not) and the rank
-    # of its gap among the distinct gaps (module docstring).  above[m, k-1]:
-    # user k holds a record behind the users of mask m.
+    # user if it holds a record on the live prefix (0 if not), named by the
+    # first user with the same CCDF row, and the rank of its gap among the
+    # distinct gaps (module docstring).  above[m, k-1]: user k holds a
+    # record behind the users of mask m.
     above = _records(stats.ccdf, top, np.arange(1 << K)[:, None]).any(axis=2)
     bearing = above[before, every[head] - 1] & (np.arange(before.shape[1]) < live[:, None])
+    _, twin, row_of = np.unique(stats.ccdf, axis=0, return_index=True, return_inverse=True)
+    named = twin[row_of.ravel()] + 1  # user k's first twin
     _, gap_rank = np.unique(gap_of, return_inverse=True)
-    first, inverse = _distinct_rows([live, *np.where(bearing, every[head], 0).T, *gap_rank[masks[head]].T])
+    users = np.where(bearing, named[every[head] - 1], 0)
+    first, inverse = _distinct_rows([live, *users.T, *gap_rank[masks[head]].T])
     live_of = live[first]
     # A fully covered first user pins every sigma (p = 0): such an ordering
     # admits no weight vector and contributes an infinite bound.  A first
@@ -321,7 +411,7 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
             part = slice(start, start + stack_size(int(records[start]) + p, p + B))
             lps, start = group[part], part.stop
             rows = first[lps]
-            stack = solve_lps(*_permutation_lps(ccdf[part], kept[part], gap_of[masks[rows, :p]]))
+            stack = _solve_from_vertex(ccdf[part], kept[part], gap_of[masks[rows, :p]])
             if stack.status.count(OPTIMAL) < rows.size:
                 for row, outcome in zip(rows.tolist(), stack):
                     require_optimal(outcome, f"ordering {orderings[row]} (K={K}, B={B}, mu={tup.mu})")

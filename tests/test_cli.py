@@ -392,13 +392,15 @@ def test_simulate_output_digests_are_frozen(capsys, tmp_path, name):
 # SHA-256 of `rates upper --json` on the ROADMAP item 1 grid (all 720
 # orderings in `table`) and of `rates achievable --json` on a seeded
 # sorted-uniform K = 8, t = 3, B = 4 grid.  `upper` was frozen when the
-# per-ordering LPs dropped their implied decode rows (every table entry
-# within 3.5e-14 relative of the LPs with all of them, the same argmin_pi),
-# `achievable` when the cutting-plane master got its seed cuts (the value
-# within 7e-16 relative of the last one and of HiGHS, another optimal mix
-# of shares): a change to the LP core must keep these bytes.
+# per-ordering LPs started at their equal-weight vertex (every table entry
+# within 2.3e-14 relative of the same LPs solved from x = 0 and within
+# 5e-16 of HiGHS, the same value, argmin_pi and uniqueness, omega_star
+# within 1e-15), `achievable` when the cutting-plane master got its seed
+# cuts (the value within 7e-16 relative of the last one and of HiGHS,
+# another optimal mix of shares): a change to the LP core must keep these
+# bytes.
 RATES_DIGESTS = {
-    "upper": "14e5cb873b636ee66de5bc6e3c924c0e14bd598d61db740f202ce700c807b71d",
+    "upper": "ff3c88af727cca40b4111f929c76061de7d5d65572b140710d0aea5adb1e26f9",
     "achievable": "69a7204f5376bb47f41418fe5e7a2a570fad6416f477124c4d29a85f182c714f",
 }
 
@@ -776,8 +778,8 @@ def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
 
     solve_lps = upper_bound.solve_lps
 
-    def one_unbounded(c, a_ub, b_ub):
-        outcomes = solve_lps(c, a_ub, b_ub)
+    def one_unbounded(c, a_ub, b_ub, start):
+        outcomes = solve_lps(c, a_ub, b_ub, start)
         for i in np.flatnonzero(stack_hits(c, a_ub, target)).tolist():
             outcomes.status[i] = UNBOUNDED
         return outcomes
@@ -889,6 +891,24 @@ def test_delivery_lp_cut_cap_and_recheck_fail_loudly(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "delivery LP (K=3, t=1, B=3): allocation fails its recheck (largest violation " in err
     assert re.search(r"\(cut \d+, gap [-+.e\d]+\)", err)
+
+
+def test_parser_is_built_once_and_outlives_a_failed_parse(capsys):
+    # main parses with one parser per process.  A call whose arguments
+    # fail to parse exits 2 (argparse's SystemExit) and leaves that parser
+    # as it was: the next call in the same process parses as a freshly
+    # built parser does, and runs.
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    for bad in (["rates", "upper", NONDEGRADED, "--no-such-flag"], ["rates"], ["sweep", DEGRADED]):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(bad)
+        assert exited.value.code == 2
+        assert "error: " in capsys.readouterr().err
+    argv = ["rates", "upper", NONDEGRADED, "--table", "--json"]
+    assert vars(parser.parse_args(argv)) == vars(cli.build_parser.__wrapped__().parse_args(argv))
+    assert cli.build_parser() is parser
+    assert abs(run_json(capsys, argv)["value"] - MIXED3_BOUND) <= 1e-9
 
 
 # --- console-script entry point ----------------------------------------------------

@@ -426,6 +426,74 @@ def test_covering_stack_input_checks():
         lp.LpStack.covering(a)
 
 
+# --- crash starts ------------------------------------------------------------------
+
+
+def crash_example():
+    """min -x1 - x2 s.t. x1 <= 1, x2 <= 2, x1 + x2 <= 4, twice, and a crash
+    that enters x1 at row 0 in both LPs and x2 at row 1 in LP 0 only: LP 0
+    starts at its optimum (1, 2), LP 1 at (1, 0)."""
+    a_ub = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    b_ub = np.array([1.0, 2.0, 4.0])
+    steps = [
+        (np.array([0, 0]), np.array([0, 0]), None),
+        (np.array([1, 1]), np.array([1, 1]), np.array([False, True])),
+    ]
+    point = np.array([[1.0, 2.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 2.0, 3.0]])  # x1, x2, then the slacks
+    return np.array([a_ub, a_ub]), b_ub, steps, point
+
+
+def test_crashed_stack_starts_at_its_vertex():
+    # The crash pivots give each LP its basis, the rhs is point[basis], and
+    # a solve resumes from there: LP 0 is optimal at once, LP 1 takes one
+    # pivot.  The crash pivots count in no solve.
+    a_ub, b_ub, steps, point = crash_example()
+    stack = lp.LpStack.crashed(a_ub, b_ub, steps, point)
+    assert stack._basis.tolist() == [[0, 1, 4], [0, 3, 4]]
+    assert stack._tableau[:, :3, -1].tolist() == [[1.0, 2.0, 1.0], [1.0, 2.0, 3.0]]
+    solved = stack.solve([-1.0, -1.0])
+    assert solved.pivots.tolist() == [0, 1]
+    assert [s.x.tolist() for s in solved] == [[1.0, 2.0], [1.0, 2.0]]
+    assert solved.value.tolist() == [-3.0, -3.0]
+    assert (solved.primal_residual == 0.0).all() and (solved.duality_gap <= FEAS_TOL).all()
+    cold = solve_lps([-1.0, -1.0], a_ub, b_ub)
+    assert cold.pivots.tolist() == [2, 2] and cold.value.tolist() == [-3.0, -3.0]
+
+
+def test_crashed_stack_input_checks():
+    # A point of another shape or with a negative entry is refused before
+    # any pivot.
+    a_ub, b_ub, steps, point = crash_example()
+    for bad in (point[:1], point[:, :4], point[0]):
+        with pytest.raises(LengthMismatch, match=r"^need point \(2, 5\), got shape"):
+            lp.LpStack.crashed(a_ub, b_ub, steps, bad)
+    point[1, 4] = -1.0
+    with pytest.raises(OutOfRange) as failure:
+        lp.LpStack.crashed(a_ub, b_ub, steps, point)
+    assert str(failure.value) == "LP 1: point[4] = -1.0 < 0; the start must be feasible"
+
+
+def test_solve_lps_from_a_start():
+    # With a start, solve_lps solves the crashed stack, and it checks the
+    # start, not b_ub >= 0: the covering stack's held form -a.x <= -1 with
+    # its crash solves byte for byte as LpStack.covering does.
+    a_ub, b_ub, steps, point = crash_example()
+    crashed = lp.LpStack.crashed(a_ub, b_ub, steps, point).solve([-1.0, -1.0])
+    assert_same_stack(solve_lps([-1.0, -1.0], a_ub, b_ub, (steps, point)), crashed)
+    a = random_covering_stack(np.random.default_rng(2102))
+    size, m, n = a.shape
+    rows = a[:, :, 0].argmin(axis=1)
+    least = a[np.arange(size), rows, 0][:, None]
+    point = np.zeros((size, n + m))
+    point[:, 0] = 1.0 / least[:, 0]
+    point[:, n:] = (a[:, :, 0] - least) / least
+    steps = [(rows, np.zeros(size, dtype=int), None)]
+    c = np.random.default_rng(2103).uniform(0.1, 1.0, n)
+    assert_same_stack(solve_lps(c, -a, np.full(m, -1.0), (steps, point)), lp.LpStack.covering(a).solve(c))
+    with pytest.raises(OutOfRange, match=r"x = 0 must be feasible"):
+        solve_lps(c, -a, np.full(m, -1.0))
+
+
 # --- pivot path ------------------------------------------------------------------
 
 

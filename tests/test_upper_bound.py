@@ -9,11 +9,11 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from cachecast import upper_bound
+from cachecast import lp, upper_bound
 from cachecast.caching import caching_tuple, central_strategy, central_tuple, strategy_from_intervals
 from cachecast.channel import validate_stats
 from cachecast.errors import LengthMismatch, OutOfRange, TooManyUsers, UnexpectedLpStatus, WrongType, ZeroDenominator
-from cachecast.lp import FEAS_TOL, OPTIMAL, UNBOUNDED, solve_lp
+from cachecast.lp import FEAS_TOL, OPTIMAL, UNBOUNDED, solve_lp, solve_lps
 from cachecast.upper_bound import STACK_ENTRIES, build_permutation_lp, objective_at, stack_size, upper_bound_rate
 
 from helpers import (
@@ -326,9 +326,9 @@ def test_bound_raises_at_its_first_failing_lp(monkeypatch):
     stacks = []
     solve_lps = upper_bound.solve_lps
 
-    def unbounded(c, a_ub, b_ub):
+    def unbounded(c, a_ub, b_ub, start):
         stacks.append(a_ub)
-        outcomes = solve_lps(c, a_ub, b_ub)
+        outcomes = solve_lps(c, a_ub, b_ub, start)
         outcomes.status[:] = [UNBOUNDED] * len(outcomes.status)
         return outcomes
 
@@ -357,14 +357,18 @@ def test_bound_solves_full_stacks(monkeypatch):
     assert all(size * m * (n + 1) <= STACK_ENTRIES for size, m, n in shapes)
 
 
-def _recording_solve_lps(monkeypatch):
-    """Record the shape of every stack upper_bound hands to solve_lps."""
+def _recording_solve_lps(monkeypatch, pivots=None):
+    """Record the shape of every stack upper_bound hands to solve_lps, and
+    each stack's simplex pivots in the list pivots, if given."""
     shapes = []
     solve_lps = upper_bound.solve_lps
 
-    def recording(c, a_ub, b_ub):
+    def recording(c, a_ub, b_ub, start):
         shapes.append(a_ub.shape)
-        return solve_lps(c, a_ub, b_ub)
+        outcomes = solve_lps(c, a_ub, b_ub, start)
+        if pivots is not None:
+            pivots.append(int(outcomes.pivots.sum()))
+        return outcomes
 
     monkeypatch.setattr(upper_bound, "solve_lps", recording)
     return shapes
@@ -441,29 +445,39 @@ def test_bound_single_user():
     assert report.omega_star == (1.0,)
 
 
-def _bound_one_ordering_at_a_time(stats, tup):
+def _solved_alone(stats, tup, pi):
+    """An ordering's LP solved as upper_bound_rate solves it, from its
+    equal-weight vertex, as a stack of one."""
+    (outcome,) = upper_bound._solve_from_vertex(*upper_bound._prefix(stats, tup, pi))
+    return outcome
+
+
+def _bound_one_ordering_at_a_time(stats, tup, vertex=True):
     """The report's value, argmin, weights, uniqueness and table, from each
-    ordering's LP solved alone; an unbounded LP counts as value 0 with
-    sigma_1 = 1, and an ordering with no live user as an infinite value.
-    An LP whose arrays repeat an earlier ordering's takes that solution:
-    solve_lp's outcome is a function of the arrays' bytes."""
+    ordering's LP solved alone: from its equal-weight vertex as a stack of
+    one (_solved_alone), or from x = 0 by solve_lp where vertex is false.
+    An ordering whose first user decodes nothing counts as value 0 with
+    sigma_1 = 1 (its LP is unbounded), and one with no live user as an
+    infinite value; neither takes an LP.  An LP whose arrays repeat an
+    earlier ordering's takes that solution: a solve's outcome is a function
+    of the arrays' bytes."""
     K = stats.num_users
     orderings = list(permutations(range(1, K + 1)))
     values, xs, solutions = [], [], {}
     for pi in orderings:
         c, a_ub, b_ub = build_permutation_lp(stats, tup, pi)
         p = c.size - stats.num_levels
-        lp = (c.tobytes(), a_ub.shape, a_ub.tobytes(), b_ub.tobytes())
-        if p and lp not in solutions:
-            solutions[lp] = solve_lp(c, a_ub, b_ub)
-        solved = solutions[lp] if p else None
-        if solved is None:
+        key = (c.tobytes(), a_ub.shape, a_ub.tobytes(), b_ub.tobytes())
+        if not p:
             values.append(math.inf)
             xs.append(np.zeros(K))
-        elif solved.status == UNBOUNDED:
+        elif not stats.ccdf[pi[0] - 1].any():
             values.append(0.0)
             xs.append(np.eye(K)[0])
         else:
+            if key not in solutions:
+                solutions[key] = _solved_alone(stats, tup, pi) if vertex else solve_lp(c, a_ub, b_ub)
+            solved = solutions[key]
             assert solved.status == OPTIMAL
             values.append(-1.0 / solved.value)
             xs.append(np.concatenate([solved.x[:p], np.zeros(K - p)]))
@@ -479,6 +493,20 @@ def _bound_one_ordering_at_a_time(stats, tup):
         omega /= omega[omega > 0.0].min()
     unique = len(hits) == 1 and best < math.inf
     return best, pi, tuple(float(w) for w in omega), unique, tuple(zip(orderings, values))
+
+
+def _report(report):
+    return report.value, report.argmin_pi, report.omega_star, report.omega_star_unique, report.table
+
+
+def _assert_near_x0_start(report, stats, tup):
+    """Every table entry within 1e-12 relative of the ordering's LP solved
+    from x = 0 by solve_lp, and the same argmin_pi and uniqueness."""
+    _, pi, _, unique, table = _bound_one_ordering_at_a_time(stats, tup, vertex=False)
+    assert (report.argmin_pi, report.omega_star_unique) == (pi, unique)
+    assert [pi for pi, _ in report.table] == [pi for pi, _ in table]
+    for (_, value), (_, cold) in zip(report.table, table):
+        assert value == cold or abs(value - cold) <= 1e-12 * abs(cold)
 
 
 def test_bound_dead_first_user_is_zero(monkeypatch):
@@ -504,9 +532,9 @@ def test_bound_dead_first_user_is_zero(monkeypatch):
     stacks = []
     solve_lps = upper_bound.solve_lps
 
-    def recording(c, a_ub, b_ub):
+    def recording(c, a_ub, b_ub, start):
         stacks.append(a_ub)
-        return solve_lps(c, a_ub, b_ub)
+        return solve_lps(c, a_ub, b_ub, start)
 
     monkeypatch.setattr(upper_bound, "solve_lps", recording)
     rng = np.random.default_rng(25)
@@ -519,8 +547,8 @@ def test_bound_dead_first_user_is_zero(monkeypatch):
             report = upper_bound_rate(stats, central_tuple(users, mu))
             assert (len(stacks) == 0) == (mu == 1)
             assert all(a_ub[:, :3, 0].any(axis=1).all() for a_ub in stacks)
-            alone = _bound_one_ordering_at_a_time(stats, central_tuple(users, mu))
-            assert (report.value, report.argmin_pi, report.omega_star, report.omega_star_unique, report.table) == alone
+            assert _report(report) == _bound_one_ordering_at_a_time(stats, central_tuple(users, mu))
+            _assert_near_x0_start(report, stats, central_tuple(users, mu))
             assert report.value == (math.inf if mu == 1 else 0.0)
 
 
@@ -568,7 +596,8 @@ def test_bound_explicit_caching_matches_each_ordering():
     # {1, 2} and {2, 3} cache the whole file but {1, 3, 4} does not, so the
     # orderings have live counts 1, 2 or 3, and the LPs of each live count
     # have up to 3 record decode rows a user.  Padded stacks must solve as
-    # the LPs alone.
+    # the LPs alone, each from its equal-weight vertex, and within 1e-12 of
+    # the LPs solved from x = 0.
     stats = random_stats(np.random.default_rng(12), 4, 3)
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     placement = [[(0, half)], [(half, 1)], [(0, half)], [(quarter, 3 * quarter)]]
@@ -576,17 +605,17 @@ def test_bound_explicit_caching_matches_each_ordering():
     report = upper_bound_rate(stats, tup)
 
     orderings = list(permutations(range(1, 5)))
-    problems = [build_permutation_lp(stats, tup, pi) for pi in orderings]
-    shapes = {a_ub.shape for _, a_ub, _ in problems}
+    shapes = {build_permutation_lp(stats, tup, pi)[1].shape for pi in orderings}
     assert sorted(shapes) == [(4, 4), (5, 5), (6, 5), (7, 5), (7, 6), (8, 5), (8, 6), (9, 6), (11, 6)]
     assert all(3 + q <= m <= 4 * q for m, n in shapes for q in [n - 3])  # q = n - 3 live users
-    values = [-1.0 / solve_lp(*p).value for p in problems]
+    solved = [_solved_alone(stats, tup, pi) for pi in orderings]
+    values = [-1.0 / s.value for s in solved]
     assert report.table == tuple(zip(orderings, values))
     best = min(values)
     argmin = next(i for i, v in enumerate(values) if v <= best + FEAS_TOL)
     pi = orderings[argmin]
     assert report.value == best and report.argmin_pi == pi
-    x = solve_lp(*problems[argmin]).x
+    x = solved[argmin].x
     omega = np.zeros(4)
     for k in range(4):
         gap = float(1 - tup.of(pi[: k + 1]))
@@ -594,6 +623,7 @@ def test_bound_explicit_caching_matches_each_ordering():
             omega[pi[k] - 1] = x[k] / gap
     omega /= omega[omega > 0.0].min()
     assert report.omega_star == tuple(float(w) for w in omega)
+    _assert_near_x0_start(report, stats, tup)
 
 
 def test_bound_keeps_lps_of_equal_record_users_apart(monkeypatch):
@@ -613,30 +643,34 @@ def test_bound_keeps_lps_of_equal_record_users_apart(monkeypatch):
     assert not np.array_equal(a_12[3:6], a_13[3:6])
     shapes = _recording_solve_lps(monkeypatch)
     report = upper_bound_rate(stats, tup)
-    values = dict(report.table)
-    alone = [-1.0 / solve_lp(*lp).value for lp in lps]
-    assert [values[(1, 2, 3, 4)], values[(1, 3, 2, 4)]] == alone
-    assert alone[0] != alone[1]
-    assert report.table == _bound_one_ordering_at_a_time(stats, tup)[4]
     assert sum(shape[0] for shape in shapes) == len(_distinct_lps(stats, tup))
+    values = dict(report.table)
+    alone = [-1.0 / _solved_alone(stats, tup, pi).value for pi in ((1, 2, 3, 4), (1, 3, 2, 4))]
+    assert [values[(1, 2, 3, 4)], values[(1, 3, 2, 4)]] == alone
+    cold = [-1.0 / solve_lp(*problem).value for problem in lps]
+    assert alone[0] != alone[1] and cold[0] != cold[1]
+    assert report.table == _bound_one_ordering_at_a_time(stats, tup)[4]
+    _assert_near_x0_start(report, stats, tup)
 
 
 @pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 4), Fraction(1, 2)])
 def test_bound_with_twin_users_matches_each_ordering(monkeypatch, mu):
     # Users 1 and 2 have the same CCDF row, so neither holds a record
     # behind the other.  The report is the one each ordering's LP gives
-    # alone, and orderings that swap the twins have the same value.  The
-    # LPs are told apart by their record-bearing users, so an LP led by
-    # twin 1 and its copy led by twin 2 are both solved: one LP per
-    # distinct (LP, record-bearing users), more than the distinct LPs.
+    # alone, and orderings that swap the twins have the same value.  An LP
+    # led by twin 1 and its copy led by twin 2 are the same LP, solved
+    # once: the key names each record-bearing user by its first twin, so
+    # one LP is solved per distinct LP, fewer than there are distinct
+    # (LP, record-bearing users) pairs.
     grid = random_stats(np.random.default_rng(77), 4, 3).ccdf.copy()
     grid[1] = grid[0]
     stats = validate_stats(grid)
     tup = central_tuple(4, mu)
     shapes = _recording_solve_lps(monkeypatch)
     report = upper_bound_rate(stats, tup)
-    alone = _bound_one_ordering_at_a_time(stats, tup)
-    assert (report.value, report.argmin_pi, report.omega_star, report.omega_star_unique, report.table) == alone
+    solved = sum(shape[0] for shape in shapes)  # before the LPs alone pass the same hook
+    assert _report(report) == _bound_one_ordering_at_a_time(stats, tup)
+    _assert_near_x0_start(report, stats, tup)
     values = dict(report.table)
     swap = {1: 2, 2: 1, 3: 3, 4: 4}
     assert all(value == values[tuple(swap[k] for k in pi)] for pi, value in values.items())
@@ -649,8 +683,24 @@ def test_bound_with_twin_users_matches_each_ordering(monkeypatch, mu):
             for k in range(p)
         )
         keyed.add((a_ub.shape, a_ub.tobytes(), bearing))
-    solved = sum(shape[0] for shape in shapes)
-    assert solved == len(keyed) > len(_distinct_lps(stats, tup))
+    assert len(keyed) > solved == len(_distinct_lps(stats, tup))
+
+
+@pytest.mark.parametrize("t, lps, by_user", [(0, 56, 112), (1, 56, 112), (2, 56, 92)])
+def test_bound_solves_twins_once(monkeypatch, t, lps, by_user):
+    # The ROADMAP item 1 grid with user 2's row set to user 1's: keyed by
+    # the users themselves, the bound solved 112, 112 and 92 LPs at
+    # mu = 0, 1/6 and 2/6, where build_permutation_lp's arrays hold 56
+    # distinct LPs.  Keyed by each user's first twin, it solves those 56,
+    # and the report is each ordering's LP solved alone.
+    rows = [list(row) for row in ROADMAP_ITEM1_ROWS]
+    rows[1] = rows[0]
+    stats = validate_stats(rows)
+    tup = central_tuple(6, Fraction(t, 6))
+    shapes = _recording_solve_lps(monkeypatch)
+    report = upper_bound_rate(stats, tup)
+    assert sum(shape[0] for shape in shapes) == lps == len(_distinct_lps(stats, tup)) < by_user
+    assert _report(report) == _bound_one_ordering_at_a_time(stats, tup)
 
 
 def _placement_cases():
@@ -672,10 +722,137 @@ def _placement_cases():
 def test_bound_solves_each_distinct_lp_as_alone(monkeypatch, stats, tup):
     # Each distinct LP is solved once, in a padded stack, and every
     # ordering takes its value: the report is the one each ordering's LP
-    # gives alone, byte for byte, and the LPs solved are exactly the
+    # gives alone from its equal-weight vertex, byte for byte, and within
+    # 1e-12 of the LPs solved from x = 0; the LPs solved are exactly the
     # distinct ones among build_permutation_lp's arrays.
     shapes = _recording_solve_lps(monkeypatch)
     report = upper_bound_rate(stats, tup)
-    alone = _bound_one_ordering_at_a_time(stats, tup)
-    assert (report.value, report.argmin_pi, report.omega_star, report.omega_star_unique, report.table) == alone
     assert sum(shape[0] for shape in shapes) == len(_distinct_lps(stats, tup))
+    assert _report(report) == _bound_one_ordering_at_a_time(stats, tup)
+    _assert_near_x0_start(report, stats, tup)
+
+
+# --- the equal-weight vertex ---------------------------------------------------------
+
+
+def _recording_starts(monkeypatch):
+    """Record every stack upper_bound hands to solve_lps with its start, (c, a_ub, b_ub, (steps, point))."""
+    stacks = []
+    solve_lps = upper_bound.solve_lps
+
+    def recording(c, a_ub, b_ub, start):
+        stacks.append((c, a_ub, b_ub, start))
+        return solve_lps(c, a_ub, b_ub, start)
+
+    monkeypatch.setattr(upper_bound, "solve_lps", recording)
+    return stacks
+
+
+def _vertex_cases():
+    """Grids at K = 3..7: plain ones at t = 1 and at t = K - 1, where every
+    LP has one live user; ones with tied maxima, twin users and a user that
+    decodes nothing (_tied_stats), at the middle t and with one interval
+    per user at random offsets; and ones whose last level only user 1
+    reaches, so that no live user reaches it on a prefix without user 1."""
+    rng = np.random.default_rng(3131)
+    cases = []
+    for users in range(3, 8):
+        levels = int(rng.integers(2, 6))
+        plain, tied = random_stats(rng, users, levels), _tied_stats(rng, users, levels)
+        lone = random_stats(rng, users, levels).ccdf.copy()
+        lone[1:, -1] = 0.0
+        size = int(rng.integers(1, 9))
+        offsets = rng.integers(0, 16 - size + 1, users).tolist()
+        placement = [[(Fraction(a, 16), Fraction(a + size, 16))] for a in offsets]
+        grids = [
+            ("plain-t1", plain, central_tuple(users, Fraction(1, users))),
+            ("plain-p1", plain, central_tuple(users, Fraction(users - 1, users))),
+            ("tied", tied, central_tuple(users, Fraction(users // 2, users))),
+            ("tied-intervals", tied, caching_tuple(strategy_from_intervals(placement, Fraction(size, 16)))),
+            ("lone-level", validate_stats(lone), central_tuple(users, Fraction(users // 2, users))),
+        ]
+        for name, stats, tup in grids if users < 7 else grids[2:3] + grids[4:]:  # K = 7: 5040 orderings
+            cases.append(pytest.param(stats, tup, id=f"K{users}-{name}"))
+    return cases
+
+
+@pytest.mark.parametrize("stats, tup", _vertex_cases())
+def test_bound_starts_each_lp_at_its_equal_weight_vertex(monkeypatch, stats, tup):
+    # Each stack starts at the vertex sigma_k = gap_k w, theta_l = w max_l,
+    # w = 1 / sum_l max_l: the point meets every row with its slacks and
+    # fills the budget row, its weights sigma_k / gap_k are equal, and the
+    # crash pivots reach the point's basis: the rhs they compute is the
+    # closed form's within 1e-12, and every nonbasic label is 0 there.  The
+    # report is each ordering's LP solved alone from its vertex, byte for
+    # byte, and within 1e-12 of the LPs solved from x = 0.  A level that no
+    # live user reaches keeps its theta at 0: the crash skips that LP in
+    # that level's step, and only there.
+    stacks = _recording_starts(monkeypatch)
+    report = upper_bound_rate(stats, tup)
+    assert stacks
+    unreached = not stats.ccdf[1:, -1].any()  # the lone-level grids
+    assert any(skip is not None and skip.any() for *_, (steps, _) in stacks for *_, skip in steps) == unreached
+    for c, a_ub, b_ub, (steps, point) in stacks:
+        size, m, n = a_ub.shape
+        p = n - stats.num_levels
+        x, slack = point[:, :n], point[:, n:]
+        lhs = np.einsum("lmn,ln->lm", a_ub, x) + slack
+        np.testing.assert_allclose(lhs, np.broadcast_to(b_ub, (size, m)), rtol=0.0, atol=1e-12)
+        assert (slack[:, -1] == 0.0).all()  # the budget row is tight
+        if p > 1:  # chain row j: -gap_{j+1} sigma_j + gap_j sigma_{j+1} <= 0
+            chain = a_ub[:, m - p : m - 1]
+            gaps = np.concatenate([chain[:, 0, 1:2], -chain[:, :, : p - 1].diagonal(axis1=1, axis2=2)], axis=1)
+            weights = x[:, :p] / gaps
+            np.testing.assert_allclose(weights, np.broadcast_to(weights[:, :1], weights.shape), rtol=1e-12)
+        crashed = lp.LpStack.crashed(a_ub, b_ub, steps, point)
+        pivoted = lp.LpStack(a_ub, b_ub)
+        for rows, slots, skip in steps:
+            lp._pivot(pivoted._tableau, pivoted._basis, pivoted._nonbasic, rows, slots, np.arange(size), skip)
+        assert (crashed._basis == pivoted._basis).all()
+        np.testing.assert_allclose(crashed._tableau[:, :m, n], pivoted._tableau[:, :m, n], rtol=0.0, atol=1e-12)
+        assert not np.take_along_axis(point, crashed._nonbasic, axis=1).any()
+    monkeypatch.undo()
+    assert _report(report) == _bound_one_ordering_at_a_time(stats, tup)
+    _assert_near_x0_start(report, stats, tup)
+
+
+def test_vertex_of_tiny_entries():
+    # At mu = 1/2 each ordering keeps one live user, whose LP's optimum is
+    # the vertex: value sum_l c_1l / gap_1.  With user 1's entries at
+    # 1e-300 or 1e-200 every entry of its LP's column lies below
+    # PIVOT_TOL, so from x = 0 the simplex reads a ray and the bound failed
+    # ("status unbounded"); from the vertex, which takes no pivot, the value
+    # is exact.  Where the entries are subnormal, w = 1 / sum_l max_l
+    # overflows: that LP keeps x = 0 and fails as before, with the typed
+    # error naming the ordering and no RuntimeWarning.
+    half = Fraction(1, 2)
+    for tiny in (1e-300, 1e-200):
+        stats = validate_stats([[tiny, tiny], [0.5, 0.2]])
+        report = upper_bound_rate(stats, central_tuple(2, half))
+        assert report.value == 2 * tiny / 0.5 and report.argmin_pi == (1, 2) and report.omega_star == (1.0, 0.0)
+        assert solve_lp(*build_permutation_lp(stats, central_tuple(2, half), (1, 2))).status == UNBOUNDED
+    stats = validate_stats([[1e-310, 0.0], [0.5, 0.2]])
+    with pytest.raises(UnexpectedLpStatus, match=r"^ordering \(1, 2\) \(K=2, B=2, mu=1/2\): status unbounded$"):
+        upper_bound_rate(stats, central_tuple(2, half))
+
+
+# Simplex pivots of each stack of the ROADMAP item 1 grid at mu = t/6, from
+# the equal-weight vertex and from x = 0.  At t = 5 every LP has one live
+# user, and the vertex is its optimum.
+ROADMAP_ITEM1_PIVOTS = {
+    1: ([1232, 269], [3271, 962]),
+    2: ([743], [2377]),
+    3: ([272], [849]),
+    4: ([51], [200]),
+    5: ([0], [30]),
+}
+
+
+@pytest.mark.parametrize("t", sorted(ROADMAP_ITEM1_PIVOTS))
+def test_vertex_start_pivot_counts_are_pinned(monkeypatch, t):
+    stacks = _recording_starts(monkeypatch)
+    pivots = []
+    _recording_solve_lps(monkeypatch, pivots)
+    upper_bound_rate(validate_stats(ROADMAP_ITEM1_ROWS), central_tuple(6, Fraction(t, 6)))
+    cold = [int(solve_lps(c, a_ub, b_ub).pivots.sum()) for c, a_ub, b_ub, _ in stacks]
+    assert (pivots, cold) == ROADMAP_ITEM1_PIVOTS[t]
