@@ -87,9 +87,10 @@ stopped, since a compaction copies every array of the stack; the
 stopped LPs are written back then, and the rest at the end.  A
 NumericalFailure is that LP's outcome alone.  The numpy calls make the
 same floating-point operations on each LP whatever the stack holds,
-frozen LPs included, so the pivot path and every byte of x, the value,
-the duals and the certificate are the same whether an LP is solved
-alone or in a stack.
+frozen LPs included (a crashed stack's first pricing skips or adds only
+rows that add an exact zero to that LP, LpStack.solve), so the pivot
+path and every byte of x, the value, the duals and the certificate are
+the same whether an LP is solved alone or in a stack.
 
 An LpStack keeps a stack's tableau, basis and labels from one solve to
 the next, so every LP here is solved by one, from the slack basis or from
@@ -507,6 +508,7 @@ class LpStack:
         self._nonbasic = np.empty((size, n), dtype=int)
         self._nonbasic[:] = np.arange(n)
         self._entered = np.zeros(size, dtype=int)  # per LP: columns pivoted in since the last solve
+        self._crashed = False  # the next solve prices a crash basis (solve)
 
     @classmethod
     def crashed(cls, a_ub, b_ub, steps, point) -> LpStack:
@@ -540,6 +542,7 @@ class LpStack:
             skip = None if skip is None or not skip.any() else skip
             _pivot(stack._tableau, stack._basis, stack._nonbasic, rows, slots, lps, skip)
         np.add(point.take(stack._basis + lps[:, None] * (n + m)), 0.0, out=stack._tableau[:, :m, n])
+        stack._crashed = True
         return stack
 
     @classmethod
@@ -619,7 +622,15 @@ class LpStack:
 
         The cost row is priced at the kept basis, c_N - c_B.T with the rhs
         slot -c_B.rhs, in one batched product over the stack; at the slack
-        basis c_B = 0, so it is c with the same bytes.  Neither difference
+        basis c_B = 0, so it is c with the same bytes.  At a crash basis
+        (crashed), the first solve sums c_B.T in row order instead, one
+        multiply-add per row whose basic label has a cost in some LP of the
+        stack, so a row where an LP's c_B is 0 adds an exact zero: an LP
+        padded with zero rows, as upper_bound pads its crashed LPs, prices
+        its cost row to the bytes it gets alone.  A BLAS product sums in an
+        order that depends on where the zero rows sit, but it is the faster
+        one on the small stacks that the delivery LP reprices at every cut,
+        and no caller pads those.  Neither difference
         can be -0.0, since neither minuend is.  Then the simplex resumes and
         every LP is certified against its original rows (_finish).  A c of
         any other shape raises LengthMismatch.  Returns the stack's
@@ -633,7 +644,14 @@ class LpStack:
         costs = np.zeros((size, n + m))
         np.add(c, 0.0, out=costs[:, :n])
         offsets = np.arange(size)[:, None] * (n + m)  # of each LP's row in a flattened (L, n+m) array
-        priced = np.matmul(costs.take(basis + offsets)[:, None, :], tableau[:, :m])[:, 0, :]  # c_B.T, c_B.rhs
+        basic = costs.take(basis + offsets)  # c_B
+        if self._crashed:
+            priced = np.zeros((size, n + 1))  # c_B.T, c_B.rhs, summed in row order
+            for row in np.flatnonzero(basic.any(axis=0)).tolist():
+                priced += basic[:, row, None] * tableau[:, row]
+            self._crashed = False
+        else:
+            priced = np.matmul(basic[:, None, :], tableau[:, :m])[:, 0, :]
         np.subtract(costs.take(nonbasic + offsets), priced[:, :n], out=tableau[:, m, :n])
         np.subtract(0.0, priced[:, n], out=tableau[:, m, n])
         status, pivots = _simplex(tableau, basis, nonbasic)

@@ -69,8 +69,8 @@ which holds max_l and so is tight; sigma_j at chain row j for j < p;
 sigma_p at the budget row.  Those B + p tight rows fix the point (the
 chain rows equalise the w_k, the last record rows fix each theta_l, the
 budget row w), so every pivot is nonzero.  A level whose max_l is 0 keeps
-theta_l nonbasic at 0 instead, and an LP whose maxima sum to a
-subnormal, where w overflows, keeps x = 0.  The rhs is written in closed
+theta_l nonbasic at 0 instead, and an LP whose maxima sum to 0 or to a
+subnormal, where w is infinite, keeps x = 0.  The rhs is written in closed
 form, unclamped: sigma and theta as above, each other record row's slack
 gap_k w (max_l - c_kl) >= 0, exactly 0 on a tie, and 0 in the padding
 rows.  An LP with one live user starts at its optimum, even where its
@@ -78,14 +78,13 @@ entries all lie below PIVOT_TOL and the start at x = 0 reads a ray (a
 first user with CCDF entries of 1e-200).  From the vertex a benchmark
 round of six K = 6 scenarios (bound-k6) takes 4213 simplex pivots
 instead of 12,955 from x = 0, and 51 lockstep iterations instead of 135;
-every value agrees with x = 0's to 1.3e-13 relative.  Where an LP has more than one optimal vertex the two starts
-can end at different ones, and so give other omega_star weights.  A
-padded LP (below) reaches its vertex by the same pivots on the same rows
-as it does alone.  Then LpStack.solve prices the cost row with one BLAS
-product over the rows, whose last bits can depend on where the padding
-puts the chain rows; that can change a pivot only where a reduced cost
-lies within that rounding of -FEAS_TOL, and the tests find every value
-and x of a stack equal, byte for byte, to the LP's solved alone.
+every value agrees with x = 0's to 1.3e-13 relative.  Where an LP has
+more than one optimal vertex the two starts can end at different ones,
+and so give other omega_star weights.  A padded LP (below) reaches its
+vertex by the same pivots on the same rows as it does alone, and
+LpStack.solve prices its cost row in row order over the rows with a
+basic cost, where a zero row adds an exact zero; so it solves, byte for
+byte, as it does alone.
 
 An ordering's LP is fixed by three things: its live count p, the user at
 each live position that holds a record row (a record-bearing position),
@@ -243,22 +242,26 @@ def _records(ccdf: np.ndarray, top: np.ndarray, before: np.ndarray) -> np.ndarra
 
 def _permutation_lps(
     ccdf: np.ndarray, kept: np.ndarray, gaps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, int]]:
     """The LPs of L live prefixes as one stack, from their (L, p, B) CCDF rows,
-    its record mask (_records) and their (L, p) gaps: c, a_ub, b_ub.
+    its record mask (_records) and their (L, p) gaps: c, a_ub, b_ub and
+    their row layout.
 
     a_ub is (L, R+p, p+B), with R the most record decode rows of any LP in
     the stack; c, the (p+B,) cost row, and b_ub, the (R+p,) rhs, are
     shared by every LP.  Rows: an LP's record decode rows in decode order
     (user, then level), all-zero rows up to R, the p-1 chain rows, the
     budget row (p = 0 leaves the budget row alone).  A stack of one has no
-    zero rows.
+    zero rows.  The layout is (record, chain, budget): each record entry's
+    row in its LP as an (L, p, B) array, -1 where the entry is no record;
+    the chain rows; the budget row.
     """
     size, p, B = ccdf.shape
     kept = kept.reshape(size, p * B)
+    record = np.where(kept, np.cumsum(kept, axis=1) - 1, -1)  # each record entry's row in its LP
     lps, decode = np.nonzero(kept)
-    place = np.cumsum(kept, axis=1)[kept] - 1  # each record row's row in its LP
-    width = int(place.max(initial=-1)) + 1
+    place = record[kept]
+    width = int(record.max(initial=-1)) + 1
     chain = np.arange(p - 1)  # empty at p = 0
     a_ub = np.zeros((size, width + chain.size + 1, p + B))
     a_ub[lps, place, decode // B] = ccdf.reshape(size, p * B)[kept]
@@ -270,15 +273,15 @@ def _permutation_lps(
     b_ub[-1] = 1.0
     c = np.zeros(p + B)
     c[:p] = -1.0
-    return c, a_ub, b_ub
+    return c, a_ub, b_ub, (record.reshape(size, p, B), width + chain, a_ub.shape[1] - 1)
 
 
 def _equal_weight_vertex(
-    ccdf: np.ndarray, kept: np.ndarray, gaps: np.ndarray, rows: int
+    ccdf: np.ndarray, gaps: np.ndarray, m: int, layout: tuple[np.ndarray, np.ndarray, int]
 ) -> tuple[list, np.ndarray]:
-    """The equal-weight vertex of a stack of live-prefix LPs of `rows` rows
-    each (_permutation_lps), as lp.LpStack.crashed takes it: the pivot
-    steps and every label's value.
+    """The equal-weight vertex of a stack of live-prefix LPs of m rows each,
+    laid out as layout says (_permutation_lps), as lp.LpStack.crashed takes
+    it: the pivot steps and every label's value.  p >= 1.
 
     With max_l each level's largest entry on the prefix and
     w = 1 / sum_l max_l, the vertex is sigma_k = gap_k w, theta_l = w max_l.
@@ -287,28 +290,27 @@ def _equal_weight_vertex(
     chain row j for j < p, and sigma_p at the budget row.  Each other
     record row (k, l) keeps its slack, gap_k w (max_l - c_kl) >= 0, exactly
     0 on a tie; the padding rows' slacks are 0.  An LP whose maxima sum to
-    a subnormal, where w overflows, skips every step and keeps x = 0.
+    0 or to a subnormal, where w is infinite, skips every step and keeps
+    x = 0.
     """
+    record, chain, budget = layout
     size, p, B = ccdf.shape
     n = p + B
     top = ccdf.max(axis=1)
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         w = 1.0 / top.sum(axis=1)
-    far = np.isinf(w)  # the maxima sum to a subnormal: no such vertex in floats
+    far = np.isinf(w)  # no such vertex in floats
     w[far] = 0.0
-    kept = kept.reshape(size, p * B)
-    place = np.full(kept.shape, -1)
-    place[kept] = np.cumsum(kept, axis=1)[kept] - 1  # each record row's row in its LP
-    last = place.reshape(size, p, B).max(axis=1)
+    last = record.max(axis=1)
     steps = [(last[:, l], np.full(size, p + l), (top[:, l] == 0.0) | far) for l in range(B)]
-    steps += [(np.full(size, rows - p + j), np.full(size, j), far) for j in range(p - 1)]
-    steps.append((np.full(size, rows - 1), np.full(size, p - 1), far))
-    point = np.zeros((size, n + rows))
+    steps += [(np.full(size, row), np.full(size, j), far) for j, row in enumerate(chain.tolist())]
+    steps.append((np.full(size, budget), np.full(size, p - 1), far))
+    point = np.zeros((size, n + m))
     sigma = point[:, :p] = gaps * w[:, None]
     point[:, p:n] = w[:, None] * top
-    slack = sigma[:, :, None] * (top[:, None, :] - ccdf)
-    point[np.nonzero(kept)[0], n + place[kept]] = slack.reshape(size, p * B)[kept]
-    point[far, -1] = 1.0  # x = 0: the budget row's slack holds its rhs
+    lps, k, l = np.nonzero(record >= 0)
+    point[lps, n + record[lps, k, l]] = sigma[lps, k] * (top[lps, l] - ccdf[lps, k, l])
+    point[far, n + budget] = 1.0  # x = 0: the budget row's slack holds its rhs
     return steps, point
 
 
@@ -333,15 +335,15 @@ def build_permutation_lp(
     all-zero rows are left out.  Its optimum is -sum(sigma); the ordering's
     bound value is -1 / optimum.
     """
-    c, a_ub, b_ub = _permutation_lps(*_prefix(stats, tup, pi))
+    c, a_ub, b_ub, _ = _permutation_lps(*_prefix(stats, tup, pi))
     return c, a_ub[0], b_ub
 
 
 def _solve_from_vertex(ccdf: np.ndarray, kept: np.ndarray, gaps: np.ndarray) -> StackSolution:
     """The stack of live-prefix LPs of (L, p, B) CCDF rows, their record mask
     and (L, p) gaps (_permutation_lps), each solved from its equal-weight vertex."""
-    c, a_ub, b_ub = _permutation_lps(ccdf, kept, gaps)
-    return solve_lps(c, a_ub, b_ub, _equal_weight_vertex(ccdf, kept, gaps, a_ub.shape[1]))
+    c, a_ub, b_ub, layout = _permutation_lps(ccdf, kept, gaps)
+    return solve_lps(c, a_ub, b_ub, _equal_weight_vertex(ccdf, gaps, a_ub.shape[1], layout))
 
 
 def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

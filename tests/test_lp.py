@@ -494,6 +494,41 @@ def test_solve_lps_from_a_start():
         solve_lps(c, -a, np.full(m, -1.0))
 
 
+def test_crash_pricing_ignores_zero_rows():
+    # The first solve of a crashed stack sums c_B.T in row order, so
+    # all-zero rows, which a padded stack puts in, change no byte: the same
+    # LP with zero rows put in anywhere prices, pivots and solves from its
+    # crash as it does alone, each LP of the stack with its rows elsewhere.
+    # The crash enters x_j at the unit row x_j <= u_j for j < k, so k rows
+    # carry a cost; the other rows are random with room at x = u.
+    rng = np.random.default_rng(3107)
+    for _ in range(30):
+        k, n = int(rng.integers(2, 7)), int(rng.integers(7, 12))
+        rest = int(rng.integers(2, 8))
+        u = rng.uniform(0.5, 2.0, k)
+        a = np.concatenate([np.eye(k, n), rng.uniform(-0.5, 1.0, (rest, n))])
+        b = np.concatenate([u, a[k:, :k] @ u + rng.uniform(0.1, 1.0, rest)])
+        c = rng.uniform(-1.0, 0.2, n)
+        x = np.zeros(n)
+        x[:k] = u
+        alone_point = np.concatenate([x, b - a @ x])[None]
+        alone_point[0, n : n + k] = 0.0  # the unit rows are tight
+        alone = lp.LpStack.crashed(a[None], b, [(np.array([j]), np.array([j]), None) for j in range(k)], alone_point)
+        expected = alone.solve(c)
+        at = [np.sort(rng.integers(0, k + rest + 1, 6)) for _ in range(5)]
+        row_of = np.array([np.arange(k) + np.searchsorted(i, np.arange(k), side="right") for i in at])
+        steps = [(row_of[:, j], np.full(len(at), j), None) for j in range(k)]
+        point = np.array([np.insert(alone_point[0], n + i, 0.0) for i in at])
+        a_ub = np.array([np.insert(a, i, 0.0, axis=0) for i in at])
+        stack = lp.LpStack.crashed(a_ub, np.array([np.insert(b, i, 0.0) for i in at]), steps, point)
+        solved = stack.solve(c)
+        assert solved.status == expected.status * len(at)
+        for name in ("x", "value", "pivots"):
+            alone_bytes = np.repeat(getattr(expected, name), len(at), axis=0).tobytes()
+            assert getattr(solved, name).tobytes() == alone_bytes, name
+        assert stack._tableau[:, -1].tobytes() == np.repeat(alone._tableau[:, -1], len(at), axis=0).tobytes()
+
+
 # --- pivot path ------------------------------------------------------------------
 
 

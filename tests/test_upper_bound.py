@@ -456,9 +456,10 @@ def _bound_one_ordering_at_a_time(stats, tup, vertex=True):
     """The report's value, argmin, weights, uniqueness and table, from each
     ordering's LP solved alone: from its equal-weight vertex as a stack of
     one (_solved_alone), or from x = 0 by solve_lp where vertex is false.
-    An ordering whose first user decodes nothing counts as value 0 with
-    sigma_1 = 1 (its LP is unbounded), and one with no live user as an
-    infinite value; neither takes an LP.  An LP whose arrays repeat an
+    An unbounded LP counts as value 0 with sigma_1 = 1, and it must be
+    unbounded exactly where the ordering's first user decodes nothing (the
+    rule upper_bound_rate applies without solving); an ordering with no
+    live user counts as an infinite value.  An LP whose arrays repeat an
     earlier ordering's takes that solution: a solve's outcome is a function
     of the arrays' bytes."""
     K = stats.num_users
@@ -471,14 +472,16 @@ def _bound_one_ordering_at_a_time(stats, tup, vertex=True):
         if not p:
             values.append(math.inf)
             xs.append(np.zeros(K))
-        elif not stats.ccdf[pi[0] - 1].any():
+            continue
+        if key not in solutions:
+            solutions[key] = _solved_alone(stats, tup, pi) if vertex else solve_lp(c, a_ub, b_ub)
+        solved = solutions[key]
+        dead = not stats.ccdf[pi[0] - 1].any()
+        assert solved.status == (UNBOUNDED if dead else OPTIMAL)
+        if dead:
             values.append(0.0)
             xs.append(np.eye(K)[0])
         else:
-            if key not in solutions:
-                solutions[key] = _solved_alone(stats, tup, pi) if vertex else solve_lp(c, a_ub, b_ub)
-            solved = solutions[key]
-            assert solved.status == OPTIMAL
             values.append(-1.0 / solved.value)
             xs.append(np.concatenate([solved.x[:p], np.zeros(K - p)]))
     best = min(values)
