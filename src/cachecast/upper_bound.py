@@ -10,31 +10,34 @@ the rate cannot exceed
 where coverage(Q) is the cache-union measure of the first k users in the
 ordering.  objective_at evaluates this at one weight vector; the tight bound
 minimizes over all weights, which separates into one small LP per ordering.
-Substituting sigma_k = w[pi(k)]*(1 - coverage(pi(1..k))) and upper-bounding
-each level's weighted maximum by theta_l turns the ratio over weights
-consistent with pi into sum_l theta_l / sum_k sigma_k, subject to
+Write w_k = w[pi(k)] and gap_k = 1 - coverage(pi(1..k)), and upper-bound
+each level's weighted maximum by theta_l: the ratio over weights
+consistent with pi is sum_l theta_l / sum_k gap_k w_k, subject to
 
-    sigma_k * ccdf[pi(k)][l] <= (1 - coverage(pi(1..k))) * theta_l
-    sigma_k * (1 - coverage(pi(1..k-1))) <= sigma_{k-1} * (1 - coverage(pi(1..k)))
-    sigma, theta >= 0.
+    ccdf[pi(k)][l] * w_k <= theta_l
+    w_k <= w_{k-1}
+    w, theta >= 0.
 
 Every row is homogeneous, so the ratio can be normalised on either side
-(Charnes and Cooper): min {sum theta : sum sigma = 1} equals
-1 / max {sum sigma : sum theta <= 1}.  The LP solved is the second,
+(Charnes and Cooper): min {sum theta : sum gap_k w_k = 1} equals
+1 / max {sum gap_k w_k : sum theta <= 1}.  The LP solved is the second,
 
-    minimize -sum_k sigma_k   s.t. the rows above,  sum_l theta_l <= 1,
+    minimize -sum_k gap_k w_k   s.t. the rows above,  sum_l theta_l <= 1,
 
 whose rhs is nonnegative, so it is feasible at x = 0; the ordering's
-value is -1 / (its optimum).  sigma_k is pinned to zero wherever its
-coverage factor is exactly one.  Coverage only grows along an ordering, so
-the pinned positions form a suffix: the first p(pi) leading slices (the
-live count) are not fully covered and the rest are.  A pinned sigma's column,
-cost, decode rows and the chain row into it would all be zero, so the LP
-keeps only the live prefix over x = [sigma_1..p, theta_1..B].
+value is -1 / (its optimum).  Its matrix holds only CCDF entries and +-1;
+the gaps enter the cost row alone, so a gap of 1e-16 (two caches that
+leave 1e-16 of the file uncovered) is a small cost, not a matrix entry
+below PIVOT_TOL.  Coverage only grows along an ordering, so the positions
+whose prefix is fully covered form a suffix: the first p(pi) leading
+slices (the live count) are not fully covered and the rest are.  A w_k
+whose prefix is fully covered has cost 0 and only tightens rows (its
+decode rows and the chain row into it), so it is fixed at 0 and dropped
+with those rows: the LP keeps only the live prefix over
+x = [w_1..p, theta_1..B].
 
-Most of the prefix's p*B decode rows are implied by the others.  With
-w_k = sigma_k / gap_k (gap_k = 1 - coverage(pi(1..k)) > 0 on the live
-prefix) the chain rows say w_1 >= ... >= w_p, and decode row (k, l) says
+Most of the prefix's p*B decode rows are implied by the others.  The
+chain rows say w_1 >= ... >= w_p, and decode row (k, l) says
 w_k * c_k <= theta_l, with c_k = ccdf[pi(k)][l].  If some j < k has
 c_j >= c_k, then w_k * c_k <= w_j * c_k <= w_j * c_j <= theta_l, so row
 (k, l) holds wherever row (j, l) does.  Only the record rows can bind:
@@ -49,38 +52,38 @@ Dropping a zero column (it never prices in) and zero rows (never
 eligible, never updated) leaves the simplex's pivot path, x and value
 exactly those of the LP with them: the rows kept keep their relative
 order, hence the order of their slack labels, which is all the pivot
-rules read.  So the live-prefix LP solves byte for byte as the pinned
-full-shape LP with its implied decode rows zeroed, and an LP padded with
-zero rows (below) as it does alone.  Against the LP with every decode
-row only the pivot path differs, and the value in its last bits.  The LP
-is unbounded exactly when the first user's CCDF row is all zero:
-sigma_1 then grows with every theta at 0, and the ordering's value is 0
-with all weight on that user.
+rules read.  So the live-prefix LP solves byte for byte as the
+full-shape LP with the fixed w's columns, costs and rows and its implied
+decode rows zeroed, and an LP padded with zero rows (below) as it does
+alone.  Against the LP with every decode row only the pivot path
+differs, and the value in its last bits.  The LP is unbounded exactly
+when the first user's CCDF row is all zero: w_1 then grows with every
+theta at 0, and the ordering's value is 0 with all weight on that user.
 
 upper_bound_rate starts each LP at its equal-weight vertex, not at x = 0
 (a crash basis: Bixby, "Implementing the simplex method: the initial
-basis", ORSA J. Computing 4(3), 1992).  It is the bound at w = 1:
-sigma_k = gap_k w and theta_l = w max_l, where max_l is level l's
+basis", ORSA J. Computing 4(3), 1992).  It is the bound at equal
+weights: w_k = w and theta_l = w max_l, where max_l is level l's
 largest entry on the prefix and w = 1 / sum_l max_l fills the budget row.
 Every row holds there, the chain rows and the budget row with equality.
 It is a vertex, reached by B + p crash pivots (lp.LpStack.crashed,
 _equal_weight_vertex): theta_l enters at its level's last record row,
-which holds max_l and so is tight; sigma_j at chain row j for j < p;
-sigma_p at the budget row.  Those B + p tight rows fix the point (the
+which holds max_l and so is tight; w_j at chain row j for j < p;
+w_p at the budget row.  Those B + p tight rows fix the point (the
 chain rows equalise the w_k, the last record rows fix each theta_l, the
 budget row w), so every pivot is nonzero.  A level whose max_l is 0 keeps
 theta_l nonbasic at 0 instead, and an LP whose maxima sum to 0 or to a
 subnormal, where w is infinite, keeps x = 0.  The rhs is written in closed
-form, unclamped: sigma and theta as above, each other record row's slack
-gap_k w (max_l - c_kl) >= 0, exactly 0 on a tie, and 0 in the padding
+form, unclamped: w and theta as above, each other record row's slack
+w (max_l - c_kl) >= 0, exactly 0 on a tie, and 0 in the padding
 rows.  An LP with one live user starts at its optimum, even where its
 entries all lie below PIVOT_TOL and the start at x = 0 reads a ray (a
 first user with CCDF entries of 1e-200).  From the vertex a benchmark
 round of six K = 6 scenarios (bound-k6) takes 4213 simplex pivots
-instead of 12,955 from x = 0, and 51 lockstep iterations instead of 135;
-every value agrees with x = 0's to 1.3e-13 relative.  Where an LP has
-more than one optimal vertex the two starts can end at different ones,
-and so give other omega_star weights.  A padded LP (below) reaches its
+instead of 13,306 from x = 0, and 51 lockstep iterations instead of 118;
+every value agrees with x = 0's to 1.6e-14 relative there and on the
+CI's K = 8 grids.  Where an LP has more than one optimal vertex the two
+starts can end at different ones, and so give other omega_star weights.  A padded LP (below) reaches its
 vertex by the same pivots on the same rows as it does alone, and
 LpStack.solve prices its cost row in row order over the rows with a
 basic cost, where a zero row adds an exact zero; so it solves, byte for
@@ -91,10 +94,10 @@ each live position that holds a record row (a record-bearing position),
 and its gap row gap_1..p.  A user with no record row leaves the running
 maximum of every level unchanged, so the record rows of every later user,
 and with them every decode row, follow from the record-bearing users and
-their positions; the chain rows read only the gaps.  So upper_bound_rate
-keys each ordering by one exact integer: p, then for each position the
-user if it bears a record on the live prefix (0 if not) and the rank of
-its gap among the distinct gaps.  The gaps are ranked once over the 2^K
+their positions; the chain rows read only p, and the gaps are the cost
+row.  So upper_bound_rate keys each ordering by one exact integer: p,
+then for each position the user if it bears a record on the live prefix
+(0 if not) and the rank of its gap among the distinct gaps.  The gaps are ranked once over the 2^K
 mask table, not over the K! x K gap array, and the key needs no hash:
 equal keys are byte-identical LPs.  Users with equal CCDF rows (twins)
 give the same LP wherever they swap, so the key names a record-bearing
@@ -248,13 +251,14 @@ def _permutation_lps(
     their row layout.
 
     a_ub is (L, R+p, p+B), with R the most record decode rows of any LP in
-    the stack; c, the (p+B,) cost row, and b_ub, the (R+p,) rhs, are
-    shared by every LP.  Rows: an LP's record decode rows in decode order
-    (user, then level), all-zero rows up to R, the p-1 chain rows, the
-    budget row (p = 0 leaves the budget row alone).  A stack of one has no
-    zero rows.  The layout is (record, chain, budget): each record entry's
-    row in its LP as an (L, p, B) array, -1 where the entry is no record;
-    the chain rows; the budget row.
+    the stack, and holds only CCDF entries and +-1; c (L, p+B) is each
+    LP's cost row, -gap_k at w_k and 0 at each theta; b_ub, the (R+p,)
+    rhs, is shared by every LP.  Rows: an LP's record decode rows in
+    decode order (user, then level), all-zero rows up to R, the p-1 chain
+    rows, the budget row (p = 0 leaves the budget row alone).  A stack of
+    one has no zero rows.  The layout is (record, chain, budget): each
+    record entry's row in its LP as an (L, p, B) array, -1 where the entry
+    is no record; the chain rows; the budget row.
     """
     size, p, B = ccdf.shape
     kept = kept.reshape(size, p * B)
@@ -265,30 +269,30 @@ def _permutation_lps(
     chain = np.arange(p - 1)  # empty at p = 0
     a_ub = np.zeros((size, width + chain.size + 1, p + B))
     a_ub[lps, place, decode // B] = ccdf.reshape(size, p * B)[kept]
-    a_ub[lps, place, p + decode % B] = -gaps[lps, decode // B]
-    a_ub[:, width + chain, chain] = -gaps[:, 1:]
-    a_ub[:, width + chain, chain + 1] = gaps[:, :-1]
+    a_ub[lps, place, p + decode % B] = -1.0
+    a_ub[:, width + chain, chain] = -1.0
+    a_ub[:, width + chain, chain + 1] = 1.0
     a_ub[:, -1, p:] = 1.0
     b_ub = np.zeros(a_ub.shape[1])
     b_ub[-1] = 1.0
-    c = np.zeros(p + B)
-    c[:p] = -1.0
+    c = np.zeros((size, p + B))
+    c[:, :p] = -gaps
     return c, a_ub, b_ub, (record.reshape(size, p, B), width + chain, a_ub.shape[1] - 1)
 
 
 def _equal_weight_vertex(
-    ccdf: np.ndarray, gaps: np.ndarray, m: int, layout: tuple[np.ndarray, np.ndarray, int]
+    ccdf: np.ndarray, m: int, layout: tuple[np.ndarray, np.ndarray, int]
 ) -> tuple[list, np.ndarray]:
     """The equal-weight vertex of a stack of live-prefix LPs of m rows each,
     laid out as layout says (_permutation_lps), as lp.LpStack.crashed takes
     it: the pivot steps and every label's value.  p >= 1.
 
     With max_l each level's largest entry on the prefix and
-    w = 1 / sum_l max_l, the vertex is sigma_k = gap_k w, theta_l = w max_l.
+    w = 1 / sum_l max_l, the vertex is w_k = w, theta_l = w max_l.
     theta_l enters at its level's last record row, which holds max_l (a
-    level whose max_l is 0 keeps theta_l nonbasic at 0); sigma_j enters at
-    chain row j for j < p, and sigma_p at the budget row.  Each other
-    record row (k, l) keeps its slack, gap_k w (max_l - c_kl) >= 0, exactly
+    level whose max_l is 0 keeps theta_l nonbasic at 0); w_j enters at
+    chain row j for j < p, and w_p at the budget row.  Each other
+    record row (k, l) keeps its slack, w (max_l - c_kl) >= 0, exactly
     0 on a tie; the padding rows' slacks are 0.  An LP whose maxima sum to
     0 or to a subnormal, where w is infinite, skips every step and keeps
     x = 0.
@@ -306,10 +310,10 @@ def _equal_weight_vertex(
     steps += [(np.full(size, row), np.full(size, j), far) for j, row in enumerate(chain.tolist())]
     steps.append((np.full(size, budget), np.full(size, p - 1), far))
     point = np.zeros((size, n + m))
-    sigma = point[:, :p] = gaps * w[:, None]
+    point[:, :p] = w[:, None]
     point[:, p:n] = w[:, None] * top
     lps, k, l = np.nonzero(record >= 0)
-    point[lps, n + record[lps, k, l]] = sigma[lps, k] * (top[lps, l] - ccdf[lps, k, l])
+    point[lps, n + record[lps, k, l]] = w[lps] * (top[lps, l] - ccdf[lps, k, l])
     point[far, n + budget] = 1.0  # x = 0: the budget row's slack holds its rhs
     return steps, point
 
@@ -329,21 +333,21 @@ def _prefix(
 def build_permutation_lp(
     stats: ChannelStats, tup: CachingTuple, pi: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The LP of an ordering's live prefix as c, a_ub, b_ub, in variables x = [sigma_1..p, theta_1..B].
+    """The LP of an ordering's live prefix as c, a_ub, b_ub, in variables x = [w_1..p, theta_1..B].
 
-    p is the ordering's live count; the pinned sigma_{p+1..K} and their
-    all-zero rows are left out.  Its optimum is -sum(sigma); the ordering's
-    bound value is -1 / optimum.
+    p is the ordering's live count; w_{p+1..K}, whose prefixes are fully
+    covered, are fixed at 0 and left out with their rows.  Its optimum is
+    -sum_k gap_k w_k; the ordering's bound value is -1 / optimum.
     """
     c, a_ub, b_ub, _ = _permutation_lps(*_prefix(stats, tup, pi))
-    return c, a_ub[0], b_ub
+    return c[0], a_ub[0], b_ub
 
 
 def _solve_from_vertex(ccdf: np.ndarray, kept: np.ndarray, gaps: np.ndarray) -> StackSolution:
     """The stack of live-prefix LPs of (L, p, B) CCDF rows, their record mask
     and (L, p) gaps (_permutation_lps), each solved from its equal-weight vertex."""
     c, a_ub, b_ub, layout = _permutation_lps(ccdf, kept, gaps)
-    return solve_lps(c, a_ub, b_ub, _equal_weight_vertex(ccdf, gaps, a_ub.shape[1], layout))
+    return solve_lps(c, a_ub, b_ub, _equal_weight_vertex(ccdf, a_ub.shape[1], layout))
 
 
 def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -376,7 +380,7 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     orderings = list(permutations(range(1, K + 1)))
     every = np.fromiter(chain.from_iterable(orderings), dtype=int, count=K * len(orderings)).reshape(-1, K)
     masks, gap_of, live = _live_prefixes(stats, tup, every)
-    # Positions past the largest live count are pinned in every ordering.
+    # Positions past the largest live count are fixed at 0 in every ordering.
     head = np.s_[:, : int(live.max())]
     before = masks[head] ^ (1 << (every[head] - 1))  # the users ahead of each position
     top = _level_maxima(stats.ccdf)
@@ -393,13 +397,13 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     users = np.where(bearing, named[every[head] - 1], 0)
     first, inverse = _distinct_rows([live, *users.T, *gap_rank[masks[head]].T])
     live_of = live[first]
-    # A fully covered first user pins every sigma (p = 0): such an ordering
-    # admits no weight vector and contributes an infinite bound.  A first
-    # user who decodes nothing makes the LP unbounded: value 0, sigma_1 > 0.
+    # A fully covered first user fixes every weight at 0 (p = 0): such an
+    # ordering admits no weight vector and contributes an infinite bound.  A
+    # first user who decodes nothing makes the LP unbounded: value 0, w_1 > 0.
     values = np.full(first.size, inf)
-    sigma = np.zeros((first.size, K))  # the pinned sigmas stay 0
+    weights = np.zeros((first.size, K))  # the fixed weights stay 0
     dead = (live_of > 0) & ~stats.ccdf[every[first, 0] - 1].any(axis=1)
-    values[dead], sigma[dead, 0] = 0.0, 1.0
+    values[dead], weights[dead, 0] = 0.0, 1.0
     for p in sorted(set(live_of[~dead].tolist()) - {0}):
         group = np.flatnonzero((live_of == p) & ~dead)
         ccdf = stats.ccdf[every[first[group], :p] - 1]
@@ -418,7 +422,7 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
                 for row, outcome in zip(rows.tolist(), stack):
                     require_optimal(outcome, f"ordering {orderings[row]} (K={K}, B={B}, mu={tup.mu})")
             values[lps] = -1.0 / stack.value
-            sigma[lps, :p] = stack.x[:, :p]
+            weights[lps, :p] = stack.x[:, :p]
 
     by_ordering = values[inverse]
     table = tuple(zip(orderings, by_ordering.tolist()))
@@ -426,12 +430,8 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     hits = np.flatnonzero(by_ordering <= best + FEAS_TOL)
     argmin = int(hits[0])  # orderings were generated in lexicographic order
     pi = orderings[argmin]
-    x = sigma[inverse[argmin]]
-    gaps = gap_of[masks[argmin]]
-    omega = np.zeros(K)
-    for k in range(K):
-        if gaps[k] > 0.0:
-            omega[pi[k] - 1] = max(x[k], 0.0) / gaps[k]  # x >= -FEAS_TOL: a negative is a 0
+    omega = np.zeros(K)  # the argmin's x itself, by user; x >= -FEAS_TOL: a negative is a 0
+    omega[every[argmin] - 1] = np.maximum(weights[inverse[argmin]], 0.0)
     positive = omega[omega > 0.0]
     if positive.size:
         omega /= positive.min()

@@ -184,6 +184,14 @@ def sorted_uniform_ccdf(rng: np.random.Generator, users: int, levels: int) -> np
     return np.sort(rng.random((users, levels)), axis=1)[:, ::-1]
 
 
+def tiny_gap_placement(users: int) -> list[list[tuple[Fraction, Fraction]]]:
+    """One interval per user at mu = 1/2: user 1 caches (0, 1/2], user 2
+    (1/2 - 1e-16, 1 - 1e-16] and every other user (1/4, 3/4], so any
+    prefix holding users 1 and 2 leaves a gap of exactly 1e-16."""
+    half, quarter, tiny = Fraction(1, 2), Fraction(1, 4), Fraction(1, 10**16)
+    return [[(Fraction(0), half)], [(half - tiny, 1 - tiny)]] + [[(quarter, 3 * quarter)]] * (users - 2)
+
+
 # The delivery-ladder benchmark's rate LPs, (K, t) at B = 4, drawn in this
 # order from one stream (perfbench/scenarios.py; copied, not imported).
 LADDER = ((7, 2), (7, 3), (8, 2), (8, 3), (8, 4), (9, 3), (9, 4))
@@ -274,15 +282,17 @@ def enumerate_vertices(c, a_ub, b_ub) -> LpSolution:
 def permutation_lp_reference(stats, tup, pi, every_decode_row=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The per-ordering LP as (c, a_ub, b_ub), built one entry at a time, in its full K*B+K by K+B shape.
 
+    x = [w_1..K, theta_1..B]: decode row (k, l) is c_kl w_k - theta_l <= 0,
+    chain row k is w_{k+1} - w_k <= 0, and the cost of w_k is -gap_k.
     Decode row (k, l) is left zero unless it is a record: k = 0, or user
     pi[k]'s level-l CCDF entry exceeds that of every user before it in the
     ordering (the chain rows imply every other decode row).  With
-    every_decode_row, every decode row is written.  Fully covered
-    prefixes pin their sigma to zero with zero columns and costs, which
-    leaves their decode rows and the chain rows into them all zero.
-    Without the zero rows and columns (drop_zero_lines) it is the
-    live-prefix LP that upper_bound.build_permutation_lp must reproduce
-    byte for byte (signed zeros included).
+    every_decode_row, every decode row is written.  A w_k whose prefix is
+    fully covered is fixed at 0: its column, cost, decode rows and the
+    chain row into it are zeroed.  Without the zero rows and columns
+    (drop_zero_lines) it is the live-prefix LP that
+    upper_bound.build_permutation_lp must reproduce byte for byte (signed
+    zeros included).
     """
     K, B = stats.num_users, stats.num_levels
     gaps = [float(1 - tup.of(pi[: k + 1])) for k in range(K)]
@@ -292,18 +302,21 @@ def permutation_lp_reference(stats, tup, pi, every_decode_row=False) -> tuple[np
             entry = stats.ccdf[pi[k] - 1][l]
             if every_decode_row or all(entry > stats.ccdf[pi[j] - 1][l] for j in range(k)):
                 a_ub[k * B + l, k] = entry
-                a_ub[k * B + l, K + l] = -gaps[k]
+                a_ub[k * B + l, K + l] = -1.0
     for k in range(1, K):
-        a_ub[K * B + k - 1, k - 1] = -gaps[k]
-        a_ub[K * B + k - 1, k] = gaps[k - 1]
+        a_ub[K * B + k - 1, k - 1] = -1.0
+        a_ub[K * B + k - 1, k] = 1.0
     for l in range(B):
         a_ub[K * B + K - 1, K + l] = 1.0  # the budget row: sum theta <= 1
     b_ub = np.zeros(K * B + K)
     b_ub[-1] = 1.0
-    c = np.concatenate([-np.ones(K), np.zeros(B)])  # maximize sum sigma
+    c = np.concatenate([-np.array(gaps), np.zeros(B)])  # maximize sum gap_k w_k
     for k in range(K):
-        if tup.of(pi[: k + 1]) == 1:  # pinned: column and cost zeroed
+        if tup.of(pi[: k + 1]) == 1:  # fixed at 0: column, cost and rows zeroed
             a_ub[:, k] = 0.0
+            a_ub[k * B : (k + 1) * B] = 0.0
+            if k:
+                a_ub[K * B + k - 1] = 0.0
             c[k] = 0.0
     return c, a_ub, b_ub
 

@@ -39,7 +39,9 @@ from helpers import (
     fail_certificate,
     is_master_solve,
     random_chain_stats,
+    sorted_uniform_ccdf,
     stack_hits,
+    tiny_gap_placement,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -392,15 +394,15 @@ def test_simulate_output_digests_are_frozen(capsys, tmp_path, name):
 # SHA-256 of `rates upper --json` on the ROADMAP item 1 grid (all 720
 # orderings in `table`) and of `rates achievable --json` on a seeded
 # sorted-uniform K = 8, t = 3, B = 4 grid.  `upper` was frozen when the
-# per-ordering LPs started at their equal-weight vertex (every table entry
-# within 2.3e-14 relative of the same LPs solved from x = 0 and within
-# 5e-16 of HiGHS, the same value, argmin_pi and uniqueness, omega_star
-# within 1e-15), `achievable` when the cutting-plane master got its seed
-# cuts (the value within 7e-16 relative of the last one and of HiGHS,
-# another optimal mix of shares): a change to the LP core must keep these
-# bytes.
+# per-ordering LPs took the weight form, the gaps in the cost row only
+# (every table entry within 3.7e-16 relative of the LPs with the gaps in
+# their matrix and within 5e-16 of HiGHS, the same value, argmin_pi and
+# uniqueness, omega_star within 4.5e-16), `achievable` when the
+# cutting-plane master got its seed cuts (the value within 7e-16 relative
+# of the last one and of HiGHS, another optimal mix of shares): a change to
+# the LP core must keep these bytes.
 RATES_DIGESTS = {
-    "upper": "ff3c88af727cca40b4111f929c76061de7d5d65572b140710d0aea5adb1e26f9",
+    "upper": "b958552437532b6808d5c8b1e5288ee293b22d39ae044ba33cbbc185331ea5a6",
     "achievable": "69a7204f5376bb47f41418fe5e7a2a570fad6416f477124c4d29a85f182c714f",
 }
 
@@ -672,6 +674,19 @@ def test_config_explicit_caching(capsys, tmp_path):
     cfg = write_config(tmp_path, body)
     payload = run_json(capsys, ["rates", "upper", cfg, "--json"])
     assert abs(payload["value"] - MIXED3_BOUND) <= 1e-9  # same as central placement
+
+
+def test_bound_on_tiny_gaps(capsys, tmp_path):
+    # Users 1 and 2 leave 1e-16 of the file uncovered: the bound is finite.
+    body = {
+        "num_users": 4,
+        "num_levels": 3,
+        "mu": "1/2",
+        "ccdf": sorted_uniform_ccdf(np.random.default_rng([4, 7]), 4, 3).tolist(),
+        "caching": [[[str(a), str(b)] for a, b in user] for user in tiny_gap_placement(4)],
+    }
+    payload = run_json(capsys, ["rates", "upper", write_config(tmp_path, body), "--json"])
+    assert isinstance(payload["value"], float) and 0.0 < payload["value"] < float("inf")
 
 
 @pytest.mark.parametrize(

@@ -170,6 +170,52 @@ def test_certificate_failures_name_the_residual(monkeypatch, index, text):
     assert str(failure.value) == text
 
 
+def test_refinement_mends_one_lp_and_leaves_the_others(monkeypatch):
+    # LP 1 of a kept stack resumes at its optimal basis from a tableau whose
+    # rhs is 1e-6 off, as rounding leaves it on ill-scaled bases: x read
+    # off the tableau fails its certificate.  It is refined once at that
+    # basis (x_B = Binv.b and y = c_B.Binv from the original rows) and
+    # passes, with the x, value and duals of the same stack left clean;
+    # LPs 0 and 2 pass at once and keep their bytes.
+    calls = []
+    refine = lp._refined
+
+    def counting(a, b, costs, basis):
+        calls.append(len(a))
+        return refine(a, b, costs, basis)
+
+    monkeypatch.setattr(lp, "_refined", counting)
+    rng = np.random.default_rng(97)
+    a_ub = np.concatenate([rng.normal(size=(3, 4, 3)), np.ones((3, 1, 3))], axis=1)  # a cap row bounds x
+    b_ub = np.concatenate([rng.uniform(0.1, 2.0, (3, 4)), np.full((3, 1), 2.0)], axis=1)
+    c = rng.normal(size=(3, 3))
+    clean, faulty = lp.LpStack(a_ub, b_ub), lp.LpStack(a_ub, b_ub)
+    assert_same_stack(clean.solve(c), faulty.solve(c))
+    assert calls == []
+    faulty._tableau[1, :5, 3] += 1e-6
+    mended, kept = faulty.solve(c), clean.solve(c)
+    assert calls == [1]
+    assert mended.status == kept.status == [OPTIMAL] * 3
+    for f in fields(lp.StackSolution)[1:]:
+        x, y = getattr(mended, f.name), getattr(kept, f.name)
+        assert x[[0, 2]].tobytes() == y[[0, 2]].tobytes(), f.name
+    np.testing.assert_allclose(mended.x[1], kept.x[1], rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(mended.dual_ub[1], kept.dual_ub[1], rtol=0.0, atol=1e-14)
+    assert abs(mended.value[1] - kept.value[1]) <= 1e-14
+    assert max(mended.primal_residual[1], mended.dual_residual[1], mended.duality_gap[1]) <= FEAS_TOL
+
+    # A basis singular in floats, where np.linalg.solve raises, leaves the
+    # failure standing.
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(lp, "_refined", singular)
+    faulty._tableau[1, :5, 3] += 1e-6
+    failed = faulty.solve(c)
+    assert str(failed.status[1]).startswith("optimal basis fails ")
+    assert failed.status[0] == failed.status[2] == OPTIMAL
+
+
 # --- construction and guards ---------------------------------------------------
 
 
@@ -1011,7 +1057,7 @@ def test_pivot_path_chain_lp():
 
 
 def test_pivot_path_ordering_lp():
-    assert _path(_ordering_path()) == (OPTIMAL, 9, -0.7020414075184858)
+    assert _path(_ordering_path()) == (OPTIMAL, 12, -0.7020414075184855)
 
 
 def test_guard_at_zero_is_blands_rule(monkeypatch):
@@ -1021,7 +1067,7 @@ def test_guard_at_zero_is_blands_rule(monkeypatch):
     monkeypatch.setattr(lp, "DEGENERATE_RUN", 0)
     assert _path(_delivery_path()) == (OPTIMAL, 241, -1.0000449673374703)
     assert _path(_chain_path()) == (OPTIMAL, 8, -2.461175840112319)
-    assert _path(_ordering_path()) == (OPTIMAL, 11, -0.7020414075184856)
+    assert _path(_ordering_path()) == (OPTIMAL, 11, -0.7020414075184855)
 
 
 def test_guard_fires_on_degenerate_delivery_lp(monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cachecast import lp_scheme
+from cachecast import lp, lp_scheme
 from cachecast.channel import validate_stats
 from cachecast.errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT
 from cachecast.lp import FEAS_TOL, OPTIMAL, LpStack, solve_lp, solve_lps
@@ -525,6 +525,50 @@ def test_tiny_tail_levels_match_highs(monkeypatch, t):
         assert abs(alloc.rate + reference.fun) <= 1e-9
         assert check_allocation(stats, alloc).feasible
         assert len(seeds) == 4  # the tiny levels get seeds too
+
+
+def small_entry_grids(seed, values):
+    """K = 6, B = 4 sorted-uniform grids where each user, with probability
+    1/2, has levels 2-4 replaced by sorted draws from values."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        grid = sorted_uniform_ccdf(rng, 6, 4)
+        for k in range(6):
+            if rng.random() < 0.5:
+                grid[k, 1:] = np.sort(rng.choice(values, 3))[::-1]
+        yield grid
+
+
+@pytest.mark.parametrize(
+    "seed, values, refines",
+    [(61, (1e-6, 1e-9), False), (62, (1e-6, 1e-9), True), (63, (1e-3, 1e-6, 1e-9, 1e-12), True)],
+)
+def test_small_entries_are_refined_to_a_certified_allocation(monkeypatch, seed, values, refines):
+    # The subset LPs' bases mix entries near 1 with entries near 1e-9, and
+    # x read off the tableau misses FEAS_TOL by 1e-9 to 1e-7: 13 of these
+    # 180 delivery LPs failed their recheck that way, and one its master's
+    # dual check (2.8e-9).  Refined once at their final bases, those LPs
+    # pass the same certificate, and every delivery LP returns a feasible
+    # allocation with a certified gap of at most 1e-9.  The subset stack
+    # keeps its tableau from cut to cut, so an LP once refined is refined
+    # again at later cuts: 0, 8 and 141 refinements over the 60 at the
+    # three seeds on a 2-CPU Xeon.  Whether a residual lands just above
+    # FEAS_TOL can differ with the BLAS, so only seeds 62 and 63 must refine.
+    calls = []
+    refine = lp._refined
+
+    def counting(a, b, costs, basis):
+        calls.append(len(a))
+        return refine(a, b, costs, basis)
+
+    monkeypatch.setattr(lp, "_refined", counting)
+    for grid in small_entry_grids(seed, values):
+        stats = validate_stats(grid)
+        for t in (1, 2, 3):
+            alloc = achievable_rate_lp(stats, Fraction(t, 6))
+            assert check_allocation(stats, alloc).feasible
+            assert 0.0 <= alloc.gap <= 1e-9
+    assert calls or not refines
 
 
 @pytest.mark.parametrize("name", ["K8-t3-B4-stall", "K7-t3", "K8-t2"])

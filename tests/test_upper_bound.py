@@ -27,6 +27,7 @@ from helpers import (
     permutation_lp_reference,
     random_stats,
     sorted_uniform_ccdf,
+    tiny_gap_placement,
 )
 
 
@@ -87,26 +88,27 @@ def test_lp_shape_and_first_row(mixed3, tup3):
     # live count 2: 5 record decode rows + 1 ordering row + the budget row;
     # user 2's level-1 row is implied by user 1's (0.7 <= 0.9)
     assert a_ub.shape == (7, 5)
-    assert c.size == 5  # sigma_1, sigma_2, theta_1..3
-    np.testing.assert_allclose(a_ub[0], [0.9, 0.0, -2.0 / 3.0, 0.0, 0.0])
-    np.testing.assert_allclose(a_ub[3], [0.0, 0.4, 0.0, -1.0 / 3.0, 0.0])  # user 2, level 2
+    assert c.size == 5  # w_1, w_2, theta_1..3
+    np.testing.assert_array_equal(a_ub[0], [0.9, 0.0, -1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(a_ub[3], [0.0, 0.4, 0.0, -1.0, 0.0])  # user 2, level 2
     np.testing.assert_array_equal(b_ub, [0.0] * 6 + [1.0])
-    np.testing.assert_array_equal(c, [-1, -1, 0, 0, 0])  # maximize sum sigma
+    # maximize gap_1 w_1 + gap_2 w_2: the gaps are in the cost row only
+    np.testing.assert_array_equal(c, [-2.0 / 3.0, -1.0 / 3.0, 0, 0, 0])
 
 
 def test_lp_ordering_rows(mixed3, tup3):
     _, a_ub, _ = build_permutation_lp(mixed3, tup3, (1, 2, 3))
-    np.testing.assert_allclose(a_ub[5], [-1.0 / 3.0, 2.0 / 3.0, 0.0, 0.0, 0.0])
-    # the chain row into the pinned sigma_3 is left out with it
+    np.testing.assert_array_equal(a_ub[5], [-1.0, 1.0, 0.0, 0.0, 0.0])  # w_2 <= w_1
+    # the chain row into the fixed w_3 is left out with it
     np.testing.assert_array_equal(a_ub[6], [0.0, 0.0, 1.0, 1.0, 1.0])  # sum theta <= 1
 
 
 def test_lp_pins_fully_covered_prefixes(mixed3, tup3):
-    # {1, 2, 3} has coverage 1, so sigma_3 is pinned: in the full-shape LP
-    # its column and cost are zero, and so are its 3 decode rows and the
-    # chain row into it.  The live-prefix LP leaves all of them out, and
-    # sigma_1 and sigma_2 keep their entries but for the implied decode row
-    # (2, 1).
+    # {1, 2, 3} has coverage 1, so w_3 has cost 0 and only tightens its 3
+    # decode rows and the chain row into it: it is fixed at 0, and in the
+    # full-shape LP its column, cost and those rows are zero.  The
+    # live-prefix LP leaves all of them out, and w_1 and w_2 keep their
+    # entries but for the implied decode row (2, 1).
     reference_c, reference_a_ub, _ = permutation_lp_reference(mixed3, tup3, (1, 2, 3))
     np.testing.assert_array_equal(reference_a_ub[:, 2], np.zeros(12))
     assert reference_c[2] == 0.0
@@ -114,15 +116,17 @@ def test_lp_pins_fully_covered_prefixes(mixed3, tup3):
     c, a_ub, _ = build_permutation_lp(mixed3, tup3, (1, 2, 3))
     assert a_ub.shape == (7, 5)
     assert np.count_nonzero(a_ub[:, :2], axis=0).tolist() == [4, 3]  # 3 and 2 decode rows + 1 ordering row
-    np.testing.assert_array_equal(c[:2], [-1.0, -1.0])
+    np.testing.assert_array_equal(c[:2], [-2.0 / 3.0, -1.0 / 3.0])
     assert np.all(a_ub.any(axis=1)) and np.all(a_ub.any(axis=0))  # no zero row or column left
+    assert set(np.unique(a_ub[:, 2:])) == {-1.0, 0.0, 1.0}  # theta's entries: no gap
 
 
 def test_lp_matches_entrywise_builder():
-    # Central placements pin the same prefixes in every ordering; the
-    # explicit one pins one, two or three depending on the ordering.  The
+    # Central placements fix the same weights at 0 in every ordering; the
+    # explicit one fixes one, two or three depending on the ordering.  The
     # live-prefix LP is the full-shape reference, implied decode rows
-    # zeroed, without its zero rows and columns.
+    # zeroed, without its zero rows and columns: its matrix holds CCDF
+    # entries and +-1 only, and the gaps are its costs.
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     explicit = [[(0, half)], [(half, 1)], [(0, half)], [(quarter, 3 * quarter)]]
     cases = [
@@ -136,6 +140,11 @@ def test_lp_matches_entrywise_builder():
             reference, _ = drop_zero_lines(permutation_lp_reference(stats, tup, pi))
             for a, b in zip(built, reference):  # c, a_ub and b_ub
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            c, a_ub, _ = built
+            p = c.size - stats.num_levels
+            assert np.isin(a_ub[:, p:], (-1.0, 0.0, 1.0)).all()
+            assert np.isin(a_ub[:, :p], [*stats.ccdf.ravel(), -1.0, 0.0, 1.0]).all()
+            np.testing.assert_array_equal(c[:p], [-float(1 - tup.of(pi[: k + 1])) for k in range(p)])
 
 
 def _exactness_cases():
@@ -160,9 +169,9 @@ def _exactness_cases():
     "stats, tup, live_counts", [pytest.param(*case[1:], id=case[0]) for case in _exactness_cases()]
 )
 def test_live_prefix_lp_solves_as_pinned_lp(stats, tup, live_counts):
-    # Dropping the pinned sigmas' zero columns and the zero rows (those of
+    # Dropping the fixed weights' zero columns and the zero rows (those of
     # the implied decode rows too) leaves the pivot path unchanged: the same
-    # pivots, value and sigma/theta bytes.
+    # pivots, value and w/theta bytes.
     seen = set()
     for pi in permutations(range(1, stats.num_users + 1)):
         reference = permutation_lp_reference(stats, tup, pi)
@@ -201,10 +210,10 @@ def _tied_cases():
 
 @pytest.mark.parametrize("stats, tup", [pytest.param(*case[1:], id=case[0]) for case in _tied_cases()])
 def test_record_rows_imply_the_dropped_rows(stats, tup):
-    # The chain rows imply every decode row that is not a record.  So the
-    # record-row LP's optimum satisfies the LP with every decode row, and
-    # the two LPs share their optimum, on grids with tied entries, two equal
-    # users and a user that decodes nothing.
+    # The chain rows w_k <= w_{k-1} imply every decode row that is not a
+    # record.  So the record-row LP's optimum satisfies the LP with every
+    # decode row, and the two LPs share their optimum, on grids with tied
+    # entries, two equal users and a user that decodes nothing.
     dropped = 0
     for pi in permutations(range(1, stats.num_users + 1)):
         kept = build_permutation_lp(stats, tup, pi)
@@ -292,10 +301,19 @@ def test_bound_weights_reproduce_value_on_random_grids(users):
                 assert abs(objective_at(stats, tup, report.omega_star) - report.value) <= 1e-9 * report.value
 
 
-def test_bound_weights_are_nonnegative():
-    # The argmin ordering's LP ends with sigma_3 = -5.6e-17, within the
-    # certificate's FEAS_TOL of 0; omega_star takes it as 0, so objective_at
-    # accepts the weights.
+def test_bound_weights_are_nonnegative(monkeypatch):
+    # An optimal LP may end with a weight a rounding below 0, within the
+    # certificate's FEAS_TOL: here every LP's w_3 is made -5.6e-17 where
+    # it is 0.  omega_star takes it as 0, so objective_at accepts the
+    # weights.
+    solve_lps = upper_bound.solve_lps
+
+    def rounded(c, a_ub, b_ub, start):
+        outcomes = solve_lps(c, a_ub, b_ub, start)
+        outcomes.x[outcomes.x[:, 2] == 0.0, 2] = -5.6e-17
+        return outcomes
+
+    monkeypatch.setattr(upper_bound, "solve_lps", rounded)
     stats = validate_stats([[0.2, 0.2], [0.2, 0.0], [0.9, 0.6], [0.8, 0.3], [0.9, 0.5]])
     tup = central_tuple(5, Fraction(2, 5))
     report = upper_bound_rate(stats, tup)
@@ -456,7 +474,7 @@ def _bound_one_ordering_at_a_time(stats, tup, vertex=True):
     """The report's value, argmin, weights, uniqueness and table, from each
     ordering's LP solved alone: from its equal-weight vertex as a stack of
     one (_solved_alone), or from x = 0 by solve_lp where vertex is false.
-    An unbounded LP counts as value 0 with sigma_1 = 1, and it must be
+    An unbounded LP counts as value 0 with w_1 = 1, and it must be
     unbounded exactly where the ordering's first user decodes nothing (the
     rule upper_bound_rate applies without solving); an ordering with no
     live user counts as an infinite value.  An LP whose arrays repeat an
@@ -489,9 +507,7 @@ def _bound_one_ordering_at_a_time(stats, tup, vertex=True):
     pi, x = orderings[hits[0]], xs[hits[0]]
     omega = np.zeros(K)
     for k in range(K):
-        gap = float(1 - tup.of(pi[: k + 1]))
-        if gap > 0.0:
-            omega[pi[k] - 1] = max(x[k], 0.0) / gap
+        omega[pi[k] - 1] = max(x[k], 0.0)
     if (omega > 0.0).any():
         omega /= omega[omega > 0.0].min()
     unique = len(hits) == 1 and best < math.inf
@@ -514,7 +530,7 @@ def _assert_near_x0_start(report, stats, tup):
 
 def test_bound_dead_first_user_is_zero(monkeypatch):
     # User 1 decodes nothing, so an ordering that starts with it bounds the
-    # rate by 0: its LP is unbounded (sigma_1 grows with every theta at 0),
+    # rate by 0: its LP is unbounded (w_1 grows with every theta at 0),
     # and the weights are user 1 alone.
     stats = validate_stats([[0.0, 0.0, 0.0], [0.9, 0.5, 0.2], [0.8, 0.4, 0.1]])
     tup = caching_tuple(central_strategy(3, Fraction(1, 3)))
@@ -528,7 +544,7 @@ def test_bound_dead_first_user_is_zero(monkeypatch):
 
     # The bound settles those orderings without an LP: no stack it solves
     # holds an LP whose first user's decode rows (its first B rows, column
-    # sigma_1) are all zero.  The report is the one the LPs give alone,
+    # w_1) are all zero.  The report is the one the LPs give alone,
     # with the first user or a middle one dead, at mu where every user is
     # live, where some are fully covered, and at mu = 1 where no ordering
     # has a live user (p = 0).
@@ -577,6 +593,26 @@ def test_bound_full_cache_solves_no_lp(monkeypatch):
     assert shapes == []
 
 
+@pytest.mark.parametrize("users", [3, 4, 5])
+def test_bound_on_tiny_gaps_matches_highs(users):
+    # Users 1 and 2 together leave 1e-16 of the file uncovered.  With the
+    # gaps in the cost row only, the bound is finite on every seeded grid
+    # and matches HiGHS on each ordering's LP with every decode row.
+    tup = caching_tuple(strategy_from_intervals(tiny_gap_placement(users), Fraction(1, 2)))
+    assert float(1 - tup.of((1, 2))) == 1e-16
+    rng = np.random.default_rng([users, 7])
+    grids = [validate_stats(sorted_uniform_ccdf(rng, users, 3)) for _ in range(4)]
+    reports = [upper_bound_rate(stats, tup) for stats in grids]
+    assert all(math.isfinite(report.value) and report.value > 0.0 for report in reports)
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for stats, report in zip(grids, reports):
+        values = []
+        for pi in permutations(range(1, users + 1)):
+            (c, a_ub, b_ub), _ = drop_zero_lines(permutation_lp_reference(stats, tup, pi, every_decode_row=True))
+            values.append(-1.0 / linprog(c, a_ub, b_ub, method="highs").fun)
+        assert abs(report.value - min(values)) <= 1e-9 * report.value
+
+
 def test_bound_user_cap():
     stats = random_stats(np.random.default_rng(1), 9, 2)
     tup = caching_tuple(central_strategy(9, Fraction(0)))
@@ -619,11 +655,9 @@ def test_bound_explicit_caching_matches_each_ordering():
     pi = orderings[argmin]
     assert report.value == best and report.argmin_pi == pi
     x = solved[argmin].x
+    live = x.size - stats.num_levels
     omega = np.zeros(4)
-    for k in range(4):
-        gap = float(1 - tup.of(pi[: k + 1]))
-        if gap > 0.0:
-            omega[pi[k] - 1] = x[k] / gap
+    omega[np.array(pi[:live]) - 1] = x[:live]  # the weights are x itself
     omega /= omega[omega > 0.0].min()
     assert report.omega_star == tuple(float(w) for w in omega)
     _assert_near_x0_start(report, stats, tup)
@@ -634,16 +668,19 @@ def test_bound_keeps_lps_of_equal_record_users_apart(monkeypatch):
     # holds a record: the orderings it leads have the same decode rows, its
     # own.  With one interval per user at unequal offsets, {1, 2} covers
     # half the file and {1, 3} a quarter, so (1, 2, 3, 4) and (1, 3, 2, 4)
-    # differ in their gaps, hence in their chain rows and their values.
-    # They must not share an LP.
+    # have the same rows and differ in their gaps, hence in their costs and
+    # their values.  They must not share an LP.
     stats = validate_stats([[0.9, 0.8, 0.7], [0.5, 0.4, 0.3], [0.6, 0.3, 0.2], [0.4, 0.2, 0.1]])
     quarter = Fraction(1, 4)
     placement = [[(0, quarter)], [(quarter, 2 * quarter)], [(0, quarter)], [(2 * quarter, 3 * quarter)]]
     tup = caching_tuple(strategy_from_intervals(placement, quarter))
-    (_, a_12, _), (_, a_13, _) = lps = [build_permutation_lp(stats, tup, pi) for pi in ((1, 2, 3, 4), (1, 3, 2, 4))]
-    assert a_12.shape == a_13.shape == (7, 7)  # 3 decode rows, 3 chain rows, the budget row
-    np.testing.assert_array_equal(a_12[:3], a_13[:3])
-    assert not np.array_equal(a_12[3:6], a_13[3:6])
+    (c_12, a_12, _), (c_13, a_13, _) = lps = [
+        build_permutation_lp(stats, tup, pi) for pi in ((1, 2, 3, 4), (1, 3, 2, 4))
+    ]
+    assert a_12.shape == (7, 7)  # 3 decode rows, 3 chain rows, the budget row
+    np.testing.assert_array_equal(a_12, a_13)
+    np.testing.assert_array_equal(c_12[:4], [-0.75, -0.5, -0.5, -0.25])
+    np.testing.assert_array_equal(c_13[:4], [-0.75, -0.75, -0.5, -0.25])
     shapes = _recording_solve_lps(monkeypatch)
     report = upper_bound_rate(stats, tup)
     assert sum(shape[0] for shape in shapes) == len(_distinct_lps(stats, tup))
@@ -781,11 +818,11 @@ def _vertex_cases():
 
 @pytest.mark.parametrize("stats, tup", _vertex_cases())
 def test_bound_starts_each_lp_at_its_equal_weight_vertex(monkeypatch, stats, tup):
-    # Each stack starts at the vertex sigma_k = gap_k w, theta_l = w max_l,
+    # Each stack starts at the vertex w_k = w, theta_l = w max_l,
     # w = 1 / sum_l max_l: the point meets every row with its slacks and
-    # fills the budget row, its weights sigma_k / gap_k are equal, and the
-    # crash pivots reach the point's basis: the rhs they compute is the
-    # closed form's within 1e-12, and every nonbasic label is 0 there.  The
+    # fills the budget row, its weights are exactly equal, and the crash
+    # pivots reach the point's basis: the rhs they compute is the closed
+    # form's within 1e-12, and every nonbasic label is 0 there.  The
     # report is each ordering's LP solved alone from its vertex, byte for
     # byte, and within 1e-12 of the LPs solved from x = 0.  A level that no
     # live user reaches keeps its theta at 0: the crash skips that LP in
@@ -802,11 +839,7 @@ def test_bound_starts_each_lp_at_its_equal_weight_vertex(monkeypatch, stats, tup
         lhs = np.einsum("lmn,ln->lm", a_ub, x) + slack
         np.testing.assert_allclose(lhs, np.broadcast_to(b_ub, (size, m)), rtol=0.0, atol=1e-12)
         assert (slack[:, -1] == 0.0).all()  # the budget row is tight
-        if p > 1:  # chain row j: -gap_{j+1} sigma_j + gap_j sigma_{j+1} <= 0
-            chain = a_ub[:, m - p : m - 1]
-            gaps = np.concatenate([chain[:, 0, 1:2], -chain[:, :, : p - 1].diagonal(axis1=1, axis2=2)], axis=1)
-            weights = x[:, :p] / gaps
-            np.testing.assert_allclose(weights, np.broadcast_to(weights[:, :1], weights.shape), rtol=1e-12)
+        assert (x[:, :p] == x[:, :1]).all()
         crashed = lp.LpStack.crashed(a_ub, b_ub, steps, point)
         pivoted = lp.LpStack(a_ub, b_ub)
         for rows, slots, skip in steps:
@@ -843,10 +876,10 @@ def test_vertex_of_tiny_entries():
 # the equal-weight vertex and from x = 0.  At t = 5 every LP has one live
 # user, and the vertex is its optimum.
 ROADMAP_ITEM1_PIVOTS = {
-    1: ([1232, 269], [3271, 962]),
-    2: ([743], [2377]),
-    3: ([272], [849]),
-    4: ([51], [200]),
+    1: ([1232, 269], [3272, 996]),
+    2: ([743], [2326]),
+    3: ([272], [880]),
+    4: ([51], [216]),
     5: ([0], [30]),
 }
 
