@@ -65,12 +65,14 @@ a_ub.x <= b_ub and of x >= 0), the dual residual (largest violation of
 c - a_ub^T y >= 0 and y <= 0) and the gap |c.x - b_ub.y| must each be
 within FEAS_TOL (the gap relative to 1 + |c.x|).  An LP whose simplex
 ended optimal but fails the certificate is refined once at its final
-basis: x_B = Binv.b and y = c_B.Binv are solved afresh from the original
-rows [a_ub | I] (np.linalg.solve on the m x m basis matrix), not read off
-the tableau, whose rounding on a basis that mixes entries near 1 with
-entries near 1e-9 can miss FEAS_TOL.  If it fails again, the LP's outcome
-is a NumericalFailure naming the residual.  An LP that passes at once
-keeps its bytes.  LpSolution carries the three values.
+basis: its tableau rows Binv.[N | b_ub] (x_B in the last column) and
+y = c_B.Binv are solved afresh from the original rows [a_ub | I]
+(np.linalg.solve on the m x m basis matrix), not read off the tableau,
+whose rounding on a basis that mixes entries near 1 with entries near
+1e-9 can miss FEAS_TOL.  If it fails again, the LP's outcome is a
+NumericalFailure naming the residual; if it passes, the refined rows
+replace its tableau's, so a kept stack resumes from them.  An LP that
+passes at once keeps its bytes.  LpSolution carries the three values.
 
 One simplex core runs on a stack of same-shape tableaux, shape
 (L, m+1, n+1): the n nonbasic columns, then the rhs, with the labels in
@@ -410,7 +412,10 @@ def _finish(
     within FEAS_TOL and a gap within FEAS_TOL (1 + |c.x|).  One that fails
     it is refined once at its final basis (_refined) and certified again,
     and if it fails again its status becomes the NumericalFailure naming
-    the first check it fails.  An LP that passes keeps its bytes.
+    the first check it fails.  One that the refinement certifies has its
+    tableau rows replaced by the refined ones, so a kept stack (LpStack)
+    resumes its next solve from them, not from the drifted ones.  An LP
+    that passes at once keeps its bytes.
     """
     size, labels = costs.shape
     n = a.shape[2]
@@ -428,13 +433,18 @@ def _finish(
     if failed.size:
         rows = np.broadcast_to(b, a.shape[:2])[failed]
         try:
-            x[failed], y[failed] = _refined(a[failed], rows, costs[failed], basis[failed])
+            body, y[failed] = _refined(a[failed], rows, costs[failed], basis[failed], nonbasic[failed])
         except np.linalg.LinAlgError:  # a basis singular in floats: the failures stand
             pass
         else:
+            refined_point = np.zeros((failed.size, labels))
+            np.put_along_axis(refined_point, basis[failed], body[:, :, -1], axis=1)
+            x[failed] = refined_point[:, :n]
             refined = _certificate(a[failed], rows, costs[failed, :n], x[failed], y[failed])
             value[failed], primal[failed], dual[failed], gap[failed] = refined
-            failed = failed[~_certified(*refined)]
+            passed = _certified(*refined)
+            tableau[failed[passed], :-1] = body[passed] + 0.0
+            failed = failed[~passed]
     for j in failed.tolist():
         p, d, g = float(primal[j]), float(dual[j]), float(gap[j])
         if not p <= FEAS_TOL:
@@ -452,25 +462,29 @@ def _certified(value: np.ndarray, primal: np.ndarray, dual: np.ndarray, gap: np.
     return (primal <= FEAS_TOL) & (dual <= FEAS_TOL) & (gap <= FEAS_TOL * (1.0 + np.abs(value)))
 
 
-def _refined(a: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of a stack of LPs recomputed from their original rows at their final bases.
+def _refined(
+    a: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tableau rows and y of a stack of LPs recomputed from their
+    original rows at their final bases.
 
-    a (L, m, n), b (L, m), costs (L, n+m) and basis (L, m) as in _finish.
-    The basis matrix B holds the columns of [a | I] named by the basis;
-    x_B = Binv.b and y = c_B.Binv come from np.linalg.solve on it, not
-    from the tableau, whose entries carry the rounding of every pivot.
-    Where the bases mix entries near 1 with entries near 1e-9 (a delivery
-    LP's subset LPs on CCDF entries of 1e-6 to 1e-12) that rounding can
-    miss FEAS_TOL, and one solve at the basis meets it.
+    a (L, m, n), b (L, m), costs (L, n+m), basis (L, m) and nonbasic (L, n)
+    as in _finish.  The basis matrix B holds the columns of [a | I] named
+    by the basis.  The rows are Binv.[N | b], in the tableau's layout
+    (L, m, n+1): the nonbasic columns, then x_B.  They and y = c_B.Binv
+    come from np.linalg.solve on B, not from the tableau, whose entries
+    carry the rounding of every pivot.  Where the bases mix entries near 1
+    with entries near 1e-9 (a delivery LP's subset LPs on CCDF entries of
+    1e-6 to 1e-12) that rounding can miss FEAS_TOL, and one solve at the
+    basis meets it.
     """
-    size, m, n = a.shape
-    full = np.concatenate((a, np.broadcast_to(np.eye(m), (size, m, m))), axis=2)
+    size, m, _ = a.shape
+    full = np.concatenate((a, np.broadcast_to(np.eye(m), (size, m, m)), b[:, :, None]), axis=2)
     matrix = np.take_along_axis(full, basis[:, None, :], axis=2)  # column r: basis[r]'s column
-    point = np.zeros((size, n + m))
-    np.put_along_axis(point, basis, np.linalg.solve(matrix, b[:, :, None])[:, :, 0], axis=1)
-    basic = np.take_along_axis(costs, basis, axis=1)
-    y = np.linalg.solve(np.swapaxes(matrix, 1, 2), basic[:, :, None])[:, :, 0]
-    return point[:, :n], y
+    columns = np.concatenate((nonbasic, np.full((size, 1), full.shape[2] - 1)), axis=1)  # N, then b
+    rows = np.linalg.solve(matrix, np.take_along_axis(full, columns[:, None, :], axis=2))
+    y = np.linalg.solve(np.swapaxes(matrix, 1, 2), np.take_along_axis(costs, basis, axis=1)[:, :, None])[:, :, 0]
+    return rows, y
 
 
 def solve_lps(c, a_ub, b_ub, start=None) -> StackSolution:

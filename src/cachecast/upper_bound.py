@@ -21,20 +21,29 @@ consistent with pi is sum_l theta_l / sum_k gap_k w_k, subject to
 Every row is homogeneous, so the ratio can be normalised on either side
 (Charnes and Cooper): min {sum theta : sum gap_k w_k = 1} equals
 1 / max {sum gap_k w_k : sum theta <= 1}.  The LP solved is the second,
+with its cost row scaled by 2^-e, where gap_1 = m 2^e with m in [1/2, 1)
+(math.frexp; gap_1, the first prefix's gap, is the largest),
 
-    minimize -sum_k gap_k w_k   s.t. the rows above,  sum_l theta_l <= 1,
+    minimize -sum_k 2^-e gap_k w_k   s.t. the rows above,  sum_l theta_l <= 1,
 
 whose rhs is nonnegative, so it is feasible at x = 0; the ordering's
-value is -1 / (its optimum).  Its matrix holds only CCDF entries and +-1;
-the gaps enter the cost row alone, so a gap of 1e-16 (two caches that
-leave 1e-16 of the file uncovered) is a small cost, not a matrix entry
-below PIVOT_TOL.  Coverage only grows along an ordering, so the positions
-whose prefix is fully covered form a suffix: the first p(pi) leading
-slices (the live count) are not fully covered and the rest are.  A w_k
-whose prefix is fully covered has cost 0 and only tightens rows (its
-decode rows and the chain row into it), so it is fixed at 0 and dropped
-with those rows: the LP keeps only the live prefix over
-x = [w_1..p, theta_1..B].
+value is -2^-e / (its optimum).  Its matrix holds only CCDF entries and
++-1; the gaps enter the cost row alone, so a gap of 1e-16 (two caches
+that leave 1e-16 of the file uncovered) is a small cost, not a matrix
+entry below PIVOT_TOL.  The simplex prices against the absolute
+FEAS_TOL, so the scale matters: with every gap of an ordering near 1e-10
+the unscaled costs sit within FEAS_TOL of 0, and the LP would stop at
+its start.  Scaled, the first cost lies in (-1, -1/2], so FEAS_TOL acts
+relative to the largest cost whatever the scale of the gaps.  A power of
+two scales exactly: where 1/2 <= gap_1 < 1, as at the central placement
+with 0 < mu <= 1/2, e = 0 and the LP is the unscaled one.
+
+Coverage only grows along an ordering, so the positions whose prefix is
+fully covered form a suffix: the first p(pi) leading slices (the live
+count) are not fully covered and the rest are.  A w_k whose prefix is
+fully covered has cost 0 and only tightens rows (its decode rows and the
+chain row into it), so it is fixed at 0 and dropped with those rows: the
+LP keeps only the live prefix over x = [w_1..p, theta_1..B].
 
 Most of the prefix's p*B decode rows are implied by the others.  The
 chain rows say w_1 >= ... >= w_p, and decode row (k, l) says
@@ -252,13 +261,14 @@ def _permutation_lps(
 
     a_ub is (L, R+p, p+B), with R the most record decode rows of any LP in
     the stack, and holds only CCDF entries and +-1; c (L, p+B) is each
-    LP's cost row, -gap_k at w_k and 0 at each theta; b_ub, the (R+p,)
-    rhs, is shared by every LP.  Rows: an LP's record decode rows in
-    decode order (user, then level), all-zero rows up to R, the p-1 chain
-    rows, the budget row (p = 0 leaves the budget row alone).  A stack of
-    one has no zero rows.  The layout is (record, chain, budget): each
-    record entry's row in its LP as an (L, p, B) array, -1 where the entry
-    is no record; the chain rows; the budget row.
+    LP's cost row, -gap_k 2^-e at w_k (gap_1 = m 2^e, m in [1/2, 1)) and
+    0 at each theta; b_ub, the (R+p,) rhs, is shared by every LP.  Rows:
+    an LP's record decode rows in decode order (user, then level),
+    all-zero rows up to R, the p-1 chain rows, the budget row (p = 0
+    leaves the budget row alone).  A stack of one has no zero rows.  The
+    layout is (record, chain, budget): each record entry's row in its LP
+    as an (L, p, B) array, -1 where the entry is no record; the chain
+    rows; the budget row.
     """
     size, p, B = ccdf.shape
     kept = kept.reshape(size, p * B)
@@ -276,7 +286,7 @@ def _permutation_lps(
     b_ub = np.zeros(a_ub.shape[1])
     b_ub[-1] = 1.0
     c = np.zeros((size, p + B))
-    c[:, :p] = -gaps
+    c[:, :p] = np.ldexp(-gaps, -np.frexp(gaps[:, :1])[1])
     return c, a_ub, b_ub, (record.reshape(size, p, B), width + chain, a_ub.shape[1] - 1)
 
 
@@ -337,7 +347,9 @@ def build_permutation_lp(
 
     p is the ordering's live count; w_{p+1..K}, whose prefixes are fully
     covered, are fixed at 0 and left out with their rows.  Its optimum is
-    -sum_k gap_k w_k; the ordering's bound value is -1 / optimum.
+    -sum_k 2^-e gap_k w_k, with e = math.frexp(gap_1)[1] and
+    gap_1 = 1 - tup.of(pi[:1]); the ordering's bound value is
+    -2^-e / optimum.
     """
     c, a_ub, b_ub, _ = _permutation_lps(*_prefix(stats, tup, pi))
     return c[0], a_ub[0], b_ub
@@ -417,11 +429,12 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
             part = slice(start, start + stack_size(int(records[start]) + p, p + B))
             lps, start = group[part], part.stop
             rows = first[lps]
-            stack = _solve_from_vertex(ccdf[part], kept[part], gap_of[masks[rows, :p]])
+            gaps = gap_of[masks[rows, :p]]
+            stack = _solve_from_vertex(ccdf[part], kept[part], gaps)
             if stack.status.count(OPTIMAL) < rows.size:
                 for row, outcome in zip(rows.tolist(), stack):
                     require_optimal(outcome, f"ordering {orderings[row]} (K={K}, B={B}, mu={tup.mu})")
-            values[lps] = -1.0 / stack.value
+            values[lps] = np.ldexp(-1.0 / stack.value, -np.frexp(gaps[:, 0])[1])
             weights[lps, :p] = stack.x[:, :p]
 
     by_ordering = values[inverse]

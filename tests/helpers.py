@@ -283,7 +283,9 @@ def permutation_lp_reference(stats, tup, pi, every_decode_row=False) -> tuple[np
     """The per-ordering LP as (c, a_ub, b_ub), built one entry at a time, in its full K*B+K by K+B shape.
 
     x = [w_1..K, theta_1..B]: decode row (k, l) is c_kl w_k - theta_l <= 0,
-    chain row k is w_{k+1} - w_k <= 0, and the cost of w_k is -gap_k.
+    chain row k is w_{k+1} - w_k <= 0, and the cost of w_k is
+    -gap_k 2^-e, with e = math.frexp(gap_1)[1] (ordering_value reads the
+    bound off the optimum).
     Decode row (k, l) is left zero unless it is a record: k = 0, or user
     pi[k]'s level-l CCDF entry exceeds that of every user before it in the
     ordering (the chain rows imply every other decode row).  With
@@ -310,7 +312,7 @@ def permutation_lp_reference(stats, tup, pi, every_decode_row=False) -> tuple[np
         a_ub[K * B + K - 1, K + l] = 1.0  # the budget row: sum theta <= 1
     b_ub = np.zeros(K * B + K)
     b_ub[-1] = 1.0
-    c = np.concatenate([-np.array(gaps), np.zeros(B)])  # maximize sum gap_k w_k
+    c = np.concatenate([np.ldexp(-np.array(gaps), -math.frexp(gaps[0])[1]), np.zeros(B)])  # maximize sum gap_k w_k
     for k in range(K):
         if tup.of(pi[: k + 1]) == 1:  # fixed at 0: column, cost and rows zeroed
             a_ub[:, k] = 0.0
@@ -319,6 +321,11 @@ def permutation_lp_reference(stats, tup, pi, every_decode_row=False) -> tuple[np
                 a_ub[K * B + k - 1] = 0.0
             c[k] = 0.0
     return c, a_ub, b_ub
+
+
+def ordering_value(tup, pi, optimum: float) -> float:
+    """An ordering's bound value from the optimum of its LP (build_permutation_lp): -2^-e / optimum, e = frexp(gap_1)[1]."""
+    return math.ldexp(-1.0 / optimum, -math.frexp(float(1 - tup.of(pi[:1])))[1])
 
 
 def drop_zero_lines(problem) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:

@@ -176,13 +176,14 @@ def test_refinement_mends_one_lp_and_leaves_the_others(monkeypatch):
     # off the tableau fails its certificate.  It is refined once at that
     # basis (x_B = Binv.b and y = c_B.Binv from the original rows) and
     # passes, with the x, value and duals of the same stack left clean;
-    # LPs 0 and 2 pass at once and keep their bytes.
+    # LPs 0 and 2 pass at once and keep their bytes.  A refinement that
+    # certifies an LP writes its rows into the kept tableau.
     calls = []
     refine = lp._refined
 
-    def counting(a, b, costs, basis):
+    def counting(a, *rest):
         calls.append(len(a))
-        return refine(a, b, costs, basis)
+        return refine(a, *rest)
 
     monkeypatch.setattr(lp, "_refined", counting)
     rng = np.random.default_rng(97)
@@ -203,6 +204,12 @@ def test_refinement_mends_one_lp_and_leaves_the_others(monkeypatch):
     np.testing.assert_allclose(mended.dual_ub[1], kept.dual_ub[1], rtol=0.0, atol=1e-14)
     assert abs(mended.value[1] - kept.value[1]) <= 1e-14
     assert max(mended.primal_residual[1], mended.dual_residual[1], mended.duality_gap[1]) <= FEAS_TOL
+    # The refined rows replace LP 1's tableau rows, so the next solve
+    # resumes from them and needs no refinement.
+    np.testing.assert_allclose(faulty._tableau[1, :5, 3], clean._tableau[1, :5, 3], rtol=0.0, atol=1e-14)
+    again = faulty.solve(c)
+    assert calls == [1] and again.status == [OPTIMAL] * 3
+    np.testing.assert_allclose(again.x, kept.x, rtol=0.0, atol=1e-14)
 
     # A basis singular in floats, where np.linalg.solve raises, leaves the
     # failure standing.

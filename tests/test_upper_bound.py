@@ -24,6 +24,7 @@ from helpers import (
     ROADMAP_ITEM1_BOUND,
     ROADMAP_ITEM1_ROWS,
     drop_zero_lines,
+    ordering_value,
     permutation_lp_reference,
     random_stats,
     sorted_uniform_ccdf,
@@ -92,7 +93,8 @@ def test_lp_shape_and_first_row(mixed3, tup3):
     np.testing.assert_array_equal(a_ub[0], [0.9, 0.0, -1.0, 0.0, 0.0])
     np.testing.assert_array_equal(a_ub[3], [0.0, 0.4, 0.0, -1.0, 0.0])  # user 2, level 2
     np.testing.assert_array_equal(b_ub, [0.0] * 6 + [1.0])
-    # maximize gap_1 w_1 + gap_2 w_2: the gaps are in the cost row only
+    # maximize gap_1 w_1 + gap_2 w_2: the gaps are in the cost row only,
+    # unscaled since 1/2 <= gap_1 < 1
     np.testing.assert_array_equal(c, [-2.0 / 3.0, -1.0 / 3.0, 0, 0, 0])
 
 
@@ -126,7 +128,8 @@ def test_lp_matches_entrywise_builder():
     # explicit one fixes one, two or three depending on the ordering.  The
     # live-prefix LP is the full-shape reference, implied decode rows
     # zeroed, without its zero rows and columns: its matrix holds CCDF
-    # entries and +-1 only, and the gaps are its costs.
+    # entries and +-1 only, and the gaps are its costs, scaled by the
+    # power of two that brings the first into [1/2, 1).
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     explicit = [[(0, half)], [(half, 1)], [(0, half)], [(quarter, 3 * quarter)]]
     cases = [
@@ -144,7 +147,10 @@ def test_lp_matches_entrywise_builder():
             p = c.size - stats.num_levels
             assert np.isin(a_ub[:, p:], (-1.0, 0.0, 1.0)).all()
             assert np.isin(a_ub[:, :p], [*stats.ccdf.ravel(), -1.0, 0.0, 1.0]).all()
-            np.testing.assert_array_equal(c[:p], [-float(1 - tup.of(pi[: k + 1])) for k in range(p)])
+            gaps = [float(1 - tup.of(pi[: k + 1])) for k in range(p)]
+            scale = 2.0 ** -math.frexp(gaps[0])[1]
+            assert 0.5 <= gaps[0] * scale < 1.0
+            np.testing.assert_array_equal(c[:p], [-gap * scale for gap in gaps])
 
 
 def _exactness_cases():
@@ -500,7 +506,7 @@ def _bound_one_ordering_at_a_time(stats, tup, vertex=True):
             values.append(0.0)
             xs.append(np.eye(K)[0])
         else:
-            values.append(-1.0 / solved.value)
+            values.append(ordering_value(tup, pi, solved.value))
             xs.append(np.concatenate([solved.x[:p], np.zeros(K - p)]))
     best = min(values)
     hits = [i for i, v in enumerate(values) if v <= best + FEAS_TOL]
@@ -609,8 +615,33 @@ def test_bound_on_tiny_gaps_matches_highs(users):
         values = []
         for pi in permutations(range(1, users + 1)):
             (c, a_ub, b_ub), _ = drop_zero_lines(permutation_lp_reference(stats, tup, pi, every_decode_row=True))
-            values.append(-1.0 / linprog(c, a_ub, b_ub, method="highs").fun)
+            values.append(ordering_value(tup, pi, linprog(c, a_ub, b_ub, method="highs").fun))
         assert abs(report.value - min(values)) <= 1e-9 * report.value
+
+
+@pytest.mark.parametrize("exponent", [9, 10, 12])
+def test_bound_on_uniformly_tiny_gaps_is_the_optimum(exponent):
+    # Every user caches (0, 1 - eps], so every prefix leaves a gap of eps
+    # and every cost of every LP is -eps before the cost row is scaled by
+    # the power of two that brings its first gap into [1/2, 1).  Unscaled,
+    # those costs lie within FEAS_TOL of 0 and each LP stops at its start:
+    # 1.05x the optimum at eps = 1e-9, 2x at 1e-10 and 1e-12.  The bound
+    # must be the optimum: HiGHS on each ordering's LP with every decode
+    # row, and eps times the bound must not depend on eps.
+    eps = Fraction(1, 10**exponent)
+    stats = validate_stats(sorted_uniform_ccdf(np.random.default_rng(5), 3, 3))
+    tup = caching_tuple(strategy_from_intervals([[(Fraction(0), 1 - eps)]] * 3, 1 - eps))
+    unit = upper_bound_rate(stats, central_tuple(3, Fraction(0)))  # every gap 1
+    report = upper_bound_rate(stats, tup)
+    assert abs(report.value * float(eps) - unit.value) <= 1e-12 * unit.value
+    assert report.argmin_pi == unit.argmin_pi
+    np.testing.assert_allclose(report.omega_star, unit.omega_star, rtol=1e-12)
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    values = []
+    for pi in permutations(range(1, 4)):
+        (c, a_ub, b_ub), _ = drop_zero_lines(permutation_lp_reference(stats, tup, pi, every_decode_row=True))
+        values.append(ordering_value(tup, pi, linprog(c, a_ub, b_ub, method="highs").fun))
+    assert abs(report.value - min(values)) <= 1e-9 * report.value
 
 
 def test_bound_user_cap():
@@ -648,7 +679,7 @@ def test_bound_explicit_caching_matches_each_ordering():
     assert sorted(shapes) == [(4, 4), (5, 5), (6, 5), (7, 5), (7, 6), (8, 5), (8, 6), (9, 6), (11, 6)]
     assert all(3 + q <= m <= 4 * q for m, n in shapes for q in [n - 3])  # q = n - 3 live users
     solved = [_solved_alone(stats, tup, pi) for pi in orderings]
-    values = [-1.0 / s.value for s in solved]
+    values = [ordering_value(tup, pi, s.value) for pi, s in zip(orderings, solved)]
     assert report.table == tuple(zip(orderings, values))
     best = min(values)
     argmin = next(i for i, v in enumerate(values) if v <= best + FEAS_TOL)
@@ -685,9 +716,10 @@ def test_bound_keeps_lps_of_equal_record_users_apart(monkeypatch):
     report = upper_bound_rate(stats, tup)
     assert sum(shape[0] for shape in shapes) == len(_distinct_lps(stats, tup))
     values = dict(report.table)
-    alone = [-1.0 / _solved_alone(stats, tup, pi).value for pi in ((1, 2, 3, 4), (1, 3, 2, 4))]
+    pairs = ((1, 2, 3, 4), (1, 3, 2, 4))
+    alone = [ordering_value(tup, pi, _solved_alone(stats, tup, pi).value) for pi in pairs]
     assert [values[(1, 2, 3, 4)], values[(1, 3, 2, 4)]] == alone
-    cold = [-1.0 / solve_lp(*problem).value for problem in lps]
+    cold = [ordering_value(tup, pi, solve_lp(*problem).value) for pi, problem in zip(pairs, lps)]
     assert alone[0] != alone[1] and cold[0] != cold[1]
     assert report.table == _bound_one_ordering_at_a_time(stats, tup)[4]
     _assert_near_x0_start(report, stats, tup)
