@@ -75,25 +75,30 @@ basis", ORSA J. Computing 4(3), 1992).  It is the bound at equal
 weights: w_k = w and theta_l = w max_l, where max_l is level l's
 largest entry on the prefix and w = 1 / sum_l max_l fills the budget row.
 Every row holds there, the chain rows and the budget row with equality.
-It is a vertex, reached by B + p crash pivots (lp.LpStack.crashed,
-_equal_weight_vertex): theta_l enters at its level's last record row,
-which holds max_l and so is tight; w_j at chain row j for j < p;
-w_p at the budget row.  Those B + p tight rows fix the point (the
-chain rows equalise the w_k, the last record rows fix each theta_l, the
-budget row w), so every pivot is nonzero.  A level whose max_l is 0 keeps
-theta_l nonbasic at 0 instead, and an LP whose maxima sum to 0 or to a
-subnormal, where w is infinite, keeps x = 0.  The rhs is written in closed
-form, unclamped: w and theta as above, each other record row's slack
-w (max_l - c_kl) >= 0, exactly 0 on a tie, and 0 in the padding
-rows.  An LP with one live user starts at its optimum, even where its
-entries all lie below PIVOT_TOL and the start at x = 0 reads a ray (a
-first user with CCDF entries of 1e-200).  From the vertex a benchmark
-round of six K = 6 scenarios (bound-k6) takes 4213 simplex pivots
-instead of 13,306 from x = 0, and 51 lockstep iterations instead of 118;
-every value agrees with x = 0's to 1.6e-14 relative there and on the
-CI's K = 8 grids.  Where an LP has more than one optimal vertex the two
-starts can end at different ones, and so give other omega_star weights.  A padded LP (below) reaches its
-vertex by the same pivots on the same rows as it does alone, and
+Its basis has theta_l at its level's last record row, which holds max_l
+and so is tight; w_j at chain row j for j < p; w_p at the budget row.
+Those B + p tight rows fix the point (the chain rows equalise the w_k,
+the last record rows fix each theta_l, the budget row w).  B + p crash
+pivots from the slack basis reach it, but every pivot but the last is
+-1, so each of those steps is exact or a running sum, and
+_equal_weight_vertex writes the tableau they reach in closed form, byte
+for byte; only the budget step, w_p entering the budget row, divides,
+and it is the one crash pivot (lp.LpStack.crashed) a stack takes.  A
+level whose max_l is 0 keeps theta_l nonbasic at 0 instead, and an LP
+whose maxima sum to 0 or to a subnormal, where w is infinite, keeps
+x = 0.  The rhs is written in closed form, unclamped: w and theta as
+above, each other record row's slack w (max_l - c_kl) >= 0, exactly 0
+on a tie, and 0 in the padding rows.  An LP with one live user starts
+at its optimum, even where its entries all lie below PIVOT_TOL and the
+start at x = 0 reads a ray (a first user with CCDF entries of 1e-200).
+From the vertex a benchmark round of six K = 6 scenarios (bound-k6)
+takes 4213 simplex pivots instead of 13,306 from x = 0, and 51 lockstep
+iterations instead of 118, with 8 crash pivots (one per stack) where
+the B + p pivot steps took 60; every value agrees with x = 0's to
+1.6e-14 relative there and on the CI's K = 8 grids.  Where an LP has
+more than one optimal vertex the two starts can end at different ones,
+and so give other omega_star weights.  A padded LP (below) gets the
+same closed-form rows, labels and budget pivot as it does alone, and
 LpStack.solve prices its cost row in row order over the rows with a
 basic cost, where a zero row adds an exact zero; so it solves, byte for
 byte, as it does alone.
@@ -186,18 +191,21 @@ def _live_prefixes(
     by mask, and each ordering's live count p.
 
     Reads tup.coverage once per distinct prefix mask; the gap of a mask no
-    ordering reaches is 0.  p counts the leading slices pi(1..k) not fully
-    covered (exactly: coverage is a Fraction); they are the first p, since
-    coverage only grows along an ordering.
+    ordering reaches is 0.  With coverage = n/d in lowest terms, the gap is
+    (d - n) / d, the correctly rounded quotient of two ints and so
+    float(1 - coverage) to the bit, and the slice is live where n != d.  p
+    counts the leading slices pi(1..k) not fully covered; they are the
+    first p, since coverage only grows along an ordering.
     """
     if tup.num_users != stats.num_users:
         raise LengthMismatch(f"caching tuple for {tup.num_users} users, channel of {stats.num_users}")
     masks = _prefix_masks(orderings)
     gap_of = np.zeros(1 << tup.num_users)
     live_of = np.zeros(1 << tup.num_users, dtype=bool)
-    for mask in np.flatnonzero(np.bincount(masks.ravel())).tolist():
-        coverage = tup.coverage[mask]
-        gap_of[mask], live_of[mask] = float(1 - coverage), coverage != 1
+    reached = np.flatnonzero(np.bincount(masks.ravel()))
+    ratios = [(c.numerator, c.denominator) for c in map(tup.coverage.__getitem__, reached.tolist())]
+    gap_of[reached] = [(d - n) / d for n, d in ratios]
+    live_of[reached] = [n != d for n, d in ratios]
     return masks, gap_of, np.count_nonzero(live_of[masks], axis=-1)
 
 
@@ -290,42 +298,81 @@ def _permutation_lps(
     return c, a_ub, b_ub, (record.reshape(size, p, B), width + chain, a_ub.shape[1] - 1)
 
 
-def _equal_weight_vertex(
-    ccdf: np.ndarray, m: int, layout: tuple[np.ndarray, np.ndarray, int]
-) -> tuple[list, np.ndarray]:
-    """The equal-weight vertex of a stack of live-prefix LPs of m rows each,
+def _equal_weight_vertex(ccdf: np.ndarray, a_ub: np.ndarray, layout: tuple[np.ndarray, np.ndarray, int]) -> tuple:
+    """The equal-weight vertex of a stack of live-prefix LPs, a_ub (L, m, n)
     laid out as layout says (_permutation_lps), as lp.LpStack.crashed takes
-    it: the pivot steps and every label's value.  p >= 1.
+    it: the one step still to pivot, the rhs, and the rows and labels the
+    other steps reach, written in closed form.  p >= 1.
 
     With max_l each level's largest entry on the prefix and
-    w = 1 / sum_l max_l, the vertex is w_k = w, theta_l = w max_l.
-    theta_l enters at its level's last record row, which holds max_l (a
-    level whose max_l is 0 keeps theta_l nonbasic at 0); w_j enters at
-    chain row j for j < p, and w_p at the budget row.  Each other
-    record row (k, l) keeps its slack, w (max_l - c_kl) >= 0, exactly
-    0 on a tie; the padding rows' slacks are 0.  An LP whose maxima sum to
-    0 or to a subnormal, where w is infinite, skips every step and keeps
-    x = 0.
+    w = 1 / sum_l max_l, the vertex is w_k = w, theta_l = w max_l.  Its
+    basis: theta_l at its level's last record row, at position k_l, which
+    holds max_l (a level whose max_l is 0 keeps theta_l nonbasic at 0);
+    w_j at chain row j for j < p; w_p at the budget row.  Pivoting them in
+    that order divides only at the last step (every other pivot is -1), so
+    the rows up to it are written here:
+    - theta_l's step adds level l's last record row, negated, to each of
+      the level's record rows, and subtracts it from the budget row: each
+      record row of level l gets -max_l at w_{k_l} (on the last row it
+      replaces max_l), and the budget row gets, at each w_k, the maxima of
+      the levels whose last record is at k, summed in level order.
+      theta_l's slot then holds its row's slack, whose column is theta_l's
+      own (-1 on the level's records, +1 on the budget row).
+    - The chain steps then add each w column into the next: every record
+      row and the budget row become their running sums along w_1..w_p,
+      summed left to right as np.cumsum does, and chain row j holds -1 at
+      w_j..w_p.
+    The budget step, w_p entering the budget row, is the one step left.
+    The rhs is the vertex's value at each row's basic label: w at the
+    chain and budget rows, w max_l at each theta_l's row, the slack
+    w (max_l - c_kl) >= 0 (exactly 0 on a tie) at every other record row,
+    0 at the padding rows.  An LP whose maxima sum to 0 or to a subnormal,
+    where w is infinite, keeps its rows, the slack basis and x = 0, and
+    skips the budget step.
     """
     record, chain, budget = layout
     size, p, B = ccdf.shape
-    n = p + B
+    m, n = a_ub.shape[1:]
     top = ccdf.max(axis=1)
     with np.errstate(divide="ignore", over="ignore"):
         w = 1.0 / top.sum(axis=1)
     far = np.isinf(w)  # no such vertex in floats
     w[far] = 0.0
-    last = record.max(axis=1)
-    steps = [(last[:, l], np.full(size, p + l), (top[:, l] == 0.0) | far) for l in range(B)]
-    steps += [(np.full(size, row), np.full(size, j), far) for j, row in enumerate(chain.tolist())]
-    steps.append((np.full(size, budget), np.full(size, p - 1), far))
-    point = np.zeros((size, n + m))
-    point[:, :p] = w[:, None]
-    point[:, p:n] = w[:, None] * top
-    lps, k, l = np.nonzero(record >= 0)
-    point[lps, n + record[lps, k, l]] = w[lps] * (top[lps, l] - ccdf[lps, k, l])
-    point[far, n + budget] = 1.0  # x = 0: the budget row's slack holds its rhs
-    return steps, point
+    lps, levels = np.arange(size), np.arange(B)
+    at = record.argmax(axis=1)  # (L, B): k_l, each level's last record position
+    last = record[lps[:, None], at, levels]  # its row
+    kept = record >= 0
+    i, _, l = np.nonzero(kept)
+    row = record[kept]
+    rows = a_ub.copy()
+    # The theta steps.  Where max_l = 0 there is no step, and writing it
+    # changes nothing: the level's one record, at w_1, holds 0 and gets
+    # 0.0 - 0.0 = +0.0, and the budget row gains +0.0.
+    rows[i, row, at[i, l]] = 0.0 - top[i, l]
+    for level in range(B):
+        rows[lps, budget, at[:, level]] += top[:, level]
+    # The chain steps: running sums s_j = s_{j-1} + v_j, as each pivot adds
+    # them, and the chain rows.
+    for j in range(1, p):
+        rows[:, :, j] += rows[:, :, j - 1]
+    rows[:, chain, :p] = np.triu(np.full((p - 1, p), -1.0))
+    enters = (top > 0.0) & ~far[:, None]
+    basis = np.empty((size, m), dtype=int)
+    basis[:] = np.arange(n, n + m)
+    basis[lps[:, None], last] = np.where(enters, p + levels, n + last)
+    basis[:, chain] = np.arange(p - 1)
+    nonbasic = np.empty((size, n), dtype=int)
+    nonbasic[:, : p - 1] = n + chain
+    nonbasic[:, p - 1] = p - 1
+    nonbasic[:, p:] = np.where(enters, n + last, p + levels)
+    if far.any():
+        rows[far], basis[far], nonbasic[far] = a_ub[far], n + np.arange(m), np.arange(n)
+    rhs = np.zeros((size, m))
+    rhs[i, row] = (w[:, None, None] * (top[:, None, :] - ccdf))[kept]
+    rhs[lps[:, None], last] = w[:, None] * top  # 0 where theta_l stays nonbasic
+    rhs[:, chain] = w[:, None]
+    rhs[:, budget] = np.where(far, 1.0, w)  # x = 0: the budget row's slack holds its rhs
+    return [(np.full(size, budget), np.full(size, p - 1), far)], rhs, (rows, basis, nonbasic)
 
 
 def _prefix(
@@ -357,9 +404,10 @@ def build_permutation_lp(
 
 def _solve_from_vertex(ccdf: np.ndarray, kept: np.ndarray, gaps: np.ndarray) -> StackSolution:
     """The stack of live-prefix LPs of (L, p, B) CCDF rows, their record mask
-    and (L, p) gaps (_permutation_lps), each solved from its equal-weight vertex."""
+    and (L, p) gaps (_permutation_lps), each solved from its equal-weight
+    vertex (_equal_weight_vertex, one crash pivot per stack)."""
     c, a_ub, b_ub, layout = _permutation_lps(ccdf, kept, gaps)
-    return solve_lps(c, a_ub, b_ub, _equal_weight_vertex(ccdf, a_ub.shape[1], layout))
+    return solve_lps(c, a_ub, b_ub, _equal_weight_vertex(ccdf, a_ub, layout))
 
 
 def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

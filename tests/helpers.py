@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from cachecast import lp
+from cachecast import lp, upper_bound
 from cachecast.channel import ChannelStats, ZeroWeightWarning, enhance, is_stochastically_dominant
 from cachecast.lp import FEAS_TOL, OPTIMAL, LpSolution, solve_lp
 from cachecast.lp_scheme import DeliveryAllocation, message_subsets
@@ -321,6 +321,59 @@ def permutation_lp_reference(stats, tup, pi, every_decode_row=False) -> tuple[np
                 a_ub[K * B + k - 1] = 0.0
             c[k] = 0.0
     return c, a_ub, b_ub
+
+
+def pivoted_vertex(ccdf: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, layout) -> lp.LpStack:
+    """The equal-weight vertex of a stack of live-prefix LPs reached by B + p
+    crash pivots from the slack basis: the oracle of
+    upper_bound._equal_weight_vertex's closed form, which must give the
+    same tableau, rhs and labels byte for byte.
+
+    ccdf (L, p, B) are the prefixes' CCDF rows, a_ub and b_ub their stack
+    and layout its row layout, as upper_bound._permutation_lps builds them.
+    With max_l each level's largest entry on the prefix and
+    w = 1 / sum_l max_l, the vertex is w_k = w, theta_l = w max_l.  theta_l
+    enters at its level's last record row, which holds max_l (a level whose
+    max_l is 0 keeps theta_l nonbasic at 0); w_j enters at chain row j for
+    j < p, and w_p at the budget row, each step one lp._pivot on the whole
+    stack.  An LP whose maxima sum to 0 or to a subnormal, where w is
+    infinite, skips every step and keeps x = 0.  The rhs is then written as
+    the vertex's value at each row's basic label: w and theta as above,
+    each other record row's slack w (max_l - c_kl), the padding rows' 0.
+    Returns the stack in the state LpStack.crashed leaves, its first solve
+    to come.
+    """
+    record, chain, budget = layout
+    size, p, B = ccdf.shape
+    m, n = a_ub.shape[1], p + B
+    top = ccdf.max(axis=1)
+    with np.errstate(divide="ignore", over="ignore"):
+        w = 1.0 / top.sum(axis=1)
+    far = np.isinf(w)  # no such vertex in floats
+    w[far] = 0.0
+    last = record.max(axis=1)
+    steps = [(last[:, l], np.full(size, p + l), (top[:, l] == 0.0) | far) for l in range(B)]
+    steps += [(np.full(size, row), np.full(size, j), far) for j, row in enumerate(chain.tolist())]
+    steps.append((np.full(size, budget), np.full(size, p - 1), far))
+    point = np.zeros((size, n + m))  # every label's value at the vertex
+    point[:, :p] = w[:, None]
+    point[:, p:n] = w[:, None] * top
+    lps, k, l = np.nonzero(record >= 0)
+    point[lps, n + record[lps, k, l]] = w[lps] * (top[lps, l] - ccdf[lps, k, l])
+    point[far, n + budget] = 1.0  # x = 0: the budget row's slack holds its rhs
+    stack = lp.LpStack(a_ub, b_ub)
+    every = np.arange(size)
+    for rows, slots, skip in steps:
+        lp._pivot(stack._tableau, stack._basis, stack._nonbasic, rows, slots, every, skip if skip.any() else None)
+    np.add(np.take_along_axis(point, stack._basis, axis=1), 0.0, out=stack._tableau[:, :m, n])
+    stack._crashed = True
+    return stack
+
+
+def solve_from_pivoted_vertex(ccdf: np.ndarray, kept: np.ndarray, gaps: np.ndarray) -> lp.StackSolution:
+    """upper_bound._solve_from_vertex with the stack started by pivoted_vertex, the B + p pivot-step oracle."""
+    c, a_ub, b_ub, layout = upper_bound._permutation_lps(ccdf, kept, gaps)
+    return pivoted_vertex(ccdf, a_ub, b_ub, layout).solve(c)
 
 
 def ordering_value(tup, pi, optimum: float) -> float:

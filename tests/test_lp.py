@@ -485,23 +485,25 @@ def test_covering_stack_input_checks():
 def crash_example():
     """min -x1 - x2 s.t. x1 <= 1, x2 <= 2, x1 + x2 <= 4, twice, and a crash
     that enters x1 at row 0 in both LPs and x2 at row 1 in LP 0 only: LP 0
-    starts at its optimum (1, 2), LP 1 at (1, 0)."""
+    starts at its optimum (1, 2), LP 1 at (1, 0).  The rhs holds each
+    row's basic value there: x1, x2 and row 2's slack in LP 0, x1 and the
+    slacks of rows 1 and 2 in LP 1."""
     a_ub = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     b_ub = np.array([1.0, 2.0, 4.0])
     steps = [
         (np.array([0, 0]), np.array([0, 0]), None),
         (np.array([1, 1]), np.array([1, 1]), np.array([False, True])),
     ]
-    point = np.array([[1.0, 2.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 2.0, 3.0]])  # x1, x2, then the slacks
-    return np.array([a_ub, a_ub]), b_ub, steps, point
+    rhs = np.array([[1.0, 2.0, 1.0], [1.0, 2.0, 3.0]])
+    return np.array([a_ub, a_ub]), b_ub, steps, rhs
 
 
 def test_crashed_stack_starts_at_its_vertex():
-    # The crash pivots give each LP its basis, the rhs is point[basis], and
+    # The crash pivots give each LP its basis, the rhs is the one given, and
     # a solve resumes from there: LP 0 is optimal at once, LP 1 takes one
     # pivot.  The crash pivots count in no solve.
-    a_ub, b_ub, steps, point = crash_example()
-    stack = lp.LpStack.crashed(a_ub, b_ub, steps, point)
+    a_ub, b_ub, steps, rhs = crash_example()
+    stack = lp.LpStack.crashed(a_ub, b_ub, steps, rhs)
     assert stack._basis.tolist() == [[0, 1, 4], [0, 3, 4]]
     assert stack._tableau[:, :3, -1].tolist() == [[1.0, 2.0, 1.0], [1.0, 2.0, 3.0]]
     solved = stack.solve([-1.0, -1.0])
@@ -511,38 +513,46 @@ def test_crashed_stack_starts_at_its_vertex():
     assert (solved.primal_residual == 0.0).all() and (solved.duality_gap <= FEAS_TOL).all()
     cold = solve_lps([-1.0, -1.0], a_ub, b_ub)
     assert cold.pivots.tolist() == [2, 2] and cold.value.tolist() == [-3.0, -3.0]
+    # A caller that writes the rows and labels the first step reaches
+    # starts there, and only the second step is pivoted: the same stack.
+    first = lp.LpStack.crashed(a_ub, b_ub, steps[:1], rhs)
+    reached = (first._tableau[:, :3, :2], first._basis, first._nonbasic)
+    resumed = lp.LpStack.crashed(a_ub, b_ub, steps[1:], rhs, reached)
+    stack = lp.LpStack.crashed(a_ub, b_ub, steps, rhs)
+    assert resumed._tableau.tobytes() == stack._tableau.tobytes()
+    assert (resumed._basis == stack._basis).all() and (resumed._nonbasic == stack._nonbasic).all()
+    assert_same_stack(resumed.solve([-1.0, -1.0]), solved)
 
 
 def test_crashed_stack_input_checks():
-    # A point of another shape or with a negative entry is refused before
+    # An rhs of another shape or with a negative entry is refused before
     # any pivot.
-    a_ub, b_ub, steps, point = crash_example()
-    for bad in (point[:1], point[:, :4], point[0]):
-        with pytest.raises(LengthMismatch, match=r"^need point \(2, 5\), got shape"):
+    a_ub, b_ub, steps, rhs = crash_example()
+    for bad in (rhs[:1], rhs[:, :2], rhs[0]):
+        with pytest.raises(LengthMismatch, match=r"^need rhs \(2, 3\), got shape"):
             lp.LpStack.crashed(a_ub, b_ub, steps, bad)
-    point[1, 4] = -1.0
+    rhs[1, 2] = -1.0
     with pytest.raises(OutOfRange) as failure:
-        lp.LpStack.crashed(a_ub, b_ub, steps, point)
-    assert str(failure.value) == "LP 1: point[4] = -1.0 < 0; the start must be feasible"
+        lp.LpStack.crashed(a_ub, b_ub, steps, rhs)
+    assert str(failure.value) == "LP 1: rhs[2] = -1.0 < 0; the start must be feasible"
 
 
 def test_solve_lps_from_a_start():
     # With a start, solve_lps solves the crashed stack, and it checks the
     # start, not b_ub >= 0: the covering stack's held form -a.x <= -1 with
     # its crash solves byte for byte as LpStack.covering does.
-    a_ub, b_ub, steps, point = crash_example()
-    crashed = lp.LpStack.crashed(a_ub, b_ub, steps, point).solve([-1.0, -1.0])
-    assert_same_stack(solve_lps([-1.0, -1.0], a_ub, b_ub, (steps, point)), crashed)
+    a_ub, b_ub, steps, rhs = crash_example()
+    crashed = lp.LpStack.crashed(a_ub, b_ub, steps, rhs).solve([-1.0, -1.0])
+    assert_same_stack(solve_lps([-1.0, -1.0], a_ub, b_ub, (steps, rhs)), crashed)
     a = random_covering_stack(np.random.default_rng(2102))
     size, m, n = a.shape
     rows = a[:, :, 0].argmin(axis=1)
     least = a[np.arange(size), rows, 0][:, None]
-    point = np.zeros((size, n + m))
-    point[:, 0] = 1.0 / least[:, 0]
-    point[:, n:] = (a[:, :, 0] - least) / least
+    rhs = (a[:, :, 0] - least) / least
+    rhs[np.arange(size), rows] = 1.0 / least[:, 0]
     steps = [(rows, np.zeros(size, dtype=int), None)]
     c = np.random.default_rng(2103).uniform(0.1, 1.0, n)
-    assert_same_stack(solve_lps(c, -a, np.full(m, -1.0), (steps, point)), lp.LpStack.covering(a).solve(c))
+    assert_same_stack(solve_lps(c, -a, np.full(m, -1.0), (steps, rhs)), lp.LpStack.covering(a).solve(c))
     with pytest.raises(OutOfRange, match=r"x = 0 must be feasible"):
         solve_lps(c, -a, np.full(m, -1.0))
 
@@ -564,16 +574,16 @@ def test_crash_pricing_ignores_zero_rows():
         c = rng.uniform(-1.0, 0.2, n)
         x = np.zeros(n)
         x[:k] = u
-        alone_point = np.concatenate([x, b - a @ x])[None]
-        alone_point[0, n : n + k] = 0.0  # the unit rows are tight
-        alone = lp.LpStack.crashed(a[None], b, [(np.array([j]), np.array([j]), None) for j in range(k)], alone_point)
+        alone_rhs = (b - a @ x)[None]
+        alone_rhs[0, :k] = u  # x_j is basic in unit row j
+        alone = lp.LpStack.crashed(a[None], b, [(np.array([j]), np.array([j]), None) for j in range(k)], alone_rhs)
         expected = alone.solve(c)
         at = [np.sort(rng.integers(0, k + rest + 1, 6)) for _ in range(5)]
         row_of = np.array([np.arange(k) + np.searchsorted(i, np.arange(k), side="right") for i in at])
         steps = [(row_of[:, j], np.full(len(at), j), None) for j in range(k)]
-        point = np.array([np.insert(alone_point[0], n + i, 0.0) for i in at])
+        rhs = np.array([np.insert(alone_rhs[0], i, 0.0) for i in at])
         a_ub = np.array([np.insert(a, i, 0.0, axis=0) for i in at])
-        stack = lp.LpStack.crashed(a_ub, np.array([np.insert(b, i, 0.0) for i in at]), steps, point)
+        stack = lp.LpStack.crashed(a_ub, np.array([np.insert(b, i, 0.0) for i in at]), steps, rhs)
         solved = stack.solve(c)
         assert solved.status == expected.status * len(at)
         for name in ("x", "value", "pivots"):

@@ -26,7 +26,9 @@ from helpers import (
     drop_zero_lines,
     ordering_value,
     permutation_lp_reference,
+    pivoted_vertex,
     random_stats,
+    solve_from_pivoted_vertex,
     sorted_uniform_ccdf,
     tiny_gap_placement,
 )
@@ -151,6 +153,48 @@ def test_lp_matches_entrywise_builder():
             scale = 2.0 ** -math.frexp(gaps[0])[1]
             assert 0.5 <= gaps[0] * scale < 1.0
             np.testing.assert_array_equal(c[:p], [-gap * scale for gap in gaps])
+
+
+def _coverage_cases():
+    """Placements for _live_prefixes: central at K = 3..6 over every t
+    (mu = 1 covers the file, coverage exactly 1), central at fractional
+    mu, one interval per user at random offsets, and the tiny-gap placement
+    whose users 1 and 2 leave 1e-16 of the file uncovered."""
+    rng = np.random.default_rng(3434)
+    cases = []
+    for users in range(3, 7):
+        for t in range(users + 1):
+            cases.append(pytest.param(central_tuple(users, Fraction(t, users)), id=f"K{users}-t{t}"))
+        cases.append(pytest.param(central_tuple(users, Fraction(3, 2 * users)), id=f"K{users}-fractional"))
+        size = int(rng.integers(1, 16))
+        offsets = rng.integers(0, 16 - size + 1, users).tolist()
+        placement = [[(Fraction(a, 16), Fraction(a + size, 16))] for a in offsets]
+        cases.append(pytest.param(caching_tuple(strategy_from_intervals(placement, Fraction(size, 16))), id=f"K{users}-intervals"))
+        tiny = caching_tuple(strategy_from_intervals(tiny_gap_placement(users), Fraction(1, 2)))
+        cases.append(pytest.param(tiny, id=f"K{users}-tiny-gap"))
+    return cases
+
+
+@pytest.mark.parametrize("tup", _coverage_cases())
+def test_live_prefixes_read_the_fraction_path(tup):
+    # Each reached mask's gap is float(1 - coverage) to the bit, and each
+    # ordering's live count counts its prefixes with coverage != 1, as the
+    # Fractions themselves give them; the empty mask, which no ordering
+    # reaches, reads 0.
+    users = tup.num_users
+    stats = random_stats(np.random.default_rng(users), users, 2)
+    orderings = np.array(list(permutations(range(1, users + 1))))
+    masks, gap_of, live = upper_bound._live_prefixes(stats, tup, orderings)
+    expected = np.zeros(1 << users)
+    for mask in range(1, 1 << users):
+        expected[mask] = float(1 - tup.coverage[mask])
+    assert gap_of.tobytes() == expected.tobytes()  # every nonempty mask is some prefix
+    covered = np.array([[tup.coverage[mask] == 1 for mask in row] for row in masks.tolist()])
+    assert live.tolist() == (~covered).sum(axis=1).tolist()
+    if tup.mu == 1:
+        assert not live.any() and not gap_of.any()
+    if float(1 - tup.of((1, 2))) == 1e-16:
+        assert gap_of[3] == 1e-16
 
 
 def _exactness_cases():
@@ -848,40 +892,150 @@ def _vertex_cases():
     return cases
 
 
+def _recording_vertex_stacks(monkeypatch):
+    """Record the (ccdf, kept, gaps) of every stack upper_bound solves from its equal-weight vertex."""
+    stacks = []
+    solve = upper_bound._solve_from_vertex
+
+    def recording(ccdf, kept, gaps):
+        stacks.append((ccdf, kept, gaps))
+        return solve(ccdf, kept, gaps)
+
+    monkeypatch.setattr(upper_bound, "_solve_from_vertex", recording)
+    return stacks
+
+
+def _start_matches_pivots(ccdf, kept, gaps):
+    """A stack's closed-form start (_equal_weight_vertex through
+    LpStack.crashed), asserted equal to the B + p pivot-step oracle
+    (helpers.pivoted_vertex) byte for byte: the tableau with its rhs and
+    cost row, the basis and the nonbasic labels.  Returns the stack and
+    its a_ub and b_ub."""
+    _, a_ub, b_ub, layout = upper_bound._permutation_lps(ccdf, kept, gaps)
+    closed = lp.LpStack.crashed(a_ub, b_ub, *upper_bound._equal_weight_vertex(ccdf, a_ub, layout))
+    oracle = pivoted_vertex(ccdf, a_ub, b_ub, layout)
+    assert closed._tableau.tobytes() == oracle._tableau.tobytes()
+    assert closed._basis.tolist() == oracle._basis.tolist()
+    assert closed._nonbasic.tolist() == oracle._nonbasic.tolist()
+    return closed, a_ub, b_ub
+
+
 @pytest.mark.parametrize("stats, tup", _vertex_cases())
 def test_bound_starts_each_lp_at_its_equal_weight_vertex(monkeypatch, stats, tup):
     # Each stack starts at the vertex w_k = w, theta_l = w max_l,
-    # w = 1 / sum_l max_l: the point meets every row with its slacks and
-    # fills the budget row, its weights are exactly equal, and the crash
-    # pivots reach the point's basis: the rhs they compute is the closed
-    # form's within 1e-12, and every nonbasic label is 0 there.  The
-    # report is each ordering's LP solved alone from its vertex, byte for
-    # byte, and within 1e-12 of the LPs solved from x = 0.  A level that no
-    # live user reaches keeps its theta at 0: the crash skips that LP in
-    # that level's step, and only there.
-    stacks = _recording_starts(monkeypatch)
+    # w = 1 / sum_l max_l, written in closed form: its tableau, rhs and
+    # labels are byte for byte those the B + p crash pivots reach, the
+    # point meets every row with its slacks and fills the budget row, and
+    # its weights are exactly equal.  The report is each ordering's LP
+    # solved alone from its vertex, byte for byte, and within 1e-12 of the
+    # LPs solved from x = 0.  A level that no live user reaches keeps its
+    # theta nonbasic at 0, and only there.
+    stacks = _recording_vertex_stacks(monkeypatch)
     report = upper_bound_rate(stats, tup)
     assert stacks
-    unreached = not stats.ccdf[1:, -1].any()  # the lone-level grids
-    assert any(skip is not None and skip.any() for *_, (steps, _) in stacks for *_, skip in steps) == unreached
-    for c, a_ub, b_ub, (steps, point) in stacks:
+    unreached = False
+    for ccdf, kept, gaps in stacks:
+        stack, a_ub, b_ub = _start_matches_pivots(ccdf, kept, gaps)
         size, m, n = a_ub.shape
         p = n - stats.num_levels
+        point = np.zeros((size, n + m))
+        np.put_along_axis(point, stack._basis, stack._tableau[:, :m, n], axis=1)
         x, slack = point[:, :n], point[:, n:]
         lhs = np.einsum("lmn,ln->lm", a_ub, x) + slack
         np.testing.assert_allclose(lhs, np.broadcast_to(b_ub, (size, m)), rtol=0.0, atol=1e-12)
         assert (slack[:, -1] == 0.0).all()  # the budget row is tight
         assert (x[:, :p] == x[:, :1]).all()
-        crashed = lp.LpStack.crashed(a_ub, b_ub, steps, point)
-        pivoted = lp.LpStack(a_ub, b_ub)
-        for rows, slots, skip in steps:
-            lp._pivot(pivoted._tableau, pivoted._basis, pivoted._nonbasic, rows, slots, np.arange(size), skip)
-        assert (crashed._basis == pivoted._basis).all()
-        np.testing.assert_allclose(crashed._tableau[:, :m, n], pivoted._tableau[:, :m, n], rtol=0.0, atol=1e-12)
-        assert not np.take_along_axis(point, crashed._nonbasic, axis=1).any()
+        unreached |= bool((stack._nonbasic[:, p:] == np.arange(p, n)).any())
+    assert unreached == (not stats.ccdf[1:, -1].any())  # the lone-level grids
     monkeypatch.undo()
     assert _report(report) == _bound_one_ordering_at_a_time(stats, tup)
     _assert_near_x0_start(report, stats, tup)
+
+
+def _edge_stack(rows, users):
+    """The stack of the live prefixes of CCDF rows (users: one tuple of row
+    indices per LP, all of one length p), as upper_bound_rate builds it:
+    their rows, record mask and gaps of 1/2, 1/4, ..."""
+    ccdf = np.array(rows, dtype=float)
+    users = np.array(users)
+    prefix = ccdf[users]
+    before = np.bitwise_or.accumulate(1 << users, axis=1) ^ (1 << users)
+    kept = upper_bound._records(prefix, upper_bound._level_maxima(ccdf), before)
+    return prefix, kept, np.tile(np.ldexp(1.0, -np.arange(1, users.shape[1] + 1)), (users.shape[0], 1))
+
+
+EDGE_ROWS = [
+    [0.9, 0.5, 0.2],
+    [0.7, 0.6, 0.0],
+    [0.8, 0.5, 0.3],
+    [1e-310, 0.0, 0.0],
+    [0.0, 1e-310, 0.0],
+    [0.4, 0.0, 0.0],
+    [0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0],
+]
+
+
+@pytest.mark.parametrize(
+    "users, slack",
+    [
+        pytest.param([(0,), (1,), (2,)], 0, id="one-live-user"),
+        pytest.param([(0, 1, 2), (2, 1, 0), (1, 0, 2)], 0, id="padded"),
+        pytest.param([(1, 0), (3, 4), (6, 3), (6, 7), (5, 1), (6, 2)], 3, id="subnormal-and-zero-maxima"),
+        pytest.param([(3, 4)], 1, id="subnormal-alone"),
+    ],
+)
+def test_closed_form_start_is_the_pivoted_one(users, slack):
+    # The closed-form start equals the B + p pivot steps byte for byte on
+    # the edge cases: LPs with one live user (no chain row); a stack padded
+    # with zero rows, its LPs with 5, 5 and 6 record rows; LPs whose maxima
+    # sum to a subnormal (w overflows) or to 0, which keep the slack basis
+    # and x = 0 and skip the budget step (slack of them), stacked with LPs
+    # that take it; and a level whose maximum is 0, whose theta stays
+    # nonbasic.  Every LP then solves as its pivoted start does.
+    ccdf, kept, gaps = _edge_stack(EDGE_ROWS, users)
+    stack, a_ub, _ = _start_matches_pivots(ccdf, kept, gaps)
+    m, n = a_ub.shape[1:]
+    assert np.count_nonzero((stack._basis == np.arange(n, n + m)).all(axis=1)) == slack
+    if len(users[0]) == 3:
+        assert kept.sum(axis=(1, 2)).tolist() == [5, 5, 6] and m == 6 + 3
+    c = upper_bound._permutation_lps(ccdf, kept, gaps)[0]
+    with np.errstate(all="ignore"):
+        solved, expected = stack.solve(c), solve_from_pivoted_vertex(ccdf, kept, gaps)
+    assert solved.status == expected.status
+    for name in ("x", "value", "dual_ub", "pivots"):
+        assert getattr(solved, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+def test_start_takes_one_pivot_per_stack(monkeypatch):
+    # The closed form leaves one crash pivot per stack, the budget step,
+    # where the B + p pivot steps took B + p: the ROADMAP item 1 grid at
+    # mu = 1/6 solves two stacks (B = 4, p = 6 and 5), so 2 crash pivots
+    # instead of 19.  The simplex pivots and the report stay those of the
+    # pivoted start.
+    calls = {"pivot": 0}
+    crash_pivots = []
+    pivot, crashed = lp._pivot, lp.LpStack.crashed.__func__
+
+    def counting(*args):
+        calls["pivot"] += 1
+        return pivot(*args)
+
+    def recording(cls, *args):
+        before = calls["pivot"]
+        stack = crashed(cls, *args)
+        crash_pivots.append(calls["pivot"] - before)
+        return stack
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+    monkeypatch.setattr(lp.LpStack, "crashed", classmethod(recording))
+    stats, tup = validate_stats(ROADMAP_ITEM1_ROWS), central_tuple(6, Fraction(1, 6))
+    shapes = _recording_solve_lps(monkeypatch)
+    report = upper_bound_rate(stats, tup)
+    assert crash_pivots == [1, 1] and len(shapes) == 2
+    monkeypatch.setattr(upper_bound, "_solve_from_vertex", solve_from_pivoted_vertex)
+    assert _report(upper_bound_rate(stats, tup)) == _report(report)
+    assert crash_pivots[2:] == [] and calls["pivot"] > 19
 
 
 def test_vertex_of_tiny_entries():
