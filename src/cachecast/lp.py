@@ -508,7 +508,9 @@ def solve_lps(c, a_ub, b_ub, start=None) -> StackSolution:
             f"need a_ub (L, m, n), c (L, n) or (n,), b_ub (L, m) or (m,); got {shape}, {c.shape}, {b_ub.shape}"
         )
     if start is not None:
-        return LpStack.crashed(a_ub, b_ub, *start).solve(c)
+        stack = LpStack.crashed(a_ub, b_ub, *start)
+        del start  # the start's arrays are in the stack now: free them before the solve
+        return stack.solve(c)
     _check_rhs(np.broadcast_to(b_ub, shape[:2]))
     return LpStack(a_ub, b_ub).solve(c)
 

@@ -298,7 +298,9 @@ def _permutation_lps(
     return c, a_ub, b_ub, (record.reshape(size, p, B), width + chain, a_ub.shape[1] - 1)
 
 
-def _equal_weight_vertex(ccdf: np.ndarray, a_ub: np.ndarray, layout: tuple[np.ndarray, np.ndarray, int]) -> tuple:
+def _equal_weight_vertex(
+    ccdf: np.ndarray, a_ub: np.ndarray, layout: tuple[np.ndarray, np.ndarray, int]
+) -> tuple[list, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The equal-weight vertex of a stack of live-prefix LPs, a_ub (L, m, n)
     laid out as layout says (_permutation_lps), as lp.LpStack.crashed takes
     it: the one step still to pivot, the rhs, and the rows and labels the

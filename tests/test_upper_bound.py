@@ -169,7 +169,8 @@ def _coverage_cases():
         size = int(rng.integers(1, 16))
         offsets = rng.integers(0, 16 - size + 1, users).tolist()
         placement = [[(Fraction(a, 16), Fraction(a + size, 16))] for a in offsets]
-        cases.append(pytest.param(caching_tuple(strategy_from_intervals(placement, Fraction(size, 16))), id=f"K{users}-intervals"))
+        intervals = caching_tuple(strategy_from_intervals(placement, Fraction(size, 16)))
+        cases.append(pytest.param(intervals, id=f"K{users}-intervals"))
         tiny = caching_tuple(strategy_from_intervals(tiny_gap_placement(users), Fraction(1, 2)))
         cases.append(pytest.param(tiny, id=f"K{users}-tiny-gap"))
     return cases
@@ -852,7 +853,7 @@ def test_bound_solves_each_distinct_lp_as_alone(monkeypatch, stats, tup):
 
 
 def _recording_starts(monkeypatch):
-    """Record every stack upper_bound hands to solve_lps with its start, (c, a_ub, b_ub, (steps, point))."""
+    """Record every stack upper_bound hands to solve_lps with its start, (c, a_ub, b_ub, start)."""
     stacks = []
     solve_lps = upper_bound.solve_lps
 
