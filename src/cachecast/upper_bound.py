@@ -358,7 +358,7 @@ def _equal_weight_vertex(
     for j in range(1, p):
         rows[:, :, j] += rows[:, :, j - 1]
     rows[:, chain, :p] = np.triu(np.full((p - 1, p), -1.0))
-    enters = (top > 0.0) & ~far[:, None]
+    enters = top > 0.0  # theta_l enters (an LP with infinite w is reset below)
     basis = np.empty((size, m), dtype=int)
     basis[:] = np.arange(n, n + m)
     basis[lps[:, None], last] = np.where(enters, p + levels, n + last)
