@@ -12,18 +12,19 @@ budget row, see upper_bound) have this form.
 
 A stack can instead start at a vertex its caller knows in closed form, a
 crash basis (LpStack.crashed; Bixby, "Implementing the simplex method: the
-initial basis", ORSA J. Computing 4(3), 1992).  The caller may write the
-tableau rows and labels of a basis it has reached in closed form, and
-names the pivots still to take from there (or from the slack basis),
-each LP's row and entering slot per step, skipping some LPs in a step if
-it likes, and each row's basic value at the vertex.  The pivots run
-through _pivot like any other, and the rhs is then written as those
-values, so a slack that is 0 there is exactly 0, where the pivots'
-rounding can leave -1.1e-16.  The upper bound starts each per-ordering
-LP at its equal-weight vertex, whose rows it writes up to the one pivot
-that divides (upper_bound), and the delivery LP's subset LPs, covering
-LPs a.x >= 1 held as -a.x <= -1, whose x = 0 is infeasible, start from
-one crash pivot from the slack basis (LpStack.covering, below).
+initial basis", ORSA J. Computing 4(3), 1992).  The caller may write, in
+the stack's own tableau, the rows and labels of a basis it has reached
+in closed form, and names the pivots still to take from there (or from
+the slack basis), each LP's row and entering slot per step, skipping
+some LPs in a step if it likes, and each row's basic value at the
+vertex.  The pivots run through _pivot like any other, and the rhs is
+then written as those values, so a slack that is 0 there is exactly 0,
+where the pivots' rounding can leave -1.1e-16.  The upper bound starts
+each per-ordering LP at its equal-weight vertex, whose rows it writes up
+to the one pivot that divides (upper_bound), and the delivery LP's
+subset LPs, covering LPs a.x >= 1 held as -a.x <= -1, whose x = 0 is
+infeasible, start from one crash pivot from the slack basis
+(LpStack.covering, below).
 
 solve_lp runs the primal simplex on a condensed (Tucker) tableau: the
 variables are labelled 0..n-1 (the columns of a_ub) and n..n+m-1 (the
@@ -508,9 +509,7 @@ def solve_lps(c, a_ub, b_ub, start=None) -> StackSolution:
             f"need a_ub (L, m, n), c (L, n) or (n,), b_ub (L, m) or (m,); got {shape}, {c.shape}, {b_ub.shape}"
         )
     if start is not None:
-        stack = LpStack.crashed(a_ub, b_ub, *start)
-        del start  # the start's arrays are in the stack now: free them before the solve
-        return stack.solve(c)
+        return LpStack.crashed(a_ub, b_ub, *start).solve(c)
     _check_rhs(np.broadcast_to(b_ub, shape[:2]))
     return LpStack(a_ub, b_ub).solve(c)
 
@@ -553,18 +552,17 @@ class LpStack:
     that), or at a crash basis (crashed), and keeps its tableau, basis and
     labels: neither the costs nor a new column enter the old rows, so the
     basis a solve leaves is still primal feasible at the next costs and
-    after add_column.  The tableau's rows are a_ub's, or rows (L, m, n)
-    where crashed passes the rows of a basis its caller has written.  The
-    tableau takes +0.0 added to every entry, which turns -0.0 into +0.0
-    and keeps every other value's bytes, as _pivot's precondition asks.
-    Its cost row holds 0 until the first solve prices it.
+    after add_column.  The tableau
+    takes +0.0 added to every entry, which turns -0.0 into +0.0 and keeps
+    every other value's bytes, as _pivot's precondition asks.  Its cost
+    row holds 0 until the first solve prices it.
     """
 
-    def __init__(self, a_ub, b_ub, rows=None) -> None:
+    def __init__(self, a_ub, b_ub) -> None:
         self._a, self._b = np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
         size, m, n = self._a.shape
         self._tableau = np.zeros((size, m + 1, n + 1))
-        np.add(self._a if rows is None else rows, 0.0, out=self._tableau[:, :m, :n])
+        np.add(self._a, 0.0, out=self._tableau[:, :m, :n])
         np.add(self._b, 0.0, out=self._tableau[:, :m, n])
         self._basis = np.empty((size, m), dtype=int)
         self._basis[:] = np.arange(n, n + m)
@@ -574,31 +572,32 @@ class LpStack:
         self._crashed = False  # the next solve prices a crash basis (solve)
 
     @classmethod
-    def crashed(cls, a_ub, b_ub, steps, rhs, reached=None) -> LpStack:
+    def crashed(cls, a_ub, b_ub, steps, rhs, reach=None) -> LpStack:
         """The stack of LPs a_ub.x <= b_ub, x >= 0 (as in LpStack), started at a
         vertex its caller knows in closed form instead of at the slack basis.
 
-        reached, if given, is (rows, basis, nonbasic): the condensed
-        tableau's m constraint rows (L, m, n) and its labels (L, m) and
-        (L, n) at a basis the caller has written in closed form, each row
-        with its stored columns only (its rhs comes from rhs, below).
-        Without it the stack starts from the slack basis, where slot j
-        holds variable j.  steps is a sequence of lockstep pivots (rows,
-        slots, skip), each of (L,) arrays, still to take from there: the
-        variable in nonbasic slot slots[i] of LP i enters at row rows[i],
-        except where skip[i] is true (skip may be None).  Each pivot must
-        be nonzero; a negative one is fine, since _pivot leaves no -0.0
-        either way.  rhs (L, m) holds, row by row, the value at the vertex
-        of the variable basic in that row once the steps are taken, from a
-        closed form: it is written as the tableau's rhs, not taken from the
-        pivots' updates, whose rounding can leave a slack that is exactly 0
-        at the vertex at -1.1e-16.  rows and rhs take +0.0 added, as every
-        tableau entry does.  The vertex must be feasible, rhs >= 0: a
-        negative entry raises OutOfRange, and an rhs of another shape
-        LengthMismatch, before any pivot.  The crash pivots count in no
-        solve's pivots.
+        reach, if given, is a function the stack calls once, before any
+        step, with its tableau's m constraint rows (L, m, n), a view that
+        holds a_ub's entries, and its basis (L, m) and nonbasic (L, n)
+        labels at the slack basis, where slot j holds variable j.  It
+        writes, in place, the rows and labels of a basis the caller has
+        reached in closed form, each row's stored columns only (its rhs
+        comes from rhs, below), with no -0.0, as _pivot's precondition
+        asks.  steps is a sequence of lockstep pivots (rows, slots, skip),
+        each of (L,) arrays, still to take from there: the variable in
+        nonbasic slot slots[i] of LP i enters at row rows[i], except where
+        skip[i] is true (skip may be None).  Each pivot must be nonzero; a
+        negative one is fine, since _pivot leaves no -0.0 either way.  rhs
+        (L, m) holds, row by row, the value at the vertex of the variable
+        basic in that row once the steps are taken, from a closed form: it
+        is written as the tableau's rhs, with +0.0 added as to every
+        tableau entry, not taken from the pivots' updates, whose rounding
+        can leave a slack that is exactly 0 at the vertex at -1.1e-16.  The
+        vertex must be feasible, rhs >= 0: a negative entry raises
+        OutOfRange, and an rhs of another shape LengthMismatch, before
+        reach or any pivot.  The crash pivots count in no solve's pivots.
         """
-        stack = cls(a_ub, b_ub, None if reached is None else reached[0])
+        stack = cls(a_ub, b_ub)
         size, m, n = stack._a.shape
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (size, m):
@@ -606,8 +605,8 @@ class LpStack:
         if (rhs < 0.0).any():
             lp, row = np.argwhere(rhs < 0.0)[0].tolist()
             raise OutOfRange(f"LP {lp}: rhs[{row}] = {float(rhs[lp, row])!r} < 0; the start must be feasible")
-        if reached is not None:
-            _, stack._basis[:], stack._nonbasic[:] = reached
+        if reach is not None:
+            reach(stack._tableau[:, :m, :n], stack._basis, stack._nonbasic)
         lps = np.arange(size)
         for rows, slots, skip in steps:
             skip = None if skip is None or not skip.any() else skip

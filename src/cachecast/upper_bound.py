@@ -148,7 +148,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, permutations
 from math import inf
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -299,12 +299,13 @@ def _permutation_lps(
 
 
 def _equal_weight_vertex(
-    ccdf: np.ndarray, a_ub: np.ndarray, layout: tuple[np.ndarray, np.ndarray, int]
-) -> tuple[list, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The equal-weight vertex of a stack of live-prefix LPs, a_ub (L, m, n)
+    ccdf: np.ndarray, m: int, layout: tuple[np.ndarray, np.ndarray, int]
+) -> tuple[list, np.ndarray, Callable[[np.ndarray, np.ndarray, np.ndarray], None]]:
+    """The equal-weight vertex of a stack of live-prefix LPs of m rows each,
     laid out as layout says (_permutation_lps), as lp.LpStack.crashed takes
-    it: the one step still to pivot, the rhs, and the rows and labels the
-    other steps reach, written in closed form.  p >= 1.
+    it: the one step still to pivot, the rhs, and the function that writes,
+    in the stack's tableau, the rows and labels the other steps reach, in
+    closed form.  p >= 1.
 
     With max_l each level's largest entry on the prefix and
     w = 1 / sum_l max_l, the vertex is w_k = w, theta_l = w max_l.  Its
@@ -334,7 +335,7 @@ def _equal_weight_vertex(
     """
     record, chain, budget = layout
     size, p, B = ccdf.shape
-    m, n = a_ub.shape[1:]
+    n = p + B
     top = ccdf.max(axis=1)
     with np.errstate(divide="ignore", over="ignore"):
         w = 1.0 / top.sum(axis=1)
@@ -343,38 +344,38 @@ def _equal_weight_vertex(
     lps, levels = np.arange(size), np.arange(B)
     at = record.argmax(axis=1)  # (L, B): k_l, each level's last record position
     last = record[lps[:, None], at, levels]  # its row
-    kept = record >= 0
-    i, _, l = np.nonzero(kept)
-    row = record[kept]
-    rows = a_ub.copy()
-    # The theta steps.  Where max_l = 0 there is no step, and writing it
-    # changes nothing: the level's one record, at w_1, holds 0 and gets
-    # 0.0 - 0.0 = +0.0, and the budget row gains +0.0.
-    rows[i, row, at[i, l]] = 0.0 - top[i, l]
-    for level in range(B):
-        rows[lps, budget, at[:, level]] += top[:, level]
-    # The chain steps: running sums s_j = s_{j-1} + v_j, as each pivot adds
-    # them, and the chain rows.
-    for j in range(1, p):
-        rows[:, :, j] += rows[:, :, j - 1]
-    rows[:, chain, :p] = np.triu(np.full((p - 1, p), -1.0))
     enters = top > 0.0  # theta_l enters (an LP with infinite w is reset below)
-    basis = np.empty((size, m), dtype=int)
-    basis[:] = np.arange(n, n + m)
-    basis[lps[:, None], last] = np.where(enters, p + levels, n + last)
-    basis[:, chain] = np.arange(p - 1)
-    nonbasic = np.empty((size, n), dtype=int)
-    nonbasic[:, : p - 1] = n + chain
-    nonbasic[:, p - 1] = p - 1
-    nonbasic[:, p:] = np.where(enters, n + last, p + levels)
-    if far.any():
-        rows[far], basis[far], nonbasic[far] = a_ub[far], n + np.arange(m), np.arange(n)
+
+    def reach(rows: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray) -> None:
+        # rows holds a_ub's, basis and nonbasic the slack basis's labels.
+        slack_rows = rows[far]
+        # The theta steps.  Where max_l = 0 there is no step, and writing it
+        # changes nothing: the level's one record, at w_1, holds 0 and gets
+        # 0.0 - 0.0 = +0.0, and the budget row gains +0.0.
+        i, k, l = np.nonzero(record >= 0)
+        rows[i, record[i, k, l], at[i, l]] = 0.0 - top[i, l]
+        for level in range(B):
+            rows[lps, budget, at[:, level]] += top[:, level]
+        # The chain steps: running sums s_j = s_{j-1} + v_j, as each pivot
+        # adds them, and the chain rows.
+        for j in range(1, p):
+            rows[:, :, j] += rows[:, :, j - 1]
+        rows[:, chain, :p] = np.triu(np.full((p - 1, p), -1.0))
+        basis[lps[:, None], last] = np.where(enters, p + levels, n + last)
+        basis[:, chain] = np.arange(p - 1)
+        nonbasic[:, : p - 1] = n + chain
+        nonbasic[:, p - 1] = p - 1
+        nonbasic[:, p:] = np.where(enters, n + last, p + levels)
+        if far.any():
+            rows[far], basis[far], nonbasic[far] = slack_rows, n + np.arange(m), np.arange(n)
+
     rhs = np.zeros((size, m))
-    rhs[i, row] = (w[:, None, None] * (top[:, None, :] - ccdf))[kept]
+    i, k, l = np.nonzero(record >= 0)
+    rhs[i, record[i, k, l]] = w[i] * (top[i, l] - ccdf[i, k, l])
     rhs[lps[:, None], last] = w[:, None] * top  # 0 where theta_l stays nonbasic
     rhs[:, chain] = w[:, None]
     rhs[:, budget] = np.where(far, 1.0, w)  # x = 0: the budget row's slack holds its rhs
-    return [(np.full(size, budget), np.full(size, p - 1), far)], rhs, (rows, basis, nonbasic)
+    return [(np.full(size, budget), np.full(size, p - 1), far)], rhs, reach
 
 
 def _prefix(
@@ -409,7 +410,7 @@ def _solve_from_vertex(ccdf: np.ndarray, kept: np.ndarray, gaps: np.ndarray) -> 
     and (L, p) gaps (_permutation_lps), each solved from its equal-weight
     vertex (_equal_weight_vertex, one crash pivot per stack)."""
     c, a_ub, b_ub, layout = _permutation_lps(ccdf, kept, gaps)
-    return solve_lps(c, a_ub, b_ub, _equal_weight_vertex(ccdf, a_ub, layout))
+    return solve_lps(c, a_ub, b_ub, _equal_weight_vertex(ccdf, a_ub.shape[1], layout))
 
 
 def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

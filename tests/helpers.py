@@ -337,10 +337,12 @@ def pivoted_vertex(ccdf: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, layout)
     max_l is 0 keeps theta_l nonbasic at 0); w_j enters at chain row j for
     j < p, and w_p at the budget row, each step one lp._pivot on the whole
     stack.  An LP whose maxima sum to 0 or to a subnormal, where w is
-    infinite, skips every step and keeps x = 0.  The rhs is then written as
-    the vertex's value at each row's basic label: w and theta as above,
-    each other record row's slack w (max_l - c_kl), the padding rows' 0.
-    Returns the stack in the state LpStack.crashed leaves, its first solve
+    infinite, skips every step and keeps x = 0.  The rhs the pivots compute
+    must lie within 1e-12 of the vertex's value at each row's basic label,
+    and the vertex must be 0 at every nonbasic label (AssertionError
+    otherwise); the rhs is then written as those values: w and theta as
+    above, each other record row's slack w (max_l - c_kl), the padding
+    rows' 0.  Returns the stack in the state LpStack.crashed leaves, its first solve
     to come.
     """
     record, chain, budget = layout
@@ -365,7 +367,12 @@ def pivoted_vertex(ccdf: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, layout)
     every = np.arange(size)
     for rows, slots, skip in steps:
         lp._pivot(stack._tableau, stack._basis, stack._nonbasic, rows, slots, every, skip if skip.any() else None)
-    np.add(np.take_along_axis(point, stack._basis, axis=1), 0.0, out=stack._tableau[:, :m, n])
+    # The pivots reach the point's basis: their own rhs is the closed
+    # form's to 1e-12, and every nonbasic label is 0 at the point.
+    closed = np.take_along_axis(point, stack._basis, axis=1)
+    np.testing.assert_allclose(stack._tableau[:, :m, n], closed, rtol=0.0, atol=1e-12)
+    assert not np.take_along_axis(point, stack._nonbasic, axis=1).any()
+    np.add(closed, 0.0, out=stack._tableau[:, :m, n])
     stack._crashed = True
     return stack
 

@@ -515,9 +515,19 @@ def test_crashed_stack_starts_at_its_vertex():
     assert cold.pivots.tolist() == [2, 2] and cold.value.tolist() == [-3.0, -3.0]
     # A caller that writes the rows and labels the first step reaches
     # starts there, and only the second step is pivoted: the same stack.
+    # Its writer is handed the stack's own rows and labels, at the slack
+    # basis, once.
     first = lp.LpStack.crashed(a_ub, b_ub, steps[:1], rhs)
-    reached = (first._tableau[:, :3, :2], first._basis, first._nonbasic)
-    resumed = lp.LpStack.crashed(a_ub, b_ub, steps[1:], rhs, reached)
+    handed = []
+
+    def reach(rows, basis, nonbasic):
+        handed.append((rows.copy(), basis.copy(), nonbasic.copy()))
+        rows[:], basis[:], nonbasic[:] = first._tableau[:, :3, :2], first._basis, first._nonbasic
+
+    resumed = lp.LpStack.crashed(a_ub, b_ub, steps[1:], rhs, reach)
+    [(rows, basis, nonbasic)] = handed
+    assert rows.tobytes() == a_ub.tobytes()
+    assert basis.tolist() == [[2, 3, 4]] * 2 and nonbasic.tolist() == [[0, 1]] * 2
     stack = lp.LpStack.crashed(a_ub, b_ub, steps, rhs)
     assert resumed._tableau.tobytes() == stack._tableau.tobytes()
     assert (resumed._basis == stack._basis).all() and (resumed._nonbasic == stack._nonbasic).all()
@@ -526,14 +536,20 @@ def test_crashed_stack_starts_at_its_vertex():
 
 def test_crashed_stack_input_checks():
     # An rhs of another shape or with a negative entry is refused before
-    # any pivot.
+    # the caller's writer or any pivot runs.
     a_ub, b_ub, steps, rhs = crash_example()
+    written = []
+
+    def reach(*tableau):
+        written.append(tableau)
+
     for bad in (rhs[:1], rhs[:, :2], rhs[0]):
         with pytest.raises(LengthMismatch, match=r"^need rhs \(2, 3\), got shape"):
-            lp.LpStack.crashed(a_ub, b_ub, steps, bad)
+            lp.LpStack.crashed(a_ub, b_ub, steps, bad, reach)
     rhs[1, 2] = -1.0
     with pytest.raises(OutOfRange) as failure:
-        lp.LpStack.crashed(a_ub, b_ub, steps, rhs)
+        lp.LpStack.crashed(a_ub, b_ub, steps, rhs, reach)
+    assert not written
     assert str(failure.value) == "LP 1: rhs[2] = -1.0 < 0; the start must be feasible"
 
 

@@ -913,7 +913,7 @@ def _start_matches_pivots(ccdf, kept, gaps):
     cost row, the basis and the nonbasic labels.  Returns the stack and
     its a_ub and b_ub."""
     _, a_ub, b_ub, layout = upper_bound._permutation_lps(ccdf, kept, gaps)
-    closed = lp.LpStack.crashed(a_ub, b_ub, *upper_bound._equal_weight_vertex(ccdf, a_ub, layout))
+    closed = lp.LpStack.crashed(a_ub, b_ub, *upper_bound._equal_weight_vertex(ccdf, a_ub.shape[1], layout))
     oracle = pivoted_vertex(ccdf, a_ub, b_ub, layout)
     assert closed._tableau.tobytes() == oracle._tableau.tobytes()
     assert closed._basis.tolist() == oracle._basis.tolist()
@@ -1039,7 +1039,7 @@ def test_start_takes_one_pivot_per_stack(monkeypatch):
     assert crash_pivots[2:] == [] and calls["pivot"] > 19
 
 
-def test_vertex_of_tiny_entries():
+def test_vertex_of_tiny_entries(monkeypatch):
     # At mu = 1/2 each ordering keeps one live user, whose LP's optimum is
     # the vertex: value sum_l c_1l / gap_1.  With user 1's entries at
     # 1e-300 or 1e-200 every entry of its LP's column lies below
@@ -1047,8 +1047,11 @@ def test_vertex_of_tiny_entries():
     # ("status unbounded"); from the vertex, which takes no pivot, the value
     # is exact.  Where the entries are subnormal, w = 1 / sum_l max_l
     # overflows: that LP keeps x = 0 and fails as before, with the typed
-    # error naming the ordering and no RuntimeWarning.
+    # error naming the ordering and no RuntimeWarning.  Each stack's
+    # closed-form start is the B + p pivot steps' byte for byte, and their
+    # own rhs lies within 1e-12 of it (helpers.pivoted_vertex).
     half = Fraction(1, 2)
+    stacks = _recording_vertex_stacks(monkeypatch)
     for tiny in (1e-300, 1e-200):
         stats = validate_stats([[tiny, tiny], [0.5, 0.2]])
         report = upper_bound_rate(stats, central_tuple(2, half))
@@ -1057,6 +1060,9 @@ def test_vertex_of_tiny_entries():
     stats = validate_stats([[1e-310, 0.0], [0.5, 0.2]])
     with pytest.raises(UnexpectedLpStatus, match=r"^ordering \(1, 2\) \(K=2, B=2, mu=1/2\): status unbounded$"):
         upper_bound_rate(stats, central_tuple(2, half))
+    assert len(stacks) == 3
+    for ccdf, kept, gaps in stacks:
+        _start_matches_pivots(ccdf, kept, gaps)
 
 
 # Simplex pivots of each stack of the ROADMAP item 1 grid at mu = t/6, from
