@@ -14,11 +14,10 @@ stored.  All probability comparisons in this module use PROB_TOL.
 Channel states are drawn by one primitive, level_hits: one user at a time,
 in blocks of SAMPLE_BLOCK uses, each block the (B, block) matrix of hits
 U < cummin(ccdf), so a use's level count is its hits summed (count_levels).
-user_levels sums them into one reused row of n levels per user, and
-sample_states stacks those rows into the K x n matrix for callers that keep
-every user's levels; the simulator tallies the hits themselves.  check_draws
-is the one rule on the channel-use count and seed of a draw, the CLI's
-included.
+sample_states counts them into the K x n matrix of levels for callers that
+keep every user's levels, as the simulator does with keep_levels; the
+simulator tallies the hits themselves.  check_draws is the one rule on the
+channel-use count and seed of a draw, the CLI's included.
 """
 
 from __future__ import annotations
@@ -211,32 +210,19 @@ def count_levels(hits: np.ndarray, out: np.ndarray) -> None:
     np.add.reduce(hits.view(np.uint8), axis=0, dtype=out.dtype, out=out)  # summing the bools casts, slower
 
 
-def user_levels(stats: ChannelStats, num_uses: int, seed: int) -> Iterator[np.ndarray]:
+def sample_states(stats: ChannelStats, num_uses: int, seed: int) -> StateRealization:
     """Draw i.i.d. level counts for each user over `num_uses` channel uses.
 
-    Yields one row per user, in user order, all into one reused buffer: a
-    row holds user k's levels only until user k + 1 is drawn, so copy it to
-    keep it.  Memory is one row of num_uses levels and one block of
-    level_hits, whatever the number of users.  Levels are stored in the
-    smallest unsigned dtype that holds 0..B.
+    Every user's levels at once, K x n: row k holds user k's level count at
+    each use, counted from level_hits' blocks (count_levels) in the
+    smallest unsigned dtype that holds 0..B.  Memory is the matrix and one
+    block of level_hits.
     """
-    blocks = level_hits(stats, num_uses, seed)
-    return _rows(blocks, np.empty(num_uses, dtype=np.min_scalar_type(stats.num_levels)))
-
-
-def _rows(users: Iterator[Iterator[tuple[int, np.ndarray]]], row: np.ndarray) -> Iterator[np.ndarray]:
-    for blocks in users:
+    users = level_hits(stats, num_uses, seed)
+    levels = np.empty((stats.num_users, num_uses), dtype=np.min_scalar_type(stats.num_levels))
+    for row, blocks in zip(levels, users):
         for start, hits in blocks:
             count_levels(hits, row[start : start + hits.shape[1]])
-        yield row
-
-
-def sample_states(stats: ChannelStats, num_uses: int, seed: int) -> StateRealization:
-    """Every user's levels at once: the rows of user_levels stacked K x n."""
-    rows = user_levels(stats, num_uses, seed)
-    levels = np.empty((stats.num_users, num_uses), dtype=np.min_scalar_type(stats.num_levels))
-    for k, row in enumerate(rows):
-        levels[k] = row
     levels.setflags(write=False)
     return StateRealization(
         num_users=stats.num_users,

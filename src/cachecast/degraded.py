@@ -30,7 +30,7 @@ import numpy as np
 from .caching import cache_size, central_coverage
 from .channel import ChannelStats, is_stochastically_dominant, validate_stats
 from .errors import InfeasibleZ, LengthMismatch, NotDegraded
-from .lp import FEAS_TOL, require_optimal, solve_lps
+from .lp import FEAS_TOL, LpStack, require_optimal
 from .lp_scheme import DeliveryAllocation, message_subsets, t_from_mu
 
 
@@ -90,7 +90,7 @@ def degraded_optimal_rate(stats: ChannelStats, mu) -> ZAllocation:
     c = np.zeros(num_vars)
     c[0] = -1.0
 
-    (outcome,) = solve_lps(c, a_ub[None], b_ub)
+    (outcome,) = LpStack(a_ub[None], b_ub).solve(c)
     solution = require_optimal(outcome, f"chain LP (K={K}, t={t}, B={B})")
     z = solution.x[1:].reshape(B, K).copy()
     for k in range(K):

@@ -12,21 +12,21 @@ budget row, see upper_bound) have this form.
 
 A stack can instead start at a vertex its caller knows in closed form, a
 crash basis (LpStack.crashed; Bixby, "Implementing the simplex method: the
-initial basis", ORSA J. Computing 4(3), 1992).  The caller may write, in
-the stack's own tableau, the rows and labels of a basis it has reached
-in closed form, and names the pivots still to take from there (or from
-the slack basis), each LP's row and entering slot per step, skipping
-some LPs in a step if it likes, and each row's basic value at the
-vertex.  The pivots run through _pivot like any other, and the rhs is
-then written as those values, so a slack that is 0 there is exactly 0,
-where the pivots' rounding can leave -1.1e-16.  The upper bound starts
-each per-ordering LP at its equal-weight vertex, whose rows it writes up
-to the one pivot that divides (upper_bound), and the delivery LP's
-subset LPs, covering LPs a.x >= 1 held as -a.x <= -1, whose x = 0 is
-infeasible, start from one crash pivot from the slack basis
+initial basis", ORSA J. Computing 4(3), 1992), reached by one crash
+pivot.  The caller may first write, in the stack's own tableau, the rows
+and labels of a basis it has reached in closed form; it names the one
+pivot still to take from there (or from the slack basis), each LP's row
+and entering slot, skipping some LPs if it likes, and each row's basic
+value at the vertex.  The pivot runs through _pivot like any other, and
+the rhs is then written as those values, so a slack that is 0 there is
+exactly 0, where the pivot's rounding can leave -1.1e-16.  The upper
+bound starts each per-ordering LP at its equal-weight vertex, whose rows
+it writes up to the one pivot that divides (upper_bound), and the
+delivery LP's subset LPs, covering LPs a.x >= 1 held as -a.x <= -1, whose
+x = 0 is infeasible, take their one pivot from the slack basis
 (LpStack.covering, below).
 
-solve_lp runs the primal simplex on a condensed (Tucker) tableau: the
+The primal simplex runs on a condensed (Tucker) tableau: the
 variables are labelled 0..n-1 (the columns of a_ub) and n..n+m-1 (the
 slacks), and only the n nonbasic variables' columns are stored, since a
 basic variable's column is a unit vector.  FEAS_TOL is the single
@@ -79,39 +79,39 @@ passes at once keeps its bytes.  LpSolution carries the three values.
 
 One simplex core runs on a stack of same-shape tableaux, shape
 (L, m+1, n+1): the n nonbasic columns, then the rhs, with the labels in
-basis (L, m) and nonbasic (L, n).  solve_lps takes the LPs as arrays of
-one shape, c (L, n), a_ub (L, m, n) and b_ub (L, m), and solves them all
-as one stack, so a caller that must bound its memory hands it fewer LPs
-per call (upper_bound does); solve_lp, the stack of one, is for callers
-outside the package.  Each iteration reads every running LP's entering
-column off its cost row, picks its leaving row with vector operations,
-and pivots every LP at once with one in-place rank-1 update (_pivot).  The certificate is one
-batched np.matmul per stack too, and solve_lps returns the stack's
-outcomes as arrays (StackSolution), which yield each LP's LpSolution
-when indexed.  An LP that finishes (optimal,
-unbounded or failed) is frozen where it stands: its later pivots take
-divisor 1 and factors 0 and write neither its slot, its pivot row nor
-its labels, so its state stays as it stopped.  The running stack is
-compacted to the LPs still running only once at least half of it has
-stopped, since a compaction copies every array of the stack; the
-stopped LPs are written back then, and the rest at the end.  A
-NumericalFailure is that LP's outcome alone.  The numpy calls make the
-same floating-point operations on each LP whatever the stack holds,
-frozen LPs included (a crashed stack's first pricing skips or adds only
-rows that add an exact zero to that LP, LpStack.solve), so the pivot
-path and every byte of x, the value, the duals and the certificate are
-the same whether an LP is solved alone or in a stack.
+basis (L, m) and nonbasic (L, n).  An LpStack holds the LPs as arrays of
+one shape, a_ub (L, m, n) and b_ub (L, m), and solves them all at costs
+c (L, n) as one stack, so a caller that must bound its memory builds
+stacks of fewer LPs (upper_bound does).  Each iteration reads every
+running LP's entering column off its cost row, picks its leaving row
+with vector operations, and pivots every LP at once with one in-place
+rank-1 update (_pivot).  The certificate is one batched np.matmul per
+stack too, and a solve returns the stack's outcomes as arrays
+(StackSolution), which yield each LP's LpSolution when indexed.  An LP
+that finishes (optimal, unbounded or failed) is frozen where it stands:
+its later pivots take divisor 1 and factors 0 and write neither its
+slot, its pivot row nor its labels, so its state stays as it stopped.
+The running stack is compacted to the LPs still running only once at
+least half of it has stopped, since a compaction copies every array of
+the stack; the stopped LPs are written back then, and the rest at the
+end.  A NumericalFailure is that LP's outcome alone.  The numpy calls
+make the same floating-point operations on each LP whatever the stack
+holds, frozen LPs included (a crashed stack's first pricing skips or
+adds only rows that add an exact zero to that LP, LpStack.solve), so the
+pivot path and every byte of x, the value, the duals and the certificate
+are the same whether an LP is solved alone or in a stack.
 
 An LpStack keeps a stack's tableau, basis and labels from one solve to
-the next, so every LP here is solved by one, from the slack basis or from
-a crash.  Neither new costs nor a new column make a kept basis
-infeasible: solve(c) prices the cost row afresh at the kept basis and
-resumes the simplex from there, and add_column enters a column as Binv.a
-and pivots it in by the same ratio test.  The delivery LP keeps two: the
-cutting-plane master, a column per cut, and the subset LPs, repriced at
-every cut.  solve_lps solves a fresh stack once, from x = 0 or from a
-given crash.  Each solve carries the same certificate (_finish), and
-require_optimal is the one rule that every LP here must come back optimal.
+the next, and every LP of the package is one, built where it is solved,
+from the slack basis or from a crash.  Neither new costs nor a new column
+make a kept basis infeasible: solve(c) prices the cost row afresh at the
+kept basis and resumes the simplex from there, and add_column enters a
+column as Binv.a and pivots it in by the same ratio test.  The delivery
+LP keeps two: the cutting-plane master, a column per cut, and the subset
+LPs, repriced at every cut.  solve_lps and solve_lp, for callers outside
+the package, check their arrays and solve a fresh stack once from x = 0.
+Each solve carries the same certificate (_finish), and require_optimal is
+the one rule that every LP here must come back optimal.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def _pivot(
     nonbasic: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
-    lps: Optional[np.ndarray] = None,
+    lps: np.ndarray,
     frozen: Optional[np.ndarray] = None,
 ) -> None:
     """Pivot slot cols[i] into row rows[i] of every condensed tableau i of the stack.
@@ -240,13 +240,11 @@ def _pivot(
     its factor +0.0 in the update, and -0.0 - (+0.0 * -0.0) is +0.0
     (where the row loop would keep -0.0).
 
-    lps is np.arange(L), from a caller that keeps it.  Where frozen[i] is
+    lps is np.arange(L), from the caller, which keeps it.  Where frozen[i] is
     true, tableau i belongs to an LP that has stopped: it gets factors 0
     and divisor 1, so the update leaves its rows as they are, and its slot,
     pivot row and labels are not written, so nothing of it changes.
     """
-    if lps is None:
-        lps = np.arange(tableau.shape[0])
     factors = tableau[lps, :, cols]
     divisors = factors[lps, rows]
     run, at, slot = lps, rows, cols  # the running LPs, their pivot rows and slots
@@ -490,16 +488,15 @@ def _refined(
     return rows, y
 
 
-def solve_lps(c, a_ub, b_ub, start=None) -> StackSolution:
+def solve_lps(c, a_ub, b_ub) -> StackSolution:
     """solve_lp on every LP of one stack, in lockstep; a NumericalFailure is returned, not raised.
 
+    The checked entry point to LpStack for callers outside the package.
     a_ub has shape (L, m, n); c is (L, n) or one (n,) row for every LP, b_ub
     (L, m) or one (m,) row.  Any other shape raises LengthMismatch.  The
     stack starts at x = 0, so a negative b_ub entry raises OutOfRange
-    before any LP is solved; or, where start is given, at the vertex
-    LpStack.crashed(a_ub, b_ub, *start) starts from, whose own checks then
-    apply.  Every outcome is bit for bit the one the stack of that LP
-    alone gives (solve_lp, without a start), and one LP's failure leaves
+    before any LP is solved.  Every outcome is bit for bit the one the
+    stack of that LP alone gives (solve_lp), and one LP's failure leaves
     the others unchanged.
     """
     c, a_ub, b_ub = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
@@ -508,8 +505,6 @@ def solve_lps(c, a_ub, b_ub, start=None) -> StackSolution:
         raise LengthMismatch(
             f"need a_ub (L, m, n), c (L, n) or (n,), b_ub (L, m) or (m,); got {shape}, {c.shape}, {b_ub.shape}"
         )
-    if start is not None:
-        return LpStack.crashed(a_ub, b_ub, *start).solve(c)
     _check_rhs(np.broadcast_to(b_ub, shape[:2]))
     return LpStack(a_ub, b_ub).solve(c)
 
@@ -548,14 +543,14 @@ class LpStack:
 
     a_ub is (L, m, n) and b_ub (L, m) or one (m,) row for every LP; they
     stay the original rows every solve is certified against.  The stack
-    starts at the slack basis, feasible where b_ub >= 0 (solve_lps checks
-    that), or at a crash basis (crashed), and keeps its tableau, basis and
-    labels: neither the costs nor a new column enter the old rows, so the
-    basis a solve leaves is still primal feasible at the next costs and
-    after add_column.  The tableau
-    takes +0.0 added to every entry, which turns -0.0 into +0.0 and keeps
-    every other value's bytes, as _pivot's precondition asks.  Its cost
-    row holds 0 until the first solve prices it.
+    starts at the slack basis, feasible where b_ub >= 0 (the caller sees
+    to that; solve_lps checks it), or at a crash basis (crashed), and
+    keeps its tableau, basis and labels: neither the costs nor a new
+    column enter the old rows, so the basis a solve leaves is still primal
+    feasible at the next costs and after add_column.  The tableau takes
+    +0.0 added to every entry, which turns -0.0 into +0.0 and keeps every
+    other value's bytes, as _pivot's precondition asks.  Its cost row
+    holds 0 until the first solve prices it.
     """
 
     def __init__(self, a_ub, b_ub) -> None:
@@ -572,30 +567,30 @@ class LpStack:
         self._crashed = False  # the next solve prices a crash basis (solve)
 
     @classmethod
-    def crashed(cls, a_ub, b_ub, steps, rhs, reach=None) -> LpStack:
+    def crashed(cls, a_ub, b_ub, pivot, rhs, reach=None) -> LpStack:
         """The stack of LPs a_ub.x <= b_ub, x >= 0 (as in LpStack), started at a
         vertex its caller knows in closed form instead of at the slack basis.
 
-        reach, if given, is a function the stack calls once, before any
-        step, with its tableau's m constraint rows (L, m, n), a view that
+        reach, if given, is a function the stack calls once, before the
+        pivot, with its tableau's m constraint rows (L, m, n), a view that
         holds a_ub's entries, and its basis (L, m) and nonbasic (L, n)
         labels at the slack basis, where slot j holds variable j.  It
         writes, in place, the rows and labels of a basis the caller has
         reached in closed form, each row's stored columns only (its rhs
         comes from rhs, below), with no -0.0, as _pivot's precondition
-        asks.  steps is a sequence of lockstep pivots (rows, slots, skip),
-        each of (L,) arrays, still to take from there: the variable in
-        nonbasic slot slots[i] of LP i enters at row rows[i], except where
-        skip[i] is true (skip may be None).  Each pivot must be nonzero; a
-        negative one is fine, since _pivot leaves no -0.0 either way.  rhs
-        (L, m) holds, row by row, the value at the vertex of the variable
-        basic in that row once the steps are taken, from a closed form: it
-        is written as the tableau's rhs, with +0.0 added as to every
-        tableau entry, not taken from the pivots' updates, whose rounding
-        can leave a slack that is exactly 0 at the vertex at -1.1e-16.  The
-        vertex must be feasible, rhs >= 0: a negative entry raises
-        OutOfRange, and an rhs of another shape LengthMismatch, before
-        reach or any pivot.  The crash pivots count in no solve's pivots.
+        asks.  pivot (rows, slots, skip), each of (L,) arrays, is the one
+        lockstep pivot still to take from there: the variable in nonbasic
+        slot slots[i] of LP i enters at row rows[i], except where skip[i]
+        is true (skip may be None).  It must be nonzero; a negative one is
+        fine, since _pivot leaves no -0.0 either way.  rhs (L, m) holds,
+        row by row, the value at the vertex of the variable basic in that
+        row once the pivot is taken, from a closed form: it is written as
+        the tableau's rhs, with +0.0 added as to every tableau entry, not
+        taken from the pivot's update, whose rounding can leave a slack
+        that is exactly 0 at the vertex at -1.1e-16.  The vertex must be
+        feasible, rhs >= 0: a negative entry raises OutOfRange, and an rhs
+        of another shape LengthMismatch, before reach or the pivot.  The
+        crash pivot counts in no solve's pivots.
         """
         stack = cls(a_ub, b_ub)
         size, m, n = stack._a.shape
@@ -607,10 +602,9 @@ class LpStack:
             raise OutOfRange(f"LP {lp}: rhs[{row}] = {float(rhs[lp, row])!r} < 0; the start must be feasible")
         if reach is not None:
             reach(stack._tableau[:, :m, :n], stack._basis, stack._nonbasic)
-        lps = np.arange(size)
-        for rows, slots, skip in steps:
-            skip = None if skip is None or not skip.any() else skip
-            _pivot(stack._tableau, stack._basis, stack._nonbasic, rows, slots, lps, skip)
+        rows, slots, skip = pivot
+        skip = None if skip is None or not skip.any() else skip
+        _pivot(stack._tableau, stack._basis, stack._nonbasic, rows, slots, np.arange(size), skip)
         np.add(rhs, 0.0, out=stack._tableau[:, :m, n])
         stack._crashed = True
         return stack
@@ -637,7 +631,7 @@ class LpStack:
         least = first[lps, rows][:, None]
         rhs = (first - least) / least
         rhs[lps, rows] = 1.0 / least[:, 0]
-        return cls.crashed(-a, np.full(m, -1.0), [(rows, np.zeros(size, dtype=int), None)], rhs)
+        return cls.crashed(-a, np.full(m, -1.0), (rows, np.zeros(size, dtype=int), None), rhs)
 
     def add_column(self, column) -> None:
         """Append column (m,) to every LP and pivot it in, whatever its reduced cost.

@@ -131,7 +131,7 @@ not optimal, named by the first ordering whose LP it is.
 It reads the coverage (indexed by bitmask) of each distinct prefix mask
 once and builds the LPs with numpy.  The distinct LPs of one live count
 are sorted by their record-row count, most first (stable), and built and
-solved in slices, one slice per lp.solve_lps call.  A slice is as many
+solved in slices, one lp.LpStack per slice.  A slice is as many
 LPs as stack_size allows at the shape of its first, widest LP, and every
 LP of the slice is padded with zero rows, between its record rows and
 its chain rows, to that shape.
@@ -155,7 +155,7 @@ import numpy as np
 from .caching import CachingTuple
 from .channel import ChannelStats, check_weights
 from .errors import LengthMismatch, OutOfRange, TooManyUsers, ZeroDenominator
-from .lp import FEAS_TOL, OPTIMAL, StackSolution, require_optimal, solve_lps
+from .lp import FEAS_TOL, OPTIMAL, LpStack, StackSolution, require_optimal
 
 MAX_BOUND_USERS = 8
 # Tableau entries per lockstep stack: 172 per-ordering LPs of live count 5
@@ -300,10 +300,10 @@ def _permutation_lps(
 
 def _equal_weight_vertex(
     ccdf: np.ndarray, m: int, layout: tuple[np.ndarray, np.ndarray, int]
-) -> tuple[list, np.ndarray, Callable[[np.ndarray, np.ndarray, np.ndarray], None]]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, Callable[[np.ndarray, np.ndarray, np.ndarray], None]]:
     """The equal-weight vertex of a stack of live-prefix LPs of m rows each,
     laid out as layout says (_permutation_lps), as lp.LpStack.crashed takes
-    it: the one step still to pivot, the rhs, and the function that writes,
+    it: the one pivot still to take, the rhs, and the function that writes,
     in the stack's tableau, the rows and labels the other steps reach, in
     closed form.  p >= 1.
 
@@ -375,7 +375,7 @@ def _equal_weight_vertex(
     rhs[lps[:, None], last] = w[:, None] * top  # 0 where theta_l stays nonbasic
     rhs[:, chain] = w[:, None]
     rhs[:, budget] = np.where(far, 1.0, w)  # x = 0: the budget row's slack holds its rhs
-    return [(np.full(size, budget), np.full(size, p - 1), far)], rhs, reach
+    return (np.full(size, budget), np.full(size, p - 1), far), rhs, reach
 
 
 def _prefix(
@@ -410,7 +410,7 @@ def _solve_from_vertex(ccdf: np.ndarray, kept: np.ndarray, gaps: np.ndarray) -> 
     and (L, p) gaps (_permutation_lps), each solved from its equal-weight
     vertex (_equal_weight_vertex, one crash pivot per stack)."""
     c, a_ub, b_ub, layout = _permutation_lps(ccdf, kept, gaps)
-    return solve_lps(c, a_ub, b_ub, _equal_weight_vertex(ccdf, a_ub.shape[1], layout))
+    return LpStack.crashed(a_ub, b_ub, *_equal_weight_vertex(ccdf, a_ub.shape[1], layout)).solve(c)
 
 
 def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -323,6 +323,22 @@ def permutation_lp_reference(stats, tup, pi, every_decode_row=False) -> tuple[np
     return c, a_ub, b_ub
 
 
+def pivoted_stack(a_ub, b_ub, steps, rhs=None):
+    """The stack a_ub, b_ub with every crash step (rows, slots, skip) pivoted
+    from the slack basis, one lp._pivot each, and, if rhs is given, the rhs
+    written and the first solve set to price a crash basis: the stack a
+    crash of those steps must give, the oracle of LpStack.crashed."""
+    stack = lp.LpStack(a_ub, b_ub)
+    lps = np.arange(stack._a.shape[0])
+    for rows, slots, skip in steps:
+        skip = None if skip is None or not skip.any() else skip
+        lp._pivot(stack._tableau, stack._basis, stack._nonbasic, rows, slots, lps, skip)
+    if rhs is not None:
+        np.add(rhs, 0.0, out=stack._tableau[:, : rhs.shape[1], -1])
+        stack._crashed = True
+    return stack
+
+
 def pivoted_vertex(ccdf: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, layout) -> lp.LpStack:
     """The equal-weight vertex of a stack of live-prefix LPs reached by B + p
     crash pivots from the slack basis: the oracle of
@@ -363,10 +379,7 @@ def pivoted_vertex(ccdf: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, layout)
     lps, k, l = np.nonzero(record >= 0)
     point[lps, n + record[lps, k, l]] = w[lps] * (top[lps, l] - ccdf[lps, k, l])
     point[far, n + budget] = 1.0  # x = 0: the budget row's slack holds its rhs
-    stack = lp.LpStack(a_ub, b_ub)
-    every = np.arange(size)
-    for rows, slots, skip in steps:
-        lp._pivot(stack._tableau, stack._basis, stack._nonbasic, rows, slots, every, skip if skip.any() else None)
+    stack = pivoted_stack(a_ub, b_ub, steps)
     # The pivots reach the point's basis: their own rhs is the closed
     # form's to 1e-12, and every nonbasic label is 0 at the point.
     closed = np.take_along_axis(point, stack._basis, axis=1)

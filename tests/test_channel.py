@@ -11,7 +11,6 @@ from cachecast.channel import (
     enhance,
     is_stochastically_dominant,
     sample_states,
-    user_levels,
     validate_stats,
 )
 from cachecast.errors import LengthMismatch, NotMonotone, OutOfRange, ValidationError, WeightsUnsorted, WrongType
@@ -213,9 +212,8 @@ def test_sample_rejects_bad_length():
 @pytest.mark.parametrize("seed", [1.5, None, "3", np.float64(2.0)])
 def test_sample_rejects_non_integer_seed(seed):
     stats = validate_stats([[0.5]])
-    for draw in (sample_states, user_levels):
-        with pytest.raises(WrongType, match=r"^seed must be an integer, got "):
-            draw(stats, 10, seed)
+    with pytest.raises(WrongType, match=r"^seed must be an integer, got "):
+        sample_states(stats, 10, seed)
 
 
 @pytest.mark.parametrize(
@@ -237,9 +235,8 @@ def test_the_sampling_rule(num_uses, seed, error, message):
         check_draws(num_uses, seed)
     assert type(raised.value) is error and str(raised.value) == message
     stats = validate_stats([[0.5]])
-    for draw in (sample_states, user_levels):
-        with pytest.raises(error, match=f"^{message}$"):
-            draw(stats, num_uses, seed)
+    with pytest.raises(error, match=f"^{message}$"):
+        sample_states(stats, num_uses, seed)
 
 
 def test_the_sampling_rule_takes_numpy_integers():

@@ -791,16 +791,17 @@ def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
     assert "ordering (6, 1, 2, 3, 4, 5) (K=6, B=4, mu=1/6): " in err
     assert "optimal basis fails feasibility recheck (largest violation " in err
 
-    solve_lps = upper_bound.solve_lps
+    solve = upper_bound._solve_from_vertex
 
-    def one_unbounded(c, a_ub, b_ub, start):
-        outcomes = solve_lps(c, a_ub, b_ub, start)
+    def one_unbounded(ccdf, kept, gaps):
+        outcomes = solve(ccdf, kept, gaps)
+        c, a_ub, _, _ = upper_bound._permutation_lps(ccdf, kept, gaps)
         for i in np.flatnonzero(stack_hits(c, a_ub, target)).tolist():
             outcomes.status[i] = UNBOUNDED
         return outcomes
 
     monkeypatch.undo()
-    monkeypatch.setattr(upper_bound, "solve_lps", one_unbounded)
+    monkeypatch.setattr(upper_bound, "_solve_from_vertex", one_unbounded)
     assert cli.main(["rates", "upper", cfg, "--json"]) == 3
     err = capsys.readouterr().err
     assert "ordering (6, 1, 2, 3, 4, 5) (K=6, B=4, mu=1/6): status unbounded" in err
@@ -819,12 +820,12 @@ def test_lp_failures_name_their_lp(capsys, monkeypatch, command, config, module,
 
     def patch(outcome):
         """Make the LP give outcome: the delivery LP's master is an LpStack
-        solved once per cut, and the chain LP a stack of one from solve_lps;
-        each returns it."""
+        solved once per cut, and the chain LP an LpStack of one; each solve
+        returns it."""
         if module is lp_scheme:
             monkeypatch.setattr(LpStack, "solve", lambda stack, c: [outcome] if is_master_solve(c) else solve(stack, c))
         else:
-            monkeypatch.setattr(module, "solve_lps", lambda *args: [outcome])
+            monkeypatch.setattr(LpStack, "solve", lambda stack, c: [outcome])
 
     patch(NumericalFailure(message))
     assert cli.main(["rates", command, config]) == 3

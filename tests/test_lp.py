@@ -36,6 +36,7 @@ from helpers import (
     is_master_solve,
     ladder_grids,
     pivot_reference,
+    pivoted_stack,
     random_bounded_lp,
     random_chain_stats,
     random_stats,
@@ -482,12 +483,24 @@ def test_covering_stack_input_checks():
 # --- crash starts ------------------------------------------------------------------
 
 
+def reach_through(a_ub, b_ub, steps):
+    """A writer for LpStack.crashed that writes, in place, the rows and labels
+    that the crash steps reach from the slack basis (pivoted_stack)."""
+    reached = pivoted_stack(a_ub, b_ub, steps)
+    m, n = reached._a.shape[1:]
+
+    def reach(rows, basis, nonbasic):
+        rows[:], basis[:], nonbasic[:] = reached._tableau[:, :m, :n], reached._basis, reached._nonbasic
+
+    return reach
+
+
 def crash_example():
     """min -x1 - x2 s.t. x1 <= 1, x2 <= 2, x1 + x2 <= 4, twice, and a crash
-    that enters x1 at row 0 in both LPs and x2 at row 1 in LP 0 only: LP 0
-    starts at its optimum (1, 2), LP 1 at (1, 0).  The rhs holds each
-    row's basic value there: x1, x2 and row 2's slack in LP 0, x1 and the
-    slacks of rows 1 and 2 in LP 1."""
+    of two steps: x1 enters at row 0 in both LPs, then x2 at row 1 in LP 0
+    only.  LP 0 starts at its optimum (1, 2), LP 1 at (1, 0).  The rhs
+    holds each row's basic value there: x1, x2 and row 2's slack in LP 0,
+    x1 and the slacks of rows 1 and 2 in LP 1."""
     a_ub = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     b_ub = np.array([1.0, 2.0, 4.0])
     steps = [
@@ -499,11 +512,27 @@ def crash_example():
 
 
 def test_crashed_stack_starts_at_its_vertex():
-    # The crash pivots give each LP its basis, the rhs is the one given, and
-    # a solve resumes from there: LP 0 is optimal at once, LP 1 takes one
-    # pivot.  The crash pivots count in no solve.
+    # A caller that writes the rows and labels of the first step (reach)
+    # and takes the second as its one crash pivot gets the stack that
+    # pivoting both steps gives, byte for byte, with the rhs given.  Its
+    # writer is handed the stack's own rows and labels, at the slack
+    # basis, once.  A solve resumes from there: LP 0 is optimal at once,
+    # LP 1 takes one pivot.  The crash pivot counts in no solve.
     a_ub, b_ub, steps, rhs = crash_example()
-    stack = lp.LpStack.crashed(a_ub, b_ub, steps, rhs)
+    handed = []
+    write = reach_through(a_ub, b_ub, steps[:1])
+
+    def reach(rows, basis, nonbasic):
+        handed.append((rows.copy(), basis.copy(), nonbasic.copy()))
+        write(rows, basis, nonbasic)
+
+    stack = lp.LpStack.crashed(a_ub, b_ub, steps[1], rhs, reach)
+    [(rows, basis, nonbasic)] = handed
+    assert rows.tobytes() == a_ub.tobytes()
+    assert basis.tolist() == [[2, 3, 4]] * 2 and nonbasic.tolist() == [[0, 1]] * 2
+    pivoted = pivoted_stack(a_ub, b_ub, steps, rhs)
+    assert stack._tableau.tobytes() == pivoted._tableau.tobytes()
+    assert (stack._basis == pivoted._basis).all() and (stack._nonbasic == pivoted._nonbasic).all()
     assert stack._basis.tolist() == [[0, 1, 4], [0, 3, 4]]
     assert stack._tableau[:, :3, -1].tolist() == [[1.0, 2.0, 1.0], [1.0, 2.0, 3.0]]
     solved = stack.solve([-1.0, -1.0])
@@ -511,32 +540,21 @@ def test_crashed_stack_starts_at_its_vertex():
     assert [s.x.tolist() for s in solved] == [[1.0, 2.0], [1.0, 2.0]]
     assert solved.value.tolist() == [-3.0, -3.0]
     assert (solved.primal_residual == 0.0).all() and (solved.duality_gap <= FEAS_TOL).all()
+    assert_same_stack(solved, pivoted.solve([-1.0, -1.0]))
     cold = solve_lps([-1.0, -1.0], a_ub, b_ub)
     assert cold.pivots.tolist() == [2, 2] and cold.value.tolist() == [-3.0, -3.0]
-    # A caller that writes the rows and labels the first step reaches
-    # starts there, and only the second step is pivoted: the same stack.
-    # Its writer is handed the stack's own rows and labels, at the slack
-    # basis, once.
-    first = lp.LpStack.crashed(a_ub, b_ub, steps[:1], rhs)
-    handed = []
-
-    def reach(rows, basis, nonbasic):
-        handed.append((rows.copy(), basis.copy(), nonbasic.copy()))
-        rows[:], basis[:], nonbasic[:] = first._tableau[:, :3, :2], first._basis, first._nonbasic
-
-    resumed = lp.LpStack.crashed(a_ub, b_ub, steps[1:], rhs, reach)
-    [(rows, basis, nonbasic)] = handed
-    assert rows.tobytes() == a_ub.tobytes()
-    assert basis.tolist() == [[2, 3, 4]] * 2 and nonbasic.tolist() == [[0, 1]] * 2
-    stack = lp.LpStack.crashed(a_ub, b_ub, steps, rhs)
-    assert resumed._tableau.tobytes() == stack._tableau.tobytes()
-    assert (resumed._basis == stack._basis).all() and (resumed._nonbasic == stack._nonbasic).all()
-    assert_same_stack(resumed.solve([-1.0, -1.0]), solved)
+    # Without a writer the pivot is taken from the slack basis: the first
+    # step alone, where both LPs sit at (1, 0).
+    first = lp.LpStack.crashed(a_ub, b_ub, steps[0], rhs[[1, 1]])
+    pivoted = pivoted_stack(a_ub, b_ub, steps[:1], rhs[[1, 1]])
+    assert first._tableau.tobytes() == pivoted._tableau.tobytes()
+    assert first._basis.tolist() == [[0, 3, 4]] * 2
+    assert first.solve([-1.0, -1.0]).pivots.tolist() == [1, 1]
 
 
 def test_crashed_stack_input_checks():
     # An rhs of another shape or with a negative entry is refused before
-    # the caller's writer or any pivot runs.
+    # the caller's writer or the pivot runs.
     a_ub, b_ub, steps, rhs = crash_example()
     written = []
 
@@ -545,30 +563,28 @@ def test_crashed_stack_input_checks():
 
     for bad in (rhs[:1], rhs[:, :2], rhs[0]):
         with pytest.raises(LengthMismatch, match=r"^need rhs \(2, 3\), got shape"):
-            lp.LpStack.crashed(a_ub, b_ub, steps, bad, reach)
+            lp.LpStack.crashed(a_ub, b_ub, steps[1], bad, reach)
     rhs[1, 2] = -1.0
     with pytest.raises(OutOfRange) as failure:
-        lp.LpStack.crashed(a_ub, b_ub, steps, rhs, reach)
+        lp.LpStack.crashed(a_ub, b_ub, steps[1], rhs, reach)
     assert not written
     assert str(failure.value) == "LP 1: rhs[2] = -1.0 < 0; the start must be feasible"
 
 
-def test_solve_lps_from_a_start():
-    # With a start, solve_lps solves the crashed stack, and it checks the
-    # start, not b_ub >= 0: the covering stack's held form -a.x <= -1 with
-    # its crash solves byte for byte as LpStack.covering does.
-    a_ub, b_ub, steps, rhs = crash_example()
-    crashed = lp.LpStack.crashed(a_ub, b_ub, steps, rhs).solve([-1.0, -1.0])
-    assert_same_stack(solve_lps([-1.0, -1.0], a_ub, b_ub, (steps, rhs)), crashed)
+def test_covering_stack_is_its_crash_by_hand():
+    # The covering stack's held form -a.x <= -1, crashed by hand at the
+    # smallest first entry of each LP, solves byte for byte as
+    # LpStack.covering does.  Its x = 0 is infeasible: solve_lps, which
+    # starts there and takes no crash, refuses it.
     a = random_covering_stack(np.random.default_rng(2102))
     size, m, n = a.shape
     rows = a[:, :, 0].argmin(axis=1)
     least = a[np.arange(size), rows, 0][:, None]
     rhs = (a[:, :, 0] - least) / least
     rhs[np.arange(size), rows] = 1.0 / least[:, 0]
-    steps = [(rows, np.zeros(size, dtype=int), None)]
     c = np.random.default_rng(2103).uniform(0.1, 1.0, n)
-    assert_same_stack(solve_lps(c, -a, np.full(m, -1.0), (steps, rhs)), lp.LpStack.covering(a).solve(c))
+    crashed = lp.LpStack.crashed(-a, np.full(m, -1.0), (rows, np.zeros(size, dtype=int), None), rhs)
+    assert_same_stack(crashed.solve(c), lp.LpStack.covering(a).solve(c))
     with pytest.raises(OutOfRange, match=r"x = 0 must be feasible"):
         solve_lps(c, -a, np.full(m, -1.0))
 
@@ -579,7 +595,8 @@ def test_crash_pricing_ignores_zero_rows():
     # LP with zero rows put in anywhere prices, pivots and solves from its
     # crash as it does alone, each LP of the stack with its rows elsewhere.
     # The crash enters x_j at the unit row x_j <= u_j for j < k, so k rows
-    # carry a cost; the other rows are random with room at x = u.
+    # carry a cost: the writer puts in the first k - 1 steps and the last is
+    # the crash pivot.  The other rows are random with room at x = u.
     rng = np.random.default_rng(3107)
     for _ in range(30):
         k, n = int(rng.integers(2, 7)), int(rng.integers(7, 12))
@@ -592,14 +609,16 @@ def test_crash_pricing_ignores_zero_rows():
         x[:k] = u
         alone_rhs = (b - a @ x)[None]
         alone_rhs[0, :k] = u  # x_j is basic in unit row j
-        alone = lp.LpStack.crashed(a[None], b, [(np.array([j]), np.array([j]), None) for j in range(k)], alone_rhs)
+        steps = [(np.array([j]), np.array([j]), None) for j in range(k)]
+        alone = lp.LpStack.crashed(a[None], b, steps[-1], alone_rhs, reach_through(a[None], b, steps[:-1]))
         expected = alone.solve(c)
         at = [np.sort(rng.integers(0, k + rest + 1, 6)) for _ in range(5)]
         row_of = np.array([np.arange(k) + np.searchsorted(i, np.arange(k), side="right") for i in at])
         steps = [(row_of[:, j], np.full(len(at), j), None) for j in range(k)]
         rhs = np.array([np.insert(alone_rhs[0], i, 0.0) for i in at])
         a_ub = np.array([np.insert(a, i, 0.0, axis=0) for i in at])
-        stack = lp.LpStack.crashed(a_ub, np.array([np.insert(b, i, 0.0) for i in at]), steps, rhs)
+        b_ub = np.array([np.insert(b, i, 0.0) for i in at])
+        stack = lp.LpStack.crashed(a_ub, b_ub, steps[-1], rhs, reach_through(a_ub, b_ub, steps[:-1]))
         solved = stack.solve(c)
         assert solved.status == expected.status * len(at)
         for name in ("x", "value", "pivots"):
@@ -652,7 +671,7 @@ def test_pivot_matches_row_loop():
         for i in range(size):
             expected_nonbasic[i, pivot_cols[i]] = basis[i, pivot_rows[i]]
             pivot_reference(full[i], expected_basis[i], pivot_rows[i], nonbasic[i, pivot_cols[i]])
-        _pivot(tableau, basis, nonbasic, pivot_rows, pivot_cols)
+        _pivot(tableau, basis, nonbasic, pivot_rows, pivot_cols, np.arange(size))
         assert np.array_equal(basis, expected_basis)
         assert np.array_equal(nonbasic, expected_nonbasic)
         expected = np.array([np.column_stack([full[i][:, nonbasic[i]], full[i, :, -1]]) for i in range(size)])
@@ -671,7 +690,7 @@ def test_frozen_pivot_writes_nothing():
     frozen = np.arange(size) % 2 == 0
     expected = [a.copy() for a in (tableau, basis, nonbasic)]
     running = [a[~frozen] for a in expected]
-    _pivot(*running, rows[~frozen], cols[~frozen])
+    _pivot(*running, rows[~frozen], cols[~frozen], np.arange(size - np.count_nonzero(frozen)))
     for want, got in zip(expected, running):
         want[~frozen] = got
     _pivot(tableau, basis, nonbasic, rows, cols, np.arange(size), frozen)
@@ -1039,15 +1058,16 @@ def _delivery_path():
 
 
 def _chain_lp():
-    """The chain LP (c, a_ub, b_ub) that degraded_optimal_rate hands to solve_lps as a stack of one, and its outcome."""
+    """The chain LP (c, a_ub, b_ub) that degraded_optimal_rate solves as an LpStack of one, and its outcome."""
     chain = []
+    solve = lp.LpStack.solve
 
-    def recording(c, a_ub, b_ub):
-        chain.append(((c, a_ub[0], b_ub), solve_lps(c, a_ub, b_ub)))
+    def recording(stack, c):
+        chain.append(((c, stack._a[0], stack._b), solve(stack, c)))
         return chain[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(degraded, "solve_lps", recording)
+        patch.setattr(lp.LpStack, "solve", recording)
         degraded.degraded_optimal_rate(random_chain_stats(np.random.default_rng(5), 5, 4), Fraction(2, 5))
     ((problem, stack),) = chain
     return problem, stack[0]

@@ -3,6 +3,8 @@
 perfbench/tracing.py wraps each name in TRACED by getattr at run time, so a
 renamed or deleted function would only fail a traced benchmark run.  The
 file imports only the standard library and is loaded here by its path.
+The benchmark's self-test also reads the sampler under the simulator's
+name, which must stay the channel's function.
 """
 
 import importlib
@@ -23,3 +25,12 @@ def test_every_traced_name_resolves():
         if not callable(getattr(importlib.import_module(f"cachecast.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_simulator_holds_the_channel_sampler():
+    # perfbench/selftest.py reads the sampler as simulator.sample_states and
+    # asserts it is the traced channel.sample_states; the tracer wraps it
+    # under both names only while they hold the same function.
+    from cachecast import channel, simulator
+
+    assert simulator.sample_states is channel.sample_states

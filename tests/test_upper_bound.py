@@ -357,14 +357,14 @@ def test_bound_weights_are_nonnegative(monkeypatch):
     # certificate's FEAS_TOL: here every LP's w_3 is made -5.6e-17 where
     # it is 0.  omega_star takes it as 0, so objective_at accepts the
     # weights.
-    solve_lps = upper_bound.solve_lps
+    solve = upper_bound._solve_from_vertex
 
-    def rounded(c, a_ub, b_ub, start):
-        outcomes = solve_lps(c, a_ub, b_ub, start)
+    def rounded(ccdf, kept, gaps):
+        outcomes = solve(ccdf, kept, gaps)
         outcomes.x[outcomes.x[:, 2] == 0.0, 2] = -5.6e-17
         return outcomes
 
-    monkeypatch.setattr(upper_bound, "solve_lps", rounded)
+    monkeypatch.setattr(upper_bound, "_solve_from_vertex", rounded)
     stats = validate_stats([[0.2, 0.2], [0.2, 0.0], [0.9, 0.6], [0.8, 0.3], [0.9, 0.5]])
     tup = central_tuple(5, Fraction(2, 5))
     report = upper_bound_rate(stats, tup)
@@ -393,15 +393,15 @@ def test_bound_raises_at_its_first_failing_lp(monkeypatch):
     # first stack, at that stack's first LP, as the delivery LP does, and
     # names an ordering whose LP that is.
     stacks = []
-    solve_lps = upper_bound.solve_lps
+    solve = upper_bound._solve_from_vertex
 
-    def unbounded(c, a_ub, b_ub, start):
-        stacks.append(a_ub)
-        outcomes = solve_lps(c, a_ub, b_ub, start)
+    def unbounded(ccdf, kept, gaps):
+        stacks.append(upper_bound._permutation_lps(ccdf, kept, gaps)[1])
+        outcomes = solve(ccdf, kept, gaps)
         outcomes.status[:] = [UNBOUNDED] * len(outcomes.status)
         return outcomes
 
-    monkeypatch.setattr(upper_bound, "solve_lps", unbounded)
+    monkeypatch.setattr(upper_bound, "_solve_from_vertex", unbounded)
     stats = validate_stats(ROADMAP_ITEM1_ROWS)
     tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
     message = r"^ordering \([\d, ]+\) \(K=6, B=4, mu=1/6\): status unbounded$"
@@ -413,12 +413,13 @@ def test_bound_raises_at_its_first_failing_lp(monkeypatch):
 
 
 def test_bound_solves_full_stacks(monkeypatch):
-    # Each solve_lps call gets one lockstep stack's worth of distinct LPs,
-    # sized by its widest LP, so every stack is full but the last: at K = 6,
-    # B = 4, mu = 1/6 every ordering has live count 5 (9 columns), and the
-    # 278 distinct LPs, most record rows first, fill stacks padded to 16
-    # and 9 record rows (+ 5 chain and budget rows): 278 = 204 + 74.
-    shapes = _recording_solve_lps(monkeypatch)
+    # Each stack upper_bound solves holds one lockstep stack's worth of
+    # distinct LPs, sized by its widest LP, so every stack is full but the
+    # last: at K = 6, B = 4, mu = 1/6 every ordering has live count 5
+    # (9 columns), and the 278 distinct LPs, most record rows first, fill
+    # stacks padded to 16 and 9 record rows (+ 5 chain and budget rows):
+    # 278 = 204 + 74.
+    shapes = _recording_shapes(monkeypatch)
     tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
     upper_bound_rate(validate_stats(ROADMAP_ITEM1_ROWS), tup)
     assert shapes == ROADMAP_ITEM1_STACKS[1]
@@ -426,20 +427,21 @@ def test_bound_solves_full_stacks(monkeypatch):
     assert all(size * m * (n + 1) <= STACK_ENTRIES for size, m, n in shapes)
 
 
-def _recording_solve_lps(monkeypatch, pivots=None):
-    """Record the shape of every stack upper_bound hands to solve_lps, and
-    each stack's simplex pivots in the list pivots, if given."""
+def _recording_shapes(monkeypatch, pivots=None):
+    """Record the shape (L, m, n) of every stack upper_bound solves
+    (_solve_from_vertex), read off its outcomes' x (L, n) and duals (L, m),
+    and each stack's simplex pivots in the list pivots, if given."""
     shapes = []
-    solve_lps = upper_bound.solve_lps
+    solve = upper_bound._solve_from_vertex
 
-    def recording(c, a_ub, b_ub, start):
-        shapes.append(a_ub.shape)
-        outcomes = solve_lps(c, a_ub, b_ub, start)
+    def recording(ccdf, kept, gaps):
+        outcomes = solve(ccdf, kept, gaps)
+        shapes.append((len(outcomes), outcomes.dual_ub.shape[1], outcomes.x.shape[1]))
         if pivots is not None:
             pivots.append(int(outcomes.pivots.sum()))
         return outcomes
 
-    monkeypatch.setattr(upper_bound, "solve_lps", recording)
+    monkeypatch.setattr(upper_bound, "_solve_from_vertex", recording)
     return shapes
 
 
@@ -455,7 +457,7 @@ def _distinct_lps(stats, tup):
     return found
 
 
-# The stacks upper_bound_rate hands to solve_lps on the ROADMAP item 1 grid at mu = t/6.
+# The stacks upper_bound_rate solves on the ROADMAP item 1 grid at mu = t/6.
 ROADMAP_ITEM1_STACKS = {
     1: [(204, 21, 9), (74, 14, 9)],
     2: [(178, 19, 8)],
@@ -474,7 +476,7 @@ def test_bound_solves_each_distinct_lp_once(monkeypatch, t, lps):
     # hold no record shares its LP with every reordering of them, so fewer
     # LPs are solved than there are prefixes (720, 360, 120, 30, 6): one
     # per distinct LP.
-    shapes = _recording_solve_lps(monkeypatch)
+    shapes = _recording_shapes(monkeypatch)
     stats = validate_stats(ROADMAP_ITEM1_ROWS)
     tup = central_tuple(6, Fraction(t, 6))
     report = upper_bound_rate(stats, tup)
@@ -497,7 +499,7 @@ def test_bound_shares_no_lp_across_live_counts(monkeypatch):
     half = Fraction(1, 2)
     tup = caching_tuple(strategy_from_intervals([[(0, half)], [(half, 1)], [(0, half)]], half))
     stats = random_stats(np.random.default_rng(21), 3, 4)
-    shapes = _recording_solve_lps(monkeypatch)
+    shapes = _recording_shapes(monkeypatch)
     report = upper_bound_rate(stats, tup)
     assert sorted(shapes) == [(2, 9, 6), (3, 5, 5)]
     values = dict(report.table)
@@ -600,13 +602,13 @@ def test_bound_dead_first_user_is_zero(monkeypatch):
     # live, where some are fully covered, and at mu = 1 where no ordering
     # has a live user (p = 0).
     stacks = []
-    solve_lps = upper_bound.solve_lps
+    solve = upper_bound._solve_from_vertex
 
-    def recording(c, a_ub, b_ub, start):
-        stacks.append(a_ub)
-        return solve_lps(c, a_ub, b_ub, start)
+    def recording(ccdf, kept, gaps):
+        stacks.append(upper_bound._permutation_lps(ccdf, kept, gaps)[1])
+        return solve(ccdf, kept, gaps)
 
-    monkeypatch.setattr(upper_bound, "solve_lps", recording)
+    monkeypatch.setattr(upper_bound, "_solve_from_vertex", recording)
     rng = np.random.default_rng(25)
     for users, dead in ((3, 1), (3, 2), (5, 1), (5, 3)):
         grid = random_stats(rng, users, 3).ccdf.copy()
@@ -634,7 +636,7 @@ def test_bound_full_cache_solves_no_lp(monkeypatch):
     # Every user's cache covers the file: no ordering has a live prefix, so
     # no LP is solved, and every ordering's value is infinite.  The table
     # lists the K! orderings in lexicographic order.
-    shapes = _recording_solve_lps(monkeypatch)
+    shapes = _recording_shapes(monkeypatch)
     rng = np.random.default_rng(3)
     for users in range(1, 7):
         stats = random_stats(rng, users, 3)
@@ -757,7 +759,7 @@ def test_bound_keeps_lps_of_equal_record_users_apart(monkeypatch):
     np.testing.assert_array_equal(a_12, a_13)
     np.testing.assert_array_equal(c_12[:4], [-0.75, -0.5, -0.5, -0.25])
     np.testing.assert_array_equal(c_13[:4], [-0.75, -0.75, -0.5, -0.25])
-    shapes = _recording_solve_lps(monkeypatch)
+    shapes = _recording_shapes(monkeypatch)
     report = upper_bound_rate(stats, tup)
     assert sum(shape[0] for shape in shapes) == len(_distinct_lps(stats, tup))
     values = dict(report.table)
@@ -783,7 +785,7 @@ def test_bound_with_twin_users_matches_each_ordering(monkeypatch, mu):
     grid[1] = grid[0]
     stats = validate_stats(grid)
     tup = central_tuple(4, mu)
-    shapes = _recording_solve_lps(monkeypatch)
+    shapes = _recording_shapes(monkeypatch)
     report = upper_bound_rate(stats, tup)
     solved = sum(shape[0] for shape in shapes)  # before the LPs alone pass the same hook
     assert _report(report) == _bound_one_ordering_at_a_time(stats, tup)
@@ -814,7 +816,7 @@ def test_bound_solves_twins_once(monkeypatch, t, lps, by_user):
     rows[1] = rows[0]
     stats = validate_stats(rows)
     tup = central_tuple(6, Fraction(t, 6))
-    shapes = _recording_solve_lps(monkeypatch)
+    shapes = _recording_shapes(monkeypatch)
     report = upper_bound_rate(stats, tup)
     assert sum(shape[0] for shape in shapes) == lps == len(_distinct_lps(stats, tup)) < by_user
     assert _report(report) == _bound_one_ordering_at_a_time(stats, tup)
@@ -842,7 +844,7 @@ def test_bound_solves_each_distinct_lp_as_alone(monkeypatch, stats, tup):
     # gives alone from its equal-weight vertex, byte for byte, and within
     # 1e-12 of the LPs solved from x = 0; the LPs solved are exactly the
     # distinct ones among build_permutation_lp's arrays.
-    shapes = _recording_solve_lps(monkeypatch)
+    shapes = _recording_shapes(monkeypatch)
     report = upper_bound_rate(stats, tup)
     assert sum(shape[0] for shape in shapes) == len(_distinct_lps(stats, tup))
     assert _report(report) == _bound_one_ordering_at_a_time(stats, tup)
@@ -850,19 +852,6 @@ def test_bound_solves_each_distinct_lp_as_alone(monkeypatch, stats, tup):
 
 
 # --- the equal-weight vertex ---------------------------------------------------------
-
-
-def _recording_starts(monkeypatch):
-    """Record every stack upper_bound hands to solve_lps with its start, (c, a_ub, b_ub, start)."""
-    stacks = []
-    solve_lps = upper_bound.solve_lps
-
-    def recording(c, a_ub, b_ub, start):
-        stacks.append((c, a_ub, b_ub, start))
-        return solve_lps(c, a_ub, b_ub, start)
-
-    monkeypatch.setattr(upper_bound, "solve_lps", recording)
-    return stacks
 
 
 def _vertex_cases():
@@ -1031,7 +1020,7 @@ def test_start_takes_one_pivot_per_stack(monkeypatch):
     monkeypatch.setattr(lp, "_pivot", counting)
     monkeypatch.setattr(lp.LpStack, "crashed", classmethod(recording))
     stats, tup = validate_stats(ROADMAP_ITEM1_ROWS), central_tuple(6, Fraction(1, 6))
-    shapes = _recording_solve_lps(monkeypatch)
+    shapes = _recording_shapes(monkeypatch)
     report = upper_bound_rate(stats, tup)
     assert crash_pivots == [1, 1] and len(shapes) == 2
     monkeypatch.setattr(upper_bound, "_solve_from_vertex", solve_from_pivoted_vertex)
@@ -1079,9 +1068,9 @@ ROADMAP_ITEM1_PIVOTS = {
 
 @pytest.mark.parametrize("t", sorted(ROADMAP_ITEM1_PIVOTS))
 def test_vertex_start_pivot_counts_are_pinned(monkeypatch, t):
-    stacks = _recording_starts(monkeypatch)
+    stacks = _recording_vertex_stacks(monkeypatch)
     pivots = []
-    _recording_solve_lps(monkeypatch, pivots)
+    _recording_shapes(monkeypatch, pivots)
     upper_bound_rate(validate_stats(ROADMAP_ITEM1_ROWS), central_tuple(6, Fraction(t, 6)))
-    cold = [int(solve_lps(c, a_ub, b_ub).pivots.sum()) for c, a_ub, b_ub, _ in stacks]
+    cold = [int(solve_lps(*upper_bound._permutation_lps(*stack)[:3]).pivots.sum()) for stack in stacks]
     assert (pivots, cold) == ROADMAP_ITEM1_PIVOTS[t]
