@@ -4,13 +4,15 @@ Each level's num_uses channel uses are split into contiguous spans, one per
 message subset plus an idle tail, sized by largest-remainder apportionment
 of the allocation's shares so the spans always sum to num_uses.  User k
 collects the symbol of level l at use t exactly when its drawn level count
-reaches l.  The channel is drawn user by user with channel.level_hits (one
-RNG substream per user), a block of uses at a time, and each block's hits
-are tallied while the block is drawn, so without keep_levels memory holds
-one block, not n levels.  A message is decodable once
-its collected symbols cover its size: delivered >= ceil(num_uses * rate /
-C(K,t)), with a tiny guard so an exactly integer threshold is not pushed up
-by roundoff.
+reaches l.  The channel is drawn with channel.level_hits (one RNG
+substream per user), a block of uses at a time, on one worker per usable
+CPU up to K, and each block's hits are tallied while the block is drawn,
+so without keep_levels memory holds one block shared among the workers,
+not n levels.  Each user's tally runs on its worker and the results are
+merged in user order, so the report's bytes do not depend on the worker
+count.  A message is decodable once its collected symbols cover its size:
+delivered >= ceil(num_uses * rate / C(K,t)), with a tiny guard so an
+exactly integer threshold is not pushed up by roundoff.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .channel import ChannelStats, StateRealization, count_levels, level_hits
+from .channel import ChannelStats, StateRealization, check_draws, count_levels, level_hits
 from .channel import sample_states  # noqa: F401  perfbench/selftest.py reads it as simulator.sample_states
 from .errors import InfeasibleAllocation
 from .lp_scheme import DeliveryAllocation, Subset, check_allocation
@@ -115,7 +117,8 @@ def simulate_delivery(
     """Sample states and tally symbol delivery for every (user, subset) pair.
 
     The spans of every level are apportioned once; then each user's draws
-    are tallied block by block, in one pass: the hits of level l in a block
+    are tallied block by block, in one pass, on the worker that draws them
+    (channel.level_hits): the hits of level l in a block
     mark the uses that deliver level l, and one count of them adds to the
     user's empirical CCDF count.  At each boundary of a span of the user's
     subsets that falls inside the block, one count of the level's hits up to
@@ -136,7 +139,7 @@ def simulate_delivery(
             f"allocation fails its decodability or budget checks (largest violation {report.violation:.3g})"
         )
 
-    users = level_hits(stats, num_uses, seed)
+    check_draws(num_uses, seed)
     per_use_size = report.required
     required = math.ceil(num_uses * per_use_size - CEIL_GUARD)
 
@@ -155,10 +158,9 @@ def simulate_delivery(
     deeper = np.maximum.outer(np.arange(stats.num_levels), np.arange(stats.num_levels))
 
     levels = np.empty((stats.num_users, num_uses), dtype=np.min_scalar_type(stats.num_levels)) if keep_levels else None
-    delivered = {}
-    variance = {}
-    counts = []
-    for k, blocks in enumerate(users, start=1):
+
+    def tally(k: int, blocks: Iterator[tuple[int, np.ndarray]]) -> tuple[list[int], dict, dict]:
+        """User k's hits on each level, and delivered and variance of its messages."""
         mine = [(j, s) for j, s in enumerate(alloc.subsets) if k in s]
         # The span boundaries of the user's subsets, in use order; before[l, pos]
         # counts level l's hits on the uses before pos.
@@ -178,14 +180,23 @@ def simulate_delivery(
                 count_levels(hits, levels[k - 1, start:stop])
         for l in range(stats.num_levels):  # no block holds a boundary at num_uses
             before[l, num_uses] = seen[l]
-        counts.append(seen)
-        for j, s in mine:
-            delivered[(k, s)] = int(sum(before[l, starts[l][j + 1]] - before[l, starts[l][j]] for l in range(stats.num_levels)))
+        delivered = {
+            (k, s): int(sum(before[l, starts[l][j + 1]] - before[l, starts[l][j]] for l in range(stats.num_levels)))
+            for j, s in mine
+        }
         # Cov(L >= l, L >= l') = p[max(l, l')] - p[l] p[l'] on a use both spans hold.
         p = stats.ccdf[k - 1]
         covariance = p[deeper] - np.outer(p, p)
-        for j, s in mine:
-            variance[(k, s)] = float((overlap[j] * covariance).sum())
+        variance = {(k, s): float((overlap[j] * covariance).sum()) for j, s in mine}
+        return seen, delivered, variance
+
+    delivered = {}
+    variance = {}
+    counts = []
+    for seen, got, spread in level_hits(stats, num_uses, seed, tally):  # in user order
+        counts.append(seen)
+        delivered.update(got)
+        variance.update(spread)
 
     realization = None
     if levels is not None:

@@ -336,7 +336,9 @@ def _equal_weight_vertex(
     record, chain, budget = layout
     size, p, B = ccdf.shape
     n = p + B
-    top = ccdf.max(axis=1)
+    top = ccdf[:, 0].copy()  # each level's max_l; p maximum calls beat ccdf.max(axis=1) on these short axes
+    for k in range(1, p):
+        np.maximum(top, ccdf[:, k], out=top)
     with np.errstate(divide="ignore", over="ignore"):
         w = 1.0 / top.sum(axis=1)
     far = np.isinf(w)  # no such vertex in floats

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from cachecast import lp, upper_bound
+from cachecast import channel, lp, upper_bound
 from cachecast.channel import ChannelStats, ZeroWeightWarning, enhance, is_stochastically_dominant
 from cachecast.lp import FEAS_TOL, OPTIMAL, LpSolution, solve_lp
 from cachecast.lp_scheme import DeliveryAllocation, message_subsets
@@ -95,6 +95,18 @@ MIXED3_OMEGA = (0.0, 1.25, 1.0)
 # Value at those weights: numerator max(0, 1.25*F2, F3) summed = 1.875 and
 # denominator 1.25*(2/3) + 1*(1/3) = 7/6, so 1.875 * 6/7 = 45/28.
 MIXED3_BOUND = 45.0 / 28.0
+
+
+# The sampler's CPU count, read as one (one worker), two, and more than any
+# test's K (one worker per user).
+WORKER_CPUS = (1, 2, 64)
+
+
+def each_worker_count(monkeypatch):
+    """Yield each of WORKER_CPUS with channel's one CPU-count read patched to it."""
+    for cpus in WORKER_CPUS:
+        monkeypatch.setattr(channel, "_usable_cpus", lambda cpus=cpus: cpus)
+        yield cpus
 
 
 def delivery_allocation(shares, rate: float, num_users: int, t: int) -> DeliveryAllocation:

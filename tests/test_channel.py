@@ -1,5 +1,9 @@
 """Channel statistics: validation, dominance, enhancement, sampling."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,7 @@ from cachecast.channel import (
 )
 from cachecast.errors import LengthMismatch, NotMonotone, OutOfRange, ValidationError, WeightsUnsorted, WrongType
 
-from helpers import check_enhancement_invariants, random_sorted_weights, random_stats
+from helpers import check_enhancement_invariants, each_worker_count, random_sorted_weights, random_stats
 
 
 # --- validate_stats -------------------------------------------------------
@@ -252,12 +256,14 @@ def test_sample_takes_numpy_integer_seed():
 def test_sample_blocks_equal_one_draw(monkeypatch, block):
     # The uniforms are drawn block by block; n is no multiple of the block,
     # and the grid holds draws from several blocks, so a block drawn out of
-    # order or of the wrong length changes some count.
+    # order or of the wrong length changes some count.  Three users put two
+    # on the calling thread at two workers, and the levels must be the same
+    # at every worker count.
     if block is not None:
         monkeypatch.setattr(channel, "SAMPLE_BLOCK", block)
     block = channel.SAMPLE_BLOCK
     num_uses, seed = 2 * block + block // 2 + 1, 61
-    children = np.random.SeedSequence(seed).spawn(2)
+    children = np.random.SeedSequence(seed).spawn(3)
     draws = [np.random.default_rng(child).random(num_uses) for child in children]
     rng = np.random.default_rng(children[0])
     pieces = [rng.random(min(block, num_uses - a)) for a in range(0, num_uses, block)]
@@ -265,25 +271,87 @@ def test_sample_blocks_equal_one_draw(monkeypatch, block):
 
     picks = np.linspace(0, num_uses - 1, 5).astype(int)
     grid = np.array([np.sort(u[picks])[::-1] for u in draws])
-    real = sample_states(validate_stats(grid), num_uses, seed)
     expected = np.array([np.sum(u[:, None] < row[None, :], axis=1) for u, row in zip(draws, grid)])
-    assert real.levels.dtype == np.uint8
-    assert real.levels.tobytes() == expected.astype(np.uint8).tobytes()
+    for _ in each_worker_count(monkeypatch):
+        real = sample_states(validate_stats(grid), num_uses, seed)
+        assert real.levels.dtype == np.uint8
+        assert real.levels.tobytes() == expected.astype(np.uint8).tobytes()
 
 
 def test_many_levels_shorten_the_block(monkeypatch):
     # Past 8 levels a block holds fewer uses, so its hits stay within
     # 8 * SAMPLE_BLOCK bytes: 40 levels at SAMPLE_BLOCK = 16 make blocks of
-    # 3 uses, and the levels drawn must not change.
+    # 3 uses on one worker, and the levels drawn must not change at any
+    # worker count.
     monkeypatch.setattr(channel, "SAMPLE_BLOCK", 16)
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)
     num_uses, seed = 20, 12
     grid = np.sort(np.random.default_rng(3).random((2, 40)), axis=1)[:, ::-1]
-    blocks = next(channel.level_hits(validate_stats(grid), num_uses, seed))
-    assert [(start, hits.shape) for start, hits in blocks][:2] == [(0, (40, 3)), (3, (40, 3))]
+    stats = validate_stats(grid)
+    shapes = channel.level_hits(stats, num_uses, seed, lambda k, blocks: [(a, hits.shape) for a, hits in blocks])
+    assert shapes[0][:2] == [(0, (40, 3)), (3, (40, 3))]
     children = np.random.SeedSequence(seed).spawn(2)
     draws = [np.random.default_rng(child).random(num_uses) for child in children]
     expected = np.array([np.sum(u[:, None] < row[None, :], axis=1) for u, row in zip(draws, grid)])
-    assert sample_states(validate_stats(grid), num_uses, seed).levels.tobytes() == expected.astype(np.uint8).tobytes()
+    for _ in each_worker_count(monkeypatch):
+        assert sample_states(stats, num_uses, seed).levels.tobytes() == expected.astype(np.uint8).tobytes()
+
+
+def test_workers_take_users_in_stride(monkeypatch):
+    # w = min(K, CPUs) workers: the calling thread takes users 1, 1 + w, ...
+    # and each other worker a stride of its own, on at most K - 1 threads
+    # that are all gone when level_hits returns.
+    stats = validate_stats([[0.5, 0.2]] * 5)
+    before = threading.active_count()
+    for cpus in each_worker_count(monkeypatch):
+        threads = channel.level_hits(stats, 10, 3, lambda k, blocks: threading.current_thread())
+        workers = min(5, cpus)
+        assert len(set(threads)) == workers
+        for k, thread in enumerate(threads):
+            assert (thread is threading.current_thread()) == (k % workers == 0)
+            assert thread is threads[k % workers]
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_failing_tally_joins_every_worker_first(monkeypatch, failing):
+    # A tally that raises, on the calling thread (user 1) or on a worker
+    # (user 2): the exception reaches the caller only after every user a
+    # worker started has finished, and no worker thread is left running.
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 3)
+    started, finished = set(), set()
+
+    def tally(k, blocks):
+        started.add(k)
+        if k == failing:
+            raise ValueError(f"user {k}")
+        time.sleep(0.05)
+        finished.add(k)
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=f"^user {failing}$"):
+        channel.level_hits(validate_stats([[0.5]] * 6), 10, 4, tally)
+    assert threading.active_count() == before
+    assert finished == started - {failing}
+    assert len(started) < 6  # users after the failure were not started
+
+
+def test_many_workers_under_fast_switching_draw_the_same_levels(monkeypatch):
+    # Twelve workers on whatever CPUs there are, switching threads every
+    # microsecond, each drawing many small blocks: every user's levels must
+    # land in its own row, byte-equal to one worker's.
+    monkeypatch.setattr(channel, "SAMPLE_BLOCK", 48)
+    stats = validate_stats(np.sort(np.random.default_rng(9).random((12, 3)), axis=1)[:, ::-1])
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)
+    expected = sample_states(stats, 401, 5).levels.tobytes()
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 12)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert sample_states(stats, 401, 5).levels.tobytes() == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("num_levels, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16)])

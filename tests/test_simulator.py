@@ -13,7 +13,7 @@ from cachecast.errors import InfeasibleAllocation, OutOfRange, WrongType
 from cachecast.lp_scheme import achievable_rate_lp, message_subsets
 from cachecast.simulator import apportion, empirical_ccdf, simulate_delivery
 
-from helpers import MIXED3_RATE, MIXED3_ROWS, MIXED3_SHARES, delivery_allocation, random_stats
+from helpers import MIXED3_RATE, MIXED3_ROWS, MIXED3_SHARES, delivery_allocation, each_worker_count, random_stats
 
 
 # --- apportion -------------------------------------------------------------
@@ -274,12 +274,12 @@ def per_slice_report(stats, alloc, num_uses, seed):
     return delivered, std_error, hat
 
 
-def test_streamed_tally_matches_per_slice_formulas():
-    # Users are drawn and tallied one at a time; over random K, B, shares
-    # (zero shares, full levels and idle tails), seeds and n (below
+def test_streamed_tally_matches_per_slice_formulas(monkeypatch):
+    # Each user's draws are tallied as they are drawn; over random K, B,
+    # shares (zero shares, full levels and idle tails), seeds and n (below
     # SAMPLE_BLOCK and across it, never a multiple of it) the report must
     # equal the per-span formulas on the stacked levels, to the byte, and
-    # the per-use variance to 1e-12 relative.
+    # the per-use variance to 1e-12 relative, at every worker count.
     rng = np.random.default_rng(1807)
     for trial in range(24):
         users, levels = int(rng.integers(1, 6)), int(rng.integers(1, 5))
@@ -298,24 +298,31 @@ def test_streamed_tally_matches_per_slice_formulas():
             num_uses += 1
         seed = int(rng.integers(0, 2**31))
 
-        assert_matches_per_slice_and_kept(stats, alloc, num_uses, seed)
+        assert_matches_per_slice_and_kept(monkeypatch, stats, alloc, num_uses, seed)
 
 
-def assert_matches_per_slice_and_kept(stats, alloc, num_uses, seed):
-    """The streamed report equals per_slice_report, and the keep_levels report,
-    to the byte (the per-use variance to 1e-12 relative)."""
-    report = simulate_delivery(stats, alloc, num_uses, seed)
+def assert_matches_per_slice_and_kept(monkeypatch, stats, alloc, num_uses, seed):
+    """At each worker count, the streamed report equals per_slice_report, and
+    the keep_levels report, to the byte (the per-use variance to 1e-12
+    relative); the reports and the kept levels are byte-equal across the
+    worker counts."""
     delivered, std_error, hat = per_slice_report(stats, alloc, num_uses, seed)
-    assert {(m.user, m.subset): m.delivered for m in report.messages} == delivered
-    for m in report.messages:
-        assert m.std_error == pytest.approx(std_error[(m.user, m.subset)], rel=1e-12, abs=1e-15)
-    assert report.empirical_ccdf.tobytes() == hat.tobytes()
+    outputs = set()
+    for _ in each_worker_count(monkeypatch):
+        report = simulate_delivery(stats, alloc, num_uses, seed)
+        assert {(m.user, m.subset): m.delivered for m in report.messages} == delivered
+        for m in report.messages:
+            assert m.std_error == pytest.approx(std_error[(m.user, m.subset)], rel=1e-12, abs=1e-15)
+        assert report.empirical_ccdf.tobytes() == hat.tobytes()
 
-    kept = simulate_delivery(stats, alloc, num_uses, seed, keep_levels=True)
-    assert kept.messages == report.messages
-    assert kept.empirical_ccdf.tobytes() == report.empirical_ccdf.tobytes()
-    assert kept.ccdf_std_error.tobytes() == report.ccdf_std_error.tobytes()
-    assert kept.realization.levels.tobytes() == sample_states(stats, num_uses, seed).levels.tobytes()
+        kept = simulate_delivery(stats, alloc, num_uses, seed, keep_levels=True)
+        assert kept.messages == report.messages
+        assert kept.empirical_ccdf.tobytes() == report.empirical_ccdf.tobytes()
+        assert kept.ccdf_std_error.tobytes() == report.ccdf_std_error.tobytes()
+        levels = kept.realization.levels.tobytes()
+        assert levels == sample_states(stats, num_uses, seed).levels.tobytes()
+        outputs.add((repr(report.messages), report.empirical_ccdf.tobytes(), report.ccdf_std_error.tobytes(), levels))
+    assert len(outputs) == 1
 
 
 def span_starts(alloc, num_uses):
@@ -359,7 +366,8 @@ def test_tally_at_block_edges(monkeypatch, case, block):
     # The tally counts each block as it is drawn and closes a span at its
     # boundary inside a block; at the edges of blocks it must still give the
     # per-span formulas and the kept levels' report, at a small block and
-    # at the shipped one.
+    # at the shipped one, at every worker count (two workers draw blocks of
+    # half of SAMPLE_BLOCK, whose edges include these).
     if block is not None:
         monkeypatch.setattr(channel, "SAMPLE_BLOCK", block)
     block = channel.SAMPLE_BLOCK
@@ -372,7 +380,7 @@ def test_tally_at_block_edges(monkeypatch, case, block):
     alloc = delivery_allocation(shares, 0.999 * math.comb(users, t) * supply, users, t)
     num_uses = uses(block)
     assert edge(span_starts(alloc, num_uses), block)
-    assert_matches_per_slice_and_kept(stats, alloc, num_uses, seed=len(case))
+    assert_matches_per_slice_and_kept(monkeypatch, stats, alloc, num_uses, seed=len(case))
 
 
 def test_streamed_simulation_memory_does_not_grow_with_users():
