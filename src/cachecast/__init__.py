@@ -21,8 +21,6 @@ from .caching import (
 from .channel import (
     ChannelStats,
     StateRealization,
-    ZeroWeightWarning,
-    enhance,
     is_stochastically_dominant,
     sample_states,
     validate_stats,
@@ -72,7 +70,6 @@ from .errors import (
     TooManyUsers,
     UnexpectedLpStatus,
     ValidationError,
-    WeightsUnsorted,
     WrongType,
     ZeroDenominator,
 )

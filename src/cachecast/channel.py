@@ -30,13 +30,12 @@ from __future__ import annotations
 import numbers
 import os
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import LengthMismatch, NotMonotone, OutOfRange, WeightsUnsorted, WrongType
+from .errors import LengthMismatch, NotMonotone, OutOfRange, WrongType
 
 PROB_TOL = 1e-12
 T = TypeVar("T")
@@ -52,10 +51,6 @@ T = TypeVar("T")
 # rounds).  On one worker it took 25.4 ms with blocks of 2**16 against
 # 27.4 at 2**14 and 24.6 at 2**17, within the noise (fifteen rounds each).
 SAMPLE_BLOCK = 1 << 16
-
-
-class ZeroWeightWarning(UserWarning):
-    """Raised by enhance() when zero-weight users are left unchanged."""
 
 
 @dataclass(frozen=True)
@@ -117,49 +112,16 @@ def is_stochastically_dominant(a: Sequence[float], b: Sequence[float]) -> bool:
 
 
 def check_weights(stats: ChannelStats, weights: Sequence[float]) -> np.ndarray:
-    """weights as floats, checked: one finite, nonnegative number per user."""
+    """weights as floats, checked: one row of K finite, nonnegative numbers."""
     try:
         w = np.asarray(weights, dtype=float)
     except (TypeError, ValueError) as exc:
         raise WrongType(f"weights must be numbers, got {weights!r}") from exc
-    if w.size != stats.num_users:
-        raise LengthMismatch("need one weight per user")
+    if w.shape != (stats.num_users,):
+        raise LengthMismatch(f"need one row of {stats.num_users} weights, got shape {w.shape}")
     if not np.all((w >= 0.0) & (w < np.inf)):  # also refuses NaN
         raise OutOfRange("weights must be finite and nonnegative")
     return w
-
-
-def enhance(stats: ChannelStats, weights: Sequence[float]) -> ChannelStats:
-    """Weight-driven enhancement producing a stochastically degraded chain.
-
-    `weights` must be nonincreasing, finite and nonnegative, one entry per user, with
-    user 1 carrying the largest weight.  User 1 keeps its CCDF; for k >= 2,
-
-        new[k](l) = min(1, max(ccdf[k](l), (w[k-1]/w[k]) * new[k-1](l))),
-
-    so new[k] dominates new[k-1] and the weighted maxima
-    max_k w[k]*new[k](l) equal max_k w[k]*ccdf[k](l) at every level.
-    Zero-weight users sit at the tail, are skipped by the recursion, and are
-    returned unchanged; a ZeroWeightWarning flags them.
-    """
-    w = check_weights(stats, weights)
-    if np.any(np.diff(w) > 0.0):
-        raise WeightsUnsorted("weights must be nonincreasing")
-
-    out = np.array(stats.ccdf, dtype=float)
-    positive = int(np.count_nonzero(w > 0.0))
-    if positive < stats.num_users:
-        skipped = list(range(positive + 1, stats.num_users + 1))
-        warnings.warn(
-            f"zero-weight users {skipped} excluded from enhancement",
-            ZeroWeightWarning,
-            stacklevel=2,
-        )
-    for k in range(1, positive):
-        ratio = w[k - 1] / w[k]
-        out[k] = np.minimum(1.0, np.maximum(out[k], ratio * out[k - 1]))
-    out.setflags(write=False)
-    return ChannelStats(num_users=stats.num_users, num_levels=stats.num_levels, ccdf=out)
 
 
 def check_draws(num_uses: int, seed: int) -> None:

@@ -12,7 +12,10 @@ chain, the best rate solves
              z >= 0,
 
 where z[l][k] is the fraction of level l's channel uses devoted to user k's
-residual data.  z_to_y turns the per-user shares into the per-subset shares
+residual data.  No LP is built here: this one is the dual side of the
+upper bound's LP at the chain ordering (Charnes and Cooper), which
+upper_bound.chain_optimum solves, reading the rate off its value and z
+off its duals.  z_to_y turns the per-user shares into the per-subset shares
 of the general delivery scheme: subset S's message rides on the share of
 its weakest member k = min(S), split evenly over the C(K-k, t) subsets
 whose weakest member is k.
@@ -27,11 +30,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .caching import cache_size, central_coverage
+from .caching import cache_size
 from .channel import ChannelStats, is_stochastically_dominant, validate_stats
 from .errors import InfeasibleZ, LengthMismatch, NotDegraded
-from .lp import FEAS_TOL, LpStack, require_optimal
+from .lp import FEAS_TOL
 from .lp_scheme import DeliveryAllocation, message_subsets, t_from_mu
+from .upper_bound import chain_optimum
 
 
 @dataclass(frozen=True)
@@ -72,38 +76,10 @@ def degraded_optimal_rate(stats: ChannelStats, mu) -> ZAllocation:
     """Best rate over per-user level time shares at exact cache size mu."""
     mu = cache_size(mu)
     t = t_from_mu(stats.num_users, mu)
-    K, B = stats.num_users, stats.num_levels
     order = degraded_order(stats)
-    chain = chain_stats(stats, order)
-    gaps = [1 - central_coverage(K, mu, k) for k in range(1, K + 1)]
-
-    # Variables [f, z(l=1,k=1..K), z(l=2,...), ...], level-major.
-    num_vars = 1 + B * K
-    a_ub = np.zeros((K + B, num_vars))
-    for k in range(K):
-        a_ub[k, 0] = float(gaps[k])
-        for l in range(B):
-            a_ub[k, 1 + l * K + k] = -chain.ccdf[k, l]
-    for l in range(B):
-        a_ub[K + l, 1 + l * K: 1 + (l + 1) * K] = 1.0
-    b_ub = np.concatenate([np.zeros(K), np.ones(B)])
-    c = np.zeros(num_vars)
-    c[0] = -1.0
-
-    (outcome,) = LpStack(a_ub[None], b_ub).solve(c)
-    solution = require_optimal(outcome, f"chain LP (K={K}, t={t}, B={B})")
-    z = solution.x[1:].reshape(B, K).copy()
-    for k in range(K):
-        if gaps[k] == 0:  # fully covered user needs no air time
-            z[:, k] = 0.0
+    rate, z = chain_optimum(chain_stats(stats, order), mu)
     z.setflags(write=False)
-    return ZAllocation(
-        rate=float(solution.x[0]),
-        z=z,
-        user_order=order,
-        t=t,
-        mu=mu,
-    )
+    return ZAllocation(rate=rate, z=z, user_order=order, t=t, mu=mu)
 
 
 def z_to_y(

@@ -33,10 +33,6 @@ class LengthMismatch(ValidationError):
     """Row lengths or vector lengths disagree with the declared dimensions."""
 
 
-class WeightsUnsorted(ValidationError):
-    """A weight vector that must be nonincreasing is not."""
-
-
 class WrongType(ValidationError):
     """An argument is not of its documented type: a CCDF entry or weight
     that is not a number, a use count or seed that is not an integer."""

@@ -6,9 +6,10 @@ Problems are stated as arrays c, a_ub and b_ub, meaning
 
 x = 0 is then feasible, so the simplex can start from the slack basis and
 needs no phase 1; solve_lps rejects a negative b_ub entry there.  The
-delivery LP's master and its dense form, the chain LP and the
-per-ordering LP of the upper bound (which keeps its normalisation in a
-budget row, see upper_bound) have this form.
+package's two LP families have this form: the delivery LP (its master
+and its dense form) and the per-ordering LP of the upper bound, which
+keeps its normalisation in a budget row and at the chain ordering also
+gives the chain optimum (upper_bound).
 
 A stack can instead start at a vertex its caller knows in closed form, a
 crash basis (LpStack.crashed; Bixby, "Implementing the simplex method: the

@@ -14,9 +14,11 @@ from itertools import combinations
 import numpy as np
 
 from cachecast import channel, lp, upper_bound
-from cachecast.channel import ChannelStats, ZeroWeightWarning, enhance, is_stochastically_dominant
-from cachecast.lp import FEAS_TOL, OPTIMAL, LpSolution, solve_lp
-from cachecast.lp_scheme import DeliveryAllocation, message_subsets
+from cachecast.caching import central_coverage
+from cachecast.channel import ChannelStats, check_weights, is_stochastically_dominant
+from cachecast.errors import ValidationError
+from cachecast.lp import FEAS_TOL, OPTIMAL, LpSolution, require_optimal, solve_lp
+from cachecast.lp_scheme import DeliveryAllocation, message_subsets, t_from_mu
 from cachecast.two_user import achievable_allocation_two_user, optimal_rate_two_user
 
 # --- three-user reference scenarios -------------------------------------
@@ -291,6 +293,42 @@ def enumerate_vertices(c, a_ub, b_ub) -> LpSolution:
     return LpSolution(OPTIMAL, best_x, best_value, None)
 
 
+def chain_lp(stats: ChannelStats, mu: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense chain LP as (c, a_ub, b_ub), rows already in chain order
+    (weakest first), over x = [f, z(l=1, k=1..K), z(l=2, ...), ...]:
+
+        maximize f  s.t.  gap_k f <= sum_l z[l][k] ccdf[k][l]  for every user k,
+                          sum_k z[l][k] <= 1                   for every level l,
+
+    with gap_k = 1 - central_coverage(K, mu, k).  Its dual is the bound's
+    LP at the identity ordering with the chain rows left out (Charnes and
+    Cooper), which upper_bound.chain_optimum solves instead.
+    """
+    K, B = stats.num_users, stats.num_levels
+    a_ub = np.zeros((K + B, 1 + B * K))
+    for k in range(K):
+        a_ub[k, 0] = float(1 - central_coverage(K, mu, k + 1))
+        for l in range(B):
+            a_ub[k, 1 + l * K + k] = -stats.ccdf[k, l]
+    for l in range(B):
+        a_ub[K + l, 1 + l * K : 1 + (l + 1) * K] = 1.0
+    c = np.zeros(1 + B * K)
+    c[0] = -1.0
+    return c, a_ub, np.concatenate([np.zeros(K), np.ones(B)])
+
+
+def dense_chain_optimum(stats: ChannelStats, mu: Fraction) -> tuple[float, np.ndarray]:
+    """The oracle for upper_bound.chain_optimum: chain_lp solved from x = 0,
+    its rate and its shares z (B, K), with no air time for a fully covered
+    user."""
+    K, B = stats.num_users, stats.num_levels
+    t = t_from_mu(K, mu)
+    solution = require_optimal(solve_lp(*chain_lp(stats, mu)), f"chain LP (K={K}, t={t}, B={B})")
+    z = solution.x[1:].reshape(B, K).copy()
+    z[:, K - t :] = 0.0
+    return float(solution.x[0]), z
+
+
 def permutation_lp_reference(stats, tup, pi, every_decode_row=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The per-ordering LP as (c, a_ub, b_ub), built one entry at a time, in its full K*B+K by K+B shape.
 
@@ -500,6 +538,49 @@ def check_two_user_instance(stats: ChannelStats, mu: float, tol: float = 1e-9) -
         assert g_u <= 1.0 + tol, g_u
     else:
         assert g_v >= 1.0 - tol, g_v
+
+
+class ZeroWeightWarning(UserWarning):
+    """Raised by enhance() when zero-weight users are left unchanged."""
+
+
+class WeightsUnsorted(ValidationError):
+    """A weight vector that enhance() needs nonincreasing is not."""
+
+
+def enhance(stats: ChannelStats, weights) -> ChannelStats:
+    """Weight-driven enhancement producing a stochastically degraded chain:
+    the channel of the paper's converse, and the oracle that the bound is
+    the chain optimum of its channel enhanced at (argmin_pi, omega_star).
+
+    `weights` must be nonincreasing, finite and nonnegative, one entry per user, with
+    user 1 carrying the largest weight.  User 1 keeps its CCDF; for k >= 2,
+
+        new[k](l) = min(1, max(ccdf[k](l), (w[k-1]/w[k]) * new[k-1](l))),
+
+    so new[k] dominates new[k-1] and the weighted maxima
+    max_k w[k]*new[k](l) equal max_k w[k]*ccdf[k](l) at every level.
+    Zero-weight users sit at the tail, are skipped by the recursion, and are
+    returned unchanged; a ZeroWeightWarning flags them.
+    """
+    w = check_weights(stats, weights)
+    if np.any(np.diff(w) > 0.0):
+        raise WeightsUnsorted("weights must be nonincreasing")
+
+    out = np.array(stats.ccdf, dtype=float)
+    positive = int(np.count_nonzero(w > 0.0))
+    if positive < stats.num_users:
+        skipped = list(range(positive + 1, stats.num_users + 1))
+        warnings.warn(
+            f"zero-weight users {skipped} excluded from enhancement",
+            ZeroWeightWarning,
+            stacklevel=2,
+        )
+    for k in range(1, positive):
+        ratio = w[k - 1] / w[k]
+        out[k] = np.minimum(1.0, np.maximum(out[k], ratio * out[k - 1]))
+    out.setflags(write=False)
+    return ChannelStats(num_users=stats.num_users, num_levels=stats.num_levels, ccdf=out)
 
 
 def check_enhancement_invariants(stats: ChannelStats, weights: np.ndarray) -> None:

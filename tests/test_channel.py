@@ -10,16 +10,22 @@ import pytest
 from cachecast import channel
 from cachecast.channel import (
     ChannelStats,
-    ZeroWeightWarning,
     check_draws,
-    enhance,
     is_stochastically_dominant,
     sample_states,
     validate_stats,
 )
-from cachecast.errors import LengthMismatch, NotMonotone, OutOfRange, ValidationError, WeightsUnsorted, WrongType
+from cachecast.errors import LengthMismatch, NotMonotone, OutOfRange, ValidationError, WrongType
 
-from helpers import check_enhancement_invariants, each_worker_count, random_sorted_weights, random_stats
+from helpers import (
+    WeightsUnsorted,
+    ZeroWeightWarning,
+    check_enhancement_invariants,
+    each_worker_count,
+    enhance,
+    random_sorted_weights,
+    random_stats,
+)
 
 
 # --- validate_stats -------------------------------------------------------
@@ -102,7 +108,7 @@ def test_dominance_length_mismatch():
         is_stochastically_dominant([0.5, 0.4], [0.5])
 
 
-# --- enhance ----------------------------------------------------------------
+# --- enhance (tests/helpers.py, the converse test's oracle) -------------------
 
 
 def test_enhance_two_user_example():

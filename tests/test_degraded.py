@@ -20,7 +20,7 @@ from cachecast.lp_scheme import achievable_rate_lp, check_allocation
 from cachecast.two_user import optimal_rate_two_user
 from cachecast.upper_bound import upper_bound_rate
 
-from helpers import CHAIN3_RATE, CHAIN3_Z, random_chain_stats
+from helpers import CHAIN3_RATE, CHAIN3_Z, dense_chain_optimum, random_chain_stats
 
 THIRD = Fraction(1, 3)
 
@@ -127,15 +127,42 @@ def test_refined_allocation_is_feasible(chain3):
     assert report.feasible
 
 
-def test_refined_random_chains_are_feasible():
+def _chain_cases():
+    """(stats, mu) on dominance chains, weakest user first: random chains,
+    then a tie-heavy grid (K = 2..8, every t, B = 1..5, four seeds; each
+    row of random_chain_stats is the levelwise maximum of the row before
+    and a fresh draw, so about half its entries tie the row before), a
+    dead weakest user, one live user (t = K - 1) and single users."""
     rng = np.random.default_rng(4242)
     for _ in range(15):
         num_users = int(rng.integers(1, 5))
         stats = random_chain_stats(rng, num_users, int(rng.integers(1, 5)))
-        t = int(rng.integers(0, num_users))
-        result = degraded_optimal_rate(stats, Fraction(t, num_users))
-        alloc = z_to_y(result.z, num_users=num_users, t=t, rate=result.rate)
-        assert check_allocation(stats, alloc).feasible
+        yield stats, Fraction(int(rng.integers(0, num_users)), num_users)
+    for users in range(2, 9):
+        for t in range(users):
+            for levels in range(1, 6):
+                for seed in range(4):
+                    yield random_chain_stats(np.random.default_rng([users, t, levels, seed]), users, levels), Fraction(t, users)
+    yield validate_stats([[0.0, 0.0], [0.5, 0.2]]), Fraction(0)
+    yield validate_stats([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.9, 0.4, 0.1]]), Fraction(1, 3)
+    yield validate_stats([[0.3, 0.2], [0.6, 0.2], [0.6, 0.5]]), Fraction(2, 3)
+    for levels in range(1, 4):
+        yield random_chain_stats(np.random.default_rng(levels), 1, levels), Fraction(0)
+
+
+def test_refined_random_chains_are_feasible():
+    # The chain optimum is read off the bound's LP at the chain ordering;
+    # the dense chain LP is its oracle.
+    for stats, mu in _chain_cases():
+        num_users = stats.num_users
+        result = degraded_optimal_rate(stats, mu)
+        rate, _ = dense_chain_optimum(stats, mu)
+        assert abs(result.rate - rate) <= 1e-12 * abs(rate), (stats.ccdf, mu)
+        alloc = z_to_y(result.z, num_users=num_users, t=result.t, rate=result.rate)
+        assert check_allocation(stats, alloc).feasible, (stats.ccdf, mu)
+        if not stats.ccdf[0].any():  # a dead weakest user: no LP, rate 0, no air time
+            assert result.rate == 0.0
+            assert not result.z.any() and not np.signbit(result.z).any()
 
 
 def test_refinement_rejects_bad_z():

@@ -10,7 +10,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from cachecast import degraded, lp
+from cachecast import lp
 from cachecast.caching import caching_tuple, central_strategy
 from cachecast.channel import validate_stats
 from cachecast.errors import LengthMismatch, NumericalFailure, OutOfRange, UnexpectedLpStatus, ValidationError
@@ -30,6 +30,7 @@ from cachecast.upper_bound import build_permutation_lp, stack_size
 from helpers import (
     ROADMAP_ITEM1_ROWS,
     assert_matches_oracle,
+    chain_lp,
     degenerate_delivery_grids,
     enumerate_vertices,
     fail_certificate,
@@ -1058,19 +1059,9 @@ def _delivery_path():
 
 
 def _chain_lp():
-    """The chain LP (c, a_ub, b_ub) that degraded_optimal_rate solves as an LpStack of one, and its outcome."""
-    chain = []
-    solve = lp.LpStack.solve
-
-    def recording(stack, c):
-        chain.append(((c, stack._a[0], stack._b), solve(stack, c)))
-        return chain[-1][1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp.LpStack, "solve", recording)
-        degraded.degraded_optimal_rate(random_chain_stats(np.random.default_rng(5), 5, 4), Fraction(2, 5))
-    ((problem, stack),) = chain
-    return problem, stack[0]
+    """The dense chain LP (c, a_ub, b_ub), degraded_optimal_rate's oracle (helpers.chain_lp), and its outcome."""
+    problem = chain_lp(random_chain_stats(np.random.default_rng(5), 5, 4), Fraction(2, 5))
+    return problem, solve_lp(*problem)
 
 
 def _chain_path():

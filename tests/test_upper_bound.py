@@ -1,6 +1,7 @@
 """Weighted ceiling: direct evaluation, per-ordering LP, global minimum."""
 
 import math
+import warnings
 from collections.abc import Sequence
 from dataclasses import replace
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 from cachecast import lp, upper_bound
 from cachecast.caching import caching_tuple, central_strategy, central_tuple, strategy_from_intervals
 from cachecast.channel import validate_stats
+from cachecast.degraded import degraded_optimal_rate
 from cachecast.errors import LengthMismatch, OutOfRange, TooManyUsers, UnexpectedLpStatus, WrongType, ZeroDenominator
 from cachecast.lp import FEAS_TOL, OPTIMAL, UNBOUNDED, solve_lp, solve_lps
 from cachecast.upper_bound import STACK_ENTRIES, build_permutation_lp, objective_at, stack_size, upper_bound_rate
@@ -23,7 +25,10 @@ from helpers import (
     MIXED3_TABLE,
     ROADMAP_ITEM1_BOUND,
     ROADMAP_ITEM1_ROWS,
+    ZeroWeightWarning,
+    check_enhancement_invariants,
     drop_zero_lines,
+    enhance,
     ordering_value,
     permutation_lp_reference,
     pivoted_vertex,
@@ -75,6 +80,11 @@ def test_objective_rejects_bad_weights(mixed3, tup3):
         objective_at(mixed3, tup3, [0.0, 0.0, 0.0])
     with pytest.raises(WrongType, match=r"^weights must be numbers, got \['x', 1.0, 1.0\]$"):
         objective_at(mixed3, tup3, ["x", 1.0, 1.0])
+    # One row of K numbers: a column or a (1, K) row is refused, not read
+    # by its size.
+    for weights in ([[1.0], [2.0], [3.0]], [[1.0, 2.0, 3.0]]):
+        with pytest.raises(LengthMismatch, match=r"^need one row of 3 weights, got shape \((3, 1|1, 3)\)$"):
+            objective_at(mixed3, tup3, weights)
 
 
 def test_objective_full_cache_has_zero_denominator(mixed3):
@@ -350,6 +360,28 @@ def test_bound_weights_reproduce_value_on_random_grids(users):
             report = upper_bound_rate(stats, tup)
             if report.value > 0.0:  # a user that decodes nothing can bound the rate by 0
                 assert abs(objective_at(stats, tup, report.omega_star) - report.value) <= 1e-9 * report.value
+
+
+def test_bound_is_the_chain_optimum_of_its_enhanced_channel():
+    # The paper's converse, executable: enhancing the channel at
+    # (argmin_pi, omega_star) makes a dominance chain with the same weighted
+    # maxima, and its chain optimum is the bound.  The zero-weight users
+    # (a fully covered prefix's, whose gaps are 0) become all-ones rows.
+    for users in range(3, 7):
+        for t in range(users):
+            for levels in range(2, 5):
+                stats = validate_stats(sorted_uniform_ccdf(np.random.default_rng([users, t, levels, 29]), users, levels))
+                mu = Fraction(t, users)
+                report = upper_bound_rate(stats, central_tuple(users, mu))
+                pi = np.array(report.argmin_pi)
+                weights = np.array(report.omega_star)[pi - 1]
+                check_enhancement_invariants(validate_stats(stats.ccdf[pi - 1]), weights)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ZeroWeightWarning)
+                    enhanced = enhance(validate_stats(stats.ccdf[pi - 1]), weights)
+                rows = np.where((weights > 0.0)[:, None], enhanced.ccdf, 1.0)
+                rate = degraded_optimal_rate(validate_stats(rows), mu).rate
+                assert abs(rate - report.value) <= 1e-12 * report.value, (users, t, levels)
 
 
 def test_bound_weights_are_nonnegative(monkeypatch):
