@@ -5,11 +5,11 @@ Problems are stated as arrays c, a_ub and b_ub, meaning
     minimize c.x  subject to  a_ub.x <= b_ub,  x >= 0,  with b_ub >= 0.
 
 x = 0 is then feasible, so the simplex can start from the slack basis and
-needs no phase 1; solve_lps rejects a negative b_ub entry there.  The
-package's two LP families have this form: the delivery LP (its master
-and its dense form) and the per-ordering LP of the upper bound, which
-keeps its normalisation in a budget row and at the chain ordering also
-gives the chain optimum (upper_bound).
+needs no phase 1; solve_lps and GrowingLp reject a negative b_ub entry
+there.  The package's two LP families have this form: the delivery LP
+(its master and its dense form) and the per-ordering LP of the upper
+bound, which keeps its normalisation in a budget row and at the chain
+ordering also gives the chain optimum (upper_bound).
 
 A stack can instead start at a vertex its caller knows in closed form, a
 crash basis (LpStack.crashed; Bixby, "Implementing the simplex method: the
@@ -103,16 +103,22 @@ pivot path and every byte of x, the value, the duals and the certificate
 are the same whether an LP is solved alone or in a stack.
 
 An LpStack keeps a stack's tableau, basis and labels from one solve to
-the next, and every LP of the package is one, built where it is solved,
-from the slack basis or from a crash.  Neither new costs nor a new column
-make a kept basis infeasible: solve(c) prices the cost row afresh at the
-kept basis and resumes the simplex from there, and add_column enters a
-column as Binv.a and pivots it in by the same ratio test.  The delivery
-LP keeps two: the cutting-plane master, a column per cut, and the subset
-LPs, repriced at every cut.  solve_lps and solve_lp, for callers outside
-the package, check their arrays and solve a fresh stack once from x = 0.
-Each solve carries the same certificate (_finish), and require_optimal is
-the one rule that every LP here must come back optimal.
+the next: new costs do not make a kept basis infeasible, so solve(c)
+prices the cost row afresh at the kept basis and resumes the simplex from
+there.  An LpStack holds only fixed-shape stacks, built where they are
+solved, from the slack basis or from a crash: the bound's per-ordering
+LPs (the chain optimum's among them) and the delivery LP's subset LPs,
+repriced at every cut.  solve_lps and solve_lp, for callers outside the
+package, check their arrays and solve a fresh stack once from x = 0.
+
+The delivery LP's cutting-plane master is the one LP that is no
+LpStack: a single LP that gains a column, with its cost, per cut
+(GrowingLp).  It keeps its full tableau and a cost row that its pivots
+keep current, so a new column and its reduced cost are read off the
+tableau and no column is repriced or copied; its simplex takes
+LpStack's rules, and its duals, certificate and refinement are
+_finish's.  Each solve carries the same certificate, and require_optimal
+is the one rule that every LP here must come back optimal.
 """
 
 from __future__ import annotations
@@ -268,16 +274,16 @@ def _pivot(
 
 
 def _ratio_test(
-    tab: np.ndarray, column: np.ndarray, eligible: np.ndarray, lps: np.ndarray
+    rhs: np.ndarray, column: np.ndarray, eligible: np.ndarray, lps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The leaving rule's ratio test on a stack, for entering columns column (L, m).
 
     Returns each LP's minimum ratio over its eligible rows, the rows whose
     ratio is within PIVOT_TOL of it, and among those the rows with the
     largest column entry; lps is np.arange(L).  The ratios are those of
-    the rhs over the column, in rows :m, above the cost row.
+    the rhs (L, m) over the column.
     """
-    ratios = np.divide(tab[:, :-1, -1], column, out=np.full(column.shape, inf), where=eligible)
+    ratios = np.divide(rhs, column, out=np.full(column.shape, inf), where=eligible)
     # argmin/argmax and a gather cost less than min/max reductions.
     least = ratios[lps, ratios.argmin(axis=1)]
     near = ratios <= (least + PIVOT_TOL)[:, None]
@@ -346,7 +352,7 @@ def _simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray) -> tu
                 tab, bas, nb, live, calm = tab[keep], bas[keep], nb[keep], live[keep], calm[keep]
                 entering, column, eligible = entering[keep], column[keep], eligible[keep]
                 lps, frozen = np.arange(live.size), None
-        least, near, pick = _ratio_test(tab, column, eligible, lps)
+        least, near, pick = _ratio_test(tab[:, :m, -1], column, eligible, lps)
         if it - calm[calm.argmin()] >= DEGENERATE_RUN:  # some LP is on a degenerate run
             pick |= near & (it - calm >= DEGENERATE_RUN)[:, None]
         leaving = np.where(pick, bas, labels).argmin(axis=1)
@@ -448,14 +454,17 @@ def _finish(
             tableau[failed[passed], :-1] = body[passed] + 0.0
             failed = failed[~passed]
     for j in failed.tolist():
-        p, d, g = float(primal[j]), float(dual[j]), float(gap[j])
-        if not p <= FEAS_TOL:
-            status[j] = NumericalFailure(f"optimal basis fails feasibility recheck (largest violation {p:.3g})")
-        elif not d <= FEAS_TOL:
-            status[j] = NumericalFailure(f"optimal basis fails dual feasibility check (dual residual {d:.3g})")
-        else:
-            status[j] = NumericalFailure(f"optimal basis fails duality-gap check (gap {g:.3g})")
+        status[j] = _uncertified(float(primal[j]), float(dual[j]), float(gap[j]))
     return StackSolution(status, x, value, y, pivots, primal, dual, gap)
+
+
+def _uncertified(primal: float, dual: float, gap: float) -> NumericalFailure:
+    """The NumericalFailure of an optimal basis that fails its certificate, naming the first check it fails."""
+    if not primal <= FEAS_TOL:
+        return NumericalFailure(f"optimal basis fails feasibility recheck (largest violation {primal:.3g})")
+    if not dual <= FEAS_TOL:
+        return NumericalFailure(f"optimal basis fails dual feasibility check (dual residual {dual:.3g})")
+    return NumericalFailure(f"optimal basis fails duality-gap check (gap {gap:.3g})")
 
 
 def _certified(value: np.ndarray, primal: np.ndarray, dual: np.ndarray, gap: np.ndarray) -> np.ndarray:
@@ -546,12 +555,12 @@ class LpStack:
     stay the original rows every solve is certified against.  The stack
     starts at the slack basis, feasible where b_ub >= 0 (the caller sees
     to that; solve_lps checks it), or at a crash basis (crashed), and
-    keeps its tableau, basis and labels: neither the costs nor a new
-    column enter the old rows, so the basis a solve leaves is still primal
-    feasible at the next costs and after add_column.  The tableau takes
-    +0.0 added to every entry, which turns -0.0 into +0.0 and keeps every
-    other value's bytes, as _pivot's precondition asks.  Its cost row
-    holds 0 until the first solve prices it.
+    keeps its tableau, basis and labels: the costs do not enter the rows,
+    so the basis a solve leaves is still primal feasible at the next
+    costs.  The tableau takes +0.0 added to every entry, which turns -0.0
+    into +0.0 and keeps every other value's bytes, as _pivot's
+    precondition asks.  Its cost row holds 0 until the first solve prices
+    it.
     """
 
     def __init__(self, a_ub, b_ub) -> None:
@@ -564,7 +573,6 @@ class LpStack:
         self._basis[:] = np.arange(n, n + m)
         self._nonbasic = np.empty((size, n), dtype=int)
         self._nonbasic[:] = np.arange(n)
-        self._entered = np.zeros(size, dtype=int)  # per LP: columns pivoted in since the last solve
         self._crashed = False  # the next solve prices a crash basis (solve)
 
     @classmethod
@@ -634,53 +642,6 @@ class LpStack:
         rhs[lps, rows] = 1.0 / least[:, 0]
         return cls.crashed(-a, np.full(m, -1.0), (rows, np.zeros(size, dtype=int), None), rhs)
 
-    def add_column(self, column) -> None:
-        """Append column (m,) to every LP and pivot it in, whatever its reduced cost.
-
-        The column enters the kept tableau as Binv.a.  Binv's column j is
-        slack j's column of the full tableau: its stored column where slack
-        j is nonbasic, e_r where it is basic in row r.  Labels follow the
-        full tableau's column order, so the slacks' labels move up by one.
-        Then the column enters the basis by the simplex's own ratio test
-        (an LP where it has no entry above PIVOT_TOL keeps its basis; the
-        next solve finds the ray): it is the column-generation step, whose
-        pricing already chose the column.  Where the column improves by
-        more than FEAS_TOL this is the pivot the simplex takes anyway, since
-        the old basis was optimal on the old columns.  Where it ties within
-        FEAS_TOL the simplex alone would keep the old basis, and its duals,
-        unchanged, so a cutting-plane loop pricing at those duals would
-        generate the same column again.  The next solve prices the cost
-        row, and its pivots count this entry.  A column of any other shape
-        raises LengthMismatch and leaves the stack as it was.
-        """
-        column = np.asarray(column, dtype=float)
-        size, m, n = self._a.shape
-        if column.shape != (m,):
-            raise LengthMismatch(f"column must have {m} entries, got shape {column.shape}")
-        basis, tableau = self._basis, self._tableau
-        binv = np.zeros((size, m, m))
-        lps, rows = np.nonzero(basis >= n)
-        binv[lps, rows, basis[lps, rows] - n] = 1.0
-        lps, slots = np.nonzero(self._nonbasic >= n)
-        binv[lps, :, self._nonbasic[lps, slots] - n] = tableau[lps, :m, slots]
-        entering = binv @ column + 0.0
-        basis[basis >= n] += 1
-        self._nonbasic[self._nonbasic >= n] += 1
-        new = np.zeros((size, m + 1, 1))
-        new[:, :m, 0] = entering
-        self._tableau = tableau = np.concatenate((tableau[:, :, :n], new, tableau[:, :, n:]), axis=2)
-        slot = np.full((size, 1), n)
-        self._nonbasic = np.concatenate((self._nonbasic, slot), axis=1)
-        self._a = np.concatenate((self._a, np.repeat(column[None, :, None], size, axis=0)), axis=2)
-        eligible = entering > PIVOT_TOL
-        entered = eligible.any(axis=1)
-        if entered.any():
-            lps = np.arange(size)
-            _, _, pick = _ratio_test(tableau, entering, eligible, lps)
-            leaving = np.where(pick, basis, n + 1 + m).argmin(axis=1)
-            _pivot(tableau, basis, self._nonbasic, leaving, slot[:, 0], lps, None if entered.all() else ~entered)
-        self._entered += entered
-
     def solve(self, c) -> StackSolution:
         """Every LP at the costs c, (n,) or (L, n), from the bases the last solve left.
 
@@ -719,6 +680,163 @@ class LpStack:
         np.subtract(costs.take(nonbasic + offsets), priced[:, :n], out=tableau[:, m, :n])
         np.subtract(0.0, priced[:, n], out=tableau[:, m, n])
         status, pivots = _simplex(tableau, basis, nonbasic)
-        pivots += self._entered
-        self._entered.fill(0)
         return _finish(status, tableau, basis, nonbasic, costs, self._a, self._b, pivots)
+
+
+class GrowingLp:
+    """One LP min c.x s.t. a_ub.x <= b_ub, x >= 0 whose columns arrive one at a time, each with its cost.
+
+    It starts with no columns at the slack basis, which b_ub >= 0 makes
+    feasible, and holds room for capacity columns.  It keeps the full
+    tableau [I | b_ub | a_ub] (the slacks, the rhs, then the columns in
+    the order they came) and, as row m, the reduced costs, which every
+    pivot keeps current.  The slack block is Binv and the cost row's slack
+    block -c_B.Binv, so a new column's tableau column Binv.a and reduced
+    cost c - c_B.Binv.a are read off them.  x_j is labelled j and slack i
+    capacity + i, so Bland's order takes every column before every slack,
+    as in LpStack.  The duals are priced afresh, y = c_B.Binv from the
+    slack block, as _finish prices them: read off the cost row, whose last
+    bits carry the rounding of every update since, they moved the delivery
+    LP's certified gap by up to 2e-15.
+    """
+
+    def __init__(self, b_ub, capacity: int) -> None:
+        b = np.asarray(b_ub, dtype=float)
+        if b.ndim != 1:
+            raise LengthMismatch(f"need b_ub (m,), got shape {b.shape}")
+        _check_rhs(b[None])
+        m = b.size
+        self._b, self._n = b, 0
+        self._a = np.zeros((m, capacity))  # the original columns
+        self._costs = np.zeros(m + 1 + capacity)  # by tableau column: 0 on the slacks and the rhs
+        self._tableau = np.zeros((m + 1, m + 1 + capacity))
+        self._tableau[:m, :m] = np.eye(m)
+        np.add(b, 0.0, out=self._tableau[:m, m])
+        self._basis = np.arange(m)  # the tableau column basic in each row
+        # Each tableau column's label: slacks after columns, the rhs after both.
+        self._labels = np.concatenate((capacity + np.arange(m + 1), np.arange(capacity)))
+        self._entered = 0  # columns pivoted in since the last solve
+
+    def add_column(self, column, cost: float) -> None:
+        """Append column (m,) at cost and pivot it in by the ratio test, whatever its reduced cost.
+
+        It is the column-generation step, whose pricing already chose the
+        column.  Where the column improves by more than FEAS_TOL this is
+        the pivot the simplex takes anyway, since the old basis was optimal
+        on the old columns.  Where it ties within FEAS_TOL the simplex alone
+        would keep the old basis, and its duals, unchanged, so a
+        cutting-plane loop pricing at those duals would generate the same
+        column again.  Where the column has no entry above PIVOT_TOL the
+        basis stays, and the next solve finds the ray.  The next solve's
+        pivots count this entry.  A column of any other shape raises
+        LengthMismatch, and one past the capacity OutOfRange; either leaves
+        the LP as it was.
+        """
+        column = np.asarray(column, dtype=float)
+        m, n = self._b.size, self._n
+        if column.shape != (m,):
+            raise LengthMismatch(f"column must have {m} entries, got shape {column.shape}")
+        if n == self._a.shape[1]:
+            raise OutOfRange(f"the LP has room for {n} columns")
+        tableau, slot = self._tableau, m + 1 + n
+        entering = tableau[:m, :m] @ column + 0.0
+        tableau[:m, slot] = entering
+        tableau[m, slot] = cost + tableau[m, :m] @ column + 0.0
+        self._a[:, n] = column
+        self._costs[slot] = cost + 0.0
+        self._n = n + 1
+        eligible = entering > PIVOT_TOL
+        if eligible.any():
+            _, _, pick = _ratio_test(tableau[None, :m, m], entering[None], eligible[None], np.arange(1))
+            self._pivot(self._leaving(pick[0]), slot)
+            self._entered += 1
+
+    def _leaving(self, pick: np.ndarray) -> int:
+        """The row, among those pick marks, whose basic variable has the smallest label."""
+        return int(np.where(pick, self._labels.take(self._basis), self._labels[self._b.size]).argmin())
+
+    def _pivot(self, row: int, slot: int) -> None:
+        """Pivot tableau column slot into row: _pivot's Gauss-Jordan step on the filled columns."""
+        tableau = self._tableau[:, : self._b.size + 1 + self._n]
+        factors = tableau[:, slot].copy()
+        pivot_row = tableau[row] / factors[row]
+        tableau[row] = pivot_row
+        factors[row] = 0.0
+        tableau -= factors[:, None] * pivot_row
+        self._basis[row] = slot
+
+    def solve(self) -> Union[LpSolution, NumericalFailure]:
+        """Resume the simplex from the kept basis, with LpStack's rules, and certify the optimum.
+
+        Entering: the smallest label with reduced cost below -FEAS_TOL.
+        Leaving: _ratio_test's rows, then the smallest basic label, with the
+        DEGENERATE_RUN guard; at MAX_ITERATIONS the outcome is a
+        NumericalFailure.  An optimum that fails its certificate against
+        the original columns is refined once at its basis and certified
+        again (_refine); if it fails again, the outcome is the
+        NumericalFailure naming the first check it fails.  Returns the
+        outcome; a NumericalFailure is returned, not raised.
+        """
+        m, n = self._b.size, self._n
+        tableau, basis, labels = self._tableau[:, : m + 1 + n], self._basis, self._labels[: m + 1 + n]
+        calm, last = 0, self._labels[m]  # the iteration after the last nondegenerate pivot; no label reaches last
+        entered, self._entered = self._entered, 0
+        for it in range(MAX_ITERATIONS):
+            keys = np.where(tableau[m] < -FEAS_TOL, labels, last)
+            slot = int(keys.argmin())
+            if keys[slot] == last:
+                break
+            column = tableau[:m, slot]
+            eligible = column > PIVOT_TOL
+            if not eligible.any():
+                return LpSolution(UNBOUNDED, None, None, None, it + entered)
+            least, near, pick = _ratio_test(tableau[None, :m, m], column[None], eligible[None], np.arange(1))
+            if it - calm >= DEGENERATE_RUN:
+                pick |= near
+            if least[0] > PIVOT_TOL:
+                calm = it + 1
+            self._pivot(self._leaving(pick[0]), slot)
+        else:
+            return NumericalFailure(f"simplex did not converge in {MAX_ITERATIONS} iterations")
+        rows = basis > m  # the rows where a column is basic
+        x = np.zeros(n)
+        x[basis[rows] - (m + 1)] = tableau[:m, m][rows]
+        y = self._costs.take(basis) @ tableau[:m, :m] + 0.0
+        a, c = self._a[:, :n], self._costs[m + 1: m + 1 + n]
+        value, primal, dual, gap = _certificate(a[None], self._b, c[None], x[None], y[None])
+        if not _certified(value, primal, dual, gap)[0]:
+            x, y, value, primal, dual, gap = self._refine(x, y, (value, primal, dual, gap))
+            if not _certified(value, primal, dual, gap)[0]:
+                return _uncertified(float(primal[0]), float(dual[0]), float(gap[0]))
+        return LpSolution(
+            OPTIMAL, x, float(value[0]), y, it + entered, float(primal[0]), float(dual[0]), float(gap[0])
+        )
+
+    def _refine(self, x: np.ndarray, y: np.ndarray, certificate: tuple) -> tuple:
+        """x, y and the certificate of the LP refined once at its basis (_refined).
+
+        If the refined point passes the certificate, its rows replace the
+        tableau's and the cost row is priced afresh from them.  Where the
+        basis is singular in floats, the LP keeps x, y and its certificate.
+        """
+        m, n = self._b.size, self._n
+        tableau, basis = self._tableau[:, : m + 1 + n], self._basis
+        # _refined's labels: the columns 0..n-1, then the slacks n..n+m-1.
+        order = np.concatenate((np.arange(m + 1, m + 1 + n), np.arange(m)))  # tableau slot of each label
+        basic = np.where(basis > m, basis - (m + 1), basis + n)
+        nonbasic = np.setdiff1d(np.arange(n + m), basic)
+        costs = self._costs[order]
+        try:
+            body, refined_y = _refined(self._a[None, :, :n], self._b[None], costs[None], basic[None], nonbasic[None])
+        except np.linalg.LinAlgError:  # a singular basis in floats: the failure stands
+            return (x, y, *certificate)
+        columns = basic < n
+        refined_x = np.zeros(n)
+        refined_x[basic[columns]] = body[0, columns, -1]
+        refined = _certificate(self._a[None, :, :n], self._b, costs[None, :n], refined_x[None], refined_y)
+        if _certified(*refined)[0]:
+            tableau[:m, order[nonbasic]] = body[0, :, :-1] + 0.0
+            tableau[:m, m] = body[0, :, -1] + 0.0
+            priced = self._costs.take(basis) @ tableau[:m]
+            np.subtract(self._costs[: m + 1 + n], priced, out=tableau[m])
+        return (refined_x, refined_y[0], *refined)

@@ -60,21 +60,24 @@ before the first solve, which finds every x_l = 1 optimal (the seed
 master), and the first lambda is its lambda_l = eta/G_l on the seeded
 levels and 0 on the others.
 
-The subset LPs and the master are kept from cut to cut as lp.LpStacks,
-since neither a new lambda nor a new cut makes the last optimal basis
-infeasible.  In the min form lambda is only the cost: the rows
-ccdf[S] u >= 1 never change, so each cut reprices the subset stack and
-resumes the simplex from its last bases.  Its first bases are one crash
-pivot per subset (LpStack.covering), level 1 entering at the member with
-the smallest ccdf[k][0]; that is feasible because every live CCDF row is
+The subset LPs and the master are kept from cut to cut, since neither a
+new lambda nor a new cut makes the last optimal basis infeasible.  In the
+min form lambda is only the cost: the rows ccdf[S] u >= 1 never change,
+so each cut reprices the subset stack (an lp.LpStack) and resumes the
+simplex from its last bases.  Its first bases are one crash pivot per
+subset (LpStack.covering), level 1 entering at the member with the
+smallest ccdf[k][0]; that is feasible because every live CCDF row is
 nonincreasing and nonzero, so its first entry is positive.  It would be
 optimal at a uniform lambda; at the seed master's it is not, and the
-first cut's solve pivots from it.  A cut only adds a column to the
-master, which add_column pivots in before the master resumes from its
-last basis.  The column enters even when its reduced cost,
--(eta - L)/eta for the cut's lower value L, lies within the simplex's
-FEAS_TOL of 0: left out, it would leave the duals and so lambda as they
-were.  The loop stops at the first of three events:
+first cut's solve pivots from it.  The master is one lp.GrowingLp, with
+room for the seeds and MAX_CUTS cuts.  A cut only adds a column to it,
+at cost -1: the column and its reduced cost are read off the master's
+full tableau, and the column is pivoted in before the master resumes
+from its last basis, so no cut reprices or copies the columns before
+it.  The column enters even when its reduced cost, -(eta - L)/eta for
+the cut's lower value L, lies within the simplex's FEAS_TOL of 0: left
+out, it would leave the duals and so lambda as they were.  The loop
+stops at the first of three events:
 
 - eta and the best lower value agree to CUT_TOL relative;
 - a cut's column equals, byte for byte, one already in the master.  That
@@ -100,8 +103,8 @@ later entry exceed it by PROB_TOL at most) and decodes nothing: the rate
 is 0 and every share 0.  The allocation is rechecked by check_allocation, against
 every decodability and budget row and the sign of every share, before it
 is returned; a subset stack or master raises through lp.require_optimal
-at its first LP that is not optimal, naming the step ("seed cuts" for
-the seed master).
+at its first LP that is not optimal, naming the step ("master LP, seed
+cuts" for the seed master, "master LP, cut N" after it).
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ import numpy as np
 from .caching import cache_size
 from .channel import ChannelStats
 from .errors import BadT, LengthMismatch, NonIntegerT, NumericalFailure
-from .lp import FEAS_TOL, OPTIMAL, LpSolution, LpStack, require_optimal
+from .lp import FEAS_TOL, OPTIMAL, GrowingLp, LpSolution, LpStack, require_optimal
 
 Subset = tuple[int, ...]
 
@@ -266,19 +269,17 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     seeded = np.flatnonzero(spread < inf)
     reach, spread = reach[:, seeded], spread[seeded]  # u_S of each seed on its level; G_l
     # The packing LP: max sum_i a_i + sum_l x_l/G_l s.t. sum_i a_i g_i + x <= 1.
-    master = LpStack(np.zeros((1, B, 0)), np.ones(B))
-    for level in seeded.tolist():
-        master.add_column(np.eye(B)[level])
+    master = GrowingLp(np.ones(B), seeded.size + MAX_CUTS)
+    for level, cost in zip(seeded.tolist(), (-1.0 / spread).tolist()):
+        master.add_column(np.eye(B)[level], cost)
 
-    def solve_master(costs: np.ndarray, where: str) -> tuple[LpSolution, float, np.ndarray]:
-        """The master's solution at costs, its upper value eta and its level prices lambda."""
-        (packing,) = master.solve(costs)
-        packing = require_optimal(packing, label, f"master LP, {where}")
+    def solve_master(where: str) -> tuple[LpSolution, float, np.ndarray]:
+        """The master's solution, its upper value eta and its level prices lambda."""
+        packing = require_optimal(master.solve(), label, f"master LP, {where}")
         eta = -1.0 / packing.value
         return packing, eta, np.maximum(-eta * packing.dual_ub, 0.0)
 
-    costs = -1.0 / spread
-    packing, eta, lam = solve_master(costs, "seed cuts")
+    packing, eta, lam = solve_master("seed cuts")
     prices: list[np.ndarray] = []  # per cut, u_S of every subset (subsets x B)
     cuts: set[bytes] = set()  # the bytes of every cut's column
     best = 0.0
@@ -295,10 +296,9 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
             break
         cuts.add(column.tobytes())
         prices.append(u)
-        master.add_column(column)
-        costs = np.append(costs, -1.0)
+        master.add_column(column, -1.0)
         previous = lam
-        packing, eta, lam = solve_master(costs, where)
+        packing, eta, lam = solve_master(where)
         if eta - best <= CUT_TOL * eta or np.array_equal(lam, previous):
             break
     else:

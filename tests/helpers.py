@@ -235,12 +235,6 @@ def degenerate_delivery_grids() -> list[tuple[str, np.ndarray, int]]:
     return grids
 
 
-def is_master_solve(costs) -> bool:
-    """Whether a solve of achievable_rate_lp's LpStacks is the master's: its
-    costs are -1 on every cut, where the subset stack's are lambda >= 0."""
-    return bool((np.asarray(costs) < 0.0).all())
-
-
 # --- reference implementations ---------------------------------------------
 
 

@@ -22,7 +22,7 @@ from cachecast import caching, channel, cli, degraded, lp_scheme, simulator, two
 from cachecast.caching import caching_tuple, central_strategy
 from cachecast.channel import validate_stats
 from cachecast.errors import NumericalFailure
-from cachecast.lp import UNBOUNDED, LpSolution, LpStack
+from cachecast.lp import UNBOUNDED, GrowingLp, LpSolution, LpStack
 from cachecast.lp_scheme import achievable_rate_lp, build_delivery_lp
 from cachecast.simulator import simulate_delivery
 from cachecast.two_user import achievable_allocation_two_user, optimal_rate_two_user
@@ -37,7 +37,6 @@ from helpers import (
     MIXED3_TABLE,
     ROADMAP_ITEM1_ROWS,
     fail_certificate,
-    is_master_solve,
     random_chain_stats,
     sorted_uniform_ccdf,
     stack_hits,
@@ -816,14 +815,13 @@ def test_bound_failure_names_ordering(capsys, monkeypatch, tmp_path):
 )
 def test_lp_failures_name_their_lp(capsys, monkeypatch, command, config, module, label):
     message = "optimal basis fails feasibility recheck (largest violation 0.5)"
-    solve = LpStack.solve
 
     def patch(outcome):
-        """Make the LP give outcome: the delivery LP's master is an LpStack
+        """Make the LP give outcome: the delivery LP's master is a GrowingLp
         solved once per cut, and the chain LP an LpStack of one; each solve
         returns it."""
         if module is lp_scheme:
-            monkeypatch.setattr(LpStack, "solve", lambda stack, c: [outcome] if is_master_solve(c) else solve(stack, c))
+            monkeypatch.setattr(GrowingLp, "solve", lambda master: outcome)
         else:
             monkeypatch.setattr(LpStack, "solve", lambda stack, c: [outcome])
 
@@ -845,8 +843,6 @@ def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
 
         def patched(stack, lam):
             outcomes = solve(stack, lam)
-            if is_master_solve(lam):
-                return outcomes
             calls.append(None)
             if len(calls) == 2:
                 outcomes.status[1] = outcome  # subsets are (1, 2), (1, 3), (2, 3)
@@ -868,18 +864,16 @@ def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
 
 def master_failure_message(capsys, monkeypatch, failing):
     """stderr of `rates achievable` on NONDEGRADED when its master solve number failing fails."""
-    solve = LpStack.solve
+    solve = GrowingLp.solve
     calls = []
 
-    def failing_at_call(stack, c):
-        if not is_master_solve(c):
-            return solve(stack, c)
+    def failing_at_call(master):
         calls.append(None)
         if len(calls) == failing:
-            return [NumericalFailure("simplex did not converge in 100000 iterations")]
-        return solve(stack, c)
+            return NumericalFailure("simplex did not converge in 100000 iterations")
+        return solve(master)
 
-    monkeypatch.setattr(LpStack, "solve", failing_at_call)
+    monkeypatch.setattr(GrowingLp, "solve", failing_at_call)
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
     return capsys.readouterr().err
 

@@ -34,7 +34,6 @@ from helpers import (
     degenerate_delivery_grids,
     enumerate_vertices,
     fail_certificate,
-    is_master_solve,
     ladder_grids,
     pivot_reference,
     pivoted_stack,
@@ -319,17 +318,15 @@ def test_random_lps_match_oracle_and_duality():
         check_duality(p)
 
 
-def growing_lp(b_ub):
-    """An LpStack of one LP with the rows b_ub and no columns yet, at the slack basis."""
-    b_ub = np.asarray(b_ub, dtype=float)
-    return lp.LpStack(np.zeros((1, b_ub.size, 0)), b_ub)
+def growing_lp(b_ub, capacity=16):
+    """A GrowingLp with the rows b_ub and no columns yet, at the slack basis."""
+    return lp.GrowingLp(b_ub, capacity)
 
 
-def add_and_solve(stack, column, costs):
-    """Append column to a stack of one and solve it at costs, one per column so far."""
-    stack.add_column(column)
-    (outcome,) = stack.solve(costs)
-    return outcome
+def add_and_solve(grown, column, cost):
+    """Append column at cost to a GrowingLp and solve it."""
+    grown.add_column(column, cost)
+    return grown.solve()
 
 
 def test_growing_lp_matches_cold_solves():
@@ -342,7 +339,7 @@ def test_growing_lp_matches_cold_solves():
         c = rng.normal(size=10)
         grown = growing_lp(b_ub)
         for n in range(1, 11):
-            warm = add_and_solve(grown, a_ub[:, n - 1], c[:n])
+            warm = add_and_solve(grown, a_ub[:, n - 1], c[n - 1])
             cold = solve_lp(c[:n], a_ub[:, :n], b_ub)
             assert warm.status == cold.status == OPTIMAL
             assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
@@ -355,9 +352,9 @@ def test_growing_lp_pivots_a_tied_column_in():
     # simplex alone would keep the old basis; the new column enters anyway,
     # and the solve after it counts that entry.
     grown = growing_lp([1.0, 1.0])
-    first = add_and_solve(grown, [2.0, 1.0], [-1.0])
+    first = add_and_solve(grown, [2.0, 1.0], -1.0)
     assert first.x.tolist() == [0.5] and first.dual_ub.tolist() == [-0.5, 0.0]
-    tied = add_and_solve(grown, [2.0, 0.5], [-1.0, -1.0])
+    tied = add_and_solve(grown, [2.0, 0.5], -1.0)
     assert tied.pivots == 1 and tied.value == first.value == -0.5
     assert tied.x.tolist() == [0.0, 0.5] and tied.dual_ub.tolist() == [-0.5, 0.0]
 
@@ -365,7 +362,8 @@ def test_growing_lp_pivots_a_tied_column_in():
 def test_growing_lp_rejects_a_column_of_the_wrong_length():
     # A column without m entries raises LengthMismatch before the LP
     # changes, also a single entry that would broadcast: each good column
-    # after it solves as on a master that never saw it.
+    # after it solves as on a master that never saw it.  Rows b_ub that
+    # are not one (m,) row raise it too.
     rng = np.random.default_rng(1603)
     columns = rng.uniform(0.1, 1.0, (10, 4))
     costs = -rng.uniform(0.5, 1.5, len(columns))
@@ -373,30 +371,39 @@ def test_growing_lp_rejects_a_column_of_the_wrong_length():
     for n, column in enumerate(columns, start=1):
         for bad in (column[:1], column[:3], np.append(column, 1.0), column[None]):
             with pytest.raises(LengthMismatch, match=r"^column must have 4 entries"):
-                tried.add_column(bad)
-        assert_same_outcome(add_and_solve(tried, column, costs[:n]), add_and_solve(fresh, column, costs[:n]))
+                tried.add_column(bad, costs[n - 1])
+        assert_same_outcome(add_and_solve(tried, column, costs[n - 1]), add_and_solve(fresh, column, costs[n - 1]))
+    with pytest.raises(LengthMismatch, match=r"^need b_ub \(m,\), got shape \(1, 4\)"):
+        growing_lp(np.ones((1, 4)))
 
 
 def test_growing_lp_ray_column_and_negative_rhs():
     # A ray column has no entry to pivot on, and the solve after it finds
-    # the ray; the LPs of a stack it enters count the entry.  An LpStack does not check its rows (solve_lps does): a
-    # negative rhs leaves the slack basis infeasible, which the
-    # certificate names.
+    # the ray.  A column that enters counts in the next solve's pivots; a
+    # ray column keeps the basis and counts nothing.  An LpStack does not
+    # check its rows (solve_lps does): a negative rhs leaves the slack
+    # basis infeasible, which the certificate names.  A GrowingLp refuses
+    # one, and a column past its capacity, which leaves it as it was.
     grown = growing_lp([1.0])
-    assert add_and_solve(grown, [2.0], [-1.0]).value == -0.5
-    assert add_and_solve(grown, [-1.0], [-1.0, -1.0]).status == UNBOUNDED
-    (outcome,) = growing_lp([1.0, -1.0]).solve(np.zeros(0))
+    assert add_and_solve(grown, [2.0], -1.0).value == -0.5
+    assert add_and_solve(grown, [-1.0], -1.0).status == UNBOUNDED
+    (outcome,) = lp.LpStack(np.zeros((1, 2, 0)), [1.0, -1.0]).solve(np.zeros(0))
     assert isinstance(outcome, NumericalFailure)
     assert str(outcome) == "optimal basis fails feasibility recheck (largest violation 1)"
-    # On a stack of two, the same column enters one LP and is a ray of the
-    # other, which keeps its basis (its slack label moves up by one).
-    stack = lp.LpStack([[[1.0], [1.0]], [[1.0], [2.0]]], [[1.0, 2.0], [1.0, 1.0]])
-    assert [s.value for s in stack.solve([-1.0])] == [-1.0, -0.5]
-    assert stack._basis.tolist() == [[0, 2], [1, 0]]
-    stack.add_column([-1.0, -0.5])
-    assert stack._basis.tolist() == [[0, 1], [2, 0]]
-    warm = stack.solve([-1.0, -2.0])
-    assert warm.status == [UNBOUNDED, UNBOUNDED] and warm.pivots.tolist() == [1, 0]
+    with pytest.raises(OutOfRange, match=r"b_ub\[1\] = -1.0 < 0"):
+        growing_lp([1.0, -1.0])
+    # Binv.a = [-0.75, -0.25] at the basis {slack 1, x_0}: the column has no
+    # entry to pivot on, the basis stays, and the solve finds the ray.
+    grown = growing_lp([1.0, 1.0], capacity=2)
+    assert add_and_solve(grown, [1.0, 2.0], -1.0).value == -0.5
+    basis = grown._basis.tolist()
+    grown.add_column([-1.0, -0.5], -2.0)
+    assert grown._basis.tolist() == basis
+    ray = grown.solve()
+    assert ray.status == UNBOUNDED and ray.pivots == 0
+    with pytest.raises(OutOfRange, match=r"^the LP has room for 2 columns"):
+        grown.add_column([1.0, 1.0], -1.0)
+    assert grown.solve() == ray
 
 
 # --- the covering stack -----------------------------------------------------------
@@ -738,9 +745,9 @@ def test_solve_lps_clears_negative_zeros():
     columns = rng.uniform(0.1, 1.0, (10, 4)) * (rng.random((10, 4)) < 0.6)
     costs = -rng.uniform(0.5, 1.5, len(columns)) * (np.arange(len(columns)) % 4 != 0)
     clean, signed = growing_lp(b), growing_lp(negative_zeros(b))
-    for n, column in enumerate(columns, start=1):
-        want = add_and_solve(clean, column, costs[:n])
-        got = add_and_solve(signed, negative_zeros(column), negative_zeros(costs[:n]))
+    for column, cost in zip(columns, (costs + 0.0).tolist()):
+        want = add_and_solve(clean, column, cost)
+        got = add_and_solve(signed, negative_zeros(column), -0.0 if cost == 0.0 else cost)
         assert_same_outcome(got, want)
         for name in ("x", "dual_ub"):
             assert np.array_equal(np.signbit(getattr(got, name)), np.signbit(getattr(want, name)))
@@ -762,19 +769,44 @@ def record_tableaux(monkeypatch, check):
     monkeypatch.setattr(lp, "_finish", checked_finish)
 
 
+def record_grown(monkeypatch, check):
+    """Call check(grown) on every GrowingLp before each of its pivots and after each solve."""
+    pivot, solve = lp.GrowingLp._pivot, lp.GrowingLp.solve
+
+    def checked_pivot(grown, row, slot):
+        check(grown)
+        return pivot(grown, row, slot)
+
+    def checked_solve(grown):
+        outcome = solve(grown)
+        check(grown)
+        return outcome
+
+    monkeypatch.setattr(lp.GrowingLp, "_pivot", checked_pivot)
+    monkeypatch.setattr(lp.GrowingLp, "solve", checked_solve)
+
+
 def test_pivots_never_make_a_negative_zero(monkeypatch):
     # Stacks whose LPs stop at spread iterations, so that many pivots run
     # with frozen LPs in the stack; random LPs with many zero entries, fed
-    # as -0.0, alone and as the columns added to a stack of one; and a pivot row
+    # as -0.0, alone and as the columns added to a GrowingLp; and a pivot row
     # whose negative subnormal entry underflows to -0.0 when divided by the
     # pivot 3, which the update clears; and a delivery LP on a grid rounded
     # to one decimal, whose subset LPs crash-pivot on negative divisors,
-    # with ties at the smallest first entry and zeros in the rows.  No
-    # tableau holds a -0.0 before any pivot or at the end.
+    # with ties at the smallest first entry and zeros in the rows, and
+    # whose master is a GrowingLp.  No tableau holds a -0.0 before any
+    # pivot or at the end.
     def check(tableau, basis, nonbasic):
         assert not np.signbit(tableau[tableau == 0.0]).any()
 
+    grown_checks = []
+
+    def check_grown(grown):
+        check(grown._tableau, None, None)
+        grown_checks.append(grown._n)
+
     record_tableaux(monkeypatch, check)
+    record_grown(monkeypatch, check_grown)
     calls = record_lifecycle(monkeypatch)
     rng = np.random.default_rng(1702)
     for seed in range(4):
@@ -784,20 +816,20 @@ def test_pivots_never_make_a_negative_zero(monkeypatch):
         c, a_ub, b_ub = random_bounded_lp(rng)
         a_ub = a_ub * (rng.random(a_ub.shape) < 0.7)
         solve_lps(negative_zeros(c), negative_zeros(a_ub)[None], negative_zeros(b_ub))
-    signed, costs = growing_lp(negative_zeros([1.0, 0.0, 2.0])), []
+    signed = growing_lp(negative_zeros([1.0, 0.0, 2.0]))
     for j in range(8):
         column = negative_zeros(rng.uniform(0.1, 1.0, 3) * (rng.random(3) < 0.6))
-        costs.append(-0.0 if j % 3 == 1 else -rng.uniform(0.5, 1.5))
-        add_and_solve(signed, column, costs)
+        add_and_solve(signed, column, -0.0 if j % 3 == 1 else -rng.uniform(0.5, 1.5))
+    assert len(grown_checks) >= 8
     tiny = np.nextafter(0.0, -1.0)  # -5e-324
     sol = solve_lp([-1.0, 0.0], [[3.0, tiny], [1.0, 1.0]], [1.0, 1.0])
     assert sol.x.tolist() == [1.0 / 3.0, 0.0] and sol.pivots == 1
     assert sum(frozen > 0 for _, frozen in calls) >= 10  # pivots with frozen LPs in the stack
     grid = np.round(sorted_uniform_ccdf(np.random.default_rng(71), 7, 4), 1)
     assert len(set(grid[:, 0])) < 7 and not grid.all()
-    before = len(calls)
+    before, grown_before = len(calls), len(grown_checks)
     achievable_rate_lp(validate_stats(grid), Fraction(2, 7))
-    assert len(calls) - before >= 20
+    assert len(calls) - before + len(grown_checks) - grown_before >= 20  # subset-stack pivots, master checks
 
 
 def fresh_reduced_costs(tableau, basis, nonbasic, costs):
@@ -810,27 +842,34 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
     # Row m of every tableau, carried by the pivots' rank-1 update, agrees
     # with c_N - c_B.T priced afresh from the constraint rows, before every
     # pivot and at the end: on stacks that share one cost row, on the
-    # three pivot-path LPs, on a stack of one solved after each new column,
+    # three pivot-path LPs, on a GrowingLp solved after each new column,
     # and on the subset LPs of a delivery LP, from the crash pivot (cost
-    # row 0) through the cost rows repriced at the lambda of each cut.  The
-    # pivot that enters a new column is not checked: the cost row has no
-    # price for that column until the solve after it prices the row.
+    # row 0) through the cost rows repriced at the lambda of each cut.  A
+    # GrowingLp's cost row, c - c_B.Binv.[I | b | a], is checked also at
+    # the pivot that enters a new column, which comes with its reduced cost.
     costs = []  # the current LP's costs by label, one shared row
-    checked, entering = [], []
+    checked = []
 
     def check(tableau, basis, nonbasic):
-        if entering:
-            return
         c = np.concatenate([costs[-1][: nonbasic.shape[1]], np.zeros(basis.shape[1])])
         fresh = fresh_reduced_costs(tableau, basis, nonbasic, c)
         tol = 1e-12 * (1.0 + np.abs(c).max())
         assert np.abs(tableau[:, basis.shape[1], :-1] - fresh).max(initial=0.0) <= tol
         checked.append(tableau.shape[0])
 
+    def check_grown(grown):
+        m, width = grown._b.size, grown._b.size + 1 + grown._n
+        tableau, c = grown._tableau[:, :width], grown._costs[:width]
+        fresh = c - grown._costs.take(grown._basis) @ tableau[:m]
+        tol = 1e-12 * (1.0 + np.abs(c).max())
+        assert np.abs(tableau[m] - fresh).max() <= tol
+        checked.append(1)
+
     problems = path_problems()
     _, grid, t = ladder_grids()[6]
     prices = cut_prices(monkeypatch, grid, t)
     record_tableaux(monkeypatch, check)
+    record_grown(monkeypatch, check_grown)
     rng = np.random.default_rng(1703)
     for seed in range(3):
         c, a_ub, b_ub = spread_stack(np.random.default_rng(seed))
@@ -844,10 +883,7 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
     costs.append(c)
     grown = growing_lp(rng.uniform(0.1, 2.0, 5))
     for j in range(12):
-        entering.append(j)
-        grown.add_column(a_ub[:, j])
-        entering.clear()
-        grown.solve(c[: j + 1])
+        add_and_solve(grown, a_ub[:, j], c[j])
     assert len(checked) > 300
     stats, before = validate_stats(grid), len(checked)
     costs.append(np.zeros(4))  # the crash pivot's: the cost row is 0 until the first solve
@@ -863,8 +899,7 @@ def cut_prices(monkeypatch, grid, t):
     solve, prices = lp.LpStack.solve, []
 
     def recording(stack, c):
-        if not is_master_solve(c):
-            prices.append(np.array(c))
+        prices.append(np.array(c))
         return solve(stack, c)
 
     with monkeypatch.context() as patch:

@@ -1,6 +1,8 @@
 """General delivery LP: matrix layout, optimum, allocation checking."""
 
+import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +10,8 @@ import pytest
 
 from cachecast import lp, lp_scheme
 from cachecast.channel import validate_stats
-from cachecast.errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT
-from cachecast.lp import FEAS_TOL, OPTIMAL, LpStack, solve_lp, solve_lps
+from cachecast.errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT, NumericalFailure
+from cachecast.lp import FEAS_TOL, OPTIMAL, GrowingLp, LpStack, solve_lp, solve_lps
 from cachecast.lp_scheme import (
     achievable_rate_lp,
     build_delivery_lp,
@@ -20,9 +22,9 @@ from cachecast.lp_scheme import (
 from helpers import (
     MIXED3_RATE,
     MIXED3_SHARES,
+    chain_ccdf,
     degenerate_delivery_grids,
     delivery_allocation,
-    is_master_solve,
     ladder_grids,
     sorted_uniform_ccdf,
 )
@@ -351,8 +353,7 @@ def subset_solves(monkeypatch, grid, t):
 
     def recording(stack, lam):
         outcomes = solve(stack, lam)
-        if not is_master_solve(lam):
-            solves.append((np.array(lam), outcomes))
+        solves.append((np.array(lam), outcomes))
         return outcomes
 
     with monkeypatch.context() as patch:
@@ -410,24 +411,24 @@ def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch, index, n
     # Every master of ladder LP `index` (11 and 21 cuts), the seed master
     # first, resumed from the last basis, against solve_lp of the same
     # packing LP from the slack basis.  All four levels get a seed.
-    add_column, solve = LpStack.add_column, LpStack.solve
-    columns, masters = [], []
+    add_column, solve = GrowingLp.add_column, GrowingLp.solve
+    columns, costs, masters = [], [], []
 
-    def recording_column(master, column):
+    def recording_column(master, column, cost):
         columns.append(np.array(column))
-        add_column(master, column)
+        costs.append(cost)
+        add_column(master, column, cost)
 
-    def recording_solve(stack, c):
-        outcomes = solve(stack, c)
-        if is_master_solve(c):
-            masters.append((np.array(c), outcomes[0]))
-        return outcomes
+    def recording_solve(master):
+        outcome = solve(master)
+        masters.append((np.array(costs), outcome))
+        return outcome
 
     grid_name, grid, t = ladder_grids()[index]
     assert grid_name == name
     with monkeypatch.context() as patch:
-        patch.setattr(LpStack, "add_column", recording_column)
-        patch.setattr(LpStack, "solve", recording_solve)
+        patch.setattr(GrowingLp, "add_column", recording_column)
+        patch.setattr(GrowingLp, "solve", recording_solve)
         alloc = achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0]))
     # The last cut repeats one already in the master, so it ends the loop
     # without a master of its own.
@@ -458,21 +459,21 @@ def test_ladder_cut_counts_are_pinned(grid, t, cuts):
 
 def seed_master_columns(monkeypatch, stats, mu):
     """The columns the master holds at its first solve, and the allocation."""
-    add_column, solve = LpStack.add_column, LpStack.solve
+    add_column, solve = GrowingLp.add_column, GrowingLp.solve
     columns, seeds = [], []
 
-    def recording_column(master, column):
+    def recording_column(master, column, cost):
         columns.append(np.array(column))
-        add_column(master, column)
+        add_column(master, column, cost)
 
-    def recording_solve(stack, c):
-        if is_master_solve(c) and not seeds:
+    def recording_solve(master):
+        if not seeds:
             seeds.extend(columns)
-        return solve(stack, c)
+        return solve(master)
 
     with monkeypatch.context() as patch:
-        patch.setattr(LpStack, "add_column", recording_column)
-        patch.setattr(LpStack, "solve", recording_solve)
+        patch.setattr(GrowingLp, "add_column", recording_column)
+        patch.setattr(GrowingLp, "solve", recording_solve)
         alloc = achievable_rate_lp(stats, mu)
     return seeds, alloc
 
@@ -575,6 +576,133 @@ def test_small_entries_are_refined_to_a_certified_allocation(monkeypatch, seed, 
     assert sum(calls) <= most
 
 
+def master_labels(master):
+    """The master's basis in _refined's labels: its columns 0..n-1, then its slacks n..n+m-1."""
+    m, n, basis = master._b.size, master._n, master._basis
+    return np.where(basis > m, basis - (m + 1), basis + n)
+
+
+def refining_the_master(monkeypatch, spoil=None):
+    """Wrap lp._refined to record the basis and the refined x_B of each
+    master refinement (its rows are the B = 4 levels; the subset LPs' are
+    t + 1 = 3); spoil, if given, replaces the refined y."""
+    refine, calls = lp._refined, []
+
+    def recording(a, b, costs, basis, nonbasic):
+        rows, y = refine(a, b, costs, basis, nonbasic)
+        if a.shape[:2] == (1, 4):
+            calls.append((basis[0].copy(), rows[0, :, -1].copy()))
+            if spoil is not None:
+                y = spoil(y)
+        return rows, y
+
+    monkeypatch.setattr(lp, "_refined", recording)
+    return calls
+
+
+def test_master_is_refined_at_its_basis(monkeypatch):
+    # On the first seed-62 small-entry grid at t = 2, the master's optimum
+    # at cut 9 (13 columns) misses its certificate in floats.  It is
+    # refined once, at the basis its simplex ended on, passes, its refined
+    # rows replace the tableau's, and the loop ends at cut 10 with the
+    # allocation frozen in ALLOCATION_DIGESTS.
+    grid = next(small_entry_grids(62, (1e-6, 1e-9)))
+    calls = refining_the_master(monkeypatch)
+    solve, ended = GrowingLp.solve, []  # the master's basis and rhs after each solve
+
+    def ending(master):
+        outcome = solve(master)
+        ended.append((master_labels(master), master._tableau[: master._b.size, master._b.size].copy()))
+        return outcome
+
+    monkeypatch.setattr(GrowingLp, "solve", ending)
+    stats = validate_stats(grid)
+    alloc = achievable_rate_lp(stats, Fraction(2, 6))
+    assert len(calls) == 1 and len(ended) == 10  # the seed master and cuts 1-9
+    (basis, rhs), (kept_basis, kept_rhs) = calls[0], ended[9]
+    assert np.array_equal(basis, kept_basis) and np.array_equal(rhs, kept_rhs)
+    assert alloc.iterations == 10 and check_allocation(stats, alloc).feasible
+    assert allocation_digest(alloc) == ALLOCATION_DIGESTS["small-entry-seed62-t2"]
+
+
+def test_master_failing_its_refinement_names_the_cut(monkeypatch):
+    # The same master, refined to duals that fail the dual check again:
+    # its NumericalFailure names the master LP and its cut.
+    grid = next(small_entry_grids(62, (1e-6, 1e-9)))
+    calls = refining_the_master(monkeypatch, spoil=lambda y: y + 1.0)
+    with pytest.raises(NumericalFailure) as caught:
+        achievable_rate_lp(validate_stats(grid), Fraction(2, 6))
+    assert len(calls) == 1
+    assert re.match(
+        r"delivery LP \(K=6, t=2, B=4\): optimal basis fails dual feasibility check \(dual residual \S+\)"
+        r" \(master LP, cut 9, gap ",
+        str(caught.value),
+    )
+
+
+# --- the same bytes ------------------------------------------------------------------
+
+
+def frozen_allocation_cases():
+    """(name, ccdf, t) of the allocations frozen in ALLOCATION_DIGESTS."""
+    rng = np.random.default_rng([1, 1])  # the delivery-ladder workload's grids, in its order
+    for users, t in ((7, 2), (7, 3), (8, 2), (8, 3), (8, 4), (9, 3), (9, 4)):
+        yield f"ladder-K{users}-t{t}", sorted_uniform_ccdf(rng, users, 4), t
+    for users, t in ((8, 3), (9, 3)):
+        yield f"chain-K{users}-t{t}", chain_ccdf(rng, users, 4), t
+    yield "sim-K6B5", sorted_uniform_ccdf(np.random.default_rng([1, 2]), 6, 5), 2  # simulate-1e6's K = 6 LP
+    grid = next(tiny_tail_grids())
+    for t in (1, 2, 3):
+        yield f"tiny-tail-t{t}", grid, t
+    for seed, values in ((61, (1e-6, 1e-9)), (62, (1e-6, 1e-9)), (63, (1e-3, 1e-6, 1e-9, 1e-12))):
+        grid = next(small_entry_grids(seed, values))
+        for t in (1, 2, 3):
+            yield f"small-entry-seed{seed}-t{t}", grid, t
+
+
+def allocation_digest(alloc):
+    """SHA-256 of an allocation's rate, gap and cut count as float64 bytes, then its shares' bytes."""
+    numbers = np.array([alloc.rate, alloc.gap, alloc.iterations]).tobytes()
+    return hashlib.sha256(numbers + alloc.shares.tobytes()).hexdigest()
+
+
+# Frozen while the master was an LpStack that add_column grew, with the
+# duals priced afresh as c_B.Binv at every solve; the GrowingLp master keeps
+# every byte, the master refined at cut 9 of small-entry-seed62-t2 included.
+# Cut counts: ladder 11, 15, 13, 9, 11, 15, 21; chains 6, 10; sim-K6B5 19;
+# tiny tail 13, 12, 13; small entries 8, 7, 4 / 11, 10, 9 / 8, 5, 5.
+ALLOCATION_DIGESTS = {
+    "ladder-K7-t2": "c3ba9d862e15f227508f4ca874e432ad15a76a2055bad92733412a5914272ddf",
+    "ladder-K7-t3": "494f31a905ad0e0152beb1c6b10ae90e363addc33f0ff09e76753df1a6fed773",
+    "ladder-K8-t2": "8f619587b95e90a5562894a97ee8f92e02236586356f9f7cfae72e65d8e389fd",
+    "ladder-K8-t3": "463292b1932d16d0af2df2cedf8239bae32df4e85c2dff68fc70c7c30d3f6c85",
+    "ladder-K8-t4": "6bf764bd49d6a635f531e7716fac15f54fce100293225a86b5d36b2682561f52",
+    "ladder-K9-t3": "09fc86109a9707d676ab0a6e336e2a553f2916b7f8eada0c27a04535651d9577",
+    "ladder-K9-t4": "e21a1623e6de37b6f3f5af53c1875a011e49661d0d806cb4227bbd300295e945",
+    "chain-K8-t3": "54398650ea65db5375b0723071661cdbfd3c0ae573006cfd687dc8137190431b",
+    "chain-K9-t3": "5a8668f6ca35bbe0ae9f865016ec37842852fe8d3d4727c030676c0d9b24f52f",
+    "sim-K6B5": "7fc17f76e0538c50a5e78823a3c2a18e960f634bb01c44ca20c9421802cf83af",
+    "tiny-tail-t1": "f21d8aed56ffc20162a1cca038aafb811efa05f68ad4ab5882f75b2365b70edd",
+    "tiny-tail-t2": "a03946222d8ccb63dd35e438f5b452b513a6f0cdb28a4098f72dfcf6bcd31eb4",
+    "tiny-tail-t3": "fb881988e1f6ec248178d18b4d1180aff19b0ae6a0db1416b3cf7543b3ec1e9d",
+    "small-entry-seed61-t1": "e9a6ab966d9a94c2742de48ee054dcd29d2540336e96b4a07599d78248463e51",
+    "small-entry-seed61-t2": "d2356c59b088544c15350e7518cdeaa0592230112e524cb5d0393a4c371b4c80",
+    "small-entry-seed61-t3": "829c5e5c546cd957562496a05753b8183db27fec7b82953a62866a351510dd3d",
+    "small-entry-seed62-t1": "b4be49ca6c29702c6683a3ec6c30a7156e04276b90961445e7e7dc56e9abe786",
+    "small-entry-seed62-t2": "37b8a597a024e3a1ecc2c996c24f8a7794539323866eb72c6dd55205e4c03a79",
+    "small-entry-seed62-t3": "7e190c519c837e263b169b577aba3b59609383aac6644bd838fc8880abfb82d4",
+    "small-entry-seed63-t1": "99ce1e711bdcffa4409afe0fe2aa133c9af0a6a4cb695f22659bd245c187e67f",
+    "small-entry-seed63-t2": "60fbe997a6aecee1a5cc7c8c950c9d24626ac877caa3cb7683e40a762cbdbaf4",
+    "small-entry-seed63-t3": "4b802bb6154e9459e025920bd033924b943ebf3c9345d7c76c297d95eb142ef0",
+}
+
+
+@pytest.mark.parametrize("name, grid, t", [pytest.param(*case, id=case[0]) for case in frozen_allocation_cases()])
+def test_allocation_digests_are_frozen(name, grid, t):
+    alloc = achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0]))
+    assert allocation_digest(alloc) == ALLOCATION_DIGESTS[name]
+
+
 @pytest.mark.parametrize("name", ["K8-t3-B4-stall", "K7-t3", "K8-t2"])
 def test_loop_ends_at_the_optimum_without_a_cut_tolerance(monkeypatch, name):
     # With CUT_TOL = 0 the last cuts price within the simplex's FEAS_TOL of
@@ -598,17 +726,15 @@ def test_unchanged_prices_end_the_loop(monkeypatch):
     # so the next cut would repeat this one: the loop stops there and
     # reports the gap it has.  The seed master and those of cuts 1 and 2
     # solve; cut 3's hands back cut 2's solution.
-    solve = LpStack.solve
+    solve = GrowingLp.solve
     solutions = []
 
-    def stuck_after_3(stack, c):
-        if not is_master_solve(c):
-            return solve(stack, c)
+    def stuck_after_3(master):
         if len(solutions) < 3:
-            solutions.append(solve(stack, c))
+            solutions.append(solve(master))
         return solutions[-1]
 
-    monkeypatch.setattr(LpStack, "solve", stuck_after_3)
+    monkeypatch.setattr(GrowingLp, "solve", stuck_after_3)
     name, grid, t = ladder_grids()[0]
     stats = validate_stats(grid)
     alloc = achievable_rate_lp(stats, Fraction(t, 7))
