@@ -78,7 +78,24 @@ class StateRealization:
 
 
 def validate_stats(ccdf: Sequence[Sequence[float]]) -> ChannelStats:
-    """Build ChannelStats from raw rows, checking type, shape, range and monotonicity."""
+    """Build ChannelStats from raw rows, checking type, shape, range and monotonicity.
+
+    The whole (K, B) grid is checked at once; only a grid that fails is
+    checked row by row, to name the first failing user.
+    """
+    try:
+        grid = np.array(ccdf, dtype=float)
+    except (TypeError, ValueError):  # ragged rows or no numbers: the row loop names the user
+        grid = np.empty(0)
+    if (
+        grid.ndim == 2
+        and grid.size
+        and np.all((grid >= -PROB_TOL) & (grid <= 1.0 + PROB_TOL))  # also refuses NaN
+        and not np.any(np.diff(grid) > PROB_TOL)
+    ):
+        np.clip(grid, 0.0, 1.0, out=grid)
+        grid.setflags(write=False)
+        return ChannelStats(num_users=grid.shape[0], num_levels=grid.shape[1], ccdf=grid)
     rows = []
     for k, r in enumerate(ccdf, start=1):
         try:

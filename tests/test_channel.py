@@ -84,6 +84,31 @@ def test_validate_rejects_increasing():
         validate_stats([[0.4, 0.5]])
 
 
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ([[0.5, 0.4], [1.5, 0.4], [0.4, 0.5]], OutOfRange, r"^user 2: CCDF entries must lie in \[0, 1\]$"),
+        ([[0.5, 0.4], [0.4, 0.5], [1.5, 0.4]], NotMonotone, r"^user 2: CCDF must be nonincreasing in the level$"),
+        ([[0.5, 0.4], [0.4, 0.5], [0.5]], NotMonotone, r"^user 2: "),
+        ([[0.5, 0.4], [0.5], [0.4, 0.5]], LengthMismatch, r"^user 2: expected 2 entries, got shape \(1,\)$"),
+        ([[0.5, 0.4], [0.5, 0.4], [[0.5], 0.1]], WrongType, r"^user 3: CCDF entries must be numbers, got "),
+    ],
+)
+def test_validate_names_the_first_failing_user(rows, error, message):
+    # The grid is checked in one pass, but a grid that fails is checked row
+    # by row: the error is the first failing user's, and within that user
+    # the shape, then the range, then the order.
+    with pytest.raises(error, match=message):
+        validate_stats(rows)
+
+
+def test_validate_takes_any_iterable_of_rows():
+    rows = [[0.9, 0.4, 0.4], [0.7, 0.7, 0.1]]
+    for ccdf in (np.array(rows), (tuple(r) for r in rows), [np.array(r) for r in rows]):
+        stats = validate_stats(ccdf)
+        assert stats.ccdf.dtype == float and stats.ccdf.tolist() == rows and not stats.ccdf.flags.writeable
+
+
 # --- is_stochastically_dominant ---------------------------------------------
 
 

@@ -350,7 +350,10 @@ def test_trace_writer_memory_is_a_few_chunks():
 # spans on different levels, which changed no other field; and with the
 # cutting-plane master seeded by one cut per level, whose shares are
 # another optimal mix (the rate within 2 ulps, every message within 5
-# std_error of its analytic margin).
+# std_error of its analytic margin); and with the loop cutting from the
+# pool of subset optima, again another optimal mix for k6b5 (the rate
+# within 2.3e-16 relative, every message within 2.1 std_error, the trace
+# unchanged).
 SIMULATE_DIGESTS = {
     "nondegraded3": (
         5,
@@ -359,7 +362,7 @@ SIMULATE_DIGESTS = {
     ),
     "k6b5": (
         11,
-        "b04611aaa5970bfbbed791d95e9df5600d2fe27cd8fb56867e27be51ab31e1f6",
+        "42a38ab1eb1c3f98af1cda6e892987afc53688fc26c03818934d676622ea5409",
         "cc1f22b8c6ddd88ee0085d3710379e41b895246cb475da8eb660519b86125e67",
     ),
 }
@@ -397,12 +400,13 @@ def test_simulate_output_digests_are_frozen(capsys, tmp_path, name):
 # (every table entry within 3.7e-16 relative of the LPs with the gaps in
 # their matrix and within 5e-16 of HiGHS, the same value, argmin_pi and
 # uniqueness, omega_star within 4.5e-16), `achievable` when the
-# cutting-plane master got its seed cuts (the value within 7e-16 relative
-# of the last one and of HiGHS, another optimal mix of shares): a change to
-# the LP core must keep these bytes.
+# cutting-plane loop began to cut from the pool of subset optima (9 subset
+# solves instead of 16, the value within 7e-16 relative of the last one,
+# another optimal mix of shares): a change to the LP core must keep these
+# bytes.
 RATES_DIGESTS = {
     "upper": "b958552437532b6808d5c8b1e5288ee293b22d39ae044ba33cbbc185331ea5a6",
-    "achievable": "69a7204f5376bb47f41418fe5e7a2a570fad6416f477124c4d29a85f182c714f",
+    "achievable": "bc08d8a2d199a44312364bd60cd8e9b2a79692d0fe91b504797e49b69c408f84",
 }
 
 
@@ -838,7 +842,7 @@ def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
     label = "delivery LP (K=3, t=1, B=3)"
     solve = LpStack.solve
 
-    def replacing_subset_13_at_cut_2(outcome):
+    def replacing_subset_13_at_solve_2(outcome):
         calls = []
 
         def patched(stack, lam):
@@ -851,15 +855,15 @@ def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
         return patched
 
     failure = NumericalFailure("optimal basis fails dual feasibility check (dual residual 0.25)")
-    monkeypatch.setattr(LpStack, "solve", replacing_subset_13_at_cut_2(failure))
+    monkeypatch.setattr(LpStack, "solve", replacing_subset_13_at_solve_2(failure))
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
     err = capsys.readouterr().err
     assert f"{label}: optimal basis fails dual feasibility check (dual residual 0.25)" in err
-    assert "(subset (1, 3), cut 2, gap " in err
+    assert "(subset (1, 3), subset solve 2, gap " in err
 
-    monkeypatch.setattr(LpStack, "solve", replacing_subset_13_at_cut_2(UNBOUNDED))
+    monkeypatch.setattr(LpStack, "solve", replacing_subset_13_at_solve_2(UNBOUNDED))
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
-    assert f"{label}: status unbounded (subset (1, 3), cut 2, gap " in capsys.readouterr().err
+    assert f"{label}: status unbounded (subset (1, 3), subset solve 2, gap " in capsys.readouterr().err
 
 
 def master_failure_message(capsys, monkeypatch, failing):
@@ -879,9 +883,13 @@ def master_failure_message(capsys, monkeypatch, failing):
 
 
 def test_delivery_lp_master_failure_names_the_cut(capsys, monkeypatch):
-    # The first master solve is the seed master's, the third cut 2's.
+    # The first master solve is the seed master's, the third subset solve
+    # 2's (the pool never cuts on this LP).
     err = master_failure_message(capsys, monkeypatch, 3)
-    assert "delivery LP (K=3, t=1, B=3): simplex did not converge in 100000 iterations (master LP, cut 2, gap " in err
+    assert (
+        "delivery LP (K=3, t=1, B=3): simplex did not converge in 100000 iterations (master LP, subset solve 2, gap "
+        in err
+    )
 
 
 def test_delivery_lp_seed_master_failure_names_its_step(capsys, monkeypatch):
@@ -893,14 +901,19 @@ def test_delivery_lp_cut_cap_and_recheck_fail_loudly(capsys, monkeypatch):
     monkeypatch.setattr(lp_scheme, "MAX_CUTS", 2)
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
     err = capsys.readouterr().err
-    assert "solver failure: delivery LP (K=3, t=1, B=3): cutting planes did not converge in 2 cuts (gap " in err
+    # Subset solves 1 and 2 enter the two cuts the master has room for;
+    # solve 3's would be the third.
+    assert (
+        "solver failure: delivery LP (K=3, t=1, B=3): cutting planes did not converge in 2 cuts (subset solve 3, gap "
+        in err
+    )
 
     monkeypatch.undo()
     monkeypatch.setattr(lp_scheme, "FEAS_TOL", -1.0)
     assert cli.main(["simulate", NONDEGRADED, "--n", "10", "--seed", "1"]) == 3
     err = capsys.readouterr().err
     assert "delivery LP (K=3, t=1, B=3): allocation fails its recheck (largest violation " in err
-    assert re.search(r"\(cut \d+, gap [-+.e\d]+\)", err)
+    assert re.search(r"\(subset solve \d+, gap [-+.e\d]+\)", err)
 
 
 def test_parser_is_built_once_and_outlives_a_failed_parse(capsys):

@@ -844,7 +844,8 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
     # pivot and at the end: on stacks that share one cost row, on the
     # three pivot-path LPs, on a GrowingLp solved after each new column,
     # and on the subset LPs of a delivery LP, from the crash pivot (cost
-    # row 0) through the cost rows repriced at the lambda of each cut.  A
+    # row 0) through the cost rows repriced at the lambda of each subset
+    # solve (10 on ladder LP K9-t4; Kelley's loop took 21).  A
     # GrowingLp's cost row, c - c_B.Binv.[I | b | a], is checked also at
     # the pivot that enters a new column, which comes with its reduced cost.
     costs = []  # the current LP's costs by label, one shared row
@@ -891,11 +892,11 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
     for lam in prices:
         costs.append(lam)
         stack.solve(lam)
-    assert len(prices) == 21 and len(checked) - before > len(prices)
+    assert len(prices) == 10 and len(checked) - before > len(prices)
 
 
 def cut_prices(monkeypatch, grid, t):
-    """The lambda at which each cut of the delivery LP of grid at t solves its subset LPs."""
+    """The lambda at which each subset solve of the delivery LP of grid at t solves its subset LPs."""
     solve, prices = lp.LpStack.solve, []
 
     def recording(stack, c):

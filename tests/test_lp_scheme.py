@@ -21,6 +21,7 @@ from cachecast.lp_scheme import (
 
 from helpers import (
     MIXED3_RATE,
+    MIXED3_ROWS,
     MIXED3_SHARES,
     chain_ccdf,
     degenerate_delivery_grids,
@@ -347,29 +348,52 @@ def test_gap_brackets_the_optimum_when_stopped_early(monkeypatch):
 # --- the kept subset stack ----------------------------------------------------------
 
 
-def subset_solves(monkeypatch, grid, t):
-    """(lambda, StackSolution) of each cut's solve of the kept subset stack of grid's delivery LP at t."""
-    solve, solves = LpStack.solve, []
+def recorded_loop(monkeypatch, stats, mu):
+    """Run achievable_rate_lp(stats, mu), recording every column the master
+    receives (the seeds first), each master solve as (the costs of the
+    columns it holds, its outcome) and each subset solve as (lambda, its
+    StackSolution).  Returns the three lists and the allocation."""
+    add_column, master_solve, stack_solve = GrowingLp.add_column, GrowingLp.solve, LpStack.solve
+    columns, costs, masters, solves = [], [], [], []
 
-    def recording(stack, lam):
-        outcomes = solve(stack, lam)
+    def recording_column(master, column, cost):
+        columns.append(np.array(column))
+        costs.append(cost)
+        add_column(master, column, cost)
+
+    def recording_master(master):
+        outcome = master_solve(master)
+        masters.append((np.array(costs), outcome))
+        return outcome
+
+    def recording_stack(stack, lam):
+        outcomes = stack_solve(stack, lam)
         solves.append((np.array(lam), outcomes))
         return outcomes
 
     with monkeypatch.context() as patch:
-        patch.setattr(LpStack, "solve", recording)
-        alloc = achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0]))
+        patch.setattr(GrowingLp, "add_column", recording_column)
+        patch.setattr(GrowingLp, "solve", recording_master)
+        patch.setattr(LpStack, "solve", recording_stack)
+        alloc = achievable_rate_lp(stats, mu)
     assert len(solves) == alloc.iterations
-    return solves
+    return columns, masters, solves, alloc
 
 
-# Lockstep pivots of the kept stack, summed over the cuts: the largest
-# pivot count of each cut's stack.  Solved cold, each from the slack
-# basis in the max form at the same lambda, the ladder LPs take 57, 86,
-# 69, 72, 72, 105 and 166.
+def subset_solves(monkeypatch, grid, t):
+    """(lambda, StackSolution) of each subset solve of the kept subset stack of grid's delivery LP at t."""
+    return recorded_loop(monkeypatch, validate_stats(grid), Fraction(t, grid.shape[0]))[2]
+
+
+# Lockstep pivots of the kept stack, summed over the subset solves: the
+# largest pivot count of each solve's stack.  Kelley's loop, which solved
+# the stack at every cut, took 24, 44, 28, 23, 27, 40, 53 on the ladder
+# and 21, 59, 36, 10 on the others; solved cold, each from the slack basis
+# in the max form at the same lambda, its ladder LPs took 57, 86, 69, 72,
+# 72, 105 and 166.
 WARM_LOCKSTEP_PIVOTS = {
-    "K7-t2": 24, "K7-t3": 44, "K8-t2": 28, "K8-t3": 23, "K8-t4": 27, "K9-t3": 40, "K9-t4": 53,
-    "K6-t2-B5-seed27": 21, "K6-t2-B5-seed208": 59, "K8-t3-B4-stall": 36, "K8-t3-B4-chain": 10,
+    "K7-t2": 21, "K7-t3": 30, "K8-t2": 21, "K8-t3": 21, "K8-t4": 16, "K9-t3": 32, "K9-t4": 31,
+    "K6-t2-B5-seed27": 21, "K6-t2-B5-seed208": 30, "K8-t3-B4-stall": 21, "K8-t3-B4-chain": 10,
 }
 
 
@@ -382,12 +406,12 @@ def seeded_levels(member_ccdf):
     "name, grid, t", [pytest.param(*case, id=case[0]) for case in ladder_grids() + degenerate_delivery_grids()]
 )
 def test_kept_subset_stack_matches_cold_solves(monkeypatch, name, grid, t):
-    # At every cut, each subset LP repriced at the cut's lambda and resumed
-    # from the last cut's basis has the value c_S(lambda) of solve_lps on
-    # the max form from the slack basis, to 1e-12 relative, and its u_S
-    # meets S's rows.  The first lambda comes from the seed cuts, at which
-    # the crash basis is no longer optimal, and no cut's lambda leaves a
-    # seeded level free.
+    # At every subset solve, each subset LP repriced at the solve's lambda
+    # and resumed from the last solve's basis has the value c_S(lambda) of
+    # solve_lps on the max form from the slack basis, to 1e-12 relative,
+    # and its u_S meets S's rows.  The first lambda comes from the seed
+    # cuts, at which the crash basis is no longer optimal, and no solve's
+    # lambda leaves a seeded level free.
     member_ccdf = validate_stats(grid).ccdf[np.array(message_subsets(grid.shape[0], t)) - 1]
     solves = subset_solves(monkeypatch, grid, t)
     lockstep = 0
@@ -406,34 +430,20 @@ def test_kept_subset_stack_matches_cold_solves(monkeypatch, name, grid, t):
 # --- the warm-started master ------------------------------------------------------
 
 
-@pytest.mark.parametrize("index, name", [(0, "K7-t2"), (6, "K9-t4")], ids=["K7-t2", "K9-t4"])
-def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch, index, name):
-    # Every master of ladder LP `index` (11 and 21 cuts), the seed master
-    # first, resumed from the last basis, against solve_lp of the same
-    # packing LP from the slack basis.  All four levels get a seed.
-    add_column, solve = GrowingLp.add_column, GrowingLp.solve
-    columns, costs, masters = [], [], []
-
-    def recording_column(master, column, cost):
-        columns.append(np.array(column))
-        costs.append(cost)
-        add_column(master, column, cost)
-
-    def recording_solve(master):
-        outcome = solve(master)
-        masters.append((np.array(costs), outcome))
-        return outcome
-
+@pytest.mark.parametrize("index, name, pooled", [(0, "K7-t2", 3), (6, "K9-t4", 14)], ids=["K7-t2", "K9-t4"])
+def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch, index, name, pooled):
+    # Every master of ladder LP `index` (9 and 10 subset solves, 3 and 14
+    # pooled cuts), the seed master first, resumed from the last basis,
+    # against solve_lp of the same packing LP from the slack basis.  All
+    # four levels get a seed.
     grid_name, grid, t = ladder_grids()[index]
     assert grid_name == name
-    with monkeypatch.context() as patch:
-        patch.setattr(GrowingLp, "add_column", recording_column)
-        patch.setattr(GrowingLp, "solve", recording_solve)
-        alloc = achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0]))
-    # The last cut repeats one already in the master, so it ends the loop
-    # without a master of its own.
-    assert len(masters) == alloc.iterations > 1
-    assert len(columns) == 3 + alloc.iterations and np.array_equal(columns[:4], np.eye(4))
+    columns, masters, _, alloc = recorded_loop(monkeypatch, validate_stats(grid), Fraction(t, grid.shape[0]))
+    # The last subset solve repeats a cut already in the master, so it
+    # ends the loop without a master of its own: every other solve and
+    # every pooled cut enters one column, and each column one master solve.
+    assert len(columns) == 4 + alloc.iterations - 1 + pooled and np.array_equal(columns[:4], np.eye(4))
+    assert len(masters) == len(columns) - 3
     assert masters[0][0].size == 4 and (masters[-1][0][4:] == -1.0).all()
     cold_pivots = 0
     for costs, warm in masters:
@@ -447,11 +457,98 @@ def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch, index, n
 
 
 @pytest.mark.parametrize(
-    "grid, t, cuts",
-    [pytest.param(grid, t, cuts, id=name) for (name, grid, t), cuts in zip(ladder_grids(), (11, 15, 13, 9, 11, 15, 21))],
+    "grid, t, solves",
+    [pytest.param(grid, t, solves, id=name) for (name, grid, t), solves in zip(ladder_grids(), (9, 10, 8, 7, 6, 10, 10))],
 )
-def test_ladder_cut_counts_are_pinned(grid, t, cuts):
-    assert achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0])).iterations == cuts
+def test_ladder_cut_counts_are_pinned(grid, t, solves):
+    assert achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0])).iterations == solves
+
+
+def test_benchmark_lps_take_at_most_90_subset_solves():
+    # The eleven benchmark delivery LPs: the nine of the delivery-ladder
+    # workload, simulate-1e6's K = 6, B = 5 LP and configs/nondegraded3.json.
+    # Kelley's loop, which solved the subset stack for every cut, took 11,
+    # 15, 13, 9, 11, 15, 21; 6, 10; 19; 4: 134 in all.
+    cases = list(frozen_allocation_cases())[:10] + [("nondegraded3", np.array(MIXED3_ROWS), 1)]
+    solves = [achievable_rate_lp(validate_stats(grid), Fraction(t, grid.shape[0])).iterations for _, grid, t in cases]
+    assert solves == [9, 10, 8, 7, 6, 10, 10, 5, 7, 8, 4]
+    assert sum(solves) == 84 <= 90
+
+
+# --- the pool of subset optima -----------------------------------------------------
+
+
+def ceiling_cases(group):
+    """(ccdf, t) of the delivery LPs of one group of grids."""
+    if group == "ladder":
+        return [(grid, t) for _, grid, t in ladder_grids()]
+    if group == "tiny-tail":
+        grids = tiny_tail_grids()
+    else:
+        seed = int(group[-2:])
+        grids = small_entry_grids(seed, (1e-3, 1e-6, 1e-9, 1e-12) if seed == 63 else (1e-6, 1e-9))
+    return [(grid, t) for grid in grids for t in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("group", ["ladder", "tiny-tail", "small-entry-61", "small-entry-62", "small-entry-63"])
+def test_every_cut_is_a_valid_ceiling(monkeypatch, group):
+    # A cut g is valid when phi(lambda) = sum_S c_S(lambda) / C(K,t) <= g.lambda
+    # at every lambda on the simplex, which holds when each of its points
+    # meets its subset's rows.  Pooled cuts mix points of different subset
+    # solves, so every point the pool receives is checked against its
+    # subset's rows, and every cut of both kinds at 16 seeded lambda
+    # against phi from solve_lps on the max form, solved cold.  A point
+    # certified to FEAS_TOL may fall short of its rows by some delta, and
+    # u / (1 - delta) meets them, so the ceiling is g.lambda / (1 - delta)
+    # for the largest shortfall delta of the LP's points: delta reaches
+    # 4.5e-10 on the small-entry grids, where g.lambda alone lies up to
+    # 2.5e-11 below phi (for Kelley's cuts too), and 3.8e-14 elsewhere.
+    rng = np.random.default_rng(1606)
+    checked = 0
+    for grid, t in ceiling_cases(group):
+        stats = validate_stats(grid)
+        users, levels = grid.shape
+        member_ccdf = stats.ccdf[np.array(message_subsets(users, t)) - 1]  # (subsets, t+1, B)
+        columns, masters, solves, alloc = recorded_loop(monkeypatch, stats, Fraction(t, users))
+        cuts = columns[masters[0][0].size:]  # the seeds enter before the first master solve
+        assert len(cuts) >= alloc.iterations - 1
+        shortfall = 0.0
+        for _, outcomes in solves:  # each subset solve hands its points to the pool
+            u = outcomes.x
+            assert (u >= -FEAS_TOL).all()
+            shortfall = max(shortfall, float(1.0 - np.matmul(member_ccdf, u[:, :, None]).min()))
+        assert shortfall <= FEAS_TOL
+        lams = rng.dirichlet(np.ones(levels), 16)
+        size = len(member_ccdf)
+        cold = solve_lps(
+            -np.ones(t + 1), np.tile(member_ccdf.transpose(0, 2, 1), (16, 1, 1)), np.repeat(lams, size, axis=0)
+        )
+        assert cold.status == [OPTIMAL] * (16 * size)
+        phi = -cold.value.reshape(16, size).sum(axis=1) / math.comb(users, t)
+        ceilings = lams @ np.array(cuts).T  # (16, cuts)
+        assert (phi[:, None] <= ceilings * (1.0 + 1e-12) / (1.0 - shortfall)).all()
+        checked += len(cuts)
+    assert checked > 0
+
+
+def test_cut_cap_counts_pooled_cuts(monkeypatch):
+    # Ladder LP K7-t2 enters the cuts of subset solves 1-5, pooled cut 1,
+    # subset solve 6, pooled cuts 2 and 3 and subset solves 7 and 8 (solve
+    # 9 repeats a cut): 11 columns.  With MAX_CUTS = 5 pooled cut 1 is one
+    # too many, with 10 subset solve 8, and the loop raises naming it.
+    _, grid, t = ladder_grids()[0]
+    monkeypatch.setattr(lp_scheme, "MAX_CUTS", 5)
+    with pytest.raises(NumericalFailure) as caught:
+        achievable_rate_lp(validate_stats(grid), Fraction(t, 7))
+    assert re.fullmatch(
+        r"delivery LP \(K=7, t=2, B=4\): cutting planes did not converge in 5 cuts \(pooled cut 1, gap \S+\)",
+        str(caught.value),
+    )
+    monkeypatch.setattr(lp_scheme, "MAX_CUTS", 10)
+    with pytest.raises(NumericalFailure, match=r"did not converge in 10 cuts \(subset solve 8, gap "):
+        achievable_rate_lp(validate_stats(grid), Fraction(t, 7))
+    monkeypatch.setattr(lp_scheme, "MAX_CUTS", 11)
+    assert achievable_rate_lp(validate_stats(grid), Fraction(t, 7)).iterations == 9
 
 
 # --- the seed cuts ----------------------------------------------------------------
@@ -459,23 +556,8 @@ def test_ladder_cut_counts_are_pinned(grid, t, cuts):
 
 def seed_master_columns(monkeypatch, stats, mu):
     """The columns the master holds at its first solve, and the allocation."""
-    add_column, solve = GrowingLp.add_column, GrowingLp.solve
-    columns, seeds = [], []
-
-    def recording_column(master, column, cost):
-        columns.append(np.array(column))
-        add_column(master, column, cost)
-
-    def recording_solve(master):
-        if not seeds:
-            seeds.extend(columns)
-        return solve(master)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(GrowingLp, "add_column", recording_column)
-        patch.setattr(GrowingLp, "solve", recording_solve)
-        alloc = achievable_rate_lp(stats, mu)
-    return seeds, alloc
+    columns, masters, _, alloc = recorded_loop(monkeypatch, stats, mu)
+    return columns[: masters[0][0].size], alloc
 
 
 def test_level_lost_to_one_user_gets_no_seed(monkeypatch):
@@ -600,13 +682,21 @@ def refining_the_master(monkeypatch, spoil=None):
     return calls
 
 
+def refined_master_grid():
+    """The ninth seed-61 small-entry grid, whose master at t = 1 is refined twice."""
+    return list(small_entry_grids(61, (1e-6, 1e-9)))[8]
+
+
+# allocation_digest of the delivery LP of refined_master_grid() at t = 1.
+REFINED_MASTER_DIGEST = "9b4b92bb4043df0eaf0a4efccd0ce2caae02676025cac5968bc81b41bbc0b878"
+
+
 def test_master_is_refined_at_its_basis(monkeypatch):
-    # On the first seed-62 small-entry grid at t = 2, the master's optimum
-    # at cut 9 (13 columns) misses its certificate in floats.  It is
-    # refined once, at the basis its simplex ended on, passes, its refined
-    # rows replace the tableau's, and the loop ends at cut 10 with the
-    # allocation frozen in ALLOCATION_DIGESTS.
-    grid = next(small_entry_grids(62, (1e-6, 1e-9)))
+    # On the ninth seed-61 small-entry grid at t = 1, the master's optimum
+    # at pooled cut 5 (13 columns) and at subset solve 6 (19 columns)
+    # misses its certificate in floats.  Each time it is refined once, at
+    # the basis its simplex ended on, passes, and its refined rows replace
+    # the tableau's; the loop ends at subset solve 7.
     calls = refining_the_master(monkeypatch)
     solve, ended = GrowingLp.solve, []  # the master's basis and rhs after each solve
 
@@ -616,26 +706,27 @@ def test_master_is_refined_at_its_basis(monkeypatch):
         return outcome
 
     monkeypatch.setattr(GrowingLp, "solve", ending)
-    stats = validate_stats(grid)
-    alloc = achievable_rate_lp(stats, Fraction(2, 6))
-    assert len(calls) == 1 and len(ended) == 10  # the seed master and cuts 1-9
-    (basis, rhs), (kept_basis, kept_rhs) = calls[0], ended[9]
-    assert np.array_equal(basis, kept_basis) and np.array_equal(rhs, kept_rhs)
-    assert alloc.iterations == 10 and check_allocation(stats, alloc).feasible
-    assert allocation_digest(alloc) == ALLOCATION_DIGESTS["small-entry-seed62-t2"]
+    stats = validate_stats(refined_master_grid())
+    alloc = achievable_rate_lp(stats, Fraction(1, 6))
+    # The seed master, then subset solves 1-6 and pooled cuts 1-9 in their
+    # order: s1 s2 p1 p2 s3 p3 s4 p4 p5 p6 p7 p8 s5 p9 s6.
+    assert len(calls) == 2 and len(ended) == 16
+    for (basis, rhs), (kept_basis, kept_rhs) in zip(calls, (ended[9], ended[15])):
+        assert basis.size == 4 and np.array_equal(basis, kept_basis) and np.array_equal(rhs, kept_rhs)
+    assert alloc.iterations == 7 and check_allocation(stats, alloc).feasible
+    assert allocation_digest(alloc) == REFINED_MASTER_DIGEST
 
 
 def test_master_failing_its_refinement_names_the_cut(monkeypatch):
     # The same master, refined to duals that fail the dual check again:
-    # its NumericalFailure names the master LP and its cut.
-    grid = next(small_entry_grids(62, (1e-6, 1e-9)))
+    # its NumericalFailure names the master LP and its pooled cut.
     calls = refining_the_master(monkeypatch, spoil=lambda y: y + 1.0)
     with pytest.raises(NumericalFailure) as caught:
-        achievable_rate_lp(validate_stats(grid), Fraction(2, 6))
+        achievable_rate_lp(validate_stats(refined_master_grid()), Fraction(1, 6))
     assert len(calls) == 1
     assert re.match(
-        r"delivery LP \(K=6, t=2, B=4\): optimal basis fails dual feasibility check \(dual residual \S+\)"
-        r" \(master LP, cut 9, gap ",
+        r"delivery LP \(K=6, t=1, B=4\): optimal basis fails dual feasibility check \(dual residual \S+\)"
+        r" \(master LP, pooled cut 5, gap ",
         str(caught.value),
     )
 
@@ -666,34 +757,36 @@ def allocation_digest(alloc):
     return hashlib.sha256(numbers + alloc.shares.tobytes()).hexdigest()
 
 
-# Frozen while the master was an LpStack that add_column grew, with the
-# duals priced afresh as c_B.Binv at every solve; the GrowingLp master keeps
-# every byte, the master refined at cut 9 of small-entry-seed62-t2 included.
-# Cut counts: ladder 11, 15, 13, 9, 11, 15, 21; chains 6, 10; sim-K6B5 19;
-# tiny tail 13, 12, 13; small entries 8, 7, 4 / 11, 10, 9 / 8, 5, 5.
+# Frozen when the loop began to cut from the pool of subset optima, every
+# rate within 7.4e-15 relative of Kelley's loop on the first 13 and within
+# 1.4e-10 on the small-entry grids, whose subset optima meet their rows only
+# to FEAS_TOL.  Subset solves: ladder 9, 10, 8, 7, 6, 10, 10; chains 5, 7;
+# sim-K6B5 8; tiny tail 8, 8, 7; small entries 7, 6, 4 / 10, 8, 4 / 6, 4, 4
+# (Kelley's loop: 11, 15, 13, 9, 11, 15, 21; 6, 10; 19; 13, 12, 13;
+# 8, 7, 4 / 11, 10, 9 / 8, 5, 5).
 ALLOCATION_DIGESTS = {
-    "ladder-K7-t2": "c3ba9d862e15f227508f4ca874e432ad15a76a2055bad92733412a5914272ddf",
-    "ladder-K7-t3": "494f31a905ad0e0152beb1c6b10ae90e363addc33f0ff09e76753df1a6fed773",
-    "ladder-K8-t2": "8f619587b95e90a5562894a97ee8f92e02236586356f9f7cfae72e65d8e389fd",
-    "ladder-K8-t3": "463292b1932d16d0af2df2cedf8239bae32df4e85c2dff68fc70c7c30d3f6c85",
-    "ladder-K8-t4": "6bf764bd49d6a635f531e7716fac15f54fce100293225a86b5d36b2682561f52",
-    "ladder-K9-t3": "09fc86109a9707d676ab0a6e336e2a553f2916b7f8eada0c27a04535651d9577",
-    "ladder-K9-t4": "e21a1623e6de37b6f3f5af53c1875a011e49661d0d806cb4227bbd300295e945",
-    "chain-K8-t3": "54398650ea65db5375b0723071661cdbfd3c0ae573006cfd687dc8137190431b",
-    "chain-K9-t3": "5a8668f6ca35bbe0ae9f865016ec37842852fe8d3d4727c030676c0d9b24f52f",
-    "sim-K6B5": "7fc17f76e0538c50a5e78823a3c2a18e960f634bb01c44ca20c9421802cf83af",
-    "tiny-tail-t1": "f21d8aed56ffc20162a1cca038aafb811efa05f68ad4ab5882f75b2365b70edd",
-    "tiny-tail-t2": "a03946222d8ccb63dd35e438f5b452b513a6f0cdb28a4098f72dfcf6bcd31eb4",
-    "tiny-tail-t3": "fb881988e1f6ec248178d18b4d1180aff19b0ae6a0db1416b3cf7543b3ec1e9d",
-    "small-entry-seed61-t1": "e9a6ab966d9a94c2742de48ee054dcd29d2540336e96b4a07599d78248463e51",
-    "small-entry-seed61-t2": "d2356c59b088544c15350e7518cdeaa0592230112e524cb5d0393a4c371b4c80",
+    "ladder-K7-t2": "48b71a664f12f58697627e2eba7632898470b9873d14e5fcdb9d665e1568637c",
+    "ladder-K7-t3": "624553df2c66a7cd1c8cf62dfc17edfba88ca8f9fd2923d57458b17e39155bcc",
+    "ladder-K8-t2": "b495152981792b070a1a43b13a19a1f00227a2e9b4f171ebf1aef3176fc643e6",
+    "ladder-K8-t3": "d9b8da7e7c2be4da067a2dbba94bacf8048a4575aaef8e927313191b3772dabd",
+    "ladder-K8-t4": "ab450ff8cce03c31d3ebcfdd9c048b69fee29f5970a80a2d1d8061bac78f8a4b",
+    "ladder-K9-t3": "94855375dd75a33d097d9348cbea6821de7130de5b633794f279124f4e93c02c",
+    "ladder-K9-t4": "06b15d49bbfd84d350b1afe7ef0cbc55f4f97bf2f1642f2c9ae38eecedb6a851",
+    "chain-K8-t3": "afc3e7372ee0ace1acab45a3f4dc1959a3c8b9f6f999f7b5441f3db0728a271d",
+    "chain-K9-t3": "4537347223b206c7091a63bb6c8d495e837570cbf091e5599c9ae6732a56c2f9",
+    "sim-K6B5": "90b6a1ba03cc5983aa83999dfa098e86412e4aef0f1a2f126614c5ef694bfc1d",
+    "tiny-tail-t1": "2ed5b5329bead4c68634018b9f61ecb7e2d8d19a78e6a0db2f731c2b5918bc87",
+    "tiny-tail-t2": "7c4dc94caf7f3cf0e244677af48740bd40f51668a0ee445afab2c7136dcda09e",
+    "tiny-tail-t3": "2b342082f606b665d54c7f3d32518fdbc1cac94a66adc173a247fe11855cb61a",
+    "small-entry-seed61-t1": "148748fc1df0d4b3eac649d3458a8ff4ec1f4cf51f9621056e1b01473020e190",
+    "small-entry-seed61-t2": "0921e114a4f15b2767b42a654f4b57cf35b4e601ab98f440676fe77ea14de0ef",
     "small-entry-seed61-t3": "829c5e5c546cd957562496a05753b8183db27fec7b82953a62866a351510dd3d",
-    "small-entry-seed62-t1": "b4be49ca6c29702c6683a3ec6c30a7156e04276b90961445e7e7dc56e9abe786",
-    "small-entry-seed62-t2": "37b8a597a024e3a1ecc2c996c24f8a7794539323866eb72c6dd55205e4c03a79",
-    "small-entry-seed62-t3": "7e190c519c837e263b169b577aba3b59609383aac6644bd838fc8880abfb82d4",
-    "small-entry-seed63-t1": "99ce1e711bdcffa4409afe0fe2aa133c9af0a6a4cb695f22659bd245c187e67f",
-    "small-entry-seed63-t2": "60fbe997a6aecee1a5cc7c8c950c9d24626ac877caa3cb7683e40a762cbdbaf4",
-    "small-entry-seed63-t3": "4b802bb6154e9459e025920bd033924b943ebf3c9345d7c76c297d95eb142ef0",
+    "small-entry-seed62-t1": "ff20e47028c6dc7ce523b6b01e543b8e3f099bc4676229d9a48fb17dae7f22ac",
+    "small-entry-seed62-t2": "337cbe197d57f818d40f7382378f2804e6616fe3cf3773353f8fe4ac652970f5",
+    "small-entry-seed62-t3": "bfefbc9f2b60c439f240328aeb0b748c8eb4c4cee9d5f990c1f88572d1ba5969",
+    "small-entry-seed63-t1": "3c497031ecb4779cb715e4571dd69f335baad421c2a68b1c0840af16175879dc",
+    "small-entry-seed63-t2": "e0ade2b5e778e3f611087d6d6b417c1e8c94233a7c3e39d5b0c30b07304ba277",
+    "small-entry-seed63-t3": "5f2c5fc2dd635e4ceb5db98a37b79ae65e6c909a66d649778870c32d4991e09b",
 }
 
 
@@ -724,8 +817,9 @@ def test_loop_ends_at_the_optimum_without_a_cut_tolerance(monkeypatch, name):
 def test_unchanged_prices_end_the_loop(monkeypatch):
     # A master that hands back its last solution leaves lambda as it was,
     # so the next cut would repeat this one: the loop stops there and
-    # reports the gap it has.  The seed master and those of cuts 1 and 2
-    # solve; cut 3's hands back cut 2's solution.
+    # reports the gap it has.  The seed master and those of subset solves
+    # 1 and 2 solve (the pool cuts first after solve 5); solve 3's hands
+    # back solve 2's solution.
     solve = GrowingLp.solve
     solutions = []
 
