@@ -39,7 +39,6 @@ from .lp import (
 )
 from .lp_scheme import (
     DeliveryAllocation,
-    DeliveryLp,
     FeasibilityReport,
     achievable_rate_lp,
     build_delivery_lp,

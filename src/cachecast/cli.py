@@ -273,6 +273,7 @@ def cmd_rates_achievable(cfg: ScenarioConfig, args: argparse.Namespace) -> Outpu
     report = lp_scheme.check_allocation(cfg.stats, alloc)
     if args.dump_matrices:
         _dump_matrices(cfg.stats, alloc.t, args.dump_matrices)
+    margins = [(k, s, m) for s, row in zip(alloc.subsets, report.margins.tolist()) for k, m in zip(s, row)]
     if args.json:
         return {
             "command": "rates.achievable",
@@ -282,35 +283,31 @@ def cmd_rates_achievable(cfg: ScenarioConfig, args: argparse.Namespace) -> Outpu
             "subsets": alloc.subsets,
             "shares": alloc.shares,
             "required": report.required,
-            "margins": [
-                {"user": k, "subset": s, "margin": m} for (k, s), m in report.margins.items()
-            ],
+            "margins": [{"user": k, "subset": s, "margin": m} for k, s, m in margins],
             "level_slacks": report.level_slacks,
             "feasible": report.feasible,
             "iterations": alloc.iterations,
             "gap": alloc.gap,
         }
     text = [f"rate: {_sig(alloc.rate)} (t={alloc.t})"]
-    for (k, s), m in report.margins.items():
+    for k, s, m in margins:
         text.append(f"  user {k} on {_subset_label(s)}: margin {_sig(m)}")
     return text
 
 
 def _dump_matrices(stats: channel.ChannelStats, t: int, prefix: str) -> None:
-    built = lp_scheme.build_delivery_lp(stats, t)
-    columns = [
-        f"y(l={l};S={'+'.join(map(str, s))})"
-        for l in range(1, built.num_levels + 1)
-        for s in built.subsets
-    ] + ["f"]
-    labels = [f"decode(k={k};S={'+'.join(map(str, s))})" for k, s in built.decode_rows]
-    labels += [f"level({l})" for l in range(1, built.num_levels + 1)]
-    n_decode = len(built.decode_rows)
+    _, a_ub, _ = lp_scheme.build_delivery_lp(stats, t)
+    subsets = lp_scheme.message_subsets(stats.num_users, t)
+    levels = range(1, stats.num_levels + 1)
+    columns = [f"y(l={l};S={'+'.join(map(str, s))})" for l in levels for s in subsets] + ["f"]
+    labels = [f"decode(k={k};S={'+'.join(map(str, s))})" for s in subsets for k in s]
+    n_decode = len(labels)
+    labels += [f"level({l})" for l in levels]
     for block, rows in (("G", range(n_decode)), ("H", range(n_decode, len(labels)))):
         with open(f"{prefix}_{block}.csv", "w", encoding="utf-8") as fh:
             fh.write("row," + ",".join(columns) + "\n")
             for r in rows:
-                cells = ",".join(repr(float(v)) for v in built.a_ub[r])
+                cells = ",".join(repr(float(v)) for v in a_ub[r])
                 fh.write(f"{labels[r]},{cells}\n")
 
 

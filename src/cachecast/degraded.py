@@ -31,11 +31,11 @@ from typing import Sequence
 import numpy as np
 
 from .caching import cache_size
-from .channel import ChannelStats, is_stochastically_dominant, validate_stats
+from .channel import ChannelStats, is_stochastically_dominant
 from .errors import InfeasibleZ, LengthMismatch, NotDegraded
 from .lp import FEAS_TOL
 from .lp_scheme import DeliveryAllocation, message_subsets, t_from_mu
-from .upper_bound import chain_optimum
+from .upper_bound import chain_optimum, check_permutation
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,10 @@ def degraded_order(stats: ChannelStats) -> tuple[int, ...]:
 
 
 def chain_stats(stats: ChannelStats, order: Sequence[int]) -> ChannelStats:
-    """Stats with rows permuted into the given 1-based user order."""
-    return validate_stats([stats.row(k) for k in order])
+    """Stats with rows permuted into the given 1-based user order; OutOfRange unless it is a permutation of 1..K."""
+    ccdf = stats.ccdf[np.array(check_permutation(stats.num_users, order)) - 1]
+    ccdf.setflags(write=False)
+    return ChannelStats(num_users=stats.num_users, num_levels=stats.num_levels, ccdf=ccdf)
 
 
 def degraded_optimal_rate(stats: ChannelStats, mu) -> ZAllocation:

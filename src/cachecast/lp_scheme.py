@@ -13,11 +13,13 @@ sum_l ccdf[k][l] * y[l][S] reaches that size, so the rate LP is
              sum_S y[l][S] <= 1                          for all l
              y >= 0.
 
-build_delivery_lp writes this LP out densely (for --dump-matrices and as
-the reference the tests solve): columns are ordered level-major with
-subsets lexicographic inside a level and the rate variable f last;
-decodability rows iterate subsets in lexicographic order with each
-subset's members ascending.
+build_delivery_lp writes this LP out densely as plain (c, a_ub, b_ub)
+(for --dump-matrices and as the reference the tests solve): columns are
+ordered level-major with subsets lexicographic inside a level and the rate
+variable f last.  Every per-row quantity has the (subset j, member i)
+layout of np.array(message_subsets(K, t)): subsets in lexicographic order,
+each subset's members ascending.  The decodability rows run in that order,
+and check_allocation's margins are one array of that shape.
 
 achievable_rate_lp never builds that matrix.  Only the B budget rows
 couple the subsets, so with level prices lambda on the simplex,
@@ -162,30 +164,6 @@ MAX_CUTS = 500  # the master's room for cuts, pooled and from subset solves toge
 
 
 @dataclass(frozen=True)
-class DeliveryLp:
-    """The dense rate LP min c.x s.t. a_ub.x <= b_ub, x >= 0, plus the labels needed to read it.
-
-    c is -1 on f and 0 elsewhere.  a_ub stacks the decodability rows (one
-    per (subset, member), coefficients -ccdf[k][l] on y[l][S] and 1/C(K,t)
-    on f, rhs 0) on top of the per-level time-budget rows (ones on level
-    l's columns, rhs 1).
-    """
-
-    c: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    num_users: int
-    num_levels: int
-    t: int
-    subsets: tuple[Subset, ...]
-    decode_rows: tuple[tuple[int, Subset], ...]
-
-    def column(self, level: int, subset: Subset) -> int:
-        """0-based column of y[level][subset] (level is 1-based)."""
-        return (level - 1) * len(self.subsets) + self.subsets.index(tuple(subset))
-
-
-@dataclass(frozen=True)
 class DeliveryAllocation:
     """Level time shares y (B x num_subsets) at a claimed rate.
 
@@ -204,22 +182,21 @@ class DeliveryAllocation:
     iterations: int = 0
     gap: float = 0.0
 
-    def share(self, level: int, subset: Subset) -> float:
-        return float(self.shares[level - 1, self.subsets.index(tuple(subset))])
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Decodability margins and level budget slacks of an allocation."""
+    """Decodability margins and level budget slacks of an allocation.
+
+    margins[j, i] is what member i (ascending) of subset j collects beyond
+    required, in the (subset, member) layout of np.array(subsets): shape
+    (C(K,t+1), t+1), the order of the dense LP's decodability rows.
+    """
 
     feasible: bool  # violation <= FEAS_TOL
     required: float  # per-message size f / C(K,t)
-    margins: dict[tuple[int, Subset], float]
+    margins: np.ndarray
     level_slacks: np.ndarray
     violation: float  # how far the lowest margin, slack or share lies below 0; 0.0 if none does, NaN on a NaN
-
-    def margin(self, user: int, subset: Subset) -> float:
-        return self.margins[(user, tuple(subset))]
 
 
 def t_from_mu(num_users: int, mu) -> int:
@@ -239,35 +216,27 @@ def message_subsets(num_users: int, t: int) -> tuple[Subset, ...]:
     return tuple(combinations(range(1, num_users + 1), t + 1))
 
 
-def build_delivery_lp(stats: ChannelStats, t: int) -> DeliveryLp:
-    """Assemble the dense rate LP (minimizing -f) for subpacketization t."""
-    K, B = stats.num_users, stats.num_levels
-    subsets = message_subsets(K, t)
-    num_subsets = len(subsets)
-    num_vars = B * num_subsets + 1
+def build_delivery_lp(stats: ChannelStats, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense rate LP min c.x s.t. a_ub.x <= b_ub, x >= 0 for subpacketization t, as (c, a_ub, b_ub).
 
-    decode_rows: list[tuple[int, Subset]] = [(k, s) for s in subsets for k in s]
-    users = np.array([k - 1 for k, _ in decode_rows], dtype=int)
-    subset_of_row = np.repeat(np.arange(num_subsets), t + 1)
-    a_ub = np.zeros((len(decode_rows) + B, num_vars))
-    rows = np.arange(len(decode_rows))[:, None]
-    a_ub[rows, np.arange(B) * num_subsets + subset_of_row[:, None]] = -stats.ccdf[users]
+    c is -1 on f and 0 elsewhere.  a_ub stacks the decodability rows (one
+    per (subset, member) of message_subsets, coefficients -ccdf[k][l] on
+    y[l][S] and 1/C(K,t) on f, rhs 0) on top of the per-level time-budget
+    rows (ones on level l's columns, rhs 1).
+    """
+    K, B = stats.num_users, stats.num_levels
+    members = np.array(message_subsets(K, t)) - 1  # (subsets, t+1)
+    num_subsets = len(members)
+    num_decode = members.size
+    a_ub = np.zeros((num_decode + B, B * num_subsets + 1))
+    rows = np.arange(num_decode)[:, None]  # row r holds member r % (t+1) of subset r // (t+1)
+    a_ub[rows, np.arange(B) * num_subsets + rows // (t + 1)] = -stats.ccdf[members.ravel()]
     a_ub[rows[:, 0], -1] = 1.0 / math.comb(K, t)
     for l in range(B):
-        a_ub[len(decode_rows) + l, l * num_subsets: (l + 1) * num_subsets] = 1.0
-
-    c = np.zeros(num_vars)
+        a_ub[num_decode + l, l * num_subsets: (l + 1) * num_subsets] = 1.0
+    c = np.zeros(a_ub.shape[1])
     c[-1] = -1.0
-    return DeliveryLp(
-        c=c,
-        a_ub=a_ub,
-        b_ub=np.concatenate([np.zeros(len(decode_rows)), np.ones(B)]),
-        num_users=K,
-        num_levels=B,
-        t=t,
-        subsets=subsets,
-        decode_rows=tuple(decode_rows),
-    )
+    return c, a_ub, np.concatenate([np.zeros(num_decode), np.ones(B)])
 
 
 def _gap(lower: float, upper: float) -> float:
@@ -386,12 +355,9 @@ def check_allocation(stats: ChannelStats, alloc: DeliveryAllocation) -> Feasibil
     member_ccdf = stats.ccdf[np.array(alloc.subsets) - 1]  # (subsets, t+1, B)
     # Each entry is ccdf[k-1] @ shares[:, j] to the byte: the strided view of
     # the shares makes vecdot sum in the same order (a contiguous copy does not).
-    excess = np.vecdot(member_ccdf, alloc.shares.T[:, None, :]) - required
-    margins: dict[tuple[int, Subset], float] = {
-        (k, s): m for s, row in zip(alloc.subsets, excess.tolist()) for k, m in zip(s, row)
-    }
+    margins = np.vecdot(member_ccdf, alloc.shares.T[:, None, :]) - required
     level_slacks = 1.0 - alloc.shares.sum(axis=1)
-    worst = float(np.max(-np.concatenate([excess.ravel(), level_slacks, alloc.shares.ravel()])))
+    worst = float(np.max(-np.concatenate([margins.ravel(), level_slacks, alloc.shares.ravel()])))
     violation = 0.0 if worst <= 0.0 else worst  # a NaN stays NaN, and NaN <= FEAS_TOL is False
     return FeasibilityReport(
         feasible=violation <= FEAS_TOL, required=required, margins=margins,

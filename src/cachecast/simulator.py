@@ -65,28 +65,17 @@ class SimulationReport:
 def apportion(quotas: list[float], total: int) -> list[int]:
     """Integer split of `total` proportional to quotas, largest remainder."""
     floors = [max(0, math.floor(q)) for q in quotas]
-    fractional = [q - f for q, f in zip(quotas, floors)]
     missing = total - sum(floors)
     counts = list(floors)
-    if missing > 0:
-        order = sorted(range(len(quotas)), key=lambda i: (-fractional[i], i))
-        given = 0
-        while given < missing:  # may need several passes when quotas undersum
-            for i in order:
-                if given == missing:
-                    break
-                counts[i] += 1
-                given += 1
-    elif missing < 0:
-        order = sorted(range(len(quotas)), key=lambda i: (fractional[i], i))
-        taken = 0
-        while taken < -missing:  # may need several passes when quotas oversum
-            for i in order:
-                if taken == -missing:
-                    break
-                if counts[i] > 0:
-                    counts[i] -= 1
-                    taken += 1
+    step = 1 if missing > 0 else -1  # hand out by largest remainder, or trim by smallest
+    order = sorted(range(len(quotas)), key=lambda i: (step * (floors[i] - quotas[i]), i))
+    while missing:  # may need several passes when quotas under- or oversum
+        for i in order:
+            if missing == 0:
+                break
+            if counts[i] + step >= 0:
+                counts[i] += step
+                missing -= step
     return counts
 
 
@@ -205,8 +194,8 @@ def simulate_delivery(
 
     messages = []
     user_ok = [True] * stats.num_users
-    for s in alloc.subsets:
-        for k in s:
+    for s, margins in zip(alloc.subsets, report.margins.tolist()):
+        for k, margin in zip(s, margins):
             got_count = delivered[(k, s)]
             outcome = MessageOutcome(
                 user=k,
@@ -214,7 +203,7 @@ def simulate_delivery(
                 delivered=got_count,
                 required=required,
                 empirical_margin=got_count / num_uses - per_use_size,
-                analytic_margin=report.margins[(k, s)],
+                analytic_margin=margin,
                 std_error=math.sqrt(variance[(k, s)]) / num_uses,
                 decodable=got_count >= required,
             )

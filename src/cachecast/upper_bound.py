@@ -235,11 +235,12 @@ def check_bound_users(num_users: int) -> None:
         raise TooManyUsers(f"ordering enumeration capped at {MAX_BOUND_USERS} users")
 
 
-def _check_permutation(num_users: int, pi: Sequence[int]) -> tuple[int, ...]:
-    pi = tuple(int(k) for k in pi)
-    if sorted(pi) != list(range(1, num_users + 1)):
+def check_permutation(num_users: int, pi: Sequence[int]) -> tuple[int, ...]:
+    """pi as a tuple of ints; OutOfRange unless it is a permutation of 1..num_users."""
+    pi = tuple(pi)
+    if sorted(pi) != list(range(1, num_users + 1)):  # also refuses an id such as 1.5
         raise OutOfRange(f"not a permutation of 1..{num_users}: {pi}")
-    return pi
+    return tuple(int(k) for k in pi)
 
 
 def objective_at(stats: ChannelStats, tup: CachingTuple, weights: Sequence[float]) -> float:
@@ -404,7 +405,7 @@ def _prefix(
     stats: ChannelStats, tup: CachingTuple, pi: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """An ordering's live prefix as a stack of one: its CCDF rows, record mask and gaps."""
-    users = np.array(_check_permutation(stats.num_users, pi)) - 1
+    users = np.array(check_permutation(stats.num_users, pi)) - 1
     masks, gap_of, live = _live_prefixes(stats, tup, users[None] + 1)
     p = int(live[0])
     return _stack_of_one(stats.ccdf[users[:p]], gap_of[masks[0, :p]])

@@ -84,8 +84,8 @@ def test_criterion_2_nondegraded_reference(capsys):
     reference = delivery_allocation(MIXED3_SHARES, 1.5, num_users=3, t=1)
     check = lp_scheme.check_allocation(stats, reference)
     assert check.feasible is True
-    assert abs(check.margin(1, (1, 2)) - 0.125) <= 1e-12
-    assert abs(check.margin(2, (1, 2)) - 0.0) <= 1e-12
+    assert abs(check.margins[0, 0] - 0.125) <= 1e-12
+    assert abs(check.margins[0, 1] - 0.0) <= 1e-12
 
     up = run_json(capsys, ["rates", "upper", NONDEGRADED_CFG, "--table", "--json"])
     table = {tuple(row["pi"]): row["value"] for row in up["table"]}

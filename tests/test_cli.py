@@ -174,7 +174,7 @@ def test_upper_table_text(capsys):
 def test_dump_matrices(capsys, tmp_path):
     prefix = str(tmp_path / "blocks")
     run_json(capsys, ["rates", "achievable", NONDEGRADED, "--json", "--dump-matrices", prefix])
-    built = build_delivery_lp(validate_stats(MIXED3_ROWS), 1)
+    _, a_ub, _ = build_delivery_lp(validate_stats(MIXED3_ROWS), 1)
     with open(prefix + "_G.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "row"
@@ -184,7 +184,7 @@ def test_dump_matrices(capsys, tmp_path):
     assert rows[1][0] == "decode(k=1;S=1+2)"
     np.testing.assert_allclose(
         [[float(cell) for cell in row[1:]] for row in rows[1:]],
-        built.a_ub[:6],
+        a_ub[:6],
     )
     with open(prefix + "_H.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -192,8 +192,36 @@ def test_dump_matrices(capsys, tmp_path):
     assert rows[1][0] == "level(1)"
     np.testing.assert_allclose(
         [[float(cell) for cell in row[1:]] for row in rows[1:]],
-        built.a_ub[6:],
+        a_ub[6:],
     )
+
+
+# SHA-256 of the _G.csv and _H.csv blocks that --dump-matrices writes: a
+# changed label, cell, row order or number format shows here, where the
+# value comparison above would let it pass.
+DUMP_DIGESTS = {
+    "nondegraded3": (
+        "aa5dcd9182af4445c5eceebc431dd17d8ddb9c1b4db02cbacc457e390ab4315a",
+        "b131d14adb4306ccf2e8a01ec2f33920531fdd282d92e6ec4fe380c6c4dcc8a8",
+    ),
+    "K5-t2": (
+        "f88012c773d77f11e56954cd3259fade3ba583b6f373841f337337772834a82b",
+        "a7ed60b994b9c53bd42aa6f1cdc85078babf4315007752d4d3ea04b7628ca92c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_DIGESTS))
+def test_dump_matrices_bytes(capsys, tmp_path, name):
+    if name == "nondegraded3":
+        config = NONDEGRADED
+    else:
+        grid = sorted_uniform_ccdf(np.random.default_rng(5), 5, 3)
+        config = write_config(tmp_path, {"num_users": 5, "num_levels": 3, "mu": "2/5", "ccdf": grid.tolist()})
+    prefix = str(tmp_path / "blocks")
+    run_json(capsys, ["rates", "achievable", config, "--json", "--dump-matrices", prefix])
+    digests = tuple(hashlib.sha256(Path(f"{prefix}_{block}.csv").read_bytes()).hexdigest() for block in "GH")
+    assert digests == DUMP_DIGESTS[name]
 
 
 # --- simulate ---------------------------------------------------------------------

@@ -15,6 +15,7 @@ from cachecast.errors import (
     MuOutOfRange,
     NonIntegerT,
     NotDegraded,
+    OutOfRange,
 )
 from cachecast.lp_scheme import achievable_rate_lp, check_allocation
 from cachecast.two_user import optimal_rate_two_user
@@ -37,6 +38,13 @@ def test_order_recovers_permutation(chain3):
     assert degraded_order(shuffled) == (3, 2, 1)
     rebuilt = chain_stats(shuffled, (3, 2, 1))
     np.testing.assert_array_equal(rebuilt.ccdf, chain3.ccdf)
+    assert not rebuilt.ccdf.flags.writeable
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 1, 1), (1, 2, 4), (1.5, 2, 3)])
+def test_chain_stats_rejects_orders_that_are_not_permutations(chain3, order):
+    with pytest.raises(OutOfRange, match="not a permutation of 1..3"):
+        chain_stats(chain3, order)
 
 
 def test_order_rejects_incomparable(mixed3):
@@ -107,9 +115,9 @@ def test_refinement_splits_anchor_shares(chain3):
     alloc = z_to_y(CHAIN3_Z, num_users=3, t=1, rate=CHAIN3_RATE)
     assert alloc.subsets == ((1, 2), (1, 3), (2, 3))
     z = np.asarray(CHAIN3_Z)
-    for l in (1, 2, 3):
-        assert alloc.share(l, (1, 2)) == alloc.share(l, (1, 3)) == z[l - 1, 0] / 2.0
-        assert alloc.share(l, (2, 3)) == z[l - 1, 1]
+    np.testing.assert_array_equal(alloc.shares[:, 0], z[:, 0] / 2.0)  # {1,2}
+    np.testing.assert_array_equal(alloc.shares[:, 1], z[:, 0] / 2.0)  # {1,3}
+    np.testing.assert_array_equal(alloc.shares[:, 2], z[:, 1])  # {2,3}
     np.testing.assert_allclose(alloc.shares.sum(axis=1), z.sum(axis=1))
 
 

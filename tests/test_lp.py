@@ -1090,8 +1090,7 @@ def test_stack_cap_fails_only_the_running_lps(monkeypatch):
 
 
 def _delivery_path():
-    built = build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2)
-    return solve_lp(built.c, built.a_ub, built.b_ub)
+    return solve_lp(*build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2))
 
 
 def _chain_lp():
@@ -1116,9 +1115,8 @@ def path_problems():
     """The LPs (c, a_ub, b_ub) of the three pivot paths: delivery, chain and per-ordering."""
     stats = random_stats(np.random.default_rng(5), 5, 4)
     tup = caching_tuple(central_strategy(5, Fraction(2, 5)))
-    built = build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2)
     return [
-        (built.c, built.a_ub, built.b_ub),
+        build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2),
         _chain_lp()[0],
         build_permutation_lp(stats, tup, (2, 4, 1, 3, 5)),
     ]
@@ -1154,10 +1152,10 @@ def test_guard_fires_on_degenerate_delivery_lp(monkeypatch):
     # The K = 7, t = 2 delivery LP has runs of more than DEGENERATE_RUN
     # zero-ratio pivots: the guard changes its path (242 pivots against
     # 244 with the guard off) and not its optimum.
-    built = build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2)
-    guarded = solve_lp(built.c, built.a_ub, built.b_ub)
+    problem = build_delivery_lp(random_stats(np.random.default_rng(7), 7, 4), 2)
+    guarded = solve_lp(*problem)
     monkeypatch.setattr(lp, "DEGENERATE_RUN", lp.MAX_ITERATIONS)
-    unguarded = solve_lp(built.c, built.a_ub, built.b_ub)
+    unguarded = solve_lp(*problem)
     assert (guarded.pivots, unguarded.pivots) == (242, 244)
     assert abs(guarded.value - unguarded.value) <= 1e-12
 
@@ -1214,8 +1212,7 @@ def assert_matches_highs(linprog, problem, sol):
     "grid, t", [pytest.param(grid, t, id=name) for name, grid, t in degenerate_delivery_grids()]
 )
 def test_degenerate_delivery_lps_match_highs(linprog, grid, t):
-    built = build_delivery_lp(validate_stats(grid), t)
-    problem = built.c, built.a_ub, built.b_ub
+    problem = build_delivery_lp(validate_stats(grid), t)
     assert_matches_highs(linprog, problem, solve_lp(*problem))
 
 
@@ -1223,8 +1220,7 @@ def test_delivery_lps_match_highs(linprog):
     rng = np.random.default_rng(808)
     for users, t in ((3, 1), (4, 2), (5, 2), (6, 3), (7, 2), (8, 4)):
         stats = random_stats(rng, users, int(rng.integers(2, 6)))
-        built = build_delivery_lp(stats, t)
-        problem = built.c, built.a_ub, built.b_ub
+        problem = build_delivery_lp(stats, t)
         assert_matches_highs(linprog, problem, solve_lp(*problem))
 
 

@@ -53,32 +53,21 @@ def test_subsets_reject_bad_t():
 
 
 def test_lp_layout(mixed3):
-    built = build_delivery_lp(mixed3, 1)
-    assert built.a_ub.shape == (9, 10)  # 6 decode + 3 budget rows
-    assert built.decode_rows == (
-        (1, (1, 2)), (2, (1, 2)),
-        (1, (1, 3)), (3, (1, 3)),
-        (2, (2, 3)), (3, (2, 3)),
-    )
+    c, a_ub, b_ub = build_delivery_lp(mixed3, 1)
+    assert a_ub.shape == (9, 10)  # 6 decode + 3 budget rows
+    np.testing.assert_array_equal(c, [0.0] * 9 + [-1.0])
     # user 1 decoding the pair message {1,2}
     np.testing.assert_allclose(
-        built.a_ub[0],
+        a_ub[0],
         [-0.9, 0, 0, -0.3, 0, 0, -0.3, 0, 0, 1.0 / 3.0],
     )
     # level-1 air-time budget
     np.testing.assert_array_equal(
-        built.a_ub[6], [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+        a_ub[6], [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
     )
     np.testing.assert_array_equal(
-        built.b_ub, np.concatenate([np.zeros(6), np.ones(3)])
+        b_ub, np.concatenate([np.zeros(6), np.ones(3)])
     )
-
-
-def test_lp_column_lookup(mixed3):
-    built = build_delivery_lp(mixed3, 1)
-    assert built.column(1, (1, 2)) == 0
-    assert built.column(2, (1, 3)) == 4
-    assert built.column(3, (2, 3)) == 8
 
 
 # --- achievable_rate_lp -------------------------------------------------------------
@@ -146,8 +135,9 @@ def test_check_reference_allocation_margins(mixed3):
     alloc = delivery_allocation(MIXED3_SHARES, MIXED3_RATE, num_users=3, t=1)
     report = check_allocation(mixed3, alloc)
     assert report.feasible
-    assert abs(report.margin(1, (1, 2)) - 0.125) <= 1e-12
-    assert abs(report.margin(2, (1, 2))) <= 1e-12
+    assert report.margins.shape == (3, 2)  # (subset, member), as message_subsets(3, 1)
+    assert abs(report.margins[0, 0] - 0.125) <= 1e-12  # user 1 on {1,2}
+    assert abs(report.margins[0, 1]) <= 1e-12  # user 2 on {1,2}
     np.testing.assert_allclose(report.level_slacks, [0.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -155,7 +145,7 @@ def test_check_flags_greedy_rate(mixed3):
     alloc = delivery_allocation(MIXED3_SHARES, 2.0, num_users=3, t=1)
     report = check_allocation(mixed3, alloc)
     assert not report.feasible
-    assert report.margin(2, (1, 2)) < 0.0
+    assert report.margins[0, 1] < 0.0  # user 2 on {1,2}
 
 
 def test_check_flags_overfull_level(mixed3):
@@ -178,20 +168,20 @@ def test_check_reports_the_largest_violation(mixed3):
     # 1/2 on {1,2}.
     report = violation_of(mixed3, shares, 2.0)
     assert not report.feasible
-    assert report.violation == -min(report.margins.values()) == -report.margin(2, (1, 2))
+    assert report.violation == -report.margins.min() == -report.margins[0, 1]
     assert abs(report.violation - 1.0 / 6.0) <= 1e-12
     # An over-budget level: level 1 sums to 1.4 at a rate every user meets.
     over = shares.copy()
     over[0, :] = [0.8, 0.3, 0.3]
     report = violation_of(mixed3, over, 0.1)
-    assert min(report.margins.values()) > 0.0
+    assert report.margins.min() > 0.0
     assert not report.feasible and report.violation == -report.level_slacks[0]
     assert abs(report.violation - 0.4) <= 1e-12
     # A negative share on level 2, whose budget it leaves slack.
     negative = shares.copy()
     negative[1, 1] = -0.05
     report = violation_of(mixed3, negative, 1.0)
-    assert min(report.margins.values()) > 0.0 and report.level_slacks.min() >= 0.0
+    assert report.margins.min() > 0.0 and report.level_slacks.min() >= 0.0
     assert not report.feasible and report.violation == 0.05
 
 
@@ -240,10 +230,10 @@ def build_delivery_a_ub_reference(stats, t):
 def test_lp_rows_match_the_row_loop():
     grid = np.round(sorted_uniform_ccdf(np.random.default_rng(71), 7, 4), 1)  # exact zeros too
     stats = validate_stats(grid)
-    built = build_delivery_lp(stats, 2)
+    _, a_ub, _ = build_delivery_lp(stats, 2)
     reference = build_delivery_a_ub_reference(stats, 2)
-    assert built.a_ub.shape == reference.shape == (109, 141)
-    assert built.a_ub.tobytes() == reference.tobytes()
+    assert a_ub.shape == reference.shape == (109, 141)
+    assert a_ub.tobytes() == reference.tobytes()
 
 
 # --- the cutting-plane solve against the dense LP ------------------------------------
@@ -251,8 +241,7 @@ def test_lp_rows_match_the_row_loop():
 
 def dense_rate(stats, t):
     """The oracle: the dense LP of build_delivery_lp, solved whole."""
-    built = build_delivery_lp(stats, t)
-    solution = solve_lp(built.c, built.a_ub, built.b_ub)
+    solution = solve_lp(*build_delivery_lp(stats, t))
     assert solution.status == "optimal"
     return float(solution.x[-1])
 
@@ -321,8 +310,8 @@ def test_achievable_k10_t4_matches_highs():
     linprog = pytest.importorskip("scipy.optimize").linprog
     stats = validate_stats(sorted_uniform_ccdf(np.random.default_rng(10), 10, 4))
     alloc = achievable_rate_lp(stats, Fraction(2, 5))
-    built = build_delivery_lp(stats, 4)
-    reference = linprog(built.c, A_ub=built.a_ub, b_ub=built.b_ub, method="highs")
+    c, a_ub, b_ub = build_delivery_lp(stats, 4)
+    reference = linprog(c, A_ub=a_ub, b_ub=b_ub, method="highs")
     assert reference.status == 0
     assert abs(alloc.rate + reference.fun) <= 1e-9
     assert check_allocation(stats, alloc).feasible
@@ -602,8 +591,8 @@ def test_tiny_tail_levels_match_highs(monkeypatch, t):
     for grid in tiny_tail_grids():
         stats = validate_stats(grid)
         seeds, alloc = seed_master_columns(monkeypatch, stats, Fraction(t, 6))
-        built = build_delivery_lp(stats, t)
-        reference = linprog(built.c, A_ub=built.a_ub, b_ub=built.b_ub, method="highs")
+        c, a_ub, b_ub = build_delivery_lp(stats, t)
+        reference = linprog(c, A_ub=a_ub, b_ub=b_ub, method="highs")
         assert reference.status == 0
         assert abs(alloc.rate + reference.fun) <= 1e-9
         assert check_allocation(stats, alloc).feasible

@@ -23,14 +23,17 @@ def test_apportion_largest_remainder():
     assert apportion([1.5, 2.5], 4) == [2, 2]
     assert apportion([0.2, 0.2, 0.6], 1) == [0, 0, 1]
     assert apportion([1.9, 1.9], 3) == [2, 1]
+    assert apportion([0.4, -0.3, 2.6], 3) == [0, 0, 3]  # a negative quota floors at 0
 
 
 def test_apportion_trims_overshoot():
     assert apportion([3.0, 2.0], 4) == [2, 2]
+    assert apportion([2.2, 3.9, 1.5], 4) == [1, 3, 0]
 
 
 def test_apportion_spreads_zero_quotas():
     assert apportion([0.0, 0.0], 2) == [1, 1]
+    assert apportion([0.1, 0.1], 5) == [3, 2]  # several passes over the order
 
 
 def test_apportion_always_sums_to_total():

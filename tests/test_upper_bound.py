@@ -294,6 +294,8 @@ def test_record_rows_imply_the_dropped_rows(stats, tup):
 def test_lp_rejects_non_permutation(mixed3, tup3):
     with pytest.raises(OutOfRange):
         build_permutation_lp(mixed3, tup3, (1, 2, 2))
+    with pytest.raises(OutOfRange):
+        build_permutation_lp(mixed3, tup3, (1.5, 2, 3))
 
 
 class CountingCoverage(Sequence):
