@@ -270,7 +270,7 @@ def cmd_rates_achievable(cfg: ScenarioConfig, args: argparse.Namespace) -> Outpu
         for block in "GH":
             _check_writable(f"{args.dump_matrices}_{block}.csv", "--dump-matrices")
     alloc = lp_scheme.achievable_rate_lp(cfg.stats, cfg.mu)
-    report = lp_scheme.check_allocation(cfg.stats, alloc)
+    report = alloc.report
     if args.dump_matrices:
         _dump_matrices(cfg.stats, alloc.t, args.dump_matrices)
     margins = [(k, s, m) for s, row in zip(alloc.subsets, report.margins.tolist()) for k, m in zip(s, row)]

@@ -131,7 +131,8 @@ A user whose ccdf[k][0] is 0 never receives a level (validation lets a
 later entry exceed it by PROB_TOL at most) and decodes nothing: the rate
 is 0 and every share 0.  The allocation is rechecked by check_allocation, against
 every decodability and budget row and the sign of every share, before it
-is returned; a subset stack or master raises through lp.require_optimal
+is returned with the report (alloc.report, which `rates achievable`
+prints); a subset stack or master raises through lp.require_optimal
 at its first LP that is not optimal, naming the step and the gap ("master
 LP, seed cuts" for the seed master, "pooled cut N" or "subset solve N"
 after it), and a loop that would enter a cut past MAX_CUTS raises
@@ -141,9 +142,10 @@ NumericalFailure naming the same.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import inf
+from typing import Optional
 
 import numpy as np
 
@@ -171,6 +173,8 @@ class DeliveryAllocation:
     took, one solve of every subset LP each; the pooled cuts and the seed
     cuts are not counted.  gap is its certificate: the optimum lies in
     [rate, rate + gap].  Both are 0 for an allocation built otherwise.
+    report is achievable_rate_lp's check_allocation of these shares, and
+    None for an allocation built otherwise.
     """
 
     num_users: int
@@ -181,6 +185,7 @@ class DeliveryAllocation:
     rate: float
     iterations: int = 0
     gap: float = 0.0
+    report: Optional[FeasibilityReport] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -255,7 +260,8 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
 
     def allocation(shares: np.ndarray, rate: float, iterations: int, gap: float) -> DeliveryAllocation:
         shares.setflags(write=False)
-        return DeliveryAllocation(K, B, t, subsets, shares, rate, iterations, gap)
+        alloc = DeliveryAllocation(K, B, t, subsets, shares, rate, iterations, gap)
+        return replace(alloc, report=check_allocation(stats, alloc))
 
     if not (stats.ccdf[:, 0] > 0.0).all():  # a user on a dead channel decodes nothing
         return allocation(np.zeros((B, len(subsets))), 0.0, 0, 0.0)
@@ -335,10 +341,9 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     mixed = sum((a * u for a, u in zip(alpha[seeded.size:].tolist(), mixes) if a != 0.0), mixed)
     gap = _gap(best, eta)
     alloc = allocation(np.ascontiguousarray((rate / piece_count) * mixed.T), rate, solves, gap)
-    report = check_allocation(stats, alloc)
-    if not report.feasible:
+    if not alloc.report.feasible:
         raise NumericalFailure(
-            f"{label}: allocation fails its recheck (largest violation {report.violation:.3g})"
+            f"{label}: allocation fails its recheck (largest violation {alloc.report.violation:.3g})"
             f" (subset solve {solves}, gap {gap:.3g})"
         )
     return alloc

@@ -4,13 +4,21 @@ Each level's num_uses channel uses are split into contiguous spans, one per
 message subset plus an idle tail, sized by largest-remainder apportionment
 of the allocation's shares so the spans always sum to num_uses.  User k
 collects the symbol of level l at use t exactly when its drawn level count
-reaches l.  The channel is drawn with channel.level_hits (one RNG
-substream per user), a block of uses at a time, on one worker per usable
-CPU up to K, and each block's hits are tallied while the block is drawn,
-so without keep_levels memory holds one block shared among the workers,
-not n levels.  Each user's tally runs on its worker and the results are
-merged in user order, so the report's bytes do not depend on the worker
-count.  A message is decodable once its collected symbols cover its size:
+reaches l.  Every tally depends on user k's levels only through how many
+uses of each piece reach each level, a piece being the stretch of uses
+between two consecutive boundaries of the spans of k's subsets (on any
+level, with 0 and num_uses).  The uses are i.i.d., so a piece's counts of
+the levels 0..B are multinomial, and simulate_delivery draws them directly
+(Devroye, Non-Uniform Random Variate Generation, 1986, ch. XI): one
+rng.multinomial call per user over its pieces, from one child of
+SeedSequence(seed) per user, in user order.  Exact in distribution, it
+costs O(K * pieces) draws and memory, not O(K * n).  With keep_levels each
+piece's counts are written into the user's row of levels and shuffled in
+place with the same generator, after the user's multinomial draw: the uses
+inside a piece are exchangeable, so the levels are an exact i.i.d.
+realization, and the tallies are the same with and without them.  They are
+not the levels channel.sample_states draws with the same seed.  A message
+is decodable once its collected symbols cover its size:
 delivered >= ceil(num_uses * rate / C(K,t)), with a tiny guard so an
 exactly integer threshold is not pushed up by roundoff.
 """
@@ -20,11 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelStats, StateRealization, check_draws, count_levels, level_hits
+from .channel import ChannelStats, StateRealization, check_draws
 from .channel import sample_states  # noqa: F401  perfbench/selftest.py reads it as simulator.sample_states
 from .errors import InfeasibleAllocation
 from .lp_scheme import DeliveryAllocation, Subset, check_allocation
@@ -105,16 +113,14 @@ def simulate_delivery(
 ) -> SimulationReport:
     """Sample states and tally symbol delivery for every (user, subset) pair.
 
-    The spans of every level are apportioned once; then each user's draws
-    are tallied block by block, in one pass, on the worker that draws them
-    (channel.level_hits): the hits of level l in a block
-    mark the uses that deliver level l, and one count of them adds to the
-    user's empirical CCDF count.  At each boundary of a span of the user's
-    subsets that falls inside the block, one count of the level's hits up to
-    the boundary gives the hits before it; a span's delivery is the
-    difference of the counts at its two ends.  With keep_levels the same
-    pass also writes the K x n levels, kept as the report's realization
-    (the levels sample_states draws); the tallies are the same either way.
+    The spans of every level are apportioned once.  Then, user by user,
+    one multinomial draw gives the uses of each piece at each level count
+    (see the module docstring); a piece's hits on level l are its uses at
+    counts >= l, and their prefix sums at the piece boundaries give each
+    span's delivery as the difference of two sums, and the user's empirical
+    CCDF counts as the sums at num_uses.  With keep_levels the K x n levels
+    are kept as the report's realization; the tallies are the same either
+    way.
 
     A message's std_error is the standard deviation of delivered / n.
     Every level's spans are laid out in subset order from use 0, so one
@@ -133,9 +139,9 @@ def simulate_delivery(
     required = math.ceil(num_uses * per_use_size - CEIL_GUARD)
 
     # Uses starts[l][j] up to starts[l][j + 1] of level l go to subset j.
-    num_subsets = len(alloc.subsets)
+    num_subsets, num_levels = len(alloc.subsets), stats.num_levels
     starts = []
-    for l in range(stats.num_levels):
+    for l in range(num_levels):
         quotas = [num_uses * float(alloc.shares[l, j]) for j in range(num_subsets)]
         quotas.append(max(0.0, num_uses * (1.0 - alloc.shares[l].sum())))
         starts.append([0, *accumulate(apportion(quotas, num_uses))])
@@ -144,53 +150,45 @@ def simulate_delivery(
     first, last = bounds[:num_subsets], bounds[1 : num_subsets + 1]
     overlap = np.minimum(last[:, :, None], last[:, None, :]) - np.maximum(first[:, :, None], first[:, None, :])
     np.maximum(overlap, 0, out=overlap)
-    deeper = np.maximum.outer(np.arange(stats.num_levels), np.arange(stats.num_levels))
+    deeper = np.maximum.outer(np.arange(num_levels), np.arange(num_levels))
 
-    levels = np.empty((stats.num_users, num_uses), dtype=np.min_scalar_type(stats.num_levels)) if keep_levels else None
-
-    def tally(k: int, blocks: Iterator[tuple[int, np.ndarray]]) -> tuple[list[int], dict, dict]:
-        """User k's hits on each level, and delivered and variance of its messages."""
-        mine = [(j, s) for j, s in enumerate(alloc.subsets) if k in s]
-        # The span boundaries of the user's subsets, in use order; before[l, pos]
-        # counts level l's hits on the uses before pos.
-        marks = sorted({(starts[l][j + e], l) for l in range(stats.num_levels) for j, _ in mine for e in (0, 1)})
-        before = {}
-        seen = [0] * stats.num_levels  # each level's hits on the blocks so far
-        at = 0
-        for start, hits in blocks:
-            stop = start + hits.shape[1]
-            while at < len(marks) and marks[at][0] < stop:
-                pos, l = marks[at]
-                before[l, pos] = seen[l] + np.count_nonzero(hits[l, : pos - start])
-                at += 1
-            for l in range(stats.num_levels):
-                seen[l] += np.count_nonzero(hits[l])
-            if levels is not None:
-                count_levels(hits, levels[k - 1, start:stop])
-        for l in range(stats.num_levels):  # no block holds a boundary at num_uses
-            before[l, num_uses] = seen[l]
-        delivered = {
-            (k, s): int(sum(before[l, starts[l][j + 1]] - before[l, starts[l][j]] for l in range(stats.num_levels)))
-            for j, s in mine
-        }
-        # Cov(L >= l, L >= l') = p[max(l, l')] - p[l] p[l'] on a use both spans hold.
-        p = stats.ccdf[k - 1]
-        covariance = p[deeper] - np.outer(p, p)
-        variance = {(k, s): float((overlap[j] * covariance).sum()) for j, s in mine}
-        return seen, delivered, variance
-
+    levels = np.empty((stats.num_users, num_uses), dtype=np.min_scalar_type(num_levels)) if keep_levels else None
+    # law[k, v] = P(L_k = v), v = 0..B, off the row's cumulative minimum.
+    law = np.maximum(0.0, -np.diff(np.minimum.accumulate(stats.ccdf, axis=1), axis=1, prepend=1.0, append=0.0))
+    law /= law.sum(axis=1, keepdims=True)
     delivered = {}
     variance = {}
     counts = []
-    for seen, got, spread in level_hits(stats, num_uses, seed, tally):  # in user order
-        counts.append(seen)
-        delivered.update(got)
-        variance.update(spread)
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(stats.num_users), start=1):
+        rng = np.random.default_rng(child)
+        mine = [(j, s) for j, s in enumerate(alloc.subsets) if k in s]
+        cuts = sorted({0, num_uses, *(starts[l][j + e] for l in range(num_levels) for j, _ in mine for e in (0, 1))})
+        drawn = rng.multinomial([b - a for a, b in zip(cuts, cuts[1:])], law[k - 1])  # (pieces, B + 1)
+        # A piece's hits on level l are its uses at counts >= l; before[pos][l]
+        # sums level l's hits on the uses before the cut pos.
+        prefix = np.zeros((len(cuts), num_levels), dtype=np.int64)
+        np.cumsum(np.cumsum(drawn[:, :0:-1], axis=1)[:, ::-1], axis=0, out=prefix[1:])
+        before = dict(zip(cuts, prefix.tolist()))
+        counts.append(before[num_uses])
+        # Cov(L >= l, L >= l') = p[max(l, l')] - p[l] p[l'] on a use both spans hold.
+        p = stats.ccdf[k - 1]
+        covariance = p[deeper] - np.outer(p, p)
+        for j, s in mine:
+            delivered[(k, s)] = sum(before[starts[l][j + 1]][l] - before[starts[l][j]][l] for l in range(num_levels))
+            variance[(k, s)] = float((overlap[j] * covariance).sum())
+        if levels is not None:
+            row = levels[k - 1]
+            for a, b, piece in zip(cuts, cuts[1:], drawn.tolist()):
+                at = a
+                for value, count in enumerate(piece):
+                    row[at : at + count] = value
+                    at += count
+                rng.shuffle(row[a:b])
 
     realization = None
     if levels is not None:
         levels.setflags(write=False)
-        realization = StateRealization(stats.num_users, stats.num_levels, num_uses, seed, levels)
+        realization = StateRealization(stats.num_users, num_levels, num_uses, seed, levels)
 
     messages = []
     user_ok = [True] * stats.num_users

@@ -13,12 +13,13 @@ from itertools import combinations
 
 import numpy as np
 
-from cachecast import channel, lp, upper_bound
+from cachecast import lp, upper_bound
 from cachecast.caching import central_coverage
 from cachecast.channel import ChannelStats, check_weights, is_stochastically_dominant
 from cachecast.errors import ValidationError
 from cachecast.lp import FEAS_TOL, OPTIMAL, LpSolution, require_optimal, solve_lp
 from cachecast.lp_scheme import DeliveryAllocation, message_subsets, t_from_mu
+from cachecast.simulator import apportion
 from cachecast.two_user import achievable_allocation_two_user, optimal_rate_two_user
 
 # --- three-user reference scenarios -------------------------------------
@@ -99,18 +100,6 @@ MIXED3_OMEGA = (0.0, 1.25, 1.0)
 MIXED3_BOUND = 45.0 / 28.0
 
 
-# The sampler's CPU count, read as one (one worker), two, and more than any
-# test's K (one worker per user).
-WORKER_CPUS = (1, 2, 64)
-
-
-def each_worker_count(monkeypatch):
-    """Yield each of WORKER_CPUS with channel's one CPU-count read patched to it."""
-    for cpus in WORKER_CPUS:
-        monkeypatch.setattr(channel, "_usable_cpus", lambda cpus=cpus: cpus)
-        yield cpus
-
-
 def delivery_allocation(shares, rate: float, num_users: int, t: int) -> DeliveryAllocation:
     """Wrap a raw share grid in a DeliveryAllocation."""
     shares = np.asarray(shares, dtype=float)
@@ -122,6 +111,15 @@ def delivery_allocation(shares, rate: float, num_users: int, t: int) -> Delivery
         shares=shares,
         rate=rate,
     )
+
+
+def span_starts(alloc, num_uses):
+    """Per level, the uses at which its spans start, then num_uses."""
+    starts = []
+    for shares in alloc.shares:
+        quotas = [num_uses * float(x) for x in shares] + [max(0.0, num_uses * (1.0 - shares.sum()))]
+        starts.append(np.cumsum([0] + apportion(quotas, num_uses)).tolist())
+    return starts
 
 
 # --- random-instance generators ------------------------------------------

@@ -1,8 +1,6 @@
 """Channel statistics: validation, dominance, enhancement, sampling."""
 
-import sys
-import threading
-import time
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +19,6 @@ from helpers import (
     WeightsUnsorted,
     ZeroWeightWarning,
     check_enhancement_invariants,
-    each_worker_count,
     enhance,
     random_sorted_weights,
     random_stats,
@@ -263,6 +260,8 @@ def test_sample_rejects_non_integer_seed(seed):
         (10, 1.0, WrongType, "seed must be an integer, got 1.0"),
         (10, -1, OutOfRange, "seed must be nonnegative"),
         (0, -1, OutOfRange, "num_uses must be positive"),  # the count is checked first
+        (2**63, 1, OutOfRange, "num_uses must be at most 2**63 - 1, got 9223372036854775808"),
+        (10**19, -1, OutOfRange, "seed must be nonnegative"),
     ],
 )
 def test_the_sampling_rule(num_uses, seed, error, message):
@@ -270,12 +269,18 @@ def test_the_sampling_rule(num_uses, seed, error, message):
         check_draws(num_uses, seed)
     assert type(raised.value) is error and str(raised.value) == message
     stats = validate_stats([[0.5]])
-    with pytest.raises(error, match=f"^{message}$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         sample_states(stats, num_uses, seed)
 
 
 def test_the_sampling_rule_takes_numpy_integers():
     check_draws(np.int64(10), np.uint32(3))
+
+
+def test_the_sampling_rule_takes_the_largest_int64_count():
+    # numpy counts uses in int64, so 2**63 - 1 is the last count it can draw.
+    check_draws(2**63 - 1, 0)
+    check_draws(np.uint64(2**63 - 1), 0)
 
 
 def test_sample_takes_numpy_integer_seed():
@@ -285,11 +290,10 @@ def test_sample_takes_numpy_integer_seed():
 
 @pytest.mark.parametrize("block", [7, None])
 def test_sample_blocks_equal_one_draw(monkeypatch, block):
-    # The uniforms are drawn block by block; n is no multiple of the block,
-    # and the grid holds draws from several blocks, so a block drawn out of
-    # order or of the wrong length changes some count.  Three users put two
-    # on the calling thread at two workers, and the levels must be the same
-    # at every worker count.
+    # The uniforms are drawn in chunks of SAMPLE_BLOCK uses; n is no
+    # multiple of the chunk, and the grid holds draws from several chunks,
+    # so a chunk drawn out of order or of the wrong length changes some
+    # count.
     if block is not None:
         monkeypatch.setattr(channel, "SAMPLE_BLOCK", block)
     block = channel.SAMPLE_BLOCK
@@ -303,86 +307,21 @@ def test_sample_blocks_equal_one_draw(monkeypatch, block):
     picks = np.linspace(0, num_uses - 1, 5).astype(int)
     grid = np.array([np.sort(u[picks])[::-1] for u in draws])
     expected = np.array([np.sum(u[:, None] < row[None, :], axis=1) for u, row in zip(draws, grid)])
-    for _ in each_worker_count(monkeypatch):
-        real = sample_states(validate_stats(grid), num_uses, seed)
-        assert real.levels.dtype == np.uint8
-        assert real.levels.tobytes() == expected.astype(np.uint8).tobytes()
+    real = sample_states(validate_stats(grid), num_uses, seed)
+    assert real.levels.dtype == np.uint8
+    assert real.levels.tobytes() == expected.astype(np.uint8).tobytes()
 
 
-def test_many_levels_shorten_the_block(monkeypatch):
-    # Past 8 levels a block holds fewer uses, so its hits stay within
-    # 8 * SAMPLE_BLOCK bytes: 40 levels at SAMPLE_BLOCK = 16 make blocks of
-    # 3 uses on one worker, and the levels drawn must not change at any
-    # worker count.
+def test_sample_many_levels_in_small_chunks(monkeypatch):
+    # 40 levels, in chunks of 16 uses: each use's count is the number of
+    # entries above its uniform, whatever B is against the chunk.
     monkeypatch.setattr(channel, "SAMPLE_BLOCK", 16)
-    monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)
     num_uses, seed = 20, 12
     grid = np.sort(np.random.default_rng(3).random((2, 40)), axis=1)[:, ::-1]
-    stats = validate_stats(grid)
-    shapes = channel.level_hits(stats, num_uses, seed, lambda k, blocks: [(a, hits.shape) for a, hits in blocks])
-    assert shapes[0][:2] == [(0, (40, 3)), (3, (40, 3))]
     children = np.random.SeedSequence(seed).spawn(2)
     draws = [np.random.default_rng(child).random(num_uses) for child in children]
     expected = np.array([np.sum(u[:, None] < row[None, :], axis=1) for u, row in zip(draws, grid)])
-    for _ in each_worker_count(monkeypatch):
-        assert sample_states(stats, num_uses, seed).levels.tobytes() == expected.astype(np.uint8).tobytes()
-
-
-def test_workers_take_users_in_stride(monkeypatch):
-    # w = min(K, CPUs) workers: the calling thread takes users 1, 1 + w, ...
-    # and each other worker a stride of its own, on at most K - 1 threads
-    # that are all gone when level_hits returns.
-    stats = validate_stats([[0.5, 0.2]] * 5)
-    before = threading.active_count()
-    for cpus in each_worker_count(monkeypatch):
-        threads = channel.level_hits(stats, 10, 3, lambda k, blocks: threading.current_thread())
-        workers = min(5, cpus)
-        assert len(set(threads)) == workers
-        for k, thread in enumerate(threads):
-            assert (thread is threading.current_thread()) == (k % workers == 0)
-            assert thread is threads[k % workers]
-        assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("failing", [1, 2])
-def test_a_failing_tally_joins_every_worker_first(monkeypatch, failing):
-    # A tally that raises, on the calling thread (user 1) or on a worker
-    # (user 2): the exception reaches the caller only after every user a
-    # worker started has finished, and no worker thread is left running.
-    monkeypatch.setattr(channel, "_usable_cpus", lambda: 3)
-    started, finished = set(), set()
-
-    def tally(k, blocks):
-        started.add(k)
-        if k == failing:
-            raise ValueError(f"user {k}")
-        time.sleep(0.05)
-        finished.add(k)
-
-    before = threading.active_count()
-    with pytest.raises(ValueError, match=f"^user {failing}$"):
-        channel.level_hits(validate_stats([[0.5]] * 6), 10, 4, tally)
-    assert threading.active_count() == before
-    assert finished == started - {failing}
-    assert len(started) < 6  # users after the failure were not started
-
-
-def test_many_workers_under_fast_switching_draw_the_same_levels(monkeypatch):
-    # Twelve workers on whatever CPUs there are, switching threads every
-    # microsecond, each drawing many small blocks: every user's levels must
-    # land in its own row, byte-equal to one worker's.
-    monkeypatch.setattr(channel, "SAMPLE_BLOCK", 48)
-    stats = validate_stats(np.sort(np.random.default_rng(9).random((12, 3)), axis=1)[:, ::-1])
-    monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)
-    expected = sample_states(stats, 401, 5).levels.tobytes()
-    monkeypatch.setattr(channel, "_usable_cpus", lambda: 12)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            assert sample_states(stats, 401, 5).levels.tobytes() == expected
-    finally:
-        sys.setswitchinterval(interval)
+    assert sample_states(validate_stats(grid), num_uses, seed).levels.tobytes() == expected.astype(np.uint8).tobytes()
 
 
 @pytest.mark.parametrize("num_levels, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16)])

@@ -39,6 +39,7 @@ from helpers import (
     fail_certificate,
     random_chain_stats,
     sorted_uniform_ccdf,
+    span_starts,
     stack_hits,
     tiny_gap_placement,
 )
@@ -135,6 +136,23 @@ def test_achievable_json(capsys):
     assert abs(payload["required"] - payload["value"] / 3.0) <= 1e-12
     assert payload["iterations"] >= 1
     assert 0.0 <= payload["gap"] <= 1e-9
+
+
+@pytest.mark.parametrize("json_flag", [["--json"], []])
+def test_achievable_rechecks_once(capsys, monkeypatch, json_flag):
+    # achievable_rate_lp rechecks its shares and returns the report with
+    # them; the command prints that report and checks nothing again.
+    calls = []
+    check = lp_scheme.check_allocation
+
+    def counting_check(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(lp_scheme, "check_allocation", counting_check)
+    assert cli.main(["rates", "achievable", NONDEGRADED, *json_flag]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_achievable_k10_t4_within_five_seconds(capsys, tmp_path):
@@ -270,29 +288,33 @@ def test_simulate_trace(capsys, tmp_path):
 
 
 def test_simulate_trace_samples_once(capsys, tmp_path, monkeypatch):
-    # The simulation writes the levels it tallies, in the same pass over
-    # one draw of the channel, and the trace is those levels.
-    draws = []
-    level_hits = channel.level_hits
+    # The simulation draws the channel once, and the trace is the levels
+    # that draw kept: every message's delivered recounts from the trace's
+    # spans.
+    calls = []
 
-    def counting_draw(*args):
-        draws.append(args)
-        return level_hits(*args)
+    def keeping_report(stats, alloc, num_uses, seed, keep_levels=False):
+        calls.append((alloc, simulate_delivery(stats, alloc, num_uses, seed, keep_levels=keep_levels)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(simulator, "level_hits", counting_draw)
-    monkeypatch.setattr(channel, "level_hits", counting_draw)
+    monkeypatch.setattr(simulator, "simulate_delivery", keeping_report)
     trace = tmp_path / "levels.csv"
-    run_json(
+    payload = run_json(
         capsys,
         ["simulate", NONDEGRADED, "--n", "50", "--seed", "8", "--json", "--trace", str(trace)],
     )
-    assert len(draws) == 1
-    # The file is exactly what a fresh draw with the same seed writes.
-    levels = channel.sample_states(validate_stats(MIXED3_ROWS), 50, 8).levels
+    ((alloc, report),) = calls
+    levels = report.realization.levels
     expected = "user1,user2,user3\n" + "".join(
         ",".join(str(int(v)) for v in levels[:, t]) + "\n" for t in range(50)
     )
     assert trace.read_text() == expected
+    starts = span_starts(alloc, 50)
+    for m in payload["messages"]:
+        j = alloc.subsets.index(tuple(m["subset"]))
+        row = levels[m["user"] - 1]
+        got = sum(int(np.count_nonzero(row[bounds[j] : bounds[j + 1]] > l)) for l, bounds in enumerate(starts))
+        assert m["delivered"] == got
 
 
 def test_simulate_trace_bytes_match_row_writer(capsys, tmp_path):
@@ -301,8 +323,10 @@ def test_simulate_trace_bytes_match_row_writer(capsys, tmp_path):
         capsys,
         ["simulate", NONDEGRADED, "--n", "300", "--seed", "4", "--json", "--trace", str(trace)],
     )
-    # The row-by-row writer the trace format was first defined by.
-    levels = channel.sample_states(validate_stats(MIXED3_ROWS), 300, 4).levels
+    # The row-by-row writer the trace format was first defined by, on the
+    # levels simulate_delivery keeps with the same seed.
+    stats = validate_stats(MIXED3_ROWS)
+    levels = simulate_delivery(stats, achievable_rate_lp(stats, "1/3"), 300, 4, keep_levels=True).realization.levels
     expected = "user1,user2,user3\n"
     for t in range(300):
         expected += ",".join(str(int(v)) for v in levels[:, t]) + "\n"
@@ -368,30 +392,25 @@ def test_trace_writer_memory_is_a_few_chunks():
     assert peak < 9 * chunk_levels, f"{peak / chunk_levels:.1f} bytes per level of one chunk"
 
 
-# SHA-256 of `simulate --json` stdout and of the trace file.  The trace
-# digests were computed with the int64 sampler and the np.savetxt writer they
-# replaced; the stdout digests with the delivery LP's subset LPs in their
-# min form, kept from cut to cut, whose optimal points are other vertices
-# than the max form's duals where the optimum is degenerate: the rate moves
-# in the last ulps, the shares and so the tallies more (see CHANGES.md);
-# with std_error summing the covariances of a subset's overlapping
-# spans on different levels, which changed no other field; and with the
-# cutting-plane master seeded by one cut per level, whose shares are
-# another optimal mix (the rate within 2 ulps, every message within 5
-# std_error of its analytic margin); and with the loop cutting from the
-# pool of subset optima, again another optimal mix for k6b5 (the rate
-# within 2.3e-16 relative, every message within 2.1 std_error, the trace
-# unchanged).
+# SHA-256 of `simulate --json` stdout and of the trace file.  Pinned when
+# the simulation began to draw each user's level counts per piece (one
+# multinomial draw per user over the stretches between its span
+# boundaries) in place of one uniform per use: every tally and so every
+# byte of both files changed, with every message within 2.9 std_error of
+# its analytic margin (60 messages of k6b5, 6 of nondegraded3), after the
+# seeded statistical checks passed on the new draws.  The trace is the
+# kept levels, each piece's counts shuffled in place, so it is no longer
+# sample_states's draw with the same seed.
 SIMULATE_DIGESTS = {
     "nondegraded3": (
         5,
-        "ade7dce2580e4a5d504fd923336e1435dab6aad1a240936c784b563c5ad657ba",
-        "dd8e90557d66e89bbe2cb4dd942e7e86049700cc61afd89bfd9fb375291fe1eb",
+        "4b126907b2c369ed17bd951edf34a35c7ad17f3c975055b223ac8671495a1aac",
+        "d537462921a42b867510d8a5317ac1899f328fa58a988848e645a366698e3d56",
     ),
     "k6b5": (
         11,
-        "42a38ab1eb1c3f98af1cda6e892987afc53688fc26c03818934d676622ea5409",
-        "cc1f22b8c6ddd88ee0085d3710379e41b895246cb475da8eb660519b86125e67",
+        "9d4484857362474ecf7258e204614dfaabe5b8e30f2ecd310978277ba34e40dc",
+        "8fc9a9f3e9823b9742784b2cdb95b3c76257e6364239e03987e1aa0141aa1a73",
     ),
 }
 K6B5 = {
@@ -462,6 +481,12 @@ def test_simulate_rejects_n_before_solving(capsys, monkeypatch, n):
     monkeypatch.setattr(lp_scheme, "achievable_rate_lp", _no_solve)
     assert cli.main(["simulate", NONDEGRADED, "--n", n, "--seed", "1", "--json"]) == 2
     assert capsys.readouterr().err == "error: num_uses must be positive\n"
+
+
+def test_simulate_refuses_n_past_int64_before_solving(capsys, monkeypatch):
+    monkeypatch.setattr(lp_scheme, "achievable_rate_lp", _no_solve)
+    assert cli.main(["simulate", NONDEGRADED, "--n", "10000000000000000000", "--seed", "1", "--json"]) == 2
+    assert capsys.readouterr().err == "error: num_uses must be at most 2**63 - 1, got 10000000000000000000\n"
 
 
 def test_simulate_unwritable_trace_fails_before_work(capsys, monkeypatch, tmp_path):
