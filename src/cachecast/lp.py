@@ -117,8 +117,14 @@ LpStack: a single LP that gains a column, with its cost, per cut
 keep current, so a new column and its reduced cost are read off the
 tableau and no column is repriced or copied; its simplex takes
 LpStack's rules, and its duals, certificate and refinement are
-_finish's.  Each solve carries the same certificate, and require_optimal
-is the one rule that every LP here must come back optimal.
+_finish's.  It runs its ratio test and certificate on its own 1-D arrays
+(_ratio_test_one, _certificate_one), with the floating-point operations
+of _ratio_test and _certificate in the same order, so with the same
+bytes as a stack of one, but without the (1, ...) views and stack
+indices, which cost more than the arithmetic on a master of B rows; its
+rare refinement goes through _refined as a stack of one.  Each solve
+carries the same certificate, and require_optimal is the one rule that
+every LP here must come back optimal.
 """
 
 from __future__ import annotations
@@ -137,6 +143,7 @@ MAX_ITERATIONS = 100_000
 # Consecutive degenerate pivots after which an LP falls back to Bland's
 # leaving rule until its objective moves (the anti-cycling guard).
 DEGENERATE_RUN = 50
+_ZERO = np.zeros(1)  # _largest_one's first entry
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -292,6 +299,22 @@ def _ratio_test(
     return least, near, pick
 
 
+def _ratio_test_one(rhs: np.ndarray, column: np.ndarray, eligible: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """_ratio_test of one LP on its own 1-D arrays, rhs, column and eligible (m,).
+
+    The same floating-point operations in the same order, so the same
+    minimum ratio and rows, without the stack's (1, m) views.
+    """
+    ratios = np.empty(column.shape)
+    ratios.fill(inf)  # np.full's Python wrapper costs more than the fill
+    np.divide(rhs, column, out=ratios, where=eligible)
+    least = ratios[ratios.argmin()]
+    near = ratios <= least + PIVOT_TOL
+    entries = column * near
+    pick = entries == entries[entries.argmax()]
+    return least, near, pick
+
+
 def _simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray) -> tuple[list, np.ndarray]:
     """Primal simplex iterations on a stack of condensed tableaux in lockstep.
 
@@ -399,6 +422,26 @@ def _certificate(
     return value, primal, dual, gap
 
 
+def _largest_one(*violations: np.ndarray) -> float:
+    """_largest of one LP: the largest entry of the 1-D violation arrays, or +0.0 if none is positive."""
+    every = np.concatenate((_ZERO, *violations))
+    return float(every[every.argmax()])
+
+
+def _certificate_one(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[float, float, float, float]:
+    """_certificate of one LP on its own arrays: a (m, n), b (m,), c (n,), x (n,) and y (m,).
+
+    The same floating-point operations in the same order, so the same
+    bytes, without the stack's (1, ...) views; returns floats.
+    """
+    primal = _largest_one(a @ x - b, -x)
+    dual = _largest_one(-(c - y @ a), y)
+    value = c @ x
+    return float(value), primal, dual, float(abs(value - b @ y))
+
+
 def _finish(
     status: list,
     tableau: np.ndarray,
@@ -469,7 +512,8 @@ def _uncertified(primal: float, dual: float, gap: float) -> NumericalFailure:
 
 def _certified(value: np.ndarray, primal: np.ndarray, dual: np.ndarray, gap: np.ndarray) -> np.ndarray:
     """Per LP, whether its certificate (_certificate) passes: primal and dual
-    residuals within FEAS_TOL and a gap within FEAS_TOL (1 + |c.x|)."""
+    residuals within FEAS_TOL and a gap within FEAS_TOL (1 + |c.x|).  Given
+    one LP's floats (_certificate_one), one bool."""
     return (primal <= FEAS_TOL) & (dual <= FEAS_TOL) & (gap <= FEAS_TOL * (1.0 + np.abs(value)))
 
 
@@ -747,8 +791,8 @@ class GrowingLp:
         self._n = n + 1
         eligible = entering > PIVOT_TOL
         if eligible.any():
-            _, _, pick = _ratio_test(tableau[None, :m, m], entering[None], eligible[None], np.arange(1))
-            self._pivot(self._leaving(pick[0]), slot)
+            _, _, pick = _ratio_test_one(tableau[:m, m], entering, eligible)
+            self._pivot(self._leaving(pick), slot)
             self._entered += 1
 
     def _leaving(self, pick: np.ndarray) -> int:
@@ -790,12 +834,12 @@ class GrowingLp:
             eligible = column > PIVOT_TOL
             if not eligible.any():
                 return LpSolution(UNBOUNDED, None, None, None, it + entered)
-            least, near, pick = _ratio_test(tableau[None, :m, m], column[None], eligible[None], np.arange(1))
+            least, near, pick = _ratio_test_one(tableau[:m, m], column, eligible)
             if it - calm >= DEGENERATE_RUN:
                 pick |= near
-            if least[0] > PIVOT_TOL:
+            if least > PIVOT_TOL:
                 calm = it + 1
-            self._pivot(self._leaving(pick[0]), slot)
+            self._pivot(self._leaving(pick), slot)
         else:
             return NumericalFailure(f"simplex did not converge in {MAX_ITERATIONS} iterations")
         rows = basis > m  # the rows where a column is basic
@@ -803,14 +847,12 @@ class GrowingLp:
         x[basis[rows] - (m + 1)] = tableau[:m, m][rows]
         y = self._costs.take(basis) @ tableau[:m, :m] + 0.0
         a, c = self._a[:, :n], self._costs[m + 1: m + 1 + n]
-        value, primal, dual, gap = _certificate(a[None], self._b, c[None], x[None], y[None])
-        if not _certified(value, primal, dual, gap)[0]:
-            x, y, value, primal, dual, gap = self._refine(x, y, (value, primal, dual, gap))
-            if not _certified(value, primal, dual, gap)[0]:
-                return _uncertified(float(primal[0]), float(dual[0]), float(gap[0]))
-        return LpSolution(
-            OPTIMAL, x, float(value[0]), y, it + entered, float(primal[0]), float(dual[0]), float(gap[0])
-        )
+        certificate = _certificate_one(a, self._b, c, x, y)
+        if not _certified(*certificate):
+            x, y, *certificate = self._refine(x, y, certificate)
+            if not _certified(*certificate):
+                return _uncertified(*certificate[1:])
+        return LpSolution(OPTIMAL, x, certificate[0], y, it + entered, *certificate[1:])
 
     def _refine(self, x: np.ndarray, y: np.ndarray, certificate: tuple) -> tuple:
         """x, y and the certificate of the LP refined once at its basis (_refined).
@@ -839,4 +881,4 @@ class GrowingLp:
             tableau[:m, m] = body[0, :, -1] + 0.0
             priced = self._costs.take(basis) @ tableau[:m]
             np.subtract(self._costs[: m + 1 + n], priced, out=tableau[m])
-        return (refined_x, refined_y[0], *refined)
+        return (refined_x, refined_y[0], *(float(v[0]) for v in refined))

@@ -13,11 +13,16 @@ the levels 0..B are multinomial, and simulate_delivery draws them directly
 rng.multinomial call per user over its pieces, from one child of
 SeedSequence(seed) per user, in user order.  Exact in distribution, it
 costs O(K * pieces) draws and memory, not O(K * n).  With keep_levels each
-piece's counts are written into the user's row of levels and shuffled in
-place with the same generator, after the user's multinomial draw: the uses
-inside a piece are exchangeable, so the levels are an exact i.i.d.
-realization, and the tallies are the same with and without them.  They are
-not the levels channel.sample_states draws with the same seed.  A message
+piece's counts are laid out as one intp buffer of that piece's length,
+shuffled with the same generator after the user's multinomial draw, and
+copied into the user's row of levels: the uses inside a piece are
+exchangeable, so the levels are an exact i.i.d. realization, and the
+tallies are the same with and without them.  Generator.shuffle makes the
+same draws on any item size but runs fastest on intp items, so the levels
+are those of an in-place shuffle of the row's own slice; the buffer holds
+one piece, never a row, so memory stays within the K x n levels plus 8
+bytes a use of the longest piece.  They are not the levels
+channel.sample_states draws with the same seed.  A message
 is decodable once its collected symbols cover its size:
 delivered >= ceil(num_uses * rate / C(K,t)), with a tiny guard so an
 exactly integer threshold is not pushed up by roundoff.
@@ -177,13 +182,14 @@ def simulate_delivery(
             delivered[(k, s)] = sum(before[starts[l][j + 1]][l] - before[starts[l][j]][l] for l in range(num_levels))
             variance[(k, s)] = float((overlap[j] * covariance).sum())
         if levels is not None:
-            row = levels[k - 1]
-            for a, b, piece in zip(cuts, cuts[1:], drawn.tolist()):
-                at = a
-                for value, count in enumerate(piece):
-                    row[at : at + count] = value
-                    at += count
-                rng.shuffle(row[a:b])
+            row, values = levels[k - 1], np.arange(num_levels + 1)
+            for a, b, piece in zip(cuts, cuts[1:], drawn):
+                # Generator.shuffle makes the same draws on any item size,
+                # but is fastest on intp items: shuffle the piece there.
+                buffer = np.repeat(values, piece)
+                rng.shuffle(buffer)
+                row[a:b] = buffer
+                del buffer  # before the next piece's buffer is made
 
     realization = None
     if levels is not None:

@@ -157,15 +157,17 @@ its chain rows, to that shape.
 The slices bound the memory: one K = 8, mu = 0 group built whole with
 every decode row would be 40,320 LPs of 40 x 12, 155 MB of a_ub.
 Every ordering then takes its LP's value.  The K! orderings are
-enumerated once, in lexicographic order: the report's table holds those
-tuples, and the LPs read them copied into one (K!, K) array (np.fromiter,
-twice as fast as np.array at K = 8).
+enumerated in lexicographic order: the report's table holds them as the
+tuples of itertools.permutations, and the LPs read them as one (K!, K)
+array built in numpy in the same order, block by first user
+(_orderings; 1.3 ms at K = 8, where copying the 322,560 ints of the
+tuples takes about 10 ms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import permutations
 from math import frexp, inf, ldexp
 from typing import Callable, Sequence
 
@@ -498,6 +500,23 @@ def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarra
     return first, inverse
 
 
+def _orderings(num_users: int) -> np.ndarray:
+    """Every ordering of the users 1..K as the rows of one (K!, K) array, in lexicographic order.
+
+    The orderings of 1..k are, for each first user f in turn, f followed by
+    the orderings of 1..k-1 with every user from f on moved up by one; the
+    move keeps each block in lexicographic order.
+    """
+    every = np.zeros((1, 0), dtype=int)
+    for k in range(1, num_users + 1):
+        firsts = np.arange(1, k + 1)[:, None, None]
+        blocks = np.empty((k, len(every), k), dtype=int)  # block f - 1: the orderings that start with f
+        blocks[:, :, :1] = firsts
+        np.add(every, every >= firsts, out=blocks[:, :, 1:])
+        every = blocks.reshape(-1, k)
+    return every
+
+
 def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport:
     """Tight bound: minimum of the per-ordering LP values over all K! orderings.
 
@@ -507,7 +526,7 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     K, B = stats.num_users, stats.num_levels
     check_bound_users(K)
     orderings = list(permutations(range(1, K + 1)))
-    every = np.fromiter(chain.from_iterable(orderings), dtype=int, count=K * len(orderings)).reshape(-1, K)
+    every = _orderings(K)
     masks, gap_of, live = _live_prefixes(stats, tup, every)
     # Positions past the largest live count are fixed at 0 in every ordering.
     head = np.s_[:, : int(live.max())]

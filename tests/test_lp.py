@@ -152,6 +152,59 @@ def test_certificate_of_given_pairs():
     np.testing.assert_allclose(gap, [1.15, 0.0], atol=1e-15)
 
 
+def test_master_ratio_test_picks_the_stack_rows():
+    # GrowingLp runs the ratio test on its own 1-D arrays (_ratio_test_one).
+    # It must give the bytes of the minimum ratio and the same tied and
+    # picked rows as _ratio_test on the (1, m) views: ratios tied within
+    # PIVOT_TOL, equal entries, and rows with no entry above PIVOT_TOL.
+    cases = [
+        ([1.0 + 5e-12, 1.0], [1.0, 1.0], [True, True]),  # tied ratios, equal entries: both picked
+        ([1.0, 2.0 + 1e-11], [1.0, 2.0], [False, True]),  # tied ratios: the larger entry
+        ([1.0, 1.0 + 2e-11], [1.0, 1.0], [True, False]),  # ratios apart by more than PIVOT_TOL
+        ([0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [False, True, True]),  # degenerate, two equal largest
+        ([0.0, 0.5, 3.0, 1.0], [-1.0, 1e-12, 0.5, 0.0], [False, False, True, False]),  # ineligible rows
+    ]
+    rng = np.random.default_rng(4201)
+    for _ in range(300):
+        m = int(rng.integers(1, 9))
+        rhs = rng.choice([0.0, 0.5, 1.0, 1.0 + 5e-12, 2.0, 3.0], m)
+        column = rng.choice([-1.0, 0.0, 1e-12, 0.5, 1.0, 1.0, 2.0, rng.uniform(0.1, 3.0)], m)
+        cases.append((rhs, column, None))
+    for rhs, column, expected in cases:
+        rhs, column = np.array(rhs), np.array(column)
+        eligible = column > lp.PIVOT_TOL
+        if not eligible.any():  # the master finds the ray before its ratio test
+            continue
+        least, near, pick = lp._ratio_test(rhs[None], column[None], eligible[None], np.arange(1))
+        one_least, one_near, one_pick = lp._ratio_test_one(rhs, column, eligible)
+        assert np.float64(one_least).tobytes() == least[:1].tobytes()
+        assert one_near.tolist() == near[0].tolist() and one_pick.tolist() == pick[0].tolist()
+        if expected is not None:
+            assert one_pick.tolist() == expected
+
+
+def test_master_certificate_matches_the_stack_bytes():
+    # GrowingLp certifies on its own arrays (_certificate_one), its columns
+    # a (m, n) view of its (m, capacity) buffer.  For random primal-dual
+    # pairs, a third of them certified (x = 0, y = 0, c >= 0), the value
+    # and the three residuals must be the bytes _certificate gives on the
+    # (1, ...) views, and the verdict _certified's.
+    rng = np.random.default_rng(4202)
+    for trial in range(300):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(0, 25))
+        store = rng.normal(size=(m, n + int(rng.integers(0, 4)))) * (rng.random((m, 1)) < 0.8)
+        a, b = store[:, :n], rng.uniform(0.0, 2.0, m) * (rng.random(m) < 0.7)
+        c = rng.normal(size=n)
+        x = np.maximum(rng.normal(size=n), 0.0) + 0.0
+        y = np.minimum(rng.normal(size=m), 0.0) + 0.0
+        if trial % 3 == 0:
+            c, x, y = np.abs(c), np.zeros(n), np.zeros(m)
+        stack = lp._certificate(a[None], b, c[None], x[None], y[None])
+        one = lp._certificate_one(a, b, c, x, y)
+        assert np.array(one).tobytes() == np.concatenate(stack).tobytes()
+        assert lp._certified(*one) == lp._certified(*stack)[0]
+
+
 @pytest.mark.parametrize("index, text", [
     (1, "optimal basis fails feasibility recheck (largest violation 0.5)"),
     (2, "optimal basis fails dual feasibility check (dual residual 0.5)"),

@@ -452,6 +452,53 @@ def test_two_uses_follow_the_exact_law(shares):
     assert ((tally - expected) ** 2 / expected).sum() < 26.12, tally
 
 
+@pytest.mark.parametrize("length", [0, 1, 2, 1000, 20000])
+def test_an_intp_shuffle_makes_the_uint8_arrangement(length):
+    # keep_levels shuffles each piece as intp items, where numpy's
+    # Generator.shuffle has its fast path, and copies it into the uint8
+    # row.  The kept levels are pinned (SIMULATE_DIGESTS, tests/test_cli.py)
+    # on the draws of an in-place uint8 shuffle, so both item sizes must
+    # give the same arrangement and leave the generator in the same state,
+    # also after earlier draws; a numpy whose shuffle draws by item size
+    # fails here.
+    for seed in range(12):
+        counts = np.random.default_rng([seed, length]).multinomial(length, [0.1, 0.2, 0.3, 0.4])
+        values = np.repeat(np.arange(4), counts)  # sorted, as np.repeat builds a piece
+        wide, narrow = values.astype(np.intp), values.astype(np.uint8)
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (fast, slow):
+            rng.multinomial(5, [0.5, 0.5], size=seed)
+        fast.shuffle(wide)
+        slow.shuffle(narrow)
+        assert wide.astype(np.uint8).tobytes() == narrow.tobytes()
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_kept_levels_are_shuffled_piece_by_piece():
+    # K = 6, B = 5 at t = 2: keep_levels shuffles each piece in an intp
+    # buffer of its own, so the peak above the K x n uint8 levels stays
+    # within 8 bytes a use of the longest piece plus 64 KiB, where one
+    # intp copy of a user's row would take 8 bytes a use of all n.
+    stats = random_stats(np.random.default_rng(4203), 6, 5)
+    alloc = achievable_rate_lp(stats, Fraction(2, 6))
+    simulate_delivery(stats, alloc, 1000, seed=1, keep_levels=True)
+    for num_uses in (10**5, 10**6):
+        starts = span_starts(alloc, num_uses)
+        longest = 0
+        for k in range(1, 7):
+            mine = [j for j, s in enumerate(alloc.subsets) if k in s]
+            cuts = sorted({0, num_uses, *(starts[l][j + e] for l in range(5) for j in mine for e in (0, 1))})
+            longest = max(longest, *(b - a for a, b in zip(cuts, cuts[1:])))
+        assert 8 * longest + (1 << 16) < 8 * num_uses
+        tracemalloc.start()
+        try:
+            report = simulate_delivery(stats, alloc, num_uses, seed=5, keep_levels=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - report.realization.levels.nbytes <= 8 * longest + (1 << 16), (num_uses, peak, longest)
+
+
 def test_zero_one_rows_are_deterministic_at_a_trillion_uses():
     # Rows of 0s and 1s put all of a user's mass on one level count, so
     # every piece's counts, and so every tally, are the same at any seed,

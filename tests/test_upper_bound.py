@@ -335,6 +335,17 @@ def test_one_ordering_reads_only_its_prefixes():
 # --- upper_bound_rate -------------------------------------------------------------
 
 
+@pytest.mark.parametrize("users", range(1, 9))
+def test_ordering_array_is_the_permutations_order(users):
+    # The bound's LPs read the orderings as one (K!, K) array built in
+    # numpy, and its table and argmin read them as the tuples of
+    # itertools.permutations: row i must be tuple i, for every K up to the
+    # bound's cap.
+    every = upper_bound._orderings(users)
+    assert every.dtype == np.dtype(int) and every.flags.c_contiguous
+    assert list(map(tuple, every.tolist())) == list(permutations(range(1, users + 1)))
+
+
 def test_bound_reference_scenario(mixed3, tup3):
     report = upper_bound_rate(mixed3, tup3)
     assert abs(report.value - MIXED3_BOUND) <= 1e-9
