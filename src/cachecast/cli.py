@@ -14,7 +14,8 @@ Unknown fields are rejected, and so is `caching` for any command but
 `rates upper`, the one that reads it.  `main` loads the scenario once and
 hands it to the command's `cmd_*` function, which returns the JSON payload
 with --json and the text lines without it, building only the one it
-returns; `main` writes it.
+returns; `main` writes it.  `rates upper --json` returns its JSON already
+written, the K! rows of its `table` laid out from arrays (table_json).
 
 Exit codes: 0 success, 2 validation error (bad config or arguments),
 3 solver failure.  Rates print with 6 significant digits; JSON reports
@@ -54,8 +55,9 @@ _NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
 # 2**16 lines the simulate-1e6 benchmark's peak RSS read 1 MB more.
 TRACE_CHUNK = 1 << 14
 
-# What a command returns: the JSON payload with --json, else the text lines.
-Output = Union[dict, list[str]]
+# What a command returns: the JSON payload (or its text) with --json, else
+# the text lines.
+Output = Union[dict, str, list[str]]
 
 
 @dataclass(frozen=True)
@@ -228,15 +230,19 @@ def cmd_rates_upper(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
         tup = caching.caching_tuple(cfg.strategy)
     report = upper_bound.upper_bound_rate(cfg.stats, tup)
     if args.json:
-        return {
-            "command": "rates.upper",
-            "mu": cfg.mu,
-            "value": report.value,
-            "argmin_pi": report.argmin_pi,
-            "omega_star": report.omega_star,
-            "omega_star_unique": report.omega_star_unique,
-            "table": [{"pi": pi, "value": value} for pi, value in report.table],
-        }
+        head = to_json(
+            {
+                "command": "rates.upper",
+                "mu": cfg.mu,
+                "value": report.value,
+                "argmin_pi": report.argmin_pi,
+                "omega_star": report.omega_star,
+                "omega_star_unique": report.omega_star_unique,
+            }
+        )
+        values = np.array([value for _, value in report.table])
+        table = table_json(upper_bound.ordering_array(cfg.stats.num_users), values)
+        return f'{head[:-1]}, "table": {table}}}'
     text = [
         f"bound: {_sig(report.value)}",
         f"ordering: {','.join(map(str, report.argmin_pi))}",
@@ -342,6 +348,46 @@ def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
     return text
 
 
+def _byte_cells(cells: list[str]) -> np.ndarray:
+    """Row i holds the ASCII bytes of cells[i], right-aligned behind zero bytes."""
+    lengths = np.array([len(cell) for cell in cells])
+    table = np.zeros((len(cells), int(lengths.max())), dtype=np.uint8)
+    right = np.arange(table.shape[1]) >= table.shape[1] - lengths[:, None]
+    table[right] = np.frombuffer("".join(cells).encode("ascii"), dtype=np.uint8)
+    return table
+
+
+def table_json(orderings: np.ndarray, values: np.ndarray) -> str:
+    """The `table` of `rates upper --json`: row i of `orderings` (ints >= 0)
+    with values[i] (floats), as the JSON list of {"pi": [...], "value": v}.
+
+    The text equals, byte for byte, json.dumps of that list of dicts (pi a
+    list of ints, v a float) under to_json's non-finite rule: a finite value
+    is written as float.__repr__ writes it, as json does, and a non-finite
+    one as the string "inf", "-inf" or "nan".  Each row is laid out in one
+    byte array: the fixed head, one cell per user id from a byte table
+    ("k, " right-aligned behind zero bytes, whatever the number of digits;
+    the last cell's ", " becomes "],"), the fixed ' "value": ', and the
+    value's cell with its closing "}, ".  Each distinct value (by its bits,
+    so -0.0 is not 0.0) is written once.  The zero bytes are then dropped,
+    and so is the last row's ", ".
+    """
+    ids = _byte_cells([f"{k}, " for k in range(int(orderings.max()) + 1)])
+    bits, row_value = np.unique(np.asarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
+    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")  # "Infinity" where not finite
+    cells = _byte_cells([f'"{_NON_FINITE[text]}"}}, ' if text in _NON_FINITE else f"{text}}}, " for text in texts])
+    count, users = orderings.shape
+    head, middle = b'{"pi": [', b' "value": '
+    at = np.cumsum([len(head), users * ids.shape[1], len(middle), cells.shape[1]])
+    lines = np.empty((count, int(at[-1])), dtype=np.uint8)
+    lines[:, : at[0]] = np.frombuffer(head, dtype=np.uint8)
+    lines[:, at[0] : at[1]] = np.take(ids, orderings, axis=0).reshape(count, -1)
+    lines[:, at[1] - 2 : at[1]] = np.frombuffer(b"],", dtype=np.uint8)
+    lines[:, at[1] : at[2]] = np.frombuffer(middle, dtype=np.uint8)
+    lines[:, at[2] :] = np.take(cells, row_value, axis=0)
+    return "[" + lines[lines != 0].tobytes()[:-2].decode("ascii") + "]"
+
+
 def _trace_rows(realization: channel.StateRealization) -> Iterator[bytes]:
     """The CSV rows of a trace, one line per channel use and one column per
     user, in chunks of TRACE_CHUNK lines.
@@ -359,10 +405,7 @@ def _trace_rows(realization: channel.StateRealization) -> Iterator[bytes]:
     np.savetxt(fh, levels.T, fmt="%d", delimiter=",").
     """
     top, part = realization.num_levels, max(1, TRACE_CHUNK // 8)
-    table = np.zeros((top + 1, len(str(top)) + 1), dtype=np.uint8)
-    for value in range(top + 1):
-        cell = f"{value},".encode("ascii")
-        table[value, table.shape[1] - len(cell) :] = np.frombuffer(cell, dtype=np.uint8)
+    table = _byte_cells([f"{value}," for value in range(top + 1)])
     for start in range(0, realization.num_uses, TRACE_CHUNK):
         chunk = realization.levels[:, start : start + TRACE_CHUNK]
         lines = np.empty((chunk.shape[1], chunk.shape[0], table.shape[1]), dtype=np.uint8)
@@ -473,7 +516,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    print(to_json(output) if args.json else "\n".join(output))
+    print(output if isinstance(output, str) else to_json(output) if args.json else "\n".join(output))
     return 0
 
 

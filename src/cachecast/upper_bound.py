@@ -158,10 +158,10 @@ The slices bound the memory: one K = 8, mu = 0 group built whole with
 every decode row would be 40,320 LPs of 40 x 12, 155 MB of a_ub.
 Every ordering then takes its LP's value.  The K! orderings are
 enumerated in lexicographic order: the report's table holds them as the
-tuples of itertools.permutations, and the LPs read them as one (K!, K)
-array built in numpy in the same order, block by first user
-(_orderings; 1.3 ms at K = 8, where copying the 322,560 ints of the
-tuples takes about 10 ms).
+tuples of itertools.permutations, and the LPs (and the JSON `table` of
+`rates upper`) read them as one (K!, K) array built in numpy in the same
+order, block by first user (ordering_array; 1.3 ms at K = 8, where
+copying the 322,560 ints of the tuples takes about 10 ms).
 """
 
 from __future__ import annotations
@@ -500,7 +500,7 @@ def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarra
     return first, inverse
 
 
-def _orderings(num_users: int) -> np.ndarray:
+def ordering_array(num_users: int) -> np.ndarray:
     """Every ordering of the users 1..K as the rows of one (K!, K) array, in lexicographic order.
 
     The orderings of 1..k are, for each first user f in turn, f followed by
@@ -526,7 +526,7 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     K, B = stats.num_users, stats.num_levels
     check_bound_users(K)
     orderings = list(permutations(range(1, K + 1)))
-    every = _orderings(K)
+    every = ordering_array(K)
     masks, gap_of, live = _live_prefixes(stats, tup, every)
     # Positions past the largest live count are fixed at 0 in every ordering.
     head = np.s_[:, : int(live.max())]

@@ -6,6 +6,7 @@ them) so the suite never trusts the code under test for its own oracle.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -234,6 +235,40 @@ def degenerate_delivery_grids() -> list[tuple[str, np.ndarray, int]]:
 
 
 # --- reference implementations ---------------------------------------------
+
+
+_NON_FINITE_TEXT = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
+
+
+def strict_json(obj) -> str:
+    """json.dumps, with a non-finite float written as the string "inf",
+    "-inf" or "nan" (the CLI's rule)."""
+    try:
+        return json.dumps(obj, allow_nan=False)
+    except ValueError:
+        return json.dumps(json.loads(json.dumps(obj), parse_constant=_NON_FINITE_TEXT.__getitem__))
+
+
+def upper_table_json(rows) -> str:
+    """The JSON `table` of `rates upper`, written as a list of
+    {"pi": pi, "value": value} dicts, one per (pi, value) row (pi a tuple
+    or list of ints, value a float)."""
+    return strict_json([{"pi": pi, "value": value} for pi, value in rows])
+
+
+def upper_json(mu: Fraction, report) -> str:
+    """`rates upper --json` stdout, less its newline, for one report: every
+    key, the table last, written as one dict by json.dumps."""
+    payload = {
+        "command": "rates.upper",
+        "mu": str(mu),
+        "value": report.value,
+        "argmin_pi": report.argmin_pi,
+        "omega_star": report.omega_star,
+        "omega_star_unique": report.omega_star_unique,
+        "table": [{"pi": pi, "value": value} for pi, value in report.table],
+    }
+    return strict_json(payload)
 
 
 def pivot_reference(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -42,6 +43,8 @@ from helpers import (
     span_starts,
     stack_hits,
     tiny_gap_placement,
+    upper_json,
+    upper_table_json,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -187,6 +190,118 @@ def test_upper_table_text(capsys):
     assert "per-ordering values:" in out
     assert "(2,3,1)" in out
     assert len(out.strip().splitlines()) == 4 + 6
+
+
+# --- the JSON table of rates upper ------------------------------------------------
+
+
+@pytest.fixture
+def upper_stdout(capsys, monkeypatch, tmp_path):
+    """Run `rates upper --json` on a scenario: its stdout, and the oracle's
+    bytes (helpers.upper_json) for the report it wrote."""
+    reports = []
+    bound = upper_bound.upper_bound_rate
+
+    def kept(*args):
+        reports.append(bound(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(upper_bound, "upper_bound_rate", kept)
+
+    def run(body):
+        reports.clear()
+        code = cli.main(["rates", "upper", write_config(tmp_path, body), "--json"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        (report,) = reports
+        return captured.out, upper_json(Fraction(body["mu"]), report) + "\n"
+
+    return run
+
+
+@pytest.mark.parametrize("users", range(1, 9))
+def test_upper_json_is_the_oracle_at_every_cache_size(upper_stdout, users):
+    ccdf = sorted_uniform_ccdf(np.random.default_rng([users, 43]), users, 3).tolist()
+    for t in range(users + 1):
+        out, want = upper_stdout({"num_users": users, "num_levels": 3, "mu": f"{t}/{users}", "ccdf": ccdf})
+        assert out == want, f"mu = {t}/{users}"
+
+
+def test_upper_json_at_mu_one_reads_inf(upper_stdout):
+    # The first user's cache covers the file in every ordering.
+    ccdf = sorted_uniform_ccdf(np.random.default_rng(44), 4, 3).tolist()
+    out, want = upper_stdout({"num_users": 4, "num_levels": 3, "mu": "1", "ccdf": ccdf})
+    assert out == want
+    payload = json.loads(out)
+    assert payload["value"] == "inf"
+    assert [row["value"] for row in payload["table"]] == ["inf"] * 24
+
+
+def test_upper_json_writes_a_dead_first_user_as_zero(upper_stdout):
+    ccdf = sorted_uniform_ccdf(np.random.default_rng(45), 5, 3)
+    ccdf[2] = 0.0
+    out, want = upper_stdout({"num_users": 5, "num_levels": 3, "mu": "1/5", "ccdf": ccdf.tolist()})
+    assert out == want
+    table = json.loads(out)["table"]
+    assert [row["value"] == 0.0 for row in table] == [row["pi"][0] == 3 for row in table]
+    assert out.count('"value": 0.0}') == 24
+
+
+def test_upper_json_with_twin_rows(upper_stdout):
+    ccdf = sorted_uniform_ccdf(np.random.default_rng(46), 6, 3)
+    ccdf[3], ccdf[5] = ccdf[0], ccdf[1]
+    for mu in ("0", "1/6", "2/6"):
+        out, want = upper_stdout({"num_users": 6, "num_levels": 3, "mu": mu, "ccdf": ccdf.tolist()})
+        assert out == want, f"mu = {mu}"
+
+
+def test_upper_json_with_unequal_gaps(upper_stdout):
+    # One interval per user, user k's from (k-1)^2/36: the gaps differ
+    # between prefixes, and so do the values.
+    ccdf = sorted_uniform_ccdf(np.random.default_rng(47), 6, 4).tolist()
+    spread = [[[str(Fraction(k * k, 36)), str(Fraction(k * k + 6, 36))]] for k in range(6)]
+    out, want = upper_stdout({"num_users": 6, "num_levels": 4, "mu": "1/6", "ccdf": ccdf, "caching": spread})
+    assert out == want
+    assert len({row["value"] for row in json.loads(out)["table"]}) > 100
+
+
+def test_upper_json_with_values_in_exponent_form(upper_stdout):
+    ccdf = sorted_uniform_ccdf(np.random.default_rng(48), 4, 3) * 1e-5
+    out, want = upper_stdout({"num_users": 4, "num_levels": 3, "mu": "1/4", "ccdf": ccdf.tolist()})
+    assert out == want
+    assert re.search(r'"value": \d\.\d+e-05}', out)
+
+
+@pytest.mark.parametrize("ids", [(10, 11, 12), (1, 10, 100), (9, 10, 99, 100, 12345), (0,)])
+def test_table_json_writes_ids_of_any_width(ids):
+    rng = np.random.default_rng(len(ids))
+    orderings = np.array([rng.permutation(ids) for _ in range(40)])
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300, 1.5e300, 0.1, 1 / 3, 2.0, 12345.678]
+    values = rng.choice(special, size=len(orderings))
+    want = upper_table_json(zip(orderings.tolist(), values.tolist()))
+    assert cli.table_json(orderings, values) == want
+    assert cli.table_json(orderings[:1], values[:1]) == upper_table_json([(orderings[0].tolist(), values[0])])
+
+
+def test_table_json_peaks_below_the_dict_writer():
+    # K = 8: 40,320 rows.  The list of dicts and json.dumps peaked at 13.2 MB
+    # here, the byte arrays at 10.6 MB.
+    stats = validate_stats(sorted_uniform_ccdf(np.random.default_rng(8), 8, 4).tolist())
+    report = upper_bound.upper_bound_rate(stats, caching.central_tuple(8, Fraction(4, 8)))
+
+    def peak(write):
+        tracemalloc.start()
+        try:
+            text = write()
+            return tracemalloc.get_traced_memory()[1], text
+        finally:
+            tracemalloc.stop()
+
+    values = np.array([value for _, value in report.table])
+    arrays, text = peak(lambda: cli.table_json(upper_bound.ordering_array(8), values))
+    dicts, want = peak(lambda: upper_table_json(report.table))
+    assert text == want
+    assert arrays <= dicts, f"{arrays / 1e6:.1f} MB against {dicts / 1e6:.1f} MB"
 
 
 def test_dump_matrices(capsys, tmp_path):

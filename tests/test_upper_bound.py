@@ -337,11 +337,11 @@ def test_one_ordering_reads_only_its_prefixes():
 
 @pytest.mark.parametrize("users", range(1, 9))
 def test_ordering_array_is_the_permutations_order(users):
-    # The bound's LPs read the orderings as one (K!, K) array built in
-    # numpy, and its table and argmin read them as the tuples of
-    # itertools.permutations: row i must be tuple i, for every K up to the
-    # bound's cap.
-    every = upper_bound._orderings(users)
+    # The bound's LPs and the CLI's JSON table read the orderings as one
+    # (K!, K) array built in numpy, and the report's table and argmin read
+    # them as the tuples of itertools.permutations: row i must be tuple i,
+    # for every K up to the bound's cap.
+    every = upper_bound.ordering_array(users)
     assert every.dtype == np.dtype(int) and every.flags.c_contiguous
     assert list(map(tuple, every.tolist())) == list(permutations(range(1, users + 1)))
 
