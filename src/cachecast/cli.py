@@ -47,6 +47,7 @@ TWO_USER_FIELDS = (
     "u", "v", "alpha", "beta", "level_order", "f1", "f2", "individual_size", "common_size", "margins"
 )
 SIMULATE_FIELDS = ("seed", "rate", "t", "messages", "user_decodable", "empirical_ccdf", "ccdf_std_error")
+UPPER_FIELDS = ("value", "argmin_pi", "omega_star", "omega_star_unique")  # then the table, from its arrays
 
 _NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
 
@@ -110,6 +111,8 @@ def load_config(path: str) -> ScenarioConfig:
     for k, row in enumerate(ccdf, start=1):
         if not isinstance(row, list) or len(row) != num_levels:
             raise _fail(f"'ccdf' row {k} must list {num_levels} probabilities")
+        if any(type(entry) not in (int, float) for entry in row):  # not json's true, "0.9" or null
+            raise _fail(f"user {k}: CCDF entries must be numbers, got {row!r}")
     stats = channel.validate_stats(ccdf)
 
     try:
@@ -230,19 +233,8 @@ def cmd_rates_upper(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
         tup = caching.caching_tuple(cfg.strategy)
     report = upper_bound.upper_bound_rate(cfg.stats, tup)
     if args.json:
-        head = to_json(
-            {
-                "command": "rates.upper",
-                "mu": cfg.mu,
-                "value": report.value,
-                "argmin_pi": report.argmin_pi,
-                "omega_star": report.omega_star,
-                "omega_star_unique": report.omega_star_unique,
-            }
-        )
-        values = np.array([value for _, value in report.table])
-        table = table_json(upper_bound.ordering_array(cfg.stats.num_users), values)
-        return f'{head[:-1]}, "table": {table}}}'
+        head = to_json({"command": "rates.upper", "mu": cfg.mu, **_named(report, UPPER_FIELDS)})
+        return f'{head[:-1]}, "table": {table_json(report.orderings, report.values)}}}'
     text = [
         f"bound: {_sig(report.value)}",
         f"ordering: {','.join(map(str, report.argmin_pi))}",
@@ -251,7 +243,7 @@ def cmd_rates_upper(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
     ]
     if args.table:
         text.append("per-ordering values:")
-        for pi, value in report.table:
+        for pi, value in zip(report.orderings.tolist(), report.values.tolist()):
             text.append(f"  ({','.join(map(str, pi))})  {_sig(value)}")
     return text
 

@@ -157,17 +157,16 @@ its chain rows, to that shape.
 The slices bound the memory: one K = 8, mu = 0 group built whole with
 every decode row would be 40,320 LPs of 40 x 12, 155 MB of a_ub.
 Every ordering then takes its LP's value.  The K! orderings are
-enumerated in lexicographic order: the report's table holds them as the
-tuples of itertools.permutations, and the LPs (and the JSON `table` of
-`rates upper`) read them as one (K!, K) array built in numpy in the same
-order, block by first user (ordering_array; 1.3 ms at K = 8, where
-copying the 322,560 ints of the tuples takes about 10 ms).
+enumerated once, in lexicographic order, as one (K!, K) array built in
+numpy block by first user (ordering_array; 1.3 ms at K = 8).  The LPs
+read it, and the report holds it as `orderings` beside the per-ordering
+`values`, so the JSON `table` and the text of `rates upper --table` are
+written from the same two arrays and no K!-sized Python tuple is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import frexp, inf, ldexp
 from typing import Callable, Sequence
 
@@ -187,16 +186,21 @@ STACK_ENTRIES = 43_000
 
 @dataclass(frozen=True)
 class UpperBoundReport:
-    """Minimum over orderings, per-ordering table, and recovered weights.
+    """Minimum over orderings, per-ordering values, and recovered weights.
 
+    orderings is the (K!, K) int array of every ordering of the users 1..K,
+    in lexicographic order (ordering_array), and values[i] (float64, K!) is
+    the bound of ordering orderings[i]; both are read-only.  argmin_pi is
+    the first ordering that attains the minimum, a tuple of ints.
     omega_star is scaled so its smallest positive entry is 1; it is flagged
     non-unique when more than one ordering attains the minimum within
-    FEAS_TOL.  Entries of `table` follow lexicographic ordering order.
+    FEAS_TOL.
     """
 
     value: float
     argmin_pi: tuple[int, ...]
-    table: tuple[tuple[tuple[int, ...], float], ...]
+    orderings: np.ndarray
+    values: np.ndarray
     omega_star: tuple[float, ...]
     omega_star_unique: bool
 
@@ -525,7 +529,6 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     """
     K, B = stats.num_users, stats.num_levels
     check_bound_users(K)
-    orderings = list(permutations(range(1, K + 1)))
     every = ordering_array(K)
     masks, gap_of, live = _live_prefixes(stats, tup, every)
     # Positions past the largest live count are fixed at 0 in every ordering.
@@ -569,25 +572,26 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
             stack = _solve_from_vertex(ccdf[part], kept[part], gaps)
             if stack.status.count(OPTIMAL) < rows.size:
                 for row, outcome in zip(rows.tolist(), stack):
-                    require_optimal(outcome, f"ordering {orderings[row]} (K={K}, B={B}, mu={tup.mu})")
+                    require_optimal(outcome, f"ordering {tuple(every[row].tolist())} (K={K}, B={B}, mu={tup.mu})")
             values[lps] = np.ldexp(-1.0 / stack.value, -np.frexp(gaps[:, 0])[1])
             weights[lps, :p] = stack.x[:, :p]
 
     by_ordering = values[inverse]
-    table = tuple(zip(orderings, by_ordering.tolist()))
     best = float(by_ordering.min())
     hits = np.flatnonzero(by_ordering <= best + FEAS_TOL)
     argmin = int(hits[0])  # orderings were generated in lexicographic order
-    pi = orderings[argmin]
     omega = np.zeros(K)  # the argmin's x itself, by user; x >= -FEAS_TOL: a negative is a 0
     omega[every[argmin] - 1] = np.maximum(weights[inverse[argmin]], 0.0)
     positive = omega[omega > 0.0]
     if positive.size:
         omega /= positive.min()
+    every.setflags(write=False)
+    by_ordering.setflags(write=False)
     return UpperBoundReport(
         value=best,
-        argmin_pi=pi,
-        table=table,
+        argmin_pi=tuple(every[argmin].tolist()),
+        orderings=every,
+        values=by_ordering,
         omega_star=tuple(float(v) for v in omega),
         omega_star_unique=hits.size == 1 and best < inf,
     )

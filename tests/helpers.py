@@ -256,6 +256,12 @@ def upper_table_json(rows) -> str:
     return strict_json([{"pi": pi, "value": value} for pi, value in rows])
 
 
+def table_rows(report) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """An UpperBoundReport's table as ((pi, value), ...): each ordering as a
+    tuple of ints with its value as a float, in the report's order."""
+    return tuple(zip(map(tuple, report.orderings.tolist()), report.values.tolist()))
+
+
 def upper_json(mu: Fraction, report) -> str:
     """`rates upper --json` stdout, less its newline, for one report: every
     key, the table last, written as one dict by json.dumps."""
@@ -266,7 +272,7 @@ def upper_json(mu: Fraction, report) -> str:
         "argmin_pi": report.argmin_pi,
         "omega_star": report.omega_star,
         "omega_star_unique": report.omega_star_unique,
-        "table": [{"pi": pi, "value": value} for pi, value in report.table],
+        "table": [{"pi": pi, "value": value} for pi, value in table_rows(report)],
     }
     return strict_json(payload)
 

@@ -42,6 +42,7 @@ from helpers import (
     sorted_uniform_ccdf,
     span_starts,
     stack_hits,
+    table_rows,
     tiny_gap_placement,
     upper_json,
     upper_table_json,
@@ -192,6 +193,20 @@ def test_upper_table_text(capsys):
     assert len(out.strip().splitlines()) == 4 + 6
 
 
+def test_upper_table_text_is_the_json_table(capsys, tmp_path):
+    # K = 5: each of the 120 ordering lines of --table is the --json table's
+    # row for the same scenario, its value to 6 significant digits.
+    ccdf = sorted_uniform_ccdf(np.random.default_rng(44), 5, 3).tolist()
+    cfg = write_config(tmp_path, {"num_users": 5, "num_levels": 3, "mu": "1/5", "ccdf": ccdf})
+    table = run_json(capsys, ["rates", "upper", cfg, "--json"])["table"]
+    code = cli.main(["rates", "upper", cfg, "--table"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    want = [f"  ({','.join(map(str, row['pi']))})  {float(row['value']):.6g}" for row in table]
+    assert len(want) == 120
+    assert lines[3:] == ["per-ordering values:", *want]
+
+
 # --- the JSON table of rates upper ------------------------------------------------
 
 
@@ -285,7 +300,7 @@ def test_table_json_writes_ids_of_any_width(ids):
 
 def test_table_json_peaks_below_the_dict_writer():
     # K = 8: 40,320 rows.  The list of dicts and json.dumps peaked at 13.2 MB
-    # here, the byte arrays at 10.6 MB.
+    # here, the byte arrays, written from the report's own arrays, at 8.0 MB.
     stats = validate_stats(sorted_uniform_ccdf(np.random.default_rng(8), 8, 4).tolist())
     report = upper_bound.upper_bound_rate(stats, caching.central_tuple(8, Fraction(4, 8)))
 
@@ -297,9 +312,9 @@ def test_table_json_peaks_below_the_dict_writer():
         finally:
             tracemalloc.stop()
 
-    values = np.array([value for _, value in report.table])
-    arrays, text = peak(lambda: cli.table_json(upper_bound.ordering_array(8), values))
-    dicts, want = peak(lambda: upper_table_json(report.table))
+    rows = table_rows(report)
+    arrays, text = peak(lambda: cli.table_json(report.orderings, report.values))
+    dicts, want = peak(lambda: upper_table_json(rows))
     assert text == want
     assert arrays <= dicts, f"{arrays / 1e6:.1f} MB against {dicts / 1e6:.1f} MB"
 
@@ -815,6 +830,26 @@ def test_config_nan_ccdf_is_rejected(capsys, tmp_path, config, command):
     assert "NaN" in Path(cfg).read_text()
     assert cli.main([*command, cfg, "--json"]) == 2
     assert "user 2: CCDF entries must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [True, False, "0.9", None])
+def test_config_ccdf_entries_must_be_json_numbers(capsys, tmp_path, entry):
+    # float() reads true and false as 1.0 and 0.0, and numpy reads "0.9" as
+    # 0.9: a CCDF entry must be a JSON number, as every other number in a
+    # config must not be a boolean.
+    body = json.loads(Path(NONDEGRADED).read_text())
+    body["ccdf"][1][1] = entry
+    cfg = write_config(tmp_path, body)
+    assert cli.main(["rates", "upper", cfg]) == 2
+    row = body["ccdf"][1]
+    assert capsys.readouterr().err == f"error: config: user 2: CCDF entries must be numbers, got {row!r}\n"
+
+
+def test_config_ccdf_takes_integer_entries(capsys, tmp_path):
+    body = {"num_users": 2, "num_levels": 2, "mu": "1/2", "ccdf": [[1, 0.5], [1, 0]]}
+    ints = run_json(capsys, ["rates", "upper", write_config(tmp_path, body), "--json"])
+    body["ccdf"] = [[1.0, 0.5], [1.0, 0.0]]
+    assert run_json(capsys, ["rates", "upper", write_config(tmp_path, body), "--json"]) == ints
 
 
 def test_config_mu_out_of_range_is_named(capsys, tmp_path):

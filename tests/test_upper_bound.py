@@ -35,6 +35,7 @@ from helpers import (
     random_stats,
     solve_from_pivoted_vertex,
     sorted_uniform_ccdf,
+    table_rows,
     tiny_gap_placement,
 )
 
@@ -337,13 +338,31 @@ def test_one_ordering_reads_only_its_prefixes():
 
 @pytest.mark.parametrize("users", range(1, 9))
 def test_ordering_array_is_the_permutations_order(users):
-    # The bound's LPs and the CLI's JSON table read the orderings as one
-    # (K!, K) array built in numpy, and the report's table and argmin read
-    # them as the tuples of itertools.permutations: row i must be tuple i,
-    # for every K up to the bound's cap.
+    # The bound's LPs, its report and the CLI's tables read the orderings
+    # as one (K!, K) array built in numpy, in the order of
+    # itertools.permutations: row i must be tuple i, for every K up to the
+    # bound's cap.
     every = upper_bound.ordering_array(users)
     assert every.dtype == np.dtype(int) and every.flags.c_contiguous
     assert list(map(tuple, every.tolist())) == list(permutations(range(1, users + 1)))
+
+
+@pytest.mark.parametrize("users", range(1, 9))
+def test_report_holds_the_ordering_array_and_values(users):
+    # The report keeps the bound's (K!, K) ordering array and the (K!,)
+    # per-ordering values, both read-only; argmin_pi is the first ordering
+    # that attains the minimum, as a tuple of Python ints.
+    stats = validate_stats(sorted_uniform_ccdf(np.random.default_rng([users, 44]), users, 3))
+    report = upper_bound_rate(stats, central_tuple(users, Fraction(1, users)))
+    every = upper_bound.ordering_array(users)
+    assert (report.orderings.dtype, report.orderings.shape) == (every.dtype, every.shape)
+    assert report.orderings.tobytes() == every.tobytes()
+    assert not report.orderings.flags.writeable and not report.values.flags.writeable
+    assert report.values.dtype == np.float64 and report.values.shape == (math.factorial(users),)
+    assert type(report.argmin_pi) is tuple and all(type(k) is int for k in report.argmin_pi)
+    first = int(np.flatnonzero(report.values <= report.value + FEAS_TOL)[0])
+    assert report.argmin_pi == tuple(every[first].tolist())
+    assert report.value == report.values.min()
 
 
 def test_bound_reference_scenario(mixed3, tup3):
@@ -352,8 +371,8 @@ def test_bound_reference_scenario(mixed3, tup3):
     assert report.argmin_pi == MIXED3_BEST_PI
     assert report.omega_star_unique
     np.testing.assert_allclose(report.omega_star, MIXED3_OMEGA, atol=1e-9)
-    assert len(report.table) == 6
-    for pi, value in report.table:
+    assert len(table_rows(report)) == 6
+    for pi, value in table_rows(report):
         assert abs(value - MIXED3_TABLE[pi]) <= 0.01
 
 
@@ -529,7 +548,7 @@ def test_bound_solves_each_distinct_lp_once(monkeypatch, t, lps):
     assert shapes == ROADMAP_ITEM1_STACKS[t]
     assert all(4 + p <= m <= p * 4 + p and n == p + 4 for _, m, n in shapes)
     assert sum(shape[0] for shape in shapes) == lps == len(_distinct_lps(stats, tup))
-    assert len(report.table) == 720
+    assert len(table_rows(report)) == 720
 
 
 def test_bound_shares_no_lp_across_live_counts(monkeypatch):
@@ -547,7 +566,7 @@ def test_bound_shares_no_lp_across_live_counts(monkeypatch):
     shapes = _recording_shapes(monkeypatch)
     report = upper_bound_rate(stats, tup)
     assert sorted(shapes) == [(2, 9, 6), (3, 5, 5)]
-    values = dict(report.table)
+    values = dict(table_rows(report))
     assert values[(1, 2, 3)] != values[(1, 3, 2)]
     assert values[(2, 1, 3)] == values[(2, 3, 1)]
 
@@ -613,7 +632,7 @@ def _bound_one_ordering_at_a_time(stats, tup, vertex=True):
 
 
 def _report(report):
-    return report.value, report.argmin_pi, report.omega_star, report.omega_star_unique, report.table
+    return report.value, report.argmin_pi, report.omega_star, report.omega_star_unique, table_rows(report)
 
 
 def _assert_near_x0_start(report, stats, tup):
@@ -621,8 +640,9 @@ def _assert_near_x0_start(report, stats, tup):
     from x = 0 by solve_lp, and the same argmin_pi and uniqueness."""
     _, pi, _, unique, table = _bound_one_ordering_at_a_time(stats, tup, vertex=False)
     assert (report.argmin_pi, report.omega_star_unique) == (pi, unique)
-    assert [pi for pi, _ in report.table] == [pi for pi, _ in table]
-    for (_, value), (_, cold) in zip(report.table, table):
+    rows = table_rows(report)
+    assert [pi for pi, _ in rows] == [pi for pi, _ in table]
+    for (_, value), (_, cold) in zip(rows, table):
         assert value == cold or abs(value - cold) <= 1e-12 * abs(cold)
 
 
@@ -637,7 +657,7 @@ def test_bound_dead_first_user_is_zero(monkeypatch):
     assert report.argmin_pi == (1, 2, 3)
     assert report.omega_star == (1.0, 0.0, 0.0)
     assert not report.omega_star_unique  # (1, 3, 2) is 0 too
-    assert [value == 0.0 for _, value in report.table] == [True, True, False, False, False, False]
+    assert [value == 0.0 for _, value in table_rows(report)] == [True, True, False, False, False, False]
     assert solve_lp(*build_permutation_lp(stats, tup, (1, 2, 3))).status == UNBOUNDED
 
     # The bound settles those orderings without an LP: no stack it solves
@@ -687,7 +707,7 @@ def test_bound_full_cache_solves_no_lp(monkeypatch):
         stats = random_stats(rng, users, 3)
         report = upper_bound_rate(stats, caching_tuple(central_strategy(users, Fraction(1))))
         assert report.argmin_pi == tuple(range(1, users + 1))
-        assert report.table == tuple((pi, math.inf) for pi in permutations(range(1, users + 1)))
+        assert table_rows(report) == tuple((pi, math.inf) for pi in permutations(range(1, users + 1)))
     assert shapes == []
 
 
@@ -772,7 +792,7 @@ def test_bound_explicit_caching_matches_each_ordering():
     assert all(3 + q <= m <= 4 * q for m, n in shapes for q in [n - 3])  # q = n - 3 live users
     solved = [_solved_alone(stats, tup, pi) for pi in orderings]
     values = [ordering_value(tup, pi, s.value) for pi, s in zip(orderings, solved)]
-    assert report.table == tuple(zip(orderings, values))
+    assert table_rows(report) == tuple(zip(orderings, values))
     best = min(values)
     argmin = next(i for i, v in enumerate(values) if v <= best + FEAS_TOL)
     pi = orderings[argmin]
@@ -807,13 +827,13 @@ def test_bound_keeps_lps_of_equal_record_users_apart(monkeypatch):
     shapes = _recording_shapes(monkeypatch)
     report = upper_bound_rate(stats, tup)
     assert sum(shape[0] for shape in shapes) == len(_distinct_lps(stats, tup))
-    values = dict(report.table)
+    values = dict(table_rows(report))
     pairs = ((1, 2, 3, 4), (1, 3, 2, 4))
     alone = [ordering_value(tup, pi, _solved_alone(stats, tup, pi).value) for pi in pairs]
     assert [values[(1, 2, 3, 4)], values[(1, 3, 2, 4)]] == alone
     cold = [ordering_value(tup, pi, solve_lp(*problem).value) for pi, problem in zip(pairs, lps)]
     assert alone[0] != alone[1] and cold[0] != cold[1]
-    assert report.table == _bound_one_ordering_at_a_time(stats, tup)[4]
+    assert table_rows(report) == _bound_one_ordering_at_a_time(stats, tup)[4]
     _assert_near_x0_start(report, stats, tup)
 
 
@@ -835,7 +855,7 @@ def test_bound_with_twin_users_matches_each_ordering(monkeypatch, mu):
     solved = sum(shape[0] for shape in shapes)  # before the LPs alone pass the same hook
     assert _report(report) == _bound_one_ordering_at_a_time(stats, tup)
     _assert_near_x0_start(report, stats, tup)
-    values = dict(report.table)
+    values = dict(table_rows(report))
     swap = {1: 2, 2: 1, 3: 3, 4: 4}
     assert all(value == values[tuple(swap[k] for k in pi)] for pi, value in values.items())
     keyed = set()
@@ -1069,7 +1089,9 @@ def test_start_takes_one_pivot_per_stack(monkeypatch):
     report = upper_bound_rate(stats, tup)
     assert crash_pivots == [1, 1] and len(shapes) == 2
     monkeypatch.setattr(upper_bound, "_solve_from_vertex", solve_from_pivoted_vertex)
-    assert _report(upper_bound_rate(stats, tup)) == _report(report)
+    pivoted = upper_bound_rate(stats, tup)
+    assert _report(pivoted) == _report(report)
+    assert pivoted.values.tobytes() == report.values.tobytes()
     assert crash_pivots[2:] == [] and calls["pivot"] > 19
 
 
