@@ -17,10 +17,18 @@ SAMPLE_BLOCK uses on the calling thread, into the K x n matrix of levels.
 The simulator does not draw uses one at a time (see simulator).
 check_draws is the one rule on the channel-use count and seed of a draw,
 the CLI's included.
+
+Scaling every CCDF entry by s scales every rate by s.  The LPs compare
+against absolute tolerances, so the rate computations solve on the grid
+times 2^-scale_exponent, whose largest entry lies in (1/2, 1], and scale
+the rate back: a power of two scales exactly, so a grid times 2^-e reads
+2^-e times the grid's rate, to the bit.  Every valid grid with an entry
+above 1/2 has exponent 0 and is solved as it is.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,6 +38,10 @@ import numpy as np
 from .errors import LengthMismatch, NotMonotone, OutOfRange, WrongType
 
 PROB_TOL = 1e-12
+
+# The types of entries that numpy reads as numbers but a grid or a weight
+# must not hold.
+NOT_NUMBERS = frozenset((bool, np.bool_, str, np.str_, bytes, np.bytes_, type(None)))
 
 # Channel uses per chunk of sample_states: its uniforms take 8 bytes a use.
 SAMPLE_BLOCK = 1 << 16
@@ -59,14 +71,26 @@ class StateRealization:
     levels: np.ndarray  # shape (K, n), dtype np.min_scalar_type(B): uint8 up to B = 255
 
 
+def _floats(values) -> np.ndarray:
+    """values as a new float array; TypeError where they hold a boolean, a
+    string or None (NOT_NUMBERS), which numpy would read as 1.0, 0.9 or NaN,
+    and TypeError or ValueError where numpy cannot read them as floats.
+    Integers are numbers."""
+    entries = np.array(values, dtype=object)
+    if not NOT_NUMBERS.isdisjoint(map(type, entries.flat)):
+        raise TypeError("a boolean, a string or None is not a number")
+    return entries.astype(float)
+
+
 def validate_stats(ccdf: Sequence[Sequence[float]]) -> ChannelStats:
     """Build ChannelStats from raw rows, checking type, shape, range and monotonicity.
 
     The whole (K, B) grid is checked at once; only a grid that fails is
-    checked row by row, to name the first failing user.
+    checked row by row, to name the first failing user.  An entry must be
+    a number: a boolean, a string or None is refused (WrongType).
     """
     try:
-        grid = np.array(ccdf, dtype=float)
+        grid = _floats(ccdf)
     except (TypeError, ValueError):  # ragged rows or no numbers: the row loop names the user
         grid = np.empty(0)
     if (
@@ -81,7 +105,7 @@ def validate_stats(ccdf: Sequence[Sequence[float]]) -> ChannelStats:
     rows = []
     for k, r in enumerate(ccdf, start=1):
         try:
-            rows.append(np.asarray(r, dtype=float))
+            rows.append(_floats(r))
         except (TypeError, ValueError) as exc:
             raise WrongType(f"user {k}: CCDF entries must be numbers, got {r!r}") from exc
     if not rows:
@@ -111,9 +135,10 @@ def is_stochastically_dominant(a: Sequence[float], b: Sequence[float]) -> bool:
 
 
 def check_weights(stats: ChannelStats, weights: Sequence[float]) -> np.ndarray:
-    """weights as floats, checked: one row of K finite, nonnegative numbers."""
+    """weights as floats, checked: one row of K finite, nonnegative numbers
+    (a boolean, a string or None is not a number)."""
     try:
-        w = np.asarray(weights, dtype=float)
+        w = _floats(weights)
     except (TypeError, ValueError) as exc:
         raise WrongType(f"weights must be numbers, got {weights!r}") from exc
     if w.shape != (stats.num_users,):
@@ -121,6 +146,13 @@ def check_weights(stats: ChannelStats, weights: Sequence[float]) -> np.ndarray:
     if not np.all((w >= 0.0) & (w < np.inf)):  # also refuses NaN
         raise OutOfRange("weights must be finite and nonnegative")
     return w
+
+
+def scale_exponent(ccdf: np.ndarray) -> int:
+    """The e for which the grid's largest entry times 2^-e lies in (1/2, 1];
+    0 for an all-zero grid (module docstring)."""
+    mantissa, e = math.frexp(float(ccdf.max()))  # largest entry = mantissa 2^e, mantissa in [1/2, 1)
+    return e - (mantissa == 0.5)
 
 
 def check_draws(num_uses: int, seed: int) -> None:

@@ -180,8 +180,8 @@ def _subset_label(subset) -> str:
 
 
 def cmd_rates_two_user(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
-    rate = two_user.optimal_rate_two_user(cfg.stats, cfg.mu)
     alloc = two_user.achievable_allocation_two_user(cfg.stats, cfg.mu) if cfg.mu <= Fraction(1, 2) else None
+    rate = two_user.optimal_rate_two_user(cfg.stats, cfg.mu) if alloc is None else alloc.rate
     if args.json:
         payload: dict = {"command": "rates.two-user", "mu": cfg.mu, "rate": rate}
         if alloc is not None:

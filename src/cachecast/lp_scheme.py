@@ -129,8 +129,11 @@ gap = 1/(best lower value) - f certifies how far f can lie below it (0
 when rounding puts the two values a few ulps the wrong way round).
 A user whose ccdf[k][0] is 0 never receives a level (validation lets a
 later entry exceed it by PROB_TOL at most) and decodes nothing: the rate
-is 0 and every share 0.  The allocation is rechecked by check_allocation, against
-every decodability and budget row and the sign of every share, before it
+is 0 and every share 0.  The LP is solved on the grid scaled to a largest
+entry in (1/2, 1] (channel.scale_exponent), so its tolerances act
+relative to the grid's scale.  The allocation is rechecked by
+check_allocation, against every decodability and budget row (a margin
+at the grid's scale) and the sign of every share, before it
 is returned with the report (alloc.report, which `rates achievable`
 prints); a subset stack or master raises through lp.require_optimal
 at its first LP that is not optimal, naming the step and the gap ("master
@@ -144,13 +147,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from math import inf
+from math import inf, ldexp
 from typing import Optional
 
 import numpy as np
 
 from .caching import cache_size
-from .channel import ChannelStats
+from .channel import ChannelStats, scale_exponent
 from .errors import BadT, LengthMismatch, NonIntegerT, NumericalFailure
 from .lp import FEAS_TOL, OPTIMAL, GrowingLp, LpSolution, LpStack, require_optimal
 
@@ -201,7 +204,9 @@ class FeasibilityReport:
     required: float  # per-message size f / C(K,t)
     margins: np.ndarray
     level_slacks: np.ndarray
-    violation: float  # how far the lowest margin, slack or share lies below 0; 0.0 if none does, NaN on a NaN
+    # How far the lowest margin (in units of 2^e, channel.scale_exponent),
+    # slack or share lies below 0; 0.0 if none does, NaN on a NaN.
+    violation: float
 
 
 def t_from_mu(num_users: int, mu) -> int:
@@ -250,13 +255,21 @@ def _gap(lower: float, upper: float) -> float:
 
 
 def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
-    """Solve the rate LP at cache size mu (K*mu must be an integer in 0..K-1)."""
+    """Solve the rate LP at cache size mu (K*mu must be an integer in 0..K-1).
+
+    The LP is solved on the member rows of the CCDF grid times 2^-e,
+    e = channel.scale_exponent, whose largest entry lies in (1/2, 1]; the
+    shares are the same on both grids, and the rate and its gap are scaled
+    back by 2^e.  So a grid times a power of two reads its rate and gap
+    times that power, to the bit, with the same shares.
+    """
     t = t_from_mu(stats.num_users, mu)
     K, B = stats.num_users, stats.num_levels
     subsets = message_subsets(K, t)
     piece_count = math.comb(K, t)
     label = f"delivery LP (K={K}, t={t}, B={B})"
-    member_ccdf = stats.ccdf[np.array(subsets) - 1]  # (subsets, t+1, B)
+    scale = scale_exponent(stats.ccdf)  # solved on the grid times 2^-scale
+    member_ccdf = np.ldexp(stats.ccdf, -scale)[np.array(subsets) - 1]  # (subsets, t+1, B)
 
     def allocation(shares: np.ndarray, rate: float, iterations: int, gap: float) -> DeliveryAllocation:
         shares.setflags(write=False)
@@ -334,13 +347,13 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
         if eta - best <= CUT_TOL * eta or np.array_equal(lam, previous):
             break
 
-    rate = 1.0 / eta
+    rate = 1.0 / eta  # on the scaled grid; the shares are the same on both
     alpha = eta * packing.x
     mixed = np.zeros((len(subsets), B))
     mixed[:, seeded] = (alpha[: seeded.size] / spread) * reach
     mixed = sum((a * u for a, u in zip(alpha[seeded.size:].tolist(), mixes) if a != 0.0), mixed)
-    gap = _gap(best, eta)
-    alloc = allocation(np.ascontiguousarray((rate / piece_count) * mixed.T), rate, solves, gap)
+    gap = ldexp(_gap(best, eta), scale)
+    alloc = allocation(np.ascontiguousarray((rate / piece_count) * mixed.T), ldexp(rate, scale), solves, gap)
     if not alloc.report.feasible:
         raise NumericalFailure(
             f"{label}: allocation fails its recheck (largest violation {alloc.report.violation:.3g})"
@@ -350,7 +363,14 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
 
 
 def check_allocation(stats: ChannelStats, alloc: DeliveryAllocation) -> FeasibilityReport:
-    """Decodability margins, level slacks, the largest violation, and feasibility at FEAS_TOL."""
+    """Decodability margins, level slacks, the largest violation, and feasibility at FEAS_TOL.
+
+    A margin is a symbol mass, which scales with the CCDF grid, so it is
+    judged in units of 2^e, e = channel.scale_exponent: against
+    FEAS_TOL * 2^e.  Shares and level slacks are fractions of a level's
+    uses and keep FEAS_TOL.  On a grid whose largest entry lies in
+    (1/2, 1], e = 0.
+    """
     if alloc.num_users != stats.num_users or alloc.num_levels != stats.num_levels:
         raise LengthMismatch("allocation dimensions do not match the channel")
     if alloc.shares.shape != (alloc.num_levels, len(alloc.subsets)):
@@ -362,7 +382,8 @@ def check_allocation(stats: ChannelStats, alloc: DeliveryAllocation) -> Feasibil
     # the shares makes vecdot sum in the same order (a contiguous copy does not).
     margins = np.vecdot(member_ccdf, alloc.shares.T[:, None, :]) - required
     level_slacks = 1.0 - alloc.shares.sum(axis=1)
-    worst = float(np.max(-np.concatenate([margins.ravel(), level_slacks, alloc.shares.ravel()])))
+    scaled = np.ldexp(margins.ravel(), -scale_exponent(stats.ccdf))  # in units of the grid's scale
+    worst = float(np.max(-np.concatenate([scaled, level_slacks, alloc.shares.ravel()])))
     violation = 0.0 if worst <= 0.0 else worst  # a NaN stays NaN, and NaN <= FEAS_TOL is False
     return FeasibilityReport(
         feasible=violation <= FEAS_TOL, required=required, margins=margins,

@@ -1,30 +1,31 @@
 """Exact source rate for two users with symmetric caches of size mu.
 
-For mu <= 1/2 the optimum is a minimum of two one-parameter fractional
-programs over a weight omega that trades the two users off: with
+For mu <= 1/2 the optimum is the rate of a band split.  Sort the live
+levels by g(l) = F2(l)/F1(l) and split the band at two positions of that
+order: user 1's uncached data rides the bottom of the band, user 2's the
+top, and the middle carries the common part (each user's missing data
+xor'd into what the other has cached).  f1 maximizes the rate of the
+(user-1 bottom split, user-2 top remainder) pair and f2 the mirror image;
+the split's rate min(f1*, f2*) is the optimum, and optimal_rate_two_user
+returns it.
 
-    N(w) = sum_l max(w * F1(l), F2(l))
-
-(the weighted-maximum numerator; level l contributes w*F1(l) when
-w*F1(l) >= F2(l), else F2(l)) the optimum is
+That the split is optimal is the paper's sandwich: it meets the
+weighted-maximum converse, which at K = 2, with
+N(w) = sum_l max(w * F1(l), F2(l)), reads
 
     min( min_{w >= 1}    N(w) / (w*(1-mu) + (1-2mu)),
          min_{0<=w<=1}   N(w) / (w*(1-2mu) + (1-mu)) ).
 
-Each objective is a ratio of affine functions of w between consecutive
-breakpoints g(l) = F2(l)/F1(l) and is continuous at them, so the minimum
-over each domain is attained on the breakpoint grid augmented with the
-domain endpoints; the w -> infinity limit is sum(F1)/(1-mu).
+The package computes that converse once, as upper_bound.upper_bound_rate
+at the central placement, and the tests check that the split's rate meets
+it at K = 2 (tests/helpers.py check_two_user_instance).
 
-For mu >= 1/2 caches are large enough that the optimum collapses to
-min_i sum(Fi) / (1-mu).
+For mu > 1/2 no split exists: caches are large enough that the optimum
+collapses to min_i sum(Fi) / (1-mu), and at mu = 1 it is unbounded.
 
-The same value is achieved by splitting the level band at two positions of
-the g-sorted level order: user 1's uncached data rides the bottom of the
-band, user 2's the top, and the middle carries the common part (each user's
-missing data xor'd into what the other has cached).  f1 maximizes the rate
-of the (user-1 bottom split, user-2 top remainder) pair and f2 the mirror
-image; min(f1*, f2*) matches the fractional optimum.
+The split is exact at every scale: its tie tolerance is relative to the
+rate, and each share of a split level has its own closed form, so a grid
+times a power of two 2^-e gives the same split and 2^-e times its rate.
 """
 
 from __future__ import annotations
@@ -70,25 +71,6 @@ def _check_two_user(stats: ChannelStats) -> tuple[np.ndarray, np.ndarray]:
     return stats.ccdf[0], stats.ccdf[1]
 
 
-def _fractional_min(f1: np.ndarray, f2: np.ndarray, mu: float) -> float:
-    """Minimum of the two fractional programs over their breakpoint grids."""
-    alive = (f1 > 0.0) | (f2 > 0.0)
-    a, b = f1[alive], f2[alive]
-    breakpoints = sorted({float(b[i] / a[i]) for i in range(a.size) if a[i] > 0.0})
-
-    def numerator(w: float) -> float:
-        return float(np.maximum(w * a, b).sum())
-
-    one_minus_mu = 1.0 - mu
-    one_minus_2mu = 1.0 - 2.0 * mu
-    best = float(a.sum()) / one_minus_mu  # w -> infinity limit of the first program
-    for w in [1.0] + [g for g in breakpoints if g > 1.0]:
-        best = min(best, numerator(w) / (w * one_minus_mu + one_minus_2mu))
-    for w in [0.0, 1.0] + [g for g in breakpoints if 0.0 < g < 1.0]:
-        best = min(best, numerator(w) / (w * one_minus_2mu + one_minus_mu))
-    return best
-
-
 def _best_split(
     a: np.ndarray, b: np.ndarray, one_minus_mu: float, one_minus_2mu: float
 ) -> tuple[int, float, float, float, float]:
@@ -96,7 +78,9 @@ def _best_split(
 
     Returns the first 0-based position within a relative 1e-12 of the best
     rate, the share alpha of it given to user 1, the best rate, and user 1's
-    individual and user 2's common mass at that split.
+    individual and user 2's common mass at that split.  The complement
+    share 1 - alpha has a closed form of its own, used where alpha is not
+    clipped, so neither share loses digits where the other is near 1.
     """
     prefix_a = np.concatenate([[0.0], np.cumsum(a)])  # prefix_a[i] = sum a[:i]
     suffix_b = np.concatenate([np.cumsum(b[::-1])[::-1], [0.0]])  # suffix_b[i] = sum b[i:]
@@ -105,37 +89,42 @@ def _best_split(
         p1, s2 = prefix_a[pos], suffix_b[pos + 1]
         au, bu = a[pos], b[pos]
         if one_minus_2mu == 0.0:
-            alpha = 0.0
+            alpha, rest = 0.0, 1.0
         else:
             denom = au * one_minus_mu + bu * one_minus_2mu
             alpha = ((s2 + bu) * one_minus_2mu - p1 * one_minus_mu) / denom
-            alpha = min(1.0, max(0.0, alpha))
-        individual, common = p1 + alpha * au, s2 + (1.0 - alpha) * bu
+            rest = ((p1 + au) * one_minus_mu - s2 * one_minus_2mu) / denom  # 1 - alpha
+            if not 0.0 <= alpha <= 1.0:
+                alpha = min(1.0, max(0.0, alpha))
+                rest = 1.0 - alpha
+            rest = min(1.0, max(0.0, rest))
+        individual, common = p1 + alpha * au, s2 + rest * bu
         cap = individual / one_minus_2mu if one_minus_2mu > 0.0 else math.inf
         splits.append((alpha, min(cap, common / one_minus_mu), individual, common))
     # Equal-value plateaus are real (adjacent splits describe the same
     # assignment), but roundoff perturbs them; pick the first maximizer with
     # a relative tolerance.
     best = max(value for _, value, _, _ in splits)
-    tie = 1e-12 * max(1.0, abs(best))
+    tie = 1e-12 * abs(best)
     pos = next(pos for pos, split in enumerate(splits) if split[1] >= best - tie)
     alpha, _, individual, common = splits[pos]
     return pos, alpha, best, individual, common
 
 
 def optimal_rate_two_user(stats: ChannelStats, mu: float) -> float:
-    """Largest achievable per-file rate for two users at cache size mu."""
+    """Largest achievable per-file rate for two users at cache size mu: the
+    band split's rate for mu <= 1/2, min_i sum(Fi) / (1-mu) above."""
     f1, f2 = _check_two_user(stats)
     mu = cache_size(mu)
-    if mu >= 0.5:
-        if mu == 1:
-            return math.inf
-        return min(float(f1.sum()), float(f2.sum())) / (1.0 - float(mu))
-    return _fractional_min(f1, f2, float(mu))
+    if mu <= 0.5:
+        return achievable_allocation_two_user(stats, mu).rate
+    if mu == 1:
+        return math.inf
+    return min(float(f1.sum()), float(f2.sum())) / (1.0 - float(mu))
 
 
 def achievable_allocation_two_user(stats: ChannelStats, mu: float) -> TwoUserAllocation:
-    """Concrete band split whose rate matches optimal_rate_two_user (mu <= 1/2)."""
+    """The band split that attains the two-user optimum (mu <= 1/2)."""
     f1, f2 = _check_two_user(stats)
     mu = cache_size(mu)
     if mu > 0.5:

@@ -36,7 +36,11 @@ the unscaled costs sit within FEAS_TOL of 0, and the LP would stop at
 its start.  Scaled, the first cost lies in (-1, -1/2], so FEAS_TOL acts
 relative to the largest cost whatever the scale of the gaps.  A power of
 two scales exactly: where 1/2 <= gap_1 < 1, as at the central placement
-with 0 < mu <= 1/2, e = 0 and the LP is the unscaled one.
+with 0 < mu <= 1/2, e = 0 and the LP is the unscaled one.  The matrix
+is scaled the same way: every LP reads the CCDF grid times
+2^-channel.scale_exponent, whose largest entry lies in (1/2, 1], and
+its value is scaled back, so a grid of entries near 1e-10 is solved as
+the grid near 1 it is a power of two of.
 
 Coverage only grows along an ordering, so the positions whose prefix is
 fully covered form a suffix: the first p(pi) leading slices (the live
@@ -173,7 +177,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .caching import CachingTuple, cache_size, central_coverage
-from .channel import ChannelStats, check_weights
+from .channel import ChannelStats, check_weights, scale_exponent
 from .errors import LengthMismatch, OutOfRange, TooManyUsers, ZeroDenominator
 from .lp import FEAS_TOL, OPTIMAL, LpStack, StackSolution, require_optimal
 from .lp_scheme import t_from_mu
@@ -194,7 +198,7 @@ class UpperBoundReport:
     the first ordering that attains the minimum, a tuple of ints.
     omega_star is scaled so its smallest positive entry is 1; it is flagged
     non-unique when more than one ordering attains the minimum within
-    FEAS_TOL.
+    FEAS_TOL, on the grid scaled to a largest entry in (1/2, 1].
     """
 
     value: float
@@ -458,7 +462,9 @@ def chain_optimum(stats: ChannelStats, mu) -> tuple[float, np.ndarray]:
     The live prefix is the first p = K - t users (module docstring, "The
     chain optimum").  A weakest user who decodes nothing holds the rate at
     0 with z = 0, as a dead first user holds its ordering's value in
-    upper_bound_rate, and no LP is solved.
+    upper_bound_rate, and no LP is solved.  As in upper_bound_rate, the
+    LP is solved on the grid times 2^-e (channel.scale_exponent) and the
+    rate scaled back by 2^e; z is the same on both grids.
     """
     K, B = stats.num_users, stats.num_levels
     mu = cache_size(mu)
@@ -467,8 +473,10 @@ def chain_optimum(stats: ChannelStats, mu) -> tuple[float, np.ndarray]:
     z = np.zeros((B, K))
     if not stats.ccdf[0].any():
         return 0.0, z
+    scale = scale_exponent(stats.ccdf)
+    grid = np.ldexp(stats.ccdf, -scale)
     gaps = np.array([float(1 - central_coverage(K, mu, k)) for k in range(1, p + 1)])
-    ccdf, kept, gaps = _stack_of_one(stats.ccdf[:p], gaps)
+    ccdf, kept, gaps = _stack_of_one(grid[:p], gaps)
     (outcome,) = _solve_from_vertex(ccdf, kept, gaps)
     solution = require_optimal(outcome, f"chain LP (K={K}, t={t}, B={B})")
     u = solution.dual_ub / solution.dual_ub[-1]  # per unit of the budget row's dual
@@ -478,11 +486,11 @@ def chain_optimum(stats: ChannelStats, mu) -> tuple[float, np.ndarray]:
     z[:, :p] = shares.T
     for k, moved in enumerate(u[records : records + p - 1]):
         if moved > 0.0:
-            part = z[:, k] * (moved / (stats.ccdf[k] @ z[:, k]))
+            part = z[:, k] * (moved / (grid[k] @ z[:, k]))
             z[:, k] -= part
             z[:, k + 1] += part
     z += 0.0  # a dual of -0.0 gives a share of -0.0; report +0.0
-    return ldexp(-1.0 / solution.value, -frexp(gaps[0, 0])[1]), z
+    return ldexp(-1.0 / solution.value, scale - frexp(gaps[0, 0])[1]), z
 
 
 def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -525,7 +533,12 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     """Tight bound: minimum of the per-ordering LP values over all K! orderings.
 
     Each distinct LP is solved once, and every ordering whose LP it is
-    takes its value and x.
+    takes its value and x.  The LPs are solved on the CCDF grid times
+    2^-e, e = channel.scale_exponent, whose largest entry lies in
+    (1/2, 1], and every value is scaled back by 2^e; the argmin tie is
+    judged at FEAS_TOL on that scaled grid.  So a grid times a power of two
+    reads its bound and values times that power, to the bit, with the same
+    argmin_pi, omega_star and uniqueness flag.
     """
     K, B = stats.num_users, stats.num_levels
     check_bound_users(K)
@@ -534,15 +547,17 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     # Positions past the largest live count are fixed at 0 in every ordering.
     head = np.s_[:, : int(live.max())]
     before = masks[head] ^ (1 << (every[head] - 1))  # the users ahead of each position
-    top = _level_maxima(stats.ccdf)
+    scale = scale_exponent(stats.ccdf)
+    grid = np.ldexp(stats.ccdf, -scale)  # largest entry in (1/2, 1]
+    top = _level_maxima(grid)
     # Each ordering's LP is keyed by its live count, then per position the
     # user if it holds a record on the live prefix (0 if not), named by the
     # first user with the same CCDF row, and the rank of its gap among the
     # distinct gaps (module docstring).  above[m, k-1]: user k holds a
     # record behind the users of mask m.
-    above = _records(stats.ccdf, top, np.arange(1 << K)[:, None]).any(axis=2)
+    above = _records(grid, top, np.arange(1 << K)[:, None]).any(axis=2)
     bearing = above[before, every[head] - 1] & (np.arange(before.shape[1]) < live[:, None])
-    _, twin, row_of = np.unique(stats.ccdf, axis=0, return_index=True, return_inverse=True)
+    _, twin, row_of = np.unique(grid, axis=0, return_index=True, return_inverse=True)
     named = twin[row_of.ravel()] + 1  # user k's first twin
     _, gap_rank = np.unique(gap_of, return_inverse=True)
     users = np.where(bearing, named[every[head] - 1], 0)
@@ -553,11 +568,11 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     # first user who decodes nothing makes the LP unbounded: value 0, w_1 > 0.
     values = np.full(first.size, inf)
     weights = np.zeros((first.size, K))  # the fixed weights stay 0
-    dead = (live_of > 0) & ~stats.ccdf[every[first, 0] - 1].any(axis=1)
+    dead = (live_of > 0) & ~grid[every[first, 0] - 1].any(axis=1)
     values[dead], weights[dead, 0] = 0.0, 1.0
     for p in sorted(set(live_of[~dead].tolist()) - {0}):
         group = np.flatnonzero((live_of == p) & ~dead)
-        ccdf = stats.ccdf[every[first[group], :p] - 1]
+        ccdf = grid[every[first[group], :p] - 1]
         kept = _records(ccdf, top, before[first[group], :p])
         # Most record rows first: each stack is then as wide as its first LP.
         records = kept.sum(axis=(1, 2))
@@ -573,12 +588,12 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
             if stack.status.count(OPTIMAL) < rows.size:
                 for row, outcome in zip(rows.tolist(), stack):
                     require_optimal(outcome, f"ordering {tuple(every[row].tolist())} (K={K}, B={B}, mu={tup.mu})")
-            values[lps] = np.ldexp(-1.0 / stack.value, -np.frexp(gaps[:, 0])[1])
+            values[lps] = np.ldexp(-1.0 / stack.value, scale - np.frexp(gaps[:, 0])[1])
             weights[lps, :p] = stack.x[:, :p]
 
     by_ordering = values[inverse]
     best = float(by_ordering.min())
-    hits = np.flatnonzero(by_ordering <= best + FEAS_TOL)
+    hits = np.flatnonzero(by_ordering <= best + ldexp(FEAS_TOL, scale))  # FEAS_TOL on the scaled grid
     argmin = int(hits[0])  # orderings were generated in lexicographic order
     omega = np.zeros(K)  # the argmin's x itself, by user; x >= -FEAS_TOL: a negative is a 0
     omega[every[argmin] - 1] = np.maximum(weights[inverse[argmin]], 0.0)

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from cachecast import lp, upper_bound
-from cachecast.caching import central_coverage
+from cachecast.caching import central_coverage, central_tuple
 from cachecast.channel import ChannelStats, check_weights, is_stochastically_dominant
 from cachecast.errors import ValidationError
 from cachecast.lp import FEAS_TOL, OPTIMAL, LpSolution, require_optimal, solve_lp
@@ -542,19 +542,25 @@ def assert_matches_oracle(problem, tol: float = 1e-9) -> None:
 
 
 def check_two_user_instance(stats: ChannelStats, mu: float, tol: float = 1e-9) -> None:
-    """Construction matches the exact optimum and satisfies the split rules.
+    """The band split meets the converse at K = 2 and satisfies the split rules.
 
-    Split rules checked: u <= v; alpha, beta in [0, 1]; all four decodability
-    margins nonnegative; and the ratio-threshold conditions, read
-    disjunctively at ties (with f1 = f2 only one side is guaranteed).
+    The paper's sandwich: min(f1, f2), the split's achievable rate, equals
+    the package's one converse, upper_bound_rate at the central placement,
+    within tol, and optimal_rate_two_user returns it.  Split rules checked:
+    u <= v; alpha, beta in [0, 1]; all four decodability margins
+    nonnegative, to tol absolutely and to 1e-12 relative to the rate; and
+    the ratio-threshold conditions, read disjunctively at ties (with
+    f1 = f2 only one side is guaranteed).
     """
-    f_star = optimal_rate_two_user(stats, mu)
     alloc = achievable_allocation_two_user(stats, mu)
+    bound = upper_bound.upper_bound_rate(stats, central_tuple(2, mu)).value
     scale = max(1.0, abs(alloc.f1), abs(alloc.f2))
 
-    assert abs(min(alloc.f1, alloc.f2) - f_star) <= tol * max(1.0, abs(f_star))
+    assert abs(min(alloc.f1, alloc.f2) - bound) <= tol * max(1.0, abs(bound))
+    assert optimal_rate_two_user(stats, mu) == alloc.rate == min(alloc.f1, alloc.f2)
     assert 0.0 <= alloc.alpha <= 1.0 and 0.0 <= alloc.beta <= 1.0
     assert all(m >= -tol * scale for m in alloc.margins), alloc.margins
+    assert all(m >= -1e-12 * alloc.rate for m in alloc.margins), (alloc.margins, alloc.rate)
     if not alloc.level_order:
         return
     assert alloc.u <= alloc.v

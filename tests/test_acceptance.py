@@ -109,9 +109,11 @@ def test_criterion_2_nondegraded_reference(capsys):
 
 
 def test_criterion_3_two_user_matching():
-    """The closed-form two-user optimum matches min(f1*, f2*) of the explicit
-    allocation within 1e-9, and the split-point order and threshold conditions
-    hold, over 500 random instances and an 11-point cache-size grid."""
+    """The paper's two-user sandwich: the upper bound at K = 2
+    (upper_bound_rate at the central placement) matches min(f1*, f2*) of the
+    explicit allocation within 1e-9, and the split-point order and
+    threshold conditions hold, over 500 random instances and an 11-point
+    cache-size grid."""
     start = time.perf_counter()
     rng = np.random.default_rng(20250819)
     grid = [i / 20 for i in range(11)]  # 0, 0.05, ..., 0.5

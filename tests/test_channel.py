@@ -76,6 +76,33 @@ def test_validate_rejects_non_numeric(entry):
         validate_stats([[0.5, 0.4], [entry, 0.1]])
 
 
+@pytest.mark.parametrize("entry", [True, False, "0.9", None])
+def test_validate_rejects_booleans_strings_and_none(entry):
+    # numpy reads True as 1.0, "0.9" as 0.9 and None as NaN; none is a number.
+    for rows in ([[0.5, 0.4], [entry, 0.1]], [[0.5, 0.4], [0.5, entry]]):
+        with pytest.raises(WrongType, match=r"^user 2: CCDF entries must be numbers, got "):
+            validate_stats(rows)
+
+
+def test_validate_rejects_a_boolean_array_and_takes_integers():
+    with pytest.raises(WrongType, match=r"^user 1: CCDF entries must be numbers, got array\(\[ True, False\]\)$"):
+        validate_stats(np.array([[True, False], [True, True]]))
+    for rows in ([[1, 0], [1, 1]], np.array([[1, 0], [1, 1]])):
+        assert validate_stats(rows).ccdf.tolist() == [[1.0, 0.0], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize("entry", [True, False, "0.9", None])
+def test_check_weights_rejects_booleans_strings_and_none(mixed3, entry):
+    with pytest.raises(WrongType, match=r"^weights must be numbers, got "):
+        channel.check_weights(mixed3, [1.0, entry, 0.5])
+
+
+def test_check_weights_rejects_a_boolean_array_and_takes_integers(mixed3):
+    with pytest.raises(WrongType, match=r"^weights must be numbers, got array\(\[ True,  True, False\]\)$"):
+        channel.check_weights(mixed3, np.array([True, True, False]))
+    assert channel.check_weights(mixed3, [2, 1, 0]).tolist() == [2.0, 1.0, 0.0]
+
+
 def test_validate_rejects_increasing():
     with pytest.raises(NotMonotone):
         validate_stats([[0.4, 0.5]])

@@ -84,16 +84,22 @@ def test_two_user_json_matches_library(capsys):
     assert payload["allocation"]["margins"] == list(alloc.margins)
 
 
-def test_two_user_gets_the_exact_cache_size(capsys, monkeypatch):
+def test_two_user_gets_the_exact_cache_size(capsys, monkeypatch, tmp_path):
     # The config's mu reaches the library as the Fraction it was read as,
-    # not as a float (0.25 == Fraction(1, 4), so the type is checked too).
+    # not as a float (0.25 == Fraction(1, 4), so the type is checked too),
+    # in the one call the CLI makes: the band split up to mu = 1/2, whose
+    # rate it prints, and the closed-form rate above.
     received = []
     for name in ("optimal_rate_two_user", "achievable_allocation_two_user"):
         solve = getattr(two_user, name)
         monkeypatch.setattr(two_user, name, lambda stats, mu, solve=solve: received.append(mu) or solve(stats, mu))
-    run_json(capsys, ["rates", "two-user", TWOUSER, "--json"])
-    assert received == [Fraction(1, 4)] * 2
-    assert all(type(mu) is Fraction for mu in received)
+    for mu in ("1/4", "1/2", "3/4"):
+        received.clear()
+        config = write_config(tmp_path, {"num_users": 2, "num_levels": 3, "mu": mu, "ccdf": [[0.9, 0.3, 0.3], [0.7, 0.4, 0.4]]})
+        payload = run_json(capsys, ["rates", "two-user", config, "--json"])
+        assert received == [Fraction(mu)]
+        assert all(type(size) is Fraction for size in received)
+        assert ("allocation" in payload) == (Fraction(mu) <= Fraction(1, 2))
 
 
 def test_two_user_large_mu_has_no_split(capsys, tmp_path):
@@ -109,6 +115,30 @@ def test_two_user_large_mu_has_no_split(capsys, tmp_path):
     payload = run_json(capsys, ["rates", "two-user", cfg, "--json"])
     assert abs(payload["rate"] - 0.7 / 0.25) <= 1e-12
     assert "allocation" not in payload
+
+
+@pytest.mark.parametrize("command, seed, users, mu", [("upper", 8, 8, "1/8"), ("achievable", 115, 7, "6/7")])
+def test_rates_are_exact_under_power_of_two_rescaling(capsys, tmp_path, command, seed, users, mu):
+    # The same seeded grid times 2^-34.  The bound exited 3 there ("optimal
+    # basis fails dual feasibility check"), and the delivery LP read 17.7%
+    # above the optimum with "feasible": true, since its recheck judged a
+    # decode margin of -1e-11 against the absolute FEAS_TOL.
+    rows = np.sort(np.random.default_rng(seed).random((users, 4)), axis=1)[:, ::-1].tolist()
+    small_rows = [[math.ldexp(x, -34) for x in row] for row in rows]
+    out = [
+        run_json(capsys, ["rates", command, write_config(tmp_path, {"num_users": users, "num_levels": 4, "mu": mu, "ccdf": grid}, name), "--json"])
+        for grid, name in ((rows, "base.json"), (small_rows, "small.json"))
+    ]
+    base, small = out
+    assert small["value"] == math.ldexp(base["value"], -34)
+    if command == "upper":
+        assert [row["value"] for row in small["table"]] == [math.ldexp(row["value"], -34) for row in base["table"]]
+        for key in ("argmin_pi", "omega_star", "omega_star_unique"):
+            assert small[key] == base[key], key
+    else:
+        assert small["shares"] == base["shares"] and small["level_slacks"] == base["level_slacks"]
+        assert small["gap"] == math.ldexp(base["gap"], -34) and small["feasible"] is True
+        assert [m["margin"] for m in small["margins"]] == [math.ldexp(m["margin"], -34) for m in base["margins"]]
 
 
 def test_two_user_rejects_three_users(capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cachecast import lp, lp_scheme
-from cachecast.channel import validate_stats
+from cachecast.channel import ChannelStats, validate_stats
 from cachecast.errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT, NumericalFailure
 from cachecast.lp import FEAS_TOL, OPTIMAL, GrowingLp, LpStack, solve_lp, solve_lps
 from cachecast.lp_scheme import (
@@ -183,6 +183,22 @@ def test_check_reports_the_largest_violation(mixed3):
     report = violation_of(mixed3, negative, 1.0)
     assert report.margins.min() > 0.0 and report.level_slacks.min() >= 0.0
     assert not report.feasible and report.violation == 0.05
+
+
+def test_check_judges_margins_at_the_grid_scale(mixed3):
+    # mixed3 times 2^-34 at rate 2^-33: user 2 on {1,2} falls short by 2^-34/6,
+    # far inside FEAS_TOL, but 1/6 of the grid's scale, as at rate 2 on
+    # mixed3 itself.  Shares and level slacks keep FEAS_TOL as it is.
+    small = ChannelStats(3, 3, np.ldexp(mixed3.ccdf, -34))
+    shares = np.asarray(MIXED3_SHARES)
+    report = check_allocation(small, delivery_allocation(shares, math.ldexp(2.0, -34), num_users=3, t=1))
+    assert not report.feasible
+    assert report.violation == math.ldexp(-report.margins[0, 1], 34) == violation_of(mixed3, shares, 2.0).violation
+    over = shares.copy()
+    over[0, :] = [0.8, 0.3, 0.3]
+    report = check_allocation(small, delivery_allocation(over, math.ldexp(0.1, -34), num_users=3, t=1))
+    assert not report.feasible and report.violation == -report.level_slacks[0]
+    assert check_allocation(small, delivery_allocation(0.5 * shares, math.ldexp(0.5, -34), num_users=3, t=1)).feasible
 
 
 def test_check_feasible_allocation_has_no_violation(mixed3):

@@ -1,6 +1,7 @@
 """Two-user optimum and the explicit split construction."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,3 +129,31 @@ def test_allocation_random_instances_match_optimum():
         stats = random_two_user(rng)
         for mu in grid:
             check_two_user_instance(stats, mu)
+
+
+# --- tiny rates ------------------------------------------------------------------
+
+
+def test_tiny_rate_split_meets_the_bound():
+    # A rate near 1e-12: an absolute tie tolerance of 1e-12 took a split far
+    # from the best one, whose individual-1 margin read -19% of the rate.
+    stats = validate_stats([[5.218e-13, 4.448e-13], [9.118e-13, 8.918e-13]])
+    for mu in (0.0, 0.1, 0.25, 0.5):
+        check_two_user_instance(stats, mu)
+        alloc = achievable_allocation_two_user(stats, mu)
+        assert 0.0 < alloc.rate < 1e-11
+
+
+def test_tiny_rate_splits_keep_their_margins():
+    # Each user's row scaled by 10^-0 .. 10^-12 on its own: the tie tolerance
+    # is relative to the rate, and each share of a split level has its own
+    # closed form, so no margin falls below -1e-12 of the rate.
+    rng = np.random.default_rng(4505)
+    mus = [Fraction(i, 14) for i in range(8)]  # 0 .. 1/2
+    for _ in range(200):
+        levels = int(rng.integers(1, 8))
+        grid = np.sort(rng.random((2, levels)), axis=1)[:, ::-1] * 10.0 ** -rng.integers(0, 13, size=(2, 1))
+        stats = validate_stats(grid)
+        for mu in mus:
+            alloc = achievable_allocation_two_user(stats, mu)
+            assert all(m >= -1e-12 * alloc.rate for m in alloc.margins), (grid.tolist(), mu, alloc.margins)
