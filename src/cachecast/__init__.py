@@ -20,7 +20,6 @@ from .caching import (
 )
 from .channel import (
     ChannelStats,
-    StateRealization,
     is_stochastically_dominant,
     sample_states,
     validate_stats,
@@ -46,7 +45,6 @@ from .lp_scheme import (
     message_subsets,
 )
 from .simulator import (
-    MessageOutcome,
     SimulationReport,
     empirical_ccdf,
     simulate_delivery,

@@ -13,7 +13,8 @@ stored.  All probability comparisons in this module use PROB_TOL.
 
 sample_states draws every use's level count by inversion: one uniform per
 user and use, from one child of SeedSequence(seed) per user, in chunks of
-SAMPLE_BLOCK uses on the calling thread, into the K x n matrix of levels.
+SAMPLE_BLOCK uses on the calling thread, and returns the K x n array of
+levels: levels[k-1][t] is the top levels user k gets at use t.
 The simulator does not draw uses one at a time (see simulator).
 check_draws is the one rule on the channel-use count and seed of a draw,
 the CLI's included.
@@ -58,17 +59,6 @@ class ChannelStats:
     def row(self, user: int) -> np.ndarray:
         """CCDF of user `user` (1-based)."""
         return self.ccdf[user - 1]
-
-
-@dataclass(frozen=True)
-class StateRealization:
-    """Sampled channel states: levels[k-1][t] = top levels user k gets at use t."""
-
-    num_users: int
-    num_levels: int
-    num_uses: int
-    seed: int
-    levels: np.ndarray  # shape (K, n), dtype np.min_scalar_type(B): uint8 up to B = 255
 
 
 def _floats(values) -> np.ndarray:
@@ -167,13 +157,13 @@ def check_draws(num_uses: int, seed: int) -> None:
         raise OutOfRange(f"num_uses must be at most 2**63 - 1, got {num_uses}")
 
 
-def sample_states(stats: ChannelStats, num_uses: int, seed: int) -> StateRealization:
+def sample_states(stats: ChannelStats, num_uses: int, seed: int) -> np.ndarray:
     """Draw i.i.d. level counts for each user over `num_uses` channel uses.
 
     Every user's levels at once, K x n, in the smallest unsigned dtype that
     holds 0..B: row k holds user k's level count at each use.  Stream
     splitting: one child of SeedSequence(seed) per user, in user order, so
-    realizations are reproducible and users are mutually independent.
+    the levels are reproducible and users are mutually independent.
     Sampling inverts the CCDF directly: with U uniform on (0, 1),
     #{l : U < ccdf[l]} has exactly the target distribution.  U is compared
     with the row's cumulative minimum, so the count is of the leading
@@ -181,7 +171,8 @@ def sample_states(stats: ChannelStats, num_uses: int, seed: int) -> StateRealiza
     PROB_TOL (U falls inside such a rise with probability below
     B * PROB_TOL).  Each user's uniforms are drawn in chunks of
     consecutive rng.random calls, which yield the same doubles as one
-    call; memory is the matrix and one chunk.
+    call; memory is the matrix and one chunk.  The matrix is returned
+    read-only.
     """
     check_draws(num_uses, seed)
     levels = np.empty((stats.num_users, num_uses), dtype=np.min_scalar_type(stats.num_levels))
@@ -197,10 +188,4 @@ def sample_states(stats: ChannelStats, num_uses: int, seed: int) -> StateRealiza
             missed = np.searchsorted(rising, u, side="right")
             np.subtract(stats.num_levels, missed, out=row[start : start + u.size], casting="unsafe")
     levels.setflags(write=False)
-    return StateRealization(
-        num_users=stats.num_users,
-        num_levels=stats.num_levels,
-        num_uses=num_uses,
-        seed=seed,
-        levels=levels,
-    )
+    return levels

@@ -46,7 +46,8 @@ SIMULATION_FIELDS = ("n", "seed")  # the optional "simulation" object
 TWO_USER_FIELDS = (
     "u", "v", "alpha", "beta", "level_order", "f1", "f2", "individual_size", "common_size", "margins"
 )
-SIMULATE_FIELDS = ("seed", "rate", "t", "messages", "user_decodable", "empirical_ccdf", "ccdf_std_error")
+# The simulate report's per-message arrays, written as the fields of each message.
+MESSAGE_FIELDS = ("delivered", "required", "empirical_margin", "analytic_margin", "std_error", "decodable")
 UPPER_FIELDS = ("value", "argmin_pi", "omega_star", "omega_star_unique")  # then the table, from its arrays
 
 _NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
@@ -179,6 +180,18 @@ def _subset_label(subset) -> str:
     return "{" + ",".join(str(k) for k in subset) + "}"
 
 
+def _messages(subsets, **columns) -> list[dict]:
+    """One dict per (subset, member) pair, in the (subset j, member i)
+    layout of np.array(subsets) (lp_scheme.check_allocation's): the
+    member's "user" and "subset", then each column's entry [j, i].  A
+    column is an array of that shape or one value for every pair."""
+    messages = [{"user": k, "subset": s} for s in subsets for k in s]
+    for name, column in columns.items():
+        for message, entry in zip(messages, np.broadcast_to(column, np.shape(subsets)).ravel().tolist()):
+            message[name] = entry
+    return messages
+
+
 def cmd_rates_two_user(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
     alloc = two_user.achievable_allocation_two_user(cfg.stats, cfg.mu) if cfg.mu <= Fraction(1, 2) else None
     rate = two_user.optimal_rate_two_user(cfg.stats, cfg.mu) if alloc is None else alloc.rate
@@ -271,7 +284,7 @@ def cmd_rates_achievable(cfg: ScenarioConfig, args: argparse.Namespace) -> Outpu
     report = alloc.report
     if args.dump_matrices:
         _dump_matrices(cfg.stats, alloc.t, args.dump_matrices)
-    margins = [(k, s, m) for s, row in zip(alloc.subsets, report.margins.tolist()) for k, m in zip(s, row)]
+    margins = _messages(alloc.subsets, margin=report.margins)
     if args.json:
         return {
             "command": "rates.achievable",
@@ -281,15 +294,15 @@ def cmd_rates_achievable(cfg: ScenarioConfig, args: argparse.Namespace) -> Outpu
             "subsets": alloc.subsets,
             "shares": alloc.shares,
             "required": report.required,
-            "margins": [{"user": k, "subset": s, "margin": m} for k, s, m in margins],
+            "margins": margins,
             "level_slacks": report.level_slacks,
             "feasible": report.feasible,
             "iterations": alloc.iterations,
             "gap": alloc.gap,
         }
     text = [f"rate: {_sig(alloc.rate)} (t={alloc.t})"]
-    for k, s, m in margins:
-        text.append(f"  user {k} on {_subset_label(s)}: margin {_sig(m)}")
+    for m in margins:
+        text.append(f"  user {m['user']} on {_subset_label(m['subset'])}: margin {_sig(m['margin'])}")
     return text
 
 
@@ -325,15 +338,22 @@ def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
         header = ",".join(f"user{k}" for k in range(1, cfg.stats.num_users + 1)) + "\n"
         with open(args.trace, "wb") as fh:
             fh.write(header.encode("ascii"))
-            fh.writelines(_trace_rows(report.realization))
+            fh.writelines(_trace_rows(report.levels, cfg.stats.num_levels))
+    messages = _messages(alloc.subsets, **_named(report, MESSAGE_FIELDS))
     if args.json:
-        return {"command": "simulate", "n": report.num_uses, **_named(report, SIMULATE_FIELDS)}
+        return {
+            "command": "simulate",
+            "n": report.num_uses,
+            **_named(report, ("seed", "rate", "t")),
+            "messages": messages,
+            **_named(report, ("user_decodable", "empirical_ccdf", "ccdf_std_error")),
+        }
     text = [f"simulated {report.num_uses} uses at rate {_sig(report.rate)} (seed {report.seed})"]
-    for m in report.messages:
-        flag = "ok" if m.decodable else "SHORT"
+    for m in messages:
+        flag = "ok" if m["decodable"] else "SHORT"
         text.append(
-            f"  user {m.user} on {_subset_label(m.subset)}: {m.delivered}/{m.required}"
-            f" symbols, margin {_sig(m.empirical_margin)} [{flag}]"
+            f"  user {m['user']} on {_subset_label(m['subset'])}: {m['delivered']}/{m['required']}"
+            f" symbols, margin {_sig(m['empirical_margin'])} [{flag}]"
         )
     verdicts = (f"{k}:{'yes' if ok else 'no'}" for k, ok in enumerate(report.user_decodable, start=1))
     text.append("users decodable: " + ", ".join(verdicts))
@@ -380,9 +400,10 @@ def table_json(orderings: np.ndarray, values: np.ndarray) -> str:
     return "[" + lines[lines != 0].tobytes()[:-2].decode("ascii") + "]"
 
 
-def _trace_rows(realization: channel.StateRealization) -> Iterator[bytes]:
-    """The CSV rows of a trace, one line per channel use and one column per
-    user, in chunks of TRACE_CHUNK lines.
+def _trace_rows(levels: np.ndarray, num_levels: int) -> Iterator[bytes]:
+    """The CSV rows of a trace of the K x n levels of a B = num_levels
+    channel, one line per channel use and one column per user, in chunks of
+    TRACE_CHUNK lines.
 
     Row v of a byte table holds the decimal digits of level v and a comma,
     right-aligned behind zero bytes.  Taking the table's rows at levels.T
@@ -396,16 +417,16 @@ def _trace_rows(realization: channel.StateRealization) -> Iterator[bytes]:
     chunks, whatever n is.  The bytes equal those of
     np.savetxt(fh, levels.T, fmt="%d", delimiter=",").
     """
-    top, part = realization.num_levels, max(1, TRACE_CHUNK // 8)
-    table = _byte_cells([f"{value}," for value in range(top + 1)])
-    for start in range(0, realization.num_uses, TRACE_CHUNK):
-        chunk = realization.levels[:, start : start + TRACE_CHUNK]
+    part = max(1, TRACE_CHUNK // 8)
+    table = _byte_cells([f"{value}," for value in range(num_levels + 1)])
+    for start in range(0, levels.shape[1], TRACE_CHUNK):
+        chunk = levels[:, start : start + TRACE_CHUNK]
         lines = np.empty((chunk.shape[1], chunk.shape[0], table.shape[1]), dtype=np.uint8)
         for at in range(0, chunk.shape[1], part):
             np.take(table, chunk[:, at : at + part].T, axis=0, out=lines[at : at + part], mode="clip")
         lines = lines.reshape(chunk.shape[1], -1)
         lines[:, -1] = ord("\n")
-        yield lines.tobytes() if top < 10 else lines[lines != 0].tobytes()
+        yield lines.tobytes() if num_levels < 10 else lines[lines != 0].tobytes()
 
 
 def _parse_mu_range(text: str) -> list[Fraction]:

@@ -26,6 +26,11 @@ channel.sample_states draws with the same seed.  A message
 is decodable once its collected symbols cover its size:
 delivered >= ceil(num_uses * rate / C(K,t)), with a tiny guard so an
 exactly integer threshold is not pushed up by roundoff.
+
+The report holds one array per tally in check_allocation's layout: entry
+[j, i] is the message of subset j (np.array(alloc.subsets), lexicographic)
+to its member i (ascending), shape (C(K,t+1), t+1).  The symbol counts are
+int64, so B * num_uses must stay below 2^63.
 """
 
 from __future__ import annotations
@@ -37,42 +42,44 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelStats, StateRealization, check_draws
+from .channel import ChannelStats, check_draws
 from .channel import sample_states  # noqa: F401  perfbench/selftest.py reads it as simulator.sample_states
 from .errors import InfeasibleAllocation
-from .lp_scheme import DeliveryAllocation, Subset, check_allocation
+from .lp_scheme import DeliveryAllocation, check_allocation
 
 CEIL_GUARD = 1e-9
 
 
 @dataclass(frozen=True)
-class MessageOutcome:
-    """Delivery tally for one (user, subset) pair."""
-
-    user: int
-    subset: Subset
-    delivered: int
-    required: int
-    empirical_margin: float
-    analytic_margin: float
-    std_error: float
-    decodable: bool
-
-
-@dataclass(frozen=True)
 class SimulationReport:
-    """Tally of one simulated delivery; realization holds the drawn levels
-    when simulate_delivery was asked to keep them, and is None otherwise."""
+    """Tally of one simulated delivery.
+
+    The per-message arrays have check_allocation's (subset j, member i)
+    layout of np.array(alloc.subsets), shape (C(K,t+1), t+1): entry [j, i]
+    is member i (ascending) of subset j.  delivered counts the symbols the
+    member collects of its message (int64), required the symbols every
+    message needs; empirical_margin is delivered / num_uses minus the
+    per-use size, analytic_margin check_allocation's margins and std_error
+    the standard deviation of delivered / num_uses.  user_decodable[k-1]
+    is whether every message of user k is decodable.  levels is the K x n
+    array of drawn levels when simulate_delivery was asked to keep them,
+    and None otherwise.
+    """
 
     num_uses: int
     seed: int
     rate: float
     t: int
-    messages: tuple[MessageOutcome, ...]
-    user_decodable: tuple[bool, ...]
+    required: int
+    delivered: np.ndarray
+    empirical_margin: np.ndarray
+    analytic_margin: np.ndarray
+    std_error: np.ndarray
+    decodable: np.ndarray
+    user_decodable: np.ndarray
     empirical_ccdf: np.ndarray
     ccdf_std_error: np.ndarray
-    realization: Optional[StateRealization]
+    levels: Optional[np.ndarray]
 
 
 def apportion(quotas: list[float], total: int) -> list[int]:
@@ -92,15 +99,15 @@ def apportion(quotas: list[float], total: int) -> list[int]:
     return counts
 
 
-def empirical_ccdf(realization: StateRealization) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user level-frequency estimates and their binomial standard errors.
+def empirical_ccdf(levels: np.ndarray, num_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user level-frequency estimates and their binomial standard errors
+    from the K x n levels of a B = num_levels channel.
 
     hat[k][l-1] is the share of uses on which user k got at least l levels,
     counted on the levels' own small dtype (no cast to a wide integer row).
     """
-    B = realization.num_levels
-    counts = [[np.count_nonzero(row > l) for l in range(B)] for row in realization.levels]
-    return _ccdf_estimates(counts, realization.num_uses)
+    counts = [[np.count_nonzero(row > l) for l in range(num_levels)] for row in levels]
+    return _ccdf_estimates(counts, levels.shape[1])
 
 
 def _ccdf_estimates(counts: list[list[int]], num_uses: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +123,7 @@ def simulate_delivery(
     seed: int,
     keep_levels: bool = False,
 ) -> SimulationReport:
-    """Sample states and tally symbol delivery for every (user, subset) pair.
+    """Sample states and tally symbol delivery for every (subset, member) pair.
 
     The spans of every level are apportioned once.  Then, user by user,
     one multinomial draw gives the uses of each piece at each level count
@@ -124,8 +131,7 @@ def simulate_delivery(
     counts >= l, and their prefix sums at the piece boundaries give each
     span's delivery as the difference of two sums, and the user's empirical
     CCDF counts as the sums at num_uses.  With keep_levels the K x n levels
-    are kept as the report's realization; the tallies are the same either
-    way.
+    are kept as the report's levels; the tallies are the same either way.
 
     A message's std_error is the standard deviation of delivered / n.
     Every level's spans are laid out in subset order from use 0, so one
@@ -144,43 +150,44 @@ def simulate_delivery(
     required = math.ceil(num_uses * per_use_size - CEIL_GUARD)
 
     # Uses starts[l][j] up to starts[l][j + 1] of level l go to subset j.
-    num_subsets, num_levels = len(alloc.subsets), stats.num_levels
+    members, num_levels = np.array(alloc.subsets), stats.num_levels
+    num_subsets = len(members)
     starts = []
     for l in range(num_levels):
         quotas = [num_uses * float(alloc.shares[l, j]) for j in range(num_subsets)]
         quotas.append(max(0.0, num_uses * (1.0 - alloc.shares[l].sum())))
         starts.append([0, *accumulate(apportion(quotas, num_uses))])
+    starts = np.array(starts)
     # overlap[j, l, l']: the uses that subset j's spans on levels l and l' share.
-    bounds = np.array(starts).T
-    first, last = bounds[:num_subsets], bounds[1 : num_subsets + 1]
+    first, last = starts.T[:num_subsets], starts.T[1 : num_subsets + 1]
     overlap = np.minimum(last[:, :, None], last[:, None, :]) - np.maximum(first[:, :, None], first[:, None, :])
     np.maximum(overlap, 0, out=overlap)
     deeper = np.maximum.outer(np.arange(num_levels), np.arange(num_levels))
+    on_level = np.arange(num_levels)[:, None]
 
     levels = np.empty((stats.num_users, num_uses), dtype=np.min_scalar_type(num_levels)) if keep_levels else None
     # law[k, v] = P(L_k = v), v = 0..B, off the row's cumulative minimum.
     law = np.maximum(0.0, -np.diff(np.minimum.accumulate(stats.ccdf, axis=1), axis=1, prepend=1.0, append=0.0))
     law /= law.sum(axis=1, keepdims=True)
-    delivered = {}
-    variance = {}
+    delivered = np.zeros(members.shape, dtype=np.int64)
+    variance = np.zeros(members.shape)
     counts = []
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(stats.num_users), start=1):
         rng = np.random.default_rng(child)
-        mine = [(j, s) for j, s in enumerate(alloc.subsets) if k in s]
-        cuts = sorted({0, num_uses, *(starts[l][j + e] for l in range(num_levels) for j, _ in mine for e in (0, 1))})
-        drawn = rng.multinomial([b - a for a, b in zip(cuts, cuts[1:])], law[k - 1])  # (pieces, B + 1)
-        # A piece's hits on level l are its uses at counts >= l; before[pos][l]
-        # sums level l's hits on the uses before the cut pos.
-        prefix = np.zeros((len(cuts), num_levels), dtype=np.int64)
+        mine, place = np.nonzero(members == k)  # user k is member place[i] of subset mine[i]
+        cuts = np.array(sorted(set(starts[:, np.concatenate([mine, mine + 1, [0, -1]])].flat)))  # with 0 and n
+        drawn = rng.multinomial(np.diff(cuts), law[k - 1])  # (pieces, B + 1)
+        # A piece's hits on level l are its uses at counts >= l; prefix[c, l]
+        # sums level l's hits on the uses before cuts[c].
+        prefix = np.zeros((cuts.size, num_levels), dtype=np.int64)
         np.cumsum(np.cumsum(drawn[:, :0:-1], axis=1)[:, ::-1], axis=0, out=prefix[1:])
-        before = dict(zip(cuts, prefix.tolist()))
-        counts.append(before[num_uses])
+        counts.append(prefix[-1].tolist())
+        at = np.searchsorted(cuts, starts)  # each span boundary's cut, where it is one
+        delivered[mine, place] = (prefix[at[:, mine + 1], on_level] - prefix[at[:, mine], on_level]).sum(axis=0)
         # Cov(L >= l, L >= l') = p[max(l, l')] - p[l] p[l'] on a use both spans hold.
         p = stats.ccdf[k - 1]
         covariance = p[deeper] - np.outer(p, p)
-        for j, s in mine:
-            delivered[(k, s)] = sum(before[starts[l][j + 1]][l] - before[starts[l][j]][l] for l in range(num_levels))
-            variance[(k, s)] = float((overlap[j] * covariance).sum())
+        variance[mine, place] = (overlap[mine] * covariance).reshape(mine.size, -1).sum(axis=1)
         if levels is not None:
             row, values = levels[k - 1], np.arange(num_levels + 1)
             for a, b, piece in zip(cuts, cuts[1:], drawn):
@@ -190,40 +197,26 @@ def simulate_delivery(
                 rng.shuffle(buffer)
                 row[a:b] = buffer
                 del buffer  # before the next piece's buffer is made
-
-    realization = None
     if levels is not None:
         levels.setflags(write=False)
-        realization = StateRealization(stats.num_users, num_levels, num_uses, seed, levels)
 
-    messages = []
-    user_ok = [True] * stats.num_users
-    for s, margins in zip(alloc.subsets, report.margins.tolist()):
-        for k, margin in zip(s, margins):
-            got_count = delivered[(k, s)]
-            outcome = MessageOutcome(
-                user=k,
-                subset=s,
-                delivered=got_count,
-                required=required,
-                empirical_margin=got_count / num_uses - per_use_size,
-                analytic_margin=margin,
-                std_error=math.sqrt(variance[(k, s)]) / num_uses,
-                decodable=got_count >= required,
-            )
-            messages.append(outcome)
-            if not outcome.decodable:
-                user_ok[k - 1] = False
-
+    decodable = delivered >= required
+    user_decodable = np.ones(stats.num_users, dtype=bool)
+    np.logical_and.at(user_decodable, members - 1, decodable)
     hat, se = _ccdf_estimates(counts, num_uses)
     return SimulationReport(
         num_uses=num_uses,
         seed=seed,
         rate=alloc.rate,
         t=alloc.t,
-        messages=tuple(messages),
-        user_decodable=tuple(user_ok),
+        required=required,
+        delivered=delivered,
+        empirical_margin=delivered / num_uses - per_use_size,
+        analytic_margin=report.margins,
+        std_error=np.sqrt(variance) / num_uses,
+        decodable=decodable,
+        user_decodable=user_decodable,
         empirical_ccdf=hat,
         ccdf_std_error=se,
-        realization=realization,
+        levels=levels,
     )

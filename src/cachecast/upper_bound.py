@@ -414,11 +414,13 @@ def _equal_weight_vertex(
 def _prefix(
     stats: ChannelStats, tup: CachingTuple, pi: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An ordering's live prefix as a stack of one: its CCDF rows, record mask and gaps."""
+    """An ordering's live prefix as a stack of one: its CCDF rows on the
+    grid times 2^-channel.scale_exponent, as upper_bound_rate solves them,
+    their record mask and their gaps."""
     users = np.array(check_permutation(stats.num_users, pi)) - 1
     masks, gap_of, live = _live_prefixes(stats, tup, users[None] + 1)
     p = int(live[0])
-    return _stack_of_one(stats.ccdf[users[:p]], gap_of[masks[0, :p]])
+    return _stack_of_one(np.ldexp(stats.ccdf[users[:p]], -scale_exponent(stats.ccdf)), gap_of[masks[0, :p]])
 
 
 def _stack_of_one(ccdf: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -436,10 +438,12 @@ def build_permutation_lp(
     """The LP of an ordering's live prefix as c, a_ub, b_ub, in variables x = [w_1..p, theta_1..B].
 
     p is the ordering's live count; w_{p+1..K}, whose prefixes are fully
-    covered, are fixed at 0 and left out with their rows.  Its optimum is
-    -sum_k 2^-e gap_k w_k, with e = math.frexp(gap_1)[1] and
-    gap_1 = 1 - tup.of(pi[:1]); the ordering's bound value is
-    -2^-e / optimum.
+    covered, are fixed at 0 and left out with their rows.  It is the LP
+    upper_bound_rate solves: its CCDF entries are the grid's times 2^-s,
+    s = channel.scale_exponent(stats.ccdf), whose largest entry lies in
+    (1/2, 1].  Its optimum is -sum_k 2^-e gap_k w_k, with
+    e = math.frexp(gap_1)[1] and gap_1 = 1 - tup.of(pi[:1]); the
+    ordering's bound value is 2^(s-e) (-1/optimum).
     """
     c, a_ub, b_ub, _ = _permutation_lps(*_prefix(stats, tup, pi))
     return c[0], a_ub[0], b_ub

@@ -16,10 +16,10 @@ import numpy as np
 
 from cachecast import lp, upper_bound
 from cachecast.caching import central_coverage, central_tuple
-from cachecast.channel import ChannelStats, check_weights, is_stochastically_dominant
+from cachecast.channel import ChannelStats, check_weights, is_stochastically_dominant, scale_exponent
 from cachecast.errors import ValidationError
 from cachecast.lp import FEAS_TOL, OPTIMAL, LpSolution, require_optimal, solve_lp
-from cachecast.lp_scheme import DeliveryAllocation, message_subsets, t_from_mu
+from cachecast.lp_scheme import DeliveryAllocation, check_allocation, message_subsets, t_from_mu
 from cachecast.simulator import apportion
 from cachecast.two_user import achievable_allocation_two_user, optimal_rate_two_user
 
@@ -112,6 +112,42 @@ def delivery_allocation(shares, rate: float, num_users: int, t: int) -> Delivery
         shares=shares,
         rate=rate,
     )
+
+
+def margin_dicts(alloc) -> list[dict]:
+    """`rates achievable --json`'s margins, built pair by pair: one dict per
+    (user, subset) pair, subsets in order and members ascending, with the
+    margin of alloc.report."""
+    margins = alloc.report.margins.tolist()
+    return [
+        {"user": k, "subset": list(s), "margin": margins[j][i]}
+        for j, s in enumerate(alloc.subsets)
+        for i, k in enumerate(s)
+    ]
+
+
+def message_dicts(stats, alloc, report) -> list[dict]:
+    """`simulate --json`'s messages for a simulation report, built pair by
+    pair as one dict per (user, subset) pair, in margin_dicts's order: the
+    count and std_error read from the report's arrays, and the rest
+    computed per pair from the count and check_allocation."""
+    checked = check_allocation(stats, alloc)
+    required = math.ceil(report.num_uses * checked.required - 1e-9)
+    messages = []
+    for j, s in enumerate(alloc.subsets):
+        for i, k in enumerate(s):
+            delivered = int(report.delivered[j, i])
+            messages.append({
+                "user": k,
+                "subset": list(s),
+                "delivered": delivered,
+                "required": required,
+                "empirical_margin": delivered / report.num_uses - checked.required,
+                "analytic_margin": float(checked.margins[j, i]),
+                "std_error": float(report.std_error[j, i]),
+                "decodable": delivered >= required,
+            })
+    return messages
 
 
 def span_starts(alloc, num_uses):
@@ -366,9 +402,11 @@ def permutation_lp_reference(stats, tup, pi, every_decode_row=False) -> tuple[np
     """The per-ordering LP as (c, a_ub, b_ub), built one entry at a time, in its full K*B+K by K+B shape.
 
     x = [w_1..K, theta_1..B]: decode row (k, l) is c_kl w_k - theta_l <= 0,
-    chain row k is w_{k+1} - w_k <= 0, and the cost of w_k is
-    -gap_k 2^-e, with e = math.frexp(gap_1)[1] (ordering_value reads the
-    bound off the optimum).
+    with c_kl the grid's entry times 2^-s, s = channel.scale_exponent
+    (the grid upper_bound_rate solves on), chain row k is
+    w_{k+1} - w_k <= 0, and the cost of w_k is -gap_k 2^-e, with
+    e = math.frexp(gap_1)[1] (ordering_value reads the bound off the
+    optimum).
     Decode row (k, l) is left zero unless it is a record: k = 0, or user
     pi[k]'s level-l CCDF entry exceeds that of every user before it in the
     ordering (the chain rows imply every other decode row).  With
@@ -380,12 +418,13 @@ def permutation_lp_reference(stats, tup, pi, every_decode_row=False) -> tuple[np
     zeros included).
     """
     K, B = stats.num_users, stats.num_levels
+    grid = np.ldexp(stats.ccdf, -scale_exponent(stats.ccdf))
     gaps = [float(1 - tup.of(pi[: k + 1])) for k in range(K)]
     a_ub = np.zeros((K * B + K, K + B))
     for k in range(K):
         for l in range(B):
-            entry = stats.ccdf[pi[k] - 1][l]
-            if every_decode_row or all(entry > stats.ccdf[pi[j] - 1][l] for j in range(k)):
+            entry = grid[pi[k] - 1][l]
+            if every_decode_row or all(entry > grid[pi[j] - 1][l] for j in range(k)):
                 a_ub[k * B + l, k] = entry
                 a_ub[k * B + l, K + l] = -1.0
     for k in range(1, K):
@@ -479,9 +518,10 @@ def solve_from_pivoted_vertex(ccdf: np.ndarray, kept: np.ndarray, gaps: np.ndarr
     return pivoted_vertex(ccdf, a_ub, b_ub, layout).solve(c)
 
 
-def ordering_value(tup, pi, optimum: float) -> float:
-    """An ordering's bound value from the optimum of its LP (build_permutation_lp): -2^-e / optimum, e = frexp(gap_1)[1]."""
-    return math.ldexp(-1.0 / optimum, -math.frexp(float(1 - tup.of(pi[:1])))[1])
+def ordering_value(stats, tup, pi, optimum: float) -> float:
+    """An ordering's bound value from the optimum of its LP (build_permutation_lp):
+    2^(s-e) (-1/optimum), s = channel.scale_exponent(stats.ccdf), e = frexp(gap_1)[1]."""
+    return math.ldexp(-1.0 / optimum, scale_exponent(stats.ccdf) - math.frexp(float(1 - tup.of(pi[:1])))[1])
 
 
 def drop_zero_lines(problem) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:

@@ -214,9 +214,9 @@ def test_criterion_7_simulation_consistency():
     excursions = []
     for seed in range(400, 420):
         report = simulate_delivery(stats, alloc, num_uses, seed=seed)
-        for m in report.messages:
-            if abs(m.empirical_margin - m.analytic_margin) > 3 * m.std_error:
-                excursions.append((seed, m.user, m.subset))
+        beyond = np.abs(report.empirical_margin - report.analytic_margin) > 3 * report.std_error
+        for j, i in zip(*np.nonzero(beyond)):
+            excursions.append((seed, alloc.subsets[j][i], alloc.subsets[j]))
         for k in range(stats.num_users):
             for level in range(stats.num_levels):
                 p = stats.ccdf[k][level]

@@ -225,42 +225,42 @@ def test_enhance_random_invariants():
 
 
 def test_sample_shapes_and_range(chain3):
-    real = sample_states(chain3, num_uses=250, seed=5)
-    assert real.levels.shape == (3, 250)
-    assert real.levels.dtype == np.uint8
-    assert real.levels.min() >= 0
-    assert real.levels.max() <= chain3.num_levels
-    assert (real.num_users, real.num_levels, real.num_uses, real.seed) == (3, 3, 250, 5)
+    levels = sample_states(chain3, num_uses=250, seed=5)
+    assert levels.shape == (3, 250)
+    assert levels.dtype == np.uint8
+    assert levels.min() >= 0
+    assert levels.max() <= chain3.num_levels
+    assert not levels.flags.writeable
 
 
 def test_sample_reproducible(chain3):
     a = sample_states(chain3, num_uses=100, seed=42)
     b = sample_states(chain3, num_uses=100, seed=42)
-    np.testing.assert_array_equal(a.levels, b.levels)
+    np.testing.assert_array_equal(a, b)
     c = sample_states(chain3, num_uses=100, seed=43)
-    assert not np.array_equal(a.levels, c.levels)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_users_get_independent_streams():
     stats = validate_stats([[0.5, 0.25], [0.5, 0.25]])
-    real = sample_states(stats, num_uses=400, seed=11)
-    assert not np.array_equal(real.levels[0], real.levels[1])
+    levels = sample_states(stats, num_uses=400, seed=11)
+    assert not np.array_equal(levels[0], levels[1])
 
 
 def test_sample_frequencies_match_ccdf():
     stats = validate_stats([[0.4, 0.1]])
-    real = sample_states(stats, num_uses=100_000, seed=123)
-    freq1 = np.mean(real.levels[0] >= 1)
-    freq2 = np.mean(real.levels[0] >= 2)
+    levels = sample_states(stats, num_uses=100_000, seed=123)
+    freq1 = np.mean(levels[0] >= 1)
+    freq2 = np.mean(levels[0] >= 2)
     assert abs(freq1 - 0.4) <= 0.005
     assert abs(freq2 - 0.1) <= 0.005
 
 
 def test_sample_deterministic_channel():
-    real = sample_states(validate_stats([[1.0, 1.0]]), num_uses=50, seed=3)
-    np.testing.assert_array_equal(real.levels[0], np.full(50, 2))
-    real0 = sample_states(validate_stats([[0.0]]), num_uses=50, seed=3)
-    np.testing.assert_array_equal(real0.levels[0], np.zeros(50))
+    levels = sample_states(validate_stats([[1.0, 1.0]]), num_uses=50, seed=3)
+    np.testing.assert_array_equal(levels[0], np.full(50, 2))
+    levels0 = sample_states(validate_stats([[0.0]]), num_uses=50, seed=3)
+    np.testing.assert_array_equal(levels0[0], np.zeros(50))
 
 
 def test_sample_rejects_bad_length():
@@ -312,7 +312,7 @@ def test_the_sampling_rule_takes_the_largest_int64_count():
 
 def test_sample_takes_numpy_integer_seed():
     stats = validate_stats([[0.5, 0.2]])
-    assert sample_states(stats, 50, np.int64(3)).levels.tobytes() == sample_states(stats, 50, 3).levels.tobytes()
+    assert sample_states(stats, 50, np.int64(3)).tobytes() == sample_states(stats, 50, 3).tobytes()
 
 
 @pytest.mark.parametrize("block", [7, None])
@@ -334,9 +334,9 @@ def test_sample_blocks_equal_one_draw(monkeypatch, block):
     picks = np.linspace(0, num_uses - 1, 5).astype(int)
     grid = np.array([np.sort(u[picks])[::-1] for u in draws])
     expected = np.array([np.sum(u[:, None] < row[None, :], axis=1) for u, row in zip(draws, grid)])
-    real = sample_states(validate_stats(grid), num_uses, seed)
-    assert real.levels.dtype == np.uint8
-    assert real.levels.tobytes() == expected.astype(np.uint8).tobytes()
+    levels = sample_states(validate_stats(grid), num_uses, seed)
+    assert levels.dtype == np.uint8
+    assert levels.tobytes() == expected.astype(np.uint8).tobytes()
 
 
 def test_sample_many_levels_in_small_chunks(monkeypatch):
@@ -348,20 +348,20 @@ def test_sample_many_levels_in_small_chunks(monkeypatch):
     children = np.random.SeedSequence(seed).spawn(2)
     draws = [np.random.default_rng(child).random(num_uses) for child in children]
     expected = np.array([np.sum(u[:, None] < row[None, :], axis=1) for u, row in zip(draws, grid)])
-    assert sample_states(validate_stats(grid), num_uses, seed).levels.tobytes() == expected.astype(np.uint8).tobytes()
+    assert sample_states(validate_stats(grid), num_uses, seed).tobytes() == expected.astype(np.uint8).tobytes()
 
 
 @pytest.mark.parametrize("num_levels, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16)])
 def test_sample_dtype_holds_every_level(num_levels, dtype):
-    real = sample_states(validate_stats([[1.0] * num_levels, [0.0] * num_levels]), 20, seed=4)
-    assert real.levels.dtype == dtype
-    assert real.levels[0].tolist() == [num_levels] * 20
-    assert real.levels[1].tolist() == [0] * 20
+    levels = sample_states(validate_stats([[1.0] * num_levels, [0.0] * num_levels]), 20, seed=4)
+    assert levels.dtype == dtype
+    assert levels[0].tolist() == [num_levels] * 20
+    assert levels[1].tolist() == [0] * 20
 
 
 def test_sample_counts_leading_entries_on_a_rising_row():
     # validate_stats lets a row rise by up to PROB_TOL.  At U = x on the row
     # (1, x, x + 5e-13) one leading entry lies above U, though two entries do.
     x = np.random.default_rng(np.random.SeedSequence(8).spawn(1)[0]).random(1)[0]
-    real = sample_states(validate_stats([[1.0, x, x + 5e-13]]), 1, seed=8)
-    assert real.levels.tolist() == [[1]]
+    levels = sample_states(validate_stats([[1.0, x, x + 5e-13]]), 1, seed=8)
+    assert levels.tolist() == [[1]]

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import cachecast
-from cachecast import caching, channel, cli, degraded, lp_scheme, simulator, two_user, upper_bound
+from cachecast import caching, cli, degraded, lp_scheme, simulator, two_user, upper_bound
 from cachecast.caching import caching_tuple, central_strategy
 from cachecast.channel import validate_stats
 from cachecast.errors import NumericalFailure
@@ -38,6 +38,8 @@ from helpers import (
     MIXED3_TABLE,
     ROADMAP_ITEM1_ROWS,
     fail_certificate,
+    margin_dicts,
+    message_dicts,
     random_chain_stats,
     sorted_uniform_ccdf,
     span_starts,
@@ -411,11 +413,28 @@ def test_simulate_json_matches_library(capsys):
     report = simulate_delivery(stats, achievable_rate_lp(stats, "1/3"), 500, 9)
     assert payload["command"] == "simulate"
     assert payload["n"] == 500 and payload["seed"] == 9
-    assert [m["delivered"] for m in payload["messages"]] == [
-        m.delivered for m in report.messages
-    ]
-    assert payload["user_decodable"] == list(report.user_decodable)
+    assert [m["delivered"] for m in payload["messages"]] == report.delivered.ravel().tolist()
+    assert payload["user_decodable"] == report.user_decodable.tolist()
     np.testing.assert_array_equal(payload["empirical_ccdf"], report.empirical_ccdf)
+
+
+@pytest.mark.parametrize("users, t", [(4, 0), (4, 3), (5, 0), (5, 4)])
+def test_message_lists_match_the_pair_by_pair_oracle(capsys, tmp_path, users, t):
+    # rates achievable's margins and simulate's messages are written from
+    # arrays in the (subset, member) layout; at t = 0 (one member per
+    # subset) and at t = K - 1 (one subset) each list must equal, key
+    # order included, the dicts built pair by pair (helpers).
+    grid = sorted_uniform_ccdf(np.random.default_rng([46, users, t]), users, 3)
+    config = write_config(tmp_path, {"num_users": users, "num_levels": 3, "mu": f"{t}/{users}", "ccdf": grid.tolist()})
+    stats = validate_stats(grid)
+    alloc = achievable_rate_lp(stats, Fraction(t, users))
+    payload = run_json(capsys, ["rates", "achievable", config, "--json"])
+    assert [list(m.items()) for m in payload["margins"]] == [list(m.items()) for m in margin_dicts(alloc)]
+    report = simulate_delivery(stats, alloc, 997, 5)
+    payload = run_json(capsys, ["simulate", config, "--n", "997", "--seed", "5", "--json"])
+    expected = message_dicts(stats, alloc, report)
+    assert len(expected) == math.comb(users, t + 1) * (t + 1)
+    assert [list(m.items()) for m in payload["messages"]] == [list(m.items()) for m in expected]
 
 
 def test_simulate_falls_back_to_config_values(capsys):
@@ -464,7 +483,7 @@ def test_simulate_trace_samples_once(capsys, tmp_path, monkeypatch):
         ["simulate", NONDEGRADED, "--n", "50", "--seed", "8", "--json", "--trace", str(trace)],
     )
     ((alloc, report),) = calls
-    levels = report.realization.levels
+    levels = report.levels
     expected = "user1,user2,user3\n" + "".join(
         ",".join(str(int(v)) for v in levels[:, t]) + "\n" for t in range(50)
     )
@@ -486,7 +505,7 @@ def test_simulate_trace_bytes_match_row_writer(capsys, tmp_path):
     # The row-by-row writer the trace format was first defined by, on the
     # levels simulate_delivery keeps with the same seed.
     stats = validate_stats(MIXED3_ROWS)
-    levels = simulate_delivery(stats, achievable_rate_lp(stats, "1/3"), 300, 4, keep_levels=True).realization.levels
+    levels = simulate_delivery(stats, achievable_rate_lp(stats, "1/3"), 300, 4, keep_levels=True).levels
     expected = "user1,user2,user3\n"
     for t in range(300):
         expected += ",".join(str(int(v)) for v in levels[:, t]) + "\n"
@@ -499,10 +518,9 @@ def test_trace_rows_match_savetxt(num_levels, num_users, num_uses):
     rng = np.random.default_rng([num_levels, num_users, num_uses])
     levels = rng.integers(0, num_levels + 1, size=(num_users, num_uses), dtype=np.uint8)
     levels[0, 0] = num_levels  # the widest cell
-    realization = channel.StateRealization(num_users, num_levels, num_uses, 0, levels)
     expected = io.StringIO()
     np.savetxt(expected, levels.T, fmt="%d", delimiter=",")
-    assert b"".join(cli._trace_rows(realization)) == expected.getvalue().encode("ascii")
+    assert b"".join(cli._trace_rows(levels, num_levels)) == expected.getvalue().encode("ascii")
 
 
 @pytest.mark.parametrize("num_uses", [1, 6, 7, 8, 22])
@@ -512,8 +530,7 @@ def test_trace_chunks_join_to_savetxt(monkeypatch, num_uses):
     monkeypatch.setattr(cli, "TRACE_CHUNK", 7)
     rng = np.random.default_rng(num_uses)
     levels = rng.integers(0, 11, size=(3, num_uses), dtype=np.uint8)
-    realization = channel.StateRealization(3, 10, num_uses, 0, levels)
-    chunks = list(cli._trace_rows(realization))
+    chunks = list(cli._trace_rows(levels, 10))
     assert [chunk.count(b"\n") for chunk in chunks] == [
         min(7, num_uses - start) for start in range(0, num_uses, 7)
     ]
@@ -531,7 +548,6 @@ def test_trace_writer_memory_is_a_few_chunks():
     # whole chunk's index copied at once).
     users, num_uses = 8, 1 << 18
     levels = np.random.default_rng(5).integers(0, 6, size=(users, num_uses), dtype=np.uint8)
-    realization = channel.StateRealization(users, 5, num_uses, 0, levels)
 
     class Sink:
         size = 0
@@ -542,7 +558,7 @@ def test_trace_writer_memory_is_a_few_chunks():
     sink = Sink()
     tracemalloc.start()
     try:
-        for chunk in cli._trace_rows(realization):
+        for chunk in cli._trace_rows(levels, 5):
             sink.write(chunk)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -16,11 +16,19 @@ import numpy as np
 
 from cachecast.caching import central_tuple
 from cachecast.channel import ChannelStats, scale_exponent
+from cachecast.lp import solve_lp
 from cachecast.lp_scheme import achievable_rate_lp
 from cachecast.two_user import achievable_allocation_two_user
-from cachecast.upper_bound import chain_optimum, upper_bound_rate
+from cachecast.upper_bound import build_permutation_lp, chain_optimum, upper_bound_rate
 
-from helpers import random_chain_stats, random_stats, random_two_user
+from helpers import (
+    drop_zero_lines,
+    ordering_value,
+    permutation_lp_reference,
+    random_chain_stats,
+    random_stats,
+    random_two_user,
+)
 
 EXPONENTS = (20, 36, 60)
 
@@ -57,6 +65,30 @@ def test_bound_is_exact_under_rescaling():
             assert small.argmin_pi == base.argmin_pi
             assert small.omega_star == base.omega_star
             assert small.omega_star_unique == base.omega_star_unique
+
+
+def test_permutation_lp_is_the_lp_the_bound_solves():
+    # build_permutation_lp reads the grid normalised as upper_bound_rate
+    # solves it: on a grid times 2^-e it builds the unscaled grid's LP
+    # byte for byte, and so the entrywise reference on the scaled grid;
+    # ordering_value, with the grid's scale, reads each table value off
+    # that LP's optimum from x = 0 to 1e-12.  e = 1 also halves a largest
+    # entry of 1 to 1/2, which the normalisation doubles back.
+    rng = np.random.default_rng(4602)
+    for users, levels, t in ((3, 2, 0), (4, 3, 1), (5, 2, 2)):
+        stats = random_stats(rng, users, levels)
+        assert scale_exponent(stats.ccdf) == 0
+        tup = central_tuple(users, Fraction(t, users))
+        for e in (1, *EXPONENTS):
+            small = scaled(stats, e)
+            report = upper_bound_rate(small, tup)
+            for pi, value in zip(report.orderings.tolist(), report.values.tolist()):
+                built = build_permutation_lp(small, tup, pi)
+                reference, _ = drop_zero_lines(permutation_lp_reference(small, tup, pi))
+                for a, b, c in zip(built, build_permutation_lp(stats, tup, pi), reference):
+                    assert a.shape == b.shape == c.shape and a.tobytes() == b.tobytes() == c.tobytes()
+                cold = ordering_value(small, tup, pi, solve_lp(*built).value)
+                assert abs(cold - value) <= 1e-12 * value
 
 
 def test_chain_optimum_is_exact_under_rescaling():

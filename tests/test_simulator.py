@@ -9,7 +9,7 @@ import pytest
 
 from cachecast.channel import sample_states, validate_stats
 from cachecast.errors import InfeasibleAllocation, OutOfRange, WrongType
-from cachecast.lp_scheme import achievable_rate_lp, message_subsets
+from cachecast.lp_scheme import achievable_rate_lp, check_allocation, message_subsets
 from cachecast.simulator import apportion, empirical_ccdf, simulate_delivery
 
 from helpers import MIXED3_RATE, MIXED3_ROWS, MIXED3_SHARES, delivery_allocation, random_stats, span_starts
@@ -50,16 +50,16 @@ def test_apportion_always_sums_to_total():
 
 
 def test_empirical_ccdf_deterministic():
-    real = sample_states(validate_stats([[1.0, 1.0]]), num_uses=30, seed=9)
-    hat, se = empirical_ccdf(real)
+    levels = sample_states(validate_stats([[1.0, 1.0]]), num_uses=30, seed=9)
+    hat, se = empirical_ccdf(levels, 2)
     np.testing.assert_array_equal(hat, [[1.0, 1.0]])
     np.testing.assert_array_equal(se, [[0.0, 0.0]])
 
 
 def test_empirical_ccdf_concentrates():
     stats = validate_stats([[0.6, 0.3]])
-    real = sample_states(stats, num_uses=100_000, seed=2024)
-    hat, se = empirical_ccdf(real)
+    levels = sample_states(stats, num_uses=100_000, seed=2024)
+    hat, se = empirical_ccdf(levels, 2)
     sigma = np.sqrt(stats.ccdf * (1.0 - stats.ccdf) / 100_000)
     assert np.all(np.abs(hat - stats.ccdf) <= 3.0 * sigma)
     np.testing.assert_allclose(se, sigma, atol=2e-3)
@@ -81,16 +81,16 @@ def test_sampling_and_ccdf_match_the_boolean_formulas():
         elif trial % 3 == 1:  # entries equal to draws: U == ccdf[l] must not count
             grid = np.array([np.sort(rng.choice(u, levels))[::-1] for u in draws])
         stats = validate_stats(grid)
-        real = sample_states(stats, num_uses, seed)
+        drawn = sample_states(stats, num_uses, seed)
         expected = np.empty((users, num_uses), dtype=np.uint8)
         for k, u in enumerate(draws):
             expected[k] = np.sum(u[:, None] < stats.ccdf[k][None, :], axis=1)
-        assert real.levels.dtype == np.uint8
-        assert real.levels.tobytes() == expected.tobytes()
+        assert drawn.dtype == np.uint8
+        assert drawn.tobytes() == expected.tobytes()
 
-        hat, se = empirical_ccdf(real)
+        hat, se = empirical_ccdf(drawn, levels)
         steps = np.arange(1, levels + 1)
-        expected_hat = (real.levels[:, :, None] >= steps[None, None, :]).mean(axis=1)
+        expected_hat = (drawn[:, :, None] >= steps[None, None, :]).mean(axis=1)
         expected_se = np.sqrt(expected_hat * (1.0 - expected_hat) / num_uses)
         assert hat.shape == expected_hat.shape
         assert hat.tobytes() == expected_hat.tobytes()
@@ -149,52 +149,50 @@ def test_simulation_deterministic_channel_exact_spans():
     shares = [[0.3, 0.45], [0.9, 0.05]]
     alloc = delivery_allocation(shares, 0.5, num_users=2, t=0)
     report = simulate_delivery(stats, alloc, num_uses=20, seed=7)
-    by_user = {m.user: m for m in report.messages}
-    # saturated channels deliver exactly the apportioned span lengths
-    assert by_user[1].delivered == 6 + 18
-    assert by_user[2].delivered == 9 + 1
-    assert by_user[1].std_error == 0.0
-    assert abs(by_user[1].empirical_margin - by_user[1].analytic_margin) <= 1e-12
-    assert report.user_decodable == (True, True)
+    # saturated channels deliver exactly the apportioned span lengths; at
+    # t = 0 subset j is user j + 1 alone
+    assert report.delivered.tolist() == [[6 + 18], [9 + 1]]
+    assert report.std_error[0, 0] == 0.0
+    assert abs(report.empirical_margin[0, 0] - report.analytic_margin[0, 0]) <= 1e-12
+    assert report.user_decodable.tolist() == [True, True]
 
 
 def test_simulation_boundary_rate_still_decodes():
     stats = validate_stats([[1.0]])
     alloc = delivery_allocation([[1.0]], 1.0, num_users=1, t=0)
     report = simulate_delivery(stats, alloc, num_uses=100, seed=3)
-    (message,) = report.messages
-    assert message.delivered == 100
-    assert message.required == 100
-    assert message.decodable
+    assert report.delivered.tolist() == [[100]]
+    assert report.required == 100
+    assert report.decodable.tolist() == [[True]]
 
 
 def test_simulation_reproducible(mixed3, reference_alloc):
     a = simulate_delivery(mixed3, reference_alloc, num_uses=2000, seed=77)
     b = simulate_delivery(mixed3, reference_alloc, num_uses=2000, seed=77)
-    assert [m.delivered for m in a.messages] == [m.delivered for m in b.messages]
+    assert a.delivered.tolist() == b.delivered.tolist()
     np.testing.assert_array_equal(a.empirical_ccdf, b.empirical_ccdf)
     c = simulate_delivery(mixed3, reference_alloc, num_uses=2000, seed=78)
-    assert [m.delivered for m in a.messages] != [m.delivered for m in c.messages]
+    assert a.delivered.tolist() != c.delivered.tolist()
 
 
 def test_simulation_single_use(mixed3, reference_alloc):
     report = simulate_delivery(mixed3, reference_alloc, num_uses=1, seed=5)
     assert report.num_uses == 1
-    for message in report.messages:
-        assert message.delivered in (0, 1)
+    for delivered in report.delivered.ravel().tolist():
+        assert delivered in (0, 1)
 
 
 def test_simulation_margins_concentrate(mixed3, reference_alloc):
     report = simulate_delivery(mixed3, reference_alloc, num_uses=100_000, seed=11)
-    for message in report.messages:
-        gap = abs(message.empirical_margin - message.analytic_margin)
-        assert gap <= 4.0 * max(message.std_error, 1e-12), message
+    for gap, std_error in zip(np.abs(report.empirical_margin - report.analytic_margin).flat, report.std_error.flat):
+        assert gap <= 4.0 * max(std_error, 1e-12), (gap, std_error)
 
 
 def test_simulation_user_flag_mirrors_messages(mixed3, reference_alloc):
     report = simulate_delivery(mixed3, reference_alloc, num_uses=5000, seed=21)
+    members = np.array(reference_alloc.subsets)
     for k in (1, 2, 3):
-        expected = all(m.decodable for m in report.messages if m.user == k)
+        expected = all(report.decodable[members == k].tolist())
         assert report.user_decodable[k - 1] == expected
 
 
@@ -204,10 +202,38 @@ def test_simulation_zero_margin_message_is_a_coin_flip(mixed3, reference_alloc):
     wins = 0
     for seed in range(50):
         report = simulate_delivery(mixed3, reference_alloc, num_uses=20_000, seed=seed)
-        outcome = next(m for m in report.messages if m.user == 2 and m.subset == (1, 2))
-        assert abs(outcome.analytic_margin) <= 1e-12
-        wins += outcome.decodable
+        assert reference_alloc.subsets[0] == (1, 2)  # user 2 is its member 1
+        assert abs(report.analytic_margin[0, 1]) <= 1e-12
+        wins += bool(report.decodable[0, 1])
     assert 10 <= wins <= 40
+
+
+@pytest.mark.parametrize("users", [3, 4, 5, 6])
+def test_tallies_are_arrays_in_the_allocation_layout(users):
+    # Every per-message tally is one array in check_allocation's (subset,
+    # member) layout of np.array(alloc.subsets), at t = 0 (one member per
+    # subset), t = K - 1 (one subset) and a t between, on seeded
+    # allocations: analytic_margin is check_allocation's margins to the
+    # byte, and the flags and margins follow from the counts.
+    rng = np.random.default_rng([4600, users])
+    for t in sorted({0, int(rng.integers(1, users - 1)), users - 1}):
+        stats, alloc = random_allocation(rng, users, int(rng.integers(1, 5)), t)
+        checked = check_allocation(stats, alloc)
+        members = np.array(alloc.subsets)
+        shape = (math.comb(users, t + 1), t + 1)
+        for num_uses, seed in ((1, 0), (3001, int(rng.integers(0, 2**31)))):
+            report = simulate_delivery(stats, alloc, num_uses, seed)
+            for name in ("delivered", "empirical_margin", "analytic_margin", "std_error", "decodable"):
+                assert getattr(report, name).shape == shape, name
+            assert report.delivered.dtype == np.int64 and report.decodable.dtype == bool
+            assert report.analytic_margin.tobytes() == checked.margins.tobytes()
+            assert type(report.required) is int
+            assert report.required == math.ceil(num_uses * checked.required - 1e-9)
+            np.testing.assert_array_equal(report.decodable, report.delivered >= report.required)
+            assert report.empirical_margin.tobytes() == (report.delivered / num_uses - checked.required).tobytes()
+            assert report.user_decodable.shape == (users,) and report.user_decodable.dtype == bool
+            for k in range(1, users + 1):
+                assert report.user_decodable[k - 1] == report.decodable[members == k].all()
 
 
 def test_simulation_report_metadata(mixed3, reference_alloc):
@@ -215,7 +241,7 @@ def test_simulation_report_metadata(mixed3, reference_alloc):
     assert (report.seed, report.num_uses, report.t) == (2, 500, 1)
     assert report.rate == MIXED3_RATE
     assert report.empirical_ccdf.shape == (3, 3)
-    assert len(report.messages) == 6
+    assert report.delivered.shape == (3, 2)
 
 
 def test_tally_matches_per_slice_sums(mixed3):
@@ -225,8 +251,8 @@ def test_tally_matches_per_slice_sums(mixed3):
     shares = 0.8 * np.asarray(MIXED3_SHARES)
     alloc = delivery_allocation(shares, 0.8 * MIXED3_RATE, num_users=3, t=1)
     report = simulate_delivery(mixed3, alloc, num_uses=997, seed=19)
-    assert report.realization is None  # no levels were kept
-    levels = simulate_delivery(mixed3, alloc, 997, 19, keep_levels=True).realization.levels.astype(np.int64)
+    assert report.levels is None  # no levels were kept
+    levels = simulate_delivery(mixed3, alloc, 997, 19, keep_levels=True).levels.astype(np.int64)
     expected = {}
     for l in range(mixed3.num_levels):
         quotas = [997 * float(x) for x in shares[l]] + [max(0.0, 997 * (1.0 - shares[l].sum()))]
@@ -237,7 +263,13 @@ def test_tally_matches_per_slice_sums(mixed3):
             for k in s:
                 got = (levels[k - 1, bounds[j] : bounds[j + 1]] >= l + 1).sum()
                 expected[(k, s)] = expected.get((k, s), 0) + int(got)
-    assert {(m.user, m.subset): m.delivered for m in report.messages} == expected
+    assert by_pair(alloc, report.delivered) == expected
+
+
+def by_pair(alloc, column):
+    """A report column, in the (subset, member) layout of alloc.subsets, as
+    {(user, subset): entry}."""
+    return {(k, s): entry for s, row in zip(alloc.subsets, column.tolist()) for k, entry in zip(s, row)}
 
 
 def per_slice_report(stats, alloc, levels):
@@ -313,20 +345,30 @@ def assert_matches_per_slice_and_kept(stats, alloc, num_uses, seed):
     keep_levels report equals it to the byte."""
     report = simulate_delivery(stats, alloc, num_uses, seed)
     kept = simulate_delivery(stats, alloc, num_uses, seed, keep_levels=True)
-    assert kept.messages == report.messages
-    assert kept.empirical_ccdf.tobytes() == report.empirical_ccdf.tobytes()
-    assert kept.ccdf_std_error.tobytes() == report.ccdf_std_error.tobytes()
-    real = kept.realization
-    assert (real.num_users, real.num_levels, real.num_uses, real.seed) == (
-        stats.num_users, stats.num_levels, num_uses, seed,
-    )
-    assert real.levels.dtype == np.uint8 and not real.levels.flags.writeable
+    assert_same_tallies(kept, report)
+    assert (kept.num_uses, kept.seed) == (num_uses, seed)
+    levels = kept.levels
+    assert levels.shape == (stats.num_users, num_uses)
+    assert levels.dtype == np.uint8 and not levels.flags.writeable
 
-    delivered, std_error, hat = per_slice_report(stats, alloc, real.levels)
-    assert {(m.user, m.subset): m.delivered for m in report.messages} == delivered
-    for m in report.messages:
-        assert m.std_error == pytest.approx(std_error[(m.user, m.subset)], rel=1e-12, abs=1e-15)
+    delivered, std_error, hat = per_slice_report(stats, alloc, levels)
+    assert by_pair(alloc, report.delivered) == delivered
+    for pair, got in by_pair(alloc, report.std_error).items():
+        assert got == pytest.approx(std_error[pair], rel=1e-12, abs=1e-15)
     assert report.empirical_ccdf.tobytes() == hat.tobytes()
+
+
+TALLIES = (
+    "required", "delivered", "empirical_margin", "analytic_margin", "std_error", "decodable",
+    "user_decodable", "empirical_ccdf", "ccdf_std_error",
+)
+
+
+def assert_same_tallies(kept, plain):
+    """Every tally of the two reports is equal, arrays byte for byte, with their dtypes and shapes."""
+    for name in TALLIES:
+        a, b = np.asarray(getattr(kept, name)), np.asarray(getattr(plain, name))
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 # Piece edges: the spans of a user's subsets on all levels cut its uses
@@ -401,12 +443,9 @@ def test_keep_levels_changes_no_tally():
         num_uses, seed = int(rng.integers(1, 5000)), int(rng.integers(0, 2**31))
         plain = simulate_delivery(stats, alloc, num_uses, seed)
         kept = simulate_delivery(stats, alloc, num_uses, seed, keep_levels=True)
-        assert repr(kept.messages) == repr(plain.messages)
-        assert kept.user_decodable == plain.user_decodable
-        assert kept.empirical_ccdf.tobytes() == plain.empirical_ccdf.tobytes()
-        assert kept.ccdf_std_error.tobytes() == plain.ccdf_std_error.tobytes()
-        assert plain.realization is None
-        hat, se = empirical_ccdf(kept.realization)
+        assert_same_tallies(kept, plain)
+        assert plain.levels is None
+        hat, se = empirical_ccdf(kept.levels, levels)
         assert hat.tobytes() == plain.empirical_ccdf.tobytes() and se.tobytes() == plain.ccdf_std_error.tobytes()
 
 
@@ -428,8 +467,7 @@ def test_piece_counts_are_one_multinomial_draw_per_user():
         drawn = np.random.default_rng(child).multinomial(np.diff(cuts[k]), law / law.sum())
         hits = {a: (row[1] + row[2], row[2]) for a, row in zip(cuts[k], drawn.tolist())}
         expected = sum(hits[a][l] for l, (lo, hi) in enumerate(spans[k]) for a in cuts[k][:-1] if lo <= a < hi)
-        (message,) = [m for m in report.messages if m.user == k]
-        assert message.delivered == expected
+        assert report.delivered[k - 1, 0] == expected  # at t = 0, user k's one message
         ccdf_counts = [sum(h[l] for h in hits.values()) for l in range(2)]
         assert report.empirical_ccdf[k - 1].tolist() == [c / num_uses for c in ccdf_counts]
 
@@ -446,7 +484,7 @@ def test_two_uses_follow_the_exact_law(shares):
     law = np.array([0.3, 0.4, 0.3])
     tally = np.zeros((3, 3))
     for seed in range(2000):
-        first, second = simulate_delivery(stats, alloc, 2, seed, keep_levels=True).realization.levels[0].tolist()
+        first, second = simulate_delivery(stats, alloc, 2, seed, keep_levels=True).levels[0].tolist()
         tally[first, second] += 1
     expected = 2000 * np.outer(law, law)
     assert ((tally - expected) ** 2 / expected).sum() < 26.12, tally
@@ -496,7 +534,7 @@ def test_kept_levels_are_shuffled_piece_by_piece():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - report.realization.levels.nbytes <= 8 * longest + (1 << 16), (num_uses, peak, longest)
+        assert peak - report.levels.nbytes <= 8 * longest + (1 << 16), (num_uses, peak, longest)
 
 
 def test_zero_one_rows_are_deterministic_at_a_trillion_uses():
@@ -516,8 +554,8 @@ def test_zero_one_rows_are_deterministic_at_a_trillion_uses():
     }
     for seed in (0, 1, 2**40):
         report = simulate_delivery(stats, alloc, num_uses, seed)
-        assert {(m.user, m.subset): m.delivered for m in report.messages} == expected
-        assert all(m.std_error == 0.0 for m in report.messages)
+        assert by_pair(alloc, report.delivered) == expected
+        assert not report.std_error.any()
         assert report.empirical_ccdf.tolist() == rows
         assert report.ccdf_std_error.tolist() == [[0.0] * 3] * 3
 
@@ -540,7 +578,7 @@ def test_streamed_simulation_memory_does_not_grow_with_users():
             peaks[num_uses] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.realization is None
+        assert report.levels is None
     assert all(peak < 1 << 16 for peak in peaks.values()), peaks
 
 
@@ -559,8 +597,10 @@ def test_std_error_matches_the_spread_over_seeds(mixed3):
         spans.append(apportion(quotas, num_uses))
     tallies: dict = {}
     for seed in range(300):
-        for m in simulate_delivery(mixed3, alloc, num_uses, seed).messages:
-            tallies.setdefault((m.user, m.subset), []).append((m.delivered, m.std_error))
+        report = simulate_delivery(mixed3, alloc, num_uses, seed)
+        std_errors = by_pair(alloc, report.std_error)
+        for pair, delivered in by_pair(alloc, report.delivered).items():
+            tallies.setdefault(pair, []).append((delivered, std_errors[pair]))
     spreads = {}
     for (k, s), pairs in tallies.items():
         j = alloc.subsets.index(s)

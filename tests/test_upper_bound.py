@@ -617,7 +617,7 @@ def _bound_one_ordering_at_a_time(stats, tup, vertex=True):
             values.append(0.0)
             xs.append(np.eye(K)[0])
         else:
-            values.append(ordering_value(tup, pi, solved.value))
+            values.append(ordering_value(stats, tup, pi, solved.value))
             xs.append(np.concatenate([solved.x[:p], np.zeros(K - p)]))
     best = min(values)
     hits = [i for i, v in enumerate(values) if v <= best + FEAS_TOL]
@@ -727,7 +727,7 @@ def test_bound_on_tiny_gaps_matches_highs(users):
         values = []
         for pi in permutations(range(1, users + 1)):
             (c, a_ub, b_ub), _ = drop_zero_lines(permutation_lp_reference(stats, tup, pi, every_decode_row=True))
-            values.append(ordering_value(tup, pi, linprog(c, a_ub, b_ub, method="highs").fun))
+            values.append(ordering_value(stats, tup, pi, linprog(c, a_ub, b_ub, method="highs").fun))
         assert abs(report.value - min(values)) <= 1e-9 * report.value
 
 
@@ -752,7 +752,7 @@ def test_bound_on_uniformly_tiny_gaps_is_the_optimum(exponent):
     values = []
     for pi in permutations(range(1, 4)):
         (c, a_ub, b_ub), _ = drop_zero_lines(permutation_lp_reference(stats, tup, pi, every_decode_row=True))
-        values.append(ordering_value(tup, pi, linprog(c, a_ub, b_ub, method="highs").fun))
+        values.append(ordering_value(stats, tup, pi, linprog(c, a_ub, b_ub, method="highs").fun))
     assert abs(report.value - min(values)) <= 1e-9 * report.value
 
 
@@ -791,7 +791,7 @@ def test_bound_explicit_caching_matches_each_ordering():
     assert sorted(shapes) == [(4, 4), (5, 5), (6, 5), (7, 5), (7, 6), (8, 5), (8, 6), (9, 6), (11, 6)]
     assert all(3 + q <= m <= 4 * q for m, n in shapes for q in [n - 3])  # q = n - 3 live users
     solved = [_solved_alone(stats, tup, pi) for pi in orderings]
-    values = [ordering_value(tup, pi, s.value) for pi, s in zip(orderings, solved)]
+    values = [ordering_value(stats, tup, pi, s.value) for pi, s in zip(orderings, solved)]
     assert table_rows(report) == tuple(zip(orderings, values))
     best = min(values)
     argmin = next(i for i, v in enumerate(values) if v <= best + FEAS_TOL)
@@ -829,9 +829,9 @@ def test_bound_keeps_lps_of_equal_record_users_apart(monkeypatch):
     assert sum(shape[0] for shape in shapes) == len(_distinct_lps(stats, tup))
     values = dict(table_rows(report))
     pairs = ((1, 2, 3, 4), (1, 3, 2, 4))
-    alone = [ordering_value(tup, pi, _solved_alone(stats, tup, pi).value) for pi in pairs]
+    alone = [ordering_value(stats, tup, pi, _solved_alone(stats, tup, pi).value) for pi in pairs]
     assert [values[(1, 2, 3, 4)], values[(1, 3, 2, 4)]] == alone
-    cold = [ordering_value(tup, pi, solve_lp(*problem).value) for pi, problem in zip(pairs, lps)]
+    cold = [ordering_value(stats, tup, pi, solve_lp(*problem).value) for pi, problem in zip(pairs, lps)]
     assert alone[0] != alone[1] and cold[0] != cold[1]
     assert table_rows(report) == _bound_one_ordering_at_a_time(stats, tup)[4]
     _assert_near_x0_start(report, stats, tup)
