@@ -14,8 +14,13 @@ Unknown fields are rejected, and so is `caching` for any command but
 `rates upper`, the one that reads it.  `main` loads the scenario once and
 hands it to the command's `cmd_*` function, which returns the JSON payload
 with --json and the text lines without it, building only the one it
-returns; `main` writes it.  `rates upper --json` returns its JSON already
-written, the K! rows of its `table` laid out from arrays (table_json).
+returns; `main` writes it.  `rates upper`, `rates achievable` and
+`simulate` return their JSON already written: the scalar fields go
+through to_json, and the long lists are laid out from the report's arrays,
+the K! rows of `rates upper`'s `table` by table_json and the (subset,
+member) pairs of `margins` and `messages` by _pairs_json, each distinct
+float written once (_float_texts).  The text equals, byte for byte,
+to_json of the payload built as dicts.
 
 Exit codes: 0 success, 2 validation error (bad config or arguments),
 3 solver failure.  Rates print with 6 significant digits; JSON reports
@@ -32,6 +37,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -168,28 +174,99 @@ def to_json(payload: dict) -> str:
         return json.dumps(json.loads(loose, parse_constant=_NON_FINITE.__getitem__), check_circular=False)
 
 
+class _Written(str):
+    """A JSON value already written, which _object places as it is."""
+
+
+def _object(payload: dict) -> str:
+    """to_json(payload), each _Written value placed as it is: the runs of
+    other fields between them go through to_json.  The pieces are joined
+    once, so a long value is copied once."""
+    pieces, run = ["{"], {}
+    for key, value in payload.items():
+        if isinstance(value, _Written):
+            if run:
+                pieces += [to_json(run)[1:-1], ", "]
+                run = {}
+            pieces += [f'"{key}": ', value, ", "]
+        else:
+            run[key] = value
+    if run:
+        pieces += [to_json(run)[1:-1], ", "]
+    pieces[-1] = "}"
+    return "".join(pieces)
+
+
+def _float_texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Each distinct float of values, by its bits (so -0.0 is not 0.0),
+    written once as json writes it, a non-finite one as the string "inf",
+    "-inf" or "nan" (to_json's rule); and, in ravel order, the index of
+    each entry's text."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.int64)
+    bits, which = np.unique(bits, return_inverse=True)
+    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")  # "Infinity" where not finite
+    return [f'"{_NON_FINITE[text]}"' if text in _NON_FINITE else text for text in texts], which
+
+
+def _cells(column) -> Union[list[str], Iterator[str]]:
+    """The JSON text of each entry of an array, in ravel order: true or
+    false, an integer, or a float as _float_texts writes it.  A scalar's
+    text repeats without end."""
+    column = np.asarray(column)
+    if column.ndim == 0:
+        return repeat(_cells(column[None])[0])
+    if column.dtype == bool:
+        return [("false", "true")[flag] for flag in column.ravel().tolist()]
+    if column.dtype.kind in "iu":
+        return list(map(str, column.ravel().tolist()))
+    texts, which = _float_texts(column)
+    return np.array(texts, dtype=object)[which].tolist()
+
+
+def _rows_json(values: np.ndarray) -> str:
+    """A 2-d float array as to_json writes it: its rows as lists."""
+    cells, width = _cells(values), values.shape[1]
+    return "[" + ", ".join("[" + ", ".join(cells[at : at + width]) + "]" for at in range(0, len(cells), width)) + "]"
+
+
+def _subset_texts(subsets, sep: str, brackets: str) -> list[str]:
+    """Each subset's members joined by sep inside the two brackets: with
+    ", " and "[]" the JSON list of the subset, with "," and "{}" its label."""
+    ids = [str(k) for k in range(max(map(max, subsets)) + 1)]
+    return [brackets[0] + sep.join([ids[k] for k in s]) + brackets[1] for s in subsets]
+
+
+def _pair_labels(subsets) -> list[str]:
+    """The text outputs' label of each (subset, member) pair, such as
+    "2 on {1,2,4}", in the layout of np.array(subsets)."""
+    labels = _subset_texts(subsets, ",", "{}")
+    return [f"{k} on {label}" for s, label in zip(subsets, labels) for k in s]
+
+
+def _pairs_json(subsets, subset_texts: list[str], **columns) -> str:
+    """The JSON list of one {"user": k, "subset": [...], name: entry, ...}
+    per (subset j, member i) pair, in the layout of np.array(subsets)
+    (lp_scheme.check_allocation's): member i of subsets[j], subset_texts[j]
+    (subsets[j] as a JSON list), then entry [j, i] of each column, an
+    array of that shape or one value for every pair.  The text equals, byte
+    for byte, to_json of that list of dicts; each subset's text is written
+    once, and each distinct float once (_float_texts).  The pieces of all
+    pairs are joined at once, with no string per pair."""
+    heads = [f'{{"user": {k}, "subset": ' for k in range(max(map(max, subsets)) + 1)]
+    fields = [[heads[k] for s in subsets for k in s], [text for s, text in zip(subsets, subset_texts) for _ in s]]
+    for name, column in columns.items():
+        fields += [repeat(f', "{name}": '), _cells(column)]
+    pieces = ["[", *chain.from_iterable(zip(*fields, repeat("}, ")))]
+    pieces[-1] = "}]"
+    return "".join(pieces)
+
+
 def _named(obj, names: tuple[str, ...]) -> dict:
     return {name: getattr(obj, name) for name in names}
 
 
 def _sig(x: float) -> str:
     return f"{x:.6g}"
-
-
-def _subset_label(subset) -> str:
-    return "{" + ",".join(str(k) for k in subset) + "}"
-
-
-def _messages(subsets, **columns) -> list[dict]:
-    """One dict per (subset, member) pair, in the (subset j, member i)
-    layout of np.array(subsets) (lp_scheme.check_allocation's): the
-    member's "user" and "subset", then each column's entry [j, i].  A
-    column is an array of that shape or one value for every pair."""
-    messages = [{"user": k, "subset": s} for s in subsets for k in s]
-    for name, column in columns.items():
-        for message, entry in zip(messages, np.broadcast_to(column, np.shape(subsets)).ravel().tolist()):
-            message[name] = entry
-    return messages
 
 
 def cmd_rates_two_user(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
@@ -246,8 +323,8 @@ def cmd_rates_upper(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
         tup = caching.caching_tuple(cfg.strategy)
     report = upper_bound.upper_bound_rate(cfg.stats, tup)
     if args.json:
-        head = to_json({"command": "rates.upper", "mu": cfg.mu, **_named(report, UPPER_FIELDS)})
-        return f'{head[:-1]}, "table": {table_json(report.orderings, report.values)}}}'
+        table = _Written(table_json(report.orderings, report.values))
+        return _object({"command": "rates.upper", "mu": cfg.mu, **_named(report, UPPER_FIELDS), "table": table})
     text = [
         f"bound: {_sig(report.value)}",
         f"ordering: {','.join(map(str, report.argmin_pi))}",
@@ -284,26 +361,26 @@ def cmd_rates_achievable(cfg: ScenarioConfig, args: argparse.Namespace) -> Outpu
     report = alloc.report
     if args.dump_matrices:
         _dump_matrices(cfg.stats, alloc.t, args.dump_matrices)
-    margins = _messages(alloc.subsets, margin=report.margins)
     if args.json:
-        return {
+        subset_texts = _subset_texts(alloc.subsets, ", ", "[]")
+        return _object({
             "command": "rates.achievable",
             "mu": cfg.mu,
             "value": alloc.rate,
             "t": alloc.t,
-            "subsets": alloc.subsets,
-            "shares": alloc.shares,
+            "subsets": _Written("[" + ", ".join(subset_texts) + "]"),
+            "shares": _Written(_rows_json(alloc.shares)),
             "required": report.required,
-            "margins": margins,
+            "margins": _Written(_pairs_json(alloc.subsets, subset_texts, margin=report.margins)),
             "level_slacks": report.level_slacks,
             "feasible": report.feasible,
             "iterations": alloc.iterations,
             "gap": alloc.gap,
-        }
-    text = [f"rate: {_sig(alloc.rate)} (t={alloc.t})"]
-    for m in margins:
-        text.append(f"  user {m['user']} on {_subset_label(m['subset'])}: margin {_sig(m['margin'])}")
-    return text
+        })
+    pairs = _pair_labels(alloc.subsets)
+    return [f"rate: {_sig(alloc.rate)} (t={alloc.t})"] + [
+        f"  user {pair}: margin {_sig(margin)}" for pair, margin in zip(pairs, report.margins.ravel().tolist())
+    ]
 
 
 def _dump_matrices(stats: channel.ChannelStats, t: int, prefix: str) -> None:
@@ -339,22 +416,25 @@ def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
         with open(args.trace, "wb") as fh:
             fh.write(header.encode("ascii"))
             fh.writelines(_trace_rows(report.levels, cfg.stats.num_levels))
-    messages = _messages(alloc.subsets, **_named(report, MESSAGE_FIELDS))
     if args.json:
-        return {
+        subset_texts = _subset_texts(alloc.subsets, ", ", "[]")
+        messages = _pairs_json(alloc.subsets, subset_texts, **_named(report, MESSAGE_FIELDS))
+        return _object({
             "command": "simulate",
             "n": report.num_uses,
             **_named(report, ("seed", "rate", "t")),
-            "messages": messages,
+            "messages": _Written(messages),
             **_named(report, ("user_decodable", "empirical_ccdf", "ccdf_std_error")),
-        }
+        })
     text = [f"simulated {report.num_uses} uses at rate {_sig(report.rate)} (seed {report.seed})"]
-    for m in messages:
-        flag = "ok" if m["decodable"] else "SHORT"
-        text.append(
-            f"  user {m['user']} on {_subset_label(m['subset'])}: {m['delivered']}/{m['required']}"
-            f" symbols, margin {_sig(m['empirical_margin'])} [{flag}]"
-        )
+    for pair, delivered, margin, decodable in zip(
+        _pair_labels(alloc.subsets),
+        report.delivered.ravel().tolist(),
+        report.empirical_margin.ravel().tolist(),
+        report.decodable.ravel().tolist(),
+    ):
+        flag = "ok" if decodable else "SHORT"
+        text.append(f"  user {pair}: {delivered}/{report.required} symbols, margin {_sig(margin)} [{flag}]")
     verdicts = (f"{k}:{'yes' if ok else 'no'}" for k, ok in enumerate(report.user_decodable, start=1))
     text.append("users decodable: " + ", ".join(verdicts))
     return text
@@ -385,9 +465,8 @@ def table_json(orderings: np.ndarray, values: np.ndarray) -> str:
     and so is the last row's ", ".
     """
     ids = _byte_cells([f"{k}, " for k in range(int(orderings.max()) + 1)])
-    bits, row_value = np.unique(np.asarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
-    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")  # "Infinity" where not finite
-    cells = _byte_cells([f'"{_NON_FINITE[text]}"}}, ' if text in _NON_FINITE else f"{text}}}, " for text in texts])
+    texts, row_value = _float_texts(values)
+    cells = _byte_cells([f"{text}}}, " for text in texts])
     count, users = orderings.shape
     head, middle = b'{"pi": [', b' "value": '
     at = np.cumsum([len(head), users * ids.shape[1], len(middle), cells.shape[1]])

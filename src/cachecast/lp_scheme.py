@@ -64,8 +64,11 @@ w[S,l] the smallest ccdf[k][l] over the members k of S, sending every
 message on level l alone, u_S = e_l / w[S,l], meets every decodability
 row when w[S,l] > 0 for every S, so phi(lambda) <= lambda_l G_l with
 G_l = sum_S (1/w[S,l]) / C(K,t).  A level gets a seed where G_l is
-finite: every w[S,l] > 0, and none so small that 1/w overflows.  Level 1
-always does, since every ccdf[k][0] is positive (see below).  The seed
+finite: every w[S,l] > 0, and none so small that 1/w overflows.  Every
+ccdf[k][0] is positive (see below), so level 1 has every w[S,1] > 0, but
+a subnormal entry on the scaled grid, such as 5e-324 beside 0.5, overflows
+1/w there too; where that happens on every level, no level gets a seed and
+NumericalFailure is raised, naming the delivery LP.  The seed
 enters the master as the unit column e_l at cost -1/G_l: the same LP as
 the cut G_l e_l at cost -1, but well scaled where some w[S,l] is tiny.
 Its dual row holds lambda_l >= eta/G_l > 0.  The seeds are pivoted in
@@ -279,13 +282,15 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     if not (stats.ccdf[:, 0] > 0.0).all():  # a user on a dead channel decodes nothing
         return allocation(np.zeros((B, len(subsets))), 0.0, 0, 0.0)
 
-    subproblems = LpStack.covering(member_ccdf)  # S's: min lambda.u s.t. ccdf[S] u >= 1, u >= 0
     # The seeds: every message on level l alone, u_S = e_l / w[S, l], gives
     # the cut g = G_l e_l, entered as e_l at cost -1/G_l where G_l is finite.
     with np.errstate(divide="ignore", over="ignore"):
         reach = 1.0 / member_ccdf.min(axis=1)  # (subsets, B): 1/w[S, l], w the weakest member's ccdf
         spread = reach.sum(axis=0) / piece_count
     seeded = np.flatnonzero(spread < inf)
+    if not seeded.size:
+        raise NumericalFailure(f"{label}: no level gets a seed cut (1/w overflows on every level)")
+    subproblems = LpStack.covering(member_ccdf)  # S's: min lambda.u s.t. ccdf[S] u >= 1, u >= 0
     reach, spread = reach[:, seeded], spread[seeded]  # u_S of each seed on its level; G_l
     # The packing LP: max sum_i a_i + sum_l x_l/G_l s.t. sum_i a_i g_i + x <= 1.
     master = GrowingLp(np.ones(B), seeded.size + MAX_CUTS)

@@ -114,23 +114,39 @@ def delivery_allocation(shares, rate: float, num_users: int, t: int) -> Delivery
     )
 
 
-def margin_dicts(alloc) -> list[dict]:
-    """`rates achievable --json`'s margins, built pair by pair: one dict per
-    (user, subset) pair, subsets in order and members ascending, with the
-    margin of alloc.report."""
-    margins = alloc.report.margins.tolist()
-    return [
-        {"user": k, "subset": list(s), "margin": margins[j][i]}
-        for j, s in enumerate(alloc.subsets)
-        for i, k in enumerate(s)
-    ]
+def achievable_payload(mu: Fraction, alloc) -> dict:
+    """`rates achievable --json`'s payload for an allocation of
+    achievable_rate_lp, every key in order, with its margins built pair by
+    pair: one dict per (user, subset) pair, subsets in order and members
+    ascending, with the margin of alloc.report."""
+    report = alloc.report
+    margins = report.margins.tolist()
+    return {
+        "command": "rates.achievable",
+        "mu": str(mu),
+        "value": alloc.rate,
+        "t": alloc.t,
+        "subsets": [list(s) for s in alloc.subsets],
+        "shares": alloc.shares.tolist(),
+        "required": report.required,
+        "margins": [
+            {"user": k, "subset": list(s), "margin": margins[j][i]}
+            for j, s in enumerate(alloc.subsets)
+            for i, k in enumerate(s)
+        ],
+        "level_slacks": report.level_slacks.tolist(),
+        "feasible": report.feasible,
+        "iterations": alloc.iterations,
+        "gap": alloc.gap,
+    }
 
 
-def message_dicts(stats, alloc, report) -> list[dict]:
-    """`simulate --json`'s messages for a simulation report, built pair by
-    pair as one dict per (user, subset) pair, in margin_dicts's order: the
-    count and std_error read from the report's arrays, and the rest
-    computed per pair from the count and check_allocation."""
+def simulate_payload(stats, alloc, report) -> dict:
+    """`simulate --json`'s payload for a simulation report, every key in
+    order, with its messages built pair by pair as one dict per (user,
+    subset) pair, in achievable_payload's order: the count and std_error
+    read from the report's arrays, and the rest computed per pair from the
+    count and check_allocation."""
     checked = check_allocation(stats, alloc)
     required = math.ceil(report.num_uses * checked.required - 1e-9)
     messages = []
@@ -147,7 +163,17 @@ def message_dicts(stats, alloc, report) -> list[dict]:
                 "std_error": float(report.std_error[j, i]),
                 "decodable": delivered >= required,
             })
-    return messages
+    return {
+        "command": "simulate",
+        "n": report.num_uses,
+        "seed": report.seed,
+        "rate": alloc.rate,
+        "t": alloc.t,
+        "messages": messages,
+        "user_decodable": report.user_decodable.tolist(),
+        "empirical_ccdf": report.empirical_ccdf.tolist(),
+        "ccdf_std_error": report.ccdf_std_error.tolist(),
+    }
 
 
 def span_starts(alloc, num_uses):
@@ -283,6 +309,18 @@ def strict_json(obj) -> str:
         return json.dumps(obj, allow_nan=False)
     except ValueError:
         return json.dumps(json.loads(json.dumps(obj), parse_constant=_NON_FINITE_TEXT.__getitem__))
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, else an AssertionError naming the first offset where
+    they differ, with the text around it (pytest's own diff of two long
+    one-line strings takes minutes)."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        around = slice(max(0, at - 60), at + 60)
+        raise AssertionError(
+            f"texts differ at offset {at} (lengths {len(got)} and {len(want)}): {got[around]!r} against {want[around]!r}"
+        )
 
 
 def upper_table_json(rows) -> str:

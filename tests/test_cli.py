@@ -24,7 +24,7 @@ from cachecast.caching import caching_tuple, central_strategy
 from cachecast.channel import validate_stats
 from cachecast.errors import NumericalFailure
 from cachecast.lp import UNBOUNDED, GrowingLp, LpSolution, LpStack
-from cachecast.lp_scheme import achievable_rate_lp, build_delivery_lp
+from cachecast.lp_scheme import achievable_rate_lp, build_delivery_lp, message_subsets
 from cachecast.simulator import simulate_delivery
 from cachecast.two_user import achievable_allocation_two_user, optimal_rate_two_user
 from cachecast.upper_bound import build_permutation_lp
@@ -37,13 +37,16 @@ from helpers import (
     MIXED3_ROWS,
     MIXED3_TABLE,
     ROADMAP_ITEM1_ROWS,
+    THIRD,
+    achievable_payload,
+    assert_same_text,
     fail_certificate,
-    margin_dicts,
-    message_dicts,
     random_chain_stats,
+    simulate_payload,
     sorted_uniform_ccdf,
     span_starts,
     stack_hits,
+    strict_json,
     table_rows,
     tiny_gap_placement,
     upper_json,
@@ -429,12 +432,113 @@ def test_message_lists_match_the_pair_by_pair_oracle(capsys, tmp_path, users, t)
     stats = validate_stats(grid)
     alloc = achievable_rate_lp(stats, Fraction(t, users))
     payload = run_json(capsys, ["rates", "achievable", config, "--json"])
-    assert [list(m.items()) for m in payload["margins"]] == [list(m.items()) for m in margin_dicts(alloc)]
+    expected = achievable_payload(Fraction(t, users), alloc)["margins"]
+    assert [list(m.items()) for m in payload["margins"]] == [list(m.items()) for m in expected]
     report = simulate_delivery(stats, alloc, 997, 5)
     payload = run_json(capsys, ["simulate", config, "--n", "997", "--seed", "5", "--json"])
-    expected = message_dicts(stats, alloc, report)
+    expected = simulate_payload(stats, alloc, report)["messages"]
     assert len(expected) == math.comb(users, t + 1) * (t + 1)
     assert [list(m.items()) for m in payload["messages"]] == [list(m.items()) for m in expected]
+
+
+def _writer_cases():
+    for users in range(2, 10):
+        for levels in range(1, 6):
+            for t in sorted({0, users // 2, users - 1}):
+                grid = sorted_uniform_ccdf(np.random.default_rng([48, users, levels]), users, levels)
+                yield pytest.param(grid.tolist(), Fraction(t, users), id=f"K{users}-B{levels}-t{t}")
+    # A dead channel (rate 0, every share and margin 0) and a grid whose
+    # margins are subnormal (-1.66e-316).
+    yield pytest.param([[0.0, 0.0], [0.5, 0.2], [0.4, 0.1]], THIRD, id="dead")
+    yield pytest.param([[1e-300, 1e-300], [0.5, 0.2], [0.4, 0.1]], THIRD, id="subnormal")
+
+
+@pytest.mark.parametrize("grid, mu", _writer_cases())
+def test_json_stdout_is_json_dumps_of_the_pair_by_pair_payload(capsys, tmp_path, grid, mu):
+    # The writer lays `rates achievable --json` and `simulate --json` out
+    # from arrays; their raw stdout must be, byte for byte, json.dumps of
+    # the payload built pair by pair (helpers), and a newline.
+    users = len(grid)
+    config = write_config(tmp_path, {"num_users": users, "num_levels": len(grid[0]), "mu": str(mu), "ccdf": grid})
+    stats = validate_stats(grid)
+    alloc = achievable_rate_lp(stats, mu)
+    assert cli.main(["rates", "achievable", config, "--json"]) == 0
+    assert_same_text(capsys.readouterr().out, strict_json(achievable_payload(mu, alloc)) + "\n")
+    report = simulate_delivery(stats, alloc, 997, users)
+    assert cli.main(["simulate", config, "--n", "997", "--seed", str(users), "--json"]) == 0
+    assert_same_text(capsys.readouterr().out, strict_json(simulate_payload(stats, alloc, report)) + "\n")
+
+
+def test_subnormal_grid_has_subnormal_margins(capsys, tmp_path):
+    grid = [[1e-300, 1e-300], [0.5, 0.2], [0.4, 0.1]]
+    config = write_config(tmp_path, {"num_users": 3, "num_levels": 2, "mu": "1/3", "ccdf": grid})
+    out = run_json(capsys, ["rates", "achievable", config, "--json"])
+    assert [m["margin"] for m in out["margins"]][:2] == [-1.6578092e-316, 0.35]
+
+
+def test_pairs_json_writes_every_entry_as_json_does():
+    # Columns of floats with every special value (by its bits: -0.0 apart
+    # from 0.0), of integers, of booleans, and one value for every pair.
+    subsets = message_subsets(12, 2)
+    shape = (len(subsets), 3)
+    rng = np.random.default_rng(12)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.66e-316, 1e-300, 1.5e300, 0.1, 1 / 3, 2.0]
+    floats = rng.choice(special, size=shape)
+    counts = rng.integers(-5, 10**12, size=shape)
+    flags = rng.random(shape) < 0.5
+    texts = cli._subset_texts(subsets, ", ", "[]")
+    text = cli._pairs_json(subsets, texts, margin=floats, delivered=counts, required=7, decodable=flags, tail=-0.0)
+    want = strict_json([
+        {
+            "user": k,
+            "subset": list(s),
+            "margin": floats[j, i].item(),
+            "delivered": counts[j, i].item(),
+            "required": 7,
+            "decodable": flags[j, i].item(),
+            "tail": -0.0,
+        }
+        for j, s in enumerate(subsets)
+        for i, k in enumerate(s)
+    ])
+    assert_same_text(text, want)
+    assert_same_text("[" + ", ".join(texts) + "]", json.dumps(subsets))
+    assert_same_text(cli._rows_json(floats.T), strict_json(floats.T.tolist()))
+
+
+@pytest.mark.parametrize("command", ["achievable", "simulate"])
+def test_json_writer_peaks_below_the_dict_writer(monkeypatch, command):
+    # K = 12, t = 5 (the CI's scenario): 924 subsets and 5544 (subset,
+    # member) pairs.  The payload's text, written from the arrays, must
+    # peak below the payload of dicts and json.dumps: here 1.1 MB against
+    # 5.4 MB (achievable) and 3.7 MB against 6.8 MB (simulate, n = 1000).
+    grid = np.sort(np.random.default_rng(12).random((12, 4)), axis=1)[:, ::-1]
+    stats = validate_stats(grid.tolist())
+    mu = Fraction(5, 12)
+    alloc = achievable_rate_lp(stats, mu)
+    report = simulate_delivery(stats, alloc, 1000, 3)
+    monkeypatch.setattr(lp_scheme, "achievable_rate_lp", lambda *args: alloc)
+    monkeypatch.setattr(simulator, "simulate_delivery", lambda *args, **kwargs: report)
+    cfg = cli.ScenarioConfig(stats=stats, mu=mu, strategy=None, sim_n=1000, sim_seed=3)
+    if command == "achievable":
+        args = cli.build_parser().parse_args(["rates", "achievable", "unused.json", "--json"])
+        oracle = lambda: strict_json(achievable_payload(mu, alloc))
+    else:
+        args = cli.build_parser().parse_args(["simulate", "unused.json", "--json"])
+        oracle = lambda: strict_json(simulate_payload(stats, alloc, report))
+
+    def peak(write):
+        tracemalloc.start()
+        try:
+            text = write()
+            return tracemalloc.get_traced_memory()[1], text
+        finally:
+            tracemalloc.stop()
+
+    arrays, text = peak(lambda: args.func(cfg, args))
+    dicts, want = peak(oracle)
+    assert_same_text(text, want)
+    assert arrays < dicts, f"{arrays / 1e6:.2f} MB against {dicts / 1e6:.2f} MB"
 
 
 def test_simulate_falls_back_to_config_values(capsys):
@@ -1163,6 +1267,28 @@ def test_delivery_lp_cut_cap_and_recheck_fail_loudly(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "delivery LP (K=3, t=1, B=3): allocation fails its recheck (largest violation " in err
     assert re.search(r"\(subset solve \d+, gap [-+.e\d]+\)", err)
+
+
+# Grids on which 1/w overflows on every level, w the weakest member's
+# entry: 5e-324 beside 0.5 (scaled to 1e-323 beside 1) at t = 0, and
+# 1e-310 on both levels of the one subset at t = 1.  No level gets a seed
+# cut, so the master would solve with no columns; the delivery LP must
+# fail as a solver failure (exit 3), as `rates upper` and `rates degraded`
+# do on these grids, and not with a traceback.
+@pytest.mark.parametrize(
+    "grid, mu", [([[5e-324], [0.5]], "0"), ([[1e-310, 1e-310], [0.9, 0.5]], "1/2")], ids=["5e-324", "1e-310"]
+)
+@pytest.mark.parametrize("command", ["achievable", "simulate", "sweep"])
+def test_delivery_lp_without_seed_cuts_is_a_solver_failure(capsys, tmp_path, grid, mu, command):
+    config = write_config(tmp_path, {"num_users": 2, "num_levels": len(grid[0]), "mu": mu, "ccdf": grid})
+    argv = {
+        "achievable": ["rates", "achievable", config],
+        "simulate": ["simulate", config, "--n", "10", "--seed", "1"],
+        "sweep": ["sweep", config, "--mu", f"{mu}:{mu}:1"],
+    }[command]
+    assert cli.main(argv) == 3
+    label = f"delivery LP (K=2, t={2 * Fraction(mu)}, B={len(grid[0])})"
+    assert capsys.readouterr().err == f"solver failure: {label}: no level gets a seed cut (1/w overflows on every level)\n"
 
 
 def test_parser_is_built_once_and_outlives_a_failed_parse(capsys):
