@@ -183,7 +183,7 @@ def central_tuple(num_users: int, mu: Fraction) -> CachingTuple:
     """caching_tuple(central_strategy(num_users, mu)), by the closed form per subset size."""
     mu = _central_mu(num_users, mu)
     masks = _masks(num_users)
-    by_size = [Fraction(0)] + [central_coverage(num_users, mu, q) for q in range(1, num_users + 1)]
+    by_size = _central_coverages(num_users, mu, range(num_users + 1))
     return CachingTuple(num_users, mu, (by_size[0], *(by_size[m.bit_count()] for m in masks)))
 
 
@@ -194,12 +194,23 @@ def central_coverage(num_users: int, mu: Fraction, subset_size: int) -> Fraction
     subset of q users; only the subset size enters by symmetry.
     """
     mu = cache_size(mu)
-    K, q = num_users, subset_size
-    if q < 1 or q > K:
+    if subset_size < 1 or subset_size > num_users:
         raise OutOfRange("subset size must lie in 1..K")
-    t = int(mu * K)
-    lam = mu * K - t
-    value = (1 - lam) * (1 - Fraction(math.comb(K - q, t), math.comb(K, t)))
-    if lam > 0:
-        value += lam * (1 - Fraction(math.comb(K - q, t + 1), math.comb(K, t + 1)))
-    return value
+    return _central_coverages(num_users, mu, (subset_size,))[0]
+
+
+def _central_coverages(num_users: int, mu: Fraction, sizes: Iterable[int]) -> list[Fraction]:
+    """central_coverage of a checked mu at each subset size q in sizes (0..K; 0 at q = 0).
+
+    With mu = n/d, t = floor(n K / d) and lam = a/d, a = n K - t d, the
+    measure is one fraction of integers over d C(K,t) C(K,t+1), reduced once
+    by Fraction; the second term, and its binomial, drop out where a = 0.
+    """
+    K = num_users
+    t, a = divmod(mu.numerator * K, mu.denominator)
+    d = mu.denominator
+    whole, part = math.comb(K, t), math.comb(K, t + 1) if a else 1
+    return [
+        Fraction((d - a) * (whole - math.comb(K - q, t)) * part + a * (part - math.comb(K - q, t + 1)) * whole, d * whole * part)
+        for q in sizes
+    ]

@@ -56,7 +56,7 @@ TWO_USER_FIELDS = (
 MESSAGE_FIELDS = ("delivered", "required", "empirical_margin", "analytic_margin", "std_error", "decodable")
 UPPER_FIELDS = ("value", "argmin_pi", "omega_star", "omega_star_unique")  # then the table, from its arrays
 
-_NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
+_NON_FINITE = {"-Infinity": "-inf", "Infinity": "inf", "NaN": "nan"}  # "-Infinity" first: _float_texts
 
 # Lines per chunk of a --trace file.  A chunk's temporaries take about 8
 # bytes per level, so 2**14 lines hold them to 0.8 MB at K = 6; in chunks of
@@ -204,8 +204,10 @@ def _float_texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     each entry's text."""
     bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.int64)
     bits, which = np.unique(bits, return_inverse=True)
-    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")  # "Infinity" where not finite
-    return [f'"{_NON_FINITE[text]}"' if text in _NON_FINITE else text for text in texts], which
+    text = json.dumps(bits.view(np.float64).tolist())  # "Infinity" where not finite
+    for token, name in _NON_FINITE.items():  # "-Infinity" before "Infinity", which it holds
+        text = text.replace(token, f'"{name}"')
+    return text[1:-1].split(", "), which
 
 
 def _cells(column) -> Union[list[str], Iterator[str]]:
@@ -440,12 +442,12 @@ def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> Output:
     return text
 
 
-def _byte_cells(cells: list[str]) -> np.ndarray:
-    """Row i holds the ASCII bytes of cells[i], right-aligned behind zero bytes."""
-    lengths = np.array([len(cell) for cell in cells])
-    table = np.zeros((len(cells), int(lengths.max())), dtype=np.uint8)
+def _byte_cells(texts: list[str], suffix: str) -> np.ndarray:
+    """Row i holds the ASCII bytes of texts[i] + suffix, right-aligned behind zero bytes."""
+    lengths = np.array(list(map(len, texts))) + len(suffix)
+    table = np.zeros((len(texts), int(lengths.max())), dtype=np.uint8)
     right = np.arange(table.shape[1]) >= table.shape[1] - lengths[:, None]
-    table[right] = np.frombuffer("".join(cells).encode("ascii"), dtype=np.uint8)
+    table[right] = np.frombuffer((suffix.join(texts) + suffix).encode("ascii"), dtype=np.uint8)
     return table
 
 
@@ -457,25 +459,28 @@ def table_json(orderings: np.ndarray, values: np.ndarray) -> str:
     list of ints, v a float) under to_json's non-finite rule: a finite value
     is written as float.__repr__ writes it, as json does, and a non-finite
     one as the string "inf", "-inf" or "nan".  Each row is laid out in one
-    byte array: the fixed head, one cell per user id from a byte table
-    ("k, " right-aligned behind zero bytes, whatever the number of digits;
-    the last cell's ", " becomes "],"), the fixed ' "value": ', and the
-    value's cell with its closing "}, ".  Each distinct value (by its bits,
-    so -0.0 is not 0.0) is written once.  The zero bytes are then dropped,
-    and so is the last row's ", ".
+    byte array, filled from a template of its fixed bytes, the head
+    '{"pi": [' and the middle '], "value": ', in one copy: then one cell
+    per user id from a byte table ("k, " right-aligned behind zero bytes,
+    whatever the number of digits), less the last cell's ", ", which the
+    middle's "]," takes, and the value's cell with its closing "}, ".  Each
+    distinct value (by its bits, so -0.0 is not 0.0) is written once.  The
+    zero bytes are then dropped, and so is the last row's ", ".
     """
-    ids = _byte_cells([f"{k}, " for k in range(int(orderings.max()) + 1)])
+    ids = _byte_cells(list(map(str, range(int(orderings.max()) + 1))), ", ")
     texts, row_value = _float_texts(values)
-    cells = _byte_cells([f"{text}}}, " for text in texts])
+    cells = _byte_cells(texts, "}, ")
     count, users = orderings.shape
-    head, middle = b'{"pi": [', b' "value": '
-    at = np.cumsum([len(head), users * ids.shape[1], len(middle), cells.shape[1]])
-    lines = np.empty((count, int(at[-1])), dtype=np.uint8)
-    lines[:, : at[0]] = np.frombuffer(head, dtype=np.uint8)
-    lines[:, at[0] : at[1]] = np.take(ids, orderings, axis=0).reshape(count, -1)
-    lines[:, at[1] - 2 : at[1]] = np.frombuffer(b"],", dtype=np.uint8)
-    lines[:, at[1] : at[2]] = np.frombuffer(middle, dtype=np.uint8)
-    lines[:, at[2] :] = np.take(cells, row_value, axis=0)
+    head, middle = b'{"pi": [', b'], "value": '
+    start = len(head)
+    stop = start + users * ids.shape[1] - 2  # the ids, less the last one's ", "
+    template = np.zeros(stop + len(middle) + cells.shape[1], dtype=np.uint8)
+    template[:start] = np.frombuffer(head, dtype=np.uint8)
+    template[stop : stop + len(middle)] = np.frombuffer(middle, dtype=np.uint8)
+    lines = np.empty((count, template.size), dtype=np.uint8)
+    lines[:] = template
+    lines[:, start:stop] = np.take(ids, orderings, axis=0).reshape(count, -1)[:, :-2]
+    lines[:, stop + len(middle) :] = np.take(cells, row_value, axis=0)
     return "[" + lines[lines != 0].tobytes()[:-2].decode("ascii") + "]"
 
 
@@ -497,7 +502,7 @@ def _trace_rows(levels: np.ndarray, num_levels: int) -> Iterator[bytes]:
     np.savetxt(fh, levels.T, fmt="%d", delimiter=",").
     """
     part = max(1, TRACE_CHUNK // 8)
-    table = _byte_cells([f"{value}," for value in range(num_levels + 1)])
+    table = _byte_cells(list(map(str, range(num_levels + 1))), ",")
     for start in range(0, levels.shape[1], TRACE_CHUNK):
         chunk = levels[:, start : start + TRACE_CHUNK]
         lines = np.empty((chunk.shape[1], chunk.shape[0], table.shape[1]), dtype=np.uint8)

@@ -663,28 +663,30 @@ class LpStack:
         return stack
 
     @classmethod
-    def covering(cls, a) -> LpStack:
+    def covering(cls, a, column: int) -> LpStack:
         """The stack of LPs min c.x s.t. a.x >= 1, x >= 0, started from one crash pivot each.
 
-        a (L, m, n) must have a positive first column.  The LPs are held as
-        -a.x <= -1, whose slack basis x = 0 is infeasible; instead column 0
-        enters each LP at the row r with the smallest a[r, 0] (crashed).
-        At that vertex x_0 = 1/a[r, 0], and row k's slack is
-        (a[k, 0] - a[r, 0]) / a[r, 0] >= 0, written in that form so that a
+        a (L, m, n) must be positive in the given column, j.  The LPs are
+        held as -a.x <= -1, whose slack basis x = 0 is infeasible; instead
+        x_j enters each LP at the row r with the smallest a[r, j] (crashed).
+        At that vertex x_j = 1/a[r, j], and row k's slack is
+        (a[k, j] - a[r, j]) / a[r, j] >= 0, written in that form so that a
         tie gives exactly 0, where the pivot's own update gives
-        -1 + a[k, 0] * (1/a[r, 0]), which is -1.1e-16 at
-        a[k, 0] = a[r, 0] = 0.09.
+        -1 + a[k, j] * (1/a[r, j]), which is -1.1e-16 at
+        a[k, j] = a[r, j] = 0.09.  The pivot divides row r by a[r, j], so
+        an entry whose inverse overflows makes inf and NaN: the caller
+        crashes on a column where 1/a[r, j] is finite.
         """
         a = np.asarray(a, dtype=float)
         size, m, n = a.shape
-        first = a[:, :, 0]
+        first = a[:, :, column]
         if not (first > 0.0).all():
-            raise OutOfRange("every entry of the first column must be positive")
+            raise OutOfRange(f"every entry of column {column} must be positive")
         lps, rows = np.arange(size), first.argmin(axis=1)
         least = first[lps, rows][:, None]
         rhs = (first - least) / least
         rhs[lps, rows] = 1.0 / least[:, 0]
-        return cls.crashed(-a, np.full(m, -1.0), (rows, np.zeros(size, dtype=int), None), rhs)
+        return cls.crashed(-a, np.full(m, -1.0), (rows, np.full(size, column), None), rhs)
 
     def solve(self, c) -> StackSolution:
         """Every LP at the costs c, (n,) or (L, n), from the bases the last solve left.

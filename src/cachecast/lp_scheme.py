@@ -65,10 +65,12 @@ message on level l alone, u_S = e_l / w[S,l], meets every decodability
 row when w[S,l] > 0 for every S, so phi(lambda) <= lambda_l G_l with
 G_l = sum_S (1/w[S,l]) / C(K,t).  A level gets a seed where G_l is
 finite: every w[S,l] > 0, and none so small that 1/w overflows.  Every
-ccdf[k][0] is positive (see below), so level 1 has every w[S,1] > 0, but
-a subnormal entry on the scaled grid, such as 5e-324 beside 0.5, overflows
+ccdf[k][0] is positive where the LP is solved (a user with ccdf[k][0] = 0
+holds the rate at 0, below), so level 1 has every w[S,1] > 0, but a
+subnormal entry on the scaled grid, such as 5e-324 beside 0.5, overflows
 1/w there too; where that happens on every level, no level gets a seed and
-NumericalFailure is raised, naming the delivery LP.  The seed
+NumericalFailure is raised, naming the delivery LP, before the subset
+stack is built.  The seed
 enters the master as the unit column e_l at cost -1/G_l: the same LP as
 the cut G_l e_l at cost -1, but well scaled where some w[S,l] is tiny.
 Its dual row holds lambda_l >= eta/G_l > 0.  The seeds are pivoted in
@@ -81,11 +83,13 @@ a new lambda nor a new cut makes the last optimal basis infeasible.  In
 the min form lambda is only the cost: the rows ccdf[S] u >= 1 never
 change, so each subset solve reprices the subset stack (an lp.LpStack)
 and resumes the simplex from its last bases.  Its first bases are one
-crash pivot per subset (LpStack.covering), level 1 entering at the
-member with the smallest ccdf[k][0]; that is feasible because every live
-CCDF row is nonincreasing and nonzero, so its first entry is positive.
-It would be optimal at a uniform lambda; at the seed master's it is not,
-and the first subset solve pivots from it.  The master is one
+crash pivot per subset (LpStack.covering): the first seeded level enters
+at the member with the smallest entry there, w[S,l], whose inverse is
+finite, so the crash divides by no subnormal.  Level 1 is that level
+unless a subnormal entry overflows its 1/w: on [[1e-310, 1e-13],
+[0.5, 0.5]] at mu = 0 level 2 is, and a crash on level 1 read inf and
+NaN.  It would be optimal at a uniform lambda; at the seed master's it
+is not, and the first subset solve pivots from it.  The master is one
 lp.GrowingLp, with room for the seeds and MAX_CUTS cuts of both kinds.
 A cut only adds a column to it, at cost -1: the column and its reduced
 cost are read off the master's full tableau, and the column is pivoted
@@ -290,7 +294,8 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     seeded = np.flatnonzero(spread < inf)
     if not seeded.size:
         raise NumericalFailure(f"{label}: no level gets a seed cut (1/w overflows on every level)")
-    subproblems = LpStack.covering(member_ccdf)  # S's: min lambda.u s.t. ccdf[S] u >= 1, u >= 0
+    # S's: min lambda.u s.t. ccdf[S] u >= 1, u >= 0, crashed on the first seeded level
+    subproblems = LpStack.covering(member_ccdf, int(seeded[0]))
     reach, spread = reach[:, seeded], spread[seeded]  # u_S of each seed on its level; G_l
     # The packing LP: max sum_i a_i + sum_l x_l/G_l s.t. sum_i a_i g_i + x <= 1.
     master = GrowingLp(np.ones(B), seeded.size + MAX_CUTS)

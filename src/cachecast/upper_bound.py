@@ -96,10 +96,11 @@ on a tie, and 0 in the padding rows.  An LP with one live user starts
 at its optimum, even where its entries all lie below PIVOT_TOL and the
 start at x = 0 reads a ray (a first user with CCDF entries of 1e-200).
 From the vertex a benchmark round of six K = 6 scenarios (bound-k6)
-takes 4213 simplex pivots instead of 13,306 from x = 0, and 51 lockstep
-iterations instead of 118, with 8 crash pivots (one per stack) where
-the B + p pivot steps took 60; every value agrees with x = 0's to
-1.6e-14 relative there and on the CI's K = 8 grids.  Where an LP has
+takes 4213 simplex pivots instead of 13,306 from x = 0, and 37 lockstep
+iterations instead of 85 (per stack its LPs' most pivots, summed), with
+6 crash pivots (one per stack) where the B + p pivot steps took 43; every
+value agrees with x = 0's to 1.6e-14 relative there and on the CI's
+K = 8 grids.  Where an LP has
 more than one optimal vertex the two starts can end at different ones,
 and so give other omega_star weights.  A padded LP (below) gets the
 same closed-form rows, labels and budget pivot as it does alone, and
@@ -138,7 +139,8 @@ then for each position the user if it bears a record on the live prefix
 mask table, not over the K! x K gap array, and the key needs no hash:
 equal keys are byte-identical LPs.  Users with equal CCDF rows (twins)
 give the same LP wherever they swap, so the key names a record-bearing
-user by its first twin: on the ROADMAP item 1 grid with user 2's row set
+user by its first twin, the first user whose row equals its own entry by
+entry (_first_twins): on the ROADMAP item 1 grid with user 2's row set
 to user 1's, 56 LPs at mu = 0, 1/6 and 2/6, where naming the users
 themselves solved 112, 112 and 92.  (Two users whose rows differ only
 where neither holds a record can still give one LP under two keys.)
@@ -153,13 +155,16 @@ delivery LP, a stack raises (lp.require_optimal) at its first LP that is
 not optimal, named by the first ordering whose LP it is.
 It reads the coverage (indexed by bitmask) of each distinct prefix mask
 once and builds the LPs with numpy.  The distinct LPs of one live count
-are sorted by their record-row count, most first (stable), and built and
-solved in slices, one lp.LpStack per slice.  A slice is as many
-LPs as stack_size allows at the shape of its first, widest LP, and every
-LP of the slice is padded with zero rows, between its record rows and
-its chain rows, to that shape.
-The slices bound the memory: one K = 8, mu = 0 group built whole with
-every decode row would be 40,320 LPs of 40 x 12, 155 MB of a_ub.
+are built and solved as one lp.LpStack wherever they fit in
+STACK_ENTRIES tableau entries at the shape of the widest, every LP
+padded with zero rows, between its record rows and its chain rows, to
+that shape: on the bound-k6 benchmark's grids every live count is one
+stack, so each call builds, crashes, certifies and runs the lockstep
+tail of one stack per live count.  A live count that does not fit is
+sorted by record-row count, most first (stable), and solved in slices,
+each as many LPs as stack_size allows at the shape of its first, widest
+LP.  The slices bound the memory: one K = 8, mu = 0 group built whole
+with every decode row would be 40,320 LPs of 40 x 12, 155 MB of a_ub.
 Every ordering then takes its LP's value.  The K! orderings are
 enumerated once, in lexicographic order, as one (K!, K) array built in
 numpy block by first user (ordering_array; 1.3 ms at K = 8).  The LPs
@@ -183,9 +188,14 @@ from .lp import FEAS_TOL, OPTIMAL, LpStack, StackSolution, require_optimal
 from .lp_scheme import t_from_mu
 
 MAX_BOUND_USERS = 8
-# Tableau entries per lockstep stack: 172 per-ordering LPs of live count 5
-# at B=4 (K=6, mu=1/6: 25 x 10 each), where stacking pays.
-STACK_ENTRIES = 43_000
+# Tableau entries per lockstep stack.  100,000 holds each live count of the
+# bound-k6 benchmark's K = 6 grids in one stack, the largest 278 LPs of 21
+# rows and 9 columns (58,380 entries; 43,000 split it and one other in
+# two).  On the CI's K = 8 grid (best of 12, 2-CPU Xeon) mu = 0 and 1/8
+# ran in 195 and 192 ms against 221 and 234 ms at 43,000, at the same
+# tracemalloc peak, 19.1 and 17.4 MB; 200,000 ran as fast and peaked at
+# 20.7 MB, 400,000 ran slower and peaked at 35 MB.
+STACK_ENTRIES = 100_000
 
 
 @dataclass(frozen=True)
@@ -233,7 +243,7 @@ def _live_prefixes(
     gap_of = np.zeros(1 << tup.num_users)
     live_of = np.zeros(1 << tup.num_users, dtype=bool)
     reached = np.flatnonzero(np.bincount(masks.ravel()))
-    ratios = [(c.numerator, c.denominator) for c in map(tup.coverage.__getitem__, reached.tolist())]
+    ratios = [c.as_integer_ratio() for c in map(tup.coverage.__getitem__, reached.tolist())]
     gap_of[reached] = [(d - n) / d for n, d in ratios]
     live_of[reached] = [n != d for n, d in ratios]
     return masks, gap_of, np.count_nonzero(live_of[masks], axis=-1)
@@ -378,6 +388,8 @@ def _equal_weight_vertex(
     at = record.argmax(axis=1)  # (L, B): k_l, each level's last record position
     last = record[lps[:, None], at, levels]  # its row
     enters = top > 0.0  # theta_l enters (an LP with infinite w is reset below)
+    i, k, l = np.nonzero(record >= 0)  # every record entry
+    row = record[i, k, l]
 
     def reach(rows: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray) -> None:
         # rows holds a_ub's, basis and nonbasic the slack basis's labels.
@@ -385,8 +397,7 @@ def _equal_weight_vertex(
         # The theta steps.  Where max_l = 0 there is no step, and writing it
         # changes nothing: the level's one record, at w_1, holds 0 and gets
         # 0.0 - 0.0 = +0.0, and the budget row gains +0.0.
-        i, k, l = np.nonzero(record >= 0)
-        rows[i, record[i, k, l], at[i, l]] = 0.0 - top[i, l]
+        rows[i, row, at[i, l]] = 0.0 - top[i, l]
         for level in range(B):
             rows[lps, budget, at[:, level]] += top[:, level]
         # The chain steps: running sums s_j = s_{j-1} + v_j, as each pivot
@@ -403,8 +414,7 @@ def _equal_weight_vertex(
             rows[far], basis[far], nonbasic[far] = slack_rows, n + np.arange(m), np.arange(n)
 
     rhs = np.zeros((size, m))
-    i, k, l = np.nonzero(record >= 0)
-    rhs[i, record[i, k, l]] = w[i] * (top[i, l] - ccdf[i, k, l])
+    rhs[i, row] = w[i] * (top[i, l] - ccdf[i, k, l])
     rhs[lps[:, None], last] = w[:, None] * top  # 0 where theta_l stays nonbasic
     rhs[:, chain] = w[:, None]
     rhs[:, budget] = np.where(far, 1.0, w)  # x = 0: the budget row's slack holds its rhs
@@ -497,23 +507,30 @@ def chain_optimum(stats: ChannelStats, mu) -> tuple[float, np.ndarray]:
     return ldexp(-1.0 / solution.value, scale - frexp(gaps[0, 0])[1]), z
 
 
-def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The first index of each distinct row of equal-length nonnegative
-    integer columns, and each row's index among the distinct rows.
+def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct column of a (c, L) array of
+    nonnegative integers, and each column's index among the distinct
+    columns.
 
-    The columns are packed into one int64 key, in base max + 1 per column;
-    where the key would overflow, the key so far is replaced by its rank
-    first.  The key is exact: equal keys are equal rows.
+    The rows are packed into one int64 key per column, in base max + 1 per
+    row; where the key would overflow, the key so far is replaced by its
+    rank first.  The key is exact: equal keys are equal columns.
     """
-    key, bound = np.zeros(len(columns[0]), dtype=np.int64), 1
-    for column in columns:
-        radix = int(column.max()) + 1
+    key, bound = np.zeros(table.shape[1], dtype=np.int64), 1
+    for row, radix in zip(table, (table.max(axis=1) + 1).tolist()):
         if bound * radix > 1 << 63:
             _, key = np.unique(key, return_inverse=True)
             bound = int(key.max()) + 1
-        key, bound = key * radix + column, bound * radix
+        key, bound = key * radix + row, bound * radix
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return first, inverse
+
+
+def _first_twins(grid: np.ndarray) -> np.ndarray:
+    """Each user's first twin: the first user (from 1) whose CCDF row equals
+    its own, entry by entry, so -0.0 equals 0.0 (the names
+    np.unique(grid, axis=0) gives)."""
+    return (grid[:, None] == grid).all(axis=2).argmax(axis=1) + 1
 
 
 def ordering_array(num_users: int) -> np.ndarray:
@@ -549,23 +566,31 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     every = ordering_array(K)
     masks, gap_of, live = _live_prefixes(stats, tup, every)
     # Positions past the largest live count are fixed at 0 in every ordering.
-    head = np.s_[:, : int(live.max())]
-    before = masks[head] ^ (1 << (every[head] - 1))  # the users ahead of each position
+    h = int(live.max())
+    users = every[:, :h] - 1  # each position's user, from 0
+    before = masks[:, :h] ^ (1 << users)  # the users ahead of each position
     scale = scale_exponent(stats.ccdf)
     grid = np.ldexp(stats.ccdf, -scale)  # largest entry in (1/2, 1]
     top = _level_maxima(grid)
     # Each ordering's LP is keyed by its live count, then per position the
     # user if it holds a record on the live prefix (0 if not), named by the
-    # first user with the same CCDF row, and the rank of its gap among the
-    # distinct gaps (module docstring).  above[m, k-1]: user k holds a
-    # record behind the users of mask m.
+    # first user with the same CCDF row (its twin), and the rank of its gap
+    # among the distinct gaps (module docstring).  above[m, k]: user k + 1
+    # holds a record behind the users of mask m.
     above = _records(grid, top, np.arange(1 << K)[:, None]).any(axis=2)
-    bearing = above[before, every[head] - 1] & (np.arange(before.shape[1]) < live[:, None])
-    _, twin, row_of = np.unique(grid, axis=0, return_index=True, return_inverse=True)
-    named = twin[row_of.ravel()] + 1  # user k's first twin
+    bearing = above.take(before * K + users) & (np.arange(h) < live[:, None])
+    named = _first_twins(grid)
     _, gap_rank = np.unique(gap_of, return_inverse=True)
-    users = np.where(bearing, named[every[head] - 1], 0)
-    first, inverse = _distinct_rows([live, *users.T, *gap_rank[masks[head]].T])
+    # Row 0 the live count, then per position the named user or 0, then the
+    # gap ranks; np.take writes the rows in place (mode="clip" lets it; every
+    # index lies in range), so no K!-sized temporary is made.
+    key = np.empty((1 + 2 * h, every.shape[0]), dtype=np.int64)
+    key[0] = live
+    np.take(named, users.T, out=key[1 : h + 1], mode="clip")
+    key[1 : h + 1] *= bearing.T
+    np.take(gap_rank, masks[:, :h].T, out=key[h + 1 :], mode="clip")
+    first, inverse = _distinct_rows(key)
+    del users, key  # K!-sized: freed before the LPs are built
     live_of = live[first]
     # A fully covered first user fixes every weight at 0 (p = 0): such an
     # ordering admits no weight vector and contributes an infinite bound.  A
@@ -574,25 +599,27 @@ def upper_bound_rate(stats: ChannelStats, tup: CachingTuple) -> UpperBoundReport
     weights = np.zeros((first.size, K))  # the fixed weights stay 0
     dead = (live_of > 0) & ~grid[every[first, 0] - 1].any(axis=1)
     values[dead], weights[dead, 0] = 0.0, 1.0
-    for p in sorted(set(live_of[~dead].tolist()) - {0}):
-        group = np.flatnonzero((live_of == p) & ~dead)
-        ccdf = grid[every[first[group], :p] - 1]
-        kept = _records(ccdf, top, before[first[group], :p])
-        # Most record rows first: each stack is then as wide as its first LP.
+    live_of[dead] = 0  # settled: no LP
+    for p in sorted(set(live_of.tolist()) - {0}):
+        group = np.flatnonzero(live_of == p)
+        rows = first[group]
+        ccdf = grid[every[rows, :p] - 1]
+        kept = _records(ccdf, top, before[rows, :p])
+        gaps = gap_of[masks[rows, :p]]
         records = kept.sum(axis=(1, 2))
-        order = np.argsort(-records, kind="stable")
-        group, ccdf, kept, records = group[order], ccdf[order], kept[order], records[order]
+        if stack_size(int(records.max()) + p, p + B) < group.size:
+            # Sliced, most record rows first: each slice is then as wide as its first LP.
+            order = np.argsort(-records, kind="stable")
+            group, ccdf, kept, gaps, records = group[order], ccdf[order], kept[order], gaps[order], records[order]
         start = 0
         while start < group.size:
-            part = slice(start, start + stack_size(int(records[start]) + p, p + B))
+            part = slice(start, start + stack_size(int(records[start:].max()) + p, p + B))
             lps, start = group[part], part.stop
-            rows = first[lps]
-            gaps = gap_of[masks[rows, :p]]
-            stack = _solve_from_vertex(ccdf[part], kept[part], gaps)
-            if stack.status.count(OPTIMAL) < rows.size:
-                for row, outcome in zip(rows.tolist(), stack):
+            stack = _solve_from_vertex(ccdf[part], kept[part], gaps[part])
+            if stack.status.count(OPTIMAL) < lps.size:
+                for row, outcome in zip(first[lps].tolist(), stack):
                     require_optimal(outcome, f"ordering {tuple(every[row].tolist())} (K={K}, B={B}, mu={tup.mu})")
-            values[lps] = np.ldexp(-1.0 / stack.value, scale - np.frexp(gaps[:, 0])[1])
+            values[lps] = np.ldexp(-1.0 / stack.value, scale - np.frexp(gaps[part, 0])[1])
             weights[lps, :p] = stack.x[:, :p]
 
     by_ordering = values[inverse]

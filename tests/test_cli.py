@@ -274,14 +274,14 @@ def test_upper_json_is_the_oracle_at_every_cache_size(upper_stdout, users):
     ccdf = sorted_uniform_ccdf(np.random.default_rng([users, 43]), users, 3).tolist()
     for t in range(users + 1):
         out, want = upper_stdout({"num_users": users, "num_levels": 3, "mu": f"{t}/{users}", "ccdf": ccdf})
-        assert out == want, f"mu = {t}/{users}"
+        assert_same_text(out, want)
 
 
 def test_upper_json_at_mu_one_reads_inf(upper_stdout):
     # The first user's cache covers the file in every ordering.
     ccdf = sorted_uniform_ccdf(np.random.default_rng(44), 4, 3).tolist()
     out, want = upper_stdout({"num_users": 4, "num_levels": 3, "mu": "1", "ccdf": ccdf})
-    assert out == want
+    assert_same_text(out, want)
     payload = json.loads(out)
     assert payload["value"] == "inf"
     assert [row["value"] for row in payload["table"]] == ["inf"] * 24
@@ -291,7 +291,7 @@ def test_upper_json_writes_a_dead_first_user_as_zero(upper_stdout):
     ccdf = sorted_uniform_ccdf(np.random.default_rng(45), 5, 3)
     ccdf[2] = 0.0
     out, want = upper_stdout({"num_users": 5, "num_levels": 3, "mu": "1/5", "ccdf": ccdf.tolist()})
-    assert out == want
+    assert_same_text(out, want)
     table = json.loads(out)["table"]
     assert [row["value"] == 0.0 for row in table] == [row["pi"][0] == 3 for row in table]
     assert out.count('"value": 0.0}') == 24
@@ -302,7 +302,7 @@ def test_upper_json_with_twin_rows(upper_stdout):
     ccdf[3], ccdf[5] = ccdf[0], ccdf[1]
     for mu in ("0", "1/6", "2/6"):
         out, want = upper_stdout({"num_users": 6, "num_levels": 3, "mu": mu, "ccdf": ccdf.tolist()})
-        assert out == want, f"mu = {mu}"
+        assert_same_text(out, want)
 
 
 def test_upper_json_with_unequal_gaps(upper_stdout):
@@ -311,14 +311,14 @@ def test_upper_json_with_unequal_gaps(upper_stdout):
     ccdf = sorted_uniform_ccdf(np.random.default_rng(47), 6, 4).tolist()
     spread = [[[str(Fraction(k * k, 36)), str(Fraction(k * k + 6, 36))]] for k in range(6)]
     out, want = upper_stdout({"num_users": 6, "num_levels": 4, "mu": "1/6", "ccdf": ccdf, "caching": spread})
-    assert out == want
+    assert_same_text(out, want)
     assert len({row["value"] for row in json.loads(out)["table"]}) > 100
 
 
 def test_upper_json_with_values_in_exponent_form(upper_stdout):
     ccdf = sorted_uniform_ccdf(np.random.default_rng(48), 4, 3) * 1e-5
     out, want = upper_stdout({"num_users": 4, "num_levels": 3, "mu": "1/4", "ccdf": ccdf.tolist()})
-    assert out == want
+    assert_same_text(out, want)
     assert re.search(r'"value": \d\.\d+e-05}', out)
 
 
@@ -329,8 +329,8 @@ def test_table_json_writes_ids_of_any_width(ids):
     special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300, 1.5e300, 0.1, 1 / 3, 2.0, 12345.678]
     values = rng.choice(special, size=len(orderings))
     want = upper_table_json(zip(orderings.tolist(), values.tolist()))
-    assert cli.table_json(orderings, values) == want
-    assert cli.table_json(orderings[:1], values[:1]) == upper_table_json([(orderings[0].tolist(), values[0])])
+    assert_same_text(cli.table_json(orderings, values), want)
+    assert_same_text(cli.table_json(orderings[:1], values[:1]), upper_table_json([(orderings[0].tolist(), values[0])]))
 
 
 def test_table_json_peaks_below_the_dict_writer():
@@ -350,7 +350,7 @@ def test_table_json_peaks_below_the_dict_writer():
     rows = table_rows(report)
     arrays, text = peak(lambda: cli.table_json(report.orderings, report.values))
     dicts, want = peak(lambda: upper_table_json(rows))
-    assert text == want
+    assert_same_text(text, want)
     assert arrays <= dicts, f"{arrays / 1e6:.1f} MB against {dicts / 1e6:.1f} MB"
 
 

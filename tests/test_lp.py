@@ -482,7 +482,7 @@ def test_covering_stack_resumes_at_each_new_cost_row():
     rng = np.random.default_rng(2101)
     for trial in range(4):
         a = random_covering_stack(rng)
-        stack = lp.LpStack.covering(a)
+        stack = lp.LpStack.covering(a, 0)
         for step in range(15):
             n = a.shape[2]
             c = np.full(n, 0.2) if step == 0 else rng.uniform(0.0, 1.0, n) * (rng.random(n) >= 1 / 3)
@@ -504,7 +504,7 @@ def test_covering_stack_crash_of_a_tied_pair():
     for x in (0.09, 0.18, 0.36, 0.47):
         assert -1.0 - (-x) * (1.0 / x) < 0.0
         a = np.array([[[x, 0.5 * x, 0.0], [x, 0.0, 0.0], [0.9, 0.8, 0.7]]])
-        stack = lp.LpStack.covering(a)
+        stack = lp.LpStack.covering(a, 0)
         rhs = stack._tableau[0, :3, -1]
         assert (rhs >= 0.0).all() and sorted(rhs.tolist()) == [0.0, (0.9 - x) / x, 1.0 / x]
         assert not np.signbit(stack._tableau[stack._tableau == 0.0]).any()
@@ -518,7 +518,7 @@ def test_covering_stack_at_costs_with_zero_entries():
     # column covers every row, and the simplex never enters a column
     # whose reduced cost is 0, so it takes no ray.
     a = np.array([[[0.6, 0.5, 0.2], [0.8, 0.1, 0.1]], [[0.6, 0.5, 0.0], [0.8, 0.0, 0.0]]])
-    stack = lp.LpStack.covering(a)
+    stack = lp.LpStack.covering(a, 0)
     for c in ([0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0]):
         c = np.array(c)
         for i, solution in enumerate(stack.solve(c)):
@@ -530,15 +530,15 @@ def test_covering_stack_at_costs_with_zero_entries():
 
 def test_covering_stack_input_checks():
     a = np.ones((2, 3, 4))
-    stack = lp.LpStack.covering(a)
+    stack = lp.LpStack.covering(a, 0)
     for bad in (np.ones(3), np.ones((3, 4)), np.ones((1, 4)), np.ones((2, 4, 1)), 1.0):
         with pytest.raises(LengthMismatch, match=r"^need c \(4,\) or \(2, 4\), got shape"):
             stack.solve(bad)
     assert [s.value for s in stack.solve(np.ones(4))] == [1.0, 1.0]
     assert [s.value for s in stack.solve([[1.0] * 4, [2.0] * 4])] == [1.0, 2.0]  # a cost row per LP
     a[1, 2, 0] = 0.0
-    with pytest.raises(OutOfRange, match="first column must be positive"):
-        lp.LpStack.covering(a)
+    with pytest.raises(OutOfRange, match="^every entry of column 0 must be positive$"):
+        lp.LpStack.covering(a, 0)
 
 
 # --- crash starts ------------------------------------------------------------------
@@ -645,7 +645,7 @@ def test_covering_stack_is_its_crash_by_hand():
     rhs[np.arange(size), rows] = 1.0 / least[:, 0]
     c = np.random.default_rng(2103).uniform(0.1, 1.0, n)
     crashed = lp.LpStack.crashed(-a, np.full(m, -1.0), (rows, np.zeros(size, dtype=int), None), rhs)
-    assert_same_stack(crashed.solve(c), lp.LpStack.covering(a).solve(c))
+    assert_same_stack(crashed.solve(c), lp.LpStack.covering(a, 0).solve(c))
     with pytest.raises(OutOfRange, match=r"x = 0 must be feasible"):
         solve_lps(c, -a, np.full(m, -1.0))
 
@@ -941,7 +941,7 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
     assert len(checked) > 300
     stats, before = validate_stats(grid), len(checked)
     costs.append(np.zeros(4))  # the crash pivot's: the cost row is 0 until the first solve
-    stack = lp.LpStack.covering(stats.ccdf[np.array(message_subsets(9, t)) - 1])
+    stack = lp.LpStack.covering(stats.ccdf[np.array(message_subsets(9, t)) - 1], 0)
     for lam in prices:
         costs.append(lam)
         stack.solve(lam)
@@ -1008,16 +1008,16 @@ def test_stack_matches_solo(monkeypatch):
         (np.array([-1.0]), np.zeros((0, 1)), np.zeros(0)),  # unbounded
         (np.array([-1.0, 0.0]), np.array([[-1.0, 1.0]]), np.zeros(1)),  # unbounded
     ]
-    # The 240 orderings that start with user 6 or 5 of the ROADMAP item 1
-    # instance, each padded as the bound pads a stack: zero rows before its
-    # 5 chain and budget rows, up to the widest's 21 rows.  One shape, more
-    # than the bound slices its own stacks to.  (6, 1, 2, 3, 4, 5) is made
-    # to fail its feasibility recheck, in the stack and alone.
+    # The 720 orderings of the ROADMAP item 1 instance, those led by user 6
+    # first, each padded as the bound pads a stack: zero rows before its 5
+    # chain and budget rows, up to the widest's 21 rows.  One shape, more
+    # LPs than the bound puts in one stack of it.  (6, 1, 2, 3, 4, 5) is
+    # made to fail its feasibility recheck, in the stack and alone.
     stats = validate_stats(ROADMAP_ITEM1_ROWS)
     tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
     orderings = [
         build_permutation_lp(stats, tup, (first,) + rest)
-        for first in (6, 5)
+        for first in (6, 5, 4, 3, 2, 1)
         for rest in permutations(k for k in range(1, 7) if k != first)
     ]
     fail_certificate(monkeypatch, orderings[0])
@@ -1041,11 +1041,11 @@ def test_stack_matches_solo(monkeypatch):
         stacked = solve_stacked(problems)
     solo = [_outcome(p) for p in problems]
 
-    # One simplex run per solve_lps call, one call per shape; the 240
+    # One simplex run per solve_lps call, one call per shape; the 720
     # padded orderings (live count 5: 21 rows, 9 columns) run as one stack,
     # larger than the bound's own stacks.
     assert len(stacks) == len({np.shape(p[1]) for p in problems})
-    assert max(stacks) == 240 > stack_size(21, 5 + 4) == 204
+    assert max(stacks) == 720 > stack_size(21, 5 + 4) == 476
     statuses = {s.status if isinstance(s, LpSolution) else type(s).__name__ for s in solo}
     assert statuses == {OPTIMAL, UNBOUNDED, "NumericalFailure"}
     # The 24 orderings (6, 1, ...) share one LP: user 1 is above user 6 on

@@ -1,6 +1,7 @@
 """General delivery LP: matrix layout, optimum, allocation checking."""
 
 import hashlib
+import json
 import math
 import re
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cachecast import lp, lp_scheme
+from cachecast import cli, lp, lp_scheme
 from cachecast.channel import ChannelStats, validate_stats
 from cachecast.errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT, NumericalFailure
 from cachecast.lp import FEAS_TOL, OPTIMAL, GrowingLp, LpStack, solve_lp, solve_lps
@@ -585,6 +586,42 @@ def test_subnormal_level_gets_no_seed(monkeypatch):
     seeds, alloc = seed_master_columns(monkeypatch, stats, THIRD)
     assert [seed.tolist() for seed in seeds] == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     assert alloc.rate == assert_matches_dense(stats, 1).rate
+
+
+@pytest.mark.parametrize("command", ["achievable", "simulate", "sweep"])
+def test_subnormal_first_level_crashes_on_a_seeded_level(capsys, tmp_path, command):
+    # Level 1 holds 1e-310 (2e-310 on the scaled grid), so its 1/w
+    # overflows and only level 2 gets a seed cut.  The subset stack
+    # crashed on level 1 divided by that entry and exited 3 with a gap of
+    # NaN, or 1 under -W error::RuntimeWarning, as every test runs here
+    # (pyproject.toml).  It crashes on level 2, the first seeded level, now:
+    # `rates achievable` and `simulate` exit 0 at HiGHS's rate within
+    # 1e-9 relative.  HiGHS drops matrix entries below 1e-9, so it solves
+    # the dense LP with the rate in units of 1e-13 and every row scaled to
+    # a largest entry of 1.  `sweep` solves the same delivery LP, then the
+    # bound, whose per-ordering LPs on a grid of mixed scale may fail: it
+    # exits 0 or 3 naming the LP that failed, never 1.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    grid = [[1e-310, 1e-13], [0.5, 0.5]]
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"num_users": 2, "num_levels": 2, "mu": "0", "ccdf": grid}))
+    argv = {
+        "achievable": ["rates", "achievable", str(config), "--json"],
+        "simulate": ["simulate", str(config), "--n", "10", "--seed", "1", "--json"],
+        "sweep": ["sweep", str(config), "--mu", "0:0:1", "--json"],
+    }[command]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    c, a_ub, b_ub = build_delivery_lp(validate_stats(grid), 0)
+    a_ub[:, -1] *= 1e-13
+    a_ub /= np.abs(a_ub).max(axis=1, keepdims=True)
+    highs = 1e-13 * -linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs").fun
+    if command == "sweep" and code == 3:
+        assert re.match(r"^solver failure: ordering \(\d, \d\) \(K=2, B=2, mu=0\): ", err), err
+        return
+    assert code == 0, err
+    rate = json.loads(out)["rows"][0]["f_lp"] if command == "sweep" else json.loads(out)["value" if command == "achievable" else "rate"]
+    assert abs(rate - highs) <= 1e-9 * highs
 
 
 def tiny_tail_grids():

@@ -1,6 +1,7 @@
 """Weighted ceiling: direct evaluation, per-ordering LP, global minimum."""
 
 import math
+import tracemalloc
 import warnings
 from collections.abc import Sequence
 from dataclasses import replace
@@ -455,7 +456,8 @@ def test_bound_roadmap_item1_instance():
 def test_bound_raises_at_its_first_failing_lp(monkeypatch):
     # Every ordering LP comes back unbounded: the bound raises after its
     # first stack, at that stack's first LP, as the delivery LP does, and
-    # names an ordering whose LP that is.
+    # names an ordering whose LP that is, the stack's first LP without the
+    # zero rows that pad it to the stack's width.
     stacks = []
     solve = upper_bound._solve_from_vertex
 
@@ -473,22 +475,59 @@ def test_bound_raises_at_its_first_failing_lp(monkeypatch):
         upper_bound_rate(stats, tup)
     assert len(stacks) == 1
     named = tuple(int(k) for k in str(raised.value).split(")")[0].removeprefix("ordering (").split(", "))
-    assert np.array_equal(build_permutation_lp(stats, tup, named)[1], stacks[0][0])
+    first = stacks[0][0]
+    assert np.array_equal(build_permutation_lp(stats, tup, named)[1], first[first.any(axis=1)])
 
 
 def test_bound_solves_full_stacks(monkeypatch):
-    # Each stack upper_bound solves holds one lockstep stack's worth of
-    # distinct LPs, sized by its widest LP, so every stack is full but the
-    # last: at K = 6, B = 4, mu = 1/6 every ordering has live count 5
-    # (9 columns), and the 278 distinct LPs, most record rows first, fill
-    # stacks padded to 16 and 9 record rows (+ 5 chain and budget rows):
-    # 278 = 204 + 74.
+    # A live count whose distinct LPs do not fit one lockstep stack is
+    # solved in slices, each sized by its widest LP, so every stack is full
+    # but the last: at K = 7, B = 4, mu = 1/7 every ordering has live count
+    # 6 (10 columns), and the 1755 distinct LPs, most record rows first,
+    # fill stacks padded to 19, 14, 12 and 10 record rows (+ 6 chain and
+    # budget rows): 1755 = 363 + 454 + 505 + 433.
     shapes = _recording_shapes(monkeypatch)
-    tup = caching_tuple(central_strategy(6, Fraction(1, 6)))
-    upper_bound_rate(validate_stats(ROADMAP_ITEM1_ROWS), tup)
-    assert shapes == ROADMAP_ITEM1_STACKS[1]
-    assert [stack_size(m, n) for _, m, n in shapes] == [204, 307]
+    stats = validate_stats(sorted_uniform_ccdf(np.random.default_rng(7), 7, 4))
+    upper_bound_rate(stats, central_tuple(7, Fraction(1, 7)))
+    assert shapes == [(363, 25, 10), (454, 20, 10), (505, 18, 10), (433, 16, 10)]
+    assert [stack_size(m, n) for _, m, n in shapes] == [363, 454, 505, 568]
     assert all(size * m * (n + 1) <= STACK_ENTRIES for size, m, n in shapes)
+
+
+def test_bound_solves_one_stack_per_live_count(monkeypatch):
+    # The distinct LPs of one live count are solved as one lockstep stack
+    # wherever they fit in STACK_ENTRIES: on five K = 6 grids drawn as the
+    # bound-k6 benchmark draws them (B = 3, 4, 5, 3, 4 at mu = 1/6..5/6)
+    # and on the ROADMAP item 1 grid at every mu = t/6, every stack holds a
+    # live count (p = n - B) of its own.  The largest, the ROADMAP grid's
+    # 278 LPs at mu = 1/6, is 58,380 tableau entries.
+    shapes = _recording_shapes(monkeypatch)
+    rng = np.random.default_rng(1)
+    grids = [(sorted_uniform_ccdf(rng, 6, (3, 4, 5)[(t - 1) % 3]), t) for t in range(1, 6)]
+    grids += [(np.array(ROADMAP_ITEM1_ROWS), t) for t in range(1, 6)]
+    for grid, t in grids:
+        shapes.clear()
+        upper_bound_rate(validate_stats(grid), central_tuple(6, Fraction(t, 6)))
+        live_counts = [n - grid.shape[1] for _, _, n in shapes]
+        assert len(live_counts) == len(set(live_counts)) >= 1, (t, shapes)
+        assert all(size * m * (n + 1) <= STACK_ENTRIES for size, m, n in shapes)
+
+
+@pytest.mark.parametrize("mu, megabytes", [(Fraction(0), 20.5), (Fraction(1, 8), 18.7)])
+def test_bound_memory_at_k8(mu, megabytes):
+    # The stacks bound the memory the K = 8 bound takes (STACK_ENTRIES):
+    # on the CI's K = 8 grid its tracemalloc peak reads 19.1 MB at mu = 0
+    # and 17.4 MB at mu = 1/8, where a cap of 400,000 entries read 35 MB
+    # and 34 MB.
+    stats = validate_stats(sorted_uniform_ccdf(np.random.default_rng(8), 8, 4))
+    tup = central_tuple(8, mu)
+    tracemalloc.start()
+    try:
+        upper_bound_rate(stats, tup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= megabytes * 1e6
 
 
 def _recording_shapes(monkeypatch, pivots=None):
@@ -523,7 +562,7 @@ def _distinct_lps(stats, tup):
 
 # The stacks upper_bound_rate solves on the ROADMAP item 1 grid at mu = t/6.
 ROADMAP_ITEM1_STACKS = {
-    1: [(204, 21, 9), (74, 14, 9)],
+    1: [(278, 21, 9)],
     2: [(178, 19, 8)],
     3: [(78, 15, 7)],
     4: [(25, 10, 6)],
@@ -887,6 +926,31 @@ def test_bound_solves_twins_once(monkeypatch, t, lps, by_user):
     assert _report(report) == _bound_one_ordering_at_a_time(stats, tup)
 
 
+def _twin_grids():
+    """CCDF grids for the twin naming: each pair of positions (i, j) of a
+    K = 6 grid with row j set to row i, every row equal, rows that differ
+    only as -0.0 against 0.0, and one user."""
+    grid = sorted_uniform_ccdf(np.random.default_rng(4900), 6, 3)
+    for i, j in ((i, j) for i in range(6) for j in range(i + 1, 6)):
+        paired = grid.copy()
+        paired[j] = paired[i]
+        yield pytest.param(paired, id=f"pair-{i}-{j}")
+    yield pytest.param(np.tile(grid[2], (5, 1)), id="all-equal")
+    signed = np.array([[0.5, 0.0, 0.0], [0.9, 0.3, 0.0], [0.5, -0.0, 0.0], [0.5, 0.0, -0.0], [0.9, 0.3, -0.0]])
+    yield pytest.param(signed, id="signed-zeros")
+    yield pytest.param(grid[:1], id="one-user")
+
+
+@pytest.mark.parametrize("grid", _twin_grids())
+def test_first_twins_are_the_unique_rows_names(grid):
+    # The bound names a record-bearing user by its first twin, the first
+    # user whose row equals its own by float equality: the names
+    # np.unique(grid, axis=0) gave, which compares rows field by field, so
+    # -0.0 equals 0.0 there too.
+    _, first, row_of = np.unique(grid, axis=0, return_index=True, return_inverse=True)
+    assert upper_bound._first_twins(grid).tolist() == (first[row_of.ravel()] + 1).tolist()
+
+
 def _placement_cases():
     rng = np.random.default_rng(2828)
     cases = []
@@ -1065,9 +1129,9 @@ def test_closed_form_start_is_the_pivoted_one(users, slack):
 def test_start_takes_one_pivot_per_stack(monkeypatch):
     # The closed form leaves one crash pivot per stack, the budget step,
     # where the B + p pivot steps took B + p: the ROADMAP item 1 grid at
-    # mu = 1/6 solves two stacks (B = 4, p = 6 and 5), so 2 crash pivots
-    # instead of 19.  The simplex pivots and the report stay those of the
-    # pivoted start.
+    # mu = 1/6 solves one stack (B = 4, p = 5), so 1 crash pivot instead of
+    # 9.  The simplex pivots and the report stay those of the pivoted
+    # start.
     calls = {"pivot": 0}
     crash_pivots = []
     pivot, crashed = lp._pivot, lp.LpStack.crashed.__func__
@@ -1087,12 +1151,12 @@ def test_start_takes_one_pivot_per_stack(monkeypatch):
     stats, tup = validate_stats(ROADMAP_ITEM1_ROWS), central_tuple(6, Fraction(1, 6))
     shapes = _recording_shapes(monkeypatch)
     report = upper_bound_rate(stats, tup)
-    assert crash_pivots == [1, 1] and len(shapes) == 2
+    assert crash_pivots == [1] and len(shapes) == 1
     monkeypatch.setattr(upper_bound, "_solve_from_vertex", solve_from_pivoted_vertex)
     pivoted = upper_bound_rate(stats, tup)
     assert _report(pivoted) == _report(report)
     assert pivoted.values.tobytes() == report.values.tobytes()
-    assert crash_pivots[2:] == [] and calls["pivot"] > 19
+    assert crash_pivots[1:] == [] and calls["pivot"] > 9
 
 
 def test_vertex_of_tiny_entries(monkeypatch):
@@ -1125,7 +1189,7 @@ def test_vertex_of_tiny_entries(monkeypatch):
 # the equal-weight vertex and from x = 0.  At t = 5 every LP has one live
 # user, and the vertex is its optimum.
 ROADMAP_ITEM1_PIVOTS = {
-    1: ([1232, 269], [3272, 996]),
+    1: ([1501], [4268]),
     2: ([743], [2326]),
     3: ([272], [880]),
     4: ([51], [216]),
