@@ -30,24 +30,43 @@ couple the subsets, so with level prices lambda on the simplex,
 is what one unit of S's message costs, and by minimax duality
 1/f* = max over the simplex of phi(lambda) = sum_S c_S(lambda) / C(K,t).
 phi is concave and polyhedral, and a cutting-plane method (Kelley 1960;
-Dantzig and Wolfe 1960) finds its maximum exactly.  A subset solve solves
-the C(K,t+1) subproblems at the current lambda in their min form (t+1
-rows, B columns, costs lambda).  The optimal u_S meet S's rows whatever
-lambda is, so g = sum_S u_S / C(K,t) gives the cut phi(lambda') <=
-g.lambda', and sum_S c_S(lambda) / C(K,t), with c_S(lambda) = lambda.u_S,
-is a lower value of max phi.  Any point u_S that meets S's rows gives
-c_S(lambda') <= lambda'.u_S, so any choice of one such point per subset
-gives a valid cut too.  The loop keeps every u_S that a subset solve
-returns, certified, in a pool (subsets x solves x B), and before each
-subset solve it cuts from the pool, as the multicut method of Birge and
-Louveaux (1988) would with one model per subset: the cheapest pooled
-point of each subset at lambda gives the pooled estimate
-sum_S min_u lambda.u / C(K,t), which is at least phi(lambda) but no
-lower value of max phi, and the pooled cut g = sum_S u_S / C(K,t) of
-those points.  The seeds' points below stay out of the pool: pooled,
-their entries of up to 1/w[S,l] ~ 1e15 on tiny levels left allocations
-that failed their recheck.  The master is the Dantzig-Wolfe packing LP
-over the cuts,
+Dantzig and Wolfe 1960) finds its maximum exactly.
+
+Not every member's row binds.  Where another member j of S has
+ccdf[j][l] <= ccdf[k][l] on every level, any u >= 0 that meets j's row
+meets k's, so k's row is implied: the presolve rule that drops dominated
+rows (Andersen and Andersen 1995), by which upper_bound keeps only record
+rows too.  Between equal rows (-0.0 and 0.0 among them) the first member
+is kept.  So c_S depends only on S's kept members, and the subsets that
+keep the same members share one covering LP F, which serves n_F of them:
+on a chain every subset keeps only its weakest member, and K - t LPs of
+one row serve all C(K,t+1) subsets.  _binding_lps finds them from one
+K x K comparison of the users' rows on the scaled grid, gathered per
+subset as bitmasks, and keys each subset by the bitmask of the members
+it keeps; the LPs run in falling key order with user 1 the top bit,
+which is the subsets' own lexicographic order where no member is
+implied.  Every sum over subsets below is then a sum over the distinct
+LPs weighted by n_F: phi(lambda) = sum_F n_F c_F(lambda) / C(K,t).
+
+A subset solve solves the distinct LPs at the current lambda in their
+min form (at most t+1 rows, B columns, costs lambda).  The optimal u_F
+meet the rows of every subset F serves whatever lambda is, so
+g = sum_F n_F u_F / C(K,t) gives the cut phi(lambda') <= g.lambda', and
+sum_F n_F c_F(lambda) / C(K,t), with c_F(lambda) = lambda.u_F, is a lower
+value of max phi.  Any point u_F that meets F's rows gives
+c_F(lambda') <= lambda'.u_F, so any choice of one such point per LP gives
+a valid cut too.  The loop keeps every n_F u_F that a subset solve
+returns, certified, in a pool (LPs x solves x B), and before each subset
+solve it cuts from the pool, as the multicut method of Birge and
+Louveaux (1988) would with one model per LP: the cheapest pooled point of
+each LP at lambda gives the pooled estimate
+sum_F n_F min_u lambda.u / C(K,t), which is at least phi(lambda) but no
+lower value of max phi, and the pooled cut g = sum_F n_F u_F / C(K,t) of
+those points.  The weights n_F enter by numpy's own multiply and sum,
+not a BLAS product, so the cut's bytes do not depend on the BLAS.  The
+seeds' points below stay out of the pool: pooled, their entries of up
+to 1/w[S,l] ~ 1e15 on tiny levels left allocations that failed their
+recheck.  The master is the Dantzig-Wolfe packing LP over the cuts,
 
     maximize sum_i a_i  s.t.  sum_i a_i g_i[l] <= 1 for every level l,  a >= 0,
 
@@ -60,8 +79,9 @@ cut weights alpha = eta a.
 Started empty, the master would price its first cuts on faces with some
 lambda_l = 0, where phi is 0 since every member takes level l for free.
 So it starts from one closed-form seed cut per level instead.  With
-w[S,l] the smallest ccdf[k][l] over the members k of S, sending every
-message on level l alone, u_S = e_l / w[S,l], meets every decodability
+w[S,l] the smallest ccdf[k][l] over the members k of S (a kept member's,
+so the smallest over the rows of S's LP), sending every message on
+level l alone, u_S = e_l / w[S,l], meets every decodability
 row when w[S,l] > 0 for every S, so phi(lambda) <= lambda_l G_l with
 G_l = sum_S (1/w[S,l]) / C(K,t).  A level gets a seed where G_l is
 finite: every w[S,l] > 0, and none so small that 1/w overflows.  Every
@@ -80,12 +100,13 @@ levels and 0 on the others.
 
 The subset LPs and the master are kept from step to step, since neither
 a new lambda nor a new cut makes the last optimal basis infeasible.  In
-the min form lambda is only the cost: the rows ccdf[S] u >= 1 never
-change, so each subset solve reprices the subset stack (an lp.LpStack)
-and resumes the simplex from its last bases.  Its first bases are one
-crash pivot per subset (LpStack.covering): the first seeded level enters
-at the member with the smallest entry there, w[S,l], whose inverse is
-finite, so the crash divides by no subnormal.  Level 1 is that level
+the min form lambda is only the cost: the rows ccdf[F] u >= 1 never
+change, so each subset solve reprices the subset stack (an lp.LpStack of
+the distinct LPs, each padded to the widest with copies of its first
+kept row, which are implied too) and resumes the simplex from its last
+bases.  Its first bases are one crash pivot per LP (LpStack.covering):
+the first seeded level enters at the row with the smallest entry there,
+w[S,l], whose inverse is finite, so the crash divides by no subnormal.  Level 1 is that level
 unless a subnormal entry overflows its 1/w: on [[1e-310, 1e-13],
 [0.5, 0.5]] at mu = 0 level 2 is, and a crash on level 1 read inf and
 NaN.  It would be optimal at a uniform lambda; at the seed master's it
@@ -126,14 +147,18 @@ of three events:
 iterations counts the subset solves, the last one included, and not the
 pooled cuts.  Then
 
-    f = 1/eta,   y_S = (f / C(K,t)) (sum_i alpha_i u_S^i + sum_l eta x_l e_l / (G_l w[S,l]))
+    f = 1/eta,   y_F = (f / C(K,t)) (sum_i alpha_i u_F^i + sum_l eta x_l e_l / (G_l w[F,l]))
 
-over the cuts i of both kinds and the seeded levels l is feasible by
-construction: each u_S^i, like each seed's e_l / w[S,l], meets S's
-decodability rows at rate 1, and sum_i alpha_i g_i + eta x <= eta
-levelwise is the master's own feasibility.  1/(best lower value) >= f* bounds the optimum from above, so
-gap = 1/(best lower value) - f certifies how far f can lie below it (0
-when rounding puts the two values a few ulps the wrong way round).
+over the cuts i of both kinds and the seeded levels l, and y_S = y_F for
+every subset S that F serves, is feasible by construction: each u_F^i,
+like each seed's e_l / w[F,l], meets the decodability rows of every such
+S at rate 1, and sum_i alpha_i g_i + eta x <= eta levelwise, with
+sum_S y_S = sum_F n_F y_F, is the master's own feasibility.  The mix is
+summed over the pooled n_F u_F^i and divided by n_F last; only the shares
+are expanded to subsets.  1/(best lower value) >= f* bounds the optimum
+from above, so gap = 1/(best lower value) - f certifies how far f can
+lie below it (0 when rounding puts the two values a few ulps the wrong
+way round).
 A user whose ccdf[k][0] is 0 never receives a level (validation lets a
 later entry exceed it by PROB_TOL at most) and decodes nothing: the rate
 is 0 and every share 0.  The LP is solved on the grid scaled to a largest
@@ -145,7 +170,8 @@ is returned with the report (alloc.report, which `rates achievable`
 prints); a subset stack or master raises through lp.require_optimal
 at its first LP that is not optimal, naming the step and the gap ("master
 LP, seed cuts" for the seed master, "pooled cut N" or "subset solve N"
-after it), and a loop that would enter a cut past MAX_CUTS raises
+after it; a distinct LP names the first subset it serves and how many it
+serves), and a loop that would enter a cut past MAX_CUTS raises
 NumericalFailure naming the same.
 """
 
@@ -261,6 +287,38 @@ def _gap(lower: float, upper: float) -> float:
     return max(0.0, (1.0 / lower if lower > 0.0 else inf) - 1.0 / upper)
 
 
+def _binding_lps(grid: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct covering LPs of the subsets members (subsets, t+1) on grid (K, B).
+
+    Member k of S is implied where another member j of S has grid[j] <=
+    grid[k] on every level, since any u >= 0 meeting j's row meets k's;
+    between equal rows (-0.0 and 0.0 too) the first member is kept.  The
+    bitmask of a subset's kept members is its key, and the subsets of one
+    key share one LP.  The LPs run in falling key order, user 1 the top
+    bit: the subsets' own order where no member is implied.  Returns each
+    LP's rows (LPs, m, B), its kept members' rows ascending, padded to
+    the widest LP with copies of its first; the LP of each subset
+    (subsets,); and each LP's first subset (LPs,).  Keys are uint64 up
+    to K = 64 and Python ints beyond.
+    """
+    K = len(grid)
+    bit = np.array([1 << (K - 1 - k) for k in range(K)], dtype=np.uint64 if K <= 64 else object)
+    below = (grid[:, None] <= grid).all(axis=2)  # below[j, k]: row j <= row k on every level
+    implies = below > (below.T & (bit[:, None] <= bit))  # the first of equal rows implies the rest
+    drop = (implies * bit).sum(axis=1)  # the bits of the users each user implies
+    keys = bit[members.T].sum(axis=0) & ~np.bitwise_or.reduce(drop[members.T], axis=0)
+    order = (~keys).argsort(kind="stable")  # keys falling, user 1 the top bit: lexicographic
+    ranked = keys[order]
+    starts = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    lp_of = np.empty_like(order)
+    lp_of[order] = starts.cumsum() - 1
+    first = order[starts]
+    keep = (keys[first, None] & bit) != 0  # (LPs, K)
+    width = keep.sum(axis=1)
+    users = (~keep).argsort(axis=1, kind="stable")[:, : width.max()]  # the kept users first, ascending
+    return grid[np.where(np.arange(users.shape[1]) < width[:, None], users, users[:, :1])], lp_of, first
+
+
 def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     """Solve the rate LP at cache size mu (K*mu must be an integer in 0..K-1).
 
@@ -275,8 +333,6 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     subsets = message_subsets(K, t)
     piece_count = math.comb(K, t)
     label = f"delivery LP (K={K}, t={t}, B={B})"
-    scale = scale_exponent(stats.ccdf)  # solved on the grid times 2^-scale
-    member_ccdf = np.ldexp(stats.ccdf, -scale)[np.array(subsets) - 1]  # (subsets, t+1, B)
 
     def allocation(shares: np.ndarray, rate: float, iterations: int, gap: float) -> DeliveryAllocation:
         shares.setflags(write=False)
@@ -286,16 +342,22 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     if not (stats.ccdf[:, 0] > 0.0).all():  # a user on a dead channel decodes nothing
         return allocation(np.zeros((B, len(subsets))), 0.0, 0, 0.0)
 
+    scale = scale_exponent(stats.ccdf)  # solved on the grid times 2^-scale
+    # One LP per distinct set of binding rows: lp_of[S] is S's, served[F] counts F's subsets.
+    grid = np.ldexp(stats.ccdf, -scale) + 0.0  # + 0.0 turns -0.0, whose 1/w is -inf, into 0.0
+    binding, lp_of, first = _binding_lps(grid, np.array(subsets) - 1)
+    served = np.bincount(lp_of).astype(float)
+    weight = served[:, None]
     # The seeds: every message on level l alone, u_S = e_l / w[S, l], gives
     # the cut g = G_l e_l, entered as e_l at cost -1/G_l where G_l is finite.
     with np.errstate(divide="ignore", over="ignore"):
-        reach = 1.0 / member_ccdf.min(axis=1)  # (subsets, B): 1/w[S, l], w the weakest member's ccdf
-        spread = reach.sum(axis=0) / piece_count
+        reach = 1.0 / binding.min(axis=1)  # (LPs, B): 1/w[F, l], w the weakest kept member's ccdf
+        spread = reach[lp_of].sum(axis=0) / piece_count
     seeded = np.flatnonzero(spread < inf)
     if not seeded.size:
         raise NumericalFailure(f"{label}: no level gets a seed cut (1/w overflows on every level)")
-    # S's: min lambda.u s.t. ccdf[S] u >= 1, u >= 0, crashed on the first seeded level
-    subproblems = LpStack.covering(member_ccdf, int(seeded[0]))
+    # F's: min lambda.u s.t. ccdf[F] u >= 1, u >= 0, crashed on the first seeded level
+    subproblems = LpStack.covering(binding, int(seeded[0]))
     reach, spread = reach[:, seeded], spread[seeded]  # u_S of each seed on its level; G_l
     # The packing LP: max sum_i a_i + sum_l x_l/G_l s.t. sum_i a_i g_i + x <= 1.
     master = GrowingLp(np.ones(B), seeded.size + MAX_CUTS)
@@ -309,10 +371,10 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
         return packing, eta, np.maximum(-eta * packing.dual_ub, 0.0)
 
     packing, eta, lam = solve_master("seed cuts")
-    mixes: list[np.ndarray] = []  # per cut in the master, u_S of every subset (subsets x B)
+    mixes: list[np.ndarray] = []  # per cut in the master, n_F u_F of every LP (LPs x B)
     cuts: set[bytes] = set()  # the bytes of every cut's column
-    pool = np.empty((len(subsets), 0, B))  # every subset solve's certified u_S, one point per solve
-    rows = np.arange(len(subsets))
+    pool = np.empty((len(first), 0, B))  # every subset solve's certified n_F u_F, one point per solve
+    rows = np.arange(len(first))
     best, solves, pooled = 0.0, 0, 0
 
     def enter(u: np.ndarray, column: np.ndarray, where: str) -> None:
@@ -343,11 +405,11 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
         solves += 1
         where = f"subset solve {solves}, gap {_gap(best, eta):.3g}"
         stack = subproblems.solve(lam)
-        if stack.status.count(OPTIMAL) < len(subsets):
-            for s, outcome in zip(subsets, stack):
-                require_optimal(outcome, label, f"subset {s}, {where}")
-        u = stack.x
-        best = max(best, sum(stack.value.tolist()) / piece_count)
+        if stack.status.count(OPTIMAL) < len(first):
+            for s, n, outcome in zip(first.tolist(), served.tolist(), stack):
+                require_optimal(outcome, label, f"subset {subsets[s]}, first of {n:.0f} on its LP, {where}")
+        u = weight * stack.x
+        best = max(best, sum((served * stack.value).tolist()) / piece_count)
         pool = np.concatenate((pool, u[:, None]), axis=1)
         column = u.sum(axis=0) / piece_count
         if column.tobytes() in cuts:  # a repeated cut: the master's optimum already lies on it
@@ -359,11 +421,11 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
 
     rate = 1.0 / eta  # on the scaled grid; the shares are the same on both
     alpha = eta * packing.x
-    mixed = np.zeros((len(subsets), B))
-    mixed[:, seeded] = (alpha[: seeded.size] / spread) * reach
-    mixed = sum((a * u for a, u in zip(alpha[seeded.size:].tolist(), mixes) if a != 0.0), mixed)
+    mixed = np.zeros((len(first), B))
+    mixed[:, seeded] = weight * ((alpha[: seeded.size] / spread) * reach)
+    mixed = sum((a * u for a, u in zip(alpha[seeded.size:].tolist(), mixes) if a != 0.0), mixed) / weight
     gap = ldexp(_gap(best, eta), scale)
-    alloc = allocation(np.ascontiguousarray((rate / piece_count) * mixed.T), ldexp(rate, scale), solves, gap)
+    alloc = allocation(np.ascontiguousarray((rate / piece_count) * mixed[lp_of].T), ldexp(rate, scale), solves, gap)
     if not alloc.report.feasible:
         raise NumericalFailure(
             f"{label}: allocation fails its recheck (largest violation {alloc.report.violation:.3g})"

@@ -680,7 +680,9 @@ def test_trace_writer_memory_is_a_few_chunks():
 # its analytic margin (60 messages of k6b5, 6 of nondegraded3), after the
 # seeded statistical checks passed on the new draws.  The trace is the
 # kept levels, each piece's counts shuffled in place, so it is no longer
-# sample_states's draw with the same seed.
+# sample_states's draw with the same seed.  k6b5's stdout was re-pinned when
+# the delivery LP began to solve one LP per distinct set of kept members:
+# its rate moved by 5.8e-16 relative, and its trace kept its bytes.
 SIMULATE_DIGESTS = {
     "nondegraded3": (
         5,
@@ -689,7 +691,7 @@ SIMULATE_DIGESTS = {
     ),
     "k6b5": (
         11,
-        "9d4484857362474ecf7258e204614dfaabe5b8e30f2ecd310978277ba34e40dc",
+        "0b46aecd595b35cd6b6fe797157571325d1fcce4c31825a30d319ea0526b5dc2",
         "8fc9a9f3e9823b9742784b2cdb95b3c76257e6364239e03987e1aa0141aa1a73",
     ),
 }
@@ -729,11 +731,13 @@ def test_simulate_output_digests_are_frozen(capsys, tmp_path, name):
 # uniqueness, omega_star within 4.5e-16), `achievable` when the
 # cutting-plane loop began to cut from the pool of subset optima (9 subset
 # solves instead of 16, the value within 7e-16 relative of the last one,
-# another optimal mix of shares): a change to the LP core must keep these
-# bytes.
+# another optimal mix of shares), and re-pinned when the delivery LP began
+# to solve one LP per distinct set of kept members (the same 9 subset
+# solves, the value within 3.4e-16 relative): a change to the LP core must
+# keep these bytes.
 RATES_DIGESTS = {
     "upper": "b958552437532b6808d5c8b1e5288ee293b22d39ae044ba33cbbc185331ea5a6",
-    "achievable": "bc08d8a2d199a44312364bd60cd8e9b2a79692d0fe91b504797e49b69c408f84",
+    "achievable": "f98e6a0e9d2bf0c47670f025941d106e74d7b44f76b8d5c4216b1ab321f89505",
 }
 
 
@@ -1212,11 +1216,42 @@ def test_delivery_lp_subproblem_failures_name_the_cut(capsys, monkeypatch):
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
     err = capsys.readouterr().err
     assert f"{label}: optimal basis fails dual feasibility check (dual residual 0.25)" in err
-    assert "(subset (1, 3), subset solve 2, gap " in err
+    assert "(subset (1, 3), first of 1 on its LP, subset solve 2, gap " in err
 
     monkeypatch.setattr(LpStack, "solve", replacing_subset_13_at_solve_2(UNBOUNDED))
     assert cli.main(["rates", "achievable", NONDEGRADED]) == 3
-    assert f"{label}: status unbounded (subset (1, 3), subset solve 2, gap " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{label}: status unbounded (subset (1, 3), first of 1 on its LP, subset solve 2, gap " in err
+
+
+def test_delivery_lp_failure_of_a_shared_lp_names_its_subsets(capsys, monkeypatch, tmp_path):
+    # A chain whose user 1 is the weakest and user 5 the strongest: each
+    # subset keeps only its weakest member, so the stack holds three LPs of
+    # one row, keeping users 1, 2 and 3.  The second serves (2, 3, 4),
+    # (2, 3, 5) and (2, 4, 5); when it fails at subset solve 2, the error
+    # names its first subset and how many it serves, and the CLI exits 3.
+    rows = [[0.5, 0.3, 0.1], [0.6, 0.4, 0.2], [0.7, 0.5, 0.3], [0.8, 0.6, 0.4], [0.9, 0.7, 0.5]]
+    config = write_config(tmp_path, {"num_users": 5, "num_levels": 3, "mu": "2/5", "ccdf": rows})
+    solve, sizes = LpStack.solve, []
+
+    def failing_lp_2_at_solve_2(stack, lam):
+        outcomes = solve(stack, lam)
+        sizes.append(len(outcomes))
+        if len(sizes) == 2:
+            outcomes.status[1] = NumericalFailure("optimal basis fails feasibility recheck (largest violation 0.5)")
+        return outcomes
+
+    monkeypatch.setattr(LpStack, "solve", failing_lp_2_at_solve_2)
+    message = (
+        r"delivery LP \(K=5, t=2, B=3\): optimal basis fails feasibility recheck \(largest violation 0.5\)"
+        r" \(subset \(2, 3, 4\), first of 3 on its LP, subset solve 2, gap \S+\)"
+    )
+    with pytest.raises(NumericalFailure) as caught:
+        achievable_rate_lp(validate_stats(rows), Fraction(2, 5))
+    assert re.fullmatch(message, str(caught.value)) and sizes == [3, 3]
+    sizes.clear()
+    assert cli.main(["rates", "achievable", config]) == 3
+    assert re.search(message, capsys.readouterr().err)
 
 
 def master_failure_message(capsys, monkeypatch, failing):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cachecast import cli, lp, lp_scheme
-from cachecast.channel import ChannelStats, validate_stats
+from cachecast.channel import ChannelStats, scale_exponent, validate_stats
 from cachecast.errors import BadT, LengthMismatch, MuOutOfRange, NonIntegerT, NumericalFailure
 from cachecast.lp import FEAS_TOL, OPTIMAL, GrowingLp, LpStack, solve_lp, solve_lps
 from cachecast.lp_scheme import (
@@ -357,10 +357,12 @@ def test_gap_brackets_the_optimum_when_stopped_early(monkeypatch):
 def recorded_loop(monkeypatch, stats, mu):
     """Run achievable_rate_lp(stats, mu), recording every column the master
     receives (the seeds first), each master solve as (the costs of the
-    columns it holds, its outcome) and each subset solve as (lambda, its
-    StackSolution).  Returns the three lists and the allocation."""
+    columns it holds, its outcome), each subset solve as (lambda, its
+    StackSolution) and the rows the subset stack was built from (LPs, m, B).
+    Returns the three lists, the allocation and those rows."""
     add_column, master_solve, stack_solve = GrowingLp.add_column, GrowingLp.solve, LpStack.solve
-    columns, costs, masters, solves = [], [], [], []
+    covering = LpStack.covering
+    columns, costs, masters, solves, stacks = [], [], [], [], []
 
     def recording_column(master, column, cost):
         columns.append(np.array(column))
@@ -377,29 +379,101 @@ def recorded_loop(monkeypatch, stats, mu):
         solves.append((np.array(lam), outcomes))
         return outcomes
 
+    def recording_covering(a, column):
+        stacks.append(np.array(a))
+        return covering(a, column)
+
     with monkeypatch.context() as patch:
         patch.setattr(GrowingLp, "add_column", recording_column)
         patch.setattr(GrowingLp, "solve", recording_master)
         patch.setattr(LpStack, "solve", recording_stack)
+        patch.setattr(LpStack, "covering", recording_covering)
         alloc = achievable_rate_lp(stats, mu)
-    assert len(solves) == alloc.iterations
-    return columns, masters, solves, alloc
+    assert len(solves) == alloc.iterations and len(stacks) == (1 if solves else 0)
+    return columns, masters, solves, alloc, (stacks[0] if stacks else None)
 
 
-def subset_solves(monkeypatch, grid, t):
-    """(lambda, StackSolution) of each subset solve of the kept subset stack of grid's delivery LP at t."""
-    return recorded_loop(monkeypatch, validate_stats(grid), Fraction(t, grid.shape[0]))[2]
+def binding_lps_by_loop(stats, t):
+    """The kept members of each distinct subset LP and the LP of each subset,
+    by a loop over the subsets.  Member k of S is dropped where another
+    member j of S has a row at or below k's on every level of the scaled
+    grid, and of two equal rows the first is kept.  The LPs run in falling
+    order of their kept members' bitmask with user 1 the top bit."""
+    grid = np.ldexp(stats.ccdf, -scale_exponent(stats.ccdf))
+
+    def implies(j, k):
+        below = (grid[j - 1] <= grid[k - 1]).all()
+        return j != k and below and (j < k or not (grid[k - 1] <= grid[j - 1]).all())
+
+    subsets = message_subsets(stats.num_users, t)
+    kept = [tuple(k for k in s if not any(implies(j, k) for j in s)) for s in subsets]
+    order = sorted(set(kept), key=lambda members: -sum(2 ** (stats.num_users - k) for k in members))
+    return order, np.array([order.index(members) for members in kept])
 
 
-# Lockstep pivots of the kept stack, summed over the subset solves: the
-# largest pivot count of each solve's stack.  Kelley's loop, which solved
+def padded_rows(stats, lps):
+    """The subset stack's rows for the kept members lps: each LP's rows ascending,
+    padded to the widest with copies of its first, on the scaled grid with
+    -0.0 read as 0.0."""
+    grid = np.ldexp(stats.ccdf, -scale_exponent(stats.ccdf)) + 0.0
+    width = max(len(members) for members in lps)
+    return np.array([grid[[k - 1 for k in members + members[:1] * (width - len(members))]] for members in lps])
+
+
+def assert_lps_serve_their_subsets(monkeypatch, stats, t, replay=False):
+    """Run the delivery LP at t and check its subset stack against every subset.
+
+    The stack holds one LP per distinct set of kept members, with the rows
+    padded_rows gives.  At every subset solve each LP's value equals
+    c_S(lambda) for every subset S it serves, computed over all of S's
+    member rows, the dropped ones included, and its u meets all of S's
+    rows to FEAS_TOL.  c_S comes from solve_lps on the max form from the
+    slack basis, to 1e-12 relative; with replay, from one covering LP per
+    subset (LpStack.covering on S's rows) solved at the same lambdas in
+    turn, to FEAS_TOL relative.  Returns the kept members of each LP, the
+    LP of each subset, the recorded subset solves and the allocation.
+    """
+    lps, lp_of = binding_lps_by_loop(stats, t)
+    grid = np.ldexp(stats.ccdf, -scale_exponent(stats.ccdf))
+    members = np.array(message_subsets(stats.num_users, t)) - 1
+    member_ccdf = grid[members]  # (subsets, t+1, B)
+    _, _, solves, alloc, rows = recorded_loop(monkeypatch, stats, Fraction(t, stats.num_users))
+    if not solves:
+        return lps, lp_of, solves, alloc
+    assert rows.tobytes() == padded_rows(stats, lps).tobytes()
+    _, found_lp_of, first = lp_scheme._binding_lps(grid + 0.0, members)
+    assert np.array_equal(found_lp_of, lp_of)
+    assert first.tolist() == [lp_of.tolist().index(f) for f in range(len(lps))]  # each LP's first subset
+    if replay:
+        with np.errstate(divide="ignore"):
+            crash = int(np.flatnonzero(np.isfinite(1.0 / member_ccdf.min(axis=1)).all(axis=0))[0])
+        per_subset = LpStack.covering(member_ccdf, crash)
+    for lam, warm in solves:
+        assert warm.status == [OPTIMAL] * len(lps)
+        if replay:
+            cold = per_subset.solve(lam)
+            assert cold.status == [OPTIMAL] * len(member_ccdf)
+            assert (np.abs(warm.value[lp_of] - cold.value) <= FEAS_TOL * np.abs(cold.value)).all()
+        else:
+            cold = solve_lps(-np.ones(t + 1), member_ccdf.transpose(0, 2, 1), lam)
+            assert cold.status == [OPTIMAL] * len(member_ccdf)
+            assert (np.abs(warm.value[lp_of] + cold.value) <= 1e-12 * np.abs(cold.value)).all()
+        assert (np.matmul(member_ccdf, warm.x[lp_of][:, :, None]) >= 1.0 - FEAS_TOL).all()
+    return lps, lp_of, solves, alloc
+
+
+# The kept stack's distinct LPs, and its lockstep pivots summed over the
+# subset solves: the largest pivot count of each solve's stack.  With one
+# LP per subset (35, 35, 56, 70, 56, 126, 126 on the ladder; 20, 20, 70,
+# 70 on the others) the pivots were the same.  Kelley's loop, which solved
 # the stack at every cut, took 24, 44, 28, 23, 27, 40, 53 on the ladder
 # and 21, 59, 36, 10 on the others; solved cold, each from the slack basis
 # in the max form at the same lambda, its ladder LPs took 57, 86, 69, 72,
 # 72, 105 and 166.
 WARM_LOCKSTEP_PIVOTS = {
-    "K7-t2": 21, "K7-t3": 30, "K8-t2": 21, "K8-t3": 21, "K8-t4": 16, "K9-t3": 32, "K9-t4": 31,
-    "K6-t2-B5-seed27": 21, "K6-t2-B5-seed208": 30, "K8-t3-B4-stall": 21, "K8-t3-B4-chain": 10,
+    "K7-t2": (15, 21), "K7-t3": (25, 30), "K8-t2": (20, 21), "K8-t3": (20, 21), "K8-t4": (13, 16),
+    "K9-t3": (50, 32), "K9-t4": (80, 31), "K6-t2-B5-seed27": (11, 21), "K6-t2-B5-seed208": (17, 30),
+    "K8-t3-B4-stall": (35, 21), "K8-t3-B4-chain": (5, 10),
 }
 
 
@@ -412,25 +486,20 @@ def seeded_levels(member_ccdf):
     "name, grid, t", [pytest.param(*case, id=case[0]) for case in ladder_grids() + degenerate_delivery_grids()]
 )
 def test_kept_subset_stack_matches_cold_solves(monkeypatch, name, grid, t):
-    # At every subset solve, each subset LP repriced at the solve's lambda
-    # and resumed from the last solve's basis has the value c_S(lambda) of
-    # solve_lps on the max form from the slack basis, to 1e-12 relative,
-    # and its u_S meets S's rows.  The first lambda comes from the seed
+    # At every subset solve, each distinct subset LP repriced at the
+    # solve's lambda and resumed from the last solve's basis has the value
+    # c_S(lambda) of solve_lps on the max form from the slack basis, to
+    # 1e-12 relative, for all C(K,t+1) subsets S, each through its LP, and
+    # its u meets all of S's rows.  The first lambda comes from the seed
     # cuts, at which the crash basis is no longer optimal, and no solve's
     # lambda leaves a seeded level free.
-    member_ccdf = validate_stats(grid).ccdf[np.array(message_subsets(grid.shape[0], t)) - 1]
-    solves = subset_solves(monkeypatch, grid, t)
-    lockstep = 0
-    for lam, warm in solves:
-        cold = solve_lps(-np.ones(t + 1), member_ccdf.transpose(0, 2, 1), lam)
-        assert warm.status == cold.status == [OPTIMAL] * len(member_ccdf)
-        assert (np.abs(warm.value + cold.value) <= 1e-12 * np.abs(cold.value)).all()
-        assert (np.matmul(member_ccdf, warm.x[:, :, None]) >= 1.0 - FEAS_TOL).all()
-        lockstep += int(warm.pivots.max())
+    stats = validate_stats(grid)
+    member_ccdf = stats.ccdf[np.array(message_subsets(grid.shape[0], t)) - 1]
+    lps, _, solves, _ = assert_lps_serve_their_subsets(monkeypatch, stats, t)
     assert solves[0][1].pivots.any()
     seeded = seeded_levels(member_ccdf)
     assert seeded[0] and all((lam[seeded] > 0.0).all() for lam, _ in solves)
-    assert lockstep == WARM_LOCKSTEP_PIVOTS[name]
+    assert (len(lps), sum(int(warm.pivots.max()) for _, warm in solves)) == WARM_LOCKSTEP_PIVOTS[name]
 
 
 # --- the warm-started master ------------------------------------------------------
@@ -444,7 +513,7 @@ def test_warm_master_matches_cold_solves_with_fewer_pivots(monkeypatch, index, n
     # four levels get a seed.
     grid_name, grid, t = ladder_grids()[index]
     assert grid_name == name
-    columns, masters, _, alloc = recorded_loop(monkeypatch, validate_stats(grid), Fraction(t, grid.shape[0]))
+    columns, masters, _, alloc, _ = recorded_loop(monkeypatch, validate_stats(grid), Fraction(t, grid.shape[0]))
     # The last subset solve repeats a cut already in the master, so it
     # ends the loop without a master of its own: every other solve and
     # every pooled cut enters one column, and each column one master solve.
@@ -501,8 +570,9 @@ def test_every_cut_is_a_valid_ceiling(monkeypatch, group):
     # A cut g is valid when phi(lambda) = sum_S c_S(lambda) / C(K,t) <= g.lambda
     # at every lambda on the simplex, which holds when each of its points
     # meets its subset's rows.  Pooled cuts mix points of different subset
-    # solves, so every point the pool receives is checked against its
-    # subset's rows, and every cut of both kinds at 16 seeded lambda
+    # solves, so every point the pool receives, one per distinct LP, is
+    # mapped back to every subset that LP serves and checked against all of
+    # that subset's rows, and every cut of both kinds at 16 seeded lambda
     # against phi from solve_lps on the max form, solved cold.  A point
     # certified to FEAS_TOL may fall short of its rows by some delta, and
     # u / (1 - delta) meets them, so the ceiling is g.lambda / (1 - delta)
@@ -515,12 +585,13 @@ def test_every_cut_is_a_valid_ceiling(monkeypatch, group):
         stats = validate_stats(grid)
         users, levels = grid.shape
         member_ccdf = stats.ccdf[np.array(message_subsets(users, t)) - 1]  # (subsets, t+1, B)
-        columns, masters, solves, alloc = recorded_loop(monkeypatch, stats, Fraction(t, users))
+        lp_of = binding_lps_by_loop(stats, t)[1]
+        columns, masters, solves, alloc, _ = recorded_loop(monkeypatch, stats, Fraction(t, users))
         cuts = columns[masters[0][0].size:]  # the seeds enter before the first master solve
         assert len(cuts) >= alloc.iterations - 1
         shortfall = 0.0
         for _, outcomes in solves:  # each subset solve hands its points to the pool
-            u = outcomes.x
+            u = outcomes.x[lp_of]  # each LP's point, for every subset it serves
             assert (u >= -FEAS_TOL).all()
             shortfall = max(shortfall, float(1.0 - np.matmul(member_ccdf, u[:, :, None]).min()))
         assert shortfall <= FEAS_TOL
@@ -562,7 +633,7 @@ def test_cut_cap_counts_pooled_cuts(monkeypatch):
 
 def seed_master_columns(monkeypatch, stats, mu):
     """The columns the master holds at its first solve, and the allocation."""
-    columns, masters, _, alloc = recorded_loop(monkeypatch, stats, mu)
+    columns, masters, _, alloc, _ = recorded_loop(monkeypatch, stats, mu)
     return columns[: masters[0][0].size], alloc
 
 
@@ -666,22 +737,26 @@ def small_entry_grids(seed, values):
 
 @pytest.mark.parametrize(
     "seed, values, refines, most",
-    [(61, (1e-6, 1e-9), False, 5), (62, (1e-6, 1e-9), True, 6), (63, (1e-3, 1e-6, 1e-9, 1e-12), True, 40)],
+    [(61, (1e-6, 1e-9), False, 5), (67, (1e-6, 1e-9), True, 10), (63, (1e-3, 1e-6, 1e-9, 1e-12), True, 40)],
 )
 def test_small_entries_are_refined_to_a_certified_allocation(monkeypatch, seed, values, refines, most):
     # The subset LPs' bases mix entries near 1 with entries near 1e-9, and
-    # x read off the tableau misses FEAS_TOL by 1e-9 to 1e-7: 13 of these
-    # 180 delivery LPs failed their recheck that way, and one its master's
-    # dual check (2.8e-9).  Refined once at their final bases, those LPs
-    # pass the same certificate, and every delivery LP returns a feasible
-    # allocation with a certified gap of at most 1e-9.  The subset stack
-    # keeps its tableau from cut to cut, and a refined LP's rows replace
-    # its tableau's, so it is refined again only where later pivots drift
-    # anew: 0, 5 and 33 refinements over the 60 at the three seeds on a
-    # 2-CPU Xeon, where keeping the drifted rows took 0, 8 and 141.
-    # Whether a residual lands just above FEAS_TOL can differ with the
-    # BLAS, so only seeds 62 and 63 must refine, and the counts are bounded
-    # with some room.
+    # x read off the tableau misses FEAS_TOL by 1e-9 to 1e-7: 13 of the 180
+    # delivery LPs at seeds 61-63 failed their recheck that way, and one
+    # its master's dual check (2.8e-9).  Refined once at their final bases,
+    # those LPs pass the same certificate, and every delivery LP returns a
+    # feasible allocation with a certified gap of at most 1e-9.  The subset
+    # stack keeps its tableau from cut to cut, and a refined LP's rows
+    # replace its tableau's, so it is refined again only where later pivots
+    # drift anew: with one LP per subset, 0, 5 and 33 refinements over the
+    # 60 at seeds 61, 62 and 63 on a 2-CPU Xeon, where keeping the drifted
+    # rows took 0, 8 and 141.  With one LP per distinct set of kept members
+    # seed 62 no longer refines, so seed 67 stands in for it: 2, 7 and 26
+    # refinements at seeds 61, 67 and 63 on a 2-CPU sandbox, seed 67's
+    # being 6 of its subset stack and 1 of its master (7 at seed 67 and 2
+    # at seed 62 with one LP per subset there).  Whether a residual lands
+    # just above FEAS_TOL can differ with the BLAS, so only seeds 67 and 63
+    # must refine, and the counts are bounded with some room.
     calls = []
     refine = lp._refined
 
@@ -730,7 +805,7 @@ def refined_master_grid():
 
 
 # allocation_digest of the delivery LP of refined_master_grid() at t = 1.
-REFINED_MASTER_DIGEST = "9b4b92bb4043df0eaf0a4efccd0ce2caae02676025cac5968bc81b41bbc0b878"
+REFINED_MASTER_DIGEST = "6760c8529cb915ae89f238eecb4a31e9dd45cab511f312bf01db12f51d46785e"
 
 
 def test_master_is_refined_at_its_basis(monkeypatch):
@@ -773,6 +848,68 @@ def test_master_failing_its_refinement_names_the_cut(monkeypatch):
     )
 
 
+# --- one LP per distinct set of kept members ----------------------------------------
+
+
+def reduction_grids():
+    """(name, ccdf, t) of the grids the kept-member reduction is checked on."""
+    rng = np.random.default_rng(5050)
+    for users in range(2, 10):
+        for t in range(users):
+            levels = int(rng.integers(2, 6))
+            yield f"uniform-K{users}-t{t}", sorted_uniform_ccdf(rng, users, levels), t
+            yield f"chain-K{users}-t{t}", chain_ccdf(rng, users, levels), t
+    for users, classes, t in ((5, 2, 1), (6, 3, 2), (7, 2, 3), (8, 3, 2), (8, 2, 4)):
+        rows = sorted_uniform_ccdf(rng, classes, 4)
+        yield f"classes{classes}-K{users}-t{t}", rows[np.arange(users) % classes][rng.permutation(users)], t
+    # Users 4-6 repeat users 1-3 with -0.0 for every 0.0: equal rows.
+    base = np.array([[0.9, 0.5, 0.0, 0.0], [0.7, 0.6, 0.2, 0.0], [0.8, 0.3, 0.3, 0.0]])
+    signed = np.vstack([base, np.where(base == 0.0, -0.0, base)])
+    for t in (1, 2, 3):
+        yield f"signed-zeros-t{t}", signed, t
+        yield f"signed-zeros-reversed-t{t}", signed[::-1].copy(), t
+    # Past 64 users a key no longer fits one uint64: Python ints hold it.
+    wide = sorted_uniform_ccdf(rng, 66, 3)
+    wide[33:] = wide[:33] * 0.5
+    for t in (0, 1, 65):
+        yield f"wide-K66-t{t}", wide, t
+    for t in (1, 2, 3):
+        yield f"tiny-tail-t{t}", next(tiny_tail_grids()), t
+        for seed, values in ((61, (1e-6, 1e-9)), (63, (1e-3, 1e-6, 1e-9, 1e-12)), (67, (1e-6, 1e-9))):
+            yield f"small-entry-seed{seed}-t{t}", next(small_entry_grids(seed, values)), t
+
+
+@pytest.mark.parametrize("name, grid, t", [pytest.param(*case, id=case[0]) for case in reduction_grids()])
+def test_distinct_lps_serve_every_subset(monkeypatch, name, grid, t):
+    # A member whose row lies at or above another member's on every level
+    # never binds, so the stack keeps one LP per distinct set of kept
+    # members (assert_lps_serve_their_subsets: its rows, and at every
+    # subset solve its value and point against every subset it serves,
+    # over all of that subset's rows).  -0.0 and 0.0 are equal, so the
+    # signed-zero grids keep one of each pair of users, the first.  On a
+    # chain every subset keeps only its weakest member: K - t LPs of one
+    # row, at HiGHS's rate.  On the tiny-tail and small-entry grids the max
+    # form is no reference: it is certified against FEAS_TOL absolute on
+    # rows whose right-hand sides lambda_l fall to 2e-9, and read c_S up to
+    # 22% of c_S + max lambda off (1.998 against 2.015 from the min form and
+    # HiGHS, with one LP per subset too), so there each LP is checked
+    # against one covering LP per subset, over all of its rows, solved at
+    # the same lambdas in turn (within 2.3e-11 relative on a 2-CPU sandbox).
+    stats = validate_stats(grid)
+    replay = name.startswith(("tiny-tail", "small-entry"))
+    lps, lp_of, solves, alloc = assert_lps_serve_their_subsets(monkeypatch, stats, t, replay)
+    assert sorted(set(lp_of.tolist())) == list(range(len(lps))) and len(lp_of) == math.comb(len(grid), t + 1)
+    assert check_allocation(stats, alloc).feasible
+    assert 0.0 <= alloc.gap <= 1e-9 * max(1.0, alloc.rate)
+    rows = np.ldexp(stats.ccdf, -scale_exponent(stats.ccdf)) + 0.0
+    assert all(len({rows[k - 1].tobytes() for k in members}) == len(members) for members in lps)
+    if name.startswith("chain"):
+        assert [len(members) for members in lps] == [1] * (len(grid) - t)
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        reference = linprog(*build_delivery_lp(stats, t), method="highs")
+        assert reference.status == 0 and abs(alloc.rate + reference.fun) <= 1e-9 * max(1.0, alloc.rate)
+
+
 # --- the same bytes ------------------------------------------------------------------
 
 
@@ -805,30 +942,38 @@ def allocation_digest(alloc):
 # to FEAS_TOL.  Subset solves: ladder 9, 10, 8, 7, 6, 10, 10; chains 5, 7;
 # sim-K6B5 8; tiny tail 8, 8, 7; small entries 7, 6, 4 / 10, 8, 4 / 6, 4, 4
 # (Kelley's loop: 11, 15, 13, 9, 11, 15, 21; 6, 10; 19; 13, 12, 13;
-# 8, 7, 4 / 11, 10, 9 / 8, 5, 5).
+# 8, 7, 4 / 11, 10, 9 / 8, 5, 5).  Re-pinned once when the loop began to
+# solve one LP per distinct set of kept members and to weight the pool, the
+# cut, the lower value and the mix by the subsets each LP serves: the same
+# subset solves, and every rate within 5.0e-15 relative of one LP per subset
+# (ladder 4.0e-16, 7.1e-16, 4.5e-16, 0, 1.0e-15, 8.7e-16, 5.0e-15; chains
+# 1.8e-16, 6.5e-16; sim-K6B5 8.4e-16; small entries 1.5e-16, 1.9e-16,
+# 4.6e-16 / 2.0e-16, 2.9e-16, 5.7e-16 / 0, 0, 3.7e-16).  The three tiny-tail
+# grids keep every member of every subset, so their LPs, sums and bytes are
+# as before; small-entry-seed63-t1 (11 LPs for 15 subsets) kept its bytes.
 ALLOCATION_DIGESTS = {
-    "ladder-K7-t2": "48b71a664f12f58697627e2eba7632898470b9873d14e5fcdb9d665e1568637c",
-    "ladder-K7-t3": "624553df2c66a7cd1c8cf62dfc17edfba88ca8f9fd2923d57458b17e39155bcc",
-    "ladder-K8-t2": "b495152981792b070a1a43b13a19a1f00227a2e9b4f171ebf1aef3176fc643e6",
-    "ladder-K8-t3": "d9b8da7e7c2be4da067a2dbba94bacf8048a4575aaef8e927313191b3772dabd",
-    "ladder-K8-t4": "ab450ff8cce03c31d3ebcfdd9c048b69fee29f5970a80a2d1d8061bac78f8a4b",
-    "ladder-K9-t3": "94855375dd75a33d097d9348cbea6821de7130de5b633794f279124f4e93c02c",
-    "ladder-K9-t4": "06b15d49bbfd84d350b1afe7ef0cbc55f4f97bf2f1642f2c9ae38eecedb6a851",
-    "chain-K8-t3": "afc3e7372ee0ace1acab45a3f4dc1959a3c8b9f6f999f7b5441f3db0728a271d",
-    "chain-K9-t3": "4537347223b206c7091a63bb6c8d495e837570cbf091e5599c9ae6732a56c2f9",
-    "sim-K6B5": "90b6a1ba03cc5983aa83999dfa098e86412e4aef0f1a2f126614c5ef694bfc1d",
+    "ladder-K7-t2": "fd5b6570bea436e9737285d49966c1cb0221fa9b4328815194a82eac1449f72c",
+    "ladder-K7-t3": "33b5ebb9f4d13179cea80f993e49691b1fa9c3e73bdfee191163129271c301ac",
+    "ladder-K8-t2": "a1cc88ef3a88c76f89fc93a99c805d29b76e1b188de43587d55d5f665b92af6c",
+    "ladder-K8-t3": "f3d3888d75cd8f198d3891f7d1eca068c7789073c48de27e36a48db2cf0633c6",
+    "ladder-K8-t4": "a05a27bea91089c79687999e72e47ae341a586e3eb8080a321ee1fb333d9fe23",
+    "ladder-K9-t3": "f2c70ac99da314a9592fc3c95fbb7b1700a7fdb1b9213952fe32648172124b0a",
+    "ladder-K9-t4": "a939632810e350757d705a42a690630b63e41febe1779e56f83ff923e7190b91",
+    "chain-K8-t3": "52c093402556e08a0b4538887fa8214e1388ebb0cfcdf670e126ce9759007fc1",
+    "chain-K9-t3": "5000588055301660e8067b89e5d53942f970b618b0c2bf20e689588c5aa0e06d",
+    "sim-K6B5": "585771c9d0e3d9f5a594167a41973f89531306001f53b9ee444f57719ddbeaea",
     "tiny-tail-t1": "2ed5b5329bead4c68634018b9f61ecb7e2d8d19a78e6a0db2f731c2b5918bc87",
     "tiny-tail-t2": "7c4dc94caf7f3cf0e244677af48740bd40f51668a0ee445afab2c7136dcda09e",
     "tiny-tail-t3": "2b342082f606b665d54c7f3d32518fdbc1cac94a66adc173a247fe11855cb61a",
-    "small-entry-seed61-t1": "148748fc1df0d4b3eac649d3458a8ff4ec1f4cf51f9621056e1b01473020e190",
-    "small-entry-seed61-t2": "0921e114a4f15b2767b42a654f4b57cf35b4e601ab98f440676fe77ea14de0ef",
-    "small-entry-seed61-t3": "829c5e5c546cd957562496a05753b8183db27fec7b82953a62866a351510dd3d",
-    "small-entry-seed62-t1": "ff20e47028c6dc7ce523b6b01e543b8e3f099bc4676229d9a48fb17dae7f22ac",
-    "small-entry-seed62-t2": "337cbe197d57f818d40f7382378f2804e6616fe3cf3773353f8fe4ac652970f5",
-    "small-entry-seed62-t3": "bfefbc9f2b60c439f240328aeb0b748c8eb4c4cee9d5f990c1f88572d1ba5969",
+    "small-entry-seed61-t1": "19f7a588f434180681d6e641df10ad2d87215ff5642184c212b4d68c1e7e5129",
+    "small-entry-seed61-t2": "c12f5e45c03f1800412e04bb8a15b7bcafc959fb1f8e8b49e6ac85390457c7a3",
+    "small-entry-seed61-t3": "f7eaf7f78e9c242f98e24f3f049d70eed0001fb0c3380a67e13d69798315aed3",
+    "small-entry-seed62-t1": "9e745f6af8b4f60312520aa282441d5795083d94c74dcb8e6f28c325358c7de5",
+    "small-entry-seed62-t2": "7c2b71b20072901729ea72979f94dc3a2d91b2d25d922cf325ffdada7fd5e3f2",
+    "small-entry-seed62-t3": "357b0d120fb322871900e81da9ee34cb71e06efd97fbc7fa3742b949ee3b25fa",
     "small-entry-seed63-t1": "3c497031ecb4779cb715e4571dd69f335baad421c2a68b1c0840af16175879dc",
-    "small-entry-seed63-t2": "e0ade2b5e778e3f611087d6d6b417c1e8c94233a7c3e39d5b0c30b07304ba277",
-    "small-entry-seed63-t3": "5f2c5fc2dd635e4ceb5db98a37b79ae65e6c909a66d649778870c32d4991e09b",
+    "small-entry-seed63-t2": "64c1e791d66cbe24631fa9f383e5a973602e41e8384fae11656822bcc0521102",
+    "small-entry-seed63-t3": "fa91f4f31cd8b140f7e1bb3ba213d739b3375ae1a675099faf26840eda418b46",
 }
 
 
