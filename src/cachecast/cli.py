@@ -35,7 +35,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterator, Optional, Union
@@ -150,13 +150,11 @@ def load_config(path: str) -> ScenarioConfig:
 
 
 def _jsonable(obj):
-    """What json cannot write itself: dataclasses by field, arrays, fractions."""
+    """What json cannot write itself: arrays and fractions."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, Fraction):
         return str(obj)
-    if is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
@@ -231,31 +229,33 @@ def _rows_json(values: np.ndarray) -> str:
     return "[" + ", ".join("[" + ", ".join(cells[at : at + width]) + "]" for at in range(0, len(cells), width)) + "]"
 
 
-def _subset_texts(subsets, sep: str, brackets: str) -> list[str]:
-    """Each subset's members joined by sep inside the two brackets: with
-    ", " and "[]" the JSON list of the subset, with "," and "{}" its label."""
-    ids = [str(k) for k in range(max(map(max, subsets)) + 1)]
-    return [brackets[0] + sep.join([ids[k] for k in s]) + brackets[1] for s in subsets]
+def _subset_texts(subsets: np.ndarray, sep: str, brackets: str) -> list[str]:
+    """Each row of subsets, the message subsets (lp_scheme.message_subsets),
+    joined by sep inside the two brackets: with ", " and "[]" the JSON list
+    of the subset, with "," and "{}" its label."""
+    ids = [str(k) for k in range(subsets.max() + 1)]
+    return [brackets[0] + sep.join([ids[k] for k in s]) + brackets[1] for s in subsets.tolist()]
 
 
-def _pair_labels(subsets) -> list[str]:
+def _pair_labels(subsets: np.ndarray) -> list[str]:
     """The text outputs' label of each (subset, member) pair, such as
-    "2 on {1,2,4}", in the layout of np.array(subsets)."""
+    "2 on {1,2,4}", in the layout of the array subsets."""
     labels = _subset_texts(subsets, ",", "{}")
-    return [f"{k} on {label}" for s, label in zip(subsets, labels) for k in s]
+    return [f"{k} on {label}" for s, label in zip(subsets.tolist(), labels) for k in s]
 
 
-def _pairs_json(subsets, subset_texts: list[str], **columns) -> str:
+def _pairs_json(subsets: np.ndarray, subset_texts: list[str], **columns) -> str:
     """The JSON list of one {"user": k, "subset": [...], name: entry, ...}
-    per (subset j, member i) pair, in the layout of np.array(subsets)
-    (lp_scheme.check_allocation's): member i of subsets[j], subset_texts[j]
-    (subsets[j] as a JSON list), then entry [j, i] of each column, an
-    array of that shape or one value for every pair.  The text equals, byte
-    for byte, to_json of that list of dicts; each subset's text is written
+    per (subset j, member i) pair, in the layout of the array subsets
+    (lp_scheme.check_allocation's): entry [j, i] of subsets, subset_texts[j]
+    (row j as a JSON list), then entry [j, i] of each column, an array of
+    that shape or one value for every pair.  The text equals, byte for
+    byte, to_json of that list of dicts; each subset's text is written
     once, and each distinct float once (_float_texts).  The pieces of all
     pairs are joined at once, with no string per pair."""
-    heads = [f'{{"user": {k}, "subset": ' for k in range(max(map(max, subsets)) + 1)]
-    fields = [[heads[k] for s in subsets for k in s], [text for s, text in zip(subsets, subset_texts) for _ in s]]
+    heads = [f'{{"user": {k}, "subset": ' for k in range(subsets.max() + 1)]
+    width = range(subsets.shape[1])
+    fields = [[heads[k] for k in subsets.ravel().tolist()], [text for text in subset_texts for _ in width]]
     for name, column in columns.items():
         fields += [repeat(f', "{name}": '), _cells(column)]
     pieces = ["[", *chain.from_iterable(zip(*fields, repeat("}, ")))]
@@ -387,7 +387,7 @@ def cmd_rates_achievable(cfg: ScenarioConfig, args: argparse.Namespace) -> Outpu
 
 def _dump_matrices(stats: channel.ChannelStats, t: int, prefix: str) -> None:
     _, a_ub, _ = lp_scheme.build_delivery_lp(stats, t)
-    subsets = lp_scheme.message_subsets(stats.num_users, t)
+    subsets = lp_scheme.message_subsets(stats.num_users, t).tolist()
     levels = range(1, stats.num_levels + 1)
     columns = [f"y(l={l};S={'+'.join(map(str, s))})" for l in levels for s in subsets] + ["f"]
     labels = [f"decode(k={k};S={'+'.join(map(str, s))})" for s in subsets for k in s]

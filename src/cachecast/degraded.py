@@ -110,10 +110,8 @@ def z_to_y(
             f"users above {K - t} cannot anchor any size-{t + 1} subset"
         )
 
-    shares = np.zeros((z.shape[0], len(subsets)))
-    for j, s in enumerate(subsets):
-        weakest = s[0]
-        shares[:, j] = z[:, weakest - 1] / math.comb(K - weakest, t)
+    weakest = subsets[:, 0] - 1  # the chain position of each subset's weakest member
+    shares = z[:, weakest] / np.array([math.comb(K - 1 - k, t) for k in range(K - t)], dtype=float)[weakest]
     shares.setflags(write=False)
     return DeliveryAllocation(
         num_users=K,

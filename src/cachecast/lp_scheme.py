@@ -17,7 +17,7 @@ build_delivery_lp writes this LP out densely as plain (c, a_ub, b_ub)
 (for --dump-matrices and as the reference the tests solve): columns are
 ordered level-major with subsets lexicographic inside a level and the rate
 variable f last.  Every per-row quantity has the (subset j, member i)
-layout of np.array(message_subsets(K, t)): subsets in lexicographic order,
+layout of the array message_subsets(K, t): subsets in lexicographic order,
 each subset's members ascending.  The decodability rows run in that order,
 and check_allocation's margins are one array of that shape.
 
@@ -177,10 +177,10 @@ NumericalFailure naming the same.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
-from math import inf, ldexp
+from itertools import chain, combinations, zip_longest
 from typing import Optional
 
 import numpy as np
@@ -189,8 +189,6 @@ from .caching import cache_size
 from .channel import ChannelStats, scale_exponent
 from .errors import BadT, LengthMismatch, NonIntegerT, NumericalFailure
 from .lp import FEAS_TOL, OPTIMAL, GrowingLp, LpSolution, LpStack, require_optimal
-
-Subset = tuple[int, ...]
 
 # Relative gap between the master value and the best lower value at which
 # the cutting planes stop; 372 random grids (K = 4..11, B = 2..8, t drawn
@@ -216,7 +214,7 @@ class DeliveryAllocation:
     num_users: int
     num_levels: int
     t: int
-    subsets: tuple[Subset, ...]
+    subsets: np.ndarray  # message_subsets(num_users, t)
     shares: np.ndarray
     rate: float
     iterations: int = 0
@@ -229,8 +227,8 @@ class FeasibilityReport:
     """Decodability margins and level budget slacks of an allocation.
 
     margins[j, i] is what member i (ascending) of subset j collects beyond
-    required, in the (subset, member) layout of np.array(subsets): shape
-    (C(K,t+1), t+1), the order of the dense LP's decodability rows.
+    required, in the (subset, member) layout of the allocation's subsets:
+    shape (C(K,t+1), t+1), the order of the dense LP's decodability rows.
     """
 
     feasible: bool  # violation <= FEAS_TOL
@@ -252,11 +250,20 @@ def t_from_mu(num_users: int, mu) -> int:
     return int(t)
 
 
-def message_subsets(num_users: int, t: int) -> tuple[Subset, ...]:
-    """All size-(t+1) user subsets in lexicographic order; BadT unless t lies in 0..K-1."""
+@functools.lru_cache(maxsize=1)
+def message_subsets(num_users: int, t: int) -> np.ndarray:
+    """All size-(t+1) user subsets as one read-only (C(K,t+1), t+1) int array:
+    rows in lexicographic order, members ascending.  BadT unless t lies in 0..K-1.
+
+    The last array is kept, so the delivery LP, check_allocation and the
+    simulator share one array per (K, t): at K = 16, t = 8 each build takes
+    about 3 ms.
+    """
     if not 0 <= t <= num_users - 1:
         raise BadT(f"t must lie in 0..{num_users - 1}, got {t}")
-    return tuple(combinations(range(1, num_users + 1), t + 1))
+    subsets = np.fromiter(chain.from_iterable(combinations(range(1, num_users + 1), t + 1)), np.intp).reshape(-1, t + 1)
+    subsets.setflags(write=False)
+    return subsets
 
 
 def build_delivery_lp(stats: ChannelStats, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,7 +275,7 @@ def build_delivery_lp(stats: ChannelStats, t: int) -> tuple[np.ndarray, np.ndarr
     rows (ones on level l's columns, rhs 1).
     """
     K, B = stats.num_users, stats.num_levels
-    members = np.array(message_subsets(K, t)) - 1  # (subsets, t+1)
+    members = message_subsets(K, t) - 1  # (subsets, t+1)
     num_subsets = len(members)
     num_decode = members.size
     a_ub = np.zeros((num_decode + B, B * num_subsets + 1))
@@ -284,7 +291,7 @@ def build_delivery_lp(stats: ChannelStats, t: int) -> tuple[np.ndarray, np.ndarr
 
 def _gap(lower: float, upper: float) -> float:
     """1/lower - 1/upper: how far the rate 1/upper can lie below the optimum (0 if rounding inverts them)."""
-    return max(0.0, (1.0 / lower if lower > 0.0 else inf) - 1.0 / upper)
+    return max(0.0, (1.0 / lower if lower > 0.0 else math.inf) - 1.0 / upper)
 
 
 def _binding_lps(grid: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -345,7 +352,7 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     scale = scale_exponent(stats.ccdf)  # solved on the grid times 2^-scale
     # One LP per distinct set of binding rows: lp_of[S] is S's, served[F] counts F's subsets.
     grid = np.ldexp(stats.ccdf, -scale) + 0.0  # + 0.0 turns -0.0, whose 1/w is -inf, into 0.0
-    binding, lp_of, first = _binding_lps(grid, np.array(subsets) - 1)
+    binding, lp_of, first = _binding_lps(grid, subsets - 1)
     served = np.bincount(lp_of).astype(float)
     weight = served[:, None]
     # The seeds: every message on level l alone, u_S = e_l / w[S, l], gives
@@ -353,7 +360,7 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     with np.errstate(divide="ignore", over="ignore"):
         reach = 1.0 / binding.min(axis=1)  # (LPs, B): 1/w[F, l], w the weakest kept member's ccdf
         spread = reach[lp_of].sum(axis=0) / piece_count
-    seeded = np.flatnonzero(spread < inf)
+    seeded = np.flatnonzero(spread < math.inf)
     if not seeded.size:
         raise NumericalFailure(f"{label}: no level gets a seed cut (1/w overflows on every level)")
     # F's: min lambda.u s.t. ccdf[F] u >= 1, u >= 0, crashed on the first seeded level
@@ -407,7 +414,7 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
         stack = subproblems.solve(lam)
         if stack.status.count(OPTIMAL) < len(first):
             for s, n, outcome in zip(first.tolist(), served.tolist(), stack):
-                require_optimal(outcome, label, f"subset {subsets[s]}, first of {n:.0f} on its LP, {where}")
+                require_optimal(outcome, label, f"subset {tuple(subsets[s].tolist())}, first of {n:.0f} on its LP, {where}")
         u = weight * stack.x
         best = max(best, sum((served * stack.value).tolist()) / piece_count)
         pool = np.concatenate((pool, u[:, None]), axis=1)
@@ -424,8 +431,8 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
     mixed = np.zeros((len(first), B))
     mixed[:, seeded] = weight * ((alpha[: seeded.size] / spread) * reach)
     mixed = sum((a * u for a, u in zip(alpha[seeded.size:].tolist(), mixes) if a != 0.0), mixed) / weight
-    gap = ldexp(_gap(best, eta), scale)
-    alloc = allocation(np.ascontiguousarray((rate / piece_count) * mixed[lp_of].T), ldexp(rate, scale), solves, gap)
+    gap = math.ldexp(_gap(best, eta), scale)
+    alloc = allocation(np.ascontiguousarray((rate / piece_count) * mixed[lp_of].T), math.ldexp(rate, scale), solves, gap)
     if not alloc.report.feasible:
         raise NumericalFailure(
             f"{label}: allocation fails its recheck (largest violation {alloc.report.violation:.3g})"
@@ -437,6 +444,9 @@ def achievable_rate_lp(stats: ChannelStats, mu) -> DeliveryAllocation:
 def check_allocation(stats: ChannelStats, alloc: DeliveryAllocation) -> FeasibilityReport:
     """Decodability margins, level slacks, the largest violation, and feasibility at FEAS_TOL.
 
+    The allocation's subsets must equal message_subsets(K, t), row for
+    row; otherwise LengthMismatch names the first row that differs.
+
     A margin is a symbol mass, which scales with the CCDF grid, so it is
     judged in units of 2^e, e = channel.scale_exponent: against
     FEAS_TOL * 2^e.  Shares and level slacks are fractions of a level's
@@ -445,11 +455,15 @@ def check_allocation(stats: ChannelStats, alloc: DeliveryAllocation) -> Feasibil
     """
     if alloc.num_users != stats.num_users or alloc.num_levels != stats.num_levels:
         raise LengthMismatch("allocation dimensions do not match the channel")
-    if alloc.shares.shape != (alloc.num_levels, len(alloc.subsets)):
-        raise LengthMismatch(f"shares must be {alloc.num_levels} x {len(alloc.subsets)}, got {alloc.shares.shape}")
-    piece_count = math.comb(alloc.num_users, alloc.t)
-    required = alloc.rate / piece_count
-    member_ccdf = stats.ccdf[np.array(alloc.subsets) - 1]  # (subsets, t+1, B)
+    subsets = message_subsets(alloc.num_users, alloc.t)
+    if not np.array_equal(alloc.subsets, subsets):
+        rows = zip_longest(subsets.tolist(), (np.asarray(s).tolist() for s in alloc.subsets), fillvalue="nothing")
+        j, want, got = next((j, *row) for j, row in enumerate(rows) if row[0] != row[1])
+        raise LengthMismatch(f"allocation subsets differ from message_subsets at row {j}: {got} for {want}")
+    if alloc.shares.shape != (alloc.num_levels, len(subsets)):
+        raise LengthMismatch(f"shares must be {alloc.num_levels} x {len(subsets)}, got {alloc.shares.shape}")
+    required = alloc.rate / math.comb(alloc.num_users, alloc.t)
+    member_ccdf = stats.ccdf[subsets - 1]  # (subsets, t+1, B)
     # Each entry is ccdf[k-1] @ shares[:, j] to the byte: the strided view of
     # the shares makes vecdot sum in the same order (a contiguous copy does not).
     margins = np.vecdot(member_ccdf, alloc.shares.T[:, None, :]) - required
@@ -457,7 +471,4 @@ def check_allocation(stats: ChannelStats, alloc: DeliveryAllocation) -> Feasibil
     scaled = np.ldexp(margins.ravel(), -scale_exponent(stats.ccdf))  # in units of the grid's scale
     worst = float(np.max(-np.concatenate([scaled, level_slacks, alloc.shares.ravel()])))
     violation = 0.0 if worst <= 0.0 else worst  # a NaN stays NaN, and NaN <= FEAS_TOL is False
-    return FeasibilityReport(
-        feasible=violation <= FEAS_TOL, required=required, margins=margins,
-        level_slacks=level_slacks, violation=violation,
-    )
+    return FeasibilityReport(violation <= FEAS_TOL, required, margins, level_slacks, violation)

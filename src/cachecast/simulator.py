@@ -28,7 +28,7 @@ delivered >= ceil(num_uses * rate / C(K,t)), with a tiny guard so an
 exactly integer threshold is not pushed up by roundoff.
 
 The report holds one array per tally in check_allocation's layout: entry
-[j, i] is the message of subset j (np.array(alloc.subsets), lexicographic)
+[j, i] is the message of subset j (row j of alloc.subsets, lexicographic)
 to its member i (ascending), shape (C(K,t+1), t+1).  The symbol counts are
 int64, so B * num_uses must stay below 2^63.
 """
@@ -45,7 +45,7 @@ import numpy as np
 from .channel import ChannelStats, check_draws
 from .channel import sample_states  # noqa: F401  perfbench/selftest.py reads it as simulator.sample_states
 from .errors import InfeasibleAllocation
-from .lp_scheme import DeliveryAllocation, check_allocation
+from .lp_scheme import DeliveryAllocation, check_allocation, message_subsets
 
 CEIL_GUARD = 1e-9
 
@@ -55,8 +55,8 @@ class SimulationReport:
     """Tally of one simulated delivery.
 
     The per-message arrays have check_allocation's (subset j, member i)
-    layout of np.array(alloc.subsets), shape (C(K,t+1), t+1): entry [j, i]
-    is member i (ascending) of subset j.  delivered counts the symbols the
+    layout of alloc.subsets, shape (C(K,t+1), t+1): entry [j, i] is member
+    i (ascending) of subset j.  delivered counts the symbols the
     member collects of its message (int64), required the symbols every
     message needs; empirical_margin is delivered / num_uses minus the
     per-use size, analytic_margin check_allocation's margins and std_error
@@ -149,8 +149,9 @@ def simulate_delivery(
     per_use_size = report.required
     required = math.ceil(num_uses * per_use_size - CEIL_GUARD)
 
-    # Uses starts[l][j] up to starts[l][j + 1] of level l go to subset j.
-    members, num_levels = np.array(alloc.subsets), stats.num_levels
+    # Uses starts[l][j] up to starts[l][j + 1] of level l go to subset j.  The
+    # check above has found alloc.subsets equal to message_subsets' array.
+    members, num_levels = message_subsets(alloc.num_users, alloc.t), stats.num_levels
     num_subsets = len(members)
     starts = []
     for l in range(num_levels):

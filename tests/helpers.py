@@ -126,12 +126,12 @@ def achievable_payload(mu: Fraction, alloc) -> dict:
         "mu": str(mu),
         "value": alloc.rate,
         "t": alloc.t,
-        "subsets": [list(s) for s in alloc.subsets],
+        "subsets": alloc.subsets.tolist(),
         "shares": alloc.shares.tolist(),
         "required": report.required,
         "margins": [
-            {"user": k, "subset": list(s), "margin": margins[j][i]}
-            for j, s in enumerate(alloc.subsets)
+            {"user": k, "subset": s, "margin": margins[j][i]}
+            for j, s in enumerate(alloc.subsets.tolist())
             for i, k in enumerate(s)
         ],
         "level_slacks": report.level_slacks.tolist(),
@@ -150,12 +150,12 @@ def simulate_payload(stats, alloc, report) -> dict:
     checked = check_allocation(stats, alloc)
     required = math.ceil(report.num_uses * checked.required - 1e-9)
     messages = []
-    for j, s in enumerate(alloc.subsets):
+    for j, s in enumerate(alloc.subsets.tolist()):
         for i, k in enumerate(s):
             delivered = int(report.delivered[j, i])
             messages.append({
                 "user": k,
-                "subset": list(s),
+                "subset": s,
                 "delivered": delivered,
                 "required": required,
                 "empirical_margin": delivered / report.num_uses - checked.required,

@@ -216,7 +216,7 @@ def test_criterion_7_simulation_consistency():
         report = simulate_delivery(stats, alloc, num_uses, seed=seed)
         beyond = np.abs(report.empirical_margin - report.analytic_margin) > 3 * report.std_error
         for j, i in zip(*np.nonzero(beyond)):
-            excursions.append((seed, alloc.subsets[j][i], alloc.subsets[j]))
+            excursions.append((seed, int(alloc.subsets[j, i]), tuple(alloc.subsets[j].tolist())))
         for k in range(stats.num_users):
             for level in range(stats.num_levels):
                 p = stats.ccdf[k][level]

@@ -491,18 +491,18 @@ def test_pairs_json_writes_every_entry_as_json_does():
     want = strict_json([
         {
             "user": k,
-            "subset": list(s),
+            "subset": s,
             "margin": floats[j, i].item(),
             "delivered": counts[j, i].item(),
             "required": 7,
             "decodable": flags[j, i].item(),
             "tail": -0.0,
         }
-        for j, s in enumerate(subsets)
+        for j, s in enumerate(subsets.tolist())
         for i, k in enumerate(s)
     ])
     assert_same_text(text, want)
-    assert_same_text("[" + ", ".join(texts) + "]", json.dumps(subsets))
+    assert_same_text("[" + ", ".join(texts) + "]", json.dumps(subsets.tolist()))
     assert_same_text(cli._rows_json(floats.T), strict_json(floats.T.tolist()))
 
 
@@ -594,7 +594,7 @@ def test_simulate_trace_samples_once(capsys, tmp_path, monkeypatch):
     assert trace.read_text() == expected
     starts = span_starts(alloc, 50)
     for m in payload["messages"]:
-        j = alloc.subsets.index(tuple(m["subset"]))
+        j = alloc.subsets.tolist().index(m["subset"])
         row = levels[m["user"] - 1]
         got = sum(int(np.count_nonzero(row[bounds[j] : bounds[j + 1]] > l)) for l, bounds in enumerate(starts))
         assert m["delivered"] == got

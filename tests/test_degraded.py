@@ -113,7 +113,7 @@ def test_rate_rejects_bad_mu(chain3):
 
 def test_refinement_splits_anchor_shares(chain3):
     alloc = z_to_y(CHAIN3_Z, num_users=3, t=1, rate=CHAIN3_RATE)
-    assert alloc.subsets == ((1, 2), (1, 3), (2, 3))
+    assert alloc.subsets.tolist() == [[1, 2], [1, 3], [2, 3]]
     z = np.asarray(CHAIN3_Z)
     np.testing.assert_array_equal(alloc.shares[:, 0], z[:, 0] / 2.0)  # {1,2}
     np.testing.assert_array_equal(alloc.shares[:, 1], z[:, 0] / 2.0)  # {1,3}
@@ -124,7 +124,7 @@ def test_refinement_splits_anchor_shares(chain3):
 def test_refinement_identity_when_no_cache():
     z = [[0.25, 0.75], [1.0, 0.0]]
     alloc = z_to_y(z, num_users=2, t=0, rate=0.5)
-    assert alloc.subsets == ((1,), (2,))
+    assert alloc.subsets.tolist() == [[1], [2]]
     np.testing.assert_array_equal(alloc.shares, z)
 
 

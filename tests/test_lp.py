@@ -941,7 +941,7 @@ def test_cost_row_tracks_fresh_pricing(monkeypatch):
     assert len(checked) > 300
     stats, before = validate_stats(grid), len(checked)
     costs.append(np.zeros(4))  # the crash pivot's: the cost row is 0 until the first solve
-    stack = lp.LpStack.covering(stats.ccdf[np.array(message_subsets(9, t)) - 1], 0)
+    stack = lp.LpStack.covering(stats.ccdf[message_subsets(9, t) - 1], 0)
     for lam in prices:
         costs.append(lam)
         stack.solve(lam)

@@ -4,7 +4,9 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from cachecast.lp_scheme import (
     check_allocation,
     message_subsets,
 )
+from cachecast.simulator import simulate_delivery
 
 from helpers import (
     MIXED3_RATE,
@@ -38,9 +41,9 @@ THIRD = Fraction(1, 3)
 
 
 def test_subsets_lexicographic():
-    assert message_subsets(3, 1) == ((1, 2), (1, 3), (2, 3))
-    assert message_subsets(3, 0) == ((1,), (2,), (3,))
-    assert message_subsets(4, 3) == ((1, 2, 3, 4),)
+    assert message_subsets(3, 1).tolist() == [[1, 2], [1, 3], [2, 3]]
+    assert message_subsets(3, 0).tolist() == [[1], [2], [3]]
+    assert message_subsets(4, 3).tolist() == [[1, 2, 3, 4]]
 
 
 def test_subsets_reject_bad_t():
@@ -48,6 +51,24 @@ def test_subsets_reject_bad_t():
         message_subsets(3, 3)
     with pytest.raises(BadT):
         message_subsets(3, -1)
+
+
+@pytest.mark.parametrize("users", range(1, 13))
+def test_subsets_are_the_combinations_as_one_read_only_array(users):
+    # Every t in 0..K-1: the rows are itertools.combinations' tuples, in its
+    # (lexicographic) order, as one read-only int array of shape
+    # (C(K,t+1), t+1); every t outside 0..K-1 raises BadT.
+    for t in range(users):
+        subsets = message_subsets(users, t)
+        assert isinstance(subsets, np.ndarray) and subsets.dtype.kind == "i"
+        assert subsets.shape == (math.comb(users, t + 1), t + 1)
+        assert not subsets.flags.writeable
+        assert list(map(tuple, subsets.tolist())) == list(combinations(range(1, users + 1), t + 1))
+        with pytest.raises(ValueError, match="read-only"):
+            subsets[0, 0] = 0
+    for t in (-2, -1, users, users + 1):
+        with pytest.raises(BadT, match=rf"^t must lie in 0\.\.{users - 1}, got {t}$"):
+            message_subsets(users, t)
 
 
 # --- build_delivery_lp ------------------------------------------------------------
@@ -225,12 +246,52 @@ def test_check_rejects_wrong_shape(mixed3):
         check_allocation(mixed3, alloc)
 
 
+# Subsets that are not message_subsets(3, 1), with MIXED3's shares at rate 1:
+# before the check, user 0 read user 3's row (index -1) and was reported
+# feasible, a missing {2, 3} was reported feasible though users 2 and 3
+# never get their pieces of it, and user 4 raised a bare IndexError.
+WRONG_SUBSETS = {
+    "user 0": ([[0, 1], [1, 3], [2, 3]], 3, r"row 0: \[0, 1\] for \[1, 2\]"),
+    "missing subset": ([[1, 2], [1, 3]], 2, r"row 2: nothing for \[2, 3\]"),
+    "user 4": ([[1, 2], [1, 3], [2, 4]], 3, r"row 2: \[2, 4\] for \[2, 3\]"),
+    "extra subset": ([[1, 2], [1, 3], [2, 3], [3, 4]], 4, r"row 3: \[3, 4\] for nothing"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_SUBSETS))
+def test_check_refuses_subsets_that_are_not_the_message_subsets(mixed3, case):
+    # check_allocation, and so simulate_delivery, refuses the allocation
+    # with LengthMismatch naming the first row that differs.
+    subsets, width, row = WRONG_SUBSETS[case]
+    shares = np.asarray(MIXED3_SHARES)[:, :width] if width <= 3 else np.full((3, width), 0.25)
+    alloc = replace(delivery_allocation(shares, 1.0, 3, 1), subsets=np.array(subsets))
+    message = rf"^allocation subsets differ from message_subsets at {row}$"
+    with pytest.raises(LengthMismatch, match=message):
+        check_allocation(mixed3, alloc)
+    with pytest.raises(LengthMismatch, match=message):
+        simulate_delivery(mixed3, alloc, 100, seed=1)
+    assert check_allocation(mixed3, delivery_allocation(MIXED3_SHARES, 1.0, 3, 1)).feasible
+
+
+def test_subsets_equal_to_the_message_subsets_in_any_container_pass(mixed3):
+    # The check compares values: tuples of the message subsets pass it, and
+    # simulate_delivery, which lays its tallies out by message_subsets'
+    # array once the check has passed, gives the array allocation's tallies.
+    alloc = delivery_allocation(MIXED3_SHARES, 1.0, 3, 1)
+    tuples = replace(alloc, subsets=((1, 2), (1, 3), (2, 3)))
+    assert check_allocation(mixed3, tuples).margins.tobytes() == check_allocation(mixed3, alloc).margins.tobytes()
+    for name in ("delivered", "std_error", "decodable", "user_decodable"):
+        got, want = (getattr(simulate_delivery(mixed3, a, 500, seed=3), name) for a in (tuples, alloc))
+        assert got.tobytes() == want.tobytes(), name
+
+
 # --- build_delivery_lp rows ----------------------------------------------------------
 
 
 def build_delivery_a_ub_reference(stats, t):
-    """The dense LP's a_ub written row by row, looking each subset up by value."""
-    subsets = message_subsets(stats.num_users, t)
+    """The dense LP's a_ub written row by row, looking each subset up by
+    value among itertools.combinations' tuples."""
+    subsets = list(combinations(range(1, stats.num_users + 1), t + 1))
     B, num_subsets = stats.num_levels, len(subsets)
     rows = [(k, s) for s in subsets for k in s]
     a_ub = np.zeros((len(rows) + B, B * num_subsets + 1))
@@ -405,7 +466,7 @@ def binding_lps_by_loop(stats, t):
         below = (grid[j - 1] <= grid[k - 1]).all()
         return j != k and below and (j < k or not (grid[k - 1] <= grid[j - 1]).all())
 
-    subsets = message_subsets(stats.num_users, t)
+    subsets = message_subsets(stats.num_users, t).tolist()
     kept = [tuple(k for k in s if not any(implies(j, k) for j in s)) for s in subsets]
     order = sorted(set(kept), key=lambda members: -sum(2 ** (stats.num_users - k) for k in members))
     return order, np.array([order.index(members) for members in kept])
@@ -435,7 +496,7 @@ def assert_lps_serve_their_subsets(monkeypatch, stats, t, replay=False):
     """
     lps, lp_of = binding_lps_by_loop(stats, t)
     grid = np.ldexp(stats.ccdf, -scale_exponent(stats.ccdf))
-    members = np.array(message_subsets(stats.num_users, t)) - 1
+    members = message_subsets(stats.num_users, t) - 1
     member_ccdf = grid[members]  # (subsets, t+1, B)
     _, _, solves, alloc, rows = recorded_loop(monkeypatch, stats, Fraction(t, stats.num_users))
     if not solves:
@@ -494,7 +555,7 @@ def test_kept_subset_stack_matches_cold_solves(monkeypatch, name, grid, t):
     # cuts, at which the crash basis is no longer optimal, and no solve's
     # lambda leaves a seeded level free.
     stats = validate_stats(grid)
-    member_ccdf = stats.ccdf[np.array(message_subsets(grid.shape[0], t)) - 1]
+    member_ccdf = stats.ccdf[message_subsets(grid.shape[0], t) - 1]
     lps, _, solves, _ = assert_lps_serve_their_subsets(monkeypatch, stats, t)
     assert solves[0][1].pivots.any()
     seeded = seeded_levels(member_ccdf)
@@ -573,18 +634,24 @@ def test_every_cut_is_a_valid_ceiling(monkeypatch, group):
     # solves, so every point the pool receives, one per distinct LP, is
     # mapped back to every subset that LP serves and checked against all of
     # that subset's rows, and every cut of both kinds at 16 seeded lambda
-    # against phi from solve_lps on the max form, solved cold.  A point
-    # certified to FEAS_TOL may fall short of its rows by some delta, and
-    # u / (1 - delta) meets them, so the ceiling is g.lambda / (1 - delta)
-    # for the largest shortfall delta of the LP's points: delta reaches
-    # 4.5e-10 on the small-entry grids, where g.lambda alone lies up to
-    # 2.5e-11 below phi (for Kelley's cuts too), and 3.8e-14 elsewhere.
+    # against phi from the min form: one covering LP ccdf[S] u >= 1 per
+    # subset S and lambda, at costs lambda, solved cold from its crash
+    # (LpStack.covering).  Its rows have right-hand sides 1, where the max
+    # form's are the lambda_l, down to 2e-9, on which its certificate is
+    # absolute.  Each point is divided by its least row value, so it meets
+    # every row of S and phi is read from feasible points: no lower than
+    # phi itself, up to rounding.  A cut's point certified to FEAS_TOL may
+    # fall short of its rows by some delta, and u / (1 - delta) meets them,
+    # so the ceiling is g.lambda / (1 - delta) for the largest shortfall
+    # delta of the LP's points: delta reaches 4.5e-10 on the small-entry
+    # grids, where g.lambda alone lies up to 2.5e-11 below phi (for
+    # Kelley's cuts too), and 3.8e-14 elsewhere.
     rng = np.random.default_rng(1606)
     checked = 0
     for grid, t in ceiling_cases(group):
         stats = validate_stats(grid)
         users, levels = grid.shape
-        member_ccdf = stats.ccdf[np.array(message_subsets(users, t)) - 1]  # (subsets, t+1, B)
+        member_ccdf = stats.ccdf[message_subsets(users, t) - 1]  # (subsets, t+1, B)
         lp_of = binding_lps_by_loop(stats, t)[1]
         columns, masters, solves, alloc, _ = recorded_loop(monkeypatch, stats, Fraction(t, users))
         cuts = columns[masters[0][0].size:]  # the seeds enter before the first master solve
@@ -597,11 +664,14 @@ def test_every_cut_is_a_valid_ceiling(monkeypatch, group):
         assert shortfall <= FEAS_TOL
         lams = rng.dirichlet(np.ones(levels), 16)
         size = len(member_ccdf)
-        cold = solve_lps(
-            -np.ones(t + 1), np.tile(member_ccdf.transpose(0, 2, 1), (16, 1, 1)), np.repeat(lams, size, axis=0)
-        )
+        with np.errstate(divide="ignore"):  # crash on the first level where every 1/w is finite
+            crash = int(np.flatnonzero(np.isfinite(1.0 / member_ccdf.min(axis=1)).all(axis=0))[0])
+        tiled = np.tile(member_ccdf, (16, 1, 1))  # lambda-major, then subsets
+        cold = LpStack.covering(tiled, crash).solve(np.repeat(lams, size, axis=0))
         assert cold.status == [OPTIMAL] * (16 * size)
-        phi = -cold.value.reshape(16, size).sum(axis=1) / math.comb(users, t)
+        least = np.matmul(tiled, cold.x[:, :, None]).min(axis=(1, 2))  # each point's least row value
+        assert (least >= 1.0 - FEAS_TOL).all()
+        phi = (cold.value / least).reshape(16, size).sum(axis=1) / math.comb(users, t)
         ceilings = lams @ np.array(cuts).T  # (16, cuts)
         assert (phi[:, None] <= ceilings * (1.0 + 1e-12) / (1.0 - shortfall)).all()
         checked += len(cuts)

@@ -190,7 +190,7 @@ def test_simulation_margins_concentrate(mixed3, reference_alloc):
 
 def test_simulation_user_flag_mirrors_messages(mixed3, reference_alloc):
     report = simulate_delivery(mixed3, reference_alloc, num_uses=5000, seed=21)
-    members = np.array(reference_alloc.subsets)
+    members = reference_alloc.subsets
     for k in (1, 2, 3):
         expected = all(report.decodable[members == k].tolist())
         assert report.user_decodable[k - 1] == expected
@@ -202,7 +202,7 @@ def test_simulation_zero_margin_message_is_a_coin_flip(mixed3, reference_alloc):
     wins = 0
     for seed in range(50):
         report = simulate_delivery(mixed3, reference_alloc, num_uses=20_000, seed=seed)
-        assert reference_alloc.subsets[0] == (1, 2)  # user 2 is its member 1
+        assert reference_alloc.subsets[0].tolist() == [1, 2]  # user 2 is its member 1
         assert abs(report.analytic_margin[0, 1]) <= 1e-12
         wins += bool(report.decodable[0, 1])
     assert 10 <= wins <= 40
@@ -211,7 +211,7 @@ def test_simulation_zero_margin_message_is_a_coin_flip(mixed3, reference_alloc):
 @pytest.mark.parametrize("users", [3, 4, 5, 6])
 def test_tallies_are_arrays_in_the_allocation_layout(users):
     # Every per-message tally is one array in check_allocation's (subset,
-    # member) layout of np.array(alloc.subsets), at t = 0 (one member per
+    # member) layout of alloc.subsets, at t = 0 (one member per
     # subset), t = K - 1 (one subset) and a t between, on seeded
     # allocations: analytic_margin is check_allocation's margins to the
     # byte, and the flags and margins follow from the counts.
@@ -219,7 +219,7 @@ def test_tallies_are_arrays_in_the_allocation_layout(users):
     for t in sorted({0, int(rng.integers(1, users - 1)), users - 1}):
         stats, alloc = random_allocation(rng, users, int(rng.integers(1, 5)), t)
         checked = check_allocation(stats, alloc)
-        members = np.array(alloc.subsets)
+        members = alloc.subsets
         shape = (math.comb(users, t + 1), t + 1)
         for num_uses, seed in ((1, 0), (3001, int(rng.integers(0, 2**31)))):
             report = simulate_delivery(stats, alloc, num_uses, seed)
@@ -253,28 +253,22 @@ def test_tally_matches_per_slice_sums(mixed3):
     report = simulate_delivery(mixed3, alloc, num_uses=997, seed=19)
     assert report.levels is None  # no levels were kept
     levels = simulate_delivery(mixed3, alloc, 997, 19, keep_levels=True).levels.astype(np.int64)
-    expected = {}
+    expected = np.zeros(alloc.subsets.shape, dtype=np.int64)
     for l in range(mixed3.num_levels):
         quotas = [997 * float(x) for x in shares[l]] + [max(0.0, 997 * (1.0 - shares[l].sum()))]
         spans = apportion(quotas, 997)
         assert 0 in spans[:-1] and spans[-1] > 0
         bounds = np.cumsum([0] + spans)
-        for j, s in enumerate(alloc.subsets):
-            for k in s:
-                got = (levels[k - 1, bounds[j] : bounds[j + 1]] >= l + 1).sum()
-                expected[(k, s)] = expected.get((k, s), 0) + int(got)
-    assert by_pair(alloc, report.delivered) == expected
-
-
-def by_pair(alloc, column):
-    """A report column, in the (subset, member) layout of alloc.subsets, as
-    {(user, subset): entry}."""
-    return {(k, s): entry for s, row in zip(alloc.subsets, column.tolist()) for k, entry in zip(s, row)}
+        for j, s in enumerate(alloc.subsets.tolist()):
+            for i, k in enumerate(s):
+                expected[j, i] += int((levels[k - 1, bounds[j] : bounds[j + 1]] >= l + 1).sum())
+    assert report.delivered.tolist() == expected.tolist()
 
 
 def per_slice_report(stats, alloc, levels):
-    """delivered, std_error per (user, subset) and the empirical CCDF, by the
-    plain per-span formulas on the K x n levels.
+    """delivered, std_error, in the (subset, member) layout of
+    alloc.subsets, and the empirical CCDF, by the plain per-span formulas
+    on the K x n levels.
 
     The variance is brute force, use by use: the set of levels whose span
     holds the use, and the variance of how many of them the use's level L
@@ -283,19 +277,21 @@ def per_slice_report(stats, alloc, levels):
     levels = levels.astype(np.int64)
     num_uses = levels.shape[1]
     B = stats.num_levels
-    delivered, held = {}, {}  # held[(k, s)]: per use, a bit per level whose span of s holds it
+    subsets = alloc.subsets.tolist()
+    delivered = np.zeros(alloc.subsets.shape, dtype=np.int64)
+    held = {}  # held[j, i]: per use, a bit per level whose span of subset j holds it
     for l in range(B):
         shares = alloc.shares[l]
         quotas = [num_uses * float(x) for x in shares] + [max(0.0, num_uses * (1.0 - shares.sum()))]
         spans = apportion(quotas, num_uses)
         bounds = np.cumsum([0] + spans)
-        for j, s in enumerate(alloc.subsets):
-            for k in s:
-                got = (levels[k - 1, bounds[j] : bounds[j + 1]] >= l + 1).sum()
-                delivered[(k, s)] = delivered.get((k, s), 0) + int(got)
-                held.setdefault((k, s), np.zeros(num_uses, dtype=np.int64))[bounds[j] : bounds[j + 1]] |= 1 << l
-    std_error = {}
-    for (k, s), bits in held.items():
+        for j, s in enumerate(subsets):
+            for i, k in enumerate(s):
+                delivered[j, i] += int((levels[k - 1, bounds[j] : bounds[j + 1]] >= l + 1).sum())
+                held.setdefault((j, i), np.zeros(num_uses, dtype=np.int64))[bounds[j] : bounds[j + 1]] |= 1 << l
+    std_error = np.zeros(alloc.subsets.shape)
+    for (j, i), bits in held.items():
+        k = subsets[j][i]
         ccdf = np.concatenate([[1.0], stats.ccdf[k - 1], [0.0]])
         law = ccdf[:-1] - ccdf[1:]  # P(L = v), v = 0..B
         variance = 0.0
@@ -304,7 +300,7 @@ def per_slice_report(stats, alloc, levels):
             reached = np.array([sum(v >= l + 1 for l in given) for v in range(B + 1)])
             mean = law @ reached
             variance += int(uses) * float(law @ (reached - mean) ** 2)
-        std_error[(k, s)] = math.sqrt(variance) / num_uses
+        std_error[j, i] = math.sqrt(variance) / num_uses
     steps = np.arange(1, B + 1)
     hat = (levels[:, :, None] >= steps[None, None, :]).mean(axis=1)
     return delivered, std_error, hat
@@ -352,9 +348,8 @@ def assert_matches_per_slice_and_kept(stats, alloc, num_uses, seed):
     assert levels.dtype == np.uint8 and not levels.flags.writeable
 
     delivered, std_error, hat = per_slice_report(stats, alloc, levels)
-    assert by_pair(alloc, report.delivered) == delivered
-    for pair, got in by_pair(alloc, report.std_error).items():
-        assert got == pytest.approx(std_error[pair], rel=1e-12, abs=1e-15)
+    assert report.delivered.tolist() == delivered.tolist()
+    assert report.std_error.ravel().tolist() == pytest.approx(std_error.ravel().tolist(), rel=1e-12, abs=1e-15)
     assert report.empirical_ccdf.tobytes() == hat.tobytes()
 
 
@@ -548,13 +543,13 @@ def test_zero_one_rows_are_deterministic_at_a_trillion_uses():
     num_uses = 10**12
     starts = span_starts(alloc, num_uses)
     reached = {1: 2, 2: 1, 3: 3}
-    expected = {
-        (k, s): sum(starts[l][j + 1] - starts[l][j] for l in range(reached[k]))
-        for j, s in enumerate(alloc.subsets) for k in s
-    }
+    expected = [
+        [sum(starts[l][j + 1] - starts[l][j] for l in range(reached[k])) for k in s]
+        for j, s in enumerate(alloc.subsets.tolist())
+    ]
     for seed in (0, 1, 2**40):
         report = simulate_delivery(stats, alloc, num_uses, seed)
-        assert by_pair(alloc, report.delivered) == expected
+        assert report.delivered.tolist() == expected
         assert not report.std_error.any()
         assert report.empirical_ccdf.tolist() == rows
         assert report.ccdf_std_error.tolist() == [[0.0] * 3] * 3
@@ -595,15 +590,13 @@ def test_std_error_matches_the_spread_over_seeds(mixed3):
     for shares in alloc.shares:
         quotas = [num_uses * float(x) for x in shares] + [max(0.0, num_uses * (1.0 - shares.sum()))]
         spans.append(apportion(quotas, num_uses))
-    tallies: dict = {}
-    for seed in range(300):
-        report = simulate_delivery(mixed3, alloc, num_uses, seed)
-        std_errors = by_pair(alloc, report.std_error)
-        for pair, delivered in by_pair(alloc, report.delivered).items():
-            tallies.setdefault(pair, []).append((delivered, std_errors[pair]))
-    spreads = {}
-    for (k, s), pairs in tallies.items():
-        j = alloc.subsets.index(s)
-        mean = sum(spans[l][j] * float(mixed3.ccdf[k - 1, l]) for l in range(alloc.num_levels))
-        spreads[(k, s)] = float(np.std([(delivered - mean) / num_uses / se for delivered, se in pairs]))
-    assert all(0.85 <= spread <= 1.15 for spread in spreads.values()), spreads
+    reports = [simulate_delivery(mixed3, alloc, num_uses, seed) for seed in range(300)]
+    delivered = np.array([report.delivered for report in reports])  # (seeds, subsets, members)
+    std_errors = np.array([report.std_error for report in reports])
+    # The mean of each (subset j, member i): sum_l spans[l][j] * ccdf[k-1, l] for its user k.
+    mean = np.array([
+        [sum(spans[l][j] * float(mixed3.ccdf[k - 1, l]) for l in range(alloc.num_levels)) for k in s]
+        for j, s in enumerate(alloc.subsets.tolist())
+    ])
+    spreads = ((delivered - mean) / num_uses / std_errors).std(axis=0)
+    assert ((0.85 <= spreads) & (spreads <= 1.15)).all(), spreads
